@@ -38,6 +38,7 @@ from .core import (
     ExecutionPolicy,
     FacilityRoute,
     IndexVariant,
+    MatchSet,
     Point,
     ProximityBackend,
     QueryStats,
@@ -46,6 +47,7 @@ from .core import (
     StopSet,
     TQTreeConfig,
     Trajectory,
+    UserPointTable,
     ZID,
     brute_force_combined_service,
     brute_force_matches,
@@ -149,6 +151,8 @@ __all__ = [
     "ServiceSpec",
     "StopSet",
     "CoverageState",
+    "MatchSet",
+    "UserPointTable",
     "IndexVariant",
     "ProximityBackend",
     "ExecutionPolicy",

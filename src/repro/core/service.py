@@ -20,8 +20,11 @@ For MaxkCovRST the *combined* service of a facility set uses union
 semantics (the paper's Lemma 1): a point is covered when it is within
 ``psi`` of the union of all chosen facilities' stops — the source may be
 served by one facility and the destination by another.
-:class:`CoverageState` tracks per-user covered point indices and derives
-all three objectives from them.
+:class:`CoverageState` tracks which point *slots* of the user table
+(:class:`~repro.core.trajectory.UserPointTable`) are covered and derives
+all three objectives from that one boolean column; a facility's match set
+travels as a :class:`MatchSet`, a sorted slot array that reads as today's
+``{traj_id: (idx, ...)}`` mapping wherever one is expected.
 
 Everything in this module is deliberately brute-force and index-free; it
 doubles as the *oracle* against which the TQ-tree evaluators are tested.
@@ -41,15 +44,17 @@ remains the canonical reference implementation.
 from __future__ import annotations
 
 import enum
+from collections import abc
+from itertools import chain
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .errors import QueryError
+from .errors import QueryError, TrajectoryError
 from .geometry import BBox, Point
 from .stats import QueryStats
-from .trajectory import FacilityRoute, Trajectory
+from .trajectory import FacilityRoute, Trajectory, UserPointTable, ranges
 
 __all__ = [
     "ServiceModel",
@@ -62,6 +67,10 @@ __all__ = [
     "score_trajectory",
     "brute_force_service",
     "brute_force_matches",
+    "per_user_values",
+    "in_order_sum",
+    "MatchSet",
+    "as_match_set",
     "CoverageState",
     "brute_force_combined_service",
 ]
@@ -112,8 +121,14 @@ def psi_hit(dx: np.ndarray, dy: np.ndarray, psi: float) -> np.ndarray:
     Every coverage decision in the library (dense broadcast, grid
     candidate check, single-point probe) reduces to this one comparison,
     so dense and grid paths are bit-identical by construction.
+
+    A squared offset too large for a float64 overflows to ``inf``, which
+    compares as *not covered* against any finite ``psi * psi`` — the
+    defined answer for a point that far away, so the overflow is not
+    worth a warning.
     """
-    return dx * dx + dy * dy <= psi * psi
+    with np.errstate(over="ignore"):
+        return dx * dx + dy * dy <= psi * psi
 
 
 def coverage_kernel(
@@ -294,23 +309,157 @@ def brute_force_matches(
 
 
 # ----------------------------------------------------------------------
+# columnar scoring over the user table
+# ----------------------------------------------------------------------
+def in_order_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum, bit-identical to ``sum()`` over the same
+    values as a Python list (``np.sum`` adds pairwise)."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
+def per_user_values(
+    table: UserPointTable,
+    covered: np.ndarray,
+    spec: ServiceSpec,
+    rows: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """``S(u, .)`` per user row from a ``covered[slot]`` boolean column.
+
+    The arithmetic is :func:`score_from_indices`'s, user by user: a
+    covered-point count over ``|u|``, segment lengths accumulated in
+    segment order (``np.bincount`` adds in array order) over the
+    trajectory length.  ``rows`` restricts the result to those rows (any
+    order, no repeats); the default is every row in table order.
+    """
+    if rows is None:
+        n = table.n_users
+        first, last = table.first, table.last
+        n_points, traj_len = table.n_points, table.traj_len
+    else:
+        n = rows.size
+        first, last = table.first[rows], table.last[rows]
+        n_points, traj_len = table.n_points[rows], table.traj_len[rows]
+    if spec.model is ServiceModel.ENDPOINT:
+        return (covered[first] & covered[last]).astype(np.float64)
+    if spec.model is ServiceModel.COUNT:
+        if rows is None:
+            owner, hit = table.pt_owner, covered
+        else:
+            counts = table.counts[rows]
+            owner = np.repeat(np.arange(n, dtype=np.int64), counts)
+            hit = covered[ranges(first, counts)]
+        raw = np.bincount(owner, weights=hit.astype(np.float64), minlength=n)
+        return raw / n_points if spec.normalize else raw
+    # LENGTH: a segment is served when both its endpoints are covered
+    if rows is None:
+        owner, seg_a, seg_len = table.seg_owner, table.seg_a, table.seg_len
+    else:
+        counts = table.counts[rows] - 1
+        owner = np.repeat(np.arange(n, dtype=np.int64), counts)
+        segs = ranges(table.seg_off[rows], counts)
+        seg_a, seg_len = table.seg_a[segs], table.seg_len[segs]
+    served = covered[seg_a] & covered[seg_a + 1]
+    raw = np.bincount(owner, weights=seg_len * served, minlength=n)
+    if not spec.normalize:
+        return raw
+    out = np.zeros(n, dtype=np.float64)
+    np.divide(raw, traj_len, out=out, where=traj_len > 0)
+    return out
+
+
+class MatchSet(abc.Mapping):
+    """The user points one facility serves: sorted unique slots of a
+    :class:`~repro.core.trajectory.UserPointTable`.
+
+    Reads as the ``{traj_id: (idx, ...)}`` mapping the match-set API has
+    always exposed (users without a covered point are absent, users in
+    table order); the mapping is only materialised when someone reads
+    it, so solver loops that stay on :attr:`slots` never pay for it.
+    """
+
+    __slots__ = ("table", "slots", "_dict")
+
+    def __init__(self, table: UserPointTable, slots: np.ndarray) -> None:
+        self.table = table
+        self.slots = slots
+        self._dict: Optional[Dict[int, Tuple[int, ...]]] = None
+
+    def as_dict(self) -> Dict[int, Tuple[int, ...]]:
+        if self._dict is None:
+            table, slots = self.table, self.slots
+            owner = table.pt_owner[slots]
+            idx = (slots - table.first[owner]).tolist()
+            cuts = (np.flatnonzero(np.diff(owner)) + 1).tolist()
+            ids = table.traj_ids[owner[[0] + cuts]].tolist() if slots.size else []
+            self._dict = {
+                tid: tuple(idx[a:b])
+                for tid, a, b in zip(ids, [0] + cuts, cuts + [len(idx)])
+            }
+        return self._dict
+
+    def __getitem__(self, traj_id: int) -> Tuple[int, ...]:
+        return self.as_dict()[traj_id]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.as_dict())
+
+    def __len__(self) -> int:
+        return len(self.as_dict())
+
+    def __repr__(self) -> str:
+        return f"MatchSet(n_slots={self.slots.size})"
+
+
+def as_match_set(
+    table: UserPointTable, matches: Mapping[int, Iterable[int]]
+) -> MatchSet:
+    """``matches`` as a :class:`MatchSet` over ``table``: itself when it
+    already is one, else its ``{traj_id: indices}`` pairs translated to
+    slots.  Solvers translate each facility's matches once and price
+    them many times."""
+    if isinstance(matches, MatchSet) and matches.table is table:
+        return matches
+    rows, parts = [], []
+    for traj_id, idx in matches.items():
+        row = table.row_of.get(traj_id)
+        if row is None:
+            raise QueryError(f"matches refer to unknown user {traj_id}")
+        rows.append(row)
+        parts.append(list(idx))
+    counts = [len(part) for part in parts]
+    idx = np.fromiter(chain.from_iterable(parts), dtype=np.int64, count=sum(counts))
+    row = np.repeat(np.array(rows, dtype=np.int64), counts)
+    if ((idx < 0) | (idx >= table.counts[row])).any():
+        raise QueryError("matches refer to a point index outside its user")
+    return MatchSet(table, np.unique(table.first[row] + idx))
+
+
+# ----------------------------------------------------------------------
 # combined (MaxkCovRST) coverage
 # ----------------------------------------------------------------------
 class CoverageState:
-    """Per-user covered point indices under union semantics.
+    """Covered user points under union semantics, as one boolean column
+    over the user table's slots.
 
     Supports the greedy MaxkCovRST loop: ``gain`` prices a candidate's
     marginal contribution, ``add`` commits it.  The objective for every
-    :class:`ServiceModel` is derived from the covered index sets, so one
-    state serves all scenarios.
+    :class:`ServiceModel` is derived from the covered column, so one
+    state serves all scenarios.  ``users`` may be a plain trajectory
+    sequence or a ready :class:`~repro.core.trajectory.UserPointTable`;
+    match sets may be :class:`MatchSet` objects over that table (used
+    as they are) or any ``{traj_id: indices}`` mapping (translated to
+    slots first) — both forms price identically, because a gain is
+    always the per-user value deltas summed in ascending row order.
     """
 
     def __init__(self, users: Sequence[Trajectory], spec: ServiceSpec) -> None:
         self.spec = spec
-        self._users: Dict[int, Trajectory] = {u.traj_id: u for u in users}
-        if len(self._users) != len(users):
-            raise QueryError("duplicate trajectory ids in user set")
-        self._covered: Dict[int, Set[int]] = {}
+        try:
+            self.table = UserPointTable.of(users)
+        except TrajectoryError as exc:
+            raise QueryError(str(exc)) from exc
+        self._covered = np.zeros(self.table.n_slots, dtype=bool)
+        self._user_value = np.zeros(self.table.n_users, dtype=np.float64)
         self._value = 0.0
 
     # ------------------------------------------------------------------
@@ -323,36 +472,47 @@ class CoverageState:
         """An independent snapshot (used by branch-and-bound search)."""
         clone = CoverageState.__new__(CoverageState)
         clone.spec = self.spec
-        clone._users = self._users
-        clone._covered = {tid: set(idx) for tid, idx in self._covered.items()}
+        clone.table = self.table
+        clone._covered = self._covered.copy()
+        clone._user_value = self._user_value.copy()
         clone._value = self._value
         return clone
 
     def covered_indices(self, traj_id: int) -> frozenset:
         """Covered point indices of one user (empty if untouched)."""
-        return frozenset(self._covered.get(traj_id, ()))
-
-    def _user_value(self, traj_id: int, covered: Set[int]) -> float:
-        return score_from_indices(self._users[traj_id], covered, self.spec)
+        row = self.table.row_of.get(traj_id)
+        if row is None:
+            return frozenset()
+        lo, hi = self.table.offsets[row], self.table.offsets[row + 1]
+        return frozenset(np.flatnonzero(self._covered[lo:hi]).tolist())
 
     # ------------------------------------------------------------------
+    def _priced(
+        self, matches: Mapping[int, Iterable[int]]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(new, rows, values)``: the not-yet-covered slots of
+        ``matches`` (sorted), the users they touch (ascending), and those
+        users' ``S`` once the new slots are covered too.  The covered
+        column is lent the new slots for the computation and handed back
+        as it was."""
+        slots = as_match_set(self.table, matches).slots
+        new = slots[~self._covered[slots]]
+        rows = np.unique(self.table.pt_owner[new])
+        self._covered[new] = True
+        try:
+            values = per_user_values(self.table, self._covered, self.spec, rows)
+        finally:
+            self._covered[new] = False
+        return new, rows, values
+
     def gain(self, matches: Mapping[int, Iterable[int]]) -> float:
         """Marginal combined-service gain of adding ``matches``.
 
         ``matches`` maps ``traj_id`` to the point indices the candidate
         facility serves.  The state is not modified.
         """
-        delta = 0.0
-        for traj_id, idx in matches.items():
-            if traj_id not in self._users:
-                raise QueryError(f"matches refer to unknown user {traj_id}")
-            old = self._covered.get(traj_id, set())
-            new = old | set(idx)
-            if len(new) != len(old):
-                delta += self._user_value(traj_id, new) - self._user_value(
-                    traj_id, old
-                )
-        return delta
+        _new, rows, values = self._priced(matches)
+        return in_order_sum(values - self._user_value[rows])
 
     def new_coverage_count(self, matches: Mapping[int, Iterable[int]]) -> int:
         """How many (user, point-index) slots ``matches`` would newly cover.
@@ -362,27 +522,15 @@ class CoverageState:
         make progress toward it (e.g. covering only sources when the
         objective needs source+destination).  The state is not modified.
         """
-        count = 0
-        for traj_id, idx in matches.items():
-            if traj_id not in self._users:
-                raise QueryError(f"matches refer to unknown user {traj_id}")
-            old = self._covered.get(traj_id)
-            if old is None:
-                count += len(set(idx))
-            else:
-                count += sum(1 for i in set(idx) if i not in old)
-        return count
+        slots = as_match_set(self.table, matches).slots
+        return int(slots.size - np.count_nonzero(self._covered[slots]))
 
     def add(self, matches: Mapping[int, Iterable[int]]) -> float:
         """Commit ``matches`` to the state; returns the realised gain."""
-        delta = 0.0
-        for traj_id, idx in matches.items():
-            if traj_id not in self._users:
-                raise QueryError(f"matches refer to unknown user {traj_id}")
-            old = self._covered.setdefault(traj_id, set())
-            before = self._user_value(traj_id, old) if old else 0.0
-            old.update(int(i) for i in idx)
-            delta += self._user_value(traj_id, old) - before
+        new, rows, values = self._priced(matches)
+        delta = in_order_sum(values - self._user_value[rows])
+        self._covered[new] = True
+        self._user_value[rows] = values
         self._value += delta
         return delta
 
@@ -391,12 +539,10 @@ class CoverageState:
 
         This is the paper's "# Users Served" metric (Figure 10 (b), (d)).
         """
-        count = 0
-        for traj_id, covered in self._covered.items():
-            u = self._users[traj_id]
-            if 0 in covered and (u.n_points - 1) in covered:
-                count += 1
-        return count
+        table = self.table
+        return int(
+            np.count_nonzero(self._covered[table.first] & self._covered[table.last])
+        )
 
 
 def brute_force_combined_service(

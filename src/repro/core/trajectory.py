@@ -12,20 +12,28 @@ Two first-class citizens, mirroring the paper's Section II:
 Coordinates are held both as :class:`~repro.core.geometry.Point` tuples
 (for the tree algorithms) and as a NumPy ``(n, 2)`` array (for vectorised
 ``psi``-distance checks in the service evaluators).
+
+:class:`UserPointTable` is the columnar image of a whole user set: every
+point of every user gets one global *slot*, and the per-user structure
+(first/last slot, segment endpoint slots, lengths) is a handful of flat
+arrays.  The TQ-tree's node blocks, the batch engine and
+:class:`~repro.core.service.CoverageState` all index this one table, so
+a set of covered points is just a sorted array of slots.
 """
 
 from __future__ import annotations
 
 import math
+from collections import abc
 from functools import cached_property
-from typing import Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .errors import TrajectoryError
 from .geometry import BBox, Point, bbox_of_points, polyline_length
 
-__all__ = ["Trajectory", "FacilityRoute"]
+__all__ = ["Trajectory", "FacilityRoute", "UserPointTable", "ranges"]
 
 
 def _as_points(raw: Sequence) -> Tuple[Point, ...]:
@@ -206,3 +214,119 @@ class FacilityRoute:
 
     def __repr__(self) -> str:
         return f"FacilityRoute(id={self.facility_id}, n_stops={self.n_stops})"
+
+
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``
+    without the Python loop — the CSR gather every columnar read uses."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - (ends - counts), counts) + np.arange(
+        total, dtype=np.int64
+    )
+
+
+class UserPointTable(abc.Sequence):
+    """A user set as flat arrays: one row per user, one slot per point.
+
+    Rows follow the order of ``users``; slots are the users' points
+    concatenated in that order, so user ``r`` owns the slots
+    ``offsets[r] .. offsets[r + 1] - 1`` and point ``i`` of that user
+    is slot ``first[r] + i``.  Appending users (:meth:`extended`) never
+    moves an existing row or slot.  The table is itself a sequence of
+    its :class:`Trajectory` rows, so it can stand wherever a user list
+    is expected.
+
+    Columns (all read-only):
+
+    ``traj_ids``  per row, the trajectory id (``row_of`` inverts it)
+    ``offsets``   CSR point offsets, ``n_users + 1`` long
+    ``first`` / ``last``  per row, the slots of ``u.p1`` and ``u.p|u|``
+    ``counts`` / ``n_points``  per row, ``|u|`` as int64 / float64
+    ``xy``        per slot, the coordinates
+    ``pt_owner``  per slot, the owning row
+    ``seg_a``     per segment, the slot of its first endpoint (the
+                  second is ``seg_a + 1``); user ``r``'s segments are
+                  ``seg_off[r] .. seg_off[r + 1] - 1`` in order
+    ``seg_owner`` / ``seg_len``  per segment, owning row and length
+    ``traj_len``  per row, the polyline length
+    """
+
+    __slots__ = (
+        "users", "traj_ids", "row_of", "offsets", "first", "last", "counts",
+        "n_points", "xy", "pt_owner", "seg_off", "seg_a", "seg_owner",
+        "seg_len", "traj_len",
+    )
+
+    def __init__(self, users: Sequence[Trajectory]) -> None:
+        self.users: Tuple[Trajectory, ...] = tuple(users)
+        n_users = len(self.users)
+        self.traj_ids = np.fromiter(
+            (u.traj_id for u in self.users), dtype=np.int64, count=n_users
+        )
+        self.row_of: Dict[int, int] = {
+            tid: row for row, tid in enumerate(self.traj_ids.tolist())
+        }
+        if len(self.row_of) != n_users:
+            raise TrajectoryError("duplicate trajectory ids in user set")
+        self.counts = np.fromiter(
+            (len(u.points) for u in self.users), dtype=np.int64, count=n_users
+        )
+        self.n_points = self.counts.astype(np.float64)
+        self.offsets = np.zeros(n_users + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=self.offsets[1:])
+        self.first = self.offsets[:-1]
+        self.last = self.offsets[1:] - 1
+        n_slots = int(self.offsets[-1])
+        self.xy = np.array(
+            [(p.x, p.y) for u in self.users for p in u.points], dtype=np.float64
+        ).reshape(n_slots, 2)
+        rows = np.arange(n_users, dtype=np.int64)
+        self.pt_owner = np.repeat(rows, self.counts)
+        # every point that is not the last of its user opens a segment
+        self.seg_off = self.offsets - np.arange(n_users + 1, dtype=np.int64)
+        opens = np.ones(n_slots, dtype=bool)
+        opens[self.last] = False
+        self.seg_a = np.flatnonzero(opens)
+        self.seg_owner = np.repeat(rows, self.counts - 1)
+        # lengths come from the trajectories' own (cached) scalar
+        # arithmetic: the oracle scores with exactly these floats
+        self.seg_len = np.fromiter(
+            (d for u in self.users for d in u.segment_lengths),
+            dtype=np.float64, count=self.seg_a.size,
+        )
+        self.traj_len = np.fromiter(
+            (u.length for u in self.users), dtype=np.float64, count=n_users
+        )
+        for name in self.__slots__:
+            column = getattr(self, name)
+            if isinstance(column, np.ndarray):
+                column.setflags(write=False)
+
+    @classmethod
+    def of(cls, users: Sequence[Trajectory]) -> "UserPointTable":
+        """``users`` itself when it already is a table, else a new one."""
+        return users if isinstance(users, cls) else cls(users)
+
+    def extended(self, more: Sequence[Trajectory]) -> "UserPointTable":
+        """A table with ``more`` appended; existing rows and slots keep
+        their numbers."""
+        return UserPointTable(self.users + tuple(more))
+
+    # ------------------------------------------------------------------
+    @property
+    def n_users(self) -> int:
+        return len(self.users)
+
+    @property
+    def n_slots(self) -> int:
+        return int(self.xy.shape[0])
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __getitem__(self, i):
+        return self.users[i]
+
+    def __repr__(self) -> str:
+        return f"UserPointTable(n_users={self.n_users}, n_slots={self.n_slots})"

@@ -18,8 +18,8 @@ This module provides:
   to the scalar functions element-wise (the cellstring engine's key
   path).
 * :class:`AdaptiveZGrid` — the adaptive quadrant partition of a bounding box
-  driven by a point multiset; maps points to z-ids and regions to the set of
-  intersecting cells.
+  driven by a point multiset; maps points to z-ids (or, for whole arrays,
+  to leaf ranks) and regions to the set of intersecting cells.
 
 Digit convention: at every level the quadrant digit is
 ``(x_bit) | (y_bit << 1)`` (SW=0, SE=1, NW=2, NE=3) — identical to
@@ -30,7 +30,7 @@ sort in the same Z order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -259,26 +259,37 @@ class _ZCell:
         return self.children is None
 
 
+def _as_xy(points) -> np.ndarray:
+    """``points`` (an ``(n, 2)`` array or a Point sequence) as an array."""
+    if isinstance(points, np.ndarray):
+        return points.reshape(-1, 2)
+    return np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
+
+
 class AdaptiveZGrid:
     """Adaptive quadrant partition of ``space`` driven by a point multiset.
 
     The space is recursively quartered while a cell holds more than
     ``beta`` of the driving points and the depth cap is not reached.  The
     resulting *leaf cells* define the z-ids used to order trajectories in a
-    q-node.
+    q-node; a leaf's *rank* is its ordinal among the leaves in Z order,
+    so comparing ranks is comparing z-ids.
 
-    The grid answers two questions:
+    The grid answers three questions:
 
-    * :meth:`zid_of` — which leaf cell contains a point (works for any
-      point in the space, not just the driving ones);
-    * :meth:`cells_intersecting` — which leaf cells intersect a query box
-      (``zReduce`` turns these into sorted-range lookups).
+    * :meth:`zid_of` / :meth:`ranks_of` — which leaf cell contains a
+      point (works for any point in the space, not just the driving
+      ones), one point at a time or a whole array at once;
+    * :meth:`cells_intersecting` — which leaf cells intersect a query box;
+    * :meth:`cells_serving` — which leaf cells a facility component can
+      serve, as a boolean column over the ranks (``zReduce`` indexes it
+      with the entries' ranks).
     """
 
     def __init__(
         self,
         space: BBox,
-        points: Sequence[Point],
+        points,
         beta: int,
         max_depth: int = 16,
     ) -> None:
@@ -289,23 +300,29 @@ class AdaptiveZGrid:
         self.space = space
         self.beta = beta
         self.max_depth = max_depth
-        self._root = _ZCell(ZID(()), space, count=len(points))
-        self._leaf_cache: Optional[Tuple[List[ZID], np.ndarray]] = None
-        self._build(self._root, list(points), 0)
+        xy = _as_xy(points)
+        self._root = _ZCell(ZID(()), space, count=xy.shape[0])
+        self._flat: Optional[tuple] = None
+        self._build(self._root, xy[:, 0], xy[:, 1], 0)
 
     # ------------------------------------------------------------------
-    def _build(self, cell: _ZCell, points: List[Point], depth: int) -> None:
-        if len(points) <= self.beta or depth >= self.max_depth:
+    def _build(self, cell: _ZCell, xs: np.ndarray, ys: np.ndarray, depth: int) -> None:
+        if xs.size <= self.beta or depth >= self.max_depth:
             return
-        groups: Tuple[List[Point], ...] = ([], [], [], [])
-        for p in points:
-            groups[cell.box.quadrant_of(p)].append(p)
+        box = cell.box
+        # BBox.quadrant_of, for every point of the cell at once
+        digits = (xs >= (box.xmin + box.xmax) / 2.0) | (
+            (ys >= (box.ymin + box.ymax) / 2.0) << 1
+        )
         cell.children = []
-        boxes = cell.box.quadrants()
+        boxes = box.quadrants()
         for digit in range(4):
-            child = _ZCell(cell.zid.child(digit), boxes[digit], count=len(groups[digit]))
+            inside = digits == digit
+            child = _ZCell(
+                cell.zid.child(digit), boxes[digit], count=int(inside.sum())
+            )
             cell.children.append(child)
-            self._build(child, groups[digit], depth + 1)
+            self._build(child, xs[inside], ys[inside], depth + 1)
 
     # ------------------------------------------------------------------
     def zid_of(self, p: Point) -> ZID:
@@ -325,7 +342,7 @@ class AdaptiveZGrid:
         z-ids must be told apart by their end z-ids (paper Section III,
         step (ii)).  Depth remains capped by ``max_depth``.
         """
-        self._leaf_cache = None
+        self._flat = None
         cell = self._root
         depth = 0
         while not cell.is_leaf:
@@ -368,42 +385,74 @@ class AdaptiveZGrid:
         out.sort()
         return out
 
-    def _leaf_arrays(self) -> Tuple[List[ZID], np.ndarray]:
-        """Leaf ids (Z order) and their boxes as an ``(n, 4)`` array.
-
-        Cached; invalidated by :meth:`refine_at`.  This is the vectorised
-        backbone of ``zReduce``: selecting the cells a facility component
-        can serve becomes a handful of NumPy operations instead of a
-        per-cell Python walk.
+    def _flattened(self) -> tuple:
+        """The partition tree as arrays, cached until :meth:`refine_at`:
+        ``(leaf boxes (n_leaves, 4) in Z order, per cell: split x, split
+        y, the four child cell numbers or -1, leaf rank or -1)``.
+        This is the vectorised backbone of ``zReduce``: ranking points and
+        selecting the cells a facility component can serve are a handful
+        of NumPy operations instead of a per-cell Python walk.
         """
-        if self._leaf_cache is None:
-            items = list(self.leaf_cells())
-            zids = [z for z, _ in items]
-            if items:
-                boxes = np.array(
-                    [(b.xmin, b.ymin, b.xmax, b.ymax) for _, b in items],
-                    dtype=np.float64,
-                )
-            else:
-                boxes = np.zeros((0, 4), dtype=np.float64)
-            self._leaf_cache = (zids, boxes)
-        return self._leaf_cache
+        if self._flat is None:
+            cells: List[_ZCell] = []
+            number = {}
+            stack = [self._root]
+            while stack:  # pre-order with children in digit order == Z order
+                cell = stack.pop()
+                number[id(cell)] = len(cells)
+                cells.append(cell)
+                if cell.children is not None:
+                    stack.extend(reversed(cell.children))
+            split = np.array(
+                [
+                    ((c.box.xmin + c.box.xmax) / 2.0, (c.box.ymin + c.box.ymax) / 2.0)
+                    for c in cells
+                ],
+                dtype=np.float64,
+            )
+            children = np.full((len(cells), 4), -1, dtype=np.int64)
+            rank = np.full(len(cells), -1, dtype=np.int64)
+            leaves = []
+            for i, cell in enumerate(cells):
+                if cell.children is None:
+                    rank[i] = len(leaves)
+                    leaves.append(cell.box)
+                else:
+                    children[i] = [number[id(ch)] for ch in cell.children]
+            boxes = np.array(
+                [(b.xmin, b.ymin, b.xmax, b.ymax) for b in leaves], dtype=np.float64
+            ).reshape(-1, 4)
+            self._flat = (boxes, split[:, 0], split[:, 1], children, rank)
+        return self._flat
+
+    def ranks_of(self, xy: np.ndarray) -> np.ndarray:
+        """Leaf rank (ordinal in Z order) of the cell containing each
+        row of ``xy``; every point must lie inside the space."""
+        _boxes, cx, cy, children, rank = self._flattened()
+        xs, ys = xy[:, 0], xy[:, 1]
+        cell = np.zeros(xy.shape[0], dtype=np.int64)
+        inner = np.flatnonzero(rank[cell] < 0)
+        while inner.size:
+            at = cell[inner]
+            digit = (xs[inner] >= cx[at]) | ((ys[inner] >= cy[at]) << 1)
+            cell[inner] = children[at, digit]
+            inner = inner[rank[cell[inner]] < 0]
+        return rank[cell]
 
     def cells_serving(
         self,
         embr: BBox,
         stops: Optional[np.ndarray] = None,
         psi: float = 0.0,
-    ) -> List[ZID]:
-        """Leaf cells the facility component can serve, vectorised.
+    ) -> np.ndarray:
+        """Which leaf cells the facility component can serve: a boolean
+        column over the leaf ranks.
 
         A cell qualifies when it intersects ``embr`` and — if ``stops``
         are given — lies within ``psi`` of at least one stop (the true
         union-of-discs serving area, tighter than the EMBR box).
         """
-        zids, boxes = self._leaf_arrays()
-        if not zids:
-            return []
+        boxes = self._flattened()[0]
         xmin, ymin, xmax, ymax = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
         mask = (
             (xmin <= embr.xmax)
@@ -412,16 +461,14 @@ class AdaptiveZGrid:
             & (ymax >= embr.ymin)
         )
         if stops is not None and stops.shape[0] > 0 and mask.any():
-            idx = np.nonzero(mask)[0]
+            idx = np.flatnonzero(mask)
             # nearest point of each candidate box to each stop
             nx = np.clip(stops[None, :, 0], xmin[idx, None], xmax[idx, None])
             ny = np.clip(stops[None, :, 1], ymin[idx, None], ymax[idx, None])
             dx = nx - stops[None, :, 0]
             dy = ny - stops[None, :, 1]
-            near = np.any(dx * dx + dy * dy <= psi * psi, axis=1)
-            keep = idx[near]
-            return [zids[i] for i in keep]
-        return [zids[i] for i in np.nonzero(mask)[0]]
+            mask[idx] = np.any(dx * dx + dy * dy <= psi * psi, axis=1)
+        return mask
 
     def leaf_cells(self) -> Iterator[Tuple[ZID, BBox]]:
         """All leaf cells as ``(zid, box)`` pairs, in Z order."""

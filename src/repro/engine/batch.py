@@ -1,20 +1,21 @@
 """Batched, vectorised service-value evaluation over a fixed user set.
 
 :class:`BatchQueryEngine` is the index-free fast path for heavy query
-traffic: it concatenates every user trajectory's points into one probe
-block *once*, precomputes the per-trajectory aggregation structure
-(start/end positions, segment endpoint pairs, segment lengths), and then
-answers any number of ``(facility, ServiceSpec)`` requests against that
-shared block.  Each request costs one coverage mask — grid-accelerated
+traffic: it probes the user set's :class:`~repro.core.trajectory
+.UserPointTable` — every user's points as one block, with the
+per-trajectory aggregation structure (start/end slots, segment endpoint
+pairs, segment lengths) as flat columns — and answers any number of
+``(facility, ServiceSpec)`` requests against that shared block.  Each request costs one coverage mask — grid-accelerated
 per :class:`~repro.engine.grid.StopGrid` — plus O(points) aggregation;
 requests that share a stop set and ``psi`` (e.g. the three service
 models of one facility) share a single mask through the
 :class:`~repro.engine.cache.CoverageCache`.
 
 Scores are **bit-identical** to :func:`repro.core.service
-.brute_force_service`: per-user values use the same arithmetic as
-``score_from_indices`` (counts divided by point counts, sequentially
-accumulated segment lengths divided by trajectory length), and the
+.brute_force_service`: per-user values come from :func:`repro.core
+.service.per_user_values`, the same arithmetic as ``score_from_indices``
+(counts divided by point counts, sequentially accumulated segment
+lengths divided by trajectory length), and the
 grand total accumulates users in input order exactly like the oracle's
 ``sum``.  The differential suite in ``tests/test_engine_oracle.py``
 holds the engine to ``==``, not ``approx``.
@@ -24,15 +25,21 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core.config import ProximityBackend
 from ..core.errors import QueryError
-from ..core.service import ServiceModel, ServiceSpec, StopSet
+from ..core.service import (
+    MatchSet,
+    ServiceSpec,
+    StopSet,
+    in_order_sum,
+    per_user_values,
+)
 from ..core.stats import QueryStats
-from ..core.trajectory import FacilityRoute, Trajectory
+from ..core.trajectory import FacilityRoute, Trajectory, UserPointTable
 from .cache import CoverageCache
 from .grid import backend_stops
 
@@ -69,7 +76,8 @@ class BatchQueryEngine:
     ----------
     users:
         The fixed user trajectories; order defines score accumulation
-        order (matching the brute-force oracle).
+        order (matching the brute-force oracle).  A ready
+        :class:`UserPointTable` (e.g. ``tree.table``) is used as is.
     backend:
         *Deprecated* (emits a :exc:`DeprecationWarning`; pass a
         ``runtime`` instead).  How coverage masks are computed
@@ -101,7 +109,8 @@ class BatchQueryEngine:
         cache: Optional[CoverageCache] = None,
         runtime=None,
     ) -> None:
-        self.users: Tuple[Trajectory, ...] = tuple(users)
+        self.table = UserPointTable.of(users)
+        self.users: Tuple[Trajectory, ...] = self.table.users
         self.runtime = runtime
         if runtime is not None:
             if backend is not None or cache is not None:
@@ -128,37 +137,7 @@ class BatchQueryEngine:
             self.backend = backend
             self.cache = cache if cache is not None else CoverageCache()
         self._stops: dict = {}  # id(request object) -> (object, StopSet)
-
-        n_users = len(self.users)
-        counts = np.array([u.n_points for u in self.users], dtype=np.int64)
-        offsets = np.zeros(n_users + 1, dtype=np.int64)
-        if n_users:
-            np.cumsum(counts, out=offsets[1:])
-            self._points = np.concatenate([u.coords for u in self.users])
-        else:
-            self._points = np.zeros((0, 2), dtype=np.float64)
-        self._pt_owner = np.repeat(np.arange(n_users, dtype=np.int64), counts)
-        self._starts = offsets[:-1]
-        self._ends = offsets[1:] - 1
-        self._n_points = counts.astype(np.float64)
-        # segment structure: every point that is not the last of its
-        # trajectory opens the segment (a, a + 1)
-        is_last = np.zeros(int(offsets[-1]), dtype=bool)
-        if n_users:
-            is_last[self._ends] = True
-        self._seg_a = np.nonzero(~is_last)[0]
-        self._seg_b = self._seg_a + 1
-        seg_counts = np.maximum(counts - 1, 0)
-        self._seg_owner = np.repeat(np.arange(n_users, dtype=np.int64), seg_counts)
-        seg_lengths: List[np.ndarray] = [
-            np.asarray(u.segment_lengths, dtype=np.float64)
-            for u in self.users
-            if u.n_segments
-        ]
-        self._seg_len = (
-            np.concatenate(seg_lengths) if seg_lengths else np.zeros(0)
-        )
-        self._traj_len = np.array([u.length for u in self.users], dtype=np.float64)
+        self._points = self.table.xy  # the shared probe block
 
     # ------------------------------------------------------------------
     @property
@@ -241,28 +220,6 @@ class BatchQueryEngine:
         self.cache.store_mask(stops, psi, self._points, mask)
 
     # ------------------------------------------------------------------
-    def _per_user_values(self, mask: np.ndarray, spec: ServiceSpec) -> np.ndarray:
-        """``S(u, f)`` for every user from one probe-block mask, with
-        the oracle's exact arithmetic per user."""
-        n_users = self.n_users
-        if spec.model is ServiceModel.ENDPOINT:
-            return (mask[self._starts] & mask[self._ends]).astype(np.float64)
-        if spec.model is ServiceModel.COUNT:
-            raw = np.bincount(
-                self._pt_owner, weights=mask.astype(np.float64), minlength=n_users
-            )
-            return raw / self._n_points if spec.normalize else raw
-        # LENGTH: both segment endpoints covered; sequential accumulation
-        served = mask[self._seg_a] & mask[self._seg_b]
-        raw = np.bincount(
-            self._seg_owner, weights=self._seg_len * served, minlength=n_users
-        )
-        if not spec.normalize:
-            return raw
-        out = np.zeros(n_users, dtype=np.float64)
-        np.divide(raw, self._traj_len, out=out, where=self._traj_len > 0)
-        return out
-
     def query(
         self,
         stops_like: StopsLike,
@@ -273,15 +230,13 @@ class BatchQueryEngine:
         local = QueryStats() if self.runtime is not None else stats
         stops = self._resolve_stops(stops_like, spec.psi)
         mask = self._mask(stops, spec.psi, local)
-        values = self._per_user_values(mask, spec)
+        values = per_user_values(self.table, mask, spec)
         if self.runtime is not None:
             self.runtime.accrue(local)
             if stats is not None:
                 stats.merge(local)
-        if values.size == 0:
-            return 0.0
         # in-order accumulation, bit-identical to the oracle's sum()
-        return float(np.cumsum(values)[-1])
+        return in_order_sum(values)
 
     def query_masked(
         self,
@@ -303,14 +258,12 @@ class BatchQueryEngine:
         the same arithmetic as :meth:`query`, so values are identical.
         """
         local = QueryStats() if self.runtime is not None else stats
-        values = self._per_user_values(mask, spec)
+        values = per_user_values(self.table, mask, spec)
         if self.runtime is not None:
             self.runtime.accrue(local)
             if stats is not None:
                 stats.merge(local)
-        if values.size == 0:
-            return 0.0
-        return float(np.cumsum(values)[-1])
+        return in_order_sum(values)
 
     def run(
         self, requests: Sequence[Tuple[StopsLike, ServiceSpec]]
@@ -331,9 +284,4 @@ class BatchQueryEngine:
         ``{traj_id: (idx, ...)}``, users with no coverage omitted)."""
         stops = self._resolve_stops(stops_like, psi)
         mask = self._mask(stops, psi, None)
-        out = {}
-        covered = np.nonzero(mask)[0]
-        for pos in covered:
-            u = self.users[int(self._pt_owner[pos])]
-            out.setdefault(u.traj_id, []).append(int(pos - self._starts[self._pt_owner[pos]]))
-        return {tid: tuple(idx) for tid, idx in out.items()}
+        return MatchSet(self.table, np.flatnonzero(mask)).as_dict()

@@ -9,7 +9,7 @@ identical ``psi``-mask once per service model.  :class:`CoverageCache`
 memoises the three shapes of that repeated work:
 
 * **node results** — per ``(facility, q-node, psi, mode)`` candidate
-  lists and coverage masks from Algorithm 2 (the component a facility
+  row arrays and coverage masks from Algorithm 2 (the component a facility
   induces at a q-node is deterministic, so the pair's mask is too;
   collecting and non-collecting walks select different candidates, so
   mode is part of the key and reuse is within-mode);
@@ -19,9 +19,10 @@ memoises the three shapes of that repeated work:
   engine's concatenated probe block (shared across service models and
   ``normalize`` settings, which only differ in aggregation).
 
-Every entry carries enough to re-verify itself on lookup — the q-node
-by identity plus the component's stop coordinates by value for node
-results, the facility object by identity for match sets, the stop-set
+Every entry carries enough to re-verify itself on lookup — the q-node's
+block by identity (an insert into the node replaces it, so rows cached
+against the old block miss) plus the component's stop coordinates by
+value for node results, the facility object by identity for match sets, the stop-set
 object by identity for batch masks — so neither ``id`` reuse after
 garbage collection nor two facilities sharing a ``facility_id`` can
 alias to a wrong cached answer; a failed verification is simply a
@@ -55,7 +56,7 @@ class CoverageCache:
     """Memoises coverage masks, node candidate sets, and match sets."""
 
     def __init__(self) -> None:
-        self._nodes: Dict[Hashable, Tuple[Any, np.ndarray, list, np.ndarray]] = {}
+        self._nodes: Dict[Hashable, Tuple[Any, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._matches: Dict[Hashable, Tuple[Any, Mapping]] = {}
         self._masks: Dict[Hashable, Tuple[Any, np.ndarray, np.ndarray]] = {}
         self._match_fns: Dict[int, Callable] = {}
@@ -67,10 +68,10 @@ class CoverageCache:
     # Algorithm-2 node results
     # ------------------------------------------------------------------
     def lookup_node(self, key: Hashable, node: Any, stop_coords: np.ndarray):
-        """Cached ``(candidates, mask)`` for ``key``, or ``None``.
+        """Cached ``(candidate rows, mask)`` for ``key``, or ``None``.
 
-        A hit must re-verify: the stored q-node must be the very same
-        object, and the stored component stop coordinates must equal
+        A hit must re-verify: the stored anchor (the q-node's block)
+        must be the very same object, and the stored component stop coordinates must equal
         ``stop_coords`` bitwise.  The coordinate check is what makes
         the cache sound when two distinct facilities share an id (their
         components differ, so they miss instead of aliasing) while
@@ -91,7 +92,7 @@ class CoverageCache:
         key: Hashable,
         node: Any,
         stop_coords: np.ndarray,
-        candidates: list,
+        candidates: np.ndarray,
         mask: np.ndarray,
     ) -> None:
         with self._lock:

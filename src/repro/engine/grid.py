@@ -159,8 +159,11 @@ def _cell_indices_of(
 ) -> np.ndarray:
     """Integer cell coordinates of ``pts`` (may be negative)."""
     out = np.empty(pts.shape, dtype=np.int64)
-    qx = np.floor((pts[:, 0] - ox) / cell)
-    qy = np.floor((pts[:, 1] - oy) / cell)
+    # a quotient past the float range overflows to +-inf, which the
+    # clip below pins to the clamp like any other far-away cell
+    with np.errstate(over="ignore"):
+        qx = np.floor((pts[:, 0] - ox) / cell)
+        qy = np.floor((pts[:, 1] - oy) / cell)
     # NaN coordinates (and NaN - inf arithmetic) survive np.clip; pin
     # them to the clamp so the int cast is defined and the point lands
     # outside every populated cell — a sound rejection, not UB.

@@ -7,6 +7,7 @@ from .builder import (
     build_tq_zorder,
     segment_dataset,
 )
+from .block import NodeBlock
 from .entries import IndexEntry, SubBounds, make_entries, validate_spec_for_variant
 from .quadtree import PointQuadtree
 from .stats import IndexStats, storage_report
@@ -19,6 +20,7 @@ __all__ = [
     "PointQuadtree",
     "ZOrderedList",
     "IndexEntry",
+    "NodeBlock",
     "SubBounds",
     "make_entries",
     "validate_spec_for_variant",

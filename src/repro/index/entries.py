@@ -13,9 +13,10 @@ normalises all three into one shape:
   trajectory's points and segments across its entries, so summing entry
   scores over the whole index never double-counts;
 * *probe points* — the union of everything scoring can ever need
-  (owned points, owned-segment endpoints, the trajectory ends), with
-  their coordinates precomputed as a NumPy block so node evaluation can
-  distance-check *all* candidates of a node in one vectorised call.
+  (owned points, owned-segment endpoints, the trajectory ends).  A
+  q-node lays the probe points of all its entries out as one block
+  (:mod:`repro.index.block`) so node evaluation can distance-check
+  *all* candidates of a node in one vectorised call.
 
 :class:`SubBounds` is the per-node aggregate the paper calls ``sub``: the
 upper bound of the service value obtainable from a subtree, in the unit of
@@ -39,7 +40,13 @@ __all__ = ["IndexEntry", "SubBounds", "make_entries", "validate_spec_for_variant
 
 
 class IndexEntry:
-    """One stored unit: a whole trajectory, a segment, or a full polyline."""
+    """One stored unit: a whole trajectory, a segment, or a full polyline.
+
+    An entry is the *logical* unit — what an insert routes, what the I/O
+    model counts, what tests inspect.  Queries read the owning q-node's
+    :class:`~repro.index.block.NodeBlock` instead, so the entry's own
+    probe list is derived only when someone asks for it.
+    """
 
     __slots__ = (
         "traj",
@@ -47,11 +54,8 @@ class IndexEntry:
         "seg_index",
         "own_point_idx",
         "own_seg_idx",
-        "probe_idx",
-        "probe_coords",
-        "own_probe_pos",
-        "seg_probe_pos",
-        "own_seg_lengths",
+        "_probe_idx",
+        "_probe_coords",
         "_bbox",
     )
 
@@ -68,30 +72,33 @@ class IndexEntry:
         self.seg_index = seg_index
         self.own_point_idx = own_point_idx
         self.own_seg_idx = own_seg_idx
-        probe = set(own_point_idx)
-        for s in own_seg_idx:
-            probe.add(s)
-            probe.add(s + 1)
-        if variant is not IndexVariant.SEGMENTED:
-            # whole-trajectory entries can be asked for ENDPOINT service
-            probe.add(0)
-            probe.add(traj.n_points - 1)
-        self.probe_idx: Tuple[int, ...] = tuple(sorted(probe))
-        self.probe_coords: np.ndarray = traj.coords[list(self.probe_idx)]
-        # positions (within probe_idx) of the owned points and of each
-        # owned segment's endpoint pair — lets node evaluation score all
-        # candidates of a node with a few vector ops (no per-entry dicts)
-        pos_of = {idx: i for i, idx in enumerate(self.probe_idx)}
-        self.own_probe_pos: np.ndarray = np.array(
-            [pos_of[i] for i in own_point_idx], dtype=np.intp
-        )
-        self.seg_probe_pos: np.ndarray = np.array(
-            [(pos_of[s], pos_of[s + 1]) for s in own_seg_idx], dtype=np.intp
-        ).reshape(-1, 2)
-        self.own_seg_lengths: np.ndarray = np.array(
-            [traj.segment_lengths[s] for s in own_seg_idx], dtype=np.float64
-        )
+        self._probe_idx: Optional[Tuple[int, ...]] = None
+        self._probe_coords: Optional[np.ndarray] = None
         self._bbox: Optional[BBox] = None
+
+    @property
+    def probe_idx(self) -> Tuple[int, ...]:
+        """Sorted point indices scoring can ever need: owned points,
+        owned-segment endpoints and (whole-trajectory entries) the
+        trajectory ends."""
+        if self._probe_idx is None:
+            probe = set(self.own_point_idx)
+            for s in self.own_seg_idx:
+                probe.add(s)
+                probe.add(s + 1)
+            if self.variant is not IndexVariant.SEGMENTED:
+                # whole-trajectory entries can be asked for ENDPOINT service
+                probe.add(0)
+                probe.add(self.traj.n_points - 1)
+            self._probe_idx = tuple(sorted(probe))
+        return self._probe_idx
+
+    @property
+    def probe_coords(self) -> np.ndarray:
+        """Coordinates of the probe points, one row per probe index."""
+        if self._probe_coords is None:
+            self._probe_coords = self.traj.coords[list(self.probe_idx)]
+        return self._probe_coords
 
     # ------------------------------------------------------------------
     @property

@@ -15,6 +15,12 @@ With ``config.use_zorder`` (TQ(Z)), each q-node's entry list is organised
 by a :class:`~repro.index.zindex.ZOrderedList`; without it (TQ(B)), the
 list stays flat and queries scan it linearly.
 
+The tree keeps its users as one :class:`~repro.core.trajectory
+.UserPointTable`, and every q-node's list also exists as a
+:class:`~repro.index.block.NodeBlock` of flat columns over that table —
+what queries actually read.  Block and z-structure are built together,
+lazily, and an insert into a node invalidates both through one flag.
+
 The tree supports dynamic inserts (Section III-C).  One deliberate
 deviation from the paper: after an insert the affected node's z-structure
 is rebuilt lazily on the next query rather than patched in place (the
@@ -30,10 +36,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.config import TQTreeConfig
-from ..core.errors import IndexError_, QueryError
-from ..core.geometry import BBox, bbox_of_points
+from ..core.errors import IndexError_, TrajectoryError
+from ..core.geometry import BBox
 from ..core.service import ServiceSpec
-from ..core.trajectory import Trajectory
+from ..core.trajectory import Trajectory, UserPointTable
+from .block import NodeBlock
 from .entries import IndexEntry, SubBounds, make_entries, validate_spec_for_variant
 from .zindex import ZOrderedList
 
@@ -50,9 +57,10 @@ class QNode:
         "children",
         "entries",
         "sub",
+        "_block",
         "_zlist",
         "_z_dirty",
-        "_gov_cache",
+        "_adopted_gov",
     )
 
     def __init__(self, box: BBox, depth: int, parent: Optional["QNode"]) -> None:
@@ -62,38 +70,26 @@ class QNode:
         self.children: Optional[List["QNode"]] = None
         self.entries: List[IndexEntry] = []  # UL(E)
         self.sub = SubBounds()
+        # the columnar image of ``entries`` and its z-order view; both
+        # stale while ``_z_dirty`` (see TQTree.node_block)
+        self._block: Optional[NodeBlock] = None
         self._zlist: Optional[ZOrderedList] = None
         self._z_dirty = True
-        self._gov_cache: Optional["np.ndarray"] = None
+        self._adopted_gov: Optional["np.ndarray"] = None
 
     @property
     def is_leaf(self) -> bool:
         return self.children is None
 
-    def zlist(self, beta: int, z_max_depth: int) -> Optional[ZOrderedList]:
-        """The node's z-structure, (re)built lazily after updates."""
-        if self._z_dirty:
-            self._zlist = (
-                ZOrderedList(self.box, self.entries, beta, z_max_depth)
-                if self.entries
-                else None
-            )
-            self._z_dirty = False
-        return self._zlist
-
-    def gov_arrays(self) -> "np.ndarray":
-        """Per-entry filter block, cached: columns are governing start
-        (x, y), governing end (x, y), and the entry bbox (xmin, ymin,
-        xmax, ymax).  This is what lets the TQ(B) linear scan filter a
-        whole node list with a handful of vector comparisons."""
-        if self._gov_cache is None or self._gov_cache.shape[0] != len(self.entries):
-            rows = np.empty((len(self.entries), 8), dtype=np.float64)
-            for i, e in enumerate(self.entries):
-                s, t = e.gov_start, e.gov_end
-                b = e.bbox
-                rows[i] = (s.x, s.y, t.x, t.y, b.xmin, b.ymin, b.xmax, b.ymax)
-            self._gov_cache = rows
-        return self._gov_cache
+    def adopt_gov_table(self, table: "np.ndarray") -> bool:
+        """Offer a persisted filter table (the ``gov`` column of this
+        node's block, e.g. a memmap from a store) for the next block
+        build; refused when it cannot belong to the current entry list."""
+        if table.shape != (len(self.entries), 8):
+            return False
+        self._adopted_gov = table
+        self._z_dirty = True
+        return True
 
     def sub_value(self, spec: ServiceSpec) -> float:
         """The paper's ``sub``: subtree service upper bound for ``spec``."""
@@ -122,6 +118,7 @@ class TQTree:
         self.config = config
         self.root = QNode(space, 0, None)
         self._trajectories: Dict[int, Trajectory] = {}
+        self._table = UserPointTable(())
         self._n_entries = 0
         self._max_traj_points = 0
 
@@ -141,22 +138,47 @@ class TQTree:
         padded slightly so boundary points never fall outside after
         floating-point subdivision.
         """
+        try:
+            table = UserPointTable.of(users)
+        except TrajectoryError as exc:
+            raise IndexError_(str(exc)) from exc
         if space is None:
-            if not users:
+            if not table.n_users:
                 raise IndexError_("cannot infer space from an empty user set")
-            all_pts = [p for u in users for p in u.points]
-            tight = bbox_of_points(all_pts)
+            xmin, ymin = table.xy.min(axis=0).tolist()
+            xmax, ymax = table.xy.max(axis=0).tolist()
+            tight = BBox(xmin, ymin, xmax, ymax)
             pad = max(tight.width, tight.height, 1.0) * 1e-9 + 1e-9
             space = tight.expanded(pad)
         tree = cls(space, config)
+        tree._adopt_table(table)
         entries: List[IndexEntry] = []
-        for u in users:
-            tree._register(u)
+        for u in table.users:
             entries.extend(make_entries(u, config.variant))
         tree._n_entries = len(entries)
-        tree._bulk_build(tree.root, entries)
-        tree._compute_sub(tree.root)
+        # the whole entry set as one block: routing reads its bbox
+        # columns, the sub bounds its per-entry totals
+        block = tree._block_of(entries)
+        totals = np.column_stack(
+            [np.ones(block.n), block.own_cnt, *block.own_totals()]
+        )
+        tree._bulk_build(
+            tree.root, entries, block.gov[:, 4:8], totals, np.arange(block.n)
+        )
         return tree
+
+    def _adopt_table(self, table: UserPointTable) -> None:
+        """Register every user of ``table`` (bulk form of :meth:`_register`)."""
+        xy, space = table.xy, self.space
+        outside = np.flatnonzero(
+            (xy[:, 0] < space.xmin) | (xy[:, 0] > space.xmax)
+            | (xy[:, 1] < space.ymin) | (xy[:, 1] > space.ymax)
+        )
+        if outside.size:
+            self._register(table.users[int(table.pt_owner[outside[0]])])
+        self._trajectories = dict(zip(table.traj_ids.tolist(), table.users))
+        self._max_traj_points = int(table.counts.max(initial=0))
+        self._table = table
 
     def _register(self, traj: Trajectory) -> None:
         if traj.traj_id in self._trajectories:
@@ -179,39 +201,46 @@ class TQTree:
                 return None
         return q
 
-    def _bulk_build(self, node: QNode, entries: List[IndexEntry]) -> None:
+    def _bulk_build(
+        self,
+        node: QNode,
+        entries: List[IndexEntry],
+        bbox: np.ndarray,
+        totals: np.ndarray,
+        idx: np.ndarray,
+    ) -> None:
+        """Place the entries numbered ``idx`` (ascending) in ``node``'s
+        subtree.  ``bbox`` holds every entry's placement box — an entry
+        sinks into a child exactly when the box's two corners share a
+        quadrant — and ``totals`` the five ``SubBounds`` addends per
+        entry, so routing and bounds are array operations per node."""
         cfg = self.config
-        if len(entries) <= cfg.beta or node.depth >= cfg.max_depth:
-            node.entries = entries
-            return
-        groups: Tuple[List[IndexEntry], ...] = ([], [], [], [])
-        stay: List[IndexEntry] = []
-        for e in entries:
-            q = self._route(node, e)
-            if q is None:
-                stay.append(e)
-            else:
-                groups[q].append(e)
-        if not any(groups):
-            # Splitting makes no progress (everything is inter-node here);
-            # keep the node a leaf per the paper's termination rule.
-            node.entries = entries
-            return
-        node.entries = stay
-        boxes = node.box.quadrants()
-        node.children = [QNode(boxes[d], node.depth + 1, node) for d in range(4)]
-        for d in range(4):
-            self._bulk_build(node.children[d], groups[d])
-
-    def _compute_sub(self, node: QNode) -> SubBounds:
-        sub = SubBounds()
-        for e in node.entries:
-            sub.add_entry(e)
-        if node.children is not None:
-            for child in node.children:
-                sub.add(self._compute_sub(child))
-        node.sub = sub
-        return sub
+        stay = idx
+        groups = None
+        if len(idx) > cfg.beta and node.depth < cfg.max_depth:
+            box = node.box
+            cx = (box.xmin + box.xmax) / 2.0
+            cy = (box.ymin + box.ymax) / 2.0
+            b = bbox[idx]
+            # BBox.quadrant_of for the min and the max corner
+            q_lo = (b[:, 0] >= cx) | ((b[:, 1] >= cy) << 1)
+            q_hi = (b[:, 2] >= cx) | ((b[:, 3] >= cy) << 1)
+            sinks = q_lo == q_hi
+            # when splitting makes no progress (everything is inter-node
+            # here) the node stays a leaf per the paper's termination rule
+            if sinks.any():
+                stay = idx[~sinks]
+                groups = [idx[sinks & (q_lo == d)] for d in range(4)]
+        node.entries = [entries[i] for i in stay.tolist()]
+        # left-to-right sums, the order SubBounds.add_entry accumulates in
+        own = np.cumsum(totals[stay], axis=0)[-1] if stay.size else np.zeros(5)
+        node.sub = SubBounds(*own.tolist())
+        if groups is not None:
+            boxes = node.box.quadrants()
+            node.children = [QNode(boxes[d], node.depth + 1, node) for d in range(4)]
+            for d in range(4):
+                self._bulk_build(node.children[d], entries, bbox, totals, groups[d])
+                node.sub.add(node.children[d].sub)
 
     # ------------------------------------------------------------------
     # dynamic updates (Section III-C)
@@ -348,11 +377,58 @@ class TQTree:
         exactly by this index's variant (see entries.py for the rules)."""
         validate_spec_for_variant(spec, self.config.variant, self._max_traj_points)
 
+    @property
+    def table(self) -> UserPointTable:
+        """The indexed users as one columnar table (registration order).
+
+        Inserts append rows; slots handed out earlier stay valid."""
+        pending = len(self._trajectories) - self._table.n_users
+        if pending:
+            users = list(self._trajectories.values())
+            self._table = self._table.extended(users[-pending:])
+        return self._table
+
+    def _block_of(
+        self, entries: Sequence[IndexEntry], gov: Optional[np.ndarray] = None
+    ) -> NodeBlock:
+        table = self.table
+        n = len(entries)
+        rows = np.fromiter(
+            (table.row_of[e.traj.traj_id] for e in entries), dtype=np.int64, count=n
+        )
+        segs = np.fromiter(
+            (-1 if e.seg_index is None else e.seg_index for e in entries),
+            dtype=np.int64, count=n,
+        )
+        return NodeBlock(table, self.config.variant, rows, segs, gov)
+
+    def _refresh(self, node: QNode) -> None:
+        """(Re)build the node's block and, on TQ(Z), its z-structure."""
+        gov = node._adopted_gov
+        if gov is not None and gov.shape[0] != len(node.entries):
+            gov = node._adopted_gov = None  # entries changed since adoption
+        block = node._block = self._block_of(node.entries, gov)
+        cfg = self.config
+        node._zlist = (
+            ZOrderedList(node.box, node.entries, cfg.beta, cfg.z_max_depth, gov=block.gov)
+            if cfg.use_zorder and node.entries
+            else None
+        )
+        node._z_dirty = False
+
+    def node_block(self, node: QNode) -> NodeBlock:
+        """The node's entry list as flat columns, (re)built lazily after
+        updates; row ``i`` is ``node.entries[i]``."""
+        if node._z_dirty:
+            self._refresh(node)
+        return node._block
+
     def node_zlist(self, node: QNode) -> Optional[ZOrderedList]:
-        """The node's z-structure under this tree's config (None for TQ(B))."""
-        if not self.config.use_zorder:
-            return None
-        return node.zlist(self.config.beta, self.config.z_max_depth)
+        """The node's z-structure under this tree's config (None for TQ(B)),
+        (re)built lazily after updates."""
+        if node._z_dirty:
+            self._refresh(node)
+        return node._zlist
 
     def warm_zindex(self) -> None:
         """Materialise every node's z-structure now.
@@ -363,4 +439,4 @@ class TQTree:
         if not self.config.use_zorder:
             return
         for node in self.nodes():
-            node.zlist(self.config.beta, self.config.z_max_depth)
+            self.node_zlist(node)

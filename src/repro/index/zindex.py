@@ -12,8 +12,12 @@ the ``zReduce`` pruning primitive (Section IV-A, Algorithm 2):
    (*z-nodes*) of at most ``beta`` entries.
 
 ``zReduce`` narrows a node's entry list to the entries whose z-cells meet
-the facility component's serving area, via binary searches on the sorted
-order — no geometry on pruned entries.
+the facility component's serving area — no geometry on pruned entries.
+The sorted order is held as flat columns: per entry the *rank* (ordinal
+in Z order) of its start and of its end leaf cell, so a z-id comparison
+is an integer comparison, a cell selection is a boolean column over the
+ranks, and every candidate mode is one line of mask algebra returning
+positions in the sorted order.
 
 Three candidate modes cover the service models soundly (DESIGN.md §4.2):
 
@@ -28,13 +32,13 @@ Three candidate modes cover the service models soundly (DESIGN.md §4.2):
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence
+
+import numpy as np
 
 from ..core.errors import IndexError_
 from ..core.geometry import BBox, Point
-from ..core.zorder import ZID, AdaptiveZGrid
+from ..core.zorder import AdaptiveZGrid
 from .entries import IndexEntry
 
 __all__ = ["ZOrderedList", "RegionTest", "embr_region_test", "disc_region_test"]
@@ -68,17 +72,24 @@ def disc_region_test(
     return test
 
 
-# Sort key of an entry inside the list: (start digits, end digits, id).
-_Key = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, int]]
+def _gov_table(entries: Sequence[IndexEntry]) -> np.ndarray:
+    """The ``(n, 8)`` filter table of ``entries`` (see
+    :mod:`repro.index.block`), for lists built outside a tree."""
+    rows = np.empty((len(entries), 8), dtype=np.float64)
+    for i, e in enumerate(entries):
+        s, t, b = e.gov_start, e.gov_end, e.bbox
+        rows[i] = (s.x, s.y, t.x, t.y, b.xmin, b.ymin, b.xmax, b.ymax)
+    return rows
 
 
-@dataclass
-class _Bucket:
-    """A z-node: a run of at most ``beta`` consecutive sorted entries."""
-
-    lo: int
-    hi: int
-    bbox: BBox
+def _boxes_meet(boxes: np.ndarray, box: BBox) -> np.ndarray:
+    """Which ``(xmin, ymin, xmax, ymax)`` rows intersect ``box`` (closed)."""
+    return (
+        (boxes[:, 0] <= box.xmax)
+        & (boxes[:, 2] >= box.xmin)
+        & (boxes[:, 1] <= box.ymax)
+        & (boxes[:, 3] >= box.ymin)
+    )
 
 
 class ZOrderedList:
@@ -94,6 +105,16 @@ class ZOrderedList:
         Cell capacity for the adaptive grids and the z-node bucket size.
     z_max_depth:
         Depth cap of the adaptive grids.
+    gov:
+        The entries' ``(n, 8)`` filter table when the caller already has
+        it (a tree passes its node block's); derived from ``entries``
+        otherwise.
+
+    Position ``i`` of the sorted order is ``entries[i]`` — input entry
+    ``order[i]`` — with start / end leaf ranks ``start_rank[i]`` /
+    ``end_rank[i]`` and bounding box ``bbox[i]``; bucket ``b`` (a z-node)
+    is the positions ``b * beta .. (b + 1) * beta - 1`` with union box
+    ``bucket_bbox[b]``.
     """
 
     #: Grid cells hold up to ``cell_beta_factor * beta`` driving points.
@@ -109,6 +130,7 @@ class ZOrderedList:
         beta: int,
         z_max_depth: int = 12,
         disambiguation_passes: int = 0,
+        gov: Optional[np.ndarray] = None,
     ) -> None:
         """``disambiguation_passes`` > 0 enables the paper's Section III
         step (ii): refining the end grid until entries sharing a start
@@ -123,58 +145,48 @@ class ZOrderedList:
         self.z_max_depth = z_max_depth
         self.disambiguation_passes = disambiguation_passes
 
-        starts = [e.gov_start for e in entries]
-        ends = [e.gov_end for e in entries]
+        if gov is None:
+            gov = _gov_table(entries)
+        starts, ends = gov[:, 0:2], gov[:, 2:4]
         cell_beta = max(1, self.cell_beta_factor * beta)
         self.start_grid = AdaptiveZGrid(space, starts, cell_beta, z_max_depth)
         self.end_grid = AdaptiveZGrid(space, ends, cell_beta, z_max_depth)
-        self._disambiguate_end_ids(entries)
+        self._disambiguate_end_ids(starts, ends)
 
-        keyed = sorted(
-            (
-                (
-                    self.start_grid.zid_of(e.gov_start).digits,
-                    self.end_grid.zid_of(e.gov_end).digits,
-                    e.entry_id,
-                ),
-                e,
-            )
-            for e in entries
-        )
-        self._keys: List[_Key] = [k for k, _ in keyed]
-        self.entries: List[IndexEntry] = [e for _, e in keyed]
-
-        # secondary order for end-driven range selection
-        keyed_end = sorted(
-            ((k[1], k[0], k[2]), i) for i, k in enumerate(self._keys)
-        )
-        self._end_keys: List[_Key] = [k for k, _ in keyed_end]
-        self._end_perm: List[int] = [i for _, i in keyed_end]
-
-        self._buckets: List[_Bucket] = self._build_buckets()
+        # sort key of an entry: (start z-id, end z-id, entry id)
+        start_rank = self.start_grid.ranks_of(starts)
+        end_rank = self.end_grid.ranks_of(ends)
+        ids = np.array([e.entry_id for e in entries], dtype=np.int64).reshape(-1, 2)
+        self.order = np.lexsort((ids[:, 1], ids[:, 0], end_rank, start_rank))
+        self.entries: List[IndexEntry] = [entries[i] for i in self.order.tolist()]
+        self.start_rank = start_rank[self.order]
+        self.end_rank = end_rank[self.order]
+        self.bbox = gov[self.order, 4:8]
+        lo = np.arange(0, len(self.entries), beta)
+        self.bucket_bbox = np.hstack(
+            [
+                np.minimum.reduceat(self.bbox[:, 0:2], lo),
+                np.maximum.reduceat(self.bbox[:, 2:4], lo),
+            ]
+        ) if lo.size else np.zeros((0, 4), dtype=np.float64)
 
     # ------------------------------------------------------------------
-    def _disambiguate_end_ids(self, entries: Sequence[IndexEntry]) -> None:
+    def _disambiguate_end_ids(self, starts: np.ndarray, ends: np.ndarray) -> None:
         """Refine the end grid until entries sharing a start z-id have
         distinct end z-ids (paper Section III step (ii)), bounded by the
         configured pass count and the depth cap so identical point pairs
         terminate."""
         for _ in range(min(self.disambiguation_passes, self.z_max_depth)):
-            groups: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], List[IndexEntry]] = {}
-            for e in entries:
-                key = (
-                    self.start_grid.zid_of(e.gov_start).digits,
-                    self.end_grid.zid_of(e.gov_end).digits,
-                )
-                groups.setdefault(key, []).append(e)
-            dup_points = [
-                e.gov_end for group in groups.values() if len(group) > 1 for e in group
-            ]
-            if not dup_points:
-                return
+            start_rank = self.start_grid.ranks_of(starts)
+            end_rank = self.end_grid.ranks_of(ends)
+            pair = start_rank * (int(end_rank.max(initial=0)) + 1) + end_rank
+            _, inverse, counts = np.unique(
+                pair, return_inverse=True, return_counts=True
+            )
             refined_any = False
-            seen_cells: Set[Tuple[int, ...]] = set()
-            for p in dup_points:
+            seen_cells = set()
+            for i in np.flatnonzero(counts[inverse] > 1).tolist():
+                p = Point(float(ends[i, 0]), float(ends[i, 1]))
                 cell = self.end_grid.zid_of(p).digits
                 if cell in seen_cells:
                     continue
@@ -185,95 +197,56 @@ class ZOrderedList:
             if not refined_any:
                 return
 
-    def _build_buckets(self) -> List[_Bucket]:
-        buckets: List[_Bucket] = []
-        n = len(self.entries)
-        for lo in range(0, n, self.beta):
-            hi = min(lo + self.beta, n)
-            box = self.entries[lo].bbox
-            for e in self.entries[lo + 1 : hi]:
-                box = box.union(e.bbox)
-            buckets.append(_Bucket(lo, hi, box))
-        return buckets
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.entries)
 
     @property
     def n_buckets(self) -> int:
-        return len(self._buckets)
+        return int(self.bucket_bbox.shape[0])
 
     def bucket_sizes(self) -> List[int]:
-        return [b.hi - b.lo for b in self._buckets]
+        n = len(self.entries)
+        return [min(self.beta, n - lo) for lo in range(0, n, self.beta)]
+
+    def buckets_touched(self, idx: np.ndarray) -> int:
+        """How many buckets (z-nodes, one disk block each) hold the
+        sorted-order positions ``idx``."""
+        return int(np.unique(idx // self.beta).size)
 
     # ------------------------------------------------------------------
-    # range selection machinery
-    # ------------------------------------------------------------------
-    def _ranges_for_cells(
-        self, keys: List[_Key], cells: List[ZID]
-    ) -> List[Tuple[int, int]]:
-        """Sorted-order index ranges holding the given leaf cells' entries."""
-        ranges: List[Tuple[int, int]] = []
-        for cell in cells:
-            lo = bisect_left(keys, (cell.digits,))
-            high = cell.range_high()
-            hi = len(keys) if high is None else bisect_left(keys, (high.digits,))
-            if lo < hi:
-                ranges.append((lo, hi))
-        return ranges
-
-    # ------------------------------------------------------------------
-    # the three zReduce candidate modes
+    # the three zReduce candidate modes: sorted-order positions, ascending
     # ------------------------------------------------------------------
     def candidates_both(
         self, embr: BBox, stops=None, psi: float = 0.0
-    ) -> List[IndexEntry]:
+    ) -> np.ndarray:
         """Entries whose start *and* end z-cells meet the serving area.
 
         This is the paper's two-step zReduce (Example 4): reduce by start
-        z-ids first (binary-searched ranges of the sorted order), then by
-        end z-ids (membership in the allowed end-cell set).  ``stops``
-        (an ``(m, 2)`` array) tightens cell selection from the EMBR box to
+        z-ids, then by end z-ids — here one conjunction of the two
+        served-cell columns read at the entries' ranks.  ``stops`` (an
+        ``(m, 2)`` array) tightens cell selection from the EMBR box to
         the true union-of-discs serving area.
         """
-        allowed_ends = {
-            c.digits for c in self.end_grid.cells_serving(embr, stops, psi)
-        }
-        if not allowed_ends:
-            return []
-        start_cells = self.start_grid.cells_serving(embr, stops, psi)
-        out: List[IndexEntry] = []
-        for lo, hi in self._ranges_for_cells(self._keys, start_cells):
-            for i in range(lo, hi):
-                if self._keys[i][1] in allowed_ends:
-                    out.append(self.entries[i])
-        return out
+        start_ok = self.start_grid.cells_serving(embr, stops, psi)
+        end_ok = self.end_grid.cells_serving(embr, stops, psi)
+        return np.flatnonzero(start_ok[self.start_rank] & end_ok[self.end_rank])
 
     def candidates_any(
         self, embr: BBox, stops=None, psi: float = 0.0
-    ) -> List[IndexEntry]:
+    ) -> np.ndarray:
         """Entries whose start *or* end z-cell meets the serving area."""
-        picked: Set[int] = set()
-        start_cells = self.start_grid.cells_serving(embr, stops, psi)
-        for lo, hi in self._ranges_for_cells(self._keys, start_cells):
-            picked.update(range(lo, hi))
-        end_cells = self.end_grid.cells_serving(embr, stops, psi)
-        for lo, hi in self._ranges_for_cells(self._end_keys, end_cells):
-            picked.update(self._end_perm[i] for i in range(lo, hi))
-        return [self.entries[i] for i in sorted(picked)]
+        start_ok = self.start_grid.cells_serving(embr, stops, psi)
+        end_ok = self.end_grid.cells_serving(embr, stops, psi)
+        return np.flatnonzero(start_ok[self.start_rank] | end_ok[self.end_rank])
 
-    def candidates_bbox(self, embr: BBox) -> List[IndexEntry]:
+    def candidates_bbox(self, embr: BBox) -> np.ndarray:
         """Entries whose own bbox meets ``embr``, pruned bucket-first.
 
         Sound for FULL-variant entries: a bucket's bbox covers every point
         of every member entry, so skipped buckets cannot contribute.
         """
-        out: List[IndexEntry] = []
-        for bucket in self._buckets:
-            if not bucket.bbox.intersects(embr):
-                continue
-            for i in range(bucket.lo, bucket.hi):
-                if self.entries[i].bbox.intersects(embr):
-                    out.append(self.entries[i])
-        return out
+        in_bucket = np.repeat(_boxes_meet(self.bucket_bbox, embr), self.beta)
+        return np.flatnonzero(
+            in_bucket[: len(self.entries)] & _boxes_meet(self.bbox, embr)
+        )

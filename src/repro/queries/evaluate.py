@@ -16,6 +16,11 @@ Algorithm 2 is where the two-phase pruning happens:
 * surviving candidates get exact ``psi``-distance scoring against the
   component's stops.
 
+Every step works on the node's :class:`~repro.index.block.NodeBlock`:
+candidates are an array of block rows, their probe points one CSR
+gather, the distance check one call, and the scoring rule a few vector
+operations over the resulting mask — no Python loop over entries.
+
 A :class:`MatchCollector` can ride along to record *which* points of
 which users were served — MaxkCovRST needs these per-facility match sets
 to price combined coverage.
@@ -42,16 +47,16 @@ cache type is plumbed through this module directly; the pre-runtime
 from __future__ import annotations
 
 import warnings
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.config import IndexVariant
 from ..core.errors import QueryError
-from ..core.service import ServiceModel, ServiceSpec
+from ..core.service import MatchSet, ServiceModel, ServiceSpec, in_order_sum
 from ..core.stats import QueryStats
-from ..core.trajectory import FacilityRoute
-from ..index.entries import IndexEntry
+from ..core.trajectory import FacilityRoute, UserPointTable, ranges
+from ..index.block import NodeBlock
 from ..index.tqtree import QNode, TQTree
 from ..runtime import QueryRuntime, coerce_runtime
 from .components import FacilityComponent, intersecting_components
@@ -67,17 +72,32 @@ __all__ = [
 
 
 class MatchCollector:
-    """Accumulates served point indices per user across an evaluation."""
+    """Accumulates the served point slots of one tree's user table
+    across an evaluation."""
 
     def __init__(self) -> None:
-        self.matches: Dict[int, Set[int]] = {}
+        self.table: Optional[UserPointTable] = None
+        self._chunks: List[np.ndarray] = []
 
-    def record(self, traj_id: int, indices: Tuple[int, ...]) -> None:
-        if indices:
-            self.matches.setdefault(traj_id, set()).update(indices)
+    def record_slots(self, table: UserPointTable, slots: np.ndarray) -> None:
+        if self.table is None:
+            self.table = table
+        elif self.table is not table:
+            raise QueryError("a MatchCollector serves one user table at a time")
+        if slots.size:
+            self._chunks.append(slots)
+
+    def match_set(self) -> MatchSet:
+        """Everything recorded so far, as sorted unique slots."""
+        table = self.table if self.table is not None else UserPointTable(())
+        slots = (
+            np.unique(np.concatenate(self._chunks))
+            if self._chunks else np.zeros(0, dtype=np.int64)
+        )
+        return MatchSet(table, slots)
 
     def as_dict(self) -> Dict[int, Tuple[int, ...]]:
-        return {tid: tuple(sorted(idx)) for tid, idx in self.matches.items()}
+        return self.match_set().as_dict()
 
 
 def needs_ancestor_scan(spec: ServiceSpec, variant: IndexVariant) -> bool:
@@ -110,14 +130,20 @@ def _requires_both_endpoints(spec: ServiceSpec, variant: IndexVariant) -> bool:
 _Z_MIN_LIST = 192
 
 
+#: The empty candidate set (shared, read-only).
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+_NO_ROWS.setflags(write=False)
+
+
 def _zreduce_candidates(
     tree: TQTree,
     node: QNode,
     component: FacilityComponent,
     spec: ServiceSpec,
     collecting: bool,
-) -> Optional[List[IndexEntry]]:
-    """Apply zReduce on a TQ(Z) node; None means "no z-structure, scan".
+) -> Optional[np.ndarray]:
+    """Apply zReduce on a TQ(Z) node: the surviving block rows in
+    z-sorted order; None means "no z-structure, scan".
 
     ``collecting`` switches to partial-tolerant candidate modes: combined
     (MaxkCovRST) coverage needs *every* served point recorded, including
@@ -131,165 +157,102 @@ def _zreduce_candidates(
         return None
     embr = component.embr
     if embr is None:
-        return []
+        return _NO_ROWS
     variant = tree.config.variant
     if variant is IndexVariant.FULL and (
         collecting or spec.model is not ServiceModel.ENDPOINT
     ):
-        return zlist.candidates_bbox(embr)
-    stops = component.stops.coords
-    if not collecting and _requires_both_endpoints(spec, variant):
-        return zlist.candidates_both(embr, stops, component.psi)
-    return zlist.candidates_any(embr, stops, component.psi)
+        picked = zlist.candidates_bbox(embr)
+    elif not collecting and _requires_both_endpoints(spec, variant):
+        picked = zlist.candidates_both(embr, component.stops.coords, component.psi)
+    else:
+        picked = zlist.candidates_any(embr, component.stops.coords, component.psi)
+    return zlist.order[picked]
 
 
 def _linear_candidates(
-    node: QNode,
+    block: NodeBlock,
     component: FacilityComponent,
     spec: ServiceSpec,
     variant: IndexVariant,
     collecting: bool,
-) -> List[IndexEntry]:
+) -> np.ndarray:
     """TQ(B) path: linear scan of the whole node list with a vectorised
     envelope check (the scan is what distinguishes TQ(B) from TQ(Z) —
     no z-order ranges to jump to)."""
     embr = component.embr
     if embr is None:
-        return []
-    block = node.gov_arrays()
+        return _NO_ROWS
+    gov = block.gov
     if not collecting and _requires_both_endpoints(spec, variant):
         mask = (
-            (block[:, 0] >= embr.xmin)
-            & (block[:, 0] <= embr.xmax)
-            & (block[:, 1] >= embr.ymin)
-            & (block[:, 1] <= embr.ymax)
-            & (block[:, 2] >= embr.xmin)
-            & (block[:, 2] <= embr.xmax)
-            & (block[:, 3] >= embr.ymin)
-            & (block[:, 3] <= embr.ymax)
+            (gov[:, 0] >= embr.xmin)
+            & (gov[:, 0] <= embr.xmax)
+            & (gov[:, 1] >= embr.ymin)
+            & (gov[:, 1] <= embr.ymax)
+            & (gov[:, 2] >= embr.xmin)
+            & (gov[:, 2] <= embr.xmax)
+            & (gov[:, 3] >= embr.ymin)
+            & (gov[:, 3] <= embr.ymax)
         )
     else:
         mask = (
-            (block[:, 4] <= embr.xmax)
-            & (block[:, 6] >= embr.xmin)
-            & (block[:, 5] <= embr.ymax)
-            & (block[:, 7] >= embr.ymin)
+            (gov[:, 4] <= embr.xmax)
+            & (gov[:, 6] >= embr.xmin)
+            & (gov[:, 5] <= embr.ymax)
+            & (gov[:, 7] >= embr.ymin)
         )
-    entries = node.entries
-    return [entries[i] for i in np.nonzero(mask)[0]]
-
-
-def _candidate_mask(
-    candidates: List[IndexEntry],
-    component: FacilityComponent,
-    spec: ServiceSpec,
-    stats: Optional[QueryStats],
-    runtime: Optional[QueryRuntime],
-) -> np.ndarray:
-    """One vectorised distance pass over all candidates' probe points.
-
-    All candidates' probe points are stacked into a single coordinate
-    block and checked against the component's stops at once.  With a
-    runtime the check rides its probe path (backend dressing plus the
-    configured execution policy); without one it is the plain dense
-    kernel.  Results are identical either way.
-    """
-    coords = (
-        candidates[0].probe_coords
-        if len(candidates) == 1
-        else np.concatenate([e.probe_coords for e in candidates])
-    )
-    if runtime is not None:
-        return runtime.probe_mask(component.stops, coords, spec.psi, stats)
-    return component.stops.covered_mask(coords, spec.psi, stats)
+    return np.flatnonzero(mask)
 
 
 def _aggregate_candidates(
-    candidates: List[IndexEntry],
+    tree: TQTree,
+    block: NodeBlock,
+    rows: np.ndarray,
     mask: np.ndarray,
     spec: ServiceSpec,
     collector: Optional[MatchCollector],
 ) -> float:
-    """Apply the service model's scoring rule per entry over ``mask``."""
+    """Apply the service model's scoring rule over ``mask``, the
+    coverage of the candidates' probe points laid end to end in ``rows``
+    order."""
+    counts = block.probe_cnt[rows]
+    ends = np.cumsum(counts)
+    starts = ends - counts  # where each candidate's probes begin in mask
+    if collector is not None:
+        gather = ranges(block.probe_off[rows], counts)
+        collector.record_slots(tree.table, block.probe_slot[gather[mask]])
+    if spec.model is ServiceModel.ENDPOINT:
+        # Every candidate is a whole-trajectory entry whose sorted
+        # probe list starts at index 0 and ends at index n-1, so the
+        # score is simply "first and last probe covered".
+        return float(np.count_nonzero(mask[starts] & mask[ends - 1]))
+    if spec.model is ServiceModel.COUNT:
+        own = block.own_cnt[rows]
+        hit = mask[ranges(starts, own)].astype(np.float64)
+        if collector is None:
+            if not spec.normalize:
+                return float(np.count_nonzero(hit))
+            return float(np.dot(hit, np.repeat(block.inv_points[rows], own)))
+        # collecting walks score entry by entry, then add up in list order
+        owner = np.repeat(np.arange(rows.size), own)
+        raw = np.bincount(owner, weights=hit, minlength=rows.size)
+        return in_order_sum(raw / block.n_points[rows] if spec.normalize else raw)
+    # LENGTH: a segment contributes its length when both endpoint probes
+    # are covered; normalisation divides by the owning trajectory's length
+    segs = block.seg_cnt[rows]
+    a = ranges(starts, segs)
+    served = (mask[a] & mask[a + 1]).astype(np.float64)
+    which = ranges(block.seg_off[rows], segs)
     if collector is None:
-        if spec.model is ServiceModel.ENDPOINT:
-            # Every candidate is a whole-trajectory entry whose sorted
-            # probe list starts at index 0 and ends at index n-1, so the
-            # score is simply "first and last probe covered".
-            so = 0.0
-            pos = 0
-            for entry in candidates:
-                k = len(entry.probe_idx)
-                if mask[pos] and mask[pos + k - 1]:
-                    so += 1.0
-                pos += k
-            return so
-        if spec.model is ServiceModel.COUNT:
-            return _batch_count(candidates, mask, spec)
-        return _batch_length(candidates, mask, spec)
-    # collecting mode: per-entry bookkeeping (MaxkCovRST match sets)
-    so = 0.0
-    pos = 0
-    for entry in candidates:
-        k = len(entry.probe_idx)
-        covered = dict(zip(entry.probe_idx, (bool(m) for m in mask[pos : pos + k])))
-        pos += k
-        so += entry.score_from_covered(covered, spec)
-        hit = tuple(i for i in entry.probe_idx if covered[i])
-        if hit:
-            collector.record(entry.traj.traj_id, hit)
-    return so
-
-
-def _batch_count(
-    candidates: List[IndexEntry], mask: np.ndarray, spec: ServiceSpec
-) -> float:
-    """COUNT scores for all candidates from one coverage mask."""
-    sel_parts = []
-    weights = []
-    pos = 0
-    for entry in candidates:
-        own = entry.own_probe_pos
-        if own.size:
-            sel_parts.append(own + pos)
-            w = 1.0 / entry.traj.n_points if spec.normalize else 1.0
-            weights.append(np.full(own.size, w))
-        pos += len(entry.probe_idx)
-    if not sel_parts:
-        return 0.0
-    sel = np.concatenate(sel_parts)
-    w = np.concatenate(weights)
-    return float(np.dot(mask[sel].astype(np.float64), w))
-
-
-def _batch_length(
-    candidates: List[IndexEntry], mask: np.ndarray, spec: ServiceSpec
-) -> float:
-    """LENGTH scores for all candidates from one coverage mask.
-
-    A segment contributes its length when both endpoint probes are
-    covered; normalisation divides by the owning trajectory's length.
-    """
-    a_parts = []
-    b_parts = []
-    len_parts = []
-    pos = 0
-    for entry in candidates:
-        segs = entry.seg_probe_pos
-        if segs.size:
-            a_parts.append(segs[:, 0] + pos)
-            b_parts.append(segs[:, 1] + pos)
-            if spec.normalize:
-                total = entry.traj.length
-                scale = 1.0 / total if total > 0 else 0.0
-                len_parts.append(entry.own_seg_lengths * scale)
-            else:
-                len_parts.append(entry.own_seg_lengths)
-        pos += len(entry.probe_idx)
-    if not a_parts:
-        return 0.0
-    served = mask[np.concatenate(a_parts)] & mask[np.concatenate(b_parts)]
-    return float(np.dot(served.astype(np.float64), np.concatenate(len_parts)))
+        lengths = block.seg_len_norm if spec.normalize else block.seg_len
+        return float(np.dot(served, lengths[which]))
+    owner = np.repeat(np.arange(rows.size), segs)
+    raw = np.bincount(owner, weights=block.seg_len[which] * served, minlength=rows.size)
+    if spec.normalize:
+        total = block.traj_len[rows]
+        raw = np.divide(raw, total, out=np.zeros(rows.size), where=total > 0)
+    return in_order_sum(raw)
 
 
 def evaluate_node_trajectories(
@@ -306,7 +269,7 @@ def evaluate_node_trajectories(
     facility component.  Returns the service value gained.
 
     ``runtime`` owns the probe path (how the exact distance pass
-    executes) and memoises the (candidates, mask) pair per (facility,
+    executes) and memoises the (candidate rows, mask) pair per (facility,
     q-node, psi, mode) in its cache: the component a facility induces at
     a node is the same whichever algorithm walked there (stops within
     the node's box expanded by ``psi``), so a later walk in the same
@@ -343,6 +306,7 @@ def evaluate_node_trajectories(
         cache = runtime.cache
     if component.is_empty or not node.entries:
         return 0.0
+    block = tree.node_block(node)
     collecting = collector is not None
     key = None
     if cache is not None:
@@ -353,35 +317,44 @@ def evaluate_node_trajectories(
             collecting,
             spec.model.value,
         )
-        hit = cache.lookup_node(key, node, component.stops.coords)
+        # anchored on the block, not the node: an insert rebuilds the
+        # block, so rows cached against the old one can never be served
+        hit = cache.lookup_node(key, block, component.stops.coords)
         if hit is not None:
-            candidates, mask = hit
+            rows, mask = hit
             if stats is not None:
                 stats.entries_considered += len(node.entries)
-                stats.entries_scored += len(candidates)
+                stats.entries_scored += rows.size
                 stats.cache_hits += 1
-            if not candidates:
+            if not rows.size:
                 return 0.0
-            return _aggregate_candidates(candidates, mask, spec, collector)
-    candidates = _zreduce_candidates(tree, node, component, spec, collecting)
-    if candidates is None:
-        candidates = _linear_candidates(
-            node, component, spec, tree.config.variant, collecting
+            return _aggregate_candidates(tree, block, rows, mask, spec, collector)
+    rows = _zreduce_candidates(tree, node, component, spec, collecting)
+    if rows is None:
+        rows = _linear_candidates(
+            block, component, spec, tree.config.variant, collecting
         )
     if stats is not None:
         stats.entries_considered += len(node.entries)
-        stats.entries_scored += len(candidates)
-    if not candidates:
+        stats.entries_scored += rows.size
+    if not rows.size:
         if cache is not None:
             cache.store_node(
-                key, node, component.stops.coords, candidates,
+                key, block, component.stops.coords, rows,
                 np.zeros(0, dtype=bool),
             )
         return 0.0
-    mask = _candidate_mask(candidates, component, spec, stats, runtime)
+    # one vectorised distance pass over all candidates' probe points;
+    # with a runtime it rides the probe path (backend dressing plus the
+    # configured execution policy), without one it is the dense kernel
+    coords = block.probe_xy[ranges(block.probe_off[rows], block.probe_cnt[rows])]
+    if runtime is not None:
+        mask = runtime.probe_mask(component.stops, coords, spec.psi, stats)
+    else:
+        mask = component.stops.covered_mask(coords, spec.psi, stats)
     if cache is not None:
-        cache.store_node(key, node, component.stops.coords, candidates, mask)
-    return _aggregate_candidates(candidates, mask, spec, collector)
+        cache.store_node(key, block, component.stops.coords, rows, mask)
+    return _aggregate_candidates(tree, block, rows, mask, spec, collector)
 
 
 def evaluate_core(

@@ -20,20 +20,17 @@ EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.errors import QueryError
-from ..core.service import CoverageState, ServiceSpec
-from ..core.trajectory import FacilityRoute, Trajectory
+from ..core.service import CoverageState, MatchSet, ServiceSpec, as_match_set
+from ..core.trajectory import FacilityRoute, Trajectory, UserPointTable
 from ..runtime import QueryRuntime, coerce_runtime
-from .maxkcov import MatchFn, Matches, MaxKCovResult, greedy_max_k_coverage
+from .maxkcov import MatchFn, MaxKCovResult, greedy_max_k_coverage
 
 __all__ = ["exact_core", "exact_max_k_coverage", "approximation_ratio"]
-
-
-def _merge(into: Dict[int, Set[int]], matches: Matches) -> None:
-    for tid, idx in matches.items():
-        into.setdefault(tid, set()).update(idx)
 
 
 def exact_core(
@@ -58,7 +55,8 @@ def exact_core(
     if runtime is not None:
         match_fn = runtime.cache.cached_match_fn(match_fn)
 
-    matches: List[Matches] = [match_fn(f) for f in facilities]
+    users = UserPointTable.of(users)
+    matches: List[MatchSet] = [as_match_set(users, match_fn(f)) for f in facilities]
 
     # order by decreasing solo value for early strong incumbents
     solo: List[float] = []
@@ -72,11 +70,11 @@ def exact_core(
     n = len(ordered_facilities)
 
     # suffix-merged matches: union of everything from position i onward
-    suffix: List[Matches] = [dict() for _ in range(n + 1)]
-    acc: Dict[int, Set[int]] = {}
+    acc = np.zeros(0, dtype=np.int64)
+    suffix: List[MatchSet] = [MatchSet(users, acc)] * (n + 1)
     for i in range(n - 1, -1, -1):
-        _merge(acc, ordered_matches[i])
-        suffix[i] = {tid: tuple(idx) for tid, idx in acc.items()}
+        acc = np.union1d(acc, ordered_matches[i].slots)
+        suffix[i] = MatchSet(users, acc)
 
     # incumbent from the greedy
     match_by_id = {f.facility_id: m for f, m in zip(facilities, matches)}

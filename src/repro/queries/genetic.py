@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from ..core.errors import QueryError
-from ..core.service import CoverageState, ServiceSpec
-from ..core.trajectory import FacilityRoute, Trajectory
+from ..core.service import CoverageState, MatchSet, ServiceSpec, as_match_set
+from ..core.trajectory import FacilityRoute, Trajectory, UserPointTable
 from ..runtime import QueryRuntime, coerce_runtime
-from .maxkcov import MatchFn, Matches, MaxKCovResult
+from .maxkcov import MatchFn, MaxKCovResult
 
 __all__ = ["GeneticConfig", "genetic_core", "genetic_max_k_coverage"]
 
@@ -79,7 +79,8 @@ def genetic_core(
     rng = random.Random(config.seed)
     if runtime is not None:
         match_fn = runtime.cache.cached_match_fn(match_fn)
-    matches: List[Matches] = [match_fn(f) for f in facilities]
+    users = UserPointTable.of(users)
+    matches: List[MatchSet] = [as_match_set(users, match_fn(f)) for f in facilities]
     n = len(facilities)
 
     fitness_cache: Dict[FrozenSet[int], float] = {}

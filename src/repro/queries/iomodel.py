@@ -75,7 +75,8 @@ def estimate_query_blocks(
 
 
 def _candidates_for_pricing(tree: TQTree, zlist, component, spec):
-    """Mirror the live evaluator's (non-collecting) candidate mode."""
+    """Mirror the live evaluator's (non-collecting) candidate mode:
+    the survivors' positions in the z-sorted order."""
     from ..core.config import IndexVariant
     from ..core.service import ServiceModel
 
@@ -113,16 +114,7 @@ def _walk(
             # that hold surviving candidates, one block each
             costs.directory_blocks += 2
             candidates = _candidates_for_pricing(tree, zlist, component, spec)
-            if candidates:
-                wanted = {e.entry_id for e in candidates}
-                touched = 0
-                for bucket in zlist._buckets:
-                    if any(
-                        zlist.entries[i].entry_id in wanted
-                        for i in range(bucket.lo, bucket.hi)
-                    ):
-                        touched += 1
-                costs.list_blocks += touched
+            costs.list_blocks += zlist.buckets_touched(candidates)
     if node.children is not None:
         boxes = [child.box for child in node.children]
         for child, child_comp in zip(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import QueryError
-from ..core.service import CoverageState, ServiceSpec
+from ..core.service import CoverageState, ServiceSpec, as_match_set
 from ..core.stats import QueryStats
 from ..core.trajectory import FacilityRoute, Trajectory
 from ..index.tqtree import TQTree
@@ -47,7 +47,9 @@ __all__ = [
     "maxkcov_baseline",
 ]
 
-# per-user covered point indices produced by one facility
+# per-user covered point indices produced by one facility; the tree
+# strategies hand them over as a :class:`~repro.core.service.MatchSet`
+# (slot array that reads as this mapping)
 Matches = Mapping[int, Tuple[int, ...]]
 MatchFn = Callable[[FacilityRoute], Matches]
 
@@ -100,7 +102,7 @@ def core_match_fn(
             acc.merge(local)
         elif runtime is not None:
             runtime.accrue(local)
-        return collector.as_dict()
+        return collector.match_set()
 
     if runtime is None:
         return fn
@@ -159,7 +161,7 @@ def greedy_max_k_coverage(
         raise QueryError(f"k must be positive, got {k}")
     state = CoverageState(users, spec)
     matches: Dict[int, Matches] = {
-        f.facility_id: match_fn(f) for f in facilities
+        f.facility_id: as_match_set(state.table, match_fn(f)) for f in facilities
     }
     remaining: List[FacilityRoute] = sorted(
         facilities, key=lambda f: f.facility_id
@@ -210,7 +212,7 @@ def maxkcov_core(
     shortlist_result = top_k_core(tree, facilities, k_prime, spec, runtime)
     local.merge(shortlist_result.stats)
     shortlist = [fs.facility for fs in shortlist_result.ranking]
-    users = list(tree.trajectories())
+    users = tree.table  # match sets are slot arrays over this very table
     result = greedy_max_k_coverage(
         users, shortlist, k, spec,
         core_match_fn(tree, spec, runtime, acc=local),

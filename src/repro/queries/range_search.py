@@ -34,7 +34,7 @@ def _candidate_entries(tree: TQTree, node: QNode, box: BBox) -> List[IndexEntry]
     """Entries of ``node`` whose own bbox intersects ``box``."""
     zlist = tree.node_zlist(node)
     if zlist is not None and len(node.entries) >= 64:
-        return zlist.candidates_bbox(box)
+        return [zlist.entries[i] for i in zlist.candidates_bbox(box).tolist()]
     return [e for e in node.entries if e.bbox.intersects(box)]
 
 

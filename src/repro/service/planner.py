@@ -181,9 +181,8 @@ class QueryPlanner:
         def execute(runtime: QueryRuntime) -> QueryResult:
             acc = QueryStats()
             match_fn = core_match_fn(req.tree, spec, runtime, acc)
-            users = list(req.tree.trajectories())
             result = exact_core(
-                users, req.facilities, req.k, spec, match_fn, runtime
+                req.tree.table, req.facilities, req.k, spec, match_fn, runtime
             )
             return QueryResult(req, result, acc)
 
@@ -199,10 +198,9 @@ class QueryPlanner:
         def execute(runtime: QueryRuntime) -> QueryResult:
             acc = QueryStats()
             match_fn = core_match_fn(req.tree, spec, runtime, acc)
-            users = list(req.tree.trajectories())
             result = genetic_core(
-                users, req.facilities, req.k, spec, match_fn, req.config,
-                runtime,
+                req.tree.table, req.facilities, req.k, spec, match_fn,
+                req.config, runtime,
             )
             return QueryResult(req, result, acc)
 

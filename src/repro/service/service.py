@@ -762,7 +762,7 @@ class QueryService:
         with state.lock:
             if state.engine is None:
                 state.engine = BatchQueryEngine(
-                    tuple(state.tree.trajectories()), runtime=self.runtime
+                    state.tree.table, runtime=self.runtime
                 )
             return state.engine
 

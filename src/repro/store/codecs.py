@@ -24,10 +24,10 @@ Bundles for catalog payloads ride the same container:
 (flattened point rows + CSR offsets + ids) and
 :func:`save_tree_node_tables` / :func:`adopt_tree_node_tables` (the
 per-node governing-filter tables of a TQ-tree in deterministic
-pre-order, re-adopted as memmap views into a rebuilt tree's caches).
-The TQ-tree's per-node z-structures hold Python tuple keys, not flat
-arrays — they rebuild lazily on first use and are deliberately not
-persisted.
+pre-order, re-adopted as memmap views into a rebuilt tree's node
+blocks).  The rest of a node block and the per-node z-structures are
+flat arrays too but rebuild lazily from the users bundle on first use;
+persisting them is a follow-up, not part of this format.
 """
 
 from __future__ import annotations
@@ -374,7 +374,7 @@ def save_tree_node_tables(path: str, tree) -> str:
     and :func:`adopt_tree_node_tables` can hand each node its table
     back.
     """
-    tables = [node.gov_arrays() for node in tree.nodes()]
+    tables = [tree.node_block(node).gov for node in tree.nodes()]
     indptr = np.zeros(len(tables) + 1, dtype=np.int64)
     for i, table in enumerate(tables):
         indptr[i + 1] = indptr[i] + table.shape[0]
@@ -400,8 +400,9 @@ def adopt_tree_node_tables(
     bundle and node tables travel together).  Shape mismatches degrade
     safely: a tree with a different node count adopts nothing, a node
     whose entry count disagrees with its persisted table keeps nothing,
-    and ``gov_arrays`` self-heals on any later mismatch by rebuilding —
-    so a stale file costs a lazy rebuild, not a wrong answer.
+    and a node's block drops an adopted table the moment an insert
+    changes its entry list — so a stale file costs a lazy rebuild, not
+    a wrong answer.
     """
     kind, meta, arrays = read_store_file(path, mmap_mode=mmap_mode, verify=verify)
     if mmap_mode == "r":
@@ -423,7 +424,5 @@ def adopt_tree_node_tables(
         return 0  # structurally different tree: adopt nothing
     for i, node in enumerate(nodes):
         table = gov[int(indptr[i]) : int(indptr[i + 1])]
-        if table.shape[0] == len(node.entries):
-            node._gov_cache = table
-            adopted += 1
+        adopted += node.adopt_gov_table(table)
     return adopted

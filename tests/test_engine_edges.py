@@ -216,6 +216,28 @@ class TestDegenerateGeometryHardening:
         mask = _assert_grid_matches_dense(stops, probe, 0.001)
         assert not mask.any()
 
+    def test_overflowing_offsets_have_defined_results(self):
+        """The two expressions that can leave the float range: a squared
+        offset overflows to inf, which is *not covered* for any finite
+        psi * psi; a floor quotient overflows to +-inf, which lands on the
+        index clamp.  Neither may warn (tier-1 runs with RuntimeWarning
+        as an error)."""
+        from repro.core.service import psi_hit
+        from repro.engine.grid import _INDEX_CLAMP, _cell_indices_of
+
+        dx = np.array([1e308, -1e200, 3.0])
+        dy = np.array([-1e308, 1e200, 4.0])
+        assert psi_hit(dx, dy, 5.0).tolist() == [False, False, True]
+        assert psi_hit(dx, dy, 1e150).tolist() == [False, False, True]
+        pts = np.array([[1e308, -1e308], [0.5, -0.5], [0.0, 0.0]])
+        clamp = int(_INDEX_CLAMP)
+        assert _cell_indices_of(pts, 0.0, 0.0, 5e-324).tolist() == [
+            [clamp, -clamp], [clamp, -clamp], [0, 0],
+        ]
+        assert _cell_indices_of(pts, -1e308, 1e308, 1.0).tolist() == [
+            [clamp, -clamp], [clamp, -clamp], [clamp, -clamp],
+        ]
+
     def test_nonfinite_probes_are_sound_misses(self):
         """NaN/inf probe coordinates: the dense kernel says False (NaN
         comparisons are false), and the grid must agree instead of

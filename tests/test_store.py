@@ -312,14 +312,14 @@ class TestBundlesAndNodeTables:
 
     def test_node_tables_adopt_and_self_heal(self, tmp_path, taxi_users):
         tree = build_tq_zorder(taxi_users, beta=16)
-        expected = [node.gov_arrays().copy() for node in tree.nodes()]
+        expected = [tree.node_block(node).gov.copy() for node in tree.nodes()]
         path = str(tmp_path / "nodes.idx")
         save_tree_node_tables(path, tree)
         rebuilt = build_tq_zorder(taxi_users, beta=16)
         adopted = adopt_tree_node_tables(rebuilt, path)
         assert adopted == len(expected)
         for node, want in zip(rebuilt.nodes(), expected):
-            assert np.array_equal(node.gov_arrays(), want)
+            assert np.array_equal(rebuilt.node_block(node).gov, want)
         # a structurally different tree (other beta → other node count)
         # adopts nothing: a stale file costs a lazy rebuild, not a
         # wrong answer

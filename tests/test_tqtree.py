@@ -216,10 +216,10 @@ class TestInsert:
         users = users_grid(40)
         tree = TQTree.build(users[:30], TQTreeConfig(beta=64, use_zorder=False),
                             space=WORLD)
-        before = tree.root.gov_arrays().shape[0]
+        before = tree.node_block(tree.root).gov.shape[0]
         for u in users[30:]:
             tree.insert(u)
-        after = tree.root.gov_arrays().shape[0]
+        after = tree.node_block(tree.root).gov.shape[0]
         assert after == len(tree.root.entries)
         assert after >= before
 

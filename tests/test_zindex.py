@@ -33,6 +33,13 @@ def users_grid(n):
     ]
 
 
+def picked(zl, positions):
+    """The entries at the given sorted-order positions (what the
+    candidate modes return)."""
+    assert positions.tolist() == sorted(set(positions.tolist()))
+    return [zl.entries[i] for i in positions.tolist()]
+
+
 def stops_array(points):
     return np.array([(p.x, p.y) for p in points], dtype=np.float64)
 
@@ -52,7 +59,7 @@ class TestConstruction:
         zl = ZOrderedList(WORLD, [], beta=4)
         assert len(zl) == 0
         assert zl.n_buckets == 0
-        assert zl.candidates_both(WORLD) == []
+        assert zl.candidates_both(WORLD).size == 0
 
     def test_bucket_capacity_respected(self):
         zl = build(users_grid(50), beta=4)
@@ -61,8 +68,13 @@ class TestConstruction:
 
     def test_entries_sorted_by_zid_pairs(self):
         zl = build(users_grid(40), beta=4)
-        keys = zl._keys
+        keys = list(zip(zl.start_rank.tolist(), zl.end_rank.tolist(),
+                        (e.entry_id for e in zl.entries)))
         assert keys == sorted(keys)
+        # ranks order leaves exactly as their z-ids do
+        zids = [(zl.start_grid.zid_of(e.gov_start), zl.end_grid.zid_of(e.gov_end))
+                for e in zl.entries]
+        assert zids == sorted(zids)
 
     def test_end_ids_disambiguated_where_possible(self):
         """With disambiguation enabled, entries sharing a start cell get
@@ -76,7 +88,7 @@ class TestConstruction:
             WORLD, entries_of(users), beta=4, disambiguation_passes=8
         )
         by_start = {}
-        for (s, e, _id) in zl._keys:
+        for s, e in zip(zl.start_rank.tolist(), zl.end_rank.tolist()):
             by_start.setdefault(s, []).append(e)
         for ends in by_start.values():
             assert len(set(ends)) == len(ends)
@@ -107,7 +119,7 @@ class TestCandidateModes:
         psi = 150.0
         cands = {
             e.entry_id
-            for e in zl.candidates_both(embr_of(stops, psi), stops_array(stops), psi)
+            for e in picked(zl, zl.candidates_both(embr_of(stops, psi), stops_array(stops), psi))
         }
         for e in entries_of(users):
             if _served_endpoint(e, stops, psi):
@@ -117,11 +129,11 @@ class TestCandidateModes:
         users = users_grid(60)
         zl = build(users, beta=4)
         box = BBox(100, 100, 400, 400)
-        loose = {e.entry_id for e in zl.candidates_both(box)}
+        loose = {e.entry_id for e in picked(zl, zl.candidates_both(box))}
         stops = [Point(250, 250)]
         tight = {
             e.entry_id
-            for e in zl.candidates_both(box, stops_array(stops), 150.0)
+            for e in picked(zl, zl.candidates_both(box, stops_array(stops), 150.0))
         }
         assert tight <= loose
 
@@ -129,8 +141,8 @@ class TestCandidateModes:
         users = users_grid(60)
         zl = build(users, beta=4)
         box = BBox(100, 100, 400, 400)
-        both = {e.entry_id for e in zl.candidates_both(box)}
-        any_ = {e.entry_id for e in zl.candidates_any(box)}
+        both = {e.entry_id for e in picked(zl, zl.candidates_both(box))}
+        any_ = {e.entry_id for e in picked(zl, zl.candidates_any(box))}
         assert both <= any_
 
     def test_any_mode_catches_single_endpoint(self):
@@ -140,7 +152,7 @@ class TestCandidateModes:
             Trajectory(2, [(900, 900), (950, 950)]),  # neither
         ]
         zl = build(users, beta=2)
-        ids = {e.traj.traj_id for e in zl.candidates_any(BBox(0, 0, 100, 100))}
+        ids = {e.traj.traj_id for e in picked(zl, zl.candidates_any(BBox(0, 0, 100, 100)))}
         assert {0, 1} <= ids
 
     def test_bbox_mode_sound_for_full_entries(self):
@@ -154,7 +166,7 @@ class TestCandidateModes:
             beta=2,
         )
         box = BBox(0, 0, 100, 100)
-        ids = {e.traj.traj_id for e in zl.candidates_bbox(box)}
+        ids = {e.traj.traj_id for e in picked(zl, zl.candidates_bbox(box))}
         assert 0 in ids
         assert 1 not in ids
 
@@ -162,7 +174,7 @@ class TestCandidateModes:
         zl = build(users_grid(30), beta=4)
         got = zl.candidates_both(WORLD, np.zeros((0, 2)), 10.0)
         # with no stops the EMBR-only filter applies (stops given but empty)
-        assert isinstance(got, list)
+        assert got.tolist() == zl.candidates_both(WORLD).tolist()
 
     @settings(max_examples=40)
     @given(trajectory_sets(min_size=1, max_size=25, min_points=2, max_points=2))
@@ -174,7 +186,7 @@ class TestCandidateModes:
         psi = 120.0
         cands = {
             e.entry_id
-            for e in zl.candidates_both(embr_of(stops, psi), stops_array(stops), psi)
+            for e in picked(zl, zl.candidates_both(embr_of(stops, psi), stops_array(stops), psi))
         }
         for e in entries_of(users):
             if _served_endpoint(e, stops, psi):
@@ -191,7 +203,7 @@ class TestCandidateModes:
         psi = 200.0
         cands = {
             e.entry_id
-            for e in zl.candidates_any(embr_of(stops, psi), stops_array(stops), psi)
+            for e in picked(zl, zl.candidates_any(embr_of(stops, psi), stops_array(stops), psi))
         }
         for e in entries:
             start_near = any(e.gov_start.dist_to(s) <= psi for s in stops)
@@ -205,7 +217,7 @@ class TestCandidateModes:
         entries = entries_of(users, IndexVariant.FULL)
         zl = ZOrderedList(WORLD, entries, beta=3)
         box = BBox(200, 200, 600, 600)
-        cands = {e.entry_id for e in zl.candidates_bbox(box)}
+        cands = {e.entry_id for e in picked(zl, zl.candidates_bbox(box))}
         for e in entries:
             if any(box.contains_point(p) for p in e.traj.points):
                 assert e.entry_id in cands
