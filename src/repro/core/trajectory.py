@@ -298,6 +298,9 @@ class UserPointTable(abc.Sequence):
         self.traj_len = np.fromiter(
             (u.length for u in self.users), dtype=np.float64, count=n_users
         )
+        self._freeze()
+
+    def _freeze(self) -> None:
         for name in self.__slots__:
             column = getattr(self, name)
             if isinstance(column, np.ndarray):
@@ -310,8 +313,33 @@ class UserPointTable(abc.Sequence):
 
     def extended(self, more: Sequence[Trajectory]) -> "UserPointTable":
         """A table with ``more`` appended; existing rows and slots keep
-        their numbers."""
-        return UserPointTable(self.users + tuple(more))
+        their numbers.  Only the new users are walked: their columns are
+        built on their own, shifted past this table's rows / slots /
+        segments and concatenated on."""
+        tail = UserPointTable(more)
+        if not tail.users:
+            return self
+        n_users, n_slots, n_segs = self.n_users, self.n_slots, self.seg_a.size
+        grown = object.__new__(UserPointTable)
+        grown.users = self.users + tail.users
+        grown.row_of = dict(self.row_of)
+        grown.row_of.update((tid, n_users + row) for tid, row in tail.row_of.items())
+        if len(grown.row_of) != len(grown.users):
+            raise TrajectoryError("duplicate trajectory ids in user set")
+        for name in ("traj_ids", "counts", "n_points", "xy", "seg_len", "traj_len"):
+            setattr(grown, name, np.concatenate([getattr(self, name), getattr(tail, name)]))
+        for name, column in (
+            ("pt_owner", tail.pt_owner + n_users),
+            ("seg_owner", tail.seg_owner + n_users),
+            ("seg_a", tail.seg_a + n_slots),
+            ("offsets", tail.offsets[1:] + n_slots),
+            ("seg_off", tail.seg_off[1:] + n_segs),
+        ):
+            setattr(grown, name, np.concatenate([getattr(self, name), column]))
+        grown.first = grown.offsets[:-1]
+        grown.last = grown.offsets[1:] - 1
+        grown._freeze()
+        return grown
 
     # ------------------------------------------------------------------
     @property

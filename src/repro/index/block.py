@@ -27,7 +27,7 @@ ymax)`` — the layout :mod:`repro.store` persists.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,6 +118,26 @@ class NodeBlock:
         np.divide(1.0, self.traj_len, out=scale, where=self.traj_len > 0)
         self.seg_len_norm = self.seg_len * np.repeat(scale, seg_cnt)
         self.gov = gov if gov is not None else self._gov_table(variant)
+
+    @classmethod
+    def of_entries(
+        cls,
+        table: UserPointTable,
+        variant: IndexVariant,
+        entries: Sequence,
+        gov: Optional[np.ndarray] = None,
+    ) -> "NodeBlock":
+        """The block of an :class:`~repro.index.entries.IndexEntry` list
+        whose users are rows of ``table``."""
+        n = len(entries)
+        rows = np.fromiter(
+            (table.row_of[e.traj.traj_id] for e in entries), dtype=np.int64, count=n
+        )
+        segs = np.fromiter(
+            (-1 if e.seg_index is None else e.seg_index for e in entries),
+            dtype=np.int64, count=n,
+        )
+        return cls(table, variant, rows, segs, gov)
 
     def _gov_table(self, variant: IndexVariant) -> np.ndarray:
         gov = np.empty((self.n, 8), dtype=np.float64)

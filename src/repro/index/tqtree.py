@@ -18,8 +18,9 @@ list stays flat and queries scan it linearly.
 The tree keeps its users as one :class:`~repro.core.trajectory
 .UserPointTable`, and every q-node's list also exists as a
 :class:`~repro.index.block.NodeBlock` of flat columns over that table —
-what queries actually read.  Block and z-structure are built together,
-lazily, and an insert into a node invalidates both through one flag.
+what queries actually read.  The block is built lazily, the z-structure
+over it on first request, and an insert into a node invalidates both
+through one flag.
 
 The tree supports dynamic inserts (Section III-C).  One deliberate
 deviation from the paper: after an insert the affected node's z-structure
@@ -70,8 +71,8 @@ class QNode:
         self.children: Optional[List["QNode"]] = None
         self.entries: List[IndexEntry] = []  # UL(E)
         self.sub = SubBounds()
-        # the columnar image of ``entries`` and its z-order view; both
-        # stale while ``_z_dirty`` (see TQTree.node_block)
+        # the columnar image of ``entries`` (stale while ``_z_dirty``) and
+        # the z-order view built over it on demand (see TQTree.node_block)
         self._block: Optional[NodeBlock] = None
         self._zlist: Optional[ZOrderedList] = None
         self._z_dirty = True
@@ -84,12 +85,19 @@ class QNode:
     def adopt_gov_table(self, table: "np.ndarray") -> bool:
         """Offer a persisted filter table (the ``gov`` column of this
         node's block, e.g. a memmap from a store) for the next block
-        build; refused when it cannot belong to the current entry list."""
+        build; refused when it cannot belong to the current entry list.
+        Any later change to the list withdraws the offer."""
         if table.shape != (len(self.entries), 8):
             return False
         self._adopted_gov = table
         self._z_dirty = True
         return True
+
+    def invalidate(self) -> None:
+        """The entry list changed: its block, its z-structure and any
+        adopted filter table describe the old list."""
+        self._z_dirty = True
+        self._adopted_gov = None
 
     def sub_value(self, spec: ServiceSpec) -> float:
         """The paper's ``sub``: subtree service upper bound for ``spec``."""
@@ -158,7 +166,7 @@ class TQTree:
         tree._n_entries = len(entries)
         # the whole entry set as one block: routing reads its bbox
         # columns, the sub bounds its per-entry totals
-        block = tree._block_of(entries)
+        block = NodeBlock.of_entries(table, config.variant, entries)
         totals = np.column_stack(
             [np.ones(block.n), block.own_cnt, *block.own_totals()]
         )
@@ -261,14 +269,14 @@ class TQTree:
             node.sub.add(delta)
             if node.is_leaf:
                 node.entries.append(entry)
-                node._z_dirty = True
+                node.invalidate()
                 if len(node.entries) > cfg.beta and node.depth < cfg.max_depth:
                     self._split_leaf(node)
                 return
             q = self._route(node, entry)
             if q is None:
                 node.entries.append(entry)
-                node._z_dirty = True
+                node.invalidate()
                 return
             assert node.children is not None
             node = node.children[q]
@@ -288,7 +296,7 @@ class TQTree:
         boxes = node.box.quadrants()
         node.children = [QNode(boxes[d], node.depth + 1, node) for d in range(4)]
         node.entries = stay
-        node._z_dirty = True
+        node.invalidate()
         for d in range(4):
             child = node.children[d]
             child.entries = groups[d]
@@ -388,46 +396,30 @@ class TQTree:
             self._table = self._table.extended(users[-pending:])
         return self._table
 
-    def _block_of(
-        self, entries: Sequence[IndexEntry], gov: Optional[np.ndarray] = None
-    ) -> NodeBlock:
-        table = self.table
-        n = len(entries)
-        rows = np.fromiter(
-            (table.row_of[e.traj.traj_id] for e in entries), dtype=np.int64, count=n
-        )
-        segs = np.fromiter(
-            (-1 if e.seg_index is None else e.seg_index for e in entries),
-            dtype=np.int64, count=n,
-        )
-        return NodeBlock(table, self.config.variant, rows, segs, gov)
-
-    def _refresh(self, node: QNode) -> None:
-        """(Re)build the node's block and, on TQ(Z), its z-structure."""
-        gov = node._adopted_gov
-        if gov is not None and gov.shape[0] != len(node.entries):
-            gov = node._adopted_gov = None  # entries changed since adoption
-        block = node._block = self._block_of(node.entries, gov)
-        cfg = self.config
-        node._zlist = (
-            ZOrderedList(node.box, node.entries, cfg.beta, cfg.z_max_depth, gov=block.gov)
-            if cfg.use_zorder and node.entries
-            else None
-        )
-        node._z_dirty = False
-
     def node_block(self, node: QNode) -> NodeBlock:
         """The node's entry list as flat columns, (re)built lazily after
         updates; row ``i`` is ``node.entries[i]``."""
         if node._z_dirty:
-            self._refresh(node)
+            # an adopted filter table is good for exactly this build
+            gov, node._adopted_gov = node._adopted_gov, None
+            node._block = NodeBlock.of_entries(
+                self.table, self.config.variant, node.entries, gov
+            )
+            node._zlist = None
+            node._z_dirty = False
         return node._block
 
     def node_zlist(self, node: QNode) -> Optional[ZOrderedList]:
-        """The node's z-structure under this tree's config (None for TQ(B)),
-        (re)built lazily after updates."""
-        if node._z_dirty:
-            self._refresh(node)
+        """The node's z-structure under this tree's config (None for TQ(B)
+        and for empty lists), built on first use over the node's block."""
+        cfg = self.config
+        if not cfg.use_zorder or not node.entries:
+            return None
+        block = self.node_block(node)
+        if node._zlist is None:
+            node._zlist = ZOrderedList(
+                node.box, node.entries, cfg.beta, cfg.z_max_depth, gov=block.gov
+            )
         return node._zlist
 
     def warm_zindex(self) -> None:

@@ -72,16 +72,6 @@ def disc_region_test(
     return test
 
 
-def _gov_table(entries: Sequence[IndexEntry]) -> np.ndarray:
-    """The ``(n, 8)`` filter table of ``entries`` (see
-    :mod:`repro.index.block`), for lists built outside a tree."""
-    rows = np.empty((len(entries), 8), dtype=np.float64)
-    for i, e in enumerate(entries):
-        s, t, b = e.gov_start, e.gov_end, e.bbox
-        rows[i] = (s.x, s.y, t.x, t.y, b.xmin, b.ymin, b.xmax, b.ymax)
-    return rows
-
-
 def _boxes_meet(boxes: np.ndarray, box: BBox) -> np.ndarray:
     """Which ``(xmin, ymin, xmax, ymax)`` rows intersect ``box`` (closed)."""
     return (
@@ -106,9 +96,8 @@ class ZOrderedList:
     z_max_depth:
         Depth cap of the adaptive grids.
     gov:
-        The entries' ``(n, 8)`` filter table when the caller already has
-        it (a tree passes its node block's); derived from ``entries``
-        otherwise.
+        The entries' ``(n, 8)`` filter table — the ``gov`` column of
+        their :class:`~repro.index.block.NodeBlock`.
 
     Position ``i`` of the sorted order is ``entries[i]`` — input entry
     ``order[i]`` — with start / end leaf ranks ``start_rank[i]`` /
@@ -130,7 +119,8 @@ class ZOrderedList:
         beta: int,
         z_max_depth: int = 12,
         disambiguation_passes: int = 0,
-        gov: Optional[np.ndarray] = None,
+        *,
+        gov: np.ndarray,
     ) -> None:
         """``disambiguation_passes`` > 0 enables the paper's Section III
         step (ii): refining the end grid until entries sharing a start
@@ -145,8 +135,6 @@ class ZOrderedList:
         self.z_max_depth = z_max_depth
         self.disambiguation_passes = disambiguation_passes
 
-        if gov is None:
-            gov = _gov_table(entries)
         starts, ends = gov[:, 0:2], gov[:, 2:4]
         cell_beta = max(1, self.cell_beta_factor * beta)
         self.start_grid = AdaptiveZGrid(space, starts, cell_beta, z_max_depth)

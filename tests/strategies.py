@@ -10,9 +10,21 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from repro import BBox, FacilityRoute, Point, Trajectory
+from repro import BBox, FacilityRoute, IndexVariant, Point, Trajectory
+from repro.core.trajectory import UserPointTable
+from repro.index.block import NodeBlock
+from repro.index.entries import make_entries
+from repro.index.zindex import ZOrderedList
 
 WORLD = BBox(0.0, 0.0, 1024.0, 1024.0)
+
+
+def zlist_of(users, variant=IndexVariant.ENDPOINT, beta=4, **kw) -> ZOrderedList:
+    """A standalone z-list over every ``variant`` entry of ``users``,
+    built the way a tree builds a node's: block first, z-order over it."""
+    entries = [e for u in users for e in make_entries(u, variant)]
+    block = NodeBlock.of_entries(UserPointTable(users), variant, entries)
+    return ZOrderedList(WORLD, entries, beta, gov=block.gov, **kw)
 
 
 def coords(grid: float = 0.25):

@@ -54,13 +54,15 @@ from repro import (
     maxkcov_tq,
     top_k_facilities,
 )
+from repro.core.errors import TrajectoryError
 from repro.core.service import score_from_indices
+from repro.core.trajectory import UserPointTable
 from repro.index.entries import make_entries
-from repro.index.zindex import ZOrderedList
 from repro.queries import MatchCollector, tq_match_fn
 from repro.queries import evaluate as evaluate_module
+from repro.store import adopt_tree_node_tables, save_tree_node_tables
 
-from .strategies import WORLD, facility_sets, psis, trajectory_sets
+from .strategies import WORLD, facility_sets, psis, trajectory_sets, zlist_of
 
 SPECS = [
     (model, normalize)
@@ -178,10 +180,12 @@ class TestZReduceIndexArrays:
     )
     def test_all_modes_match_reference(self, users, facs, psi, variant, beta):
         entries = [e for u in users for e in make_entries(u, variant)]
-        zl = ZOrderedList(WORLD, entries, beta=beta)
+        zl = zlist_of(users, variant, beta)
         keys = _ref_keys(zl)
         assert keys == sorted(keys)  # rank order is z-id order
-        assert [entries[i] for i in zl.order.tolist()] == zl.entries
+        assert [entries[i].entry_id for i in zl.order.tolist()] == [
+            e.entry_id for e in zl.entries
+        ]
         stops = facs[0].stop_coords
         embr = facs[0].embr(psi)
         for tighten in (None, stops):
@@ -199,7 +203,7 @@ class TestZReduceIndexArrays:
 
     def test_buckets_touched_counts_distinct_buckets(self):
         users = [Trajectory(i, [(i * 7 % 1000, i * 13 % 1000), (i, i)]) for i in range(50)]
-        zl = ZOrderedList(WORLD, [e for u in users for e in make_entries(u, IndexVariant.ENDPOINT)], beta=4)
+        zl = zlist_of(users, beta=4)
         assert zl.buckets_touched(np.array([], dtype=np.int64)) == 0
         assert zl.buckets_touched(np.array([0, 1, 3, 4, 49])) == 3
         assert zl.buckets_touched(np.arange(50)) == zl.n_buckets == 13
@@ -355,6 +359,70 @@ class TestInsertAfterWarm:
                             users[: u.traj_id + 1], f, spec
                         )
 
+    @pytest.mark.parametrize("use_zorder", [True, False], ids=["TQ(Z)", "TQ(B)"])
+    def test_split_that_keeps_the_list_length_drops_an_adopted_table(
+        self, tmp_path, use_zorder
+    ):
+        """A store-adopted filter table is withdrawn by the insert itself,
+        not by a length comparison: here the root list is four entries
+        long before and after (one sinks, one arrives)."""
+        space = BBox(0.0, 0.0, 1024.0, 1024.0)
+        config = TQTreeConfig(beta=4, use_zorder=use_zorder)
+        users = [
+            Trajectory(0, [(100, 100), (900, 900)]),
+            Trajectory(1, [(900, 100), (100, 900)]),
+            Trajectory(2, [(100, 120), (140, 160)]),  # sinks on the split
+            Trajectory(3, [(500, 100), (520, 900)]),
+        ]
+        newcomer = Trajectory(4, [(300, 700), (700, 300)])
+        path = str(tmp_path / "nodes.idx")
+        save_tree_node_tables(path, TQTree.build(users, config, space=space))
+        grown = TQTree.build(users, config, space=space)
+        assert adopt_tree_node_tables(grown, path) == 1
+        grown.insert(newcomer)
+        assert len(grown.root.entries) == 4 and not grown.root.is_leaf
+        fresh = TQTree.build(users + [newcomer], config, space=space)
+        route = FacilityRoute(0, [(300, 700), (700, 300)])
+        for model in ServiceModel:
+            spec = ServiceSpec(model, psi=30.0, normalize=False)
+            got_c, want_c = MatchCollector(), MatchCollector()
+            want = evaluate_service(fresh, route, spec, collector=want_c)
+            assert want == brute_force_service(users + [newcomer], route, spec) > 0
+            assert evaluate_service(grown, route, spec) == want
+            assert evaluate_service(grown, route, spec, collector=got_c) == want
+            assert got_c.as_dict() == want_c.as_dict()
+        for a, b in zip(grown.nodes(), fresh.nodes()):
+            assert np.array_equal(grown.node_block(a).gov, fresh.node_block(b).gov)
+
+    def test_block_gov_is_the_entries_governing_geometry(self):
+        users = _manhattan_users(25, seed=3)
+        for variant in IndexVariant:
+            tree = TQTree.build(
+                users, TQTreeConfig(beta=4, variant=variant), space=BBox(0, 0, 1024, 1024)
+            )
+            for node in tree.nodes():
+                want = [
+                    [e.gov_start.x, e.gov_start.y, e.gov_end.x, e.gov_end.y,
+                     e.bbox.xmin, e.bbox.ymin, e.bbox.xmax, e.bbox.ymax]
+                    for e in node.entries
+                ]
+                assert tree.node_block(node).gov.tolist() == want
+
+    def test_short_lists_never_build_a_z_structure(self):
+        """Blocks build without z-lists; a z-list appears only once a
+        query (or warm_zindex) asks for it."""
+        users = _manhattan_users(40, seed=4)
+        tree = TQTree.build(users, TQTreeConfig(beta=4), space=BBox(0, 0, 1024, 1024))
+        for node in tree.nodes():
+            tree.node_block(node)
+        assert all(node._zlist is None for node in tree.nodes())
+        tree.warm_zindex()
+        assert all(
+            (node._zlist is not None) == bool(node.entries) for node in tree.nodes()
+        )
+        tree.insert(Trajectory(99, [(1, 1), (1000, 1000)]))
+        assert len(tree.node_zlist(tree.root)) == len(tree.root.entries)
+
     def test_table_grows_without_moving_slots(self):
         users = _manhattan_users(30, seed=9)
         tree = TQTree.build(users[:20], TQTreeConfig(beta=4), space=BBox(0, 0, 1024, 1024))
@@ -366,6 +434,26 @@ class TestInsertAfterWarm:
         assert np.array_equal(after.xy[: before.n_slots], before.xy)
         assert np.array_equal(after.offsets[:21], before.offsets)
         assert [u.traj_id for u in after] == [u.traj_id for u in users]
+
+
+    def test_extended_table_equals_one_built_from_scratch(self):
+        """Appending users concatenates columns; every column must come
+        out as if the whole user list had been tabulated at once."""
+        users = _manhattan_users(60, seed=11) + [Trajectory(60, [(5, 5)])]
+        table = UserPointTable(users[:10])
+        for lo in range(10, 61, 17):
+            table = table.extended(users[lo : lo + 17])
+        whole = UserPointTable(users)
+        for name in UserPointTable.__slots__:
+            got, want = getattr(table, name), getattr(whole, name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+                assert not got.flags.writeable
+            else:
+                assert got == want, name
+        assert table.extended([]) is table
+        with pytest.raises(TrajectoryError):
+            table.extended([users[3]])
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from repro import BBox, IndexVariant, Point, Trajectory
 from repro.core.errors import IndexError_
 from repro.index.entries import make_entries
-from repro.index.zindex import ZOrderedList
 
-from .strategies import WORLD, trajectory_sets
+from .strategies import WORLD, trajectory_sets, zlist_of
 
 
 def entries_of(users, variant=IndexVariant.ENDPOINT):
@@ -23,7 +22,7 @@ def entries_of(users, variant=IndexVariant.ENDPOINT):
 
 
 def build(users, beta=4, variant=IndexVariant.ENDPOINT):
-    return ZOrderedList(WORLD, entries_of(users, variant), beta=beta)
+    return zlist_of(users, variant, beta)
 
 
 def users_grid(n):
@@ -53,10 +52,10 @@ def embr_of(stops, psi):
 class TestConstruction:
     def test_beta_validated(self):
         with pytest.raises(IndexError_):
-            ZOrderedList(WORLD, [], beta=0)
+            zlist_of([], beta=0)
 
     def test_empty_list(self):
-        zl = ZOrderedList(WORLD, [], beta=4)
+        zl = zlist_of([], beta=4)
         assert len(zl) == 0
         assert zl.n_buckets == 0
         assert zl.candidates_both(WORLD).size == 0
@@ -84,9 +83,7 @@ class TestConstruction:
             Trajectory(1, [(11, 11), (100, 800)]),
             Trajectory(2, [(12, 12), (500, 500)]),
         ]
-        zl = ZOrderedList(
-            WORLD, entries_of(users), beta=4, disambiguation_passes=8
-        )
+        zl = zlist_of(users, beta=4, disambiguation_passes=8)
         by_start = {}
         for s, e in zip(zl.start_rank.tolist(), zl.end_rank.tolist()):
             by_start.setdefault(s, []).append(e)
@@ -97,10 +94,7 @@ class TestConstruction:
         """Duplicate (start, end) pairs cannot be separated; the depth cap
         must stop refinement rather than loop."""
         users = [Trajectory(i, [(5, 5), (900, 900)]) for i in range(6)]
-        zl = ZOrderedList(
-            WORLD, entries_of(users), beta=2, z_max_depth=5,
-            disambiguation_passes=10,
-        )
+        zl = zlist_of(users, beta=2, z_max_depth=5, disambiguation_passes=10)
         assert len(zl) == 6
 
 
@@ -160,11 +154,7 @@ class TestCandidateModes:
         when both endpoints are far away."""
         detour = Trajectory(0, [(900, 900), (50, 50), (950, 950)])
         far = Trajectory(1, [(800, 800), (820, 820)])
-        zl = ZOrderedList(
-            WORLD,
-            entries_of([detour, far], IndexVariant.FULL),
-            beta=2,
-        )
+        zl = zlist_of([detour, far], IndexVariant.FULL, beta=2)
         box = BBox(0, 0, 100, 100)
         ids = {e.traj.traj_id for e in picked(zl, zl.candidates_bbox(box))}
         assert 0 in ids
@@ -181,7 +171,7 @@ class TestCandidateModes:
     def test_zreduce_soundness_property(self, users):
         """The central invariant: zReduce (both-mode) never prunes an
         entry that endpoint service would count."""
-        zl = ZOrderedList(WORLD, entries_of(users), beta=3)
+        zl = zlist_of(users, beta=3)
         stops = [Point(300, 300), Point(700, 200)]
         psi = 120.0
         cands = {
@@ -198,7 +188,7 @@ class TestCandidateModes:
         """Any-mode must keep every segmented entry with a covered
         governing point."""
         entries = entries_of(users, IndexVariant.SEGMENTED)
-        zl = ZOrderedList(WORLD, entries, beta=3)
+        zl = zlist_of(users, IndexVariant.SEGMENTED, beta=3)
         stops = [Point(500, 500)]
         psi = 200.0
         cands = {
@@ -215,7 +205,7 @@ class TestCandidateModes:
     @given(trajectory_sets(min_size=1, max_size=20, min_points=2, max_points=6))
     def test_bbox_mode_soundness_for_full(self, users):
         entries = entries_of(users, IndexVariant.FULL)
-        zl = ZOrderedList(WORLD, entries, beta=3)
+        zl = zlist_of(users, IndexVariant.FULL, beta=3)
         box = BBox(200, 200, 600, 600)
         cands = {e.entry_id for e in picked(zl, zl.candidates_bbox(box))}
         for e in entries:
