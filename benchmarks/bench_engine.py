@@ -28,6 +28,7 @@ from repro.bench.harness import WorkloadFactory, host_metadata, scaled, time_cal
 from repro.core.config import ProximityBackend
 from repro.core.service import ServiceModel, ServiceSpec
 from repro.engine import BatchQueryEngine
+from repro.runtime import QueryRuntime
 
 from .conftest import run_once
 
@@ -45,6 +46,10 @@ _N_FACILITIES = 8
 _USER_DAYS = 0.5
 
 
+def _engine(users, backend: ProximityBackend) -> BatchQueryEngine:
+    return BatchQueryEngine(users, runtime=QueryRuntime(backend=backend))
+
+
 def _engine_fn(factory: WorkloadFactory, backend: ProximityBackend,
                n_stops: int, psi: float):
     users = factory.taxi_users(_USER_DAYS)
@@ -54,7 +59,7 @@ def _engine_fn(factory: WorkloadFactory, backend: ProximityBackend,
 
     def fn():
         # fresh engine per round: measures mask work, not cache replay
-        return BatchQueryEngine(users, backend=backend).run(requests).scores
+        return _engine(users, backend).run(requests).scores
 
     return fn
 
@@ -99,8 +104,8 @@ def main(out_path: str = None) -> dict:
             probe = factory.facilities(_N_FACILITIES, n_stops)
             spec = ServiceSpec(ServiceModel.ENDPOINT, psi=psi)
             requests = [(f, spec) for f in probe]
-            dense_engine = BatchQueryEngine(users, backend=ProximityBackend.DENSE)
-            grid_engine = BatchQueryEngine(users, backend=ProximityBackend.GRID)
+            dense_engine = _engine(users, ProximityBackend.DENSE)
+            grid_engine = _engine(users, ProximityBackend.GRID)
             # warm (probe concatenation, grid build), then verify agreement
             dense_scores = dense_engine.run(requests)
             grid_scores = grid_engine.run(requests)

@@ -1,24 +1,24 @@
-"""Sharded vs single-grid proximity: where shard fan-out wins.
+"""One shard vs many: where shard fan-out wins.
 
 Two entry points:
 
 * ``pytest benchmarks/bench_shards.py`` — pytest-benchmark series over
-  the single-grid and sharded runtime paths (small sizes, smoke-sized);
+  the grid at one shard and at ``AUTO`` shards (small, smoke-sized);
 * ``PYTHONPATH=src python -m benchmarks.bench_shards`` — standalone
   harness run on the acceptance workload (stop-dense facilities at
   >= 10k stops, a large concatenated probe block), verifying that the
-  sharded path's scores *and* merged work counters match the
-  single-grid path exactly, and recording timings and speedups in
-  ``BENCH_shards.json`` at the repository root.
+  multi-shard scores *and* merged work counters match the one-shard
+  run exactly, and recording timings and speedups in
+  ``BENCH_shards.json`` at the repository root.  (The committed file
+  predates the removal of the nine-cell-probe ``StopGrid``: its
+  ``grid_seconds`` column is that deleted path, not ``shards=1``.)
 
-Why sharding wins even on one core: the sharded probe gathers each grid
-row's three neighbour cells as one contiguous key range (three
-``searchsorted`` range pairs instead of nine cell probes), and the
-per-shard point prefilter keeps every binary search on a slice small
-enough to stay cache-resident.  With multiple cores the runtime's
-thread pool stacks parallel fan-out on top (the numpy kernels release
-the GIL); this harness records the serial-shard numbers so the recorded
-speedup is reproducible on any machine.
+Why more shards win even on one core: the per-shard point prefilter
+keeps every binary search on a slice small enough to stay
+cache-resident.  With multiple cores the runtime's thread pool stacks
+parallel fan-out on top (the numpy kernels release the GIL); this
+harness records the serial-shard numbers so the recorded speedup is
+reproducible on any machine.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ _N_TRACE_USERS = 3_000  # GPS traces: ~15-40 points each => ~80k probes
 def _series_runtime(series: str, max_workers: int = 0) -> QueryRuntime:
     """The runtime behind one benchmark series.
 
-    ``GRID1`` is the single-grid path (the PR-1 engine); the ``SHARD_*``
-    series differ only in shard count, so any timing gap is the shard
-    layer itself.
+    ``GRID1`` is the grid at one shard; the ``SHARD_*`` series differ
+    only in shard count, so any timing gap is the shard layer itself.
     """
     shards = {"GRID1": 1, "SHARD_AUTO": 0, "SHARD_8": 8}[series]
     return QueryRuntime(
@@ -125,7 +124,7 @@ def main(out_path: str = None) -> dict:
             shard_engine = BatchQueryEngine(users, runtime=rt_shard)
             # warm (probe concat, grid/shard builds), then verify parity:
             # scores AND merged per-shard work counters must match the
-            # single-grid run exactly
+            # one-shard run exactly
             grid_res = grid_engine.run(requests)
             shard_res = shard_engine.run(requests)
             if grid_res.scores != shard_res.scores:
@@ -165,7 +164,7 @@ def main(out_path: str = None) -> dict:
     target = Path(out_path) if out_path else Path(__file__).resolve().parent.parent / "BENCH_shards.json"
     claim = [r for r in report["rows"] if r["n_stops"] >= 10_000]
     report["claim"] = {
-        "description": "sharded runtime vs single-grid path, >=10k stops",
+        "description": "AUTO shards vs one shard, >=10k stops",
         "min_speedup": min(r["speedup"] for r in claim),
         "max_speedup": max(r["speedup"] for r in claim),
     }

@@ -62,10 +62,7 @@ from .engine import (
     CoverageCache,
     GriddedStopSet,
     ShardedStopGrid,
-    ShardedStopSet,
     ShardStore,
-    StopGrid,
-    backend_stops,
     build_cellstring_index,
 )
 from .runtime import (
@@ -159,14 +156,11 @@ __all__ = [
     "QueryStats",
     "TQTreeConfig",
     # proximity engine
-    "StopGrid",
     "GriddedStopSet",
-    "backend_stops",
     "CoverageCache",
     "BatchQueryEngine",
     "BatchResult",
     "ShardedStopGrid",
-    "ShardedStopSet",
     "ShardStore",
     "CellstringIndex",
     "CellstringStopSet",

@@ -63,7 +63,8 @@ class ProximityBackend(enum.Enum):
     GRID = "grid"
     """Uniform stop grid with cell size ~``psi``: a point's coverage
     check gathers candidate stops from the 3x3 surrounding cells only
-    (see :class:`repro.engine.StopGrid`)."""
+    (see :class:`repro.engine.ShardedStopGrid`; its shard count is
+    :attr:`RuntimeConfig.shards`)."""
 
     CELLSTRING = "cellstring"
     """Precomputed supercover cellstrings: the stop set's ``psi``-disc
@@ -170,8 +171,8 @@ class RuntimeConfig:
     shards:
         Grid shard count for stop sets the runtime dresses:
         :data:`SHARDS_AUTO` picks per stop set via
-        :func:`auto_shard_count`; ``1`` forces the unsharded grid;
-        ``>= 2`` forces that many shards.
+        :func:`auto_shard_count`; ``1`` = one shard (the plain grid,
+        no fan-out); ``>= 2`` forces that many shards.
     max_workers:
         Workers (threads or processes, per ``policy``) for fanning a
         probe block out over shards.  ``None`` sizes the pool from

@@ -2,15 +2,22 @@
 
 This package accelerates the one operation every evaluator in the
 library bottoms out in — "which user points lie within ``psi`` of this
-facility's stops?" — without ever changing an answer.  Three pieces:
+facility's stops?" — without ever changing an answer.  The pieces:
 
-* :class:`StopGrid` / :class:`GriddedStopSet` (:mod:`.grid`) — a uniform
-  grid over facility stops with cell size at least ``psi``, so a point's
-  coverage check gathers candidates from the 3x3 surrounding cells
-  instead of broadcasting against every stop.  Exposed behind the
-  existing :class:`~repro.core.service.StopSet` contract and routed
-  through the same :func:`~repro.core.service.psi_hit` kernel, so masks
-  are bit-identical to the dense path.
+* :class:`ShardedStopGrid` / :class:`GriddedStopSet` / :class:`ShardStore`
+  (:mod:`.shards`, geometry in :mod:`.grid`) — one uniform grid over
+  facility stops with cell size above ``psi``, so a point's coverage
+  check gathers candidates from the 3x3 surrounding cells instead of
+  broadcasting against every stop.  The sorted cell-key layout is cut
+  into N contiguous shards (one shard is the plain grid; more let one
+  batched query fan out across slices, on a thread pool when a
+  :class:`repro.runtime.QueryRuntime` provisions one), per-shard
+  :class:`~repro.core.stats.QueryStats` merge back into the caller's
+  totals, and built grids and shards are shared across facilities by
+  stop-coordinate content hash.  Exposed behind the existing
+  :class:`~repro.core.service.StopSet` contract and routed through the
+  same :func:`~repro.core.service.psi_hit` kernel, so masks are
+  bit-identical to the dense path.
 * :class:`CoverageCache` (:mod:`.cache`) — memoises per-(facility,
   q-node) coverage results, per-facility match sets, and per-(stop set,
   psi) batch masks, so MaxkCovRST's re-walks and multi-model batches
@@ -20,13 +27,6 @@ facility's stops?" — without ever changing an answer.  Three pieces:
   probe-coordinate concatenation, grid construction, and masks across
   them; returns per-query scores plus one aggregated
   :class:`~repro.core.stats.QueryStats`.
-* :class:`ShardedStopGrid` / :class:`ShardedStopSet` / :class:`ShardStore`
-  (:mod:`.shards`) — the grid's sorted cell-key layout cut into N
-  contiguous shards, so one batched query fans out across slices (on a
-  thread pool when a :class:`repro.runtime.QueryRuntime` provisions
-  one), with per-shard :class:`~repro.core.stats.QueryStats` merged back
-  into the caller's totals and built shards shared across facilities by
-  stop-coordinate content hash.
 * :class:`CellstringIndex` / :class:`CellstringStopSet`
   (:mod:`.cellstring`) — the stop set's ``psi``-disc union rasterized
   once into sorted Morton-key arrays (coarse reject, fine-interior
@@ -58,13 +58,11 @@ from .cellstring import (
     CellstringStopSet,
     build_cellstring_index,
 )
-from .grid import AUTO_MIN_STOPS, GriddedStopSet, StopGrid, backend_stops
-from .shards import ShardedStopGrid, ShardedStopSet, ShardStore, StopShard
+from .grid import AUTO_MIN_STOPS
+from .shards import GriddedStopSet, ShardedStopGrid, ShardStore, StopShard
 
 __all__ = [
-    "StopGrid",
     "GriddedStopSet",
-    "backend_stops",
     "AUTO_MIN_STOPS",
     "AUTO_CELLSTRING_MIN_STOPS",
     "CellstringIndex",
@@ -75,6 +73,5 @@ __all__ = [
     "BatchResult",
     "StopShard",
     "ShardedStopGrid",
-    "ShardedStopSet",
     "ShardStore",
 ]

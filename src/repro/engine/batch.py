@@ -5,9 +5,10 @@ traffic: it probes the user set's :class:`~repro.core.trajectory
 .UserPointTable` — every user's points as one block, with the
 per-trajectory aggregation structure (start/end slots, segment endpoint
 pairs, segment lengths) as flat columns — and answers any number of
-``(facility, ServiceSpec)`` requests against that shared block.  Each request costs one coverage mask — grid-accelerated
-per :class:`~repro.engine.grid.StopGrid` — plus O(points) aggregation;
-requests that share a stop set and ``psi`` (e.g. the three service
+``(facility, ServiceSpec)`` requests against that shared block.  Each
+request costs one coverage mask — dressed by the attached runtime's
+backend, dense without one — plus O(points) aggregation; requests that
+share a stop set and ``psi`` (e.g. the three service
 models of one facility) share a single mask through the
 :class:`~repro.engine.cache.CoverageCache`.
 
@@ -23,13 +24,11 @@ holds the engine to ``==``, not ``approx``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.config import ProximityBackend
 from ..core.errors import QueryError
 from ..core.service import (
     MatchSet,
@@ -41,7 +40,6 @@ from ..core.service import (
 from ..core.stats import QueryStats
 from ..core.trajectory import FacilityRoute, Trajectory, UserPointTable
 from .cache import CoverageCache
-from .grid import backend_stops
 
 __all__ = ["BatchQueryEngine", "BatchResult"]
 
@@ -78,64 +76,29 @@ class BatchQueryEngine:
         The fixed user trajectories; order defines score accumulation
         order (matching the brute-force oracle).  A ready
         :class:`UserPointTable` (e.g. ``tree.table``) is used as is.
-    backend:
-        *Deprecated* (emits a :exc:`DeprecationWarning`; pass a
-        ``runtime`` instead).  How coverage masks are computed
-        (:class:`ProximityBackend`); defaults to ``AUTO``, which grids
-        stop-dense facilities and stays dense otherwise.  Mutually
-        exclusive with ``runtime`` (mixing the two would make the
-        winning policy ambiguous, so it raises — the same rule
-        :func:`repro.runtime.coerce_runtime` applies to the query
-        functions).
-    cache:
-        *Deprecated* alongside ``backend``.  Optional shared
-        :class:`CoverageCache`; one is created per engine when omitted.
-        Masks are memoised per (stop set, psi), so repeated and
-        multi-model queries pay one mask.  Mutually exclusive with
-        ``runtime`` (whose cache the engine uses).
     runtime:
         A :class:`repro.runtime.QueryRuntime`: stop sets are dressed by
-        its policy (dense / gridded / sharded with executor fan-out),
-        masks memoise into its cache, and every ``query``/``run`` merges
-        its work counters into the runtime's grand total.  Accepted
+        its :meth:`~repro.runtime.QueryRuntime.stop_set` (dense / grid /
+        cellstring, with executor fan-out), masks memoise into its
+        cache, and every ``query``/``run`` merges its work counters into
+        the runtime's grand total.  Without one — the same rule the
+        query functions follow — stops stay on the plain dense kernel
+        and masks memoise into a cache private to the engine.  Accepted
         duck-typed so the engine package never imports the runtime
         layer above it.
     """
 
-    def __init__(
-        self,
-        users: Sequence[Trajectory],
-        backend: Optional[ProximityBackend] = None,
-        cache: Optional[CoverageCache] = None,
-        runtime=None,
-    ) -> None:
+    def __init__(self, users: Sequence[Trajectory], runtime=None) -> None:
         self.table = UserPointTable.of(users)
         self.users: Tuple[Trajectory, ...] = self.table.users
+        if runtime is not None and not all(
+            hasattr(runtime, member) for member in ("stop_set", "cache", "accrue")
+        ):
+            raise QueryError(
+                f"runtime must be a QueryRuntime, got {type(runtime).__name__}"
+            )
         self.runtime = runtime
-        if runtime is not None:
-            if backend is not None or cache is not None:
-                raise QueryError(
-                    "pass either runtime= or the legacy backend=/cache= "
-                    "keywords, not both"
-                )
-            self.backend = runtime.config.backend
-            self.cache = runtime.cache
-        else:
-            if backend is not None or cache is not None:
-                # the engine layer cannot import the runtime above it,
-                # so this is the one legacy shim that warns without
-                # routing through coerce_runtime
-                warnings.warn(
-                    "the backend=/cache= keywords are deprecated; pass "
-                    "runtime=QueryRuntime(backend=..., cache=...) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            backend = backend if backend is not None else ProximityBackend.AUTO
-            if not isinstance(backend, ProximityBackend):
-                raise QueryError(f"unknown proximity backend: {backend!r}")
-            self.backend = backend
-            self.cache = cache if cache is not None else CoverageCache()
+        self.cache = runtime.cache if runtime is not None else CoverageCache()
         self._stops: dict = {}  # id(request object) -> (object, StopSet)
         self._points = self.table.xy  # the shared probe block
 
@@ -157,27 +120,23 @@ class BatchQueryEngine:
         return self._points
 
     def resolve_stops(self, obj: StopsLike, psi: float) -> StopSet:
-        """The (possibly grid-backed) stop set for a request object,
-        shared across requests naming the same object."""
+        """The (runtime-dressed) stop set for a request object, shared
+        across requests naming the same object."""
         key = id(obj)
         entry = self._stops.get(key)
         if entry is not None and entry[0] is obj:
             return entry[1]
+        stops = _as_stop_set(obj)
         if self.runtime is not None:
-            stops = self.runtime.stop_set(_as_stop_set(obj), psi)
-        else:
-            stops = backend_stops(_as_stop_set(obj), psi, self.backend)
+            stops = self.runtime.stop_set(stops, psi)
         self._stops[key] = (obj, stops)
         return stops
-
-    # backwards-compatible private alias (pre-existing callers)
-    _resolve_stops = resolve_stops
 
     def seed_stops(self, obj: StopsLike, stops: StopSet) -> None:
         """Register an externally-supplied dressed stop set for ``obj``.
 
         Lets a caller that already holds a built proximity structure —
-        a sharded/cellstring set opened from a persisted
+        a grid or cellstring set opened from a persisted
         :mod:`repro.store` directory, a grid another runtime dressed —
         answer requests naming ``obj`` without re-dressing from raw
         coordinates.  Coverage semantics are unchanged (every dressed
@@ -228,7 +187,7 @@ class BatchQueryEngine:
     ) -> float:
         """``SO(U, f)`` for one request (same semantics as the oracle)."""
         local = QueryStats() if self.runtime is not None else stats
-        stops = self._resolve_stops(stops_like, spec.psi)
+        stops = self.resolve_stops(stops_like, spec.psi)
         mask = self._mask(stops, spec.psi, local)
         values = per_user_values(self.table, mask, spec)
         if self.runtime is not None:
@@ -282,6 +241,6 @@ class BatchQueryEngine:
     def matches(self, stops_like: StopsLike, psi: float):
         """Per-user covered point indices (MaxkCovRST match-set shape:
         ``{traj_id: (idx, ...)}``, users with no coverage omitted)."""
-        stops = self._resolve_stops(stops_like, psi)
+        stops = self.resolve_stops(stops_like, psi)
         mask = self._mask(stops, psi, None)
         return MatchSet(self.table, np.flatnonzero(mask)).as_dict()

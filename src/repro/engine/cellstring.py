@@ -1,6 +1,6 @@
 """Precomputed supercover cellstrings: coverage as sorted-key membership.
 
-The grid engine (:mod:`repro.engine.grid`) runs live geometry on every
+The grid engine (:mod:`repro.engine.shards`) runs live geometry on every
 probe: each batch gathers candidate stops from the 3x3 cells around
 every point and kernels every candidate pair.  For the serving pattern
 the runtime and service layers built toward — the *same* facility probed
@@ -447,7 +447,7 @@ class CellstringStopSet(StopSet):
     cellstring indexes.
 
     Drop-in for the base class everywhere, like
-    :class:`~repro.engine.grid.GriddedStopSet`: same results for every
+    :class:`~repro.engine.shards.GriddedStopSet`: same results for every
     input, different work profile — build cost up front, membership
     probes after.  Indexes are radius-specific, built lazily per query
     ``psi`` (small FIFO memo) once ``n_stops >= min_stops``; below the

@@ -1,26 +1,15 @@
-"""Uniform stop grid: ``psi``-neighbourhood checks in O(3x3 cells).
+"""Uniform stop-grid geometry: cell sizing, lattice origin, cell indices.
 
-:class:`StopGrid` buckets facility stops into a uniform grid whose cell
-size is at least ``psi``.  A user point within ``psi`` of some stop must
-find that stop in the 3x3 block of cells around its own cell, so a
-coverage check gathers candidates from at most nine buckets instead of
-scanning every stop.  The gathered candidates then go through the exact
-:func:`repro.core.service.psi_hit` kernel — the same comparison the
-dense path uses — so grid masks are bit-identical to
-:meth:`repro.core.service.StopSet.covered_mask` for every input.
-
-The batch mask computation is fully vectorised: stops are sorted by
-their cell key once at construction; a query maps every point to its
-nine candidate cell keys, finds each cell's stop run with two
-``searchsorted`` calls, expands the (point, stop) candidate pairs flat,
-and applies the kernel to all pairs at once.  No per-point Python loop
-runs at query time.
-
-:class:`GriddedStopSet` packages the grid behind the existing
-:class:`~repro.core.service.StopSet` contract (``covers_point`` /
-``covered_mask`` / ``restricted_to``), building the grid lazily on first
-heavy use and falling back to the dense broadcast for stop sets too
-small to amortise the bucketing.
+A stop grid buckets facility stops into uniform cells whose edge exceeds
+``psi`` strictly, so a user point within ``psi`` of some stop finds that
+stop in the 3x3 block of cells around its own cell.  This module holds
+the geometry every grid-shaped index shares — the safe cell edge, the
+snapped lattice origin, clamped integer cell coordinates, and the flat
+(point, stop) candidate-pair expansion the exact
+:func:`repro.core.service.psi_hit` kernel runs over.  The grid itself
+(sorted cell keys, row-range candidate gathering, shards) is
+:class:`~repro.engine.shards.ShardedStopGrid`; the cellstring tier
+(:mod:`.cellstring`) reuses the same helpers.
 """
 
 from __future__ import annotations
@@ -29,13 +18,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.config import ProximityBackend
 from ..core.errors import QueryError
-from ..core.geometry import BBox, Point
-from ..core.service import StopSet, coverage_kernel, psi_hit
-from ..core.stats import QueryStats
 
-__all__ = ["StopGrid", "GriddedStopSet", "backend_stops", "AUTO_MIN_STOPS"]
+__all__ = ["AUTO_MIN_STOPS"]
 
 #: With fewer stops than this the dense broadcast beats grid bookkeeping;
 #: ``ProximityBackend.AUTO`` only builds grids at or above it.
@@ -51,11 +36,6 @@ _MAX_CELLS_PER_AXIS = 1 << 20
 #: differ by at most 1 per axis even after floating-point rounding of
 #: the two floor quotients.
 _CELL_MARGIN = 1e-7
-
-# the nine (dx, dy) cell offsets of a 3x3 neighbourhood
-_OFFSETS: Tuple[Tuple[int, int], ...] = tuple(
-    (dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-)
 
 
 def _snap_origin(vmin: float, cell: float) -> float:
@@ -149,7 +129,7 @@ def _grid_geometry(
 #: the clamp, so a clamped value never aliases a populated cell: extra
 #: *candidates* are always filtered by the exact kernel, and clamping
 #: never removes an in-range index — so masks are unaffected.  The
-#: clamp stays low enough that neighbour-key arithmetic (the sharded
+#: clamp stays low enough that neighbour-key arithmetic (the grid
 #: row stride is 2**21) cannot overflow int64 either.
 _INDEX_CLAMP = float(np.int64(1) << np.int64(40))
 
@@ -195,250 +175,3 @@ def _expand_candidate_pairs(
         + np.repeat(lo.ravel(), counts_flat)
     )
     return pair_point, pair_stop
-
-
-class StopGrid:
-    """A uniform grid over facility stops for ``psi``-proximity checks.
-
-    Parameters
-    ----------
-    coords:
-        ``(m, 2)`` stop coordinates.
-    psi:
-        The serving distance the grid is provisioned for.  Queries with
-        any ``psi' < cell_size`` (strictly — the margin the 3x3
-        argument needs against floating-point floor rounding) stay on
-        the grid path; larger radii fall back to the dense kernel
-        (still exact, never wrong).
-    cell_size:
-        Override the derived cell edge (must exceed ``psi`` strictly);
-        used by tests to force degenerate geometry.
-    """
-
-    __slots__ = (
-        "coords",
-        "psi",
-        "cell_size",
-        "_ox",
-        "_oy",
-        "_nx",
-        "_ny",
-        "_sorted_keys",
-        "_sorted_coords",
-        "n_cells",
-    )
-
-    def __init__(
-        self, coords: np.ndarray, psi: float, cell_size: Optional[float] = None
-    ) -> None:
-        arr = _validated_stop_coords(coords, psi)
-        self.coords = arr
-        self.psi = float(psi)
-        if arr.shape[0] == 0:
-            self.cell_size = _derive_cell_size(psi, 0.0)
-            self._ox = self._oy = 0.0
-            self._nx = self._ny = 0
-            self._sorted_keys = np.zeros(0, dtype=np.int64)
-            self._sorted_coords = arr
-            self.n_cells = 0
-            return
-        # The snapped origin means stop sets sharing a corner cell assign
-        # identical cell indices to identical stops (the sharded engine's
-        # ShardStore relies on this to share slices across facilities;
-        # masks are exact for any origin).
-        self.cell_size, self._ox, self._oy = _grid_geometry(arr, psi, cell_size)
-        ij = self._cell_indices(arr)
-        self._nx = int(ij[:, 0].max()) + 1
-        self._ny = int(ij[:, 1].max()) + 1
-        keys = ij[:, 0] * np.int64(self._ny) + ij[:, 1]
-        order = np.argsort(keys, kind="stable")
-        self._sorted_keys = keys[order]
-        self._sorted_coords = arr[order]
-        if self._sorted_keys.size:
-            distinct = int(np.count_nonzero(np.diff(self._sorted_keys))) + 1
-        else:
-            distinct = 0
-        self.n_cells = distinct
-
-    # ------------------------------------------------------------------
-    @property
-    def n_stops(self) -> int:
-        return int(self.coords.shape[0])
-
-    @property
-    def is_empty(self) -> bool:
-        return self.coords.shape[0] == 0
-
-    def _cell_indices(self, pts: np.ndarray) -> np.ndarray:
-        return _cell_indices_of(pts, self._ox, self._oy, self.cell_size)
-
-    def _candidate_ranges(
-        self, pts: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per (point, offset): the ``[lo, hi)`` run of sorted stops in
-        that neighbour cell.  Out-of-grid cells map to empty runs."""
-        ij = self._cell_indices(pts)
-        cx = ij[:, 0]
-        cy = ij[:, 1]
-        keys = np.empty((pts.shape[0], len(_OFFSETS)), dtype=np.int64)
-        for col, (dx, dy) in enumerate(_OFFSETS):
-            nx = cx + dx
-            ny = cy + dy
-            valid = (nx >= 0) & (nx < self._nx) & (ny >= 0) & (ny < self._ny)
-            keys[:, col] = np.where(valid, nx * np.int64(self._ny) + ny, np.int64(-1))
-        lo = np.searchsorted(self._sorted_keys, keys, side="left")
-        hi = np.searchsorted(self._sorted_keys, keys, side="right")
-        return lo, hi
-
-    # ------------------------------------------------------------------
-    def covered_mask(
-        self, coords: np.ndarray, psi: float, stats: Optional[QueryStats] = None
-    ) -> np.ndarray:
-        """Boolean mask: which of ``coords`` rows are within ``psi`` of a
-        stop.  Bit-identical to the dense :func:`coverage_kernel`."""
-        pts = np.asarray(coords, dtype=np.float64)
-        if pts.size == 0:
-            return np.zeros(0, dtype=bool)
-        if self.is_empty:
-            return np.zeros(pts.shape[0], dtype=bool)
-        if psi >= self.cell_size:
-            # Grid too fine for this radius (cells must exceed psi
-            # strictly): 3x3 gathering could miss stops, so run the
-            # exact dense kernel instead.
-            return coverage_kernel(pts, self.coords, psi, stats)
-        n = pts.shape[0]
-        lo, hi = self._candidate_ranges(pts)
-        counts = hi - lo
-        per_point = counts.sum(axis=1)
-        total = int(per_point.sum())
-        if stats is not None:
-            stats.points_scanned += int(np.count_nonzero(per_point))
-            stats.cells_probed += int(np.count_nonzero(counts))
-            stats.distance_evals += total
-        out = np.zeros(n, dtype=bool)
-        if total == 0:
-            return out
-        # expand (point, candidate-stop) pairs flat, kernel-check at once
-        pair_point, pair_stop = _expand_candidate_pairs(lo, counts, per_point, total)
-        dx = pts[pair_point, 0] - self._sorted_coords[pair_stop, 0]
-        dy = pts[pair_point, 1] - self._sorted_coords[pair_stop, 1]
-        out[pair_point[psi_hit(dx, dy, psi)]] = True
-        return out
-
-    def covers_point(
-        self, p: Point, psi: float, stats: Optional[QueryStats] = None
-    ) -> bool:
-        """True when ``p`` is within ``psi`` of any stop."""
-        mask = self.covered_mask(
-            np.array([[p.x, p.y]], dtype=np.float64), psi, stats
-        )
-        return bool(mask.size and mask[0])
-
-
-class GriddedStopSet(StopSet):
-    """A :class:`StopSet` whose coverage checks ride a lazy
-    :class:`StopGrid`.
-
-    Drop-in for the base class everywhere (facility components, index
-    entries, oracles): same constructor shape, same results.  The grid
-    is built on first use once ``n_stops >= min_stops``; below the
-    threshold — and for radii exceeding the built grid's cell size —
-    checks stay on the dense kernel.
-    """
-
-    __slots__ = ("grid_psi", "min_stops", "_grid", "_coarse_grid")
-
-    def __init__(
-        self, coords: np.ndarray, psi: float, min_stops: int = 1
-    ) -> None:
-        super().__init__(coords)
-        if not psi >= 0:
-            raise QueryError(f"psi must be >= 0, got {psi}")
-        self.grid_psi = float(psi)
-        self.min_stops = max(1, int(min_stops))
-        self._grid: Optional[StopGrid] = None
-        self._coarse_grid: Optional[StopGrid] = None
-
-    def _build(self, psi: float):
-        """Grid factory for :meth:`_grid_for` — subclasses swap in other
-        grid implementations (the sharded set builds through its store)
-        while inheriting the provisioning policy unchanged."""
-        return StopGrid(self.coords, psi)
-
-    def _grid_for(self, psi: float):
-        if self.n_stops < self.min_stops:
-            return None
-        if self._grid is None or psi * 4.0 < self._grid.psi:
-            # Build (or re-provision finer) at the requested radius: a
-            # query far below the provisioned psi would otherwise gather
-            # 3x3 blocks of oversized cells.  Rebuilds are monotone
-            # finer, so alternating radii cannot thrash.
-            self._grid = self._build(min(psi, self.grid_psi))
-        if psi < self._grid.cell_size:
-            # The fine grid is never replaced by a coarser one: one
-            # oversized query must not degrade every later query at the
-            # provisioned radius to coarse-cell gathering.
-            return self._grid
-        coarse = self._coarse_grid
-        if coarse is None or psi >= coarse.cell_size:
-            coarse = self._build(psi)
-            self._coarse_grid = coarse
-        return coarse
-
-    # ------------------------------------------------------------------
-    def covers_point(
-        self, p: Point, psi: float, stats: Optional[QueryStats] = None
-    ) -> bool:
-        grid = self._grid_for(psi)
-        if grid is None:
-            return super().covers_point(p, psi, stats)
-        return grid.covers_point(p, psi, stats)
-
-    def covered_mask(
-        self, coords: np.ndarray, psi: float, stats: Optional[QueryStats] = None
-    ) -> np.ndarray:
-        grid = self._grid_for(psi)
-        if grid is None:
-            return super().covered_mask(coords, psi, stats)
-        return grid.covered_mask(coords, psi, stats)
-
-    def restricted_to(self, box: BBox) -> "GriddedStopSet":
-        if self.is_empty:
-            return self
-        return GriddedStopSet(
-            self.coords[self._restriction_mask(box)], self.grid_psi, self.min_stops
-        )
-
-
-def backend_stops(
-    stops: StopSet, psi: float, backend: Optional[ProximityBackend]
-) -> StopSet:
-    """``stops`` dressed for ``backend``.
-
-    ``DENSE``/``None`` returns the set unchanged; ``GRID`` always
-    grids; ``CELLSTRING`` always builds cellstrings; ``AUTO`` picks by
-    stop count — dense below :data:`AUTO_MIN_STOPS`, cellstrings at or
-    above :data:`~repro.engine.cellstring.AUTO_CELLSTRING_MIN_STOPS`,
-    the grid in between.  The thresholds are the same ones
-    :meth:`repro.runtime.QueryRuntime.stop_set` applies, so a workload
-    never flips backend between the sync and runtime paths.
-    Already-dressed sets pass through.
-    """
-    if backend is None or backend is ProximityBackend.DENSE:
-        return stops
-    # local import: cellstring builds on this module's helpers
-    from .cellstring import AUTO_CELLSTRING_MIN_STOPS, CellstringStopSet
-
-    if isinstance(stops, (GriddedStopSet, CellstringStopSet)):
-        return stops
-    min_stops = (
-        1
-        if backend in (ProximityBackend.GRID, ProximityBackend.CELLSTRING)
-        else AUTO_MIN_STOPS
-    )
-    if backend is ProximityBackend.CELLSTRING or (
-        backend is ProximityBackend.AUTO
-        and stops.n_stops >= AUTO_CELLSTRING_MIN_STOPS
-    ):
-        return CellstringStopSet(stops.coords, psi, min_stops)
-    return GriddedStopSet(stops.coords, psi, min_stops)

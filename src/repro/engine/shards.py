@@ -1,33 +1,38 @@
-"""Sharded stop grid: one batched coverage query fans out over grid shards.
+"""The stop grid: sorted cell keys cut into shards, probed by row ranges.
 
-:class:`ShardedStopGrid` partitions the cells of a uniform stop grid into
-N *shards* by cell-key range over the same sorted-cell-key layout
-:class:`~repro.engine.grid.StopGrid` uses: stops are keyed by their cell,
-sorted once, and the sorted array is cut into N contiguous slices at cell
-boundaries (no cell ever straddles two shards).  A batched coverage query
-maps every probe point to its candidate key window once, fans the probe
-block out across the shards — each shard answers from its own slice —
-and unions the per-shard masks.  Shard tasks are independent, so the
-fan-out can ride a thread pool (the dense numpy kernels release the GIL);
-serially the partition still wins through cache locality, because each
-shard's key array is small and each shard sees mostly its own points.
+:class:`ShardedStopGrid` keys every stop by its grid cell
+(``ix * stride + iy``), sorts once, and cuts the sorted array into N
+contiguous *shards* at cell boundaries (no cell ever straddles two
+shards).  One shard **is** the single-grid path — there is no other grid
+implementation; N > 1 lets a batched coverage query fan out: every probe
+point is mapped to its candidate key window once, each shard answers
+from its own slice, and the per-shard masks are unioned.  Shard tasks
+are independent, so the fan-out can ride a thread pool (the dense numpy
+kernels release the GIL); serially the partition still wins through
+cache locality, because each shard's key array is small and each shard
+sees mostly its own points.
 
-Within a shard, candidates are gathered by **row ranges** rather than the
-3x3 cell probes of :class:`StopGrid`: cell keys are ``ix * stride + iy``,
-so the three neighbour cells of one grid row form a *contiguous* key
-range and the 3x3 neighbourhood costs three ``searchsorted`` range pairs
-instead of nine cell probes.  The gathered candidate multiset is exactly
-the 3x3 union, and every candidate goes through the same
-:func:`~repro.core.service.psi_hit` kernel, so sharded masks are
-**bit-identical** to the dense oracle and to :class:`StopGrid` for every
-input — the mask union is order-independent, and
-``tests/test_shards.py`` holds every shard count to ``==``.
+Within a shard, candidates are gathered by **row ranges**: the three
+neighbour cells of one grid row form a *contiguous* key range, so the
+3x3 neighbourhood costs three ``searchsorted`` range pairs rather than
+nine cell probes.  The gathered candidate multiset is exactly the 3x3
+union, and every candidate goes through the same
+:func:`~repro.core.service.psi_hit` kernel, so masks are
+**bit-identical** to the dense oracle for every input and shard count —
+the mask union is order-independent, and ``tests/test_shards.py`` holds
+every shard count to ``==``.
 
 Work accounting composes the same way: each shard task accrues its own
 :class:`~repro.core.stats.QueryStats`, merged into the caller's object
 via :meth:`QueryStats.merge`; a point probed by several shards is
-attributed to the first, so the merged totals equal an unsharded
-:class:`StopGrid` run exactly.
+attributed to the first, so the merged totals are the plain 3x3
+neighbourhood counts whatever the shard count.
+
+:class:`GriddedStopSet` packages the grid behind the
+:class:`~repro.core.service.StopSet` contract (``covers_point`` /
+``covered_mask`` / ``restricted_to``), building it lazily on first use
+and staying on the dense broadcast for stop sets too small to amortise
+the bucketing.
 
 :class:`ShardStore` deduplicates construction by *content*: whole grids
 are keyed by a stop-coordinate content hash (facilities with identical
@@ -58,7 +63,6 @@ from ..core.service import StopSet, coverage_kernel, psi_hit
 from ..core.stats import QueryStats, StoreStats
 from .cellstring import CellstringIndex, build_cellstring_index
 from .grid import (
-    GriddedStopSet,
     _cell_indices_of,
     _derive_cell_size,
     _expand_candidate_pairs,
@@ -70,7 +74,7 @@ __all__ = [
     "StopShard",
     "MmapStopShard",
     "ShardedStopGrid",
-    "ShardedStopSet",
+    "GriddedStopSet",
     "ShardStore",
     "ProbeBatch",
     "probe_shard_arrays",
@@ -255,12 +259,15 @@ class MmapStopShard(StopShard):
 def _grid_key(
     arr: np.ndarray, psi: float, n_shards: int, cell_size: Optional[float]
 ) -> Tuple:
-    """The content key :meth:`ShardStore.sharded_grid` caches under."""
+    """The content key :meth:`ShardStore.sharded_grid` caches under.
+
+    Carries the *resolved* shard count, so ``SHARDS_AUTO`` and the
+    explicit count it resolves to are one entry (and one spill file)."""
     return (
         arr.shape,
         _content_digest(arr),
         float(psi),
-        int(n_shards),
+        resolve_shard_count(n_shards, arr.shape[0]),
         None if cell_size is None else float(cell_size),
     )
 
@@ -506,19 +513,13 @@ class ShardStore:
 
     # ------------------------------------------------------------------
     def adopt_sharded_grid(
-        self,
-        grid: "ShardedStopGrid",
-        n_shards: int = SHARDS_AUTO,
-        cell_size: Optional[float] = None,
+        self, grid: "ShardedStopGrid", cell_size: Optional[float] = None
     ) -> None:
         """File an already-built (typically store-opened) grid under the
-        request key future :meth:`sharded_grid` calls will probe.
-
-        ``n_shards``/``cell_size`` are the *request* parameters the key
-        carries (``SHARDS_AUTO``, not the resolved count), matching how
-        the serving path asks.
-        """
-        key = _grid_key(grid.coords, grid.psi, n_shards, cell_size)
+        key future :meth:`sharded_grid` calls for its content, radius
+        and shard count will probe (``cell_size`` is the request's
+        override, ``None`` when the edge was derived)."""
+        key = _grid_key(grid.coords, grid.psi, grid.n_shards, cell_size)
         with self._lock:
             self._grids[key] = grid
             self.grid_evictions += self._evict_oldest(
@@ -574,7 +575,7 @@ class ShardedStopGrid:
     psi:
         The serving distance the grid is provisioned for; queries with a
         radius at or above the cell size fall back to the exact dense
-        kernel (identical results, like :class:`StopGrid`).
+        kernel (identical results).
     n_shards:
         How many contiguous cell-key slices to cut the sorted layout
         into; :data:`~repro.core.config.SHARDS_AUTO` resolves from the
@@ -626,9 +627,9 @@ class ShardedStopGrid:
                 for _ in range(self.n_shards)
             )
             return
-        # shared geometry with StopGrid: snapped origin means identical
-        # stops in stop sets sharing the corner cell get identical keys
-        # (which is what makes shard slices shareable across facilities)
+        # snapped origin: identical stops in stop sets sharing the corner
+        # cell get identical keys (which is what makes shard slices
+        # shareable across facilities)
         self.cell_size, self._ox, self._oy = _grid_geometry(arr, psi, cell_size)
         ij = self._cell_indices(arr)
         self._nx = int(ij[:, 0].max()) + 1
@@ -638,8 +639,7 @@ class ShardedStopGrid:
             # only a manual cell_size override can get here.  Row keys
             # would alias across rows — masks would stay exact (the
             # kernel filters) but the gathered candidate multiset, and
-            # with it the documented stats parity with StopGrid, would
-            # not.
+            # with it the documented 3x3 stats contract, would not.
             raise QueryError(
                 f"grid of {self._ny} rows exceeds the shard key stride "
                 f"({int(_KEY_STRIDE)}); use a larger cell_size"
@@ -708,8 +708,8 @@ class ShardedStopGrid:
         executor: Optional[Executor] = None,
     ) -> np.ndarray:
         """Boolean mask: which of ``coords`` rows are within ``psi`` of a
-        stop.  Bit-identical to the dense kernel and to
-        :meth:`StopGrid.covered_mask` for every input and shard count.
+        stop.  Bit-identical to the dense kernel for every input and
+        shard count.
 
         ``executor`` selects how the per-shard probes are scheduled:
 
@@ -725,8 +725,8 @@ class ShardedStopGrid:
         The mask union is order-independent, so scheduling never affects
         the answer.  Per-shard work counters are merged into ``stats``
         via :meth:`QueryStats.merge`, with multi-shard points attributed
-        to their first probing shard so the merged totals equal an
-        unsharded run.
+        to their first probing shard so the merged totals equal a
+        one-shard run.
         """
         pts = np.asarray(coords, dtype=np.float64)
         if pts.size == 0:
@@ -802,43 +802,80 @@ class ShardedStopGrid:
         return bool(mask.size and mask[0])
 
 
-class ShardedStopSet(GriddedStopSet):
-    """A :class:`StopSet` whose coverage checks fan out over grid shards.
+class GriddedStopSet(StopSet):
+    """A :class:`StopSet` whose coverage checks ride a lazy
+    :class:`ShardedStopGrid`.
 
-    Subclasses :class:`GriddedStopSet` so the lazy fine/coarse grid
-    provisioning policy lives in exactly one place; only the grid
-    factory (:meth:`_build` — sharded, through the ``store`` when one is
-    given, so facilities with identical or overlapping stop content
-    share builds) and the executor plumbing differ.  ``executor`` may be
-    an :class:`~concurrent.futures.Executor`, or a zero-arg callable
+    Drop-in for the base class everywhere (facility components, index
+    entries, oracles): same results.  The grid is built on first use
+    once ``n_stops >= min_stops``; below the threshold — and for radii
+    at or above the built grid's cell size — checks stay on the dense
+    kernel.  ``shards`` is the shard count (``SHARDS_AUTO`` resolves
+    from the stop count; 1 = one shard, no fan-out).  Builds go through
+    ``store`` when one is given, so facilities with identical or
+    overlapping stop content share them.  ``executor`` may be an
+    :class:`~concurrent.futures.Executor`, or a zero-arg callable
     resolved at *query* time returning one or ``None`` — a
     :class:`repro.runtime.QueryRuntime` passes its live-executor getter,
     so stop sets dressed before the runtime closes degrade to serial
     probing instead of scheduling on a shut-down pool.
     """
 
-    __slots__ = ("shards", "_store", "_executor")
+    __slots__ = (
+        "grid_psi",
+        "min_stops",
+        "shards",
+        "_store",
+        "_executor",
+        "_grid",
+        "_coarse_grid",
+    )
 
     def __init__(
         self,
         coords: np.ndarray,
         psi: float,
-        shards: int = SHARDS_AUTO,
         min_stops: int = 1,
+        shards: int = SHARDS_AUTO,
         store: Optional[ShardStore] = None,
         executor: Union[Executor, Callable[[], Optional[Executor]], None] = None,
     ) -> None:
-        if shards != SHARDS_AUTO:
-            resolve_shard_count(shards, int(np.asarray(coords).shape[0]))
-        super().__init__(coords, psi, min_stops)
+        super().__init__(coords)
+        if not psi >= 0:
+            raise QueryError(f"psi must be >= 0, got {psi}")
+        resolve_shard_count(shards, self.n_stops)  # rejects counts < 0
+        self.grid_psi = float(psi)
+        self.min_stops = max(1, int(min_stops))
         self.shards = shards
         self._store = store
         self._executor = executor
+        self._grid: Optional[ShardedStopGrid] = None
+        self._coarse_grid: Optional[ShardedStopGrid] = None
 
     def _build(self, psi: float) -> ShardedStopGrid:
         if self._store is not None:
             return self._store.sharded_grid(self.coords, psi, self.shards)
         return ShardedStopGrid(self.coords, psi, self.shards)
+
+    def _grid_for(self, psi: float) -> Optional[ShardedStopGrid]:
+        if self.n_stops < self.min_stops:
+            return None
+        if self._grid is None or psi * 4.0 < self._grid.psi:
+            # Build (or re-provision finer) at the requested radius: a
+            # query far below the provisioned psi would otherwise gather
+            # 3x3 blocks of oversized cells.  Rebuilds are monotone
+            # finer, so alternating radii cannot thrash.
+            self._grid = self._build(min(psi, self.grid_psi))
+        if psi < self._grid.cell_size:
+            # The fine grid is never replaced by a coarser one: one
+            # oversized query must not degrade every later query at the
+            # provisioned radius to coarse-cell gathering.
+            return self._grid
+        coarse = self._coarse_grid
+        if coarse is None or psi >= coarse.cell_size:
+            coarse = self._build(psi)
+            self._coarse_grid = coarse
+        return coarse
 
     def _live_executor(self) -> Optional[Executor]:
         ex = self._executor
@@ -850,7 +887,7 @@ class ShardedStopSet(GriddedStopSet):
     ) -> bool:
         grid = self._grid_for(psi)
         if grid is None:
-            return StopSet.covers_point(self, p, psi, stats)
+            return super().covers_point(p, psi, stats)
         return grid.covers_point(p, psi, stats, self._live_executor())
 
     def covered_mask(
@@ -858,17 +895,17 @@ class ShardedStopSet(GriddedStopSet):
     ) -> np.ndarray:
         grid = self._grid_for(psi)
         if grid is None:
-            return StopSet.covered_mask(self, coords, psi, stats)
+            return super().covered_mask(coords, psi, stats)
         return grid.covered_mask(coords, psi, stats, self._live_executor())
 
-    def restricted_to(self, box: BBox) -> "ShardedStopSet":
+    def restricted_to(self, box: BBox) -> "GriddedStopSet":
         if self.is_empty:
             return self
-        return ShardedStopSet(
+        return GriddedStopSet(
             self.coords[self._restriction_mask(box)],
             self.grid_psi,
-            self.shards,
             self.min_stops,
-            self._store,
-            self._executor,
+            shards=self.shards,
+            store=self._store,
+            executor=self._executor,
         )

@@ -30,8 +30,8 @@ Acceleration plugs in through one object without changing any result: a
 whole probe path — every exact distance check goes through
 :meth:`~repro.runtime.QueryRuntime.probe_mask`, which dresses the
 component's stops for the runtime's backend and execution policy (dense
-broadcast, uniform stop grid, or sharded grid fanned out serially, over
-threads, or over a shared-memory process pool) — memoises each
+broadcast, stop grid, or cellstrings; grid shards fanned out serially,
+over threads, or over a shared-memory process pool) — memoises each
 (facility, q-node) candidate list and coverage mask in the runtime's
 cache so a re-walk in the same mode — a repeated query for the same
 facility, ancestor scans across kMaxRRST relax rounds, solver ensembles
@@ -39,14 +39,11 @@ sharing match sets — skips the geometric work, and accrues this
 evaluation's work counters into the runtime's grand total.  (Collecting
 and non-collecting walks select different candidate sets, so the cache
 keys them apart rather than sharing across them.)  No backend, grid, or
-cache type is plumbed through this module directly; the pre-runtime
-``backend=`` / ``cache=`` keywords remain as deprecated shims via
-:func:`~repro.runtime.coerce_runtime`.
+cache type is plumbed through this module directly.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -263,7 +260,6 @@ def evaluate_node_trajectories(
     collector: Optional[MatchCollector] = None,
     stats: Optional[QueryStats] = None,
     runtime: Optional[QueryRuntime] = None,
-    cache=None,
 ) -> float:
     """Algorithm 2: score the entries stored *at* ``node`` against the
     facility component.  Returns the service value gained.
@@ -276,34 +272,10 @@ def evaluate_node_trajectories(
     mode — a repeated query, an ancestor re-scan — reuses the geometric
     work and only re-runs the cheap aggregation.  Mode (collecting flag
     plus service model) is part of the key because it changes which
-    candidates survive zReduce.  ``cache`` is the deprecated
-    pre-runtime spelling (a bare :class:`~repro.engine.CoverageCache`).
+    candidates survive zReduce.
     """
-    if (
-        runtime is not None
-        and cache is None
-        and not isinstance(runtime, QueryRuntime)
-    ):
-        # PR-2's signature had the bare cache in this positional slot;
-        # keep such callers on the deprecation shim instead of crashing
-        runtime, cache = None, runtime
-    if cache is not None:
-        # the bare-cache shim keeps PR-2 semantics exactly (memoise,
-        # dense probes) without building a throwaway runtime on what is
-        # a per-node hot path
-        if runtime is not None:
-            raise QueryError(
-                "pass either runtime= or the legacy cache= keyword, "
-                "not both"
-            )
-        warnings.warn(
-            "the cache= keyword is deprecated; pass "
-            "runtime=QueryRuntime(cache=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    elif runtime is not None:
-        cache = runtime.cache
+    runtime = coerce_runtime(runtime)
+    cache = runtime.cache if runtime is not None else None
     if component.is_empty or not node.entries:
         return 0.0
     block = tree.node_block(node)
@@ -394,8 +366,6 @@ def evaluate_service(
     spec: ServiceSpec,
     collector: Optional[MatchCollector] = None,
     stats: Optional[QueryStats] = None,
-    backend=None,
-    cache=None,
     runtime: Optional[QueryRuntime] = None,
 ) -> float:
     """Algorithm 1: the full service value ``SO(U, f)`` of one facility.
@@ -403,16 +373,15 @@ def evaluate_service(
     Divide-and-conquer from the root: children whose region the component
     cannot serve are pruned; every visited node's own list is scored via
     Algorithm 2.  ``runtime`` owns the probe path — how exact distance
-    checks execute (dense broadcast, stop grid, or sharded fan-out under
+    checks execute (dense broadcast, stop grid or cellstrings under
     the runtime's execution policy — identical results) — memoises
     per-(facility, node) coverage in its cache, and accrues this
-    evaluation's work into its grand total.  ``backend`` / ``cache`` are
-    the deprecated pre-runtime spellings.
+    evaluation's work into its grand total.
 
     A thin synchronous wrapper over :func:`evaluate_core` — the same
     substrate the async :class:`repro.service.QueryService` executes.
     """
-    runtime = coerce_runtime(runtime, backend, cache)
+    runtime = coerce_runtime(runtime)
     so, local = evaluate_core(tree, facility, spec, collector, runtime)
     if runtime is not None:
         runtime.accrue(local)

@@ -128,7 +128,6 @@ def exact_max_k_coverage(
     k: int,
     spec: ServiceSpec,
     match_fn: MatchFn,
-    cache=None,
     runtime: Optional[QueryRuntime] = None,
 ) -> MaxKCovResult:
     """The optimal size-k subset under combined-coverage semantics.
@@ -136,7 +135,7 @@ def exact_max_k_coverage(
     Exponential in the worst case — intended for the small instances used
     to report approximation ratios.  A ``runtime`` dedupes ``match_fn``
     calls against other solvers sharing its cache (greedy, genetic,
-    repeats); ``cache`` is the deprecated pre-runtime spelling.
+    repeats).
 
     A thin synchronous wrapper over :func:`exact_core` — the same
     substrate the async :class:`repro.service.QueryService` executes.
@@ -148,8 +147,9 @@ def exact_max_k_coverage(
             "facilities must be non-empty: an empty candidate set has "
             "no fleet to return"
         )
-    runtime = coerce_runtime(runtime, None, cache)
-    return exact_core(users, facilities, k, spec, match_fn, runtime)
+    return exact_core(
+        users, facilities, k, spec, match_fn, coerce_runtime(runtime)
+    )
 
 
 def approximation_ratio(approx: MaxKCovResult, exact: MaxKCovResult) -> float:

@@ -156,7 +156,6 @@ def genetic_max_k_coverage(
     spec: ServiceSpec,
     match_fn: MatchFn,
     config: GeneticConfig = GeneticConfig(),
-    cache=None,
     runtime: Optional[QueryRuntime] = None,
 ) -> MaxKCovResult:
     """Approximate MaxkCovRST with a generational GA.
@@ -164,8 +163,7 @@ def genetic_max_k_coverage(
     Chromosomes are k-subsets of facility indices.  Returns the best
     subset seen across all generations (elitism preserves it within the
     population as well).  A ``runtime`` dedupes ``match_fn`` calls
-    against other solvers sharing its cache; ``cache`` is the deprecated
-    pre-runtime spelling.
+    against other solvers sharing its cache.
 
     A thin synchronous wrapper over :func:`genetic_core` — the same
     substrate the async :class:`repro.service.QueryService` executes.
@@ -177,5 +175,6 @@ def genetic_max_k_coverage(
             "facilities must be non-empty: an empty candidate set has "
             "no fleet to return"
         )
-    runtime = coerce_runtime(runtime, None, cache)
-    return genetic_core(users, facilities, k, spec, match_fn, config, runtime)
+    return genetic_core(
+        users, facilities, k, spec, match_fn, config, coerce_runtime(runtime)
+    )

@@ -210,8 +210,6 @@ def top_k_facilities(
     facilities: Sequence[FacilityRoute],
     k: int,
     spec: ServiceSpec,
-    backend=None,
-    cache=None,
     runtime: Optional[QueryRuntime] = None,
 ) -> KMaxRRSTResult:
     """Answer a kMaxRRST query: the k facilities with maximum ``SO(U, f)``.
@@ -221,8 +219,7 @@ def top_k_facilities(
     everything ranked.  ``runtime`` owns the probe path: the exact
     distance work rides its backend and execution policy without
     changing the ranking, and the query's work counters accrue into its
-    total; ``backend``/``cache`` are the deprecated pre-runtime
-    spellings.
+    total.
 
     Early termination (Section IV-B): every state's ``aserve`` is a lower
     bound on its final service, so the k-th largest ``aserve`` seen so far
@@ -240,7 +237,7 @@ def top_k_facilities(
             "facilities must be non-empty: an empty candidate set has "
             "no ranking to return"
         )
-    runtime = coerce_runtime(runtime, backend, cache)
+    runtime = coerce_runtime(runtime)
     result = top_k_core(tree, facilities, k, spec, runtime)
     if runtime is not None:
         runtime.accrue(result.stats)

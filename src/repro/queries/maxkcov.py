@@ -84,7 +84,7 @@ def core_match_fn(
     Work accounting is explicit instead of ambient: each *computed*
     facility's counters merge into ``acc`` when one is given (the
     service's per-request attribution), else accrue into ``runtime``
-    directly (the legacy ambient behaviour :func:`tq_match_fn` keeps).
+    directly (the ambient behaviour :func:`tq_match_fn` keeps).
     Facilities served from the runtime cache's memoised match sets do
     no geometric work and so contribute nothing — exactly like the
     synchronous path.
@@ -114,8 +114,6 @@ def core_match_fn(
 def tq_match_fn(
     tree: TQTree,
     spec: ServiceSpec,
-    backend=None,
-    cache=None,
     runtime: Optional[QueryRuntime] = None,
 ) -> MatchFn:
     """Match sets via TQ-tree evaluation (TQ(B) or TQ(Z) per tree config).
@@ -123,12 +121,10 @@ def tq_match_fn(
     ``runtime`` owns the probe path (backend plus execution policy) and
     memoises both the per-node coverage and the finished per-facility
     match sets in its cache — results are identical either way.
-    ``backend`` / ``cache`` are the deprecated pre-runtime spellings.
 
     A thin wrapper over :func:`core_match_fn` (ambient accrual form).
     """
-    runtime = coerce_runtime(runtime, backend, cache)
-    return core_match_fn(tree, spec, runtime)
+    return core_match_fn(tree, spec, coerce_runtime(runtime))
 
 
 def baseline_match_fn(index: BaselineIndex, spec: ServiceSpec) -> MatchFn:
@@ -226,8 +222,6 @@ def maxkcov_tq(
     k: int,
     spec: ServiceSpec,
     prune_factor: int = 4,
-    backend=None,
-    cache=None,
     runtime: Optional[QueryRuntime] = None,
 ) -> MaxKCovResult:
     """The paper's two-step greedy: G-TQ(B) / G-TQ(Z) per tree config.
@@ -239,7 +233,6 @@ def maxkcov_tq(
     engine under the runtime's policy, and repeated queries — another
     ``k``, a solver ensemble over the same tree — reuse the per-node
     coverage and match sets already computed (the answer is unchanged).
-    ``backend``/``cache`` are the deprecated pre-runtime spellings.
 
     A thin synchronous wrapper over :func:`maxkcov_core` — the same
     substrate the async :class:`repro.service.QueryService` executes.
@@ -251,7 +244,7 @@ def maxkcov_tq(
             "facilities must be non-empty: an empty candidate set has "
             "no fleet to return"
         )
-    runtime = coerce_runtime(runtime, backend, cache)
+    runtime = coerce_runtime(runtime)
     result, local = maxkcov_core(tree, facilities, k, spec, prune_factor, runtime)
     if runtime is not None:
         runtime.accrue(local)

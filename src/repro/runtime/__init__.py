@@ -11,8 +11,7 @@ and owns the worker pool that sharded probes fan out over.
 Layering: ``core`` → ``engine`` → ``runtime`` → ``queries`` →
 ``service``.  The engine never imports the runtime (``BatchQueryEngine``
 accepts a runtime object duck-typed); the query layer accepts
-``runtime=`` everywhere and keeps its old ``backend=`` / ``cache=``
-keywords as deprecated shims through :func:`coerce_runtime`; the
+``runtime=`` everywhere (:func:`coerce_runtime` is its type check); the
 asyncio serving layer (:mod:`repro.service`) shares one runtime across
 every in-flight request.
 """

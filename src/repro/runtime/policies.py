@@ -7,7 +7,7 @@ policy needs and exposes two things to :class:`~repro.runtime.
 QueryRuntime`:
 
 * :meth:`~PolicyExecutor.live` — the object a dressed
-  :class:`~repro.engine.ShardedStopSet` hands to
+  :class:`~repro.engine.GriddedStopSet` hands to
   :meth:`~repro.engine.ShardedStopGrid.covered_mask` at query time
   (``None`` for serial probing, a thread-pool
   :class:`~concurrent.futures.Executor`, or a shared-memory fan-out);
@@ -390,7 +390,7 @@ class ProcessPolicyExecutor(PolicyExecutor):
     the per-query batch is exported for exactly the duration of the
     query, and one task per shard is submitted; results are gathered in
     submission order, so stats attribution stays deterministic and the
-    merged totals equal an unsharded run exactly.
+    merged totals equal a one-shard run exactly.
 
     The pool itself is lazy and built under a lock, like the thread
     policy's.  With ``max_workers`` resolving to 0 or 1 the fan-out is

@@ -1,22 +1,20 @@
 """The unified query execution context.
 
-PR 1 bolted the proximity accelerators onto the query layer as separate
-threaded-through parameters — every evaluator grew ``backend=`` and
-``cache=`` keywords, and scaling further (parallel shards, shared shard
-stores, worker pools) would have meant yet more.  :class:`QueryRuntime`
-replaces that ad-hoc plumbing with one object that owns the whole
-execution policy:
+:class:`QueryRuntime` is the one object that owns the whole execution
+policy of the query layer:
 
 * **backend selection** — :meth:`stop_set` dresses a stop set for its
-  configured :class:`~repro.core.config.ProximityBackend`, choosing
-  dense, gridded, or sharded execution per stop set (the
-  :class:`~repro.core.config.RuntimeConfig` ``shards`` knob, with the
-  ``AUTO`` heuristic resolving the shard count from the stop count);
+  configured :class:`~repro.core.config.ProximityBackend`: dense,
+  grid, or cellstring per stop set.  It is the only place the tier
+  thresholds are applied, and every grid it dresses is built through
+  the shard store (the :class:`~repro.core.config.RuntimeConfig`
+  ``shards`` knob picks the shard count, ``AUTO`` resolving it from
+  the stop count; one shard is the plain grid);
 * **the coverage cache** — one :class:`~repro.engine.CoverageCache`
   shared by every evaluation routed through the runtime;
 * **the shard store** — one :class:`~repro.engine.ShardStore`, so
   facilities with identical or overlapping stop content share built
-  shards across queries;
+  grids across queries (and open persisted ones from ``store_dir``);
 * **stats accrual** — every runtime-routed query merges its work
   counters into :attr:`stats` (via
   :meth:`~repro.core.stats.QueryStats.merge`), giving a service-level
@@ -36,10 +34,6 @@ execution policy:
 None of this changes any answer: a runtime-routed query returns results
 bit-identical to the plain dense path, which is what
 ``tests/test_runtime.py`` and ``tests/test_shards.py`` enforce.
-
-The legacy ``backend=`` / ``cache=`` keywords on the query functions are
-kept as deprecated shims that build a private runtime via
-:func:`coerce_runtime`, so existing call sites keep working unchanged.
 """
 
 from __future__ import annotations
@@ -48,25 +42,19 @@ import asyncio
 import dataclasses
 import functools
 import threading
-import warnings
 from concurrent.futures import Executor
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.config import (
-    ExecutionPolicy,
-    ProximityBackend,
-    RuntimeConfig,
-    resolve_shard_count,
-)
+from ..core.config import ProximityBackend, RuntimeConfig
 from ..core.errors import QueryError
 from ..core.service import StopSet
 from ..core.stats import QueryStats
 from ..engine.cache import CoverageCache
 from ..engine.cellstring import AUTO_CELLSTRING_MIN_STOPS, CellstringStopSet
-from ..engine.grid import AUTO_MIN_STOPS, GriddedStopSet
-from ..engine.shards import ShardedStopSet, ShardStore
+from ..engine.grid import AUTO_MIN_STOPS
+from ..engine.shards import GriddedStopSet, ShardStore
 from ..store.codecs import opened_mmap_paths
 from .policies import make_policy_executor
 
@@ -90,8 +78,8 @@ class QueryRuntime:
         :class:`~repro.core.config.RuntimeConfig` defaults (``AUTO``
         backend, ``AUTO`` shard count, machine-sized worker pool).
     backend:
-        Shorthand overriding ``config.backend`` — ``QueryRuntime(backend=
-        ProximityBackend.GRID)`` reads like the old keyword it replaces.
+        Shorthand overriding ``config.backend``
+        (``QueryRuntime(backend=ProximityBackend.GRID)``).
     cache / stats:
         Share a :class:`CoverageCache` / accrue into an existing
         :class:`QueryStats` instead of owning fresh ones (e.g. several
@@ -141,9 +129,8 @@ class QueryRuntime:
         Shape depends on the configured :class:`~repro.core.config.
         ExecutionPolicy`: ``serial`` always yields ``None``, ``threads``
         a lazily built :class:`~concurrent.futures.ThreadPoolExecutor`,
-        ``processes`` the shared-memory fan-out object.  Lazy building
-        means runtimes created by the legacy keyword shims cost nothing
-        unless sharding actually engages.
+        ``processes`` the shared-memory fan-out object.  Built lazily,
+        so a runtime costs nothing until a multi-shard probe engages.
         """
         return self.policy_executor.live()
 
@@ -177,7 +164,8 @@ class QueryRuntime:
     def stop_set(
         self, stops: Union[StopSet, np.ndarray], psi: float
     ) -> StopSet:
-        """``stops`` dressed for this runtime's execution policy.
+        """``stops`` dressed for this runtime's backend — the one place
+        the proximity tiers are chosen.
 
         ``DENSE`` returns the set unchanged; ``GRID`` always grids;
         ``CELLSTRING`` always builds precomputed cellstrings; ``AUTO``
@@ -185,13 +173,11 @@ class QueryRuntime:
         :data:`~repro.engine.grid.AUTO_MIN_STOPS`, cellstrings at or
         above :data:`~repro.engine.cellstring
         .AUTO_CELLSTRING_MIN_STOPS` (repeated probes amortise the
-        rasterization the store shares), the grid in between — the
-        same thresholds :func:`~repro.engine.grid.backend_stops`
-        applies on the sync path.  Grid-tier sets are sharded when the
-        resolved shard count exceeds one — ``config.shards`` directly,
-        or the ``AUTO`` heuristic from the stop count — and
-        plain-gridded otherwise.  Already-dressed sets pass through, so
-        re-dressing across recursive divisions is free.
+        rasterization the store shares), the grid in between.  Grid and
+        cellstring sets build through :attr:`shard_store`; the grid's
+        shard count is ``config.shards`` (``AUTO`` resolves it from the
+        stop count, usually to one).  Already-dressed sets pass through,
+        so re-dressing across recursive divisions is free.
         """
         if not isinstance(stops, StopSet):
             stops = StopSet(np.asarray(stops, dtype=np.float64))
@@ -199,7 +185,6 @@ class QueryRuntime:
         if backend is ProximityBackend.DENSE:
             return stops
         if isinstance(stops, (GriddedStopSet, CellstringStopSet)):
-            # GriddedStopSet includes ShardedStopSet
             return stops
         min_stops = (
             1
@@ -212,11 +197,12 @@ class QueryRuntime:
             # plain set (rather than a lazy wrapper) keeps tiny
             # components zero-overhead
             return stops
+        # both tiers get the executor *getter*, not the executor: resolved
+        # at query time, so sets dressed before close() degrade to inline
+        # probing instead of scheduling on a shut-down pool
         if backend is ProximityBackend.CELLSTRING or (
             backend is ProximityBackend.AUTO and n >= AUTO_CELLSTRING_MIN_STOPS
         ):
-            # executor getter, not executor: resolved at query time so
-            # sets dressed before close() degrade to inline probing
             return CellstringStopSet(
                 stops.coords,
                 psi,
@@ -224,25 +210,18 @@ class QueryRuntime:
                 store=self.shard_store,
                 executor=self._live_executor,
             )
-        shards = resolve_shard_count(self.config.shards, n)
-        if shards > 1:
-            # pass the executor *getter*, not the executor: the stop set
-            # resolves it at query time, so sets dressed before close()
-            # degrade to serial probing instead of scheduling on a
-            # shut-down pool
-            return ShardedStopSet(
-                stops.coords,
-                psi,
-                self.config.shards,
-                min_stops,
-                store=self.shard_store,
-                executor=self._live_executor,
-            )
-        return GriddedStopSet(stops.coords, psi, min_stops)
+        return GriddedStopSet(
+            stops.coords,
+            psi,
+            min_stops,
+            shards=self.config.shards,
+            store=self.shard_store,
+            executor=self._live_executor,
+        )
 
     def _live_executor(self):
         """The current fan-out target, or ``None`` once closed (resolved
-        late by the sharded stop sets this runtime dresses)."""
+        late by the stop sets this runtime dresses)."""
         return self.executor
 
     # ------------------------------------------------------------------
@@ -443,46 +422,14 @@ class QueryRuntime:
         )
 
 
-def coerce_runtime(
-    runtime: Optional[QueryRuntime],
-    backend: Optional[ProximityBackend] = None,
-    cache: Optional[CoverageCache] = None,
-) -> Optional[QueryRuntime]:
-    """Resolve the query layer's ``runtime`` / legacy keyword trio.
-
-    * ``runtime`` given — returned as-is (mixing it with the legacy
-      keywords is ambiguous and raises);
-    * legacy ``backend`` / ``cache`` given — a private runtime wrapping
-      them (with a :exc:`DeprecationWarning`), preserving the old
-      semantics exactly: ``backend=None`` meant *leave stops dense*, so
-      the shim maps it to ``DENSE``, and sharding stays off
-      (``shards=1``) because the legacy path never sharded;
-    * nothing given — ``None``: the caller keeps the plain dense path
-      with zero runtime overhead.
-    """
-    if runtime is not None:
-        if backend is not None or cache is not None:
-            raise QueryError(
-                "pass either runtime= or the legacy backend=/cache= "
-                "keywords, not both"
-            )
-        if not isinstance(runtime, QueryRuntime):
-            raise QueryError(
-                f"runtime must be a QueryRuntime, got {type(runtime).__name__}"
-            )
-        return runtime
-    if backend is None and cache is None:
-        return None
-    warnings.warn(
-        "the backend=/cache= keywords are deprecated; pass "
-        "runtime=QueryRuntime(backend=..., cache=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    config = RuntimeConfig(
-        backend=backend if backend is not None else ProximityBackend.DENSE,
-        policy=ExecutionPolicy.SERIAL,
-        shards=1,
-        max_workers=0,
-    )
-    return QueryRuntime(config, cache=cache)
+def coerce_runtime(runtime: Optional[QueryRuntime]) -> Optional[QueryRuntime]:
+    """The query layer's ``runtime=`` argument, type-checked: a
+    :class:`QueryRuntime`, or ``None`` (the caller keeps the plain dense
+    path with zero runtime overhead).  Anything else is a
+    :exc:`~repro.core.errors.QueryError` at the call, not an
+    ``AttributeError`` somewhere inside the walk."""
+    if runtime is not None and not isinstance(runtime, QueryRuntime):
+        raise QueryError(
+            f"runtime must be a QueryRuntime, got {type(runtime).__name__}"
+        )
+    return runtime

@@ -2,8 +2,7 @@
 
 One index per file in a versioned container format (:mod:`.format`);
 :func:`save_index` / :func:`open_index` round-trip the engine's
-:class:`~repro.engine.grid.StopGrid`,
-:class:`~repro.engine.shards.ShardedStopGrid`, and
+:class:`~repro.engine.shards.ShardedStopGrid` and
 :class:`~repro.engine.cellstring.CellstringIndex` through it with
 zero-copy ``np.memmap`` reads, so startup is O(open) instead of
 O(rebuild) and concurrent processes share one read-only mapping per

@@ -1,8 +1,7 @@
 """Object codecs over the store container: engine indexes to files.
 
-:func:`save_index` / :func:`open_index` round-trip the three engine
-index types — :class:`~repro.engine.grid.StopGrid`,
-:class:`~repro.engine.shards.ShardedStopGrid`,
+:func:`save_index` / :func:`open_index` round-trip the two engine
+index types — :class:`~repro.engine.shards.ShardedStopGrid` and
 :class:`~repro.engine.cellstring.CellstringIndex` — through one store
 file each.  Opening with ``mmap_mode="r"`` rebuilds the object *around*
 read-only ``np.memmap`` views: no array is copied, so open cost is
@@ -40,7 +39,6 @@ import numpy as np
 from ..core.errors import StoreError
 from ..core.trajectory import FacilityRoute, Trajectory
 from ..engine.cellstring import CellstringIndex
-from ..engine.grid import StopGrid
 from ..engine.shards import MmapStopShard, ShardedStopGrid, StopShard
 from .format import read_store_file, write_store_file
 
@@ -70,9 +68,8 @@ def opened_mmap_paths() -> Tuple[str, ...]:
     sorted (see :data:`_MMAP_OPENED`)."""
     return tuple(sorted(_MMAP_OPENED))
 
-AnyIndex = Union[StopGrid, ShardedStopGrid, CellstringIndex]
+AnyIndex = Union[ShardedStopGrid, CellstringIndex]
 
-KIND_STOP_GRID = "stop_grid"
 KIND_SHARDED_GRID = "sharded_grid"
 KIND_CELLSTRING = "cellstring"
 KIND_TRAJECTORIES = "trajectories"
@@ -83,39 +80,6 @@ KIND_NODE_TABLES = "node_tables"
 # ----------------------------------------------------------------------
 # index codecs
 # ----------------------------------------------------------------------
-def _encode_stop_grid(grid: StopGrid):
-    meta = {
-        "psi": grid.psi,
-        "cell_size": grid.cell_size,
-        "ox": grid._ox,
-        "oy": grid._oy,
-        "nx": grid._nx,
-        "ny": grid._ny,
-        "n_cells": grid.n_cells,
-    }
-    arrays = {
-        "coords": grid.coords,
-        "sorted_keys": grid._sorted_keys,
-        "sorted_coords": grid._sorted_coords,
-    }
-    return meta, arrays
-
-
-def _decode_stop_grid(meta, arrays) -> StopGrid:
-    grid = StopGrid.__new__(StopGrid)
-    grid.coords = arrays["coords"]
-    grid.psi = float(meta["psi"])
-    grid.cell_size = float(meta["cell_size"])
-    grid._ox = float(meta["ox"])
-    grid._oy = float(meta["oy"])
-    grid._nx = int(meta["nx"])
-    grid._ny = int(meta["ny"])
-    grid._sorted_keys = arrays["sorted_keys"]
-    grid._sorted_coords = arrays["sorted_coords"]
-    grid.n_cells = int(meta["n_cells"])
-    return grid
-
-
 def _encode_sharded_grid(grid: ShardedStopGrid):
     n = len(grid.shards)
     key_offsets = np.zeros(n + 1, dtype=np.int64)
@@ -244,14 +208,12 @@ def save_index(path: str, index: AnyIndex) -> str:
     content hash (sha256 hex)."""
     if isinstance(index, ShardedStopGrid):
         kind, (meta, arrays) = KIND_SHARDED_GRID, _encode_sharded_grid(index)
-    elif isinstance(index, StopGrid):
-        kind, (meta, arrays) = KIND_STOP_GRID, _encode_stop_grid(index)
     elif isinstance(index, CellstringIndex):
         kind, (meta, arrays) = KIND_CELLSTRING, _encode_cellstring(index)
     else:
         raise StoreError(
             f"cannot persist {type(index).__name__}: save_index handles "
-            f"StopGrid, ShardedStopGrid, and CellstringIndex"
+            f"ShardedStopGrid and CellstringIndex"
         )
     return write_store_file(path, kind, meta, arrays)
 
@@ -271,8 +233,6 @@ def open_index(
     if mmap_mode == "r":
         _MMAP_OPENED.add(os.path.abspath(path))
     try:
-        if kind == KIND_STOP_GRID:
-            return _decode_stop_grid(meta, arrays)
         if kind == KIND_SHARDED_GRID:
             store_path = os.path.abspath(path) if mmap_mode == "r" else None
             return _decode_sharded_grid(meta, arrays, store_path)

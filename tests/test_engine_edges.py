@@ -20,9 +20,10 @@ from repro import (
     Point,
     ProximityBackend,
     QueryError,
+    QueryRuntime,
     ServiceModel,
     ServiceSpec,
-    StopGrid,
+    ShardedStopGrid,
     StopSet,
     Trajectory,
     brute_force_service,
@@ -34,7 +35,7 @@ def _assert_grid_matches_dense(stop_coords, probe, psi):
     pts = np.asarray(probe, dtype=np.float64).reshape(-1, 2)
     dense = StopSet(stops)
     expected = dense.covered_mask(pts, psi)
-    grid = StopGrid(stops, psi)
+    grid = ShardedStopGrid(stops, psi)
     gridded = GriddedStopSet(stops, psi)
     assert np.array_equal(expected, grid.covered_mask(pts, psi))
     assert np.array_equal(expected, gridded.covered_mask(pts, psi))
@@ -47,8 +48,8 @@ class TestEmptyAndDegenerate:
         probe = [[0.0, 0.0], [5.0, 5.0]]
         mask = _assert_grid_matches_dense(empty, probe, 10.0)
         assert not mask.any()
-        grid = StopGrid(empty, 10.0)
-        assert grid.is_empty and grid.n_cells == 0
+        grid = ShardedStopGrid(empty, 10.0)
+        assert grid.is_empty and all(s.n_cells == 0 for s in grid.shards)
         assert not grid.covers_point(Point(0.0, 0.0), 10.0)
 
     def test_single_stop_facility(self):
@@ -63,7 +64,7 @@ class TestEmptyAndDegenerate:
         assert mask.tolist() == [True, True, False]
 
     def test_empty_probe_block(self):
-        grid = StopGrid(np.array([[0.0, 0.0]]), 1.0)
+        grid = ShardedStopGrid(np.array([[0.0, 0.0]]), 1.0)
         assert grid.covered_mask(np.zeros((0, 2)), 1.0).shape == (0,)
 
 
@@ -80,14 +81,16 @@ class TestPsiZero:
         from repro import FacilityRoute
 
         f = FacilityRoute(0, [(1.0, 1.0), (2.0, 2.0)])
-        engine = BatchQueryEngine(users, backend=ProximityBackend.GRID)
+        engine = BatchQueryEngine(
+            users, runtime=QueryRuntime(backend=ProximityBackend.GRID)
+        )
         for model in ServiceModel:
             spec = ServiceSpec(model, psi=0.0)
             assert engine.query(f, spec) == brute_force_service(users, f, spec)
 
     def test_negative_psi_rejected(self):
         with pytest.raises(QueryError):
-            StopGrid(np.array([[0.0, 0.0]]), -1.0)
+            ShardedStopGrid(np.array([[0.0, 0.0]]), -1.0)
         with pytest.raises(QueryError):
             GriddedStopSet(np.array([[0.0, 0.0]]), -1.0)
 
@@ -130,7 +133,7 @@ class TestBoundaries:
     def test_psi_larger_than_cell_falls_back_dense(self):
         """Asking a built grid for a bigger radius must stay exact."""
         stops = np.array([[float(i), 0.0] for i in range(50)])
-        grid = StopGrid(stops, 1.0)
+        grid = ShardedStopGrid(stops, 1.0)
         big_psi = 10.0
         assert big_psi > grid.cell_size
         expected = StopSet(stops).covered_mask(
@@ -143,7 +146,7 @@ class TestBoundaries:
 
     def test_cell_size_smaller_than_psi_rejected(self):
         with pytest.raises(QueryError):
-            StopGrid(np.array([[0.0, 0.0]]), 5.0, cell_size=1.0)
+            ShardedStopGrid(np.array([[0.0, 0.0]]), 5.0, cell_size=1.0)
 
     def test_large_psi_query_does_not_coarsen_the_grid(self):
         """One oversized query must not degrade later queries at the
@@ -183,7 +186,7 @@ class TestDegenerateGeometryHardening:
         for psi in (1e-300, 5e-324, 0.0):
             mask = _assert_grid_matches_dense(stops, probe, psi)
             assert mask.tolist() == [True, False, False]
-            grid = StopGrid(np.asarray(stops), psi)
+            grid = ShardedStopGrid(np.asarray(stops), psi)
             assert grid.cell_size > psi
             assert np.isfinite(grid._ox) and np.isfinite(grid._oy)
             assert grid._ox <= 1.0e10 and grid._oy <= 1.0e10
@@ -192,7 +195,7 @@ class TestDegenerateGeometryHardening:
         """Both degenerate knobs at once: coincident stops and a zero
         radius still derive a strictly positive cell."""
         stops = np.full((4, 2), 37.25)
-        grid = StopGrid(stops, 0.0)
+        grid = ShardedStopGrid(stops, 0.0)
         assert grid.cell_size > 0.0
         mask = _assert_grid_matches_dense(stops, [[37.25, 37.25], [37.3, 37.25]], 0.0)
         assert mask.tolist() == [True, False]
@@ -204,7 +207,7 @@ class TestDegenerateGeometryHardening:
         stops = np.array([[0.0, 0.0], [3.0e6, 0.0], [1.5e6, 7.0]])
         probe = [[0.0, 0.001], [3.0e6, 0.0011], [1.5e6, 7.0], [1.0e6, 0.0]]
         for psi in (0.001, 0.01):
-            grid = StopGrid(stops, psi)
+            grid = ShardedStopGrid(stops, psi)
             assert grid.cell_size >= 3.0e6 / (1 << 20)  # the clamp engaged
             _assert_grid_matches_dense(stops, probe, psi)
 
@@ -277,7 +280,9 @@ class TestQuadrants:
         from repro import FacilityRoute
 
         f = FacilityRoute(0, [(-5.0, -5.0), (0.0, 0.0), (5.0, 5.0)])
-        engine = BatchQueryEngine(users, backend=ProximityBackend.GRID)
+        engine = BatchQueryEngine(
+            users, runtime=QueryRuntime(backend=ProximityBackend.GRID)
+        )
         for model in ServiceModel:
             for psi in (0.0, 2.0, 7.5):
                 spec = ServiceSpec(model, psi=psi)

@@ -20,9 +20,10 @@ from repro import (
     CoverageCache,
     GriddedStopSet,
     ProximityBackend,
+    QueryRuntime,
     ServiceModel,
     ServiceSpec,
-    StopGrid,
+    ShardedStopGrid,
     StopSet,
     TQTree,
     TQTreeConfig,
@@ -49,8 +50,12 @@ ALL_BACKENDS = (
 )
 
 
+def _rt(backend, cache=None):
+    return QueryRuntime(backend=backend, cache=cache)
+
+
 class TestGridMaskOracle:
-    """StopGrid / GriddedStopSet masks vs the dense StopSet broadcast."""
+    """ShardedStopGrid / GriddedStopSet masks vs the dense StopSet broadcast."""
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -60,7 +65,7 @@ class TestGridMaskOracle:
     )
     def test_grid_mask_bit_identical(self, users, facility, psi):
         dense = StopSet.of_facility(facility)
-        grid = StopGrid(facility.stop_coords, psi)
+        grid = ShardedStopGrid(facility.stop_coords, psi)
         gridded = GriddedStopSet(facility.stop_coords, psi)
         for u in users:
             expected = dense.covered_mask(u.coords, psi)
@@ -75,7 +80,7 @@ class TestGridMaskOracle:
     )
     def test_covers_point_bit_identical(self, users, facility, psi):
         dense = StopSet.of_facility(facility)
-        grid = StopGrid(facility.stop_coords, psi)
+        grid = ShardedStopGrid(facility.stop_coords, psi)
         gridded = GriddedStopSet(facility.stop_coords, psi)
         for u in users:
             for p in u.points:
@@ -111,7 +116,7 @@ class TestBatchEngineOracle:
     )
     def test_scores_bit_identical_small_facilities(self, users, facs, psi):
         for backend in ALL_BACKENDS:
-            engine = BatchQueryEngine(users, backend=backend)
+            engine = BatchQueryEngine(users, runtime=_rt(backend))
             for model in ALL_MODELS:
                 for normalize in (True, False):
                     spec = ServiceSpec(model, psi=psi, normalize=normalize)
@@ -127,7 +132,7 @@ class TestBatchEngineOracle:
         engine_psis(),
     )
     def test_scores_bit_identical_dense_facilities(self, users, facility, psi):
-        engine = BatchQueryEngine(users, backend=ProximityBackend.GRID)
+        engine = BatchQueryEngine(users, runtime=_rt(ProximityBackend.GRID))
         for model in ALL_MODELS:
             spec = ServiceSpec(model, psi=psi)
             assert engine.query(facility, spec) == brute_force_service(
@@ -141,7 +146,7 @@ class TestBatchEngineOracle:
         engine_psis(),
     )
     def test_matches_equal_brute_force(self, users, facility, psi):
-        engine = BatchQueryEngine(users, backend=ProximityBackend.GRID)
+        engine = BatchQueryEngine(users, runtime=_rt(ProximityBackend.GRID))
         assert engine.matches(facility, psi) == brute_force_matches(
             users, facility, psi
         )
@@ -155,7 +160,7 @@ class TestBatchEngineOracle:
     def test_batched_run_equals_sequential_oracle(self, users, facs, psi):
         """One run() over a request grid (facility x model) matches the
         oracle per request, and the shared-mask path changes nothing."""
-        engine = BatchQueryEngine(users, backend=ProximityBackend.AUTO)
+        engine = BatchQueryEngine(users, runtime=_rt(ProximityBackend.AUTO))
         requests = [
             (f, ServiceSpec(model, psi=psi))
             for f in facs
@@ -171,7 +176,7 @@ class TestBatchEngineOracle:
 
 
 class TestTreePathOracle:
-    """evaluate_service / top-k / MaxkCovRST with backend+cache vs the
+    """evaluate_service / top-k / MaxkCovRST through a runtime vs the
     plain dense tree path (itself oracle-tested elsewhere)."""
 
     @settings(max_examples=20, deadline=None)
@@ -191,13 +196,13 @@ class TestTreePathOracle:
                 plain = evaluate_service(tree, facility, spec)
                 for backend in ALL_BACKENDS:
                     got = evaluate_service(
-                        tree, facility, spec, backend=backend, cache=cache
+                        tree, facility, spec, runtime=_rt(backend, cache)
                     )
                     assert got == plain, (use_zorder, model, backend)
                 # cached replay must be identical too
                 again = evaluate_service(
                     tree, facility, spec,
-                    backend=ProximityBackend.GRID, cache=cache,
+                    runtime=_rt(ProximityBackend.GRID, cache),
                 )
                 assert again == plain
 
@@ -209,11 +214,11 @@ class TestTreePathOracle:
         cache = CoverageCache()
         fast_topk = top_k_facilities(
             tree, facilities, 4, spec,
-            backend=ProximityBackend.GRID, cache=cache,
+            runtime=_rt(ProximityBackend.GRID, cache),
         )
         fast_cov = maxkcov_tq(
             tree, facilities, 3, spec,
-            backend=ProximityBackend.GRID, cache=cache,
+            runtime=_rt(ProximityBackend.GRID, cache),
         )
         assert fast_topk.ranking == plain_topk.ranking
         assert fast_cov.facility_ids() == plain_cov.facility_ids()
@@ -234,7 +239,7 @@ class TestTreePathOracle:
         cache = CoverageCache()
         for f in (f_a, f_b, f_a, f_b):
             got = evaluate_service(
-                tree, f, spec, backend=ProximityBackend.AUTO, cache=cache
+                tree, f, spec, runtime=_rt(ProximityBackend.AUTO, cache)
             )
             assert got == brute_force_service(taxi_users, f, spec)
 
@@ -248,10 +253,10 @@ class TestTreePathOracle:
         spec = ServiceSpec(ServiceModel.COUNT, psi=400.0)
         stops = StopSet.of_facility(facilities[0])
         e1 = BatchQueryEngine(
-            taxi_users, backend=ProximityBackend.DENSE, cache=shared
+            taxi_users, runtime=_rt(ProximityBackend.DENSE, shared)
         )
         e2 = BatchQueryEngine(
-            checkin_users, backend=ProximityBackend.DENSE, cache=shared
+            checkin_users, runtime=_rt(ProximityBackend.DENSE, shared)
         )
         for _ in range(2):  # interleave to hit both cache slots
             assert e1.query(stops, spec) == brute_force_service(
@@ -269,12 +274,12 @@ class TestTreePathOracle:
         cache = CoverageCache()
         first = maxkcov_tq(
             tree, facilities, 3, spec,
-            backend=ProximityBackend.GRID, cache=cache,
+            runtime=_rt(ProximityBackend.GRID, cache),
         )
         hits_before = cache.hits
         second = maxkcov_tq(
             tree, facilities, 3, spec,
-            backend=ProximityBackend.GRID, cache=cache,
+            runtime=_rt(ProximityBackend.GRID, cache),
         )
         assert second.facility_ids() == first.facility_ids()
         assert second.combined_service == first.combined_service
@@ -287,14 +292,14 @@ class TestTreePathOracle:
         cache = CoverageCache()
         first = [
             evaluate_service(
-                tree, f, spec, backend=ProximityBackend.AUTO, cache=cache
+                tree, f, spec, runtime=_rt(ProximityBackend.AUTO, cache)
             )
             for f in facilities
         ]
         hits_after_first = cache.hits
         second = [
             evaluate_service(
-                tree, f, spec, backend=ProximityBackend.AUTO, cache=cache
+                tree, f, spec, runtime=_rt(ProximityBackend.AUTO, cache)
             )
             for f in facilities
         ]
@@ -305,7 +310,7 @@ class TestTreePathOracle:
 @pytest.mark.engine_smoke
 def test_engine_smoke(taxi_users, facilities, endpoint_spec):
     """Fast engine-vs-oracle smoke check (runs in the default suite)."""
-    engine = BatchQueryEngine(taxi_users, backend=ProximityBackend.GRID)
+    engine = BatchQueryEngine(taxi_users, runtime=_rt(ProximityBackend.GRID))
     for f in facilities[:4]:
         assert engine.query(f, endpoint_spec) == brute_force_service(
             taxi_users, f, endpoint_spec

@@ -15,8 +15,8 @@ import pytest
 from repro import (
     BatchQueryEngine,
     CityModel,
-    CoverageCache,
     ProximityBackend,
+    QueryRuntime,
     QueryStats,
     ServiceModel,
     ServiceSpec,
@@ -26,6 +26,10 @@ from repro import (
     generate_taxi_trips,
 )
 from repro.queries import evaluate_service
+
+
+def _engine(users, backend):
+    return BatchQueryEngine(users, runtime=QueryRuntime(backend=backend))
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +46,8 @@ class TestBatchEngineCounters:
         users, facs = workload
         spec = ServiceSpec(ServiceModel.COUNT, psi=150.0)
         requests = [(f, spec) for f in facs]
-        dense = BatchQueryEngine(users, backend=ProximityBackend.DENSE).run(requests)
-        grid = BatchQueryEngine(users, backend=ProximityBackend.GRID).run(requests)
+        dense = _engine(users, ProximityBackend.DENSE).run(requests)
+        grid = _engine(users, ProximityBackend.GRID).run(requests)
         assert grid.scores == dense.scores
         # the guarded counters: points scanned and distances evaluated
         assert grid.stats.points_scanned < dense.stats.points_scanned
@@ -57,15 +61,15 @@ class TestBatchEngineCounters:
         users, facs = workload
         spec = ServiceSpec(ServiceModel.ENDPOINT, psi=150.0)
         requests = [(f, spec) for f in facs]
-        auto = BatchQueryEngine(users, backend=ProximityBackend.AUTO).run(requests)
-        dense = BatchQueryEngine(users, backend=ProximityBackend.DENSE).run(requests)
+        auto = _engine(users, ProximityBackend.AUTO).run(requests)
+        dense = _engine(users, ProximityBackend.DENSE).run(requests)
         assert auto.scores == dense.scores
         # 200 stops/facility is far above AUTO_MIN_STOPS: grid engaged
         assert auto.stats.distance_evals < dense.stats.distance_evals
 
     def test_mask_sharing_across_models(self, workload):
         users, facs = workload
-        engine = BatchQueryEngine(users, backend=ProximityBackend.GRID)
+        engine = _engine(users, ProximityBackend.GRID)
         requests = [
             (f, ServiceSpec(model, psi=150.0))
             for f in facs
@@ -87,7 +91,7 @@ class TestTreePathCounters:
             a = evaluate_service(tree, f, spec, stats=dense_stats)
             b = evaluate_service(
                 tree, f, spec, stats=grid_stats,
-                backend=ProximityBackend.GRID,
+                runtime=QueryRuntime(backend=ProximityBackend.GRID),
             )
             assert a == b
         # identical navigation, strictly less geometry
@@ -99,18 +103,18 @@ class TestTreePathCounters:
         users, facs = workload
         tree = TQTree.build(users, TQTreeConfig(beta=32))
         spec = ServiceSpec(ServiceModel.COUNT, psi=150.0)
-        cache = CoverageCache()
+        runtime = QueryRuntime(backend=ProximityBackend.GRID)
         first = QueryStats()
         for f in facs:
             evaluate_service(
                 tree, f, spec, stats=first,
-                backend=ProximityBackend.GRID, cache=cache,
+                runtime=runtime,
             )
         repeat = QueryStats()
         for f in facs:
             evaluate_service(
                 tree, f, spec, stats=repeat,
-                backend=ProximityBackend.GRID, cache=cache,
+                runtime=runtime,
             )
         assert repeat.distance_evals == 0  # everything served from cache
         assert repeat.cache_hits > 0

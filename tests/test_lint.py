@@ -709,7 +709,7 @@ class TestMutations:
     def test_queries_engine_import_fails_lint(self, mutable_tree):
         evaluate = mutable_tree / "queries" / "evaluate.py"
         with evaluate.open("a") as fh:
-            fh.write("\nfrom ..engine.grid import StopGrid\n")
+            fh.write("\nfrom ..engine.shards import ShardedStopGrid\n")
         findings = run_lint(mutable_tree, REPRO_CONFIG, select=["L1"])
         assert any(
             f.rule == "L1"

@@ -3,7 +3,7 @@
 The contract: ``RuntimeConfig.policy`` — ``serial`` / ``threads`` /
 ``processes`` — never changes an answer.  Masks must be bit-identical to
 the dense oracle for every policy at every shard count, per-shard
-``QueryStats`` must merge to exactly the unsharded totals under every
+``QueryStats`` must merge to exactly the one-shard totals under every
 policy, and the full query stack (evaluate / kMaxRRST / MaxkCovRST /
 batch engine) must return ``==`` results when routed through any policy.
 
@@ -28,7 +28,6 @@ import pytest
 
 from repro import (
     BatchQueryEngine,
-    CoverageCache,
     ExecutionPolicy,
     ProximityBackend,
     QueryRuntime,
@@ -44,9 +43,6 @@ from repro import (
     top_k_facilities,
 )
 from repro.core.errors import QueryError
-from repro.queries.components import FacilityComponent
-from repro.queries.evaluate import evaluate_node_trajectories
-from repro.runtime import coerce_runtime
 from repro.runtime.policies import (
     AUTO_POLICY_MIN_POINTS,
     AutoPolicyExecutor,
@@ -191,8 +187,8 @@ class TestQueryStackUnderPolicies:
             assert got_batch.scores == plain_batch.scores, policy
 
     def test_batch_stats_merge_exactly_across_policies(self, taxi_users, facilities):
-        """The runtime-accrued grand total is policy-invariant: sharded
-        per-shard merges equal the unsharded totals for every policy."""
+        """The runtime-accrued grand total is policy-invariant: the
+        per-shard merges come out the same under every policy."""
         spec = ServiceSpec(ServiceModel.COUNT, psi=400.0)
         requests = [(f, spec) for f in facilities[:6]]
         totals = []
@@ -234,12 +230,6 @@ class TestPolicyConfig:
         )
         assert isinstance(proc, ProcessPolicyExecutor)
         proc.close()
-
-    def test_legacy_shim_runtime_is_serial(self):
-        with pytest.warns(DeprecationWarning):
-            rt = coerce_runtime(None, ProximityBackend.GRID, None)
-        assert rt.config.policy is ExecutionPolicy.SERIAL
-        assert rt.executor is None
 
     def test_executor_shape_per_policy(self):
         with QueryRuntime(_config("serial", 2)) as rt:
@@ -305,72 +295,6 @@ class TestProcessPolicyLifecycle:
             assert len(executor._exports) == before
         finally:
             executor.close()
-
-
-class TestLegacyShimsCompleted:
-    """PR-2 missed two ``backend=``/``cache=`` call sites; both warn now."""
-
-    def test_batch_engine_backend_warns(self, taxi_users):
-        with pytest.warns(DeprecationWarning):
-            BatchQueryEngine(taxi_users, backend=ProximityBackend.GRID)
-
-    def test_batch_engine_cache_warns(self, taxi_users):
-        with pytest.warns(DeprecationWarning):
-            BatchQueryEngine(taxi_users, cache=CoverageCache())
-
-    def test_batch_engine_runtime_does_not_warn(self, taxi_users):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with QueryRuntime(_config("serial", 1)) as rt:
-                BatchQueryEngine(taxi_users, runtime=rt)
-            BatchQueryEngine(taxi_users)  # no legacy keywords: no warning
-
-    def test_evaluate_node_trajectories_cache_warns(
-        self, taxi_users, facilities
-    ):
-        tree = TQTree.build(taxi_users, TQTreeConfig(beta=16))
-        spec = ServiceSpec(ServiceModel.ENDPOINT, psi=400.0)
-        component = FacilityComponent.whole(facilities[0], spec.psi)
-        plain = evaluate_node_trajectories(
-            tree, tree.root, component, spec
-        )
-        cache = CoverageCache()
-        with pytest.warns(DeprecationWarning):
-            legacy = evaluate_node_trajectories(
-                tree, tree.root, component, spec, cache=cache
-            )
-        assert legacy == plain
-        assert len(cache) > 0  # the legacy cache object really was used
-
-    def test_evaluate_node_trajectories_positional_cache_still_works(
-        self, taxi_users, facilities
-    ):
-        """PR 2's signature had the bare cache in what is now the
-        runtime slot; positional callers must land on the shim, not
-        crash."""
-        tree = TQTree.build(taxi_users, TQTreeConfig(beta=16))
-        spec = ServiceSpec(ServiceModel.ENDPOINT, psi=400.0)
-        component = FacilityComponent.whole(facilities[0], spec.psi)
-        plain = evaluate_node_trajectories(tree, tree.root, component, spec)
-        cache = CoverageCache()
-        with pytest.warns(DeprecationWarning):
-            legacy = evaluate_node_trajectories(
-                tree, tree.root, component, spec, None, None, cache
-            )
-        assert legacy == plain
-        assert len(cache) > 0
-
-    def test_runtime_keyword_rejects_non_runtime(
-        self, taxi_users, facilities
-    ):
-        tree = TQTree.build(taxi_users, TQTreeConfig(beta=16))
-        spec = ServiceSpec(ServiceModel.ENDPOINT, psi=400.0)
-        with pytest.raises(QueryError):
-            evaluate_service(
-                tree, facilities[0], spec, runtime=CoverageCache()
-            )
 
 
 class TestNoBackendPlumbingInQueries:

@@ -1,10 +1,11 @@
-"""The QueryRuntime execution layer: one object must reproduce exactly
-what the threaded-through ``backend=`` / ``cache=`` parameters did, and
-every runtime policy (dense, gridded, sharded, fan-out) must be
-answer-invisible — ``==`` against the plain dense path throughout.
+"""The QueryRuntime execution layer: every runtime policy (dense, grid
+at any shard count, cellstring, fan-out) must be answer-invisible —
+``==`` against the plain dense path throughout.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,13 +13,13 @@ import pytest
 from repro import (
     BatchQueryEngine,
     CoverageCache,
+    GriddedStopSet,
     ProximityBackend,
     QueryRuntime,
     QueryStats,
     RuntimeConfig,
     ServiceModel,
     ServiceSpec,
-    ShardedStopSet,
     StopSet,
     TQTree,
     TQTreeConfig,
@@ -31,7 +32,7 @@ from repro import (
     top_k_facilities,
 )
 from repro.core.errors import QueryError
-from repro.engine.grid import GriddedStopSet
+from repro.queries import FacilityComponent, evaluate_node_trajectories
 from repro.queries.maxkcov import tq_match_fn
 from repro.runtime import coerce_runtime
 
@@ -59,24 +60,31 @@ class TestStopSetDressing:
         dressed = rt.stop_set(stops, 10.0)
         assert type(dressed) is StopSet
 
-    def test_grid_backend_grids_unsharded(self):
+    def test_one_shard_grid_builds_through_the_store(self):
+        """``shards=1`` is the plain grid — and, like every grid-tier
+        set, it is built by the runtime's shard store."""
         rt = _runtime(ProximityBackend.GRID, shards=1)
         stops = StopSet(np.random.default_rng(0).uniform(0, 100, (8, 2)))
-        assert isinstance(rt.stop_set(stops, 10.0), GriddedStopSet)
+        dressed = rt.stop_set(stops, 10.0)
+        assert isinstance(dressed, GriddedStopSet)
+        dressed.covered_mask(stops.coords, 10.0)
+        assert dressed._grid.n_shards == 1
+        assert rt.shard_store.grid_misses == 1
 
     def test_explicit_shard_count_shards(self):
         rt = _runtime(ProximityBackend.GRID, shards=3)
         stops = StopSet(np.random.default_rng(0).uniform(0, 100, (64, 2)))
         dressed = rt.stop_set(stops, 10.0)
-        assert isinstance(dressed, ShardedStopSet)
+        assert isinstance(dressed, GriddedStopSet)
         assert dressed.shards == 3
+        assert dressed._grid_for(10.0).n_shards == 3
 
     def test_auto_shards_resolve_from_stop_count(self):
         rt = _runtime(ProximityBackend.AUTO, shards=0)
         small = StopSet(np.random.default_rng(0).uniform(0, 500, (200, 2)))
         large = StopSet(np.random.default_rng(1).uniform(0, 500, (4_000, 2)))
-        assert isinstance(rt.stop_set(small, 10.0), GriddedStopSet)
-        assert isinstance(rt.stop_set(large, 10.0), ShardedStopSet)
+        assert rt.stop_set(small, 10.0)._grid_for(10.0).n_shards == 1
+        assert rt.stop_set(large, 10.0)._grid_for(10.0).n_shards >= 2
         assert auto_shard_count(200) == 1
 
     def test_cellstring_backend_always_dresses(self):
@@ -101,39 +109,23 @@ class TestStopSetDressing:
         )
         assert isinstance(rt.stop_set(huge, 10.0), CellstringStopSet)
 
-    def test_auto_thresholds_consistent_with_backend_stops(self):
-        """The lazy runtime dressing and the sync ``backend_stops`` path
-        must pick the same tier at every threshold boundary — a probe
-        routed either way does the same class of work."""
-        from repro import CellstringStopSet, backend_stops
-        from repro.engine import AUTO_CELLSTRING_MIN_STOPS
-        from repro.engine.grid import AUTO_MIN_STOPS
+    def test_auto_tier_at_every_threshold_boundary(self):
+        """``stop_set`` is the only place the tier thresholds live: one
+        below and exactly at each of them."""
+        from repro import CellstringStopSet
+        from repro.engine import AUTO_CELLSTRING_MIN_STOPS, AUTO_MIN_STOPS
 
         rng = np.random.default_rng(3)
-        counts = (
-            AUTO_MIN_STOPS - 1,
-            AUTO_MIN_STOPS,
-            AUTO_CELLSTRING_MIN_STOPS - 1,
-            AUTO_CELLSTRING_MIN_STOPS,
-        )
-        rt = _runtime(ProximityBackend.AUTO, shards=1)
-        for n in counts:
-            stops = StopSet(rng.uniform(0, 500, (n, 2)))
-            lazy = rt.stop_set(stops, 10.0)
-            sync = backend_stops(StopSet(stops.coords), 10.0, ProximityBackend.AUTO)
-            if n < AUTO_MIN_STOPS:
-                # both paths do dense work: the runtime returns the plain
-                # set, the sync path a lazy wrapper whose grid never builds
-                assert type(lazy) is StopSet
-                assert isinstance(sync, GriddedStopSet)
-                assert sync._grid_for(10.0) is None
-            elif n < AUTO_CELLSTRING_MIN_STOPS:
-                assert isinstance(lazy, GriddedStopSet)
-                assert isinstance(sync, GriddedStopSet)
-                assert not isinstance(lazy, CellstringStopSet)
-            else:
-                assert isinstance(lazy, CellstringStopSet)
-                assert isinstance(sync, CellstringStopSet)
+        rt = _runtime(ProximityBackend.AUTO)
+        expected = {
+            AUTO_MIN_STOPS - 1: StopSet,
+            AUTO_MIN_STOPS: GriddedStopSet,
+            AUTO_CELLSTRING_MIN_STOPS - 1: GriddedStopSet,
+            AUTO_CELLSTRING_MIN_STOPS: CellstringStopSet,
+        }
+        for n, tier in expected.items():
+            dressed = rt.stop_set(StopSet(rng.uniform(0, 500, (n, 2))), 10.0)
+            assert type(dressed) is tier, n
 
     def test_dressed_cellstring_passes_through(self):
         from repro import CellstringStopSet
@@ -146,9 +138,7 @@ class TestStopSetDressing:
 
     def test_already_dressed_sets_pass_through(self):
         rt = _runtime(ProximityBackend.GRID, shards=3)
-        sharded = ShardedStopSet(np.zeros((4, 2)), 1.0)
         gridded = GriddedStopSet(np.zeros((4, 2)), 1.0)
-        assert rt.stop_set(sharded, 1.0) is sharded
         assert rt.stop_set(gridded, 1.0) is gridded
 
     def test_sharded_sets_share_the_runtime_store(self):
@@ -266,11 +256,11 @@ class TestStatsAccrual:
         result = engine.run([(f, spec) for f in facilities[:3]])
         assert rt.stats == result.stats
 
-    def test_per_shard_stats_merge_matches_unsharded_totals(
+    def test_per_shard_stats_merge_matches_one_shard_totals(
         self, taxi_users, facilities
     ):
-        """A sharded runtime run accrues exactly the totals an unsharded
-        grid runtime accrues for the same queries."""
+        """A seven-shard runtime run accrues exactly the totals a
+        one-shard runtime accrues for the same queries."""
         spec = ServiceSpec(ServiceModel.COUNT, psi=400.0)
         requests = [(f, spec) for f in facilities[:6]]
         rt_grid = _runtime(ProximityBackend.GRID, shards=1)
@@ -281,38 +271,75 @@ class TestStatsAccrual:
         assert rt_sharded.stats == rt_grid.stats
 
 
-class TestLegacyShims:
-    def test_backend_cache_keywords_warn_and_match(self, taxi_users, facilities):
-        tree = TQTree.build(taxi_users, TQTreeConfig(beta=16))
-        spec = ServiceSpec(ServiceModel.ENDPOINT, psi=400.0)
-        plain = evaluate_service(tree, facilities[0], spec)
-        cache = CoverageCache()
-        with pytest.warns(DeprecationWarning):
-            legacy = evaluate_service(
-                tree, facilities[0], spec,
-                backend=ProximityBackend.GRID, cache=cache,
-            )
-        assert legacy == plain
-        assert len(cache) > 0  # the legacy cache object really was used
+#: Every public entry point that takes ``runtime=``, as a call over the
+#: shared arguments ``a`` (a namespace) with ``rt`` in the runtime slot.
+_ENTRY_POINTS = {
+    "evaluate_service": lambda a, rt: evaluate_service(
+        a.tree, a.facilities[0], a.spec, runtime=rt
+    ),
+    "evaluate_node_trajectories": lambda a, rt: evaluate_node_trajectories(
+        a.tree, a.tree.root, a.component, a.spec, runtime=rt
+    ),
+    "top_k_facilities": lambda a, rt: top_k_facilities(
+        a.tree, a.facilities, 2, a.spec, runtime=rt
+    ),
+    "tq_match_fn": lambda a, rt: tq_match_fn(a.tree, a.spec, runtime=rt),
+    "maxkcov_tq": lambda a, rt: maxkcov_tq(
+        a.tree, a.facilities, 2, a.spec, runtime=rt
+    ),
+    "exact_max_k_coverage": lambda a, rt: exact_max_k_coverage(
+        a.users, a.facilities[:3], 2, a.spec, a.match_fn, runtime=rt
+    ),
+    "genetic_max_k_coverage": lambda a, rt: genetic_max_k_coverage(
+        a.users, a.facilities[:3], 2, a.spec, a.match_fn, runtime=rt
+    ),
+    "BatchQueryEngine": lambda a, rt: BatchQueryEngine(a.users, runtime=rt),
+}
 
-    def test_runtime_plus_legacy_keywords_rejected(self, taxi_users, facilities):
-        tree = TQTree.build(taxi_users, TQTreeConfig(beta=16))
-        spec = ServiceSpec(ServiceModel.ENDPOINT, psi=400.0)
+
+class TestRuntimeArgument:
+    def test_coerce_passes_none_and_runtimes_through(self):
+        assert coerce_runtime(None) is None
         rt = _runtime()
-        with pytest.raises(QueryError):
-            evaluate_service(
-                tree, facilities[0], spec,
-                backend=ProximityBackend.GRID, runtime=rt,
-            )
+        assert coerce_runtime(rt) is rt
 
-    def test_coerce_none_is_none(self):
-        assert coerce_runtime(None, None, None) is None
+    def test_batch_engine_without_runtime_stays_dense(self, taxi_users, facilities):
+        """The query functions' rule: no runtime, no dressing — even for
+        a stop count ``AUTO`` would grid."""
+        from repro import FacilityRoute
 
-    def test_legacy_backend_none_with_cache_stays_dense(self):
-        with pytest.warns(DeprecationWarning):
-            rt = coerce_runtime(None, None, CoverageCache())
-        stops = StopSet(np.random.default_rng(0).uniform(0, 100, (200, 2)))
-        assert rt.stop_set(stops, 10.0) is stops  # old backend=None semantics
+        route = FacilityRoute(0, [s for f in facilities[:4] for s in f.stops])
+        assert route.n_stops >= 48  # AUTO_MIN_STOPS
+        engine = BatchQueryEngine(taxi_users)
+        spec = ServiceSpec(ServiceModel.COUNT, psi=400.0)
+        assert type(engine.resolve_stops(route, spec.psi)) is StopSet
+        stats = QueryStats()
+        assert engine.query(route, spec, stats) == brute_force_service(
+            taxi_users, route, spec
+        )
+        assert stats.cells_probed == 0
+        assert stats.distance_evals == engine.n_probe_points * route.n_stops
+
+    @pytest.mark.parametrize("entry_point", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize("wrong", ["x", CoverageCache()], ids=["str", "cache"])
+    def test_wrong_runtime_object_is_a_query_error(
+        self, entry_point, wrong, taxi_users, facilities
+    ):
+        """Not a runtime -> ``QueryError`` at the call, on every entry
+        point (a bare cache used to be re-read as the PR-2 positional
+        cache and die later with ``AttributeError``)."""
+        spec = ServiceSpec(ServiceModel.ENDPOINT, psi=400.0)
+        tree = TQTree.build(taxi_users, TQTreeConfig(beta=16))
+        args = SimpleNamespace(
+            tree=tree,
+            users=taxi_users,
+            facilities=facilities,
+            spec=spec,
+            component=FacilityComponent.whole(facilities[0], spec.psi),
+            match_fn=tq_match_fn(tree, spec),
+        )
+        with pytest.raises(QueryError, match="runtime must be a QueryRuntime"):
+            _ENTRY_POINTS[entry_point](args, wrong)
 
 
 class TestRuntimeLifecycle:
@@ -348,13 +375,6 @@ class TestRuntimeLifecycle:
         rt.close()
         after = dressed.covered_mask(probe, 10.0)  # must not raise
         np.testing.assert_array_equal(before, after)
-
-    def test_batch_engine_rejects_runtime_plus_legacy_keywords(self, taxi_users):
-        rt = _runtime()
-        with pytest.raises(QueryError):
-            BatchQueryEngine(taxi_users, backend=ProximityBackend.GRID, runtime=rt)
-        with pytest.raises(QueryError):
-            BatchQueryEngine(taxi_users, cache=CoverageCache(), runtime=rt)
 
     def test_shared_stats_object(self):
         shared = QueryStats()

@@ -1,16 +1,17 @@
-"""Differential tests: the sharded grid must be *bit-identical* to the
+"""Differential tests: the stop grid must be *bit-identical* to the
 dense ``core.service`` oracle, for every shard count.
 
 Sharding is pure scheduling — each shard applies the same ``psi_hit``
 kernel to a disjoint slice of grid cells and the mask union is
 order-independent — so every comparison here is ``==`` / ``array_equal``,
-never ``approx``.  The suite drives shard counts {1, 2, 7} across
+never ``approx``.  The suite drives shard counts {1, 2, 7, AUTO} across
 Hypothesis-generated adversarial inputs (ties at exactly ``psi``, zero
 radii, world-spanning radii), plus the structural edge cases: empty
 shards (stops concentrated in fewer cells than shards) and stops
 straddling shard boundaries.  Work accounting is held to the same
 standard: per-shard ``QueryStats`` merged via ``QueryStats.merge`` must
-equal an unsharded ``StopGrid`` run exactly.
+equal a brute-force count over each point's 3x3 cell neighbourhood
+(:func:`_reference_counts` — test code, not a second engine).
 """
 
 from __future__ import annotations
@@ -20,28 +21,48 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
+    SHARDS_AUTO,
+    GriddedStopSet,
     QueryStats,
     ShardedStopGrid,
-    ShardedStopSet,
     ShardStore,
-    StopGrid,
     StopSet,
 )
 from repro.core.errors import QueryError
+from repro.core.service import coverage_kernel
+from repro.engine.shards import grid_spill_name
 
 from .strategies import WORLD, dense_facilities, engine_psis, trajectory_sets
 
-SHARD_COUNTS = (1, 2, 7)
+SHARD_COUNTS = (1, 2, 7, SHARDS_AUTO)
 
 
 def _probe_block(users) -> np.ndarray:
     return np.concatenate([u.coords for u in users])
 
 
+def _reference_counts(grid: ShardedStopGrid, pts: np.ndarray) -> QueryStats:
+    """The grid's work-accounting contract, counted the slow way: per
+    probe point, the stops in the 3x3 block of cells around it are its
+    ``distance_evals``, the populated cells among those nine its
+    ``cells_probed``, and it is ``points_scanned`` iff it met a stop."""
+    origin = np.array([grid._ox, grid._oy])
+    stop_ij = np.floor((grid.coords - origin) / grid.cell_size).astype(np.int64)
+    pt_ij = np.floor((pts - origin) / grid.cell_size).astype(np.int64)
+    out = QueryStats()
+    for ij in pt_ij:
+        near = stop_ij[(np.abs(stop_ij - ij) <= 1).all(axis=1)]
+        out.distance_evals += len(near)
+        out.cells_probed += len({tuple(c) for c in near.tolist()})
+        out.points_scanned += bool(len(near))
+    return out
+
+
 class TestShardedMaskOracle:
-    """ShardedStopGrid / ShardedStopSet masks vs the dense broadcast."""
+    """ShardedStopGrid / GriddedStopSet masks vs the dense broadcast."""
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -56,7 +77,7 @@ class TestShardedMaskOracle:
         for n_shards in SHARD_COUNTS:
             grid = ShardedStopGrid(facility.stop_coords, psi, n_shards)
             assert np.array_equal(expected, grid.covered_mask(block, psi))
-            sset = ShardedStopSet(facility.stop_coords, psi, n_shards)
+            sset = GriddedStopSet(facility.stop_coords, psi, shards=n_shards)
             assert np.array_equal(expected, sset.covered_mask(block, psi))
 
     @settings(max_examples=30, deadline=None)
@@ -72,26 +93,44 @@ class TestShardedMaskOracle:
             for p in u.points:
                 assert grid.covers_point(p, psi) == dense.covers_point(p, psi)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         trajectory_sets(min_size=1, max_size=10, min_points=1, max_points=6),
         dense_facilities(min_stops=16, max_stops=96),
         engine_psis(),
+        st.sampled_from([None, 1.5, 40.0]),
+        st.sampled_from([1.0, 0.5, 3.0, 100.0]),
+        st.booleans(),
     )
-    def test_merged_stats_equal_unsharded_run(self, users, facility, psi):
-        """Per-shard QueryStats merge to exactly the StopGrid totals."""
+    def test_grid_contract_every_shard_count(
+        self, users, facility, psi, cell_factor, query_factor, concentrate
+    ):
+        """Mask ``==`` the dense kernel and counters ``==`` the 3x3
+        reference, for every shard count: derived and forced cell sizes,
+        query radii below / at / far above the provisioned one (at or
+        past the cell size the grid answers by the dense kernel, with
+        its all-pairs accounting), psi = 0, and stops concentrated into
+        fewer cells than shards."""
         block = _probe_block(users)
-        unsharded = QueryStats()
-        reference = StopGrid(facility.stop_coords, psi)
-        ref_mask = reference.covered_mask(block, psi, unsharded)
+        stops = facility.stop_coords
+        if concentrate:
+            stops = np.tile(stops[:2], (8, 1))  # at most two populated cells
+        cell_size = None if cell_factor is None else max(psi, 1.0) * cell_factor
+        query_psi = psi * query_factor
+        expected_mask = coverage_kernel(block, stops, query_psi)
         for n_shards in SHARD_COUNTS:
-            merged = QueryStats()
-            grid = ShardedStopGrid(facility.stop_coords, psi, n_shards)
-            mask = grid.covered_mask(block, psi, merged)
-            assert np.array_equal(ref_mask, mask)
-            assert merged.points_scanned == unsharded.points_scanned
-            assert merged.distance_evals == unsharded.distance_evals
-            assert merged.cells_probed == unsharded.cells_probed
+            grid = ShardedStopGrid(stops, psi, n_shards, cell_size=cell_size)
+            if concentrate and n_shards == 7:
+                assert sum(1 for s in grid.shards if not s.n_stops) >= 5
+            expected = QueryStats()
+            if query_psi >= grid.cell_size:
+                coverage_kernel(block, stops, query_psi, expected)
+            else:
+                expected = _reference_counts(grid, block)
+            got = QueryStats()
+            mask = grid.covered_mask(block, query_psi, got)
+            assert np.array_equal(expected_mask, mask), n_shards
+            assert got == expected, n_shards
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -114,11 +153,11 @@ class TestShardedMaskOracle:
     @given(dense_facilities(min_stops=16, max_stops=96), engine_psis())
     def test_restriction_preserves_sharding_and_results(self, facility, psi):
         dense = StopSet.of_facility(facility)
-        sharded = ShardedStopSet(facility.stop_coords, psi, 2)
+        sharded = GriddedStopSet(facility.stop_coords, psi, shards=2)
         box = WORLD.quadrant(1).expanded(psi)
         d_sub = dense.restricted_to(box)
         s_sub = sharded.restricted_to(box)
-        assert isinstance(s_sub, ShardedStopSet)
+        assert isinstance(s_sub, GriddedStopSet) and s_sub.shards == 2
         assert np.array_equal(d_sub.coords, s_sub.coords)
         probe = np.array([[p, 1024.0 - p] for p in np.linspace(0.0, 1024.0, 41)])
         assert np.array_equal(
@@ -207,7 +246,7 @@ class TestShardEdgeCases:
         with pytest.raises(QueryError):
             ShardedStopGrid(np.zeros((3, 2)), 1.0, -2)
         with pytest.raises(QueryError):
-            ShardedStopSet(np.zeros((3, 2)), 1.0, shards=-1)
+            GriddedStopSet(np.zeros((3, 2)), 1.0, shards=-1)
         with pytest.raises(QueryError):
             # manual cell_size creating more rows than the key stride:
             # row keys would alias, breaking stats parity
@@ -225,6 +264,28 @@ class TestShardStore:
         g2 = store.sharded_grid(coords.copy(), 10.0, 4)
         assert g1 is g2
         assert store.grid_hits == 1 and store.grid_misses == 1
+
+    def test_auto_and_the_count_it_resolves_to_are_one_entry(self):
+        """The key carries the *resolved* shard count: ``AUTO`` landing
+        on 1 and an explicit 1 are one build and one spill file."""
+        coords = np.random.default_rng(12).uniform(0, 500, size=(128, 2))
+        store = ShardStore()
+        auto = store.sharded_grid(coords, 10.0, SHARDS_AUTO)
+        assert auto.n_shards == 1
+        assert store.sharded_grid(coords, 10.0, 1) is auto
+        assert store.grid_misses == 1 and store.grid_hits == 1
+        name = grid_spill_name(coords, 10.0, 1)
+        assert grid_spill_name(coords, 10.0, SHARDS_AUTO) == name
+        assert grid_spill_name(coords, 10.0, 2) != name
+
+    def test_adopted_grid_is_filed_under_its_own_shard_count(self):
+        coords = np.random.default_rng(14).uniform(0, 500, size=(128, 2))
+        store = ShardStore()
+        built = ShardedStopGrid(coords, 10.0)
+        store.adopt_sharded_grid(built)
+        assert store.sharded_grid(coords, 10.0, SHARDS_AUTO) is built
+        assert store.sharded_grid(coords, 10.0, built.n_shards) is built
+        assert store.grid_misses == 0
 
     def test_overlapping_stop_sets_share_shards(self):
         """A superset facility reuses the subset's built shard: the
@@ -284,12 +345,12 @@ class TestShardStore:
             evicted.covered_mask(probe, 5.0),
         )
 
-    def test_sharded_stop_set_builds_through_store(self):
+    def test_gridded_stop_set_builds_through_store(self):
         rng = np.random.default_rng(19)
         coords = rng.uniform(0, 500, size=(96, 2))
         store = ShardStore()
-        s1 = ShardedStopSet(coords, 10.0, 3, store=store)
-        s2 = ShardedStopSet(coords.copy(), 10.0, 3, store=store)
+        s1 = GriddedStopSet(coords, 10.0, shards=3, store=store)
+        s2 = GriddedStopSet(coords.copy(), 10.0, shards=3, store=store)
         probe = rng.uniform(0, 500, size=(50, 2))
         m1 = s1.covered_mask(probe, 10.0)
         m2 = s2.covered_mask(probe, 10.0)

@@ -33,11 +33,15 @@ from repro import (
     QueryRuntime,
     QueryStats,
     RuntimeConfig,
+    ServiceModel,
+    ServiceSpec,
+    brute_force_service,
+    evaluate_service,
+    top_k_facilities,
 )
 from repro.core.errors import CatalogError, QueryError, ReproError, StoreError
 from repro.core.stats import StoreStats
 from repro.engine.cellstring import CellstringIndex, build_cellstring_index
-from repro.engine.grid import StopGrid
 from repro.engine.shards import (
     MmapStopShard,
     ShardedStopGrid,
@@ -64,6 +68,7 @@ from repro.store import (
     write_store_file,
 )
 from repro.store.__main__ import main as store_main
+from repro.store.catalog import DEFAULT_PSI
 from repro.store.codecs import KIND_FACILITIES, KIND_TRAJECTORIES
 
 PSI = 400.0
@@ -174,7 +179,7 @@ class TestCorruption:
     @pytest.fixture()
     def stored(self, tmp_path):
         path = str(tmp_path / "grid.idx")
-        save_index(path, StopGrid(_coords(200, seed=3), PSI))
+        save_index(path, ShardedStopGrid(_coords(200, seed=3), PSI, 1))
         return path
 
     def test_missing_and_short_files(self, tmp_path):
@@ -218,12 +223,15 @@ class TestCorruption:
             open_index(stored)  # verify=True recomputes the hash
         # verify=False is the trusted-coordinator fast path: it opens
         # (the workers rely on this after the coordinator verified)
-        assert isinstance(open_index(stored, verify=False), StopGrid)
+        assert isinstance(open_index(stored, verify=False), ShardedStopGrid)
 
-    def test_wrong_kind_for_open_index(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["mystery", "stop_grid"])
+    def test_unknown_kind_for_open_index(self, tmp_path, kind):
+        """A well-formed file of a kind ``open_index`` does not know —
+        including the retired single-grid kind — is a typed error."""
         path = str(tmp_path / "notindex.idx")
-        write_store_file(path, "mystery", {}, {"a": np.zeros(3)})
-        with pytest.raises(StoreError):
+        write_store_file(path, kind, {}, {"a": np.zeros(3)})
+        with pytest.raises(StoreError, match="not an index"):
             open_index(path)
 
 
@@ -231,7 +239,6 @@ class TestCorruption:
 # round trips: bit-identical masks and stats per tier
 # ----------------------------------------------------------------------
 def _builders(coords):
-    yield "stop_grid", StopGrid(coords, PSI)
     for n_shards in (1, 2, 7):
         yield f"sharded_{n_shards}", ShardedStopGrid(coords, PSI, n_shards)
     yield "cellstring", build_cellstring_index(coords, PSI)
@@ -446,13 +453,12 @@ class TestRuntimeDifferential:
             counters = rt.snapshot_store_stats()
         assert np.array_equal(store_mask, fresh_mask)
         assert store_stats == fresh_stats
-        if backend is ProximityBackend.CELLSTRING:
-            # the cellstring build was opened from the store, not rebuilt
-            assert counters.opened == 1 and counters.verified == 1
-        elif backend is ProximityBackend.GRID and shards > 1:
-            assert counters.opened == 1 and counters.verified == 1
-        else:  # dense (or unsharded grid) never consults the store
+        if backend is ProximityBackend.DENSE:  # never consults the store
             assert counters.opened == 0
+        else:
+            # the build — cellstring, or the grid at any shard count, one
+            # included — was opened from the store, not rebuilt
+            assert counters.opened == 1 and counters.verified == 1
 
 
 # ----------------------------------------------------------------------
@@ -574,6 +580,30 @@ class TestStoreCatalog:
     def test_cli_reports_store_errors_as_exit_1(self, tmp_path, capsys):
         assert store_main(["verify", str(tmp_path / "nope")]) == 1
         assert "error" in capsys.readouterr().err.lower()
+
+    def test_default_build_is_opened_by_a_default_runtime(self, tmp_path, capsys):
+        """``repro.store build`` with default flags, then a runtime
+        whose only non-default field is ``store_dir``: the default
+        configuration asks the store for its grids (one shard included)
+        and opens the files the default build wrote."""
+        out = str(tmp_path / "default-store")
+        # 64-stop routes: above AUTO_MIN_STOPS, so AUTO picks the grid
+        assert store_main(["build", "--out", out, "--source", "demo:300:4:64:5"]) == 0
+        capsys.readouterr()
+        catalog = catalog_from_spec(f"store:{out}")
+        tree, routes = catalog.tree("demo"), catalog.facility_set("demo")
+        users = list(tree.trajectories())
+        spec = ServiceSpec(ServiceModel.COUNT, psi=DEFAULT_PSI)
+        oracle = [brute_force_service(users, f, spec) for f in routes]
+        assert sum(oracle) > 0
+        with QueryRuntime(RuntimeConfig(store_dir=out)) as rt:
+            got = [evaluate_service(tree, f, spec, runtime=rt) for f in routes]
+            top = top_k_facilities(tree, routes, 2, spec, runtime=rt)
+            counters = rt.snapshot_store_stats()
+        assert got == oracle
+        assert [fs.service for fs in top.ranking] == sorted(oracle, reverse=True)[:2]
+        assert counters.opened >= 1
+        assert counters.verified == counters.opened
 
 
 class TestHttpOverStore:
