@@ -10,7 +10,11 @@ work and are what the engine's grid path is expected to shrink:
 * ``points_scanned`` — user points that received at least one exact
   ``psi``-distance test (the dense path tests every point; the grid path
   skips points whose 3x3 cell neighbourhood holds no stops);
-* ``distance_evals`` — individual point-stop distance evaluations;
+* ``distance_evals`` — individual point-stop distance evaluations.  A
+  TQ-tree walk probes all its candidates against the *walk's* stops
+  (the facility restricted to the indexed space), so on the dense path
+  this is ``points_scanned x |walk stops|`` — what the kernel really
+  computes — not the smaller sum over each q-node's own component;
 * ``cells_probed``   — non-empty grid cells gathered while assembling
   candidate stops;
 * ``cache_hits``     — coverage results served from a

@@ -219,6 +219,8 @@ class FacilityRoute:
 def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``
     without the Python loop — the CSR gather every columnar read uses."""
+    if starts.size == 1:  # one run: a frontier of one node, a lone candidate
+        return np.arange(starts[0], starts[0] + counts[0], dtype=np.int64)
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
     return np.repeat(starts - (ends - counts), counts) + np.arange(

@@ -44,6 +44,7 @@ __all__ = [
     "morton_encode_array",
     "morton_decode_array",
     "zid_of_point",
+    "boxes_within",
     "AdaptiveZGrid",
 ]
 
@@ -245,6 +246,28 @@ def morton_decode_array(
     return ix, iy
 
 
+#: Box-stop pairs :func:`boxes_within` evaluates per pass: cache-sized
+#: temporaries however many cells and stops meet (the block size
+#: ``repro.core.service.coverage_kernel`` measured fastest).
+_PAIRS_PER_PASS = 1 << 14
+
+
+def boxes_within(boxes: np.ndarray, stops: np.ndarray, psi: float) -> np.ndarray:
+    """Which ``(xmin, ymin, xmax, ymax)`` rows lie within ``psi`` of at
+    least one of the ``(m, 2)`` ``stops`` — the cell-vs-serving-area test
+    of ``zReduce``: the nearest point of each box to each stop, compared
+    with ``psi``."""
+    out = np.empty(boxes.shape[0], dtype=bool)
+    sx, sy = stops[None, :, 0], stops[None, :, 1]
+    step = max(1, _PAIRS_PER_PASS // max(1, stops.shape[0]))
+    for lo in range(0, boxes.shape[0], step):
+        b = boxes[lo : lo + step]
+        dx = np.clip(sx, b[:, 0, None], b[:, 2, None]) - sx
+        dy = np.clip(sy, b[:, 1, None], b[:, 3, None]) - sy
+        out[lo : lo + step] = np.any(dx * dx + dy * dy <= psi * psi, axis=1)
+    return out
+
+
 @dataclass
 class _ZCell:
     """One node of the adaptive partition tree."""
@@ -425,6 +448,11 @@ class AdaptiveZGrid:
             self._flat = (boxes, split[:, 0], split[:, 1], children, rank)
         return self._flat
 
+    def leaf_boxes(self) -> np.ndarray:
+        """The leaf cells' ``(xmin, ymin, xmax, ymax)`` rows, in Z order
+        (row ``r`` is the cell of rank ``r``)."""
+        return self._flattened()[0]
+
     def ranks_of(self, xy: np.ndarray) -> np.ndarray:
         """Leaf rank (ordinal in Z order) of the cell containing each
         row of ``xy``; every point must lie inside the space."""
@@ -462,12 +490,7 @@ class AdaptiveZGrid:
         )
         if stops is not None and stops.shape[0] > 0 and mask.any():
             idx = np.flatnonzero(mask)
-            # nearest point of each candidate box to each stop
-            nx = np.clip(stops[None, :, 0], xmin[idx, None], xmax[idx, None])
-            ny = np.clip(stops[None, :, 1], ymin[idx, None], ymax[idx, None])
-            dx = nx - stops[None, :, 0]
-            dy = ny - stops[None, :, 1]
-            mask[idx] = np.any(dx * dx + dy * dy <= psi * psi, axis=1)
+            mask[idx] = boxes_within(boxes[idx], stops, psi)
         return mask
 
     def leaf_cells(self) -> Iterator[Tuple[ZID, BBox]]:

@@ -21,9 +21,11 @@ memoises the three shapes of that repeated work:
 
 Every entry carries enough to re-verify itself on lookup — the q-node's
 block by identity (an insert into the node replaces it, so rows cached
-against the old block miss) plus the component's stop coordinates by
-value for node results, the facility object by identity for match sets, the stop-set
-object by identity for batch masks — so neither ``id`` reuse after
+against the old block miss) plus the walk's stop coordinates by value
+for node results (the facility restricted to the indexed space: equal
+walks induce equal components at every node), the facility object by
+identity for match sets, the stop-set object by identity for batch
+masks — so neither ``id`` reuse after
 garbage collection nor two facilities sharing a ``facility_id`` can
 alias to a wrong cached answer; a failed verification is simply a
 miss.  A cache is only valid for a fixed user set / tree: drop it (or
@@ -71,12 +73,15 @@ class CoverageCache:
         """Cached ``(candidate rows, mask)`` for ``key``, or ``None``.
 
         A hit must re-verify: the stored anchor (the q-node's block)
-        must be the very same object, and the stored component stop coordinates must equal
-        ``stop_coords`` bitwise.  The coordinate check is what makes
+        must be the very same object, and the stored stop coordinates
+        — the walk's, i.e. the facility's stops within reach of the
+        indexed space — must equal ``stop_coords`` bitwise.  A node's
+        component is a function of those and the node's box, so equal
+        coordinates mean an equal component; the check is what makes
         the cache sound when two distinct facilities share an id (their
-        components differ, so they miss instead of aliasing) while
-        still hitting across re-walks, which rebuild equal-valued
-        component objects."""
+        stops differ, so they miss instead of aliasing) while still
+        hitting across re-walks and across algorithms, which rebuild
+        equal-valued arrays."""
         with self._lock:
             entry = self._nodes.get(key)
         if entry is None or entry[0] is not node:

@@ -8,6 +8,7 @@ from .builder import (
     segment_dataset,
 )
 from .block import NodeBlock
+from .frame import TreeFrame, ZStack
 from .entries import IndexEntry, SubBounds, make_entries, validate_spec_for_variant
 from .quadtree import PointQuadtree
 from .stats import IndexStats, storage_report
@@ -21,6 +22,8 @@ __all__ = [
     "ZOrderedList",
     "IndexEntry",
     "NodeBlock",
+    "TreeFrame",
+    "ZStack",
     "SubBounds",
     "make_entries",
     "validate_spec_for_variant",

@@ -1,11 +1,14 @@
-"""Struct-of-arrays image of one q-node's entry list.
+"""Struct-of-arrays image of an entry list.
 
 A q-node's ``UL(E)`` is a Python list of :class:`~repro.index.entries
 .IndexEntry` objects — the logical unit for inserts, the I/O model and
 tests.  Queries never walk that list: they read a :class:`NodeBlock`,
 the same entries as a handful of flat columns over the tree's
-:class:`~repro.core.trajectory.UserPointTable`, built once per node and
-rebuilt only after an insert touched the node.
+:class:`~repro.core.trajectory.UserPointTable`.  A tree builds *one*
+block over every node's list laid end to end (the
+:class:`~repro.index.frame.TreeFrame`'s); a q-node's own block is a
+:meth:`~NodeBlock.window` of it — views, not copies — and an insert
+re-reads only the lists it touched.
 
 Row ``i`` of a block is entry ``i`` of the node's list.  Its probe
 points (everything scoring can ever need, in point-index order) are the
@@ -36,6 +39,12 @@ from ..core.trajectory import UserPointTable, ranges
 
 __all__ = ["NodeBlock"]
 
+#: The columns with one value per entry (the rest are CSR runs).
+_ROW_COLUMNS = (
+    "rows", "segs", "probe_cnt", "gov", "own_cnt", "n_points", "inv_points",
+    "traj_len", "seg_cnt",
+)
+
 
 class NodeBlock:
     """Columns of one entry list; see the module docstring for the layout."""
@@ -65,12 +74,10 @@ class NodeBlock:
         variant: IndexVariant,
         rows: np.ndarray,
         segs: np.ndarray,
-        gov: Optional[np.ndarray] = None,
     ) -> None:
         """``rows`` / ``segs`` name the entries: the user's table row and
         the segment index (``-1`` for a whole-trajectory entry or a
-        one-point user).  ``gov`` short-circuits the filter table with a
-        precomputed one (a memmap adopted from a store)."""
+        one-point user)."""
         n = rows.size
         self.n = n
         self.rows = rows
@@ -117,7 +124,7 @@ class NodeBlock:
         scale = np.zeros(n, dtype=np.float64)
         np.divide(1.0, self.traj_len, out=scale, where=self.traj_len > 0)
         self.seg_len_norm = self.seg_len * np.repeat(scale, seg_cnt)
-        self.gov = gov if gov is not None else self._gov_table(variant)
+        self.gov = self._gov_table(variant)
 
     @classmethod
     def of_entries(
@@ -125,10 +132,17 @@ class NodeBlock:
         table: UserPointTable,
         variant: IndexVariant,
         entries: Sequence,
-        gov: Optional[np.ndarray] = None,
     ) -> "NodeBlock":
         """The block of an :class:`~repro.index.entries.IndexEntry` list
         whose users are rows of ``table``."""
+        return cls(table, variant, *cls.entry_keys(table, entries))
+
+    @staticmethod
+    def entry_keys(
+        table: UserPointTable, entries: Sequence
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(rows, segs)`` columns naming ``entries`` — the one
+        per-entry Python pass a block build needs."""
         n = len(entries)
         rows = np.fromiter(
             (table.row_of[e.traj.traj_id] for e in entries), dtype=np.int64, count=n
@@ -137,7 +151,27 @@ class NodeBlock:
             (-1 if e.seg_index is None else e.seg_index for e in entries),
             dtype=np.int64, count=n,
         )
-        return cls(table, variant, rows, segs, gov)
+        return rows, segs
+
+    def window(self, lo: int, hi: int, into: Optional["NodeBlock"] = None) -> "NodeBlock":
+        """Rows ``lo .. hi - 1`` as a block of their own whose columns
+        are *views* of this one's (only the two small offset columns are
+        rebased copies).  ``into`` re-points an existing block object
+        instead of making one — how a q-node's block keeps its identity
+        when the tree-wide block it is a window of is rebuilt."""
+        out = into if into is not None else NodeBlock.__new__(NodeBlock)
+        p0, p1 = int(self.probe_off[lo]), int(self.probe_off[hi])
+        s0, s1 = int(self.seg_off[lo]), int(self.seg_off[hi])
+        out.n = hi - lo
+        for name in _ROW_COLUMNS:
+            setattr(out, name, getattr(self, name)[lo:hi])
+        out.probe_off = self.probe_off[lo : hi + 1] - p0
+        out.probe_slot = self.probe_slot[p0:p1]
+        out.probe_xy = self.probe_xy[p0:p1]
+        out.seg_off = self.seg_off[lo : hi + 1] - s0
+        out.seg_len = self.seg_len[s0:s1]
+        out.seg_len_norm = self.seg_len_norm[s0:s1]
+        return out
 
     def _gov_table(self, variant: IndexVariant) -> np.ndarray:
         gov = np.empty((self.n, 8), dtype=np.float64)

@@ -286,10 +286,23 @@ class SubBounds:
         self.norm_points += other.norm_points
         self.norm_length += other.norm_length
 
+    def as_row(self) -> Tuple[float, float, float, float, float]:
+        """The five counters in declaration order — one row of a tree
+        frame's ``sub`` table, indexed by :meth:`column_for`."""
+        return (
+            self.n_entries, self.n_points, self.total_length,
+            self.norm_points, self.norm_length,
+        )
+
+    @staticmethod
+    def column_for(spec: ServiceSpec) -> int:
+        """Which counter (position in :meth:`as_row`) bounds ``spec``."""
+        if spec.model is ServiceModel.ENDPOINT:
+            return 0
+        if spec.model is ServiceModel.COUNT:
+            return 3 if spec.normalize else 1
+        return 4 if spec.normalize else 2
+
     def value_for(self, spec: ServiceSpec) -> float:
         """The upper bound in the unit of ``spec``."""
-        if spec.model is ServiceModel.ENDPOINT:
-            return self.n_entries
-        if spec.model is ServiceModel.COUNT:
-            return self.norm_points if spec.normalize else self.n_points
-        return self.norm_length if spec.normalize else self.total_length
+        return self.as_row()[self.column_for(spec)]

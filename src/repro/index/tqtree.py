@@ -16,11 +16,13 @@ by a :class:`~repro.index.zindex.ZOrderedList`; without it (TQ(B)), the
 list stays flat and queries scan it linearly.
 
 The tree keeps its users as one :class:`~repro.core.trajectory
-.UserPointTable`, and every q-node's list also exists as a
-:class:`~repro.index.block.NodeBlock` of flat columns over that table —
-what queries actually read.  The block is built lazily, the z-structure
-over it on first request, and an insert into a node invalidates both
-through one flag.
+.UserPointTable`, and every q-node's list also exists as flat columns
+over that table — what queries actually read: one tree-wide
+:class:`~repro.index.frame.TreeFrame` (the nodes as arrays over a single
+:class:`~repro.index.block.NodeBlock`), each node's own block a window
+of it, the z-structures stacked beside it.  All of it is built lazily
+(or by :meth:`TQTree.warm_zindex`), and an insert into a node drops the
+frame and marks that node's block and z-structure for rebuilding.
 
 The tree supports dynamic inserts (Section III-C).  One deliberate
 deviation from the paper: after an insert the affected node's z-structure
@@ -42,6 +44,7 @@ from ..core.geometry import BBox
 from ..core.service import ServiceSpec
 from ..core.trajectory import Trajectory, UserPointTable
 from .block import NodeBlock
+from .frame import TreeFrame, ZStack
 from .entries import IndexEntry, SubBounds, make_entries, validate_spec_for_variant
 from .zindex import ZOrderedList
 
@@ -62,6 +65,7 @@ class QNode:
         "_zlist",
         "_z_dirty",
         "_adopted_gov",
+        "_frame",
     )
 
     def __init__(self, box: BBox, depth: int, parent: Optional["QNode"]) -> None:
@@ -72,11 +76,14 @@ class QNode:
         self.entries: List[IndexEntry] = []  # UL(E)
         self.sub = SubBounds()
         # the columnar image of ``entries`` (stale while ``_z_dirty``) and
-        # the z-order view built over it on demand (see TQTree.node_block)
+        # the z-order view built over it on demand (see TQTree.frame)
         self._block: Optional[NodeBlock] = None
         self._zlist: Optional[ZOrderedList] = None
         self._z_dirty = True
         self._adopted_gov: Optional["np.ndarray"] = None
+        # the tree-wide frame hangs off the *root*, so that a change to
+        # any node can drop it without a pointer back to the tree
+        self._frame: Optional[TreeFrame] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -84,20 +91,29 @@ class QNode:
 
     def adopt_gov_table(self, table: "np.ndarray") -> bool:
         """Offer a persisted filter table (the ``gov`` column of this
-        node's block, e.g. a memmap from a store) for the next block
-        build; refused when it cannot belong to the current entry list.
-        Any later change to the list withdraws the offer."""
+        node's block, e.g. a memmap from a store): frame builds copy it
+        into the node's rows in place of the computed one.  Refused when
+        it cannot belong to the current entry list; any later change to
+        the list withdraws the offer."""
         if table.shape != (len(self.entries), 8):
             return False
         self._adopted_gov = table
-        self._z_dirty = True
+        self._stale()
         return True
 
     def invalidate(self) -> None:
-        """The entry list changed: its block, its z-structure and any
-        adopted filter table describe the old list."""
-        self._z_dirty = True
+        """The entry list changed: its block, its z-structure, any
+        adopted filter table and the tree's frame describe the old
+        list."""
         self._adopted_gov = None
+        self._stale()
+
+    def _stale(self) -> None:
+        self._z_dirty = True
+        root = self
+        while root.parent is not None:
+            root = root.parent
+        root._frame = None
 
     def sub_value(self, spec: ServiceSpec) -> float:
         """The paper's ``sub``: subtree service upper bound for ``spec``."""
@@ -396,17 +412,46 @@ class TQTree:
             self._table = self._table.extended(users[-pending:])
         return self._table
 
-    def node_block(self, node: QNode) -> NodeBlock:
-        """The node's entry list as flat columns, (re)built lazily after
-        updates; row ``i`` is ``node.entries[i]``."""
-        if node._z_dirty:
-            # an adopted filter table is good for exactly this build
-            gov, node._adopted_gov = node._adopted_gov, None
-            node._block = NodeBlock.of_entries(
-                self.table, self.config.variant, node.entries, gov
+    def frame(self) -> TreeFrame:
+        """The tree as one columnar frame (see :mod:`repro.index.frame`),
+        (re)built lazily after updates: every node's entry list laid end
+        to end in one block, each node's own block re-pointed at its
+        window of it.  A node whose list did not change keeps its block
+        *object* (what caches anchor on) and its z-structure; only the
+        changed lists are re-read entry by entry."""
+        frame = self.root._frame
+        if frame is None:
+            nodes = list(self.nodes())
+            table = self.table
+            keys = [
+                NodeBlock.entry_keys(table, node.entries)
+                if node._z_dirty else (node._block.rows, node._block.segs)
+                for node in nodes
+            ]
+            block = NodeBlock(
+                table, self.config.variant,
+                np.concatenate([rows for rows, _segs in keys]),
+                np.concatenate([segs for _rows, segs in keys]),
             )
-            node._zlist = None
-            node._z_dirty = False
+            frame = TreeFrame(nodes, block)
+            bounds = frame.row_off.tolist()
+            for node, lo, hi in zip(nodes, bounds, bounds[1:]):
+                if node._adopted_gov is not None:
+                    # stays offered until the list changes (invalidate)
+                    block.gov[lo:hi] = node._adopted_gov
+                if node._z_dirty:
+                    node._block = block.window(lo, hi)
+                    node._zlist = None
+                    node._z_dirty = False
+                else:
+                    block.window(lo, hi, into=node._block)
+            self.root._frame = frame
+        return frame
+
+    def node_block(self, node: QNode) -> NodeBlock:
+        """The node's entry list as flat columns — its window of the
+        frame's block; row ``i`` is ``node.entries[i]``."""
+        self.frame()
         return node._block
 
     def node_zlist(self, node: QNode) -> Optional[ZOrderedList]:
@@ -422,13 +467,25 @@ class TQTree:
             )
         return node._zlist
 
-    def warm_zindex(self) -> None:
-        """Materialise every node's z-structure now.
-
-        Z-structures otherwise build lazily on first touch; benchmarks
-        call this so construction cost is attributed to construction, not
-        to the first query.  No-op for TQ(B)."""
+    def zstack(self, min_len: int = 1) -> Optional[ZStack]:
+        """The z-structures of every node holding at least ``min_len``
+        entries, stacked over the frame (None for TQ(B)).  One stack is
+        kept per frame; asking for shorter lists than it covers widens
+        it, building the missing z-structures."""
         if not self.config.use_zorder:
-            return
-        for node in self.nodes():
-            self.node_zlist(node)
+            return None
+        frame = self.frame()
+        min_len = max(min_len, 1)
+        if frame.zstack is None or frame.zstack.min_len > min_len:
+            picked = np.flatnonzero(frame.n_own >= min_len)
+            zlists = [self.node_zlist(frame.nodes[i]) for i in picked.tolist()]
+            frame.zstack = ZStack(frame, picked, zlists, min_len)
+        return frame.zstack
+
+    def warm_zindex(self) -> None:
+        """Materialise everything queries read lazily — the frame with
+        every node's block, and on TQ(Z) every node's z-structure and
+        their stack — so construction cost is attributed to
+        construction, not to the first query."""
+        self.frame()
+        self.zstack()

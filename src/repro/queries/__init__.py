@@ -1,7 +1,7 @@
 """Query layer: kMaxRRST, MaxkCovRST, and the baseline competitors."""
 
 from .baseline import BaselineIndex
-from .components import FacilityComponent, intersecting_components
+from .components import DivisionPlan, FacilityComponent
 from .evaluate import (
     MatchCollector,
     QueryStats,
@@ -33,7 +33,7 @@ from .maxkcov import (
 __all__ = [
     "BaselineIndex",
     "FacilityComponent",
-    "intersecting_components",
+    "DivisionPlan",
     "MatchCollector",
     "QueryStats",
     "evaluate_core",

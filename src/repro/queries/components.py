@@ -1,6 +1,6 @@
 """Facility components for divide-and-conquer evaluation (Section IV-A).
 
-When Algorithm 1 recurses into a q-node's children, the facility is
+When Algorithm 1 descends into a q-node's children, the facility is
 "divided": each child receives only the stops that can serve points
 inside that child — the stops within the child's region expanded by
 ``psi``.  A stop near a boundary legitimately lands in several children.
@@ -11,19 +11,28 @@ one facility.  Here every :class:`FacilityComponent` carries its facility
 id and holds **all** of the facility's stops relevant to its region in a
 single :class:`~repro.core.service.StopSet`, so same-facility pieces are
 already unified and a user is never double-counted across components.
+
+:class:`DivisionPlan` is the paper's ``intersectingComponents`` for a
+whole tree at once: one closed-interval test of every stop against every
+q-node's expanded region gives each node's component as a row of a
+membership matrix, from which the set of nodes a walk reaches and each
+component's serving envelope follow without visiting a node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from ..core.geometry import BBox, Point
 from ..core.service import StopSet
 from ..core.trajectory import FacilityRoute
+from ..index.frame import TreeFrame
 from ..index.zindex import RegionTest, disc_region_test, embr_region_test
 
-__all__ = ["FacilityComponent", "intersecting_components"]
+__all__ = ["FacilityComponent", "DivisionPlan"]
 
 # Below this many stops the exact disc-union region test is cheap enough
 # to beat the looser EMBR box test during z-cell pruning.
@@ -51,7 +60,7 @@ class FacilityComponent:
     def with_stops(self, stops: StopSet) -> "FacilityComponent":
         """The same component with its stop set swapped (e.g. for a
         grid-backed :class:`~repro.engine.GriddedStopSet`, which carries
-        through every ``restricted_to`` division)."""
+        through a ``restricted_to`` division)."""
         return FacilityComponent(self.facility_id, stops, self.psi)
 
     @property
@@ -85,14 +94,54 @@ class FacilityComponent:
         )
 
 
-def intersecting_components(
-    children_boxes: Sequence[BBox], component: FacilityComponent
-) -> List[Optional[FacilityComponent]]:
-    """The paper's ``intersectingComponents``: divide a component over
-    child regions.  Returns one entry per child; ``None`` marks a child
-    that the component cannot serve (the child is pruned)."""
-    out: List[Optional[FacilityComponent]] = []
-    for box in children_boxes:
-        child_comp = component.restricted_to(box)
-        out.append(None if child_comp.is_empty else child_comp)
-    return out
+class DivisionPlan:
+    """One component divided over every q-node of a tree frame.
+
+    ``member[i, j]`` says stop ``j`` of ``component`` belongs to node
+    ``i``'s component — it lies in ``box[i]`` grown by ``psi``, the very
+    comparison :meth:`FacilityComponent.restricted_to` makes.
+    ``visited[i]`` says the paper's walk from the root reaches node
+    ``i``: its component is non-empty and its subtree holds an entry
+    (the root needs only the former).  No ancestor check is needed: a
+    child's region lies inside its parent's, and subtracting ``psi``
+    from both keeps the order, so a stop that is a member at a node is
+    a member at every ancestor, and a subtree with an entry makes every
+    enclosing subtree non-empty too.
+    """
+
+    __slots__ = ("component", "member", "visited", "_embr")
+
+    def __init__(self, frame: TreeFrame, component: FacilityComponent) -> None:
+        self.component = component
+        psi = component.psi
+        xy, box = component.stops.coords, frame.box
+        x, y = xy[None, :, 0], xy[None, :, 1]
+        self.member = (
+            (x >= (box[:, 0] - psi)[:, None])
+            & (x <= (box[:, 2] + psi)[:, None])
+            & (y >= (box[:, 1] - psi)[:, None])
+            & (y <= (box[:, 3] + psi)[:, None])
+        )
+        self.visited = self.member.any(axis=1)
+        self.visited[1:] &= frame.sub[1:, 0] > 0
+        self._embr: Optional[np.ndarray] = None
+
+    def embr(self, nodes: np.ndarray) -> np.ndarray:
+        """Serving envelopes of the (non-empty) components at ``nodes``,
+        one ``(xmin, ymin, xmax, ymax)`` row each: the member stops'
+        bounding box grown by ``psi`` — ``FacilityComponent.embr``'s
+        floats.  Tabled for the whole tree on first use (a walk the
+        cache answers never asks)."""
+        if self._embr is None:
+            served = np.flatnonzero(self.member.any(axis=1))
+            member = self.member[served]
+            xy, psi = self.component.stops.coords, self.component.psi
+            x, y = xy[None, :, 0], xy[None, :, 1]
+            low, high = dict(axis=1, initial=np.inf), dict(axis=1, initial=-np.inf)
+            table = np.full((self.visited.size, 4), np.nan)
+            table[served, 0] = np.where(member, x, np.inf).min(**low) - psi
+            table[served, 1] = np.where(member, y, np.inf).min(**low) - psi
+            table[served, 2] = np.where(member, x, -np.inf).max(**high) + psi
+            table[served, 3] = np.where(member, y, -np.inf).max(**high) + psi
+            self._embr = table
+        return self._embr[nodes]

@@ -1,25 +1,29 @@
 """Service evaluation over a TQ-tree (paper Algorithms 1 and 2).
 
-:func:`evaluate_service` is the divide-and-conquer Algorithm 1: starting
-from the root, the facility component is recursively divided over the
-child quadrants (children the component cannot serve are pruned), and
-each visited node's own entry list is scored by
-:func:`evaluate_node_trajectories` (Algorithm 2).
+The paper's evaluation is filter-then-refine, and this module runs it a
+*frontier* at a time rather than a q-node at a time:
 
-Algorithm 2 is where the two-phase pruning happens:
+1. **plan** — Algorithm 1's division of the facility over the quadrants,
+   for the whole tree at once (:class:`~repro.queries.components
+   .DivisionPlan` over the tree's :class:`~repro.index.frame.TreeFrame`):
+   which stops belong to which node's component, which nodes the walk
+   reaches, each component's serving envelope;
+2. **filter** — Algorithm 2's pruning over every reached list in one
+   pass: on TQ(Z) nodes ``zReduce`` through the stacked z-structures
+   (:meth:`~repro.index.frame.ZStack.candidates`), on TQ(B) nodes and
+   short lists a linear scan with a cheap per-entry envelope check (this
+   *is* the paper's TQ(B): no ordering to exploit);
+3. **refine** — the survivors' probe points in one CSR gather and one
+   exact ``psi``-distance call against the walk's stops, the mask split
+   back per node and scored by the service model's rule.
 
-* on a TQ(Z) node, ``zReduce`` narrows the entry list through the
-  z-ordered structure (:meth:`ZOrderedList.candidates_*`);
-* on a TQ(B) node the list is scanned linearly with only a cheap
-  per-entry envelope check (this *is* the paper's TQ(B): no ordering to
-  exploit);
-* surviving candidates get exact ``psi``-distance scoring against the
-  component's stops.
-
-Every step works on the node's :class:`~repro.index.block.NodeBlock`:
-candidates are an array of block rows, their probe points one CSR
-gather, the distance check one call, and the scoring rule a few vector
-operations over the resulting mask — no Python loop over entries.
+:func:`score_frontier` is steps 2 and 3 for any set of nodes and the only
+implementation behind :func:`evaluate_service` (frontier = every node
+the walk reaches), kMaxRRST's relax and ancestor scans
+(:mod:`repro.queries.kmaxrrst`), the collecting MaxkCovRST walk and
+:func:`evaluate_node_trajectories` (a frontier of one).  No Python loop
+runs over entries, and the only loop over nodes is the per-node cache
+lookup and scoring of an already computed mask.
 
 A :class:`MatchCollector` can ride along to record *which* points of
 which users were served — MaxkCovRST needs these per-facility match sets
@@ -27,11 +31,11 @@ to price combined coverage.
 
 Acceleration plugs in through one object without changing any result: a
 :class:`~repro.runtime.QueryRuntime` passed as ``runtime`` owns the
-whole probe path — every exact distance check goes through
+whole probe path — the walk's one exact distance check goes through
 :meth:`~repro.runtime.QueryRuntime.probe_mask`, which dresses the
-component's stops for the runtime's backend and execution policy (dense
-broadcast, stop grid, or cellstrings; grid shards fanned out serially,
-over threads, or over a shared-memory process pool) — memoises each
+stops for the runtime's backend and execution policy (dense broadcast,
+stop grid, or cellstrings; grid shards fanned out serially, over
+threads, or over a shared-memory process pool) — memoises each
 (facility, q-node) candidate list and coverage mask in the runtime's
 cache so a re-walk in the same mode — a repeated query for the same
 facility, ancestor scans across kMaxRRST relax rounds, solver ensembles
@@ -54,13 +58,17 @@ from ..core.service import MatchSet, ServiceModel, ServiceSpec, in_order_sum
 from ..core.stats import QueryStats
 from ..core.trajectory import FacilityRoute, UserPointTable, ranges
 from ..index.block import NodeBlock
+from ..index.frame import ANY, BBOX, BOTH, TreeFrame, kept_per_run
 from ..index.tqtree import QNode, TQTree
 from ..runtime import QueryRuntime, coerce_runtime
-from .components import FacilityComponent, intersecting_components
+from .components import DivisionPlan, FacilityComponent
 
 __all__ = [
     "QueryStats",
     "MatchCollector",
+    "candidate_mode",
+    "score_frontier",
+    "walk_plan",
     "evaluate_core",
     "evaluate_service",
     "evaluate_node_trajectories",
@@ -127,83 +135,49 @@ def _requires_both_endpoints(spec: ServiceSpec, variant: IndexVariant) -> bool:
 _Z_MIN_LIST = 192
 
 
-#: The empty candidate set (shared, read-only).
-_NO_ROWS = np.zeros(0, dtype=np.int64)
-_NO_ROWS.setflags(write=False)
+def candidate_mode(spec: ServiceSpec, variant: IndexVariant, collecting: bool) -> str:
+    """Which filter form is sound for this walk (DESIGN.md §4.2).
 
-
-def _zreduce_candidates(
-    tree: TQTree,
-    node: QNode,
-    component: FacilityComponent,
-    spec: ServiceSpec,
-    collecting: bool,
-) -> Optional[np.ndarray]:
-    """Apply zReduce on a TQ(Z) node: the surviving block rows in
-    z-sorted order; None means "no z-structure, scan".
-
-    ``collecting`` switches to partial-tolerant candidate modes: combined
+    ``collecting`` switches to partial-tolerant modes: combined
     (MaxkCovRST) coverage needs *every* served point recorded, including
     entries only one of whose endpoints is near the facility, so the
-    both-endpoints zReduce would silently drop cross-facility matches.
+    both-endpoints filter would silently drop cross-facility matches.
     """
-    if len(node.entries) < _Z_MIN_LIST:
-        return None
-    zlist = tree.node_zlist(node)
-    if zlist is None:
-        return None
-    embr = component.embr
-    if embr is None:
-        return _NO_ROWS
-    variant = tree.config.variant
     if variant is IndexVariant.FULL and (
         collecting or spec.model is not ServiceModel.ENDPOINT
     ):
-        picked = zlist.candidates_bbox(embr)
-    elif not collecting and _requires_both_endpoints(spec, variant):
-        picked = zlist.candidates_both(embr, component.stops.coords, component.psi)
-    else:
-        picked = zlist.candidates_any(embr, component.stops.coords, component.psi)
-    return zlist.order[picked]
-
-
-def _linear_candidates(
-    block: NodeBlock,
-    component: FacilityComponent,
-    spec: ServiceSpec,
-    variant: IndexVariant,
-    collecting: bool,
-) -> np.ndarray:
-    """TQ(B) path: linear scan of the whole node list with a vectorised
-    envelope check (the scan is what distinguishes TQ(B) from TQ(Z) —
-    no z-order ranges to jump to)."""
-    embr = component.embr
-    if embr is None:
-        return _NO_ROWS
-    gov = block.gov
+        return BBOX
     if not collecting and _requires_both_endpoints(spec, variant):
-        mask = (
-            (gov[:, 0] >= embr.xmin)
-            & (gov[:, 0] <= embr.xmax)
-            & (gov[:, 1] >= embr.ymin)
-            & (gov[:, 1] <= embr.ymax)
-            & (gov[:, 2] >= embr.xmin)
-            & (gov[:, 2] <= embr.xmax)
-            & (gov[:, 3] >= embr.ymin)
-            & (gov[:, 3] <= embr.ymax)
-        )
+        return BOTH
+    return ANY
+
+
+def _scan_candidates(
+    frame: TreeFrame, nodes: np.ndarray, embr: np.ndarray, mode: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The TQ(B) filter over the lists of ``nodes`` at once: a linear
+    scan of every entry with a vectorised envelope check against its
+    own node's ``embr`` row (the scan is what distinguishes TQ(B) from
+    TQ(Z) — no z-order ranges to jump to).  Returns the surviving block
+    rows, per node in list order, and how many survive per node."""
+    counts = frame.n_own[nodes]
+    rows = ranges(frame.row_off[nodes], counts)
+    gov = frame.block.gov[rows]
+    low, high = np.repeat(embr[:, :2], counts, axis=0), np.repeat(embr[:, 2:], counts, axis=0)
+    if mode == BOTH:
+        # governing start and governing end both inside the envelope
+        keep = (
+            (gov[:, 0:2] >= low) & (gov[:, 0:2] <= high)
+            & (gov[:, 2:4] >= low) & (gov[:, 2:4] <= high)
+        ).all(axis=1)
     else:
-        mask = (
-            (gov[:, 4] <= embr.xmax)
-            & (gov[:, 6] >= embr.xmin)
-            & (gov[:, 5] <= embr.ymax)
-            & (gov[:, 7] >= embr.ymin)
-        )
-    return np.flatnonzero(mask)
+        # entry bbox meets the envelope
+        keep = ((gov[:, 4:6] <= high) & (gov[:, 6:8] >= low)).all(axis=1)
+    return rows[keep], kept_per_run(keep, counts)
 
 
 def _aggregate_candidates(
-    tree: TQTree,
+    table: UserPointTable,
     block: NodeBlock,
     rows: np.ndarray,
     mask: np.ndarray,
@@ -212,13 +186,13 @@ def _aggregate_candidates(
 ) -> float:
     """Apply the service model's scoring rule over ``mask``, the
     coverage of the candidates' probe points laid end to end in ``rows``
-    order."""
+    order (``rows`` index ``block``)."""
     counts = block.probe_cnt[rows]
     ends = np.cumsum(counts)
     starts = ends - counts  # where each candidate's probes begin in mask
     if collector is not None:
         gather = ranges(block.probe_off[rows], counts)
-        collector.record_slots(tree.table, block.probe_slot[gather[mask]])
+        collector.record_slots(table, block.probe_slot[gather[mask]])
     if spec.model is ServiceModel.ENDPOINT:
         # Every candidate is a whole-trajectory entry whose sorted
         # probe list starts at index 0 and ends at index n-1, so the
@@ -252,6 +226,163 @@ def _aggregate_candidates(
     return in_order_sum(raw)
 
 
+def _filter_and_probe(
+    tree: TQTree,
+    plan: DivisionPlan,
+    nodes: np.ndarray,
+    spec: ServiceSpec,
+    collecting: bool,
+    stats: QueryStats,
+    runtime: Optional[QueryRuntime],
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Filter the lists of ``nodes`` in one stacked pass and probe all
+    survivors in one call: per node, its candidate block rows (in the
+    order its own filter yields them) and their probe points' coverage
+    laid end to end."""
+    frame = tree.frame()
+    block = frame.block
+    component = plan.component
+    # z-nodes last: each filter returns its nodes' survivors end to end
+    # (which node's points are probed first changes no result)
+    stack = tree.zstack(_Z_MIN_LIST)
+    on_z = frame.n_own[nodes] >= (_Z_MIN_LIST if stack is not None else np.inf)
+    order = np.argsort(on_z, kind="stable")
+    nodes = nodes[order]
+    n_scan = nodes.size - int(np.count_nonzero(on_z))
+    mode = candidate_mode(spec, tree.config.variant, collecting)
+    embr = plan.embr(nodes)
+    parts = []
+    if n_scan:
+        parts.append(_scan_candidates(frame, nodes[:n_scan], embr[:n_scan], mode))
+    if n_scan < nodes.size:
+        picked, z_counts = stack.candidates(
+            stack.slot_of[nodes[n_scan:]], embr[n_scan:], mode,
+            component.stops.coords, spec.psi,
+        )
+        parts.append((stack.row[picked], z_counts))
+    rows = np.concatenate([rows for rows, _counts in parts])
+    counts = np.concatenate([counts for _rows, counts in parts])
+    # one distance pass over every survivor's probe points; with a
+    # runtime it rides the probe path (backend dressing plus the
+    # configured execution policy), without one it is the dense kernel
+    n_probes = block.probe_cnt[rows]
+    if rows.size:
+        coords = block.probe_xy[ranges(block.probe_off[rows], n_probes)]
+        if runtime is not None:
+            mask = runtime.probe_mask(component.stops, coords, spec.psi, stats)
+        else:
+            mask = component.stops.covered_mask(coords, spec.psi, stats)
+    else:
+        mask = np.zeros(0, dtype=bool)
+    row_end = np.cumsum(counts).tolist()
+    probe_end = np.concatenate(([0], np.cumsum(n_probes)))[row_end].tolist()
+    out: List[Tuple[np.ndarray, np.ndarray]] = [None] * nodes.size  # type: ignore[list-item]
+    r0 = p0 = 0
+    for k, r1, p1 in zip(order.tolist(), row_end, probe_end):
+        out[k] = (rows[r0:r1], mask[p0:p1])
+        r0, p0 = r1, p1
+    return out
+
+
+def score_frontier(
+    tree: TQTree,
+    plan: DivisionPlan,
+    nodes: np.ndarray,
+    spec: ServiceSpec,
+    collector: Optional[MatchCollector],
+    stats: QueryStats,
+    runtime: Optional[QueryRuntime],
+) -> List[float]:
+    """Algorithm 2 for a whole frontier: the service value gained from
+    the entries stored *at* each of the frame nodes ``nodes`` (all with
+    a non-empty component under ``plan``), in ``nodes`` order.
+
+    Filter, then refine once: the lists of every node not answered by
+    the cache go through one stacked filter pass (``zReduce`` over the
+    z-nodes, an envelope scan over the rest — each node against its own
+    component's envelope), the survivors' probe points are gathered in
+    one CSR read and probed in **one** call against the plan's stop set,
+    and only the split-back mask is scored node by node.
+
+    Probing the walk's stops instead of each node's own component is
+    exact: an entry sits at a node whose box holds all its probe points,
+    so every stop within ``psi`` of one of them lies in that box grown
+    by ``psi`` — it *is* a member of the node's component — and
+    ``psi_hit`` on one (point, stop) pair does not depend on which other
+    stops are in the call.
+
+    ``runtime`` owns the probe path and memoises the (candidate rows,
+    mask) pair per (facility, q-node, psi, mode) in its cache: the
+    component a facility induces at a node is the same whichever
+    algorithm walked there, so a later walk in the same mode — a
+    repeated query, an ancestor re-scan — reuses the geometric work and
+    only re-runs the cheap aggregation.  Mode (collecting flag plus
+    service model) is part of the key because it changes which
+    candidates survive the filter.
+    """
+    frame = tree.frame()
+    component = plan.component
+    cache = runtime.cache if runtime is not None else None
+    collecting = collector is not None
+    listed = [
+        (j, i, n, lo)
+        for j, (i, n, lo) in enumerate(
+            zip(nodes.tolist(), frame.n_own[nodes].tolist(), frame.row_off[nodes].tolist())
+        )
+        if n
+    ]
+    #: per position of ``nodes``: (block rows, mask) once known
+    scored: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    missed = []
+    for j, i, n, lo in listed:
+        stats.entries_considered += n
+        if cache is not None:
+            # anchored on the node's block, which an insert into the node
+            # replaces, and verified against the walk's stop coordinates:
+            # equal walks divide into equal components at every node
+            node = frame.nodes[i]
+            key = (component.facility_id, id(node), spec.psi, collecting, spec.model.value)
+            hit = cache.lookup_node(key, node._block, component.stops.coords)
+            if hit is not None:
+                stats.cache_hits += 1
+                scored[j] = (hit[0] + lo, hit[1])
+                continue
+            missed.append((j, lo, key, node._block))
+        else:
+            missed.append((j, lo, None, None))
+    if missed:
+        at = nodes[[j for j, _lo, _key, _block in missed]]
+        found = _filter_and_probe(tree, plan, at, spec, collecting, stats, runtime)
+        for (j, lo, key, anchor), (rows, mask) in zip(missed, found):
+            scored[j] = (rows, mask)
+            if cache is not None:
+                cache.store_node(key, anchor, component.stops.coords, rows - lo, mask)
+    values = [0.0] * nodes.size
+    for j, (rows, mask) in scored.items():
+        stats.entries_scored += rows.size
+        if rows.size:
+            values[j] = _aggregate_candidates(
+                tree.table, frame.block, rows, mask, spec, collector
+            )
+    return values
+
+
+def walk_plan(
+    tree: TQTree,
+    facility: FacilityRoute,
+    psi: float,
+    runtime: Optional[QueryRuntime],
+) -> DivisionPlan:
+    """Algorithm 1's division for one (facility, psi) walk: the facility
+    — its stops dressed by ``runtime`` — restricted to the indexed space
+    and divided over every q-node.  The root component is what every
+    probe of the walk runs against."""
+    whole = FacilityComponent.whole(facility, psi)
+    if runtime is not None:
+        whole = whole.with_stops(runtime.stop_set(whole.stops, psi))
+    return DivisionPlan(tree.frame(), whole.restricted_to(tree.root.box))
+
+
 def evaluate_node_trajectories(
     tree: TQTree,
     node: QNode,
@@ -264,69 +395,20 @@ def evaluate_node_trajectories(
     """Algorithm 2: score the entries stored *at* ``node`` against the
     facility component.  Returns the service value gained.
 
-    ``runtime`` owns the probe path (how the exact distance pass
-    executes) and memoises the (candidate rows, mask) pair per (facility,
-    q-node, psi, mode) in its cache: the component a facility induces at
-    a node is the same whichever algorithm walked there (stops within
-    the node's box expanded by ``psi``), so a later walk in the same
-    mode — a repeated query, an ancestor re-scan — reuses the geometric
-    work and only re-runs the cheap aggregation.  Mode (collecting flag
-    plus service model) is part of the key because it changes which
-    candidates survive zReduce.
+    A frontier of one: ``component`` is divided over the tree like any
+    walk's, and the node is scored by :func:`score_frontier` against
+    the part of it that can serve the node's region.
     """
     runtime = coerce_runtime(runtime)
-    cache = runtime.cache if runtime is not None else None
-    if component.is_empty or not node.entries:
+    frame = tree.frame()
+    i = frame.index_of[id(node)]
+    plan = DivisionPlan(frame, component)
+    if not plan.member[i].any():
         return 0.0
-    block = tree.node_block(node)
-    collecting = collector is not None
-    key = None
-    if cache is not None:
-        key = (
-            component.facility_id,
-            id(node),
-            spec.psi,
-            collecting,
-            spec.model.value,
-        )
-        # anchored on the block, not the node: an insert rebuilds the
-        # block, so rows cached against the old one can never be served
-        hit = cache.lookup_node(key, block, component.stops.coords)
-        if hit is not None:
-            rows, mask = hit
-            if stats is not None:
-                stats.entries_considered += len(node.entries)
-                stats.entries_scored += rows.size
-                stats.cache_hits += 1
-            if not rows.size:
-                return 0.0
-            return _aggregate_candidates(tree, block, rows, mask, spec, collector)
-    rows = _zreduce_candidates(tree, node, component, spec, collecting)
-    if rows is None:
-        rows = _linear_candidates(
-            block, component, spec, tree.config.variant, collecting
-        )
-    if stats is not None:
-        stats.entries_considered += len(node.entries)
-        stats.entries_scored += rows.size
-    if not rows.size:
-        if cache is not None:
-            cache.store_node(
-                key, block, component.stops.coords, rows,
-                np.zeros(0, dtype=bool),
-            )
-        return 0.0
-    # one vectorised distance pass over all candidates' probe points;
-    # with a runtime it rides the probe path (backend dressing plus the
-    # configured execution policy), without one it is the dense kernel
-    coords = block.probe_xy[ranges(block.probe_off[rows], block.probe_cnt[rows])]
-    if runtime is not None:
-        mask = runtime.probe_mask(component.stops, coords, spec.psi, stats)
-    else:
-        mask = component.stops.covered_mask(coords, spec.psi, stats)
-    if cache is not None:
-        cache.store_node(key, block, component.stops.coords, rows, mask)
-    return _aggregate_candidates(tree, block, rows, mask, spec, collector)
+    return score_frontier(
+        tree, plan, np.array([i]), spec, collector,
+        stats if stats is not None else QueryStats(), runtime,
+    )[0]
 
 
 def evaluate_core(
@@ -336,9 +418,16 @@ def evaluate_core(
     collector: Optional[MatchCollector] = None,
     runtime: Optional[QueryRuntime] = None,
 ) -> Tuple[float, QueryStats]:
-    """The pure step behind :func:`evaluate_service`: Algorithm 1's
-    divide-and-conquer, returning ``(service value, work counters)``
-    without touching any shared state beyond the runtime's caches.
+    """The pure step behind :func:`evaluate_service`: Algorithm 1 as
+    plan, filter, one refine — returning ``(service value, work
+    counters)`` without touching any shared state beyond the runtime's
+    caches.
+
+    The plan names every node the paper's recursion would reach;
+    :func:`score_frontier` scores them all at once; the per-node values
+    are then added up the way the recursion nests them — a node's total
+    is its own value plus its children's totals in child order — so
+    normalised COUNT / LENGTH sums round exactly as before.
 
     This is the planner-consumable form — :class:`repro.service
     .QueryPlanner` lowers an ``EvaluateRequest`` onto it directly, and
@@ -350,14 +439,22 @@ def evaluate_core(
     """
     tree.validate_spec(spec)
     local = QueryStats()
-    whole = FacilityComponent.whole(facility, spec.psi)
-    if runtime is not None:
-        whole = whole.with_stops(runtime.stop_set(whole.stops, spec.psi))
-    component = whole.restricted_to(tree.root.box)
-    so = _evaluate_rec(
-        tree, tree.root, component, spec, collector, local, runtime
-    )
-    return so, local
+    plan = walk_plan(tree, facility, spec.psi, runtime)
+    reached = np.flatnonzero(plan.visited)
+    if not reached.size:
+        return 0.0, local
+    local.nodes_visited += reached.size
+    values = score_frontier(tree, plan, reached, spec, collector, local, runtime)
+    # children come after their parent in pre-order, so walking the
+    # reached nodes backwards finds every child's total already made
+    total: Dict[int, float] = {}
+    children = tree.frame().children[reached].tolist()
+    for i, own, kids in zip(reached.tolist()[::-1], values[::-1], children[::-1]):
+        for child in kids:
+            if child in total:
+                own += total[child]
+        total[i] = own
+    return total[0], local
 
 
 def evaluate_service(
@@ -370,13 +467,13 @@ def evaluate_service(
 ) -> float:
     """Algorithm 1: the full service value ``SO(U, f)`` of one facility.
 
-    Divide-and-conquer from the root: children whose region the component
-    cannot serve are pruned; every visited node's own list is scored via
-    Algorithm 2.  ``runtime`` owns the probe path — how exact distance
-    checks execute (dense broadcast, stop grid or cellstrings under
-    the runtime's execution policy — identical results) — memoises
-    per-(facility, node) coverage in its cache, and accrues this
-    evaluation's work into its grand total.
+    The facility is divided over the quadrants: nodes whose region the
+    facility cannot serve are pruned, and every reached node's own list
+    is scored via Algorithm 2.  ``runtime`` owns the probe path — how
+    exact distance checks execute (dense broadcast, stop grid or
+    cellstrings under the runtime's execution policy — identical
+    results) — memoises per-(facility, node) coverage in its cache, and
+    accrues this evaluation's work into its grand total.
 
     A thin synchronous wrapper over :func:`evaluate_core` — the same
     substrate the async :class:`repro.service.QueryService` executes.
@@ -387,34 +484,4 @@ def evaluate_service(
         runtime.accrue(local)
     if stats is not None:
         stats.merge(local)
-    return so
-
-
-def _evaluate_rec(
-    tree: TQTree,
-    node: QNode,
-    component: FacilityComponent,
-    spec: ServiceSpec,
-    collector: Optional[MatchCollector],
-    stats: Optional[QueryStats],
-    runtime: Optional[QueryRuntime] = None,
-) -> float:
-    if component.is_empty:
-        return 0.0
-    if stats is not None:
-        stats.nodes_visited += 1
-    so = evaluate_node_trajectories(
-        tree, node, component, spec, collector, stats, runtime
-    )
-    if node.children is not None:
-        boxes = [child.box for child in node.children]
-        child_components = intersecting_components(boxes, component)
-        for child, child_comp in zip(node.children, child_components):
-            if child_comp is None:
-                continue
-            if child.sub.n_entries == 0:
-                continue  # empty subtree
-            so += _evaluate_rec(
-                tree, child, child_comp, spec, collector, stats, runtime
-            )
     return so

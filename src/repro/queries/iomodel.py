@@ -20,7 +20,7 @@ entries):
 * the BL baseline reads every leaf block of the point quadtree touched
   by each disc query.
 
-:func:`estimate_query_blocks` replays a service-value evaluation with
+:func:`estimate_query_blocks` prices a service-value evaluation with
 these rules and returns the per-method totals.
 """
 
@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+
+import numpy as np
 
 from ..core.service import ServiceSpec
 from ..core.trajectory import FacilityRoute
-from ..index.tqtree import QNode, TQTree
-from .components import FacilityComponent, intersecting_components
+from ..index.tqtree import TQTree
+from .evaluate import candidate_mode, walk_plan
 
 __all__ = ["BlockCosts", "estimate_query_blocks"]
 
@@ -51,75 +52,34 @@ class BlockCosts:
         return self.node_blocks + self.list_blocks + self.directory_blocks
 
 
-def _blocks(n_entries: int, beta: int) -> int:
-    return math.ceil(n_entries / beta) if n_entries > 0 else 0
-
-
 def estimate_query_blocks(
     tree: TQTree, facility: FacilityRoute, spec: ServiceSpec
 ) -> BlockCosts:
-    """Replay Algorithm 1 for ``facility`` counting block accesses.
+    """Price Algorithm 1 for ``facility`` in block accesses.
 
-    Uses the same pruning decisions as the live evaluator: a pruned child
-    costs nothing; a visited TQ(B) node pays for its whole list; a
-    visited TQ(Z) node pays for its grid directories plus only the
-    buckets containing zReduce survivors.
+    Reads the pruning decisions off the live evaluator's own plan and
+    filter: a pruned child costs nothing; a reached TQ(B) node pays for
+    its whole list; a reached TQ(Z) node pays for its two grid
+    directories plus only the buckets (z-nodes, one block each) holding
+    ``zReduce`` survivors of the non-collecting walk.
     """
     tree.validate_spec(spec)
-    costs = BlockCosts()
-    component = FacilityComponent.whole(facility, spec.psi).restricted_to(
-        tree.root.box
-    )
-    _walk(tree, tree.root, component, spec, costs)
+    plan = walk_plan(tree, facility, spec.psi, None)
+    frame = tree.frame()
+    reached = np.flatnonzero(plan.visited)
+    costs = BlockCosts(node_blocks=int(reached.size))
+    listed = reached[frame.n_own[reached] > 0]
+    stack = tree.zstack()
+    if stack is None:
+        # TQ(B): every reached list is scanned in full
+        beta = tree.config.beta
+        costs.list_blocks = sum(math.ceil(n / beta) for n in frame.n_own[listed].tolist())
+    elif listed.size:
+        picked, _counts = stack.candidates(
+            stack.slot_of[listed], plan.embr(listed),
+            candidate_mode(spec, tree.config.variant, collecting=False),
+            plan.component.stops.coords, spec.psi,
+        )
+        costs.directory_blocks = 2 * int(listed.size)
+        costs.list_blocks = int(np.unique(stack.bucket[picked]).size)
     return costs
-
-
-def _candidates_for_pricing(tree: TQTree, zlist, component, spec):
-    """Mirror the live evaluator's (non-collecting) candidate mode:
-    the survivors' positions in the z-sorted order."""
-    from ..core.config import IndexVariant
-    from ..core.service import ServiceModel
-
-    embr = component.embr
-    variant = tree.config.variant
-    if variant is IndexVariant.FULL and spec.model is not ServiceModel.ENDPOINT:
-        return zlist.candidates_bbox(embr)
-    both = spec.model is ServiceModel.ENDPOINT or (
-        spec.model is ServiceModel.LENGTH and variant is not IndexVariant.FULL
-    )
-    if both:
-        return zlist.candidates_both(embr, component.stops.coords, component.psi)
-    return zlist.candidates_any(embr, component.stops.coords, component.psi)
-
-
-def _walk(
-    tree: TQTree,
-    node: QNode,
-    component: FacilityComponent,
-    spec: ServiceSpec,
-    costs: BlockCosts,
-) -> None:
-    beta = tree.config.beta
-    if component.is_empty:
-        return
-    costs.node_blocks += 1
-    if node.entries:
-        zlist = tree.node_zlist(node)
-        embr = component.embr
-        if zlist is None or embr is None:
-            # TQ(B): the flat list is scanned in full
-            costs.list_blocks += _blocks(len(node.entries), beta)
-        else:
-            # TQ(Z): two grid directories + only the buckets (z-nodes)
-            # that hold surviving candidates, one block each
-            costs.directory_blocks += 2
-            candidates = _candidates_for_pricing(tree, zlist, component, spec)
-            costs.list_blocks += zlist.buckets_touched(candidates)
-    if node.children is not None:
-        boxes = [child.box for child in node.children]
-        for child, child_comp in zip(
-            node.children, intersecting_components(boxes, component)
-        ):
-            if child_comp is None or child.sub.n_entries == 0:
-                continue
-            _walk(tree, child, child_comp, spec, costs)

@@ -2,12 +2,19 @@
 
 Implements Algorithms 3 (``TopKFacilities``) and 4 (``relaxState``).  Each
 candidate facility carries an exploration *state*: the frontier of
-``(q-node, facility-component)`` pairs still to be expanded, the exact
-service accumulated so far (``aserve``), and the optimistic bound for the
-unexplored frontier (``hserve``, the sum of the frontier nodes' ``sub``).
-A max-priority queue on ``fserve = aserve + hserve`` drives exploration;
-a state that pops with an empty frontier is *complete* and its ``aserve``
-is its exact service value.
+q-nodes still to be expanded, the exact service accumulated so far
+(``aserve``), and the optimistic bound for the unexplored frontier
+(``hserve``, the sum of the frontier nodes' ``sub``).  A max-priority
+queue on ``fserve = aserve + hserve`` drives exploration; a state that
+pops with an empty frontier is *complete* and its ``aserve`` is its
+exact service value.
+
+A state divides its facility over the tree once
+(:class:`~repro.queries.components.DivisionPlan`) and carries the plan
+across relax rounds: the frontier is an array of frame node numbers,
+``relaxState`` scores all of it in one filter pass and one probe call
+(:func:`~repro.queries.evaluate.score_frontier`), and the next frontier
+is the plan's reached children — no per-node component objects.
 
 Because ``fserve`` never increases under relaxation (exact scores replace
 their own upper bounds, pruned children vanish), the first k completed
@@ -19,19 +26,18 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple  # noqa: F401
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.errors import QueryError
-from ..core.service import ServiceSpec
+from ..core.service import ServiceSpec, in_order_sum
 from ..core.trajectory import FacilityRoute
-from ..index.tqtree import QNode, TQTree
+from ..index.entries import SubBounds
+from ..index.tqtree import TQTree
 from ..runtime import QueryRuntime, coerce_runtime
-from .components import FacilityComponent, intersecting_components
-from .evaluate import (
-    QueryStats,
-    evaluate_node_trajectories,
-    needs_ancestor_scan,
-)
+from .components import DivisionPlan
+from .evaluate import QueryStats, needs_ancestor_scan, score_frontier, walk_plan
 
 __all__ = ["FacilityScore", "KMaxRRSTResult", "top_k_core", "top_k_facilities"]
 
@@ -60,10 +66,13 @@ class KMaxRRSTResult:
 
 @dataclass
 class _State:
-    """Exploration state ``S`` of Algorithm 3."""
+    """Exploration state ``S`` of Algorithm 3: the facility's division
+    plan (made once, carried across relax rounds) and the frontier as
+    frame node numbers."""
 
     facility: FacilityRoute
-    qflist: List[Tuple[QNode, FacilityComponent]]
+    plan: DivisionPlan
+    frontier: np.ndarray
     aserve: float
     hserve: float
 
@@ -73,7 +82,7 @@ class _State:
 
     @property
     def complete(self) -> bool:
-        return not self.qflist
+        return not self.frontier.size
 
 
 def _initial_state(
@@ -89,29 +98,21 @@ def _initial_state(
     at that node's *ancestors* can still score under partial-service
     models (a long inter-node trajectory may have interior points inside
     the serving envelope), so those ancestor lists — at most tree-height
-    many — are evaluated exactly into ``aserve`` up front.
+    many — are evaluated exactly into ``aserve`` up front, as one
+    frontier.
     """
-    whole = FacilityComponent.whole(facility, spec.psi)
-    if runtime is not None:
-        whole = whole.with_stops(runtime.stop_set(whole.stops, spec.psi))
-    embr = whole.embr
-    if embr is None:
-        return _State(facility, [], 0.0, 0.0)
-    anchor = tree.containing_qnode(embr)
-    component = whole.restricted_to(anchor.box)
+    plan = walk_plan(tree, facility, spec.psi, runtime)
+    frame = tree.frame()
+    anchor = tree.containing_qnode(facility.embr(spec.psi))
     aserve = 0.0
-    if needs_ancestor_scan(spec, tree.config.variant):
-        for ancestor in tree.ancestors(anchor):
-            ancestor_comp = whole.restricted_to(ancestor.box)
-            aserve += evaluate_node_trajectories(
-                tree, ancestor, ancestor_comp, spec, stats=stats,
-                runtime=runtime,
-            )
-    if component.is_empty:
-        return _State(facility, [], aserve, 0.0)
-    return _State(
-        facility, [(anchor, component)], aserve, anchor.sub_value(spec)
-    )
+    if anchor.parent is not None and needs_ancestor_scan(spec, tree.config.variant):
+        ancestors = np.array([frame.index_of[id(a)] for a in tree.ancestors(anchor)])
+        for value in score_frontier(tree, plan, ancestors, spec, None, stats, runtime):
+            aserve += value
+    frontier = np.array([frame.index_of[id(anchor)]])
+    if not plan.member[frontier[0]].any():
+        return _State(facility, plan, frontier[:0], aserve, 0.0)
+    return _State(facility, plan, frontier, aserve, anchor.sub_value(spec))
 
 
 def _relax_state(
@@ -121,27 +122,21 @@ def _relax_state(
     stats: QueryStats,
     runtime: Optional[QueryRuntime] = None,
 ) -> _State:
-    """Algorithm 4: expand every frontier pair one level."""
+    """Algorithm 4: expand every frontier node one level — the whole
+    frontier scored in one filter pass and one probe call."""
     stats.states_relaxed += 1
+    stats.nodes_visited += state.frontier.size
     aserve = state.aserve
-    hserve = 0.0
-    qflist: List[Tuple[QNode, FacilityComponent]] = []
-    for node, component in state.qflist:
-        stats.nodes_visited += 1
-        aserve += evaluate_node_trajectories(
-            tree, node, component, spec, stats=stats, runtime=runtime
-        )
-        if node.children is None:
-            continue
-        boxes = [child.box for child in node.children]
-        for child, child_comp in zip(
-            node.children, intersecting_components(boxes, component)
-        ):
-            if child_comp is None or child.sub.n_entries == 0:
-                continue
-            qflist.append((child, child_comp))
-            hserve += child.sub_value(spec)
-    return _State(state.facility, qflist, aserve, hserve)
+    for value in score_frontier(
+        tree, state.plan, state.frontier, spec, None, stats, runtime
+    ):
+        aserve += value
+    frame = tree.frame()
+    kids = frame.children[state.frontier].ravel()
+    kids = kids[kids >= 0]
+    kids = kids[state.plan.visited[kids]]
+    hserve = in_order_sum(frame.sub[kids, SubBounds.column_for(spec)])
+    return _State(state.facility, state.plan, kids, aserve, hserve)
 
 
 def top_k_core(

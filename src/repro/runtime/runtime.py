@@ -27,9 +27,9 @@ policy of the query layer:
   pool so the coordinator scales past the GIL; sized by
   ``RuntimeConfig.max_workers``;
 * **the probe path** — :meth:`probe_mask` is the single coverage probe
-  the query layer calls: it dresses the stop set per policy and runs
-  the exact mask, so no module under ``queries/`` touches a backend or
-  grid type directly.
+  the query layer calls, once per frontier of q-nodes: it dresses the
+  stop set per policy and runs the exact mask, so no module under
+  ``queries/`` touches a backend or grid type directly.
 
 None of this changes any answer: a runtime-routed query returns results
 bit-identical to the plain dense path, which is what
@@ -240,9 +240,13 @@ class QueryRuntime:
 
         This is the one entry point the query layer uses for exact
         geometric work — ``queries/`` never touches a grid, shard, or
-        backend type directly.  Already-dressed stop sets pass through
-        :meth:`stop_set` untouched, so probing a component the runtime
-        dressed earlier costs nothing extra; undressed stops (direct
+        backend type directly — and it is called once per *frontier*
+        (a whole evaluate walk, one kMaxRRST relax round), not once per
+        q-node: ``coords`` holds every surviving candidate's probe
+        points and ``stops`` the walk's stop set.  Already-dressed stop
+        sets pass through :meth:`stop_set` untouched, so probing a
+        component the runtime dressed earlier costs nothing extra;
+        undressed stops (direct
         :func:`~repro.queries.evaluate.evaluate_node_trajectories`
         calls, ad-hoc arrays) are dressed here first.  Results are
         bit-identical to :meth:`~repro.core.service.StopSet

@@ -2,14 +2,32 @@
 
 from __future__ import annotations
 
-import pytest
+import numpy as np
 
-from repro import BBox, FacilityRoute, Point
-from repro.queries.components import FacilityComponent, intersecting_components
+from repro import BBox, FacilityRoute, IndexVariant, Point
+from repro.core.service import StopSet
+from repro.core.trajectory import UserPointTable
+from repro.index import NodeBlock, QNode, TreeFrame
+from repro.queries.components import DivisionPlan, FacilityComponent
 
 
 def make_component(stops, psi=10.0, fid=0):
     return FacilityComponent.whole(FacilityRoute(fid, stops), psi)
+
+
+def intersecting_components(children_boxes, component):
+    """The paper's ``intersectingComponents`` read off a
+    :class:`DivisionPlan`: one entry per child box, ``None`` where the
+    component cannot serve the child."""
+    nodes = [QNode(box, 1, None) for box in children_boxes]
+    no_rows = np.zeros(0, dtype=np.int64)
+    block = NodeBlock(UserPointTable(()), IndexVariant.ENDPOINT, no_rows, no_rows)
+    plan = DivisionPlan(TreeFrame(nodes, block), component)
+    return [
+        component.with_stops(StopSet(component.stops.coords[member]))
+        if member.any() else None
+        for member in plan.member
+    ]
 
 
 class TestFacilityComponent:
