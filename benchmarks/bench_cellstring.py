@@ -61,7 +61,7 @@ def _series_runtime(series: str) -> QueryRuntime:
 
     ``GRID1`` is the single-grid live-geometry path; ``CELLSTRING``
     differs only in backend, so any timing gap is the precomputed tier
-    itself.  Both run the serial policy: the claim is a single-core
+    itself.  Both probe inline (one worker): the claim is a single-core
     ratio reproducible on any machine.
     """
     backend = {

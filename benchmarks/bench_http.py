@@ -108,8 +108,7 @@ BUSES = "buses"
 
 def _runtime_config() -> RuntimeConfig:
     return RuntimeConfig(
-        backend=ProximityBackend.GRID, policy="threads", shards=0,
-        max_workers=None,
+        backend=ProximityBackend.GRID, shards=0, max_workers=None,
     )
 
 
@@ -366,8 +365,8 @@ def _workers_leg(
     Parity is asserted in-harness (the multi-worker pool's decoded
     answers must equal the single-process server's for the identical
     batch), and every worker must serve the catalog through mmap views
-    only — ``mmap_paths`` non-empty, ``shm_segments == 0`` on each
-    worker's stats section.  The RPS ratio is asserted near-linear
+    only — ``mmap_paths`` non-empty on each worker's stats section.
+    The RPS ratio is asserted near-linear
     (>= 0.6x of the ideal ``min(n_workers, cpu_count)``) **only when
     the host has more than one CPU**; on a 1-CPU box the ratio is
     recorded and the claim tagged parity-only — see
@@ -435,11 +434,6 @@ def _workers_leg(
                     f"worker {index} reports no mmap-backed store files — "
                     "the zero-copy catalog claim does not hold"
                 )
-            if section.get("shm_segments", 0) != 0:
-                raise AssertionError(
-                    f"worker {index} created {section['shm_segments']} "
-                    "shared-memory segments while serving a store catalog"
-                )
 
     speedup = single_s / multi_s
     cpus = os.cpu_count() or 1
@@ -465,10 +459,6 @@ def _workers_leg(
             index: len(section.get("mmap_paths", ()))
             for index, section in sorted(worker_sections.items())
         },
-        "shm_segments_total": sum(
-            section.get("shm_segments", 0)
-            for section in worker_sections.values()
-        ),
     }
 
 
@@ -478,8 +468,7 @@ def run_smoke(n_workers: int = 2) -> dict:
     print(
         f"  smoke: {n_workers} workers {leg['multi_rps']:.0f} rps vs "
         f"single {leg['single_rps']:.0f} rps "
-        f"({leg['workers_speedup']:.2f}x, answers equal, "
-        f"shm segments: {leg['shm_segments_total']})"
+        f"({leg['workers_speedup']:.2f}x, answers equal)"
     )
     return leg
 
@@ -588,8 +577,7 @@ def main(out_path: str = None, catalog_spec: str = None, workers: int = 2) -> di
         print(
             f"  workers ({w['n_workers']} prefork, store catalog): "
             f"{w['multi_rps']:.0f} rps vs single {w['single_rps']:.0f} rps "
-            f"({w['workers_speedup']:.2f}x, answers equal, "
-            f"shm segments: {w['shm_segments_total']})"
+            f"({w['workers_speedup']:.2f}x, answers equal)"
         )
     target = (
         Path(out_path)

@@ -93,8 +93,7 @@ _BATCH_MODELS = (ServiceModel.ENDPOINT, ServiceModel.COUNT)
 def _runtime() -> QueryRuntime:
     return QueryRuntime(
         RuntimeConfig(
-            backend=ProximityBackend.GRID, policy="threads", shards=0,
-            max_workers=None,
+            backend=ProximityBackend.GRID, shards=0, max_workers=None,
         )
     )
 

@@ -35,7 +35,6 @@ Quickstart::
 from .core import (
     BBox,
     CoverageState,
-    ExecutionPolicy,
     FacilityRoute,
     IndexVariant,
     MatchSet,
@@ -152,7 +151,6 @@ __all__ = [
     "UserPointTable",
     "IndexVariant",
     "ProximityBackend",
-    "ExecutionPolicy",
     "QueryStats",
     "TQTreeConfig",
     # proximity engine

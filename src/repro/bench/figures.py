@@ -10,21 +10,19 @@ module is runnable::
 
 Every TQ-path experiment is built on the :class:`~repro.runtime.
 QueryRuntime` execution layer, so the Figure 6–9 sweeps (and the
-MaxkCovRST experiments that stack on them) can be re-run under any
-execution policy and shard count with the ``--runtime`` flag::
+MaxkCovRST experiments that stack on them) can be re-run through a
+runtime at any shard and worker count with the ``--runtime`` flag::
 
-    python -m repro.bench.figures fig6a --runtime processes:7:4
-    python -m repro.bench.figures fig7c --runtime threads:auto
-    python -m repro.bench.figures --runtime serial:1
+    python -m repro.bench.figures fig6a --runtime 7:4
+    python -m repro.bench.figures fig7c --runtime auto
 
-The spec is ``POLICY[:SHARDS[:WORKERS]]`` (see
+The spec is ``SHARDS[:WORKERS]`` (see
 :func:`~repro.bench.harness.parse_runtime_spec`); without the flag the
 sweeps run the legacy plain-dense path, which is what the paper's
 competitors used.  Each timed competitor gets a *fresh* runtime and its
 coverage cache is cleared between timed passes, so the numbers measure
-geometric work under the chosen policy, not cache replay; answers are
-policy-invariant by construction (the differential suites hold every
-policy to ``==``).
+geometric work, not cache replay; answers never depend on the runtime
+(the differential suites hold every configuration to ``==``).
 
 The output of a full run is what EXPERIMENTS.md records next to the
 paper's reported behaviour.
@@ -66,8 +64,7 @@ __all__ = ["Figure", "Series", "ALL_FIGURES", "run_figure", "render", "main"]
 
 def _sweep_runtime(factory: WorkloadFactory):
     """Context manager: the sweep leg's runtime (or ``None``), closed on
-    exit — the processes policy holds a pool and shared-memory segments
-    that must not outlive the measurement."""
+    exit so its thread pool does not outlive the measurement."""
     rt = factory.query_runtime()
     return contextlib.closing(rt) if rt is not None else contextlib.nullcontext()
 
@@ -707,11 +704,10 @@ def main(argv: Sequence[str] = ()) -> int:
     )
     parser.add_argument(
         "--runtime",
-        metavar="POLICY[:SHARDS[:WORKERS]]",
+        metavar="SHARDS[:WORKERS]",
         default=None,
-        help="run the TQ-path sweeps under a QueryRuntime execution "
-        "policy, e.g. 'serial', 'threads:auto', 'processes:7:4' "
-        "(default: the legacy plain-dense path)",
+        help="run the TQ-path sweeps through a QueryRuntime, e.g. "
+        "'auto', '1', '7:4' (default: the legacy plain-dense path)",
     )
     args = parser.parse_args(list(argv))
     runtime_config = (

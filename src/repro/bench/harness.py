@@ -183,32 +183,26 @@ DEFAULTS = _Defaults()
 
 
 def parse_runtime_spec(spec: str) -> RuntimeConfig:
-    """A :class:`RuntimeConfig` from a ``POLICY[:SHARDS[:WORKERS]]`` spec.
+    """A :class:`RuntimeConfig` from a ``SHARDS[:WORKERS]`` spec.
 
     This is the grammar of the figure driver's ``--runtime`` flag:
-    ``serial``, ``threads:4``, ``processes:7:2``, … — the policy by
-    name, then the shard count (``0`` / ``auto`` = the AUTO heuristic),
-    then the worker count (omitted = machine-sized).  The backend stays
-    ``AUTO`` (grid for stop-dense sets), since the policy/shard axes are
-    what the runtime sweeps vary.
+    ``auto``, ``4``, ``7:2``, … — the shard count (``0`` / ``auto`` =
+    the AUTO heuristic), then the worker count (omitted =
+    machine-sized).  The backend stays ``AUTO`` (grid for stop-dense
+    sets), since the shard/worker axes are what the runtime sweeps vary.
     """
     parts = [p.strip() for p in spec.split(":")]
     if not any(parts):
         raise ValueError(f"empty runtime spec: {spec!r}")
     if not all(parts):
-        # 'processes::4' is a typo, not a request — misparsing it as
-        # shards=4 would silently run a different configuration
+        # '7::4' is a typo, not a request — misparsing it would
+        # silently run a different configuration
         raise ValueError(f"runtime spec has an empty field: {spec!r}")
-    policy = parts[0]
-    shards = 0
-    max_workers: Optional[int] = None
-    if len(parts) > 1:
-        shards = 0 if parts[1] == "auto" else int(parts[1])
     if len(parts) > 2:
-        max_workers = int(parts[2])
-    if len(parts) > 3:
         raise ValueError(f"runtime spec has too many fields: {spec!r}")
-    return RuntimeConfig(policy=policy, shards=shards, max_workers=max_workers)
+    shards = 0 if parts[0] == "auto" else int(parts[0])
+    max_workers = int(parts[1]) if len(parts) > 1 else None
+    return RuntimeConfig(shards=shards, max_workers=max_workers)
 
 
 def bench_scale() -> float:
@@ -259,10 +253,10 @@ class WorkloadFactory:
 
     ``runtime_config``, when given, makes the factory *runtime-aware*:
     :meth:`query_runtime` hands every TQ-path sweep a fresh
-    :class:`~repro.runtime.QueryRuntime` under that policy/shard
+    :class:`~repro.runtime.QueryRuntime` under that shard/worker
     configuration (the figure driver's ``--runtime`` flag sets it), so
-    the paper's Figure 6–9 experiments can be re-run under any execution
-    policy.  ``None`` keeps the legacy plain-dense path.
+    the paper's Figure 6–9 experiments can be re-run through the
+    runtime.  ``None`` keeps the legacy plain-dense path.
     """
 
     def __init__(
@@ -392,8 +386,8 @@ class WorkloadFactory:
         Fresh per call for the same reason :meth:`runtime` is not
         memoised: each sweep leg owns its caches, so one leg's warm
         masks cannot contaminate another's measurement.  Callers must
-        ``close()`` (or ``with``) the runtime — the processes policy
-        holds a pool and shared-memory segments.
+        ``close()`` (or ``with``) the runtime — it may hold a thread
+        pool.
         """
         if self.runtime_config is None:
             return None

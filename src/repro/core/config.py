@@ -14,31 +14,26 @@ Independently of how the *index* is built, :class:`ProximityBackend`
 selects how exact ``psi``-distance checks are executed at query time:
 the dense all-pairs broadcast (the reference oracle path) or the uniform
 stop grid of :mod:`repro.engine` (``AUTO`` picks per stop set).
-:class:`ExecutionPolicy` selects how sharded probes are *scheduled* —
-serially, over a thread pool, over a process pool with shared-memory
-shard views, or adaptively (``AUTO`` picks per probe block).
-:class:`RuntimeConfig` bundles backend, policy, sharding, and worker
-settings consumed by :class:`repro.runtime.QueryRuntime` — none of
-these knobs ever changes a query answer, only how the geometric work is
-scheduled.  :class:`ServiceConfig` sits one level up: it bounds the
-asyncio serving layer (:class:`repro.service.QueryService`) — how many
-requests execute concurrently, how long the service holds a request
-open for cross-request coalescing, and how deep the admission queue may
-grow before submissions are rejected.
+:class:`RuntimeConfig` bundles backend, sharding, and worker settings
+consumed by :class:`repro.runtime.QueryRuntime` — none of these knobs
+ever changes a query answer, only how the geometric work is scheduled.
+:class:`ServiceConfig` sits one level up: it bounds the asyncio serving
+layer (:class:`repro.service.QueryService`) — how many requests execute
+concurrently, how long batchable requests are held open to merge, and
+how deep the admission queue may grow before submissions are rejected.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import IndexError_, QueryError
 
 __all__ = [
     "IndexVariant",
     "ProximityBackend",
-    "ExecutionPolicy",
     "TQTreeConfig",
     "RuntimeConfig",
     "ServiceConfig",
@@ -80,40 +75,6 @@ class ProximityBackend(enum.Enum):
     mid-sized sets, and precomputed cellstrings for stop counts large
     enough to amortise rasterization
     (:data:`repro.engine.cellstring.AUTO_CELLSTRING_MIN_STOPS`)."""
-
-
-class ExecutionPolicy(enum.Enum):
-    """How sharded coverage probes are scheduled (query-time knob).
-
-    Like :class:`ProximityBackend`, the choice never affects results —
-    shard masks are unioned and the union is order-independent — only
-    where the per-shard work runs.  :class:`RuntimeConfig` accepts the
-    enum or its string value (``RuntimeConfig(policy="processes")``).
-    """
-
-    SERIAL = "serial"
-    """Probe shards one after another on the calling thread.  Zero
-    scheduling overhead; the partition still pays through cache
-    locality."""
-
-    THREADS = "threads"
-    """Fan shard probes out over a :class:`~concurrent.futures.
-    ThreadPoolExecutor` (the dense numpy kernels release the GIL, so
-    shard tasks genuinely overlap)."""
-
-    PROCESSES = "processes"
-    """Fan shard probes out over a :class:`~concurrent.futures.
-    ProcessPoolExecutor`; shard arrays ship once through
-    ``multiprocessing.shared_memory`` and workers reconstruct zero-copy
-    views, so the coordinator scales past the GIL entirely."""
-
-    AUTO = "auto"
-    """Pick per probe block: serial for small blocks (scheduling
-    overhead would exceed the win) and thread fan-out for large ones
-    (:class:`~repro.runtime.policies.AutoPolicyExecutor` — the
-    scheduling-axis analogue of :attr:`ProximityBackend.AUTO`).
-    Bit-identical to whichever policy it delegates to, like every other
-    policy choice."""
 
 
 #: Start methods ``multiprocessing`` knows; ``None`` keeps the platform
@@ -163,26 +124,18 @@ class RuntimeConfig:
     ----------
     backend:
         How exact ``psi``-distance checks run (never changes answers).
-    policy:
-        How sharded probes are scheduled (:class:`ExecutionPolicy` or
-        its string value): ``"serial"``, ``"threads"`` (default),
-        ``"processes"``, or ``"auto"`` (serial for small probe blocks,
-        thread fan-out for large ones).  Never changes answers either.
     shards:
         Grid shard count for stop sets the runtime dresses:
         :data:`SHARDS_AUTO` picks per stop set via
         :func:`auto_shard_count`; ``1`` = one shard (the plain grid,
         no fan-out); ``>= 2`` forces that many shards.
     max_workers:
-        Workers (threads or processes, per ``policy``) for fanning a
-        probe block out over shards.  ``None`` sizes the pool from
-        ``os.cpu_count()``; ``0`` or ``1`` keeps the fan-out serial
-        (still sharded — the partition pays for itself through cache
-        locality even without parallelism).
-    start_method:
-        ``multiprocessing`` start method for the ``processes`` policy:
-        ``"fork"``, ``"spawn"``, ``"forkserver"``, or ``None`` for the
-        platform default.  Ignored by the other policies.
+        Threads for fanning a large probe block out over shards (the
+        engine decides per block; small blocks always probe inline).
+        ``None`` sizes the pool from the CPUs this process may run on;
+        ``0`` or ``1`` keeps every probe inline (still sharded — the
+        partition pays for itself through cache locality even without
+        parallelism).
     store_dir:
         Directory of persisted index files (``repro.store`` format) the
         runtime's :class:`~repro.engine.ShardStore` probes on cache
@@ -194,25 +147,13 @@ class RuntimeConfig:
     """
 
     backend: ProximityBackend = ProximityBackend.AUTO
-    policy: Union[ExecutionPolicy, str] = ExecutionPolicy.THREADS
     shards: int = SHARDS_AUTO
     max_workers: "int | None" = None
-    start_method: Optional[str] = None
     store_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.backend, ProximityBackend):
             raise QueryError(f"unknown proximity backend: {self.backend!r}")
-        if not isinstance(self.policy, ExecutionPolicy):
-            try:
-                object.__setattr__(
-                    self, "policy", ExecutionPolicy(self.policy)
-                )
-            except ValueError:
-                raise QueryError(
-                    f"unknown execution policy: {self.policy!r} (choose "
-                    f"from {[p.value for p in ExecutionPolicy]})"
-                ) from None
         if self.shards < 0:
             raise QueryError(
                 f"shards must be >= 1 or SHARDS_AUTO (0), got {self.shards}"
@@ -220,11 +161,6 @@ class RuntimeConfig:
         if self.max_workers is not None and self.max_workers < 0:
             raise QueryError(
                 f"max_workers must be >= 0 or None, got {self.max_workers}"
-            )
-        if self.start_method not in _START_METHODS:
-            raise QueryError(
-                f"unknown start method: {self.start_method!r} (choose "
-                f"from {_START_METHODS})"
             )
         if self.store_dir is not None and (
             not isinstance(self.store_dir, str) or not self.store_dir
@@ -237,7 +173,7 @@ class RuntimeConfig:
 
 @dataclass(frozen=True, slots=True)
 class ServiceConfig:
-    """Admission and coalescing settings for
+    """Admission and batching settings for
     :class:`repro.service.QueryService`.
 
     Like every other execution knob, none of these settings changes a
@@ -250,14 +186,6 @@ class ServiceConfig:
         How many request cores may execute concurrently on the
         service's bridge pool.  Requests beyond the bound wait admitted
         (queued) but unscheduled.  Must be >= 1.
-    coalesce_window:
-        Seconds an admitted request is held open before execution so
-        later submissions can coalesce onto its probe units (share the
-        same facility/psi/mode work through the runtime's coverage
-        cache and shard store).  ``0.0`` (default) executes immediately
-        — requests submitted together in one event-loop tick still
-        coalesce, because probe units are registered synchronously at
-        submission.
     queue_depth:
         Upper bound on requests admitted at once (queued plus running).
         A submission past the bound fails fast with
@@ -280,7 +208,6 @@ class ServiceConfig:
     """
 
     max_in_flight: int = 8
-    coalesce_window: float = 0.0
     queue_depth: int = 64
     batch_window: float = 0.0
 
@@ -288,10 +215,6 @@ class ServiceConfig:
         if self.max_in_flight < 1:
             raise QueryError(
                 f"max_in_flight must be >= 1, got {self.max_in_flight}"
-            )
-        if not self.coalesce_window >= 0.0:  # also rejects NaN
-            raise QueryError(
-                f"coalesce_window must be >= 0, got {self.coalesce_window}"
             )
         if not self.batch_window >= 0.0:  # also rejects NaN
             raise QueryError(

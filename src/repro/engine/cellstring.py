@@ -67,7 +67,12 @@ from ..core.geometry import BBox, Point
 from ..core.service import StopSet, coverage_kernel, psi_hit
 from ..core.stats import QueryStats
 from ..core.zorder import morton_encode_array
-from .grid import _cell_indices_of, _expand_candidate_pairs, _validated_stop_coords
+from .grid import (
+    _cell_indices_of,
+    _expand_candidate_pairs,
+    _validated_stop_coords,
+    worth_fanning_out,
+)
 
 __all__ = [
     "CellstringIndex",
@@ -112,9 +117,7 @@ _EPS_REL = 1e-7
 #: ``2 ** depth``.
 _SPACE_MARGIN = 1e-7
 
-#: Chunked thread fan-out engages only for probe blocks at least this
-#: large; below it, scheduling overhead beats the overlap win.
-_FANOUT_MIN_POINTS = 8192
+#: How many contiguous point chunks a fanned-out probe block is cut into.
 _FANOUT_CHUNKS = 8
 
 #: Per-stop-set memo of built indexes by query radius (rasterization
@@ -456,9 +459,11 @@ class CellstringStopSet(StopSet):
     facilities with content-identical stops; ``executor`` — an
     :class:`~concurrent.futures.Executor` or a zero-arg callable
     resolving to one at query time (the runtime's live-executor getter)
-    — fans large probe blocks out in contiguous chunks whose masks
-    concatenate and whose stats merge exactly (the counters are
-    per-point sums, so chunking is invisible in the totals).
+    — fans probe blocks of at least
+    :data:`~repro.engine.grid.FANOUT_MIN_POINTS` points out in
+    contiguous chunks whose masks concatenate and whose stats merge
+    exactly (the counters are per-point sums, so chunking is invisible
+    in the totals).
     """
 
     __slots__ = ("cs_psi", "min_stops", "_store", "_executor", "_memo", "_memo_lock")
@@ -500,10 +505,6 @@ class CellstringStopSet(StopSet):
                 del self._memo[next(iter(self._memo))]
             return idx
 
-    def _live_executor(self) -> Optional[Executor]:
-        ex = self._executor
-        return ex() if callable(ex) else ex
-
     # ------------------------------------------------------------------
     def covers_point(
         self, p: Point, psi: float, stats: Optional[QueryStats] = None
@@ -520,14 +521,10 @@ class CellstringStopSet(StopSet):
         if idx is None:
             return super().covered_mask(coords, psi, stats)
         pts = np.asarray(coords, dtype=np.float64)
-        ex = self._live_executor()
-        if (
-            isinstance(ex, Executor)
-            and getattr(ex, "probe_shards", None) is None
-            and pts.ndim == 2
-            and pts.shape[0] >= _FANOUT_MIN_POINTS
-        ):
-            return self._fanout_mask(idx, pts, psi, stats, ex)
+        if pts.ndim == 2 and worth_fanning_out(pts.shape[0]):
+            ex = self._executor() if callable(self._executor) else self._executor
+            if ex is not None:
+                return self._fanout_mask(idx, pts, psi, stats, ex)
         return idx.covered_mask(pts, psi, stats)
 
     @staticmethod

@@ -7,10 +7,11 @@ shards).  One shard **is** the single-grid path — there is no other grid
 implementation; N > 1 lets a batched coverage query fan out: every probe
 point is mapped to its candidate key window once, each shard answers
 from its own slice, and the per-shard masks are unioned.  Shard tasks
-are independent, so the fan-out can ride a thread pool (the dense numpy
-kernels release the GIL); serially the partition still wins through
-cache locality, because each shard's key array is small and each shard
-sees mostly its own points.
+are independent, so a block of at least
+:data:`~repro.engine.grid.FANOUT_MIN_POINTS` points rides a thread pool
+when one is given (the dense numpy kernels release the GIL); inline the
+partition still wins through cache locality, because each shard's key
+array is small and each shard sees mostly its own points.
 
 Within a shard, candidates are gathered by **row ranges**: the three
 neighbour cells of one grid row form a *contiguous* key range, so the
@@ -68,11 +69,11 @@ from .grid import (
     _expand_candidate_pairs,
     _grid_geometry,
     _validated_stop_coords,
+    worth_fanning_out,
 )
 
 __all__ = [
     "StopShard",
-    "MmapStopShard",
     "ShardedStopGrid",
     "GriddedStopSet",
     "ShardStore",
@@ -119,9 +120,8 @@ class ProbeBatch:
     Everything a shard needs beyond its own arrays: the probe points,
     their cell coordinates and clipped y-windows, the candidate key
     window ``[kmin, kmax]`` per point, the query radius, and the grid
-    width ``nx``.  Execution-policy fan-outs ship exactly this (plus the
-    shard arrays) to wherever the probe runs — thread, process, or the
-    calling frame — so every policy computes from identical inputs.
+    width ``nx`` — shared read-only by every shard's probe, inline or
+    on a pool thread.
     """
 
     pts: np.ndarray
@@ -148,12 +148,8 @@ def probe_shard_arrays(
 ) -> Optional[ProbeResult]:
     """The per-shard probe: row-range gather + exact kernel.
 
-    A pure module-level function of immutable arrays — the one probe
-    body every execution policy runs.  The thread policy calls it on
-    shared arrays directly; the process policy reconstructs the same
-    arrays from shared memory in a worker and calls it there; serial
-    execution calls it inline.  Identical inputs, identical maths,
-    identical masks.
+    A pure function of immutable arrays — the one probe body, whether
+    it runs inline or on a pool thread.
 
     Returns ``None`` when no probe point's candidate window overlaps the
     shard (or nothing was gathered), else ``(scan_pts, hits, evals,
@@ -236,24 +232,6 @@ class StopShard:
     @property
     def n_cells(self) -> int:
         return int(self.cell_starts[-1])
-
-
-class MmapStopShard(StopShard):
-    """A :class:`StopShard` whose arrays are read-only memmap views of a
-    persisted store file (:mod:`repro.store`).
-
-    Identical probe behaviour — same slots, same arrays, same kernel —
-    plus the provenance the process execution policy needs:
-    ``store_path`` names the file the views were mapped from and
-    ``shard_index`` this slice's position in it, so the policy can ship
-    the *path* to workers (who map the same file read-only) instead of
-    copying the arrays into ``multiprocessing.shared_memory``.
-
-    Constructed only by ``repro.store``'s sharded-grid codec, which
-    fills the slots over its memmap views directly.
-    """
-
-    __slots__ = ("store_path", "shard_index")
 
 
 def _grid_key(
@@ -705,22 +683,19 @@ class ShardedStopGrid:
         coords: np.ndarray,
         psi: float,
         stats: Optional[QueryStats] = None,
-        executor: Optional[Executor] = None,
+        executor: Union[Executor, Callable[[], Optional[Executor]], None] = None,
     ) -> np.ndarray:
         """Boolean mask: which of ``coords`` rows are within ``psi`` of a
         stop.  Bit-identical to the dense kernel for every input and
         shard count.
 
-        ``executor`` selects how the per-shard probes are scheduled:
-
-        * ``None`` — probed inline, one shard after another;
-        * a :class:`concurrent.futures.Executor` — the probes ride its
-          threads (they read only shared immutable arrays);
-        * any object with a ``probe_shards(shards, batch)`` method — the
-          fan-out is delegated entirely (this is how the runtime's
-          process policy ships shard arrays through shared memory).  The
-          method must return one :data:`ProbeResult`-or-``None`` per
-          shard, *in shard order*.
+        The per-shard probes ride ``executor``'s threads (they read
+        only shared immutable arrays) when more than one shard holds
+        stops and the block has at least
+        :data:`~repro.engine.grid.FANOUT_MIN_POINTS` points; otherwise —
+        and always with ``executor=None`` — they run inline, one shard
+        after another.  A zero-arg callable is resolved only once the
+        block qualifies (it may still answer ``None``: probe inline).
 
         The mask union is order-independent, so scheduling never affects
         the answer.  Per-shard work counters are merged into ``stats``
@@ -751,19 +726,18 @@ class ShardedStopGrid:
         batch = ProbeBatch(pts, cx, ylo, yhi, kmin, kmax, psi, self._nx)
 
         tasks = [shard for shard in self.shards if shard.n_stops]
-        if executor is not None and len(tasks) > 1:
-            probe_shards = getattr(executor, "probe_shards", None)
-            if probe_shards is not None:
-                results = probe_shards(tasks, batch)
-            else:
-                results = list(
-                    executor.map(
-                        lambda shard: probe_shard_arrays(
-                            shard.keys, shard.coords, shard.cell_starts, batch
-                        ),
-                        tasks,
-                    )
+        pool = None
+        if len(tasks) > 1 and worth_fanning_out(n):
+            pool = executor() if callable(executor) else executor
+        if pool is not None:
+            results = list(
+                pool.map(
+                    lambda shard: probe_shard_arrays(
+                        shard.keys, shard.coords, shard.cell_starts, batch
+                    ),
+                    tasks,
                 )
+            )
         else:
             results = [
                 probe_shard_arrays(s.keys, s.coords, s.cell_starts, batch)
@@ -793,11 +767,10 @@ class ShardedStopGrid:
         p: Point,
         psi: float,
         stats: Optional[QueryStats] = None,
-        executor: Optional[Executor] = None,
     ) -> bool:
         """True when ``p`` is within ``psi`` of any stop."""
         mask = self.covered_mask(
-            np.array([[p.x, p.y]], dtype=np.float64), psi, stats, executor
+            np.array([[p.x, p.y]], dtype=np.float64), psi, stats
         )
         return bool(mask.size and mask[0])
 
@@ -817,7 +790,7 @@ class GriddedStopSet(StopSet):
     :class:`~concurrent.futures.Executor`, or a zero-arg callable
     resolved at *query* time returning one or ``None`` — a
     :class:`repro.runtime.QueryRuntime` passes its live-executor getter,
-    so stop sets dressed before the runtime closes degrade to serial
+    so stop sets dressed before the runtime closes degrade to inline
     probing instead of scheduling on a shut-down pool.
     """
 
@@ -877,10 +850,6 @@ class GriddedStopSet(StopSet):
             self._coarse_grid = coarse
         return coarse
 
-    def _live_executor(self) -> Optional[Executor]:
-        ex = self._executor
-        return ex() if callable(ex) else ex
-
     # ------------------------------------------------------------------
     def covers_point(
         self, p: Point, psi: float, stats: Optional[QueryStats] = None
@@ -888,7 +857,7 @@ class GriddedStopSet(StopSet):
         grid = self._grid_for(psi)
         if grid is None:
             return super().covers_point(p, psi, stats)
-        return grid.covers_point(p, psi, stats, self._live_executor())
+        return grid.covers_point(p, psi, stats)
 
     def covered_mask(
         self, coords: np.ndarray, psi: float, stats: Optional[QueryStats] = None
@@ -896,7 +865,7 @@ class GriddedStopSet(StopSet):
         grid = self._grid_for(psi)
         if grid is None:
             return super().covered_mask(coords, psi, stats)
-        return grid.covered_mask(coords, psi, stats, self._live_executor())
+        return grid.covered_mask(coords, psi, stats, self._executor)
 
     def restricted_to(self, box: BBox) -> "GriddedStopSet":
         if self.is_empty:

@@ -33,9 +33,8 @@ Acceleration plugs in through one object without changing any result: a
 :class:`~repro.runtime.QueryRuntime` passed as ``runtime`` owns the
 whole probe path — the walk's one exact distance check goes through
 :meth:`~repro.runtime.QueryRuntime.probe_mask`, which dresses the
-stops for the runtime's backend and execution policy (dense broadcast,
-stop grid, or cellstrings; grid shards fanned out serially, over
-threads, or over a shared-memory process pool) — memoises each
+stops for the runtime's backend (dense broadcast, stop grid, or
+cellstrings; large blocks fanned out over its thread pool) — memoises each
 (facility, q-node) candidate list and coverage mask in the runtime's
 cache so a re-walk in the same mode — a repeated query for the same
 facility, ancestor scans across kMaxRRST relax rounds, solver ensembles
@@ -264,7 +263,7 @@ def _filter_and_probe(
     counts = np.concatenate([counts for _rows, counts in parts])
     # one distance pass over every survivor's probe points; with a
     # runtime it rides the probe path (backend dressing plus the
-    # configured execution policy), without one it is the dense kernel
+    # engine's own scheduling), without one it is the dense kernel
     n_probes = block.probe_cnt[rows]
     if rows.size:
         coords = block.probe_xy[ranges(block.probe_off[rows], n_probes)]
@@ -471,7 +470,7 @@ def evaluate_service(
     facility cannot serve are pruned, and every reached node's own list
     is scored via Algorithm 2.  ``runtime`` owns the probe path — how
     exact distance checks execute (dense broadcast, stop grid or
-    cellstrings under the runtime's execution policy — identical
+    cellstrings, inline or fanned out — identical
     results) — memoises per-(facility, node) coverage in its cache, and
     accrues this evaluation's work into its grand total.
 

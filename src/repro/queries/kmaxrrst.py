@@ -212,7 +212,7 @@ def top_k_facilities(
     Returns the exact ranking (service values included) in descending
     order of service.  ``k`` larger than ``len(facilities)`` returns
     everything ranked.  ``runtime`` owns the probe path: the exact
-    distance work rides its backend and execution policy without
+    distance work rides its backend and thread pool without
     changing the ranking, and the query's work counters accrue into its
     total.
 

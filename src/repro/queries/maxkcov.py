@@ -118,7 +118,7 @@ def tq_match_fn(
 ) -> MatchFn:
     """Match sets via TQ-tree evaluation (TQ(B) or TQ(Z) per tree config).
 
-    ``runtime`` owns the probe path (backend plus execution policy) and
+    ``runtime`` owns the probe path (backend plus scheduling) and
     memoises both the per-node coverage and the finished per-facility
     match sets in its cache — results are identical either way.
 
@@ -230,7 +230,7 @@ def maxkcov_tq(
     facilities with kMaxRRST; step 2 runs the greedy on the shortlist.
     ``prune_factor`` trades quality for speed (the paper's ``k' >= k``).
     With a ``runtime``, the exact distance work rides the proximity
-    engine under the runtime's policy, and repeated queries — another
+    engine the runtime provisions, and repeated queries — another
     ``k``, a solver ensemble over the same tree — reuse the per-node
     coverage and match sets already computed (the answer is unchanged).
 

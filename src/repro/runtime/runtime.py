@@ -1,7 +1,7 @@
 """The unified query execution context.
 
 :class:`QueryRuntime` is the one object that owns the whole execution
-policy of the query layer:
+context of the query layer:
 
 * **backend selection** — :meth:`stop_set` dresses a stop set for its
   configured :class:`~repro.core.config.ProximityBackend`: dense,
@@ -19,17 +19,15 @@ policy of the query layer:
   counters into :attr:`stats` (via
   :meth:`~repro.core.stats.QueryStats.merge`), giving a service-level
   grand total without threading a stats object through every call;
-* **the execution policy** — a :class:`~repro.runtime.policies.
-  PolicyExecutor` built from ``RuntimeConfig.policy``: ``serial``
-  probes shards inline, ``threads`` fans them over a lazily created
-  thread pool (the dense numpy kernels release the GIL), and
-  ``processes`` ships shard arrays through shared memory to a process
-  pool so the coordinator scales past the GIL; sized by
-  ``RuntimeConfig.max_workers``;
+* **scheduling** — one lazily built thread pool, sized by
+  ``RuntimeConfig.max_workers``, that the stop sets it dresses fan
+  large probe blocks out over; the engine applies the one rule itself
+  (inline below :data:`~repro.engine.grid.FANOUT_MIN_POINTS` points),
+  so there is nothing to choose here (DESIGN.md §5.1);
 * **the probe path** — :meth:`probe_mask` is the single coverage probe
   the query layer calls, once per frontier of q-nodes: it dresses the
-  stop set per policy and runs the exact mask, so no module under
-  ``queries/`` touches a backend or grid type directly.
+  stop set and runs the exact mask, so no module under ``queries/``
+  touches a backend or grid type directly.
 
 None of this changes any answer: a runtime-routed query returns results
 bit-identical to the plain dense path, which is what
@@ -41,8 +39,9 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import functools
+import os
 import threading
-from concurrent.futures import Executor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -56,9 +55,11 @@ from ..engine.cellstring import AUTO_CELLSTRING_MIN_STOPS, CellstringStopSet
 from ..engine.grid import AUTO_MIN_STOPS
 from ..engine.shards import GriddedStopSet, ShardStore
 from ..store.codecs import opened_mmap_paths
-from .policies import make_policy_executor
 
-__all__ = ["QueryRuntime", "coerce_runtime"]
+__all__ = ["QueryRuntime", "coerce_runtime", "resolve_worker_count"]
+
+#: Cap on the default pool size when ``max_workers`` is ``None``.
+_DEFAULT_MAX_WORKERS = 8
 
 #: One process-wide lock for stats accrual and reset.  A per-runtime
 #: lock would silently not serialize the advertised sharing pattern of
@@ -68,13 +69,28 @@ __all__ = ["QueryRuntime", "coerce_runtime"]
 _STATS_LOCK = threading.Lock()
 
 
+def resolve_worker_count(max_workers: Optional[int], processes: int = 1) -> int:
+    """``max_workers`` with ``None`` resolved to this process's share of
+    the machine: the CPUs it may actually run on (affinity / cgroup
+    pinning honoured where the platform reports it) divided among
+    ``processes`` sibling serving processes, capped at
+    :data:`_DEFAULT_MAX_WORKERS` and never below 1."""
+    if max_workers is not None:
+        return max_workers
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        cpus = os.cpu_count() or 1
+    return max(1, min(_DEFAULT_MAX_WORKERS, cpus // processes))
+
+
 class QueryRuntime:
     """Execution context for the query layer (see module docstring).
 
     Parameters
     ----------
     config:
-        The execution policy; defaults to
+        The execution settings; defaults to
         :class:`~repro.core.config.RuntimeConfig` defaults (``AUTO``
         backend, ``AUTO`` shard count, machine-sized worker pool).
     backend:
@@ -86,13 +102,8 @@ class QueryRuntime:
         runtimes reporting into one service-level total).
 
     A runtime is also a context manager: ``with QueryRuntime() as rt:``
-    shuts the worker machinery down on exit.  Without the
-    context-manager form the resources live until :meth:`close`; for
-    the ``serial``/``threads`` policies a forgotten close is cheap
-    (idle threads), but the ``processes`` policy holds a process pool
-    and named shared-memory segments — always close it (a GC finalizer
-    releases the segments as a safety net, but only when the executor
-    is actually collected).
+    shuts the thread pool down on exit; a closed runtime keeps
+    answering, inline.
     """
 
     def __init__(
@@ -116,41 +127,39 @@ class QueryRuntime:
         self.cache = cache if cache is not None else CoverageCache()
         self.stats = stats if stats is not None else QueryStats()  # guarded-by: _STATS_LOCK
         self.shard_store = ShardStore(spill_dir=config.store_dir)
-        self.policy_executor = make_policy_executor(config)
+        self._workers = resolve_worker_count(config.max_workers)
+        self._pool: Optional[ThreadPoolExecutor] = None  # guarded-by: _pool_lock
+        self._closed = False  # guarded-by: _pool_lock
+        self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # executor lifecycle
     # ------------------------------------------------------------------
     @property
-    def executor(self):
-        """What sharded probes fan out over right now, or ``None`` when
-        execution is serial.
-
-        Shape depends on the configured :class:`~repro.core.config.
-        ExecutionPolicy`: ``serial`` always yields ``None``, ``threads``
-        a lazily built :class:`~concurrent.futures.ThreadPoolExecutor`,
-        ``processes`` the shared-memory fan-out object.  Built lazily,
-        so a runtime costs nothing until a multi-shard probe engages.
-        """
-        return self.policy_executor.live()
-
-    def prepare(self) -> None:
-        """Bring the policy's worker machinery up eagerly.
-
-        A no-op for the serial/threads/auto policies (lazy pools, no
-        fork hazard); for the ``processes`` policy this launches the
-        worker processes *now*, from the calling thread's clean state —
-        which is what a multi-threaded host (the asyncio
-        :class:`repro.service.QueryService`, any thread-pooled server)
-        must do before its threads start, per the fork caveat in
-        DESIGN.md §5.1.
-        """
-        self.policy_executor.prepare()
+    def executor(self) -> Optional[Executor]:
+        """The thread pool large probe blocks fan out over, or ``None``
+        when every probe runs inline (``max_workers`` of 0 or 1, or the
+        runtime is closed).  Built on first use under a lock: a shared
+        service runtime can see its first two large probes on different
+        threads, and the loser's pool would otherwise leak unshut."""
+        if self._workers <= 1:
+            return None
+        with self._pool_lock:
+            if self._pool is None and not self._closed:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self._workers,
+                    thread_name_prefix="repro-shard",
+                )
+            return self._pool
 
     def close(self) -> None:
-        """Shut the worker machinery down; the runtime stays usable
-        serially (dressed stop sets degrade to inline probing)."""
-        self.policy_executor.close()
+        """Shut the thread pool down; the runtime stays usable (stop
+        sets it dressed degrade to inline probing)."""
+        with self._pool_lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def __enter__(self) -> "QueryRuntime":
         return self
@@ -198,8 +207,8 @@ class QueryRuntime:
             # components zero-overhead
             return stops
         # both tiers get the executor *getter*, not the executor: resolved
-        # at query time, so sets dressed before close() degrade to inline
-        # probing instead of scheduling on a shut-down pool
+        # per large probe block, so sets dressed before close() degrade to
+        # inline probing instead of scheduling on a shut-down pool
         if backend is ProximityBackend.CELLSTRING or (
             backend is ProximityBackend.AUTO and n >= AUTO_CELLSTRING_MIN_STOPS
         ):
@@ -219,7 +228,7 @@ class QueryRuntime:
             executor=self._live_executor,
         )
 
-    def _live_executor(self):
+    def _live_executor(self) -> Optional[Executor]:
         """The current fan-out target, or ``None`` once closed (resolved
         late by the stop sets this runtime dresses)."""
         return self.executor
@@ -235,8 +244,7 @@ class QueryRuntime:
         stats: Optional[QueryStats] = None,
     ) -> np.ndarray:
         """The runtime-owned coverage probe: which ``coords`` rows are
-        within ``psi`` of ``stops``, under this runtime's backend and
-        execution policy.
+        within ``psi`` of ``stops``, under this runtime's backend.
 
         This is the one entry point the query layer uses for exact
         geometric work — ``queries/`` never touches a grid, shard, or
@@ -250,7 +258,7 @@ class QueryRuntime:
         :func:`~repro.queries.evaluate.evaluate_node_trajectories`
         calls, ad-hoc arrays) are dressed here first.  Results are
         bit-identical to :meth:`~repro.core.service.StopSet
-        .covered_mask` for every policy.
+        .covered_mask` however the probe is scheduled.
         """
         return self.stop_set(stops, psi).covered_mask(coords, psi, stats)
 
@@ -265,13 +273,13 @@ class QueryRuntime:
         """:meth:`probe_mask` bridged onto the running event loop.
 
         The probe — stop-set dressing, the grid/shard kernels, and any
-        policy-executor fan-out those schedule — is synchronous CPU
-        work, so awaiting it directly would stall every other coroutine
-        for the duration of the kernel.  This bridge runs the whole
-        probe via :meth:`loop.run_in_executor` (on ``executor``, or the
-        loop's default thread pool when ``None``) and awaits the
-        future, so the event loop stays responsive while the policy
-        executor does the geometric work on a bridge thread.  Results
+        fan-out those schedule — is synchronous CPU work, so awaiting
+        it directly would stall every other coroutine for the duration
+        of the kernel.  This bridge runs the whole probe via
+        :meth:`loop.run_in_executor` (on ``executor``, or the loop's
+        default thread pool when ``None``) and awaits the future, so
+        the event loop stays responsive while the geometric work runs
+        on a bridge thread.  Results
         are the same object :meth:`probe_mask` would return — the
         bridge changes where the caller waits, never what is computed.
 
@@ -305,10 +313,9 @@ class QueryRuntime:
         and splits the returned per-task counters back onto the
         requests — one bridge call where the unbatched path pays one
         per request.  Tasks run sequentially on the calling thread
-        (each probe already fans out internally per the execution
-        policy when its stop set is sharded), so per-task stats are
-        attributed exactly and results are deterministic under every
-        policy.
+        (a large probe already fans out internally when its stop set
+        is sharded), so per-task stats are attributed exactly and
+        results are deterministic.
 
         ``stats_list``, when given, must match ``tasks`` in length;
         entry *i* (when not ``None``) receives task *i*'s counters
@@ -393,35 +400,20 @@ class QueryRuntime:
     def worker_mmap_paths(self) -> Tuple[str, ...]:
         """The persisted store files this process serves over memory-
         mapped views: everything any codec mmap-opened (catalog
-        payloads included), everything the shard store *opened* instead
-        of building, plus — under the processes policy — every store
-        path shipped to pool workers as an mmap descriptor.
+        payloads included) and everything the shard store *opened*
+        instead of building.
 
         This is the zero-copy evidence the multi-worker serving layer
         reports per worker on ``GET /stats``: a worker whose indexes
-        all arrive here created no private index copies.  Reads only
-        parent-side records — cheap enough for a stats handler, no pool
-        probing.
+        all arrive here created no private index copies.
         """
         paths = set(opened_mmap_paths())
         paths.update(self.shard_store.opened_paths)
-        executor = self.policy_executor
-        paths.update(getattr(executor, "mmap_paths_shipped", ()))
         return tuple(sorted(paths))
-
-    def shm_segments_created(self) -> int:
-        """How many shard exports this runtime copied into
-        ``multiprocessing.shared_memory`` segments (0 under every
-        policy but ``processes``, and 0 under ``processes`` when every
-        probed shard rode the mmap transport instead — the assertion
-        the store-catalog serving tests make)."""
-        executor = self.policy_executor
-        return int(getattr(executor, "shm_shipped", 0))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"QueryRuntime(backend={self.config.backend.value}, "
-            f"policy={self.config.policy.value}, "
             f"shards={self.config.shards}, cache_entries={len(self.cache)})"
         )
 

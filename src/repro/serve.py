@@ -2,7 +2,7 @@
 
 Composes the full deployment stack from command-line flags — catalog
 (named trees + facility sets), :class:`~repro.runtime.QueryRuntime`
-(backend / policy / shards), :class:`~repro.service.QueryService`
+(backend / shards / workers), :class:`~repro.service.QueryService`
 (admission + coalescing), :class:`~repro.service.http.HttpQueryServer`
 (transport) — serves until SIGINT/SIGTERM, then drains gracefully:
 in-flight requests complete, new ones are shed with 503.
@@ -29,7 +29,6 @@ from typing import Optional, Sequence
 
 from .core.config import (
     SHARDS_AUTO,
-    ExecutionPolicy,
     HttpConfig,
     ProximityBackend,
     RuntimeConfig,
@@ -102,24 +101,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="admitted requests before submissions are shed with 503",
     )
     service.add_argument(
-        "--coalesce-window", type=float, default=0.0,
-        help="seconds to hold a request open for cross-request coalescing",
-    )
-    service.add_argument(
         "--batch-window", type=float, default=0.0,
         help="seconds evaluate requests wait to merge into one batched "
         "engine pass (0 disables batching)",
     )
-    runtime = parser.add_argument_group("runtime (execution policy)")
+    runtime = parser.add_argument_group("runtime")
     runtime.add_argument(
         "--backend", default="auto",
         choices=[b.value for b in ProximityBackend],
         help="proximity backend for exact psi-distance checks",
-    )
-    runtime.add_argument(
-        "--policy", default="threads",
-        choices=[p.value for p in ExecutionPolicy],
-        help="how sharded probes are scheduled",
     )
     runtime.add_argument(
         "--shards", type=int, default=SHARDS_AUTO,
@@ -127,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runtime.add_argument(
         "--max-workers", type=int, default=None,
-        help="probe fan-out workers (default: machine-sized)",
+        help="threads large probe blocks fan out over; 0 or 1 keeps "
+        "every probe inline (default: this process's share of the CPUs)",
     )
     return parser
 
@@ -144,13 +135,11 @@ def config_from_args(args: argparse.Namespace) -> HttpConfig:
         listener=args.listener,
         service=ServiceConfig(
             max_in_flight=args.max_in_flight,
-            coalesce_window=args.coalesce_window,
             queue_depth=args.queue_depth,
             batch_window=args.batch_window,
         ),
         runtime=RuntimeConfig(
             backend=ProximityBackend(args.backend),
-            policy=args.policy,
             shards=args.shards,
             max_workers=args.max_workers,
         ),

@@ -37,10 +37,9 @@ supervisor resolves the catalog spec first and workers inherit the live
 objects copy-on-write.  Under ``spawn``/``forkserver`` each worker
 re-opens the spec itself — which for ``store:<dir>`` catalogs is
 O(open): every worker memory-maps the same immutable index files, so
-all N processes (and their runtimes' shard stores, via the
-``("mmap", path, shard_index)`` descriptor path) share one physical
+all N processes (and their runtimes' shard stores) share one physical
 page-cache copy.  ``GET /stats`` reports each worker's ``mmap_paths``
-and ``shm_segments`` so the zero-copy claim is checkable over the wire.
+so the zero-copy claim is checkable over the wire.
 
 **Worker table and affinity.**  Each worker also binds a private
 *direct* listener (ephemeral port) and reports it over its control
@@ -81,6 +80,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ...core.config import HttpConfig
 from ...core.errors import QueryError, ReproError
+from ...runtime import resolve_worker_count
 from .catalog import Catalog, catalog_from_spec
 from .server import WorkerPeer, serving
 
@@ -120,6 +120,17 @@ def with_derived_store_dir(config: HttpConfig) -> HttpConfig:
             runtime=dataclasses.replace(config.runtime, store_dir=store_dir),
         )
     return config
+
+
+def _with_worker_share(config: HttpConfig) -> HttpConfig:
+    """Each prefork worker builds its own runtime, so a machine-sized
+    default pool per worker would oversubscribe the host N times over:
+    resolve an unset ``max_workers`` to one worker's share of the CPUs
+    (an explicit value is the operator's and passes through)."""
+    share = resolve_worker_count(config.runtime.max_workers, config.workers)
+    return dataclasses.replace(
+        config, runtime=dataclasses.replace(config.runtime, max_workers=share)
+    )
 
 
 def _resolve_listener_mode(config: HttpConfig) -> str:
@@ -282,7 +293,7 @@ class Supervisor:
                 f"Supervisor is for workers >= 2, got {config.workers} "
                 "(use the single-process server)"
             )
-        self.config = with_derived_store_dir(config)
+        self.config = _with_worker_share(with_derived_store_dir(config))
         self._mode = _resolve_listener_mode(config)
         self._ctx = multiprocessing.get_context(config.start_method)
         self._workers: Dict[int, _WorkerHandle] = {}
@@ -443,9 +454,6 @@ class Supervisor:
                 child_conn,
             ),
             name=f"repro-http-worker-{index}",
-            # not daemonic: a worker's runtime may own a process pool,
-            # and daemonic processes cannot have children
-            daemon=False,
         )
         process.start()
         child_conn.close()

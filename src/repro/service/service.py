@@ -22,16 +22,14 @@ submission, which makes the whole schedule equivalent to *some*
 sequential execution of the same requests against the same runtime:
 that equivalence is why service results **and per-request stats** are
 bit-identical to the synchronous functions (the differential suite in
-``tests/test_query_service.py`` holds both to ``==`` under every
-execution policy).
+``tests/test_query_service.py`` holds both to ``==`` on the inline and
+the fan-out probe path).
 
 **Admission control.**  ``ServiceConfig.queue_depth`` bounds how many
 requests may be admitted at once — a submission past the bound fails
 fast with :class:`~repro.core.errors.ServiceOverloaded` instead of
 growing an unbounded queue; ``max_in_flight`` bounds how many cores
-execute concurrently on the bridge pool; ``coalesce_window`` holds each
-admitted request open briefly so slightly-later submissions can
-coalesce onto its units before execution begins.
+execute concurrently on the bridge pool.
 
 **Cancellation.**  A caller may cancel an admitted submission (e.g.
 :func:`asyncio.wait_for` timing out).  Cancellation is strictly local
@@ -248,7 +246,7 @@ class QueryService:
     ----------
     runtime:
         The execution context every request shares — its cache, shard
-        store, and policy executor are what coalescing coalesces
+        store, and thread pool are what coalescing coalesces
         *into*.  ``None`` creates a private runtime (default config)
         that :meth:`close` also closes; a caller-supplied runtime is
         left open (the caller owns it).
@@ -275,11 +273,6 @@ class QueryService:
         self._owns_runtime = runtime is None
         self.runtime = runtime if runtime is not None else QueryRuntime()
         self.config = config if config is not None else ServiceConfig()
-        # fork-safety: launch any process-pool workers from the current
-        # (ideally still single-threaded) state, before bridge threads
-        # exist — forking lazily mid-request from a bridge thread can
-        # clone another thread's held lock and deadlock the worker
-        self.runtime.prepare()
         self.planner = QueryPlanner()
         # the live counters stay private: they are mutated from the
         # event loop *and* from bridge-side reapers, so handing the
@@ -430,8 +423,6 @@ class QueryService:
             )
         exec_future: Optional[asyncio.Future] = None
         try:
-            if self.config.coalesce_window > 0.0:
-                await asyncio.sleep(self.config.coalesce_window)
             if predecessors:
                 # shield(): the predecessor futures are shared — other
                 # requests gather on the very same objects, and their
@@ -644,9 +635,6 @@ class QueryService:
         group.members.append(member)
         group.member_dones.add(done)
         try:
-            # no coalesce_window sleep here: the batch window already
-            # holds the group open, which is the hold-open the coalesce
-            # window exists to provide
             result = await asyncio.shield(member.outcome)
         except asyncio.CancelledError:
             # mid-batch cancellation is strictly local: the member is

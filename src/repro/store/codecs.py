@@ -12,12 +12,6 @@ queries through the exact same code paths as freshly built ones
 :class:`~repro.core.stats.QueryStats` are bit-identical by
 construction — and ``tests/test_store.py`` holds them to ``==``.
 
-A mmap-opened sharded grid gets :class:`~repro.engine.shards
-.MmapStopShard` slices, which carry the store path they were mapped
-from; the process execution policy recognises them and ships the *path*
-to workers instead of copying shard arrays into
-``multiprocessing.shared_memory``.
-
 Bundles for catalog payloads ride the same container:
 :func:`save_trajectory_bundle` / :func:`open_trajectory_bundle`
 (flattened point rows + CSR offsets + ids) and
@@ -39,7 +33,7 @@ import numpy as np
 from ..core.errors import StoreError
 from ..core.trajectory import FacilityRoute, Trajectory
 from ..engine.cellstring import CellstringIndex
-from ..engine.shards import MmapStopShard, ShardedStopGrid, StopShard
+from ..engine.shards import ShardedStopGrid, StopShard
 from .format import read_store_file, write_store_file
 
 __all__ = [
@@ -55,11 +49,8 @@ __all__ = [
 #: Every store file this *process* has opened as memmap views, by
 #: absolute path.  The scale-out serving stack reports this per worker
 #: (``GET /stats`` → ``worker.mmap_paths``) as evidence that N workers
-#: share one physical catalog instead of copying it: mmap opens land
-#: here, ``shared_memory`` exports land in the policy executor's
-#: ``shm_shipped`` counter, and the prefork tests hold the first
-#: non-empty and the second at zero.  Append-only and tiny (one entry
-#: per distinct file), so no eviction.
+#: share one physical catalog instead of copying it.  Append-only and
+#: tiny (one entry per distinct file), so no eviction.
 _MMAP_OPENED: set = set()
 
 
@@ -121,7 +112,7 @@ def _encode_sharded_grid(grid: ShardedStopGrid):
     return meta, arrays
 
 
-def _decode_sharded_grid(meta, arrays, store_path: Optional[str]):
+def _decode_sharded_grid(meta, arrays):
     grid = ShardedStopGrid.__new__(ShardedStopGrid)
     grid.coords = arrays["coords"]
     grid.psi = float(meta["psi"])
@@ -139,12 +130,7 @@ def _decode_sharded_grid(meta, arrays, store_path: Optional[str]):
         )
     shards: List[StopShard] = []
     for i in range(grid.n_shards):
-        if store_path is None:
-            shard = StopShard.__new__(StopShard)
-        else:
-            shard = MmapStopShard.__new__(MmapStopShard)
-            shard.store_path = store_path
-            shard.shard_index = i
+        shard = StopShard.__new__(StopShard)
         keys = arrays["shard_keys"][key_offsets[i] : key_offsets[i + 1]]
         shard.keys = keys
         shard.coords = arrays["shard_coords"][key_offsets[i] : key_offsets[i + 1]]
@@ -234,8 +220,7 @@ def open_index(
         _MMAP_OPENED.add(os.path.abspath(path))
     try:
         if kind == KIND_SHARDED_GRID:
-            store_path = os.path.abspath(path) if mmap_mode == "r" else None
-            return _decode_sharded_grid(meta, arrays, store_path)
+            return _decode_sharded_grid(meta, arrays)
         if kind == KIND_CELLSTRING:
             return _decode_cellstring(meta, arrays)
     except (KeyError, TypeError, ValueError) as exc:

@@ -312,8 +312,7 @@ def read_store_file(
 
     ``verify=True`` recomputes the content hash over the mapped
     segments (touches every payload page once); ``verify=False`` skips
-    it for callers who just verified the same file — the process-policy
-    workers attaching a path their coordinator already opened.
+    it for callers who just verified the same file.
 
     Every failure mode — missing file, truncation, bad magic, wrong
     version, malformed header, hash mismatch — raises

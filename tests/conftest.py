@@ -19,6 +19,31 @@ from repro import (
 TEST_PSI = 400.0
 
 
+#: The two probe-scheduling paths the engine has (DESIGN.md §5.1), as
+#: parametrize ids: every probe inline, or every multi-shard /
+#: cellstring probe fanned out over the runtime's thread pool.
+SCHEDULING = ("serial", "threads")
+
+
+@pytest.fixture
+def scheduling_workers(monkeypatch):
+    """``mode -> max_workers`` for one leg of the scheduling matrix.
+
+    ``"serial"`` is a one-worker runtime (no pool: always inline);
+    ``"threads"`` is a two-worker runtime with the engine's
+    ``FANOUT_MIN_POINTS`` patched to 1 for the rest of the test, so
+    every non-empty probe block takes the fan-out path."""
+
+    def workers(mode: str) -> int:
+        if mode == "serial":
+            return 1
+        assert mode == "threads", mode
+        monkeypatch.setattr("repro.engine.grid.FANOUT_MIN_POINTS", 1)
+        return 2
+
+    return workers
+
+
 def pytest_configure(config):
     # Same marker the benchmark suite registers (benchmarks/conftest.py):
     # `pytest -m engine_smoke` selects the fast engine-vs-oracle check.

@@ -5,7 +5,7 @@ changes an answer.  For seeded random mixes of evaluate / kmaxrrst /
 maxkcov requests, every ``QueryResult.value`` under ``batch_window``
 {small, large} must be ``==`` to the ``batch_window=0`` run (which
 ``tests/test_query_service.py`` in turn holds to the synchronous
-cores), under every execution policy.  Requests the eligibility gate
+cores), on both probe-scheduling paths.  Requests the eligibility gate
 excludes from batching (LENGTH, ``collect_matches``,
 normalize-by-non-power-of-two COUNT, and every non-evaluate type) keep
 *bitwise-identical per-request stats* too whenever their probe units
@@ -54,13 +54,13 @@ from repro import (
 from repro.core.errors import QueryError
 from repro.service.http import wire
 
+from .conftest import SCHEDULING
+
 PSI = 400.0
 ENDPOINT = ServiceSpec(ServiceModel.ENDPOINT, psi=PSI)
 COUNT_RAW = ServiceSpec(ServiceModel.COUNT, psi=PSI, normalize=False)
 COUNT_NORM = ServiceSpec(ServiceModel.COUNT, psi=PSI)
 LENGTH = ServiceSpec(ServiceModel.LENGTH, psi=PSI)
-
-POLICIES = ("serial", "threads", "processes")
 
 #: The three window settings the differential matrix sweeps: off (the
 #: baseline schedule), small (groups may fragment mid-wave), large
@@ -69,9 +69,10 @@ POLICIES = ("serial", "threads", "processes")
 WINDOWS = (0.0, 0.002, 0.05)
 
 
-def _config(policy: str) -> RuntimeConfig:
+def _config(max_workers: int = 1) -> RuntimeConfig:
+    """Two-shard grids; one worker (the default here) probes inline."""
     return RuntimeConfig(
-        backend=ProximityBackend.GRID, policy=policy, shards=2, max_workers=2
+        backend=ProximityBackend.GRID, shards=2, max_workers=max_workers
     )
 
 
@@ -158,9 +159,9 @@ def _value_key(req, result):
     )
 
 
-def _drive(requests, policy: str, batch_window: float):
+def _drive(requests, max_workers: int, batch_window: float):
     async def main():
-        with QueryRuntime(_config(policy)) as runtime:
+        with QueryRuntime(_config(max_workers)) as runtime:
             async with QueryService(
                 runtime,
                 ServiceConfig(max_in_flight=4, batch_window=batch_window),
@@ -183,18 +184,19 @@ def _assert_outcomes_sum(stats: ServiceStats) -> None:
 
 
 class TestBatchingDifferential:
-    """batch_window {small, large} × policy × seed: values bitwise
+    """batch_window {small, large} × scheduling path × seed: values bitwise
     identical to batch_window=0, ineligible requests' stats bitwise
     identical too."""
 
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("mode", SCHEDULING)
     @pytest.mark.parametrize("seed", (7, 19))
     def test_fuzz_values_identical_across_windows(
-        self, policy, seed, tree, facilities
+        self, mode, seed, tree, facilities, scheduling_workers
     ):
         requests = _fuzz_requests(tree, facilities, seed)
+        workers = scheduling_workers(mode)
         all_pow2 = _all_pow2(tree)
-        baseline, base_stats, _ = _drive(requests, policy, batch_window=0.0)
+        baseline, base_stats, _ = _drive(requests, workers, batch_window=0.0)
         assert base_stats.probe_units_batched == 0
         _assert_outcomes_sum(base_stats)
         base_keys = [
@@ -215,7 +217,7 @@ class TestBatchingDifferential:
             return any(id(f) in batched_facilities for f in req.facilities)
 
         for window in WINDOWS[1:]:
-            results, stats, _ = _drive(requests, policy, batch_window=window)
+            results, stats, _ = _drive(requests, workers, batch_window=window)
             for req, res, base_res, key in zip(
                 requests, results, baseline, base_keys
             ):
@@ -229,8 +231,10 @@ class TestBatchingDifferential:
                     assert res.stats == base_res.stats
             _assert_outcomes_sum(stats)
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_batched_wave_stats_split_exactly(self, policy, tree, facilities):
+    @pytest.mark.parametrize("mode", SCHEDULING)
+    def test_batched_wave_stats_split_exactly(
+        self, mode, tree, facilities, scheduling_workers
+    ):
         """Distinct eligible evaluates under a large window: every unit
         lands in probe_units_batched, none in probe_units_coalesced,
         and the per-request stats merge bitwise to one sequential
@@ -246,13 +250,15 @@ class TestBatchingDifferential:
             evaluate_service(req.tree, req.facility, req.spec)
             for req in requests
         ]
-        results, stats, total = _drive(requests, policy, batch_window=0.05)
+        results, stats, total = _drive(
+            requests, scheduling_workers(mode), batch_window=0.05
+        )
         assert [r.value for r in results] == plain
         assert stats.probe_units_batched == len(requests)
         assert stats.probe_units_coalesced == 0
         _assert_outcomes_sum(stats)
 
-        with QueryRuntime(_config("serial")) as runtime:
+        with QueryRuntime(_config()) as runtime:
             engine = BatchQueryEngine(
                 tuple(tree.trajectories()), runtime=runtime
             )
@@ -273,7 +279,7 @@ class TestBatchingDifferential:
         (which stays identical-unit reuse on the unbatched path)."""
         req = EvaluateRequest(tree, facilities[0], ENDPOINT)
         requests = [req, req, req]
-        results, stats, _ = _drive(requests, "serial", batch_window=0.05)
+        results, stats, _ = _drive(requests, 1, batch_window=0.05)
         assert len({r.value for r in results}) == 1
         assert stats.probe_units_batched == 3
         assert stats.probe_units_coalesced == 0
@@ -282,7 +288,7 @@ class TestBatchingDifferential:
         assert rider_hits >= 2
 
         # same wave, window off: the PR 4 coalescer handles it instead
-        _, stats0, _ = _drive(requests, "serial", batch_window=0.0)
+        _, stats0, _ = _drive(requests, 1, batch_window=0.0)
         assert stats0.probe_units_batched == 0
         assert stats0.probe_units_coalesced == 2
 
@@ -298,8 +304,8 @@ class TestEligibilityGate:
                 tree, facilities[2], ENDPOINT, collect_matches=True
             ),
         ]
-        baseline, _, _ = _drive(requests, "serial", batch_window=0.0)
-        results, stats, _ = _drive(requests, "serial", batch_window=0.05)
+        baseline, _, _ = _drive(requests, 1, batch_window=0.0)
+        results, stats, _ = _drive(requests, 1, batch_window=0.05)
         assert stats.probe_units_batched == 0
         for res, base in zip(results, baseline):
             assert res.value == base.value
@@ -317,8 +323,8 @@ class TestEligibilityGate:
             EvaluateRequest(checkin_tree, facility, COUNT_NORM)
             for facility in facilities[:4]
         ]
-        baseline, _, _ = _drive(requests, "serial", batch_window=0.0)
-        results, stats, _ = _drive(requests, "serial", batch_window=0.05)
+        baseline, _, _ = _drive(requests, 1, batch_window=0.0)
+        results, stats, _ = _drive(requests, 1, batch_window=0.05)
         assert stats.probe_units_batched == 0
         for res, base in zip(results, baseline):
             assert res.value == base.value
@@ -328,8 +334,8 @@ class TestEligibilityGate:
             EvaluateRequest(checkin_tree, facility, COUNT_RAW)
             for facility in facilities[:4]
         ]
-        base_raw, _, _ = _drive(raw, "serial", batch_window=0.0)
-        res_raw, stats_raw, _ = _drive(raw, "serial", batch_window=0.05)
+        base_raw, _, _ = _drive(raw, 1, batch_window=0.0)
+        res_raw, stats_raw, _ = _drive(raw, 1, batch_window=0.05)
         assert stats_raw.probe_units_batched == len(raw)
         assert [r.value for r in res_raw] == [r.value for r in base_raw]
 
@@ -349,7 +355,7 @@ class TestCancellationAndInterleaving:
         ]
 
         async def main():
-            with QueryRuntime(_config("serial")) as runtime:
+            with QueryRuntime(_config()) as runtime:
                 async with QueryService(
                     runtime, ServiceConfig(batch_window=0.2)
                 ) as service:
@@ -392,7 +398,7 @@ class TestCancellationAndInterleaving:
         plain = evaluate_service(tree, facilities[0], ENDPOINT)
 
         async def main():
-            with QueryRuntime(_config("serial")) as runtime:
+            with QueryRuntime(_config()) as runtime:
                 async with QueryService(
                     runtime, ServiceConfig(batch_window=0.05)
                 ) as service:

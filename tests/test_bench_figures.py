@@ -115,14 +115,12 @@ class TestRunFigure:
 
 
 class TestRuntimeAwareSweeps:
-    """The Figure 6–9 sweeps must run under any execution policy and
-    shard count (the driver's ``--runtime`` flag) with the same series
-    structure as the legacy path."""
+    """The Figure 6–9 sweeps must run through a runtime at any shard
+    and worker count (the driver's ``--runtime`` flag) with the same
+    series structure as the legacy path."""
 
-    @pytest.mark.parametrize(
-        "spec", ["serial:1", "threads:2:2", "processes:2:2"]
-    )
-    def test_fig6a_structure_under_policies(self, monkeypatch, spec):
+    @pytest.mark.parametrize("spec", ["1", "2:2"])
+    def test_fig6a_structure_under_runtimes(self, monkeypatch, spec):
         from repro.bench.harness import parse_runtime_spec
 
         monkeypatch.setattr(figures, "DEFAULTS", TINY)
@@ -141,7 +139,7 @@ class TestRuntimeAwareSweeps:
 
         monkeypatch.setattr(figures, "DEFAULTS", TINY)
         factory = WorkloadFactory(
-            TINY, runtime_config=parse_runtime_spec("threads:2:2")
+            TINY, runtime_config=parse_runtime_spec("2:2")
         )
         (fig7,) = run_figure("fig7b", factory)
         for points in series_dict(fig7).values():
@@ -158,6 +156,6 @@ class TestRuntimeAwareSweeps:
         monkeypatch.setattr(figures, "DEFAULTS", TINY)
         # table3 is static (no sweeps), so main() stays fast while still
         # exercising the --runtime CLI wiring end to end
-        assert figures.main(["table3", "--runtime", "serial:1"]) == 0
+        assert figures.main(["table3", "--runtime", "1"]) == 0
         out = capsys.readouterr().out
         assert "runtime:" in out and "Table III" in out

@@ -19,7 +19,6 @@ from repro.bench.harness import (
 )
 from repro.core.config import (
     SHARDS_AUTO,
-    ExecutionPolicy,
     IndexVariant,
     ProximityBackend,
 )
@@ -136,7 +135,7 @@ class TestWorkloadFactory:
         assert tiny_factory.query_runtime() is None
 
     def test_runtime_aware_factory_hands_out_fresh_runtimes(self):
-        cfg = parse_runtime_spec("serial:2")
+        cfg = parse_runtime_spec("2")
         factory = WorkloadFactory(TINY, runtime_config=cfg)
         rt1 = factory.query_runtime()
         rt2 = factory.query_runtime()
@@ -150,21 +149,20 @@ class TestWorkloadFactory:
 
 
 class TestParseRuntimeSpec:
-    def test_policy_only(self):
-        cfg = parse_runtime_spec("processes")
-        assert cfg.policy is ExecutionPolicy.PROCESSES
-        assert cfg.shards == SHARDS_AUTO
+    def test_shards_only(self):
+        cfg = parse_runtime_spec("4")
+        assert cfg.shards == 4
         assert cfg.max_workers is None
         assert cfg.backend is ProximityBackend.AUTO
 
     def test_full_spec(self):
-        cfg = parse_runtime_spec("threads:7:2")
-        assert cfg.policy is ExecutionPolicy.THREADS
+        cfg = parse_runtime_spec("7:2")
         assert cfg.shards == 7
         assert cfg.max_workers == 2
 
     def test_auto_shards_keyword(self):
-        assert parse_runtime_spec("serial:auto").shards == SHARDS_AUTO
+        assert parse_runtime_spec("auto").shards == SHARDS_AUTO
+        assert parse_runtime_spec("auto:2").max_workers == 2
 
     def test_bad_specs_raise(self):
         from repro.core.errors import QueryError
@@ -172,11 +170,16 @@ class TestParseRuntimeSpec:
         with pytest.raises(ValueError):
             parse_runtime_spec("  ")
         with pytest.raises(ValueError):
-            parse_runtime_spec("threads:1:2:3")
+            parse_runtime_spec("1:2:3")
         with pytest.raises(ValueError):
-            parse_runtime_spec("processes::4")  # empty field is a typo
+            parse_runtime_spec("7::4")  # empty field is a typo
         with pytest.raises(QueryError):
-            parse_runtime_spec("fibers")
+            parse_runtime_spec("-3")
+        # the retired POLICY[:SHARDS[:WORKERS]] grammar is an error,
+        # never silently reinterpreted
+        for retired in ("threads", "serial:1", "processes:7:4"):
+            with pytest.raises(ValueError):
+                parse_runtime_spec(retired)
 
 
 class TestTiming:

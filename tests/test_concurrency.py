@@ -29,6 +29,9 @@ from repro import (
     ShardStore,
     StopSet,
 )
+from repro.engine.grid import FANOUT_MIN_POINTS
+
+from .conftest import SCHEDULING
 
 N_THREADS = 8
 
@@ -196,21 +199,33 @@ class TestRuntimeConcurrentProbes:
 
     PSI = 20.0
 
-    @pytest.mark.parametrize("policy", ["serial", "threads", "auto"])
-    def test_concurrent_probe_mask_bit_identical(self, policy):
+    @pytest.mark.parametrize("mode", [*SCHEDULING, "auto"])
+    def test_concurrent_probe_mask_bit_identical(self, mode, scheduling_workers):
         rng = np.random.default_rng(8)
         stop_pools = [rng.uniform(0, 1_000, (3_000, 2)) for _ in range(3)]
-        probes = [rng.uniform(0, 1_000, (600, 2)) for _ in range(3)]
-        expected = [
-            StopSet(stops).covered_mask(probe, self.PSI)
-            for stops in stop_pools
-            for probe in probes
-        ]
-        config = RuntimeConfig(
-            backend=ProximityBackend.GRID, policy=policy, shards=4,
-            max_workers=2,
-        )
-        with QueryRuntime(config) as rt:
+        sizes = [600, 600, 600]
+        if mode == "auto":
+            # two workers at the shipped threshold, one block above it:
+            # callers deciding inline and callers fanning out share the
+            # one lazily built pool (first built under this very race)
+            max_workers = 2
+            sizes[-1] = FANOUT_MIN_POINTS + 100
+        else:
+            max_workers = scheduling_workers(mode)
+        probes = [rng.uniform(0, 1_000, (n, 2)) for n in sizes]
+
+        def config(workers):
+            return RuntimeConfig(
+                backend=ProximityBackend.GRID, shards=4, max_workers=workers
+            )
+
+        with QueryRuntime(config(1)) as inline:
+            expected = [
+                inline.probe_mask(stops, probe, self.PSI)
+                for stops in stop_pools
+                for probe in probes
+            ]
+        with QueryRuntime(config(max_workers)) as rt:
             def task(pair):
                 si, pi = pair
                 stats = QueryStats()

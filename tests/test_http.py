@@ -48,7 +48,7 @@ COUNT_SPEC = {"model": "count", "psi": PSI}
 LENGTH_SPEC = {"model": "length", "psi": PSI}
 
 RUNTIME_CONFIG = RuntimeConfig(
-    backend=ProximityBackend.GRID, policy="threads", shards=2, max_workers=2
+    backend=ProximityBackend.GRID, shards=2, max_workers=2
 )
 
 
@@ -307,11 +307,11 @@ class TestErrorMapping:
 
 class TestAdmissionOverHttp:
     def test_overload_is_503_with_retry_after(self, catalog):
-        """queue_depth=1 + a coalesce window long enough to hold the
+        """queue_depth=1 + a batch window long enough to hold the
         first request admitted: the second concurrent submission must be
         shed with 503 and a Retry-After hint, and the held request must
         still complete."""
-        config = ServiceConfig(queue_depth=1, coalesce_window=0.8)
+        config = ServiceConfig(queue_depth=1, batch_window=0.8)
         with background_server(
             catalog, runtime_config=RUNTIME_CONFIG, service_config=config
         ) as h:
@@ -392,10 +392,10 @@ class TestAdmissionOverHttp:
 
 class TestDrain:
     def test_graceful_drain_completes_in_flight(self, catalog):
-        """drain() must let an admitted request finish (the coalesce
+        """drain() must let an admitted request finish (the batch
         window keeps it in flight while we trigger the drain), then
         refuse new connections."""
-        config = ServiceConfig(coalesce_window=0.8)
+        config = ServiceConfig(batch_window=0.8)
         with background_server(
             catalog, runtime_config=RUNTIME_CONFIG, service_config=config
         ) as h:

@@ -1,26 +1,23 @@
-"""Differential suite for the pluggable execution policies.
+"""Differential suite for probe scheduling (DESIGN.md §5.1).
 
-The contract: ``RuntimeConfig.policy`` — ``serial`` / ``threads`` /
-``processes`` — never changes an answer.  Masks must be bit-identical to
-the dense oracle for every policy at every shard count, per-shard
-``QueryStats`` must merge to exactly the one-shard totals under every
-policy, and the full query stack (evaluate / kMaxRRST / MaxkCovRST /
-batch engine) must return ``==`` results when routed through any policy.
+The contract: *where* a probe runs — inline on the calling thread, or
+fanned out over the runtime's thread pool once a block reaches
+``FANOUT_MIN_POINTS`` points — never changes an answer.  Masks must be
+bit-identical to the dense oracle on both paths at every shard count,
+per-shard / per-chunk ``QueryStats`` must merge to exactly the inline
+totals, and the full query stack (evaluate / kMaxRRST / MaxkCovRST /
+batch engine) must return ``==`` results either way.
 
-The processes policy additionally ships shard arrays through
-``multiprocessing.shared_memory``; its lifecycle (lazy pool, export
-caching, unlink-on-close, degrade-to-serial after close) is covered
-here too.
-
-Set ``REPRO_MP_START_METHOD=spawn`` (CI does, mirroring the
-macOS/Windows default) to run every process-policy case under the
-``spawn`` start method instead of the platform default.
+The file, class and test names predate the removal of the
+``ExecutionPolicy`` axis (ISSUE 18) and are kept so the test ids stay
+stable; "serial" is the inline path (one worker), "threads" the fan-out
+path (two workers, threshold patched to 1 by the ``scheduling_workers``
+fixture — a constant patched by a test, not an option).
 """
 
 from __future__ import annotations
 
-import os
-from multiprocessing import shared_memory
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +25,6 @@ import pytest
 
 from repro import (
     BatchQueryEngine,
-    ExecutionPolicy,
     ProximityBackend,
     QueryRuntime,
     QueryStats,
@@ -42,37 +38,24 @@ from repro import (
     maxkcov_tq,
     top_k_facilities,
 )
-from repro.core.errors import QueryError
-from repro.runtime.policies import (
-    AUTO_POLICY_MIN_POINTS,
-    AutoPolicyExecutor,
-    ProcessPolicyExecutor,
-    SerialPolicyExecutor,
-    ThreadPolicyExecutor,
-    make_policy_executor,
-)
+from repro.engine import CellstringStopSet, GriddedStopSet, ShardedStopGrid
+from repro.engine.grid import FANOUT_MIN_POINTS
 
-#: The ISSUE-3 acceptance matrix.
-POLICIES = ("serial", "threads", "processes")
-SHARD_COUNTS = (1, 2, 7)
+from .conftest import SCHEDULING
 
-#: CI exports this to re-run the whole suite under the macOS/Windows
-#: default start method; unset, the platform default applies.
-START_METHOD = os.environ.get("REPRO_MP_START_METHOD") or None
+#: Shard counts of the acceptance matrix (0 = ``SHARDS_AUTO``).
+SHARD_COUNTS = (1, 2, 7, 0)
+TIERS = (ProximityBackend.GRID, ProximityBackend.CELLSTRING)
 
 
-def _config(policy: str, shards: int, max_workers: int = 2) -> RuntimeConfig:
-    return RuntimeConfig(
-        backend=ProximityBackend.GRID,
-        policy=policy,
-        shards=shards,
-        max_workers=max_workers,
-        start_method=START_METHOD if policy == "processes" else None,
-    )
+def _config(
+    max_workers: int, shards: int, backend=ProximityBackend.GRID
+) -> RuntimeConfig:
+    return RuntimeConfig(backend=backend, shards=shards, max_workers=max_workers)
 
 
 class TestMaskAndStatsParity:
-    """Bit-identical masks and exactly-merged stats, policy × shards."""
+    """Bit-identical masks and exactly-merged stats, path × tier × shards."""
 
     PSI = 25.0
 
@@ -83,36 +66,39 @@ class TestMaskAndStatsParity:
         probes = rng.uniform(0, 2_000, (4_000, 2))
         return coords, probes
 
-    def test_masks_and_merged_stats_identical(self, world):
+    def test_masks_and_merged_stats_identical(self, world, scheduling_workers):
         coords, probes = world
         dense = StopSet(coords).covered_mask(probes, self.PSI)
         assert dense.any() and not dense.all()  # a discriminating probe
-        ref_stats = QueryStats()
-        with QueryRuntime(_config("serial", 1)) as rt:
-            ref_mask = rt.probe_mask(coords, probes, self.PSI, ref_stats)
-        np.testing.assert_array_equal(ref_mask, dense)
-        for policy in POLICIES:
-            for shards in SHARD_COUNTS:
-                stats = QueryStats()
-                with QueryRuntime(_config(policy, shards)) as rt:
-                    mask = rt.probe_mask(coords, probes, self.PSI, stats)
-                np.testing.assert_array_equal(
-                    mask, dense, err_msg=f"{policy} x {shards} shards"
-                )
-                assert stats == ref_stats, f"{policy} x {shards} shards"
+        for backend in TIERS:
+            ref_stats = QueryStats()
+            with QueryRuntime(_config(1, 1, backend)) as rt:
+                ref_mask = rt.probe_mask(coords, probes, self.PSI, ref_stats)
+            np.testing.assert_array_equal(ref_mask, dense)
+            for mode in SCHEDULING:
+                for shards in SHARD_COUNTS:
+                    label = f"{backend.value} x {mode} x {shards} shards"
+                    stats = QueryStats()
+                    config = _config(scheduling_workers(mode), shards, backend)
+                    with QueryRuntime(config) as rt:
+                        mask = rt.probe_mask(coords, probes, self.PSI, stats)
+                    np.testing.assert_array_equal(mask, dense, err_msg=label)
+                    assert stats == ref_stats, label
 
-    def test_probe_mask_async_matches_sync(self, world, caplog):
+    def test_probe_mask_async_matches_sync(
+        self, world, caplog, scheduling_workers
+    ):
         """The advertised async bridge: identical mask and identically
-        mutated stats versus probe_mask, under every policy, and the
-        probe kernel never holds the event loop (asserted via asyncio's
+        mutated stats versus probe_mask, on both paths, and the probe
+        kernel never holds the event loop (asserted via asyncio's
         debug-mode slow-callback warnings, as the service smoke test
         does)."""
         import asyncio
         import logging
 
         coords, probes = world
-        for policy in POLICIES:
-            with QueryRuntime(_config(policy, 2)) as rt:
+        for mode in SCHEDULING:
+            with QueryRuntime(_config(scheduling_workers(mode), 2)) as rt:
                 sync_stats = QueryStats()
                 sync_mask = rt.probe_mask(
                     coords, probes, self.PSI, sync_stats
@@ -133,29 +119,27 @@ class TestMaskAndStatsParity:
             blocking = [
                 r for r in caplog.records if "Executing" in r.getMessage()
             ]
-            assert not blocking, (policy, [r.getMessage() for r in blocking])
-            np.testing.assert_array_equal(
-                async_mask, sync_mask, err_msg=policy
-            )
-            assert async_stats == sync_stats, policy
+            assert not blocking, (mode, [r.getMessage() for r in blocking])
+            np.testing.assert_array_equal(async_mask, sync_mask, err_msg=mode)
+            assert async_stats == sync_stats, mode
 
-    def test_empty_and_degenerate_probes(self, world):
+    def test_empty_and_degenerate_probes(self, world, scheduling_workers):
         coords, _ = world
-        for policy in POLICIES:
-            with QueryRuntime(_config(policy, 7)) as rt:
-                empty = rt.probe_mask(
-                    coords, np.zeros((0, 2)), self.PSI
-                )
-                assert empty.shape == (0,)
-                one = rt.probe_mask(coords, coords[:1], self.PSI)
-                assert bool(one[0])  # a stop covers itself
+        for backend in TIERS:
+            for mode in SCHEDULING:
+                config = _config(scheduling_workers(mode), 7, backend)
+                with QueryRuntime(config) as rt:
+                    empty = rt.probe_mask(coords, np.zeros((0, 2)), self.PSI)
+                    assert empty.shape == (0,)
+                    one = rt.probe_mask(coords, coords[:1], self.PSI)
+                    assert bool(one[0])  # a stop covers itself
 
 
 class TestQueryStackUnderPolicies:
-    """Every query algorithm must be ``==`` under every policy."""
+    """Every query algorithm must be ``==`` on both scheduling paths."""
 
     def test_evaluate_topk_maxkcov_batch_identical(
-        self, taxi_users, facilities
+        self, taxi_users, facilities, scheduling_workers
     ):
         tree = TQTree.build(taxi_users, TQTreeConfig(beta=16))
         spec = ServiceSpec(ServiceModel.ENDPOINT, psi=400.0)
@@ -167,8 +151,8 @@ class TestQueryStackUnderPolicies:
         plain_cov = maxkcov_tq(tree, facilities, 3, spec)
         requests = [(f, count_spec) for f in facilities[:6]]
         plain_batch = BatchQueryEngine(taxi_users).run(requests)
-        for policy in POLICIES:
-            with QueryRuntime(_config(policy, 3)) as rt:
+        for mode in SCHEDULING:
+            with QueryRuntime(_config(scheduling_workers(mode), 3)) as rt:
                 got_eval = [
                     evaluate_service(tree, f, spec, runtime=rt)
                     for f in facilities[:6]
@@ -180,121 +164,44 @@ class TestQueryStackUnderPolicies:
                 got_batch = BatchQueryEngine(taxi_users, runtime=rt).run(
                     requests
                 )
-            assert got_eval == plain_eval, policy
-            assert got_topk.ranking == plain_topk.ranking, policy
-            assert got_cov.facility_ids() == plain_cov.facility_ids(), policy
+            assert got_eval == plain_eval, mode
+            assert got_topk.ranking == plain_topk.ranking, mode
+            assert got_cov.facility_ids() == plain_cov.facility_ids(), mode
             assert got_cov.combined_service == plain_cov.combined_service
-            assert got_batch.scores == plain_batch.scores, policy
+            assert got_batch.scores == plain_batch.scores, mode
 
-    def test_batch_stats_merge_exactly_across_policies(self, taxi_users, facilities):
-        """The runtime-accrued grand total is policy-invariant: the
-        per-shard merges come out the same under every policy."""
+    def test_batch_stats_merge_exactly_across_policies(
+        self, taxi_users, facilities, scheduling_workers
+    ):
+        """The runtime-accrued grand total is scheduling-invariant: the
+        per-shard merges come out the same inline and fanned out."""
         spec = ServiceSpec(ServiceModel.COUNT, psi=400.0)
         requests = [(f, spec) for f in facilities[:6]]
         totals = []
-        for policy in POLICIES:
-            with QueryRuntime(_config(policy, 7)) as rt:
+        for mode in SCHEDULING:
+            with QueryRuntime(_config(scheduling_workers(mode), 7)) as rt:
                 result = BatchQueryEngine(taxi_users, runtime=rt).run(requests)
                 assert rt.stats == result.stats
                 totals.append(rt.stats)
-        assert totals[0] == totals[1] == totals[2]
-
-
-class TestPolicyConfig:
-    def test_string_policy_coerces(self):
-        assert RuntimeConfig(policy="processes").policy is (
-            ExecutionPolicy.PROCESSES
-        )
-        assert RuntimeConfig(policy="serial").policy is ExecutionPolicy.SERIAL
-        assert RuntimeConfig().policy is ExecutionPolicy.THREADS
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(QueryError):
-            RuntimeConfig(policy="fibers")
-
-    def test_unknown_start_method_rejected(self):
-        with pytest.raises(QueryError):
-            RuntimeConfig(start_method="teleport")
-
-    def test_factory_builds_matching_executor(self):
-        assert isinstance(
-            make_policy_executor(RuntimeConfig(policy="serial")),
-            SerialPolicyExecutor,
-        )
-        assert isinstance(
-            make_policy_executor(RuntimeConfig(policy="threads")),
-            ThreadPolicyExecutor,
-        )
-        proc = make_policy_executor(
-            RuntimeConfig(policy="processes", max_workers=2)
-        )
-        assert isinstance(proc, ProcessPolicyExecutor)
-        proc.close()
-
-    def test_executor_shape_per_policy(self):
-        with QueryRuntime(_config("serial", 2)) as rt:
-            assert rt.executor is None
-        with QueryRuntime(_config("threads", 2)) as rt:
-            assert hasattr(rt.executor, "map")  # a real Executor
-        with QueryRuntime(_config("processes", 2)) as rt:
-            assert hasattr(rt.executor, "probe_shards")  # the fan-out
-        # 0 workers keeps any policy serial
-        with QueryRuntime(_config("processes", 2, max_workers=0)) as rt:
-            assert rt.executor is None
+        assert totals[0] == totals[1]
 
 
 class TestProcessPolicyLifecycle:
-    def test_dressed_sets_survive_close(self):
-        """A stop set dressed before close() must degrade to serial
-        probing — identical answers, no scheduling on a dead pool."""
+    def test_dressed_sets_survive_close(self, scheduling_workers):
+        """A grid stop set dressed before close() must degrade to
+        inline probing — identical answers, no scheduling on a dead
+        pool."""
         rng = np.random.default_rng(5)
         coords = rng.uniform(0, 500, (256, 2))
         probe = rng.uniform(0, 500, (128, 2))
-        rt = QueryRuntime(_config("processes", 4))
+        rt = QueryRuntime(_config(scheduling_workers("threads"), 4))
         dressed = rt.stop_set(StopSet(coords), 10.0)
         before = dressed.covered_mask(probe, 10.0)
+        assert rt._pool is not None  # the probe did fan out
         rt.close()
+        assert rt.executor is None
         after = dressed.covered_mask(probe, 10.0)  # must not raise
         np.testing.assert_array_equal(before, after)
-
-    def test_close_unlinks_shared_memory(self):
-        rng = np.random.default_rng(6)
-        coords = rng.uniform(0, 2_000, (4_000, 2))
-        probe = rng.uniform(0, 2_000, (512, 2))
-        rt = QueryRuntime(_config("processes", 4))
-        mask = rt.probe_mask(coords, probe, 25.0)
-        assert mask.shape == (512,)
-        executor = rt.policy_executor
-        names = [
-            desc[0]
-            for _, _, descs in executor._exports.values()
-            for desc in descs
-        ]
-        assert names, "the probe should have exported shard segments"
-        rt.close()
-        assert not executor._exports
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_export_cache_is_bounded(self):
-        executor = ProcessPolicyExecutor(max_workers=2, max_exports=4)
-        try:
-            from repro.engine.shards import ShardedStopGrid
-
-            rng = np.random.default_rng(7)
-            grid = ShardedStopGrid(rng.uniform(0, 2_000, (4_000, 2)), 25.0, 7)
-            for shard in grid.shards:
-                if shard.n_stops:
-                    executor._shard_descriptor(shard)
-            assert len(executor._exports) <= 4
-            # a cached shard re-serves its descriptor (no re-export)
-            live = next(iter(executor._exports.values()))[0]
-            before = len(executor._exports)
-            executor._shard_descriptor(live)
-            assert len(executor._exports) == before
-        finally:
-            executor.close()
 
 
 class TestNoBackendPlumbingInQueries:
@@ -323,10 +230,22 @@ class TestNoBackendPlumbingInQueries:
         )
 
 
+class _CountingPool(ThreadPoolExecutor):
+    """A real pool that counts the fan-outs scheduled on it."""
+
+    def __init__(self) -> None:
+        super().__init__(max_workers=2)
+        self.fanouts = 0
+
+    def map(self, fn, *iterables):
+        self.fanouts += 1
+        return super().map(fn, *iterables)
+
+
 class TestAutoPolicy:
-    """The adaptive ``auto`` policy: serial for small probe blocks,
-    thread fan-out for large ones — bit-identical to whichever policy
-    it delegates to (ISSUE-4 satellite)."""
+    """The one scheduling rule at its real threshold: inline for small
+    probe blocks, thread fan-out from ``FANOUT_MIN_POINTS`` points —
+    bit-identical either way."""
 
     PSI = 25.0
 
@@ -335,59 +254,64 @@ class TestAutoPolicy:
         rng = np.random.default_rng(91)
         stops = rng.uniform(0, 2_000, (6_000, 2))
         small = rng.uniform(0, 2_000, (64, 2))
-        large = rng.uniform(0, 2_000, (AUTO_POLICY_MIN_POINTS + 512, 2))
+        large = rng.uniform(0, 2_000, (FANOUT_MIN_POINTS + 512, 2))
         return stops, small, large
 
-    def _masks(self, policy, stops, probe, shards=4):
-        with QueryRuntime(_config(policy, shards)) as rt:
+    def _masks(self, max_workers, stops, probe, shards=4):
+        with QueryRuntime(_config(max_workers, shards)) as rt:
             stats = QueryStats()
             mask = rt.probe_mask(stops, probe, self.PSI, stats)
         return mask, stats
 
     @pytest.mark.parametrize("block", ["small", "large"])
     def test_auto_masks_and_stats_match_delegates(self, workload, block):
+        """A two-worker runtime left to decide for itself matches the
+        always-inline one on either side of the threshold."""
         stops, small, large = workload
         probe = small if block == "small" else large
-        auto_mask, auto_stats = self._masks("auto", stops, probe)
-        for delegate in ("serial", "threads"):
-            mask, stats = self._masks(delegate, stops, probe)
-            np.testing.assert_array_equal(auto_mask, mask)
-            assert auto_stats == stats
+        auto_mask, auto_stats = self._masks(2, stops, probe)
+        mask, stats = self._masks(1, stops, probe)
+        np.testing.assert_array_equal(auto_mask, mask)
+        assert auto_stats == stats
 
     def test_heuristic_picks_serial_then_fanout(self, workload):
         stops, small, large = workload
-        rt = QueryRuntime(_config("auto", 4))
-        executor = rt.policy_executor
-        assert isinstance(executor, AutoPolicyExecutor)
-        try:
+        for dress in (
+            lambda pool: GriddedStopSet(stops, self.PSI, shards=4, executor=pool),
+            lambda pool: CellstringStopSet(stops, self.PSI, executor=pool),
+        ):
+            with _CountingPool() as pool:
+                dressed = dress(pool)
+                dressed.covered_mask(small, self.PSI)
+                dressed.covered_mask(large[: FANOUT_MIN_POINTS - 1], self.PSI)
+                assert pool.fanouts == 0  # below the threshold: inline
+                dressed.covered_mask(large, self.PSI)
+                assert pool.fanouts == 1
+        # and the runtime builds its pool only once a block qualifies
+        with QueryRuntime(_config(2, 4)) as rt:
             rt.probe_mask(stops, small, self.PSI)
-            assert executor.serial_probes >= 1
-            assert executor.fanout_probes == 0
-            assert not executor._threads._built  # pool never constructed
+            assert rt._pool is None
             rt.probe_mask(stops, large, self.PSI)
-            assert executor.fanout_probes == 1
-        finally:
-            rt.close()
+            assert rt._pool is not None
 
     def test_single_worker_auto_probes_inline(self, workload):
         stops, _, large = workload
-        with QueryRuntime(_config("auto", 4, max_workers=1)) as rt:
-            assert rt.executor is None  # nothing to fan out over
-            serial_mask, _ = self._masks("serial", stops, large)
-            np.testing.assert_array_equal(
-                rt.probe_mask(stops, large, self.PSI), serial_mask
-            )
+        plain = ShardedStopGrid(stops, self.PSI, 1).covered_mask(large, self.PSI)
+        for max_workers in (0, 1):
+            with QueryRuntime(_config(max_workers, 4)) as rt:
+                assert rt.executor is None  # nothing to fan out over
+                mask = rt.probe_mask(stops, large, self.PSI)
+                assert rt._pool is None
+            np.testing.assert_array_equal(mask, plain)
 
     def test_closed_auto_degrades_to_serial(self, workload):
+        """The cellstring twin of ``test_dressed_sets_survive_close``,
+        at the real threshold."""
         stops, _, large = workload
-        rt = QueryRuntime(_config("auto", 4))
+        rt = QueryRuntime(_config(2, 4, ProximityBackend.CELLSTRING))
         dressed = rt.stop_set(StopSet(stops), self.PSI)
         before = dressed.covered_mask(large, self.PSI)
+        assert rt._pool is not None  # the large block did fan out
         rt.close()
         after = dressed.covered_mask(large, self.PSI)  # must not raise
         np.testing.assert_array_equal(before, after)
-
-    def test_auto_policy_accepted_by_config_string(self):
-        config = RuntimeConfig(policy="auto")
-        assert config.policy is ExecutionPolicy.AUTO
-        assert isinstance(make_policy_executor(config), AutoPolicyExecutor)

@@ -1,7 +1,8 @@
 """Differential suite for the asyncio serving layer (ISSUE 4).
 
 The contract: :class:`repro.service.QueryService` never changes an
-answer or a counter.  For every request type × execution policy, the
+answer or a counter.  For every request type × probe-scheduling path
+(inline, thread fan-out), the
 service's :class:`QueryResult.value` and per-request ``stats`` must be
 ``==`` to what the synchronous functions produce when called in
 submission order against an identically configured runtime, and the
@@ -18,7 +19,6 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import logging
-import multiprocessing
 import threading
 import time
 
@@ -52,18 +52,17 @@ from repro.queries.evaluate import MatchCollector
 from repro.queries.maxkcov import tq_match_fn
 from repro.service import QueryPlanner
 
+from .conftest import SCHEDULING
+
 PSI = 400.0
 COUNT = ServiceSpec(ServiceModel.COUNT, psi=PSI)
 ENDPOINT = ServiceSpec(ServiceModel.ENDPOINT, psi=PSI)
 LENGTH = ServiceSpec(ServiceModel.LENGTH, psi=PSI)
 
-#: The acceptance matrix: every policy the runtime schedules under.
-POLICIES = ("serial", "threads", "processes")
-
-
-def _config(policy: str) -> RuntimeConfig:
+def _config(max_workers: int = 1) -> RuntimeConfig:
+    """Two-shard grids; one worker (the default here) probes inline."""
     return RuntimeConfig(
-        backend=ProximityBackend.GRID, policy=policy, shards=2, max_workers=2
+        backend=ProximityBackend.GRID, shards=2, max_workers=max_workers
     )
 
 
@@ -175,17 +174,20 @@ def _assert_outcomes_sum(stats):
 
 class TestServiceDifferential:
     """Service answers == synchronous answers, per request and in total,
-    for all five request types under every execution policy."""
+    for all five request types on both probe-scheduling paths."""
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_mixed_requests_bit_identical(self, policy, tree, facilities):
+    @pytest.mark.parametrize("mode", SCHEDULING)
+    def test_mixed_requests_bit_identical(
+        self, mode, tree, facilities, scheduling_workers
+    ):
         requests = _mixed_requests(tree, facilities)
-        with QueryRuntime(_config(policy)) as base_rt:
+        config = _config(scheduling_workers(mode))
+        with QueryRuntime(config) as base_rt:
             base_values, base_deltas = _sync_baseline(requests, base_rt)
             base_total = dataclasses.replace(base_rt.stats)
 
         async def drive():
-            with QueryRuntime(_config(policy)) as rt:
+            with QueryRuntime(config) as rt:
                 async with QueryService(
                     rt, ServiceConfig(max_in_flight=4)
                 ) as service:
@@ -201,14 +203,17 @@ class TestServiceDifferential:
             _assert_result_equal(req, result, expected, delta)
         assert total == base_total
 
-    def test_repeat_submission_is_deterministic(self, tree, facilities):
+    def test_repeat_submission_is_deterministic(
+        self, tree, facilities, scheduling_workers
+    ):
         """Two service runs of the same workload agree exactly —
         scheduling noise never reaches answers or stats."""
         requests = _mixed_requests(tree, facilities)
+        config = _config(scheduling_workers("threads"))
 
         def one_run():
             async def drive():
-                with QueryRuntime(_config("threads")) as rt:
+                with QueryRuntime(config) as rt:
                     async with QueryService(rt) as service:
                         results = await service.run(requests)
                     return (
@@ -236,7 +241,7 @@ class TestCoalescing:
         req = EvaluateRequest(tree, facilities[0], COUNT)
 
         async def drive():
-            async with QueryService(QueryRuntime(_config("serial"))) as svc:
+            async with QueryService(QueryRuntime(_config())) as svc:
                 results = await svc.run([req, req, req])
                 return results, svc.stats
 
@@ -258,28 +263,13 @@ class TestCoalescing:
         ]
 
         async def drive():
-            async with QueryService(QueryRuntime(_config("serial"))) as svc:
+            async with QueryService(QueryRuntime(_config())) as svc:
                 await svc.run(reqs)
                 return svc.stats
 
         stats = asyncio.run(drive())
         assert stats.probe_units_planned == 2
         assert stats.probe_units_coalesced == 0
-
-    def test_coalesce_window_delays_but_preserves_answers(
-        self, tree, facilities
-    ):
-        req = EvaluateRequest(tree, facilities[0], COUNT)
-        plain = evaluate_service(tree, facilities[0], COUNT)
-
-        async def drive():
-            config = ServiceConfig(coalesce_window=0.01)
-            async with QueryService(
-                QueryRuntime(_config("serial")), config
-            ) as svc:
-                return await svc.submit(req)
-
-        assert asyncio.run(drive()).value == plain
 
 
 class TestAdmissionControl:
@@ -292,7 +282,7 @@ class TestAdmissionControl:
         async def drive():
             config = ServiceConfig(max_in_flight=1, queue_depth=2)
             async with QueryService(
-                QueryRuntime(_config("serial")), config
+                QueryRuntime(_config()), config
             ) as svc:
                 outcomes = await asyncio.gather(
                     *(svc.submit(r) for r in requests),
@@ -318,7 +308,7 @@ class TestAdmissionControl:
         ]
 
         async def drive():
-            with QueryRuntime(_config("serial")) as rt:
+            with QueryRuntime(_config()) as rt:
                 async with QueryService(
                     rt, ServiceConfig(max_in_flight=1, queue_depth=2)
                 ) as svc:
@@ -338,7 +328,7 @@ class TestAdmissionControl:
         req = EvaluateRequest(tree, facilities[0], COUNT)
 
         async def drive():
-            with QueryRuntime(_config("serial")) as rt:
+            with QueryRuntime(_config()) as rt:
                 svc = QueryService(rt)
                 await svc.submit(req)  # binds the loop
                 loop = asyncio.get_running_loop()
@@ -365,7 +355,7 @@ class TestAdmissionControl:
         req = EvaluateRequest(tree, facilities[0], COUNT)
 
         async def drive():
-            with QueryRuntime(_config("serial")) as rt:
+            with QueryRuntime(_config()) as rt:
                 async with QueryService(rt) as svc:
                     await svc.submit(req)  # binds the loop
                     loop = asyncio.get_running_loop()
@@ -410,7 +400,7 @@ class TestAdmissionControl:
 
         async def drive():
             config = ServiceConfig(max_in_flight=1, queue_depth=2)
-            with QueryRuntime(_config("serial")) as rt:
+            with QueryRuntime(_config()) as rt:
                 async with QueryService(rt, config) as svc:
                     await svc.submit(req)
                     loop = asyncio.get_running_loop()
@@ -469,7 +459,7 @@ class TestAdmissionControl:
                 return self._inner.execute(runtime)
 
         async def drive():
-            with QueryRuntime(_config("serial")) as rt:
+            with QueryRuntime(_config()) as rt:
                 async with QueryService(
                     rt, ServiceConfig(max_in_flight=1)
                 ) as svc:
@@ -543,7 +533,7 @@ class TestAdmissionControl:
                 return out
 
         async def drive():
-            with QueryRuntime(_config("serial")) as rt:
+            with QueryRuntime(_config()) as rt:
                 async with QueryService(
                     rt, ServiceConfig(max_in_flight=2)
                 ) as svc:
@@ -587,7 +577,7 @@ class TestAdmissionControl:
         _assert_outcomes_sum(stats)
         # the orphan's stats were accrued: totals equal a sequential
         # run of the same two queries on a fresh runtime
-        with QueryRuntime(_config("serial")) as base_rt:
+        with QueryRuntime(_config()) as base_rt:
             _sync_baseline([req, req], base_rt)
             assert totals == base_rt.stats
 
@@ -600,7 +590,7 @@ class TestAdmissionControl:
         req = EvaluateRequest(tree, facilities[0], COUNT)
 
         async def drive():
-            with QueryRuntime(_config("serial")) as rt:
+            with QueryRuntime(_config()) as rt:
                 async with QueryService(rt) as svc:
                     planner = svc.planner
 
@@ -631,9 +621,9 @@ class TestAdmissionControl:
         with pytest.raises(QueryError):
             ServiceConfig(queue_depth=0)
         with pytest.raises(QueryError):
-            ServiceConfig(coalesce_window=-1.0)
+            ServiceConfig(batch_window=-1.0)
         with pytest.raises(QueryError):
-            ServiceConfig(coalesce_window=float("nan"))
+            ServiceConfig(batch_window=float("nan"))
 
     def test_closed_service_rejects_submissions(self, tree, facilities):
         service = QueryService()
@@ -664,10 +654,11 @@ class TestAsyncSmoke:
         return requests
 
     def test_32_concurrent_requests_parity_and_no_blocking(
-        self, tree, facilities, caplog
+        self, tree, facilities, caplog, scheduling_workers
     ):
         requests = self._smoke_requests(tree, facilities)
-        with QueryRuntime(_config("threads")) as base_rt:
+        config = _config(scheduling_workers("threads"))
+        with QueryRuntime(config) as base_rt:
             base_values, base_deltas = _sync_baseline(requests, base_rt)
             base_total = dataclasses.replace(base_rt.stats)
 
@@ -677,7 +668,7 @@ class TestAsyncSmoke:
             # query cores off-loop, so nothing should come close
             loop.set_debug(True)
             loop.slow_callback_duration = 0.5
-            with QueryRuntime(_config("threads")) as rt:
+            with QueryRuntime(config) as rt:
                 async with QueryService(
                     rt, ServiceConfig(max_in_flight=8)
                 ) as service:
@@ -702,30 +693,6 @@ class TestAsyncSmoke:
 
 
 class TestServiceLifecycle:
-    def test_service_prepares_process_workers_eagerly(self):
-        """Fork safety: a processes runtime handed to a service must
-        have its workers launched at construction (from the clean,
-        pre-bridge-thread state), not lazily from a bridge thread."""
-        with QueryRuntime(_config("processes")) as rt:
-            assert rt.policy_executor._pool is None  # lazy until prepared
-            service = QueryService(rt)
-            try:
-                pool = rt.policy_executor._pool
-                assert pool is not None
-                # under fork — the hazard case — the first submit
-                # launches EVERY worker before the pool's manager
-                # thread exists (gh-90622 excludes fork from on-demand
-                # spawning); spawn/forkserver launch on demand but
-                # never fork() this multi-threaded parent
-                expected = (
-                    rt.policy_executor._workers
-                    if multiprocessing.get_start_method() == "fork"
-                    else 1
-                )
-                assert len(pool._processes) >= expected
-            finally:
-                service.close()
-
     def test_rebind_refused_while_orphaned_core_runs(self, tree, facilities):
         """A core kept running by a cancelled submission must block loop
         rebinding — a fresh loop would reset the unit table and let a
@@ -744,7 +711,7 @@ class TestServiceLifecycle:
                 assert release.wait(10)
                 return self._inner.execute(runtime)
 
-        with QueryRuntime(_config("serial")) as rt:
+        with QueryRuntime(_config()) as rt:
             svc = QueryService(rt)
             planner = svc.planner
 
@@ -787,7 +754,7 @@ class TestServiceLifecycle:
 
     def test_service_reusable_across_event_loops(self, tree, facilities):
         req = EvaluateRequest(tree, facilities[0], COUNT)
-        with QueryRuntime(_config("serial")) as rt:
+        with QueryRuntime(_config()) as rt:
             service = QueryService(rt)
             first = asyncio.run(service.submit(req))
             second = asyncio.run(service.submit(req))  # fresh loop, idle
@@ -812,7 +779,7 @@ class TestServiceLifecycle:
         service's own accounting — the torn-counter / corruption
         regression the HTTP ``GET /stats`` endpoint would amplify."""
         req = EvaluateRequest(tree, facilities[0], COUNT)
-        with QueryRuntime(_config("serial")) as rt:
+        with QueryRuntime(_config()) as rt:
             service = QueryService(rt)
             try:
                 asyncio.run(service.submit(req))
@@ -838,7 +805,7 @@ class TestServiceLifecycle:
 
     def test_service_value_property(self, tree, facilities):
         async def drive():
-            async with QueryService(QueryRuntime(_config("serial"))) as svc:
+            async with QueryService(QueryRuntime(_config())) as svc:
                 ev = await svc.submit(EvaluateRequest(tree, facilities[0], COUNT))
                 cov = await svc.submit(
                     MaxKCovRequest(tree, tuple(facilities), 2, ENDPOINT)

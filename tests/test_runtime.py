@@ -1,4 +1,4 @@
-"""The QueryRuntime execution layer: every runtime policy (dense, grid
+"""The QueryRuntime execution layer: every runtime setting (dense, grid
 at any shard count, cellstring, fan-out) must be answer-invisible —
 ``==`` against the plain dense path throughout.
 """
@@ -34,7 +34,7 @@ from repro import (
 from repro.core.errors import QueryError
 from repro.queries import FacilityComponent, evaluate_node_trajectories
 from repro.queries.maxkcov import tq_match_fn
-from repro.runtime import coerce_runtime
+from repro.runtime import coerce_runtime, resolve_worker_count
 
 from .strategies import WORLD
 
@@ -352,6 +352,39 @@ class TestRuntimeLifecycle:
             RuntimeConfig(max_workers=-2)
         with pytest.raises(QueryError):
             QueryRuntime(backend="grid")
+
+    def test_config_fields_are_exactly_these(self):
+        """The deleted knobs have no alias (ISSUE 18): ``policy=`` /
+        ``start_method=`` / ``coalesce_window=`` are plain TypeErrors."""
+        import dataclasses
+
+        from repro import ServiceConfig
+
+        assert [f.name for f in dataclasses.fields(RuntimeConfig)] == [
+            "backend", "shards", "max_workers", "store_dir",
+        ]
+        assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
+            "max_in_flight", "queue_depth", "batch_window",
+        ]
+        with pytest.raises(TypeError):
+            RuntimeConfig(policy="threads")
+
+    def test_default_pool_is_sized_from_cpu_affinity(self, monkeypatch):
+        """``max_workers=None`` counts the CPUs this process may run on
+        (affinity / cgroup pinning), not the machine's."""
+        import os
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert resolve_worker_count(None) == 1
+        with QueryRuntime(RuntimeConfig()) as rt:
+            assert rt.executor is None  # one usable CPU: always inline
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(32)), raising=False
+        )
+        assert resolve_worker_count(None) == 8  # capped
+        assert resolve_worker_count(None, processes=8) == 4
+        assert resolve_worker_count(3, processes=8) == 3  # explicit wins
 
     def test_executor_lifecycle(self):
         rt = QueryRuntime(RuntimeConfig(max_workers=2))

@@ -17,6 +17,7 @@ equal a brute-force count over each point's 3x3 cell neighbourhood
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro import (
 )
 from repro.core.errors import QueryError
 from repro.core.service import coverage_kernel
+from repro.engine import grid as grid_geometry
 from repro.engine.shards import grid_spill_name
 
 from .strategies import WORLD, dense_facilities, engine_psis, trajectory_sets
@@ -143,7 +145,10 @@ class TestShardedMaskOracle:
         grid = ShardedStopGrid(facility.stop_coords, psi, 7)
         serial_stats = QueryStats()
         serial = grid.covered_mask(block, psi, serial_stats)
-        with ThreadPoolExecutor(max_workers=3) as pool:
+        # the threshold patched down so these small blocks take the pool
+        with ThreadPoolExecutor(max_workers=3) as pool, mock.patch.object(
+            grid_geometry, "FANOUT_MIN_POINTS", 1
+        ):
             pooled_stats = QueryStats()
             pooled = grid.covered_mask(block, psi, pooled_stats, executor=pool)
         assert np.array_equal(serial, pooled)

@@ -10,9 +10,7 @@ Four contracts, each pinned differentially against the live builders:
   stats bit-identically for every backend tier, under both memmap and
   eager loading, including empty/degenerate stop sets;
 * **sharing** — a :class:`~repro.engine.ShardStore` spill directory
-  turns rebuilds into opens (observable through the new counters), and
-  the process policy ships a store *path* instead of copying arrays
-  into shared memory when a shard is store-backed;
+  turns rebuilds into opens (observable through the new counters);
 * **serving** — ``store:<dir>`` catalogs answer HTTP queries
   identically to freshly-built ones, with the store counters on
   ``GET /stats``.
@@ -43,14 +41,13 @@ from repro.core.errors import CatalogError, QueryError, ReproError, StoreError
 from repro.core.stats import StoreStats
 from repro.engine.cellstring import CellstringIndex, build_cellstring_index
 from repro.engine.shards import (
-    MmapStopShard,
     ShardedStopGrid,
     ShardStore,
+    StopShard,
     cellstring_spill_name,
     grid_spill_name,
 )
 from repro.index import build_tq_zorder
-from repro.runtime.policies import ProcessPolicyExecutor
 from repro.service.http import ServeClient, background_server, catalog_from_spec
 from repro.service.http.catalog import build_store_catalog, open_store_catalog
 from repro.store import (
@@ -70,6 +67,8 @@ from repro.store import (
 from repro.store.__main__ import main as store_main
 from repro.store.catalog import DEFAULT_PSI
 from repro.store.codecs import KIND_FACILITIES, KIND_TRAJECTORIES
+
+from .conftest import SCHEDULING
 
 PSI = 400.0
 
@@ -221,8 +220,7 @@ class TestCorruption:
         _flip_byte(stored, 4096)
         with pytest.raises(StoreError):
             open_index(stored)  # verify=True recomputes the hash
-        # verify=False is the trusted-coordinator fast path: it opens
-        # (the workers rely on this after the coordinator verified)
+        # verify=False is the already-verified fast path: it opens
         assert isinstance(open_index(stored, verify=False), ShardedStopGrid)
 
     @pytest.mark.parametrize("kind", ["mystery", "stop_grid"])
@@ -285,13 +283,15 @@ class TestIndexRoundTrip:
         populated = [s for s in opened.shards if s.n_stops]
         assert populated
         for shard in populated:
-            assert isinstance(shard, MmapStopShard)
-            assert shard.store_path == os.path.abspath(path)
+            # plain shards over read-only views of the file
+            assert type(shard) is StopShard
+            assert isinstance(shard.keys, np.memmap)
+            assert isinstance(shard.coords, np.memmap)
             assert not shard.keys.flags.writeable
             assert not shard.coords.flags.writeable
-        # eager mode loads plain shards: nothing references the file
+        # eager mode loads private arrays: nothing references the file
         eager = open_index(path, mmap_mode=None)
-        assert not any(isinstance(s, MmapStopShard) for s in eager.shards)
+        assert not any(isinstance(s.keys, np.memmap) for s in eager.shards)
 
     def test_save_index_rejects_unknown_types(self, tmp_path):
         with pytest.raises(StoreError):
@@ -355,7 +355,7 @@ class TestShardStoreSpill:
         cs = store.cellstring_index(coords, PSI)
         assert isinstance(grid, ShardedStopGrid)
         assert isinstance(cs, CellstringIndex)
-        assert any(isinstance(s, MmapStopShard) for s in grid.shards)
+        assert any(isinstance(s.keys, np.memmap) for s in grid.shards)
         stats = store.snapshot_stats()
         assert stats.opened == 2
         assert stats.verified == 2
@@ -375,7 +375,7 @@ class TestShardStoreSpill:
         _flip_byte(os.path.join(spill, name), 4096)
         store = ShardStore(spill_dir=spill)
         grid = store.sharded_grid(coords, PSI, 2)  # must not raise
-        assert not any(isinstance(s, MmapStopShard) for s in grid.shards)
+        assert not any(isinstance(s.keys, np.memmap) for s in grid.shards)
         stats = store.snapshot_stats()
         assert stats.opened == 0 and stats.verified == 0
         assert stats.grid_misses == 1
@@ -424,7 +424,7 @@ def runtime_store_dir(tmp_path_factory, world):
 
 
 class TestRuntimeDifferential:
-    @pytest.mark.parametrize("policy", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("mode", SCHEDULING)
     @pytest.mark.parametrize("shards", [1, 2, 7])
     @pytest.mark.parametrize(
         "backend",
@@ -435,11 +435,11 @@ class TestRuntimeDifferential:
         ],
     )
     def test_opened_matches_fresh(
-        self, world, runtime_store_dir, backend, shards, policy
+        self, world, runtime_store_dir, backend, shards, mode, scheduling_workers
     ):
         stops, pts = world
         config = RuntimeConfig(
-            backend=backend, policy=policy, shards=shards, max_workers=2
+            backend=backend, shards=shards, max_workers=scheduling_workers(mode)
         )
         with QueryRuntime(config) as fresh:
             fresh_stats = QueryStats()
@@ -459,63 +459,6 @@ class TestRuntimeDifferential:
             # the build — cellstring, or the grid at any shard count, one
             # included — was opened from the store, not rebuilt
             assert counters.opened == 1 and counters.verified == 1
-
-
-# ----------------------------------------------------------------------
-# mmap process transport: path shipped, no shared-memory copies
-# ----------------------------------------------------------------------
-class TestMmapProcessTransport:
-    def test_store_backed_shards_skip_shared_memory(self, tmp_path):
-        coords = _coords(500, seed=11)
-        pts = _probe_points(250, seed=12)
-        path = str(tmp_path / "transport.idx")
-        save_index(path, ShardedStopGrid(coords, PSI, 4))
-        opened = open_index(path, mmap_mode="r")
-        serial_stats = QueryStats()
-        serial_mask = opened.covered_mask(pts, PSI, serial_stats)
-        executor = ProcessPolicyExecutor(max_workers=2)
-        try:
-            proc_stats = QueryStats()
-            proc_mask = opened.covered_mask(pts, PSI, proc_stats, executor)
-            assert np.array_equal(proc_mask, serial_mask)
-            assert proc_stats == serial_stats
-            # every populated shard rode the mmap path: the executor
-            # shipped the store path, exported nothing to shared memory
-            assert executor.mmap_shipped > 0
-            assert executor.shm_shipped == 0
-            assert len(executor._exports) == 0
-            # the workers really mapped the same file (shared read-only
-            # pages, not copies)
-            assert os.path.abspath(path) in executor.worker_mmap_paths()
-        finally:
-            executor.close()
-
-    def test_plain_shards_still_use_shared_memory(self):
-        coords = _coords(500, seed=11)
-        pts = _probe_points(250, seed=12)
-        grid = ShardedStopGrid(coords, PSI, 4)
-        executor = ProcessPolicyExecutor(max_workers=2)
-        try:
-            grid.covered_mask(pts, PSI, None, executor)
-            assert executor.shm_shipped > 0
-            assert executor.mmap_shipped == 0
-        finally:
-            executor.close()
-
-    def test_vanished_store_file_recomputes_inline(self, tmp_path):
-        coords = _coords(300, seed=13)
-        pts = _probe_points(200, seed=14)
-        path = str(tmp_path / "gone.idx")
-        save_index(path, ShardedStopGrid(coords, PSI, 3))
-        opened = open_index(path, mmap_mode="r")
-        expected = opened.covered_mask(pts, PSI)
-        os.unlink(path)  # the mapping stays valid; workers can't open it
-        executor = ProcessPolicyExecutor(max_workers=2)
-        try:
-            mask = opened.covered_mask(pts, PSI, None, executor)
-            assert np.array_equal(mask, expected)
-        finally:
-            executor.close()
 
 
 # ----------------------------------------------------------------------
@@ -615,8 +558,7 @@ class TestHttpOverStore:
 
     def test_store_catalog_serves_identically(self, demo_store_dir):
         runtime = RuntimeConfig(
-            backend=ProximityBackend.GRID, policy="threads", shards=2,
-            max_workers=2,
+            backend=ProximityBackend.GRID, shards=2, max_workers=2,
         )
         with background_server(
             catalog_from_spec(DEMO_SPEC), runtime_config=runtime

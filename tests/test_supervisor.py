@@ -58,7 +58,7 @@ LENGTH_SPEC = {"model": "length", "psi": PSI}
 CATALOG_SPEC = "demo:300:10:12:7"
 
 RUNTIME_CONFIG = RuntimeConfig(
-    backend=ProximityBackend.GRID, policy="threads", shards=2, max_workers=2
+    backend=ProximityBackend.GRID, shards=2, max_workers=2
 )
 SERVICE_CONFIG = ServiceConfig(max_in_flight=4, queue_depth=64)
 
@@ -302,9 +302,6 @@ class TestZeroCopyStoreServing:
             assert worker["mmap_paths"], (
                 f"worker {index} reports no mmap-backed store files"
             )
-            assert worker["shm_segments"] == 0, (
-                f"worker {index} exported shared-memory copies"
-            )
 
 
 class TestClientRetryAcrossRestart:
@@ -323,3 +320,20 @@ class TestClientRetryAcrossRestart:
                 # must reconnect (landing on a live worker) and answer
                 health = client.healthz()
         assert health["status"] in ("ok", "degraded")
+
+
+class TestWorkerPoolShare:
+    def test_unset_max_workers_resolves_to_one_workers_share(self, monkeypatch):
+        """Each prefork worker builds its own runtime: on a 2-CPU host
+        two workers left at ``max_workers=None`` must each get one
+        thread's share — an inline runtime — not a machine-sized pool
+        apiece; an explicit setting is the operator's and is kept."""
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        shared = Supervisor(_http_config(2, runtime=RuntimeConfig()))
+        assert shared.config.runtime.max_workers == 1
+        with QueryRuntime(shared.config.runtime) as rt:
+            assert rt.executor is None
+        explicit = Supervisor(_http_config(2, runtime=RuntimeConfig(max_workers=4)))
+        assert explicit.config.runtime.max_workers == 4
