@@ -2,7 +2,7 @@
 
 Generates a small synthetic city, indexes commuter trips in a TQ-tree,
 and answers a kMaxRRST and a MaxkCovRST query with oracle verification.
-For the full evaluation suite use ``python -m repro.bench.figures``.
+For the full evaluation suite use ``python -m repro.bench``.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def main() -> int:
         "\"tree\": \"demo\", \"facility_set\": \"demo\", \"k\": 3, "
         "\"spec\": {\"model\": \"endpoint\", \"psi\": 300.0}}'\n"
         "For the paper's full evaluation suite: "
-        "python -m repro.bench.figures"
+        "python -m repro.bench"
     )
     return 0
 

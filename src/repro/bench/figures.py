@@ -3,18 +3,18 @@
 Each ``fig*``/``table*`` function runs the corresponding experiment at the
 scaled default sizes (see :mod:`repro.bench.harness`) and returns a
 :class:`Figure` whose series mirror the lines of the paper's plot.  The
-module is runnable::
+package is runnable::
 
-    python -m repro.bench.figures              # everything (minutes)
-    python -m repro.bench.figures fig6a fig7b  # a subset
+    python -m repro.bench              # everything (minutes)
+    python -m repro.bench fig6a fig7b  # a subset
 
 Every TQ-path experiment is built on the :class:`~repro.runtime.
 QueryRuntime` execution layer, so the Figure 6–9 sweeps (and the
 MaxkCovRST experiments that stack on them) can be re-run through a
 runtime at any shard and worker count with the ``--runtime`` flag::
 
-    python -m repro.bench.figures fig6a --runtime 7:4
-    python -m repro.bench.figures fig7c --runtime auto
+    python -m repro.bench fig6a --runtime 7:4
+    python -m repro.bench fig7c --runtime auto
 
 The spec is ``SHARDS[:WORKERS]`` (see
 :func:`~repro.bench.harness.parse_runtime_spec`); without the flag the
@@ -23,16 +23,12 @@ competitors used.  Each timed competitor gets a *fresh* runtime and its
 coverage cache is cleared between timed passes, so the numbers measure
 geometric work, not cache replay; answers never depend on the runtime
 (the differential suites hold every configuration to ``==``).
-
-The output of a full run is what EXPERIMENTS.md records next to the
-paper's reported behaviour.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -491,7 +487,7 @@ def fig10cd(factory: WorkloadFactory) -> Tuple[Figure, Figure]:
 
 def fig11(factory: WorkloadFactory) -> Tuple[Figure, Figure]:
     """Approximation ratios need the exact optimum, so instances shrink:
-    k=4 and at most 32 facilities (documented in EXPERIMENTS.md)."""
+    k=4 and at most 32 facilities."""
     fa = Figure(
         "Figure 11(a)", "approximation ratio vs #users (NYT-like)", "days",
         "ratio to exact", notes="k=4, N=16 (reduced so exact B&B completes)",
@@ -693,7 +689,7 @@ def run_figure(name: str, factory: Optional[WorkloadFactory] = None) -> List[Fig
 
 def main(argv: Sequence[str] = ()) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.figures",
+        prog="python -m repro.bench",
         description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument(
@@ -726,6 +722,3 @@ def main(argv: Sequence[str] = ()) -> int:
     print(f"total wall time: {time.perf_counter() - t0:.1f}s")
     return 0
 
-
-if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))

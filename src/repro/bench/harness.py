@@ -5,7 +5,7 @@ records it verbatim alongside the scaled values this reproduction runs by
 default.  CPython is 1–2 orders of magnitude slower than the paper's Java
 setup, so default workload sizes are divided by ``~90`` (users) and
 ``~8–16`` (facilities) — the *relative* behaviour of the competitors is
-what the benchmarks reproduce, and every size can be scaled back up with
+what the figure sweeps reproduce, and every size can be scaled back up with
 the ``REPRO_BENCH_SCALE`` environment variable.
 
 :class:`WorkloadFactory` memoises datasets and indexes so sweeps measure
@@ -14,14 +14,12 @@ query time, not dataset generation.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import platform
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.config import IndexVariant, ProximityBackend, RuntimeConfig
+from ..core.config import IndexVariant, RuntimeConfig
 from ..core.service import ServiceModel, ServiceSpec
 from ..core.trajectory import FacilityRoute, Trajectory
 from ..datasets import (
@@ -47,77 +45,10 @@ __all__ = [
     "scaled",
     "Timer",
     "time_call",
-    "host_metadata",
-    "scaling_tag",
-    "tag_scaling_claim",
     "WorkloadFactory",
     "DEFAULTS",
     "parse_runtime_spec",
 ]
-
-
-def host_metadata() -> Dict[str, object]:
-    """The machine fingerprint every ``BENCH_*.json`` payload records.
-
-    Speedup claims are meaningless without the hardware that produced
-    them — a thread/process fan-out measured on a 1-CPU container
-    honestly hovers at ~1.0x — so each standalone benchmark harness
-    embeds this block, making the caveat machine-readable instead of a
-    ROADMAP footnote.
-    """
-    return {
-        "cpu_count": os.cpu_count(),
-        "platform": platform.platform(),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "mp_start_method": multiprocessing.get_start_method(),
-        "bench_scale": bench_scale(),
-    }
-
-
-def scaling_tag(host: Optional[Dict[str, object]] = None) -> str:
-    """``"measured"`` or ``"parity-only"``: whether a concurrency
-    speedup recorded on this host can mean anything.
-
-    On a ``cpu_count == 1`` host, threads, processes, and serving
-    workers all timeshare one core, so any thread/process/worker
-    "speedup" hovers at ~1.0x *by construction* — such a ratio
-    certifies parity and bounded overhead, never scaling.  ``host``
-    defaults to the live machine; pass a recorded host block to tag a
-    claim by the machine that actually produced it.
-    """
-    host = host_metadata() if host is None else host
-    try:
-        cpus = int(host.get("cpu_count") or 1)
-    except (TypeError, ValueError):
-        cpus = 1
-    return "measured" if cpus > 1 else "parity-only"
-
-
-def tag_scaling_claim(
-    claim: Dict[str, object], host: Optional[Dict[str, object]] = None
-) -> Dict[str, object]:
-    """Stamp a concurrency-speedup claim block in place (and return it).
-
-    Every ``BENCH_*.json`` claim whose ratios compare threads,
-    processes, or serving workers against a serial run must carry this
-    tag so the payload cannot be misread as real scaling when it was
-    measured on a box that cannot scale.  Adds ``scaling`` (see
-    :func:`scaling_tag`) and, when parity-only, a human-readable
-    ``scaling_note`` saying what the numbers do and do not certify.
-    """
-    tag = scaling_tag(host)
-    claim["scaling"] = tag
-    if tag == "parity-only":
-        claim["scaling_note"] = (
-            "measured on a 1-CPU host: concurrent executors timeshare "
-            "one core, so speedup ratios certify parity and bounded "
-            "overhead only — not scaling; re-run on a multi-core host "
-            "for scaling numbers"
-        )
-    else:
-        claim.pop("scaling_note", None)
-    return claim
 
 
 @dataclass(frozen=True)
@@ -361,31 +292,12 @@ class WorkloadFactory:
     # ------------------------------------------------------------------
     # execution runtimes
     # ------------------------------------------------------------------
-    def runtime(
-        self,
-        backend: ProximityBackend = ProximityBackend.AUTO,
-        shards: int = 0,
-        max_workers: Optional[int] = None,
-    ) -> QueryRuntime:
-        """A fresh :class:`~repro.runtime.QueryRuntime` for one sweep.
-
-        Deliberately *not* memoised: the runtime carries the coverage
-        cache and shard store, and a sweep that wants warm-cache numbers
-        should hold on to the object itself — handing the same runtime
-        to unrelated benchmarks would let one leg's cache contaminate
-        another's measurement.
-        """
-        return QueryRuntime(
-            RuntimeConfig(backend=backend, shards=shards, max_workers=max_workers)
-        )
-
     def query_runtime(self) -> Optional[QueryRuntime]:
         """A fresh runtime under the factory's ``runtime_config``, or
         ``None`` when the factory is not runtime-aware.
 
-        Fresh per call for the same reason :meth:`runtime` is not
-        memoised: each sweep leg owns its caches, so one leg's warm
-        masks cannot contaminate another's measurement.  Callers must
+        Fresh per call: each sweep leg owns its caches, so one leg's
+        warm masks cannot contaminate another's measurement.  Callers must
         ``close()`` (or ``with``) the runtime — it may hold a thread
         pool.
         """

@@ -251,10 +251,11 @@ class HttpConfig:
         (default) is the classic single-process server.  ``>= 2``
         starts a prefork supervisor (:mod:`repro.service.http
         .supervisor`): N worker processes, each running a full
-        ``QueryRuntime → QueryService → HTTP server`` stack, sharing
-        one listen port.  Worker count never changes a query answer —
-        every worker runs the same stack over the same catalog — only
-        how many cores serve it.
+        ``QueryRuntime → QueryService → HTTP server`` stack, each
+        binding its own ``SO_REUSEPORT`` socket on the one listen port
+        (the kernel load-balances accepts).  Worker count never changes
+        a query answer — every worker runs the same stack over the same
+        catalog — only how many cores serve it.
     start_method:
         ``multiprocessing`` start method for the supervisor's workers:
         ``"fork"``, ``"spawn"``, ``"forkserver"``, or ``None`` for the
@@ -263,13 +264,6 @@ class HttpConfig:
         ``spawn``/``forkserver`` each worker re-opens the catalog spec
         (O(open) for ``store:<dir>`` catalogs — the memory-mapped
         index files are still shared through the page cache).
-    listener:
-        How workers share the listen port: ``"reuseport"`` (each
-        worker binds its own ``SO_REUSEPORT`` socket — the kernel
-        load-balances accepts), ``"inherit"`` (the supervisor binds
-        one listening socket and every worker accepts on it), or
-        ``"auto"`` (default: ``reuseport`` where the platform supports
-        it, ``inherit`` otherwise).  Ignored when ``workers == 1``.
     catalog:
         The resource-catalog spec resolved at startup by
         :func:`repro.service.http.catalog_from_spec` — which trees and
@@ -290,7 +284,6 @@ class HttpConfig:
     drain_timeout: float = 10.0
     workers: int = 1
     start_method: Optional[str] = None
-    listener: str = "auto"
     service: ServiceConfig = field(default_factory=ServiceConfig)
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
 
@@ -315,11 +308,6 @@ class HttpConfig:
             raise QueryError(
                 f"unknown start method: {self.start_method!r} (choose "
                 f"from {_START_METHODS})"
-            )
-        if self.listener not in ("auto", "reuseport", "inherit"):
-            raise QueryError(
-                f"listener must be 'auto', 'reuseport', or 'inherit', "
-                f"got {self.listener!r}"
             )
         if not isinstance(self.service, ServiceConfig):
             raise QueryError(f"service must be a ServiceConfig, got {self.service!r}")

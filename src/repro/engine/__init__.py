@@ -41,8 +41,7 @@ with a few candidates per point.  **When dense is still used:** tiny
 stop sets (below :data:`~repro.engine.grid.AUTO_MIN_STOPS` under
 ``ProximityBackend.AUTO``), and radii larger than the built grid's cell
 size, where 3x3 gathering would approach a full scan anyway; the
-fallback is automatic and exact.  ``benchmarks/bench_engine.py``
-measures the crossover.
+fallback is automatic and exact.
 
 Everything here layers strictly on :mod:`repro.core` — the query layer
 imports the engine, never the reverse — and the brute-force oracle path

@@ -490,30 +490,6 @@ class ShardStore:
             return index
 
     # ------------------------------------------------------------------
-    def adopt_sharded_grid(
-        self, grid: "ShardedStopGrid", cell_size: Optional[float] = None
-    ) -> None:
-        """File an already-built (typically store-opened) grid under the
-        key future :meth:`sharded_grid` calls for its content, radius
-        and shard count will probe (``cell_size`` is the request's
-        override, ``None`` when the edge was derived)."""
-        key = _grid_key(grid.coords, grid.psi, grid.n_shards, cell_size)
-        with self._lock:
-            self._grids[key] = grid
-            self.grid_evictions += self._evict_oldest(
-                self._grids, self.max_grids
-            )
-
-    def adopt_cellstring(self, index: CellstringIndex) -> None:
-        """File an already-built cellstring index under its content key."""
-        key = _cellstring_key(index.coords, index.psi)
-        with self._lock:
-            self._cellstrings[key] = index
-            self.cellstring_evictions += self._evict_oldest(
-                self._cellstrings, self.max_cellstrings
-            )
-
-    # ------------------------------------------------------------------
     def snapshot_stats(self) -> StoreStats:
         """A frozen :class:`~repro.core.stats.StoreStats` of the counters
         at this instant (consistent: taken under the store lock)."""

@@ -14,8 +14,8 @@ the enumeration with a classical branch-and-bound:
 
 Suffix-merged match sets make the bound O(|affected users|) per node.
 The search is exact for every service model; it remains exponential in
-the worst case, so Figure 11 runs it on reduced instances (documented in
-EXPERIMENTS.md).
+the worst case, so Figure 11 runs it on reduced instances (k = 4, at
+most 32 facilities: ``fig11`` in :mod:`repro.bench.figures`).
 """
 
 from __future__ import annotations

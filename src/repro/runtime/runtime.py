@@ -36,9 +36,7 @@ bit-identical to the plain dense path, which is what
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
-import functools
 import os
 import threading
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -262,38 +260,6 @@ class QueryRuntime:
         """
         return self.stop_set(stops, psi).covered_mask(coords, psi, stats)
 
-    async def probe_mask_async(
-        self,
-        stops: Union[StopSet, np.ndarray],
-        coords: np.ndarray,
-        psi: float,
-        stats: Optional[QueryStats] = None,
-        executor: Optional[Executor] = None,
-    ) -> np.ndarray:
-        """:meth:`probe_mask` bridged onto the running event loop.
-
-        The probe — stop-set dressing, the grid/shard kernels, and any
-        fan-out those schedule — is synchronous CPU work, so awaiting
-        it directly would stall every other coroutine for the duration
-        of the kernel.  This bridge runs the whole probe via
-        :meth:`loop.run_in_executor` (on ``executor``, or the loop's
-        default thread pool when ``None``) and awaits the future, so
-        the event loop stays responsive while the geometric work runs
-        on a bridge thread.  Results
-        are the same object :meth:`probe_mask` would return — the
-        bridge changes where the caller waits, never what is computed.
-
-        ``stats``, when given, is mutated from the bridge thread; don't
-        share one stats object across concurrent probes (give each its
-        own and :meth:`~repro.core.stats.QueryStats.merge` after — the
-        pattern :class:`repro.service.QueryService` uses per request).
-        """
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            executor,
-            functools.partial(self.probe_mask, stops, coords, psi, stats),
-        )
-
     # ------------------------------------------------------------------
     # the batched probe path
     # ------------------------------------------------------------------
@@ -332,25 +298,6 @@ class QueryRuntime:
             stats = stats_list[i] if stats_list is not None else None
             masks.append(self.probe_mask(stops, coords, psi, stats))
         return masks
-
-    async def probe_masks_batch_async(
-        self,
-        tasks: "Sequence[Tuple[Union[StopSet, np.ndarray], np.ndarray, float]]",
-        stats_list: "Optional[Sequence[Optional[QueryStats]]]" = None,
-        executor: Optional[Executor] = None,
-    ) -> "List[np.ndarray]":
-        """:meth:`probe_masks_batch` bridged onto the running event
-        loop: all the tasks' geometric work crosses to a bridge thread
-        in **one** ``run_in_executor`` hop (vs one hop per probe with
-        repeated :meth:`probe_mask_async`), which is what makes a
-        merged group of N requests cost one scheduling round trip.
-        Same stats discipline as :meth:`probe_mask_async`: the stats
-        objects are mutated from the bridge thread."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            executor,
-            functools.partial(self.probe_masks_batch, tasks, stats_list),
-        )
 
     # ------------------------------------------------------------------
     # stats accrual

@@ -85,12 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="multiprocessing start method for workers "
         "(default: the platform default)",
     )
-    scaleout.add_argument(
-        "--listener", default="auto", choices=["auto", "reuseport", "inherit"],
-        help="how workers share the port: per-worker SO_REUSEPORT "
-        "sockets, or one supervisor-bound socket inherited by all "
-        "(auto prefers reuseport where available)",
-    )
     service = parser.add_argument_group("service (admission + coalescing)")
     service.add_argument(
         "--max-in-flight", type=int, default=8,
@@ -132,7 +126,6 @@ def config_from_args(args: argparse.Namespace) -> HttpConfig:
         drain_timeout=args.drain_timeout,
         workers=args.workers,
         start_method=args.start_method,
-        listener=args.listener,
         service=ServiceConfig(
             max_in_flight=args.max_in_flight,
             queue_depth=args.queue_depth,

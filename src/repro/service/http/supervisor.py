@@ -14,23 +14,16 @@ full deployment, serve until told to drain, exit 0.  A worker that
 supervisor's monitor thread without the listen port ever closing;
 workers that exit because a drain was requested are not respawned.
 
-**Listener sharing.**  Two modes (``HttpConfig.listener``):
-
-* ``reuseport`` — every worker binds its own ``SO_REUSEPORT`` socket on
-  the shared port and the kernel load-balances incoming connections
-  across the listening sockets.  The supervisor holds a bound but
-  *never-listening* ``SO_REUSEPORT`` socket on the same port for its
-  whole life: TCP connection dispatch only considers listening sockets,
-  so the probe receives nothing, but it pins the port — an ephemeral
-  ``port=0`` resolves once, before any worker launches, and the port
-  cannot be stolen even while every worker is mid-respawn.
-* ``inherit`` — the supervisor binds one listening socket and every
-  worker accepts on it (the classic prefork-accept pattern); the socket
-  travels to workers by fork inheritance or ``multiprocessing``'s
-  fd-passing reduction under spawn.
-
-``auto`` picks ``reuseport`` where the platform has it (Linux, modern
-BSD/macOS) and ``inherit`` otherwise.
+**Listener sharing.**  Every worker binds its own ``SO_REUSEPORT``
+socket on the shared port and the kernel load-balances incoming
+connections across the listening sockets.  The supervisor holds a bound
+but *never-listening* ``SO_REUSEPORT`` socket on the same port for its
+whole life: TCP connection dispatch only considers listening sockets,
+so the probe receives nothing, but it pins the port — an ephemeral
+``port=0`` resolves once, before any worker launches, and the port
+cannot be stolen even while every worker is mid-respawn.  A platform
+without ``SO_REUSEPORT`` gets a :class:`~repro.core.errors.QueryError`
+from :meth:`Supervisor.start`.
 
 **The catalog is opened once, copied never.**  Under ``fork`` the
 supervisor resolves the catalog spec first and workers inherit the live
@@ -133,17 +126,6 @@ def _with_worker_share(config: HttpConfig) -> HttpConfig:
     )
 
 
-def _resolve_listener_mode(config: HttpConfig) -> str:
-    if config.listener == "auto":
-        return "reuseport" if reuseport_available() else "inherit"
-    if config.listener == "reuseport" and not reuseport_available():
-        raise QueryError(
-            "listener='reuseport' requested but SO_REUSEPORT is not "
-            "available on this platform (use 'inherit' or 'auto')"
-        )
-    return config.listener
-
-
 def _bind_socket(
     host: str, port: int, reuseport: bool, listen: bool
 ) -> socket.socket:
@@ -163,17 +145,11 @@ def _bind_socket(
 # ----------------------------------------------------------------------
 # the worker process
 # ----------------------------------------------------------------------
-#: What the supervisor hands a worker as its front listener: the shared
-#: listening socket itself (inherit mode) or the address to bind its
-#: own ``SO_REUSEPORT`` socket on.
-_FrontArg = Union[socket.socket, Tuple[str, str, int]]
-
-
 def _worker_main(
     index: int,
     config: HttpConfig,
     catalog_source: Union[Catalog, str],
-    front: _FrontArg,
+    front: Tuple[str, int],
     conn: Connection,
 ) -> None:
     """Worker process entry point (module-level: picklable for spawn).
@@ -199,18 +175,14 @@ def _worker_serve(
     index: int,
     config: HttpConfig,
     catalog_source: Union[Catalog, str],
-    front: _FrontArg,
+    front: Tuple[str, int],
     conn: Connection,
 ) -> None:
     if isinstance(catalog_source, Catalog):
         catalog = catalog_source  # fork: inherited copy-on-write
     else:
         catalog = catalog_from_spec(catalog_source)
-    if isinstance(front, socket.socket):
-        front_sock = front  # inherit: the supervisor's shared listener
-    else:
-        _, host, port = front
-        front_sock = _bind_socket(host, port, reuseport=True, listen=True)
+    front_sock = _bind_socket(*front, reuseport=True, listen=True)
     direct_sock = _bind_socket(config.host, 0, reuseport=False, listen=True)
 
     async def amain() -> None:
@@ -294,13 +266,11 @@ class Supervisor:
                 "(use the single-process server)"
             )
         self.config = _with_worker_share(with_derived_store_dir(config))
-        self._mode = _resolve_listener_mode(config)
         self._ctx = multiprocessing.get_context(config.start_method)
         self._workers: Dict[int, _WorkerHandle] = {}
         self._lock = threading.Lock()
         self._stopping = threading.Event()
         self._monitor: Optional[threading.Thread] = None
-        self._listener: Optional[socket.socket] = None
         self._probe: Optional[socket.socket] = None
         self._address: Optional[Tuple[str, int]] = None
         self._catalog_source: Union[Catalog, str, None] = None
@@ -319,10 +289,6 @@ class Supervisor:
     def start_method(self) -> str:
         return self._ctx.get_start_method()
 
-    @property
-    def listener_mode(self) -> str:
-        return self._mode
-
     def worker_table(self) -> Tuple[WorkerPeer, ...]:
         with self._lock:
             return tuple(
@@ -337,6 +303,12 @@ class Supervisor:
         worker, broadcast the table, start the monitor."""
         if self._address is not None:
             raise QueryError("supervisor already started")
+        if not reuseport_available():
+            raise QueryError(
+                "prefork workers share the listen port through "
+                "SO_REUSEPORT, which this platform does not have "
+                "(serve with workers=1)"
+            )
         config = self.config
         if self.start_method == "fork":
             # resolve once; workers inherit the live objects
@@ -346,19 +318,12 @@ class Supervisor:
             # spawn/forkserver: each worker re-opens the spec (O(open)
             # for store catalogs — shared pages, not copies)
             self._catalog_source = config.catalog
-        if self._mode == "inherit":
-            self._listener = _bind_socket(
-                config.host, config.port, reuseport=False, listen=True
-            )
-            sockname = self._listener.getsockname()
-        else:
-            # bound but never listening: pins the port for the
-            # supervisor's lifetime without receiving connections
-            self._probe = _bind_socket(
-                config.host, config.port, reuseport=True, listen=False
-            )
-            sockname = self._probe.getsockname()
-        self._address = (sockname[0], sockname[1])
+        # bound but never listening: pins the port for the
+        # supervisor's lifetime without receiving connections
+        self._probe = _bind_socket(
+            config.host, config.port, reuseport=True, listen=False
+        )
+        self._address = self._probe.getsockname()
         try:
             for index in range(config.workers):
                 self._spawn(index)
@@ -406,11 +371,10 @@ class Supervisor:
                 h.conn.close()
         with self._lock:
             self._workers.clear()
-        for sock in (self._listener, self._probe):
-            if sock is not None:
-                with contextlib.suppress(OSError):
-                    sock.close()
-        self._listener = self._probe = None
+        if self._probe is not None:
+            with contextlib.suppress(OSError):
+                self._probe.close()
+            self._probe = None
 
     def __enter__(self) -> "Supervisor":
         if self._address is None:
@@ -436,12 +400,6 @@ class Supervisor:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _front_arg(self) -> _FrontArg:
-        if self._mode == "inherit":
-            return self._listener
-        host, port = self._address
-        return ("reuseport", host, port)
-
     def _spawn(self, index: int) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
@@ -450,7 +408,7 @@ class Supervisor:
                 index,
                 self.config,
                 self._catalog_source,
-                self._front_arg(),
+                self._address,
                 child_conn,
             ),
             name=f"repro-http-worker-{index}",
@@ -569,7 +527,7 @@ def run_supervisor(config: HttpConfig) -> int:
     table = supervisor.worker_table()
     print(
         f"serving on http://{host}:{port}  "
-        f"({len(table)} workers, listener={supervisor.listener_mode}, "
+        f"({len(table)} workers, "
         f"start_method={supervisor.start_method}; "
         f"pids: {', '.join(str(p.pid) for p in table)})",
         flush=True,

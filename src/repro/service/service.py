@@ -200,8 +200,8 @@ class ServiceStats:
     ran computed nothing, and one whose core failed computed nothing
     complete, so riding either is (conservatively) not counted as
     sharing.  ``dedup_rate`` is
-    the fraction of planned units so served; it is the number
-    ``BENCH_service.json`` reports for overlapping workloads.
+    the fraction of planned units so served (perfbench reports it as
+    ``service.dedup_rate``).
 
     ``probe_units_batched`` counts units answered by a merged
     :class:`~repro.engine.BatchQueryEngine` pass (delivered outcomes

@@ -44,15 +44,6 @@ def scheduling_workers(monkeypatch):
     return workers
 
 
-def pytest_configure(config):
-    # Same marker the benchmark suite registers (benchmarks/conftest.py):
-    # `pytest -m engine_smoke` selects the fast engine-vs-oracle check.
-    config.addinivalue_line(
-        "markers",
-        "engine_smoke: fast proximity-engine-vs-oracle smoke check",
-    )
-
-
 @pytest.fixture(scope="session")
 def city() -> CityModel:
     return CityModel.generate(seed=11, size=10_000.0, n_hotspots=6)

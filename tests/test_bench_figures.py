@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import math
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro.bench.figures as figures
@@ -112,6 +117,40 @@ class TestRunFigure:
     def test_all_registry_names_resolve(self):
         for name, fn in figures.ALL_FIGURES.items():
             assert callable(fn), name
+
+    @pytest.mark.parametrize("name", list(figures.ALL_FIGURES))
+    def test_every_figure_runs_with_complete_series(self, tiny, name):
+        """Tier-1 executes every registered sweep: each series has a
+        finite y at every x of its figure, so the competitors (BL /
+        TQ(B) / TQ(Z) where present) are compared over one x axis."""
+        figs = run_figure(name, tiny)
+        assert figs
+        for fig in figs:
+            assert fig.series, fig.fig_id
+            xs = [x for x, _ in fig.series[0].points]
+            assert xs, fig.fig_id
+            for s in fig.series:
+                assert [x for x, _ in s.points] == xs, (fig.fig_id, s.name)
+                assert all(math.isfinite(y) for _, y in s.points), (
+                    fig.fig_id, s.name,
+                )
+
+    def test_package_cli_is_clean_under_the_tier1_warning_filter(self):
+        """``python -m repro.bench`` is the documented entry point; it
+        must survive ``error::RuntimeWarning`` (running the figures
+        module itself trips runpy's found-in-sys.modules warning)."""
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.bench", "table3"],
+            capture_output=True,
+            text=True,
+            cwd=root,
+            env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "Table III" in proc.stdout and "n_trajectories" in proc.stdout
 
 
 class TestRuntimeAwareSweeps:

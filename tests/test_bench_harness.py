@@ -13,8 +13,6 @@ from repro.bench.harness import (
     bench_scale,
     parse_runtime_spec,
     scaled,
-    scaling_tag,
-    tag_scaling_claim,
     time_call,
 )
 from repro.core.config import (
@@ -205,37 +203,3 @@ class TestTiming:
         assert DEFAULTS.k in DEFAULTS.k_sweep
         assert DEFAULTS.n_stops in DEFAULTS.stop_sweep
 
-
-class TestScalingTag:
-    """Concurrency speedup claims must self-identify the hardware that
-    can back them: on a 1-CPU host the executors timeshare one core,
-    so ratios certify parity and bounded overhead, never scaling."""
-
-    def test_single_cpu_is_parity_only(self):
-        assert scaling_tag({"cpu_count": 1}) == "parity-only"
-        assert scaling_tag({"cpu_count": 0}) == "parity-only"
-        assert scaling_tag({"cpu_count": None}) == "parity-only"
-        assert scaling_tag({}) == "parity-only"
-        assert scaling_tag({"cpu_count": "garbage"}) == "parity-only"
-
-    def test_multi_cpu_is_measured(self):
-        assert scaling_tag({"cpu_count": 2}) == "measured"
-        assert scaling_tag({"cpu_count": 64}) == "measured"
-
-    def test_default_host_is_the_live_machine(self):
-        import os
-
-        expected = "measured" if (os.cpu_count() or 1) > 1 else "parity-only"
-        assert scaling_tag() == expected
-
-    def test_tag_stamps_claim_and_note(self):
-        claim = tag_scaling_claim({"speedup": 1.1}, host={"cpu_count": 1})
-        assert claim["scaling"] == "parity-only"
-        assert "1-CPU host" in claim["scaling_note"]
-        assert claim["speedup"] == 1.1  # untouched
-
-    def test_measured_claim_carries_no_note(self):
-        claim = {"speedup": 3.7, "scaling_note": "stale"}
-        tagged = tag_scaling_claim(claim, host={"cpu_count": 8})
-        assert tagged["scaling"] == "measured"
-        assert "scaling_note" not in tagged

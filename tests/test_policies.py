@@ -85,44 +85,6 @@ class TestMaskAndStatsParity:
                     np.testing.assert_array_equal(mask, dense, err_msg=label)
                     assert stats == ref_stats, label
 
-    def test_probe_mask_async_matches_sync(
-        self, world, caplog, scheduling_workers
-    ):
-        """The advertised async bridge: identical mask and identically
-        mutated stats versus probe_mask, on both paths, and the probe
-        kernel never holds the event loop (asserted via asyncio's
-        debug-mode slow-callback warnings, as the service smoke test
-        does)."""
-        import asyncio
-        import logging
-
-        coords, probes = world
-        for mode in SCHEDULING:
-            with QueryRuntime(_config(scheduling_workers(mode), 2)) as rt:
-                sync_stats = QueryStats()
-                sync_mask = rt.probe_mask(
-                    coords, probes, self.PSI, sync_stats
-                )
-
-                async def drive():
-                    loop = asyncio.get_running_loop()
-                    loop.set_debug(True)
-                    loop.slow_callback_duration = 0.25
-                    stats = QueryStats()
-                    mask = await rt.probe_mask_async(
-                        coords, probes, self.PSI, stats
-                    )
-                    return mask, stats
-
-                with caplog.at_level(logging.WARNING, logger="asyncio"):
-                    async_mask, async_stats = asyncio.run(drive())
-            blocking = [
-                r for r in caplog.records if "Executing" in r.getMessage()
-            ]
-            assert not blocking, (mode, [r.getMessage() for r in blocking])
-            np.testing.assert_array_equal(async_mask, sync_mask, err_msg=mode)
-            assert async_stats == sync_stats, mode
-
     def test_empty_and_degenerate_probes(self, world, scheduling_workers):
         coords, _ = world
         for backend in TIERS:

@@ -354,11 +354,12 @@ class TestRuntimeLifecycle:
             QueryRuntime(backend="grid")
 
     def test_config_fields_are_exactly_these(self):
-        """The deleted knobs have no alias (ISSUE 18): ``policy=`` /
-        ``start_method=`` / ``coalesce_window=`` are plain TypeErrors."""
+        """The deleted knobs have no alias (ISSUEs 18, 19): ``policy=`` /
+        ``start_method=`` / ``coalesce_window=`` / ``listener=`` are
+        plain TypeErrors."""
         import dataclasses
 
-        from repro import ServiceConfig
+        from repro import HttpConfig, ServiceConfig
 
         assert [f.name for f in dataclasses.fields(RuntimeConfig)] == [
             "backend", "shards", "max_workers", "store_dir",
@@ -366,8 +367,27 @@ class TestRuntimeLifecycle:
         assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
             "max_in_flight", "queue_depth", "batch_window",
         ]
+        assert [f.name for f in dataclasses.fields(HttpConfig)] == [
+            "host", "port", "catalog", "drain_timeout", "workers",
+            "start_method", "service", "runtime",
+        ]
         with pytest.raises(TypeError):
             RuntimeConfig(policy="threads")
+        with pytest.raises(TypeError):
+            HttpConfig(listener="inherit")
+
+    def test_prefork_without_reuseport_is_a_typed_error(self, monkeypatch):
+        """SO_REUSEPORT is the only way workers share the port; a
+        platform without it is refused at start(), before any bind."""
+        import socket
+
+        from repro import HttpConfig
+        from repro.service.http import Supervisor
+
+        monkeypatch.delattr(socket, "SO_REUSEPORT")
+        supervisor = Supervisor(HttpConfig(port=0, workers=2))
+        with pytest.raises(QueryError, match="SO_REUSEPORT"):
+            supervisor.start()
 
     def test_default_pool_is_sized_from_cpu_affinity(self, monkeypatch):
         """``max_workers=None`` counts the CPUs this process may run on

@@ -283,15 +283,6 @@ class TestShardStore:
         assert grid_spill_name(coords, 10.0, SHARDS_AUTO) == name
         assert grid_spill_name(coords, 10.0, 2) != name
 
-    def test_adopted_grid_is_filed_under_its_own_shard_count(self):
-        coords = np.random.default_rng(14).uniform(0, 500, size=(128, 2))
-        store = ShardStore()
-        built = ShardedStopGrid(coords, 10.0)
-        store.adopt_sharded_grid(built)
-        assert store.sharded_grid(coords, 10.0, SHARDS_AUTO) is built
-        assert store.sharded_grid(coords, 10.0, built.n_shards) is built
-        assert store.grid_misses == 0
-
     def test_overlapping_stop_sets_share_shards(self):
         """A superset facility reuses the subset's built shard: the
         shared region sorts into a content-identical slice."""
