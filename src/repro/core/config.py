@@ -192,19 +192,13 @@ class ServiceConfig:
         :class:`~repro.core.errors.ServiceOverloaded` instead of
         growing the queue without limit.  Must be >= 1.
     batch_window:
-        Seconds the service holds *batchable* evaluate requests open so
-        concurrent submissions against the same tree can merge into one
-        :class:`~repro.engine.BatchQueryEngine` pass (one shared
-        probe-block concat, one coverage mask per distinct
-        ``(facility, psi)``) instead of each paying a full tree walk.
-        ``0.0`` (default) disables batching entirely and preserves the
-        pre-batching scheduling byte for byte.  Only requests whose
-        arithmetic is provably bit-identical between the tree walk and
-        the batch engine join a group (see
-        ``repro.service.service`` — ENDPOINT and un-normalized COUNT
-        always; normalized COUNT when every trajectory's point count is
-        a power of two); everything else runs the unbatched path, so
-        answers never depend on this knob.
+        Seconds the service holds evaluate requests open so concurrent
+        submissions form one group whose members' cores run back to
+        back as one bridge-pool task under one admission slot (see
+        ``repro.service.service``).  ``0.0`` (default) disables
+        batching entirely.  A member runs the same core it would run
+        alone, so answers and per-request stats never depend on this
+        knob.
     """
 
     max_in_flight: int = 8

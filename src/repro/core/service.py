@@ -108,8 +108,10 @@ class ServiceSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.model, ServiceModel):
             raise QueryError(f"unknown service model: {self.model!r}")
-        if not self.psi >= 0:
-            raise QueryError(f"psi must be >= 0, got {self.psi}")
+        # one chained test rejects NaN (every comparison false) and inf,
+        # which would otherwise die later as a non-finite bounding box
+        if not 0 <= self.psi < float("inf"):
+            raise QueryError(f"psi must be finite and >= 0, got {self.psi}")
 
 
 # ----------------------------------------------------------------------

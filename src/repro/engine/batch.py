@@ -1,7 +1,9 @@
 """Batched, vectorised service-value evaluation over a fixed user set.
 
-:class:`BatchQueryEngine` is the index-free fast path for heavy query
-traffic: it probes the user set's :class:`~repro.core.trajectory
+:class:`BatchQueryEngine` is the index-free scorer: a library entry
+point for callers holding a user set and no TQ-tree (the serving layer
+never runs it — a ``batch_window`` group runs its members' tree walks).
+It probes the user set's :class:`~repro.core.trajectory
 .UserPointTable` — every user's points as one block, with the
 per-trajectory aggregation structure (start/end slots, segment endpoint
 pairs, segment lengths) as flat columns — and answers any number of
@@ -111,14 +113,6 @@ class BatchQueryEngine:
     def n_probe_points(self) -> int:
         return int(self._points.shape[0])
 
-    @property
-    def probe_block(self) -> np.ndarray:
-        """The shared probe block: every user's points, concatenated in
-        user order.  Callers computing masks outside the engine (e.g.
-        :meth:`repro.runtime.QueryRuntime.probe_masks_batch`) must probe
-        exactly this array — masks are cached per block identity."""
-        return self._points
-
     def resolve_stops(self, obj: StopsLike, psi: float) -> StopSet:
         """The (runtime-dressed) stop set for a request object, shared
         across requests naming the same object."""
@@ -132,22 +126,6 @@ class BatchQueryEngine:
         self._stops[key] = (obj, stops)
         return stops
 
-    def seed_stops(self, obj: StopsLike, stops: StopSet) -> None:
-        """Register an externally-supplied dressed stop set for ``obj``.
-
-        Lets a caller that already holds a built proximity structure —
-        a grid or cellstring set opened from a persisted
-        :mod:`repro.store` directory, a grid another runtime dressed —
-        answer requests naming ``obj`` without re-dressing from raw
-        coordinates.  Coverage semantics are unchanged (every dressed
-        tier is bit-identical to dense), so this only skips build work.
-        """
-        if not isinstance(stops, StopSet):
-            raise QueryError(
-                f"seed_stops needs a StopSet, got {type(stops).__name__}"
-            )
-        self._stops[id(obj)] = (obj, stops)
-
     def _mask(
         self, stops: StopSet, psi: float, stats: Optional[QueryStats]
     ) -> np.ndarray:
@@ -159,24 +137,6 @@ class BatchQueryEngine:
         mask = stops.covered_mask(self._points, psi, stats)
         self.cache.store_mask(stops, psi, self._points, mask)
         return mask
-
-    def cached_mask(
-        self, stops: StopSet, psi: float
-    ) -> Optional[np.ndarray]:
-        """The cached probe-block mask for a dressed stop set, or
-        ``None`` — a pure lookup that counts no hit, for callers (the
-        service's batch tier) deciding which masks still need
-        computing."""
-        return self.cache.lookup_mask(stops, psi, self._points)
-
-    def seed_mask(
-        self, stops: StopSet, psi: float, mask: np.ndarray
-    ) -> None:
-        """Install an externally computed probe-block mask (one
-        ``QueryRuntime.probe_masks_batch`` produced over
-        :attr:`probe_block`) so subsequent queries for ``(stops, psi)``
-        hit the cache instead of re-probing."""
-        self.cache.store_mask(stops, psi, self._points, mask)
 
     # ------------------------------------------------------------------
     def query(
@@ -206,15 +166,10 @@ class BatchQueryEngine:
     ) -> float:
         """:meth:`query` with the probe-block mask supplied by the
         caller — no cache lookup, no probe, no ``cache_hits`` count.
-
-        The batched service tier uses this to attribute mask work
-        exactly: it computes each distinct ``(stops, psi)`` mask once
-        through :meth:`repro.runtime.QueryRuntime.probe_masks_batch`,
-        charges those probe counters to the first request naming the
-        mask, and scores that request here so its stats carry the probe
-        work and nothing else — later requests go through :meth:`query`
-        and record the cache hit they genuinely get.  Aggregation is
-        the same arithmetic as :meth:`query`, so values are identical.
+        Aggregation is the same arithmetic as :meth:`query`, so values
+        are identical.  No caller is left in ``src/`` (the service's
+        batch groups run tree walks); perfbench patches the name, so it
+        stays until a [benchmark] issue drops that target.
         """
         local = QueryStats() if self.runtime is not None else stats
         values = per_user_values(self.table, mask, spec)

@@ -40,7 +40,7 @@ REPRO_LAYERS = LayerConfig(
         "store": ("core", "index", "engine"),
         "runtime": ("core", "engine", "store"),
         "queries": ("core", "index", "runtime"),
-        "service": ("core", "index", "engine", "runtime", "queries"),
+        "service": ("core", "index", "runtime", "queries"),
         "http": (
             "core",
             "index",

@@ -272,16 +272,12 @@ class QueryRuntime:
         ``(stops, coords, psi)`` and yields the exact mask
         :meth:`probe_mask` would, in task order.
 
-        This is the bridge-side entry point for cross-request batching:
-        the service's batch tier collects every distinct
-        ``(facility, psi)`` a merged group of evaluate requests needs,
-        probes them all against the group's shared probe block here,
-        and splits the returned per-task counters back onto the
-        requests — one bridge call where the unbatched path pays one
-        per request.  Tasks run sequentially on the calling thread
-        (a large probe already fans out internally when its stop set
-        is sharded), so per-task stats are attributed exactly and
-        results are deterministic.
+        Tasks run sequentially on the calling thread (a large probe
+        already fans out internally when its stop set is sharded), so
+        per-task stats are attributed exactly and results are
+        deterministic.  No caller is left in ``src/`` (the service's
+        batch groups run tree walks); perfbench patches the name, so it
+        stays until a [benchmark] issue drops that target.
 
         ``stats_list``, when given, must match ``tasks`` in length;
         entry *i* (when not ``None``) receives task *i*'s counters

@@ -96,8 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service.add_argument(
         "--batch-window", type=float, default=0.0,
-        help="seconds evaluate requests wait to merge into one batched "
-        "engine pass (0 disables batching)",
+        help="seconds evaluate requests wait to form one batch group — "
+        "their tree walks run back to back as one task (0 disables "
+        "batching)",
     )
     runtime = parser.add_argument_group("runtime")
     runtime.add_argument(

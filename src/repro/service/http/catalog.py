@@ -140,7 +140,8 @@ class Catalog:
 
         ``facility_ids=None`` selects the whole set; an explicit list
         selects those ids, in the given order.  Malformed ids (wrong
-        type) are a :class:`QueryError`; ids absent from the set are a
+        type) and repeated ids (the paper's candidate ``F`` is a set)
+        are a :class:`QueryError`; ids absent from the set are a
         :class:`CatalogError` — the 400 / 404 split the server relies
         on.
         """
@@ -154,11 +155,17 @@ class Catalog:
                 f"{facility_ids!r}"
             )
         selected: List[FacilityRoute] = []
+        seen: set = set()
         for fid in facility_ids:
             if isinstance(fid, bool) or not isinstance(fid, int):
                 raise QueryError(
                     f"facility_ids must be integers, got {fid!r}"
                 )
+            if fid in seen:
+                raise QueryError(
+                    f"facility_ids must be distinct, got {fid} more than once"
+                )
+            seen.add(fid)
             selected.append(self.facility(set_name, fid))
         return tuple(selected)
 

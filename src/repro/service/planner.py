@@ -36,7 +36,7 @@ one cache entry, which is the thing the ordering exists to rule out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Optional, Tuple
+from typing import Callable, FrozenSet, Tuple
 
 from ..core.errors import QueryError
 from ..core.stats import QueryStats
@@ -73,26 +73,14 @@ class QueryPlan:
     runtime and returns the finished :class:`QueryResult`; it is pure
     apart from the runtime's internal caches — no ambient stats
     accrual — so the service can run it on any thread and attribute its
-    counters exactly.
-
-    ``batch_key`` marks the plan *shape-batchable*: requests carrying
-    the same key target the same resident tree/user set with an
-    evaluate-shaped core, so the service's batching tier
-    (``ServiceConfig.batch_window``) may merge them into one
-    :class:`~repro.engine.BatchQueryEngine` pass.  The key names the
-    user set (``id(tree)``, pinned alive through the request) — it
-    deliberately ignores facility, psi and model, which the engine
-    handles per member.  ``None`` means the plan never batches
-    (multi-facility solvers, match-collecting evaluates).  Shape is
-    only half the decision: the service still gates each member on the
-    arithmetic-exactness predicate that keeps batched answers
-    bit-identical to this plan's ``execute``.
+    counters exactly — one at a time or, under
+    ``ServiceConfig.batch_window``, a group of evaluate plans back to
+    back.
     """
 
     request: QueryRequest
     units: FrozenSet[ProbeUnit]
     execute: Callable[[QueryRuntime], QueryResult]
-    batch_key: Optional[int] = None
 
 
 def _unit(tree, facility_id: int, psi: float, model, collecting: bool) -> ProbeUnit:
@@ -134,12 +122,7 @@ class QueryPlanner:
             matches = collector.as_dict() if collector is not None else None
             return QueryResult(req, value, stats, matches)
 
-        # match-collecting evaluates stay unbatchable: the batch engine
-        # derives matches from the full-block mask, not the tree walk's
-        # per-node candidate bookkeeping, and the service promises
-        # batching never changes any part of an answer
-        batch_key = None if req.collect_matches else id(req.tree)
-        return QueryPlan(req, units, execute, batch_key=batch_key)
+        return QueryPlan(req, units, execute)
 
     def _plan_kmaxrrst(self, req: KMaxRRSTRequest) -> QueryPlan:
         spec = req.spec

@@ -48,37 +48,27 @@ happened and is visible to successors just like a sequential
 predecessor's.  Cancelled requests are counted in
 ``ServiceStats.requests_cancelled``.
 
-**Batching** (``ServiceConfig.batch_window`` > 0).  Distinct evaluate
-requests against the same tree submitted within the window merge into
-one :class:`~repro.engine.BatchQueryEngine` pass: the service keeps one
-engine per resident tree (the shared probe-block concat built once),
-collects the group's distinct ``(facility, psi)`` masks through one
-:meth:`~repro.runtime.QueryRuntime.probe_masks_batch` bridge call, and
-scores every member from the shared block — one bridge-pool task and
-one mask per distinct facility where the unbatched path pays a full
-tree walk per request.  A request only joins a group when its
-arithmetic is provably bit-identical between the tree walk and the
-engine (ENDPOINT and un-normalized COUNT always — integer sums are
-exact in float — and normalized COUNT when every trajectory's point
-count is a power of two, making the per-point weights dyadic;
-LENGTH accumulates inexact floats in path-dependent order, so it never
-batches); everything else takes the unbatched path, which is why
-answers are bit-identical whatever the window is.  Per-member
-``QueryStats`` are the *exact split* of the merged pass — the member
-that triggers a mask carries its probe counters, later members naming
-the same mask record the cache hit they got — so the members' summed
-stats equal a sequential engine pass bit for bit.  Group scheduling
-composes with everything above: each member is admitted, registered,
-and counted individually; the group waits for the union of its
-members' out-of-group predecessors (tail-future chains are honoured);
-each member's done-future resolves only after the group's core
-settles, so successors still serialize behind it; and a cancelled
-member is dropped from delivery without abandoning its siblings — the
-pass runs for the survivors.  Batched units are counted in
-``ServiceStats.probe_units_batched``, never in
-``probe_units_coalesced``: the engine pass computes fresh masks rather
-than riding a predecessor's node cache, so counting it as coalescing
-would inflate ``dedup_rate``.
+**Batching** (``ServiceConfig.batch_window`` > 0).  Evaluate requests
+submitted within the window form one group: a leader task sleeps the
+window out, waits for the members' out-of-group predecessors, and runs
+every live member's core back to back, in submission order, as *one*
+bridge-pool task under *one* admission slot — the same
+``plan.execute`` + ``runtime.accrue`` the unbatched path runs per
+request, so value, matches and per-request stats are ``==`` whatever
+the window is, for every request shape.  What a group saves is
+scheduling (one hand-off and one slot per wave, not per request), never
+geometry.  Group scheduling composes with everything above: each member
+is admitted, registered, and counted individually; tail-future chains
+are honoured; each member's done-future resolves only after the group's
+core settles, so successors still serialize behind it — and count the
+member's units as coalesced exactly as they would behind an unbatched
+predecessor; and a cancelled member is dropped from the run without
+abandoning its siblings.  A delivered member's units are counted in
+``ServiceStats.probe_units_batched`` and never in
+``probe_units_coalesced``, so ``dedup_rate`` keeps meaning reuse across
+requests that were scheduled apart.  The multi-facility solvers never
+join a group: their cores are long, and running them side by side on
+the bridge pool is worth more than the hand-off a group would save.
 
 **What the service never does** is change an answer: scheduling,
 coalescing, batching, and admission bound *when and where* work runs,
@@ -98,43 +88,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.config import ServiceConfig
 from ..core.errors import QueryError, ServiceOverloaded
-from ..core.service import ServiceModel
-from ..core.stats import QueryStats
-from ..engine.batch import BatchQueryEngine
 from ..runtime import QueryRuntime
 from .planner import ProbeUnit, QueryPlan, QueryPlanner
-from .requests import QueryRequest, QueryResult
+from .requests import EvaluateRequest, QueryRequest, QueryResult
 
 __all__ = ["QueryService", "ServiceStats"]
-
-#: How many resident trees keep live batching state (pow2 profile +
-#: lazily built engine).  The engine pins the tree's full probe-block
-#: concat, so the table is bounded; eviction is FIFO — the serving
-#: workloads this exists for hammer one or two resident trees.
-_BATCH_STATE_CAP = 8
-
-
-class _TreeBatchState:
-    """Per-resident-tree batching state: the exactness profile computed
-    once per tree plus the lazily built engine whose probe block and
-    mask cache every group over this tree shares (masks are cached per
-    probe-block *identity*, so reuse across groups requires literally
-    the same engine)."""
-
-    __slots__ = ("tree", "all_pow2", "engine", "lock")
-
-    def __init__(self, tree) -> None:
-        self.tree = tree
-        # normalized COUNT divides each user's covered count by its
-        # point count; every partial sum is exact iff the weights are
-        # dyadic, i.e. every trajectory's n_points is a power of two
-        self.all_pow2 = all(
-            t.n_points > 0 and (t.n_points & (t.n_points - 1)) == 0
-            for t in tree.trajectories()
-        )
-        self.engine: Optional[BatchQueryEngine] = None
-        self.lock = threading.Lock()
-
 
 class _BatchMember:
     """One admitted request riding a batch group: its plan, the future
@@ -160,23 +118,16 @@ class _BatchMember:
 
 
 class _BatchGroup:
-    """One open batch window over one tree: the members collected so
-    far, the barrier every member's done-future chains behind, and the
-    submission sequence number at which the window opened (the
-    joinability check compares predecessor registration against it)."""
+    """One open batch window: the members collected so far, the barrier
+    every member's done-future chains behind, and the submission
+    sequence number at which the window opened (the joinability check
+    compares predecessor registration against it)."""
 
     __slots__ = (
-        "state", "opened_seq", "barrier", "members", "member_dones",
-        "closed", "task",
+        "opened_seq", "barrier", "members", "member_dones", "closed", "task",
     )
 
-    def __init__(
-        self,
-        state: _TreeBatchState,
-        opened_seq: int,
-        barrier: "asyncio.Future",
-    ) -> None:
-        self.state = state
+    def __init__(self, opened_seq: int, barrier: "asyncio.Future") -> None:
         self.opened_seq = opened_seq
         self.barrier = barrier
         self.members: List[_BatchMember] = []
@@ -203,15 +154,12 @@ class ServiceStats:
     the fraction of planned units so served (perfbench reports it as
     ``service.dedup_rate``).
 
-    ``probe_units_batched`` counts units answered by a merged
-    :class:`~repro.engine.BatchQueryEngine` pass (delivered outcomes
-    only — an abandoned member's units are not counted).  It is kept
-    strictly apart from ``probe_units_coalesced``, which keeps meaning
-    *identical-unit reuse* across requests: a batched group computes
-    fresh masks for distinct facilities rather than riding an earlier
-    request's cached work, so folding it into the coalesced counter
-    would inflate ``dedup_rate`` with work that was merged, not
-    deduplicated.
+    ``probe_units_batched`` counts units whose core ran inside a batch
+    group (delivered outcomes only — an abandoned member's units are
+    not counted).  A member's units are never counted as coalesced, so
+    ``dedup_rate`` keeps meaning reuse across requests that were
+    scheduled apart; a request *outside* the group that shares a unit
+    with a delivered member counts it as coalesced like any other.
 
     Every admitted request settles into exactly one outcome counter, so
     ``requests_completed + requests_failed + requests_cancelled ==
@@ -305,11 +253,8 @@ class QueryService:
         self._tail_seq: Dict[ProbeUnit, int] = {}
         #: monotone submission counter backing ``_tail_seq``
         self._seq = 0
-        #: id(tree) -> persistent batching state; survives loop
-        #: rebinding (nothing in it is loop-bound)
-        self._batch_states: Dict[int, _TreeBatchState] = {}
-        #: id(tree) -> the currently open batch group, if any
-        self._groups: Dict[int, _BatchGroup] = {}
+        #: the currently open batch group, if any
+        self._group: Optional[_BatchGroup] = None
         self._pending = 0
         #: cores handed to the bridge pool and not yet finished, kept
         #: on a threading lock (not asyncio state) so it stays truthful
@@ -363,7 +308,7 @@ class QueryService:
             self._tails = {}
             self._chain_executed = {}
             self._tail_seq = {}
-            self._groups = {}
+            self._group = None
         return loop
 
     # ------------------------------------------------------------------
@@ -416,10 +361,9 @@ class QueryService:
                 self._chain_executed[unit] = False
             self._tails[unit] = done
             self._tail_seq[unit] = seq
-        batch_state = self._batch_eligible(plan)
-        if batch_state is not None:
+        if self.config.batch_window > 0.0 and isinstance(request, EvaluateRequest):
             return await self._submit_batched(
-                loop, plan, batch_state, seq, done, predecessors, pred_seqs
+                loop, plan, seq, done, predecessors, pred_seqs
             )
         exec_future: Optional[asyncio.Future] = None
         try:
@@ -521,113 +465,63 @@ class QueryService:
         blocked while any core runs, loop health notwithstanding.
         """
         try:
-            result = plan.execute(self.runtime)
-            self.runtime.accrue(result.stats)  # runtime-locked merge
-            return result
+            return self._execute(plan)
         finally:
             with self._core_lock:
                 self._executing -= 1
 
+    def _execute(self, plan: QueryPlan) -> QueryResult:
+        """One core plus its accrual — the unit both bridge bodies run."""
+        result = plan.execute(self.runtime)
+        self.runtime.accrue(result.stats)  # runtime-locked merge
+        return result
+
     # ------------------------------------------------------------------
     # batching (ServiceConfig.batch_window > 0)
     # ------------------------------------------------------------------
-    def _batch_state(self, tree) -> _TreeBatchState:
-        key = id(tree)
-        state = self._batch_states.get(key)
-        if state is not None and state.tree is tree:
-            return state
-        state = _TreeBatchState(tree)
-        self._batch_states[key] = state
-        while len(self._batch_states) > _BATCH_STATE_CAP:
-            self._batch_states.pop(next(iter(self._batch_states)))
-        return state
-
-    def _batch_eligible(self, plan: QueryPlan) -> Optional[_TreeBatchState]:
-        """The tree's batch state when this plan may merge into a
-        group, else ``None`` (run unbatched).
-
-        Shape comes from the planner (``batch_key``); arithmetic
-        exactness is decided here, because it needs the tree's profile.
-        A batched answer comes from the engine's vectorised aggregation
-        over the shared probe block while the unbatched answer comes
-        from the tree walk, and the two are bit-identical exactly when
-        every intermediate is exact in float64: ENDPOINT always (0/1
-        sums), un-normalized COUNT always (small-integer sums), and
-        normalized COUNT when every trajectory's point count is a power
-        of two (per-user weights ``1/n`` and all their partial sums are
-        dyadic).  LENGTH sums inexact segment lengths in
-        path-dependent order, so it never batches.  Everything gated
-        out here silently takes the unbatched path — batching must
-        never change an answer, and this predicate is what makes that
-        unconditional rather than probabilistic.
-        """
-        if self.config.batch_window <= 0.0 or plan.batch_key is None:
-            return None
-        spec = plan.request.spec
-        if spec.model is ServiceModel.LENGTH:
-            return None
-        state = self._batch_state(plan.request.tree)
-        if (
-            spec.model is ServiceModel.COUNT
-            and spec.normalize
-            and not state.all_pow2
-        ):
-            return None
-        return state
-
     async def _submit_batched(
         self,
         loop: asyncio.AbstractEventLoop,
         plan: QueryPlan,
-        state: _TreeBatchState,
         seq: int,
         done: asyncio.Future,
         predecessors: set,
         pred_seqs: Dict[asyncio.Future, int],
     ) -> QueryResult:
         """The batched tail of :meth:`submit`: join (or open) the
-        tree's group and await delivery from its merged pass.
+        group and await delivery from its run.
 
         Admission, registration, and every counter were already handled
         by :meth:`submit`; this method only replaces *execution*.  The
         member's done-future still resolves after its out-of-group
         predecessors plus the group barrier, so successors chained on
-        its units serialize behind the pass exactly as they would
+        its units serialize behind the run exactly as they would
         behind a private core.
 
         **Joinability.**  A member may join the open group only when
         each of its live predecessors is another member of the same
-        group (the leader skips those — the pass itself subsumes the
-        ordering) or was registered before the window opened (such a
+        group (the leader skips those — members run in submission
+        order) or was registered before the window opened (such a
         future can only be waiting on futures registered even earlier,
         so it resolves independently of this group's barrier).  A
         predecessor registered *after* the window opened by a foreign
         (unbatchable) request is the deadly case: that request may
-        itself be waiting on a member of this group, so the pass would
-        wait on work that waits on the pass.  When it happens the open
+        itself be waiting on a member of this group, so the run would
+        wait on work that waits on the run.  When it happens the open
         group is closed to new members (its leader still fires on
         schedule) and a fresh window opens with this request as its
         first member — ordering is preserved because the new group's
-        pass still waits for the foreign predecessor to finish.
+        run still waits for the foreign predecessor to finish.
         """
-        key = id(state.tree)
-        group = self._groups.get(key)
-        if group is not None and group.closed:
-            group = None
-        if group is not None:
-            for p in predecessors:
-                if p in group.member_dones:
-                    continue
-                if pred_seqs.get(p, 0) <= group.opened_seq:
-                    continue
-                group.closed = True
-                if self._groups.get(key) is group:
-                    del self._groups[key]
-                group = None
-                break
-        if group is None:
-            group = _BatchGroup(state, seq, loop.create_future())
-            self._groups[key] = group
+        group = self._group
+        if group is not None and any(
+            p not in group.member_dones
+            and pred_seqs.get(p, 0) > group.opened_seq
+            for p in predecessors
+        ):
+            group.closed = True
+        if group is None or group.closed:
+            group = self._group = _BatchGroup(seq, loop.create_future())
             # reference kept on the group: a bare create_task result
             # may be garbage-collected mid-flight
             group.task = loop.create_task(self._lead_group(loop, group))
@@ -638,8 +532,8 @@ class QueryService:
             result = await asyncio.shield(member.outcome)
         except asyncio.CancelledError:
             # mid-batch cancellation is strictly local: the member is
-            # flagged so the leader skips its delivery, and the pass
-            # runs for the surviving siblings exactly as scheduled
+            # flagged so the group skips it, and the surviving siblings
+            # run exactly as scheduled
             member.abandoned = True
             with self._stats_lock:
                 self._stats.requests_cancelled += 1
@@ -659,8 +553,9 @@ class QueryService:
         self, loop: asyncio.AbstractEventLoop, group: _BatchGroup
     ) -> None:
         """The group leader: sleep out the window, wait the members'
-        out-of-group predecessors, run the merged pass on the bridge
-        pool under one admission slot, and deliver per-member outcomes.
+        out-of-group predecessors, run the members' cores on the bridge
+        pool as one task under one admission slot, and deliver
+        per-member outcomes.
 
         The leader task is internal — nothing external cancels it short
         of loop shutdown — so a member cancelling only ever flags
@@ -674,8 +569,8 @@ class QueryService:
         try:
             await asyncio.sleep(self.config.batch_window)
             group.closed = True
-            if self._groups.get(id(group.state.tree)) is group:
-                del self._groups[id(group.state.tree)]
+            if self._group is group:
+                self._group = None  # a fired group pins nothing
             preds = set()
             for m in group.members:
                 preds.update(m.predecessors)
@@ -704,6 +599,13 @@ class QueryService:
                 self._sem.release()
             batched_units = 0
             for member, outcome in outcomes:
+                if not isinstance(outcome, BaseException):
+                    # the core succeeded — delivered or not, its cache
+                    # work is real, so successors riding it count as
+                    # coalesced (what the unbatched path and its reaper
+                    # mark for a private core)
+                    for unit in member.plan.units:
+                        self._chain_executed[unit] = True
                 fut = member.outcome
                 if member.abandoned or fut.done():
                     continue
@@ -741,101 +643,25 @@ class QueryService:
             if not group.barrier.done():
                 group.barrier.set_result(None)
 
-    def _engine_for(self, state: _TreeBatchState) -> BatchQueryEngine:
-        """The tree's shared engine, built once (bridge threads race
-        here, hence the per-state lock).  Sharing one engine per tree
-        is what carries mask reuse *across* groups: the cache keys on
-        probe-block identity, so a fresh engine per group would start
-        cold every window."""
-        with state.lock:
-            if state.engine is None:
-                state.engine = BatchQueryEngine(
-                    state.tree.table, runtime=self.runtime
-                )
-            return state.engine
-
     def _run_batch_core(self, group: _BatchGroup):
-        """The bridge-thread body of a merged pass.  Returns
-        ``[(member, QueryResult | BaseException), ...]`` — per-member
-        outcomes, never a group-level raise for a member-level problem.
-
-        The stats contract is the *exact split* of a sequential engine
-        pass over the same members: the first member naming each
-        distinct ``(facility, psi)`` mask is charged that mask's probe
-        counters (collected per-task by ``probe_masks_batch``), every
-        later member naming it records the cache hit it genuinely got,
-        and members whose spec fails validation get the same
-        :class:`QueryError` the unbatched core raises, with nothing
-        accrued.  Summing the members' stats therefore reproduces the
-        sequential pass's totals bit for bit, and the runtime's grand
-        totals grow by exactly that sum — the same contract
-        :meth:`_run_core` keeps one request at a time.
+        """The bridge-thread body of a group: each live member's core
+        and accrual (:meth:`_execute`, what :meth:`_run_core` runs for
+        one request), in submission order.  Returns ``[(member,
+        QueryResult | BaseException), ...]``: a member's failure is its
+        own outcome (the same exception its unbatched core raises, with
+        nothing accrued) and never stops its siblings.  A member
+        cancelled before its turn is skipped, as a request cancelled
+        before its core started is on the unbatched path.
         """
         try:
-            members = [m for m in group.members if not m.abandoned]
-            if not members:
-                return []
-            engine = self._engine_for(group.state)
-            # first walk: decide each member's role in submission order
-            # — charged with a fresh mask, riding a mask someone ahead
-            # of it (or an earlier group) computed, or invalid
-            roles: list = []
-            probe_tasks: list = []
-            probe_stats: List[QueryStats] = []
-            seen: set = set()
-            for m in members:
-                req = m.plan.request
-                try:
-                    # same validation, same error, same timing as
-                    # evaluate_core — error outcomes are bit-identical
-                    # to the unbatched path
-                    req.tree.validate_spec(req.spec)
-                except Exception as exc:
-                    roles.append((m, exc))
-                    continue
-                psi = float(req.spec.psi)
-                mask_key = (id(req.facility), psi)
-                if mask_key in seen:
-                    roles.append((m, "ride"))
-                    continue
-                seen.add(mask_key)
-                stops = engine.resolve_stops(req.facility, psi)
-                if engine.cached_mask(stops, psi) is not None:
-                    roles.append((m, "ride"))
-                    continue
-                roles.append((m, (len(probe_tasks), stops)))
-                probe_tasks.append((stops, engine.probe_block, psi))
-                probe_stats.append(QueryStats())
-            # one bridge-side probe sweep for every fresh mask; the
-            # per-task stats are the exact probe counters each charged
-            # member carries
-            masks = self.runtime.probe_masks_batch(probe_tasks, probe_stats)
             outcomes: list = []
-            for m, role in roles:
-                req = m.plan.request
-                if isinstance(role, BaseException):
-                    outcomes.append((m, role))
+            for member in group.members:
+                if member.abandoned:
                     continue
-                local = QueryStats()
                 try:
-                    if role == "ride":
-                        # a genuine cache hit: the mask is in the
-                        # engine's cache by the time riders score
-                        # (charged members precede their riders in
-                        # submission order)
-                        value = engine.query(req.facility, req.spec, local)
-                    else:
-                        idx, stops = role
-                        mask = masks[idx]
-                        engine.seed_mask(stops, req.spec.psi, mask)
-                        local.merge(probe_stats[idx])
-                        self.runtime.accrue(probe_stats[idx])
-                        value = engine.query_masked(
-                            req.facility, req.spec, mask, local
-                        )
-                    outcomes.append((m, QueryResult(req, value, local, None)))
+                    outcomes.append((member, self._execute(member.plan)))
                 except BaseException as exc:
-                    outcomes.append((m, exc))
+                    outcomes.append((member, exc))
             return outcomes
         finally:
             with self._core_lock:

@@ -1,27 +1,20 @@
-"""Differential suite for cross-request batched execution (ISSUE 8).
+"""Differential suite for cross-request batched execution.
 
-The contract: ``batch_window`` is a pure scheduling knob — it never
-changes an answer.  For seeded random mixes of evaluate / kmaxrrst /
-maxkcov requests, every ``QueryResult.value`` under ``batch_window``
-{small, large} must be ``==`` to the ``batch_window=0`` run (which
-``tests/test_query_service.py`` in turn holds to the synchronous
-cores), on both probe-scheduling paths.  Requests the eligibility gate
-excludes from batching (LENGTH, ``collect_matches``,
-normalize-by-non-power-of-two COUNT, and every non-evaluate type) keep
-*bitwise-identical per-request stats* too whenever their probe units
-are disjoint from every batch-eligible request's — they take the
-unbatched path unchanged.  (A shared unit is the one legitimate
-difference: at ``batch_window=0`` the ineligible request rides the
-eligible one's tree-walk mask, while under batching that mask lives in
-the engine instead, so the rider probes fresh — value unchanged.)  Batched members instead satisfy the
-exact-split contract: their per-request :class:`QueryStats` summed
-over the wave equal one sequential :class:`BatchQueryEngine` pass over
-the same requests, bit for bit, and the runtime's grand total grows by
-exactly that sum.  On top of parity: mid-batch cancellation stays
-local to the cancelled member, a foreign request interleaved on a
-shared probe unit closes the group instead of deadlocking it, and the
-``probe_units_batched`` / ``probe_units_coalesced`` counters stay
-disjoint (coalesced remains identical-unit reuse only).
+The contract: ``batch_window`` is a pure scheduling knob.  A batch
+group runs its members' own cores back to back on one bridge task, so
+for seeded random mixes of evaluate / kmaxrrst / maxkcov requests every
+``QueryResult`` under ``batch_window`` {small, large} — value, matches
+**and per-request stats** — must be ``==`` to the ``batch_window=0``
+run (which ``tests/test_query_service.py`` in turn holds to the
+synchronous cores), on both probe-scheduling paths and for every
+evaluate shape (ENDPOINT, COUNT raw / normalised, LENGTH,
+``collect_matches`` on / off); the runtime's grand total grows by the
+same sum.  On top of parity: mid-batch cancellation stays local to the
+cancelled member, a foreign request interleaved on a shared probe unit
+closes the group instead of deadlocking it, a member's units count as
+``probe_units_batched`` and never as ``probe_units_coalesced``, and a
+request behind a group coalesces off it exactly as off unbatched
+predecessors.
 """
 
 from __future__ import annotations
@@ -33,7 +26,6 @@ import random
 import pytest
 
 from repro import (
-    BatchQueryEngine,
     EvaluateRequest,
     IndexVariant,
     KMaxRRSTRequest,
@@ -41,7 +33,6 @@ from repro import (
     ProximityBackend,
     QueryRuntime,
     QueryService,
-    QueryStats,
     RuntimeConfig,
     ServiceConfig,
     ServiceModel,
@@ -83,8 +74,8 @@ def tree(taxi_users):
 
 @pytest.fixture(scope="module")
 def checkin_tree(checkin_users):
-    # 3..8-point trajectories: guaranteed to contain a non-power-of-two
-    # point count, which makes normalized COUNT batching-ineligible.
+    # 3..8-point trajectories: non-power-of-two point counts, so the
+    # per-user weights of normalized COUNT are inexact floats.
     # SEGMENTED indexing so COUNT is a valid spec on >2-point users.
     return TQTree.build(
         checkin_users,
@@ -92,33 +83,10 @@ def checkin_tree(checkin_users):
     )
 
 
-def _all_pow2(tree) -> bool:
-    return all(
-        t.n_points > 0 and (t.n_points & (t.n_points - 1)) == 0
-        for t in tree.trajectories()
-    )
-
-
-def _batch_eligible(req, all_pow2: bool) -> bool:
-    """Mirror of the service's eligibility gate, kept here so the test
-    fails loudly if the gate widens without the suite noticing."""
-    if not isinstance(req, EvaluateRequest) or req.collect_matches:
-        return False
-    if req.spec.model is ServiceModel.LENGTH:
-        return False
-    if (
-        req.spec.model is ServiceModel.COUNT
-        and req.spec.normalize
-        and not all_pow2
-    ):
-        return False
-    return True
-
-
 def _fuzz_requests(tree, facilities, seed: int):
     """A seeded mix of all three request types with deliberate
-    duplicate facilities, so waves contain charged members, riders,
-    ineligible fallbacks, and group-closing foreign requests."""
+    duplicate facilities, so waves contain members riding an earlier
+    member's cached walk and group-closing foreign requests."""
     rng = random.Random(seed)
     specs = (ENDPOINT, COUNT_RAW, COUNT_NORM, LENGTH)
     requests = []
@@ -184,9 +152,8 @@ def _assert_outcomes_sum(stats: ServiceStats) -> None:
 
 
 class TestBatchingDifferential:
-    """batch_window {small, large} × scheduling path × seed: values bitwise
-    identical to batch_window=0, ineligible requests' stats bitwise
-    identical too."""
+    """batch_window {small, large} × scheduling path × seed: values,
+    matches and per-request stats bitwise identical to batch_window=0."""
 
     @pytest.mark.parametrize("mode", SCHEDULING)
     @pytest.mark.parametrize("seed", (7, 19))
@@ -195,51 +162,33 @@ class TestBatchingDifferential:
     ):
         requests = _fuzz_requests(tree, facilities, seed)
         workers = scheduling_workers(mode)
-        all_pow2 = _all_pow2(tree)
-        baseline, base_stats, _ = _drive(requests, workers, batch_window=0.0)
+        baseline, base_stats, base_total = _drive(
+            requests, workers, batch_window=0.0
+        )
         assert base_stats.probe_units_batched == 0
         _assert_outcomes_sum(base_stats)
-        base_keys = [
-            _value_key(req, res) for req, res in zip(requests, baseline)
-        ]
-        # probe units are keyed by (facility, psi); psi is uniform here,
-        # so unit overlap with the batched tier reduces to facility
-        # identity against any eligible evaluate's facility
-        batched_facilities = {
-            id(req.facility)
-            for req in requests
-            if _batch_eligible(req, all_pow2)
-        }
-
-        def _touches_batched(req) -> bool:
-            if isinstance(req, EvaluateRequest):
-                return id(req.facility) in batched_facilities
-            return any(id(f) in batched_facilities for f in req.facilities)
-
         for window in WINDOWS[1:]:
-            results, stats, _ = _drive(requests, workers, batch_window=window)
-            for req, res, base_res, key in zip(
-                requests, results, baseline, base_keys
-            ):
-                assert _value_key(req, res) == key, (
+            results, stats, total = _drive(
+                requests, workers, batch_window=window
+            )
+            for req, res, base_res in zip(requests, results, baseline):
+                assert _value_key(req, res) == _value_key(req, base_res), (
                     f"value diverged under batch_window={window}"
                 )
-                if not _batch_eligible(req, all_pow2) and not _touches_batched(
-                    req
-                ):
-                    # unbatched path with no shared mask to lose: bitwise
-                    assert res.stats == base_res.stats
+                assert res.stats == base_res.stats, (
+                    f"stats diverged under batch_window={window}"
+                )
+            assert total == base_total
             _assert_outcomes_sum(stats)
 
     @pytest.mark.parametrize("mode", SCHEDULING)
     def test_batched_wave_stats_split_exactly(
         self, mode, tree, facilities, scheduling_workers
     ):
-        """Distinct eligible evaluates under a large window: every unit
-        lands in probe_units_batched, none in probe_units_coalesced,
-        and the per-request stats merge bitwise to one sequential
-        BatchQueryEngine pass — with the runtime total growing by
-        exactly that sum."""
+        """Distinct evaluates under a large window: every unit lands in
+        probe_units_batched, none in probe_units_coalesced, and each
+        member's stats are the same request's stats at batch_window=0 —
+        with the runtime total growing by exactly their sum."""
         requests = [
             EvaluateRequest(
                 tree, facility, ENDPOINT if i % 2 == 0 else COUNT_RAW
@@ -250,33 +199,22 @@ class TestBatchingDifferential:
             evaluate_service(req.tree, req.facility, req.spec)
             for req in requests
         ]
-        results, stats, total = _drive(
-            requests, scheduling_workers(mode), batch_window=0.05
-        )
+        workers = scheduling_workers(mode)
+        baseline, _, base_total = _drive(requests, workers, batch_window=0.0)
+        results, stats, total = _drive(requests, workers, batch_window=0.05)
         assert [r.value for r in results] == plain
         assert stats.probe_units_batched == len(requests)
         assert stats.probe_units_coalesced == 0
         _assert_outcomes_sum(stats)
-
-        with QueryRuntime(_config()) as runtime:
-            engine = BatchQueryEngine(
-                tuple(tree.trajectories()), runtime=runtime
-            )
-            sequential_pass = QueryStats()
-            for req in requests:
-                engine.query(req.facility, req.spec, sequential_pass)
-        merged = QueryStats()
-        for res in results:
-            merged.merge(res.stats)
-        assert merged == sequential_pass
-        assert total == merged
+        assert [r.stats for r in results] == [r.stats for r in baseline]
+        assert total == base_total
 
     def test_duplicate_evaluates_ride_the_engine_cache(
         self, tree, facilities
     ):
-        """Duplicates inside a batch group become engine cache riders —
-        counted in probe_units_batched, never in probe_units_coalesced
-        (which stays identical-unit reuse on the unbatched path)."""
+        """Duplicates inside a batch group ride the first member's
+        cached walk — counted in probe_units_batched, never in
+        probe_units_coalesced (reuse across requests scheduled apart)."""
         req = EvaluateRequest(tree, facilities[0], ENDPOINT)
         requests = [req, req, req]
         results, stats, _ = _drive(requests, 1, batch_window=0.05)
@@ -293,51 +231,108 @@ class TestBatchingDifferential:
         assert stats0.probe_units_coalesced == 2
 
 
+    def test_kmaxrrst_behind_a_group_rides_its_walks(self, tree, facilities):
+        """Batching composes with coalescing: a kMaxRRST submitted
+        behind four batched evaluates over the same facilities finds
+        their walks in the shared cache — same cache_hits and
+        distance_evals, same probe_units_coalesced, as with the window
+        off (the engine pass it replaces left the solver to re-probe
+        from scratch)."""
+        four = tuple(facilities[:4])
+        requests = [EvaluateRequest(tree, f, ENDPOINT) for f in four]
+        requests.append(KMaxRRSTRequest(tree, four, 2, ENDPOINT))
+        baseline, base_stats, _ = _drive(requests, 1, batch_window=0.0)
+        results, stats, _ = _drive(requests, 1, batch_window=0.05)
+        assert stats.probe_units_batched == 4
+        assert base_stats.probe_units_coalesced == 4
+        assert stats.probe_units_coalesced == base_stats.probe_units_coalesced
+        solver, base_solver = results[-1].stats, baseline[-1].stats
+        assert base_solver.cache_hits > 0
+        assert solver.cache_hits == base_solver.cache_hits
+        assert solver.distance_evals == base_solver.distance_evals
+        assert results[-1].value.ranking == baseline[-1].value.ranking
+
+
 class TestEligibilityGate:
     def test_ineligible_shapes_fall_back_unbatched(self, tree, facilities):
-        """LENGTH and collect_matches never batch: the window runs, the
-        counter stays zero, answers and stats match window=0 bitwise."""
+        """The shapes that never batch are the multi-facility solvers:
+        the window runs, the counter stays zero, answers and stats
+        match window=0 bitwise."""
         requests = [
-            EvaluateRequest(tree, facilities[0], LENGTH),
-            EvaluateRequest(tree, facilities[1], LENGTH),
-            EvaluateRequest(
-                tree, facilities[2], ENDPOINT, collect_matches=True
-            ),
+            KMaxRRSTRequest(tree, tuple(facilities[:4]), 2, ENDPOINT),
+            MaxKCovRequest(tree, tuple(facilities[4:8]), 2, ENDPOINT),
         ]
         baseline, _, _ = _drive(requests, 1, batch_window=0.0)
         results, stats, _ = _drive(requests, 1, batch_window=0.05)
         assert stats.probe_units_batched == 0
-        for res, base in zip(results, baseline):
-            assert res.value == base.value
-            assert res.matches == base.matches
+        for req, res, base in zip(requests, results, baseline):
+            assert _value_key(req, res) == _value_key(req, base)
             assert res.stats == base.stats
 
-    def test_normalized_count_requires_dyadic_weights(
-        self, checkin_tree, facilities
+    def test_every_evaluate_shape_batches_bitwise(
+        self, checkin_tree, facilities, scheduling_workers
     ):
-        """normalize=True COUNT only batches when every trajectory's
-        point count is a power of two (weights exactly representable);
-        the check-in tree is built to violate that."""
-        assert not _all_pow2(checkin_tree)
+        """No arithmetic gate: normalised COUNT on non-dyadic weights,
+        LENGTH and collect_matches all join a group, and value, matches
+        and stats are == window 0 — a member runs the same tree walk."""
+        assert any(
+            t.n_points & (t.n_points - 1) for t in checkin_tree.trajectories()
+        )
         requests = [
-            EvaluateRequest(checkin_tree, facility, COUNT_NORM)
-            for facility in facilities[:4]
+            EvaluateRequest(
+                checkin_tree, facility, spec, collect_matches=collect
+            )
+            for facility in facilities[:2]
+            # (ENDPOINT is undefined on a SEGMENTED index; the fuzz
+            # covers it, collecting and not, on the taxi tree)
+            for spec in (COUNT_RAW, COUNT_NORM, LENGTH)
+            for collect in (False, True)
         ]
-        baseline, _, _ = _drive(requests, 1, batch_window=0.0)
-        results, stats, _ = _drive(requests, 1, batch_window=0.05)
-        assert stats.probe_units_batched == 0
-        for res, base in zip(results, baseline):
-            assert res.value == base.value
-            assert res.stats == base.stats
-        # the raw (normalize=False) spec on the same tree does batch
-        raw = [
-            EvaluateRequest(checkin_tree, facility, COUNT_RAW)
-            for facility in facilities[:4]
+        for mode in SCHEDULING:  # "threads" patches the fan-out floor: last
+            workers = scheduling_workers(mode)
+            baseline, _, base_total = _drive(requests, workers, 0.0)
+            for window in (0.005, 0.05):
+                results, stats, total = _drive(requests, workers, window)
+                assert stats.probe_units_batched == len(requests)
+                for res, base in zip(results, baseline):
+                    assert res.value == base.value
+                    assert res.matches == base.matches
+                    assert res.stats == base.stats
+                assert total == base_total
+
+    def test_invalid_member_fails_alone(self, checkin_tree, facilities):
+        """A member whose spec the tree rejects gets the error its
+        unbatched core raises; its siblings in the group deliver."""
+        requests = [
+            EvaluateRequest(checkin_tree, facilities[0], COUNT_RAW),
+            EvaluateRequest(checkin_tree, facilities[1], ENDPOINT),
+            EvaluateRequest(checkin_tree, facilities[2], LENGTH),
         ]
-        base_raw, _, _ = _drive(raw, 1, batch_window=0.0)
-        res_raw, stats_raw, _ = _drive(raw, 1, batch_window=0.05)
-        assert stats_raw.probe_units_batched == len(raw)
-        assert [r.value for r in res_raw] == [r.value for r in base_raw]
+
+        def drive(batch_window):
+            async def main():
+                with QueryRuntime(_config()) as runtime:
+                    async with QueryService(
+                        runtime, ServiceConfig(batch_window=batch_window)
+                    ) as service:
+                        outcomes = await asyncio.gather(
+                            *(service.submit(r) for r in requests),
+                            return_exceptions=True,
+                        )
+                        return outcomes, service.stats
+
+            return asyncio.run(main())
+
+        baseline, _ = drive(0.0)
+        outcomes, stats = drive(0.05)
+        assert isinstance(outcomes[1], QueryError)
+        assert str(outcomes[1]) == str(baseline[1])
+        for i in (0, 2):
+            assert outcomes[i].value == baseline[i].value
+            assert outcomes[i].stats == baseline[i].stats
+        assert stats.requests_failed == 1
+        assert stats.probe_units_batched == 2
+        _assert_outcomes_sum(stats)
 
 
 class TestCancellationAndInterleaving:

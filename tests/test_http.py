@@ -263,6 +263,26 @@ class TestErrorMapping:
                           "facility_set": "buses", "facility_ids": [],
                           "k": 3, "spec": SPEC})
 
+    def test_repeated_facility_ids_is_400(self, client):
+        # the paper's candidate F is a set: facility 0 twice used to
+        # come back as both of "the two best"
+        with pytest.raises(QueryError, match="distinct.*0 more than once"):
+            client.query({"type": "kmaxrrst", "tree": "city",
+                          "facility_set": "buses", "facility_ids": [0, 0, 1],
+                          "k": 2, "spec": SPEC})
+
+    def test_non_finite_psi_is_400(self, client):
+        # json.loads accepts Infinity and NaN; Infinity used to reach
+        # the walk and answer 500 `internal`
+        for psi in (float("inf"), float("nan")):
+            response = client.request(
+                "POST", "/query",
+                {"type": "evaluate", "tree": "city", "facility_set": "buses",
+                 "facility_id": 0, "spec": {"model": "endpoint", "psi": psi}},
+            )
+            assert response.status == 400
+            assert response.body["error"] == "bad_request"
+
     def test_nonpositive_k_is_400(self, client):
         with pytest.raises(QueryError, match="k must be positive"):
             client.query({"type": "maxkcov", "tree": "city",

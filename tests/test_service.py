@@ -38,6 +38,12 @@ class TestServiceSpec:
         with pytest.raises(QueryError):
             ServiceSpec(ServiceModel.ENDPOINT, psi=float("nan"))
 
+    def test_infinite_psi_rejected(self):
+        # passed the old `psi >= 0` check, then died inside the walk as
+        # GeometryError('non-finite bounding box coordinates')
+        with pytest.raises(QueryError, match="finite"):
+            ServiceSpec(ServiceModel.ENDPOINT, psi=float("inf"))
+
     def test_bad_model_rejected(self):
         with pytest.raises(QueryError):
             ServiceSpec("count", psi=1.0)  # type: ignore[arg-type]
