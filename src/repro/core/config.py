@@ -192,13 +192,15 @@ class ServiceConfig:
         :class:`~repro.core.errors.ServiceOverloaded` instead of
         growing the queue without limit.  Must be >= 1.
     batch_window:
-        Seconds the service holds evaluate requests open so concurrent
-        submissions form one group whose members' cores run back to
-        back as one bridge-pool task under one admission slot (see
-        ``repro.service.service``).  ``0.0`` (default) disables
-        batching entirely.  A member runs the same core it would run
-        alone, so answers and per-request stats never depend on this
-        knob.
+        Upper bound, in seconds, on how long the service holds
+        evaluate requests open so concurrent submissions form one group
+        whose members' cores run back to back as one bridge-pool task
+        under one admission slot (see ``repro.service.service``).  A
+        group holds only while a core is running on the bridge pool —
+        an idle service fires it at once — and never longer than this.
+        ``0.0`` (default) disables batching entirely.  A member runs
+        the same core it would run alone, so answers and per-request
+        stats never depend on this knob.
     """
 
     max_in_flight: int = 8

@@ -96,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service.add_argument(
         "--batch-window", type=float, default=0.0,
-        help="seconds evaluate requests wait to form one batch group — "
-        "their tree walks run back to back as one task (0 disables "
-        "batching)",
+        help="at most this many seconds evaluate requests wait, while a "
+        "core is running, to form one batch group — their tree walks "
+        "run back to back as one task (0 disables batching)",
     )
     runtime = parser.add_argument_group("runtime")
     runtime.add_argument(

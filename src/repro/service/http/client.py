@@ -234,8 +234,8 @@ class ServeClient:
 
         All request bytes go out back-to-back before any response is
         read, so the whole wave registers with the server's
-        :class:`~repro.service.QueryService` in sequence — inside one
-        ``batch_window`` they form one batch group, which is the
+        :class:`~repro.service.QueryService` in sequence — with
+        ``batch_window`` on they form one batch group, which is the
         client-side half of cross-request batching (the server's
         pipelined handler is the other).  Every response is read before
         anything is raised — the connection stays framed — then the

@@ -39,7 +39,7 @@ past the bound the server simply stops reading, which is TCP
 backpressure), while a per-connection writer coroutine writes the
 responses strictly in request order, as HTTP/1.1 pipelining requires.
 This is what lets :meth:`ServeClient.submit_many` land a whole wave of
-``POST /query`` bodies inside one service ``batch_window`` over a
+``POST /query`` bodies in one service batch group over a
 single socket — a serial handler would hold request *N+1* unread until
 request *N*'s response was written, stretching every wave into a chain
 of one-member groups.

@@ -281,6 +281,7 @@ _SERVICE_STATS_FIELDS = (
     "probe_units_planned",
     "probe_units_coalesced",
     "probe_units_batched",
+    "batch_groups_run",
 )
 
 

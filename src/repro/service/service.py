@@ -49,13 +49,17 @@ predecessor's.  Cancelled requests are counted in
 ``ServiceStats.requests_cancelled``.
 
 **Batching** (``ServiceConfig.batch_window`` > 0).  Evaluate requests
-submitted within the window form one group: a leader task sleeps the
-window out, waits for the members' out-of-group predecessors, and runs
-every live member's core back to back, in submission order, as *one*
-bridge-pool task under *one* admission slot — the same
-``plan.execute`` + ``runtime.accrue`` the unbatched path runs per
-request, so value, matches and per-request stats are ``==`` whatever
-the window is, for every request shape.  What a group saves is
+submitted while a group is open join it.  The hold is work-conserving:
+a leader task yields once (every submit already scheduled in this loop
+iteration joins), then holds only while a core is running on the
+bridge pool, at most ``batch_window`` seconds — an idle bridge fires
+the group at once, a busy one when its running cores finish or the
+window expires.  The leader then waits for the members' out-of-group
+predecessors and runs every live member's core back to back, in
+submission order, as *one* bridge-pool task under *one* admission slot
+— the same ``plan.execute`` + ``runtime.accrue`` the unbatched path
+runs per request, so value, matches and per-request stats are ``==``
+whatever the window is, for every request shape.  What a group saves is
 scheduling (one hand-off and one slot per wave, not per request), never
 geometry.  Group scheduling composes with everything above: each member
 is admitted, registered, and counted individually; tail-future chains
@@ -64,7 +68,8 @@ core settles, so successors still serialize behind it — and count the
 member's units as coalesced exactly as they would behind an unbatched
 predecessor; and a cancelled member is dropped from the run without
 abandoning its siblings.  A delivered member's units are counted in
-``ServiceStats.probe_units_batched`` and never in
+``ServiceStats.probe_units_batched`` (``batch_groups_run`` counts the
+groups that reached the bridge) and never in
 ``probe_units_coalesced``, so ``dedup_rate`` keeps meaning reuse across
 requests that were scheduled apart.  The multi-facility solvers never
 join a group: their cores are long, and running them side by side on
@@ -118,9 +123,9 @@ class _BatchMember:
 
 
 class _BatchGroup:
-    """One open batch window: the members collected so far, the barrier
+    """One batch group: the members collected so far, the barrier
     every member's done-future chains behind, and the submission
-    sequence number at which the window opened (the joinability check
+    sequence number at which the group opened (the joinability check
     compares predecessor registration against it)."""
 
     __slots__ = (
@@ -160,6 +165,9 @@ class ServiceStats:
     ``dedup_rate`` keeps meaning reuse across requests that were
     scheduled apart; a request *outside* the group that shares a unit
     with a delivered member counts it as coalesced like any other.
+    ``batch_groups_run`` counts the groups whose bridge task ran, so
+    ``probe_units_batched / batch_groups_run`` is the mean group size
+    over single-unit evaluates.
 
     Every admitted request settles into exactly one outcome counter, so
     ``requests_completed + requests_failed + requests_cancelled ==
@@ -178,6 +186,7 @@ class ServiceStats:
     probe_units_planned: int = 0
     probe_units_coalesced: int = 0
     probe_units_batched: int = 0
+    batch_groups_run: int = 0
 
     @property
     def dedup_rate(self) -> float:
@@ -261,6 +270,11 @@ class QueryService:
         #: even when a cancelled core outlives its event loop
         self._executing = 0  # guarded-by: _core_lock
         self._core_lock = threading.Lock()
+        #: the bridge futures of those same cores, as the loop sees
+        #: them (loop-confined: added in ``_to_bridge``, discarded by a
+        #: done-callback on the loop); a batch group holds while it is
+        #: non-empty
+        self._on_bridge: set = set()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -309,7 +323,27 @@ class QueryService:
             self._chain_executed = {}
             self._tail_seq = {}
             self._group = None
+            self._on_bridge = set()
         return loop
+
+    def _to_bridge(
+        self, loop: asyncio.AbstractEventLoop, body, arg
+    ) -> asyncio.Future:
+        """Hand ``body(arg)`` — :meth:`_run_core` or
+        :meth:`_run_batch_core`, which release ``_executing`` when they
+        finish — to the bridge pool, and track its future in
+        ``_on_bridge`` until it is done."""
+        with self._core_lock:
+            self._executing += 1
+        try:
+            future = loop.run_in_executor(self._executor, body, arg)
+        except BaseException:  # pragma: no cover - pool raced us
+            with self._core_lock:
+                self._executing -= 1
+            raise
+        self._on_bridge.add(future)
+        future.add_done_callback(self._on_bridge.discard)
+        return future
 
     # ------------------------------------------------------------------
     # submission
@@ -390,16 +424,7 @@ class QueryService:
                     for unit in coalesced_units:
                         if self._chain_executed.get(unit):
                             self._stats.probe_units_coalesced += 1
-                with self._core_lock:
-                    self._executing += 1
-                try:
-                    exec_future = loop.run_in_executor(
-                        self._executor, self._run_core, plan
-                    )
-                except BaseException:  # pragma: no cover - pool raced us
-                    with self._core_lock:
-                        self._executing -= 1
-                    raise
+                exec_future = self._to_bridge(loop, self._run_core, plan)
             except BaseException:
                 self._sem.release()
                 raise
@@ -459,7 +484,7 @@ class QueryService:
         bridge-side accrual guarantees the totals reflect every core
         that ran, and the runtime's own stats lock serializes it
         against concurrent accruals and ``reset_stats``.
-        ``_executing`` is incremented by the submitter *before* the
+        ``_executing`` is incremented (:meth:`_to_bridge`) *before* the
         bridge handoff (a queued core someone cancelled is still
         in-flight work) and released only here, so loop rebinding stays
         blocked while any core runs, loop health notwithstanding.
@@ -552,10 +577,10 @@ class QueryService:
     async def _lead_group(
         self, loop: asyncio.AbstractEventLoop, group: _BatchGroup
     ) -> None:
-        """The group leader: sleep out the window, wait the members'
-        out-of-group predecessors, run the members' cores on the bridge
-        pool as one task under one admission slot, and deliver
-        per-member outcomes.
+        """The group leader: hold the group open (:meth:`_hold`), wait
+        the members' out-of-group predecessors, run the members' cores
+        on the bridge pool as one task under one admission slot, and
+        deliver per-member outcomes.
 
         The leader task is internal — nothing external cancels it short
         of loop shutdown — so a member cancelling only ever flags
@@ -565,9 +590,8 @@ class QueryService:
         re-raised from the task, because the members' submitters are
         its consumers.
         """
-        exec_future: Optional[asyncio.Future] = None
         try:
-            await asyncio.sleep(self.config.batch_window)
+            await self._hold(loop)
             group.closed = True
             if self._group is group:
                 self._group = None  # a fired group pins nothing
@@ -584,17 +608,9 @@ class QueryService:
             try:
                 if self._closed:
                     raise QueryError("QueryService is closed")
-                with self._core_lock:
-                    self._executing += 1
-                try:
-                    exec_future = loop.run_in_executor(
-                        self._executor, self._run_batch_core, group
-                    )
-                except BaseException:  # pragma: no cover - pool raced us
-                    with self._core_lock:
-                        self._executing -= 1
-                    raise
-                outcomes = await exec_future
+                outcomes = await self._to_bridge(
+                    loop, self._run_batch_core, group
+                )
             finally:
                 self._sem.release()
             batched_units = 0
@@ -618,9 +634,9 @@ class QueryService:
                 else:
                     fut.set_result(outcome)
                     batched_units += len(member.plan.units)
-            if batched_units:
-                with self._stats_lock:
-                    self._stats.probe_units_batched += batched_units
+            with self._stats_lock:
+                self._stats.batch_groups_run += 1
+                self._stats.probe_units_batched += batched_units
         except BaseException as exc:
             failure: BaseException = exc
             if isinstance(exc, asyncio.CancelledError):
@@ -642,6 +658,22 @@ class QueryService:
             group.closed = True
             if not group.barrier.done():
                 group.barrier.set_result(None)
+
+    async def _hold(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Keep a group open only while waiting is free.
+
+        One bare yield lets every submit already scheduled in this loop
+        iteration — a pipelined wave parsed from one read — join.  After
+        it the group holds only while some core (batched or not, an
+        orphan included) is running on the bridge pool, and never past
+        ``batch_window``: what a group saves is a hand-off, so holding
+        an idle bridge buys nothing.  Cores that start during the hold
+        are picked up by the re-check.
+        """
+        await asyncio.sleep(0)
+        deadline = loop.time() + self.config.batch_window
+        while self._on_bridge and (remaining := deadline - loop.time()) > 0.0:
+            await asyncio.wait(set(self._on_bridge), timeout=remaining)
 
     def _run_batch_core(self, group: _BatchGroup):
         """The bridge-thread body of a group: each live member's core

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import threading
+
 import pytest
 
 from repro import (
@@ -42,6 +45,36 @@ def scheduling_workers(monkeypatch):
         return 2
 
     return workers
+
+
+class GatedPlanner:
+    """Installs itself as ``service``'s planner so one request's core
+    parks on the bridge pool until ``release`` is set — the
+    deterministic way to keep the bridge busy, a queue slot taken or a
+    request in flight (no wall-clock sleeps).  The first planned
+    request that ``select`` accepts is gated; ``started`` is set once
+    its core is running."""
+
+    def __init__(self, service, select=lambda request: True) -> None:
+        self._inner = service.planner
+        service.planner = self
+        self._select = select
+        self._armed = True
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def plan(self, request):
+        plan = self._inner.plan(request)
+        if not (self._armed and self._select(request)):
+            return plan
+        self._armed = False
+
+        def execute(runtime):
+            self.started.set()
+            assert self.release.wait(30), "gate never released"
+            return plan.execute(runtime)
+
+        return dataclasses.replace(plan, execute=execute)
 
 
 @pytest.fixture(scope="session")

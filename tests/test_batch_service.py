@@ -9,8 +9,10 @@ run (which ``tests/test_query_service.py`` in turn holds to the
 synchronous cores), on both probe-scheduling paths and for every
 evaluate shape (ENDPOINT, COUNT raw / normalised, LENGTH,
 ``collect_matches`` on / off); the runtime's grand total grows by the
-same sum.  On top of parity: mid-batch cancellation stays local to the
-cancelled member, a foreign request interleaved on a shared probe unit
+same sum.  On top of parity: the hold rule itself (a group holds only
+while a core is running on the bridge pool, at most ``batch_window`` —
+``TestWorkConservingHold``, gates not timing), mid-batch cancellation
+stays local to the cancelled member, a foreign request interleaved on a shared probe unit
 closes the group instead of deadlocking it, a member's units count as
 ``probe_units_batched`` and never as ``probe_units_coalesced``, and a
 request behind a group coalesces off it exactly as off unbatched
@@ -45,7 +47,7 @@ from repro import (
 from repro.core.errors import QueryError
 from repro.service.http import wire
 
-from .conftest import SCHEDULING
+from .conftest import SCHEDULING, GatedPlanner
 
 PSI = 400.0
 ENDPOINT = ServiceSpec(ServiceModel.ENDPOINT, psi=PSI)
@@ -54,10 +56,14 @@ COUNT_NORM = ServiceSpec(ServiceModel.COUNT, psi=PSI)
 LENGTH = ServiceSpec(ServiceModel.LENGTH, psi=PSI)
 
 #: The three window settings the differential matrix sweeps: off (the
-#: baseline schedule), small (groups may fragment mid-wave), large
-#: (whole waves merge into one group).  Values must stay well under the
+#: baseline schedule), small and large.  The window only bounds how
+#: long a group holds behind a busy bridge, so both stay well under the
 #: suite's patience but above the loop's timer resolution.
 WINDOWS = (0.0, 0.002, 0.05)
+
+#: A window no test could sit out: a group that fires under it fired
+#: because the bridge went idle, not because time passed.
+LONG_WINDOW = 30.0
 
 
 def _config(max_workers: int = 1) -> RuntimeConfig:
@@ -149,6 +155,73 @@ def _assert_outcomes_sum(stats: ServiceStats) -> None:
         + stats.requests_cancelled
         == stats.requests_submitted
     )
+
+
+async def _core_started(gate: GatedPlanner) -> None:
+    """Wait (off the loop) until the gated core is running."""
+    loop = asyncio.get_running_loop()
+    assert await loop.run_in_executor(None, gate.started.wait, 10)
+
+
+async def _spin(iterations: int = 8) -> None:
+    """Let the loop turn over: anything that would fire on an idle
+    bridge has fired after this many iterations."""
+    for _ in range(iterations):
+        await asyncio.sleep(0)
+
+
+def _holding(service: QueryService) -> bool:
+    """Is a group open and not yet fired?  Loop-confined state, so the
+    answer does not race the bridge threads."""
+    return service._group is not None and not service._group.closed
+
+
+def _count_batch_cores(service: QueryService) -> list:
+    """Record the size of every group ``_run_batch_core`` is entered
+    with."""
+    sizes: list = []
+    run = service._run_batch_core
+
+    def counting(group):
+        sizes.append(len(group.members))
+        return run(group)
+
+    service._run_batch_core = counting
+    return sizes
+
+
+def _wave(tree, facilities, n=4):
+    """``n`` distinct evaluates, their oracle values, and a solver
+    request over disjoint facilities (no probe unit shared with the
+    wave) to keep the bridge busy with."""
+    requests = [
+        EvaluateRequest(tree, facility, ENDPOINT) for facility in facilities[:n]
+    ]
+    plain = [evaluate_service(r.tree, r.facility, r.spec) for r in requests]
+    solver = KMaxRRSTRequest(tree, tuple(facilities[8:11]), 2, ENDPOINT)
+    return requests, plain, solver
+
+
+def _drive_gated(main, batch_window=LONG_WINDOW):
+    """Run ``main(service, gate)`` on a fresh service whose first
+    solver core parks on the bridge pool until ``gate.release`` is set
+    (it is set on the way out too, so a failing assertion does not wait
+    for it)."""
+
+    async def outer():
+        with QueryRuntime(_config()) as runtime:
+            async with QueryService(
+                runtime, ServiceConfig(batch_window=batch_window)
+            ) as service:
+                gate = GatedPlanner(
+                    service, lambda r: isinstance(r, KMaxRRSTRequest)
+                )
+                try:
+                    return await main(service, gate)
+                finally:
+                    gate.release.set()
+
+    return asyncio.run(outer())
 
 
 class TestBatchingDifferential:
@@ -337,47 +410,41 @@ class TestEligibilityGate:
 
 class TestCancellationAndInterleaving:
     def test_mid_batch_cancellation_stays_local(self, tree, facilities):
-        """Cancelling one member while the window is open abandons only
-        that member: siblings complete with correct values, the group
-        still fires, and the outcome counters stay consistent."""
-        requests = [
-            EvaluateRequest(tree, facility, ENDPOINT)
-            for facility in facilities[:5]
-        ]
-        plain = [
-            evaluate_service(req.tree, req.facility, req.spec)
-            for req in requests
-        ]
+        """Cancelling one member while its group holds behind a busy
+        bridge abandons only that member: siblings complete with
+        correct values, the group still fires, and the outcome counters
+        stay consistent."""
+        requests, plain, solver = _wave(tree, facilities, 5)
 
-        async def main():
-            with QueryRuntime(_config()) as runtime:
-                async with QueryService(
-                    runtime, ServiceConfig(batch_window=0.2)
-                ) as service:
-                    tasks = []
-                    for req in requests:
-                        tasks.append(
-                            asyncio.ensure_future(service.submit(req))
-                        )
-                        await asyncio.sleep(0)  # register in order
-                    await asyncio.sleep(0.02)  # inside the open window
-                    tasks[2].cancel()
-                    outcomes = await asyncio.wait_for(
-                        asyncio.gather(*tasks, return_exceptions=True),
-                        timeout=30,
-                    )
-                    return outcomes, service.stats
+        async def main(service, gate):
+            busy = asyncio.ensure_future(service.submit(solver))
+            await _core_started(gate)
+            tasks = []
+            for req in requests:
+                tasks.append(asyncio.ensure_future(service.submit(req)))
+                await asyncio.sleep(0)  # register in order
+            await _spin()
+            assert _holding(service)
+            tasks[2].cancel()
+            await _spin()
+            gate.release.set()
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*tasks, return_exceptions=True), timeout=10
+            )
+            await busy
+            return outcomes, service.stats
 
-        outcomes, stats = asyncio.run(main())
+        outcomes, stats = _drive_gated(main)
         assert isinstance(outcomes[2], asyncio.CancelledError)
         for i, (outcome, expected) in enumerate(zip(outcomes, plain)):
             if i == 2:
                 continue
             assert outcome.value == expected
         assert stats.requests_cancelled == 1
-        assert stats.requests_completed == len(requests) - 1
+        assert stats.requests_completed == len(requests)  # 4 + the solver
         # the abandoned member's unit is not claimed as batched work
         assert stats.probe_units_batched == len(requests) - 1
+        assert stats.batch_groups_run == 1
         _assert_outcomes_sum(stats)
 
     def test_foreign_interleave_closes_group_without_deadlock(
@@ -417,6 +484,125 @@ class TestCancellationAndInterleaving:
         _assert_outcomes_sum(stats)
 
 
+class TestWorkConservingHold:
+    """The hold rule itself: a group holds only while a core is running
+    on the bridge pool, and never longer than ``batch_window``.  Gates,
+    not timing — every wait is on an event, under a window (30 s) that
+    would fail the test's own timeout if it were ever slept out."""
+
+    def test_idle_bridge_fires_a_lone_request_at_once(
+        self, tree, facilities
+    ):
+        requests, plain, _ = _wave(tree, facilities, 1)
+
+        async def main(service, gate):
+            result = await asyncio.wait_for(
+                service.submit(requests[0]), timeout=2
+            )
+            return result, service.stats
+
+        result, stats = _drive_gated(main)
+        assert result.value == plain[0]
+        assert stats.probe_units_batched == 1
+        assert stats.batch_groups_run == 1
+
+    def test_one_gather_on_an_idle_bridge_is_one_bridge_task(
+        self, tree, facilities
+    ):
+        requests, plain, _ = _wave(tree, facilities, 6)
+
+        async def main(service, gate):
+            sizes = _count_batch_cores(service)
+            results = await asyncio.wait_for(
+                service.run(requests), timeout=10
+            )
+            return results, sizes, service.stats
+
+        results, sizes, stats = _drive_gated(main)
+        assert [r.value for r in results] == plain
+        assert sizes == [len(requests)]
+        assert stats.probe_units_batched == len(requests)
+        assert stats.batch_groups_run == 1
+
+    def test_busy_bridge_holds_the_group_until_the_core_finishes(
+        self, tree, facilities
+    ):
+        """Evaluates submitted one loop iteration apart behind a
+        running solver core form one group, which fires when that core
+        finishes — long before the window."""
+        requests, plain, solver = _wave(tree, facilities)
+
+        async def main(service, gate):
+            sizes = _count_batch_cores(service)
+            busy = asyncio.ensure_future(service.submit(solver))
+            await _core_started(gate)
+            tasks = []
+            for req in requests:
+                tasks.append(asyncio.ensure_future(service.submit(req)))
+                await _spin(3)
+            assert _holding(service) and sizes == []
+            gate.release.set()
+            results = await asyncio.wait_for(
+                asyncio.gather(*tasks), timeout=10
+            )
+            await busy
+            return results, sizes, service.stats
+
+        results, sizes, stats = _drive_gated(main)
+        assert [r.value for r in results] == plain
+        assert sizes == [len(requests)]
+        assert stats.probe_units_batched == len(requests)
+        assert stats.batch_groups_run == 1
+        _assert_outcomes_sum(stats)
+
+    def test_hold_is_bounded_by_the_window(self, tree, facilities):
+        """The gate stays shut past a short window: the group fires at
+        the window and runs beside the busy core."""
+        requests, plain, solver = _wave(tree, facilities)
+
+        async def main(service, gate):
+            sizes = _count_batch_cores(service)
+            busy = asyncio.ensure_future(service.submit(solver))
+            await _core_started(gate)
+            results = await asyncio.wait_for(
+                service.run(requests), timeout=10
+            )
+            assert not busy.done()  # answered while the core still runs
+            gate.release.set()
+            await busy
+            return results, sizes, service.stats
+
+        results, sizes, stats = _drive_gated(main, batch_window=0.05)
+        assert [r.value for r in results] == plain
+        assert sizes == [len(requests)]
+        assert stats.probe_units_batched == len(requests)
+        assert stats.batch_groups_run == 1
+
+    def test_orphaned_core_still_counts_as_busy(self, tree, facilities):
+        """A core whose caller was cancelled mid-execution keeps its
+        bridge thread, so a group still holds behind it."""
+        requests, plain, solver = _wave(tree, facilities)
+
+        async def main(service, gate):
+            victim = asyncio.ensure_future(service.submit(solver))
+            await _core_started(gate)
+            victim.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await victim
+            wave = asyncio.ensure_future(service.run(requests))
+            await _spin()
+            assert _holding(service)
+            gate.release.set()
+            results = await asyncio.wait_for(wave, timeout=10)
+            return results, service.stats
+
+        results, stats = _drive_gated(main)
+        assert [r.value for r in results] == plain
+        assert stats.requests_cancelled == 1
+        assert stats.batch_groups_run == 1
+        _assert_outcomes_sum(stats)
+
+
 class TestKnobAndWire:
     def test_batch_window_validation(self):
         with pytest.raises(QueryError, match="batch_window"):
@@ -429,7 +615,9 @@ class TestKnobAndWire:
             requests_completed=4,
             probe_units_planned=4,
             probe_units_batched=4,
+            batch_groups_run=2,
         )
         decoded = wire.decode_service_stats(wire.encode_service_stats(stats))
         assert decoded == stats
         assert decoded.probe_units_batched == 4
+        assert decoded.batch_groups_run == 2

@@ -18,7 +18,6 @@ from __future__ import annotations
 import asyncio
 import socket
 import threading
-import time
 
 import pytest
 
@@ -41,6 +40,8 @@ from repro.service.http import (
     wire_result,
 )
 from repro.service.http import wire
+
+from .conftest import GatedPlanner
 
 PSI = 400.0
 SPEC = {"model": "endpoint", "psi": PSI}
@@ -327,14 +328,15 @@ class TestErrorMapping:
 
 class TestAdmissionOverHttp:
     def test_overload_is_503_with_retry_after(self, catalog):
-        """queue_depth=1 + a batch window long enough to hold the
-        first request admitted: the second concurrent submission must be
-        shed with 503 and a Retry-After hint, and the held request must
-        still complete."""
-        config = ServiceConfig(queue_depth=1, batch_window=0.8)
+        """queue_depth=1 + a first request whose core is parked on the
+        bridge: the second concurrent submission must be shed with 503
+        and a Retry-After hint, and the held request must still
+        complete."""
+        config = ServiceConfig(queue_depth=1)
         with background_server(
             catalog, runtime_config=RUNTIME_CONFIG, service_config=config
         ) as h:
+            gate = GatedPlanner(h.server.service)
             held = {}
 
             def hold():
@@ -347,7 +349,8 @@ class TestAdmissionOverHttp:
 
             thread = threading.Thread(target=hold)
             thread.start()
-            time.sleep(0.25)  # let the first request claim the queue slot
+            # the first request holds the one queue slot: its core runs
+            assert gate.started.wait(10)
             with ServeClient(h.host, h.port) as client:
                 with pytest.raises(ServiceOverloaded) as excinfo:
                     client.query(
@@ -356,6 +359,7 @@ class TestAdmissionOverHttp:
                          "spec": SPEC}
                     )
             assert excinfo.value.retry_after is not None
+            gate.release.set()
             thread.join(30)
             assert not thread.is_alive()
             # load shedding never corrupted the held request
@@ -412,13 +416,11 @@ class TestAdmissionOverHttp:
 
 class TestDrain:
     def test_graceful_drain_completes_in_flight(self, catalog):
-        """drain() must let an admitted request finish (the batch
-        window keeps it in flight while we trigger the drain), then
+        """drain() must let an admitted request finish (its core is
+        parked on the bridge while the drain begins and waits), then
         refuse new connections."""
-        config = ServiceConfig(batch_window=0.8)
-        with background_server(
-            catalog, runtime_config=RUNTIME_CONFIG, service_config=config
-        ) as h:
+        with background_server(catalog, runtime_config=RUNTIME_CONFIG) as h:
+            gate = GatedPlanner(h.server.service)
             box = {}
 
             def inflight():
@@ -431,8 +433,19 @@ class TestDrain:
 
             thread = threading.Thread(target=inflight)
             thread.start()
-            time.sleep(0.25)  # the request is admitted, inside its window
-            h.drain()
+            assert gate.started.wait(10)  # admitted, its core running
+            drained = asyncio.run_coroutine_threadsafe(
+                h.server.drain(), h._loop
+            )
+            # a no-op queued behind drain()'s first step: once it has
+            # run, the drain has begun
+            asyncio.run_coroutine_threadsafe(
+                asyncio.sleep(0), h._loop
+            ).result(10)
+            assert h.server.draining and not drained.done()
+            assert h.server.service.in_flight == 1
+            gate.release.set()
+            drained.result(30)
             thread.join(30)
             assert not thread.is_alive()
             # the in-flight request completed with a real answer
