@@ -383,22 +383,13 @@ class AdaptiveZGrid:
             depth += 1
 
     def cells_intersecting(self, box: BBox) -> List[ZID]:
-        """Leaf-cell ids whose region intersects ``box``, in Z order."""
-        return self.cells_where(lambda b: b.intersects(box))
-
-    def cells_where(self, region_test) -> List[ZID]:
-        """Leaf-cell ids whose region passes ``region_test``, in Z order.
-
-        ``region_test(box) -> bool`` must be *monotone*: if it rejects a
-        box it must reject every box inside it (true for any
-        intersects-a-region predicate), because rejected subtrees are
-        skipped wholesale.
-        """
+        """Leaf-cell ids whose region intersects ``box``, in Z order.
+        A cell that misses ``box`` is skipped with everything inside it."""
         out: List[ZID] = []
         stack = [self._root]
         while stack:
             cell = stack.pop()
-            if not region_test(cell.box):
+            if not cell.box.intersects(box):
                 continue
             if cell.is_leaf:
                 out.append(cell.zid)

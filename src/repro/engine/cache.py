@@ -31,6 +31,11 @@ alias to a wrong cached answer; a failed verification is simply a
 miss.  A cache is only valid for a fixed user set / tree: drop it (or
 :meth:`clear`) when the underlying data changes.
 
+Node results and match sets are keyed on client-supplied values
+(``psi`` is a float on the wire), so each of the two tables holds at
+most :data:`MAX_ENTRIES` entries and drops its oldest beyond that — an
+evicted entry is a miss like any other.
+
 **Thread safety.**  A cache shared by a :class:`repro.service
 .QueryService` is read and written from the service's bridge threads
 concurrently, so every table access and counter update happens under
@@ -47,19 +52,34 @@ that share probe units (see ``repro.service``).
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["CoverageCache"]
 
+#: Entries kept per table (node results, match sets) before the oldest
+#: goes.  Twice the largest working set a perfbench workload ends with
+#: (``paper_multipoint``: 8,001 node results), so a warm catalog never
+#: evicts while a sweep over never-repeated keys stays bounded.
+MAX_ENTRIES = 16_384
+
+
+def _store(table: "OrderedDict[Hashable, Any]", key: Hashable, entry: Any) -> None:
+    table[key] = entry
+    if len(table) > MAX_ENTRIES:
+        table.popitem(last=False)
+
 
 class CoverageCache:
     """Memoises coverage masks, node candidate sets, and match sets."""
 
     def __init__(self) -> None:
-        self._nodes: Dict[Hashable, Tuple[Any, np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._matches: Dict[Hashable, Tuple[Any, Mapping]] = {}
+        # key -> (anchor, stop coords, candidate rows, mask)
+        self._nodes: "OrderedDict[Hashable, Tuple[Any, ...]]" = OrderedDict()
+        # key -> (facility, matches)
+        self._matches: "OrderedDict[Hashable, Tuple[Any, Mapping]]" = OrderedDict()
         self._masks: Dict[Hashable, Tuple[Any, np.ndarray, np.ndarray]] = {}
         self._match_fns: Dict[int, Callable] = {}
         self.hits = 0
@@ -102,7 +122,7 @@ class CoverageCache:
     ) -> None:
         with self._lock:
             self.misses += 1
-            self._nodes[key] = (node, stop_coords, candidates, mask)
+            _store(self._nodes, key, (node, stop_coords, candidates, mask))
 
     # ------------------------------------------------------------------
     # per-facility match sets
@@ -150,7 +170,7 @@ class CoverageCache:
             # would serialise every concurrent miss on the whole cache
             matches = match_fn(facility)
             with self._lock:
-                self._matches[entry_key] = (facility, matches)
+                _store(self._matches, entry_key, (facility, matches))
                 self.misses += 1
             return matches
 

@@ -159,6 +159,9 @@ def _cellstring_geometry(
     target = psi / _FINE_CELLS_PER_PSI
     if not target > 0.0:
         target = extent / 64.0
+    # discs are inflated by ``eps`` before rasterising: cells finer than
+    # that only multiply boundary cells without separating anything
+    target = max(target, eps)
     depth = 0
     if extent > 0.0 and target > 0.0:
         ratio = extent / target

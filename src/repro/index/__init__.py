@@ -9,23 +9,22 @@ from .builder import (
 )
 from .block import NodeBlock
 from .frame import TreeFrame, ZStack
-from .entries import IndexEntry, SubBounds, make_entries, validate_spec_for_variant
+from .entries import SubBounds, entry_keys, validate_spec_for_variant
 from .quadtree import PointQuadtree
 from .stats import IndexStats, storage_report
 from .tqtree import QNode, TQTree
-from .zindex import ZOrderedList, disc_region_test, embr_region_test
+from .zindex import ZOrderedList
 
 __all__ = [
     "TQTree",
     "QNode",
     "PointQuadtree",
     "ZOrderedList",
-    "IndexEntry",
     "NodeBlock",
     "TreeFrame",
     "ZStack",
     "SubBounds",
-    "make_entries",
+    "entry_keys",
     "validate_spec_for_variant",
     "IndexStats",
     "storage_report",
@@ -34,6 +33,4 @@ __all__ = [
     "build_segmented",
     "build_full",
     "segment_dataset",
-    "embr_region_test",
-    "disc_region_test",
 ]

@@ -1,16 +1,16 @@
 """Struct-of-arrays image of an entry list.
 
-A q-node's ``UL(E)`` is a Python list of :class:`~repro.index.entries
-.IndexEntry` objects — the logical unit for inserts, the I/O model and
-tests.  Queries never walk that list: they read a :class:`NodeBlock`,
-the same entries as a handful of flat columns over the tree's
-:class:`~repro.core.trajectory.UserPointTable`.  A tree builds *one*
-block over every node's list laid end to end (the
-:class:`~repro.index.frame.TreeFrame`'s); a q-node's own block is a
-:meth:`~NodeBlock.window` of it — views, not copies — and an insert
-re-reads only the lists it touched.
+An entry is a key ``(row, seg)`` (:mod:`repro.index.entries`); a
+:class:`NodeBlock` is everything else about a list of them, as a handful
+of flat columns over the tree's :class:`~repro.core.trajectory
+.UserPointTable`.  A tree builds *one* block over every node's list laid
+end to end (the :class:`~repro.index.frame.TreeFrame`'s); a q-node's own
+block is a :meth:`~NodeBlock.window` of it — views, not copies.  The
+same constructor gives a bulk build, an insert and a leaf split their
+placement boxes (``gov[:, 4:8]``) and ``sub`` addends
+(:meth:`~NodeBlock.own_totals`).
 
-Row ``i`` of a block is entry ``i`` of the node's list.  Its probe
+Row ``i`` of a block is entry ``i`` of the list.  Its probe
 points (everything scoring can ever need, in point-index order) are the
 CSR run ``probe_off[i] .. probe_off[i + 1]`` of ``probe_slot`` /
 ``probe_xy``.  The three index variants share one shape, which is what
@@ -25,12 +25,14 @@ keeps aggregation free of per-entry bookkeeping:
 
 ``gov`` is the TQ(B) filter table, one row per entry: governing start
 ``(x, y)``, governing end ``(x, y)``, entry bbox ``(xmin, ymin, xmax,
-ymax)`` — the layout :mod:`repro.store` persists.
+ymax)`` — the layout :mod:`repro.store` persists.  The bbox is also the
+entry's placement box: it sinks into a child q-node exactly when the
+box's two corners share a quadrant.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -126,33 +128,6 @@ class NodeBlock:
         self.seg_len_norm = self.seg_len * np.repeat(scale, seg_cnt)
         self.gov = self._gov_table(variant)
 
-    @classmethod
-    def of_entries(
-        cls,
-        table: UserPointTable,
-        variant: IndexVariant,
-        entries: Sequence,
-    ) -> "NodeBlock":
-        """The block of an :class:`~repro.index.entries.IndexEntry` list
-        whose users are rows of ``table``."""
-        return cls(table, variant, *cls.entry_keys(table, entries))
-
-    @staticmethod
-    def entry_keys(
-        table: UserPointTable, entries: Sequence
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``(rows, segs)`` columns naming ``entries`` — the one
-        per-entry Python pass a block build needs."""
-        n = len(entries)
-        rows = np.fromiter(
-            (table.row_of[e.traj.traj_id] for e in entries), dtype=np.int64, count=n
-        )
-        segs = np.fromiter(
-            (-1 if e.seg_index is None else e.seg_index for e in entries),
-            dtype=np.int64, count=n,
-        )
-        return rows, segs
-
     def window(self, lo: int, hi: int, into: Optional["NodeBlock"] = None) -> "NodeBlock":
         """Rows ``lo .. hi - 1`` as a block of their own whose columns
         are *views* of this one's (only the two small offset columns are
@@ -190,12 +165,15 @@ class NodeBlock:
         return gov
 
     # ------------------------------------------------------------------
-    def own_totals(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per entry: owned length, owned points over ``|u|``, owned
-        length over ``length(u)`` — the addends of ``SubBounds``, in the
-        per-entry arithmetic ``SubBounds.add_entry`` uses."""
+    def own_totals(self) -> np.ndarray:
+        """The five ``SubBounds`` addends per entry, one ``(n, 5)`` row
+        each in ``SubBounds.as_row`` order: 1, owned points, owned
+        length, owned points over ``|u|``, owned length over
+        ``length(u)``."""
         owner = np.repeat(np.arange(self.n, dtype=np.int64), self.seg_cnt)
         own_len = np.bincount(owner, weights=self.seg_len, minlength=self.n)
         norm_len = np.zeros(self.n, dtype=np.float64)
         np.divide(own_len, self.traj_len, out=norm_len, where=self.traj_len > 0)
-        return own_len, self.own_cnt / self.n_points, norm_len
+        return np.column_stack(
+            [np.ones(self.n), self.own_cnt, own_len, self.own_cnt / self.n_points, norm_len]
+        )

@@ -84,7 +84,7 @@ class TreeFrame:
             if node.children is not None:
                 self.children[i] = [number[id(child)] for child in node.children]
         self.n_own = np.fromiter(
-            (len(node.entries) for node in nodes), dtype=np.int64, count=n
+            (node.n_own for node in nodes), dtype=np.int64, count=n
         )
         self.sub = np.array(
             [node.sub.as_row() for node in nodes], dtype=np.float64

@@ -52,14 +52,14 @@ def storage_report(tree: TQTree) -> IndexStats:
     stored = 0
     for node in tree.nodes():
         n_nodes += 1
-        stored += len(node.entries)
-        per_level[node.depth] = per_level.get(node.depth, 0) + len(node.entries)
+        stored += node.n_own
+        per_level[node.depth] = per_level.get(node.depth, 0) + node.n_own
         if node.is_leaf:
             n_leaves += 1
-            intra += len(node.entries)
-            max_leaf = max(max_leaf, len(node.entries))
+            intra += node.n_own
+            max_leaf = max(max_leaf, node.n_own)
         else:
-            inter += len(node.entries)
+            inter += node.n_own
 
     if tree.config.variant is IndexVariant.SEGMENTED:
         expected = sum(

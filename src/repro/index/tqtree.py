@@ -1,7 +1,8 @@
 """The Trajectory Quadtree (TQ-tree) — the paper's core index (Section III).
 
-A TQ-tree hierarchically organises trajectory *entries*
-(:mod:`repro.index.entries`) in a region quadtree:
+A TQ-tree hierarchically organises trajectory *entries* — ``(row, seg)``
+keys over the tree's :class:`~repro.core.trajectory.UserPointTable`
+(:mod:`repro.index.entries`) — in a region quadtree:
 
 * an internal q-node stores its **inter-node** entries — those whose
   placement points span two or more of its immediate children;
@@ -15,14 +16,18 @@ With ``config.use_zorder`` (TQ(Z)), each q-node's entry list is organised
 by a :class:`~repro.index.zindex.ZOrderedList`; without it (TQ(B)), the
 list stays flat and queries scan it linearly.
 
-The tree keeps its users as one :class:`~repro.core.trajectory
-.UserPointTable`, and every q-node's list also exists as flat columns
-over that table — what queries actually read: one tree-wide
-:class:`~repro.index.frame.TreeFrame` (the nodes as arrays over a single
-:class:`~repro.index.block.NodeBlock`), each node's own block a window
-of it, the z-structures stacked beside it.  All of it is built lazily
-(or by :meth:`TQTree.warm_zindex`), and an insert into a node drops the
-frame and marks that node's block and z-structure for rebuilding.
+A q-node's list is two integer columns; queries read the columns
+derived from them: one tree-wide :class:`~repro.index.frame.TreeFrame`
+(the nodes as arrays over a single :class:`~repro.index.block
+.NodeBlock`), each node's own block a window of it, the z-structures
+stacked beside it.  All of it is built lazily (or by
+:meth:`TQTree.warm_zindex`), and an insert into a node drops the frame
+and marks that node's block and z-structure for rebuilding.  Bulk
+build, insert and leaf split place entries with one rule
+(:meth:`TQTree._bulk_build`) and price them with one arithmetic
+(:meth:`NodeBlock.own_totals <repro.index.block.NodeBlock.own_totals>`),
+so a tree grown by inserts is the tree a build over the same users
+makes.
 
 The tree supports dynamic inserts (Section III-C).  One deliberate
 deviation from the paper: after an insert the affected node's z-structure
@@ -45,7 +50,7 @@ from ..core.service import ServiceSpec
 from ..core.trajectory import Trajectory, UserPointTable
 from .block import NodeBlock
 from .frame import TreeFrame, ZStack
-from .entries import IndexEntry, SubBounds, make_entries, validate_spec_for_variant
+from .entries import SubBounds, entry_keys, validate_spec_for_variant
 from .zindex import ZOrderedList
 
 __all__ = ["QNode", "TQTree"]
@@ -59,7 +64,9 @@ class QNode:
         "depth",
         "parent",
         "children",
-        "entries",
+        "rows",
+        "segs",
+        "own",
         "sub",
         "_block",
         "_zlist",
@@ -73,10 +80,13 @@ class QNode:
         self.depth = depth
         self.parent = parent
         self.children: Optional[List["QNode"]] = None
-        self.entries: List[IndexEntry] = []  # UL(E)
+        # UL(E): the entries' keys (table row, segment index or -1)
+        self.rows = self.segs = np.zeros(0, dtype=np.int64)
+        # the bounds of the own list alone, and of the whole subtree
+        self.own = SubBounds()
         self.sub = SubBounds()
-        # the columnar image of ``entries`` (stale while ``_z_dirty``) and
-        # the z-order view built over it on demand (see TQTree.frame)
+        # the list's other columns (stale while ``_z_dirty``) and the
+        # z-order view built over them on demand (see TQTree.frame)
         self._block: Optional[NodeBlock] = None
         self._zlist: Optional[ZOrderedList] = None
         self._z_dirty = True
@@ -89,13 +99,18 @@ class QNode:
     def is_leaf(self) -> bool:
         return self.children is None
 
+    @property
+    def n_own(self) -> int:
+        """``|UL(E)|``: how many entries this node itself stores."""
+        return self.rows.size
+
     def adopt_gov_table(self, table: "np.ndarray") -> bool:
         """Offer a persisted filter table (the ``gov`` column of this
         node's block, e.g. a memmap from a store): frame builds copy it
         into the node's rows in place of the computed one.  Refused when
         it cannot belong to the current entry list; any later change to
         the list withdraws the offer."""
-        if table.shape != (len(self.entries), 8):
+        if table.shape != (self.n_own, 8):
             return False
         self._adopted_gov = table
         self._stale()
@@ -121,7 +136,7 @@ class QNode:
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else "internal"
-        return f"QNode({kind}, depth={self.depth}, |UL|={len(self.entries)})"
+        return f"QNode({kind}, depth={self.depth}, |UL|={self.n_own})"
 
 
 class TQTree:
@@ -176,19 +191,9 @@ class TQTree:
             space = tight.expanded(pad)
         tree = cls(space, config)
         tree._adopt_table(table)
-        entries: List[IndexEntry] = []
-        for u in table.users:
-            entries.extend(make_entries(u, config.variant))
-        tree._n_entries = len(entries)
-        # the whole entry set as one block: routing reads its bbox
-        # columns, the sub bounds its per-entry totals
-        block = NodeBlock.of_entries(table, config.variant, entries)
-        totals = np.column_stack(
-            [np.ones(block.n), block.own_cnt, *block.own_totals()]
-        )
-        tree._bulk_build(
-            tree.root, entries, block.gov[:, 4:8], totals, np.arange(block.n)
-        )
+        rows, segs = entry_keys(table, config.variant)
+        tree._n_entries = rows.size
+        tree._place(tree.root, rows, segs)
         return tree
 
     def _adopt_table(self, table: UserPointTable) -> None:
@@ -216,55 +221,68 @@ class TQTree:
         self._trajectories[traj.traj_id] = traj
         self._max_traj_points = max(self._max_traj_points, traj.n_points)
 
-    def _route(self, node: QNode, entry: IndexEntry) -> Optional[int]:
-        """The single child quadrant holding all placement points, if any."""
-        points = entry.placement_points
-        q = node.box.quadrant_of(points[0])
-        for p in points[1:]:
-            if node.box.quadrant_of(p) != q:
-                return None
-        return q
+    def _place(self, node: QNode, rows: np.ndarray, segs: np.ndarray) -> None:
+        """Make ``node``'s subtree the one holding exactly the entries
+        ``(rows, segs)``, which must all lie inside its box: one block
+        over the keys gives their placement boxes and ``sub`` addends."""
+        block = NodeBlock(self.table, self.config.variant, rows, segs)
+        self._bulk_build(
+            node, rows, segs, block.gov[:, 4:8], block.own_totals(),
+            np.arange(block.n),
+        )
+
+    @staticmethod
+    def _corner_quadrants(box: BBox, bbox: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``BBox.quadrant_of`` for the min and the max corner of every
+        placement box: an entry sinks into a child of the node spanning
+        ``box`` exactly when the two agree."""
+        cx = (box.xmin + box.xmax) / 2.0
+        cy = (box.ymin + box.ymax) / 2.0
+        q_lo = (bbox[:, 0] >= cx) | ((bbox[:, 1] >= cy) << 1)
+        q_hi = (bbox[:, 2] >= cx) | ((bbox[:, 3] >= cy) << 1)
+        return q_lo, q_hi
 
     def _bulk_build(
         self,
         node: QNode,
-        entries: List[IndexEntry],
+        rows: np.ndarray,
+        segs: np.ndarray,
         bbox: np.ndarray,
         totals: np.ndarray,
         idx: np.ndarray,
     ) -> None:
-        """Place the entries numbered ``idx`` (ascending) in ``node``'s
-        subtree.  ``bbox`` holds every entry's placement box — an entry
-        sinks into a child exactly when the box's two corners share a
-        quadrant — and ``totals`` the five ``SubBounds`` addends per
-        entry, so routing and bounds are array operations per node."""
+        """Place the entries numbered ``idx`` (ascending positions in
+        ``rows`` / ``segs``) in ``node``'s subtree.  ``bbox`` holds every
+        entry's placement box and ``totals`` its five ``SubBounds``
+        addends, so routing and bounds are array operations per node."""
         cfg = self.config
         stay = idx
         groups = None
         if len(idx) > cfg.beta and node.depth < cfg.max_depth:
-            box = node.box
-            cx = (box.xmin + box.xmax) / 2.0
-            cy = (box.ymin + box.ymax) / 2.0
-            b = bbox[idx]
-            # BBox.quadrant_of for the min and the max corner
-            q_lo = (b[:, 0] >= cx) | ((b[:, 1] >= cy) << 1)
-            q_hi = (b[:, 2] >= cx) | ((b[:, 3] >= cy) << 1)
+            q_lo, q_hi = self._corner_quadrants(node.box, bbox[idx])
             sinks = q_lo == q_hi
             # when splitting makes no progress (everything is inter-node
             # here) the node stays a leaf per the paper's termination rule
             if sinks.any():
                 stay = idx[~sinks]
                 groups = [idx[sinks & (q_lo == d)] for d in range(4)]
-        node.entries = [entries[i] for i in stay.tolist()]
-        # left-to-right sums, the order SubBounds.add_entry accumulates in
+        node.rows, node.segs = rows[stay], segs[stay]
+        # left-to-right sums: the order inserts accumulate ``own`` in
         own = np.cumsum(totals[stay], axis=0)[-1] if stay.size else np.zeros(5)
-        node.sub = SubBounds(*own.tolist())
+        node.own = SubBounds(*own.tolist())
         if groups is not None:
             boxes = node.box.quadrants()
             node.children = [QNode(boxes[d], node.depth + 1, node) for d in range(4)]
             for d in range(4):
-                self._bulk_build(node.children[d], entries, bbox, totals, groups[d])
-                node.sub.add(node.children[d].sub)
+                self._bulk_build(node.children[d], rows, segs, bbox, totals, groups[d])
+        self._sum_sub(node)
+
+    @staticmethod
+    def _sum_sub(node: QNode) -> None:
+        """``sub`` from its parts: the own list, then each child."""
+        node.sub = SubBounds(*node.own.as_row())
+        for child in node.children or ():
+            node.sub.add(child.sub)
 
     # ------------------------------------------------------------------
     # dynamic updates (Section III-C)
@@ -272,54 +290,35 @@ class TQTree:
     def insert(self, traj: Trajectory) -> None:
         """Insert one trajectory; O(h) descent per entry plus local splits."""
         self._register(traj)
-        for entry in make_entries(traj, self.config.variant):
-            self._insert_entry(entry)
+        row = len(self._trajectories) - 1
+        variant = self.config.variant
+        # the new user's entries as a block of their own: the placement
+        # boxes and addends a bulk build would compute for them
+        alone = UserPointTable((traj,))
+        block = NodeBlock(alone, variant, *entry_keys(alone, variant))
+        bbox, totals = block.gov[:, 4:8], block.own_totals()
+        for k, seg in enumerate(block.segs.tolist()):
+            self._insert_entry(row, seg, bbox[k : k + 1], SubBounds(*totals[k].tolist()))
             self._n_entries += 1
 
-    def _insert_entry(self, entry: IndexEntry) -> None:
+    def _insert_entry(self, row: int, seg: int, bbox: np.ndarray, delta: SubBounds) -> None:
         cfg = self.config
         node = self.root
-        delta = SubBounds()
-        delta.add_entry(entry)
-        while True:
-            node.sub.add(delta)
-            if node.is_leaf:
-                node.entries.append(entry)
-                node.invalidate()
-                if len(node.entries) > cfg.beta and node.depth < cfg.max_depth:
-                    self._split_leaf(node)
-                return
-            q = self._route(node, entry)
-            if q is None:
-                node.entries.append(entry)
-                node.invalidate()
-                return
-            assert node.children is not None
-            node = node.children[q]
-
-    def _split_leaf(self, node: QNode) -> None:
-        entries = node.entries
-        groups: Tuple[List[IndexEntry], ...] = ([], [], [], [])
-        stay: List[IndexEntry] = []
-        for e in entries:
-            q = self._route(node, e)
-            if q is None:
-                stay.append(e)
-            else:
-                groups[q].append(e)
-        if not any(groups):
-            return  # no progress possible; stays an oversized leaf
-        boxes = node.box.quadrants()
-        node.children = [QNode(boxes[d], node.depth + 1, node) for d in range(4)]
-        node.entries = stay
+        while not node.is_leaf:
+            q_lo, q_hi = self._corner_quadrants(node.box, bbox)
+            if q_lo[0] != q_hi[0]:
+                break
+            node = node.children[int(q_lo[0])]
+        node.rows = np.append(node.rows, row)
+        node.segs = np.append(node.segs, seg)
+        node.own.add(delta)
         node.invalidate()
-        for d in range(4):
-            child = node.children[d]
-            child.entries = groups[d]
-            for e in groups[d]:
-                child.sub.add_entry(e)
-            if len(child.entries) > self.config.beta and child.depth < self.config.max_depth:
-                self._split_leaf(child)
+        if node.is_leaf and node.n_own > cfg.beta and node.depth < cfg.max_depth:
+            # the children a bulk build over the leaf's keys would make
+            self._place(node, node.rows, node.segs)
+        while node is not None:
+            self._sum_sub(node)
+            node = node.parent
 
     # ------------------------------------------------------------------
     # lookups
@@ -417,21 +416,14 @@ class TQTree:
         (re)built lazily after updates: every node's entry list laid end
         to end in one block, each node's own block re-pointed at its
         window of it.  A node whose list did not change keeps its block
-        *object* (what caches anchor on) and its z-structure; only the
-        changed lists are re-read entry by entry."""
+        *object* (what caches anchor on) and its z-structure."""
         frame = self.root._frame
         if frame is None:
             nodes = list(self.nodes())
-            table = self.table
-            keys = [
-                NodeBlock.entry_keys(table, node.entries)
-                if node._z_dirty else (node._block.rows, node._block.segs)
-                for node in nodes
-            ]
             block = NodeBlock(
-                table, self.config.variant,
-                np.concatenate([rows for rows, _segs in keys]),
-                np.concatenate([segs for _rows, segs in keys]),
+                self.table, self.config.variant,
+                np.concatenate([node.rows for node in nodes]),
+                np.concatenate([node.segs for node in nodes]),
             )
             frame = TreeFrame(nodes, block)
             bounds = frame.row_off.tolist()
@@ -450,7 +442,8 @@ class TQTree:
 
     def node_block(self, node: QNode) -> NodeBlock:
         """The node's entry list as flat columns — its window of the
-        frame's block; row ``i`` is ``node.entries[i]``."""
+        frame's block; row ``i`` is the entry ``(node.rows[i],
+        node.segs[i])``."""
         self.frame()
         return node._block
 
@@ -458,12 +451,13 @@ class TQTree:
         """The node's z-structure under this tree's config (None for TQ(B)
         and for empty lists), built on first use over the node's block."""
         cfg = self.config
-        if not cfg.use_zorder or not node.entries:
+        if not cfg.use_zorder or not node.n_own:
             return None
         block = self.node_block(node)
         if node._zlist is None:
+            ids = np.column_stack([self.table.traj_ids[block.rows], block.segs])
             node._zlist = ZOrderedList(
-                node.box, node.entries, cfg.beta, cfg.z_max_depth, gov=block.gov
+                node.box, ids, cfg.beta, cfg.z_max_depth, gov=block.gov
             )
         return node._zlist
 

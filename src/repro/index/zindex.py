@@ -32,47 +32,18 @@ Three candidate modes cover the service models soundly (DESIGN.md §4.2):
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
 from ..core.errors import IndexError_
 from ..core.geometry import BBox, Point
 from ..core.zorder import AdaptiveZGrid
-from .entries import IndexEntry
 
-__all__ = ["ZOrderedList", "RegionTest", "embr_region_test", "disc_region_test"]
-
-RegionTest = Callable[[BBox], bool]
+__all__ = ["ZOrderedList", "boxes_meet"]
 
 
-def embr_region_test(embr: BBox) -> RegionTest:
-    """Region test: does a cell intersect the facility's EMBR?"""
-    return embr.intersects
-
-
-def disc_region_test(
-    stop_points: Sequence[Point], psi: float, embr: Optional[BBox] = None
-) -> RegionTest:
-    """Region test against the true serving area (union of stop discs).
-
-    Tighter than the EMBR box; used when the component has few stops so
-    the per-cell cost stays negligible.  ``embr`` short-circuits cells
-    that miss even the box.
-    """
-
-    def test(box: BBox) -> bool:
-        if embr is not None and not box.intersects(embr):
-            return False
-        for p in stop_points:
-            if box.intersects_circle(p, psi):
-                return True
-        return False
-
-    return test
-
-
-def _boxes_meet(boxes: np.ndarray, box: BBox) -> np.ndarray:
+def boxes_meet(boxes: np.ndarray, box: BBox) -> np.ndarray:
     """Which ``(xmin, ymin, xmax, ymax)`` rows intersect ``box`` (closed)."""
     return (
         (boxes[:, 0] <= box.xmax)
@@ -89,8 +60,10 @@ class ZOrderedList:
     ----------
     space:
         The q-node's region; all governing points lie inside it.
-    entries:
-        The node's ``UL(E)`` entry list.
+    ids:
+        The entries' ``(traj_id, seg)`` pairs, an ``(n, 2)`` integer
+        array — the last sort key, so the order is a function of the
+        entry set, not of list order.
     beta:
         Cell capacity for the adaptive grids and the z-node bucket size.
     z_max_depth:
@@ -99,8 +72,8 @@ class ZOrderedList:
         The entries' ``(n, 8)`` filter table — the ``gov`` column of
         their :class:`~repro.index.block.NodeBlock`.
 
-    Position ``i`` of the sorted order is ``entries[i]`` — input entry
-    ``order[i]`` — with start / end leaf ranks ``start_rank[i]`` /
+    Position ``i`` of the sorted order is input entry ``order[i]``,
+    with start / end leaf ranks ``start_rank[i]`` /
     ``end_rank[i]`` and bounding box ``bbox[i]``; bucket ``b`` (a z-node)
     is the positions ``b * beta .. (b + 1) * beta - 1`` with union box
     ``bucket_bbox[b]``.
@@ -115,7 +88,7 @@ class ZOrderedList:
     def __init__(
         self,
         space: BBox,
-        entries: Sequence[IndexEntry],
+        ids: np.ndarray,
         beta: int,
         z_max_depth: int = 12,
         disambiguation_passes: int = 0,
@@ -144,13 +117,11 @@ class ZOrderedList:
         # sort key of an entry: (start z-id, end z-id, entry id)
         start_rank = self.start_grid.ranks_of(starts)
         end_rank = self.end_grid.ranks_of(ends)
-        ids = np.array([e.entry_id for e in entries], dtype=np.int64).reshape(-1, 2)
         self.order = np.lexsort((ids[:, 1], ids[:, 0], end_rank, start_rank))
-        self.entries: List[IndexEntry] = [entries[i] for i in self.order.tolist()]
         self.start_rank = start_rank[self.order]
         self.end_rank = end_rank[self.order]
         self.bbox = gov[self.order, 4:8]
-        lo = np.arange(0, len(self.entries), beta)
+        lo = np.arange(0, self.order.size, beta)
         self.bucket_bbox = np.hstack(
             [
                 np.minimum.reduceat(self.bbox[:, 0:2], lo),
@@ -187,14 +158,14 @@ class ZOrderedList:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.order.size
 
     @property
     def n_buckets(self) -> int:
         return int(self.bucket_bbox.shape[0])
 
     def bucket_sizes(self) -> List[int]:
-        n = len(self.entries)
+        n = len(self)
         return [min(self.beta, n - lo) for lo in range(0, n, self.beta)]
 
     def buckets_touched(self, idx: np.ndarray) -> int:
@@ -234,7 +205,7 @@ class ZOrderedList:
         Sound for FULL-variant entries: a bucket's bbox covers every point
         of every member entry, so skipped buckets cannot contribute.
         """
-        in_bucket = np.repeat(_boxes_meet(self.bucket_bbox, embr), self.beta)
+        in_bucket = np.repeat(boxes_meet(self.bucket_bbox, embr), self.beta)
         return np.flatnonzero(
-            in_bucket[: len(self.entries)] & _boxes_meet(self.bbox, embr)
+            in_bucket[: len(self)] & boxes_meet(self.bbox, embr)
         )

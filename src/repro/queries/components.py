@@ -26,17 +26,12 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.geometry import BBox, Point
+from ..core.geometry import BBox
 from ..core.service import StopSet
 from ..core.trajectory import FacilityRoute
 from ..index.frame import TreeFrame
-from ..index.zindex import RegionTest, disc_region_test, embr_region_test
 
 __all__ = ["FacilityComponent", "DivisionPlan"]
-
-# Below this many stops the exact disc-union region test is cheap enough
-# to beat the looser EMBR box test during z-cell pruning.
-_DISC_TEST_MAX_STOPS = 48
 
 
 @dataclass(frozen=True)
@@ -71,20 +66,6 @@ class FacilityComponent:
     def embr(self) -> Optional[BBox]:
         """Serving-area envelope: stop bbox expanded by ``psi``."""
         return self.stops.embr(self.psi)
-
-    def region_test(self) -> RegionTest:
-        """The tightest affordable cell-vs-serving-area predicate.
-
-        Small components test cells against the true union-of-discs
-        serving area; large ones fall back to the EMBR box.
-        """
-        embr = self.embr
-        if embr is None:
-            return lambda _box: False
-        if self.stops.n_stops <= _DISC_TEST_MAX_STOPS:
-            pts = [Point(float(x), float(y)) for x, y in self.stops.coords]
-            return disc_region_test(pts, self.psi, embr)
-        return embr_region_test(embr)
 
     def restricted_to(self, box: BBox) -> "FacilityComponent":
         """The component serving region ``box``: stops within ``box ⊕ psi``."""

@@ -2,40 +2,51 @@
 
 The paper closes with "we will investigate the effectiveness of the
 TQ-tree for other variants of queries on trajectory databases".  Two
-natural variants fall straight out of the structure, and both reuse the
-zReduce machinery:
+natural variants fall straight out of the structure:
 
 * :func:`trajectories_in_range` — every user trajectory with at least
-  one (or with every governing) point inside a query rectangle;
+  one (or with every) indexed point inside a query rectangle;
 * :func:`trajectories_served_by_stop` — every user trajectory that a
   single candidate stop location can touch within ``psi`` (a one-stop
   facility; useful for siting an individual station).
 
-Both return exact answers: z-cell/bucket pruning narrows candidates, and
-an exact geometric check decides.
+Both read the tree's frame: q-node boxes select the entry lists that can
+hold an answer, and one exact geometric pass over those lists' probe
+points decides.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Tuple
 
 import numpy as np
 
 from ..core.errors import QueryError
 from ..core.geometry import BBox, Point
 from ..core.service import StopSet
-from ..index.entries import IndexEntry
-from ..index.tqtree import QNode, TQTree
+from ..core.trajectory import ranges
+from ..index.block import NodeBlock
+from ..index.frame import TreeFrame
+from ..index.tqtree import TQTree
+from ..index.zindex import boxes_meet
 
 __all__ = ["trajectories_in_range", "trajectories_served_by_stop"]
 
 
-def _candidate_entries(tree: TQTree, node: QNode, box: BBox) -> List[IndexEntry]:
-    """Entries of ``node`` whose own bbox intersects ``box``."""
-    zlist = tree.node_zlist(node)
-    if zlist is not None and len(node.entries) >= 64:
-        return [zlist.entries[i] for i in zlist.candidates_bbox(box).tolist()]
-    return [e for e in node.entries if e.bbox.intersects(box)]
+def _listed(frame: TreeFrame, box: BBox) -> np.ndarray:
+    """Block rows of every entry stored at a q-node whose region meets
+    ``box`` — an entry's points lie inside its node's region, so no
+    other entry has a point in ``box``."""
+    near = boxes_meet(frame.box, box)
+    return ranges(frame.row_off[:-1][near], frame.n_own[near])
+
+
+def _probes(block: NodeBlock, entries: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The probe coordinates of ``entries`` laid end to end, and where
+    each entry's (never empty) run starts."""
+    counts = block.probe_cnt[entries]
+    at = ranges(block.probe_off[entries], counts)
+    return block.probe_xy[at], np.cumsum(counts) - counts
 
 
 def trajectories_in_range(
@@ -54,47 +65,23 @@ def trajectories_in_range(
     """
     if mode not in ("any", "all"):
         raise QueryError(f"mode must be 'any' or 'all', got {mode!r}")
-    hits: Set[int] = set()
-    rejected: Set[int] = set()
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if not node.box.intersects(box):
-            if mode == "all":
-                # entries living wholly outside the box disqualify their
-                # trajectory; mark every trajectory below as rejected
-                for e in _all_entries_below(node):
-                    rejected.add(e.traj.traj_id)
-            continue
-        for e in node.entries:
-            inside = box.contains_point  # closed box
-            probe_inside = [
-                inside(Point(float(x), float(y))) for x, y in e.probe_coords
-            ]
-            if mode == "any":
-                if any(probe_inside):
-                    hits.add(e.traj.traj_id)
-            else:
-                if all(probe_inside):
-                    hits.add(e.traj.traj_id)
-                else:
-                    rejected.add(e.traj.traj_id)
-        if node.children is not None:
-            stack.extend(node.children)
-    if mode == "all":
-        hits -= rejected
-    return sorted(hits)
-
-
-def _all_entries_below(node: QNode) -> List[IndexEntry]:
-    out: List[IndexEntry] = []
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        out.extend(n.entries)
-        if n.children is not None:
-            stack.extend(n.children)
-    return out
+    frame = tree.frame()
+    block = frame.block
+    listed = _listed(frame, box)
+    xy, run_lo = _probes(block, listed)
+    inside = (
+        (xy[:, 0] >= box.xmin) & (xy[:, 0] <= box.xmax)
+        & (xy[:, 1] >= box.ymin) & (xy[:, 1] <= box.ymax)
+    )
+    ids = tree.table.traj_ids[block.rows]
+    ok = np.zeros(block.n, dtype=bool)
+    if mode == "any":
+        ok[listed] = np.logical_or.reduceat(inside, run_lo)
+        return np.unique(ids[ok]).tolist()
+    # an entry outside the listed nodes lies wholly outside the box, and
+    # one entry with a point outside disqualifies its trajectory
+    ok[listed] = np.logical_and.reduceat(inside, run_lo)
+    return np.setdiff1d(ids[ok], ids[~ok]).tolist()
 
 
 def trajectories_served_by_stop(
@@ -110,24 +97,17 @@ def trajectories_served_by_stop(
         raise QueryError(f"psi must be >= 0, got {psi}")
     stops = StopSet(np.array([[stop.x, stop.y]], dtype=np.float64))
     envelope = BBox(stop.x, stop.y, stop.x, stop.y).expanded(psi)
-    hits: Set[int] = set()
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if not node.box.expanded(psi).contains_point(stop) and not node.box.intersects(
-            envelope
-        ):
-            continue
-        for e in _candidate_entries(tree, node, envelope):
-            mask = stops.covered_mask(e.probe_coords, psi)
-            if require_both_endpoints:
-                traj = e.traj
-                start_ok = stops.covers_point(traj.start, psi)
-                end_ok = stops.covers_point(traj.end, psi)
-                if start_ok and end_ok:
-                    hits.add(traj.traj_id)
-            elif bool(mask.any()):
-                hits.add(e.traj.traj_id)
-        if node.children is not None:
-            stack.extend(node.children)
-    return sorted(hits)
+    frame, table = tree.frame(), tree.table
+    block = frame.block
+    listed = _listed(frame, envelope)
+    listed = listed[boxes_meet(block.gov[listed, 4:8], envelope)]
+    if require_both_endpoints:
+        rows = np.unique(block.rows[listed])
+        ends = np.concatenate([table.first[rows], table.last[rows]])
+        near = stops.covered_mask(table.xy[ends], psi)
+        served = rows[near[: rows.size] & near[rows.size :]]
+    else:
+        xy, run_lo = _probes(block, listed)
+        near = stops.covered_mask(xy, psi)
+        served = block.rows[listed][np.logical_or.reduceat(near, run_lo)]
+    return np.unique(table.traj_ids[served]).tolist()

@@ -8,23 +8,39 @@ uniform floats would almost never produce.
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import strategies as st
 
 from repro import BBox, FacilityRoute, IndexVariant, Point, Trajectory
 from repro.core.trajectory import UserPointTable
 from repro.index.block import NodeBlock
-from repro.index.entries import make_entries
+from repro.index.entries import entry_keys
 from repro.index.zindex import ZOrderedList
 
 WORLD = BBox(0.0, 0.0, 1024.0, 1024.0)
 
 
+def block_of(users, variant=IndexVariant.ENDPOINT):
+    """The users' table and every ``variant`` entry of theirs as one
+    block, in key order (table row ``r`` is ``users[r]``)."""
+    table = UserPointTable(users)
+    return table, NodeBlock(table, variant, *entry_keys(table, variant))
+
+
+def entry_ids(users, variant=IndexVariant.ENDPOINT):
+    """The ``(traj_id, seg)`` id of every ``variant`` entry, in key order."""
+    table, block = block_of(users, variant)
+    return list(zip(table.traj_ids[block.rows].tolist(), block.segs.tolist()))
+
+
 def zlist_of(users, variant=IndexVariant.ENDPOINT, beta=4, **kw) -> ZOrderedList:
     """A standalone z-list over every ``variant`` entry of ``users``,
-    built the way a tree builds a node's: block first, z-order over it."""
-    entries = [e for u in users for e in make_entries(u, variant)]
-    block = NodeBlock.of_entries(UserPointTable(users), variant, entries)
-    return ZOrderedList(WORLD, entries, beta, gov=block.gov, **kw)
+    built the way a tree builds a node's: block first, z-order over it.
+    Sorted position ``i`` is entry ``order[i]`` of ``block_of(users,
+    variant)``."""
+    _, block = block_of(users, variant)
+    ids = np.array(entry_ids(users, variant), dtype=np.int64).reshape(-1, 2)
+    return ZOrderedList(WORLD, ids, beta, gov=block.gov, **kw)
 
 
 def coords(grid: float = 0.25):

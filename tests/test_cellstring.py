@@ -178,10 +178,13 @@ class TestCellstringEdgeCases:
 
     def test_huge_coordinates_subnormal_radius(self):
         """Coordinates at 1e10 with psi down at the float floor: the
-        geometry derivation must stay finite and the mask exact."""
+        geometry derivation must stay finite, the mask exact, and the
+        lattice no finer than the classification slack (1e-7 of the
+        coordinate scale) the discs are inflated by."""
         stops = np.full((8, 2), 1.0e10)
         for psi in (1e-300, 5e-324, 0.0):
             idx = build_cellstring_index(stops, psi)
+            assert idx.boundary_keys.size <= 64
             probe = np.array([[1.0e10, 1.0e10], [1.0e10 + 1.0, 1.0e10]])
             expected = StopSet(stops).covered_mask(probe, psi)
             assert np.array_equal(expected, idx.covered_mask(probe, psi))

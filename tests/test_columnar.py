@@ -57,12 +57,14 @@ from repro import (
 from repro.core.errors import TrajectoryError
 from repro.core.service import score_from_indices
 from repro.core.trajectory import UserPointTable
-from repro.index.entries import make_entries
+from repro.core.geometry import bbox_of_points
 from repro.queries import MatchCollector, tq_match_fn
 from repro.queries import evaluate as evaluate_module
 from repro.store import adopt_tree_node_tables, save_tree_node_tables
 
-from .strategies import WORLD, facility_sets, psis, trajectory_sets, zlist_of
+from .strategies import (
+    WORLD, block_of, entry_ids, facility_sets, psis, trajectory_sets, zlist_of,
+)
 
 SPECS = [
     (model, normalize)
@@ -111,14 +113,33 @@ def _ref_cells_serving(grid, embr, stops, psi):
     return out
 
 
-def _ref_keys(zl):
+def _ref_geometry(traj, seg, variant):
+    """Governing start, governing end and bounding box of the entry
+    ``(traj, seg)``, from the trajectory's own points."""
+    if seg >= 0:
+        points = traj.points[seg : seg + 2]
+    elif variant is IndexVariant.FULL:
+        points = traj.points
+    else:
+        points = (traj.start, traj.end)
+    return points[0], points[-1], bbox_of_points(points)
+
+
+def _ref_entries(zl, users, variant):
+    """``(start, end, bbox, id)`` per entry, in ``zl``'s sorted order."""
+    _, block = block_of(users, variant)
+    ids = entry_ids(users, variant)
+    keys = list(zip(block.rows.tolist(), block.segs.tolist()))
     return [
-        (
-            zl.start_grid.zid_of(e.gov_start).digits,
-            zl.end_grid.zid_of(e.gov_end).digits,
-            e.entry_id,
-        )
-        for e in zl.entries
+        (*_ref_geometry(users[keys[i][0]], keys[i][1], variant), ids[i])
+        for i in zl.order.tolist()
+    ]
+
+
+def _ref_keys(zl, entries):
+    return [
+        (zl.start_grid.zid_of(start).digits, zl.end_grid.zid_of(end).digits, ident)
+        for start, end, _box, ident in entries
     ]
 
 
@@ -131,17 +152,15 @@ def _ref_ranges(keys, cells):
             yield lo, hi
 
 
-def _ref_candidates_both(zl, embr, stops, psi):
-    keys = _ref_keys(zl)
+def _ref_candidates_both(zl, keys, embr, stops, psi):
     allowed_ends = {c.digits for c in _ref_cells_serving(zl.end_grid, embr, stops, psi)}
     out = []
     for lo, hi in _ref_ranges(keys, _ref_cells_serving(zl.start_grid, embr, stops, psi)):
-        out.extend(zl.entries[i] for i in range(lo, hi) if keys[i][1] in allowed_ends)
+        out.extend(i for i in range(lo, hi) if keys[i][1] in allowed_ends)
     return out
 
 
-def _ref_candidates_any(zl, embr, stops, psi):
-    keys = _ref_keys(zl)
+def _ref_candidates_any(zl, keys, embr, stops, psi):
     picked = set()
     for lo, hi in _ref_ranges(keys, _ref_cells_serving(zl.start_grid, embr, stops, psi)):
         picked.update(range(lo, hi))
@@ -149,24 +168,20 @@ def _ref_candidates_any(zl, embr, stops, psi):
     end_keys = [k for k, _ in by_end]
     for lo, hi in _ref_ranges(end_keys, _ref_cells_serving(zl.end_grid, embr, stops, psi)):
         picked.update(by_end[i][1] for i in range(lo, hi))
-    return [zl.entries[i] for i in sorted(picked)]
+    return sorted(picked)
 
 
-def _ref_candidates_bbox(zl, embr):
+def _ref_candidates_bbox(zl, entries, embr):
     out = []
-    for lo in range(0, len(zl.entries), zl.beta):
-        bucket = zl.entries[lo : lo + zl.beta]
-        box = bucket[0].bbox
-        for e in bucket[1:]:
-            box = box.union(e.bbox)
-        if box.intersects(embr):
-            out.extend(e for e in bucket if e.bbox.intersects(embr))
+    boxes = [box for _start, _end, box, _ident in entries]
+    for lo in range(0, len(boxes), zl.beta):
+        bucket = boxes[lo : lo + zl.beta]
+        union = bucket[0]
+        for box in bucket[1:]:
+            union = union.union(box)
+        if union.intersects(embr):
+            out.extend(lo + i for i, box in enumerate(bucket) if box.intersects(embr))
     return out
-
-
-def _same_entries(positions, zl, reference):
-    got = [zl.entries[i] for i in positions.tolist()]
-    return len(got) == len(reference) and all(a is b for a, b in zip(got, reference))
 
 
 class TestZReduceIndexArrays:
@@ -179,27 +194,20 @@ class TestZReduceIndexArrays:
         st.sampled_from([1, 3, 8]),
     )
     def test_all_modes_match_reference(self, users, facs, psi, variant, beta):
-        entries = [e for u in users for e in make_entries(u, variant)]
         zl = zlist_of(users, variant, beta)
-        keys = _ref_keys(zl)
+        entries = _ref_entries(zl, users, variant)
+        keys = _ref_keys(zl, entries)
         assert keys == sorted(keys)  # rank order is z-id order
-        assert [entries[i].entry_id for i in zl.order.tolist()] == [
-            e.entry_id for e in zl.entries
-        ]
         stops = facs[0].stop_coords
         embr = facs[0].embr(psi)
         for tighten in (None, stops):
-            assert _same_entries(
-                zl.candidates_both(embr, tighten, psi), zl,
-                _ref_candidates_both(zl, embr, tighten, psi),
+            assert zl.candidates_both(embr, tighten, psi).tolist() == (
+                _ref_candidates_both(zl, keys, embr, tighten, psi)
             )
-            assert _same_entries(
-                zl.candidates_any(embr, tighten, psi), zl,
-                _ref_candidates_any(zl, embr, tighten, psi),
+            assert zl.candidates_any(embr, tighten, psi).tolist() == (
+                _ref_candidates_any(zl, keys, embr, tighten, psi)
             )
-        assert _same_entries(
-            zl.candidates_bbox(embr), zl, _ref_candidates_bbox(zl, embr)
-        )
+        assert zl.candidates_bbox(embr).tolist() == _ref_candidates_bbox(zl, entries, embr)
 
     def test_buckets_touched_counts_distinct_buckets(self):
         users = [Trajectory(i, [(i * 7 % 1000, i * 13 % 1000), (i, i)]) for i in range(50)]
@@ -274,7 +282,7 @@ class TestOracleParityLongLists:
         ]
         for tree, users in trees:
             assert any(
-                len(n.entries) >= evaluate_module._Z_MIN_LIST for n in tree.nodes()
+                n.n_own >= evaluate_module._Z_MIN_LIST for n in tree.nodes()
             )
             for model, normalize in SPECS:
                 spec = ServiceSpec(model, psi=400.0, normalize=normalize)
@@ -380,7 +388,7 @@ class TestInsertAfterWarm:
         grown = TQTree.build(users, config, space=space)
         assert adopt_tree_node_tables(grown, path) == 1
         grown.insert(newcomer)
-        assert len(grown.root.entries) == 4 and not grown.root.is_leaf
+        assert grown.root.n_own == 4 and not grown.root.is_leaf
         fresh = TQTree.build(users + [newcomer], config, space=space)
         route = FacilityRoute(0, [(300, 700), (700, 300)])
         for model in ServiceModel:
@@ -401,11 +409,13 @@ class TestInsertAfterWarm:
                 users, TQTreeConfig(beta=4, variant=variant), space=BBox(0, 0, 1024, 1024)
             )
             for node in tree.nodes():
-                want = [
-                    [e.gov_start.x, e.gov_start.y, e.gov_end.x, e.gov_end.y,
-                     e.bbox.xmin, e.bbox.ymin, e.bbox.xmax, e.bbox.ymax]
-                    for e in node.entries
-                ]
+                want = []
+                for row, seg in zip(node.rows.tolist(), node.segs.tolist()):
+                    start, end, box = _ref_geometry(tree.table.users[row], seg, variant)
+                    want.append(
+                        [start.x, start.y, end.x, end.y,
+                         box.xmin, box.ymin, box.xmax, box.ymax]
+                    )
                 assert tree.node_block(node).gov.tolist() == want
 
     def test_short_lists_never_build_a_z_structure(self):
@@ -418,10 +428,10 @@ class TestInsertAfterWarm:
         assert all(node._zlist is None for node in tree.nodes())
         tree.warm_zindex()
         assert all(
-            (node._zlist is not None) == bool(node.entries) for node in tree.nodes()
+            (node._zlist is not None) == bool(node.n_own) for node in tree.nodes()
         )
         tree.insert(Trajectory(99, [(1, 1), (1000, 1000)]))
-        assert len(tree.node_zlist(tree.root)) == len(tree.root.entries)
+        assert len(tree.node_zlist(tree.root)) == tree.root.n_own
 
     def test_table_grows_without_moving_slots(self):
         users = _manhattan_users(30, seed=9)

@@ -306,6 +306,46 @@ class TestTreePathOracle:
         assert first == second
         assert cache.hits > hits_after_first
 
+    def test_cache_is_bounded_and_an_evicted_walk_recomputes(
+        self, taxi_users, facilities, monkeypatch
+    ):
+        """``psi`` is a client-supplied float, so a sweep never repeats a
+        key: the tables drop their oldest entries at the cap, and a walk
+        whose entries went is a miss that recomputes the same answer."""
+        from repro.engine import cache as cache_module
+        from repro.queries import MatchCollector
+
+        tree = TQTree.build(taxi_users, TQTreeConfig(beta=16))
+        sweep = [
+            (f, ServiceSpec(ServiceModel.COUNT, psi=300.0 + 7.0 * step))
+            for step in range(12) for f in facilities[:4]
+        ]
+
+        def run(cache):
+            out = []
+            for f, spec in sweep:
+                collector = MatchCollector()
+                value = evaluate_service(
+                    tree, f, spec, collector=collector,
+                    runtime=_rt(ProximityBackend.AUTO, cache),
+                )
+                out.append((value, collector.as_dict()))
+                assert len(cache) <= cache_module.MAX_ENTRIES
+            return out
+
+        roomy = CoverageCache()
+        want = run(roomy)
+        assert len(roomy) > 32 and roomy.hits == 0
+        assert run(roomy) == want and roomy.hits > 0  # nothing was evicted
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 32)
+        bounded = CoverageCache()
+        assert run(bounded) == want
+        assert len(bounded) == 32
+        # every walk's entries went before the sweep came round again:
+        # all misses, same answers
+        assert run(bounded) == want
+        assert bounded.hits == 0
+
 
 @pytest.mark.engine_smoke
 def test_engine_smoke(taxi_users, facilities, endpoint_spec):

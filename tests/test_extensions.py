@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     BBox,
+    IndexVariant,
     Point,
     QueryError,
     ServiceModel,
     ServiceSpec,
+    StopSet,
     TQTree,
     TQTreeConfig,
     build_tq_basic,
@@ -22,7 +26,7 @@ from repro.queries.range_search import (
     trajectories_served_by_stop,
 )
 
-from .strategies import WORLD, trajectory_sets
+from .strategies import WORLD, coords, points, trajectory_sets
 
 
 class TestRangeSearch:
@@ -117,6 +121,49 @@ class TestRangeSearch:
             if any(p.dist_to(stop) <= psi for p in (u.start, u.end))
         )
         assert got == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        trajectory_sets(min_size=1, max_size=30, min_points=1, max_points=5),
+        st.sampled_from(list(IndexVariant)),
+        st.booleans(),
+        st.tuples(points(), points()),
+        points(),
+        coords(),
+        st.integers(0, 30),
+    )
+    def test_every_index_matches_a_brute_force_scan(
+        self, users, variant, use_zorder, corners, stop, psi, n_built
+    ):
+        """TQ(B) and TQ(Z), three variants, part built and part inserted:
+        all four answers are those of a scan over every indexed point."""
+        cfg = TQTreeConfig(beta=3, variant=variant, use_zorder=use_zorder)
+        tree = TQTree.build(users[:n_built], cfg, space=WORLD)
+        tree.warm_zindex()
+        for u in users[n_built:]:
+            tree.insert(u)
+        (a, b) = corners
+        box = BBox(min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
+        station = StopSet(np.array([[stop.x, stop.y]]))
+
+        def indexed(u):
+            return (u.start, u.end) if variant is IndexVariant.ENDPOINT else u.points
+
+        def ids(keep):
+            return sorted(u.traj_id for u in users if keep(u))
+
+        assert trajectories_in_range(tree, box, "any") == ids(
+            lambda u: any(box.contains_point(p) for p in indexed(u))
+        )
+        assert trajectories_in_range(tree, box, "all") == ids(
+            lambda u: all(box.contains_point(p) for p in indexed(u))
+        )
+        assert trajectories_served_by_stop(tree, stop, psi) == ids(
+            lambda u: station.covers_point(u.start, psi) and station.covers_point(u.end, psi)
+        )
+        assert trajectories_served_by_stop(tree, stop, psi, False) == ids(
+            lambda u: any(station.covers_point(p, psi) for p in indexed(u))
+        )
 
     def test_stop_query_negative_psi(self, taxi_users):
         tree = build_tq_zorder(taxi_users, beta=16)

@@ -280,10 +280,10 @@ def _blocks_by_walking(tree: TQTree, facility, spec: ServiceSpec) -> BlockCosts:
         if component.is_empty:
             return
         costs.node_blocks += 1
-        zlist = tree.node_zlist(node) if node.entries else None
-        if node.entries and zlist is None:
-            costs.list_blocks += -(-len(node.entries) // beta)
-        elif node.entries:
+        zlist = tree.node_zlist(node) if node.n_own else None
+        if node.n_own and zlist is None:
+            costs.list_blocks += -(-node.n_own // beta)
+        elif node.n_own:
             costs.directory_blocks += 2
             embr = component.embr
             if variant is IndexVariant.FULL and spec.model is not ServiceModel.ENDPOINT:
@@ -440,9 +440,9 @@ def test_split_that_keeps_a_list_length_rebuilds_the_frame(name):
         for spec in _specs(tree, 140.0):
             _walks(tree, spec, runtime)
         frame, root_block = tree.frame(), tree.node_block(tree.root)
-        assert len(tree.root.entries) == 4 and tree.root.is_leaf
+        assert tree.root.n_own == 4 and tree.root.is_leaf
         tree.insert(newcomer)
-        assert len(tree.root.entries) == 4 and not tree.root.is_leaf
+        assert tree.root.n_own == 4 and not tree.root.is_leaf
         assert tree.frame() is not frame
         assert tree.node_block(tree.root) is not root_block
         _hold_to_fresh_tree(tree, users + [newcomer], name, runtime)
@@ -460,7 +460,7 @@ def test_an_untouched_node_keeps_its_block_across_a_rebuild():
         node for node in tree.nodes()
         if id(node) in blocks and not node._z_dirty
     ]
-    assert any(node.entries for node in kept)
+    assert any(node.n_own for node in kept)
     frame = tree.frame()
     for node in kept:
         block = tree.node_block(node)

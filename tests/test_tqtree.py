@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     BBox,
@@ -22,7 +24,7 @@ from repro import (
     storage_report,
 )
 from repro.core.errors import IndexError_
-from repro.index.entries import SubBounds
+from repro.index import NodeBlock
 
 from .strategies import WORLD, trajectory_sets
 
@@ -52,7 +54,7 @@ class TestBuild:
         users = users_grid(3)
         tree = TQTree.build(users, TQTreeConfig(beta=8), space=WORLD)
         assert tree.root.is_leaf
-        assert len(tree.root.entries) == 3
+        assert tree.root.n_own == 3
 
     def test_large_set_splits(self):
         users = users_grid(200)
@@ -87,12 +89,18 @@ class TestPlacementInvariants:
     def _check_placement(self, tree):
         """Every entry's placement points lie in its node; at internal
         nodes they span >= 2 children, at leaves anything goes."""
+        full = tree.config.variant is IndexVariant.FULL
         for node in tree.nodes():
-            for e in node.entries:
-                for p in e.placement_points:
+            for row, seg in zip(node.rows.tolist(), node.segs.tolist()):
+                traj = tree.table.users[row]
+                if seg >= 0:
+                    placement = traj.points[seg : seg + 2]
+                else:
+                    placement = traj.points if full else (traj.start, traj.end)
+                for p in placement:
                     assert node.box.contains_point(p)
                 if not node.is_leaf:
-                    quads = {node.box.quadrant_of(p) for p in e.placement_points}
+                    quads = {node.box.quadrant_of(p) for p in placement}
                     assert len(quads) >= 2, "intra entry left at internal node"
 
     def test_endpoint_variant_placement(self):
@@ -145,29 +153,25 @@ class TestStorage:
 
 
 class TestSubBoundsInvariant:
-    def _sub_of_subtree(self, node):
-        total = SubBounds()
-        stack = [node]
+    def _sub_of_subtree(self, tree, node):
+        """The per-entry addends of every key stored at or below
+        ``node``, summed in one go."""
+        below, stack = [], [node]
         while stack:
             n = stack.pop()
-            for e in n.entries:
-                total.add_entry(e)
-            if n.children:
-                stack.extend(n.children)
-        return total
+            below.append(n)
+            stack.extend(n.children or ())
+        block = NodeBlock(
+            tree.table, tree.config.variant,
+            np.concatenate([n.rows for n in below]),
+            np.concatenate([n.segs for n in below]),
+        )
+        return block.own_totals().sum(axis=0)
 
     def _check_sub(self, tree):
-        specs = [
-            ServiceSpec(ServiceModel.ENDPOINT, psi=1.0),
-            ServiceSpec(ServiceModel.COUNT, psi=1.0, normalize=False),
-            ServiceSpec(ServiceModel.LENGTH, psi=1.0, normalize=False),
-            ServiceSpec(ServiceModel.COUNT, psi=1.0, normalize=True),
-            ServiceSpec(ServiceModel.LENGTH, psi=1.0, normalize=True),
-        ]
         for node in tree.nodes():
-            expected = self._sub_of_subtree(node)
-            for sp in specs:
-                assert node.sub.value_for(sp) == pytest.approx(expected.value_for(sp))
+            expected = self._sub_of_subtree(tree, node)
+            assert node.sub.as_row() == pytest.approx(expected.tolist())
 
     def test_sub_equals_subtree_totals_after_build(self):
         tree = build_tq_zorder(users_grid(300), beta=8, space=WORLD)
@@ -201,6 +205,60 @@ class TestInsert:
         assert inc.n_trajectories == bulk.n_trajectories
         assert storage_report(inc).stores_each_entry_once
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        trajectory_sets(min_size=1, max_size=40, min_points=1, max_points=5),
+        st.sampled_from(list(IndexVariant)),
+        st.sampled_from([1, 3, 8]),
+    )
+    def test_grown_tree_is_the_built_tree(self, users, variant, beta):
+        """Build, insert and split share one routing rule and one
+        ``sub`` arithmetic: growing a tree user by user makes the nodes,
+        the lists, the bounds and the columns a build makes."""
+        cfg = TQTreeConfig(beta=beta, variant=variant)
+        built = TQTree.build(users, cfg, space=WORLD)
+        grown = TQTree(WORLD, cfg)
+        for u in users:
+            grown.insert(u)
+        assert grown.n_entries == built.n_entries
+        pairs = list(zip(built.nodes(), grown.nodes(), strict=True))
+        for a, b in pairs:
+            assert a.box == b.box and a.is_leaf == b.is_leaf
+            assert sorted(zip(a.rows.tolist(), a.segs.tolist())) == sorted(
+                zip(b.rows.tolist(), b.segs.tolist())
+            )
+            assert a.sub.as_row() == b.sub.as_row()
+        for a, b in pairs:
+            want, got = built.node_block(a), grown.node_block(b)
+            order_a = np.lexsort((want.segs, want.rows))
+            order_b = np.lexsort((got.segs, got.rows))
+            for name in ("rows", "segs", "gov", "own_cnt", "seg_cnt", "probe_cnt"):
+                assert np.array_equal(
+                    getattr(want, name)[order_a], getattr(got, name)[order_b]
+                )
+            assert np.array_equal(want.own_totals()[order_a], got.own_totals()[order_b])
+
+    @pytest.mark.parametrize("variant", list(IndexVariant))
+    def test_overflowing_leaf_splits_into_the_built_children(self, variant):
+        """The insert that overflows a leaf leaves exactly the subtree a
+        build over that leaf's keys makes."""
+        cfg = TQTreeConfig(beta=6, variant=variant)
+        users = users_grid(40, n_points=3)
+        tree = TQTree(WORLD, cfg)
+        splits = 0
+        for n, u in enumerate(users, start=1):
+            leaves = {id(node) for node in tree.nodes() if node.is_leaf}
+            tree.insert(u)
+            fresh = TQTree.build(users[:n], cfg, space=WORLD)
+            for got, want in zip(tree.nodes(), fresh.nodes(), strict=True):
+                splits += id(got) in leaves and not got.is_leaf
+                assert got.box == want.box
+                assert got.rows.tolist() == want.rows.tolist()
+                assert got.segs.tolist() == want.segs.tolist()
+                assert got.own.as_row() == want.own.as_row()
+                assert got.sub.as_row() == want.sub.as_row()
+        assert splits > 0
+
     def test_insert_duplicate_rejected(self):
         tree = TQTree.build(users_grid(5), space=WORLD)
         with pytest.raises(IndexError_):
@@ -220,7 +278,7 @@ class TestInsert:
         for u in users[30:]:
             tree.insert(u)
         after = tree.node_block(tree.root).gov.shape[0]
-        assert after == len(tree.root.entries)
+        assert after == tree.root.n_own
         assert after >= before
 
     def test_tq_basic_exact_after_inserts(self):
@@ -294,5 +352,5 @@ class TestLookups:
 
     def test_tq_zorder_builds_zlist(self):
         tree = build_tq_zorder(users_grid(50), beta=8, space=WORLD)
-        node = next(n for n in tree.nodes() if n.entries)
+        node = next(n for n in tree.nodes() if n.n_own)
         assert tree.node_zlist(node) is not None

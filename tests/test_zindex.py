@@ -9,16 +9,8 @@ from hypothesis import strategies as st
 
 from repro import BBox, IndexVariant, Point, Trajectory
 from repro.core.errors import IndexError_
-from repro.index.entries import make_entries
 
-from .strategies import WORLD, trajectory_sets, zlist_of
-
-
-def entries_of(users, variant=IndexVariant.ENDPOINT):
-    out = []
-    for u in users:
-        out.extend(make_entries(u, variant))
-    return out
+from .strategies import WORLD, entry_ids, trajectory_sets, zlist_of
 
 
 def build(users, beta=4, variant=IndexVariant.ENDPOINT):
@@ -32,11 +24,11 @@ def users_grid(n):
     ]
 
 
-def picked(zl, positions):
-    """The entries at the given sorted-order positions (what the
-    candidate modes return)."""
+def picked(zl, entries, positions):
+    """The ids (of ``entries``, the list in key order) at the given
+    sorted-order positions (what the candidate modes return)."""
     assert positions.tolist() == sorted(set(positions.tolist()))
-    return [zl.entries[i] for i in positions.tolist()]
+    return {entries[i] for i in zl.order[positions].tolist()}
 
 
 def stops_array(points):
@@ -66,13 +58,15 @@ class TestConstruction:
         assert sum(zl.bucket_sizes()) == 50
 
     def test_entries_sorted_by_zid_pairs(self):
-        zl = build(users_grid(40), beta=4)
+        users = users_grid(40)
+        zl = build(users, beta=4)
+        ids = entry_ids(users)
         keys = list(zip(zl.start_rank.tolist(), zl.end_rank.tolist(),
-                        (e.entry_id for e in zl.entries)))
+                        (ids[i] for i in zl.order.tolist())))
         assert keys == sorted(keys)
         # ranks order leaves exactly as their z-ids do
-        zids = [(zl.start_grid.zid_of(e.gov_start), zl.end_grid.zid_of(e.gov_end))
-                for e in zl.entries]
+        zids = [(zl.start_grid.zid_of(users[i].start), zl.end_grid.zid_of(users[i].end))
+                for i in zl.order.tolist()]
         assert zids == sorted(zids)
 
     def test_end_ids_disambiguated_where_possible(self):
@@ -98,11 +92,12 @@ class TestConstruction:
         assert len(zl) == 6
 
 
-def _served_endpoint(entry, stops_pts, psi):
-    def near(p):
-        return any(p.dist_to(s) <= psi for s in stops_pts)
+def _near(p, stops_pts, psi):
+    return any(p.dist_to(s) <= psi for s in stops_pts)
 
-    return near(entry.traj.start) and near(entry.traj.end)
+
+def _served_endpoint(traj, stops_pts, psi):
+    return _near(traj.start, stops_pts, psi) and _near(traj.end, stops_pts, psi)
 
 
 class TestCandidateModes:
@@ -111,32 +106,31 @@ class TestCandidateModes:
         zl = build(users, beta=4)
         stops = [Point(200, 200), Point(600, 600)]
         psi = 150.0
-        cands = {
-            e.entry_id
-            for e in picked(zl, zl.candidates_both(embr_of(stops, psi), stops_array(stops), psi))
-        }
-        for e in entries_of(users):
-            if _served_endpoint(e, stops, psi):
-                assert e.entry_id in cands
+        cands = picked(
+            zl, entry_ids(users),
+            zl.candidates_both(embr_of(stops, psi), stops_array(stops), psi),
+        )
+        for u in users:
+            if _served_endpoint(u, stops, psi):
+                assert (u.traj_id, -1) in cands
 
     def test_both_without_stops_uses_embr_only(self):
         users = users_grid(60)
         zl = build(users, beta=4)
+        ids = entry_ids(users)
         box = BBox(100, 100, 400, 400)
-        loose = {e.entry_id for e in picked(zl, zl.candidates_both(box))}
+        loose = picked(zl, ids, zl.candidates_both(box))
         stops = [Point(250, 250)]
-        tight = {
-            e.entry_id
-            for e in picked(zl, zl.candidates_both(box, stops_array(stops), 150.0))
-        }
+        tight = picked(zl, ids, zl.candidates_both(box, stops_array(stops), 150.0))
         assert tight <= loose
 
     def test_any_mode_superset_of_both(self):
         users = users_grid(60)
         zl = build(users, beta=4)
+        ids = entry_ids(users)
         box = BBox(100, 100, 400, 400)
-        both = {e.entry_id for e in picked(zl, zl.candidates_both(box))}
-        any_ = {e.entry_id for e in picked(zl, zl.candidates_any(box))}
+        both = picked(zl, ids, zl.candidates_both(box))
+        any_ = picked(zl, ids, zl.candidates_any(box))
         assert both <= any_
 
     def test_any_mode_catches_single_endpoint(self):
@@ -146,19 +140,19 @@ class TestCandidateModes:
             Trajectory(2, [(900, 900), (950, 950)]),  # neither
         ]
         zl = build(users, beta=2)
-        ids = {e.traj.traj_id for e in picked(zl, zl.candidates_any(BBox(0, 0, 100, 100)))}
-        assert {0, 1} <= ids
+        got = picked(zl, entry_ids(users), zl.candidates_any(BBox(0, 0, 100, 100)))
+        assert {(0, -1), (1, -1)} <= got
 
     def test_bbox_mode_sound_for_full_entries(self):
         """A FULL entry whose interior dips into the box is found even
         when both endpoints are far away."""
         detour = Trajectory(0, [(900, 900), (50, 50), (950, 950)])
         far = Trajectory(1, [(800, 800), (820, 820)])
-        zl = zlist_of([detour, far], IndexVariant.FULL, beta=2)
+        users = [detour, far]
+        zl = zlist_of(users, IndexVariant.FULL, beta=2)
         box = BBox(0, 0, 100, 100)
-        ids = {e.traj.traj_id for e in picked(zl, zl.candidates_bbox(box))}
-        assert 0 in ids
-        assert 1 not in ids
+        got = picked(zl, entry_ids(users, IndexVariant.FULL), zl.candidates_bbox(box))
+        assert got == {(0, -1)}
 
     def test_empty_stop_set_disc_filter(self):
         zl = build(users_grid(30), beta=4)
@@ -174,40 +168,39 @@ class TestCandidateModes:
         zl = zlist_of(users, beta=3)
         stops = [Point(300, 300), Point(700, 200)]
         psi = 120.0
-        cands = {
-            e.entry_id
-            for e in picked(zl, zl.candidates_both(embr_of(stops, psi), stops_array(stops), psi))
-        }
-        for e in entries_of(users):
-            if _served_endpoint(e, stops, psi):
-                assert e.entry_id in cands
+        cands = picked(
+            zl, entry_ids(users),
+            zl.candidates_both(embr_of(stops, psi), stops_array(stops), psi),
+        )
+        for u in users:
+            if _served_endpoint(u, stops, psi):
+                assert (u.traj_id, -1) in cands
 
     @settings(max_examples=40)
     @given(trajectory_sets(min_size=1, max_size=25, min_points=2, max_points=5))
     def test_any_mode_soundness_for_point_coverage(self, users):
         """Any-mode must keep every segmented entry with a covered
         governing point."""
-        entries = entries_of(users, IndexVariant.SEGMENTED)
+        entries = entry_ids(users, IndexVariant.SEGMENTED)
         zl = zlist_of(users, IndexVariant.SEGMENTED, beta=3)
         stops = [Point(500, 500)]
         psi = 200.0
-        cands = {
-            e.entry_id
-            for e in picked(zl, zl.candidates_any(embr_of(stops, psi), stops_array(stops), psi))
-        }
-        for e in entries:
-            start_near = any(e.gov_start.dist_to(s) <= psi for s in stops)
-            end_near = any(e.gov_end.dist_to(s) <= psi for s in stops)
-            if start_near or end_near:
-                assert e.entry_id in cands
+        cands = picked(
+            zl, entries,
+            zl.candidates_any(embr_of(stops, psi), stops_array(stops), psi),
+        )
+        by_id = {u.traj_id: u for u in users}
+        for tid, seg in entries:
+            points = by_id[tid].points
+            if _near(points[seg], stops, psi) or _near(points[seg + 1], stops, psi):
+                assert (tid, seg) in cands
 
     @settings(max_examples=40)
     @given(trajectory_sets(min_size=1, max_size=20, min_points=2, max_points=6))
     def test_bbox_mode_soundness_for_full(self, users):
-        entries = entries_of(users, IndexVariant.FULL)
         zl = zlist_of(users, IndexVariant.FULL, beta=3)
         box = BBox(200, 200, 600, 600)
-        cands = {e.entry_id for e in picked(zl, zl.candidates_bbox(box))}
-        for e in entries:
-            if any(box.contains_point(p) for p in e.traj.points):
-                assert e.entry_id in cands
+        cands = picked(zl, entry_ids(users, IndexVariant.FULL), zl.candidates_bbox(box))
+        for u in users:
+            if any(box.contains_point(p) for p in u.points):
+                assert (u.traj_id, -1) in cands
