@@ -347,7 +347,10 @@ class TQTreeConfig:
             raise IndexError_(f"beta must be >= 1, got {self.beta}")
         if self.max_depth < 1:
             raise IndexError_(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.z_max_depth < 1:
-            raise IndexError_(f"z_max_depth must be >= 1, got {self.z_max_depth}")
+        if not 1 <= self.z_max_depth <= 31:
+            # a z-cell's digit path is held in an int64, two bits a level
+            raise IndexError_(
+                f"z_max_depth must be in 1..31, got {self.z_max_depth}"
+            )
         if not isinstance(self.variant, IndexVariant):
             raise IndexError_(f"unknown index variant: {self.variant!r}")

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections import abc
 from functools import cached_property
+from itertools import chain
 from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
@@ -266,40 +267,45 @@ class UserPointTable(abc.Sequence):
         self.traj_ids = np.fromiter(
             (u.traj_id for u in self.users), dtype=np.int64, count=n_users
         )
-        self.row_of: Dict[int, int] = {
-            tid: row for row, tid in enumerate(self.traj_ids.tolist())
-        }
-        if len(self.row_of) != n_users:
-            raise TrajectoryError("duplicate trajectory ids in user set")
         self.counts = np.fromiter(
             (len(u.points) for u in self.users), dtype=np.int64, count=n_users
         )
+        self.xy = np.array(
+            [(p.x, p.y) for u in self.users for p in u.points], dtype=np.float64
+        ).reshape(-1, 2)
+        # lengths come from the trajectories' own (cached) scalar
+        # arithmetic: the oracle scores with exactly these floats
+        self.seg_len = np.fromiter(
+            (d for u in self.users for d in u.segment_lengths),
+            dtype=np.float64, count=self.xy.shape[0] - n_users,
+        )
+        self.traj_len = np.fromiter(
+            (u.length for u in self.users), dtype=np.float64, count=n_users
+        )
+        self._derive({})
+
+    def _derive(self, row_of: Dict[int, int]) -> None:
+        """Every column that follows from ``traj_ids`` and ``counts``
+        (the others are read off the users, once); ``row_of`` already
+        maps the first ``len(row_of)`` rows."""
+        n_users = len(self.users)
+        row_of.update(zip(self.traj_ids[len(row_of) :].tolist(), range(len(row_of), n_users)))
+        if len(row_of) != n_users:
+            raise TrajectoryError("duplicate trajectory ids in user set")
+        self.row_of = row_of
         self.n_points = self.counts.astype(np.float64)
         self.offsets = np.zeros(n_users + 1, dtype=np.int64)
         np.cumsum(self.counts, out=self.offsets[1:])
         self.first = self.offsets[:-1]
         self.last = self.offsets[1:] - 1
-        n_slots = int(self.offsets[-1])
-        self.xy = np.array(
-            [(p.x, p.y) for u in self.users for p in u.points], dtype=np.float64
-        ).reshape(n_slots, 2)
         rows = np.arange(n_users, dtype=np.int64)
         self.pt_owner = np.repeat(rows, self.counts)
         # every point that is not the last of its user opens a segment
         self.seg_off = self.offsets - np.arange(n_users + 1, dtype=np.int64)
-        opens = np.ones(n_slots, dtype=bool)
+        opens = np.ones(self.xy.shape[0], dtype=bool)
         opens[self.last] = False
         self.seg_a = np.flatnonzero(opens)
         self.seg_owner = np.repeat(rows, self.counts - 1)
-        # lengths come from the trajectories' own (cached) scalar
-        # arithmetic: the oracle scores with exactly these floats
-        self.seg_len = np.fromiter(
-            (d for u in self.users for d in u.segment_lengths),
-            dtype=np.float64, count=self.seg_a.size,
-        )
-        self.traj_len = np.fromiter(
-            (u.length for u in self.users), dtype=np.float64, count=n_users
-        )
         self._freeze()
 
     def _freeze(self) -> None:
@@ -313,34 +319,20 @@ class UserPointTable(abc.Sequence):
         """``users`` itself when it already is a table, else a new one."""
         return users if isinstance(users, cls) else cls(users)
 
-    def extended(self, more: Sequence[Trajectory]) -> "UserPointTable":
-        """A table with ``more`` appended; existing rows and slots keep
-        their numbers.  Only the new users are walked: their columns are
-        built on their own, shifted past this table's rows / slots /
-        segments and concatenated on."""
-        tail = UserPointTable(more)
-        if not tail.users:
+    def extended(self, *more: Sequence[Trajectory]) -> "UserPointTable":
+        """A table with the users of every ``more`` (tables, or user
+        sequences tabulated via :meth:`of`) appended in order; existing
+        rows and slots keep their numbers.  Only new users are walked:
+        the columns read off users are concatenated, the rest derived
+        from them again."""
+        parts = [self] + [t for t in map(UserPointTable.of, more) if t.users]
+        if len(parts) == 1:
             return self
-        n_users, n_slots, n_segs = self.n_users, self.n_slots, self.seg_a.size
         grown = object.__new__(UserPointTable)
-        grown.users = self.users + tail.users
-        grown.row_of = dict(self.row_of)
-        grown.row_of.update((tid, n_users + row) for tid, row in tail.row_of.items())
-        if len(grown.row_of) != len(grown.users):
-            raise TrajectoryError("duplicate trajectory ids in user set")
-        for name in ("traj_ids", "counts", "n_points", "xy", "seg_len", "traj_len"):
-            setattr(grown, name, np.concatenate([getattr(self, name), getattr(tail, name)]))
-        for name, column in (
-            ("pt_owner", tail.pt_owner + n_users),
-            ("seg_owner", tail.seg_owner + n_users),
-            ("seg_a", tail.seg_a + n_slots),
-            ("offsets", tail.offsets[1:] + n_slots),
-            ("seg_off", tail.seg_off[1:] + n_segs),
-        ):
-            setattr(grown, name, np.concatenate([getattr(self, name), column]))
-        grown.first = grown.offsets[:-1]
-        grown.last = grown.offsets[1:] - 1
-        grown._freeze()
+        grown.users = tuple(chain.from_iterable(part.users for part in parts))
+        for name in ("traj_ids", "counts", "xy", "seg_len", "traj_len"):
+            setattr(grown, name, np.concatenate([getattr(part, name) for part in parts]))
+        grown._derive(dict(self.row_of))
         return grown
 
     # ------------------------------------------------------------------

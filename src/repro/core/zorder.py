@@ -17,9 +17,12 @@ This module provides:
   codes for whole index arrays at once via bit-spreading, bit-identical
   to the scalar functions element-wise (the cellstring engine's key
   path).
-* :class:`AdaptiveZGrid` — the adaptive quadrant partition of a bounding box
-  driven by a point multiset; maps points to z-ids (or, for whole arrays,
-  to leaf ranks) and regions to the set of intersecting cells.
+* :func:`quarter_boxes` — the adaptive quadrant partition itself, as
+  arrays: many boxes quartered at once, each driven by its own point
+  multiset; returns the leaf cells in Z order and every point's leaf rank
+  (the integer that stands for its z-id).
+* :func:`boxes_within` / :func:`boxes_meet` — the cell-vs-serving-area
+  and cell-vs-box tests ``zReduce`` runs over leaf-cell tables.
 
 Digit convention: at every level the quadrant digit is
 ``(x_bit) | (y_bit << 1)`` (SW=0, SE=1, NW=2, NE=3) — identical to
@@ -30,7 +33,7 @@ sort in the same Z order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -45,7 +48,8 @@ __all__ = [
     "morton_decode_array",
     "zid_of_point",
     "boxes_within",
-    "AdaptiveZGrid",
+    "boxes_meet",
+    "quarter_boxes",
 ]
 
 Digits = Tuple[int, ...]
@@ -268,235 +272,87 @@ def boxes_within(boxes: np.ndarray, stops: np.ndarray, psi: float) -> np.ndarray
     return out
 
 
-@dataclass
-class _ZCell:
-    """One node of the adaptive partition tree."""
-
-    zid: ZID
-    box: BBox
-    count: int = 0
-    children: Optional[List["_ZCell"]] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
+def boxes_meet(boxes: np.ndarray, box: BBox) -> np.ndarray:
+    """Which ``(xmin, ymin, xmax, ymax)`` rows intersect ``box`` (closed)."""
+    return (
+        (boxes[:, 0] <= box.xmax)
+        & (boxes[:, 2] >= box.xmin)
+        & (boxes[:, 1] <= box.ymax)
+        & (boxes[:, 3] >= box.ymin)
+    )
 
 
-def _as_xy(points) -> np.ndarray:
-    """``points`` (an ``(n, 2)`` array or a Point sequence) as an array."""
-    if isinstance(points, np.ndarray):
-        return points.reshape(-1, 2)
-    return np.array([(p.x, p.y) for p in points], dtype=np.float64).reshape(-1, 2)
+def quarter_boxes(
+    boxes: np.ndarray,
+    owner: np.ndarray,
+    xy: np.ndarray,
+    beta: int,
+    max_depth: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The adaptive z-partition of many boxes at once.
 
+    Box ``owner[i]`` of the ``(k, 4)`` ``boxes`` holds point ``xy[i]``.
+    Every box is quartered level by level, all boxes together: a cell
+    splits while it holds more than ``beta`` of its box's points and is
+    above ``max_depth``, at the midpoints :meth:`BBox.quadrants` uses,
+    its points re-homed by :meth:`BBox.quadrant_of`'s ``>=`` rule; empty
+    children stay as leaves, so the leaves tile their box.
 
-class AdaptiveZGrid:
-    """Adaptive quadrant partition of ``space`` driven by a point multiset.
-
-    The space is recursively quartered while a cell holds more than
-    ``beta`` of the driving points and the depth cap is not reached.  The
-    resulting *leaf cells* define the z-ids used to order trajectories in a
-    q-node; a leaf's *rank* is its ordinal among the leaves in Z order,
-    so comparing ranks is comparing z-ids.
-
-    The grid answers three questions:
-
-    * :meth:`zid_of` / :meth:`ranks_of` — which leaf cell contains a
-      point (works for any point in the space, not just the driving
-      ones), one point at a time or a whole array at once;
-    * :meth:`cells_intersecting` — which leaf cells intersect a query box;
-    * :meth:`cells_serving` — which leaf cells a facility component can
-      serve, as a boolean column over the ranks (``zReduce`` indexes it
-      with the entries' ranks).
+    Returns ``(leaf boxes (n_leaves, 4), offsets (k + 1,), ranks (n,))``:
+    box ``j`` owns the leaves ``offsets[j] .. offsets[j + 1] - 1``, in
+    the Z order of their digit paths, and point ``i`` lies in leaf
+    ``offsets[owner[i]] + ranks[i]`` — comparing two ranks of one box is
+    comparing the z-ids :func:`zid_of_point` would give.  Digit paths
+    are held in an int64, two bits a level: ``max_depth`` is at most 31
+    (:class:`~repro.core.config.TQTreeConfig` refuses more).
     """
-
-    def __init__(
-        self,
-        space: BBox,
-        points,
-        beta: int,
-        max_depth: int = 16,
-    ) -> None:
-        if beta < 1:
-            raise GeometryError(f"beta must be >= 1, got {beta}")
-        if max_depth < 0:
-            raise GeometryError(f"max_depth must be >= 0, got {max_depth}")
-        self.space = space
-        self.beta = beta
-        self.max_depth = max_depth
-        xy = _as_xy(points)
-        self._root = _ZCell(ZID(()), space, count=xy.shape[0])
-        self._flat: Optional[tuple] = None
-        self._build(self._root, xy[:, 0], xy[:, 1], 0)
-
-    # ------------------------------------------------------------------
-    def _build(self, cell: _ZCell, xs: np.ndarray, ys: np.ndarray, depth: int) -> None:
-        if xs.size <= self.beta or depth >= self.max_depth:
-            return
-        box = cell.box
-        # BBox.quadrant_of, for every point of the cell at once
-        digits = (xs >= (box.xmin + box.xmax) / 2.0) | (
-            (ys >= (box.ymin + box.ymax) / 2.0) << 1
+    k = boxes.shape[0]
+    # the cells of the current level: owning box, region, digit path
+    root = np.arange(k, dtype=np.int64)
+    cell_box = boxes
+    code = np.zeros(k, dtype=np.int64)
+    # the points not yet in a leaf, and the current-level cell of each
+    pts = np.arange(owner.size, dtype=np.int64)
+    at = owner
+    leaf_of = np.empty(owner.size, dtype=np.int64)  # in emission order
+    leaves = []
+    n_leaves = 0
+    for depth in range(max_depth + 1):
+        split = (np.bincount(at, minlength=root.size) > beta) & (depth < max_depth)
+        done = ~split
+        number = np.cumsum(done) + (n_leaves - 1)
+        settled = done[at]
+        leaf_of[pts[settled]] = number[at[settled]]
+        # left-aligned digit paths sort prefix-free cells in Z order
+        leaves.append(
+            (root[done], code[done] << (2 * (max_depth - depth)), cell_box[done])
         )
-        cell.children = []
-        boxes = box.quadrants()
-        for digit in range(4):
-            inside = digits == digit
-            child = _ZCell(
-                cell.zid.child(digit), boxes[digit], count=int(inside.sum())
-            )
-            cell.children.append(child)
-            self._build(child, xs[inside], ys[inside], depth + 1)
-
-    # ------------------------------------------------------------------
-    def zid_of(self, p: Point) -> ZID:
-        """The z-id of the leaf cell containing ``p``."""
-        if not self.space.contains_point(p):
-            raise GeometryError(f"point {p} outside grid space {self.space}")
-        cell = self._root
-        while not cell.is_leaf:
-            assert cell.children is not None
-            cell = cell.children[cell.box.quadrant_of(p)]
-        return cell.zid
-
-    def refine_at(self, p: Point, extra_levels: int = 1) -> None:
-        """Split the leaf containing ``p`` by ``extra_levels`` more levels.
-
-        Used by the z-index when two trajectories with identical start
-        z-ids must be told apart by their end z-ids (paper Section III,
-        step (ii)).  Depth remains capped by ``max_depth``.
-        """
-        self._flat = None
-        cell = self._root
-        depth = 0
-        while not cell.is_leaf:
-            assert cell.children is not None
-            cell = cell.children[cell.box.quadrant_of(p)]
-            depth += 1
-        for _ in range(extra_levels):
-            if depth >= self.max_depth:
-                return
-            boxes = cell.box.quadrants()
-            cell.children = [
-                _ZCell(cell.zid.child(d), boxes[d]) for d in range(4)
-            ]
-            cell = cell.children[cell.box.quadrant_of(p)]
-            depth += 1
-
-    def cells_intersecting(self, box: BBox) -> List[ZID]:
-        """Leaf-cell ids whose region intersects ``box``, in Z order.
-        A cell that misses ``box`` is skipped with everything inside it."""
-        out: List[ZID] = []
-        stack = [self._root]
-        while stack:
-            cell = stack.pop()
-            if not cell.box.intersects(box):
-                continue
-            if cell.is_leaf:
-                out.append(cell.zid)
-            else:
-                assert cell.children is not None
-                stack.extend(reversed(cell.children))
-        out.sort()
-        return out
-
-    def _flattened(self) -> tuple:
-        """The partition tree as arrays, cached until :meth:`refine_at`:
-        ``(leaf boxes (n_leaves, 4) in Z order, per cell: split x, split
-        y, the four child cell numbers or -1, leaf rank or -1)``.
-        This is the vectorised backbone of ``zReduce``: ranking points and
-        selecting the cells a facility component can serve are a handful
-        of NumPy operations instead of a per-cell Python walk.
-        """
-        if self._flat is None:
-            cells: List[_ZCell] = []
-            number = {}
-            stack = [self._root]
-            while stack:  # pre-order with children in digit order == Z order
-                cell = stack.pop()
-                number[id(cell)] = len(cells)
-                cells.append(cell)
-                if cell.children is not None:
-                    stack.extend(reversed(cell.children))
-            split = np.array(
-                [
-                    ((c.box.xmin + c.box.xmax) / 2.0, (c.box.ymin + c.box.ymax) / 2.0)
-                    for c in cells
-                ],
-                dtype=np.float64,
-            )
-            children = np.full((len(cells), 4), -1, dtype=np.int64)
-            rank = np.full(len(cells), -1, dtype=np.int64)
-            leaves = []
-            for i, cell in enumerate(cells):
-                if cell.children is None:
-                    rank[i] = len(leaves)
-                    leaves.append(cell.box)
-                else:
-                    children[i] = [number[id(ch)] for ch in cell.children]
-            boxes = np.array(
-                [(b.xmin, b.ymin, b.xmax, b.ymax) for b in leaves], dtype=np.float64
-            ).reshape(-1, 4)
-            self._flat = (boxes, split[:, 0], split[:, 1], children, rank)
-        return self._flat
-
-    def leaf_boxes(self) -> np.ndarray:
-        """The leaf cells' ``(xmin, ymin, xmax, ymax)`` rows, in Z order
-        (row ``r`` is the cell of rank ``r``)."""
-        return self._flattened()[0]
-
-    def ranks_of(self, xy: np.ndarray) -> np.ndarray:
-        """Leaf rank (ordinal in Z order) of the cell containing each
-        row of ``xy``; every point must lie inside the space."""
-        _boxes, cx, cy, children, rank = self._flattened()
-        xs, ys = xy[:, 0], xy[:, 1]
-        cell = np.zeros(xy.shape[0], dtype=np.int64)
-        inner = np.flatnonzero(rank[cell] < 0)
-        while inner.size:
-            at = cell[inner]
-            digit = (xs[inner] >= cx[at]) | ((ys[inner] >= cy[at]) << 1)
-            cell[inner] = children[at, digit]
-            inner = inner[rank[cell[inner]] < 0]
-        return rank[cell]
-
-    def cells_serving(
-        self,
-        embr: BBox,
-        stops: Optional[np.ndarray] = None,
-        psi: float = 0.0,
-    ) -> np.ndarray:
-        """Which leaf cells the facility component can serve: a boolean
-        column over the leaf ranks.
-
-        A cell qualifies when it intersects ``embr`` and — if ``stops``
-        are given — lies within ``psi`` of at least one stop (the true
-        union-of-discs serving area, tighter than the EMBR box).
-        """
-        boxes = self._flattened()[0]
-        xmin, ymin, xmax, ymax = boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3]
-        mask = (
-            (xmin <= embr.xmax)
-            & (xmax >= embr.xmin)
-            & (ymin <= embr.ymax)
-            & (ymax >= embr.ymin)
-        )
-        if stops is not None and stops.shape[0] > 0 and mask.any():
-            idx = np.flatnonzero(mask)
-            mask[idx] = boxes_within(boxes[idx], stops, psi)
-        return mask
-
-    def leaf_cells(self) -> Iterator[Tuple[ZID, BBox]]:
-        """All leaf cells as ``(zid, box)`` pairs, in Z order."""
-        stack = [self._root]
-        items: List[Tuple[ZID, BBox]] = []
-        while stack:
-            cell = stack.pop()
-            if cell.is_leaf:
-                items.append((cell.zid, cell.box))
-            else:
-                assert cell.children is not None
-                stack.extend(reversed(cell.children))
-        items.sort(key=lambda t: t[0])
-        return iter(items)
-
-    def n_leaves(self) -> int:
-        return sum(1 for _ in self.leaf_cells())
+        n_leaves += int(np.count_nonzero(done))
+        parents = np.flatnonzero(split)
+        if not parents.size:
+            break
+        xmin, ymin, xmax, ymax = cell_box[parents].T
+        cx, cy = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0
+        # child ``d`` of the ``j``-th splitting cell is cell ``4 j + d``
+        pts, at = pts[~settled], at[~settled]
+        j = (np.cumsum(split) - 1)[at]
+        at = 4 * j + ((xy[pts, 0] >= cx[j]) | ((xy[pts, 1] >= cy[j]) << 1))
+        cell_box = np.stack(
+            [
+                np.stack([xmin, cx, xmin, cx], axis=1),
+                np.stack([ymin, ymin, cy, cy], axis=1),
+                np.stack([cx, xmax, cx, xmax], axis=1),
+                np.stack([cy, cy, ymax, ymax], axis=1),
+            ],
+            axis=2,
+        ).reshape(-1, 4)
+        root = np.repeat(root[parents], 4)
+        code = (np.repeat(code[parents], 4) << 2) | np.tile(np.arange(4), parents.size)
+    leaf_root, leaf_code, leaf_box = (np.concatenate(column) for column in zip(*leaves))
+    order = np.lexsort((leaf_code, leaf_root))
+    offsets = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(leaf_root, minlength=k), out=offsets[1:])
+    place = np.empty(n_leaves, dtype=np.int64)
+    place[order] = np.arange(n_leaves)
+    ranks = place[leaf_of] - offsets[owner]
+    return leaf_box[order], offsets, ranks

@@ -13,13 +13,11 @@ from .entries import SubBounds, entry_keys, validate_spec_for_variant
 from .quadtree import PointQuadtree
 from .stats import IndexStats, storage_report
 from .tqtree import QNode, TQTree
-from .zindex import ZOrderedList
 
 __all__ = [
     "TQTree",
     "QNode",
     "PointQuadtree",
-    "ZOrderedList",
     "NodeBlock",
     "TreeFrame",
     "ZStack",

@@ -10,12 +10,15 @@ frontier), so what they read is not one node's block but the tree's:
   ``row_off[i] .. row_off[i + 1] - 1``; its own ``NodeBlock``
   (``TQTree.node_block``) is a window of views onto those rows, not a
   copy.
-* :class:`ZStack` — the :class:`~repro.index.zindex.ZOrderedList`
-  columns of many nodes stacked the same way: leaf cells of both grids,
-  the entries' cell ranks rebased to stacked cell numbers, the z-sorted
-  order rebased to block rows, entry and bucket bounding boxes.
-  :meth:`ZStack.candidates` is ``zReduce`` for any subset of the stacked
-  nodes in one pass, each against its own serving envelope.
+* :class:`ZStack` — the paper's *ordered bucketing using z-curve*
+  (Section III) for every non-empty node, stacked the same way: the
+  leaf cells of each node's two adaptive partitions (over the entries'
+  governing starts and ends), the entries' cells as stacked cell
+  numbers, the z-sorted order as block rows, entry and bucket (z-node)
+  bounding boxes.  :meth:`ZStack.candidates` is ``zReduce`` (Section
+  IV-A, Algorithm 2) for any subset of the stacked nodes in one pass,
+  each against its own serving envelope — no geometry on pruned
+  entries.
 
 Both are derived state: the tree builds them on demand
 (``TQTree.frame`` / ``TQTree.zstack``, or ahead of time in
@@ -30,13 +33,12 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..core.trajectory import ranges
-from ..core.zorder import boxes_within
+from ..core.zorder import boxes_within, quarter_boxes
 from .block import NodeBlock
-from .zindex import ZOrderedList
 
 __all__ = ["TreeFrame", "ZStack", "kept_per_run", "BOTH", "ANY", "BBOX"]
 
-#: The three ``zReduce`` candidate modes (see :mod:`repro.index.zindex`).
+#: The three ``zReduce`` candidate modes (:meth:`ZStack.candidates`).
 BOTH, ANY, BBOX = "both", "any", "bbox"
 
 
@@ -95,62 +97,76 @@ class TreeFrame:
 
 
 class ZStack:
-    """The z-structures of some frame nodes (ascending numbers),
-    stacked; ``slot_of[i]`` is node ``i``'s position in the stack or -1.
+    """The z-structure of every non-empty frame node (ascending
+    numbers), stacked; ``slot_of[i]`` is node ``i``'s position in the
+    stack or -1.
+
+    Each node's box is partitioned adaptively twice
+    (:func:`~repro.core.zorder.quarter_boxes`, at most ``beta`` points
+    per cell): over its entries' governing starts and over their
+    governing ends.  An entry's two leaf ranks are its start and end
+    z-id; a node's entries are sorted by ``(start z-id, end z-id,
+    traj_id, seg)`` — the order is a function of the entry set, not of
+    list order — and cut into buckets (z-nodes, one disk block each) of
+    ``beta`` consecutive positions.
 
     Stacked node ``k`` owns cells ``cell_off[k] .. cell_off[k + 1] - 1``
-    of ``cell_box`` (its start grid's leaves, then its end grid's), z-
-    sorted positions ``pos_off[k] ..`` of ``start_cell`` / ``end_cell``
-    (stacked cell numbers), ``row`` (block rows), ``bbox`` and
-    ``bucket`` (stacked bucket numbers), and buckets ``bucket_off[k] ..``
-    of ``bucket_box``.  ``min_len`` is the list length from which nodes
-    were stacked.
+    of ``cell_box`` (its start partition's leaves, then its end
+    partition's), z-sorted positions ``pos_off[k] ..`` of ``start_cell``
+    / ``end_cell`` (stacked cell numbers), ``row`` (block rows),
+    ``bbox`` and ``bucket`` (stacked bucket numbers), and buckets
+    ``bucket_off[k] ..`` of ``bucket_box`` (the union of its members'
+    ``bbox``).
     """
 
     __slots__ = (
-        "min_len", "slot_of", "cell_box", "cell_off", "pos_off",
+        "slot_of", "cell_box", "cell_off", "pos_off",
         "start_cell", "end_cell", "row", "bbox", "bucket", "bucket_box",
         "bucket_off",
     )
 
     def __init__(
-        self,
-        frame: TreeFrame,
-        node: np.ndarray,
-        zlists: Sequence[ZOrderedList],
-        min_len: int,
+        self, frame: TreeFrame, traj_ids: np.ndarray, beta: int, z_max_depth: int
     ) -> None:
-        self.min_len = min_len
+        """``traj_ids`` is the tree's table column (the block's ``rows``
+        index it)."""
+        block = frame.block
+        node = np.flatnonzero(frame.n_own)
+        counts = frame.n_own[node]
         self.slot_of = np.full(len(frame.nodes), -1, dtype=np.int64)
         self.slot_of[node] = np.arange(node.size)
-        starts = [zl.start_grid.leaf_boxes() for zl in zlists]
-        ends = [zl.end_grid.leaf_boxes() for zl in zlists]
-        self.cell_off = _offsets([s.shape[0] + e.shape[0] for s, e in zip(starts, ends)])
-        self.pos_off = _offsets([len(zl) for zl in zlists])
-        self.bucket_off = _offsets([zl.n_buckets for zl in zlists])
-        row_lo = frame.row_off[node].tolist()
-
-        def stacked(parts, width=None):
-            if parts:
-                return np.concatenate(parts)
-            shape = (0,) if width is None else (0, width)
-            return np.zeros(shape, dtype=np.int64 if width is None else np.float64)
-
-        self.cell_box = stacked([b for pair in zip(starts, ends) for b in pair], 4)
-        cell_lo = self.cell_off.tolist()
-        self.start_cell = stacked(
-            [zl.start_rank + cell_lo[k] for k, zl in enumerate(zlists)]
+        # every block row belongs to a stacked node, in stack order
+        owner = np.repeat(np.arange(node.size), counts)
+        boxes = frame.box[node]
+        start_box, start_off, start_rank = quarter_boxes(
+            boxes, owner, block.gov[:, 0:2], beta, z_max_depth
         )
-        self.end_cell = stacked(
-            [zl.end_rank + (cell_lo[k] + starts[k].shape[0]) for k, zl in enumerate(zlists)]
+        end_box, end_off, end_rank = quarter_boxes(
+            boxes, owner, block.gov[:, 2:4], beta, z_max_depth
         )
-        self.row = stacked([zl.order + row_lo[k] for k, zl in enumerate(zlists)])
-        self.bbox = stacked([zl.bbox for zl in zlists], 4)
-        bucket_lo = self.bucket_off.tolist()
-        self.bucket = stacked(
-            [np.arange(len(zl)) // zl.beta + bucket_lo[k] for k, zl in enumerate(zlists)]
+        n_start, n_end = np.diff(start_off), np.diff(end_off)
+        self.cell_off = _offsets(n_start + n_end)
+        cell_lo = self.cell_off[:-1]
+        self.cell_box = np.empty((int(self.cell_off[-1]), 4), dtype=np.float64)
+        self.cell_box[ranges(cell_lo, n_start)] = start_box
+        self.cell_box[ranges(cell_lo + n_start, n_end)] = end_box
+        self.row = np.lexsort(
+            (block.segs, traj_ids[block.rows], end_rank, start_rank, owner)
         )
-        self.bucket_box = stacked([zl.bucket_bbox for zl in zlists], 4)
+        self.start_cell = (cell_lo[owner] + start_rank)[self.row]
+        self.end_cell = ((cell_lo + n_start)[owner] + end_rank)[self.row]
+        self.bbox = block.gov[self.row, 4:8]
+        self.pos_off = _offsets(counts)
+        self.bucket_off = _offsets(-(-counts // beta))
+        within = np.arange(owner.size) - self.pos_off[owner]
+        self.bucket = within // beta + self.bucket_off[owner]
+        first = np.flatnonzero(within % beta == 0)
+        self.bucket_box = np.hstack(
+            [
+                np.minimum.reduceat(self.bbox[:, 0:2], first),
+                np.maximum.reduceat(self.bbox[:, 2:4], first),
+            ]
+        ) if first.size else np.zeros((0, 4), dtype=np.float64)
 
     def _span(self, off: np.ndarray, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The stacked numbers owned by ``slots`` laid end to end, and
@@ -170,8 +186,18 @@ class ZStack:
         ``slots[j]`` against the serving envelope ``embr[j]``: the
         surviving stacked positions — per node ascending, i.e. in its
         z-sorted order, nodes in ``slots`` order — and how many survive
-        per node.  Per node the survivors are exactly
-        ``ZOrderedList.candidates_both / _any / _bbox`` (``mode``).
+        per node.  A cell meets the serving area when it intersects the
+        envelope and lies within ``psi`` of a stop; the three modes
+        cover the service models soundly (DESIGN.md §4.2):
+
+        * ``BOTH`` — start *and* end cell must meet the serving area:
+          the paper's two-step zReduce (Example 4), exact for ENDPOINT
+          service and for LENGTH on 2-point entries;
+        * ``ANY`` — start *or* end cell must meet it (sound for COUNT on
+          2-point entries, where either endpoint can contribute);
+        * ``BBOX`` — bucket boxes prune against the envelope, then entry
+          boxes (sound for FULL-variant entries, whose interior points
+          may lie far from both governing endpoints).
 
         ``stops`` may be any superset of each node's component that
         holds only stops of the same facility: a cell lies inside its

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+import numpy as np
+
 from ..core.config import IndexVariant
 from .tqtree import TQTree
 
@@ -62,9 +64,7 @@ def storage_report(tree: TQTree) -> IndexStats:
             inter += node.n_own
 
     if tree.config.variant is IndexVariant.SEGMENTED:
-        expected = sum(
-            max(u.n_points - 1, 1) for u in tree.trajectories()
-        )
+        expected = int(np.maximum(tree.table.counts - 1, 1).sum())
     else:
         expected = tree.n_trajectories
 

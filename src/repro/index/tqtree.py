@@ -12,17 +12,17 @@ keys over the tree's :class:`~repro.core.trajectory.UserPointTable`
   trajectories live high in the tree, short ones sink low, which is what
   makes the per-node service bounds (``sub``) effective for both.
 
-With ``config.use_zorder`` (TQ(Z)), each q-node's entry list is organised
-by a :class:`~repro.index.zindex.ZOrderedList`; without it (TQ(B)), the
-list stays flat and queries scan it linearly.
+With ``config.use_zorder`` (TQ(Z)), each q-node's entry list is z-ordered
+and bucketed (:class:`~repro.index.frame.ZStack`); without it (TQ(B)),
+the list stays flat and queries scan it linearly.
 
 A q-node's list is two integer columns; queries read the columns
 derived from them: one tree-wide :class:`~repro.index.frame.TreeFrame`
 (the nodes as arrays over a single :class:`~repro.index.block
-.NodeBlock`), each node's own block a window of it, the z-structures
-stacked beside it.  All of it is built lazily (or by
+.NodeBlock`), each node's own block a window of it, the z-structure of
+every list stacked beside it.  All of it is built lazily (or by
 :meth:`TQTree.warm_zindex`), and an insert into a node drops the frame
-and marks that node's block and z-structure for rebuilding.  Bulk
+— the stack with it — and marks that node's block for replacing.  Bulk
 build, insert and leaf split place entries with one rule
 (:meth:`TQTree._bulk_build`) and price them with one arithmetic
 (:meth:`NodeBlock.own_totals <repro.index.block.NodeBlock.own_totals>`),
@@ -30,9 +30,9 @@ so a tree grown by inserts is the tree a build over the same users
 makes.
 
 The tree supports dynamic inserts (Section III-C).  One deliberate
-deviation from the paper: after an insert the affected node's z-structure
-is rebuilt lazily on the next query rather than patched in place (the
-paper re-assigns at most ``beta`` z-ids eagerly).  Both approaches keep
+deviation from the paper: after an insert the z-structure is rebuilt
+lazily on the next query rather than patched in place (the paper
+re-assigns at most ``beta`` z-ids eagerly).  Both approaches keep
 queries exact; lazy rebuild is simpler and amortises identically under
 batched updates.
 """
@@ -51,7 +51,6 @@ from ..core.trajectory import Trajectory, UserPointTable
 from .block import NodeBlock
 from .frame import TreeFrame, ZStack
 from .entries import SubBounds, entry_keys, validate_spec_for_variant
-from .zindex import ZOrderedList
 
 __all__ = ["QNode", "TQTree"]
 
@@ -69,9 +68,7 @@ class QNode:
         "own",
         "sub",
         "_block",
-        "_zlist",
-        "_z_dirty",
-        "_adopted_gov",
+        "_dirty",
         "_frame",
     )
 
@@ -85,12 +82,10 @@ class QNode:
         # the bounds of the own list alone, and of the whole subtree
         self.own = SubBounds()
         self.sub = SubBounds()
-        # the list's other columns (stale while ``_z_dirty``) and the
-        # z-order view built over them on demand (see TQTree.frame)
+        # the list's other columns: a window of the frame's block (see
+        # TQTree.frame), describing an older list while ``_dirty``
         self._block: Optional[NodeBlock] = None
-        self._zlist: Optional[ZOrderedList] = None
-        self._z_dirty = True
-        self._adopted_gov: Optional["np.ndarray"] = None
+        self._dirty = True
         # the tree-wide frame hangs off the *root*, so that a change to
         # any node can drop it without a pointer back to the tree
         self._frame: Optional[TreeFrame] = None
@@ -104,27 +99,10 @@ class QNode:
         """``|UL(E)|``: how many entries this node itself stores."""
         return self.rows.size
 
-    def adopt_gov_table(self, table: "np.ndarray") -> bool:
-        """Offer a persisted filter table (the ``gov`` column of this
-        node's block, e.g. a memmap from a store): frame builds copy it
-        into the node's rows in place of the computed one.  Refused when
-        it cannot belong to the current entry list; any later change to
-        the list withdraws the offer."""
-        if table.shape != (self.n_own, 8):
-            return False
-        self._adopted_gov = table
-        self._stale()
-        return True
-
     def invalidate(self) -> None:
-        """The entry list changed: its block, its z-structure, any
-        adopted filter table and the tree's frame describe the old
-        list."""
-        self._adopted_gov = None
-        self._stale()
-
-    def _stale(self) -> None:
-        self._z_dirty = True
+        """The entry list changed: its block and the tree's frame (the
+        z-stack with it) describe the old list."""
+        self._dirty = True
         root = self
         while root.parent is not None:
             root = root.parent
@@ -156,8 +134,10 @@ class TQTree:
         self.space = space
         self.config = config
         self.root = QNode(space, 0, None)
-        self._trajectories: Dict[int, Trajectory] = {}
+        # the users: a table, plus the one-user tables of inserts not yet
+        # appended to it (by trajectory id; see the ``table`` property)
         self._table = UserPointTable(())
+        self._pending: Dict[int, UserPointTable] = {}
         self._n_entries = 0
         self._max_traj_points = 0
 
@@ -190,36 +170,30 @@ class TQTree:
             pad = max(tight.width, tight.height, 1.0) * 1e-9 + 1e-9
             space = tight.expanded(pad)
         tree = cls(space, config)
-        tree._adopt_table(table)
+        tree._check_inside(table)
+        tree._table = table
+        tree._max_traj_points = int(table.counts.max(initial=0))
         rows, segs = entry_keys(table, config.variant)
         tree._n_entries = rows.size
         tree._place(tree.root, rows, segs)
         return tree
 
-    def _adopt_table(self, table: UserPointTable) -> None:
-        """Register every user of ``table`` (bulk form of :meth:`_register`)."""
+    def _check_inside(self, table: UserPointTable) -> None:
+        """Every point of every user of ``table`` lies in the space."""
         xy, space = table.xy, self.space
         outside = np.flatnonzero(
             (xy[:, 0] < space.xmin) | (xy[:, 0] > space.xmax)
             | (xy[:, 1] < space.ymin) | (xy[:, 1] > space.ymax)
         )
         if outside.size:
-            self._register(table.users[int(table.pt_owner[outside[0]])])
-        self._trajectories = dict(zip(table.traj_ids.tolist(), table.users))
-        self._max_traj_points = int(table.counts.max(initial=0))
-        self._table = table
-
-    def _register(self, traj: Trajectory) -> None:
-        if traj.traj_id in self._trajectories:
-            raise IndexError_(f"duplicate trajectory id {traj.traj_id}")
-        for p in traj.points:
-            if not self.space.contains_point(p):
-                raise IndexError_(
-                    f"trajectory {traj.traj_id} point {p} outside indexed "
-                    f"space {self.space}"
-                )
-        self._trajectories[traj.traj_id] = traj
-        self._max_traj_points = max(self._max_traj_points, traj.n_points)
+            slot = int(outside[0])
+            row = int(table.pt_owner[slot])
+            traj = table.users[row]
+            raise IndexError_(
+                f"trajectory {traj.traj_id} point "
+                f"{traj.points[slot - int(table.first[row])]} outside indexed "
+                f"space {self.space}"
+            )
 
     def _place(self, node: QNode, rows: np.ndarray, segs: np.ndarray) -> None:
         """Make ``node``'s subtree the one holding exactly the entries
@@ -289,12 +263,16 @@ class TQTree:
     # ------------------------------------------------------------------
     def insert(self, traj: Trajectory) -> None:
         """Insert one trajectory; O(h) descent per entry plus local splits."""
-        self._register(traj)
-        row = len(self._trajectories) - 1
+        if traj.traj_id in self._table.row_of or traj.traj_id in self._pending:
+            raise IndexError_(f"duplicate trajectory id {traj.traj_id}")
+        alone = UserPointTable((traj,))
+        self._check_inside(alone)
+        row = self.n_trajectories
+        self._pending[traj.traj_id] = alone
+        self._max_traj_points = max(self._max_traj_points, traj.n_points)
         variant = self.config.variant
         # the new user's entries as a block of their own: the placement
         # boxes and addends a bulk build would compute for them
-        alone = UserPointTable((traj,))
         block = NodeBlock(alone, variant, *entry_keys(alone, variant))
         bbox, totals = block.gov[:, 4:8], block.own_totals()
         for k, seg in enumerate(block.segs.tolist()):
@@ -369,7 +347,7 @@ class TQTree:
     # ------------------------------------------------------------------
     @property
     def n_trajectories(self) -> int:
-        return len(self._trajectories)
+        return self._table.n_users + len(self._pending)
 
     @property
     def n_entries(self) -> int:
@@ -380,13 +358,14 @@ class TQTree:
         return self._max_traj_points
 
     def trajectory(self, traj_id: int) -> Trajectory:
+        table = self.table
         try:
-            return self._trajectories[traj_id]
+            return table.users[table.row_of[traj_id]]
         except KeyError:
             raise IndexError_(f"unknown trajectory id {traj_id}") from None
 
     def trajectories(self) -> Iterator[Trajectory]:
-        return iter(self._trajectories.values())
+        return iter(self.table.users)
 
     def height(self) -> int:
         best = 0
@@ -405,10 +384,9 @@ class TQTree:
         """The indexed users as one columnar table (registration order).
 
         Inserts append rows; slots handed out earlier stay valid."""
-        pending = len(self._trajectories) - self._table.n_users
-        if pending:
-            users = list(self._trajectories.values())
-            self._table = self._table.extended(users[-pending:])
+        if self._pending:
+            self._table = self._table.extended(*self._pending.values())
+            self._pending = {}
         return self._table
 
     def frame(self) -> TreeFrame:
@@ -416,7 +394,7 @@ class TQTree:
         (re)built lazily after updates: every node's entry list laid end
         to end in one block, each node's own block re-pointed at its
         window of it.  A node whose list did not change keeps its block
-        *object* (what caches anchor on) and its z-structure."""
+        *object* (what caches anchor on)."""
         frame = self.root._frame
         if frame is None:
             nodes = list(self.nodes())
@@ -428,13 +406,9 @@ class TQTree:
             frame = TreeFrame(nodes, block)
             bounds = frame.row_off.tolist()
             for node, lo, hi in zip(nodes, bounds, bounds[1:]):
-                if node._adopted_gov is not None:
-                    # stays offered until the list changes (invalidate)
-                    block.gov[lo:hi] = node._adopted_gov
-                if node._z_dirty:
+                if node._dirty:
                     node._block = block.window(lo, hi)
-                    node._zlist = None
-                    node._z_dirty = False
+                    node._dirty = False
                 else:
                     block.window(lo, hi, into=node._block)
             self.root._frame = frame
@@ -447,39 +421,22 @@ class TQTree:
         self.frame()
         return node._block
 
-    def node_zlist(self, node: QNode) -> Optional[ZOrderedList]:
-        """The node's z-structure under this tree's config (None for TQ(B)
-        and for empty lists), built on first use over the node's block."""
-        cfg = self.config
-        if not cfg.use_zorder or not node.n_own:
-            return None
-        block = self.node_block(node)
-        if node._zlist is None:
-            ids = np.column_stack([self.table.traj_ids[block.rows], block.segs])
-            node._zlist = ZOrderedList(
-                node.box, ids, cfg.beta, cfg.z_max_depth, gov=block.gov
-            )
-        return node._zlist
-
-    def zstack(self, min_len: int = 1) -> Optional[ZStack]:
-        """The z-structures of every node holding at least ``min_len``
-        entries, stacked over the frame (None for TQ(B)).  One stack is
-        kept per frame; asking for shorter lists than it covers widens
-        it, building the missing z-structures."""
+    def zstack(self) -> Optional[ZStack]:
+        """The z-structure of every non-empty list, stacked over the
+        frame and dropped with it (None for TQ(B))."""
         if not self.config.use_zorder:
             return None
         frame = self.frame()
-        min_len = max(min_len, 1)
-        if frame.zstack is None or frame.zstack.min_len > min_len:
-            picked = np.flatnonzero(frame.n_own >= min_len)
-            zlists = [self.node_zlist(frame.nodes[i]) for i in picked.tolist()]
-            frame.zstack = ZStack(frame, picked, zlists, min_len)
+        if frame.zstack is None:
+            cfg = self.config
+            frame.zstack = ZStack(
+                frame, self.table.traj_ids, cfg.beta, cfg.z_max_depth
+            )
         return frame.zstack
 
     def warm_zindex(self) -> None:
         """Materialise everything queries read lazily — the frame with
-        every node's block, and on TQ(Z) every node's z-structure and
-        their stack — so construction cost is attributed to
-        construction, not to the first query."""
+        every node's block, and on TQ(Z) the z-stack — so construction
+        cost is attributed to construction, not to the first query."""
         self.frame()
         self.zstack()

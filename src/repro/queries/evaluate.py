@@ -129,8 +129,9 @@ def _requires_both_endpoints(spec: ServiceSpec, variant: IndexVariant) -> bool:
 
 
 #: Node lists shorter than this are scanned linearly even on TQ(Z): the
-#: z-machinery's per-query overhead (two grid selections plus range
-#: lookups) only pays for itself once a list is a few buckets long.
+#: stacked ``zReduce`` tests a list's leaf cells against the stops before
+#: it reads an entry, which only pays for itself once a list is a few
+#: buckets long.
 _Z_MIN_LIST = 192
 
 
@@ -243,7 +244,7 @@ def _filter_and_probe(
     component = plan.component
     # z-nodes last: each filter returns its nodes' survivors end to end
     # (which node's points are probed first changes no result)
-    stack = tree.zstack(_Z_MIN_LIST)
+    stack = tree.zstack()
     on_z = frame.n_own[nodes] >= (_Z_MIN_LIST if stack is not None else np.inf)
     order = np.argsort(on_z, kind="stable")
     nodes = nodes[order]

@@ -25,10 +25,10 @@ from ..core.errors import QueryError
 from ..core.geometry import BBox, Point
 from ..core.service import StopSet
 from ..core.trajectory import ranges
+from ..core.zorder import boxes_meet
 from ..index.block import NodeBlock
 from ..index.frame import TreeFrame
 from ..index.tqtree import TQTree
-from ..index.zindex import boxes_meet
 
 __all__ = ["trajectories_in_range", "trajectories_served_by_stop"]
 

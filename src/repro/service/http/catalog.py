@@ -329,9 +329,9 @@ def build_store_catalog(
     """Precompute a store catalog directory from ``source_spec``.
 
     Resolves the source spec with :func:`catalog_from_spec`, persists
-    every resource into ``out_dir`` — trajectory and facility bundles,
-    TQ-tree node tables, and one index file per (facility, psi, tier)
-    named by the exact spill-file tokens
+    every resource into ``out_dir`` — trajectory and facility bundles
+    and one index file per (facility, psi, tier) named by the exact
+    spill-file tokens
     :class:`repro.engine.ShardStore` probes — and returns the manifest
     written to ``<out_dir>/catalog.json``.  A server started with
     ``--catalog store:<out_dir>`` opens those files instead of
@@ -353,7 +353,6 @@ def build_store_catalog(
         KIND_TRAJECTORIES,
         save_index,
         save_trajectory_bundle,
-        save_tree_node_tables,
     )
 
     if psi_values is None:
@@ -379,13 +378,11 @@ def build_store_catalog(
     for name in source.tree_names:
         tree = source.tree(name)
         users_file = f"users-{name}.idx"
-        nodes_file = f"nodes-{name}.idx"
         users = sorted(tree.trajectories(), key=lambda u: u.traj_id)
         save_trajectory_bundle(
             os.path.join(out_dir, users_file), users, KIND_TRAJECTORIES
         )
-        save_tree_node_tables(os.path.join(out_dir, nodes_file), tree)
-        manifest["trees"][name] = {"users": users_file, "nodes": nodes_file}
+        manifest["trees"][name] = {"users": users_file}
     for name in source.facility_set_names:
         routes = source.facility_set(name)
         set_file = f"facilities-{name}.idx"
@@ -411,14 +408,13 @@ def build_store_catalog(
     return manifest
 
 
-def open_store_catalog(store_dir: str, mmap_mode: Optional[str] = "r") -> Catalog:
+def open_store_catalog(store_dir: str) -> Catalog:
     """A live catalog reconstructed from a store directory.
 
     The serving-time counterpart behind ``--catalog store:<dir>``:
     reads the manifest, rebuilds the trees from the persisted
-    trajectory bundles (the tree *structure* is cheap and deterministic
-    to rebuild; the node filter tables — the arrays — are adopted from
-    their store file as memmap views), and registers the facility sets.
+    trajectory bundles (an older manifest's per-tree ``nodes`` entry is
+    ignored), and registers the facility sets.
     The per-facility index files are *not* opened here — the runtime's
     :class:`~repro.engine.ShardStore`, pointed at the same directory via
     :attr:`~repro.core.config.RuntimeConfig.store_dir`, opens each
@@ -431,7 +427,6 @@ def open_store_catalog(store_dir: str, mmap_mode: Optional[str] = "r") -> Catalo
     from ...store.codecs import (
         KIND_FACILITIES,
         KIND_TRAJECTORIES,
-        adopt_tree_node_tables,
         open_trajectory_bundle,
     )
 
@@ -442,7 +437,6 @@ def open_store_catalog(store_dir: str, mmap_mode: Optional[str] = "r") -> Catalo
     for name, files in sorted(manifest["trees"].items()):
         try:
             users_file = files["users"]
-            nodes_file = files["nodes"]
         except (TypeError, KeyError) as exc:
             raise StoreError(
                 f"manifest tree entry {name!r} is malformed: {exc}"
@@ -452,11 +446,7 @@ def open_store_catalog(store_dir: str, mmap_mode: Optional[str] = "r") -> Catalo
             raise StoreError(
                 f"tree {name!r} users bundle holds {kind!r}, not trajectories"
             )
-        tree = build_tq_zorder(users, beta=beta)
-        adopt_tree_node_tables(
-            tree, os.path.join(store_dir, nodes_file), mmap_mode=mmap_mode
-        )
-        catalog.add_tree(name, tree, source=source_label)
+        catalog.add_tree(name, build_tq_zorder(users, beta=beta), source=source_label)
     for name, entry in sorted(manifest["facility_sets"].items()):
         try:
             set_file = entry["file"]

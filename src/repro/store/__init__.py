@@ -17,12 +17,10 @@ Every on-disk failure is a :class:`~repro.core.errors.StoreError`.
 
 from .catalog import read_manifest, write_manifest
 from .codecs import (
-    adopt_tree_node_tables,
     open_index,
     open_trajectory_bundle,
     save_index,
     save_trajectory_bundle,
-    save_tree_node_tables,
 )
 from .format import (
     FORMAT_VERSION,
@@ -49,8 +47,6 @@ __all__ = [
     "open_index",
     "save_trajectory_bundle",
     "open_trajectory_bundle",
-    "save_tree_node_tables",
-    "adopt_tree_node_tables",
     "read_manifest",
     "write_manifest",
 ]

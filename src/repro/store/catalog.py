@@ -1,8 +1,8 @@
 """Store-catalog manifest primitives.
 
 A store catalog is a directory of persisted resources tied together by
-a ``catalog.json`` manifest: trajectory and facility bundles, TQ-tree
-node tables, and one index file per (facility, psi, tier) named by the
+a ``catalog.json`` manifest: trajectory and facility bundles and one
+index file per (facility, psi, tier) named by the
 exact spill-file tokens :class:`repro.engine.ShardStore` probes.  This
 module owns the manifest format — its name, schema version, and atomic
 read/write — which is all the *store* layer needs to know about

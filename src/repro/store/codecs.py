@@ -14,19 +14,17 @@ construction — and ``tests/test_store.py`` holds them to ``==``.
 
 Bundles for catalog payloads ride the same container:
 :func:`save_trajectory_bundle` / :func:`open_trajectory_bundle`
-(flattened point rows + CSR offsets + ids) and
-:func:`save_tree_node_tables` / :func:`adopt_tree_node_tables` (the
-per-node governing-filter tables of a TQ-tree in deterministic
-pre-order, re-adopted as memmap views into a rebuilt tree's node
-blocks).  The rest of a node block and the per-node z-structures are
-flat arrays too but rebuild lazily from the users bundle on first use;
-persisting them is a follow-up, not part of this format.
+(flattened point rows + CSR offsets + ids).  A TQ-tree's derived
+columns — the tree-wide :class:`~repro.index.block.NodeBlock` and the
+:class:`~repro.index.frame.ZStack` — are plain arrays too but rebuild
+from the users bundle on first use; persisting them, in one piece, is a
+follow-up, not part of this format.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,8 +39,6 @@ __all__ = [
     "open_index",
     "save_trajectory_bundle",
     "open_trajectory_bundle",
-    "save_tree_node_tables",
-    "adopt_tree_node_tables",
     "opened_mmap_paths",
 ]
 
@@ -65,7 +61,6 @@ KIND_SHARDED_GRID = "sharded_grid"
 KIND_CELLSTRING = "cellstring"
 KIND_TRAJECTORIES = "trajectories"
 KIND_FACILITIES = "facilities"
-KIND_NODE_TABLES = "node_tables"
 
 
 # ----------------------------------------------------------------------
@@ -306,68 +301,3 @@ def open_trajectory_bundle(
         rows = points[int(offsets[i]) : int(offsets[i + 1])]
         items.append(ctor(int(ids[i]), [tuple(r) for r in rows]))
     return kind, items
-
-
-# ----------------------------------------------------------------------
-# TQ-tree node tables
-# ----------------------------------------------------------------------
-def save_tree_node_tables(path: str, tree) -> str:
-    """Persist a TQ-tree's per-node governing-filter tables.
-
-    ``tree.nodes()`` yields pre-order deterministically, so a tree
-    rebuilt from the same trajectories visits nodes in the same order
-    and :func:`adopt_tree_node_tables` can hand each node its table
-    back.
-    """
-    tables = [tree.node_block(node).gov for node in tree.nodes()]
-    indptr = np.zeros(len(tables) + 1, dtype=np.int64)
-    for i, table in enumerate(tables):
-        indptr[i + 1] = indptr[i] + table.shape[0]
-    gov = (
-        np.concatenate(tables)
-        if tables else np.zeros((0, 8), dtype=np.float64)
-    )
-    return write_store_file(
-        path, KIND_NODE_TABLES, {"n_nodes": len(tables)},
-        {"indptr": indptr, "gov": gov},
-    )
-
-
-def adopt_tree_node_tables(
-    tree, path: str, mmap_mode: Optional[str] = "r", verify: bool = True
-) -> int:
-    """Assign persisted governing tables into ``tree``'s node caches;
-    returns how many nodes adopted a table.
-
-    The caller must have rebuilt ``tree`` from the same trajectories
-    and parameters the tables were saved against (what
-    :func:`~repro.service.http.catalog.open_store_catalog` does — the users
-    bundle and node tables travel together).  Shape mismatches degrade
-    safely: a tree with a different node count adopts nothing, a node
-    whose entry count disagrees with its persisted table keeps nothing,
-    and a node's block drops an adopted table the moment an insert
-    changes its entry list — so a stale file costs a lazy rebuild, not
-    a wrong answer.
-    """
-    kind, meta, arrays = read_store_file(path, mmap_mode=mmap_mode, verify=verify)
-    if mmap_mode == "r":
-        _MMAP_OPENED.add(os.path.abspath(path))
-    if kind != KIND_NODE_TABLES:
-        raise StoreError(
-            f"store file {path!r} holds kind {kind!r}, not node tables"
-        )
-    try:
-        indptr = arrays["indptr"]
-        gov = arrays["gov"]
-    except KeyError as exc:
-        raise StoreError(
-            f"store file {path!r} node tables missing segment {exc}"
-        ) from exc
-    adopted = 0
-    nodes = list(tree.nodes())
-    if indptr.size != len(nodes) + 1:
-        return 0  # structurally different tree: adopt nothing
-    for i, node in enumerate(nodes):
-        table = gov[int(indptr[i]) : int(indptr[i + 1])]
-        adopted += node.adopt_gov_table(table)
-    return adopted

@@ -11,13 +11,24 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from repro import BBox, FacilityRoute, IndexVariant, Point, Trajectory
+import math
+from bisect import bisect_left
+from types import SimpleNamespace
+
+from repro import BBox, FacilityRoute, IndexVariant, Point, TQTreeConfig, Trajectory
+from repro.core.geometry import bbox_of_points
 from repro.core.trajectory import UserPointTable
+from repro.core.zorder import zid_of_point
+from repro.index import QNode, TreeFrame, ZStack
 from repro.index.block import NodeBlock
 from repro.index.entries import entry_keys
-from repro.index.zindex import ZOrderedList
 
 WORLD = BBox(0.0, 0.0, 1024.0, 1024.0)
+
+
+def box_row(box: BBox) -> list:
+    """``box`` as one ``(xmin, ymin, xmax, ymax)`` table row."""
+    return [box.xmin, box.ymin, box.xmax, box.ymax]
 
 
 def block_of(users, variant=IndexVariant.ENDPOINT):
@@ -33,14 +44,163 @@ def entry_ids(users, variant=IndexVariant.ENDPOINT):
     return list(zip(table.traj_ids[block.rows].tolist(), block.segs.tolist()))
 
 
-def zlist_of(users, variant=IndexVariant.ENDPOINT, beta=4, **kw) -> ZOrderedList:
-    """A standalone z-list over every ``variant`` entry of ``users``,
-    built the way a tree builds a node's: block first, z-order over it.
-    Sorted position ``i`` is entry ``order[i]`` of ``block_of(users,
-    variant)``."""
-    _, block = block_of(users, variant)
-    ids = np.array(entry_ids(users, variant), dtype=np.int64).reshape(-1, 2)
-    return ZOrderedList(WORLD, ids, beta, gov=block.gov, **kw)
+def stack_of(users, variant=IndexVariant.ENDPOINT, beta=4, z_max_depth=12) -> ZStack:
+    """A one-node z-stack over every ``variant`` entry of ``users`` in
+    ``WORLD``, built the way a tree builds its own: block first, stack
+    over the frame.  Stacked position ``i`` is entry ``stack.row[i]`` of
+    ``block_of(users, variant)``."""
+    config = TQTreeConfig(beta=beta, variant=variant, z_max_depth=z_max_depth)
+    table, block = block_of(users, variant)
+    node = QNode(WORLD, 0, None)
+    node.rows, node.segs = block.rows, block.segs
+    return ZStack(TreeFrame([node], block), table.traj_ids, config.beta, config.z_max_depth)
+
+
+# ----------------------------------------------------------------------
+# the z-structure read back one node at a time, and the list-of-entries
+# zReduce (tuple z-id keys, ``bisect`` ranges, per-bucket loops) the
+# stacked index-array one is held to
+# ----------------------------------------------------------------------
+def leaf_cells(root: BBox, boxes: np.ndarray):
+    """``(zid, box)`` per row of ``boxes``, leaf cells of a partition of
+    ``root``: a leaf's depth is how often the root was halved to its
+    width, its z-id the descent :func:`zid_of_point` makes to its
+    centre."""
+    out = []
+    for xmin, ymin, xmax, ymax in boxes.tolist():
+        depth = round(math.log2(root.width / (xmax - xmin)))
+        centre = Point((xmin + xmax) / 2.0, (ymin + ymax) / 2.0)
+        out.append((zid_of_point(centre, root, depth), BBox(xmin, ymin, xmax, ymax)))
+    return out
+
+
+def z_node(stack: ZStack, slot: int, box: BBox, row_lo: int = 0):
+    """Stacked node ``slot`` (region ``box``, first block row ``row_lo``)
+    as one z-ordered list: ``order`` (list positions in z-sorted order),
+    per sorted position the leaf ranks ``start_rank`` / ``end_rank`` and
+    ``bbox``, and the two partitions' ``start_leaves`` / ``end_leaves``
+    (:func:`leaf_cells`).  A partition tiles ``box`` in Z order, so it
+    ends at its only leaf touching the box's upper right corner."""
+    c0, c1 = stack.cell_off[slot : slot + 2].tolist()
+    p0, p1 = stack.pos_off[slot : slot + 2].tolist()
+    cells = stack.cell_box[c0:c1]
+    corner = (cells[:, 2] == box.xmax) & (cells[:, 3] == box.ymax)
+    n_start = 1 + int(np.flatnonzero(corner)[0])
+    assert np.flatnonzero(corner).tolist() == [n_start - 1, c1 - c0 - 1]
+    return SimpleNamespace(
+        box=box,
+        order=stack.row[p0:p1] - row_lo,
+        start_rank=stack.start_cell[p0:p1] - c0,
+        end_rank=stack.end_cell[p0:p1] - (c0 + n_start),
+        bbox=stack.bbox[p0:p1],
+        start_leaves=leaf_cells(box, cells[:n_start]),
+        end_leaves=leaf_cells(box, cells[n_start:]),
+    )
+
+
+def ref_geometry(traj, seg, variant):
+    """Governing start, governing end and bounding box of the entry
+    ``(traj, seg)``, from the trajectory's own points."""
+    if seg >= 0:
+        points = traj.points[seg : seg + 2]
+    elif variant is IndexVariant.FULL:
+        points = traj.points
+    else:
+        points = (traj.start, traj.end)
+    return points[0], points[-1], bbox_of_points(points)
+
+
+def ref_entries(node, table, block, variant):
+    """``(start, end, bbox, id)`` per entry of ``node`` (a
+    :func:`z_node` over rows of ``block``), in its sorted order."""
+    ids = list(zip(table.traj_ids[block.rows].tolist(), block.segs.tolist()))
+    keys = list(zip(block.rows.tolist(), block.segs.tolist()))
+    return [
+        (*ref_geometry(table.users[keys[i][0]], keys[i][1], variant), ids[i])
+        for i in node.order.tolist()
+    ]
+
+
+def _ref_leaf_of(leaves, box, p):
+    """Digit path of the leaf holding ``p``: descend until a leaf."""
+    zids = {zid for zid, _box in leaves}
+    depth = 0
+    while zid_of_point(p, box, depth) not in zids:
+        depth += 1
+    return zid_of_point(p, box, depth).digits
+
+
+def ref_keys(node, entries):
+    """The sort key ``(start z-id, end z-id, id)`` of every entry."""
+    return [
+        (_ref_leaf_of(node.start_leaves, node.box, start),
+         _ref_leaf_of(node.end_leaves, node.box, end), ident)
+        for start, end, _box, ident in entries
+    ]
+
+
+def _ref_cells_serving(leaves, embr, stops, psi):
+    out = []
+    for zid, box in leaves:
+        if not box.intersects(embr):
+            continue
+        if stops is not None and not any(
+            box.intersects_circle(Point(float(x), float(y)), psi) for x, y in stops
+        ):
+            continue
+        out.append(zid)
+    return out
+
+
+def _ref_ranges(keys, cells):
+    for cell in cells:
+        lo = bisect_left(keys, (cell.digits,))
+        high = cell.range_high()
+        hi = len(keys) if high is None else bisect_left(keys, (high.digits,))
+        if lo < hi:
+            yield lo, hi
+
+
+def ref_candidates_both(node, keys, embr, stops, psi):
+    """Sorted positions whose start *and* end cell meet the serving
+    area (``stops=None``: the envelope ``embr`` alone)."""
+    allowed_ends = {c.digits for c in _ref_cells_serving(node.end_leaves, embr, stops, psi)}
+    out = []
+    for lo, hi in _ref_ranges(keys, _ref_cells_serving(node.start_leaves, embr, stops, psi)):
+        out.extend(i for i in range(lo, hi) if keys[i][1] in allowed_ends)
+    return out
+
+
+def ref_candidates_any(node, keys, embr, stops, psi):
+    picked = set()
+    for lo, hi in _ref_ranges(keys, _ref_cells_serving(node.start_leaves, embr, stops, psi)):
+        picked.update(range(lo, hi))
+    by_end = sorted(((k[1], k[0], k[2]), i) for i, k in enumerate(keys))
+    end_keys = [k for k, _ in by_end]
+    for lo, hi in _ref_ranges(end_keys, _ref_cells_serving(node.end_leaves, embr, stops, psi)):
+        picked.update(by_end[i][1] for i in range(lo, hi))
+    return sorted(picked)
+
+
+def ref_candidates_bbox(entries, beta, embr):
+    out = []
+    boxes = [box for _start, _end, box, _ident in entries]
+    for lo in range(0, len(boxes), beta):
+        bucket = boxes[lo : lo + beta]
+        union = bucket[0]
+        for box in bucket[1:]:
+            union = union.union(box)
+        if union.intersects(embr):
+            out.extend(lo + i for i, box in enumerate(bucket) if box.intersects(embr))
+    return out
+
+
+def ref_candidates(mode, node, entries, keys, beta, embr, stops, psi):
+    """The reference form of ``ZStack.candidates`` for one node."""
+    if mode == "bbox":
+        return ref_candidates_bbox(entries, beta, embr)
+    reduce = ref_candidates_both if mode == "both" else ref_candidates_any
+    return reduce(node, keys, embr, stops, psi)
 
 
 def coords(grid: float = 0.25):

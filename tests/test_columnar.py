@@ -6,7 +6,8 @@ where it used to walk Python objects.  Each test here holds one of those
 replacements to the thing it replaced:
 
 (a) index-array zReduce == a list-of-entries reference implementation
-    (tuple z-id keys, ``bisect`` ranges, per-bucket loops) kept below;
+    (tuple z-id keys, ``bisect`` ranges, per-bucket loops) kept in
+    ``tests/strategies.py``;
 (b) values and match sets == the brute-force oracles, over every index
     variant x service model x ``normalize`` x collecting-or-not;
 (c) the array-backed ``CoverageState`` == a dict-of-sets reference model
@@ -19,7 +20,6 @@ replacements to the thing it replaced:
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -32,7 +32,6 @@ from repro import (
     CoverageState,
     FacilityRoute,
     IndexVariant,
-    Point,
     QueryError,
     QueryRuntime,
     ServiceModel,
@@ -57,13 +56,13 @@ from repro import (
 from repro.core.errors import TrajectoryError
 from repro.core.service import score_from_indices
 from repro.core.trajectory import UserPointTable
-from repro.core.geometry import bbox_of_points
+from repro.index.frame import ANY, BBOX, BOTH
 from repro.queries import MatchCollector, tq_match_fn
 from repro.queries import evaluate as evaluate_module
-from repro.store import adopt_tree_node_tables, save_tree_node_tables
 
 from .strategies import (
-    WORLD, block_of, entry_ids, facility_sets, psis, trajectory_sets, zlist_of,
+    WORLD, block_of, box_row, facility_sets, psis, ref_candidates, ref_entries, ref_geometry,
+    ref_keys, stack_of, trajectory_sets, z_node,
 )
 
 SPECS = [
@@ -100,90 +99,6 @@ def z_on_short_lists():
 # ----------------------------------------------------------------------
 # (a) zReduce: index arrays vs the list-of-entries reference
 # ----------------------------------------------------------------------
-def _ref_cells_serving(grid, embr, stops, psi):
-    out = []
-    for zid, box in grid.leaf_cells():
-        if not box.intersects(embr):
-            continue
-        if stops is not None and len(stops) and not any(
-            box.intersects_circle(Point(float(x), float(y)), psi) for x, y in stops
-        ):
-            continue
-        out.append(zid)
-    return out
-
-
-def _ref_geometry(traj, seg, variant):
-    """Governing start, governing end and bounding box of the entry
-    ``(traj, seg)``, from the trajectory's own points."""
-    if seg >= 0:
-        points = traj.points[seg : seg + 2]
-    elif variant is IndexVariant.FULL:
-        points = traj.points
-    else:
-        points = (traj.start, traj.end)
-    return points[0], points[-1], bbox_of_points(points)
-
-
-def _ref_entries(zl, users, variant):
-    """``(start, end, bbox, id)`` per entry, in ``zl``'s sorted order."""
-    _, block = block_of(users, variant)
-    ids = entry_ids(users, variant)
-    keys = list(zip(block.rows.tolist(), block.segs.tolist()))
-    return [
-        (*_ref_geometry(users[keys[i][0]], keys[i][1], variant), ids[i])
-        for i in zl.order.tolist()
-    ]
-
-
-def _ref_keys(zl, entries):
-    return [
-        (zl.start_grid.zid_of(start).digits, zl.end_grid.zid_of(end).digits, ident)
-        for start, end, _box, ident in entries
-    ]
-
-
-def _ref_ranges(keys, cells):
-    for cell in cells:
-        lo = bisect_left(keys, (cell.digits,))
-        high = cell.range_high()
-        hi = len(keys) if high is None else bisect_left(keys, (high.digits,))
-        if lo < hi:
-            yield lo, hi
-
-
-def _ref_candidates_both(zl, keys, embr, stops, psi):
-    allowed_ends = {c.digits for c in _ref_cells_serving(zl.end_grid, embr, stops, psi)}
-    out = []
-    for lo, hi in _ref_ranges(keys, _ref_cells_serving(zl.start_grid, embr, stops, psi)):
-        out.extend(i for i in range(lo, hi) if keys[i][1] in allowed_ends)
-    return out
-
-
-def _ref_candidates_any(zl, keys, embr, stops, psi):
-    picked = set()
-    for lo, hi in _ref_ranges(keys, _ref_cells_serving(zl.start_grid, embr, stops, psi)):
-        picked.update(range(lo, hi))
-    by_end = sorted(((k[1], k[0], k[2]), i) for i, k in enumerate(keys))
-    end_keys = [k for k, _ in by_end]
-    for lo, hi in _ref_ranges(end_keys, _ref_cells_serving(zl.end_grid, embr, stops, psi)):
-        picked.update(by_end[i][1] for i in range(lo, hi))
-    return sorted(picked)
-
-
-def _ref_candidates_bbox(zl, entries, embr):
-    out = []
-    boxes = [box for _start, _end, box, _ident in entries]
-    for lo in range(0, len(boxes), zl.beta):
-        bucket = boxes[lo : lo + zl.beta]
-        union = bucket[0]
-        for box in bucket[1:]:
-            union = union.union(box)
-        if union.intersects(embr):
-            out.extend(lo + i for i, box in enumerate(bucket) if box.intersects(embr))
-    return out
-
-
 class TestZReduceIndexArrays:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -194,27 +109,28 @@ class TestZReduceIndexArrays:
         st.sampled_from([1, 3, 8]),
     )
     def test_all_modes_match_reference(self, users, facs, psi, variant, beta):
-        zl = zlist_of(users, variant, beta)
-        entries = _ref_entries(zl, users, variant)
-        keys = _ref_keys(zl, entries)
+        stack = stack_of(users, variant, beta)
+        node = z_node(stack, 0, WORLD)
+        entries = ref_entries(node, *block_of(users, variant), variant)
+        keys = ref_keys(node, entries)
         assert keys == sorted(keys)  # rank order is z-id order
         stops = facs[0].stop_coords
         embr = facs[0].embr(psi)
-        for tighten in (None, stops):
-            assert zl.candidates_both(embr, tighten, psi).tolist() == (
-                _ref_candidates_both(zl, keys, embr, tighten, psi)
+        row = np.array([box_row(embr)])
+        for mode in (BOTH, ANY, BBOX):
+            got, _counts = stack.candidates(np.array([0]), row, mode, stops, psi)
+            assert got.tolist() == ref_candidates(
+                mode, node, entries, keys, beta, embr, stops, psi
             )
-            assert zl.candidates_any(embr, tighten, psi).tolist() == (
-                _ref_candidates_any(zl, keys, embr, tighten, psi)
-            )
-        assert zl.candidates_bbox(embr).tolist() == _ref_candidates_bbox(zl, entries, embr)
 
     def test_buckets_touched_counts_distinct_buckets(self):
+        """``bucket`` names the z-node (disk block) of every sorted
+        position — what the I/O model counts distinct values of."""
         users = [Trajectory(i, [(i * 7 % 1000, i * 13 % 1000), (i, i)]) for i in range(50)]
-        zl = zlist_of(users, beta=4)
-        assert zl.buckets_touched(np.array([], dtype=np.int64)) == 0
-        assert zl.buckets_touched(np.array([0, 1, 3, 4, 49])) == 3
-        assert zl.buckets_touched(np.arange(50)) == zl.n_buckets == 13
+        stack = stack_of(users, beta=4)
+        assert stack.bucket.tolist() == [i // 4 for i in range(50)]
+        assert np.unique(stack.bucket[[0, 1, 3, 4, 49]]).size == 3
+        assert stack.bucket_off.tolist() == [0, 13] and stack.bucket_box.shape == (13, 4)
 
 
 # ----------------------------------------------------------------------
@@ -367,41 +283,6 @@ class TestInsertAfterWarm:
                             users[: u.traj_id + 1], f, spec
                         )
 
-    @pytest.mark.parametrize("use_zorder", [True, False], ids=["TQ(Z)", "TQ(B)"])
-    def test_split_that_keeps_the_list_length_drops_an_adopted_table(
-        self, tmp_path, use_zorder
-    ):
-        """A store-adopted filter table is withdrawn by the insert itself,
-        not by a length comparison: here the root list is four entries
-        long before and after (one sinks, one arrives)."""
-        space = BBox(0.0, 0.0, 1024.0, 1024.0)
-        config = TQTreeConfig(beta=4, use_zorder=use_zorder)
-        users = [
-            Trajectory(0, [(100, 100), (900, 900)]),
-            Trajectory(1, [(900, 100), (100, 900)]),
-            Trajectory(2, [(100, 120), (140, 160)]),  # sinks on the split
-            Trajectory(3, [(500, 100), (520, 900)]),
-        ]
-        newcomer = Trajectory(4, [(300, 700), (700, 300)])
-        path = str(tmp_path / "nodes.idx")
-        save_tree_node_tables(path, TQTree.build(users, config, space=space))
-        grown = TQTree.build(users, config, space=space)
-        assert adopt_tree_node_tables(grown, path) == 1
-        grown.insert(newcomer)
-        assert grown.root.n_own == 4 and not grown.root.is_leaf
-        fresh = TQTree.build(users + [newcomer], config, space=space)
-        route = FacilityRoute(0, [(300, 700), (700, 300)])
-        for model in ServiceModel:
-            spec = ServiceSpec(model, psi=30.0, normalize=False)
-            got_c, want_c = MatchCollector(), MatchCollector()
-            want = evaluate_service(fresh, route, spec, collector=want_c)
-            assert want == brute_force_service(users + [newcomer], route, spec) > 0
-            assert evaluate_service(grown, route, spec) == want
-            assert evaluate_service(grown, route, spec, collector=got_c) == want
-            assert got_c.as_dict() == want_c.as_dict()
-        for a, b in zip(grown.nodes(), fresh.nodes()):
-            assert np.array_equal(grown.node_block(a).gov, fresh.node_block(b).gov)
-
     def test_block_gov_is_the_entries_governing_geometry(self):
         users = _manhattan_users(25, seed=3)
         for variant in IndexVariant:
@@ -411,7 +292,7 @@ class TestInsertAfterWarm:
             for node in tree.nodes():
                 want = []
                 for row, seg in zip(node.rows.tolist(), node.segs.tolist()):
-                    start, end, box = _ref_geometry(tree.table.users[row], seg, variant)
+                    start, end, box = ref_geometry(tree.table.users[row], seg, variant)
                     want.append(
                         [start.x, start.y, end.x, end.y,
                          box.xmin, box.ymin, box.xmax, box.ymax]
@@ -419,19 +300,21 @@ class TestInsertAfterWarm:
                 assert tree.node_block(node).gov.tolist() == want
 
     def test_short_lists_never_build_a_z_structure(self):
-        """Blocks build without z-lists; a z-list appears only once a
-        query (or warm_zindex) asks for it."""
+        """Blocks build without a z-stack; one appears only once a query
+        (or warm_zindex) asks for it, over every non-empty list, and goes
+        with the frame on an insert."""
         users = _manhattan_users(40, seed=4)
         tree = TQTree.build(users, TQTreeConfig(beta=4), space=BBox(0, 0, 1024, 1024))
         for node in tree.nodes():
             tree.node_block(node)
-        assert all(node._zlist is None for node in tree.nodes())
+        assert tree.frame().zstack is None
         tree.warm_zindex()
-        assert all(
-            (node._zlist is not None) == bool(node.n_own) for node in tree.nodes()
-        )
+        stack = tree.frame().zstack
+        assert stack is tree.zstack()
+        assert (stack.slot_of >= 0).tolist() == [bool(n.n_own) for n in tree.nodes()]
         tree.insert(Trajectory(99, [(1, 1), (1000, 1000)]))
-        assert len(tree.node_zlist(tree.root)) == tree.root.n_own
+        assert tree.zstack() is not stack
+        assert np.diff(tree.zstack().pos_off)[0] == tree.root.n_own
 
     def test_table_grows_without_moving_slots(self):
         users = _manhattan_users(30, seed=9)

@@ -9,12 +9,12 @@ tree-wide frame.  Each test here pins one premise of that design:
 (b) the plan — per-node membership, reach set and serving envelope equal
     ``FacilityComponent.restricted_to`` and the paper's recursion, bit
     for bit;
-(c) the stacked filter — per-node survivors equal the per-node
-    ``ZOrderedList.candidates_*`` and the per-node envelope scan, order
-    included;
-(d) mutation safety — a stateful machine interleaving inserts, warming,
-    table adoption and queries, held after every step to a freshly
-    built tree and to the brute-force oracle;
+(c) the stacked filter — per-node survivors equal the list-of-entries
+    reference ``zReduce`` of ``tests/strategies.py`` and the per-node
+    envelope scan, order included;
+(d) mutation safety — a stateful machine interleaving inserts, warming
+    and queries, held after every step to a freshly built tree (answers,
+    work counters, every z-stack column) and to the brute-force oracle;
 (e) shape — a walk makes at most one ``probe_mask`` call, a cached walk
     none, and a warmed tree builds nothing inside its first query.
 """
@@ -47,12 +47,14 @@ from repro import (
     top_k_facilities,
 )
 from repro.core.stats import QueryStats
-from repro.index import NodeBlock, TreeFrame, ZOrderedList, ZStack
+from repro.index import NodeBlock, TreeFrame, ZStack
 from repro.index.frame import ANY, BBOX, BOTH
 from repro.queries import BlockCosts, FacilityComponent, MatchCollector, estimate_query_blocks
 from repro.queries import evaluate as evaluate_module
 from repro.queries import kmaxrrst as kmaxrrst_module
 from repro.queries.evaluate import walk_plan
+
+from .strategies import box_row, ref_candidates, ref_entries, ref_keys, z_node
 
 SPACE = BBox(0.0, 0.0, 1024.0, 1024.0)
 
@@ -131,15 +133,16 @@ def test_probe_points_and_z_cells_lie_inside_their_node(name):
                 (xy[:, 0] >= box.xmin) & (xy[:, 0] <= box.xmax)
                 & (xy[:, 1] >= box.ymin) & (xy[:, 1] <= box.ymax)
             )
-            zlist = tree.node_zlist(node)
-            if zlist is None:
+            stack = tree.zstack()
+            if stack is None or not node.n_own:
                 continue
-            for grid in (zlist.start_grid, zlist.end_grid):
-                cells = grid.leaf_boxes()
-                assert np.all(
-                    (cells[:, 0] >= box.xmin) & (cells[:, 2] <= box.xmax)
-                    & (cells[:, 1] >= box.ymin) & (cells[:, 3] <= box.ymax)
-                )
+            k = stack.slot_of[tree.frame().index_of[id(node)]]
+            cells = stack.cell_box[stack.cell_off[k] : stack.cell_off[k + 1]]
+            assert cells.shape[0] >= 2  # a start and an end partition
+            assert np.all(
+                (cells[:, 0] >= box.xmin) & (cells[:, 2] <= box.xmax)
+                & (cells[:, 1] >= box.ymin) & (cells[:, 3] <= box.ymax)
+            )
 
 
 # ----------------------------------------------------------------------
@@ -255,16 +258,18 @@ def test_stacked_filter_equals_per_node_filters(name):
                 )
                 cuts = np.cumsum(counts)[:-1]
                 for i, comp, got in zip(listed.tolist(), components, np.split(picked, cuts)):
-                    zlist = tree.node_zlist(frame.nodes[i])
-                    if mode == BBOX:
-                        want = zlist.candidates_bbox(comp.embr)
-                    else:
-                        reduce = zlist.candidates_both if mode == BOTH else zlist.candidates_any
-                        want = reduce(comp.embr, comp.stops.coords, psi)
                     k = stack.slot_of[i]
-                    assert (got - stack.pos_off[k]).tolist() == want.tolist()
+                    node = z_node(stack, k, frame.nodes[i].box, frame.row_off[i])
+                    entries = ref_entries(
+                        node, tree.table, tree.node_block(frame.nodes[i]), tree.config.variant
+                    )
+                    want = ref_candidates(
+                        mode, node, entries, ref_keys(node, entries), tree.config.beta,
+                        comp.embr, comp.stops.coords, psi,
+                    )
+                    assert (got - stack.pos_off[k]).tolist() == want
                     assert (stack.row[got] - frame.row_off[i]).tolist() == (
-                        zlist.order[want].tolist()
+                        node.order[want].tolist()
                     )
     if name.endswith("basic"):
         assert stack is None
@@ -275,26 +280,30 @@ def _blocks_by_walking(tree: TQTree, facility, spec: ServiceSpec) -> BlockCosts:
     ``estimate_query_blocks`` had before it read the plan."""
     costs = BlockCosts()
     beta, variant = tree.config.beta, tree.config.variant
+    stack, frame = tree.zstack(), tree.frame()
 
     def walk(node, component):
         if component.is_empty:
             return
         costs.node_blocks += 1
-        zlist = tree.node_zlist(node) if node.n_own else None
-        if node.n_own and zlist is None:
+        if node.n_own and stack is None:
             costs.list_blocks += -(-node.n_own // beta)
         elif node.n_own:
             costs.directory_blocks += 2
-            embr = component.embr
             if variant is IndexVariant.FULL and spec.model is not ServiceModel.ENDPOINT:
-                picked = zlist.candidates_bbox(embr)
+                mode = BBOX
             elif spec.model is ServiceModel.ENDPOINT or (
                 spec.model is ServiceModel.LENGTH and variant is not IndexVariant.FULL
             ):
-                picked = zlist.candidates_both(embr, component.stops.coords, spec.psi)
+                mode = BOTH
             else:
-                picked = zlist.candidates_any(embr, component.stops.coords, spec.psi)
-            costs.list_blocks += zlist.buckets_touched(picked)
+                mode = ANY
+            picked, _counts = stack.candidates(
+                stack.slot_of[[frame.index_of[id(node)]]],
+                np.array([box_row(component.embr)]),
+                mode, component.stops.coords, spec.psi,
+            )
+            costs.list_blocks += np.unique(stack.bucket[picked]).size
         for child in node.children or ():
             if child.sub.n_entries:
                 walk(child, component.restricted_to(child.box))
@@ -366,9 +375,9 @@ def _hold_to_fresh_tree(grown: TQTree, users, name: str, runtime) -> None:
 
 
 class FrameMutations(RuleBasedStateMachine):
-    """Inserts, warming, table adoption and queries in any order; after
-    every step the grown tree must answer — values and work counters —
-    like one built from scratch over the same users."""
+    """Inserts, warming and queries in any order; after every step the
+    grown tree must answer — values and work counters — like one built
+    from scratch over the same users, from the same z-stack columns."""
 
     @initialize(name=st.sampled_from(sorted(BUILDERS)), n=st.integers(0, 12))
     def build(self, name, n):
@@ -389,12 +398,6 @@ class FrameMutations(RuleBasedStateMachine):
         self.tree.warm_zindex()
 
     @rule()
-    def adopt_gov_tables(self):
-        fresh = BUILDERS[self.name](self.users)
-        for node, twin in zip(self.tree.nodes(), fresh.nodes()):
-            assert node.adopt_gov_table(fresh.node_block(twin).gov.copy())
-
-    @rule()
     def query(self):
         """Fills the frame, the blocks and the runtime's cache with the
         current lists — what a later insert must not leave behind."""
@@ -405,6 +408,13 @@ class FrameMutations(RuleBasedStateMachine):
     def answers_like_a_fresh_tree(self):
         if hasattr(self, "tree"):
             _hold_to_fresh_tree(self.tree, self.users, self.name, self.runtime)
+
+    @invariant()
+    def stacks_like_a_fresh_tree(self):
+        if hasattr(self, "tree") and self.tree.config.use_zorder:
+            got, want = self.tree.zstack(), BUILDERS[self.name](self.users).zstack()
+            for column in ZStack.__slots__:
+                assert np.array_equal(getattr(got, column), getattr(want, column)), column
 
     def teardown(self):
         if hasattr(self, "runtime"):
@@ -458,7 +468,7 @@ def test_an_untouched_node_keeps_its_block_across_a_rebuild():
     tree.insert(users[50])
     kept = [
         node for node in tree.nodes()
-        if id(node) in blocks and not node._z_dirty
+        if id(node) in blocks and not node._dirty
     ]
     assert any(node.n_own for node in kept)
     frame = tree.frame()
@@ -537,7 +547,7 @@ def test_a_warmed_tree_builds_nothing_inside_its_first_query(name, z_on_short_li
     tree.warm_zindex()
     built = []
     with pytest.MonkeyPatch.context() as patch:
-        for cls in (NodeBlock, TreeFrame, ZOrderedList, ZStack):
+        for cls in (NodeBlock, TreeFrame, ZStack):
             def init(self, *args, _cls=cls, **kwargs):
                 built.append(_cls.__name__)
             patch.setattr(cls, "__init__", init)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -47,21 +48,19 @@ from repro.engine.shards import (
     cellstring_spill_name,
     grid_spill_name,
 )
-from repro.index import build_tq_zorder
 from repro.service.http import ServeClient, background_server, catalog_from_spec
 from repro.service.http.catalog import build_store_catalog, open_store_catalog
 from repro.store import (
     FORMAT_VERSION,
     MAGIC,
-    adopt_tree_node_tables,
     inspect_store_file,
     open_index,
     open_trajectory_bundle,
     read_manifest,
     read_store_file,
     save_index,
-    save_tree_node_tables,
     save_trajectory_bundle,
+    write_manifest,
     write_store_file,
 )
 from repro.store.__main__ import main as store_main
@@ -317,23 +316,6 @@ class TestBundlesAndNodeTables:
         for got, want in zip(routes, facilities):
             assert np.array_equal(got.stop_coords, want.stop_coords)
 
-    def test_node_tables_adopt_and_self_heal(self, tmp_path, taxi_users):
-        tree = build_tq_zorder(taxi_users, beta=16)
-        expected = [tree.node_block(node).gov.copy() for node in tree.nodes()]
-        path = str(tmp_path / "nodes.idx")
-        save_tree_node_tables(path, tree)
-        rebuilt = build_tq_zorder(taxi_users, beta=16)
-        adopted = adopt_tree_node_tables(rebuilt, path)
-        assert adopted == len(expected)
-        for node, want in zip(rebuilt.nodes(), expected):
-            assert np.array_equal(rebuilt.node_block(node).gov, want)
-        # a structurally different tree (other beta → other node count)
-        # adopts nothing: a stale file costs a lazy rebuild, not a
-        # wrong answer
-        other = build_tq_zorder(taxi_users, beta=4)
-        assert len(list(other.nodes())) != len(expected)
-        assert adopt_tree_node_tables(other, path) == 0
-
 
 # ----------------------------------------------------------------------
 # ShardStore spill: opens instead of rebuilds, observably
@@ -481,6 +463,7 @@ class TestStoreCatalog:
         assert manifest["source"] == DEMO_SPEC
         assert set(manifest["trees"]) == {"demo"}
         assert set(manifest["facility_sets"]) == {"demo"}
+        assert manifest["trees"]["demo"] == {"users": "users-demo.idx"}
         catalog = open_store_catalog(demo_store_dir)
         fresh = catalog_from_spec(DEMO_SPEC)
         assert catalog.tree_names == fresh.tree_names
@@ -493,6 +476,18 @@ class TestStoreCatalog:
         assert got["facility_sets"]["demo"]["facility_ids"] == (
             want["facility_sets"]["demo"]["facility_ids"]
         )
+
+    def test_an_older_manifests_nodes_entry_is_ignored(self, demo_store_dir, tmp_path):
+        """Stores written before the per-node filter tables went name a
+        ``nodes`` file per tree; it is neither needed nor opened."""
+        old = str(tmp_path / "old-store")
+        shutil.copytree(demo_store_dir, old)
+        manifest = read_manifest(old)
+        manifest["trees"]["demo"]["nodes"] = "nodes-demo.idx"  # not on disk
+        write_manifest(old, manifest)
+        got = open_store_catalog(old).tree("demo")
+        want = open_store_catalog(demo_store_dir).tree("demo")
+        assert list(got.trajectories()) == list(want.trajectories())
 
     def test_catalog_spec_errors_are_catalog_errors(self, tmp_path):
         with pytest.raises(CatalogError):

@@ -348,9 +348,10 @@ class TestLookups:
 
     def test_tq_basic_has_no_zlist(self):
         tree = build_tq_basic(users_grid(50), beta=8, space=WORLD)
-        assert tree.node_zlist(tree.root) is None
+        assert tree.zstack() is None
 
     def test_tq_zorder_builds_zlist(self):
         tree = build_tq_zorder(users_grid(50), beta=8, space=WORLD)
-        node = next(n for n in tree.nodes() if n.n_own)
-        assert tree.node_zlist(node) is not None
+        stack = tree.zstack()
+        assert (stack.slot_of >= 0).tolist() == [bool(n.n_own) for n in tree.nodes()]
+        assert stack.row.size == tree.n_entries

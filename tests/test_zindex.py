@@ -1,4 +1,5 @@
-"""Unit and property tests for the z-ordered bucket lists (zReduce)."""
+"""Unit and property tests for the z-ordered bucket lists (zReduce),
+on a one-node :class:`~repro.index.frame.ZStack`."""
 
 from __future__ import annotations
 
@@ -10,11 +11,23 @@ from hypothesis import strategies as st
 from repro import BBox, IndexVariant, Point, Trajectory
 from repro.core.errors import IndexError_
 
-from .strategies import WORLD, entry_ids, trajectory_sets, zlist_of
+from repro.index.frame import ANY, BBOX, BOTH
+
+from .strategies import (
+    WORLD, block_of, box_row, entry_ids, ref_candidates_both, ref_entries, ref_keys, stack_of,
+    trajectory_sets, z_node,
+)
 
 
 def build(users, beta=4, variant=IndexVariant.ENDPOINT):
-    return zlist_of(users, variant, beta)
+    return stack_of(users, variant, beta)
+
+
+def candidates(stack, mode, box, stops=np.zeros((0, 2)), psi=0.0):
+    """``zReduce`` of the stack's only node against the envelope ``box``."""
+    picked, counts = stack.candidates(np.array([0]), np.array([box_row(box)]), mode, stops, psi)
+    assert counts.tolist() == [picked.size]
+    return picked
 
 
 def users_grid(n):
@@ -24,11 +37,11 @@ def users_grid(n):
     ]
 
 
-def picked(zl, entries, positions):
+def picked(stack, entries, positions):
     """The ids (of ``entries``, the list in key order) at the given
-    sorted-order positions (what the candidate modes return)."""
+    sorted-order positions (what ``candidates`` returns)."""
     assert positions.tolist() == sorted(set(positions.tolist()))
-    return {entries[i] for i in zl.order[positions].tolist()}
+    return {entries[i] for i in stack.row[positions].tolist()}
 
 
 def stops_array(points):
@@ -44,52 +57,49 @@ def embr_of(stops, psi):
 class TestConstruction:
     def test_beta_validated(self):
         with pytest.raises(IndexError_):
-            zlist_of([], beta=0)
+            stack_of([], beta=0)
 
     def test_empty_list(self):
-        zl = zlist_of([], beta=4)
-        assert len(zl) == 0
-        assert zl.n_buckets == 0
-        assert zl.candidates_both(WORLD).size == 0
+        stack = stack_of([], beta=4)
+        assert stack.row.size == 0
+        assert stack.bucket_box.shape == (0, 4)
+        assert stack.slot_of.tolist() == [-1]  # an empty list is not stacked
+        none = np.zeros(0, dtype=np.int64)
+        got, counts = stack.candidates(none, np.zeros((0, 4)), BOTH, np.zeros((1, 2)), 10.0)
+        assert got.size == 0 and counts.size == 0
 
     def test_bucket_capacity_respected(self):
-        zl = build(users_grid(50), beta=4)
-        assert all(size <= 4 for size in zl.bucket_sizes())
-        assert sum(zl.bucket_sizes()) == 50
+        stack = build(users_grid(50), beta=4)
+        sizes = np.bincount(stack.bucket)
+        assert sizes.size == stack.bucket_box.shape[0] == stack.bucket_off[-1]
+        assert all(size <= 4 for size in sizes.tolist())
+        assert sizes.sum() == 50
 
     def test_entries_sorted_by_zid_pairs(self):
         users = users_grid(40)
-        zl = build(users, beta=4)
+        stack = build(users, beta=4)
+        node = z_node(stack, 0, WORLD)
         ids = entry_ids(users)
-        keys = list(zip(zl.start_rank.tolist(), zl.end_rank.tolist(),
-                        (ids[i] for i in zl.order.tolist())))
+        keys = list(zip(node.start_rank.tolist(), node.end_rank.tolist(),
+                        (ids[i] for i in node.order.tolist())))
         assert keys == sorted(keys)
         # ranks order leaves exactly as their z-ids do
-        zids = [(zl.start_grid.zid_of(users[i].start), zl.end_grid.zid_of(users[i].end))
-                for i in zl.order.tolist()]
+        table, block = block_of(users)
+        zids = ref_keys(node, ref_entries(node, table, block, IndexVariant.ENDPOINT))
         assert zids == sorted(zids)
-
-    def test_end_ids_disambiguated_where_possible(self):
-        """With disambiguation enabled, entries sharing a start cell get
-        distinct end ids (distinct end points, generous depth)."""
-        users = [
-            Trajectory(0, [(10, 10), (800, 100)]),
-            Trajectory(1, [(11, 11), (100, 800)]),
-            Trajectory(2, [(12, 12), (500, 500)]),
-        ]
-        zl = zlist_of(users, beta=4, disambiguation_passes=8)
-        by_start = {}
-        for s, e in zip(zl.start_rank.tolist(), zl.end_rank.tolist()):
-            by_start.setdefault(s, []).append(e)
-        for ends in by_start.values():
-            assert len(set(ends)) == len(ends)
+        for leaves, ranks, column in (
+            (node.start_leaves, node.start_rank, 0), (node.end_leaves, node.end_rank, 1),
+        ):
+            assert [leaves[r][0].digits for r in ranks.tolist()] == [k[column] for k in zids]
 
     def test_identical_pairs_terminate(self):
         """Duplicate (start, end) pairs cannot be separated; the depth cap
-        must stop refinement rather than loop."""
+        must stop the partition rather than loop."""
         users = [Trajectory(i, [(5, 5), (900, 900)]) for i in range(6)]
-        zl = zlist_of(users, beta=2, z_max_depth=5, disambiguation_passes=10)
-        assert len(zl) == 6
+        stack = stack_of(users, beta=2, z_max_depth=5)
+        assert stack.row.size == 6
+        node = z_node(stack, 0, WORLD)
+        assert max(zid.depth for zid, _box in node.start_leaves + node.end_leaves) == 5
 
 
 def _near(p, stops_pts, psi):
@@ -108,30 +118,36 @@ class TestCandidateModes:
         psi = 150.0
         cands = picked(
             zl, entry_ids(users),
-            zl.candidates_both(embr_of(stops, psi), stops_array(stops), psi),
+            candidates(zl, BOTH, embr_of(stops, psi), stops_array(stops), psi),
         )
         for u in users:
             if _served_endpoint(u, stops, psi):
                 assert (u.traj_id, -1) in cands
 
     def test_both_without_stops_uses_embr_only(self):
+        """The stop test only tightens what the envelope alone selects
+        (the reference filter with no stops)."""
         users = users_grid(60)
         zl = build(users, beta=4)
         ids = entry_ids(users)
         box = BBox(100, 100, 400, 400)
-        loose = picked(zl, ids, zl.candidates_both(box))
+        node = z_node(zl, 0, WORLD)
+        table, block = block_of(users)
+        keys = ref_keys(node, ref_entries(node, table, block, IndexVariant.ENDPOINT))
+        loose = picked(zl, ids, np.array(ref_candidates_both(node, keys, box, None, 0.0)))
         stops = [Point(250, 250)]
-        tight = picked(zl, ids, zl.candidates_both(box, stops_array(stops), 150.0))
-        assert tight <= loose
+        tight = picked(zl, ids, candidates(zl, BOTH, box, stops_array(stops), 150.0))
+        assert tight <= loose and tight
 
     def test_any_mode_superset_of_both(self):
         users = users_grid(60)
         zl = build(users, beta=4)
         ids = entry_ids(users)
         box = BBox(100, 100, 400, 400)
-        both = picked(zl, ids, zl.candidates_both(box))
-        any_ = picked(zl, ids, zl.candidates_any(box))
-        assert both <= any_
+        stops = stops_array([Point(250, 250)])
+        both = picked(zl, ids, candidates(zl, BOTH, box, stops, 150.0))
+        any_ = picked(zl, ids, candidates(zl, ANY, box, stops, 150.0))
+        assert both <= any_ and both
 
     def test_any_mode_catches_single_endpoint(self):
         users = [
@@ -140,7 +156,10 @@ class TestCandidateModes:
             Trajectory(2, [(900, 900), (950, 950)]),  # neither
         ]
         zl = build(users, beta=2)
-        got = picked(zl, entry_ids(users), zl.candidates_any(BBox(0, 0, 100, 100)))
+        box = BBox(0, 0, 100, 100)
+        got = picked(
+            zl, entry_ids(users), candidates(zl, ANY, box, stops_array([Point(50, 50)]), 71.0)
+        )
         assert {(0, -1), (1, -1)} <= got
 
     def test_bbox_mode_sound_for_full_entries(self):
@@ -149,28 +168,30 @@ class TestCandidateModes:
         detour = Trajectory(0, [(900, 900), (50, 50), (950, 950)])
         far = Trajectory(1, [(800, 800), (820, 820)])
         users = [detour, far]
-        zl = zlist_of(users, IndexVariant.FULL, beta=2)
+        zl = stack_of(users, IndexVariant.FULL, beta=2)
         box = BBox(0, 0, 100, 100)
-        got = picked(zl, entry_ids(users, IndexVariant.FULL), zl.candidates_bbox(box))
+        got = picked(zl, entry_ids(users, IndexVariant.FULL), candidates(zl, BBOX, box))
         assert got == {(0, -1)}
 
     def test_empty_stop_set_disc_filter(self):
+        """No stop, no serving area: the cell modes keep nothing, and
+        the box mode never reads the stops."""
         zl = build(users_grid(30), beta=4)
-        got = zl.candidates_both(WORLD, np.zeros((0, 2)), 10.0)
-        # with no stops the EMBR-only filter applies (stops given but empty)
-        assert got.tolist() == zl.candidates_both(WORLD).tolist()
+        assert candidates(zl, BOTH, WORLD, np.zeros((0, 2)), 10.0).size == 0
+        assert candidates(zl, ANY, WORLD, np.zeros((0, 2)), 10.0).size == 0
+        assert candidates(zl, BBOX, WORLD, np.zeros((0, 2)), 10.0).size == 30
 
     @settings(max_examples=40)
     @given(trajectory_sets(min_size=1, max_size=25, min_points=2, max_points=2))
     def test_zreduce_soundness_property(self, users):
         """The central invariant: zReduce (both-mode) never prunes an
         entry that endpoint service would count."""
-        zl = zlist_of(users, beta=3)
+        zl = stack_of(users, beta=3)
         stops = [Point(300, 300), Point(700, 200)]
         psi = 120.0
         cands = picked(
             zl, entry_ids(users),
-            zl.candidates_both(embr_of(stops, psi), stops_array(stops), psi),
+            candidates(zl, BOTH, embr_of(stops, psi), stops_array(stops), psi),
         )
         for u in users:
             if _served_endpoint(u, stops, psi):
@@ -182,12 +203,12 @@ class TestCandidateModes:
         """Any-mode must keep every segmented entry with a covered
         governing point."""
         entries = entry_ids(users, IndexVariant.SEGMENTED)
-        zl = zlist_of(users, IndexVariant.SEGMENTED, beta=3)
+        zl = stack_of(users, IndexVariant.SEGMENTED, beta=3)
         stops = [Point(500, 500)]
         psi = 200.0
         cands = picked(
             zl, entries,
-            zl.candidates_any(embr_of(stops, psi), stops_array(stops), psi),
+            candidates(zl, ANY, embr_of(stops, psi), stops_array(stops), psi),
         )
         by_id = {u.traj_id: u for u in users}
         for tid, seg in entries:
@@ -198,9 +219,9 @@ class TestCandidateModes:
     @settings(max_examples=40)
     @given(trajectory_sets(min_size=1, max_size=20, min_points=2, max_points=6))
     def test_bbox_mode_soundness_for_full(self, users):
-        zl = zlist_of(users, IndexVariant.FULL, beta=3)
+        zl = stack_of(users, IndexVariant.FULL, beta=3)
         box = BBox(200, 200, 600, 600)
-        cands = picked(zl, entry_ids(users, IndexVariant.FULL), zl.candidates_bbox(box))
+        cands = picked(zl, entry_ids(users, IndexVariant.FULL), candidates(zl, BBOX, box))
         for u in users:
             if any(box.contains_point(p) for p in u.points):
                 assert (u.traj_id, -1) in cands

@@ -3,22 +3,24 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import numpy as np
 
-from repro import BBox, GeometryError, Point, ZID
+from repro import BBox, GeometryError, Point, TQTreeConfig, ZID
+from repro.core.errors import IndexError_
 from repro.core.zorder import (
-    AdaptiveZGrid,
+    boxes_meet,
     morton_decode,
     morton_decode_array,
     morton_encode,
     morton_encode_array,
+    quarter_boxes,
     zid_of_point,
 )
 
-from .strategies import WORLD, points
+from .strategies import WORLD, box_row, leaf_cells, points
 
 
 class TestZID:
@@ -250,87 +252,154 @@ class TestCellKeyBoundaries:
             zid_of_point(Point(-100.0000001, 0), box, 1)
 
 
+def _xy(pts):
+    return np.array([(p.x, p.y) for p in pts], dtype=np.float64).reshape(-1, 2)
+
+
+def partition(pts, beta, max_depth=16):
+    """:func:`quarter_boxes` over ``WORLD`` alone: the leaf cells in Z
+    order as ``(zid, box)`` pairs, and each point's leaf rank."""
+    boxes, offsets, ranks = quarter_boxes(
+        np.array([box_row(WORLD)]), np.zeros(len(pts), dtype=np.int64), _xy(pts),
+        beta, max_depth,
+    )
+    assert offsets.tolist() == [0, boxes.shape[0]]
+    return leaf_cells(WORLD, boxes), ranks
+
+
 class TestAdaptiveZGrid:
+    """The adaptive partition (:func:`quarter_boxes`), one box at a time."""
+
     def test_no_split_when_few_points(self):
-        grid = AdaptiveZGrid(WORLD, [Point(1, 1), Point(2, 2)], beta=4)
-        assert grid.n_leaves() == 1
-        assert grid.zid_of(Point(500, 500)) == ZID(())
+        leaves, ranks = partition([Point(1, 1), Point(2, 2)], beta=4)
+        assert leaves == [(ZID(()), WORLD)]
+        assert ranks.tolist() == [0, 0]
 
     def test_splits_until_beta(self):
         pts = [Point(10 * i, 10) for i in range(10)]
-        grid = AdaptiveZGrid(WORLD, pts, beta=2)
+        _leaves, ranks = partition(pts, beta=2)
         # every leaf must contain at most beta driving points
-        from collections import Counter
-
-        counts = Counter(grid.zid_of(p) for p in pts)
-        assert all(c <= 2 for c in counts.values())
+        assert np.bincount(ranks).max() <= 2
 
     def test_depth_cap_stops_identical_points(self):
         pts = [Point(5, 5)] * 10
-        grid = AdaptiveZGrid(WORLD, pts, beta=2, max_depth=3)
-        assert grid.zid_of(Point(5, 5)).depth <= 3
+        leaves, ranks = partition(pts, beta=2, max_depth=3)
+        assert leaves[ranks[0]][0] == ZID((0, 0, 0))
+        assert np.bincount(ranks).max() == 10
 
     def test_beta_validated(self):
-        with pytest.raises(GeometryError):
-            AdaptiveZGrid(WORLD, [], beta=0)
+        """The partition trusts its caller; the tree's config is where a
+        block size below one (and a depth cap whose digit paths would
+        overflow an int64) is refused."""
+        with pytest.raises(IndexError_):
+            TQTreeConfig(beta=0)
+        with pytest.raises(IndexError_):
+            TQTreeConfig(z_max_depth=32)
+        assert TQTreeConfig(z_max_depth=31).z_max_depth == 31
 
     def test_zid_outside_rejected(self):
-        grid = AdaptiveZGrid(WORLD, [], beta=2)
         with pytest.raises(GeometryError):
-            grid.zid_of(Point(-5, 0))
+            zid_of_point(Point(-5, 0), WORLD, 1)
 
     def test_cells_intersecting_full_space(self):
         pts = [Point(i * 100 + 1, i * 100 + 1) for i in range(9)]
-        grid = AdaptiveZGrid(WORLD, pts, beta=2)
-        cells = grid.cells_intersecting(WORLD)
-        leaves = [zid for zid, _ in grid.leaf_cells()]
-        assert cells == leaves
+        leaves, _ranks = partition(pts, beta=2)
+        boxes = np.array([box_row(box) for _zid, box in leaves])
+        assert boxes_meet(boxes, WORLD).all()
 
     def test_cells_intersecting_small_box(self):
         pts = [Point(i * 100 + 1, i * 100 + 1) for i in range(9)]
-        grid = AdaptiveZGrid(WORLD, pts, beta=2)
-        box = BBox(0, 0, 10, 10)
-        cells = grid.cells_intersecting(box)
-        assert len(cells) >= 1
-        assert all(len(cells) <= len(grid.cells_intersecting(WORLD)) for _ in [0])
+        leaves, _ranks = partition(pts, beta=2)
+        boxes = np.array([box_row(box) for _zid, box in leaves])
+        near = boxes_meet(boxes, BBox(0, 0, 10, 10))
+        assert 1 <= np.count_nonzero(near) < len(leaves)
 
     def test_cells_sorted_in_z_order(self):
         pts = [Point(i * 37 % 1000, i * 91 % 1000) for i in range(40)]
-        grid = AdaptiveZGrid(WORLD, pts, beta=3)
-        cells = grid.cells_intersecting(WORLD)
-        assert cells == sorted(cells)
+        leaves, _ranks = partition(pts, beta=3)
+        zids = [zid for zid, _box in leaves]
+        assert zids == sorted(zids) and len(set(zids)) == len(zids)
 
     def test_leaf_cells_tile_space(self):
         pts = [Point(i * 97 % 1000, i * 61 % 1000) for i in range(30)]
-        grid = AdaptiveZGrid(WORLD, pts, beta=3)
-        total_area = sum(box.area() for _, box in grid.leaf_cells())
+        leaves, _ranks = partition(pts, beta=3)
+        total_area = sum(box.area() for _, box in leaves)
         assert total_area == pytest.approx(WORLD.area())
-
-    def test_refine_at_deepens_leaf(self):
-        grid = AdaptiveZGrid(WORLD, [Point(1, 1)], beta=4)
-        before = grid.zid_of(Point(1, 1)).depth
-        grid.refine_at(Point(1, 1), 2)
-        after = grid.zid_of(Point(1, 1)).depth
-        assert after == before + 2
-
-    def test_refine_respects_depth_cap(self):
-        grid = AdaptiveZGrid(WORLD, [Point(1, 1)], beta=4, max_depth=2)
-        grid.refine_at(Point(1, 1), 10)
-        assert grid.zid_of(Point(1, 1)).depth <= 2
 
     @given(st.lists(points(), min_size=0, max_size=40), points())
     def test_any_point_maps_to_a_leaf_covering_it(self, driving, probe):
-        grid = AdaptiveZGrid(WORLD, driving, beta=3)
-        zid = grid.zid_of(probe)
-        boxes = {z: box for z, box in grid.leaf_cells()}
-        assert boxes[zid].contains_point(probe)
+        leaves, ranks = partition(driving + [probe], beta=3)
+        assert leaves[ranks[-1]][1].contains_point(probe)
 
     @given(st.lists(points(), min_size=1, max_size=40))
     def test_cells_where_is_sound(self, driving):
         """A leaf intersecting the query box is always reported."""
-        grid = AdaptiveZGrid(WORLD, driving, beta=3)
+        leaves, _ranks = partition(driving, beta=3)
         box = BBox(100, 100, 300, 300)
-        reported = set(grid.cells_intersecting(box))
-        for zid, cell_box in grid.leaf_cells():
-            if cell_box.intersects(box):
-                assert zid in reported
+        reported = boxes_meet(np.array([box_row(b) for _zid, b in leaves]), box)
+        assert reported.tolist() == [b.intersects(box) for _zid, b in leaves]
+
+    def test_two_boxes_split_independently(self):
+        """Points of one box never count towards another's cells."""
+        left, right = BBox(0, 0, 512, 512), BBox(512, 0, 1024, 512)
+        xy = np.array([(10.0, 10.0)] * 3 + [(600.0, 10.0)] * 2)
+        owner = np.array([0, 0, 0, 1, 1])
+        boxes, offsets, ranks = quarter_boxes(
+            np.array([box_row(left), box_row(right)]), owner, xy, 2, 2
+        )
+        assert offsets.tolist() == [0, 7, 8]  # two levels of four, less the split cell
+        assert ranks.tolist() == [0, 0, 0, 0, 0]
+        assert boxes[-1].tolist() == box_row(right)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_partition_matches_the_scalar_descent(self, data):
+        """Over several boxes at once, duplicates, points on split lines
+        and negative coordinates included: every point's leaf is the box
+        ``zid_of_point`` descends to, no leaf above the depth cap holds
+        more than ``beta`` points, every split cell held more than
+        ``beta``, and the leaves tile each box in Z order."""
+        beta = data.draw(st.integers(1, 4))
+        max_depth = data.draw(st.integers(1, 5))
+        roots = [
+            BBox(x, y, x + w, y + h)
+            for x, y, w, h in data.draw(st.lists(
+                st.tuples(st.integers(-64, 64), st.integers(-64, 64),
+                          st.sampled_from([1, 6, 32, 48]), st.sampled_from([1, 6, 32, 48])),
+                min_size=1, max_size=4,
+            ))
+        ]
+        owner, pts = [], []
+        for j, root in enumerate(roots):
+            # sixteenths of the box: split lines down to depth 4 get hit
+            for fx, fy in data.draw(st.lists(
+                st.tuples(st.integers(0, 16), st.integers(0, 16)), max_size=24
+            )):
+                owner.append(j)
+                pts.append(Point(root.xmin + root.width * fx / 16, root.ymin + root.height * fy / 16))
+        owner = np.array(owner, dtype=np.int64)
+        boxes, offsets, ranks = quarter_boxes(
+            np.array([box_row(r) for r in roots]), owner, _xy(pts), beta, max_depth
+        )
+        assert offsets[0] == 0 and offsets[-1] == boxes.shape[0]
+        for j, root in enumerate(roots):
+            leaves = leaf_cells(root, boxes[offsets[j] : offsets[j + 1]])
+            zids = [zid for zid, _box in leaves]
+            assert zids == sorted(zids)
+            assert sum(box.area() for _zid, box in leaves) == pytest.approx(root.area())
+            mine = np.flatnonzero(owner == j)
+            held = np.bincount(ranks[mine], minlength=len(leaves))
+            for i in mine.tolist():
+                zid, box = leaves[ranks[i]]
+                assert zid == zid_of_point(pts[i], root, zid.depth)
+                assert box.contains_point(pts[i])
+            for (zid, _box), n in zip(leaves, held.tolist()):
+                assert n <= beta or zid.depth == max_depth
+            # a cell was split only if it held more than beta points
+            parents = {zid.digits[:d] for zid in zids for d in range(zid.depth)}
+            for prefix in parents:
+                inside = sum(
+                    n for (zid, _box), n in zip(leaves, held.tolist())
+                    if zid.digits[: len(prefix)] == prefix
+                )
+                assert inside > beta
