@@ -8,40 +8,46 @@ per-facility match sets, and batched multi-model queries re-derive the
 identical ``psi``-mask once per service model.  :class:`CoverageCache`
 memoises the three shapes of that repeated work:
 
-* **node results** — per ``(facility, q-node, psi, mode)`` candidate
-  row arrays and coverage masks from Algorithm 2 (the component a facility
-  induces at a q-node is deterministic, so the pair's mask is too;
-  collecting and non-collecting walks select different candidates, so
-  mode is part of the key and reuse is within-mode);
+* **node results** — per walk ``(facility, psi, mode)`` a table of
+  Algorithm 2's candidate rows and coverage masks per q-node (the
+  component a facility induces at a q-node is deterministic, so the
+  pair's mask is too; collecting and non-collecting walks select
+  different candidates, so mode is part of the walk key and reuse is
+  within-mode);
 * **match sets** — per-facility served-point-index maps (the input to
   the greedy / genetic / exact MaxkCovRST solvers);
 * **batch masks** — per ``(stop set, psi)`` coverage masks over a batch
   engine's concatenated probe block (shared across service models and
   ``normalize`` settings, which only differ in aggregation).
 
-Every entry carries enough to re-verify itself on lookup — the q-node's
-block by identity (an insert into the node replaces it, so rows cached
-against the old block miss) plus the walk's stop coordinates by value
-for node results (the facility restricted to the indexed space: equal
-walks induce equal components at every node), the facility object by
-identity for match sets, the stop-set object by identity for batch
-masks — so neither ``id`` reuse after
+Everything held carries enough to re-verify itself on lookup — a walk
+table its walk's stop coordinates by value (the facility restricted to
+the indexed space: equal walks induce equal components at every node;
+checked once per walk, and a mismatch swaps in a fresh table), each
+node result in it the q-node's block by identity (an insert into the
+node replaces it, so rows cached against the old block miss; a clean
+node keeps its block object across the rebuild, so its results still
+hit), the facility object by identity for match sets, the stop-set
+object by identity for batch masks — so neither ``id`` reuse after
 garbage collection nor two facilities sharing a ``facility_id`` can
 alias to a wrong cached answer; a failed verification is simply a
 miss.  A cache is only valid for a fixed user set / tree: drop it (or
 :meth:`clear`) when the underlying data changes.
 
 Node results and match sets are keyed on client-supplied values
-(``psi`` is a float on the wire), so each of the two tables holds at
-most :data:`MAX_ENTRIES` entries and drops its oldest beyond that — an
-evicted entry is a miss like any other.
+(``psi`` is a float on the wire), so each kind is held to at most
+:data:`MAX_ENTRIES`: match sets drop their oldest entry beyond that,
+node results whole walks, least recently filled first and never the
+walk being filled — an evicted result is a miss like any other.
 
 **Thread safety.**  A cache shared by a :class:`repro.service
 .QueryService` is read and written from the service's bridge threads
 concurrently, so every table access and counter update happens under
-one internal lock (entries themselves are immutable once stored, so
-serving a reference outside the lock is safe).  The lock covers the
-bookkeeping only: the expensive work a miss triggers — probe kernels,
+one internal lock — a frontier's node results are read in one
+acquisition and its misses stored in one more (entries themselves are
+immutable once stored, so serving a reference outside the lock is
+safe).  The lock covers the bookkeeping only: the expensive work a miss
+triggers — probe kernels,
 ``match_fn`` bodies — runs outside it, so concurrent misses on
 *different* keys still overlap.  Concurrent misses on the *same* key
 both compute and the last store wins — identical content either way;
@@ -53,17 +59,23 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["CoverageCache"]
 
-#: Entries kept per table (node results, match sets) before the oldest
-#: goes.  Twice the largest working set a perfbench workload ends with
-#: (``paper_multipoint``: 8,001 node results), so a warm catalog never
-#: evicts while a sweep over never-repeated keys stays bounded.
+#: Node results (over all walk tables) and match sets each held before
+#: the oldest go.  Twice the largest working set a perfbench workload
+#: ends with (``paper_multipoint``: 8,001 node results), so a warm
+#: catalog never evicts while a sweep over never-repeated keys stays
+#: bounded.
 MAX_ENTRIES = 16_384
+
+#: One node result: (anchor, candidate rows, mask).
+NodeResult = Tuple[Any, np.ndarray, np.ndarray]
+#: One walk: its stop coordinates and its node results by node id.
+Walk = Tuple[np.ndarray, Dict[int, NodeResult]]
 
 
 def _store(table: "OrderedDict[Hashable, Any]", key: Hashable, entry: Any) -> None:
@@ -76,53 +88,81 @@ class CoverageCache:
     """Memoises coverage masks, node candidate sets, and match sets."""
 
     def __init__(self) -> None:
-        # key -> (anchor, stop coords, candidate rows, mask)
-        self._nodes: "OrderedDict[Hashable, Tuple[Any, ...]]" = OrderedDict()
+        # walk key -> (stop coords, {node id: node result}), least
+        # recently filled first; _held counts the results of all walks
+        self._walks: "OrderedDict[Hashable, Walk]" = OrderedDict()  # guarded-by: _lock
+        self._held = 0  # guarded-by: _lock
         # key -> (facility, matches)
-        self._matches: "OrderedDict[Hashable, Tuple[Any, Mapping]]" = OrderedDict()
-        self._masks: Dict[Hashable, Tuple[Any, np.ndarray, np.ndarray]] = {}
-        self._match_fns: Dict[int, Callable] = {}
-        self.hits = 0
-        self.misses = 0
+        self._matches: "OrderedDict[Hashable, Tuple[Any, Mapping]]" = OrderedDict()  # guarded-by: _lock
+        self._masks: Dict[Hashable, Tuple[Any, np.ndarray, np.ndarray]] = {}  # guarded-by: _lock
+        self._match_fns: Dict[int, Callable] = {}  # guarded-by: _lock
+        self.hits = 0  # guarded-by: _lock
+        self.misses = 0  # guarded-by: _lock
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # Algorithm-2 node results
+    # Algorithm-2 node results, one table per walk
     # ------------------------------------------------------------------
-    def lookup_node(self, key: Hashable, node: Any, stop_coords: np.ndarray):
-        """Cached ``(candidate rows, mask)`` for ``key``, or ``None``.
+    def lookup_walk(
+        self, key: Hashable, stop_coords: np.ndarray, node_ids: List[int]
+    ) -> Tuple[Dict[int, NodeResult], List[Optional[NodeResult]]]:
+        """Walk ``key``'s table and, per id of ``node_ids``, the result
+        it holds for that node (or ``None``), read under one lock.
 
-        A hit must re-verify: the stored anchor (the q-node's block)
-        must be the very same object, and the stored stop coordinates
-        — the walk's, i.e. the facility's stops within reach of the
-        indexed space — must equal ``stop_coords`` bitwise.  A node's
+        The table is verified once: its stop coordinates — the walk's,
+        i.e. the facility's stops within reach of the indexed space —
+        must equal ``stop_coords`` bitwise, or the walk gets a fresh
+        table, which replaces the held one when stored.  A node's
         component is a function of those and the node's box, so equal
-        coordinates mean an equal component; the check is what makes
-        the cache sound when two distinct facilities share an id (their
-        stops differ, so they miss instead of aliasing) while still
-        hitting across re-walks and across algorithms, which rebuild
-        equal-valued arrays."""
+        coordinates mean an equal component at every node; the check is
+        what makes the cache sound when two distinct facilities share an
+        id (their stops differ, so they miss instead of aliasing) while
+        still hitting across re-walks and across algorithms, which
+        rebuild equal-valued arrays.  A result is the caller's only if
+        its anchor is the node's block *object* (checked by the caller,
+        which holds the nodes); hits and misses are counted by
+        :meth:`store_walk`."""
         with self._lock:
-            entry = self._nodes.get(key)
-        if entry is None or entry[0] is not node:
-            return None
-        if not np.array_equal(entry[1], stop_coords):
-            return None
-        with self._lock:
-            self.hits += 1
-        return entry[2], entry[3]
+            walk = self._walks.get(key)
+            if walk is None or not np.array_equal(walk[0], stop_coords):
+                return {}, [None] * len(node_ids)
+            table = walk[1]
+            return table, [table.get(i) for i in node_ids]
 
-    def store_node(
+    def store_walk(
         self,
         key: Hashable,
-        node: Any,
         stop_coords: np.ndarray,
-        candidates: np.ndarray,
-        mask: np.ndarray,
+        table: Dict[int, NodeResult],
+        results: Dict[int, NodeResult],
+        hits: int,
     ) -> None:
+        """Count ``hits`` hits and one miss per entry of ``results``,
+        and hold ``results`` in ``table`` (from :meth:`lookup_walk` with
+        the same key and coordinates) as walk ``key``'s newest table.
+
+        Beyond :data:`MAX_ENTRIES` node results, whole walks go, least
+        recently filled first; the walk being filled stays, and one
+        larger than the whole cache keeps what fits.  Whatever the walk
+        holds when ``table`` is not it (a fresh table after a coordinate
+        mismatch, or one evicted or replaced since the lookup) is
+        replaced: the last store wins, and every result in ``table`` was
+        computed against ``stop_coords``."""
         with self._lock:
-            self.misses += 1
-            _store(self._nodes, key, (node, stop_coords, candidates, mask))
+            self.hits += hits
+            self.misses += len(results)
+            if not results:
+                return
+            walk = self._walks.pop(key, None)
+            if walk is not None:
+                self._held -= len(walk[1])
+            table.update(results)
+            while self._walks and self._held + len(table) > MAX_ENTRIES:
+                self._held -= len(self._walks.popitem(last=False)[1][1])
+            while len(table) > MAX_ENTRIES - self._held:
+                table.popitem()
+            self._walks[key] = (stop_coords, table)
+            self._held += len(table)
 
     # ------------------------------------------------------------------
     # per-facility match sets
@@ -166,7 +206,7 @@ class CoverageCache:
                     self.hits += 1
                     return entry[1]
             # compute outside the lock: match_fn re-enters the cache
-            # through lookup_node/store_node, and holding the lock here
+            # through lookup_walk/store_walk, and holding the lock here
             # would serialise every concurrent miss on the whole cache
             matches = match_fn(facility)
             with self._lock:
@@ -204,11 +244,12 @@ class CoverageCache:
     # ------------------------------------------------------------------
     def clear(self) -> None:
         with self._lock:
-            self._nodes.clear()
+            self._walks.clear()
+            self._held = 0
             self._matches.clear()
             self._masks.clear()
             self._match_fns.clear()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._nodes) + len(self._matches) + len(self._masks)
+            return self._held + len(self._matches) + len(self._masks)

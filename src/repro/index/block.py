@@ -19,7 +19,7 @@ keeps aggregation free of per-entry bookkeeping:
 * the entry's *owned* points are the first ``own_cnt[i]`` probes;
 * its ``seg_cnt[i]`` owned segments join consecutive probes
   ``(j, j + 1)``, with lengths in the CSR run ``seg_off[i] ..`` of
-  ``seg_len`` (raw) and ``seg_len_norm`` (times ``1 / length(u)``);
+  ``seg_len``;
 * on whole-trajectory entries the first and last probe are the user's
   source and destination.
 
@@ -43,8 +43,7 @@ __all__ = ["NodeBlock"]
 
 #: The columns with one value per entry (the rest are CSR runs).
 _ROW_COLUMNS = (
-    "rows", "segs", "probe_cnt", "gov", "own_cnt", "n_points", "inv_points",
-    "traj_len", "seg_cnt",
+    "rows", "segs", "probe_cnt", "gov", "own_cnt", "n_points", "traj_len", "seg_cnt",
 )
 
 
@@ -62,12 +61,10 @@ class NodeBlock:
         "gov",
         "own_cnt",
         "n_points",
-        "inv_points",
         "traj_len",
         "seg_off",
         "seg_cnt",
         "seg_len",
-        "seg_len_norm",
     )
 
     def __init__(
@@ -117,15 +114,11 @@ class NodeBlock:
         self.probe_xy = table.xy[self.probe_slot]
         self.own_cnt = own_cnt
         self.n_points = table.n_points[rows]
-        self.inv_points = 1.0 / self.n_points
         self.traj_len = table.traj_len[rows]
         self.seg_cnt = seg_cnt
         self.seg_off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(seg_cnt, out=self.seg_off[1:])
         self.seg_len = table.seg_len[ranges(seg_index, seg_cnt)]
-        scale = np.zeros(n, dtype=np.float64)
-        np.divide(1.0, self.traj_len, out=scale, where=self.traj_len > 0)
-        self.seg_len_norm = self.seg_len * np.repeat(scale, seg_cnt)
         self.gov = self._gov_table(variant)
 
     def window(self, lo: int, hi: int, into: Optional["NodeBlock"] = None) -> "NodeBlock":
@@ -145,7 +138,6 @@ class NodeBlock:
         out.probe_xy = self.probe_xy[p0:p1]
         out.seg_off = self.seg_off[lo : hi + 1] - s0
         out.seg_len = self.seg_len[s0:s1]
-        out.seg_len_norm = self.seg_len_norm[s0:s1]
         return out
 
     def _gov_table(self, variant: IndexVariant) -> np.ndarray:

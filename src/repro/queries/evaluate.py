@@ -14,16 +14,18 @@ The paper's evaluation is filter-then-refine, and this module runs it a
    short lists a linear scan with a cheap per-entry envelope check (this
    *is* the paper's TQ(B): no ordering to exploit);
 3. **refine** — the survivors' probe points in one CSR gather and one
-   exact ``psi``-distance call against the walk's stops, the mask split
-   back per node and scored by the service model's rule.
+   exact ``psi``-distance call against the walk's stops, and the whole
+   frontier's mask scored by the service model's rule in one segmented
+   pass (per entry, then per node in list order).
 
 :func:`score_frontier` is steps 2 and 3 for any set of nodes and the only
 implementation behind :func:`evaluate_service` (frontier = every node
 the walk reaches), kMaxRRST's relax and ancestor scans
 (:mod:`repro.queries.kmaxrrst`), the collecting MaxkCovRST walk and
 :func:`evaluate_node_trajectories` (a frontier of one).  No Python loop
-runs over entries, and the only loop over nodes is the per-node cache
-lookup and scoring of an already computed mask.
+runs over entries; per node, the only Python work left is a dict get and
+an identity check on the cache's answer (and, on a miss, slicing the
+result to store).
 
 A :class:`MatchCollector` can ride along to record *which* points of
 which users were served — MaxkCovRST needs these per-facility match sets
@@ -35,10 +37,11 @@ whole probe path — the walk's one exact distance check goes through
 :meth:`~repro.runtime.QueryRuntime.probe_mask`, which dresses the
 stops for the runtime's backend (dense broadcast, stop grid, or
 cellstrings; large blocks fanned out over its thread pool) — memoises each
-(facility, q-node) candidate list and coverage mask in the runtime's
-cache so a re-walk in the same mode — a repeated query for the same
-facility, ancestor scans across kMaxRRST relax rounds, solver ensembles
-sharing match sets — skips the geometric work, and accrues this
+q-node's candidate list and coverage mask in the runtime's cache, one
+table per (facility, psi, mode) walk, so a re-walk in the same mode — a
+repeated query for the same facility, ancestor scans across kMaxRRST
+relax rounds, solver ensembles sharing match sets — skips the geometric
+work, and accrues this
 evaluation's work counters into the runtime's grand total.  (Collecting
 and non-collecting walks select different candidate sets, so the cache
 keys them apart rather than sharing across them.)  No backend, grid, or
@@ -53,7 +56,7 @@ import numpy as np
 
 from ..core.config import IndexVariant
 from ..core.errors import QueryError
-from ..core.service import MatchSet, ServiceModel, ServiceSpec, in_order_sum
+from ..core.service import MatchSet, ServiceModel, ServiceSpec
 from ..core.stats import QueryStats
 from ..core.trajectory import FacilityRoute, UserPointTable, ranges
 from ..index.block import NodeBlock
@@ -176,54 +179,59 @@ def _scan_candidates(
     return rows[keep], kept_per_run(keep, counts)
 
 
-def _aggregate_candidates(
+def _score_candidates(
     table: UserPointTable,
     block: NodeBlock,
     rows: np.ndarray,
     mask: np.ndarray,
+    counts: np.ndarray,
     spec: ServiceSpec,
     collector: Optional[MatchCollector],
-) -> float:
-    """Apply the service model's scoring rule over ``mask``, the
-    coverage of the candidates' probe points laid end to end in ``rows``
-    order (``rows`` index ``block``)."""
-    counts = block.probe_cnt[rows]
-    ends = np.cumsum(counts)
-    starts = ends - counts  # where each candidate's probes begin in mask
-    if collector is not None:
-        gather = ranges(block.probe_off[rows], counts)
+) -> np.ndarray:
+    """The service model's scoring rule over a whole frontier: ``rows``
+    are the candidates of ``counts.size`` nodes end to end (``counts[k]``
+    of them node ``k``'s, each node's in its own list order; ``rows``
+    index ``block``), ``mask`` the coverage of their probe points laid
+    end to end in ``rows`` order.  Returns each node's value.
+
+    One rule for every walk: each candidate is scored on its own
+    (``bincount`` over its probes or segments, divided by ``|u|`` /
+    ``length(u)`` when normalised), then a node's candidates are added
+    left to right (``bincount`` over node numbers sums in array order,
+    exactly like ``in_order_sum``).  ENDPOINT and raw COUNT values are
+    whole numbers, so every order gives them exactly."""
+    n_probes = block.probe_cnt[rows]
+    ends = np.cumsum(n_probes)
+    starts = ends - n_probes  # where each candidate's probes begin in mask
+    if collector is not None and rows.size:
+        gather = ranges(block.probe_off[rows], n_probes)
         collector.record_slots(table, block.probe_slot[gather[mask]])
     if spec.model is ServiceModel.ENDPOINT:
         # Every candidate is a whole-trajectory entry whose sorted
         # probe list starts at index 0 and ends at index n-1, so the
         # score is simply "first and last probe covered".
-        return float(np.count_nonzero(mask[starts] & mask[ends - 1]))
-    if spec.model is ServiceModel.COUNT:
+        value = mask[starts] & mask[ends - 1]
+    elif spec.model is ServiceModel.COUNT:
         own = block.own_cnt[rows]
-        hit = mask[ranges(starts, own)].astype(np.float64)
-        if collector is None:
-            if not spec.normalize:
-                return float(np.count_nonzero(hit))
-            return float(np.dot(hit, np.repeat(block.inv_points[rows], own)))
-        # collecting walks score entry by entry, then add up in list order
         owner = np.repeat(np.arange(rows.size), own)
-        raw = np.bincount(owner, weights=hit, minlength=rows.size)
-        return in_order_sum(raw / block.n_points[rows] if spec.normalize else raw)
-    # LENGTH: a segment contributes its length when both endpoint probes
-    # are covered; normalisation divides by the owning trajectory's length
-    segs = block.seg_cnt[rows]
-    a = ranges(starts, segs)
-    served = (mask[a] & mask[a + 1]).astype(np.float64)
-    which = ranges(block.seg_off[rows], segs)
-    if collector is None:
-        lengths = block.seg_len_norm if spec.normalize else block.seg_len
-        return float(np.dot(served, lengths[which]))
-    owner = np.repeat(np.arange(rows.size), segs)
-    raw = np.bincount(owner, weights=block.seg_len[which] * served, minlength=rows.size)
-    if spec.normalize:
-        total = block.traj_len[rows]
-        raw = np.divide(raw, total, out=np.zeros(rows.size), where=total > 0)
-    return in_order_sum(raw)
+        value = np.bincount(owner, weights=mask[ranges(starts, own)], minlength=rows.size)
+        if spec.normalize:
+            value = value / block.n_points[rows]
+    else:
+        # LENGTH: a segment contributes its length when both endpoint
+        # probes are covered; normalisation divides by the owning
+        # trajectory's length
+        segs = block.seg_cnt[rows]
+        a = ranges(starts, segs)
+        served = mask[a] & mask[a + 1]
+        lengths = block.seg_len[ranges(block.seg_off[rows], segs)]
+        owner = np.repeat(np.arange(rows.size), segs)
+        value = np.bincount(owner, weights=lengths * served, minlength=rows.size)
+        if spec.normalize:
+            total = block.traj_len[rows]
+            value = np.divide(value, total, out=np.zeros(rows.size), where=total > 0)
+    node_of = np.repeat(np.arange(counts.size), counts)
+    return np.bincount(node_of, weights=value, minlength=counts.size)
 
 
 def _filter_and_probe(
@@ -234,11 +242,13 @@ def _filter_and_probe(
     collecting: bool,
     stats: QueryStats,
     runtime: Optional[QueryRuntime],
-) -> List[Tuple[np.ndarray, np.ndarray]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Filter the lists of ``nodes`` in one stacked pass and probe all
-    survivors in one call: per node, its candidate block rows (in the
-    order its own filter yields them) and their probe points' coverage
-    laid end to end."""
+    survivors in one call.  Returns ``order`` (the positions of
+    ``nodes`` in the order the filter took them), the candidate block
+    rows of those nodes end to end (each node's in the order its own
+    filter yields them), how many survive per node (in ``order``), and
+    their probe points' coverage laid end to end."""
     frame = tree.frame()
     block = frame.block
     component = plan.component
@@ -274,14 +284,7 @@ def _filter_and_probe(
             mask = component.stops.covered_mask(coords, spec.psi, stats)
     else:
         mask = np.zeros(0, dtype=bool)
-    row_end = np.cumsum(counts).tolist()
-    probe_end = np.concatenate(([0], np.cumsum(n_probes)))[row_end].tolist()
-    out: List[Tuple[np.ndarray, np.ndarray]] = [None] * nodes.size  # type: ignore[list-item]
-    r0 = p0 = 0
-    for k, r1, p1 in zip(order.tolist(), row_end, probe_end):
-        out[k] = (rows[r0:r1], mask[p0:p1])
-        r0, p0 = r1, p1
-    return out
+    return order, rows, counts, mask
 
 
 def score_frontier(
@@ -297,12 +300,15 @@ def score_frontier(
     the entries stored *at* each of the frame nodes ``nodes`` (all with
     a non-empty component under ``plan``), in ``nodes`` order.
 
-    Filter, then refine once: the lists of every node not answered by
-    the cache go through one stacked filter pass (``zReduce`` over the
-    z-nodes, an envelope scan over the rest — each node against its own
-    component's envelope), the survivors' probe points are gathered in
-    one CSR read and probed in **one** call against the plan's stop set,
-    and only the split-back mask is scored node by node.
+    Filter, then refine once, then score once: the lists of every node
+    not answered by the cache go through one stacked filter pass
+    (``zReduce`` over the z-nodes, an envelope scan over the rest — each
+    node against its own component's envelope), the survivors' probe
+    points are gathered in one CSR read and probed in **one** call
+    against the plan's stop set, and the whole frontier's candidates —
+    cached and fresh, end to end — are scored in one segmented pass
+    (:func:`_score_candidates`).  Per node, nothing runs but a dict get
+    and an identity check on the cache's answer.
 
     Probing the walk's stops instead of each node's own component is
     exact: an entry sits at a node whose box holds all its probe points,
@@ -312,59 +318,99 @@ def score_frontier(
     stops are in the call.
 
     ``runtime`` owns the probe path and memoises the (candidate rows,
-    mask) pair per (facility, q-node, psi, mode) in its cache: the
-    component a facility induces at a node is the same whichever
-    algorithm walked there, so a later walk in the same mode — a
-    repeated query, an ancestor re-scan — reuses the geometric work and
-    only re-runs the cheap aggregation.  Mode (collecting flag plus
-    service model) is part of the key because it changes which
-    candidates survive the filter.
+    mask) pair per q-node in its cache, one table per walk (facility,
+    psi, mode): the component a facility induces at a node is the same
+    whichever algorithm walked there, so a later walk in the same mode
+    — a repeated query, an ancestor re-scan — reuses the geometric work
+    and only re-runs the scoring.  Mode (collecting flag plus service
+    model) is part of the key because it changes which candidates
+    survive the filter.
     """
     frame = tree.frame()
-    component = plan.component
-    cache = runtime.cache if runtime is not None else None
+    n_own = frame.n_own[nodes]
+    stats.entries_considered += int(n_own.sum())
+    listed = np.flatnonzero(n_own)  # positions of the nodes with a list
+    if not listed.size:
+        return [0.0] * nodes.size
     collecting = collector is not None
-    listed = [
-        (j, i, n, lo)
-        for j, (i, n, lo) in enumerate(
-            zip(nodes.tolist(), frame.n_own[nodes].tolist(), frame.row_off[nodes].tolist())
+    if runtime is None:
+        order, rows, counts, mask = _filter_and_probe(
+            tree, plan, nodes[listed], spec, collecting, stats, runtime
         )
-        if n
-    ]
-    #: per position of ``nodes``: (block rows, mask) once known
-    scored: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    missed = []
-    for j, i, n, lo in listed:
-        stats.entries_considered += n
-        if cache is not None:
-            # anchored on the node's block, which an insert into the node
-            # replaces, and verified against the walk's stop coordinates:
-            # equal walks divide into equal components at every node
-            node = frame.nodes[i]
-            key = (component.facility_id, id(node), spec.psi, collecting, spec.model.value)
-            hit = cache.lookup_node(key, node._block, component.stops.coords)
-            if hit is not None:
-                stats.cache_hits += 1
-                scored[j] = (hit[0] + lo, hit[1])
-                continue
-            missed.append((j, lo, key, node._block))
+    else:
+        order, rows, counts, mask = _cached_filter_and_probe(
+            tree, plan, nodes[listed], spec, collecting, stats, runtime
+        )
+    stats.entries_scored += rows.size
+    values = np.zeros(nodes.size)
+    values[listed[order]] = _score_candidates(
+        tree.table, frame.block, rows, mask, counts, spec, collector
+    )
+    return values.tolist()
+
+
+def _cached_filter_and_probe(
+    tree: TQTree,
+    plan: DivisionPlan,
+    nodes: np.ndarray,
+    spec: ServiceSpec,
+    collecting: bool,
+    stats: QueryStats,
+    runtime: QueryRuntime,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_filter_and_probe` answered from ``runtime``'s cache where
+    it can: the walk's table is read once (verified against the walk's
+    stop coordinates — equal walks divide into equal components at every
+    node), a node's result counts only while it is anchored on the
+    node's block object (which an insert into the node replaces), and
+    only the misses are filtered and probed — then stored in one call.
+    Same four arrays, ``order`` listing the hits first."""
+    frame = tree.frame()
+    component = plan.component
+    cache = runtime.cache
+    key = (component.facility_id, spec.psi, collecting, spec.model.value)
+    coords = component.stops.coords
+    listed = [frame.nodes[i] for i in nodes.tolist()]
+    table, held = cache.lookup_walk(key, coords, [id(node) for node in listed])
+    hits, hit_at, miss_at = [], [], []
+    for k, (node, entry) in enumerate(zip(listed, held)):
+        if entry is not None and entry[0] is node._block:
+            hits.append(entry)
+            hit_at.append(k)
         else:
-            missed.append((j, lo, None, None))
-    if missed:
-        at = nodes[[j for j, _lo, _key, _block in missed]]
-        found = _filter_and_probe(tree, plan, at, spec, collecting, stats, runtime)
-        for (j, lo, key, anchor), (rows, mask) in zip(missed, found):
-            scored[j] = (rows, mask)
-            if cache is not None:
-                cache.store_node(key, anchor, component.stops.coords, rows - lo, mask)
-    values = [0.0] * nodes.size
-    for j, (rows, mask) in scored.items():
-        stats.entries_scored += rows.size
-        if rows.size:
-            values[j] = _aggregate_candidates(
-                tree.table, frame.block, rows, mask, spec, collector
-            )
-    return values
+            miss_at.append(k)
+    stats.cache_hits += len(hits)
+    parts = []
+    if hits:
+        at = np.array(hit_at)
+        counts = np.fromiter((entry[1].size for entry in hits), np.int64, len(hits))
+        rows = np.concatenate([entry[1] for entry in hits])
+        parts.append((
+            at, rows + np.repeat(frame.row_off[nodes[at]], counts), counts,
+            np.concatenate([entry[2] for entry in hits]),
+        ))
+    found = {}
+    if miss_at:
+        miss_at = np.array(miss_at)
+        order, rows, counts, mask = _filter_and_probe(
+            tree, plan, nodes[miss_at], spec, collecting, stats, runtime
+        )
+        at = miss_at[order]
+        parts.append((at, rows, counts, mask))
+        # cached rows are node-relative: a clean node keeps its block
+        # across a frame rebuild, not its place in the frame
+        relative = rows - np.repeat(frame.row_off[nodes[at]], counts)
+        row_end = np.cumsum(counts)
+        probe_end = np.concatenate(([0], np.cumsum(frame.block.probe_cnt[rows])))[row_end]
+        r0 = p0 = 0
+        for k, r1, p1 in zip(at.tolist(), row_end.tolist(), probe_end.tolist()):
+            node = listed[k]
+            found[id(node)] = (node._block, relative[r0:r1], mask[p0:p1])
+            r0, p0 = r1, p1
+    cache.store_walk(key, coords, table, found, len(hits))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def walk_plan(

@@ -15,8 +15,17 @@ import math
 from bisect import bisect_left
 from types import SimpleNamespace
 
-from repro import BBox, FacilityRoute, IndexVariant, Point, TQTreeConfig, Trajectory
+from repro import (
+    BBox,
+    FacilityRoute,
+    IndexVariant,
+    Point,
+    ServiceModel,
+    TQTreeConfig,
+    Trajectory,
+)
 from repro.core.geometry import bbox_of_points
+from repro.core.service import in_order_sum
 from repro.core.trajectory import UserPointTable
 from repro.core.zorder import zid_of_point
 from repro.index import QNode, TreeFrame, ZStack
@@ -201,6 +210,38 @@ def ref_candidates(mode, node, entries, keys, beta, embr, stops, psi):
         return ref_candidates_bbox(entries, beta, embr)
     reduce = ref_candidates_both if mode == "both" else ref_candidates_any
     return reduce(node, keys, embr, stops, psi)
+
+
+def ref_node_value(block, rows, mask, spec) -> float:
+    """One node's service value, scored the way the per-node walk scored
+    a collecting walk: entry by entry in plain Python (covered owned
+    points, or served owned segments' lengths added in segment order;
+    over ``|u|`` / ``length(u)`` when normalised), then
+    :func:`in_order_sum` over the node's entries.  ``rows`` index
+    ``block``; ``mask`` covers their probe points end to end."""
+    values = []
+    p = 0
+    for i in rows.tolist():
+        probes = mask[p : p + int(block.probe_cnt[i])].tolist()
+        p += len(probes)
+        if spec.model is ServiceModel.ENDPOINT:
+            values.append(1.0 if probes[0] and probes[-1] else 0.0)
+            continue
+        if spec.model is ServiceModel.COUNT:
+            value = 0.0
+            for covered in probes[: int(block.own_cnt[i])]:
+                value += 1.0 if covered else 0.0
+            values.append(value / block.n_points[i] if spec.normalize else value)
+            continue
+        lo = int(block.seg_off[i])
+        value = 0.0
+        for j in range(int(block.seg_cnt[i])):
+            value += block.seg_len[lo + j] if probes[j] and probes[j + 1] else 0.0
+        total = block.traj_len[i]
+        if spec.normalize:
+            value = value / total if total > 0 else 0.0
+        values.append(value)
+    return in_order_sum(np.array(values, dtype=np.float64))
 
 
 def coords(grid: float = 0.25):

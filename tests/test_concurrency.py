@@ -14,6 +14,7 @@ threads concurrently.
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -59,29 +60,56 @@ def _run_threads(fn, n_threads=N_THREADS):
 
 
 class TestCoverageCacheConcurrency:
-    def test_node_table_hammering_keeps_counters_consistent(self):
-        cache = CoverageCache()
-        node = object()
+    @staticmethod
+    def _hammer_walks(cache, rounds, walks=4):
+        """Threads walking ``walks`` walks of four nodes each, in a
+        rotating node order, through the lookup / store pair the query
+        path uses; returns how many node lookups were made."""
+        anchor = object()
         coords = np.zeros((4, 2))
+        rows = np.zeros(3, dtype=np.int64)
         mask = np.ones(7, dtype=bool)
-        rounds = 200
 
         def worker(i):
             for r in range(rounds):
-                key = ("node", r % 16)
-                hit = cache.lookup_node(key, node, coords)
-                if hit is None:
-                    cache.store_node(key, node, coords, [], mask)
-                else:
-                    candidates, got = hit
-                    assert candidates == []
-                    assert got is mask
+                walk = (r + i) % walks
+                ids = [walk + walks * ((r + k) % 4) for k in range(4)]
+                table, held = cache.lookup_walk(("walk", walk), coords, ids)
+                found = {}
+                for node_id, entry in zip(ids, held):
+                    if entry is None:
+                        found[node_id] = (anchor, rows, mask)
+                    else:
+                        assert entry[0] is anchor
+                        assert entry[1] is rows and entry[2] is mask
+                cache.store_walk(("walk", walk), coords, table, found, len(ids) - len(found))
 
-        _run_threads(worker)
-        # every lookup either hit or was followed by a store (counted as
-        # the miss); nothing was lost to a racing increment
-        assert cache.hits + cache.misses == N_THREADS * rounds
-        assert len(cache._nodes) == 16
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(worker)
+        finally:
+            sys.setswitchinterval(interval)
+        return N_THREADS * rounds * 4
+
+    def test_node_table_hammering_keeps_counters_consistent(self):
+        cache = CoverageCache()
+        calls = self._hammer_walks(cache, rounds=200)
+        # every node of a lookup either hit or was stored (counted as the
+        # miss); nothing was lost to a racing increment
+        assert cache.hits + cache.misses == calls
+        assert len(cache) == 16  # one result per node
+
+    def test_walk_eviction_under_threads_keeps_the_bound(self, monkeypatch):
+        from repro.engine import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 10)
+        cache = CoverageCache()
+        calls = self._hammer_walks(cache, rounds=200, walks=6)
+        assert cache.hits + cache.misses == calls
+        assert cache.misses > 24  # walks were evicted and walked again
+        # the held count is the tables' sizes, never above the cap
+        assert len(cache) == sum(len(table) for _c, table in cache._walks.values()) <= 10
 
     def test_cached_match_fn_concurrent_calls_are_consistent(self):
         cache = CoverageCache()

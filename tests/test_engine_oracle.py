@@ -243,6 +243,32 @@ class TestTreePathOracle:
             )
             assert got == brute_force_service(taxi_users, f, spec)
 
+    def test_a_reused_id_with_other_stops_misses_on_every_node(
+        self, taxi_users, facilities
+    ):
+        """A walk's table is verified against its stop coordinates once:
+        a facility reusing a warm facility's id with other stops gets
+        no hit at all — as many misses as on a cold cache."""
+        from repro import FacilityRoute, QueryStats
+
+        tree = TQTree.build(taxi_users, TQTreeConfig(beta=16))
+        spec = ServiceSpec(ServiceModel.COUNT, psi=400.0)
+        warm = FacilityRoute(7, facilities[0].stops)
+        other = FacilityRoute(7, facilities[1].stops)
+        cache = CoverageCache()
+        for _ in range(2):
+            evaluate_service(tree, warm, spec, runtime=_rt(ProximityBackend.AUTO, cache))
+        assert cache.hits > 0
+        cold = CoverageCache()
+        evaluate_service(tree, other, spec, runtime=_rt(ProximityBackend.AUTO, cold))
+        hits, misses, stats = cache.hits, cache.misses, QueryStats()
+        got = evaluate_service(
+            tree, other, spec, stats=stats, runtime=_rt(ProximityBackend.AUTO, cache)
+        )
+        assert got == brute_force_service(taxi_users, other, spec)
+        assert stats.cache_hits == 0 and cache.hits == hits
+        assert cache.misses - misses == cold.misses > 0
+
     def test_shared_cache_across_engines_with_different_users(
         self, taxi_users, checkin_users, facilities
     ):
@@ -310,8 +336,9 @@ class TestTreePathOracle:
         self, taxi_users, facilities, monkeypatch
     ):
         """``psi`` is a client-supplied float, so a sweep never repeats a
-        key: the tables drop their oldest entries at the cap, and a walk
-        whose entries went is a miss that recomputes the same answer."""
+        walk: the cache drops whole walks, oldest first, to stay within
+        the cap — never the walk being filled — and a walk whose results
+        went is a miss that recomputes the same answer."""
         from repro.engine import cache as cache_module
         from repro.queries import MatchCollector
 
@@ -321,17 +348,17 @@ class TestTreePathOracle:
             for step in range(12) for f in facilities[:4]
         ]
 
+        def walk(cache, f, spec):
+            collector = MatchCollector()
+            value = evaluate_service(
+                tree, f, spec, collector=collector,
+                runtime=_rt(ProximityBackend.AUTO, cache),
+            )
+            assert len(cache) <= cache_module.MAX_ENTRIES
+            return value, collector.as_dict()
+
         def run(cache):
-            out = []
-            for f, spec in sweep:
-                collector = MatchCollector()
-                value = evaluate_service(
-                    tree, f, spec, collector=collector,
-                    runtime=_rt(ProximityBackend.AUTO, cache),
-                )
-                out.append((value, collector.as_dict()))
-                assert len(cache) <= cache_module.MAX_ENTRIES
-            return out
+            return [walk(cache, f, spec) for f, spec in sweep]
 
         roomy = CoverageCache()
         want = run(roomy)
@@ -340,11 +367,30 @@ class TestTreePathOracle:
         monkeypatch.setattr(cache_module, "MAX_ENTRIES", 32)
         bounded = CoverageCache()
         assert run(bounded) == want
-        assert len(bounded) == 32
-        # every walk's entries went before the sweep came round again:
+        assert 0 < len(bounded) <= 32
+        # every walk's results went before the sweep came round again:
         # all misses, same answers
         assert run(bounded) == want
         assert bounded.hits == 0
+        # ... but never the walk being filled: the same walk at once
+        # again is answered from the cache on every node
+        for (f, spec), answer in zip(sweep, want):
+            assert walk(bounded, f, spec) == answer
+            misses = bounded.misses
+            assert walk(bounded, f, spec) == answer
+            assert bounded.misses == misses
+        # ... even when it is the oldest walk held, filled again
+        coords, cache = np.zeros((1, 2)), CoverageCache()
+
+        def fill(key, ids):
+            table, _held = cache.lookup_walk(key, coords, ids)
+            cache.store_walk(key, coords, table, {i: (None, ids, ids) for i in ids}, 0)
+
+        fill("old", list(range(20)))
+        fill("new", list(range(12)))
+        fill("old", list(range(20, 26)))
+        assert all(cache.lookup_walk("old", coords, list(range(26)))[1])
+        assert len(cache) == 26
 
 
 @pytest.mark.engine_smoke

@@ -16,7 +16,10 @@ tree-wide frame.  Each test here pins one premise of that design:
     and queries, held after every step to a freshly built tree (answers,
     work counters, every z-stack column) and to the brute-force oracle;
 (e) shape — a walk makes at most one ``probe_mask`` call, a cached walk
-    none, and a warmed tree builds nothing inside its first query.
+    none, and a warmed tree builds nothing inside its first query;
+(f) scoring — a frontier scored in one segmented pass gives every node
+    the value it gets alone and the per-entry reference loop gives it,
+    bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro import (
     BBox,
+    CoverageCache,
     FacilityRoute,
     IndexVariant,
     QueryError,
@@ -54,7 +58,14 @@ from repro.queries import evaluate as evaluate_module
 from repro.queries import kmaxrrst as kmaxrrst_module
 from repro.queries.evaluate import walk_plan
 
-from .strategies import box_row, ref_candidates, ref_entries, ref_keys, z_node
+from .strategies import (
+    box_row,
+    ref_candidates,
+    ref_entries,
+    ref_keys,
+    ref_node_value,
+    z_node,
+)
 
 SPACE = BBox(0.0, 0.0, 1024.0, 1024.0)
 
@@ -463,6 +474,10 @@ def test_an_untouched_node_keeps_its_block_across_a_rebuild():
     elsewhere rebuilds the frame but must not cost that node its hits."""
     users = _users(60, seed=2, two_point=True)
     tree = BUILDERS["tq_zorder"](users[:50])
+    spec = ServiceSpec(ServiceModel.ENDPOINT, psi=2048.0)  # reaches every node
+    cache = CoverageCache()
+    with QueryRuntime(cache=cache) as runtime:
+        evaluate_service(tree, _ROUTES[0], spec, runtime=runtime)
     blocks = {id(node): tree.node_block(node) for node in tree.nodes()}
     gov = {key: block.gov.copy() for key, block in blocks.items()}
     tree.insert(users[50])
@@ -477,6 +492,13 @@ def test_an_untouched_node_keeps_its_block_across_a_rebuild():
         assert block is blocks[id(node)]
         assert np.array_equal(block.gov, gov[id(node)])
         assert not block.n or np.shares_memory(block.gov, frame.block.gov)
+    # ... so the same walk after the insert hits on exactly those nodes
+    hits, stats = cache.hits, QueryStats()
+    with QueryRuntime(cache=cache) as runtime:
+        value = evaluate_service(tree, _ROUTES[0], spec, stats=stats, runtime=runtime)
+    assert value == brute_force_service(users[:51], _ROUTES[0], spec)
+    held = sum(1 for node in kept if node.n_own)
+    assert cache.hits - hits == stats.cache_hits == held
 
 
 # ----------------------------------------------------------------------
@@ -565,3 +587,86 @@ def test_a_warmed_tree_builds_nothing_inside_its_first_query(name, z_on_short_li
         )
         _walks(cold, _specs(cold, 140.0)[0], None)
     assert counted == [1]
+
+
+# ----------------------------------------------------------------------
+# (f) scoring: one segmented pass per frontier
+# ----------------------------------------------------------------------
+@pytest.mark.engine_smoke
+@pytest.mark.usefixtures("z_on_short_lists")
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize(
+    "name, model",
+    [
+        (name, model)
+        for name in sorted(BUILDERS)
+        for model in ServiceModel
+        # a segment entry has no source-and-destination pair to score
+        if not (name == "segmented" and model is ServiceModel.ENDPOINT)
+    ],
+)
+def test_a_frontier_scores_bitwise_like_its_nodes_one_by_one(name, model, normalize):
+    """A frontier's per-node values ``==`` each node scored as a frontier
+    of one, ``==`` the per-entry reference loop of ``tests/strategies.py``
+    (and through a half-warm cache); collecting walks score ``==``
+    non-collecting ones; a collecting walk's matches are the oracle's."""
+    users = _users(70, 7, name in TWO_POINT)
+    rng = np.random.default_rng(11)
+    seen_empty = seen_unserved = 0
+    for tree in _grown_and_bulk(name):
+        for psi, f in [(psi, f) for psi in (60.0, 250.0) for f in _ROUTES]:
+            spec = ServiceSpec(model, psi=psi, normalize=normalize)
+            plan = walk_plan(tree, f, psi, None)
+            reached = np.flatnonzero(plan.visited)
+            # any node with a component, empty leaves included
+            served = np.flatnonzero(plan.member.any(axis=1))
+            subsets = [reached] + [
+                rng.permutation(served)[: int(rng.integers(1, served.size + 1))]
+                for _ in range(3)
+            ]
+            for nodes in subsets:
+                by_mode = []
+                for collecting in (False, True):
+                    def score(part, runtime=None, collecting=collecting):
+                        collector = MatchCollector() if collecting else None
+                        values = evaluate_module.score_frontier(
+                            tree, plan, part, spec, collector, QueryStats(), runtime
+                        )
+                        return values, collector
+
+                    got, collector = score(nodes)
+                    assert got == [score(nodes[k : k + 1])[0][0] for k in range(nodes.size)]
+                    want, empty, unserved = _reference_values(tree, plan, nodes, spec, collecting)
+                    assert got == want
+                    seen_empty += empty
+                    seen_unserved += unserved
+                    with QueryRuntime() as runtime:
+                        score(nodes[: nodes.size // 2], runtime)
+                        assert score(nodes, runtime)[0] == got
+                    if nodes is reached and collecting:
+                        assert collector.as_dict() == brute_force_matches(users, f, psi)
+                    by_mode.append(got)
+                assert by_mode[0] == by_mode[1]
+    assert seen_empty and seen_unserved
+
+
+def _reference_values(tree, plan, nodes, spec, collecting):
+    """Per node of ``nodes``, ``ref_node_value`` over the candidates and
+    mask the frontier's filter and probe give it; plus how many of the
+    nodes have no list, and how many a list but no survivor."""
+    frame = tree.frame()
+    listed = nodes[frame.n_own[nodes] > 0]
+    want = dict.fromkeys(nodes.tolist(), 0.0)
+    unserved = 0
+    if listed.size:
+        order, rows, counts, mask = evaluate_module._filter_and_probe(
+            tree, plan, listed, spec, collecting, QueryStats(), None
+        )
+        row_end = np.cumsum(counts)
+        probe_end = np.concatenate(([0], np.cumsum(frame.block.probe_cnt[rows])))
+        for i, r1, n in zip(listed[order].tolist(), row_end.tolist(), counts.tolist()):
+            unserved += n == 0
+            want[i] = ref_node_value(
+                frame.block, rows[r1 - n : r1], mask[probe_end[r1 - n] : probe_end[r1]], spec
+            )
+    return [want[i] for i in nodes.tolist()], nodes.size - listed.size, unserved
