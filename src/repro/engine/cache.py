@@ -9,7 +9,7 @@ identical ``psi``-mask once per service model.  :class:`CoverageCache`
 memoises the three shapes of that repeated work:
 
 * **node results** — per walk ``(facility, psi, mode)`` a table of
-  Algorithm 2's candidate rows and coverage masks per q-node (the
+  Algorithm 2's candidate rows and coverage masks per node stamp (the
   component a facility induces at a q-node is deterministic, so the
   pair's mask is too; collecting and non-collecting walks select
   different candidates, so mode is part of the walk key and reuse is
@@ -23,15 +23,16 @@ memoises the three shapes of that repeated work:
 Everything held carries enough to re-verify itself on lookup — a walk
 table its walk's stop coordinates by value (the facility restricted to
 the indexed space: equal walks induce equal components at every node;
-checked once per walk, and a mismatch swaps in a fresh table), each
-node result in it the q-node's block by identity (an insert into the
-node replaces it, so rows cached against the old block miss; a clean
-node keeps its block object across the rebuild, so its results still
-hit), the facility object by identity for match sets, the stop-set
-object by identity for batch masks — so neither ``id`` reuse after
-garbage collection nor two facilities sharing a ``facility_id`` can
-alias to a wrong cached answer; a failed verification is simply a
-miss.  A cache is only valid for a fixed user set / tree: drop it (or
+checked once per walk, and a mismatch swaps in a fresh table), the
+facility object by identity for match sets, the stop-set object by
+identity for batch masks — so neither ``id`` reuse after garbage
+collection nor two facilities sharing a ``facility_id`` can alias to a
+wrong cached answer; a failed verification is simply a miss.  Node
+results need no check of their own: they are keyed by the node's
+*stamp*, which no other node of any tree in the process ever carries
+and which an insert into the node (or a split re-placing it) renews —
+so rows cached against an older list miss, and a node an insert left
+alone keeps its stamp and its hits.  A cache is only valid for a fixed user set / tree: drop it (or
 :meth:`clear`) when the underlying data changes.
 
 Node results and match sets are keyed on client-supplied values
@@ -72,9 +73,9 @@ __all__ = ["CoverageCache"]
 #: bounded.
 MAX_ENTRIES = 16_384
 
-#: One node result: (anchor, candidate rows, mask).
-NodeResult = Tuple[Any, np.ndarray, np.ndarray]
-#: One walk: its stop coordinates and its node results by node id.
+#: One node result: (node-relative candidate rows, mask).
+NodeResult = Tuple[np.ndarray, np.ndarray]
+#: One walk: its stop coordinates and its node results by node stamp.
 Walk = Tuple[np.ndarray, Dict[int, NodeResult]]
 
 
@@ -88,7 +89,7 @@ class CoverageCache:
     """Memoises coverage masks, node candidate sets, and match sets."""
 
     def __init__(self) -> None:
-        # walk key -> (stop coords, {node id: node result}), least
+        # walk key -> (stop coords, {node stamp: node result}), least
         # recently filled first; _held counts the results of all walks
         self._walks: "OrderedDict[Hashable, Walk]" = OrderedDict()  # guarded-by: _lock
         self._held = 0  # guarded-by: _lock
@@ -104,10 +105,10 @@ class CoverageCache:
     # Algorithm-2 node results, one table per walk
     # ------------------------------------------------------------------
     def lookup_walk(
-        self, key: Hashable, stop_coords: np.ndarray, node_ids: List[int]
+        self, key: Hashable, stop_coords: np.ndarray, stamps: List[int]
     ) -> Tuple[Dict[int, NodeResult], List[Optional[NodeResult]]]:
-        """Walk ``key``'s table and, per id of ``node_ids``, the result
-        it holds for that node (or ``None``), read under one lock.
+        """Walk ``key``'s table and, per node stamp of ``stamps``, the
+        result it holds for that node (or ``None``), read under one lock.
 
         The table is verified once: its stop coordinates — the walk's,
         i.e. the facility's stops within reach of the indexed space —
@@ -118,16 +119,14 @@ class CoverageCache:
         what makes the cache sound when two distinct facilities share an
         id (their stops differ, so they miss instead of aliasing) while
         still hitting across re-walks and across algorithms, which
-        rebuild equal-valued arrays.  A result is the caller's only if
-        its anchor is the node's block *object* (checked by the caller,
-        which holds the nodes); hits and misses are counted by
+        rebuild equal-valued arrays.  Hits and misses are counted by
         :meth:`store_walk`."""
         with self._lock:
             walk = self._walks.get(key)
             if walk is None or not np.array_equal(walk[0], stop_coords):
-                return {}, [None] * len(node_ids)
+                return {}, [None] * len(stamps)
             table = walk[1]
-            return table, [table.get(i) for i in node_ids]
+            return table, [table.get(stamp) for stamp in stamps]
 
     def store_walk(
         self,

@@ -12,11 +12,10 @@ from .frame import TreeFrame, ZStack
 from .entries import SubBounds, entry_keys, validate_spec_for_variant
 from .quadtree import PointQuadtree
 from .stats import IndexStats, storage_report
-from .tqtree import QNode, TQTree
+from .tqtree import TQTree
 
 __all__ = [
     "TQTree",
-    "QNode",
     "PointQuadtree",
     "NodeBlock",
     "TreeFrame",

@@ -3,10 +3,10 @@
 An entry is a key ``(row, seg)`` (:mod:`repro.index.entries`); a
 :class:`NodeBlock` is everything else about a list of them, as a handful
 of flat columns over the tree's :class:`~repro.core.trajectory
-.UserPointTable`.  A tree builds *one* block over every node's list laid
-end to end (the :class:`~repro.index.frame.TreeFrame`'s); a q-node's own
-block is a :meth:`~NodeBlock.window` of it — views, not copies.  The
-same constructor gives a bulk build, an insert and a leaf split their
+.UserPointTable`.  A tree builds *one* block, over the key columns of
+its node table (:class:`~repro.index.frame.TreeFrame`): node ``i``'s
+list is block rows ``row_off[i] .. row_off[i + 1] - 1``.  The same
+constructor gives a bulk build, an insert and a leaf split their
 placement boxes (``gov[:, 4:8]``) and ``sub`` addends
 (:meth:`~NodeBlock.own_totals`).
 
@@ -32,19 +32,12 @@ box's two corners share a quadrant.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..core.config import IndexVariant
 from ..core.trajectory import UserPointTable, ranges
 
 __all__ = ["NodeBlock"]
-
-#: The columns with one value per entry (the rest are CSR runs).
-_ROW_COLUMNS = (
-    "rows", "segs", "probe_cnt", "gov", "own_cnt", "n_points", "traj_len", "seg_cnt",
-)
 
 
 class NodeBlock:
@@ -121,25 +114,6 @@ class NodeBlock:
         self.seg_len = table.seg_len[ranges(seg_index, seg_cnt)]
         self.gov = self._gov_table(variant)
 
-    def window(self, lo: int, hi: int, into: Optional["NodeBlock"] = None) -> "NodeBlock":
-        """Rows ``lo .. hi - 1`` as a block of their own whose columns
-        are *views* of this one's (only the two small offset columns are
-        rebased copies).  ``into`` re-points an existing block object
-        instead of making one — how a q-node's block keeps its identity
-        when the tree-wide block it is a window of is rebuilt."""
-        out = into if into is not None else NodeBlock.__new__(NodeBlock)
-        p0, p1 = int(self.probe_off[lo]), int(self.probe_off[hi])
-        s0, s1 = int(self.seg_off[lo]), int(self.seg_off[hi])
-        out.n = hi - lo
-        for name in _ROW_COLUMNS:
-            setattr(out, name, getattr(self, name)[lo:hi])
-        out.probe_off = self.probe_off[lo : hi + 1] - p0
-        out.probe_slot = self.probe_slot[p0:p1]
-        out.probe_xy = self.probe_xy[p0:p1]
-        out.seg_off = self.seg_off[lo : hi + 1] - s0
-        out.seg_len = self.seg_len[s0:s1]
-        return out
-
     def _gov_table(self, variant: IndexVariant) -> np.ndarray:
         gov = np.empty((self.n, 8), dtype=np.float64)
         if self.n == 0:
@@ -159,9 +133,9 @@ class NodeBlock:
     # ------------------------------------------------------------------
     def own_totals(self) -> np.ndarray:
         """The five ``SubBounds`` addends per entry, one ``(n, 5)`` row
-        each in ``SubBounds.as_row`` order: 1, owned points, owned
-        length, owned points over ``|u|``, owned length over
-        ``length(u)``."""
+        each in the node table's ``own`` / ``sub`` column order: 1,
+        owned points, owned length, owned points over ``|u|``, owned
+        length over ``length(u)``."""
         owner = np.repeat(np.arange(self.n, dtype=np.int64), self.seg_cnt)
         own_len = np.bincount(owner, weights=self.seg_len, minlength=self.n)
         norm_len = np.zeros(self.n, dtype=np.float64)

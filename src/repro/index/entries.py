@@ -12,14 +12,13 @@ built over its key.  Ownership partitions each trajectory's points and
 segments across its entries, so summing entry scores over the whole
 index never double-counts.
 
-:class:`SubBounds` is the per-node aggregate the paper calls ``sub``: the
-upper bound of the service value obtainable from a subtree, in the unit of
-whichever :class:`~repro.core.service.ServiceSpec` the query uses.
+:class:`SubBounds` names the per-node aggregate the paper calls ``sub``:
+the upper bound of the service value obtainable from a subtree, in the
+unit of whichever :class:`~repro.core.service.ServiceSpec` the query uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -77,44 +76,22 @@ def validate_spec_for_variant(
         )
 
 
-@dataclass
 class SubBounds:
     """Per-node subtree aggregates — the paper's ``sub`` for all specs.
 
-    The five counters are exactly additive over entries, so a node's bound
-    equals its own entries' total plus its children's bounds.
+    Five counters, exactly additive over entries: entries, points,
+    length, points over ``|u|`` and length over ``length(u)``.  They are
+    the columns of the node table's ``own`` (a node's list) and ``sub``
+    (its subtree: its own list plus its children's bounds) rows, in the
+    order of :meth:`NodeBlock.own_totals
+    <repro.index.block.NodeBlock.own_totals>`.
     """
-
-    n_entries: float = 0.0
-    n_points: float = 0.0
-    total_length: float = 0.0
-    norm_points: float = 0.0
-    norm_length: float = 0.0
-
-    def add(self, other: "SubBounds") -> None:
-        self.n_entries += other.n_entries
-        self.n_points += other.n_points
-        self.total_length += other.total_length
-        self.norm_points += other.norm_points
-        self.norm_length += other.norm_length
-
-    def as_row(self) -> Tuple[float, float, float, float, float]:
-        """The five counters in declaration order — one row of a tree
-        frame's ``sub`` table, indexed by :meth:`column_for`."""
-        return (
-            self.n_entries, self.n_points, self.total_length,
-            self.norm_points, self.norm_length,
-        )
 
     @staticmethod
     def column_for(spec: ServiceSpec) -> int:
-        """Which counter (position in :meth:`as_row`) bounds ``spec``."""
+        """Which counter (column of ``own`` / ``sub``) bounds ``spec``."""
         if spec.model is ServiceModel.ENDPOINT:
             return 0
         if spec.model is ServiceModel.COUNT:
             return 3 if spec.normalize else 1
         return 4 if spec.normalize else 2
-
-    def value_for(self, spec: ServiceSpec) -> float:
-        """The upper bound in the unit of ``spec``."""
-        return self.as_row()[self.column_for(spec)]

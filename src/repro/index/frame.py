@@ -1,15 +1,23 @@
-"""The TQ-tree as one columnar frame.
+"""The TQ-tree as one columnar table.
 
-Queries score *sets* of q-nodes at a time (a whole walk, a kMaxRRST
-frontier), so what they read is not one node's block but the tree's:
+A q-node is a row: queries score *sets* of q-nodes at a time (a whole
+walk, a kMaxRRST frontier), and an insert touches one node and its
+ancestors, so the tree is nothing but columns:
 
-* :class:`TreeFrame` — the q-nodes as arrays in pre-order (box,
-  children, own list length, ``sub`` bounds, row offsets) over one
-  tree-wide :class:`~repro.index.block.NodeBlock` whose rows are every
-  node's entry list laid end to end.  Node ``i`` owns block rows
-  ``row_off[i] .. row_off[i + 1] - 1``; its own ``NodeBlock``
-  (``TQTree.node_block``) is a window of views onto those rows, not a
-  copy.
+* :class:`TreeFrame` — the node table, one row per q-node in pre-order
+  (``box``, ``depth``, ``parent``, ``children``, the own list's and the
+  subtree's ``SubBounds`` counters ``own`` / ``sub``, a ``stamp``), and
+  the entry keys ``rows`` / ``segs`` of every list laid end to end in
+  node order: node ``i`` owns keys ``row_off[i] .. row_off[i + 1] - 1``.
+  The tree owns it and mutates it in place; pre-order keeps every
+  subtree contiguous in nodes and in keys, so a leaf split splices the
+  new subtree in right after the leaf.  A node's ``stamp`` is drawn
+  from one process-wide counter whenever its list changes (an insert
+  into it, a re-placement by a split), so a stamp names one list of
+  one tree for the life of the process — what cached results anchor on.
+  Its derived column, ``block``, is one
+  :class:`~repro.index.block.NodeBlock` over all the keys: block row
+  ``j`` is the entry ``(rows[j], segs[j])``.
 * :class:`ZStack` — the paper's *ordered bucketing using z-curve*
   (Section III) for every non-empty node, stacked the same way: the
   leaf cells of each node's two adaptive partitions (over the entries'
@@ -20,7 +28,7 @@ frontier), so what they read is not one node's block but the tree's:
   each against its own serving envelope — no geometry on pruned
   entries.
 
-Both are derived state: the tree builds them on demand
+Block and stack are derived state: the tree builds them on demand
 (``TQTree.frame`` / ``TQTree.zstack``, or ahead of time in
 ``TQTree.warm_zindex``) and drops them whenever any node's entry list
 changes.
@@ -28,7 +36,8 @@ changes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import itertools
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +49,16 @@ __all__ = ["TreeFrame", "ZStack", "kept_per_run", "BOTH", "ANY", "BBOX"]
 
 #: The three ``zReduce`` candidate modes (:meth:`ZStack.candidates`).
 BOTH, ANY, BBOX = "both", "any", "bbox"
+
+#: Node stamps, unique across every tree of the process.
+_STAMPS = itertools.count()
+
+#: The columns with one row per node.
+_NODE_COLUMNS = ("box", "depth", "parent", "children", "n_own", "own", "sub", "stamp")
+
+
+def _fresh_stamps(n: int) -> np.ndarray:
+    return np.fromiter(itertools.islice(_STAMPS, n), dtype=np.int64, count=n)
 
 
 def _meets(boxes: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -62,38 +81,100 @@ def _offsets(counts: Sequence[int]) -> np.ndarray:
 
 
 class TreeFrame:
-    """Pre-order node arrays over the tree-wide block; see the module
-    docstring.  ``nodes[i]`` is the q-node numbered ``i`` and
-    ``index_of[id(node)]`` its number; ``children[i]`` holds the four
-    child numbers or ``-1``; ``sub[i]`` is ``node.sub.as_row()``."""
+    """The node table; see the module docstring.  Node 0 is the root
+    (``parent`` ``-1``); ``children[i]`` holds the four child numbers in
+    quadrant order, or ``-1`` at a leaf; ``n_own[i]`` is the length of
+    node ``i``'s list; ``own[i]`` / ``sub[i]`` are ``SubBounds`` rows
+    (:meth:`~repro.index.entries.SubBounds.column_for` picks a column)."""
 
-    __slots__ = (
-        "nodes", "index_of", "box", "children", "n_own", "sub",
-        "row_off", "block", "zstack",
-    )
+    __slots__ = _NODE_COLUMNS + ("rows", "segs", "row_off", "block", "zstack")
 
-    def __init__(self, nodes: List, block: NodeBlock) -> None:
-        n = len(nodes)
-        self.nodes = nodes
-        self.index_of: Dict[int, int] = {id(node): i for i, node in enumerate(nodes)}
-        number = self.index_of
-        self.box = np.array(
-            [(b.xmin, b.ymin, b.xmax, b.ymax) for b in (node.box for node in nodes)],
-            dtype=np.float64,
-        ).reshape(n, 4)
-        self.children = np.full((n, 4), -1, dtype=np.int64)
-        for i, node in enumerate(nodes):
-            if node.children is not None:
-                self.children[i] = [number[id(child)] for child in node.children]
-        self.n_own = np.fromiter(
-            (node.n_own for node in nodes), dtype=np.int64, count=n
-        )
-        self.sub = np.array(
-            [node.sub.as_row() for node in nodes], dtype=np.float64
-        ).reshape(n, 5)
+    def __init__(
+        self,
+        box: Sequence,
+        depth: Sequence[int],
+        parent: Sequence[int],
+        children: Sequence,
+        own: Sequence,
+        n_own: Sequence[int],
+        rows: np.ndarray,
+        segs: np.ndarray,
+    ) -> None:
+        """A table of fresh nodes in pre-order, each with a new stamp;
+        ``sub`` is summed from ``own`` here, in reverse pre-order."""
+        self.box = np.asarray(box, dtype=np.float64).reshape(-1, 4)
+        self.depth = np.asarray(depth, dtype=np.int64)
+        self.parent = np.asarray(parent, dtype=np.int64)
+        self.children = np.asarray(children, dtype=np.int64).reshape(-1, 4)
+        self.own = np.asarray(own, dtype=np.float64).reshape(-1, 5)
+        self.n_own = np.asarray(n_own, dtype=np.int64)
+        self.stamp = _fresh_stamps(self.n_own.size)
+        self.rows, self.segs = rows, segs
         self.row_off = _offsets(self.n_own)
-        self.block = block
+        self.sub = np.empty_like(self.own)
+        self.sum_sub(range(len(self) - 1, -1, -1))
+        self.block: "NodeBlock | None" = None
         self.zstack: "ZStack | None" = None
+
+    def __len__(self) -> int:
+        return self.n_own.size
+
+    def path(self, i: int) -> np.ndarray:
+        """Node ``i`` and its ancestors, ``i`` first, the root last."""
+        chain = [i]
+        while chain[-1]:
+            chain.append(int(self.parent[chain[-1]]))
+        return np.array(chain, dtype=np.int64)
+
+    def sum_sub(self, nodes: Sequence[int]) -> None:
+        """Re-sum ``sub`` at each of ``nodes`` in turn, children before
+        parents: the own counters, then each child's ``sub`` in quadrant
+        order — one sequence of adds for a build and for an insert's way
+        up."""
+        for i in nodes:
+            total = self.own[i].tolist()
+            children = self.children[i]
+            if children[0] >= 0:
+                for part in self.sub[children].tolist():
+                    total = [a + b for a, b in zip(total, part)]
+            self.sub[i] = total
+
+    def add_key(self, i: int, row: int, seg: int, addends: np.ndarray) -> None:
+        """Append the entry ``(row, seg)`` to node ``i``'s list and its
+        five ``SubBounds`` addends to ``own[i]``; the node gets a new
+        stamp (``sub`` is the caller's to re-sum)."""
+        at = self.row_off[i + 1]
+        self.rows = np.concatenate((self.rows[:at], [row], self.rows[at:]))
+        self.segs = np.concatenate((self.segs[:at], [seg], self.segs[at:]))
+        self.n_own[i] += 1
+        self.row_off[i + 1 :] += 1
+        self.own[i] += addends
+        self.stamp[i] = next(_STAMPS)
+        self.block = self.zstack = None
+
+    def splice(self, i: int, other: "TreeFrame") -> None:
+        """Replace leaf ``i`` — its row and its keys — by ``other``, the
+        table of a subtree over the same box: the subtree's root takes
+        ``i``'s number and parent, its other nodes follow it, and every
+        node after ``i`` moves up by ``len(other) - 1``."""
+        shift = len(other) - 1
+        moved = {
+            "parent": np.where(self.parent > i, self.parent + shift, self.parent),
+            "children": np.where(self.children > i, self.children + shift, self.children),
+        }
+        placed = {
+            "parent": np.concatenate(([self.parent[i]], other.parent[1:] + i)),
+            "children": np.where(other.children >= 0, other.children + i, -1),
+        }
+        for name in _NODE_COLUMNS:
+            column = moved.get(name, getattr(self, name))
+            new = placed.get(name, getattr(other, name))
+            setattr(self, name, np.concatenate([column[:i], new, column[i + 1 :]]))
+        lo, hi = self.row_off[i], self.row_off[i + 1]
+        self.rows = np.concatenate([self.rows[:lo], other.rows, self.rows[hi:]])
+        self.segs = np.concatenate([self.segs[:lo], other.segs, self.segs[hi:]])
+        self.row_off = _offsets(self.n_own)
+        self.block = self.zstack = None
 
 
 class ZStack:
@@ -133,7 +214,7 @@ class ZStack:
         block = frame.block
         node = np.flatnonzero(frame.n_own)
         counts = frame.n_own[node]
-        self.slot_of = np.full(len(frame.nodes), -1, dtype=np.int64)
+        self.slot_of = np.full(len(frame), -1, dtype=np.int64)
         self.slot_of[node] = np.arange(node.size)
         # every block row belongs to a stacked node, in stack order
         owner = np.repeat(np.arange(node.size), counts)

@@ -1,7 +1,7 @@
 """Index introspection: storage-cost accounting (paper Section III-B).
 
 The paper's storage claims, which :func:`storage_report` verifies on a
-live tree (and the test-suite asserts):
+live tree's node table (and the test-suite asserts):
 
 * endpoint / full-trajectory variants: every trajectory stored exactly
   once, so ``sum_E |UL(E)| == |U|``;
@@ -44,24 +44,12 @@ class IndexStats:
 
 
 def storage_report(tree: TQTree) -> IndexStats:
-    """Walk the tree and account for every stored entry."""
-    n_nodes = 0
-    n_leaves = 0
-    inter = 0
-    intra = 0
-    per_level: Dict[int, int] = {}
-    max_leaf = 0
-    stored = 0
-    for node in tree.nodes():
-        n_nodes += 1
-        stored += node.n_own
-        per_level[node.depth] = per_level.get(node.depth, 0) + node.n_own
-        if node.is_leaf:
-            n_leaves += 1
-            intra += node.n_own
-            max_leaf = max(max_leaf, node.n_own)
-        else:
-            inter += node.n_own
+    """Account for every stored entry, from the node table's columns."""
+    frame = tree.frame()
+    n_own = frame.n_own
+    leaf = frame.children[:, 0] < 0
+    # every depth from 0 to the deepest holds a node
+    per_level = np.bincount(frame.depth, weights=n_own).astype(np.int64)
 
     if tree.config.variant is IndexVariant.SEGMENTED:
         expected = int(np.maximum(tree.table.counts - 1, 1).sum())
@@ -71,12 +59,12 @@ def storage_report(tree: TQTree) -> IndexStats:
     return IndexStats(
         n_trajectories=tree.n_trajectories,
         n_entries_expected=expected,
-        n_entries_stored=stored,
-        n_nodes=n_nodes,
-        n_leaves=n_leaves,
+        n_entries_stored=int(n_own.sum()),
+        n_nodes=len(frame),
+        n_leaves=int(leaf.sum()),
         height=tree.height(),
-        inter_node_entries=inter,
-        intra_node_entries=intra,
-        entries_per_level=per_level,
-        max_leaf_occupancy=max_leaf,
+        inter_node_entries=int(n_own[~leaf].sum()),
+        intra_node_entries=int(n_own[leaf].sum()),
+        entries_per_level=dict(enumerate(per_level.tolist())),
+        max_leaf_occupancy=int(n_own[leaf].max()),
     )

@@ -16,18 +16,18 @@ With ``config.use_zorder`` (TQ(Z)), each q-node's entry list is z-ordered
 and bucketed (:class:`~repro.index.frame.ZStack`); without it (TQ(B)),
 the list stays flat and queries scan it linearly.
 
-A q-node's list is two integer columns; queries read the columns
-derived from them: one tree-wide :class:`~repro.index.frame.TreeFrame`
-(the nodes as arrays over a single :class:`~repro.index.block
-.NodeBlock`), each node's own block a window of it, the z-structure of
-every list stacked beside it.  All of it is built lazily (or by
-:meth:`TQTree.warm_zindex`), and an insert into a node drops the frame
-— the stack with it — and marks that node's block for replacing.  Bulk
-build, insert and leaf split place entries with one rule
-(:meth:`TQTree._bulk_build`) and price them with one arithmetic
-(:meth:`NodeBlock.own_totals <repro.index.block.NodeBlock.own_totals>`),
-so a tree grown by inserts is the tree a build over the same users
-makes.
+A q-node is a row of the tree's node table
+(:class:`~repro.index.frame.TreeFrame`), numbered in pre-order, the
+root 0; its list is a run of the table's two key columns.  Queries read
+the columns derived from the keys — one tree-wide
+:class:`~repro.index.block.NodeBlock` and, on TQ(Z), the z-structure of
+every list stacked beside it — which are built lazily (or by
+:meth:`TQTree.warm_zindex`) and dropped by every insert.  Bulk build,
+insert, leaf split and kMaxRRST's anchor route a box with one rule
+(:meth:`TQTree._corner_quadrants`), and build, insert and split price
+entries with one arithmetic (:meth:`NodeBlock.own_totals
+<repro.index.block.NodeBlock.own_totals>`), so a tree grown by inserts
+is the table a build over the same users makes, stamps aside.
 
 The tree supports dynamic inserts (Section III-C).  One deliberate
 deviation from the paper: after an insert the z-structure is rebuilt
@@ -50,71 +50,9 @@ from ..core.service import ServiceSpec
 from ..core.trajectory import Trajectory, UserPointTable
 from .block import NodeBlock
 from .frame import TreeFrame, ZStack
-from .entries import SubBounds, entry_keys, validate_spec_for_variant
+from .entries import entry_keys, validate_spec_for_variant
 
-__all__ = ["QNode", "TQTree"]
-
-
-class QNode:
-    """One node of the TQ-tree."""
-
-    __slots__ = (
-        "box",
-        "depth",
-        "parent",
-        "children",
-        "rows",
-        "segs",
-        "own",
-        "sub",
-        "_block",
-        "_dirty",
-        "_frame",
-    )
-
-    def __init__(self, box: BBox, depth: int, parent: Optional["QNode"]) -> None:
-        self.box = box
-        self.depth = depth
-        self.parent = parent
-        self.children: Optional[List["QNode"]] = None
-        # UL(E): the entries' keys (table row, segment index or -1)
-        self.rows = self.segs = np.zeros(0, dtype=np.int64)
-        # the bounds of the own list alone, and of the whole subtree
-        self.own = SubBounds()
-        self.sub = SubBounds()
-        # the list's other columns: a window of the frame's block (see
-        # TQTree.frame), describing an older list while ``_dirty``
-        self._block: Optional[NodeBlock] = None
-        self._dirty = True
-        # the tree-wide frame hangs off the *root*, so that a change to
-        # any node can drop it without a pointer back to the tree
-        self._frame: Optional[TreeFrame] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
-    @property
-    def n_own(self) -> int:
-        """``|UL(E)|``: how many entries this node itself stores."""
-        return self.rows.size
-
-    def invalidate(self) -> None:
-        """The entry list changed: its block and the tree's frame (the
-        z-stack with it) describe the old list."""
-        self._dirty = True
-        root = self
-        while root.parent is not None:
-            root = root.parent
-        root._frame = None
-
-    def sub_value(self, spec: ServiceSpec) -> float:
-        """The paper's ``sub``: subtree service upper bound for ``spec``."""
-        return self.sub.value_for(spec)
-
-    def __repr__(self) -> str:
-        kind = "leaf" if self.is_leaf else "internal"
-        return f"QNode({kind}, depth={self.depth}, |UL|={self.n_own})"
+__all__ = ["TQTree"]
 
 
 class TQTree:
@@ -133,13 +71,15 @@ class TQTree:
     def __init__(self, space: BBox, config: TQTreeConfig = TQTreeConfig()) -> None:
         self.space = space
         self.config = config
-        self.root = QNode(space, 0, None)
         # the users: a table, plus the one-user tables of inserts not yet
         # appended to it (by trajectory id; see the ``table`` property)
         self._table = UserPointTable(())
         self._pending: Dict[int, UserPointTable] = {}
-        self._n_entries = 0
         self._max_traj_points = 0
+        no_keys = np.zeros(0, dtype=np.int64)
+        self._frame = self._subtree(
+            (space.xmin, space.ymin, space.xmax, space.ymax), 0, no_keys, no_keys
+        )
 
     # ------------------------------------------------------------------
     # construction
@@ -173,9 +113,9 @@ class TQTree:
         tree._check_inside(table)
         tree._table = table
         tree._max_traj_points = int(table.counts.max(initial=0))
-        rows, segs = entry_keys(table, config.variant)
-        tree._n_entries = rows.size
-        tree._place(tree.root, rows, segs)
+        tree._frame = tree._subtree(
+            tree._frame.box[0].tolist(), 0, *entry_keys(table, config.variant)
+        )
         return tree
 
     def _check_inside(self, table: UserPointTable) -> None:
@@ -195,74 +135,83 @@ class TQTree:
                 f"space {self.space}"
             )
 
-    def _place(self, node: QNode, rows: np.ndarray, segs: np.ndarray) -> None:
-        """Make ``node``'s subtree the one holding exactly the entries
-        ``(rows, segs)``, which must all lie inside its box: one block
+    def _subtree(
+        self, box: Sequence[float], depth: int, rows: np.ndarray, segs: np.ndarray
+    ) -> TreeFrame:
+        """The table of the subtree a bulk build makes of the entries
+        ``(rows, segs)`` below a node at ``depth`` spanning ``box``
+        (``(xmin, ymin, xmax, ymax)``; every entry inside it): one block
         over the keys gives their placement boxes and ``sub`` addends."""
         block = NodeBlock(self.table, self.config.variant, rows, segs)
+        nodes: List[tuple] = []
         self._bulk_build(
-            node, rows, segs, block.gov[:, 4:8], block.own_totals(),
+            nodes, box, depth, -1, block.gov[:, 4:8], block.own_totals(),
             np.arange(block.n),
+        )
+        box, depth, parent, children, own, stay = zip(*nodes)
+        keep = np.concatenate(stay)
+        return TreeFrame(
+            box, depth, parent, children, own, [s.size for s in stay],
+            rows[keep], segs[keep],
         )
 
     @staticmethod
-    def _corner_quadrants(box: BBox, bbox: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _corner_quadrants(box: Sequence[float], bbox: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``BBox.quadrant_of`` for the min and the max corner of every
         placement box: an entry sinks into a child of the node spanning
-        ``box`` exactly when the two agree."""
-        cx = (box.xmin + box.xmax) / 2.0
-        cy = (box.ymin + box.ymax) / 2.0
-        q_lo = (bbox[:, 0] >= cx) | ((bbox[:, 1] >= cy) << 1)
-        q_hi = (bbox[:, 2] >= cx) | ((bbox[:, 3] >= cy) << 1)
-        return q_lo, q_hi
+        ``box`` (``(xmin, ymin, xmax, ymax)``) exactly when the two
+        agree."""
+        cx = (box[0] + box[2]) / 2.0
+        cy = (box[1] + box[3]) / 2.0
+        up = bbox >= np.array([cx, cy, cx, cy])
+        # columns (x >= cx, y >= cy) of the min corner, then the max
+        q = up[:, 0::2] | (up[:, 1::2] << 1)
+        return q[:, 0], q[:, 1]
 
     def _bulk_build(
         self,
-        node: QNode,
-        rows: np.ndarray,
-        segs: np.ndarray,
+        nodes: List[tuple],
+        box: Sequence[float],
+        depth: int,
+        parent: int,
         bbox: np.ndarray,
         totals: np.ndarray,
         idx: np.ndarray,
-    ) -> None:
-        """Place the entries numbered ``idx`` (ascending positions in
-        ``rows`` / ``segs``) in ``node``'s subtree.  ``bbox`` holds every
-        entry's placement box and ``totals`` its five ``SubBounds``
-        addends, so routing and bounds are array operations per node."""
+    ) -> int:
+        """Append, in pre-order, the rows ``(box, depth, parent,
+        children, own, kept positions)`` of the subtree spanning ``box``
+        that holds the entries numbered ``idx`` (ascending positions of
+        ``bbox`` / ``totals``, every entry's placement box and five
+        ``SubBounds`` addends); returns its root's number in ``nodes``."""
         cfg = self.config
         stay = idx
         groups = None
-        if len(idx) > cfg.beta and node.depth < cfg.max_depth:
-            q_lo, q_hi = self._corner_quadrants(node.box, bbox[idx])
+        if len(idx) > cfg.beta and depth < cfg.max_depth:
+            q_lo, q_hi = self._corner_quadrants(box, bbox[idx])
             sinks = q_lo == q_hi
             # when splitting makes no progress (everything is inter-node
             # here) the node stays a leaf per the paper's termination rule
             if sinks.any():
                 stay = idx[~sinks]
                 groups = [idx[sinks & (q_lo == d)] for d in range(4)]
-        node.rows, node.segs = rows[stay], segs[stay]
         # left-to-right sums: the order inserts accumulate ``own`` in
         own = np.cumsum(totals[stay], axis=0)[-1] if stay.size else np.zeros(5)
-        node.own = SubBounds(*own.tolist())
+        at, children = len(nodes), [-1] * 4
+        nodes.append((box, depth, parent, children, own, stay))
         if groups is not None:
-            boxes = node.box.quadrants()
-            node.children = [QNode(boxes[d], node.depth + 1, node) for d in range(4)]
-            for d in range(4):
-                self._bulk_build(node.children[d], rows, segs, bbox, totals, groups[d])
-        self._sum_sub(node)
-
-    @staticmethod
-    def _sum_sub(node: QNode) -> None:
-        """``sub`` from its parts: the own list, then each child."""
-        node.sub = SubBounds(*node.own.as_row())
-        for child in node.children or ():
-            node.sub.add(child.sub)
+            for d, quad in enumerate(BBox(*box).quadrants()):
+                children[d] = self._bulk_build(
+                    nodes, (quad.xmin, quad.ymin, quad.xmax, quad.ymax), depth + 1,
+                    at, bbox, totals, groups[d],
+                )
+        return at
 
     # ------------------------------------------------------------------
     # dynamic updates (Section III-C)
     # ------------------------------------------------------------------
     def insert(self, traj: Trajectory) -> None:
-        """Insert one trajectory; O(h) descent per entry plus local splits."""
+        """Insert one trajectory: per entry an O(h) descent and a splice
+        into the key columns, plus local splits."""
         if traj.traj_id in self._table.row_of or traj.traj_id in self._pending:
             raise IndexError_(f"duplicate trajectory id {traj.traj_id}")
         alone = UserPointTable((traj,))
@@ -276,71 +225,50 @@ class TQTree:
         block = NodeBlock(alone, variant, *entry_keys(alone, variant))
         bbox, totals = block.gov[:, 4:8], block.own_totals()
         for k, seg in enumerate(block.segs.tolist()):
-            self._insert_entry(row, seg, bbox[k : k + 1], SubBounds(*totals[k].tolist()))
-            self._n_entries += 1
+            self._insert_entry(row, seg, bbox[k : k + 1], totals[k])
 
-    def _insert_entry(self, row: int, seg: int, bbox: np.ndarray, delta: SubBounds) -> None:
-        cfg = self.config
-        node = self.root
-        while not node.is_leaf:
-            q_lo, q_hi = self._corner_quadrants(node.box, bbox)
-            if q_lo[0] != q_hi[0]:
-                break
-            node = node.children[int(q_lo[0])]
-        node.rows = np.append(node.rows, row)
-        node.segs = np.append(node.segs, seg)
-        node.own.add(delta)
-        node.invalidate()
-        if node.is_leaf and node.n_own > cfg.beta and node.depth < cfg.max_depth:
+    def _insert_entry(self, row: int, seg: int, bbox: np.ndarray, addends: np.ndarray) -> None:
+        cfg, frame = self.config, self._frame
+        i = self._descend(bbox)
+        frame.add_key(i, row, seg, addends)
+        if (
+            frame.children[i, 0] < 0
+            and frame.n_own[i] > cfg.beta
+            and frame.depth[i] < cfg.max_depth
+        ):
             # the children a bulk build over the leaf's keys would make
-            self._place(node, node.rows, node.segs)
-        while node is not None:
-            self._sum_sub(node)
-            node = node.parent
+            lo, hi = frame.row_off[i : i + 2]
+            frame.splice(i, self._subtree(
+                frame.box[i].tolist(), int(frame.depth[i]),
+                frame.rows[lo:hi], frame.segs[lo:hi],
+            ))
+        frame.sum_sub(frame.path(i).tolist())
 
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
-    def containing_qnode(self, box: BBox) -> QNode:
-        """The smallest q-node whose region contains ``box``.
+    def _descend(self, bbox: np.ndarray) -> int:
+        """The node a placement box (one ``(1, 4)`` row) is routed to:
+        down from the root while both corners fall in one quadrant."""
+        frame, i = self._frame, 0
+        while frame.children[i, 0] >= 0:
+            q_lo, q_hi = self._corner_quadrants(frame.box[i], bbox)
+            if q_lo[0] != q_hi[0]:
+                break
+            i = int(frame.children[i, q_lo[0]])
+        return i
+
+    def containing_qnode(self, box: BBox) -> int:
+        """The number of the node an entry with placement box ``box``
+        would be stored at — the routing rule of build and insert — so
+        every entry lying inside ``box`` is stored in its subtree.
 
         Falls back to the root when ``box`` pokes outside the indexed
         space (a facility near the boundary).
         """
-        node = self.root
-        if not node.box.contains_bbox(box):
-            return node
-        while not node.is_leaf:
-            assert node.children is not None
-            advanced = False
-            for child in node.children:
-                if child.box.contains_bbox(box):
-                    node = child
-                    advanced = True
-                    break
-            if not advanced:
-                break
-        return node
-
-    @staticmethod
-    def ancestors(node: QNode) -> List[QNode]:
-        """Proper ancestors of ``node``, root first."""
-        chain: List[QNode] = []
-        cur = node.parent
-        while cur is not None:
-            chain.append(cur)
-            cur = cur.parent
-        chain.reverse()
-        return chain
-
-    def nodes(self) -> Iterator[QNode]:
-        """All q-nodes, pre-order."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.children is not None:
-                stack.extend(reversed(node.children))
+        if not self.space.contains_bbox(box):
+            return 0
+        return self._descend(np.array([[box.xmin, box.ymin, box.xmax, box.ymax]]))
 
     # ------------------------------------------------------------------
     # introspection
@@ -351,7 +279,7 @@ class TQTree:
 
     @property
     def n_entries(self) -> int:
-        return self._n_entries
+        return self._frame.rows.size
 
     @property
     def max_traj_points(self) -> int:
@@ -368,11 +296,8 @@ class TQTree:
         return iter(self.table.users)
 
     def height(self) -> int:
-        best = 0
-        for node in self.nodes():
-            if node.is_leaf:
-                best = max(best, node.depth + 1)
-        return best
+        """Levels from the root to the deepest node (always a leaf)."""
+        return int(self._frame.depth.max()) + 1
 
     def validate_spec(self, spec: ServiceSpec) -> None:
         """Raise :class:`QueryError` when ``spec`` cannot be answered
@@ -390,40 +315,16 @@ class TQTree:
         return self._table
 
     def frame(self) -> TreeFrame:
-        """The tree as one columnar frame (see :mod:`repro.index.frame`),
-        (re)built lazily after updates: every node's entry list laid end
-        to end in one block, each node's own block re-pointed at its
-        window of it.  A node whose list did not change keeps its block
-        *object* (what caches anchor on)."""
-        frame = self.root._frame
-        if frame is None:
-            nodes = list(self.nodes())
-            block = NodeBlock(
-                self.table, self.config.variant,
-                np.concatenate([node.rows for node in nodes]),
-                np.concatenate([node.segs for node in nodes]),
-            )
-            frame = TreeFrame(nodes, block)
-            bounds = frame.row_off.tolist()
-            for node, lo, hi in zip(nodes, bounds, bounds[1:]):
-                if node._dirty:
-                    node._block = block.window(lo, hi)
-                    node._dirty = False
-                else:
-                    block.window(lo, hi, into=node._block)
-            self.root._frame = frame
+        """The node table (see :mod:`repro.index.frame`), with its block
+        — every list's columns — (re)built lazily after updates."""
+        frame = self._frame
+        if frame.block is None:
+            frame.block = NodeBlock(self.table, self.config.variant, frame.rows, frame.segs)
         return frame
-
-    def node_block(self, node: QNode) -> NodeBlock:
-        """The node's entry list as flat columns — its window of the
-        frame's block; row ``i`` is the entry ``(node.rows[i],
-        node.segs[i])``."""
-        self.frame()
-        return node._block
 
     def zstack(self) -> Optional[ZStack]:
         """The z-structure of every non-empty list, stacked over the
-        frame and dropped with it (None for TQ(B))."""
+        frame and dropped with its block (None for TQ(B))."""
         if not self.config.use_zorder:
             return None
         frame = self.frame()
@@ -435,8 +336,8 @@ class TQTree:
         return frame.zstack
 
     def warm_zindex(self) -> None:
-        """Materialise everything queries read lazily — the frame with
-        every node's block, and on TQ(Z) the z-stack — so construction
-        cost is attributed to construction, not to the first query."""
+        """Materialise everything queries read lazily — the block, and
+        on TQ(Z) the z-stack — so construction cost is attributed to
+        construction, not to the first query."""
         self.frame()
         self.zstack()

@@ -23,9 +23,8 @@ implementation behind :func:`evaluate_service` (frontier = every node
 the walk reaches), kMaxRRST's relax and ancestor scans
 (:mod:`repro.queries.kmaxrrst`), the collecting MaxkCovRST walk and
 :func:`evaluate_node_trajectories` (a frontier of one).  No Python loop
-runs over entries; per node, the only Python work left is a dict get and
-an identity check on the cache's answer (and, on a miss, slicing the
-result to store).
+runs over entries; per node, the only Python work left is a dict get by
+the node's stamp (and, on a miss, slicing the result to store).
 
 A :class:`MatchCollector` can ride along to record *which* points of
 which users were served — MaxkCovRST needs these per-facility match sets
@@ -61,7 +60,7 @@ from ..core.stats import QueryStats
 from ..core.trajectory import FacilityRoute, UserPointTable, ranges
 from ..index.block import NodeBlock
 from ..index.frame import ANY, BBOX, BOTH, TreeFrame, kept_per_run
-from ..index.tqtree import QNode, TQTree
+from ..index.tqtree import TQTree
 from ..runtime import QueryRuntime, coerce_runtime
 from .components import DivisionPlan, FacilityComponent
 
@@ -308,7 +307,7 @@ def score_frontier(
     against the plan's stop set, and the whole frontier's candidates —
     cached and fresh, end to end — are scored in one segmented pass
     (:func:`_score_candidates`).  Per node, nothing runs but a dict get
-    and an identity check on the cache's answer.
+    by its stamp.
 
     Probing the walk's stops instead of each node's own component is
     exact: an entry sits at a node whose box holds all its probe points,
@@ -318,7 +317,7 @@ def score_frontier(
     stops are in the call.
 
     ``runtime`` owns the probe path and memoises the (candidate rows,
-    mask) pair per q-node in its cache, one table per walk (facility,
+    mask) pair per node stamp in its cache, one table per walk (facility,
     psi, mode): the component a facility induces at a node is the same
     whichever algorithm walked there, so a later walk in the same mode
     — a repeated query, an ancestor re-scan — reuses the geometric work
@@ -361,51 +360,45 @@ def _cached_filter_and_probe(
     """:func:`_filter_and_probe` answered from ``runtime``'s cache where
     it can: the walk's table is read once (verified against the walk's
     stop coordinates — equal walks divide into equal components at every
-    node), a node's result counts only while it is anchored on the
-    node's block object (which an insert into the node replaces), and
-    only the misses are filtered and probed — then stored in one call.
-    Same four arrays, ``order`` listing the hits first."""
+    node) and keyed by node stamp (which names one list of one tree: an
+    insert into the node renews it), and only the misses are filtered
+    and probed — then stored in one call.  Same four arrays, ``order``
+    listing the hits first."""
     frame = tree.frame()
     component = plan.component
     cache = runtime.cache
     key = (component.facility_id, spec.psi, collecting, spec.model.value)
     coords = component.stops.coords
-    listed = [frame.nodes[i] for i in nodes.tolist()]
-    table, held = cache.lookup_walk(key, coords, [id(node) for node in listed])
-    hits, hit_at, miss_at = [], [], []
-    for k, (node, entry) in enumerate(zip(listed, held)):
-        if entry is not None and entry[0] is node._block:
-            hits.append(entry)
-            hit_at.append(k)
-        else:
-            miss_at.append(k)
+    stamps = frame.stamp[nodes]
+    table, held = cache.lookup_walk(key, coords, stamps.tolist())
+    hit = np.array([entry is not None for entry in held], dtype=bool)
+    hits = [entry for entry in held if entry is not None]
     stats.cache_hits += len(hits)
     parts = []
     if hits:
-        at = np.array(hit_at)
-        counts = np.fromiter((entry[1].size for entry in hits), np.int64, len(hits))
-        rows = np.concatenate([entry[1] for entry in hits])
+        at = np.flatnonzero(hit)
+        counts = np.fromiter((entry[0].size for entry in hits), np.int64, len(hits))
+        rows = np.concatenate([entry[0] for entry in hits])
         parts.append((
             at, rows + np.repeat(frame.row_off[nodes[at]], counts), counts,
-            np.concatenate([entry[2] for entry in hits]),
+            np.concatenate([entry[1] for entry in hits]),
         ))
     found = {}
-    if miss_at:
-        miss_at = np.array(miss_at)
+    if len(hits) < nodes.size:
+        miss_at = np.flatnonzero(~hit)
         order, rows, counts, mask = _filter_and_probe(
             tree, plan, nodes[miss_at], spec, collecting, stats, runtime
         )
         at = miss_at[order]
         parts.append((at, rows, counts, mask))
-        # cached rows are node-relative: a clean node keeps its block
-        # across a frame rebuild, not its place in the frame
+        # cached rows are node-relative: an insert elsewhere moves a
+        # node's rows in the block, not its stamp
         relative = rows - np.repeat(frame.row_off[nodes[at]], counts)
         row_end = np.cumsum(counts)
         probe_end = np.concatenate(([0], np.cumsum(frame.block.probe_cnt[rows])))[row_end]
         r0 = p0 = 0
-        for k, r1, p1 in zip(at.tolist(), row_end.tolist(), probe_end.tolist()):
-            node = listed[k]
-            found[id(node)] = (node._block, relative[r0:r1], mask[p0:p1])
+        for stamp, r1, p1 in zip(stamps[at].tolist(), row_end.tolist(), probe_end.tolist()):
+            found[stamp] = (relative[r0:r1], mask[p0:p1])
             r0, p0 = r1, p1
     cache.store_walk(key, coords, table, found, len(hits))
     if len(parts) == 1:
@@ -426,33 +419,32 @@ def walk_plan(
     whole = FacilityComponent.whole(facility, psi)
     if runtime is not None:
         whole = whole.with_stops(runtime.stop_set(whole.stops, psi))
-    return DivisionPlan(tree.frame(), whole.restricted_to(tree.root.box))
+    return DivisionPlan(tree.frame(), whole.restricted_to(tree.space))
 
 
 def evaluate_node_trajectories(
     tree: TQTree,
-    node: QNode,
+    node: int,
     component: FacilityComponent,
     spec: ServiceSpec,
     collector: Optional[MatchCollector] = None,
     stats: Optional[QueryStats] = None,
     runtime: Optional[QueryRuntime] = None,
 ) -> float:
-    """Algorithm 2: score the entries stored *at* ``node`` against the
-    facility component.  Returns the service value gained.
+    """Algorithm 2: score the entries stored *at* node number ``node``
+    (0 is the root) against the facility component.  Returns the service
+    value gained.
 
     A frontier of one: ``component`` is divided over the tree like any
     walk's, and the node is scored by :func:`score_frontier` against
     the part of it that can serve the node's region.
     """
     runtime = coerce_runtime(runtime)
-    frame = tree.frame()
-    i = frame.index_of[id(node)]
-    plan = DivisionPlan(frame, component)
-    if not plan.member[i].any():
+    plan = DivisionPlan(tree.frame(), component)
+    if not plan.member[node].any():
         return 0.0
     return score_frontier(
-        tree, plan, np.array([i]), spec, collector,
+        tree, plan, np.array([node]), spec, collector,
         stats if stats is not None else QueryStats(), runtime,
     )[0]
 

@@ -94,25 +94,27 @@ def _initial_state(
 ) -> _State:
     """Lines 3.3–3.8 of Algorithm 3, with the ancestor correction.
 
-    The paper anchors the state at ``containingQNode(f)``.  Entries stored
-    at that node's *ancestors* can still score under partial-service
-    models (a long inter-node trajectory may have interior points inside
-    the serving envelope), so those ancestor lists — at most tree-height
-    many — are evaluated exactly into ``aserve`` up front, as one
-    frontier.
+    The paper anchors the state at ``containingQNode(f)``: the node the
+    serving envelope would be stored at by the routing rule of build and
+    insert, so every entry lying inside the envelope is in its subtree.
+    Entries stored at that node's *ancestors* can still score under
+    partial-service models (a long inter-node trajectory may have
+    interior points inside the serving envelope), so those ancestor
+    lists — at most tree-height many — are evaluated exactly into
+    ``aserve`` up front, as one frontier, root first.
     """
     plan = walk_plan(tree, facility, spec.psi, runtime)
     frame = tree.frame()
-    anchor = tree.containing_qnode(facility.embr(spec.psi))
+    path = frame.path(tree.containing_qnode(facility.embr(spec.psi)))
     aserve = 0.0
-    if anchor.parent is not None and needs_ancestor_scan(spec, tree.config.variant):
-        ancestors = np.array([frame.index_of[id(a)] for a in tree.ancestors(anchor)])
-        for value in score_frontier(tree, plan, ancestors, spec, None, stats, runtime):
+    if path.size > 1 and needs_ancestor_scan(spec, tree.config.variant):
+        for value in score_frontier(tree, plan, path[:0:-1], spec, None, stats, runtime):
             aserve += value
-    frontier = np.array([frame.index_of[id(anchor)]])
+    frontier = path[:1]
     if not plan.member[frontier[0]].any():
         return _State(facility, plan, frontier[:0], aserve, 0.0)
-    return _State(facility, plan, frontier, aserve, anchor.sub_value(spec))
+    hserve = float(frame.sub[frontier[0], SubBounds.column_for(spec)])
+    return _State(facility, plan, frontier, aserve, hserve)
 
 
 def _relax_state(

@@ -28,7 +28,7 @@ from repro.core.geometry import bbox_of_points
 from repro.core.service import in_order_sum
 from repro.core.trajectory import UserPointTable
 from repro.core.zorder import zid_of_point
-from repro.index import QNode, TreeFrame, ZStack
+from repro.index import TreeFrame, ZStack
 from repro.index.block import NodeBlock
 from repro.index.entries import entry_keys
 
@@ -56,13 +56,48 @@ def entry_ids(users, variant=IndexVariant.ENDPOINT):
 def stack_of(users, variant=IndexVariant.ENDPOINT, beta=4, z_max_depth=12) -> ZStack:
     """A one-node z-stack over every ``variant`` entry of ``users`` in
     ``WORLD``, built the way a tree builds its own: block first, stack
-    over the frame.  Stacked position ``i`` is entry ``stack.row[i]`` of
-    ``block_of(users, variant)``."""
+    over a one-node table.  Stacked position ``i`` is entry
+    ``stack.row[i]`` of ``block_of(users, variant)``."""
     config = TQTreeConfig(beta=beta, variant=variant, z_max_depth=z_max_depth)
     table, block = block_of(users, variant)
-    node = QNode(WORLD, 0, None)
-    node.rows, node.segs = block.rows, block.segs
-    return ZStack(TreeFrame([node], block), table.traj_ids, config.beta, config.z_max_depth)
+    frame = TreeFrame(
+        [box_row(WORLD)], [0], [-1], [[-1] * 4], [np.zeros(5)], [block.n],
+        block.rows, block.segs,
+    )
+    frame.block = block
+    return ZStack(frame, table.traj_ids, config.beta, config.z_max_depth)
+
+
+def ref_storage(tree) -> dict:
+    """The shape fields of ``storage_report(tree)``, by a plain
+    recursion over the node table's ``children`` rows from the root
+    (list lengths read off ``row_off``, depths counted on the way
+    down)."""
+    frame = tree.frame()
+    out = dict(
+        n_nodes=0, n_leaves=0, height=0, inter_node_entries=0,
+        intra_node_entries=0, entries_per_level={}, max_leaf_occupancy=0,
+        n_entries_stored=0,
+    )
+
+    def rec(i, depth):
+        n = int(frame.row_off[i + 1] - frame.row_off[i])
+        out["n_nodes"] += 1
+        out["n_entries_stored"] += n
+        out["entries_per_level"][depth] = out["entries_per_level"].get(depth, 0) + n
+        kids = [int(child) for child in frame.children[i] if child >= 0]
+        if kids:
+            out["inter_node_entries"] += n
+        else:
+            out["n_leaves"] += 1
+            out["intra_node_entries"] += n
+            out["max_leaf_occupancy"] = max(out["max_leaf_occupancy"], n)
+            out["height"] = max(out["height"], depth + 1)
+        for child in kids:
+            rec(child, depth + 1)
+
+    rec(0, 0)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -83,11 +118,11 @@ def leaf_cells(root: BBox, boxes: np.ndarray):
     return out
 
 
-def z_node(stack: ZStack, slot: int, box: BBox, row_lo: int = 0):
-    """Stacked node ``slot`` (region ``box``, first block row ``row_lo``)
-    as one z-ordered list: ``order`` (list positions in z-sorted order),
-    per sorted position the leaf ranks ``start_rank`` / ``end_rank`` and
-    ``bbox``, and the two partitions' ``start_leaves`` / ``end_leaves``
+def z_node(stack: ZStack, slot: int, box: BBox):
+    """Stacked node ``slot`` (region ``box``) as one z-ordered list:
+    ``order`` (its block rows in z-sorted order), per sorted position
+    the leaf ranks ``start_rank`` / ``end_rank`` and ``bbox``, and the
+    two partitions' ``start_leaves`` / ``end_leaves``
     (:func:`leaf_cells`).  A partition tiles ``box`` in Z order, so it
     ends at its only leaf touching the box's upper right corner."""
     c0, c1 = stack.cell_off[slot : slot + 2].tolist()
@@ -98,7 +133,7 @@ def z_node(stack: ZStack, slot: int, box: BBox, row_lo: int = 0):
     assert np.flatnonzero(corner).tolist() == [n_start - 1, c1 - c0 - 1]
     return SimpleNamespace(
         box=box,
-        order=stack.row[p0:p1] - row_lo,
+        order=stack.row[p0:p1],
         start_rank=stack.start_cell[p0:p1] - c0,
         end_rank=stack.end_cell[p0:p1] - (c0 + n_start),
         bbox=stack.bbox[p0:p1],

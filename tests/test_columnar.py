@@ -197,9 +197,7 @@ class TestOracleParityLongLists:
              checkin_users + taxi_users_renumbered(taxi_users)),
         ]
         for tree, users in trees:
-            assert any(
-                n.n_own >= evaluate_module._Z_MIN_LIST for n in tree.nodes()
-            )
+            assert (tree.frame().n_own >= evaluate_module._Z_MIN_LIST).any()
             for model, normalize in SPECS:
                 spec = ServiceSpec(model, psi=400.0, normalize=normalize)
                 if not _spec_ok(tree, spec):
@@ -289,15 +287,17 @@ class TestInsertAfterWarm:
             tree = TQTree.build(
                 users, TQTreeConfig(beta=4, variant=variant), space=BBox(0, 0, 1024, 1024)
             )
-            for node in tree.nodes():
+            frame = tree.frame()
+            for i in range(len(frame)):
+                lo, hi = frame.row_off[i : i + 2]
                 want = []
-                for row, seg in zip(node.rows.tolist(), node.segs.tolist()):
+                for row, seg in zip(frame.rows[lo:hi].tolist(), frame.segs[lo:hi].tolist()):
                     start, end, box = ref_geometry(tree.table.users[row], seg, variant)
                     want.append(
                         [start.x, start.y, end.x, end.y,
                          box.xmin, box.ymin, box.xmax, box.ymax]
                     )
-                assert tree.node_block(node).gov.tolist() == want
+                assert frame.block.gov[lo:hi].tolist() == want
 
     def test_short_lists_never_build_a_z_structure(self):
         """Blocks build without a z-stack; one appears only once a query
@@ -305,16 +305,15 @@ class TestInsertAfterWarm:
         with the frame on an insert."""
         users = _manhattan_users(40, seed=4)
         tree = TQTree.build(users, TQTreeConfig(beta=4), space=BBox(0, 0, 1024, 1024))
-        for node in tree.nodes():
-            tree.node_block(node)
+        assert tree.frame().block.n == tree.n_entries
         assert tree.frame().zstack is None
         tree.warm_zindex()
         stack = tree.frame().zstack
         assert stack is tree.zstack()
-        assert (stack.slot_of >= 0).tolist() == [bool(n.n_own) for n in tree.nodes()]
+        assert (stack.slot_of >= 0).tolist() == (tree.frame().n_own > 0).tolist()
         tree.insert(Trajectory(99, [(1, 1), (1000, 1000)]))
         assert tree.zstack() is not stack
-        assert np.diff(tree.zstack().pos_off)[0] == tree.root.n_own
+        assert np.diff(tree.zstack().pos_off)[0] == tree.frame().n_own[0]
 
     def test_table_grows_without_moving_slots(self):
         users = _manhattan_users(30, seed=9)

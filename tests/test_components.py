@@ -8,7 +8,7 @@ from repro import BBox, FacilityRoute, IndexVariant, Point
 from repro.core.service import StopSet
 from repro.core.trajectory import UserPointTable
 from repro.core.zorder import boxes_within
-from repro.index import NodeBlock, QNode, TreeFrame
+from repro.index import NodeBlock, TreeFrame
 from repro.queries.components import DivisionPlan, FacilityComponent
 
 
@@ -27,10 +27,14 @@ def intersecting_components(children_boxes, component):
     """The paper's ``intersectingComponents`` read off a
     :class:`DivisionPlan`: one entry per child box, ``None`` where the
     component cannot serve the child."""
-    nodes = [QNode(box, 1, None) for box in children_boxes]
+    n = len(children_boxes)
     no_rows = np.zeros(0, dtype=np.int64)
-    block = NodeBlock(UserPointTable(()), IndexVariant.ENDPOINT, no_rows, no_rows)
-    plan = DivisionPlan(TreeFrame(nodes, block), component)
+    frame = TreeFrame(
+        [(b.xmin, b.ymin, b.xmax, b.ymax) for b in children_boxes], [1] * n, [-1] * n,
+        [[-1] * 4] * n, np.zeros((n, 5)), [0] * n, no_rows, no_rows,
+    )
+    frame.block = NodeBlock(UserPointTable(()), IndexVariant.ENDPOINT, no_rows, no_rows)
+    plan = DivisionPlan(frame, component)
     return [
         component.with_stops(StopSet(component.stops.coords[member]))
         if member.any() else None

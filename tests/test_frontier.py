@@ -107,8 +107,12 @@ def _grown_and_bulk(name: str, seed: int = 7):
     grown.warm_zindex()
     for u in users[20:]:
         grown.insert(u)
-    assert sum(1 for _ in grown.nodes()) > 5
+    assert len(grown.frame()) > 5
     return [bulk, grown]
+
+
+def _box(frame, i) -> BBox:
+    return BBox(*frame.box[i].tolist())
 
 
 def _specs(tree: TQTree, psi: float):
@@ -137,17 +141,18 @@ def z_on_short_lists():
 def test_probe_points_and_z_cells_lie_inside_their_node(name):
     for tree in _grown_and_bulk(name):
         tree.warm_zindex()
-        for node in tree.nodes():
-            box = node.box
-            xy = tree.node_block(node).probe_xy
+        frame = tree.frame()
+        for i in range(len(frame)):
+            box, lo, hi = _box(frame, i), frame.row_off[i], frame.row_off[i + 1]
+            xy = frame.block.probe_xy[frame.block.probe_off[lo] : frame.block.probe_off[hi]]
             assert np.all(
                 (xy[:, 0] >= box.xmin) & (xy[:, 0] <= box.xmax)
                 & (xy[:, 1] >= box.ymin) & (xy[:, 1] <= box.ymax)
             )
             stack = tree.zstack()
-            if stack is None or not node.n_own:
+            if stack is None or not frame.n_own[i]:
                 continue
-            k = stack.slot_of[tree.frame().index_of[id(node)]]
+            k = stack.slot_of[i]
             cells = stack.cell_box[stack.cell_off[k] : stack.cell_off[k + 1]]
             assert cells.shape[0] >= 2  # a start and an end partition
             assert np.all(
@@ -160,26 +165,29 @@ def test_probe_points_and_z_cells_lie_inside_their_node(name):
 # (b) the plan vs restricted_to and the recursion
 # ----------------------------------------------------------------------
 def _reached_by_recursion(tree: TQTree, whole: FacilityComponent):
-    """Algorithm 1's walk, the way the recursion made it."""
+    """Algorithm 1's walk, the way the recursion made it, over the
+    node table's ``children`` rows."""
+    frame = tree.frame()
     reached = []
 
-    def rec(node, component):
+    def rec(i, component):
         if component.is_empty:
             return
-        reached.append(node)
-        for child in node.children or ():
-            if child.sub.n_entries == 0:
+        reached.append(i)
+        for child in frame.children[i].tolist():
+            if child < 0 or frame.sub[child, 0] == 0:
                 continue
-            rec(child, component.restricted_to(child.box))
+            rec(child, component.restricted_to(_box(frame, child)))
 
-    rec(tree.root, whole.restricted_to(tree.root.box))
+    rec(0, whole.restricted_to(tree.space))
     return reached
 
 
 def _edge_stops(tree: TQTree, psi: float, rng):
     """Stops on q-node edges and corners, exactly ``psi`` outside them,
     and well outside the indexed space."""
-    boxes = [node.box for node in tree.nodes()]
+    frame = tree.frame()
+    boxes = [_box(frame, i) for i in range(len(frame))]
     picked = [boxes[int(i)] for i in rng.integers(0, len(boxes), size=4)]
     stops = []
     for b in picked:
@@ -206,10 +214,10 @@ def test_plan_equals_restricted_to_at_every_node(name, psi):
             whole = FacilityComponent.whole(f, psi)
             plan = walk_plan(tree, f, psi, None)
             want_reached = _reached_by_recursion(tree, whole)
-            assert [frame.nodes[i] for i in np.flatnonzero(plan.visited)] == want_reached
+            assert np.flatnonzero(plan.visited).tolist() == want_reached
             nonempty = []
-            for i, node in enumerate(frame.nodes):
-                want = whole.restricted_to(node.box)
+            for i in range(len(frame)):
+                want = whole.restricted_to(_box(frame, i))
                 got = plan.component.stops.coords[plan.member[i]]
                 assert np.array_equal(got, want.stops.coords)
                 if not want.is_empty:
@@ -254,12 +262,12 @@ def test_stacked_filter_equals_per_node_filters(name):
             if not listed.size:
                 continue
             embr = plan.embr(listed)
-            components = [whole.restricted_to(frame.nodes[i].box) for i in listed]
+            components = [whole.restricted_to(_box(frame, i)) for i in listed]
             for mode in (BOTH, ANY, BBOX):
                 rows, counts = evaluate_module._scan_candidates(frame, listed, embr, mode)
                 cuts = np.cumsum(counts)[:-1]
                 for i, comp, got in zip(listed.tolist(), components, np.split(rows, cuts)):
-                    gov = tree.node_block(frame.nodes[i]).gov
+                    gov = frame.block.gov[frame.row_off[i] : frame.row_off[i + 1]]
                     want = _envelope_scan(gov, comp.embr, mode == BOTH)
                     assert (got - frame.row_off[i]).tolist() == want.tolist()
                 if stack is None:
@@ -270,36 +278,34 @@ def test_stacked_filter_equals_per_node_filters(name):
                 cuts = np.cumsum(counts)[:-1]
                 for i, comp, got in zip(listed.tolist(), components, np.split(picked, cuts)):
                     k = stack.slot_of[i]
-                    node = z_node(stack, k, frame.nodes[i].box, frame.row_off[i])
-                    entries = ref_entries(
-                        node, tree.table, tree.node_block(frame.nodes[i]), tree.config.variant
-                    )
+                    node = z_node(stack, k, _box(frame, i))
+                    entries = ref_entries(node, tree.table, frame.block, tree.config.variant)
                     want = ref_candidates(
                         mode, node, entries, ref_keys(node, entries), tree.config.beta,
                         comp.embr, comp.stops.coords, psi,
                     )
                     assert (got - stack.pos_off[k]).tolist() == want
-                    assert (stack.row[got] - frame.row_off[i]).tolist() == (
-                        node.order[want].tolist()
-                    )
+                    assert stack.row[got].tolist() == node.order[want].tolist()
     if name.endswith("basic"):
         assert stack is None
 
 
 def _blocks_by_walking(tree: TQTree, facility, spec: ServiceSpec) -> BlockCosts:
-    """The block-I/O pricing as a node-by-node walk — the form
-    ``estimate_query_blocks`` had before it read the plan."""
+    """The block-I/O pricing as a node-by-node walk over the
+    ``children`` rows — the form ``estimate_query_blocks`` had before it
+    read the plan."""
     costs = BlockCosts()
     beta, variant = tree.config.beta, tree.config.variant
     stack, frame = tree.zstack(), tree.frame()
 
-    def walk(node, component):
+    def walk(i, component):
         if component.is_empty:
             return
         costs.node_blocks += 1
-        if node.n_own and stack is None:
-            costs.list_blocks += -(-node.n_own // beta)
-        elif node.n_own:
+        n_own = int(frame.row_off[i + 1] - frame.row_off[i])
+        if n_own and stack is None:
+            costs.list_blocks += -(-n_own // beta)
+        elif n_own:
             costs.directory_blocks += 2
             if variant is IndexVariant.FULL and spec.model is not ServiceModel.ENDPOINT:
                 mode = BBOX
@@ -310,16 +316,16 @@ def _blocks_by_walking(tree: TQTree, facility, spec: ServiceSpec) -> BlockCosts:
             else:
                 mode = ANY
             picked, _counts = stack.candidates(
-                stack.slot_of[[frame.index_of[id(node)]]],
+                stack.slot_of[[i]],
                 np.array([box_row(component.embr)]),
                 mode, component.stops.coords, spec.psi,
             )
             costs.list_blocks += np.unique(stack.bucket[picked]).size
-        for child in node.children or ():
-            if child.sub.n_entries:
-                walk(child, component.restricted_to(child.box))
+        for child in frame.children[i].tolist():
+            if child >= 0 and frame.sub[child, 0]:
+                walk(child, component.restricted_to(_box(frame, child)))
 
-    walk(tree.root, FacilityComponent.whole(facility, spec.psi).restricted_to(tree.root.box))
+    walk(0, FacilityComponent.whole(facility, spec.psi).restricted_to(tree.space))
     return costs
 
 
@@ -446,8 +452,8 @@ class TestFrameMutations(FrameMutations.TestCase):
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_split_that_keeps_a_list_length_rebuilds_the_frame(name):
     """One sinks, one arrives: the root list is four entries long before
-    and after, so nothing but the insert itself can tell the frame (and
-    the cached rows anchored on the root's block) that it changed."""
+    and after, so nothing but the insert itself can tell the block (and
+    the cached rows anchored on the root's stamp) that it changed."""
     users = [
         Trajectory(0, [(100, 100), (900, 900)]),
         Trajectory(1, [(900, 100), (100, 900)]),
@@ -460,45 +466,86 @@ def test_split_that_keeps_a_list_length_rebuilds_the_frame(name):
     with QueryRuntime() as runtime:
         for spec in _specs(tree, 140.0):
             _walks(tree, spec, runtime)
-        frame, root_block = tree.frame(), tree.node_block(tree.root)
-        assert tree.root.n_own == 4 and tree.root.is_leaf
+        frame = tree.frame()
+        block, stamp = frame.block, int(frame.stamp[0])
+        assert frame.n_own[0] == 4 and frame.children[0, 0] < 0
         tree.insert(newcomer)
-        assert tree.root.n_own == 4 and not tree.root.is_leaf
-        assert tree.frame() is not frame
-        assert tree.node_block(tree.root) is not root_block
+        assert frame.n_own[0] == 4 and frame.children[0, 0] >= 0
+        assert tree.frame() is frame and frame.block is not block
+        assert frame.stamp[0] != stamp
         _hold_to_fresh_tree(tree, users + [newcomer], name, runtime)
 
 
+def _node_state(frame):
+    """Per node box: its stamp, its list and whether it is a leaf."""
+    return {
+        tuple(frame.box[i].tolist()): (
+            int(frame.stamp[i]),
+            frame.rows[frame.row_off[i] : frame.row_off[i + 1]].tolist(),
+            bool(frame.children[i, 0] < 0),
+        )
+        for i in range(len(frame))
+    }
+
+
+@pytest.mark.engine_smoke
 def test_an_untouched_node_keeps_its_block_across_a_rebuild():
-    """Cached rows are anchored on a node's block object: an insert
-    elsewhere rebuilds the frame but must not cost that node its hits."""
-    users = _users(60, seed=2, two_point=True)
+    """Cached rows are anchored on a node's stamp.  An insert renews the
+    stamp of exactly the node whose list changed, a split the stamps of
+    every node of the re-placed subtree, and every other node keeps its
+    stamp — so the same walk after the insert hits on exactly the kept
+    nodes that have a list."""
+    users = _users(75, seed=2, two_point=True)
     tree = BUILDERS["tq_zorder"](users[:50])
     spec = ServiceSpec(ServiceModel.ENDPOINT, psi=2048.0)  # reaches every node
     cache = CoverageCache()
+    seen = {"split": 0, "insert": 0}
     with QueryRuntime(cache=cache) as runtime:
         evaluate_service(tree, _ROUTES[0], spec, runtime=runtime)
-    blocks = {id(node): tree.node_block(node) for node in tree.nodes()}
-    gov = {key: block.gov.copy() for key, block in blocks.items()}
-    tree.insert(users[50])
-    kept = [
-        node for node in tree.nodes()
-        if id(node) in blocks and not node._dirty
-    ]
-    assert any(node.n_own for node in kept)
-    frame = tree.frame()
-    for node in kept:
-        block = tree.node_block(node)
-        assert block is blocks[id(node)]
-        assert np.array_equal(block.gov, gov[id(node)])
-        assert not block.n or np.shares_memory(block.gov, frame.block.gov)
-    # ... so the same walk after the insert hits on exactly those nodes
-    hits, stats = cache.hits, QueryStats()
-    with QueryRuntime(cache=cache) as runtime:
-        value = evaluate_service(tree, _ROUTES[0], spec, stats=stats, runtime=runtime)
-    assert value == brute_force_service(users[:51], _ROUTES[0], spec)
-    held = sum(1 for node in kept if node.n_own)
-    assert cache.hits - hits == stats.cache_hits == held
+        for n in range(50, len(users)):
+            frame = tree.frame()
+            before, newest = _node_state(frame), int(frame.stamp.max())
+            tree.insert(users[n])
+            after = _node_state(frame)
+            if len(after) > len(before):
+                seen["split"] += 1
+                (leaf,) = [
+                    box for box, (_, _, is_leaf) in before.items()
+                    if is_leaf and not after[box][2]
+                ]
+                replaced = {box for box in after if BBox(*leaf).contains_bbox(BBox(*box))}
+            else:
+                seen["insert"] += 1
+                replaced = {box for box in after if after[box][1] != before[box][1]}
+                assert len(replaced) == 1
+            renewed = {box for box, (stamp, _, _) in after.items() if stamp > newest}
+            assert renewed == replaced
+            kept = [box for box in after if box not in replaced]
+            assert all(after[box][0] == before[box][0] for box in kept)
+            hits, stats = cache.hits, QueryStats()
+            value = evaluate_service(tree, _ROUTES[0], spec, stats=stats, runtime=runtime)
+            assert value == brute_force_service(users[: n + 1], _ROUTES[0], spec)
+            held = sum(1 for box in kept if after[box][1])
+            assert cache.hits - hits == stats.cache_hits == held
+    assert seen["split"] and seen["insert"]
+
+
+@pytest.mark.engine_smoke
+def test_equal_trees_sharing_a_runtime_share_no_node_results():
+    """Stamps come from one counter for the whole process: a second tree
+    equal to the first, walked through the same runtime, misses on every
+    node it scores, and answers what the oracle answers."""
+    users = _users(60, seed=2, two_point=True)
+    spec = ServiceSpec(ServiceModel.ENDPOINT, psi=2048.0)
+    first, second = BUILDERS["tq_zorder"](users), BUILDERS["tq_zorder"](users)
+    assert np.array_equal(first.frame().rows, second.frame().rows)
+    with QueryRuntime() as runtime:
+        evaluate_service(first, _ROUTES[0], spec, runtime=runtime)
+        misses, stats = runtime.cache.misses, QueryStats()
+        value = evaluate_service(second, _ROUTES[0], spec, stats=stats, runtime=runtime)
+        assert stats.cache_hits == 0
+        assert runtime.cache.misses - misses == np.count_nonzero(second.frame().n_own) > 1
+    assert value == brute_force_service(users, _ROUTES[0], spec)
 
 
 # ----------------------------------------------------------------------
@@ -576,13 +623,13 @@ def test_a_warmed_tree_builds_nothing_inside_its_first_query(name, z_on_short_li
         for spec in _specs(tree, 140.0):
             _walks(tree, spec, None)
     assert built == []
-    # ... and an unwarmed one builds them there, so the guard can fail
+    # ... and an unwarmed one builds its block there, so the guard can fail
     cold = BUILDERS[name](_users(60, seed=4, two_point=name in TWO_POINT))
     counted = []
     with pytest.MonkeyPatch.context() as patch:
-        inner = TreeFrame.__init__
+        inner = NodeBlock.__init__
         patch.setattr(
-            TreeFrame, "__init__",
+            NodeBlock, "__init__",
             lambda self, *a, **k: (counted.append(1), inner(self, *a, **k))[1],
         )
         _walks(cold, _specs(cold, 140.0)[0], None)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro import (
+    BBox,
     FacilityRoute,
     QueryError,
     ServiceModel,
@@ -18,6 +19,7 @@ from repro import (
     build_segmented,
     build_tq_basic,
     build_tq_zorder,
+    evaluate_service,
 )
 from repro.queries import top_k_facilities
 
@@ -165,3 +167,41 @@ class TestPropertyTopK:
             tree = builder(users, beta=3, space=WORLD)
             result = top_k_facilities(tree, facs, 2, spec)
             assert_topk_valid(result, users, facs, spec, 2)
+
+
+#: The anchor regression's space: both split lines of the root at 500.
+SPLIT_WORLD = BBox(0, 0, 1000, 1000)
+
+
+def _quadrant_fillers():
+    """Three short trips inside each quadrant of ``SPLIT_WORLD``, far
+    from its split lines."""
+    return [
+        Trajectory(100 + 3 * q + j, [(x + 20 * j, y), (x + 20 * j, y + 30)])
+        for q, (x, y) in enumerate([(100, 100), (700, 100), (100, 700), (700, 700)])
+        for j in range(3)
+    ]
+
+
+class TestAnchorOnASplitLine:
+    @pytest.mark.parametrize(
+        "user", [[(500, 100), (500, 120)], [(499.5, 100), (500, 120)]],
+        ids=["routed-east", "straddling"],
+    )
+    @pytest.mark.parametrize("use_zorder", [False, True], ids=["TQ(B)", "TQ(Z)"])
+    def test_anchor_follows_the_routing_rule(self, user, use_zorder):
+        """The serving envelope ``(480, 90, 500, 130)`` ends on the root's
+        split line ``x = 500``.  Closed containment anchored it in the
+        west child, but the routing rule sends a box reaching ``x = 500``
+        east (``>=``): the user on the line sits in the east child, the
+        straddling one at the root, and both were ranked 0.  Anchored by
+        the routing rule, kMaxRRST == evaluate-all == the oracle."""
+        users = _quadrant_fillers() + [Trajectory(0, user)]
+        config = TQTreeConfig(beta=2, use_zorder=use_zorder)
+        tree = TQTree.build(users, config, space=SPLIT_WORLD)
+        facility = FacilityRoute(0, [(490, 100), (490, 120)])
+        spec = ServiceSpec(ServiceModel.ENDPOINT, psi=10.0)
+        want = brute_force_service(users, facility, spec)
+        assert want == 1.0
+        assert evaluate_service(tree, facility, spec) == want
+        assert top_k_facilities(tree, [facility], 1, spec).services() == (want,)

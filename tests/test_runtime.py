@@ -278,7 +278,7 @@ _ENTRY_POINTS = {
         a.tree, a.facilities[0], a.spec, runtime=rt
     ),
     "evaluate_node_trajectories": lambda a, rt: evaluate_node_trajectories(
-        a.tree, a.tree.root, a.component, a.spec, runtime=rt
+        a.tree, 0, a.component, a.spec, runtime=rt
     ),
     "top_k_facilities": lambda a, rt: top_k_facilities(
         a.tree, a.facilities, 2, a.spec, runtime=rt

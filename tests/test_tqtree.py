@@ -24,9 +24,9 @@ from repro import (
     storage_report,
 )
 from repro.core.errors import IndexError_
-from repro.index import NodeBlock
+from repro.index import NodeBlock, TreeFrame
 
-from .strategies import WORLD, trajectory_sets
+from .strategies import WORLD, ref_storage, trajectory_sets
 
 
 def users_grid(n, n_points=2):
@@ -40,6 +40,28 @@ def users_grid(n, n_points=2):
     return out
 
 
+def is_leaf(frame, i):
+    return frame.children[i, 0] < 0
+
+
+def node_keys(frame, i):
+    """Node ``i``'s list as ``(row, seg)`` pairs, in list order."""
+    lo, hi = frame.row_off[i : i + 2]
+    return list(zip(frame.rows[lo:hi].tolist(), frame.segs[lo:hi].tolist()))
+
+
+def assert_same_table(got, want):
+    """Two trees' node tables agree column by column — dtype included,
+    stamps aside — and so do their blocks."""
+    a, b = got.frame(), want.frame()
+    for name in TreeFrame.__slots__:
+        if name not in ("stamp", "block", "zstack"):
+            column, other = getattr(a, name), getattr(b, name)
+            assert column.dtype == other.dtype and np.array_equal(column, other), name
+    for name in NodeBlock.__slots__:
+        assert np.array_equal(getattr(a.block, name), getattr(b.block, name)), name
+
+
 class TestBuild:
     def test_empty_build_requires_space(self):
         with pytest.raises(IndexError_):
@@ -48,18 +70,18 @@ class TestBuild:
     def test_empty_build_with_space(self):
         tree = TQTree.build([], space=WORLD)
         assert tree.n_trajectories == 0
-        assert tree.root.is_leaf
+        assert len(tree.frame()) == 1 and is_leaf(tree.frame(), 0)
 
     def test_small_set_stays_in_root(self):
         users = users_grid(3)
         tree = TQTree.build(users, TQTreeConfig(beta=8), space=WORLD)
-        assert tree.root.is_leaf
-        assert tree.root.n_own == 3
+        assert is_leaf(tree.frame(), 0)
+        assert tree.frame().n_own[0] == 3
 
     def test_large_set_splits(self):
         users = users_grid(200)
         tree = TQTree.build(users, TQTreeConfig(beta=8), space=WORLD)
-        assert not tree.root.is_leaf
+        assert not is_leaf(tree.frame(), 0)
         assert tree.height() > 1
 
     def test_duplicate_ids_rejected(self):
@@ -90,17 +112,19 @@ class TestPlacementInvariants:
         """Every entry's placement points lie in its node; at internal
         nodes they span >= 2 children, at leaves anything goes."""
         full = tree.config.variant is IndexVariant.FULL
-        for node in tree.nodes():
-            for row, seg in zip(node.rows.tolist(), node.segs.tolist()):
+        frame = tree.frame()
+        for i in range(len(frame)):
+            box = BBox(*frame.box[i].tolist())
+            for row, seg in node_keys(frame, i):
                 traj = tree.table.users[row]
                 if seg >= 0:
                     placement = traj.points[seg : seg + 2]
                 else:
                     placement = traj.points if full else (traj.start, traj.end)
                 for p in placement:
-                    assert node.box.contains_point(p)
-                if not node.is_leaf:
-                    quads = {node.box.quadrant_of(p) for p in placement}
+                    assert box.contains_point(p)
+                if not is_leaf(frame, i):
+                    quads = {box.quadrant_of(p) for p in placement}
                     assert len(quads) >= 2, "intra entry left at internal node"
 
     def test_endpoint_variant_placement(self):
@@ -151,27 +175,49 @@ class TestStorage:
         assert report.n_nodes >= report.n_leaves
         assert report.height == tree.height()
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        trajectory_sets(min_size=1, max_size=40, min_points=1, max_points=5),
+        st.sampled_from(list(IndexVariant)),
+        st.sampled_from([1, 3, 8]),
+        st.booleans(),
+    )
+    def test_report_is_the_recursion_over_children(self, users, variant, beta, grown):
+        """Column arithmetic accounts like a walk from the root: node,
+        leaf and per-level counts, height, inter / intra entries and the
+        fullest leaf, on bulk-built and insert-grown trees."""
+        cfg = TQTreeConfig(beta=beta, variant=variant)
+        if grown:
+            tree = TQTree(WORLD, cfg)
+            for u in users:
+                tree.insert(u)
+        else:
+            tree = TQTree.build(users, cfg, space=WORLD)
+        report = storage_report(tree)
+        for field, want in ref_storage(tree).items():
+            assert getattr(report, field) == want, field
+        assert report.stores_each_entry_once
+
 
 class TestSubBoundsInvariant:
     def _sub_of_subtree(self, tree, node):
         """The per-entry addends of every key stored at or below
         ``node``, summed in one go."""
+        frame = tree.frame()
         below, stack = [], [node]
         while stack:
             n = stack.pop()
-            below.append(n)
-            stack.extend(n.children or ())
-        block = NodeBlock(
-            tree.table, tree.config.variant,
-            np.concatenate([n.rows for n in below]),
-            np.concatenate([n.segs for n in below]),
-        )
+            below.extend(range(frame.row_off[n], frame.row_off[n + 1]))
+            stack.extend(int(child) for child in frame.children[n] if child >= 0)
+        keys = np.array(below, dtype=np.int64)
+        block = NodeBlock(tree.table, tree.config.variant, frame.rows[keys], frame.segs[keys])
         return block.own_totals().sum(axis=0)
 
     def _check_sub(self, tree):
-        for node in tree.nodes():
-            expected = self._sub_of_subtree(tree, node)
-            assert node.sub.as_row() == pytest.approx(expected.tolist())
+        frame = tree.frame()
+        for i in range(len(frame)):
+            expected = self._sub_of_subtree(tree, i)
+            assert frame.sub[i].tolist() == pytest.approx(expected.tolist())
 
     def test_sub_equals_subtree_totals_after_build(self):
         tree = build_tq_zorder(users_grid(300), beta=8, space=WORLD)
@@ -213,30 +259,18 @@ class TestInsert:
     )
     def test_grown_tree_is_the_built_tree(self, users, variant, beta):
         """Build, insert and split share one routing rule and one
-        ``sub`` arithmetic: growing a tree user by user makes the nodes,
-        the lists, the bounds and the columns a build makes."""
+        ``sub`` arithmetic: growing a tree user by user makes the node
+        table — boxes, links, lists, bounds — and the block a build
+        makes; only the stamps differ."""
         cfg = TQTreeConfig(beta=beta, variant=variant)
         built = TQTree.build(users, cfg, space=WORLD)
         grown = TQTree(WORLD, cfg)
         for u in users:
             grown.insert(u)
         assert grown.n_entries == built.n_entries
-        pairs = list(zip(built.nodes(), grown.nodes(), strict=True))
-        for a, b in pairs:
-            assert a.box == b.box and a.is_leaf == b.is_leaf
-            assert sorted(zip(a.rows.tolist(), a.segs.tolist())) == sorted(
-                zip(b.rows.tolist(), b.segs.tolist())
-            )
-            assert a.sub.as_row() == b.sub.as_row()
-        for a, b in pairs:
-            want, got = built.node_block(a), grown.node_block(b)
-            order_a = np.lexsort((want.segs, want.rows))
-            order_b = np.lexsort((got.segs, got.rows))
-            for name in ("rows", "segs", "gov", "own_cnt", "seg_cnt", "probe_cnt"):
-                assert np.array_equal(
-                    getattr(want, name)[order_a], getattr(got, name)[order_b]
-                )
-            assert np.array_equal(want.own_totals()[order_a], got.own_totals()[order_b])
+        assert_same_table(grown, built)
+        assert np.array_equal(grown.frame().block.own_totals(), built.frame().block.own_totals())
+        assert not np.intersect1d(grown.frame().stamp, built.frame().stamp).size
 
     @pytest.mark.parametrize("variant", list(IndexVariant))
     def test_overflowing_leaf_splits_into_the_built_children(self, variant):
@@ -247,16 +281,16 @@ class TestInsert:
         tree = TQTree(WORLD, cfg)
         splits = 0
         for n, u in enumerate(users, start=1):
-            leaves = {id(node) for node in tree.nodes() if node.is_leaf}
+            frame = tree.frame()
+            leaves = {tuple(frame.box[i].tolist()) for i in range(len(frame)) if is_leaf(frame, i)}
             tree.insert(u)
             fresh = TQTree.build(users[:n], cfg, space=WORLD)
-            for got, want in zip(tree.nodes(), fresh.nodes(), strict=True):
-                splits += id(got) in leaves and not got.is_leaf
-                assert got.box == want.box
-                assert got.rows.tolist() == want.rows.tolist()
-                assert got.segs.tolist() == want.segs.tolist()
-                assert got.own.as_row() == want.own.as_row()
-                assert got.sub.as_row() == want.sub.as_row()
+            assert_same_table(tree, fresh)
+            frame = tree.frame()
+            splits += sum(
+                tuple(frame.box[i].tolist()) in leaves and not is_leaf(frame, i)
+                for i in range(len(frame))
+            )
         assert splits > 0
 
     def test_insert_duplicate_rejected(self):
@@ -274,11 +308,14 @@ class TestInsert:
         users = users_grid(40)
         tree = TQTree.build(users[:30], TQTreeConfig(beta=64, use_zorder=False),
                             space=WORLD)
-        before = tree.node_block(tree.root).gov.shape[0]
+        frame = tree.frame()
+        before = frame.block.gov[: frame.row_off[1]].shape[0]
         for u in users[30:]:
             tree.insert(u)
-        after = tree.node_block(tree.root).gov.shape[0]
-        assert after == tree.root.n_own
+        frame = tree.frame()
+        after = frame.block.gov[: frame.row_off[1]].shape[0]
+        assert frame.block.gov.shape[0] == tree.n_entries == 40
+        assert after == frame.n_own[0]
         assert after >= before
 
     def test_tq_basic_exact_after_inserts(self):
@@ -311,27 +348,43 @@ class TestInsert:
 
 class TestLookups:
     def test_containing_qnode_smallest(self):
+        """The smallest routing region holding the box: down from the
+        root while ``quadrant_of`` puts both corners in one quadrant —
+        on a split line the box goes up/right, as an entry's would."""
         tree = build_tq_zorder(users_grid(300), beta=8, space=WORLD)
-        box = BBox(10, 10, 40, 40)
-        node = tree.containing_qnode(box)
-        assert node.box.contains_bbox(box)
-        # no child of the found node contains the box
-        if node.children:
-            assert not any(c.box.contains_bbox(box) for c in node.children)
+        frame = tree.frame()
+        half = WORLD.width / 2
+        for box in (
+            BBox(10, 10, 40, 40),
+            BBox(half - 20, 90, half, 130),  # ends on the root's split line
+            BBox(half, 90, half + 10, 130),  # starts on it
+            BBox(half - 1, half - 1, half + 1, half + 1),
+        ):
+            node, lo, hi = 0, Point(box.xmin, box.ymin), Point(box.xmax, box.ymax)
+            while not is_leaf(frame, node):
+                region = BBox(*frame.box[node].tolist())
+                if region.quadrant_of(lo) != region.quadrant_of(hi):
+                    break
+                node = int(frame.children[node, region.quadrant_of(lo)])
+            assert tree.containing_qnode(box) == node
+            assert BBox(*frame.box[node].tolist()).contains_bbox(box)
+        assert tree.containing_qnode(BBox(half - 20, 90, half, 130)) == 0
 
     def test_containing_qnode_outside_space_is_root(self):
         tree = build_tq_zorder(users_grid(50), beta=8, space=WORLD)
         node = tree.containing_qnode(BBox(-100, -100, 50, 50))
-        assert node is tree.root
+        assert node == 0
 
     def test_ancestors_chain(self):
         tree = build_tq_zorder(users_grid(400), beta=4, space=WORLD)
+        frame = tree.frame()
         node = tree.containing_qnode(BBox(5, 5, 6, 6))
-        chain = TQTree.ancestors(node)
-        if chain:
-            assert chain[0] is tree.root
-            for parent, child in zip(chain, chain[1:] + [node]):
-                assert child.parent is parent
+        chain = frame.path(node).tolist()
+        assert chain[0] == node and chain[-1] == 0 and len(chain) > 1
+        for child, parent in zip(chain, chain[1:]):
+            assert frame.parent[child] == parent
+            assert child in frame.children[parent]
+            assert frame.depth[child] == frame.depth[parent] + 1
 
     def test_trajectory_lookup(self):
         users = users_grid(10)
@@ -353,5 +406,5 @@ class TestLookups:
     def test_tq_zorder_builds_zlist(self):
         tree = build_tq_zorder(users_grid(50), beta=8, space=WORLD)
         stack = tree.zstack()
-        assert (stack.slot_of >= 0).tolist() == [bool(n.n_own) for n in tree.nodes()]
+        assert (stack.slot_of >= 0).tolist() == (tree.frame().n_own > 0).tolist()
         assert stack.row.size == tree.n_entries
