@@ -1,4 +1,4 @@
-"""``python -m repro.bench [FIG ...] [--runtime SHARDS[:WORKERS]]``."""
+"""``python -m repro.bench [FIG ...] [--runtime SHARDS]``."""
 
 import sys
 

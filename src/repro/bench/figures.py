@@ -11,12 +11,12 @@ package is runnable::
 Every TQ-path experiment is built on the :class:`~repro.runtime.
 QueryRuntime` execution layer, so the Figure 6–9 sweeps (and the
 MaxkCovRST experiments that stack on them) can be re-run through a
-runtime at any shard and worker count with the ``--runtime`` flag::
+runtime at any shard count with the ``--runtime`` flag::
 
-    python -m repro.bench fig6a --runtime 7:4
+    python -m repro.bench fig6a --runtime 7
     python -m repro.bench fig7c --runtime auto
 
-The spec is ``SHARDS[:WORKERS]`` (see
+The spec is ``SHARDS`` (see
 :func:`~repro.bench.harness.parse_runtime_spec`); without the flag the
 sweeps run the legacy plain-dense path, which is what the paper's
 competitors used.  Each timed competitor gets a *fresh* runtime and its
@@ -28,12 +28,12 @@ geometric work, not cache replay; answers never depend on the runtime
 from __future__ import annotations
 
 import argparse
-import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import IndexVariant
+from ..core.errors import QueryError
 from ..core.service import ServiceModel, ServiceSpec
 from ..queries.evaluate import evaluate_service
 from ..queries.exact import approximation_ratio, exact_max_k_coverage
@@ -58,13 +58,6 @@ from .harness import (
 __all__ = ["Figure", "Series", "ALL_FIGURES", "run_figure", "render", "main"]
 
 
-def _sweep_runtime(factory: WorkloadFactory):
-    """Context manager: the sweep leg's runtime (or ``None``), closed on
-    exit so its thread pool does not outlive the measurement."""
-    rt = factory.query_runtime()
-    return contextlib.closing(rt) if rt is not None else contextlib.nullcontext()
-
-
 def _best_of(factory, make_fn, repeats: int) -> float:
     """The timing scaffold every competitor-time helper shares.
 
@@ -77,20 +70,20 @@ def _best_of(factory, make_fn, repeats: int) -> float:
     masks; the best of ``repeats`` timed passes suppresses scheduler
     noise.
     """
-    with _sweep_runtime(factory) as rt:
-        fn = make_fn(rt)
+    rt = factory.query_runtime()
+    fn = make_fn(rt)
 
-        def one_pass():
-            if rt is not None:
-                rt.cache.clear()
-            fn()
+    def one_pass():
+        if rt is not None:
+            rt.cache.clear()
+        fn()
 
-        one_pass()  # warm
-        best = float("inf")
-        for _ in range(max(1, repeats)):
-            with Timer() as t:
-                one_pass()
-            best = min(best, t.seconds)
+    one_pass()  # warm
+    best = float("inf")
+    for _ in range(max(1, repeats)):
+        with Timer() as t:
+            one_pass()
+        best = min(best, t.seconds)
     return best
 
 
@@ -414,26 +407,26 @@ def fig9b(factory: WorkloadFactory) -> Figure:
 # Section VI-B(4): MaxkCovRST
 # ----------------------------------------------------------------------
 def _maxkcov_run(factory, users, method, facilities, k, spec):
-    with _sweep_runtime(factory) as rt:
-        if method == "G(BL)":
-            index = factory.baseline(users)
-            fn = lambda: maxkcov_baseline(  # noqa: E731
-                index, users, facilities, k, spec
-            )
-        elif method == "Gn-TQ(Z)":
-            tree = factory.tq_tree(users, use_zorder=True)
-            match = tq_match_fn(tree, spec, runtime=rt)
-            fn = lambda: genetic_max_k_coverage(  # noqa: E731
-                users, facilities, k, spec, match, GeneticConfig(seed=7),
-                runtime=rt,
-            )
-        else:
-            tree = factory.tq_tree(users, use_zorder=(method == "G-TQ(Z)"))
-            fn = lambda: maxkcov_tq(  # noqa: E731
-                tree, facilities, k, spec, runtime=rt
-            )
-        with Timer() as t:
-            result = fn()
+    rt = factory.query_runtime()
+    if method == "G(BL)":
+        index = factory.baseline(users)
+        fn = lambda: maxkcov_baseline(  # noqa: E731
+            index, users, facilities, k, spec
+        )
+    elif method == "Gn-TQ(Z)":
+        tree = factory.tq_tree(users, use_zorder=True)
+        match = tq_match_fn(tree, spec, runtime=rt)
+        fn = lambda: genetic_max_k_coverage(  # noqa: E731
+            users, facilities, k, spec, match, GeneticConfig(seed=7),
+            runtime=rt,
+        )
+    else:
+        tree = factory.tq_tree(users, use_zorder=(method == "G-TQ(Z)"))
+        fn = lambda: maxkcov_tq(  # noqa: E731
+            tree, facilities, k, spec, runtime=rt
+        )
+    with Timer() as t:
+        result = fn()
     return result, t.seconds
 
 
@@ -500,17 +493,17 @@ def fig11(factory: WorkloadFactory) -> Tuple[Figure, Figure]:
     spec = factory.spec()
 
     def ratios(users, facilities):
-        with _sweep_runtime(factory) as rt:
-            tree = factory.tq_tree(users, use_zorder=True)
-            match = tq_match_fn(tree, spec, runtime=rt)
-            greedy = greedy_max_k_coverage(users, facilities, k, spec, match)
-            ga = genetic_max_k_coverage(
-                users, facilities, k, spec, match, GeneticConfig(seed=7),
-                runtime=rt,
-            )
-            exact = exact_max_k_coverage(
-                users, facilities, k, spec, match, runtime=rt
-            )
+        rt = factory.query_runtime()
+        tree = factory.tq_tree(users, use_zorder=True)
+        match = tq_match_fn(tree, spec, runtime=rt)
+        greedy = greedy_max_k_coverage(users, facilities, k, spec, match)
+        ga = genetic_max_k_coverage(
+            users, facilities, k, spec, match, GeneticConfig(seed=7),
+            runtime=rt,
+        )
+        exact = exact_max_k_coverage(
+            users, facilities, k, spec, match, runtime=rt
+        )
         return (
             approximation_ratio(greedy, exact),
             approximation_ratio(ga, exact),
@@ -570,9 +563,9 @@ def ablation_pruning(factory: WorkloadFactory) -> Figure:
         for use_z, name in ((False, "TQ(B)"), (True, "TQ(Z)")):
             tree = factory.tq_tree(users, use_zorder=use_z)
             stats = QueryStats()
-            with _sweep_runtime(factory) as rt:
-                for f in probe:
-                    evaluate_service(tree, f, spec, stats=stats, runtime=rt)
+            rt = factory.query_runtime()
+            for f in probe:
+                evaluate_service(tree, f, spec, stats=stats, runtime=rt)
             fig.series_named(name).add(days, stats.entries_scored / len(probe))
         fig.series_named("stored entries").add(days, float(len(users)))
     return fig
@@ -591,14 +584,14 @@ def ablation_beta(factory: WorkloadFactory) -> Figure:
     for beta in (16, 32, 64, 128, 256):
         tree = build_tq_zorder(users, beta=beta, space=factory.city.bounds)
         tree.warm_zindex()
-        with _sweep_runtime(factory) as rt:
-            for f in probe:  # warm
+        rt = factory.query_runtime()
+        for f in probe:  # warm
+            evaluate_service(tree, f, spec, runtime=rt)
+        if rt is not None:
+            rt.cache.clear()
+        with Timer() as t:
+            for f in probe:
                 evaluate_service(tree, f, spec, runtime=rt)
-            if rt is not None:
-                rt.cache.clear()
-            with Timer() as t:
-                for f in probe:
-                    evaluate_service(tree, f, spec, runtime=rt)
         fig.series_named("TQ(Z)").add(beta, t.seconds / len(probe))
     return fig
 
@@ -700,15 +693,19 @@ def main(argv: Sequence[str] = ()) -> int:
     )
     parser.add_argument(
         "--runtime",
-        metavar="SHARDS[:WORKERS]",
+        metavar="SHARDS",
         default=None,
-        help="run the TQ-path sweeps through a QueryRuntime, e.g. "
-        "'auto', '1', '7:4' (default: the legacy plain-dense path)",
+        help="run the TQ-path sweeps through a QueryRuntime with this "
+        "grid shard count, e.g. 'auto', '1', '7' (default: the legacy "
+        "plain-dense path)",
     )
     args = parser.parse_args(list(argv))
-    runtime_config = (
-        parse_runtime_spec(args.runtime) if args.runtime else None
-    )
+    try:
+        runtime_config = (
+            parse_runtime_spec(args.runtime) if args.runtime else None
+        )
+    except (ValueError, QueryError) as exc:
+        parser.error(str(exc))
     names = args.figures or list(ALL_FIGURES)
     factory = WorkloadFactory(runtime_config=runtime_config)
     if runtime_config is not None:

@@ -114,26 +114,21 @@ DEFAULTS = _Defaults()
 
 
 def parse_runtime_spec(spec: str) -> RuntimeConfig:
-    """A :class:`RuntimeConfig` from a ``SHARDS[:WORKERS]`` spec.
+    """A :class:`RuntimeConfig` from a ``SHARDS`` spec.
 
     This is the grammar of the figure driver's ``--runtime`` flag:
-    ``auto``, ``4``, ``7:2``, … — the shard count (``0`` / ``auto`` =
-    the AUTO heuristic), then the worker count (omitted =
-    machine-sized).  The backend stays ``AUTO`` (grid for stop-dense
-    sets), since the shard/worker axes are what the runtime sweeps vary.
+    ``auto``, ``4``, … — the shard count (``0`` / ``auto`` = the AUTO
+    heuristic).  The backend stays ``AUTO`` (grid for stop-dense sets),
+    since the shard axis is what the runtime sweeps vary.
     """
     parts = [p.strip() for p in spec.split(":")]
     if not any(parts):
         raise ValueError(f"empty runtime spec: {spec!r}")
-    if not all(parts):
-        # '7::4' is a typo, not a request — misparsing it would
-        # silently run a different configuration
-        raise ValueError(f"runtime spec has an empty field: {spec!r}")
-    if len(parts) > 2:
+    if len(parts) > 1:
+        # the retired ':WORKERS' half is an error, never silently dropped
         raise ValueError(f"runtime spec has too many fields: {spec!r}")
     shards = 0 if parts[0] == "auto" else int(parts[0])
-    max_workers = int(parts[1]) if len(parts) > 1 else None
-    return RuntimeConfig(shards=shards, max_workers=max_workers)
+    return RuntimeConfig(shards=shards)
 
 
 def bench_scale() -> float:
@@ -184,7 +179,7 @@ class WorkloadFactory:
 
     ``runtime_config``, when given, makes the factory *runtime-aware*:
     :meth:`query_runtime` hands every TQ-path sweep a fresh
-    :class:`~repro.runtime.QueryRuntime` under that shard/worker
+    :class:`~repro.runtime.QueryRuntime` under that shard
     configuration (the figure driver's ``--runtime`` flag sets it), so
     the paper's Figure 6–9 experiments can be re-run through the
     runtime.  ``None`` keeps the legacy plain-dense path.
@@ -297,9 +292,7 @@ class WorkloadFactory:
         ``None`` when the factory is not runtime-aware.
 
         Fresh per call: each sweep leg owns its caches, so one leg's
-        warm masks cannot contaminate another's measurement.  Callers must
-        ``close()`` (or ``with``) the runtime — it may hold a thread
-        pool.
+        warm masks cannot contaminate another's measurement.
         """
         if self.runtime_config is None:
             return None

@@ -14,9 +14,9 @@ Independently of how the *index* is built, :class:`ProximityBackend`
 selects how exact ``psi``-distance checks are executed at query time:
 the dense all-pairs broadcast (the reference oracle path) or the uniform
 stop grid of :mod:`repro.engine` (``AUTO`` picks per stop set).
-:class:`RuntimeConfig` bundles backend, sharding, and worker settings
+:class:`RuntimeConfig` bundles the backend, sharding, and store settings
 consumed by :class:`repro.runtime.QueryRuntime` — none of these knobs
-ever changes a query answer, only how the geometric work is scheduled.
+ever changes a query answer, only how much geometric work is done.
 :class:`ServiceConfig` sits one level up: it bounds the asyncio serving
 layer (:class:`repro.service.QueryService`) — how many requests execute
 concurrently, how long batchable requests are held open to merge, and
@@ -48,7 +48,8 @@ class ProximityBackend(enum.Enum):
     """How exact ``psi``-distance checks are executed (query-time knob).
 
     The choice never affects results — every backend is bit-identical to
-    the dense oracle — only how much geometric work is performed.
+    the dense oracle — only how much geometric work is performed.  Every
+    backend probes on the calling thread.
     """
 
     DENSE = "dense"
@@ -88,8 +89,8 @@ SHARDS_AUTO = 0
 
 #: Roughly how many stops one shard should own under ``AUTO`` — and
 #: therefore the effective sharding threshold: below this count the
-#: heuristic yields a single shard (no fan-out, partitioning overhead
-#: would exceed the win).  Small enough that per-shard key arrays stay
+#: heuristic yields a single shard (partitioning overhead would exceed
+#: the win).  Small enough that per-shard key arrays stay
 #: cache-resident, large enough that per-shard dispatch is amortised.
 _SHARD_AUTO_STOPS_PER_SHARD = 2_500
 
@@ -101,10 +102,17 @@ def auto_shard_count(n_stops: int) -> int:
     """The ``AUTO`` heuristic: how many grid shards for ``n_stops`` stops.
 
     One shard per ~:data:`_SHARD_AUTO_STOPS_PER_SHARD` stops, capped at
-    :data:`_SHARD_AUTO_MAX`.  The count only affects scheduling — shard
-    masks are unioned, so every count yields the same answer.
+    :data:`_SHARD_AUTO_MAX`.  The count only affects how the grid is
+    cut — shard masks are unioned, so every count yields the same
+    answer.
     """
     return min(_SHARD_AUTO_MAX, 1 + n_stops // _SHARD_AUTO_STOPS_PER_SHARD)
+
+
+def _require_int(name: str, value) -> None:
+    """Reject ``bool`` and non-``int`` values of an integer field."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise QueryError(f"{name} must be an integer, got {value!r}")
 
 
 def resolve_shard_count(shards: int, n_stops: int) -> int:
@@ -127,15 +135,10 @@ class RuntimeConfig:
     shards:
         Grid shard count for stop sets the runtime dresses:
         :data:`SHARDS_AUTO` picks per stop set via
-        :func:`auto_shard_count`; ``1`` = one shard (the plain grid,
-        no fan-out); ``>= 2`` forces that many shards.
-    max_workers:
-        Threads for fanning a large probe block out over shards (the
-        engine decides per block; small blocks always probe inline).
-        ``None`` sizes the pool from the CPUs this process may run on;
-        ``0`` or ``1`` keeps every probe inline (still sharded — the
-        partition pays for itself through cache locality even without
-        parallelism).
+        :func:`auto_shard_count`; ``1`` = one shard (the plain grid);
+        ``>= 2`` forces that many shards.  Every probe runs inline on
+        the calling thread, shard after shard: the partition pays
+        through cache locality, not parallelism.
     store_dir:
         Directory of persisted index files (``repro.store`` format) the
         runtime's :class:`~repro.engine.ShardStore` probes on cache
@@ -148,19 +151,15 @@ class RuntimeConfig:
 
     backend: ProximityBackend = ProximityBackend.AUTO
     shards: int = SHARDS_AUTO
-    max_workers: "int | None" = None
     store_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.backend, ProximityBackend):
             raise QueryError(f"unknown proximity backend: {self.backend!r}")
+        _require_int("shards", self.shards)
         if self.shards < 0:
             raise QueryError(
                 f"shards must be >= 1 or SHARDS_AUTO (0), got {self.shards}"
-            )
-        if self.max_workers is not None and self.max_workers < 0:
-            raise QueryError(
-                f"max_workers must be >= 0 or None, got {self.max_workers}"
             )
         if self.store_dir is not None and (
             not isinstance(self.store_dir, str) or not self.store_dir
@@ -208,6 +207,7 @@ class ServiceConfig:
     batch_window: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_int("max_in_flight", self.max_in_flight)
         if self.max_in_flight < 1:
             raise QueryError(
                 f"max_in_flight must be >= 1, got {self.max_in_flight}"
@@ -216,6 +216,7 @@ class ServiceConfig:
             raise QueryError(
                 f"batch_window must be >= 0, got {self.batch_window}"
             )
+        _require_int("queue_depth", self.queue_depth)
         if self.queue_depth < 1:
             raise QueryError(
                 f"queue_depth must be >= 1, got {self.queue_depth}"
@@ -296,8 +297,7 @@ class HttpConfig:
             raise QueryError(
                 f"drain_timeout must be >= 0, got {self.drain_timeout}"
             )
-        if isinstance(self.workers, bool) or not isinstance(self.workers, int):
-            raise QueryError(f"workers must be an integer, got {self.workers!r}")
+        _require_int("workers", self.workers)
         if self.workers < 1:
             raise QueryError(f"workers must be >= 1, got {self.workers}")
         if self.start_method not in _START_METHODS:

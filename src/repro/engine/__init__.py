@@ -9,12 +9,11 @@ facility's stops?" — without ever changing an answer.  The pieces:
   facility stops with cell size above ``psi``, so a point's coverage
   check gathers candidates from the 3x3 surrounding cells instead of
   broadcasting against every stop.  The sorted cell-key layout is cut
-  into N contiguous shards (one shard is the plain grid; more let one
-  batched query fan out across slices, on a thread pool when a
-  :class:`repro.runtime.QueryRuntime` provisions one), per-shard
-  :class:`~repro.core.stats.QueryStats` merge back into the caller's
-  totals, and built grids and shards are shared across facilities by
-  stop-coordinate content hash.  Exposed behind the existing
+  into N contiguous shards (one shard is the plain grid; more split one
+  batched query across slices, probed one after another on the calling
+  thread), per-shard :class:`~repro.core.stats.QueryStats` merge back
+  into the caller's totals, and built grids and shards are shared across
+  facilities by stop-coordinate content hash.  Exposed behind the existing
   :class:`~repro.core.service.StopSet` contract and routed through the
   same :func:`~repro.core.service.psi_hit` kernel, so masks are
   bit-identical to the dense path.

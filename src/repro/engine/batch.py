@@ -9,9 +9,10 @@ per-trajectory aggregation structure (start/end slots, segment endpoint
 pairs, segment lengths) as flat columns — and answers any number of
 ``(facility, ServiceSpec)`` requests against that shared block.  Each
 request costs one coverage mask — dressed by the attached runtime's
-backend, dense without one — plus O(points) aggregation; requests that
-share a stop set and ``psi`` (e.g. the three service
-models of one facility) share a single mask through the
+backend, dense without one, probed on the calling thread — plus
+O(points) aggregation; requests that share a stop set and ``psi``
+(e.g. the three service models of one facility) share a single mask
+through the
 :class:`~repro.engine.cache.CoverageCache`.
 
 Scores are **bit-identical** to :func:`repro.core.service
@@ -81,7 +82,7 @@ class BatchQueryEngine:
     runtime:
         A :class:`repro.runtime.QueryRuntime`: stop sets are dressed by
         its :meth:`~repro.runtime.QueryRuntime.stop_set` (dense / grid /
-        cellstring, with executor fan-out), masks memoise into its
+        cellstring), masks memoise into its
         cache, and every ``query``/``run`` merges its work counters into
         the runtime's grand total.  Without one — the same rule the
         query functions follow — stops stay on the plain dense kernel

@@ -48,17 +48,15 @@ coincidence.  Masks are **bit-identical** to the dense oracle for every
 input, which ``tests/test_cellstring.py`` and the cross-backend fuzz
 suite hold to ``==``.
 
-Stats accounting (additive, so chunked fan-out merges exactly):
-``points_scanned`` counts points surviving the coarse reject,
-``cells_probed`` counts boundary-cell consultations, and
+Stats accounting: ``points_scanned`` counts points surviving the
+coarse reject, ``cells_probed`` counts boundary-cell consultations, and
 ``distance_evals`` counts kernel pairs.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Executor
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -67,12 +65,7 @@ from ..core.geometry import BBox, Point
 from ..core.service import StopSet, coverage_kernel, psi_hit
 from ..core.stats import QueryStats
 from ..core.zorder import morton_encode_array
-from .grid import (
-    _cell_indices_of,
-    _expand_candidate_pairs,
-    _validated_stop_coords,
-    worth_fanning_out,
-)
+from .grid import _cell_indices_of, _expand_candidate_pairs, _validated_stop_coords
 
 __all__ = [
     "CellstringIndex",
@@ -116,9 +109,6 @@ _EPS_REL = 1e-7
 #: this relative margin, so every in-space point floors strictly below
 #: ``2 ** depth``.
 _SPACE_MARGIN = 1e-7
-
-#: How many contiguous point chunks a fanned-out probe block is cut into.
-_FANOUT_CHUNKS = 8
 
 #: Per-stop-set memo of built indexes by query radius (rasterization
 #: bakes ``psi`` in, unlike the grid's cell-size slack).  Small FIFO:
@@ -459,17 +449,10 @@ class CellstringStopSet(StopSet):
     ``psi`` (small FIFO memo) once ``n_stops >= min_stops``; below the
     threshold checks stay dense.  A ``store``
     (:class:`~repro.engine.shards.ShardStore`) shares builds across
-    facilities with content-identical stops; ``executor`` — an
-    :class:`~concurrent.futures.Executor` or a zero-arg callable
-    resolving to one at query time (the runtime's live-executor getter)
-    — fans probe blocks of at least
-    :data:`~repro.engine.grid.FANOUT_MIN_POINTS` points out in
-    contiguous chunks whose masks concatenate and whose stats merge
-    exactly (the counters are per-point sums, so chunking is invisible
-    in the totals).
+    facilities with content-identical stops.
     """
 
-    __slots__ = ("cs_psi", "min_stops", "_store", "_executor", "_memo", "_memo_lock")
+    __slots__ = ("cs_psi", "min_stops", "_store", "_memo", "_memo_lock")
 
     def __init__(
         self,
@@ -477,7 +460,6 @@ class CellstringStopSet(StopSet):
         psi: float,
         min_stops: int = 1,
         store=None,
-        executor: Union[Executor, Callable[[], Optional[Executor]], None] = None,
     ) -> None:
         super().__init__(coords)
         if not psi >= 0:
@@ -485,7 +467,6 @@ class CellstringStopSet(StopSet):
         self.cs_psi = float(psi)
         self.min_stops = max(1, int(min_stops))
         self._store = store
-        self._executor = executor
         self._memo: dict = {}
         self._memo_lock = threading.Lock()
 
@@ -523,40 +504,7 @@ class CellstringStopSet(StopSet):
         idx = self._index_for(psi)
         if idx is None:
             return super().covered_mask(coords, psi, stats)
-        pts = np.asarray(coords, dtype=np.float64)
-        if pts.ndim == 2 and worth_fanning_out(pts.shape[0]):
-            ex = self._executor() if callable(self._executor) else self._executor
-            if ex is not None:
-                return self._fanout_mask(idx, pts, psi, stats, ex)
-        return idx.covered_mask(pts, psi, stats)
-
-    @staticmethod
-    def _fanout_mask(
-        idx: CellstringIndex,
-        pts: np.ndarray,
-        psi: float,
-        stats: Optional[QueryStats],
-        ex: Executor,
-    ) -> np.ndarray:
-        """Probe contiguous point chunks on the executor's threads.
-
-        The index arrays are immutable and shared; chunk masks
-        concatenate in order and the per-point stats counters are
-        additive, so the result — mask and merged stats — is identical
-        to the inline probe.
-        """
-        bounds = np.linspace(0, pts.shape[0], _FANOUT_CHUNKS + 1).astype(int)
-        spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-        def run(span: Tuple[int, int]):
-            local = QueryStats() if stats is not None else None
-            return idx.covered_mask(pts[span[0]:span[1]], psi, local), local
-
-        parts = list(ex.map(run, spans))
-        if stats is not None:
-            for _, local in parts:
-                stats.merge(local)
-        return np.concatenate([mask for mask, _ in parts])
+        return idx.covered_mask(coords, psi, stats)
 
     def restricted_to(self, box: BBox) -> "CellstringStopSet":
         if self.is_empty:
@@ -566,5 +514,4 @@ class CellstringStopSet(StopSet):
             self.cs_psi,
             self.min_stops,
             store=self._store,
-            executor=self._executor,
         )

@@ -20,26 +20,11 @@ import numpy as np
 
 from ..core.errors import QueryError
 
-__all__ = ["AUTO_MIN_STOPS", "FANOUT_MIN_POINTS", "worth_fanning_out"]
+__all__ = ["AUTO_MIN_STOPS"]
 
 #: With fewer stops than this the dense broadcast beats grid bookkeeping;
 #: ``ProximityBackend.AUTO`` only builds grids at or above it.
 AUTO_MIN_STOPS = 48
-
-#: The one scheduling threshold: a probe block with fewer points than
-#: this runs inline on the calling thread; at or above it a multi-shard
-#: grid fans its shards, and a cellstring set its point chunks, out over
-#: the executor it was given.  Read off the 2-core sweep tabled in
-#: DESIGN.md §5.1: below it pool dispatch costs more than the overlap
-#: wins on every cellstring row and every grid of fewer than 8 shards.
-FANOUT_MIN_POINTS = 65_536
-
-
-def worth_fanning_out(n_points: int) -> bool:
-    """Whether a probe block of ``n_points`` is large enough to schedule
-    on a pool.  A function so both tiers read the one module global at
-    call time (tests patch :data:`FANOUT_MIN_POINTS` here, once)."""
-    return n_points >= FANOUT_MIN_POINTS
 
 #: Cap on grid cells per axis.  Keeps cell keys well inside int64 and
 #: bounds the floor-quotient magnitude so the 3x3 sufficiency argument

@@ -4,14 +4,11 @@
 (``ix * stride + iy``), sorts once, and cuts the sorted array into N
 contiguous *shards* at cell boundaries (no cell ever straddles two
 shards).  One shard **is** the single-grid path — there is no other grid
-implementation; N > 1 lets a batched coverage query fan out: every probe
-point is mapped to its candidate key window once, each shard answers
-from its own slice, and the per-shard masks are unioned.  Shard tasks
-are independent, so a block of at least
-:data:`~repro.engine.grid.FANOUT_MIN_POINTS` points rides a thread pool
-when one is given (the dense numpy kernels release the GIL); inline the
-partition still wins through cache locality, because each shard's key
-array is small and each shard sees mostly its own points.
+implementation; with N > 1 every probe point is mapped to its candidate
+key window once, each shard answers from its own slice in turn, on the
+calling thread, and the per-shard masks are unioned.  The partition
+pays through cache locality: each shard's key array is small and each
+shard sees mostly its own points.
 
 Within a shard, candidates are gathered by **row ranges**: the three
 neighbour cells of one grid row form a *contiguous* key range, so the
@@ -51,9 +48,8 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -69,7 +65,6 @@ from .grid import (
     _expand_candidate_pairs,
     _grid_geometry,
     _validated_stop_coords,
-    worth_fanning_out,
 )
 
 __all__ = [
@@ -120,8 +115,7 @@ class ProbeBatch:
     Everything a shard needs beyond its own arrays: the probe points,
     their cell coordinates and clipped y-windows, the candidate key
     window ``[kmin, kmax]`` per point, the query radius, and the grid
-    width ``nx`` — shared read-only by every shard's probe, inline or
-    on a pool thread.
+    width ``nx`` — shared read-only by every shard's probe.
     """
 
     pts: np.ndarray
@@ -146,10 +140,8 @@ def probe_shard_arrays(
     cell_starts: np.ndarray,
     batch: ProbeBatch,
 ) -> Optional[ProbeResult]:
-    """The per-shard probe: row-range gather + exact kernel.
-
-    A pure function of immutable arrays — the one probe body, whether
-    it runs inline or on a pool thread.
+    """The per-shard probe: row-range gather + exact kernel, a pure
+    function of immutable arrays.
 
     Returns ``None`` when no probe point's candidate window overlaps the
     shard (or nothing was gathered), else ``(scan_pts, hits, evals,
@@ -659,25 +651,16 @@ class ShardedStopGrid:
         coords: np.ndarray,
         psi: float,
         stats: Optional[QueryStats] = None,
-        executor: Union[Executor, Callable[[], Optional[Executor]], None] = None,
     ) -> np.ndarray:
         """Boolean mask: which of ``coords`` rows are within ``psi`` of a
         stop.  Bit-identical to the dense kernel for every input and
         shard count.
 
-        The per-shard probes ride ``executor``'s threads (they read
-        only shared immutable arrays) when more than one shard holds
-        stops and the block has at least
-        :data:`~repro.engine.grid.FANOUT_MIN_POINTS` points; otherwise —
-        and always with ``executor=None`` — they run inline, one shard
-        after another.  A zero-arg callable is resolved only once the
-        block qualifies (it may still answer ``None``: probe inline).
-
-        The mask union is order-independent, so scheduling never affects
-        the answer.  Per-shard work counters are merged into ``stats``
-        via :meth:`QueryStats.merge`, with multi-shard points attributed
-        to their first probing shard so the merged totals equal a
-        one-shard run.
+        The shards that hold stops are probed one after another and
+        their masks unioned.  Per-shard work counters are merged into
+        ``stats`` via :meth:`QueryStats.merge`, with multi-shard points
+        attributed to their first probing shard so the merged totals
+        equal a one-shard run.
         """
         pts = np.asarray(coords, dtype=np.float64)
         if pts.size == 0:
@@ -701,28 +684,10 @@ class ShardedStopGrid:
         kmax = (cx + 1) * _KEY_STRIDE + yhi
         batch = ProbeBatch(pts, cx, ylo, yhi, kmin, kmax, psi, self._nx)
 
-        tasks = [shard for shard in self.shards if shard.n_stops]
-        pool = None
-        if len(tasks) > 1 and worth_fanning_out(n):
-            pool = executor() if callable(executor) else executor
-        if pool is not None:
-            results = list(
-                pool.map(
-                    lambda shard: probe_shard_arrays(
-                        shard.keys, shard.coords, shard.cell_starts, batch
-                    ),
-                    tasks,
-                )
-            )
-        else:
-            results = [
-                probe_shard_arrays(s.keys, s.coords, s.cell_starts, batch)
-                for s in tasks
-            ]
-
         out = np.zeros(n, dtype=bool)
         claimed = np.zeros(n, dtype=bool) if stats is not None else None
-        for res in results:  # fixed shard order: deterministic stats
+        for s in self.shards:  # fixed shard order: deterministic stats
+            res = probe_shard_arrays(s.keys, s.coords, s.cell_starts, batch)
             if res is None:
                 continue
             scan_pts, hits, evals, cells = res
@@ -760,14 +725,9 @@ class GriddedStopSet(StopSet):
     once ``n_stops >= min_stops``; below the threshold — and for radii
     at or above the built grid's cell size — checks stay on the dense
     kernel.  ``shards`` is the shard count (``SHARDS_AUTO`` resolves
-    from the stop count; 1 = one shard, no fan-out).  Builds go through
-    ``store`` when one is given, so facilities with identical or
-    overlapping stop content share them.  ``executor`` may be an
-    :class:`~concurrent.futures.Executor`, or a zero-arg callable
-    resolved at *query* time returning one or ``None`` — a
-    :class:`repro.runtime.QueryRuntime` passes its live-executor getter,
-    so stop sets dressed before the runtime closes degrade to inline
-    probing instead of scheduling on a shut-down pool.
+    from the stop count; 1 = one shard).  Builds go through ``store``
+    when one is given, so facilities with identical or overlapping stop
+    content share them.
     """
 
     __slots__ = (
@@ -775,7 +735,6 @@ class GriddedStopSet(StopSet):
         "min_stops",
         "shards",
         "_store",
-        "_executor",
         "_grid",
         "_coarse_grid",
     )
@@ -787,7 +746,6 @@ class GriddedStopSet(StopSet):
         min_stops: int = 1,
         shards: int = SHARDS_AUTO,
         store: Optional[ShardStore] = None,
-        executor: Union[Executor, Callable[[], Optional[Executor]], None] = None,
     ) -> None:
         super().__init__(coords)
         if not psi >= 0:
@@ -797,7 +755,6 @@ class GriddedStopSet(StopSet):
         self.min_stops = max(1, int(min_stops))
         self.shards = shards
         self._store = store
-        self._executor = executor
         self._grid: Optional[ShardedStopGrid] = None
         self._coarse_grid: Optional[ShardedStopGrid] = None
 
@@ -841,7 +798,7 @@ class GriddedStopSet(StopSet):
         grid = self._grid_for(psi)
         if grid is None:
             return super().covered_mask(coords, psi, stats)
-        return grid.covered_mask(coords, psi, stats, self._executor)
+        return grid.covered_mask(coords, psi, stats)
 
     def restricted_to(self, box: BBox) -> "GriddedStopSet":
         if self.is_empty:
@@ -852,5 +809,4 @@ class GriddedStopSet(StopSet):
             self.min_stops,
             shards=self.shards,
             store=self._store,
-            executor=self._executor,
         )

@@ -35,7 +35,7 @@ Acceleration plugs in through one object without changing any result: a
 whole probe path — the walk's one exact distance check goes through
 :meth:`~repro.runtime.QueryRuntime.probe_mask`, which dresses the
 stops for the runtime's backend (dense broadcast, stop grid, or
-cellstrings; large blocks fanned out over its thread pool) — memoises each
+cellstrings; probed on the calling thread) — memoises each
 q-node's candidate list and coverage mask in the runtime's cache, one
 table per (facility, psi, mode) walk, so a re-walk in the same mode — a
 repeated query for the same facility, ancestor scans across kMaxRRST

@@ -214,9 +214,8 @@ def top_k_facilities(
     Returns the exact ranking (service values included) in descending
     order of service.  ``k`` larger than ``len(facilities)`` returns
     everything ranked.  ``runtime`` owns the probe path: the exact
-    distance work rides its backend and thread pool without
-    changing the ranking, and the query's work counters accrue into its
-    total.
+    distance work rides its backend without changing the ranking, and
+    the query's work counters accrue into its total.
 
     Early termination (Section IV-B): every state's ``aserve`` is a lower
     bound on its final service, so the k-th largest ``aserve`` seen so far

@@ -5,8 +5,8 @@ the query algorithms (:mod:`repro.queries`): the engine provides the
 mechanisms (grids, shards, caches, batch evaluation) and the runtime
 provides the context — one :class:`QueryRuntime` object that decides
 which mechanism each stop set rides, shares the coverage cache and shard
-store across queries, accrues work counters into a service-level total,
-and owns the thread pool that large sharded probes fan out over.
+store across queries, and accrues work counters into a service-level
+total.  Every probe runs on the thread that asked for it.
 
 Layering: ``core`` → ``engine`` → ``runtime`` → ``queries`` →
 ``service``.  The engine never imports the runtime (``BatchQueryEngine``
@@ -22,7 +22,7 @@ from ..core.config import (
     auto_shard_count,
     resolve_shard_count,
 )
-from .runtime import QueryRuntime, coerce_runtime, resolve_worker_count
+from .runtime import QueryRuntime, coerce_runtime
 
 __all__ = [
     "QueryRuntime",
@@ -31,5 +31,4 @@ __all__ = [
     "auto_shard_count",
     "resolve_shard_count",
     "coerce_runtime",
-    "resolve_worker_count",
 ]

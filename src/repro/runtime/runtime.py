@@ -19,15 +19,11 @@ context of the query layer:
   counters into :attr:`stats` (via
   :meth:`~repro.core.stats.QueryStats.merge`), giving a service-level
   grand total without threading a stats object through every call;
-* **scheduling** — one lazily built thread pool, sized by
-  ``RuntimeConfig.max_workers``, that the stop sets it dresses fan
-  large probe blocks out over; the engine applies the one rule itself
-  (inline below :data:`~repro.engine.grid.FANOUT_MIN_POINTS` points),
-  so there is nothing to choose here (DESIGN.md §5.1);
 * **the probe path** — :meth:`probe_mask` is the single coverage probe
   the query layer calls, once per frontier of q-nodes: it dresses the
-  stop set and runs the exact mask, so no module under ``queries/``
-  touches a backend or grid type directly.
+  stop set and runs the exact mask inline on the calling thread (the
+  one scheduling rule, DESIGN.md §5.1), so no module under
+  ``queries/`` touches a backend or grid type directly.
 
 None of this changes any answer: a runtime-routed query returns results
 bit-identical to the plain dense path, which is what
@@ -37,9 +33,7 @@ bit-identical to the plain dense path, which is what
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
-from concurrent.futures import Executor, ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -54,10 +48,7 @@ from ..engine.grid import AUTO_MIN_STOPS
 from ..engine.shards import GriddedStopSet, ShardStore
 from ..store.codecs import opened_mmap_paths
 
-__all__ = ["QueryRuntime", "coerce_runtime", "resolve_worker_count"]
-
-#: Cap on the default pool size when ``max_workers`` is ``None``.
-_DEFAULT_MAX_WORKERS = 8
+__all__ = ["QueryRuntime", "coerce_runtime"]
 
 #: One process-wide lock for stats accrual and reset.  A per-runtime
 #: lock would silently not serialize the advertised sharing pattern of
@@ -65,21 +56,6 @@ _DEFAULT_MAX_WORKERS = 8
 #: accruals are per-query and merge a handful of integers, so a global
 #: lock is correct for every sharing shape at no measurable cost.
 _STATS_LOCK = threading.Lock()
-
-
-def resolve_worker_count(max_workers: Optional[int], processes: int = 1) -> int:
-    """``max_workers`` with ``None`` resolved to this process's share of
-    the machine: the CPUs it may actually run on (affinity / cgroup
-    pinning honoured where the platform reports it) divided among
-    ``processes`` sibling serving processes, capped at
-    :data:`_DEFAULT_MAX_WORKERS` and never below 1."""
-    if max_workers is not None:
-        return max_workers
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without affinity masks
-        cpus = os.cpu_count() or 1
-    return max(1, min(_DEFAULT_MAX_WORKERS, cpus // processes))
 
 
 class QueryRuntime:
@@ -90,80 +66,35 @@ class QueryRuntime:
     config:
         The execution settings; defaults to
         :class:`~repro.core.config.RuntimeConfig` defaults (``AUTO``
-        backend, ``AUTO`` shard count, machine-sized worker pool).
-    backend:
-        Shorthand overriding ``config.backend``
-        (``QueryRuntime(backend=ProximityBackend.GRID)``).
+        backend, ``AUTO`` shard count, no store directory).
     cache / stats:
         Share a :class:`CoverageCache` / accrue into an existing
         :class:`QueryStats` instead of owning fresh ones (e.g. several
         runtimes reporting into one service-level total).
 
-    A runtime is also a context manager: ``with QueryRuntime() as rt:``
-    shuts the thread pool down on exit; a closed runtime keeps
-    answering, inline.
+    ``with QueryRuntime() as rt:`` scopes a runtime; it holds nothing
+    that needs releasing, so leaving the block does nothing.
     """
 
     def __init__(
         self,
         config: Optional[RuntimeConfig] = None,
         *,
-        backend: Optional[ProximityBackend] = None,
         cache: Optional[CoverageCache] = None,
         stats: Optional[QueryStats] = None,
     ) -> None:
         if config is None:
             config = RuntimeConfig()
-        if backend is not None:
-            if not isinstance(backend, ProximityBackend):
-                raise QueryError(f"unknown proximity backend: {backend!r}")
-            # replace, not field-by-field reconstruction: the shorthand
-            # overrides the backend and must carry every other knob —
-            # including ones added after this call was written
-            config = dataclasses.replace(config, backend=backend)
         self.config = config
         self.cache = cache if cache is not None else CoverageCache()
         self.stats = stats if stats is not None else QueryStats()  # guarded-by: _STATS_LOCK
         self.shard_store = ShardStore(spill_dir=config.store_dir)
-        self._workers = resolve_worker_count(config.max_workers)
-        self._pool: Optional[ThreadPoolExecutor] = None  # guarded-by: _pool_lock
-        self._closed = False  # guarded-by: _pool_lock
-        self._pool_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # executor lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def executor(self) -> Optional[Executor]:
-        """The thread pool large probe blocks fan out over, or ``None``
-        when every probe runs inline (``max_workers`` of 0 or 1, or the
-        runtime is closed).  Built on first use under a lock: a shared
-        service runtime can see its first two large probes on different
-        threads, and the loser's pool would otherwise leak unshut."""
-        if self._workers <= 1:
-            return None
-        with self._pool_lock:
-            if self._pool is None and not self._closed:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._workers,
-                    thread_name_prefix="repro-shard",
-                )
-            return self._pool
-
-    def close(self) -> None:
-        """Shut the thread pool down; the runtime stays usable (stop
-        sets it dressed degrade to inline probing)."""
-        with self._pool_lock:
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
 
     def __enter__(self) -> "QueryRuntime":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        pass
 
     # ------------------------------------------------------------------
     # backend selection
@@ -204,18 +135,11 @@ class QueryRuntime:
             # plain set (rather than a lazy wrapper) keeps tiny
             # components zero-overhead
             return stops
-        # both tiers get the executor *getter*, not the executor: resolved
-        # per large probe block, so sets dressed before close() degrade to
-        # inline probing instead of scheduling on a shut-down pool
         if backend is ProximityBackend.CELLSTRING or (
             backend is ProximityBackend.AUTO and n >= AUTO_CELLSTRING_MIN_STOPS
         ):
             return CellstringStopSet(
-                stops.coords,
-                psi,
-                min_stops,
-                store=self.shard_store,
-                executor=self._live_executor,
+                stops.coords, psi, min_stops, store=self.shard_store
             )
         return GriddedStopSet(
             stops.coords,
@@ -223,13 +147,7 @@ class QueryRuntime:
             min_stops,
             shards=self.config.shards,
             store=self.shard_store,
-            executor=self._live_executor,
         )
-
-    def _live_executor(self) -> Optional[Executor]:
-        """The current fan-out target, or ``None`` once closed (resolved
-        late by the stop sets this runtime dresses)."""
-        return self.executor
 
     # ------------------------------------------------------------------
     # the probe path
@@ -254,9 +172,9 @@ class QueryRuntime:
         component the runtime dressed earlier costs nothing extra;
         undressed stops (direct
         :func:`~repro.queries.evaluate.evaluate_node_trajectories`
-        calls, ad-hoc arrays) are dressed here first.  Results are
-        bit-identical to :meth:`~repro.core.service.StopSet
-        .covered_mask` however the probe is scheduled.
+        calls, ad-hoc arrays) are dressed here first.  The probe runs
+        on the calling thread, and its mask is bit-identical to
+        :meth:`~repro.core.service.StopSet.covered_mask`.
         """
         return self.stop_set(stops, psi).covered_mask(coords, psi, stats)
 
@@ -272,10 +190,8 @@ class QueryRuntime:
         ``(stops, coords, psi)`` and yields the exact mask
         :meth:`probe_mask` would, in task order.
 
-        Tasks run sequentially on the calling thread (a large probe
-        already fans out internally when its stop set is sharded), so
-        per-task stats are attributed exactly and results are
-        deterministic.  No caller is left in ``src/`` (the service's
+        Tasks run sequentially on the calling thread, so per-task stats
+        are attributed exactly and results are deterministic.  No caller is left in ``src/`` (the service's
         batch groups run tree walks); perfbench patches the name, so it
         stays until a [benchmark] issue drops that target.
 

@@ -2,7 +2,7 @@
 
 Composes the full deployment stack from command-line flags — catalog
 (named trees + facility sets), :class:`~repro.runtime.QueryRuntime`
-(backend / shards / workers), :class:`~repro.service.QueryService`
+(backend / shards), :class:`~repro.service.QueryService`
 (admission + coalescing), :class:`~repro.service.http.HttpQueryServer`
 (transport) — serves until SIGINT/SIGTERM, then drains gracefully:
 in-flight requests complete, new ones are shed with 503.
@@ -110,11 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=SHARDS_AUTO,
         help="grid shard count (0 = auto per stop set)",
     )
-    runtime.add_argument(
-        "--max-workers", type=int, default=None,
-        help="threads large probe blocks fan out over; 0 or 1 keeps "
-        "every probe inline (default: this process's share of the CPUs)",
-    )
     return parser
 
 
@@ -135,7 +130,6 @@ def config_from_args(args: argparse.Namespace) -> HttpConfig:
         runtime=RuntimeConfig(
             backend=ProximityBackend(args.backend),
             shards=args.shards,
-            max_workers=args.max_workers,
         ),
     )
 

@@ -15,7 +15,7 @@ One execution substrate, two entrypoints: the synchronous query
 functions and the async service both run the same query cores, so the
 service's answers and per-request stats are bit-identical to direct
 calls by construction — which ``tests/test_query_service.py`` enforces
-with ``==`` on the inline and the fan-out probe path.
+with ``==``.
 """
 
 from ..core.config import ServiceConfig

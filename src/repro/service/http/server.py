@@ -780,9 +780,8 @@ async def serving(
     """Compose and start the full deployment (runtime → service →
     HTTP server), yield the started server, and tear it down in
     dependency order on exit: drain (unless the body already did),
-    close the service off-loop (``close()`` joins running cores — a
-    blocking join on the loop would stall any drain-time writes), then
-    close the runtime.
+    then close the service off-loop (``close()`` joins running cores —
+    a blocking join on the loop would stall any drain-time writes).
 
     ``sockets`` / ``worker_index`` are the prefork worker path: serve
     pre-bound listeners (shared front + worker-direct) under a pool
@@ -790,30 +789,25 @@ async def serving(
     runtime = QueryRuntime(
         runtime_config if runtime_config is not None else RuntimeConfig()
     )
+    service = QueryService(runtime, service_config)
     try:
-        service = QueryService(runtime, service_config)
+        server = HttpQueryServer(
+            service,
+            catalog,
+            host=host,
+            port=port,
+            drain_timeout=drain_timeout,
+            sockets=sockets,
+            worker_index=worker_index,
+        )
+        await server.start()
         try:
-            server = HttpQueryServer(
-                service,
-                catalog,
-                host=host,
-                port=port,
-                drain_timeout=drain_timeout,
-                sockets=sockets,
-                worker_index=worker_index,
-            )
-            await server.start()
-            try:
-                yield server
-            finally:
-                if not server.draining:
-                    await server.drain()
+            yield server
         finally:
-            await asyncio.get_running_loop().run_in_executor(
-                None, service.close
-            )
+            if not server.draining:
+                await server.drain()
     finally:
-        runtime.close()
+        await asyncio.get_running_loop().run_in_executor(None, service.close)
 
 
 # ----------------------------------------------------------------------
@@ -868,9 +862,9 @@ def background_server(
     """Run a fully composed server (runtime → service → HTTP) on a
     background thread; yields a :class:`BackgroundServer`.
 
-    On exit the server drains, the service closes (waiting for running
-    cores), and the runtime shuts down — the complete deployment
-    teardown, in dependency order.
+    On exit the server drains and the service closes (waiting for
+    running cores) — the complete deployment teardown, in dependency
+    order.
     """
     handle = BackgroundServer()
 

@@ -73,7 +73,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ...core.config import HttpConfig
 from ...core.errors import QueryError, ReproError
-from ...runtime import resolve_worker_count
 from .catalog import Catalog, catalog_from_spec
 from .server import WorkerPeer, serving
 
@@ -113,17 +112,6 @@ def with_derived_store_dir(config: HttpConfig) -> HttpConfig:
             runtime=dataclasses.replace(config.runtime, store_dir=store_dir),
         )
     return config
-
-
-def _with_worker_share(config: HttpConfig) -> HttpConfig:
-    """Each prefork worker builds its own runtime, so a machine-sized
-    default pool per worker would oversubscribe the host N times over:
-    resolve an unset ``max_workers`` to one worker's share of the CPUs
-    (an explicit value is the operator's and passes through)."""
-    share = resolve_worker_count(config.runtime.max_workers, config.workers)
-    return dataclasses.replace(
-        config, runtime=dataclasses.replace(config.runtime, max_workers=share)
-    )
 
 
 def _bind_socket(
@@ -265,7 +253,7 @@ class Supervisor:
                 f"Supervisor is for workers >= 2, got {config.workers} "
                 "(use the single-process server)"
             )
-        self.config = _with_worker_share(with_derived_store_dir(config))
+        self.config = with_derived_store_dir(config)
         self._ctx = multiprocessing.get_context(config.start_method)
         self._workers: Dict[int, _WorkerHandle] = {}
         self._lock = threading.Lock()

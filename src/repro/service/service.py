@@ -22,8 +22,7 @@ submission, which makes the whole schedule equivalent to *some*
 sequential execution of the same requests against the same runtime:
 that equivalence is why service results **and per-request stats** are
 bit-identical to the synchronous functions (the differential suite in
-``tests/test_query_service.py`` holds both to ``==`` on the inline and
-the fan-out probe path).
+``tests/test_query_service.py`` holds both to ``==``).
 
 **Admission control.**  ``ServiceConfig.queue_depth`` bounds how many
 requests may be admitted at once — a submission past the bound fails
@@ -202,11 +201,9 @@ class QueryService:
     Parameters
     ----------
     runtime:
-        The execution context every request shares — its cache, shard
-        store, and thread pool are what coalescing coalesces
-        *into*.  ``None`` creates a private runtime (default config)
-        that :meth:`close` also closes; a caller-supplied runtime is
-        left open (the caller owns it).
+        The execution context every request shares — its cache and
+        shard store are what coalescing coalesces *into*.  ``None``
+        creates a private runtime (default config).
     config:
         Admission and coalescing bounds (:class:`~repro.core.config
         .ServiceConfig` defaults: 8 in flight, no window, depth 64).
@@ -227,7 +224,6 @@ class QueryService:
         runtime: Optional[QueryRuntime] = None,
         config: Optional[ServiceConfig] = None,
     ) -> None:
-        self._owns_runtime = runtime is None
         self.runtime = runtime if runtime is not None else QueryRuntime()
         self.config = config if config is not None else ServiceConfig()
         self.planner = QueryPlanner()
@@ -281,15 +277,12 @@ class QueryService:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the bridge pool down (waiting for running cores) and,
-        when the service created its own runtime, close that too.
-        Call after outstanding submissions have completed."""
+        """Shut the bridge pool down (waiting for running cores).  Call
+        after outstanding submissions have completed."""
         if self._closed:
             return
         self._closed = True
         self._executor.shutdown(wait=True)
-        if self._owns_runtime:
-            self.runtime.close()
 
     async def __aenter__(self) -> "QueryService":
         return self

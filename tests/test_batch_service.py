@@ -47,7 +47,7 @@ from repro import (
 from repro.core.errors import QueryError
 from repro.service.http import wire
 
-from .conftest import SCHEDULING, GatedPlanner
+from .conftest import GatedPlanner
 
 PSI = 400.0
 ENDPOINT = ServiceSpec(ServiceModel.ENDPOINT, psi=PSI)
@@ -66,11 +66,9 @@ WINDOWS = (0.0, 0.002, 0.05)
 LONG_WINDOW = 30.0
 
 
-def _config(max_workers: int = 1) -> RuntimeConfig:
-    """Two-shard grids; one worker (the default here) probes inline."""
-    return RuntimeConfig(
-        backend=ProximityBackend.GRID, shards=2, max_workers=max_workers
-    )
+def _config() -> RuntimeConfig:
+    """Two-shard grids."""
+    return RuntimeConfig(backend=ProximityBackend.GRID, shards=2)
 
 
 @pytest.fixture(scope="module")
@@ -133,9 +131,9 @@ def _value_key(req, result):
     )
 
 
-def _drive(requests, max_workers: int, batch_window: float):
+def _drive(requests, batch_window: float):
     async def main():
-        with QueryRuntime(_config(max_workers)) as runtime:
+        with QueryRuntime(_config()) as runtime:
             async with QueryService(
                 runtime,
                 ServiceConfig(max_in_flight=4, batch_window=batch_window),
@@ -225,25 +223,17 @@ def _drive_gated(main, batch_window=LONG_WINDOW):
 
 
 class TestBatchingDifferential:
-    """batch_window {small, large} × scheduling path × seed: values,
-    matches and per-request stats bitwise identical to batch_window=0."""
+    """batch_window {small, large} × seed: values, matches and
+    per-request stats bitwise identical to batch_window=0."""
 
-    @pytest.mark.parametrize("mode", SCHEDULING)
     @pytest.mark.parametrize("seed", (7, 19))
-    def test_fuzz_values_identical_across_windows(
-        self, mode, seed, tree, facilities, scheduling_workers
-    ):
+    def test_fuzz_values_identical_across_windows(self, seed, tree, facilities):
         requests = _fuzz_requests(tree, facilities, seed)
-        workers = scheduling_workers(mode)
-        baseline, base_stats, base_total = _drive(
-            requests, workers, batch_window=0.0
-        )
+        baseline, base_stats, base_total = _drive(requests, batch_window=0.0)
         assert base_stats.probe_units_batched == 0
         _assert_outcomes_sum(base_stats)
         for window in WINDOWS[1:]:
-            results, stats, total = _drive(
-                requests, workers, batch_window=window
-            )
+            results, stats, total = _drive(requests, batch_window=window)
             for req, res, base_res in zip(requests, results, baseline):
                 assert _value_key(req, res) == _value_key(req, base_res), (
                     f"value diverged under batch_window={window}"
@@ -254,10 +244,7 @@ class TestBatchingDifferential:
             assert total == base_total
             _assert_outcomes_sum(stats)
 
-    @pytest.mark.parametrize("mode", SCHEDULING)
-    def test_batched_wave_stats_split_exactly(
-        self, mode, tree, facilities, scheduling_workers
-    ):
+    def test_batched_wave_stats_split_exactly(self, tree, facilities):
         """Distinct evaluates under a large window: every unit lands in
         probe_units_batched, none in probe_units_coalesced, and each
         member's stats are the same request's stats at batch_window=0 —
@@ -272,9 +259,8 @@ class TestBatchingDifferential:
             evaluate_service(req.tree, req.facility, req.spec)
             for req in requests
         ]
-        workers = scheduling_workers(mode)
-        baseline, _, base_total = _drive(requests, workers, batch_window=0.0)
-        results, stats, total = _drive(requests, workers, batch_window=0.05)
+        baseline, _, base_total = _drive(requests, batch_window=0.0)
+        results, stats, total = _drive(requests, batch_window=0.05)
         assert [r.value for r in results] == plain
         assert stats.probe_units_batched == len(requests)
         assert stats.probe_units_coalesced == 0
@@ -290,7 +276,7 @@ class TestBatchingDifferential:
         probe_units_coalesced (reuse across requests scheduled apart)."""
         req = EvaluateRequest(tree, facilities[0], ENDPOINT)
         requests = [req, req, req]
-        results, stats, _ = _drive(requests, 1, batch_window=0.05)
+        results, stats, _ = _drive(requests, batch_window=0.05)
         assert len({r.value for r in results}) == 1
         assert stats.probe_units_batched == 3
         assert stats.probe_units_coalesced == 0
@@ -299,7 +285,7 @@ class TestBatchingDifferential:
         assert rider_hits >= 2
 
         # same wave, window off: the PR 4 coalescer handles it instead
-        _, stats0, _ = _drive(requests, 1, batch_window=0.0)
+        _, stats0, _ = _drive(requests, batch_window=0.0)
         assert stats0.probe_units_batched == 0
         assert stats0.probe_units_coalesced == 2
 
@@ -314,8 +300,8 @@ class TestBatchingDifferential:
         four = tuple(facilities[:4])
         requests = [EvaluateRequest(tree, f, ENDPOINT) for f in four]
         requests.append(KMaxRRSTRequest(tree, four, 2, ENDPOINT))
-        baseline, base_stats, _ = _drive(requests, 1, batch_window=0.0)
-        results, stats, _ = _drive(requests, 1, batch_window=0.05)
+        baseline, base_stats, _ = _drive(requests, batch_window=0.0)
+        results, stats, _ = _drive(requests, batch_window=0.05)
         assert stats.probe_units_batched == 4
         assert base_stats.probe_units_coalesced == 4
         assert stats.probe_units_coalesced == base_stats.probe_units_coalesced
@@ -335,16 +321,14 @@ class TestEligibilityGate:
             KMaxRRSTRequest(tree, tuple(facilities[:4]), 2, ENDPOINT),
             MaxKCovRequest(tree, tuple(facilities[4:8]), 2, ENDPOINT),
         ]
-        baseline, _, _ = _drive(requests, 1, batch_window=0.0)
-        results, stats, _ = _drive(requests, 1, batch_window=0.05)
+        baseline, _, _ = _drive(requests, batch_window=0.0)
+        results, stats, _ = _drive(requests, batch_window=0.05)
         assert stats.probe_units_batched == 0
         for req, res, base in zip(requests, results, baseline):
             assert _value_key(req, res) == _value_key(req, base)
             assert res.stats == base.stats
 
-    def test_every_evaluate_shape_batches_bitwise(
-        self, checkin_tree, facilities, scheduling_workers
-    ):
+    def test_every_evaluate_shape_batches_bitwise(self, checkin_tree, facilities):
         """No arithmetic gate: normalised COUNT on non-dyadic weights,
         LENGTH and collect_matches all join a group, and value, matches
         and stats are == window 0 — a member runs the same tree walk."""
@@ -361,17 +345,15 @@ class TestEligibilityGate:
             for spec in (COUNT_RAW, COUNT_NORM, LENGTH)
             for collect in (False, True)
         ]
-        for mode in SCHEDULING:  # "threads" patches the fan-out floor: last
-            workers = scheduling_workers(mode)
-            baseline, _, base_total = _drive(requests, workers, 0.0)
-            for window in (0.005, 0.05):
-                results, stats, total = _drive(requests, workers, window)
-                assert stats.probe_units_batched == len(requests)
-                for res, base in zip(results, baseline):
-                    assert res.value == base.value
-                    assert res.matches == base.matches
-                    assert res.stats == base.stats
-                assert total == base_total
+        baseline, _, base_total = _drive(requests, 0.0)
+        for window in (0.005, 0.05):
+            results, stats, total = _drive(requests, window)
+            assert stats.probe_units_batched == len(requests)
+            for res, base in zip(results, baseline):
+                assert res.value == base.value
+                assert res.matches == base.matches
+                assert res.stats == base.stats
+            assert total == base_total
 
     def test_invalid_member_fails_alone(self, checkin_tree, facilities):
         """A member whose spec the tree rejects gets the error its

@@ -155,10 +155,10 @@ class TestRunFigure:
 
 class TestRuntimeAwareSweeps:
     """The Figure 6–9 sweeps must run through a runtime at any shard
-    and worker count (the driver's ``--runtime`` flag) with the same
-    series structure as the legacy path."""
+    count (the figure CLI's ``--runtime`` flag) with the same series
+    structure as the legacy path."""
 
-    @pytest.mark.parametrize("spec", ["1", "2:2"])
+    @pytest.mark.parametrize("spec", ["1", "2"])
     def test_fig6a_structure_under_runtimes(self, monkeypatch, spec):
         from repro.bench.harness import parse_runtime_spec
 
@@ -178,7 +178,7 @@ class TestRuntimeAwareSweeps:
 
         monkeypatch.setattr(figures, "DEFAULTS", TINY)
         factory = WorkloadFactory(
-            TINY, runtime_config=parse_runtime_spec("2:2")
+            TINY, runtime_config=parse_runtime_spec("2")
         )
         (fig7,) = run_figure("fig7b", factory)
         for points in series_dict(fig7).values():
@@ -198,3 +198,8 @@ class TestRuntimeAwareSweeps:
         assert figures.main(["table3", "--runtime", "1"]) == 0
         out = capsys.readouterr().out
         assert "runtime:" in out and "Table III" in out
+        # the retired SHARDS:WORKERS form is a usage error
+        with pytest.raises(SystemExit) as exc:
+            figures.main(["table3", "--runtime", "7:4"])
+        assert exc.value.code == 2
+        assert "too many fields" in capsys.readouterr().err

@@ -137,40 +137,29 @@ class TestWorkloadFactory:
         factory = WorkloadFactory(TINY, runtime_config=cfg)
         rt1 = factory.query_runtime()
         rt2 = factory.query_runtime()
-        try:
-            assert rt1 is not None and rt2 is not None
-            assert rt1 is not rt2  # fresh caches per sweep leg
-            assert rt1.config is cfg
-        finally:
-            rt1.close()
-            rt2.close()
+        assert rt1 is not None and rt2 is not None
+        assert rt1 is not rt2  # fresh caches per sweep leg
+        assert rt1.config is cfg
 
 
 class TestParseRuntimeSpec:
     def test_shards_only(self):
         cfg = parse_runtime_spec("4")
         assert cfg.shards == 4
-        assert cfg.max_workers is None
         assert cfg.backend is ProximityBackend.AUTO
-
-    def test_full_spec(self):
-        cfg = parse_runtime_spec("7:2")
-        assert cfg.shards == 7
-        assert cfg.max_workers == 2
 
     def test_auto_shards_keyword(self):
         assert parse_runtime_spec("auto").shards == SHARDS_AUTO
-        assert parse_runtime_spec("auto:2").max_workers == 2
 
     def test_bad_specs_raise(self):
         from repro.core.errors import QueryError
 
         with pytest.raises(ValueError):
             parse_runtime_spec("  ")
-        with pytest.raises(ValueError):
-            parse_runtime_spec("1:2:3")
-        with pytest.raises(ValueError):
-            parse_runtime_spec("7::4")  # empty field is a typo
+        # the retired ':WORKERS' half is refused, never dropped
+        for extra in ("7:4", "auto:2", "1:2:3", "7::4"):
+            with pytest.raises(ValueError, match="too many fields"):
+                parse_runtime_spec(extra)
         with pytest.raises(QueryError):
             parse_runtime_spec("-3")
         # the retired POLICY[:SHARDS[:WORKERS]] grammar is an error,

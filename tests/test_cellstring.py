@@ -17,8 +17,6 @@ bounded oldest-first retention, and exact rebuilds after eviction.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,29 +90,6 @@ class TestCellstringMaskOracle:
         assert s_idx == s_set
         assert s_idx.points_scanned <= block.shape[0]
         assert s_idx.distance_evals <= block.shape[0] * facility.n_stops
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        trajectory_sets(min_size=2, max_size=8, min_points=2, max_points=5),
-        dense_facilities(min_stops=24, max_stops=96),
-        engine_psis(),
-    )
-    def test_executor_fanout_identical_to_serial(self, users, facility, psi):
-        """Chunked thread fan-out concatenates to the serial mask and
-        merges to the serial stats exactly (the counters are per-point
-        sums, so chunk boundaries are invisible)."""
-        block = _probe_block(users)
-        serial = CellstringStopSet(facility.stop_coords, psi)
-        serial_stats = QueryStats()
-        expected = serial.covered_mask(block, psi, serial_stats)
-        idx = serial._index_for(psi)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            pooled_stats = QueryStats()
-            pooled = CellstringStopSet._fanout_mask(
-                idx, np.asarray(block, dtype=np.float64), psi, pooled_stats, pool
-            )
-        assert np.array_equal(expected, pooled)
-        assert pooled_stats == serial_stats
 
     @settings(max_examples=25, deadline=None)
     @given(dense_facilities(min_stops=16, max_stops=96), engine_psis())

@@ -30,9 +30,6 @@ from repro import (
     ShardStore,
     StopSet,
 )
-from repro.engine.grid import FANOUT_MIN_POINTS
-
-from .conftest import SCHEDULING
 
 N_THREADS = 8
 
@@ -222,47 +219,44 @@ class TestShardStoreConcurrency:
 
 
 class TestRuntimeConcurrentProbes:
-    """A sharded runtime driven from many threads at once — the shape
-    of the service's bridge pool — must stay bit-identical to serial."""
+    """A runtime driven from many threads at once — the shape of the
+    service's bridge pool, racing its store's first builds — must stay
+    bit-identical to serial, masks and per-probe stats alike."""
 
     PSI = 20.0
 
-    @pytest.mark.parametrize("mode", [*SCHEDULING, "auto"])
-    def test_concurrent_probe_mask_bit_identical(self, mode, scheduling_workers):
+    @pytest.mark.parametrize(
+        "config",
+        (
+            RuntimeConfig(backend=ProximityBackend.GRID, shards=1),
+            RuntimeConfig(backend=ProximityBackend.GRID, shards=4),
+            RuntimeConfig(backend=ProximityBackend.CELLSTRING),
+        ),
+        ids=("grid-1", "grid-4", "cellstring"),
+    )
+    def test_concurrent_probe_mask_bit_identical(self, config):
         rng = np.random.default_rng(8)
         stop_pools = [rng.uniform(0, 1_000, (3_000, 2)) for _ in range(3)]
-        sizes = [600, 600, 600]
-        if mode == "auto":
-            # two workers at the shipped threshold, one block above it:
-            # callers deciding inline and callers fanning out share the
-            # one lazily built pool (first built under this very race)
-            max_workers = 2
-            sizes[-1] = FANOUT_MIN_POINTS + 100
-        else:
-            max_workers = scheduling_workers(mode)
-        probes = [rng.uniform(0, 1_000, (n, 2)) for n in sizes]
+        probes = [rng.uniform(0, 1_000, (600, 2)) for _ in range(3)]
 
-        def config(workers):
-            return RuntimeConfig(
-                backend=ProximityBackend.GRID, shards=4, max_workers=workers
+        def probe(rt, si, pi):
+            stats = QueryStats()
+            mask = rt.probe_mask(
+                StopSet(stop_pools[si].copy()), probes[pi], self.PSI, stats
             )
+            return mask, stats
 
-        with QueryRuntime(config(1)) as inline:
+        with QueryRuntime(config) as serial:
             expected = [
-                inline.probe_mask(stops, probe, self.PSI)
-                for stops in stop_pools
-                for probe in probes
+                probe(serial, si, pi) for si in range(3) for pi in range(3)
             ]
-        with QueryRuntime(config(max_workers)) as rt:
+        with QueryRuntime(config) as rt:
             def task(pair):
                 si, pi = pair
-                stats = QueryStats()
-                mask = rt.probe_mask(
-                    StopSet(stop_pools[si].copy()), probes[pi], self.PSI, stats
-                )
-                return si * len(probes) + pi, mask
+                return si * len(probes) + pi, probe(rt, si, pi)
 
             pairs = [(s, p) for s in range(3) for p in range(3)] * 4
             with ThreadPoolExecutor(max_workers=N_THREADS) as pool:
-                for idx, mask in pool.map(task, pairs):
-                    np.testing.assert_array_equal(mask, expected[idx])
+                for idx, (mask, stats) in pool.map(task, pairs):
+                    np.testing.assert_array_equal(mask, expected[idx][0])
+                    assert stats == expected[idx][1]

@@ -21,6 +21,7 @@ from repro import (
     ProximityBackend,
     QueryError,
     QueryRuntime,
+    RuntimeConfig,
     ServiceModel,
     ServiceSpec,
     ShardedStopGrid,
@@ -82,7 +83,8 @@ class TestPsiZero:
 
         f = FacilityRoute(0, [(1.0, 1.0), (2.0, 2.0)])
         engine = BatchQueryEngine(
-            users, runtime=QueryRuntime(backend=ProximityBackend.GRID)
+            users,
+            runtime=QueryRuntime(RuntimeConfig(backend=ProximityBackend.GRID)),
         )
         for model in ServiceModel:
             spec = ServiceSpec(model, psi=0.0)
@@ -281,7 +283,8 @@ class TestQuadrants:
 
         f = FacilityRoute(0, [(-5.0, -5.0), (0.0, 0.0), (5.0, 5.0)])
         engine = BatchQueryEngine(
-            users, runtime=QueryRuntime(backend=ProximityBackend.GRID)
+            users,
+            runtime=QueryRuntime(RuntimeConfig(backend=ProximityBackend.GRID)),
         )
         for model in ServiceModel:
             for psi in (0.0, 2.0, 7.5):

@@ -21,6 +21,7 @@ from repro import (
     GriddedStopSet,
     ProximityBackend,
     QueryRuntime,
+    RuntimeConfig,
     ServiceModel,
     ServiceSpec,
     ShardedStopGrid,
@@ -51,7 +52,7 @@ ALL_BACKENDS = (
 
 
 def _rt(backend, cache=None):
-    return QueryRuntime(backend=backend, cache=cache)
+    return QueryRuntime(RuntimeConfig(backend=backend), cache=cache)
 
 
 class TestGridMaskOracle:

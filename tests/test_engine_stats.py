@@ -18,6 +18,7 @@ from repro import (
     ProximityBackend,
     QueryRuntime,
     QueryStats,
+    RuntimeConfig,
     ServiceModel,
     ServiceSpec,
     TQTree,
@@ -29,7 +30,9 @@ from repro.queries import evaluate_service
 
 
 def _engine(users, backend):
-    return BatchQueryEngine(users, runtime=QueryRuntime(backend=backend))
+    return BatchQueryEngine(
+        users, runtime=QueryRuntime(RuntimeConfig(backend=backend))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +94,7 @@ class TestTreePathCounters:
             a = evaluate_service(tree, f, spec, stats=dense_stats)
             b = evaluate_service(
                 tree, f, spec, stats=grid_stats,
-                runtime=QueryRuntime(backend=ProximityBackend.GRID),
+                runtime=QueryRuntime(RuntimeConfig(backend=ProximityBackend.GRID)),
             )
             assert a == b
         # identical navigation, strictly less geometry
@@ -103,7 +106,7 @@ class TestTreePathCounters:
         users, facs = workload
         tree = TQTree.build(users, TQTreeConfig(beta=32))
         spec = ServiceSpec(ServiceModel.COUNT, psi=150.0)
-        runtime = QueryRuntime(backend=ProximityBackend.GRID)
+        runtime = QueryRuntime(RuntimeConfig(backend=ProximityBackend.GRID))
         first = QueryStats()
         for f in facs:
             evaluate_service(

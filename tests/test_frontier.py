@@ -433,10 +433,6 @@ class FrameMutations(RuleBasedStateMachine):
             for column in ZStack.__slots__:
                 assert np.array_equal(getattr(got, column), getattr(want, column)), column
 
-    def teardown(self):
-        if hasattr(self, "runtime"):
-            self.runtime.close()
-
 
 FrameMutations.TestCase.settings = settings(
     max_examples=12, stateful_step_count=8, deadline=None

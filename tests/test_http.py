@@ -48,9 +48,7 @@ SPEC = {"model": "endpoint", "psi": PSI}
 COUNT_SPEC = {"model": "count", "psi": PSI}
 LENGTH_SPEC = {"model": "length", "psi": PSI}
 
-RUNTIME_CONFIG = RuntimeConfig(
-    backend=ProximityBackend.GRID, shards=2, max_workers=2
-)
+RUNTIME_CONFIG = RuntimeConfig(backend=ProximityBackend.GRID, shards=2)
 
 
 @pytest.fixture(scope="module")

@@ -52,18 +52,15 @@ from repro.queries.evaluate import MatchCollector
 from repro.queries.maxkcov import tq_match_fn
 from repro.service import QueryPlanner
 
-from .conftest import SCHEDULING
-
 PSI = 400.0
 COUNT = ServiceSpec(ServiceModel.COUNT, psi=PSI)
 ENDPOINT = ServiceSpec(ServiceModel.ENDPOINT, psi=PSI)
 LENGTH = ServiceSpec(ServiceModel.LENGTH, psi=PSI)
 
-def _config(max_workers: int = 1) -> RuntimeConfig:
-    """Two-shard grids; one worker (the default here) probes inline."""
-    return RuntimeConfig(
-        backend=ProximityBackend.GRID, shards=2, max_workers=max_workers
-    )
+
+def _config() -> RuntimeConfig:
+    """Two-shard grids."""
+    return RuntimeConfig(backend=ProximityBackend.GRID, shards=2)
 
 
 @pytest.fixture(scope="module")
@@ -174,14 +171,11 @@ def _assert_outcomes_sum(stats):
 
 class TestServiceDifferential:
     """Service answers == synchronous answers, per request and in total,
-    for all five request types on both probe-scheduling paths."""
+    for all five request types."""
 
-    @pytest.mark.parametrize("mode", SCHEDULING)
-    def test_mixed_requests_bit_identical(
-        self, mode, tree, facilities, scheduling_workers
-    ):
+    def test_mixed_requests_bit_identical(self, tree, facilities):
         requests = _mixed_requests(tree, facilities)
-        config = _config(scheduling_workers(mode))
+        config = _config()
         with QueryRuntime(config) as base_rt:
             base_values, base_deltas = _sync_baseline(requests, base_rt)
             base_total = dataclasses.replace(base_rt.stats)
@@ -203,13 +197,11 @@ class TestServiceDifferential:
             _assert_result_equal(req, result, expected, delta)
         assert total == base_total
 
-    def test_repeat_submission_is_deterministic(
-        self, tree, facilities, scheduling_workers
-    ):
+    def test_repeat_submission_is_deterministic(self, tree, facilities):
         """Two service runs of the same workload agree exactly —
         scheduling noise never reaches answers or stats."""
         requests = _mixed_requests(tree, facilities)
-        config = _config(scheduling_workers("threads"))
+        config = _config()
 
         def one_run():
             async def drive():
@@ -654,10 +646,10 @@ class TestAsyncSmoke:
         return requests
 
     def test_32_concurrent_requests_parity_and_no_blocking(
-        self, tree, facilities, caplog, scheduling_workers
+        self, tree, facilities, caplog
     ):
         requests = self._smoke_requests(tree, facilities)
-        config = _config(scheduling_workers("threads"))
+        config = _config()
         with QueryRuntime(config) as base_rt:
             base_values, base_deltas = _sync_baseline(requests, base_rt)
             base_total = dataclasses.replace(base_rt.stats)
@@ -760,18 +752,6 @@ class TestServiceLifecycle:
             second = asyncio.run(service.submit(req))  # fresh loop, idle
             service.close()
         assert first.value == second.value
-
-    def test_owned_runtime_closed_with_service(self):
-        service = QueryService()
-        runtime = service.runtime
-        service.close()
-        assert runtime.executor is None  # closed runtimes stay serial
-
-    def test_caller_runtime_left_open(self):
-        with QueryRuntime(RuntimeConfig(max_workers=2)) as rt:
-            service = QueryService(rt)
-            service.close()
-            assert rt.executor is not None
 
     def test_stats_is_a_consistent_snapshot(self, tree, facilities):
         """The public ``stats`` accessor returns a copy: mutating (or

@@ -1,10 +1,12 @@
 """The QueryRuntime execution layer: every runtime setting (dense, grid
-at any shard count, cellstring, fan-out) must be answer-invisible —
-``==`` against the plain dense path throughout.
+at any shard count, cellstring) must be answer-invisible — ``==``
+against the plain dense path throughout.
 """
 
 from __future__ import annotations
 
+import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +18,7 @@ from repro import (
     GriddedStopSet,
     ProximityBackend,
     QueryRuntime,
+    SHARDS_AUTO,
     QueryStats,
     RuntimeConfig,
     ServiceModel,
@@ -32,20 +35,19 @@ from repro import (
     top_k_facilities,
 )
 from repro.core.errors import QueryError
+from repro.core.service import coverage_kernel
+from repro.engine import ShardedStopGrid, build_cellstring_index
 from repro.queries import FacilityComponent, evaluate_node_trajectories
 from repro.queries.maxkcov import tq_match_fn
-from repro.runtime import coerce_runtime, resolve_worker_count
+from repro.runtime import coerce_runtime
 
 from .strategies import WORLD
 
 ALL_MODELS = (ServiceModel.ENDPOINT, ServiceModel.COUNT, ServiceModel.LENGTH)
 
 
-def _runtime(backend=ProximityBackend.AUTO, shards=0, max_workers=0, **kw):
-    return QueryRuntime(
-        RuntimeConfig(backend=backend, shards=shards, max_workers=max_workers),
-        **kw,
-    )
+def _runtime(backend=ProximityBackend.AUTO, shards=0, **kw):
+    return QueryRuntime(RuntimeConfig(backend=backend, shards=shards), **kw)
 
 
 class TestStopSetDressing:
@@ -159,9 +161,9 @@ class TestRuntimeRoutedQueries:
 
     POLICIES = (
         RuntimeConfig(backend=ProximityBackend.DENSE),
-        RuntimeConfig(backend=ProximityBackend.GRID, shards=1, max_workers=0),
-        RuntimeConfig(backend=ProximityBackend.GRID, shards=2, max_workers=0),
-        RuntimeConfig(backend=ProximityBackend.GRID, shards=7, max_workers=2),
+        RuntimeConfig(backend=ProximityBackend.GRID, shards=1),
+        RuntimeConfig(backend=ProximityBackend.GRID, shards=2),
+        RuntimeConfig(backend=ProximityBackend.GRID, shards=7),
         RuntimeConfig(backend=ProximityBackend.AUTO),
     )
 
@@ -344,25 +346,39 @@ class TestRuntimeArgument:
 
 class TestRuntimeLifecycle:
     def test_config_validation(self):
+        from repro import HttpConfig, ServiceConfig
+
         with pytest.raises(QueryError):
             RuntimeConfig(backend="grid")  # not a ProximityBackend
         with pytest.raises(QueryError):
             RuntimeConfig(shards=-1)
-        with pytest.raises(QueryError):
-            RuntimeConfig(max_workers=-2)
-        with pytest.raises(QueryError):
-            QueryRuntime(backend="grid")
+        # integer fields take ints only: a float used to pass and fail
+        # at the first probe, a bool to run silently as 0 / 1 (every
+        # field x every non-integer: TestIntegerConfigFields)
+        with pytest.raises(QueryError, match="shards must be an integer"):
+            RuntimeConfig(shards=2.5)
+        with pytest.raises(QueryError, match="shards must be an integer"):
+            RuntimeConfig(shards=True)
+        with pytest.raises(QueryError, match="max_in_flight must be an integer"):
+            ServiceConfig(max_in_flight=2.5)
+        with pytest.raises(QueryError, match="queue_depth must be an integer"):
+            ServiceConfig(queue_depth=1.5)
+        with pytest.raises(QueryError, match="workers must be an integer"):
+            HttpConfig(workers=2.0)
+        assert RuntimeConfig(shards=2).shards == 2
+        assert ServiceConfig(max_in_flight=2, queue_depth=3).queue_depth == 3
 
     def test_config_fields_are_exactly_these(self):
-        """The deleted knobs have no alias (ISSUEs 18, 19): ``policy=`` /
-        ``start_method=`` / ``coalesce_window=`` / ``listener=`` are
-        plain TypeErrors."""
+        """The deleted knobs have no alias:
+        ``policy=`` / ``max_workers=`` / ``start_method=`` /
+        ``coalesce_window=`` / ``listener=`` and the
+        ``QueryRuntime(backend=...)`` shorthand are plain TypeErrors."""
         import dataclasses
 
         from repro import HttpConfig, ServiceConfig
 
         assert [f.name for f in dataclasses.fields(RuntimeConfig)] == [
-            "backend", "shards", "max_workers", "store_dir",
+            "backend", "shards", "store_dir",
         ]
         assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
             "max_in_flight", "queue_depth", "batch_window",
@@ -374,7 +390,15 @@ class TestRuntimeLifecycle:
         with pytest.raises(TypeError):
             RuntimeConfig(policy="threads")
         with pytest.raises(TypeError):
+            RuntimeConfig(max_workers=2)
+        with pytest.raises(TypeError):
+            QueryRuntime(backend=ProximityBackend.GRID)
+        with pytest.raises(TypeError):
             HttpConfig(listener="inherit")
+        from repro.serve import build_parser
+
+        with pytest.raises(SystemExit):  # an argparse usage error
+            build_parser().parse_args(["--max-workers", "2"])
 
     def test_prefork_without_reuseport_is_a_typed_error(self, monkeypatch):
         """SO_REUSEPORT is the only way workers share the port; a
@@ -389,46 +413,6 @@ class TestRuntimeLifecycle:
         with pytest.raises(QueryError, match="SO_REUSEPORT"):
             supervisor.start()
 
-    def test_default_pool_is_sized_from_cpu_affinity(self, monkeypatch):
-        """``max_workers=None`` counts the CPUs this process may run on
-        (affinity / cgroup pinning), not the machine's."""
-        import os
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-        assert resolve_worker_count(None) == 1
-        with QueryRuntime(RuntimeConfig()) as rt:
-            assert rt.executor is None  # one usable CPU: always inline
-        monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid: set(range(32)), raising=False
-        )
-        assert resolve_worker_count(None) == 8  # capped
-        assert resolve_worker_count(None, processes=8) == 4
-        assert resolve_worker_count(3, processes=8) == 3  # explicit wins
-
-    def test_executor_lifecycle(self):
-        rt = QueryRuntime(RuntimeConfig(max_workers=2))
-        assert rt.executor is not None
-        rt.close()
-        assert rt.executor is None  # closed runtimes stay serial
-        serial = QueryRuntime(RuntimeConfig(max_workers=0))
-        assert serial.executor is None
-
-    def test_stop_sets_survive_runtime_close(self):
-        """A stop set dressed before close() must degrade to serial
-        probing, not schedule on the shut-down pool."""
-        rng = np.random.default_rng(23)
-        coords = rng.uniform(0, 500, (128, 2))
-        probe = rng.uniform(0, 500, (64, 2))
-        rt = QueryRuntime(
-            RuntimeConfig(backend=ProximityBackend.GRID, shards=4, max_workers=2)
-        )
-        dressed = rt.stop_set(StopSet(coords), 10.0)
-        before = dressed.covered_mask(probe, 10.0)
-        rt.close()
-        after = dressed.covered_mask(probe, 10.0)  # must not raise
-        np.testing.assert_array_equal(before, after)
-
     def test_shared_stats_object(self):
         shared = QueryStats()
         rt_a = _runtime(stats=shared)
@@ -436,3 +420,145 @@ class TestRuntimeLifecycle:
         rt_a.accrue(QueryStats(points_scanned=3))
         rt_b.accrue(QueryStats(points_scanned=4))
         assert shared.points_scanned == 7
+
+
+def _config_with(owner: str, field: str, value):
+    from repro import HttpConfig, ServiceConfig
+
+    cls = {
+        "RuntimeConfig": RuntimeConfig,
+        "ServiceConfig": ServiceConfig,
+        "HttpConfig": HttpConfig,
+    }[owner]
+    return cls(**{field: value})
+
+
+#: Every integer field of the execution configs, as ``owner.field``.
+_INTEGER_FIELDS = (
+    "RuntimeConfig.shards",
+    "ServiceConfig.max_in_flight",
+    "ServiceConfig.queue_depth",
+    "HttpConfig.workers",
+)
+
+
+class TestIntegerConfigFields:
+    """An integer field refuses what is not an ``int`` at construction,
+    with a ``QueryError`` naming the field — never later, deep in a
+    probe (``shards=2.5``), and never by silently reading a bool as
+    0 / 1 (``shards=True`` ran as one shard)."""
+
+    @pytest.mark.parametrize(
+        "bad", (2.5, 2.0, True, False, "2", None), ids=repr
+    )
+    @pytest.mark.parametrize("owned_field", _INTEGER_FIELDS)
+    def test_non_integer_is_a_query_error(self, owned_field, bad):
+        owner, field = owned_field.split(".")
+        with pytest.raises(QueryError, match=f"{field} must be an integer"):
+            _config_with(owner, field, bad)
+
+    @pytest.mark.parametrize("owned_field", _INTEGER_FIELDS)
+    def test_an_int_is_kept_as_given(self, owned_field):
+        owner, field = owned_field.split(".")
+        config = _config_with(owner, field, 3)
+        value = getattr(config, field)
+        assert value == 3 and type(value) is int
+
+
+#: The probe tiers, by id: the grid at one shard, at a few, at more
+#: shards than the stops fill evenly, at the AUTO count, and the
+#: cellstring tier.  Each tier's stats are those of its single-piece
+#: index (a one-shard grid, the bare cellstring index): the shard count
+#: only cuts the work, never changes how much is counted.
+_PROBE_TIERS = {
+    "grid-1": RuntimeConfig(backend=ProximityBackend.GRID, shards=1),
+    "grid-2": RuntimeConfig(backend=ProximityBackend.GRID, shards=2),
+    "grid-4": RuntimeConfig(backend=ProximityBackend.GRID, shards=4),
+    "grid-7": RuntimeConfig(backend=ProximityBackend.GRID, shards=7),
+    "grid-auto": RuntimeConfig(backend=ProximityBackend.GRID, shards=SHARDS_AUTO),
+    "cellstring": RuntimeConfig(backend=ProximityBackend.CELLSTRING),
+}
+
+
+class TestInlineProbes:
+    """Every probe runs on the calling thread, however large its block
+    (DESIGN.md §5.1), and answers exactly what the dense kernel does."""
+
+    PSI = 25.0
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        """Stops, a probe block past the 65,536-point floor at which
+        probes once left the calling thread, its dense mask, and each
+        tier's single-piece stats."""
+        rng = np.random.default_rng(91)
+        stops = rng.uniform(0, 2_000, (1_500, 2))
+        probe = rng.uniform(0, 2_000, (65_536 + 512, 2))
+        dense = coverage_kernel(probe, stops, self.PSI)
+        assert dense.any() and not dense.all()  # a discriminating probe
+        single = {"grid": QueryStats(), "cellstring": QueryStats()}
+        ShardedStopGrid(stops, self.PSI, 1).covered_mask(
+            probe, self.PSI, single["grid"]
+        )
+        build_cellstring_index(stops, self.PSI).covered_mask(
+            probe, self.PSI, single["cellstring"]
+        )
+        return stops, probe, dense, single
+
+    @pytest.mark.parametrize("tier", sorted(_PROBE_TIERS))
+    def test_large_block_starts_no_thread(self, world, tier):
+        """No thread starts; the mask is the dense kernel's and the
+        stats are the tier's single-piece index's."""
+        stops, probe, dense, single = world
+        config = _PROBE_TIERS[tier]
+        before = set(threading.enumerate())
+        count = threading.active_count()
+        with QueryRuntime(config) as rt:
+            stats = QueryStats()
+            mask = rt.probe_mask(stops, probe, self.PSI, stats)
+            assert not set(threading.enumerate()) - before
+            assert threading.active_count() <= count
+        np.testing.assert_array_equal(mask, dense)
+        assert stats == single[config.backend.value]
+
+    @pytest.mark.parametrize("tier", [*sorted(_PROBE_TIERS), "dense"])
+    def test_empty_and_degenerate_probes(self, world, tier):
+        stops = world[0]
+        config = _PROBE_TIERS.get(
+            tier, RuntimeConfig(backend=ProximityBackend.DENSE)
+        )
+        with QueryRuntime(config) as rt:
+            stats = QueryStats()
+            empty = rt.probe_mask(stops, np.zeros((0, 2)), self.PSI, stats)
+            assert empty.shape == (0,)
+            assert stats == QueryStats()  # an empty block does no work
+            one = rt.probe_mask(stops, stops[:1], self.PSI)
+            assert bool(one[0])  # a stop covers itself
+            far = rt.probe_mask(stops, np.array([[-1e6, -1e6]]), self.PSI)
+            assert not far.any()  # nothing within psi of a far point
+
+
+class TestNoBackendPlumbingInQueries:
+    """The layering check, now rule L1 of ``repro.lint``: no module
+    under ``queries/`` touches the proximity machinery directly —
+    probes go through the runtime or the plain ``StopSet`` contract.
+    The declared layer DAG forbids ``queries`` → ``engine`` imports and
+    bans the ``ProximityBackend`` symbol for the queries layer."""
+
+    def test_queries_never_import_backend_or_engine(self):
+        import repro.queries as queries_pkg
+        from repro.lint import REPRO_CONFIG, SourceIndex, run_rules
+
+        layer_cfg = REPRO_CONFIG.layer
+        assert "engine" not in layer_cfg.allowed["queries"]
+        assert "ProximityBackend" in layer_cfg.banned_names["queries"]
+
+        root = Path(queries_pkg.__file__).parent.parent
+        findings = run_rules(SourceIndex(root), REPRO_CONFIG, select=["L1"])
+        offenders = [
+            f.render() for f in findings if f.path.startswith("repro/queries/")
+        ]
+        assert not offenders, (
+            "queries/ must route all proximity work through the runtime; "
+            "found direct plumbing:\n" + "\n".join(offenders)
+        )

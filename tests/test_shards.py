@@ -1,7 +1,7 @@
 """Differential tests: the stop grid must be *bit-identical* to the
 dense ``core.service`` oracle, for every shard count.
 
-Sharding is pure scheduling — each shard applies the same ``psi_hit``
+Sharding never changes an answer — each shard applies the same ``psi_hit``
 kernel to a disjoint slice of grid cells and the mask union is
 order-independent — so every comparison here is ``==`` / ``array_equal``,
 never ``approx``.  The suite drives shard counts {1, 2, 7, AUTO} across
@@ -15,9 +15,6 @@ equal a brute-force count over each point's 3x3 cell neighbourhood
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +31,6 @@ from repro import (
 )
 from repro.core.errors import QueryError
 from repro.core.service import coverage_kernel
-from repro.engine import grid as grid_geometry
 from repro.engine.shards import grid_spill_name
 
 from .strategies import WORLD, dense_facilities, engine_psis, trajectory_sets
@@ -133,26 +129,6 @@ class TestShardedMaskOracle:
             mask = grid.covered_mask(block, query_psi, got)
             assert np.array_equal(expected_mask, mask), n_shards
             assert got == expected, n_shards
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        trajectory_sets(min_size=1, max_size=8, min_points=2, max_points=5),
-        dense_facilities(min_stops=24, max_stops=96),
-        engine_psis(),
-    )
-    def test_executor_fanout_identical_to_serial(self, users, facility, psi):
-        block = _probe_block(users)
-        grid = ShardedStopGrid(facility.stop_coords, psi, 7)
-        serial_stats = QueryStats()
-        serial = grid.covered_mask(block, psi, serial_stats)
-        # the threshold patched down so these small blocks take the pool
-        with ThreadPoolExecutor(max_workers=3) as pool, mock.patch.object(
-            grid_geometry, "FANOUT_MIN_POINTS", 1
-        ):
-            pooled_stats = QueryStats()
-            pooled = grid.covered_mask(block, psi, pooled_stats, executor=pool)
-        assert np.array_equal(serial, pooled)
-        assert pooled_stats == serial_stats
 
     @settings(max_examples=25, deadline=None)
     @given(dense_facilities(min_stops=16, max_stops=96), engine_psis())

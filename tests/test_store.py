@@ -67,8 +67,6 @@ from repro.store.__main__ import main as store_main
 from repro.store.catalog import DEFAULT_PSI
 from repro.store.codecs import KIND_FACILITIES, KIND_TRAJECTORIES
 
-from .conftest import SCHEDULING
-
 PSI = 400.0
 
 
@@ -406,7 +404,6 @@ def runtime_store_dir(tmp_path_factory, world):
 
 
 class TestRuntimeDifferential:
-    @pytest.mark.parametrize("mode", SCHEDULING)
     @pytest.mark.parametrize("shards", [1, 2, 7])
     @pytest.mark.parametrize(
         "backend",
@@ -416,13 +413,9 @@ class TestRuntimeDifferential:
             ProximityBackend.CELLSTRING,
         ],
     )
-    def test_opened_matches_fresh(
-        self, world, runtime_store_dir, backend, shards, mode, scheduling_workers
-    ):
+    def test_opened_matches_fresh(self, world, runtime_store_dir, backend, shards):
         stops, pts = world
-        config = RuntimeConfig(
-            backend=backend, shards=shards, max_workers=scheduling_workers(mode)
-        )
+        config = RuntimeConfig(backend=backend, shards=shards)
         with QueryRuntime(config) as fresh:
             fresh_stats = QueryStats()
             fresh_mask = fresh.probe_mask(stops, pts, PSI, fresh_stats)
@@ -552,9 +545,7 @@ class TestHttpOverStore:
         }
 
     def test_store_catalog_serves_identically(self, demo_store_dir):
-        runtime = RuntimeConfig(
-            backend=ProximityBackend.GRID, shards=2, max_workers=2,
-        )
+        runtime = RuntimeConfig(backend=ProximityBackend.GRID, shards=2)
         with background_server(
             catalog_from_spec(DEMO_SPEC), runtime_config=runtime
         ) as h:

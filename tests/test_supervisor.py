@@ -57,9 +57,7 @@ LENGTH_SPEC = {"model": "length", "psi": PSI}
 #: grammar — build_demo_catalog is deterministic, pinned by test_http).
 CATALOG_SPEC = "demo:300:10:12:7"
 
-RUNTIME_CONFIG = RuntimeConfig(
-    backend=ProximityBackend.GRID, shards=2, max_workers=2
-)
+RUNTIME_CONFIG = RuntimeConfig(backend=ProximityBackend.GRID, shards=2)
 SERVICE_CONFIG = ServiceConfig(max_in_flight=4, queue_depth=64)
 
 START_METHODS = ("fork", "spawn")
@@ -322,20 +320,3 @@ class TestClientRetryAcrossRestart:
                 # must reconnect (landing on a live worker) and answer
                 health = client.healthz()
         assert health["status"] in ("ok", "degraded")
-
-
-class TestWorkerPoolShare:
-    def test_unset_max_workers_resolves_to_one_workers_share(self, monkeypatch):
-        """Each prefork worker builds its own runtime: on a 2-CPU host
-        two workers left at ``max_workers=None`` must each get one
-        thread's share — an inline runtime — not a machine-sized pool
-        apiece; an explicit setting is the operator's and is kept."""
-        import os
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        shared = Supervisor(_http_config(2, runtime=RuntimeConfig()))
-        assert shared.config.runtime.max_workers == 1
-        with QueryRuntime(shared.config.runtime) as rt:
-            assert rt.executor is None
-        explicit = Supervisor(_http_config(2, runtime=RuntimeConfig(max_workers=4)))
-        assert explicit.config.runtime.max_workers == 4
