@@ -6,7 +6,15 @@ pairs twice, kMaxRRST re-scans ancestor lists across relax rounds, the
 greedy/genetic/exact MaxkCovRST solvers each re-derive the same
 per-facility match sets, and batched multi-model queries re-derive the
 identical ``psi``-mask once per service model.  :class:`CoverageCache`
-memoises the three shapes of that repeated work:
+memoises the four shapes of that repeated work:
+
+* **division plans** — per ``(facility, psi, node-table generation)``
+  the arrays Algorithm 1's division makes (which nodes are served and
+  reached, their serving envelopes): a walk's plan is a function of its
+  stop coordinates, ``psi`` and the node table, so the key has no mode
+  and a collecting re-walk shares its shortlist's plan.  Arrays only,
+  never the component: a cache shared by runtimes of different
+  backends must not hand one runtime another's dressed stop set;
 
 * **node results** — per walk ``(facility, psi, mode)`` a table of
   Algorithm 2's candidate rows and coverage masks per node stamp (the
@@ -20,10 +28,11 @@ memoises the three shapes of that repeated work:
   engine's concatenated probe block (shared across service models and
   ``normalize`` settings, which only differ in aggregation).
 
-Everything held carries enough to re-verify itself on lookup — a walk
-table its walk's stop coordinates by value (the facility restricted to
-the indexed space: equal walks induce equal components at every node;
-checked once per walk, and a mismatch swaps in a fresh table), the
+Everything held carries enough to re-verify itself on lookup — a plan
+and a walk table their walk's stop coordinates by value (the facility
+restricted to the indexed space: equal walks induce equal components at
+every node; checked once per walk, and a mismatch is a miss, or swaps in
+a fresh table), the
 facility object by identity for match sets, the stop-set object by
 identity for batch masks — so neither ``id`` reuse after garbage
 collection nor two facilities sharing a ``facility_id`` can alias to a
@@ -32,14 +41,19 @@ results need no check of their own: they are keyed by the node's
 *stamp*, which no other node of any tree in the process ever carries
 and which an insert into the node (or a split re-placing it) renews —
 so rows cached against an older list miss, and a node an insert left
-alone keeps its stamp and its hits.  A cache is only valid for a fixed user set / tree: drop it (or
-:meth:`clear`) when the underlying data changes.
+alone keeps its stamp and its hits.  Plans are keyed by the node table's
+*generation*, which an insert renews the same way, so an insert
+re-divides every walk after it.  A cache is only valid for a fixed user
+set / tree: drop it (or :meth:`clear`) when the underlying data changes.
 
 Node results and match sets are keyed on client-supplied values
 (``psi`` is a float on the wire), so each kind is held to at most
 :data:`MAX_ENTRIES`: match sets drop their oldest entry beyond that,
 node results whole walks, least recently filled first and never the
-walk being filled — an evicted result is a miss like any other.
+walk being filled — an evicted result is a miss like any other.  Plans
+are held to :data:`MAX_PLAN_ROWS` node rows, least recently used first
+out.  Plans are bookkeeping, not answers: they count in neither
+``hits`` / ``misses`` nor ``len()``.
 
 **Thread safety.**  A cache shared by a :class:`repro.service
 .QueryService` is read and written from the service's bridge threads
@@ -73,10 +87,19 @@ __all__ = ["CoverageCache"]
 #: bounded.
 MAX_ENTRIES = 16_384
 
+#: Node rows held over all division plans before the least recently
+#: used plans go.  Twice the largest working set a perfbench workload
+#: has (``serve_burst``: 960 (route, psi) walks of a 33-node tree,
+#: ~31.7k rows; ``paper_multipoint`` 66 x (305 + 9) ~ 20.7k).
+MAX_PLAN_ROWS = 65_536
+
 #: One node result: (node-relative candidate rows, mask).
 NodeResult = Tuple[np.ndarray, np.ndarray]
 #: One walk: its stop coordinates and its node results by node stamp.
 Walk = Tuple[np.ndarray, Dict[int, NodeResult]]
+#: One division plan's arrays: served, visited, envelopes
+#: (``repro.queries.components.Division``).
+Division = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _store(table: "OrderedDict[Hashable, Any]", key: Hashable, entry: Any) -> None:
@@ -93,6 +116,10 @@ class CoverageCache:
         # recently filled first; _held counts the results of all walks
         self._walks: "OrderedDict[Hashable, Walk]" = OrderedDict()  # guarded-by: _lock
         self._held = 0  # guarded-by: _lock
+        # plan key -> (stop coords, division), least recently used
+        # first; _plan_rows counts the node rows of all plans
+        self._plans: "OrderedDict[Hashable, Tuple[np.ndarray, Division]]" = OrderedDict()  # guarded-by: _lock
+        self._plan_rows = 0  # guarded-by: _lock
         # key -> (facility, matches)
         self._matches: "OrderedDict[Hashable, Tuple[Any, Mapping]]" = OrderedDict()  # guarded-by: _lock
         self._masks: Dict[Hashable, Tuple[Any, np.ndarray, np.ndarray]] = {}  # guarded-by: _lock
@@ -100,6 +127,37 @@ class CoverageCache:
         self.hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
         self._lock = threading.Lock()
+
+    # ------------------------------------------------------------------
+    # Algorithm-1 division plans
+    # ------------------------------------------------------------------
+    def lookup_plan(self, key: Hashable, stop_coords: np.ndarray) -> Optional[Division]:
+        """The division held for plan ``key`` if its stop coordinates
+        equal ``stop_coords`` bitwise (as walk tables are verified),
+        else ``None``.  A hit becomes the most recently used plan."""
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is None or not np.array_equal(plan[0], stop_coords):
+                return None
+            self._plans.move_to_end(key)
+            return plan[1]
+
+    def store_plan(self, key: Hashable, stop_coords: np.ndarray, division: Division) -> None:
+        """Hold ``division`` — made of ``stop_coords`` — as plan
+        ``key``'s, replacing what the key held; least recently used
+        plans go until all fit in :data:`MAX_PLAN_ROWS` node rows (a
+        plan larger than that is not held)."""
+        rows = division[0].size
+        with self._lock:
+            plan = self._plans.pop(key, None)
+            if plan is not None:
+                self._plan_rows -= plan[1][0].size
+            if rows > MAX_PLAN_ROWS:
+                return
+            while self._plan_rows + rows > MAX_PLAN_ROWS:
+                self._plan_rows -= self._plans.popitem(last=False)[1][1][0].size
+            self._plans[key] = (stop_coords, division)
+            self._plan_rows += rows
 
     # ------------------------------------------------------------------
     # Algorithm-2 node results, one table per walk
@@ -245,6 +303,8 @@ class CoverageCache:
         with self._lock:
             self._walks.clear()
             self._held = 0
+            self._plans.clear()
+            self._plan_rows = 0
             self._matches.clear()
             self._masks.clear()
             self._match_fns.clear()

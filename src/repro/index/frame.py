@@ -15,7 +15,10 @@ ancestors, so the tree is nothing but columns:
   from one process-wide counter whenever its list changes (an insert
   into it, a re-placement by a split), so a stamp names one list of
   one tree for the life of the process — what cached results anchor on.
-  Its derived column, ``block``, is one
+  The table's ``generation`` is drawn from the same counter when it is
+  made and whenever ``add_key`` / ``splice`` change it, so it names one
+  version of one tree's node table — what cached division plans anchor
+  on.  Its derived column, ``block``, is one
   :class:`~repro.index.block.NodeBlock` over all the keys: block row
   ``j`` is the entry ``(rows[j], segs[j])``.
 * :class:`ZStack` — the paper's *ordered bucketing using z-curve*
@@ -50,7 +53,8 @@ __all__ = ["TreeFrame", "ZStack", "kept_per_run", "BOTH", "ANY", "BBOX"]
 #: The three ``zReduce`` candidate modes (:meth:`ZStack.candidates`).
 BOTH, ANY, BBOX = "both", "any", "bbox"
 
-#: Node stamps, unique across every tree of the process.
+#: Node stamps and table generations, unique across every tree of the
+#: process.
 _STAMPS = itertools.count()
 
 #: The columns with one row per node.
@@ -87,7 +91,7 @@ class TreeFrame:
     node ``i``'s list; ``own[i]`` / ``sub[i]`` are ``SubBounds`` rows
     (:meth:`~repro.index.entries.SubBounds.column_for` picks a column)."""
 
-    __slots__ = _NODE_COLUMNS + ("rows", "segs", "row_off", "block", "zstack")
+    __slots__ = _NODE_COLUMNS + ("rows", "segs", "row_off", "generation", "block", "zstack")
 
     def __init__(
         self,
@@ -100,8 +104,9 @@ class TreeFrame:
         rows: np.ndarray,
         segs: np.ndarray,
     ) -> None:
-        """A table of fresh nodes in pre-order, each with a new stamp;
-        ``sub`` is summed from ``own`` here, in reverse pre-order."""
+        """A table of fresh nodes in pre-order, each with a new stamp,
+        of a new generation; ``sub`` is summed from ``own`` here, in
+        reverse pre-order."""
         self.box = np.asarray(box, dtype=np.float64).reshape(-1, 4)
         self.depth = np.asarray(depth, dtype=np.int64)
         self.parent = np.asarray(parent, dtype=np.int64)
@@ -113,6 +118,7 @@ class TreeFrame:
         self.row_off = _offsets(self.n_own)
         self.sub = np.empty_like(self.own)
         self.sum_sub(range(len(self) - 1, -1, -1))
+        self.generation = next(_STAMPS)
         self.block: "NodeBlock | None" = None
         self.zstack: "ZStack | None" = None
 
@@ -142,7 +148,8 @@ class TreeFrame:
     def add_key(self, i: int, row: int, seg: int, addends: np.ndarray) -> None:
         """Append the entry ``(row, seg)`` to node ``i``'s list and its
         five ``SubBounds`` addends to ``own[i]``; the node gets a new
-        stamp (``sub`` is the caller's to re-sum)."""
+        stamp and the table a new generation (``sub`` is the caller's to
+        re-sum)."""
         at = self.row_off[i + 1]
         self.rows = np.concatenate((self.rows[:at], [row], self.rows[at:]))
         self.segs = np.concatenate((self.segs[:at], [seg], self.segs[at:]))
@@ -150,13 +157,15 @@ class TreeFrame:
         self.row_off[i + 1 :] += 1
         self.own[i] += addends
         self.stamp[i] = next(_STAMPS)
+        self.generation = next(_STAMPS)
         self.block = self.zstack = None
 
     def splice(self, i: int, other: "TreeFrame") -> None:
         """Replace leaf ``i`` — its row and its keys — by ``other``, the
         table of a subtree over the same box: the subtree's root takes
         ``i``'s number and parent, its other nodes follow it, and every
-        node after ``i`` moves up by ``len(other) - 1``."""
+        node after ``i`` moves up by ``len(other) - 1``; the table gets
+        a new generation."""
         shift = len(other) - 1
         moved = {
             "parent": np.where(self.parent > i, self.parent + shift, self.parent),
@@ -174,6 +183,7 @@ class TreeFrame:
         self.rows = np.concatenate([self.rows[:lo], other.rows, self.rows[hi:]])
         self.segs = np.concatenate([self.segs[:lo], other.segs, self.segs[hi:]])
         self.row_off = _offsets(self.n_own)
+        self.generation = next(_STAMPS)
         self.block = self.zstack = None
 
 

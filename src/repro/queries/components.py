@@ -12,17 +12,21 @@ id and holds **all** of the facility's stops relevant to its region in a
 single :class:`~repro.core.service.StopSet`, so same-facility pieces are
 already unified and a user is never double-counted across components.
 
-:class:`DivisionPlan` is the paper's ``intersectingComponents`` for a
-whole tree at once: one closed-interval test of every stop against every
-q-node's expanded region gives each node's component as a row of a
-membership matrix, from which the set of nodes a walk reaches and each
-component's serving envelope follow without visiting a node.
+:func:`divide` is the paper's ``intersectingComponents`` for a whole
+tree at once: one closed-interval test of every stop against every
+q-node's expanded region says which nodes' components are non-empty,
+which nodes a walk reaches and each component's serving envelope,
+without visiting a node; the test itself is not kept.  A
+:class:`DivisionPlan` is a component and those three per-node arrays —
+a function of the component's stop coordinates, ``psi`` and the node
+table, so a runtime's cache can hand a later walk the arrays of an
+earlier one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from ..core.service import StopSet
 from ..core.trajectory import FacilityRoute
 from ..index.frame import TreeFrame
 
-__all__ = ["FacilityComponent", "DivisionPlan"]
+__all__ = ["FacilityComponent", "DivisionPlan", "Division", "divide"]
 
 
 @dataclass(frozen=True)
@@ -75,54 +79,66 @@ class FacilityComponent:
         )
 
 
+#: One division over a node table: per node, whether its component is
+#: non-empty (``served``) and whether the walk reaches it (``visited``),
+#: and the ``(n, 4)`` table of the served components' serving envelopes
+#: (NaN rows elsewhere).
+Division = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def divide(frame: TreeFrame, stops: np.ndarray, psi: float) -> Division:
+    """Divide the stops ``stops`` (an ``(m, 2)`` array) over every node
+    of ``frame``.
+
+    Stop ``j`` belongs to node ``i``'s component when it lies in
+    ``box[i]`` grown by ``psi`` — the very comparison
+    :meth:`FacilityComponent.restricted_to` makes.  A node is *served*
+    when one stop belongs to it, and *visited* — the paper's walk from
+    the root reaches it — when it is served and its subtree holds an
+    entry (the root needs only the former).  No ancestor check is
+    needed: a child's region lies inside its parent's, and subtracting
+    ``psi`` from both keeps the order, so a stop that belongs to a node
+    belongs to every ancestor, and a subtree with an entry makes every
+    enclosing subtree non-empty too.  A served node's envelope is its
+    stops' bounding box grown by ``psi`` — ``FacilityComponent.embr``'s
+    floats.  The arrays are read-only: a cache shares them between
+    walks."""
+    box = frame.box
+    x, y = stops[None, :, 0], stops[None, :, 1]
+    member = (
+        (x >= (box[:, 0] - psi)[:, None])
+        & (x <= (box[:, 2] + psi)[:, None])
+        & (y >= (box[:, 1] - psi)[:, None])
+        & (y <= (box[:, 3] + psi)[:, None])
+    )
+    served = member.any(axis=1)
+    visited = served.copy()
+    visited[1:] &= frame.sub[1:, 0] > 0
+    rows = np.flatnonzero(served)
+    member = member[rows]
+    low, high = dict(axis=1, initial=np.inf), dict(axis=1, initial=-np.inf)
+    envelopes = np.full((served.size, 4), np.nan)
+    envelopes[rows, 0] = np.where(member, x, np.inf).min(**low) - psi
+    envelopes[rows, 1] = np.where(member, y, np.inf).min(**low) - psi
+    envelopes[rows, 2] = np.where(member, x, -np.inf).max(**high) + psi
+    envelopes[rows, 3] = np.where(member, y, -np.inf).max(**high) + psi
+    for array in (served, visited, envelopes):
+        array.flags.writeable = False
+    return served, visited, envelopes
+
+
 class DivisionPlan:
-    """One component divided over every q-node of a tree frame.
+    """One component divided over every q-node of a tree frame: the
+    component itself (the walk's stops, dressed for its runtime) and
+    the arrays :func:`divide` made of its coordinates."""
 
-    ``member[i, j]`` says stop ``j`` of ``component`` belongs to node
-    ``i``'s component — it lies in ``box[i]`` grown by ``psi``, the very
-    comparison :meth:`FacilityComponent.restricted_to` makes.
-    ``visited[i]`` says the paper's walk from the root reaches node
-    ``i``: its component is non-empty and its subtree holds an entry
-    (the root needs only the former).  No ancestor check is needed: a
-    child's region lies inside its parent's, and subtracting ``psi``
-    from both keeps the order, so a stop that is a member at a node is
-    a member at every ancestor, and a subtree with an entry makes every
-    enclosing subtree non-empty too.
-    """
+    __slots__ = ("component", "served", "visited", "envelopes")
 
-    __slots__ = ("component", "member", "visited", "_embr")
-
-    def __init__(self, frame: TreeFrame, component: FacilityComponent) -> None:
+    def __init__(self, component: FacilityComponent, division: Division) -> None:
         self.component = component
-        psi = component.psi
-        xy, box = component.stops.coords, frame.box
-        x, y = xy[None, :, 0], xy[None, :, 1]
-        self.member = (
-            (x >= (box[:, 0] - psi)[:, None])
-            & (x <= (box[:, 2] + psi)[:, None])
-            & (y >= (box[:, 1] - psi)[:, None])
-            & (y <= (box[:, 3] + psi)[:, None])
-        )
-        self.visited = self.member.any(axis=1)
-        self.visited[1:] &= frame.sub[1:, 0] > 0
-        self._embr: Optional[np.ndarray] = None
+        self.served, self.visited, self.envelopes = division
 
     def embr(self, nodes: np.ndarray) -> np.ndarray:
-        """Serving envelopes of the (non-empty) components at ``nodes``,
-        one ``(xmin, ymin, xmax, ymax)`` row each: the member stops'
-        bounding box grown by ``psi`` — ``FacilityComponent.embr``'s
-        floats.  Tabled for the whole tree on first use (a walk the
-        cache answers never asks)."""
-        if self._embr is None:
-            served = np.flatnonzero(self.member.any(axis=1))
-            member = self.member[served]
-            xy, psi = self.component.stops.coords, self.component.psi
-            x, y = xy[None, :, 0], xy[None, :, 1]
-            low, high = dict(axis=1, initial=np.inf), dict(axis=1, initial=-np.inf)
-            table = np.full((self.visited.size, 4), np.nan)
-            table[served, 0] = np.where(member, x, np.inf).min(**low) - psi
-            table[served, 1] = np.where(member, y, np.inf).min(**low) - psi
-            table[served, 2] = np.where(member, x, -np.inf).max(**high) + psi
-            table[served, 3] = np.where(member, y, -np.inf).max(**high) + psi
-            self._embr = table
-        return self._embr[nodes]
+        """Serving envelopes of the (served) components at ``nodes``,
+        one ``(xmin, ymin, xmax, ymax)`` row each."""
+        return self.envelopes[nodes]

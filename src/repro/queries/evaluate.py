@@ -6,8 +6,8 @@ The paper's evaluation is filter-then-refine, and this module runs it a
 1. **plan** — Algorithm 1's division of the facility over the quadrants,
    for the whole tree at once (:class:`~repro.queries.components
    .DivisionPlan` over the tree's :class:`~repro.index.frame.TreeFrame`):
-   which stops belong to which node's component, which nodes the walk
-   reaches, each component's serving envelope;
+   which nodes' components are non-empty, which nodes the walk reaches,
+   each component's serving envelope;
 2. **filter** — Algorithm 2's pruning over every reached list in one
    pass: on TQ(Z) nodes ``zReduce`` through the stacked z-structures
    (:meth:`~repro.index.frame.ZStack.candidates`), on TQ(B) nodes and
@@ -35,7 +35,8 @@ Acceleration plugs in through one object without changing any result: a
 whole probe path — the walk's one exact distance check goes through
 :meth:`~repro.runtime.QueryRuntime.probe_mask`, which dresses the
 stops for the runtime's backend (dense broadcast, stop grid, or
-cellstrings; probed on the calling thread) — memoises each
+cellstrings; probed on the calling thread) — memoises each walk's
+division plan (per facility, psi and node-table generation) and each
 q-node's candidate list and coverage mask in the runtime's cache, one
 table per (facility, psi, mode) walk, so a re-walk in the same mode — a
 repeated query for the same facility, ancestor scans across kMaxRRST
@@ -62,7 +63,7 @@ from ..index.block import NodeBlock
 from ..index.frame import ANY, BBOX, BOTH, TreeFrame, kept_per_run
 from ..index.tqtree import TQTree
 from ..runtime import QueryRuntime, coerce_runtime
-from .components import DivisionPlan, FacilityComponent
+from .components import DivisionPlan, FacilityComponent, divide
 
 __all__ = [
     "QueryStats",
@@ -415,11 +416,25 @@ def walk_plan(
     """Algorithm 1's division for one (facility, psi) walk: the facility
     — its stops dressed by ``runtime`` — restricted to the indexed space
     and divided over every q-node.  The root component is what every
-    probe of the walk runs against."""
+    probe of the walk runs against.
+
+    With a runtime the division comes from its cache when an earlier
+    walk of the same facility id and ``psi`` over the same generation of
+    the node table made it from equal stop coordinates; otherwise it is
+    made and stored there."""
     whole = FacilityComponent.whole(facility, psi)
     if runtime is not None:
         whole = whole.with_stops(runtime.stop_set(whole.stops, psi))
-    return DivisionPlan(tree.frame(), whole.restricted_to(tree.space))
+    component = whole.restricted_to(tree.space)
+    frame, coords = tree.frame(), component.stops.coords
+    if runtime is None:
+        return DivisionPlan(component, divide(frame, coords, psi))
+    key = (facility.facility_id, psi, frame.generation)
+    division = runtime.cache.lookup_plan(key, coords)
+    if division is None:
+        division = divide(frame, coords, psi)
+        runtime.cache.store_plan(key, coords, division)
+    return DivisionPlan(component, division)
 
 
 def evaluate_node_trajectories(
@@ -440,8 +455,10 @@ def evaluate_node_trajectories(
     the part of it that can serve the node's region.
     """
     runtime = coerce_runtime(runtime)
-    plan = DivisionPlan(tree.frame(), component)
-    if not plan.member[node].any():
+    plan = DivisionPlan(
+        component, divide(tree.frame(), component.stops.coords, component.psi)
+    )
+    if not plan.served[node]:
         return 0.0
     return score_frontier(
         tree, plan, np.array([node]), spec, collector,
@@ -509,9 +526,9 @@ def evaluate_service(
     facility cannot serve are pruned, and every reached node's own list
     is scored via Algorithm 2.  ``runtime`` owns the probe path — how
     exact distance checks execute (dense broadcast, stop grid or
-    cellstrings, inline or fanned out — identical
-    results) — memoises per-(facility, node) coverage in its cache, and
-    accrues this evaluation's work into its grand total.
+    cellstrings, on the calling thread — identical results) — memoises
+    the walk's division plan and per-(facility, node) coverage in its
+    cache, and accrues this evaluation's work into its grand total.
 
     A thin synchronous wrapper over :func:`evaluate_core` — the same
     substrate the async :class:`repro.service.QueryService` executes.

@@ -111,7 +111,7 @@ def _initial_state(
         for value in score_frontier(tree, plan, path[:0:-1], spec, None, stats, runtime):
             aserve += value
     frontier = path[:1]
-    if not plan.member[frontier[0]].any():
+    if not plan.served[frontier[0]]:
         return _State(facility, plan, frontier[:0], aserve, 0.0)
     hserve = float(frame.sub[frontier[0], SubBounds.column_for(spec)])
     return _State(facility, plan, frontier, aserve, hserve)

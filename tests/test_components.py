@@ -9,7 +9,7 @@ from repro.core.service import StopSet
 from repro.core.trajectory import UserPointTable
 from repro.core.zorder import boxes_within
 from repro.index import NodeBlock, TreeFrame
-from repro.queries.components import DivisionPlan, FacilityComponent
+from repro.queries.components import DivisionPlan, FacilityComponent, divide
 
 
 def make_component(stops, psi=10.0, fid=0):
@@ -25,8 +25,9 @@ def serves(component, box):
 
 def intersecting_components(children_boxes, component):
     """The paper's ``intersectingComponents`` read off a
-    :class:`DivisionPlan`: one entry per child box, ``None`` where the
-    component cannot serve the child."""
+    :class:`DivisionPlan`: per child box, the serving envelope of the
+    child's component, ``None`` where the component cannot serve the
+    child; and the plan."""
     n = len(children_boxes)
     no_rows = np.zeros(0, dtype=np.int64)
     frame = TreeFrame(
@@ -34,12 +35,15 @@ def intersecting_components(children_boxes, component):
         [[-1] * 4] * n, np.zeros((n, 5)), [0] * n, no_rows, no_rows,
     )
     frame.block = NodeBlock(UserPointTable(()), IndexVariant.ENDPOINT, no_rows, no_rows)
-    plan = DivisionPlan(frame, component)
-    return [
-        component.with_stops(StopSet(component.stops.coords[member]))
-        if member.any() else None
-        for member in plan.member
-    ]
+    plan = DivisionPlan(component, divide(frame, component.stops.coords, component.psi))
+    envelopes = plan.embr(np.arange(n)).tolist()
+    parts = [BBox(*row) if served else None for served, row in zip(plan.served, envelopes)]
+    return parts, plan
+
+
+def envelope(component, stops):
+    """The serving envelope of ``component`` cut down to ``stops``."""
+    return component.with_stops(StopSet(stops)).embr
 
 
 class TestFacilityComponent:
@@ -92,38 +96,33 @@ class TestIntersectingComponents:
         parent = BBox(0, 0, 100, 100)
         comp = make_component([(10, 10), (90, 90)], psi=5.0)
         children = list(parent.quadrants())
-        parts = intersecting_components(children, comp)
-        assert parts[0] is not None and parts[0].stops.n_stops == 1  # SW
-        assert parts[3] is not None and parts[3].stops.n_stops == 1  # NE
+        parts, _plan = intersecting_components(children, comp)
+        assert parts[0] == envelope(comp, [(10, 10)])  # SW
+        assert parts[3] == envelope(comp, [(90, 90)])  # NE
         assert parts[1] is None and parts[2] is None
 
     def test_boundary_stop_lands_in_multiple_children(self):
         parent = BBox(0, 0, 100, 100)
         comp = make_component([(50, 50)], psi=5.0)
-        parts = intersecting_components(list(parent.quadrants()), comp)
-        present = [p for p in parts if p is not None]
-        assert len(present) == 4  # within psi of every quadrant
+        parts, _plan = intersecting_components(list(parent.quadrants()), comp)
+        # within psi of every quadrant
+        assert parts == [envelope(comp, [(50, 50)])] * 4
 
     def test_component_ids_preserved(self):
         parent = BBox(0, 0, 100, 100)
         comp = make_component([(10, 10)], psi=5.0, fid=42)
-        parts = intersecting_components(list(parent.quadrants()), comp)
-        assert parts[0] is not None and parts[0].facility_id == 42
+        parts, plan = intersecting_components(list(parent.quadrants()), comp)
+        assert parts[0] is not None and plan.component.facility_id == 42
 
     def test_union_of_children_covers_component_serving_area(self):
         """No stop relevant to a child is dropped by the division."""
         parent = BBox(0, 0, 100, 100)
         stops = [(i * 9.0, (i * 17) % 100) for i in range(12)]
         comp = make_component(stops, psi=8.0)
-        parts = intersecting_components(list(parent.quadrants()), comp)
+        parts, _plan = intersecting_components(list(parent.quadrants()), comp)
         for child_box, part in zip(parent.quadrants(), parts):
             serving = child_box.expanded(8.0)
-            expected = {
+            expected = [
                 (x, y) for x, y in stops if serving.contains_point(Point(x, y))
-            }
-            got = (
-                set()
-                if part is None
-                else {(x, y) for x, y in part.stops.coords.tolist()}
-            )
-            assert got == expected
+            ]
+            assert part == (envelope(comp, expected) if expected else None)

@@ -29,7 +29,10 @@ from repro import (
     RuntimeConfig,
     ShardStore,
     StopSet,
+    build_tq_zorder,
+    evaluate_service,
 )
+from repro.queries.evaluate import walk_plan
 
 N_THREADS = 8
 
@@ -159,6 +162,51 @@ class TestCoverageCacheConcurrency:
                 len(cache)  # must never crash mid-clear
 
         _run_threads(worker)
+
+
+class TestPlanCacheConcurrency:
+    @pytest.mark.engine_smoke
+    def test_threads_walking_the_same_facilities_share_sound_plans(
+        self, monkeypatch, taxi_users, facilities, endpoint_spec
+    ):
+        """Threads walking the same facilities through one runtime, in
+        rotated orders, with a row bound smaller than the facility set:
+        every answer and every plan a walk gets ``==`` the serial ones,
+        and the plans held stay within the bound."""
+        from repro.engine import cache as cache_module
+
+        tree = build_tq_zorder(taxi_users, beta=16)
+        spec = endpoint_spec
+        serial = [evaluate_service(tree, f, spec) for f in facilities]
+        plans = [walk_plan(tree, f, spec.psi, None) for f in facilities]
+        n = len(tree.frame())
+        monkeypatch.setattr(cache_module, "MAX_PLAN_ROWS", 5 * n)
+        assert len(facilities) > 5
+        results = [None] * N_THREADS
+
+        def worker(i):
+            order = list(range(i, len(facilities))) + list(range(i))
+            values = [None] * len(facilities)
+            for _ in range(3):
+                for j in order:
+                    f = facilities[j]
+                    values[j] = evaluate_service(tree, f, spec, runtime=runtime)
+                    got, want = walk_plan(tree, f, spec.psi, runtime), plans[j]
+                    assert np.array_equal(got.served, want.served)
+                    assert np.array_equal(got.visited, want.visited)
+                    assert np.array_equal(got.envelopes, want.envelopes, equal_nan=True)
+            results[i] = values
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with QueryRuntime() as runtime:
+                _run_threads(worker)
+                cache = runtime.cache
+                assert cache._plan_rows == n * len(cache._plans) <= 5 * n
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [serial] * N_THREADS
 
 
 class TestShardStoreConcurrency:

@@ -6,7 +6,7 @@ tree-wide frame.  Each test here pins one premise of that design:
 (a) containment — every probe point of a q-node's block and every leaf
     cell of its z-grids lies inside the node's box (why probing the
     walk's stops equals probing the node's own component);
-(b) the plan — per-node membership, reach set and serving envelope equal
+(b) the plan — which nodes are served, reach set and serving envelope equal
     ``FacilityComponent.restricted_to`` and the paper's recursion, bit
     for bit;
 (c) the stacked filter — per-node survivors equal the list-of-entries
@@ -19,7 +19,10 @@ tree-wide frame.  Each test here pins one premise of that design:
     none, and a warmed tree builds nothing inside its first query;
 (f) scoring — a frontier scored in one segmented pass gives every node
     the value it gets alone and the per-entry reference loop gives it,
-    bit for bit.
+    bit for bit;
+(g) the plan cache — a walk through a runtime divides once per facility,
+    ``psi`` and node-table generation, and never serves a plan of
+    another tree, another table version or other stops.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from repro import (
     build_tq_basic,
     build_tq_zorder,
     evaluate_service,
+    maxkcov_tq,
     top_k_facilities,
 )
 from repro.core.stats import QueryStats
@@ -218,8 +222,7 @@ def test_plan_equals_restricted_to_at_every_node(name, psi):
             nonempty = []
             for i in range(len(frame)):
                 want = whole.restricted_to(_box(frame, i))
-                got = plan.component.stops.coords[plan.member[i]]
-                assert np.array_equal(got, want.stops.coords)
+                assert plan.served[i] == (not want.is_empty)
                 if not want.is_empty:
                     nonempty.append((i, want.embr))
             rows = plan.embr(np.array([i for i, _ in nonempty], dtype=np.int64))
@@ -662,7 +665,7 @@ def test_a_frontier_scores_bitwise_like_its_nodes_one_by_one(name, model, normal
             plan = walk_plan(tree, f, psi, None)
             reached = np.flatnonzero(plan.visited)
             # any node with a component, empty leaves included
-            served = np.flatnonzero(plan.member.any(axis=1))
+            served = np.flatnonzero(plan.served)
             subsets = [reached] + [
                 rng.permutation(served)[: int(rng.integers(1, served.size + 1))]
                 for _ in range(3)
@@ -713,3 +716,180 @@ def _reference_values(tree, plan, nodes, spec, collecting):
                 frame.block, rows[r1 - n : r1], mask[probe_end[r1 - n] : probe_end[r1]], spec
             )
     return [want[i] for i in nodes.tolist()], nodes.size - listed.size, unserved
+
+
+# ----------------------------------------------------------------------
+# (g) the plan cache: a division per (facility, psi, node-table generation)
+# ----------------------------------------------------------------------
+@pytest.fixture
+def divisions():
+    """Every division a walk makes, as the generation it divided."""
+    calls = []
+    inner = evaluate_module.divide
+
+    def counting(frame, stops, psi):
+        calls.append(frame.generation)
+        return inner(frame, stops, psi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluate_module, "divide", counting)
+        yield calls
+
+
+def _every_walk(tree, spec, runtime):
+    """Evaluate, kMaxRRST and MaxkCov (whose collecting re-walks follow
+    its kMaxRRST shortlist) over ``_ROUTES``."""
+    fleet = maxkcov_tq(tree, _ROUTES, 2, spec, runtime=runtime)
+    return (
+        [evaluate_service(tree, f, spec, runtime=runtime) for f in _ROUTES],
+        top_k_facilities(tree, _ROUTES, 2, spec, runtime=runtime).services(),
+        (fleet.facility_ids(), fleet.combined_service),
+    )
+
+
+@pytest.mark.engine_smoke
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_a_warm_rewalk_divides_nothing(name, divisions):
+    """A facility walked through a runtime once is never divided again
+    there — by a repeated evaluate, kMaxRRST or MaxkCov's collecting
+    re-walk — and answers ``==``; plans count in neither the hits, the
+    misses nor ``len()`` of the cache."""
+    tree = BUILDERS[name](_users(70, 7, name in TWO_POINT))
+    spec = _specs(tree, 140.0)[-1]
+    with QueryRuntime() as runtime:
+        first = _every_walk(tree, spec, runtime)
+        assert len(divisions) == len(_ROUTES)
+        del divisions[:]
+        assert _every_walk(tree, spec, runtime) == first
+        assert divisions == []
+        counted = (runtime.cache.hits, runtime.cache.misses, len(runtime.cache))
+    assert first == _every_walk(tree, spec, None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CoverageCache, "lookup_plan", lambda self, key, coords: None)
+        with QueryRuntime() as runtime:
+            _every_walk(tree, spec, runtime)
+            _every_walk(tree, spec, runtime)
+            assert (runtime.cache.hits, runtime.cache.misses, len(runtime.cache)) == counted
+
+
+def _clustered_tree(beta: int) -> tuple:
+    """Forty short trips in the south-west quadrant: with ``beta`` 4 the
+    root splits and its north-east child is an empty leaf."""
+    users = [
+        Trajectory(i, [(20 + 11 * i, 30 + 9 * i), (25 + 11 * i, 32 + 9 * i)])
+        for i in range(40)
+    ]
+    return users, build_tq_basic(users, beta=beta, space=SPACE)
+
+
+@pytest.mark.engine_smoke
+def test_an_insert_or_a_splice_renews_the_generation_and_the_next_walk_redivides(
+    divisions,
+):
+    """An insert into a previously empty subtree makes a node reached
+    that was not; a splice re-places nodes.  Each gives the node table a
+    new generation, so the next walk divides again and answers what the
+    oracle answers — a plan of the old table would leave the new user
+    unscored, or score a table it does not describe."""
+    users, tree = _clustered_tree(beta=4)
+    newcomer = Trajectory(99, [(700, 700), (710, 705)])
+    route = FacilityRoute(0, [(690, 690), (300, 300), (720, 720)])
+    spec = ServiceSpec(ServiceModel.COUNT, psi=60.0, normalize=False)
+    with QueryRuntime() as runtime:
+        frame = tree.frame()
+        (leaf,) = [i for i in range(len(frame)) if frame.box[i, 0] >= 512 and frame.box[i, 1] >= 512]
+        before = evaluate_service(tree, route, spec, runtime=runtime)
+        plan = walk_plan(tree, route, spec.psi, runtime)
+        assert plan.served[leaf] and not plan.visited[leaf]
+        generation, n_nodes = frame.generation, len(frame)
+        tree.insert(newcomer)
+        assert len(frame) == n_nodes and frame.generation != generation
+        del divisions[:]
+        after = evaluate_service(tree, route, spec, runtime=runtime)
+        assert divisions == [frame.generation]
+        assert walk_plan(tree, route, spec.psi, runtime).visited[leaf]
+        assert after == brute_force_service(users + [newcomer], route, spec) == before + 2
+    # a splice alone: the one-leaf table of a beta-64 tree re-placed by
+    # the subtree a beta-4 build makes of the same users
+    users, flat = _clustered_tree(beta=64)
+    _, split = _clustered_tree(beta=4)
+    with QueryRuntime() as runtime:
+        frame = flat.frame()
+        assert len(frame) == 1
+        evaluate_service(flat, route, spec, runtime=runtime)
+        generation = frame.generation
+        frame.splice(0, split.frame())
+        assert len(frame) > 1 and frame.generation != generation
+        del divisions[:]
+        value = evaluate_service(flat, route, spec, runtime=runtime)
+        assert divisions == [frame.generation]
+        assert value == brute_force_service(users, route, spec) > 0
+
+
+@pytest.mark.engine_smoke
+def test_facilities_sharing_an_id_do_not_share_a_plan(divisions):
+    """A plan is verified against its walk's stop coordinates: a second
+    facility with the same id and other stops divides for itself."""
+    users = _users(70, 7, True)
+    tree = BUILDERS["tq_zorder"](users)
+    spec = ServiceSpec(ServiceModel.COUNT, psi=140.0, normalize=False)
+    twins = [
+        FacilityRoute(5, [(100, 100), (150, 120)]), FacilityRoute(5, [(800, 800), (850, 820)])
+    ]
+    want = [brute_force_service(users, f, spec) for f in twins]
+    assert want[0] != want[1]
+    with QueryRuntime() as runtime:
+        for f, value in zip(twins + twins, want + want):
+            assert evaluate_service(tree, f, spec, runtime=runtime) == value
+            assert walk_plan(tree, f, spec.psi, runtime).embr(np.array([0])).tolist() == [
+                [f.stops[0].x - 140, f.stops[0].y - 140, f.stops[1].x + 140, f.stops[1].y + 140]
+            ]
+    assert len(divisions) == 4
+
+
+@pytest.mark.engine_smoke
+def test_two_trees_on_one_runtime_each_get_their_own_plan(divisions):
+    """Equal trees have different generations: the same facility and
+    spec walked over each divides once per tree, then never again."""
+    users = _users(60, 2, True)
+    spec = ServiceSpec(ServiceModel.ENDPOINT, psi=140.0)
+    trees = [BUILDERS["tq_zorder"](users), BUILDERS["tq_zorder"](users)]
+    want = brute_force_service(users, _ROUTES[0], spec)
+    with QueryRuntime() as runtime:
+        for _ in range(2):
+            for tree in trees:
+                assert evaluate_service(tree, _ROUTES[0], spec, runtime=runtime) == want
+        assert divisions == [tree.frame().generation for tree in trees]
+        assert len(runtime.cache._plans) == 2
+
+
+@pytest.mark.engine_smoke
+def test_a_sweep_of_new_facilities_holds_at_most_the_row_bound(divisions, monkeypatch):
+    """Plans beyond the row bound go least recently used first; an
+    evicted plan is divided again and answers ``==``; a plan larger
+    than the bound is not held."""
+    from repro.engine import cache as cache_module
+
+    users = _users(70, 7, True)
+    tree = BUILDERS["tq_zorder"](users)
+    n = len(tree.frame())
+    monkeypatch.setattr(cache_module, "MAX_PLAN_ROWS", 3 * n)
+    spec = ServiceSpec(ServiceModel.ENDPOINT, psi=140.0)
+    routes = [FacilityRoute(j, [(40 + 90 * j, 60 + 45 * j), (500, 90 * j)]) for j in range(10)]
+    with QueryRuntime() as runtime:
+        cache = runtime.cache
+        first = []
+        for k, f in enumerate(routes):
+            first.append(evaluate_service(tree, f, spec, runtime=runtime))
+            if k == 8:
+                evaluate_service(tree, routes[7], spec, runtime=runtime)  # 7 used last
+            assert cache._plan_rows == n * len(cache._plans) <= 3 * n
+        assert [key[0] for key in cache._plans] == [8, 7, 9]
+        del divisions[:]
+        assert [evaluate_service(tree, f, spec, runtime=runtime) for f in routes[:2]] == first[:2]
+        assert len(divisions) == 2
+        monkeypatch.setattr(cache_module, "MAX_PLAN_ROWS", n - 1)
+        cache.clear()
+        assert evaluate_service(tree, routes[0], spec, runtime=runtime) == first[0]
+        assert cache._plan_rows == 0 and not cache._plans
+    assert first == [brute_force_service(users, f, spec) for f in routes]

@@ -52,10 +52,10 @@ def node_keys(frame, i):
 
 def assert_same_table(got, want):
     """Two trees' node tables agree column by column — dtype included,
-    stamps aside — and so do their blocks."""
+    stamps and generations aside — and so do their blocks."""
     a, b = got.frame(), want.frame()
     for name in TreeFrame.__slots__:
-        if name not in ("stamp", "block", "zstack"):
+        if name not in ("stamp", "generation", "block", "zstack"):
             column, other = getattr(a, name), getattr(b, name)
             assert column.dtype == other.dtype and np.array_equal(column, other), name
     for name in NodeBlock.__slots__:
