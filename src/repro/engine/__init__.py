@@ -17,10 +17,10 @@ facility's stops?" — without ever changing an answer.  The pieces:
   :class:`~repro.core.service.StopSet` contract and routed through the
   same :func:`~repro.core.service.psi_hit` kernel, so masks are
   bit-identical to the dense path.
-* :class:`CoverageCache` (:mod:`.cache`) — memoises per-(facility,
-  q-node) coverage results, per-facility match sets, and per-(stop set,
-  psi) batch masks, so MaxkCovRST's re-walks and multi-model batches
-  stop paying full price.
+* :class:`CoverageCache` (:mod:`.cache`) — memoises each walk's
+  division plan and per-q-node service values, per-facility match
+  sets, and per-(stop set, psi) batch masks, so re-walks, MaxkCovRST's
+  solvers and multi-model batches stop paying full price.
 * :class:`BatchQueryEngine` (:mod:`.batch`) — accepts many
   ``(facility, ServiceSpec)`` requests over one user set, sharing the
   probe-coordinate concatenation, grid construction, and masks across

@@ -6,120 +6,110 @@ pairs twice, kMaxRRST re-scans ancestor lists across relax rounds, the
 greedy/genetic/exact MaxkCovRST solvers each re-derive the same
 per-facility match sets, and batched multi-model queries re-derive the
 identical ``psi``-mask once per service model.  :class:`CoverageCache`
-memoises the four shapes of that repeated work:
+memoises the three shapes of that repeated work:
 
-* **division plans** — per ``(facility, psi, node-table generation)``
+* **walk records** — per ``(facility, psi, node-table generation)``
   the arrays Algorithm 1's division makes (which nodes are served and
-  reached, their serving envelopes): a walk's plan is a function of its
-  stop coordinates, ``psi`` and the node table, so the key has no mode
-  and a collecting re-walk shares its shortlist's plan.  Arrays only,
-  never the component: a cache shared by runtimes of different
-  backends must not hand one runtime another's dressed stop set;
-
-* **node results** — per walk ``(facility, psi, mode)`` a table of
-  Algorithm 2's candidate rows and coverage masks per node stamp (the
-  component a facility induces at a q-node is deterministic, so the
-  pair's mask is too; collecting and non-collecting walks select
-  different candidates, so mode is part of the walk key and reuse is
-  within-mode);
+  reached, their serving envelopes) and, per ``(model, normalize)``,
+  three node-indexed columns of Algorithm 2's values: ``known``, the
+  ``value`` a node's own list adds, and how many candidates scoring it
+  took.  A node's value is a function of the walk's stop coordinates,
+  ``psi``, the service spec and the node table, so a warm frontier is
+  one gather.  Arrays only, never the component: a cache shared by
+  runtimes of different backends must not hand one runtime another's
+  dressed stop set.  Only non-collecting walks fill value columns —
+  a collecting walk's product is its match set, memoised whole below;
 * **match sets** — per-facility served-point-index maps (the input to
   the greedy / genetic / exact MaxkCovRST solvers);
 * **batch masks** — per ``(stop set, psi)`` coverage masks over a batch
   engine's concatenated probe block (shared across service models and
   ``normalize`` settings, which only differ in aggregation).
 
-Everything held carries enough to re-verify itself on lookup — a plan
-and a walk table their walk's stop coordinates by value (the facility
-restricted to the indexed space: equal walks induce equal components at
-every node; checked once per walk, and a mismatch is a miss, or swaps in
-a fresh table), the
-facility object by identity for match sets, the stop-set object by
+Everything held carries enough to re-verify itself on lookup — a walk
+record its walk's stop coordinates by value (the facility restricted to
+the indexed space: equal walks induce equal components at every node),
+the facility object by identity for match sets, the stop-set object by
 identity for batch masks — so neither ``id`` reuse after garbage
 collection nor two facilities sharing a ``facility_id`` can alias to a
-wrong cached answer; a failed verification is simply a miss.  Node
-results need no check of their own: they are keyed by the node's
-*stamp*, which no other node of any tree in the process ever carries
-and which an insert into the node (or a split re-placing it) renews —
-so rows cached against an older list miss, and a node an insert left
-alone keeps its stamp and its hits.  Plans are keyed by the node table's
-*generation*, which an insert renews the same way, so an insert
-re-divides every walk after it.  A cache is only valid for a fixed user
-set / tree: drop it (or :meth:`clear`) when the underlying data changes.
+wrong cached answer; a failed verification is simply a miss.  The
+node table's *generation* is drawn from a process-wide counter when the
+table is made and whenever an insert changes it, so two trees never
+share a record and an insert re-walks every node after it (TQ-tree
+match sets carry it in their key too).  Any other data change is the
+caller's to scope: drop the cache (or :meth:`clear`) when it happens.
 
-Node results and match sets are keyed on client-supplied values
-(``psi`` is a float on the wire), so each kind is held to at most
-:data:`MAX_ENTRIES`: match sets drop their oldest entry beyond that,
-node results whole walks, least recently filled first and never the
-walk being filled — an evicted result is a miss like any other.  Plans
-are held to :data:`MAX_PLAN_ROWS` node rows, least recently used first
-out.  Plans are bookkeeping, not answers: they count in neither
-``hits`` / ``misses`` nor ``len()``.
+Records are held to :data:`MAX_ROWS` node rows (a division and each
+value column count one row per node), least recently used first out and
+never the record being filled; match sets, keyed on client-supplied
+values (``psi`` is a float on the wire), to :data:`MAX_ENTRIES`, oldest
+first out.  An evicted answer is a miss like any other.  Divisions are
+bookkeeping, not answers: they count in neither ``hits`` / ``misses``
+nor ``len()``; a node value counts one hit or one miss per listed node
+a frontier reads.
 
 **Thread safety.**  A cache shared by a :class:`repro.service
 .QueryService` is read and written from the service's bridge threads
 concurrently, so every table access and counter update happens under
-one internal lock — a frontier's node results are read in one
-acquisition and its misses stored in one more (entries themselves are
-immutable once stored, so serving a reference outside the lock is
-safe).  The lock covers the bookkeeping only: the expensive work a miss
-triggers — probe kernels,
-``match_fn`` bodies — runs outside it, so concurrent misses on
-*different* keys still overlap.  Concurrent misses on the *same* key
-both compute and the last store wins — identical content either way;
-the service avoids even the duplicated work by serialising requests
-that share probe units (see ``repro.service``).
+one internal lock.  Value columns are copied on write and swapped in
+under the lock, so a column once stored never changes and is gathered
+outside it.  The lock covers the bookkeeping only: the expensive work
+a miss triggers — probe kernels, ``match_fn`` bodies — runs outside it,
+so concurrent misses on *different* keys still overlap.  Concurrent
+misses on the *same* key both compute and the last store wins —
+identical content either way; the service avoids even the duplicated
+work by serialising requests that share probe units (see
+``repro.service``).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["CoverageCache"]
+__all__ = ["CoverageCache", "WalkRecord"]
 
-#: Node results (over all walk tables) and match sets each held before
-#: the oldest go.  Twice the largest working set a perfbench workload
-#: ends with (``paper_multipoint``: 8,001 node results), so a warm
-#: catalog never evicts while a sweep over never-repeated keys stays
-#: bounded.
+#: Match sets held before the oldest go: a warm catalog never evicts
+#: while a sweep over never-repeated keys stays bounded.
 MAX_ENTRIES = 16_384
 
-#: Node rows held over all division plans before the least recently
-#: used plans go.  Twice the largest working set a perfbench workload
-#: has (``serve_burst``: 960 (route, psi) walks of a 33-node tree,
-#: ~31.7k rows; ``paper_multipoint`` 66 x (305 + 9) ~ 20.7k).
-MAX_PLAN_ROWS = 65_536
+#: Node rows held over all walk records before the least recently used
+#: go.  About twice the largest working set a perfbench workload has
+#: (``serve_burst``: 960 (route, psi) walks of a 33-node tree with one
+#: ENDPOINT column, ~63.4k rows; ``paper_multipoint``: 66 walks of
+#: 305 + 9 nodes with a COUNT and a LENGTH column, ~62.2k).
+MAX_ROWS = 131_072
 
-#: One node result: (node-relative candidate rows, mask).
-NodeResult = Tuple[np.ndarray, np.ndarray]
-#: One walk: its stop coordinates and its node results by node stamp.
-Walk = Tuple[np.ndarray, Dict[int, NodeResult]]
-#: One division plan's arrays: served, visited, envelopes
+#: One division's arrays: served, visited, envelopes
 #: (``repro.queries.components.Division``).
 Division = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: One value column: known, value, scored-candidate count per node.
+Column = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _store(table: "OrderedDict[Hashable, Any]", key: Hashable, entry: Any) -> None:
-    table[key] = entry
-    if len(table) > MAX_ENTRIES:
-        table.popitem(last=False)
+class WalkRecord:
+    """One walk's division and value columns.  ``columns`` and ``rows``
+    change only under the owning cache's lock; a column is replaced,
+    never written into."""
+
+    __slots__ = ("key", "coords", "division", "columns", "rows")
+
+    def __init__(self, key: Hashable, coords: np.ndarray, division: Division) -> None:
+        self.key, self.coords, self.division = key, coords, division
+        self.columns: Dict[Hashable, Column] = {}
+        self.rows = division[0].size
 
 
 class CoverageCache:
-    """Memoises coverage masks, node candidate sets, and match sets."""
+    """Memoises walk records, match sets and batch masks."""
 
     def __init__(self) -> None:
-        # walk key -> (stop coords, {node stamp: node result}), least
-        # recently filled first; _held counts the results of all walks
-        self._walks: "OrderedDict[Hashable, Walk]" = OrderedDict()  # guarded-by: _lock
-        self._held = 0  # guarded-by: _lock
-        # plan key -> (stop coords, division), least recently used
-        # first; _plan_rows counts the node rows of all plans
-        self._plans: "OrderedDict[Hashable, Tuple[np.ndarray, Division]]" = OrderedDict()  # guarded-by: _lock
-        self._plan_rows = 0  # guarded-by: _lock
+        # record key -> record, least recently used first; _rows counts
+        # the node rows of all records
+        self._records: "OrderedDict[Hashable, WalkRecord]" = OrderedDict()  # guarded-by: _lock
+        self._rows = 0  # guarded-by: _lock
         # key -> (facility, matches)
         self._matches: "OrderedDict[Hashable, Tuple[Any, Mapping]]" = OrderedDict()  # guarded-by: _lock
         self._masks: Dict[Hashable, Tuple[Any, np.ndarray, np.ndarray]] = {}  # guarded-by: _lock
@@ -129,97 +119,79 @@ class CoverageCache:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # Algorithm-1 division plans
+    # walk records: Algorithm-1 divisions and Algorithm-2 value columns
     # ------------------------------------------------------------------
-    def lookup_plan(self, key: Hashable, stop_coords: np.ndarray) -> Optional[Division]:
-        """The division held for plan ``key`` if its stop coordinates
-        equal ``stop_coords`` bitwise (as walk tables are verified),
-        else ``None``.  A hit becomes the most recently used plan."""
+    def lookup_record(self, key: Hashable, stop_coords: np.ndarray) -> Optional[WalkRecord]:
+        """The record held for ``key`` if its stop coordinates equal
+        ``stop_coords`` bitwise, else ``None``.  Equal coordinates mean
+        an equal component at every node, so the check is what keeps two
+        distinct facilities sharing an id apart while re-walks — which
+        rebuild equal-valued arrays — hit.  A hit becomes the most
+        recently used record."""
         with self._lock:
-            plan = self._plans.get(key)
-            if plan is None or not np.array_equal(plan[0], stop_coords):
+            record = self._records.get(key)
+            if record is None or not np.array_equal(record.coords, stop_coords):
                 return None
-            self._plans.move_to_end(key)
-            return plan[1]
+            self._records.move_to_end(key)
+            return record
 
-    def store_plan(self, key: Hashable, stop_coords: np.ndarray, division: Division) -> None:
-        """Hold ``division`` — made of ``stop_coords`` — as plan
-        ``key``'s, replacing what the key held; least recently used
-        plans go until all fit in :data:`MAX_PLAN_ROWS` node rows (a
-        plan larger than that is not held)."""
-        rows = division[0].size
+    def store_record(
+        self, key: Hashable, stop_coords: np.ndarray, division: Division
+    ) -> WalkRecord:
+        """A record of ``division`` — made of ``stop_coords`` — held as
+        ``key``'s, replacing what the key held, unless it alone is
+        larger than :data:`MAX_ROWS` (then it is returned unheld)."""
+        record = WalkRecord(key, stop_coords, division)
         with self._lock:
-            plan = self._plans.pop(key, None)
-            if plan is not None:
-                self._plan_rows -= plan[1][0].size
-            if rows > MAX_PLAN_ROWS:
-                return
-            while self._plan_rows + rows > MAX_PLAN_ROWS:
-                self._plan_rows -= self._plans.popitem(last=False)[1][1][0].size
-            self._plans[key] = (stop_coords, division)
-            self._plan_rows += rows
+            held = self._records.pop(key, None)
+            if held is not None:
+                self._rows -= held.rows
+            if record.rows <= MAX_ROWS:
+                self._records[key] = record
+                self._rows += record.rows
+                self._evict()
+        return record
 
-    # ------------------------------------------------------------------
-    # Algorithm-2 node results, one table per walk
-    # ------------------------------------------------------------------
-    def lookup_walk(
-        self, key: Hashable, stop_coords: np.ndarray, stamps: List[int]
-    ) -> Tuple[Dict[int, NodeResult], List[Optional[NodeResult]]]:
-        """Walk ``key``'s table and, per node stamp of ``stamps``, the
-        result it holds for that node (or ``None``), read under one lock.
-
-        The table is verified once: its stop coordinates — the walk's,
-        i.e. the facility's stops within reach of the indexed space —
-        must equal ``stop_coords`` bitwise, or the walk gets a fresh
-        table, which replaces the held one when stored.  A node's
-        component is a function of those and the node's box, so equal
-        coordinates mean an equal component at every node; the check is
-        what makes the cache sound when two distinct facilities share an
-        id (their stops differ, so they miss instead of aliasing) while
-        still hitting across re-walks and across algorithms, which
-        rebuild equal-valued arrays.  Hits and misses are counted by
-        :meth:`store_walk`."""
+    def read_column(self, record: WalkRecord, column: Hashable) -> Optional[Column]:
+        """``record``'s value column ``column`` as it stands, or ``None``."""
         with self._lock:
-            walk = self._walks.get(key)
-            if walk is None or not np.array_equal(walk[0], stop_coords):
-                return {}, [None] * len(stamps)
-            table = walk[1]
-            return table, [table.get(stamp) for stamp in stamps]
+            return record.columns.get(column)
 
-    def store_walk(
+    def store_column(
         self,
-        key: Hashable,
-        stop_coords: np.ndarray,
-        table: Dict[int, NodeResult],
-        results: Dict[int, NodeResult],
+        record: WalkRecord,
+        column: Hashable,
+        nodes: np.ndarray,
+        values: np.ndarray,
+        counts: np.ndarray,
         hits: int,
     ) -> None:
-        """Count ``hits`` hits and one miss per entry of ``results``,
-        and hold ``results`` in ``table`` (from :meth:`lookup_walk` with
-        the same key and coordinates) as walk ``key``'s newest table.
-
-        Beyond :data:`MAX_ENTRIES` node results, whole walks go, least
-        recently filled first; the walk being filled stays, and one
-        larger than the whole cache keeps what fits.  Whatever the walk
-        holds when ``table`` is not it (a fresh table after a coordinate
-        mismatch, or one evicted or replaced since the lookup) is
-        replaced: the last store wins, and every result in ``table`` was
-        computed against ``stop_coords``."""
+        """Count ``hits`` hits and one miss per node of ``nodes``, and
+        set those nodes' values and scored-candidate counts in
+        ``record``'s column ``column`` — a copy swapped in for the one
+        held — if the cache still holds ``record``.  A new column adds
+        one row per node; least recently used records go until all fit
+        in :data:`MAX_ROWS`, ``record`` last."""
         with self._lock:
             self.hits += hits
-            self.misses += len(results)
-            if not results:
+            self.misses += nodes.size
+            if not nodes.size or self._records.get(record.key) is not record:
                 return
-            walk = self._walks.pop(key, None)
-            if walk is not None:
-                self._held -= len(walk[1])
-            table.update(results)
-            while self._walks and self._held + len(table) > MAX_ENTRIES:
-                self._held -= len(self._walks.popitem(last=False)[1][1])
-            while len(table) > MAX_ENTRIES - self._held:
-                table.popitem()
-            self._walks[key] = (stop_coords, table)
-            self._held += len(table)
+            held = record.columns.get(column)
+            if held is None:
+                n = record.division[0].size
+                held = (np.zeros(n, dtype=bool), np.zeros(n), np.zeros(n, dtype=np.int64))
+                record.rows += n
+                self._rows += n
+            known, value, count = (array.copy() for array in held)
+            known[nodes], value[nodes], count[nodes] = True, values, counts
+            record.columns[column] = (known, value, count)
+            self._records.move_to_end(record.key)
+            self._evict()
+
+    def _evict(self) -> None:  # requires-lock: _lock
+        while self._rows > MAX_ROWS:
+            self._rows -= self._records.popitem(last=False)[1].rows
 
     # ------------------------------------------------------------------
     # per-facility match sets
@@ -263,11 +235,13 @@ class CoverageCache:
                     self.hits += 1
                     return entry[1]
             # compute outside the lock: match_fn re-enters the cache
-            # through lookup_walk/store_walk, and holding the lock here
+            # through its walk records, and holding the lock here
             # would serialise every concurrent miss on the whole cache
             matches = match_fn(facility)
             with self._lock:
-                _store(self._matches, entry_key, (facility, matches))
+                self._matches[entry_key] = (facility, matches)
+                if len(self._matches) > MAX_ENTRIES:
+                    self._matches.popitem(last=False)
                 self.misses += 1
             return matches
 
@@ -301,14 +275,18 @@ class CoverageCache:
     # ------------------------------------------------------------------
     def clear(self) -> None:
         with self._lock:
-            self._walks.clear()
-            self._held = 0
-            self._plans.clear()
-            self._plan_rows = 0
+            self._records.clear()
+            self._rows = 0
             self._matches.clear()
             self._masks.clear()
             self._match_fns.clear()
 
     def __len__(self) -> int:
+        """Answers held: known node values, match sets and masks."""
         with self._lock:
-            return self._held + len(self._matches) + len(self._masks)
+            known = sum(
+                int(np.count_nonzero(column[0]))
+                for record in self._records.values()
+                for column in record.columns.values()
+            )
+            return known + len(self._matches) + len(self._masks)

@@ -6,19 +6,16 @@ ancestors, so the tree is nothing but columns:
 
 * :class:`TreeFrame` — the node table, one row per q-node in pre-order
   (``box``, ``depth``, ``parent``, ``children``, the own list's and the
-  subtree's ``SubBounds`` counters ``own`` / ``sub``, a ``stamp``), and
-  the entry keys ``rows`` / ``segs`` of every list laid end to end in
-  node order: node ``i`` owns keys ``row_off[i] .. row_off[i + 1] - 1``.
+  subtree's ``SubBounds`` counters ``own`` / ``sub``), and the entry
+  keys ``rows`` / ``segs`` of every list laid end to end in node order:
+  node ``i`` owns keys ``row_off[i] .. row_off[i + 1] - 1``.
   The tree owns it and mutates it in place; pre-order keeps every
   subtree contiguous in nodes and in keys, so a leaf split splices the
-  new subtree in right after the leaf.  A node's ``stamp`` is drawn
-  from one process-wide counter whenever its list changes (an insert
-  into it, a re-placement by a split), so a stamp names one list of
-  one tree for the life of the process — what cached results anchor on.
-  The table's ``generation`` is drawn from the same counter when it is
-  made and whenever ``add_key`` / ``splice`` change it, so it names one
-  version of one tree's node table — what cached division plans anchor
-  on.  Its derived column, ``block``, is one
+  new subtree in right after the leaf.  The table's ``generation`` is
+  drawn from one process-wide counter when it is made and whenever
+  ``add_key`` / ``splice`` change it, so it names one version of one
+  tree's node table for the life of the process — what cached walks
+  anchor on.  Its derived column, ``block``, is one
   :class:`~repro.index.block.NodeBlock` over all the keys: block row
   ``j`` is the entry ``(rows[j], segs[j])``.
 * :class:`ZStack` — the paper's *ordered bucketing using z-curve*
@@ -53,16 +50,11 @@ __all__ = ["TreeFrame", "ZStack", "kept_per_run", "BOTH", "ANY", "BBOX"]
 #: The three ``zReduce`` candidate modes (:meth:`ZStack.candidates`).
 BOTH, ANY, BBOX = "both", "any", "bbox"
 
-#: Node stamps and table generations, unique across every tree of the
-#: process.
-_STAMPS = itertools.count()
+#: Table generations, unique across every tree of the process.
+_GENERATIONS = itertools.count()
 
 #: The columns with one row per node.
-_NODE_COLUMNS = ("box", "depth", "parent", "children", "n_own", "own", "sub", "stamp")
-
-
-def _fresh_stamps(n: int) -> np.ndarray:
-    return np.fromiter(itertools.islice(_STAMPS, n), dtype=np.int64, count=n)
+_NODE_COLUMNS = ("box", "depth", "parent", "children", "n_own", "own", "sub")
 
 
 def _meets(boxes: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -104,21 +96,19 @@ class TreeFrame:
         rows: np.ndarray,
         segs: np.ndarray,
     ) -> None:
-        """A table of fresh nodes in pre-order, each with a new stamp,
-        of a new generation; ``sub`` is summed from ``own`` here, in
-        reverse pre-order."""
+        """A table of nodes in pre-order, of a new generation; ``sub``
+        is summed from ``own`` here, in reverse pre-order."""
         self.box = np.asarray(box, dtype=np.float64).reshape(-1, 4)
         self.depth = np.asarray(depth, dtype=np.int64)
         self.parent = np.asarray(parent, dtype=np.int64)
         self.children = np.asarray(children, dtype=np.int64).reshape(-1, 4)
         self.own = np.asarray(own, dtype=np.float64).reshape(-1, 5)
         self.n_own = np.asarray(n_own, dtype=np.int64)
-        self.stamp = _fresh_stamps(self.n_own.size)
         self.rows, self.segs = rows, segs
         self.row_off = _offsets(self.n_own)
         self.sub = np.empty_like(self.own)
         self.sum_sub(range(len(self) - 1, -1, -1))
-        self.generation = next(_STAMPS)
+        self.generation = next(_GENERATIONS)
         self.block: "NodeBlock | None" = None
         self.zstack: "ZStack | None" = None
 
@@ -147,17 +137,15 @@ class TreeFrame:
 
     def add_key(self, i: int, row: int, seg: int, addends: np.ndarray) -> None:
         """Append the entry ``(row, seg)`` to node ``i``'s list and its
-        five ``SubBounds`` addends to ``own[i]``; the node gets a new
-        stamp and the table a new generation (``sub`` is the caller's to
-        re-sum)."""
+        five ``SubBounds`` addends to ``own[i]``; the table gets a new
+        generation (``sub`` is the caller's to re-sum)."""
         at = self.row_off[i + 1]
         self.rows = np.concatenate((self.rows[:at], [row], self.rows[at:]))
         self.segs = np.concatenate((self.segs[:at], [seg], self.segs[at:]))
         self.n_own[i] += 1
         self.row_off[i + 1 :] += 1
         self.own[i] += addends
-        self.stamp[i] = next(_STAMPS)
-        self.generation = next(_STAMPS)
+        self.generation = next(_GENERATIONS)
         self.block = self.zstack = None
 
     def splice(self, i: int, other: "TreeFrame") -> None:
@@ -183,7 +171,7 @@ class TreeFrame:
         self.rows = np.concatenate([self.rows[:lo], other.rows, self.rows[hi:]])
         self.segs = np.concatenate([self.segs[:lo], other.segs, self.segs[hi:]])
         self.row_off = _offsets(self.n_own)
-        self.generation = next(_STAMPS)
+        self.generation = next(_GENERATIONS)
         self.block = self.zstack = None
 
 

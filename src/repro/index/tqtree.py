@@ -27,7 +27,7 @@ insert, leaf split and kMaxRRST's anchor route a box with one rule
 (:meth:`TQTree._corner_quadrants`), and build, insert and split price
 entries with one arithmetic (:meth:`NodeBlock.own_totals
 <repro.index.block.NodeBlock.own_totals>`), so a tree grown by inserts
-is the table a build over the same users makes, stamps aside.
+is the table a build over the same users makes, generation aside.
 
 The tree supports dynamic inserts (Section III-C).  One deliberate
 deviation from the paper: after an insert the z-structure is rebuilt

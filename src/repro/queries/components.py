@@ -129,13 +129,14 @@ def divide(frame: TreeFrame, stops: np.ndarray, psi: float) -> Division:
 
 class DivisionPlan:
     """One component divided over every q-node of a tree frame: the
-    component itself (the walk's stops, dressed for its runtime) and
-    the arrays :func:`divide` made of its coordinates."""
+    component itself (the walk's stops, dressed for its runtime), the
+    arrays :func:`divide` made of its coordinates and, for a walk a
+    runtime's cache keeps, its :class:`~repro.engine.cache.WalkRecord`."""
 
-    __slots__ = ("component", "served", "visited", "envelopes")
+    __slots__ = ("component", "served", "visited", "envelopes", "record")
 
-    def __init__(self, component: FacilityComponent, division: Division) -> None:
-        self.component = component
+    def __init__(self, component: FacilityComponent, division: Division, record=None) -> None:
+        self.component, self.record = component, record
         self.served, self.visited, self.envelopes = division
 
     def embr(self, nodes: np.ndarray) -> np.ndarray:

@@ -23,8 +23,7 @@ implementation behind :func:`evaluate_service` (frontier = every node
 the walk reaches), kMaxRRST's relax and ancestor scans
 (:mod:`repro.queries.kmaxrrst`), the collecting MaxkCovRST walk and
 :func:`evaluate_node_trajectories` (a frontier of one).  No Python loop
-runs over entries; per node, the only Python work left is a dict get by
-the node's stamp (and, on a miss, slicing the result to store).
+runs over entries.
 
 A :class:`MatchCollector` can ride along to record *which* points of
 which users were served — MaxkCovRST needs these per-facility match sets
@@ -35,17 +34,16 @@ Acceleration plugs in through one object without changing any result: a
 whole probe path — the walk's one exact distance check goes through
 :meth:`~repro.runtime.QueryRuntime.probe_mask`, which dresses the
 stops for the runtime's backend (dense broadcast, stop grid, or
-cellstrings; probed on the calling thread) — memoises each walk's
-division plan (per facility, psi and node-table generation) and each
-q-node's candidate list and coverage mask in the runtime's cache, one
-table per (facility, psi, mode) walk, so a re-walk in the same mode — a
-repeated query for the same facility, ancestor scans across kMaxRRST
-relax rounds, solver ensembles sharing match sets — skips the geometric
-work, and accrues this
-evaluation's work counters into the runtime's grand total.  (Collecting
-and non-collecting walks select different candidate sets, so the cache
-keys them apart rather than sharing across them.)  No backend, grid, or
-cache type is plumbed through this module directly.
+cellstrings; probed on the calling thread) — keeps one record per walk
+(facility, psi, node-table generation) in the runtime's cache: the
+walk's division plan and, per (model, normalize), the value each
+q-node's own list adds.  A non-collecting re-walk — a repeated query
+for the same facility, ancestor scans across kMaxRRST relax rounds —
+gathers the values it knows and scores only the rest; a collecting walk
+always scores (solver ensembles share its match set instead).  It also
+accrues this evaluation's work counters into the runtime's grand total.
+No backend, grid, or cache type is plumbed through this module
+directly.
 """
 
 from __future__ import annotations
@@ -305,10 +303,8 @@ def score_frontier(
     (``zReduce`` over the z-nodes, an envelope scan over the rest — each
     node against its own component's envelope), the survivors' probe
     points are gathered in one CSR read and probed in **one** call
-    against the plan's stop set, and the whole frontier's candidates —
-    cached and fresh, end to end — are scored in one segmented pass
-    (:func:`_score_candidates`).  Per node, nothing runs but a dict get
-    by its stamp.
+    against the plan's stop set, and their candidates are scored in one
+    segmented pass (:func:`_score_candidates`).
 
     Probing the walk's stops instead of each node's own component is
     exact: an entry sits at a node whose box holds all its probe points,
@@ -317,94 +313,44 @@ def score_frontier(
     ``psi_hit`` on one (point, stop) pair does not depend on which other
     stops are in the call.
 
-    ``runtime`` owns the probe path and memoises the (candidate rows,
-    mask) pair per node stamp in its cache, one table per walk (facility,
-    psi, mode): the component a facility induces at a node is the same
-    whichever algorithm walked there, so a later walk in the same mode
-    — a repeated query, an ancestor re-scan — reuses the geometric work
-    and only re-runs the scoring.  Mode (collecting flag plus service
-    model) is part of the key because it changes which candidates
-    survive the filter.
+    ``runtime`` owns the probe path.  A non-collecting walk whose plan
+    the runtime's cache keeps reads its nodes' values from the plan's
+    record — one value column per (model, normalize), one gather — and
+    stores the values it had to score there: a node's candidates are
+    summed on their own, so its value does not depend on the frontier
+    it was scored in.  A collecting walk always scores (its match set
+    is what the cache keeps).
     """
     frame = tree.frame()
     n_own = frame.n_own[nodes]
     stats.entries_considered += int(n_own.sum())
     listed = np.flatnonzero(n_own)  # positions of the nodes with a list
-    if not listed.size:
-        return [0.0] * nodes.size
-    collecting = collector is not None
-    if runtime is None:
-        order, rows, counts, mask = _filter_and_probe(
-            tree, plan, nodes[listed], spec, collecting, stats, runtime
-        )
-    else:
-        order, rows, counts, mask = _cached_filter_and_probe(
-            tree, plan, nodes[listed], spec, collecting, stats, runtime
-        )
-    stats.entries_scored += rows.size
     values = np.zeros(nodes.size)
-    values[listed[order]] = _score_candidates(
-        tree.table, frame.block, rows, mask, counts, spec, collector
-    )
-    return values.tolist()
-
-
-def _cached_filter_and_probe(
-    tree: TQTree,
-    plan: DivisionPlan,
-    nodes: np.ndarray,
-    spec: ServiceSpec,
-    collecting: bool,
-    stats: QueryStats,
-    runtime: QueryRuntime,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_filter_and_probe` answered from ``runtime``'s cache where
-    it can: the walk's table is read once (verified against the walk's
-    stop coordinates — equal walks divide into equal components at every
-    node) and keyed by node stamp (which names one list of one tree: an
-    insert into the node renews it), and only the misses are filtered
-    and probed — then stored in one call.  Same four arrays, ``order``
-    listing the hits first."""
-    frame = tree.frame()
-    component = plan.component
-    cache = runtime.cache
-    key = (component.facility_id, spec.psi, collecting, spec.model.value)
-    coords = component.stops.coords
-    stamps = frame.stamp[nodes]
-    table, held = cache.lookup_walk(key, coords, stamps.tolist())
-    hit = np.array([entry is not None for entry in held], dtype=bool)
-    hits = [entry for entry in held if entry is not None]
-    stats.cache_hits += len(hits)
-    parts = []
-    if hits:
-        at = np.flatnonzero(hit)
-        counts = np.fromiter((entry[0].size for entry in hits), np.int64, len(hits))
-        rows = np.concatenate([entry[0] for entry in hits])
-        parts.append((
-            at, rows + np.repeat(frame.row_off[nodes[at]], counts), counts,
-            np.concatenate([entry[1] for entry in hits]),
-        ))
-    found = {}
-    if len(hits) < nodes.size:
-        miss_at = np.flatnonzero(~hit)
+    record = plan.record if collector is None else None
+    column = (spec.model, spec.normalize)
+    held = None if record is None else runtime.cache.read_column(record, column)
+    hits, counts = 0, np.zeros(0, dtype=np.int64)
+    if held is not None:
+        known, value, count = (array[nodes[listed]] for array in held)
+        values[listed[known]] = value[known]
+        hits = int(np.count_nonzero(known))
+        stats.cache_hits += hits
+        stats.entries_scored += int(count[known].sum())
+        listed = listed[~known]
+    if listed.size:
         order, rows, counts, mask = _filter_and_probe(
-            tree, plan, nodes[miss_at], spec, collecting, stats, runtime
+            tree, plan, nodes[listed], spec, collector is not None, stats, runtime
         )
-        at = miss_at[order]
-        parts.append((at, rows, counts, mask))
-        # cached rows are node-relative: an insert elsewhere moves a
-        # node's rows in the block, not its stamp
-        relative = rows - np.repeat(frame.row_off[nodes[at]], counts)
-        row_end = np.cumsum(counts)
-        probe_end = np.concatenate(([0], np.cumsum(frame.block.probe_cnt[rows])))[row_end]
-        r0 = p0 = 0
-        for stamp, r1, p1 in zip(stamps[at].tolist(), row_end.tolist(), probe_end.tolist()):
-            found[stamp] = (relative[r0:r1], mask[p0:p1])
-            r0, p0 = r1, p1
-    cache.store_walk(key, coords, table, found, len(hits))
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(column) for column in zip(*parts))
+        stats.entries_scored += rows.size
+        listed = listed[order]
+        values[listed] = _score_candidates(
+            tree.table, frame.block, rows, mask, counts, spec, collector
+        )
+    if record is not None:
+        runtime.cache.store_column(
+            record, column, nodes[listed], values[listed], counts, hits
+        )
+    return values.tolist()
 
 
 def walk_plan(
@@ -418,10 +364,10 @@ def walk_plan(
     and divided over every q-node.  The root component is what every
     probe of the walk runs against.
 
-    With a runtime the division comes from its cache when an earlier
-    walk of the same facility id and ``psi`` over the same generation of
-    the node table made it from equal stop coordinates; otherwise it is
-    made and stored there."""
+    With a runtime the plan carries the walk's record in its cache: an
+    earlier walk's when one of the same facility id and ``psi`` over the
+    same generation of the node table was made from equal stop
+    coordinates (its division is reused), else a new one."""
     whole = FacilityComponent.whole(facility, psi)
     if runtime is not None:
         whole = whole.with_stops(runtime.stop_set(whole.stops, psi))
@@ -430,11 +376,10 @@ def walk_plan(
     if runtime is None:
         return DivisionPlan(component, divide(frame, coords, psi))
     key = (facility.facility_id, psi, frame.generation)
-    division = runtime.cache.lookup_plan(key, coords)
-    if division is None:
-        division = divide(frame, coords, psi)
-        runtime.cache.store_plan(key, coords, division)
-    return DivisionPlan(component, division)
+    record = runtime.cache.lookup_record(key, coords)
+    if record is None:
+        record = runtime.cache.store_record(key, coords, divide(frame, coords, psi))
+    return DivisionPlan(component, record.division, record)
 
 
 def evaluate_node_trajectories(
@@ -452,7 +397,9 @@ def evaluate_node_trajectories(
 
     A frontier of one: ``component`` is divided over the tree like any
     walk's, and the node is scored by :func:`score_frontier` against
-    the part of it that can serve the node's region.
+    the part of it that can serve the node's region.  ``component`` may
+    be any part of a facility, so no cached walk record is read or
+    written: ``runtime`` only probes.
     """
     runtime = coerce_runtime(runtime)
     plan = DivisionPlan(
@@ -527,8 +474,8 @@ def evaluate_service(
     is scored via Algorithm 2.  ``runtime`` owns the probe path — how
     exact distance checks execute (dense broadcast, stop grid or
     cellstrings, on the calling thread — identical results) — memoises
-    the walk's division plan and per-(facility, node) coverage in its
-    cache, and accrues this evaluation's work into its grand total.
+    the walk's division plan and per-node values in its cache, and
+    accrues this evaluation's work into its grand total.
 
     A thin synchronous wrapper over :func:`evaluate_core` — the same
     substrate the async :class:`repro.service.QueryService` executes.

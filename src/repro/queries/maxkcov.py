@@ -90,9 +90,10 @@ def core_match_fn(
     synchronous path.
 
     With a runtime the fn is wrapped under a *semantic* cache key
-    (tree + spec), so every match fn built for the same tree and spec —
-    sync wrappers, service requests, solver ensembles — shares one set
-    of entries.
+    (tree, node-table generation, spec), so every match fn built for the
+    same tree and spec — sync wrappers, service requests, solver
+    ensembles — shares one set of entries until an insert changes the
+    tree.
     """
 
     def fn(facility: FacilityRoute) -> Matches:
@@ -107,7 +108,7 @@ def core_match_fn(
     if runtime is None:
         return fn
     return runtime.cache.cached_match_fn(
-        fn, key=("tq-matches", id(tree), spec), pin=tree
+        fn, key=("tq-matches", id(tree), tree.frame().generation, spec), pin=tree
     )
 
 
@@ -119,7 +120,7 @@ def tq_match_fn(
     """Match sets via TQ-tree evaluation (TQ(B) or TQ(Z) per tree config).
 
     ``runtime`` owns the probe path (backend plus scheduling) and
-    memoises both the per-node coverage and the finished per-facility
+    memoises the walks' division plans and the finished per-facility
     match sets in its cache — results are identical either way.
 
     A thin wrapper over :func:`core_match_fn` (ambient accrual form).
@@ -231,8 +232,9 @@ def maxkcov_tq(
     ``prune_factor`` trades quality for speed (the paper's ``k' >= k``).
     With a ``runtime``, the exact distance work rides the proximity
     engine the runtime provisions, and repeated queries — another
-    ``k``, a solver ensemble over the same tree — reuse the per-node
-    coverage and match sets already computed (the answer is unchanged).
+    ``k``, a solver ensemble over the same tree — reuse the shortlist's
+    node values and the match sets already computed (the answer is
+    unchanged).
 
     A thin synchronous wrapper over :func:`maxkcov_core` — the same
     substrate the async :class:`repro.service.QueryService` executes.

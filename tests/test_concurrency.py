@@ -27,6 +27,8 @@ from repro import (
     QueryRuntime,
     QueryStats,
     RuntimeConfig,
+    ServiceModel,
+    ServiceSpec,
     ShardStore,
     StopSet,
     build_tq_zorder,
@@ -61,28 +63,29 @@ def _run_threads(fn, n_threads=N_THREADS):
 
 class TestCoverageCacheConcurrency:
     @staticmethod
-    def _hammer_walks(cache, rounds, walks=4):
-        """Threads walking ``walks`` walks of four nodes each, in a
-        rotating node order, through the lookup / store pair the query
-        path uses; returns how many node lookups were made."""
-        anchor = object()
+    def _hammer_records(cache, rounds, walks=4):
+        """Threads reading and filling the value columns of ``walks``
+        four-node walk records, two nodes at a time in a rotating order,
+        through the calls the query path makes; returns how many node
+        reads were made."""
         coords = np.zeros((4, 2))
-        rows = np.zeros(3, dtype=np.int64)
-        mask = np.ones(7, dtype=bool)
+        division = (np.zeros(4, dtype=bool),) * 3
 
         def worker(i):
             for r in range(rounds):
-                walk = (r + i) % walks
-                ids = [walk + walks * ((r + k) % 4) for k in range(4)]
-                table, held = cache.lookup_walk(("walk", walk), coords, ids)
-                found = {}
-                for node_id, entry in zip(ids, held):
-                    if entry is None:
-                        found[node_id] = (anchor, rows, mask)
-                    else:
-                        assert entry[0] is anchor
-                        assert entry[1] is rows and entry[2] is mask
-                cache.store_walk(("walk", walk), coords, table, found, len(ids) - len(found))
+                key = ("walk", (r + i) % walks)
+                record = cache.lookup_record(key, coords)
+                if record is None:
+                    record = cache.store_record(key, coords, division)
+                nodes = np.array([r % 4, (r + 1) % 4])
+                held = cache.read_column(record, "c")
+                known = np.zeros(2, dtype=bool) if held is None else held[0][nodes]
+                if held is not None:
+                    # a known node always has its value and its count
+                    assert np.array_equal(held[1][nodes[known]], 1.0 + nodes[known])
+                    assert np.array_equal(held[2][nodes[known]], 10 + nodes[known])
+                fresh = nodes[~known]
+                cache.store_column(record, "c", fresh, 1.0 + fresh, 10 + fresh, int(known.sum()))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -90,26 +93,26 @@ class TestCoverageCacheConcurrency:
             _run_threads(worker)
         finally:
             sys.setswitchinterval(interval)
-        return N_THREADS * rounds * 4
+        return N_THREADS * rounds * 2
 
     def test_node_table_hammering_keeps_counters_consistent(self):
         cache = CoverageCache()
-        calls = self._hammer_walks(cache, rounds=200)
-        # every node of a lookup either hit or was stored (counted as the
+        calls = self._hammer_records(cache, rounds=200)
+        # every node of a read either hit or was stored (counted as the
         # miss); nothing was lost to a racing increment
         assert cache.hits + cache.misses == calls
-        assert len(cache) == 16  # one result per node
+        assert len(cache) == 16  # one value per node
 
     def test_walk_eviction_under_threads_keeps_the_bound(self, monkeypatch):
         from repro.engine import cache as cache_module
 
-        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 10)
+        monkeypatch.setattr(cache_module, "MAX_ROWS", 10)
         cache = CoverageCache()
-        calls = self._hammer_walks(cache, rounds=200, walks=6)
+        calls = self._hammer_records(cache, rounds=200, walks=6)
         assert cache.hits + cache.misses == calls
-        assert cache.misses > 24  # walks were evicted and walked again
-        # the held count is the tables' sizes, never above the cap
-        assert len(cache) == sum(len(table) for _c, table in cache._walks.values()) <= 10
+        assert cache.misses > 24  # records were evicted and filled again
+        # the held count is the records' sizes, never above the cap
+        assert cache._rows == sum(r.rows for r in cache._records.values()) <= 10
 
     def test_cached_match_fn_concurrent_calls_are_consistent(self):
         cache = CoverageCache()
@@ -169,32 +172,50 @@ class TestPlanCacheConcurrency:
     def test_threads_walking_the_same_facilities_share_sound_plans(
         self, monkeypatch, taxi_users, facilities, endpoint_spec
     ):
-        """Threads walking the same facilities through one runtime, in
-        rotated orders, with a row bound smaller than the facility set:
-        every answer and every plan a walk gets ``==`` the serial ones,
-        and the plans held stay within the bound."""
+        """Threads walking the same facilities under two specs through
+        one runtime, in rotated orders, with a row bound smaller than
+        the working set: every answer and every plan a walk gets ``==``
+        the serial ones, every value column it reads holds the serial
+        value and count wherever a node is known, and the records held
+        stay within the bound."""
         from repro.engine import cache as cache_module
 
         tree = build_tq_zorder(taxi_users, beta=16)
-        spec = endpoint_spec
-        serial = [evaluate_service(tree, f, spec) for f in facilities]
-        plans = [walk_plan(tree, f, spec.psi, None) for f in facilities]
+        specs = [endpoint_spec, ServiceSpec(ServiceModel.COUNT, psi=endpoint_spec.psi)]
+        walks = [(f, spec) for f in facilities for spec in specs]
+        with QueryRuntime() as alone:
+            serial = [evaluate_service(tree, f, spec, runtime=alone) for f, spec in walks]
+            columns = {
+                (key, column): held
+                for key, record in alone.cache._records.items()
+                for column, held in record.columns.items()
+            }
+        assert serial == [evaluate_service(tree, f, spec) for f, spec in walks]
+        plans = [walk_plan(tree, f, spec.psi, None) for f, spec in walks]
         n = len(tree.frame())
-        monkeypatch.setattr(cache_module, "MAX_PLAN_ROWS", 5 * n)
+        monkeypatch.setattr(cache_module, "MAX_ROWS", 10 * n)
         assert len(facilities) > 5
         results = [None] * N_THREADS
 
         def worker(i):
-            order = list(range(i, len(facilities))) + list(range(i))
-            values = [None] * len(facilities)
+            order = list(range(i, len(walks))) + list(range(i))
+            values = [None] * len(walks)
             for _ in range(3):
                 for j in order:
-                    f = facilities[j]
+                    f, spec = walks[j]
                     values[j] = evaluate_service(tree, f, spec, runtime=runtime)
                     got, want = walk_plan(tree, f, spec.psi, runtime), plans[j]
                     assert np.array_equal(got.served, want.served)
                     assert np.array_equal(got.visited, want.visited)
                     assert np.array_equal(got.envelopes, want.envelopes, equal_nan=True)
+                    column = (spec.model, spec.normalize)
+                    held = runtime.cache.read_column(got.record, column)
+                    if held is not None:
+                        known, value, count = held
+                        serial_known, serial_value, serial_count = columns[(got.record.key, column)]
+                        assert serial_known[known].all()
+                        assert np.array_equal(value[known], serial_value[known])
+                        assert np.array_equal(count[known], serial_count[known])
             results[i] = values
 
         interval = sys.getswitchinterval()
@@ -203,7 +224,7 @@ class TestPlanCacheConcurrency:
             with QueryRuntime() as runtime:
                 _run_threads(worker)
                 cache = runtime.cache
-                assert cache._plan_rows == n * len(cache._plans) <= 5 * n
+                assert cache._rows == sum(r.rows for r in cache._records.values()) <= 10 * n
         finally:
             sys.setswitchinterval(interval)
         assert results == [serial] * N_THREADS

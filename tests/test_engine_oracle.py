@@ -337,26 +337,23 @@ class TestTreePathOracle:
         self, taxi_users, facilities, monkeypatch
     ):
         """``psi`` is a client-supplied float, so a sweep never repeats a
-        walk: the cache drops whole walks, oldest first, to stay within
-        the cap — never the walk being filled — and a walk whose results
-        went is a miss that recomputes the same answer."""
+        walk: the cache drops whole walk records, least recently used
+        first, to stay within the row bound — never the walk being
+        filled — and a walk whose record went is a miss that recomputes
+        the same answer."""
         from repro.engine import cache as cache_module
-        from repro.queries import MatchCollector
 
         tree = TQTree.build(taxi_users, TQTreeConfig(beta=16))
+        n = len(tree.frame())
         sweep = [
             (f, ServiceSpec(ServiceModel.COUNT, psi=300.0 + 7.0 * step))
             for step in range(12) for f in facilities[:4]
         ]
 
         def walk(cache, f, spec):
-            collector = MatchCollector()
-            value = evaluate_service(
-                tree, f, spec, collector=collector,
-                runtime=_rt(ProximityBackend.AUTO, cache),
-            )
-            assert len(cache) <= cache_module.MAX_ENTRIES
-            return value, collector.as_dict()
+            value = evaluate_service(tree, f, spec, runtime=_rt(ProximityBackend.AUTO, cache))
+            assert cache._rows <= cache_module.MAX_ROWS
+            return value
 
         def run(cache):
             return [walk(cache, f, spec) for f, spec in sweep]
@@ -365,11 +362,12 @@ class TestTreePathOracle:
         want = run(roomy)
         assert len(roomy) > 32 and roomy.hits == 0
         assert run(roomy) == want and roomy.hits > 0  # nothing was evicted
-        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 32)
+        # a record is a division and a COUNT column, n rows each
+        monkeypatch.setattr(cache_module, "MAX_ROWS", 8 * n)
         bounded = CoverageCache()
         assert run(bounded) == want
-        assert 0 < len(bounded) <= 32
-        # every walk's results went before the sweep came round again:
+        assert 0 < len(bounded._records) <= 4
+        # every walk's record went before the sweep came round again:
         # all misses, same answers
         assert run(bounded) == want
         assert bounded.hits == 0
@@ -380,18 +378,18 @@ class TestTreePathOracle:
             misses = bounded.misses
             assert walk(bounded, f, spec) == answer
             assert bounded.misses == misses
-        # ... even when it is the oldest walk held, filled again
+        # ... even when it is the least recently used record, filled
+        # again: the others go first
+        monkeypatch.setattr(cache_module, "MAX_ROWS", 30)
         coords, cache = np.zeros((1, 2)), CoverageCache()
-
-        def fill(key, ids):
-            table, _held = cache.lookup_walk(key, coords, ids)
-            cache.store_walk(key, coords, table, {i: (None, ids, ids) for i in ids}, 0)
-
-        fill("old", list(range(20)))
-        fill("new", list(range(12)))
-        fill("old", list(range(20, 26)))
-        assert all(cache.lookup_walk("old", coords, list(range(26)))[1])
-        assert len(cache) == 26
+        division = (np.zeros(10, dtype=bool),) * 3
+        old = cache.store_record("old", coords, division)
+        new = cache.store_record("new", coords, division)
+        ones = np.ones(10, dtype=np.int64)
+        cache.store_column(new, "c", np.arange(5), ones[:5], ones[:5], 0)
+        cache.store_column(old, "c", np.arange(10), ones, ones, 0)
+        assert list(cache._records) == ["old"] and cache._rows == 20
+        assert cache.read_column(old, "c")[0].all() and len(cache) == 10
 
 
 @pytest.mark.engine_smoke

@@ -20,22 +20,26 @@ tree-wide frame.  Each test here pins one premise of that design:
 (f) scoring — a frontier scored in one segmented pass gives every node
     the value it gets alone and the per-entry reference loop gives it,
     bit for bit;
-(g) the plan cache — a walk through a runtime divides once per facility,
-    ``psi`` and node-table generation, and never serves a plan of
-    another tree, another table version or other stops.
+(g) the walk cache — a walk through a runtime divides once per
+    facility, ``psi`` and node-table generation, and never serves a plan
+    or a node value of another tree, another table version or other
+    stops;
+(h) warm == cold — any interleaving of queries and inserts answers
+    through one runtime what it answers with none.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from dataclasses import fields
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro import (
     BBox,
-    CoverageCache,
     FacilityRoute,
     IndexVariant,
     QueryError,
@@ -452,7 +456,8 @@ class TestFrameMutations(FrameMutations.TestCase):
 def test_split_that_keeps_a_list_length_rebuilds_the_frame(name):
     """One sinks, one arrives: the root list is four entries long before
     and after, so nothing but the insert itself can tell the block (and
-    the cached rows anchored on the root's stamp) that it changed."""
+    the cached values anchored on the table's generation) that it
+    changed."""
     users = [
         Trajectory(0, [(100, 100), (900, 900)]),
         Trajectory(1, [(900, 100), (100, 900)]),
@@ -466,74 +471,46 @@ def test_split_that_keeps_a_list_length_rebuilds_the_frame(name):
         for spec in _specs(tree, 140.0):
             _walks(tree, spec, runtime)
         frame = tree.frame()
-        block, stamp = frame.block, int(frame.stamp[0])
+        block, generation = frame.block, frame.generation
         assert frame.n_own[0] == 4 and frame.children[0, 0] < 0
         tree.insert(newcomer)
         assert frame.n_own[0] == 4 and frame.children[0, 0] >= 0
         assert tree.frame() is frame and frame.block is not block
-        assert frame.stamp[0] != stamp
+        assert frame.generation != generation
         _hold_to_fresh_tree(tree, users + [newcomer], name, runtime)
 
 
-def _node_state(frame):
-    """Per node box: its stamp, its list and whether it is a leaf."""
-    return {
-        tuple(frame.box[i].tolist()): (
-            int(frame.stamp[i]),
-            frame.rows[frame.row_off[i] : frame.row_off[i + 1]].tolist(),
-            bool(frame.children[i, 0] < 0),
-        )
-        for i in range(len(frame))
-    }
-
-
 @pytest.mark.engine_smoke
-def test_an_untouched_node_keeps_its_block_across_a_rebuild():
-    """Cached rows are anchored on a node's stamp.  An insert renews the
-    stamp of exactly the node whose list changed, a split the stamps of
-    every node of the re-placed subtree, and every other node keeps its
-    stamp — so the same walk after the insert hits on exactly the kept
-    nodes that have a list."""
+def test_an_insert_rewalks_every_node():
+    """Cached values are anchored on the node table's generation, which
+    every insert renews (a split included): the same walk after an
+    insert hits on no node, scores every listed node again and answers
+    what the oracle answers; the walk after that hits on every one."""
     users = _users(75, seed=2, two_point=True)
     tree = BUILDERS["tq_zorder"](users[:50])
     spec = ServiceSpec(ServiceModel.ENDPOINT, psi=2048.0)  # reaches every node
-    cache = CoverageCache()
     seen = {"split": 0, "insert": 0}
-    with QueryRuntime(cache=cache) as runtime:
+    with QueryRuntime() as runtime:
         evaluate_service(tree, _ROUTES[0], spec, runtime=runtime)
         for n in range(50, len(users)):
             frame = tree.frame()
-            before, newest = _node_state(frame), int(frame.stamp.max())
+            n_nodes = len(frame)
             tree.insert(users[n])
-            after = _node_state(frame)
-            if len(after) > len(before):
-                seen["split"] += 1
-                (leaf,) = [
-                    box for box, (_, _, is_leaf) in before.items()
-                    if is_leaf and not after[box][2]
-                ]
-                replaced = {box for box in after if BBox(*leaf).contains_bbox(BBox(*box))}
-            else:
-                seen["insert"] += 1
-                replaced = {box for box in after if after[box][1] != before[box][1]}
-                assert len(replaced) == 1
-            renewed = {box for box, (stamp, _, _) in after.items() if stamp > newest}
-            assert renewed == replaced
-            kept = [box for box in after if box not in replaced]
-            assert all(after[box][0] == before[box][0] for box in kept)
-            hits, stats = cache.hits, QueryStats()
-            value = evaluate_service(tree, _ROUTES[0], spec, stats=stats, runtime=runtime)
-            assert value == brute_force_service(users[: n + 1], _ROUTES[0], spec)
-            held = sum(1 for box in kept if after[box][1])
-            assert cache.hits - hits == stats.cache_hits == held
+            seen["split" if len(frame) > n_nodes else "insert"] += 1
+            listed = int(np.count_nonzero(frame.n_own))
+            want = brute_force_service(users[: n + 1], _ROUTES[0], spec)
+            for cache_hits in (0, listed):
+                stats = QueryStats()
+                value = evaluate_service(tree, _ROUTES[0], spec, stats=stats, runtime=runtime)
+                assert value == want and stats.cache_hits == cache_hits
     assert seen["split"] and seen["insert"]
 
 
 @pytest.mark.engine_smoke
 def test_equal_trees_sharing_a_runtime_share_no_node_results():
-    """Stamps come from one counter for the whole process: a second tree
-    equal to the first, walked through the same runtime, misses on every
-    node it scores, and answers what the oracle answers."""
+    """Generations come from one counter for the whole process: a second
+    tree equal to the first, walked through the same runtime, misses on
+    every node it scores, and answers what the oracle answers."""
     users = _users(60, seed=2, two_point=True)
     spec = ServiceSpec(ServiceModel.ENDPOINT, psi=2048.0)
     first, second = BUILDERS["tq_zorder"](users), BUILDERS["tq_zorder"](users)
@@ -586,14 +563,17 @@ def test_one_probe_call_per_walk_and_none_when_cached(
                     )
                     assert len(probe_calls) <= 1
                     assert sum(probe_calls) == stats.points_scanned > 0
-                    # the same walk again is answered by the cache alone
+                    # the same walk again is answered by the cache alone;
+                    # a collecting walk scores again (its match set is
+                    # what the cache keeps, through cached_match_fn)
                     del probe_calls[:]
                     again = evaluate_service(
                         tree, f, spec,
                         collector=None if collector is None else MatchCollector(),
                         runtime=runtime,
                     )
-                    assert again == value and probe_calls == []
+                    assert again == value
+                    assert len(probe_calls) == (collector is not None)
         with QueryRuntime() as runtime:
             stats = QueryStats()
             state = kmaxrrst_module._initial_state(tree, facilities[5], spec, stats, runtime)
@@ -752,8 +732,8 @@ def _every_walk(tree, spec, runtime):
 def test_a_warm_rewalk_divides_nothing(name, divisions):
     """A facility walked through a runtime once is never divided again
     there — by a repeated evaluate, kMaxRRST or MaxkCov's collecting
-    re-walk — and answers ``==``; plans count in neither the hits, the
-    misses nor ``len()`` of the cache."""
+    re-walk — and answers ``==``; divisions count in neither the hits,
+    the misses nor ``len()`` of the cache."""
     tree = BUILDERS[name](_users(70, 7, name in TWO_POINT))
     spec = _specs(tree, 140.0)[-1]
     with QueryRuntime() as runtime:
@@ -763,13 +743,10 @@ def test_a_warm_rewalk_divides_nothing(name, divisions):
         assert _every_walk(tree, spec, runtime) == first
         assert divisions == []
         counted = (runtime.cache.hits, runtime.cache.misses, len(runtime.cache))
+        for f in _ROUTES + [FacilityRoute(99, [(500, 500)])]:
+            walk_plan(tree, f, spec.psi, runtime)
+        assert (runtime.cache.hits, runtime.cache.misses, len(runtime.cache)) == counted
     assert first == _every_walk(tree, spec, None)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(CoverageCache, "lookup_plan", lambda self, key, coords: None)
-        with QueryRuntime() as runtime:
-            _every_walk(tree, spec, runtime)
-            _every_walk(tree, spec, runtime)
-            assert (runtime.cache.hits, runtime.cache.misses, len(runtime.cache)) == counted
 
 
 def _clustered_tree(beta: int) -> tuple:
@@ -860,20 +837,21 @@ def test_two_trees_on_one_runtime_each_get_their_own_plan(divisions):
             for tree in trees:
                 assert evaluate_service(tree, _ROUTES[0], spec, runtime=runtime) == want
         assert divisions == [tree.frame().generation for tree in trees]
-        assert len(runtime.cache._plans) == 2
+        assert len(runtime.cache._records) == 2
 
 
 @pytest.mark.engine_smoke
 def test_a_sweep_of_new_facilities_holds_at_most_the_row_bound(divisions, monkeypatch):
-    """Plans beyond the row bound go least recently used first; an
-    evicted plan is divided again and answers ``==``; a plan larger
+    """Walk records — a division and an ENDPOINT value column, ``n``
+    rows each — beyond the row bound go least recently used first; an
+    evicted walk is divided again and answers ``==``; a walk larger
     than the bound is not held."""
     from repro.engine import cache as cache_module
 
     users = _users(70, 7, True)
     tree = BUILDERS["tq_zorder"](users)
     n = len(tree.frame())
-    monkeypatch.setattr(cache_module, "MAX_PLAN_ROWS", 3 * n)
+    monkeypatch.setattr(cache_module, "MAX_ROWS", 6 * n)
     spec = ServiceSpec(ServiceModel.ENDPOINT, psi=140.0)
     routes = [FacilityRoute(j, [(40 + 90 * j, 60 + 45 * j), (500, 90 * j)]) for j in range(10)]
     with QueryRuntime() as runtime:
@@ -883,13 +861,135 @@ def test_a_sweep_of_new_facilities_holds_at_most_the_row_bound(divisions, monkey
             first.append(evaluate_service(tree, f, spec, runtime=runtime))
             if k == 8:
                 evaluate_service(tree, routes[7], spec, runtime=runtime)  # 7 used last
-            assert cache._plan_rows == n * len(cache._plans) <= 3 * n
-        assert [key[0] for key in cache._plans] == [8, 7, 9]
+            assert cache._rows == 2 * n * len(cache._records) <= 6 * n
+        assert [key[0] for key in cache._records] == [8, 7, 9]
         del divisions[:]
         assert [evaluate_service(tree, f, spec, runtime=runtime) for f in routes[:2]] == first[:2]
         assert len(divisions) == 2
-        monkeypatch.setattr(cache_module, "MAX_PLAN_ROWS", n - 1)
-        cache.clear()
-        assert evaluate_service(tree, routes[0], spec, runtime=runtime) == first[0]
-        assert cache._plan_rows == 0 and not cache._plans
+        for bound in (n - 1, 2 * n - 1):  # the division alone, or with its column
+            monkeypatch.setattr(cache_module, "MAX_ROWS", bound)
+            cache.clear()
+            assert evaluate_service(tree, routes[0], spec, runtime=runtime) == first[0]
+            assert cache._rows == 0 and not cache._records
     assert first == [brute_force_service(users, f, spec) for f in routes]
+
+
+@pytest.mark.engine_smoke
+def test_a_node_evaluation_leaves_a_warm_walk_warm():
+    """``evaluate_node_trajectories`` may be handed any part of a
+    facility, so it scores its frontier of one without the cache: a
+    facility walked, then evaluated at one node on a component
+    restricted to that node's box, walks warm again — every listed node
+    it reaches hits, and the value is ``==``."""
+    users = _users(70, 7, True)
+    tree = BUILDERS["tq_zorder"](users)
+    spec = ServiceSpec(ServiceModel.COUNT, psi=140.0, normalize=False)
+    route, frame = _ROUTES[0], tree.frame()
+    whole = FacilityComponent.whole(route, spec.psi)
+    n_stops = whole.stops.coords.shape[0]
+    node = next(
+        i for i in range(1, len(frame))
+        if frame.n_own[i]
+        and 0 < whole.restricted_to(_box(frame, i)).stops.coords.shape[0] < n_stops
+    )
+    part = whole.restricted_to(_box(frame, node))
+    reached = np.flatnonzero(walk_plan(tree, route, spec.psi, None).visited)
+    with QueryRuntime() as runtime:
+        value = evaluate_service(tree, route, spec, runtime=runtime)
+        evaluate_module.evaluate_node_trajectories(tree, node, part, spec, runtime=runtime)
+        stats = QueryStats()
+        assert evaluate_service(tree, route, spec, stats=stats, runtime=runtime) == value
+    assert stats.cache_hits == np.count_nonzero(frame.n_own[reached]) > 0
+
+
+# ----------------------------------------------------------------------
+# (h) warm == cold
+# ----------------------------------------------------------------------
+#: ``_ROUTES`` and a facility sharing route 0's id but not its stops.
+_TWINS = _ROUTES + [FacilityRoute(0, [(700, 650), (820, 700), (880, 860)])]
+_QUERY = st.tuples(
+    st.sampled_from(["evaluate", "kmaxrrst", "maxkcov"]),
+    st.integers(0, len(_TWINS) - 1),
+    st.sampled_from(list(ServiceModel)),
+    st.booleans(),
+    st.sampled_from([60.0, 140.0, 250.0]),
+)
+_INSERT = st.tuples(st.just("insert"), st.integers(1, 6))
+_PROBE_FIELDS = ("points_scanned", "distance_evals", "cells_probed")
+
+
+def _query(tree, op, runtime):
+    """One query's answer and the counters it reported (None for a
+    spec the tree cannot answer)."""
+    kind, arg, model, normalize, psi = op
+    spec = ServiceSpec(model, psi=psi, normalize=normalize)
+    try:
+        tree.validate_spec(spec)
+    except QueryError:
+        return None
+    if kind == "evaluate":
+        stats = QueryStats()
+        return evaluate_service(tree, _TWINS[arg], spec, stats=stats, runtime=runtime), stats
+    k = 1 + arg % 3
+    if kind == "kmaxrrst":
+        top = top_k_facilities(tree, _ROUTES, k, spec, runtime=runtime)
+        return top.ranking, top.stats
+    return maxkcov_tq(tree, _ROUTES, k, spec, runtime=runtime), None
+
+
+@pytest.mark.engine_smoke
+@pytest.mark.usefixtures("z_on_short_lists")
+@settings(max_examples=30, deadline=None)
+@example(
+    name="tq_zorder", n=30, bound=None,
+    ops=[
+        ("evaluate", 0, ServiceModel.COUNT, False, 250.0),
+        ("insert", 6),
+        ("evaluate", 0, ServiceModel.COUNT, False, 250.0),
+        ("evaluate", 4, ServiceModel.COUNT, False, 250.0),
+        ("evaluate", 0, ServiceModel.COUNT, False, 250.0),
+        ("maxkcov", 1, ServiceModel.COUNT, False, 250.0),
+        ("insert", 6),
+        ("maxkcov", 1, ServiceModel.COUNT, False, 250.0),
+    ],
+)
+@given(
+    name=st.sampled_from(sorted(BUILDERS)),
+    n=st.integers(10, 40),
+    bound=st.sampled_from([None, 0, 60, 400]),
+    ops=st.lists(st.one_of(_QUERY, _INSERT), min_size=1, max_size=12),
+)
+def test_warm_walks_answer_like_cold_ones(name, n, bound, ops):
+    """Evaluate (every model, normalised and raw), kMaxRRST, MaxkCov and
+    inserts interleaved on one runtime answer ``==`` the same calls with
+    no runtime, report the same walk counters (probe counters no higher:
+    a known node probes nothing) and hold the walk records to the row
+    bound."""
+    from repro.engine import cache as cache_module
+
+    users = _users(60, seed=5, two_point=name in TWO_POINT)
+    tree = BUILDERS[name](users[:n])
+    pending = users[n:]
+    with pytest.MonkeyPatch.context() as patch, QueryRuntime() as runtime:
+        if bound is not None:
+            patch.setattr(cache_module, "MAX_ROWS", bound)
+        cache = runtime.cache
+        for op in ops:
+            if op[0] == "insert":
+                for _ in range(min(op[1], len(pending))):
+                    tree.insert(pending.pop(0))
+                continue
+            warm, cold = _query(tree, op, runtime), _query(tree, op, None)
+            if cold is None:
+                assert warm is None
+                continue
+            assert warm[0] == cold[0]
+            if cold[1] is not None:
+                for field in fields(QueryStats):
+                    got, want = getattr(warm[1], field.name), getattr(cold[1], field.name)
+                    if field.name in _PROBE_FIELDS:
+                        assert got <= want, field.name
+                    elif field.name != "cache_hits":
+                        assert got == want, field.name
+            assert cache._rows == sum(r.rows for r in cache._records.values())
+            assert cache._rows <= cache_module.MAX_ROWS

@@ -52,10 +52,10 @@ def node_keys(frame, i):
 
 def assert_same_table(got, want):
     """Two trees' node tables agree column by column — dtype included,
-    stamps and generations aside — and so do their blocks."""
+    generations aside — and so do their blocks."""
     a, b = got.frame(), want.frame()
     for name in TreeFrame.__slots__:
-        if name not in ("stamp", "generation", "block", "zstack"):
+        if name not in ("generation", "block", "zstack"):
             column, other = getattr(a, name), getattr(b, name)
             assert column.dtype == other.dtype and np.array_equal(column, other), name
     for name in NodeBlock.__slots__:
@@ -261,7 +261,7 @@ class TestInsert:
         """Build, insert and split share one routing rule and one
         ``sub`` arithmetic: growing a tree user by user makes the node
         table — boxes, links, lists, bounds — and the block a build
-        makes; only the stamps differ."""
+        makes; only the generations differ."""
         cfg = TQTreeConfig(beta=beta, variant=variant)
         built = TQTree.build(users, cfg, space=WORLD)
         grown = TQTree(WORLD, cfg)
@@ -270,7 +270,7 @@ class TestInsert:
         assert grown.n_entries == built.n_entries
         assert_same_table(grown, built)
         assert np.array_equal(grown.frame().block.own_totals(), built.frame().block.own_totals())
-        assert not np.intersect1d(grown.frame().stamp, built.frame().stamp).size
+        assert grown.frame().generation != built.frame().generation
 
     @pytest.mark.parametrize("variant", list(IndexVariant))
     def test_overflowing_leaf_splits_into_the_built_children(self, variant):
