@@ -251,7 +251,15 @@ class StopSet:
         """The sub-set of stops lying inside ``box`` (closed)."""
         if self.is_empty:
             return self
-        return StopSet(self.coords[self._restriction_mask(box)])
+        return self.with_coords(self.coords[self._restriction_mask(box)])
+
+    def with_coords(self, coords: np.ndarray) -> "StopSet":
+        """A set of ``coords`` dressed like this one, nothing probed yet."""
+        return StopSet(coords)
+
+    def unprobed(self) -> "StopSet":
+        """This set as it was before its first probe."""
+        return self.with_coords(self.coords)
 
 
 # ----------------------------------------------------------------------

@@ -31,10 +31,10 @@ from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from .errors import TrajectoryError
+from .errors import QueryError, TrajectoryError
 from .geometry import BBox, Point, bbox_of_points, polyline_length
 
-__all__ = ["Trajectory", "FacilityRoute", "UserPointTable", "ranges"]
+__all__ = ["Trajectory", "FacilityRoute", "UserPointTable", "ranges", "require_candidates"]
 
 
 def _as_points(raw: Sequence) -> Tuple[Point, ...]:
@@ -215,6 +215,17 @@ class FacilityRoute:
 
     def __repr__(self) -> str:
         return f"FacilityRoute(id={self.facility_id}, n_stops={self.n_stops})"
+
+
+def require_candidates(facilities: Sequence[FacilityRoute]) -> None:
+    """Reject an empty candidate set, or one naming a facility id twice:
+    the paper's candidate ``F`` is a non-empty set."""
+    if not facilities:
+        raise QueryError("facilities must be non-empty: an empty candidate set has no answer")
+    ids = [facility.facility_id for facility in facilities]
+    if len(set(ids)) < len(ids):
+        fid = next(fid for i, fid in enumerate(ids) if fid in ids[:i])
+        raise QueryError(f"facilities must be distinct, got facility id {fid} more than once")
 
 
 def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -8,17 +8,20 @@ per-facility match sets, and batched multi-model queries re-derive the
 identical ``psi``-mask once per service model.  :class:`CoverageCache`
 memoises the three shapes of that repeated work:
 
-* **walk records** — per ``(facility, psi, node-table generation)``
-  the arrays Algorithm 1's division makes (which nodes are served and
-  reached, their serving envelopes) and, per ``(model, normalize)``,
-  three node-indexed columns of Algorithm 2's values: ``known``, the
-  ``value`` a node's own list adds, and how many candidates scoring it
-  took.  A node's value is a function of the walk's stop coordinates,
-  ``psi``, the service spec and the node table, so a warm frontier is
-  one gather.  Arrays only, never the component: a cache shared by
-  runtimes of different backends must not hand one runtime another's
-  dressed stop set.  Only non-collecting walks fill value columns —
-  a collecting walk's product is its match set, memoised whole below;
+* **walk records** — per ``(facility, psi, node-table generation)`` the
+  arrays Algorithm 1's division makes (which nodes are served and
+  reached, their serving envelopes), the walk's stop set as the runtime
+  that made the record dressed it, and, per ``(model, normalize)``,
+  three node-indexed columns of Algorithm 2's values (``known``, the
+  ``value`` a node's own list adds, how many candidates scoring it took)
+  and a kMaxRRST *level script* once they know every value a state's
+  rounds add.  A warm frontier is one gather, a warm kMaxRRST state a
+  replay.  The stop set goes out as an unprobed copy, and only to the
+  runtime that dressed it (held by identity, not kept alive): no record
+  pins a built grid or cellstring, and runtimes of different backends
+  share divisions and values, never a dressing.  Only non-collecting
+  walks fill value columns — a collecting walk's product is its match
+  set, memoised whole below;
 * **match sets** — per-facility served-point-index maps (the input to
   the greedy / genetic / exact MaxkCovRST solvers);
 * **batch masks** — per ``(stop set, psi)`` coverage masks over a batch
@@ -26,44 +29,46 @@ memoises the three shapes of that repeated work:
   ``normalize`` settings, which only differ in aggregation).
 
 Everything held carries enough to re-verify itself on lookup — a walk
-record its walk's stop coordinates by value (the facility restricted to
-the indexed space: equal walks induce equal components at every node),
-the facility object by identity for match sets, the stop-set object by
-identity for batch masks — so neither ``id`` reuse after garbage
-collection nor two facilities sharing a ``facility_id`` can alias to a
-wrong cached answer; a failed verification is simply a miss.  The
-node table's *generation* is drawn from a process-wide counter when the
-table is made and whenever an insert changes it, so two trees never
-share a record and an insert re-walks every node after it (TQ-tree
-match sets carry it in their key too).  Any other data change is the
-caller's to scope: drop the cache (or :meth:`clear`) when it happens.
+record the facility's own stop coordinates, by identity, else by value
+(equal stops restrict to equal walk stops), the facility object by
+identity for match sets, the stop-set object by identity for batch
+masks — so neither ``id`` reuse after garbage collection nor two
+facilities sharing a ``facility_id`` can alias to a wrong cached answer;
+a failed verification is simply a miss.  The node table's *generation*
+is drawn from a process-wide counter when the table is made and
+whenever an insert changes it, so two trees never share a record and an
+insert re-walks every node after it (TQ-tree match sets carry it in
+their key too).  Any other data change is the caller's to scope: drop
+the cache (or :meth:`clear`) when it happens.
 
 Records are held to :data:`MAX_ROWS` node rows (a division and each
-value column count one row per node), least recently used first out and
-never the record being filled; match sets, keyed on client-supplied
-values (``psi`` is a float on the wire), to :data:`MAX_ENTRIES`, oldest
-first out.  An evicted answer is a miss like any other.  Divisions are
+value column count one row per node, a level script one per node of its
+anchor path and frontiers), least recently used first out and never the
+record being filled; match sets, keyed on client-supplied values
+(``psi`` is a float on the wire), to :data:`MAX_ENTRIES`, oldest first
+out.  An evicted answer is a miss like any other.  Divisions are
 bookkeeping, not answers: they count in neither ``hits`` / ``misses``
-nor ``len()``; a node value counts one hit or one miss per listed node
-a frontier reads.
+nor ``len()``; a node value counts one hit or one miss per listed node a
+frontier reads.
 
 **Thread safety.**  A cache shared by a :class:`repro.service
 .QueryService` is read and written from the service's bridge threads
-concurrently, so every table access and counter update happens under
-one internal lock.  Value columns are copied on write and swapped in
-under the lock, so a column once stored never changes and is gathered
-outside it.  The lock covers the bookkeeping only: the expensive work
-a miss triggers — probe kernels, ``match_fn`` bodies — runs outside it,
-so concurrent misses on *different* keys still overlap.  Concurrent
-misses on the *same* key both compute and the last store wins —
-identical content either way; the service avoids even the duplicated
-work by serialising requests that share probe units (see
-``repro.service``).
+concurrently, so every table access and counter update happens under one
+internal lock.  Value columns are copied on write and swapped in under
+the lock, and a level script is installed once, so neither changes once
+stored and both are read outside it.  The lock covers the bookkeeping
+only: the expensive work a miss triggers — probe kernels, ``match_fn``
+bodies — runs outside it, so concurrent misses on *different* keys still
+overlap.  Concurrent misses on the *same* key both compute; the first
+walk record stored is kept, otherwise the last store wins — identical
+content either way; the service avoids even the duplicated work by
+serialising requests that share probe units (see ``repro.service``).
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable, Mapping, Optional, Tuple
 
@@ -78,8 +83,8 @@ MAX_ENTRIES = 16_384
 #: Node rows held over all walk records before the least recently used
 #: go.  About twice the largest working set a perfbench workload has
 #: (``serve_burst``: 960 (route, psi) walks of a 33-node tree with one
-#: ENDPOINT column, ~63.4k rows; ``paper_multipoint``: 66 walks of
-#: 305 + 9 nodes with a COUNT and a LENGTH column, ~62.2k).
+#: ENDPOINT column, ~63.4k rows; ``paper_multipoint``: 66 walks of 305 +
+#: 9 nodes with a COUNT and a LENGTH column, ~62.2k, level scripts ~4k).
 MAX_ROWS = 131_072
 
 #: One division's arrays: served, visited, envelopes
@@ -90,16 +95,23 @@ Column = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class WalkRecord:
-    """One walk's division and value columns.  ``columns`` and ``rows``
-    change only under the owning cache's lock; a column is replaced,
-    never written into."""
+    """One walk's division, value columns, level scripts and unprobed
+    stop set, with the runtime that dressed it (weakly held).  ``columns``,
+    ``scripts`` and ``rows`` change only under the owning cache's lock;
+    a column is replaced, never written into."""
 
-    __slots__ = ("key", "coords", "division", "columns", "rows")
+    __slots__ = ("key", "coords", "division", "dresser", "stops", "columns", "scripts", "rows")
 
-    def __init__(self, key: Hashable, coords: np.ndarray, division: Division) -> None:
+    def __init__(self, key, coords: np.ndarray, division: Division, dresser, stops) -> None:
         self.key, self.coords, self.division = key, coords, division
-        self.columns: Dict[Hashable, Column] = {}
-        self.rows = division[0].size
+        self.dresser, self.stops = weakref.ref(dresser), stops
+        self.columns: Dict[Hashable, Column] = {}  # guarded-by: _lock
+        self.scripts: Dict[Hashable, Any] = {}  # guarded-by: _lock
+        self.rows = division[0].size  # guarded-by: _lock
+
+    def made_of(self, stop_coords: np.ndarray) -> bool:
+        """Was the record made of ``stop_coords`` — that array, or one equal bitwise?"""
+        return self.coords is stop_coords or np.array_equal(self.coords, stop_coords)
 
 
 class CoverageCache:
@@ -122,30 +134,34 @@ class CoverageCache:
     # walk records: Algorithm-1 divisions and Algorithm-2 value columns
     # ------------------------------------------------------------------
     def lookup_record(self, key: Hashable, stop_coords: np.ndarray) -> Optional[WalkRecord]:
-        """The record held for ``key`` if its stop coordinates equal
-        ``stop_coords`` bitwise, else ``None``.  Equal coordinates mean
-        an equal component at every node, so the check is what keeps two
-        distinct facilities sharing an id apart while re-walks — which
-        rebuild equal-valued arrays — hit.  A hit becomes the most
-        recently used record."""
+        """The record held for ``key`` if it was made of the facility
+        stops ``stop_coords`` — the same array, or one equal bitwise —
+        else ``None``.  Equal stops restrict to equal walk stops, so
+        the check is what keeps two distinct facilities sharing an id
+        apart while re-walks hit.  A hit becomes the most recently used
+        record."""
         with self._lock:
             record = self._records.get(key)
-            if record is None or not np.array_equal(record.coords, stop_coords):
+            if record is None or not record.made_of(stop_coords):
                 return None
             self._records.move_to_end(key)
             return record
 
     def store_record(
-        self, key: Hashable, stop_coords: np.ndarray, division: Division
+        self, key: Hashable, stop_coords: np.ndarray, division: Division, dresser, stops
     ) -> WalkRecord:
-        """A record of ``division`` — made of ``stop_coords`` — held as
-        ``key``'s, replacing what the key held, unless it alone is
-        larger than :data:`MAX_ROWS` (then it is returned unheld)."""
-        record = WalkRecord(key, stop_coords, division)
+        """A record of ``division`` — made of the facility stops
+        ``stop_coords``, walked as ``dresser`` dressed them: ``stops`` —
+        held as ``key``'s, replacing what the key held, unless it alone is
+        larger than :data:`MAX_ROWS` (then it is returned unheld).  A
+        record of equal stops the key gained meanwhile (a concurrent walk
+        that missed too) is kept and returned: both fill one record."""
         with self._lock:
-            held = self._records.pop(key, None)
+            record = held = self._records.pop(key, None)
             if held is not None:
                 self._rows -= held.rows
+            if held is None or not held.made_of(stop_coords):
+                record = WalkRecord(key, stop_coords, division, dresser, stops)
             if record.rows <= MAX_ROWS:
                 self._records[key] = record
                 self._rows += record.rows
@@ -188,6 +204,28 @@ class CoverageCache:
             record.columns[column] = (known, value, count)
             self._records.move_to_end(record.key)
             self._evict()
+
+    def read_script(self, record: WalkRecord, column: Hashable) -> Any:
+        """``record``'s level script for ``column``, or ``None``."""
+        with self._lock:
+            return record.scripts.get(column)
+
+    def store_script(self, record: WalkRecord, column: Hashable, script, rows: int) -> None:
+        """Hold ``script`` — ``rows`` node rows — as ``record``'s level
+        script for ``column`` if the cache still holds ``record`` and no
+        script for it yet; evict like :meth:`store_column`."""
+        with self._lock:
+            if self._records.get(record.key) is record and column not in record.scripts:
+                record.scripts[column] = script
+                record.rows += rows
+                self._rows += rows
+                self._records.move_to_end(record.key)
+                self._evict()
+
+    def count_hits(self, hits: int) -> None:
+        """Count ``hits`` node values a replayed level read."""
+        with self._lock:
+            self.hits += hits
 
     def _evict(self) -> None:  # requires-lock: _lock
         while self._rows > MAX_ROWS:

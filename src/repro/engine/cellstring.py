@@ -61,7 +61,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.errors import QueryError
-from ..core.geometry import BBox, Point
+from ..core.geometry import Point
 from ..core.service import StopSet, coverage_kernel, psi_hit
 from ..core.stats import QueryStats
 from ..core.zorder import morton_encode_array
@@ -506,11 +506,9 @@ class CellstringStopSet(StopSet):
             return super().covered_mask(coords, psi, stats)
         return idx.covered_mask(coords, psi, stats)
 
-    def restricted_to(self, box: BBox) -> "CellstringStopSet":
-        if self.is_empty:
-            return self
+    def with_coords(self, coords: np.ndarray) -> "CellstringStopSet":
         return CellstringStopSet(
-            self.coords[self._restriction_mask(box)],
+            coords,
             self.cs_psi,
             self.min_stops,
             store=self._store,

@@ -55,7 +55,7 @@ import numpy as np
 
 from ..core.config import SHARDS_AUTO, resolve_shard_count
 from ..core.errors import QueryError, StoreError
-from ..core.geometry import BBox, Point
+from ..core.geometry import Point
 from ..core.service import StopSet, coverage_kernel, psi_hit
 from ..core.stats import QueryStats, StoreStats
 from .cellstring import CellstringIndex, build_cellstring_index
@@ -800,11 +800,9 @@ class GriddedStopSet(StopSet):
             return super().covered_mask(coords, psi, stats)
         return grid.covered_mask(coords, psi, stats)
 
-    def restricted_to(self, box: BBox) -> "GriddedStopSet":
-        if self.is_empty:
-            return self
+    def with_coords(self, coords: np.ndarray) -> "GriddedStopSet":
         return GriddedStopSet(
-            self.coords[self._restriction_mask(box)],
+            coords,
             self.grid_psi,
             self.min_stops,
             shards=self.shards,

@@ -56,12 +56,6 @@ class FacilityComponent:
         """The undivided facility as a single component."""
         return cls(facility.facility_id, StopSet.of_facility(facility), psi)
 
-    def with_stops(self, stops: StopSet) -> "FacilityComponent":
-        """The same component with its stop set swapped (e.g. for a
-        grid-backed :class:`~repro.engine.GriddedStopSet`, which carries
-        through a ``restricted_to`` division)."""
-        return FacilityComponent(self.facility_id, stops, self.psi)
-
     @property
     def is_empty(self) -> bool:
         return self.stops.is_empty
@@ -138,8 +132,3 @@ class DivisionPlan:
     def __init__(self, component: FacilityComponent, division: Division, record=None) -> None:
         self.component, self.record = component, record
         self.served, self.visited, self.envelopes = division
-
-    def embr(self, nodes: np.ndarray) -> np.ndarray:
-        """Serving envelopes of the (served) components at ``nodes``,
-        one ``(xmin, ymin, xmax, ymax)`` row each."""
-        return self.envelopes[nodes]

@@ -54,7 +54,7 @@ import numpy as np
 
 from ..core.config import IndexVariant
 from ..core.errors import QueryError
-from ..core.service import MatchSet, ServiceModel, ServiceSpec
+from ..core.service import MatchSet, ServiceModel, ServiceSpec, StopSet
 from ..core.stats import QueryStats
 from ..core.trajectory import FacilityRoute, UserPointTable, ranges
 from ..index.block import NodeBlock
@@ -258,7 +258,7 @@ def _filter_and_probe(
     nodes = nodes[order]
     n_scan = nodes.size - int(np.count_nonzero(on_z))
     mode = candidate_mode(spec, tree.config.variant, collecting)
-    embr = plan.embr(nodes)
+    embr = plan.envelopes[nodes]
     parts = []
     if n_scan:
         parts.append(_scan_candidates(frame, nodes[:n_scan], embr[:n_scan], mode))
@@ -364,21 +364,25 @@ def walk_plan(
     and divided over every q-node.  The root component is what every
     probe of the walk runs against.
 
-    With a runtime the plan carries the walk's record in its cache: an
-    earlier walk's when one of the same facility id and ``psi`` over the
-    same generation of the node table was made from equal stop
-    coordinates (its division is reused), else a new one."""
-    whole = FacilityComponent.whole(facility, psi)
-    if runtime is not None:
-        whole = whole.with_stops(runtime.stop_set(whole.stops, psi))
-    component = whole.restricted_to(tree.space)
-    frame, coords = tree.frame(), component.stops.coords
+    With a runtime the plan carries the walk's record in its cache,
+    found by facility id, ``psi``, node-table generation and the
+    facility's own stop coordinates.  A hit divides nothing and, for the
+    runtime that made the record, dresses and restricts nothing either:
+    the walk gets an unprobed copy of the stop set kept there."""
+    frame = tree.frame()
     if runtime is None:
-        return DivisionPlan(component, divide(frame, coords, psi))
+        component = FacilityComponent.whole(facility, psi).restricted_to(tree.space)
+        return DivisionPlan(component, divide(frame, component.stops.coords, psi))
     key = (facility.facility_id, psi, frame.generation)
-    record = runtime.cache.lookup_record(key, coords)
+    record = runtime.cache.lookup_record(key, facility.stop_coords)
+    if record is not None and record.dresser() is runtime:
+        component = FacilityComponent(facility.facility_id, record.stops.unprobed(), psi)
+    else:
+        dressed = runtime.stop_set(StopSet.of_facility(facility), psi)
+        component = FacilityComponent(facility.facility_id, dressed, psi).restricted_to(tree.space)
     if record is None:
-        record = runtime.cache.store_record(key, coords, divide(frame, coords, psi))
+        division, kept = divide(frame, component.stops.coords, psi), component.stops.unprobed()
+        record = runtime.cache.store_record(key, facility.stop_coords, division, runtime, kept)
     return DivisionPlan(component, record.division, record)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.errors import QueryError
 from ..core.service import CoverageState, MatchSet, ServiceSpec, as_match_set
-from ..core.trajectory import FacilityRoute, Trajectory, UserPointTable
+from ..core.trajectory import FacilityRoute, Trajectory, UserPointTable, require_candidates
 from ..runtime import QueryRuntime, coerce_runtime
 from .maxkcov import MatchFn, MaxKCovResult, greedy_max_k_coverage
 
@@ -140,13 +140,10 @@ def exact_max_k_coverage(
     A thin synchronous wrapper over :func:`exact_core` — the same
     substrate the async :class:`repro.service.QueryService` executes.
     It also mirrors ``ExactMaxKCovRequest``'s validation: an empty
-    candidate set is a malformed query, not an empty fleet.
+    candidate set, or one naming a facility id twice, is a malformed
+    query.
     """
-    if not facilities:
-        raise QueryError(
-            "facilities must be non-empty: an empty candidate set has "
-            "no fleet to return"
-        )
+    require_candidates(facilities)
     return exact_core(
         users, facilities, k, spec, match_fn, coerce_runtime(runtime)
     )

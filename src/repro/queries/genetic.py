@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from ..core.errors import QueryError
 from ..core.service import CoverageState, MatchSet, ServiceSpec, as_match_set
-from ..core.trajectory import FacilityRoute, Trajectory, UserPointTable
+from ..core.trajectory import FacilityRoute, Trajectory, UserPointTable, require_candidates
 from ..runtime import QueryRuntime, coerce_runtime
 from .maxkcov import MatchFn, MaxKCovResult
 
@@ -168,13 +168,10 @@ def genetic_max_k_coverage(
     A thin synchronous wrapper over :func:`genetic_core` — the same
     substrate the async :class:`repro.service.QueryService` executes.
     It also mirrors ``GeneticMaxKCovRequest``'s validation: an empty
-    candidate set is a malformed query, not an empty fleet.
+    candidate set, or one naming a facility id twice, is a malformed
+    query.
     """
-    if not facilities:
-        raise QueryError(
-            "facilities must be non-empty: an empty candidate set has "
-            "no fleet to return"
-        )
+    require_candidates(facilities)
     return genetic_core(
         users, facilities, k, spec, match_fn, config, coerce_runtime(runtime)
     )

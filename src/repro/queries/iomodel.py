@@ -76,7 +76,7 @@ def estimate_query_blocks(
         costs.list_blocks = sum(math.ceil(n / beta) for n in frame.n_own[listed].tolist())
     elif listed.size:
         picked, _counts = stack.candidates(
-            stack.slot_of[listed], plan.embr(listed),
+            stack.slot_of[listed], plan.envelopes[listed],
             candidate_mode(spec, tree.config.variant, collecting=False),
             plan.component.stops.coords, spec.psi,
         )

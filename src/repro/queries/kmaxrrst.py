@@ -14,7 +14,11 @@ A state divides its facility over the tree once
 across relax rounds: the frontier is an array of frame node numbers,
 ``relaxState`` scores all of it in one filter pass and one probe call
 (:func:`~repro.queries.evaluate.score_frontier`), and the next frontier
-is the plan's reached children — no per-node component objects.
+is the plan's reached children — no per-node component objects.  A
+state whose walk record knows every value its rounds add is *replayed*
+from the record's level script: each round adds that level's values
+left to right and bumps the counters scoring would, and is still pushed
+once, so tied complete states pop in the order they completed.
 
 Because ``fserve`` never increases under relaxation (exact scores replace
 their own upper bounds, pruned children vanish), the first k completed
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,8 +37,9 @@ import numpy as np
 
 from ..core.errors import QueryError
 from ..core.service import ServiceSpec, in_order_sum
-from ..core.trajectory import FacilityRoute
+from ..core.trajectory import FacilityRoute, require_candidates
 from ..index.entries import SubBounds
+from ..index.frame import TreeFrame
 from ..index.tqtree import TQTree
 from ..runtime import QueryRuntime, coerce_runtime
 from .components import DivisionPlan
@@ -64,17 +70,23 @@ class KMaxRRSTResult:
         return tuple(fs.service for fs in self.ranking)
 
 
+#: One relax round of a replayed state: its frontier and ``hserve``, then
+#: what scoring the frontier adds (the listed values in frontier order).
+_Level = namedtuple("_Level", "frontier hserve considered hits scored values")
+
+
 @dataclass
 class _State:
     """Exploration state ``S`` of Algorithm 3: the facility's division
-    plan (made once, carried across relax rounds) and the frontier as
-    frame node numbers."""
+    plan (made once, carried across relax rounds), the frontier as frame
+    node numbers and a replayed state's level script from its level on."""
 
     facility: FacilityRoute
     plan: DivisionPlan
     frontier: np.ndarray
     aserve: float
     hserve: float
+    script: Optional[List[_Level]] = None
 
     @property
     def fserve(self) -> float:
@@ -83,6 +95,41 @@ class _State:
     @property
     def complete(self) -> bool:
         return not self.frontier.size
+
+
+def _expand(
+    frame: TreeFrame, plan: DivisionPlan, frontier: np.ndarray, spec: ServiceSpec
+) -> Tuple[np.ndarray, float]:
+    """The plan's reached children of ``frontier`` and their ``hserve``."""
+    kids = frame.children[frontier].ravel()
+    kids = kids[kids >= 0]
+    kids = kids[plan.visited[kids]]
+    return kids, in_order_sum(frame.sub[kids, SubBounds.column_for(spec)])
+
+
+def _level_script(
+    frame: TreeFrame, state: _State, path: np.ndarray, spec: ServiceSpec, runtime: QueryRuntime
+) -> Optional[List[_Level]]:
+    """Every relax round of ``state`` (anchored at ``path[0]``), kept on
+    its walk record with the path; ``None`` while a listed node is unknown."""
+    column = (spec.model, spec.normalize)
+    held = runtime.cache.read_column(state.plan.record, column)
+    if held is None:
+        return None
+    known, value, count = held
+    frontier, hserve, levels = state.frontier, state.hserve, []
+    while True:
+        n_own = frame.n_own[frontier]
+        listed = frontier[n_own > 0]
+        if not known[listed].all():
+            return None
+        scored, values = int(count[listed].sum()), value[listed].tolist()
+        levels.append(_Level(frontier, hserve, int(n_own.sum()), listed.size, scored, values))
+        if not frontier.size:
+            rows = path.size + sum(level.frontier.size for level in levels)
+            runtime.cache.store_script(state.plan.record, column, (path, levels), rows)
+            return levels
+        frontier, hserve = _expand(frame, state.plan, frontier, spec)
 
 
 def _initial_state(
@@ -102,19 +149,26 @@ def _initial_state(
     interior points inside the serving envelope), so those ancestor
     lists — at most tree-height many — are evaluated exactly into
     ``aserve`` up front, as one frontier, root first.
+
+    A state whose walk record knows every listed node its rounds reach
+    is replayed from the record's level script (:func:`_level_script`).
     """
     plan = walk_plan(tree, facility, spec.psi, runtime)
-    frame = tree.frame()
-    path = frame.path(tree.containing_qnode(facility.embr(spec.psi)))
+    frame, record = tree.frame(), plan.record
+    script = record and runtime.cache.read_script(record, (spec.model, spec.normalize))
+    path, levels = script or (frame.path(tree.containing_qnode(facility.embr(spec.psi))), None)
     aserve = 0.0
     if path.size > 1 and needs_ancestor_scan(spec, tree.config.variant):
         for value in score_frontier(tree, plan, path[:0:-1], spec, None, stats, runtime):
             aserve += value
-    frontier = path[:1]
-    if not plan.served[frontier[0]]:
-        return _State(facility, plan, frontier[:0], aserve, 0.0)
-    hserve = float(frame.sub[frontier[0], SubBounds.column_for(spec)])
-    return _State(facility, plan, frontier, aserve, hserve)
+    if levels is None:
+        frontier = path[:1] if plan.served[path[0]] else path[:0]
+        hserve = float(frame.sub[path[0], SubBounds.column_for(spec)]) if frontier.size else 0.0
+        state = _State(facility, plan, frontier, aserve, hserve)
+        levels = record and _level_script(frame, state, path, spec, runtime)
+        if not levels:
+            return state
+    return _State(facility, plan, levels[0].frontier, aserve, levels[0].hserve, levels)
 
 
 def _relax_state(
@@ -125,19 +179,28 @@ def _relax_state(
     runtime: Optional[QueryRuntime] = None,
 ) -> _State:
     """Algorithm 4: expand every frontier node one level — the whole
-    frontier scored in one filter pass and one probe call."""
+    frontier scored in one filter pass and one probe call, or replayed
+    from the state's level script: its values added left to right and
+    its counters bumped exactly as the scoring would."""
     stats.states_relaxed += 1
     stats.nodes_visited += state.frontier.size
     aserve = state.aserve
+    if state.script is not None:
+        level, after = state.script[:2]
+        stats.entries_considered += level.considered
+        stats.cache_hits += level.hits
+        stats.entries_scored += level.scored
+        runtime.cache.count_hits(level.hits)
+        for value in level.values:
+            aserve += value
+        return _State(
+            state.facility, state.plan, after.frontier, aserve, after.hserve, state.script[1:]
+        )
     for value in score_frontier(
         tree, state.plan, state.frontier, spec, None, stats, runtime
     ):
         aserve += value
-    frame = tree.frame()
-    kids = frame.children[state.frontier].ravel()
-    kids = kids[kids >= 0]
-    kids = kids[state.plan.visited[kids]]
-    hserve = in_order_sum(frame.sub[kids, SubBounds.column_for(spec)])
+    kids, hserve = _expand(tree.frame(), state.plan, state.frontier, spec)
     return _State(state.facility, state.plan, kids, aserve, hserve)
 
 
@@ -225,14 +288,10 @@ def top_k_facilities(
 
     A thin synchronous wrapper over :func:`top_k_core` — the same
     substrate the async :class:`repro.service.QueryService` executes.
-    It also mirrors ``KMaxRRSTRequest``'s validation: an empty
-    candidate set is a malformed query, not an empty ranking.
+    It also mirrors ``KMaxRRSTRequest``'s validation: an empty candidate
+    set, or one naming a facility id twice, is a malformed query.
     """
-    if not facilities:
-        raise QueryError(
-            "facilities must be non-empty: an empty candidate set has "
-            "no ranking to return"
-        )
+    require_candidates(facilities)
     runtime = coerce_runtime(runtime)
     result = top_k_core(tree, facilities, k, spec, runtime)
     if runtime is not None:

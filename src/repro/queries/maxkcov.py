@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..core.errors import QueryError
 from ..core.service import CoverageState, ServiceSpec, as_match_set
 from ..core.stats import QueryStats
-from ..core.trajectory import FacilityRoute, Trajectory
+from ..core.trajectory import FacilityRoute, Trajectory, require_candidates
 from ..index.tqtree import TQTree
 from ..runtime import QueryRuntime, coerce_runtime
 from .baseline import BaselineIndex
@@ -239,13 +239,9 @@ def maxkcov_tq(
     A thin synchronous wrapper over :func:`maxkcov_core` — the same
     substrate the async :class:`repro.service.QueryService` executes.
     It also mirrors ``MaxKCovRequest``'s validation: an empty candidate
-    set is a malformed query, not an empty fleet.
+    set, or one naming a facility id twice, is a malformed query.
     """
-    if not facilities:
-        raise QueryError(
-            "facilities must be non-empty: an empty candidate set has "
-            "no fleet to return"
-        )
+    require_candidates(facilities)
     runtime = coerce_runtime(runtime)
     result, local = maxkcov_core(tree, facilities, k, spec, prune_factor, runtime)
     if runtime is not None:

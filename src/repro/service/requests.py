@@ -26,7 +26,7 @@ from typing import Any, Mapping, Optional, Tuple, Union
 from ..core.errors import QueryError
 from ..core.service import ServiceSpec
 from ..core.stats import QueryStats
-from ..core.trajectory import FacilityRoute
+from ..core.trajectory import FacilityRoute, require_candidates
 from ..index.tqtree import TQTree
 from ..queries.genetic import GeneticConfig
 from ..queries.kmaxrrst import KMaxRRSTResult
@@ -61,22 +61,6 @@ class EvaluateRequest:
     collect_matches: bool = False
 
 
-def _require_facilities(facilities: Tuple[FacilityRoute, ...]) -> None:
-    """Reject an empty candidate set at construction.
-
-    An empty tuple used to be accepted and silently produce an empty
-    ranking/fleet for ``k >= 1`` — over HTTP that is a 200 with an
-    empty answer for a malformed request.  Rejected eagerly, exactly
-    like the ``k <= 0`` validation next to it (and mirrored in the
-    synchronous entry points).
-    """
-    if not facilities:
-        raise QueryError(
-            "facilities must be non-empty: an empty candidate set has "
-            "no ranking or fleet to return"
-        )
-
-
 @dataclass(frozen=True)
 class KMaxRRSTRequest:
     """The k individually best facilities (Algorithms 3/4)."""
@@ -88,7 +72,7 @@ class KMaxRRSTRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "facilities", tuple(self.facilities))
-        _require_facilities(self.facilities)
+        require_candidates(self.facilities)
         if self.k <= 0:
             raise QueryError(f"k must be positive, got {self.k}")
 
@@ -105,7 +89,7 @@ class MaxKCovRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "facilities", tuple(self.facilities))
-        _require_facilities(self.facilities)
+        require_candidates(self.facilities)
         if self.k <= 0:
             raise QueryError(f"k must be positive, got {self.k}")
         if self.prune_factor < 1:
@@ -129,7 +113,7 @@ class ExactMaxKCovRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "facilities", tuple(self.facilities))
-        _require_facilities(self.facilities)
+        require_candidates(self.facilities)
         if self.k <= 0:
             raise QueryError(f"k must be positive, got {self.k}")
 
@@ -150,7 +134,7 @@ class GeneticMaxKCovRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "facilities", tuple(self.facilities))
-        _require_facilities(self.facilities)
+        require_candidates(self.facilities)
         if self.k <= 0:
             raise QueryError(f"k must be positive, got {self.k}")
 

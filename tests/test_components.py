@@ -36,14 +36,14 @@ def intersecting_components(children_boxes, component):
     )
     frame.block = NodeBlock(UserPointTable(()), IndexVariant.ENDPOINT, no_rows, no_rows)
     plan = DivisionPlan(component, divide(frame, component.stops.coords, component.psi))
-    envelopes = plan.embr(np.arange(n)).tolist()
+    envelopes = plan.envelopes[np.arange(n)].tolist()
     parts = [BBox(*row) if served else None for served, row in zip(plan.served, envelopes)]
     return parts, plan
 
 
 def envelope(component, stops):
     """The serving envelope of ``component`` cut down to ``stops``."""
-    return component.with_stops(StopSet(stops)).embr
+    return FacilityComponent(component.facility_id, StopSet(stops), component.psi).embr
 
 
 class TestFacilityComponent:

@@ -33,6 +33,7 @@ from repro import (
     StopSet,
     build_tq_zorder,
     evaluate_service,
+    top_k_facilities,
 )
 from repro.queries.evaluate import walk_plan
 
@@ -66,19 +67,30 @@ class TestCoverageCacheConcurrency:
     def _hammer_records(cache, rounds, walks=4):
         """Threads reading and filling the value columns of ``walks``
         four-node walk records, two nodes at a time in a rotating order,
-        through the calls the query path makes; returns how many node
-        reads were made."""
+        and installing each record's level script once its column knows
+        every node, through the calls the query path makes; returns how
+        many node reads were made."""
         coords = np.zeros((4, 2))
         division = (np.zeros(4, dtype=bool),) * 3
+        dresser, stops = QueryRuntime(), StopSet(coords)
 
         def worker(i):
             for r in range(rounds):
                 key = ("walk", (r + i) % walks)
                 record = cache.lookup_record(key, coords)
                 if record is None:
-                    record = cache.store_record(key, coords, division)
-                nodes = np.array([r % 4, (r + 1) % 4])
+                    record = cache.store_record(key, coords, division, dresser, stops)
+                # every thread sees the one runtime's dressing and gets
+                # its own unprobed copy of it
+                assert record.dresser() is dresser and record.stops is stops
+                assert record.stops.unprobed() is not stops
+                script = cache.read_script(record, "c")
                 held = cache.read_column(record, "c")
+                if script is not None:
+                    assert script == ("script", key)
+                elif held is not None and held[0].all():
+                    cache.store_script(record, "c", ("script", key), 1)
+                nodes = np.array([r % 4, (r + 1) % 4])
                 known = np.zeros(2, dtype=bool) if held is None else held[0][nodes]
                 if held is not None:
                     # a known node always has its value and its count
@@ -102,6 +114,22 @@ class TestCoverageCacheConcurrency:
         # miss); nothing was lost to a racing increment
         assert cache.hits + cache.misses == calls
         assert len(cache) == 16  # one value per node
+
+    def test_walks_that_missed_together_share_one_record(self):
+        """Two walks of one facility that both missed store one record:
+        the later store keeps the held record of equal stops, columns
+        and all, where replacing it would drop what the first walk
+        filled; a record of other stops is replaced."""
+        cache, coords = CoverageCache(), np.zeros((4, 2))
+        division = (np.zeros(4, dtype=bool),) * 3
+        dresser, stops = QueryRuntime(), StopSet(coords)
+        first = cache.store_record("walk", coords, division, dresser, stops)
+        cache.store_column(first, "c", np.arange(4), np.ones(4), np.ones(4, dtype=np.int64), 0)
+        assert cache.store_record("walk", coords.copy(), division, dresser, stops) is first
+        assert cache.lookup_record("walk", coords) is first and cache._rows == 8
+        other = cache.store_record("walk", coords + 1.0, division, dresser, stops)
+        assert other is not first and cache.lookup_record("walk", coords) is None
+        assert cache._rows == 4 and len(cache) == 0
 
     def test_walk_eviction_under_threads_keeps_the_bound(self, monkeypatch):
         from repro.engine import cache as cache_module
@@ -167,17 +195,28 @@ class TestCoverageCacheConcurrency:
         _run_threads(worker)
 
 
+def _assert_same_script(got, want):
+    """Two level scripts hold the same anchor path and levels."""
+    (path, levels), (want_path, want_levels) = got, want
+    assert np.array_equal(path, want_path) and len(levels) == len(want_levels)
+    for level, want_level in zip(levels, want_levels):
+        assert np.array_equal(level.frontier, want_level.frontier)
+        assert level[1:] == want_level[1:]
+
+
 class TestPlanCacheConcurrency:
     @pytest.mark.engine_smoke
     def test_threads_walking_the_same_facilities_share_sound_plans(
         self, monkeypatch, taxi_users, facilities, endpoint_spec
     ):
         """Threads walking the same facilities under two specs through
-        one runtime, in rotated orders, with a row bound smaller than
-        the working set: every answer and every plan a walk gets ``==``
-        the serial ones, every value column it reads holds the serial
-        value and count wherever a node is known, and the records held
-        stay within the bound."""
+        one runtime, in rotated orders, and ranking them with kMaxRRST,
+        with a row bound smaller than the working set: every answer,
+        ranking and plan (its stops included) a walk gets ``==`` the
+        serial ones, every value column it reads holds the serial value
+        and count wherever a node is known, every level script it reads
+        ``==`` the serial one, and the records held stay within the
+        bound."""
         from repro.engine import cache as cache_module
 
         tree = build_tq_zorder(taxi_users, beta=16)
@@ -185,12 +224,19 @@ class TestPlanCacheConcurrency:
         walks = [(f, spec) for f in facilities for spec in specs]
         with QueryRuntime() as alone:
             serial = [evaluate_service(tree, f, spec, runtime=alone) for f, spec in walks]
+            serial += [top_k_facilities(tree, facilities, 3, s, runtime=alone).ranking for s in specs]
             columns = {
                 (key, column): held
                 for key, record in alone.cache._records.items()
                 for column, held in record.columns.items()
             }
-        assert serial == [evaluate_service(tree, f, spec) for f, spec in walks]
+            scripts = {
+                (key, column): script
+                for key, record in alone.cache._records.items()
+                for column, script in record.scripts.items()
+            }
+        assert len(scripts) == len(walks)
+        assert serial[: len(walks)] == [evaluate_service(tree, f, spec) for f, spec in walks]
         plans = [walk_plan(tree, f, spec.psi, None) for f, spec in walks]
         n = len(tree.frame())
         monkeypatch.setattr(cache_module, "MAX_ROWS", 10 * n)
@@ -199,12 +245,13 @@ class TestPlanCacheConcurrency:
 
         def worker(i):
             order = list(range(i, len(walks))) + list(range(i))
-            values = [None] * len(walks)
+            values = [None] * (len(walks) + len(specs))
             for _ in range(3):
                 for j in order:
                     f, spec = walks[j]
                     values[j] = evaluate_service(tree, f, spec, runtime=runtime)
                     got, want = walk_plan(tree, f, spec.psi, runtime), plans[j]
+                    assert np.array_equal(got.component.stops.coords, want.component.stops.coords)
                     assert np.array_equal(got.served, want.served)
                     assert np.array_equal(got.visited, want.visited)
                     assert np.array_equal(got.envelopes, want.envelopes, equal_nan=True)
@@ -216,6 +263,12 @@ class TestPlanCacheConcurrency:
                         assert serial_known[known].all()
                         assert np.array_equal(value[known], serial_value[known])
                         assert np.array_equal(count[known], serial_count[known])
+                    script = runtime.cache.read_script(got.record, column)
+                    if script is not None:
+                        _assert_same_script(script, scripts[(got.record.key, column)])
+                for s, spec in enumerate(specs[i % 2 :] + specs[: i % 2]):
+                    ranking = top_k_facilities(tree, facilities, 3, spec, runtime=runtime).ranking
+                    values[len(walks) + (s + i) % 2] = ranking
             results[i] = values
 
         interval = sys.getswitchinterval()

@@ -244,6 +244,63 @@ class TestTreePathOracle:
             )
             assert got == brute_force_service(taxi_users, f, spec)
 
+    @pytest.mark.parametrize("first", [ProximityBackend.DENSE, ProximityBackend.GRID])
+    def test_a_cache_shared_across_backends_shares_values_never_a_dressing(
+        self, taxi_users, facilities, first
+    ):
+        """One cache behind a DENSE and a GRID runtime: whichever made
+        the walk records, both answer ``==`` the plain walk from the
+        values it stored, and each collecting walk probes through its
+        own runtime's tier — no grid cell is probed on DENSE, some are
+        on GRID."""
+        from repro import QueryStats
+        from repro.queries import MatchCollector
+
+        tree = TQTree.build(taxi_users, TQTreeConfig(beta=16))
+        spec = ServiceSpec(ServiceModel.COUNT, psi=400.0, normalize=False)
+        cache = CoverageCache()
+        runtimes = {b: _rt(b, cache) for b in (ProximityBackend.DENSE, ProximityBackend.GRID)}
+        want = [evaluate_service(tree, f, spec) for f in facilities]
+        assert [evaluate_service(tree, f, spec, runtime=runtimes[first]) for f in facilities] == want
+        for backend, runtime in runtimes.items():
+            stats = QueryStats()
+            # the values are shared: a warm walk on either backend
+            # probes nothing
+            assert [evaluate_service(tree, f, spec, stats=stats, runtime=runtime) for f in facilities] == want
+            assert stats.cache_hits > 0 and stats.points_scanned == 0
+            for f, value in zip(facilities, want):
+                collector = MatchCollector()
+                got = evaluate_service(tree, f, spec, collector, stats, runtime)
+                assert got == value
+                assert collector.as_dict() == brute_force_matches(taxi_users, f, spec.psi)
+            assert (stats.cells_probed > 0) == (backend is ProximityBackend.GRID)
+
+    @pytest.mark.parametrize("backend", [ProximityBackend.GRID, ProximityBackend.CELLSTRING])
+    def test_records_never_hold_a_probed_stop_set(self, taxi_users, facilities, backend):
+        """After a sweep of evaluates, kMaxRRSTs and MaxkCovs, every walk
+        record keeps its dressed stop set as it was before its first
+        probe: no record pins a grid or a cellstring index past the shard
+        store's cap."""
+        from repro import CellstringStopSet
+
+        tree = TQTree.build(taxi_users, TQTreeConfig(beta=16))
+        spec = ServiceSpec(ServiceModel.COUNT, psi=400.0)
+        runtime = _rt(backend)
+        for _ in range(2):
+            for f in facilities:
+                evaluate_service(tree, f, spec, runtime=runtime)
+            top_k_facilities(tree, facilities, 4, spec, runtime=runtime)
+            maxkcov_tq(tree, facilities, 3, spec, runtime=runtime)
+        records = list(runtime.cache._records.values())
+        assert len(records) == len(facilities)
+        for record in records:
+            assert isinstance(record.stops, (GriddedStopSet, CellstringStopSet))
+            if isinstance(record.stops, GriddedStopSet):
+                assert record.stops._grid is None and record.stops._coarse_grid is None
+            else:
+                assert record.stops._memo == {}
+        assert runtime.stats.cells_probed > 0
+
     def test_a_reused_id_with_other_stops_misses_on_every_node(
         self, taxi_users, facilities
     ):
@@ -383,8 +440,9 @@ class TestTreePathOracle:
         monkeypatch.setattr(cache_module, "MAX_ROWS", 30)
         coords, cache = np.zeros((1, 2)), CoverageCache()
         division = (np.zeros(10, dtype=bool),) * 3
-        old = cache.store_record("old", coords, division)
-        new = cache.store_record("new", coords, division)
+        dresser, stops = QueryRuntime(), StopSet(coords)
+        old = cache.store_record("old", coords, division, dresser, stops)
+        new = cache.store_record("new", coords, division, dresser, stops)
         ones = np.ones(10, dtype=np.int64)
         cache.store_column(new, "c", np.arange(5), ones[:5], ones[:5], 0)
         cache.store_column(old, "c", np.arange(10), ones, ones, 0)

@@ -229,7 +229,7 @@ def test_plan_equals_restricted_to_at_every_node(name, psi):
                 assert plan.served[i] == (not want.is_empty)
                 if not want.is_empty:
                     nonempty.append((i, want.embr))
-            rows = plan.embr(np.array([i for i, _ in nonempty], dtype=np.int64))
+            rows = plan.envelopes[np.array([i for i, _ in nonempty], dtype=np.int64)]
             for row, (_, embr) in zip(rows.tolist(), nonempty):
                 assert row == [embr.xmin, embr.ymin, embr.xmax, embr.ymax]
         assert not walk_plan(tree, facilities[2], psi, None).visited.any()
@@ -268,7 +268,7 @@ def test_stacked_filter_equals_per_node_filters(name):
             listed = np.flatnonzero(plan.visited & (frame.n_own > 0))
             if not listed.size:
                 continue
-            embr = plan.embr(listed)
+            embr = plan.envelopes[listed]
             components = [whole.restricted_to(_box(frame, i)) for i in listed]
             for mode in (BOTH, ANY, BBOX):
                 rows, counts = evaluate_module._scan_candidates(frame, listed, embr, mode)
@@ -733,19 +733,38 @@ def test_a_warm_rewalk_divides_nothing(name, divisions):
     """A facility walked through a runtime once is never divided again
     there — by a repeated evaluate, kMaxRRST or MaxkCov's collecting
     re-walk — and answers ``==``; divisions count in neither the hits,
-    the misses nor ``len()`` of the cache."""
+    the misses nor ``len()`` of the cache.  A warm walk's plan dresses
+    and restricts nothing either, and a warm kMaxRRST scores only its
+    ancestor scans: every relax round is replayed, nothing probed."""
     tree = BUILDERS[name](_users(70, 7, name in TWO_POINT))
     spec = _specs(tree, 140.0)[-1]
-    with QueryRuntime() as runtime:
+    with QueryRuntime() as runtime, pytest.MonkeyPatch.context() as patch:
         first = _every_walk(tree, spec, runtime)
         assert len(divisions) == len(_ROUTES)
         del divisions[:]
         assert _every_walk(tree, spec, runtime) == first
         assert divisions == []
         counted = (runtime.cache.hits, runtime.cache.misses, len(runtime.cache))
-        for f in _ROUTES + [FacilityRoute(99, [(500, 500)])]:
+        calls = []
+        for owner, attr in ((runtime, "stop_set"), (FacilityComponent, "restricted_to")):
+            inner = getattr(owner, attr)
+            patch.setattr(owner, attr, lambda *a, _f=inner, _n=attr: (calls.append(_n), _f(*a))[1])
+        for f in _ROUTES:
             walk_plan(tree, f, spec.psi, runtime)
+        assert calls == [] and divisions == []
+        walk_plan(tree, FacilityRoute(99, [(500, 500)]), spec.psi, runtime)
+        assert calls == ["stop_set", "restricted_to"] and len(divisions) == 1
         assert (runtime.cache.hits, runtime.cache.misses, len(runtime.cache)) == counted
+        scored, inner = [], kmaxrrst_module.score_frontier
+        patch.setattr(
+            kmaxrrst_module, "score_frontier",
+            lambda tree, plan, nodes, *a: (scored.append(nodes.tolist()), inner(tree, plan, nodes, *a))[1],
+        )
+        patch.setattr(evaluate_module, "_filter_and_probe", None)
+        assert top_k_facilities(tree, _ROUTES, 2, spec, runtime=runtime).services() == first[1]
+        frame = tree.frame()
+        scans = [frame.path(tree.containing_qnode(f.embr(spec.psi)))[:0:-1].tolist() for f in _ROUTES]
+        assert all(nodes in scans for nodes in scored)
     assert first == _every_walk(tree, spec, None)
 
 
@@ -818,7 +837,7 @@ def test_facilities_sharing_an_id_do_not_share_a_plan(divisions):
     with QueryRuntime() as runtime:
         for f, value in zip(twins + twins, want + want):
             assert evaluate_service(tree, f, spec, runtime=runtime) == value
-            assert walk_plan(tree, f, spec.psi, runtime).embr(np.array([0])).tolist() == [
+            assert walk_plan(tree, f, spec.psi, runtime).envelopes[[0]].tolist() == [
                 [f.stops[0].x - 140, f.stops[0].y - 140, f.stops[1].x + 140, f.stops[1].y + 140]
             ]
     assert len(divisions) == 4

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -9,6 +12,8 @@ from repro import (
     BBox,
     FacilityRoute,
     QueryError,
+    QueryRuntime,
+    QueryStats,
     ServiceModel,
     ServiceSpec,
     TQTree,
@@ -21,6 +26,7 @@ from repro import (
     build_tq_zorder,
     evaluate_service,
 )
+from repro.datasets import generate_bus_routes, generate_taxi_trips
 from repro.queries import top_k_facilities
 
 from .strategies import WORLD, facility_sets, psis, trajectory_sets
@@ -205,3 +211,50 @@ class TestAnchorOnASplitLine:
         assert want == 1.0
         assert evaluate_service(tree, facility, spec) == want
         assert top_k_facilities(tree, [facility], 1, spec).services() == (want,)
+
+
+#: The counters of exact distance work: a node whose value a warm
+#: runtime knows probes nothing, so these may only drop.
+_PROBE_FIELDS = ("points_scanned", "distance_evals", "cells_probed")
+
+
+@pytest.mark.engine_smoke
+@pytest.mark.parametrize("builder", [build_tq_zorder, build_tq_basic])
+def test_warm_rankings_break_ties_like_cold_ones(city, builder):
+    """Random ENDPOINT and raw COUNT instances, most with tied services,
+    ranked on a cold, a partly warm (some candidates evaluated first)
+    and a fully warm runtime: the ``FacilityScore`` tuples ``==`` those
+    with no runtime, every ``QueryStats`` field ``==`` but
+    ``cache_hits``, and the probe counters no higher.
+
+    Complete states with equal ``fserve`` pop in the order they were
+    pushed complete, so a warm state must still complete round by round:
+    one pushed complete at init would order its ties by candidate
+    order."""
+    rng = np.random.default_rng(17)
+    tree = builder(generate_taxi_trips(300, city, seed=4))
+    pool = generate_bus_routes(40, city, seed=8, n_stops=6)
+    tied = 0
+    for _ in range(30):
+        candidates = [pool[i] for i in rng.choice(len(pool), size=12, replace=False)]
+        model = (ServiceModel.ENDPOINT, ServiceModel.COUNT)[int(rng.integers(2))]
+        spec = ServiceSpec(model, psi=float(rng.choice([250.0, 400.0])), normalize=False)
+        k = int(rng.integers(1, 8))
+        want = top_k_facilities(tree, candidates, k, spec)
+        services = want.services()
+        tied += len(set(services)) < len(services)
+        for warm_share in (0.0, 0.5, 1.0):
+            with QueryRuntime() as runtime:
+                for f in candidates:
+                    if rng.random() < warm_share:
+                        evaluate_service(tree, f, spec, runtime=runtime)
+                got = top_k_facilities(tree, candidates, k, spec, runtime=runtime)
+            assert got.ranking == want.ranking
+            for field in fields(QueryStats):
+                value, cold = getattr(got.stats, field.name), getattr(want.stats, field.name)
+                if field.name in _PROBE_FIELDS:
+                    assert value <= cold, field.name
+                elif field.name != "cache_hits":
+                    assert value == cold, field.name
+    assert tied >= 10, tied
+

@@ -27,6 +27,7 @@ import pytest
 from repro import (
     EvaluateRequest,
     ExactMaxKCovRequest,
+    FacilityRoute,
     GeneticMaxKCovRequest,
     KMaxRRSTRequest,
     MaxKCovRequest,
@@ -807,7 +808,9 @@ class TestEmptyFacilitiesValidation:
     points) must reject ``facilities=()`` eagerly, exactly like the
     ``k <= 0`` validation — previously construction succeeded and
     ``plan().execute()`` returned an empty ranking/fleet, which over
-    HTTP becomes a 200 with an empty answer for a malformed request."""
+    HTTP becomes a 200 with an empty answer for a malformed request.
+    A candidate set naming a facility id twice is rejected the same
+    way."""
 
     REQUEST_TYPES = (
         KMaxRRSTRequest,
@@ -829,6 +832,17 @@ class TestEmptyFacilitiesValidation:
             request_type(tree, iter(()), 3, ENDPOINT)
 
     @pytest.mark.parametrize("request_type", REQUEST_TYPES)
+    def test_request_construction_rejects_repeated_facilities(
+        self, request_type, tree, facilities
+    ):
+        # the paper's candidate F is a set: the same route twice, or
+        # another route under its id, would be ranked or picked twice
+        f, g = facilities[:2]
+        for repeated in ((f, g, f), (f, g, FacilityRoute(g.facility_id, f.stops))):
+            with pytest.raises(QueryError, match=f"distinct.*id {repeated[-1].facility_id} more"):
+                request_type(tree, repeated, 2, ENDPOINT)
+
+    @pytest.mark.parametrize("request_type", REQUEST_TYPES)
     def test_single_facility_still_accepted(
         self, request_type, tree, facilities
     ):
@@ -844,3 +858,20 @@ class TestEmptyFacilitiesValidation:
             exact_max_k_coverage(taxi_users, [], 2, ENDPOINT, lambda f: {})
         with pytest.raises(QueryError, match="facilities must be non-empty"):
             genetic_max_k_coverage(taxi_users, [], 2, ENDPOINT, lambda f: {})
+
+    @pytest.mark.parametrize("solver", ["top_k", "maxkcov", "exact", "genetic"])
+    def test_sync_entry_points_reject_repeated_facilities(
+        self, tree, taxi_users, facilities, solver
+    ):
+        # top_k_facilities(tree, [f, f, g], 2, ...) used to rank f twice
+        call = {
+            "top_k": lambda fs: top_k_facilities(tree, fs, 2, ENDPOINT),
+            "maxkcov": lambda fs: maxkcov_tq(tree, fs, 2, ENDPOINT),
+            "exact": lambda fs: exact_max_k_coverage(taxi_users, fs, 2, ENDPOINT, lambda f: {}),
+            "genetic": lambda fs: genetic_max_k_coverage(taxi_users, fs, 2, ENDPOINT, lambda f: {}),
+        }[solver]
+        f, g = facilities[:2]
+        for repeated in ([f, f, g], [f, g, FacilityRoute(f.facility_id, g.stops)]):
+            with pytest.raises(QueryError, match=f"distinct.*id {f.facility_id} more"):
+                call(repeated)
+        call([f, g])
