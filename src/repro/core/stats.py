@@ -17,8 +17,10 @@ work and are what the engine's grid path is expected to shrink:
   computes — not the smaller sum over each q-node's own component;
 * ``cells_probed``   — non-empty grid cells gathered while assembling
   candidate stops;
-* ``cache_hits``     — node values and batch masks served from a
-  :class:`repro.engine.CoverageCache` instead of being recomputed.
+* ``cache_hits``     — node values served from a
+  :class:`repro.engine.CoverageCache`, and batch masks a
+  :class:`repro.engine.BatchQueryEngine` reused, instead of being
+  recomputed.
 """
 
 from __future__ import annotations

@@ -228,6 +228,15 @@ def require_candidates(facilities: Sequence[FacilityRoute]) -> None:
         raise QueryError(f"facilities must be distinct, got facility id {fid} more than once")
 
 
+def require_positive_int(name: str, value) -> None:
+    """Reject anything but an integer >= 1: as for the config fields, a
+    ``bool`` or a ``float`` (``2.0`` and NaN included) is no integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise QueryError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise QueryError(f"{name} must be positive, got {value}")
+
+
 def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``
     without the Python loop — the CSR gather every columnar read uses."""

@@ -17,14 +17,13 @@ facility's stops?" — without ever changing an answer.  The pieces:
   :class:`~repro.core.service.StopSet` contract and routed through the
   same :func:`~repro.core.service.psi_hit` kernel, so masks are
   bit-identical to the dense path.
-* :class:`CoverageCache` (:mod:`.cache`) — memoises each walk's
-  division plan and per-q-node service values, per-facility match
-  sets, and per-(stop set, psi) batch masks, so re-walks, MaxkCovRST's
-  solvers and multi-model batches stop paying full price.
+* :class:`CoverageCache` (:mod:`.cache`) — one record per walk: its
+  division plan, per-q-node service values and match sets, so re-walks
+  and MaxkCovRST's solvers stop paying full price.
 * :class:`BatchQueryEngine` (:mod:`.batch`) — accepts many
   ``(facility, ServiceSpec)`` requests over one user set, sharing the
-  probe-coordinate concatenation, grid construction, and masks across
-  them; returns per-query scores plus one aggregated
+  probe-coordinate concatenation, grid construction, and its own
+  memoised masks across them; returns per-query scores plus one aggregated
   :class:`~repro.core.stats.QueryStats`.
 * :class:`CellstringIndex` / :class:`CellstringStopSet`
   (:mod:`.cellstring`) — the stop set's ``psi``-disc union rasterized

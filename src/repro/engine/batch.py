@@ -11,9 +11,9 @@ pairs, segment lengths) as flat columns — and answers any number of
 request costs one coverage mask — dressed by the attached runtime's
 backend, dense without one, probed on the calling thread — plus
 O(points) aggregation; requests that share a stop set and ``psi``
-(e.g. the three service models of one facility) share a single mask
-through the
-:class:`~repro.engine.cache.CoverageCache`.
+(e.g. the three service models of one facility) share a single mask,
+memoised by the engine: a mask is only valid for the engine's own probe
+block.
 
 Scores are **bit-identical** to :func:`repro.core.service
 .brute_force_service`: per-user values come from :func:`repro.core
@@ -42,7 +42,6 @@ from ..core.service import (
 )
 from ..core.stats import QueryStats
 from ..core.trajectory import FacilityRoute, Trajectory, UserPointTable
-from .cache import CoverageCache
 
 __all__ = ["BatchQueryEngine", "BatchResult"]
 
@@ -82,27 +81,29 @@ class BatchQueryEngine:
     runtime:
         A :class:`repro.runtime.QueryRuntime`: stop sets are dressed by
         its :meth:`~repro.runtime.QueryRuntime.stop_set` (dense / grid /
-        cellstring), masks memoise into its
-        cache, and every ``query``/``run`` merges its work counters into
-        the runtime's grand total.  Without one — the same rule the
-        query functions follow — stops stay on the plain dense kernel
-        and masks memoise into a cache private to the engine.  Accepted
-        duck-typed so the engine package never imports the runtime
-        layer above it.
+        cellstring), and every ``query``/``run`` merges its work
+        counters into the runtime's grand total.  Without one — the
+        same rule the query functions follow — stops stay on the plain
+        dense kernel.  Accepted duck-typed so the engine package never
+        imports the runtime layer above it.
+
+    Stop sets and masks are memoised per engine, by the identity of
+    the request object and of the stop set: a repeated ``(stop set,
+    psi)`` probes once and counts one ``cache_hit`` per reuse.
     """
 
     def __init__(self, users: Sequence[Trajectory], runtime=None) -> None:
         self.table = UserPointTable.of(users)
         self.users: Tuple[Trajectory, ...] = self.table.users
         if runtime is not None and not all(
-            hasattr(runtime, member) for member in ("stop_set", "cache", "accrue")
+            hasattr(runtime, member) for member in ("stop_set", "accrue")
         ):
             raise QueryError(
                 f"runtime must be a QueryRuntime, got {type(runtime).__name__}"
             )
         self.runtime = runtime
-        self.cache = runtime.cache if runtime is not None else CoverageCache()
         self._stops: dict = {}  # id(request object) -> (object, StopSet)
+        self._masks: dict = {}  # (id(StopSet), psi) -> (StopSet, mask)
         self._points = self.table.xy  # the shared probe block
 
     # ------------------------------------------------------------------
@@ -130,13 +131,13 @@ class BatchQueryEngine:
     def _mask(
         self, stops: StopSet, psi: float, stats: Optional[QueryStats]
     ) -> np.ndarray:
-        mask = self.cache.lookup_mask(stops, psi, self._points)
-        if mask is not None:
+        entry = self._masks.get((id(stops), psi))
+        if entry is not None and entry[0] is stops:
             if stats is not None:
                 stats.cache_hits += 1
-            return mask
+            return entry[1]
         mask = stops.covered_mask(self._points, psi, stats)
-        self.cache.store_mask(stops, psi, self._points, mask)
+        self._masks[(id(stops), psi)] = (stops, mask)
         return mask
 
     # ------------------------------------------------------------------

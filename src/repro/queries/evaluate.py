@@ -40,7 +40,8 @@ walk's division plan and, per (model, normalize), the value each
 q-node's own list adds.  A non-collecting re-walk — a repeated query
 for the same facility, ancestor scans across kMaxRRST relax rounds —
 gathers the values it knows and scores only the rest; a collecting walk
-always scores (solver ensembles share its match set instead).  It also
+always scores (:func:`~repro.queries.maxkcov.core_match_fn` keeps its
+match set on the record instead).  It also
 accrues this evaluation's work counters into the runtime's grand total.
 No backend, grid, or cache type is plumbed through this module
 directly.
@@ -366,23 +367,23 @@ def walk_plan(
 
     With a runtime the plan carries the walk's record in its cache,
     found by facility id, ``psi``, node-table generation and the
-    facility's own stop coordinates.  A hit divides nothing and, for the
-    runtime that made the record, dresses and restricts nothing either:
-    the walk gets an unprobed copy of the stop set kept there."""
+    facility's own stop coordinates.  A hit divides, dresses and
+    restricts nothing: the walk gets an unprobed copy of the stop set
+    kept there."""
     frame = tree.frame()
     if runtime is None:
         component = FacilityComponent.whole(facility, psi).restricted_to(tree.space)
         return DivisionPlan(component, divide(frame, component.stops.coords, psi))
     key = (facility.facility_id, psi, frame.generation)
     record = runtime.cache.lookup_record(key, facility.stop_coords)
-    if record is not None and record.dresser() is runtime:
+    if record is not None:
         component = FacilityComponent(facility.facility_id, record.stops.unprobed(), psi)
-    else:
-        dressed = runtime.stop_set(StopSet.of_facility(facility), psi)
-        component = FacilityComponent(facility.facility_id, dressed, psi).restricted_to(tree.space)
-    if record is None:
-        division, kept = divide(frame, component.stops.coords, psi), component.stops.unprobed()
-        record = runtime.cache.store_record(key, facility.stop_coords, division, runtime, kept)
+        return DivisionPlan(component, record.division, record)
+    dressed = runtime.stop_set(StopSet.of_facility(facility), psi)
+    component = FacilityComponent(facility.facility_id, dressed, psi).restricted_to(tree.space)
+    division = divide(frame, component.stops.coords, psi)
+    kept = component.stops.unprobed()
+    record = runtime.cache.store_record(key, facility.stop_coords, division, kept)
     return DivisionPlan(component, record.division, record)
 
 

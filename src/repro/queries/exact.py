@@ -24,9 +24,14 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.errors import QueryError
 from ..core.service import CoverageState, MatchSet, ServiceSpec, as_match_set
-from ..core.trajectory import FacilityRoute, Trajectory, UserPointTable, require_candidates
+from ..core.trajectory import (
+    FacilityRoute,
+    Trajectory,
+    UserPointTable,
+    require_candidates,
+    require_positive_int,
+)
 from ..runtime import QueryRuntime, coerce_runtime
 from .maxkcov import MatchFn, MaxKCovResult, greedy_max_k_coverage
 
@@ -39,22 +44,16 @@ def exact_core(
     k: int,
     spec: ServiceSpec,
     match_fn: MatchFn,
-    runtime: Optional[QueryRuntime] = None,
 ) -> MaxKCovResult:
     """The pure step behind :func:`exact_max_k_coverage`: the
-    branch-and-bound search itself, runtime used only to dedupe
-    ``match_fn`` calls through its cache.  Planner-consumable —
-    :class:`repro.service.QueryPlanner` lowers an
+    branch-and-bound search itself, asking ``match_fn`` for each
+    facility once.  Planner-consumable — :class:`repro.service.QueryPlanner` lowers an
     ``ExactMaxKCovRequest`` onto this with a stats-collecting match fn.
     """
-    if k <= 0:
-        raise QueryError(f"k must be positive, got {k}")
+    require_positive_int("k", k)
     if not facilities:
         return MaxKCovResult((), 0.0, 0, ())
     k = min(k, len(facilities))
-    if runtime is not None:
-        match_fn = runtime.cache.cached_match_fn(match_fn)
-
     users = UserPointTable.of(users)
     matches: List[MatchSet] = [as_match_set(users, match_fn(f)) for f in facilities]
 
@@ -133,9 +132,11 @@ def exact_max_k_coverage(
     """The optimal size-k subset under combined-coverage semantics.
 
     Exponential in the worst case — intended for the small instances used
-    to report approximation ratios.  A ``runtime`` dedupes ``match_fn``
-    calls against other solvers sharing its cache (greedy, genetic,
-    repeats).
+    to report approximation ratios.  Match sets are ``match_fn``'s to
+    reuse: :func:`~repro.queries.maxkcov.tq_match_fn` over a runtime
+    keeps them on the runtime's walk records, for every solver and
+    repeat.  ``runtime`` is checked like every entry point's and
+    otherwise unused.
 
     A thin synchronous wrapper over :func:`exact_core` — the same
     substrate the async :class:`repro.service.QueryService` executes.
@@ -144,9 +145,8 @@ def exact_max_k_coverage(
     query.
     """
     require_candidates(facilities)
-    return exact_core(
-        users, facilities, k, spec, match_fn, coerce_runtime(runtime)
-    )
+    coerce_runtime(runtime)
+    return exact_core(users, facilities, k, spec, match_fn)
 
 
 def approximation_ratio(approx: MaxKCovResult, exact: MaxKCovResult) -> float:

@@ -21,7 +21,13 @@ from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from ..core.errors import QueryError
 from ..core.service import CoverageState, MatchSet, ServiceSpec, as_match_set
-from ..core.trajectory import FacilityRoute, Trajectory, UserPointTable, require_candidates
+from ..core.trajectory import (
+    FacilityRoute,
+    Trajectory,
+    UserPointTable,
+    require_candidates,
+    require_positive_int,
+)
 from ..runtime import QueryRuntime, coerce_runtime
 from .maxkcov import MatchFn, MaxKCovResult
 
@@ -62,23 +68,19 @@ def genetic_core(
     spec: ServiceSpec,
     match_fn: MatchFn,
     config: GeneticConfig = GeneticConfig(),
-    runtime: Optional[QueryRuntime] = None,
 ) -> MaxKCovResult:
     """The pure step behind :func:`genetic_max_k_coverage`: the seeded
-    generational GA itself, runtime used only to dedupe ``match_fn``
-    calls through its cache.  Deterministic for a fixed
+    generational GA itself, asking ``match_fn`` for each facility once.
+    Deterministic for a fixed
     ``config.seed``, so the service path reproduces the synchronous
     answer exactly.  Planner-consumable — :class:`repro.service
     .QueryPlanner` lowers a ``GeneticMaxKCovRequest`` onto this.
     """
-    if k <= 0:
-        raise QueryError(f"k must be positive, got {k}")
+    require_positive_int("k", k)
     if not facilities:
         return MaxKCovResult((), 0.0, 0, ())
     k = min(k, len(facilities))
     rng = random.Random(config.seed)
-    if runtime is not None:
-        match_fn = runtime.cache.cached_match_fn(match_fn)
     users = UserPointTable.of(users)
     matches: List[MatchSet] = [as_match_set(users, match_fn(f)) for f in facilities]
     n = len(facilities)
@@ -162,8 +164,9 @@ def genetic_max_k_coverage(
 
     Chromosomes are k-subsets of facility indices.  Returns the best
     subset seen across all generations (elitism preserves it within the
-    population as well).  A ``runtime`` dedupes ``match_fn`` calls
-    against other solvers sharing its cache.
+    population as well).  Match sets are ``match_fn``'s to reuse, as
+    for :func:`~repro.queries.exact.exact_max_k_coverage`; ``runtime``
+    is checked like every entry point's and otherwise unused.
 
     A thin synchronous wrapper over :func:`genetic_core` — the same
     substrate the async :class:`repro.service.QueryService` executes.
@@ -172,6 +175,5 @@ def genetic_max_k_coverage(
     query.
     """
     require_candidates(facilities)
-    return genetic_core(
-        users, facilities, k, spec, match_fn, config, coerce_runtime(runtime)
-    )
+    coerce_runtime(runtime)
+    return genetic_core(users, facilities, k, spec, match_fn, config)

@@ -35,9 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.errors import QueryError
 from ..core.service import ServiceSpec, in_order_sum
-from ..core.trajectory import FacilityRoute, require_candidates
+from ..core.trajectory import FacilityRoute, require_candidates, require_positive_int
 from ..index.entries import SubBounds
 from ..index.frame import TreeFrame
 from ..index.tqtree import TQTree
@@ -219,8 +218,7 @@ def top_k_core(
     ``KMaxRRSTRequest`` onto this directly; the synchronous
     :func:`top_k_facilities` wrapper adds runtime coercion and accrual.
     """
-    if k <= 0:
-        raise QueryError(f"k must be positive, got {k}")
+    require_positive_int("k", k)
     tree.validate_spec(spec)
     stats = QueryStats()
     counter = itertools.count()

@@ -24,10 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.errors import QueryError
 from ..core.service import CoverageState, ServiceSpec, as_match_set
 from ..core.stats import QueryStats
-from ..core.trajectory import FacilityRoute, Trajectory, require_candidates
+from ..core.trajectory import (
+    FacilityRoute,
+    Trajectory,
+    require_candidates,
+    require_positive_int,
+)
 from ..index.tqtree import TQTree
 from ..runtime import QueryRuntime, coerce_runtime
 from .baseline import BaselineIndex
@@ -85,31 +89,35 @@ def core_match_fn(
     facility's counters merge into ``acc`` when one is given (the
     service's per-request attribution), else accrue into ``runtime``
     directly (the ambient behaviour :func:`tq_match_fn` keeps).
-    Facilities served from the runtime cache's memoised match sets do
-    no geometric work and so contribute nothing — exactly like the
-    synchronous path.
 
-    With a runtime the fn is wrapped under a *semantic* cache key
-    (tree, node-table generation, spec), so every match fn built for the
-    same tree and spec — sync wrappers, service requests, solver
-    ensembles — shares one set of entries until an insert changes the
-    tree.
+    With a runtime a match set is kept on the facility's walk record,
+    per ``(model, normalize)``: a facility whose record holds it — the
+    same stops, ``psi`` and node-table generation, whichever match fn
+    or ``FacilityRoute`` object asks — costs one hit and no geometric
+    work, so it contributes nothing to ``acc``; any other is walked and
+    counts one miss.
     """
+    column = (spec.model, spec.normalize)
 
     def fn(facility: FacilityRoute) -> Matches:
+        if runtime is not None:
+            # the key walk_plan holds the facility's record under
+            key = (facility.facility_id, spec.psi, tree.frame().generation)
+            held = runtime.cache.read_matches(key, facility.stop_coords, column)
+            if held is not None:
+                return held
         collector = MatchCollector()
         _, local = evaluate_core(tree, facility, spec, collector, runtime)
         if acc is not None:
             acc.merge(local)
         elif runtime is not None:
             runtime.accrue(local)
-        return collector.match_set()
+        matches = collector.match_set()
+        if runtime is not None:
+            runtime.cache.store_matches(key, facility.stop_coords, column, matches)
+        return matches
 
-    if runtime is None:
-        return fn
-    return runtime.cache.cached_match_fn(
-        fn, key=("tq-matches", id(tree), tree.frame().generation, spec), pin=tree
-    )
+    return fn
 
 
 def tq_match_fn(
@@ -119,9 +127,9 @@ def tq_match_fn(
 ) -> MatchFn:
     """Match sets via TQ-tree evaluation (TQ(B) or TQ(Z) per tree config).
 
-    ``runtime`` owns the probe path (backend plus scheduling) and
-    memoises the walks' division plans and the finished per-facility
-    match sets in its cache — results are identical either way.
+    ``runtime`` owns the probe path (backend plus scheduling) and keeps
+    each walk's division plan and finished match set on the walk's
+    record in its cache — results are identical either way.
 
     A thin wrapper over :func:`core_match_fn` (ambient accrual form).
     """
@@ -154,8 +162,7 @@ def greedy_max_k_coverage(
     when no candidate makes progress of either kind.  Remaining ties break
     on facility id for determinism.
     """
-    if k <= 0:
-        raise QueryError(f"k must be positive, got {k}")
+    require_positive_int("k", k)
     state = CoverageState(users, spec)
     matches: Dict[int, Matches] = {
         f.facility_id: as_match_set(state.table, match_fn(f)) for f in facilities
@@ -202,8 +209,8 @@ def maxkcov_core(
     :class:`repro.service.QueryPlanner` lowers a ``MaxKCovRequest``
     onto this directly.
     """
-    if prune_factor < 1:
-        raise QueryError(f"prune_factor must be >= 1, got {prune_factor}")
+    require_positive_int("k", k)
+    require_positive_int("prune_factor", prune_factor)
     local = QueryStats()
     k_prime = min(len(facilities), prune_factor * k)
     shortlist_result = top_k_core(tree, facilities, k_prime, spec, runtime)

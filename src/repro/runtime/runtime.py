@@ -11,12 +11,13 @@ context of the query layer:
   ``shards`` knob picks the shard count, ``AUTO`` resolving it from
   the stop count; one shard is the plain grid);
 * **the coverage cache** — one :class:`~repro.engine.CoverageCache`
-  shared by every evaluation routed through the runtime;
+  of walk records, its own, shared by every evaluation routed through
+  the runtime;
 * **the shard store** — one :class:`~repro.engine.ShardStore`, so
   facilities with identical or overlapping stop content share built
   grids across queries (and open persisted ones from ``store_dir``);
 * **stats accrual** — every runtime-routed query merges its work
-  counters into :attr:`stats` (via
+  counters into its own :attr:`stats` (via
   :meth:`~repro.core.stats.QueryStats.merge`), giving a service-level
   grand total without threading a stats object through every call;
 * **the probe path** — :meth:`probe_mask` is the single coverage probe
@@ -50,11 +51,9 @@ from ..store.codecs import opened_mmap_paths
 
 __all__ = ["QueryRuntime", "coerce_runtime"]
 
-#: One process-wide lock for stats accrual and reset.  A per-runtime
-#: lock would silently not serialize the advertised sharing pattern of
-#: several runtimes accruing into one caller-supplied ``QueryStats``;
-#: accruals are per-query and merge a handful of integers, so a global
-#: lock is correct for every sharing shape at no measurable cost.
+#: One process-wide lock for stats accrual and reset.  Accruals are
+#: per-query and merge a handful of integers, so one lock for every
+#: runtime costs nothing measurable.
 _STATS_LOCK = threading.Lock()
 
 
@@ -67,27 +66,19 @@ class QueryRuntime:
         The execution settings; defaults to
         :class:`~repro.core.config.RuntimeConfig` defaults (``AUTO``
         backend, ``AUTO`` shard count, no store directory).
-    cache / stats:
-        Share a :class:`CoverageCache` / accrue into an existing
-        :class:`QueryStats` instead of owning fresh ones (e.g. several
-        runtimes reporting into one service-level total).
 
+    A runtime owns its :attr:`cache` and its :attr:`stats`: a walk
+    record's stop set is dressed by the runtime whose cache holds it.
     ``with QueryRuntime() as rt:`` scopes a runtime; it holds nothing
     that needs releasing, so leaving the block does nothing.
     """
 
-    def __init__(
-        self,
-        config: Optional[RuntimeConfig] = None,
-        *,
-        cache: Optional[CoverageCache] = None,
-        stats: Optional[QueryStats] = None,
-    ) -> None:
+    def __init__(self, config: Optional[RuntimeConfig] = None) -> None:
         if config is None:
             config = RuntimeConfig()
         self.config = config
-        self.cache = cache if cache is not None else CoverageCache()
-        self.stats = stats if stats is not None else QueryStats()  # guarded-by: _STATS_LOCK
+        self.cache = CoverageCache()
+        self.stats = QueryStats()  # guarded-by: _STATS_LOCK
         self.shard_store = ShardStore(spill_dir=config.store_dir)
 
     def __enter__(self) -> "QueryRuntime":
@@ -217,14 +208,12 @@ class QueryRuntime:
     def accrue(self, delta: QueryStats) -> None:
         """Merge one query's work counters into the runtime total.
 
-        Serialized against concurrent accruals and :meth:`reset_stats`
-        — across *all* runtimes, so several runtimes accruing into one
-        shared ``stats`` object are covered too: accruals come from
-        whichever thread a query core ran on (sync callers' threads,
-        the service's bridge pool — including a core whose caller was
-        cancelled), and an unguarded read-modify-write merge would lose
-        counts, while a reset swapping the totals object mid-merge
-        would tear them.
+        Serialized against concurrent accruals and :meth:`reset_stats`:
+        accruals come from whichever thread a query core ran on (sync
+        callers' threads, the service's bridge pool — including a core
+        whose caller was cancelled), and an unguarded read-modify-write
+        merge would lose counts, while a reset swapping the totals
+        object mid-merge would tear them.
         """
         with _STATS_LOCK:
             self.stats.merge(delta)

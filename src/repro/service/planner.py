@@ -7,9 +7,10 @@
   work the request will perform.  A unit names one facility's coverage
   walk in one mode: ``(tree, facility_id, psi, service model,
   collecting?)``.  That granularity matches the runtime's coverage
-  cache exactly — Algorithm 2 memoises per ``(facility, q-node, psi,
-  mode)``, and match sets memoise per ``(tree, spec, facility)`` — so
-  two requests share cached probe work *iff* they share a unit.  The
+  cache exactly — it holds one walk record per ``(facility, psi,
+  tree)``, with Algorithm 2's node values and the match set per service
+  model on it — so two requests share cached probe work *iff* they
+  share a unit.  The
   service uses unit overlap for cross-request coalescing: overlapping
   requests execute in submission order (the later one's probes are
   served from the earlier one's masks), disjoint requests run
@@ -26,8 +27,8 @@
 Units deliberately over-approximate where the exact work set is only
 known at run time: a MaxkCov request claims collecting units for every
 candidate facility although only the shortlist's match sets are
-computed, and units ignore ``ServiceSpec.normalize`` although match
-sets key on the full spec.  Over-approximation costs only scheduling
+computed, and units ignore ``ServiceSpec.normalize`` although a
+record keeps values and match sets per ``(model, normalize)``.  Over-approximation costs only scheduling
 parallelism (requests serialise that could have overlapped), never
 correctness — an under-approximation would let two requests race on
 one cache entry, which is the thing the ordering exists to rule out.
@@ -164,9 +165,7 @@ class QueryPlanner:
         def execute(runtime: QueryRuntime) -> QueryResult:
             acc = QueryStats()
             match_fn = core_match_fn(req.tree, spec, runtime, acc)
-            result = exact_core(
-                req.tree.table, req.facilities, req.k, spec, match_fn, runtime
-            )
+            result = exact_core(req.tree.table, req.facilities, req.k, spec, match_fn)
             return QueryResult(req, result, acc)
 
         return QueryPlan(req, units, execute)
@@ -182,8 +181,7 @@ class QueryPlanner:
             acc = QueryStats()
             match_fn = core_match_fn(req.tree, spec, runtime, acc)
             result = genetic_core(
-                req.tree.table, req.facilities, req.k, spec, match_fn,
-                req.config, runtime,
+                req.tree.table, req.facilities, req.k, spec, match_fn, req.config
             )
             return QueryResult(req, result, acc)
 

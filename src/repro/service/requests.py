@@ -26,7 +26,7 @@ from typing import Any, Mapping, Optional, Tuple, Union
 from ..core.errors import QueryError
 from ..core.service import ServiceSpec
 from ..core.stats import QueryStats
-from ..core.trajectory import FacilityRoute, require_candidates
+from ..core.trajectory import FacilityRoute, require_candidates, require_positive_int
 from ..index.tqtree import TQTree
 from ..queries.genetic import GeneticConfig
 from ..queries.kmaxrrst import KMaxRRSTResult
@@ -73,8 +73,7 @@ class KMaxRRSTRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "facilities", tuple(self.facilities))
         require_candidates(self.facilities)
-        if self.k <= 0:
-            raise QueryError(f"k must be positive, got {self.k}")
+        require_positive_int("k", self.k)
 
 
 @dataclass(frozen=True)
@@ -90,12 +89,8 @@ class MaxKCovRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "facilities", tuple(self.facilities))
         require_candidates(self.facilities)
-        if self.k <= 0:
-            raise QueryError(f"k must be positive, got {self.k}")
-        if self.prune_factor < 1:
-            raise QueryError(
-                f"prune_factor must be >= 1, got {self.prune_factor}"
-            )
+        require_positive_int("k", self.k)
+        require_positive_int("prune_factor", self.prune_factor)
 
 
 @dataclass(frozen=True)
@@ -114,8 +109,7 @@ class ExactMaxKCovRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "facilities", tuple(self.facilities))
         require_candidates(self.facilities)
-        if self.k <= 0:
-            raise QueryError(f"k must be positive, got {self.k}")
+        require_positive_int("k", self.k)
 
 
 @dataclass(frozen=True)
@@ -135,8 +129,7 @@ class GeneticMaxKCovRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "facilities", tuple(self.facilities))
         require_candidates(self.facilities)
-        if self.k <= 0:
-            raise QueryError(f"k must be positive, got {self.k}")
+        require_positive_int("k", self.k)
 
 
 #: Anything the planner knows how to lower.

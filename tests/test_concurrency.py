@@ -72,17 +72,17 @@ class TestCoverageCacheConcurrency:
         many node reads were made."""
         coords = np.zeros((4, 2))
         division = (np.zeros(4, dtype=bool),) * 3
-        dresser, stops = QueryRuntime(), StopSet(coords)
+        stops = StopSet(coords)
 
         def worker(i):
             for r in range(rounds):
                 key = ("walk", (r + i) % walks)
                 record = cache.lookup_record(key, coords)
                 if record is None:
-                    record = cache.store_record(key, coords, division, dresser, stops)
-                # every thread sees the one runtime's dressing and gets
-                # its own unprobed copy of it
-                assert record.dresser() is dresser and record.stops is stops
+                    record = cache.store_record(key, coords, division, stops)
+                # every thread sees the one dressing and gets its own
+                # unprobed copy of it
+                assert record.stops is stops
                 assert record.stops.unprobed() is not stops
                 script = cache.read_script(record, "c")
                 held = cache.read_column(record, "c")
@@ -122,12 +122,12 @@ class TestCoverageCacheConcurrency:
         filled; a record of other stops is replaced."""
         cache, coords = CoverageCache(), np.zeros((4, 2))
         division = (np.zeros(4, dtype=bool),) * 3
-        dresser, stops = QueryRuntime(), StopSet(coords)
-        first = cache.store_record("walk", coords, division, dresser, stops)
+        stops = StopSet(coords)
+        first = cache.store_record("walk", coords, division, stops)
         cache.store_column(first, "c", np.arange(4), np.ones(4), np.ones(4, dtype=np.int64), 0)
-        assert cache.store_record("walk", coords.copy(), division, dresser, stops) is first
+        assert cache.store_record("walk", coords.copy(), division, stops) is first
         assert cache.lookup_record("walk", coords) is first and cache._rows == 8
-        other = cache.store_record("walk", coords + 1.0, division, dresser, stops)
+        other = cache.store_record("walk", coords + 1.0, division, stops)
         assert other is not first and cache.lookup_record("walk", coords) is None
         assert cache._rows == 4 and len(cache) == 0
 
@@ -142,57 +142,70 @@ class TestCoverageCacheConcurrency:
         # the held count is the records' sizes, never above the cap
         assert cache._rows == sum(r.rows for r in cache._records.values()) <= 10
 
+    @staticmethod
+    def _match_set(slots):
+        from repro.core.service import MatchSet
+
+        return MatchSet(None, np.arange(slots))
+
     def test_cached_match_fn_concurrent_calls_are_consistent(self):
-        cache = CoverageCache()
-        calls = []
-        lock = threading.Lock()
+        """Threads asking for and storing match sets on four records,
+        two columns each, the way ``core_match_fn`` does: every call is
+        one hit or one miss, each (record, column) keeps the first set
+        stored, and every later read returns that very set."""
+        cache, stops = CoverageCache(), StopSet(np.zeros((1, 2)))
+        division = (np.zeros(4, dtype=bool),) * 3
+        coords = [np.full((1, 2), float(i)) for i in range(4)]
+        for i in range(4):
+            cache.store_record(("walk", i), coords[i], division, stops)
+        columns, rounds = ("endpoint", "count"), 50
+        seen = [dict() for _ in range(N_THREADS)]
 
-        class Facility:
-            def __init__(self, facility_id):
-                self.facility_id = facility_id
-
-        facilities = [Facility(i) for i in range(4)]
-
-        def match_fn(facility):
-            with lock:
-                calls.append(facility.facility_id)
-            return {facility.facility_id: (0, 1)}
-
-        fn = cache.cached_match_fn(match_fn)
-        results = [None] * N_THREADS
-
-        def worker(i):
-            out = [fn(f) for f in facilities for _ in range(50)]
-            results[i] = out
+        def worker(t):
+            for r in range(rounds):
+                for i in range(4):
+                    key, column = ("walk", i), columns[(r + t) % 2]
+                    got = cache.read_matches(key, coords[i].copy(), column)
+                    if got is None:
+                        cache.store_matches(key, coords[i], column, self._match_set(i + 1))
+                    else:
+                        assert seen[t].setdefault((i, column), got) is got
 
         _run_threads(worker)
-        expected = [{f.facility_id: (0, 1)} for f in facilities for _ in range(50)]
-        for out in results:
-            assert out == expected
-        # concurrent first-misses may each compute, but the counters
-        # must account for exactly one outcome per call
-        total_calls = N_THREADS * 4 * 50
-        assert cache.hits + cache.misses == total_calls
-        assert cache.misses == len(calls)
+        assert cache.hits + cache.misses == N_THREADS * rounds * 4
+        held = {
+            (key[1], column): matches
+            for key, record in cache._records.items()
+            for column, matches in record.matches.items()
+        }
+        assert len(held) == 8 and len(cache) == 8
+        for (i, column), matches in held.items():
+            assert matches.slots.size == i + 1
+            assert all(s.get((i, column), matches) is matches for s in seen)
+        # four divisions of four rows, one row per slot of each set
+        assert cache._rows == 16 + 2 * (1 + 2 + 3 + 4)
 
     def test_mask_table_and_clear_under_threads(self):
-        cache = CoverageCache()
-        owner = object()
-        block = np.zeros((5, 2))
-        mask = np.ones(5, dtype=bool)
+        """Match sets stored, counted and cleared from many threads:
+        ``clear()`` and ``len()`` mid-store never crash or miscount."""
+        cache, coords = CoverageCache(), np.zeros((1, 2))
+        division, stops = (np.zeros(5, dtype=bool),) * 3, StopSet(coords)
 
         def worker(i):
             for r in range(100):
-                got = cache.lookup_mask(owner, 1.0, block)
-                if got is None:
-                    cache.store_mask(owner, 1.0, block, mask)
-                else:
-                    assert got is mask
+                key = ("walk", r % 3)
+                if cache.read_matches(key, coords, i) is None:
+                    if cache.lookup_record(key, coords) is None:
+                        cache.store_record(key, coords, division, stops)
+                    cache.store_matches(key, coords, i, self._match_set(2))
                 if i == 0 and r % 25 == 0:
                     cache.clear()
-                len(cache)  # must never crash mid-clear
+                assert 0 <= len(cache) <= 3 * N_THREADS
 
         _run_threads(worker)
+        assert cache.hits + cache.misses == N_THREADS * 100
+        assert cache._rows == sum(r.rows for r in cache._records.values())
+        assert len(cache) == sum(len(r.matches) for r in cache._records.values())
 
 
 def _assert_same_script(got, want):

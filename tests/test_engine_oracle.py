@@ -51,8 +51,8 @@ ALL_BACKENDS = (
 )
 
 
-def _rt(backend, cache=None):
-    return QueryRuntime(RuntimeConfig(backend=backend), cache=cache)
+def _rt(backend):
+    return QueryRuntime(RuntimeConfig(backend=backend))
 
 
 class TestGridMaskOracle:
@@ -187,7 +187,7 @@ class TestTreePathOracle:
         engine_psis(),
     )
     def test_evaluate_service_backend_identical(self, users, facility, psi):
-        cache = CoverageCache()
+        runtimes = {backend: _rt(backend) for backend in ALL_BACKENDS}
         for use_zorder in (True, False):
             tree = TQTree.build(
                 users, TQTreeConfig(beta=3, use_zorder=use_zorder), space=WORLD
@@ -195,15 +195,12 @@ class TestTreePathOracle:
             for model in ALL_MODELS:
                 spec = ServiceSpec(model, psi=psi, normalize=False)
                 plain = evaluate_service(tree, facility, spec)
-                for backend in ALL_BACKENDS:
-                    got = evaluate_service(
-                        tree, facility, spec, runtime=_rt(backend, cache)
-                    )
+                for backend, runtime in runtimes.items():
+                    got = evaluate_service(tree, facility, spec, runtime=runtime)
                     assert got == plain, (use_zorder, model, backend)
                 # cached replay must be identical too
                 again = evaluate_service(
-                    tree, facility, spec,
-                    runtime=_rt(ProximityBackend.GRID, cache),
+                    tree, facility, spec, runtime=runtimes[ProximityBackend.GRID]
                 )
                 assert again == plain
 
@@ -212,68 +209,29 @@ class TestTreePathOracle:
         spec = ServiceSpec(ServiceModel.ENDPOINT, psi=400.0)
         plain_topk = top_k_facilities(tree, facilities, 4, spec)
         plain_cov = maxkcov_tq(tree, facilities, 3, spec)
-        cache = CoverageCache()
-        fast_topk = top_k_facilities(
-            tree, facilities, 4, spec,
-            runtime=_rt(ProximityBackend.GRID, cache),
-        )
-        fast_cov = maxkcov_tq(
-            tree, facilities, 3, spec,
-            runtime=_rt(ProximityBackend.GRID, cache),
-        )
+        runtime = _rt(ProximityBackend.GRID)
+        fast_topk = top_k_facilities(tree, facilities, 4, spec, runtime=runtime)
+        fast_cov = maxkcov_tq(tree, facilities, 3, spec, runtime=runtime)
         assert fast_topk.ranking == plain_topk.ranking
         assert fast_cov.facility_ids() == plain_cov.facility_ids()
         assert fast_cov.combined_service == plain_cov.combined_service
         assert fast_cov.users_fully_served == plain_cov.users_fully_served
-        assert cache.hits > 0
+        assert runtime.cache.hits > 0
 
     def test_cache_never_aliases_facilities_sharing_an_id(self, taxi_users, facilities):
         """Two distinct facilities with the same facility_id must each
-        get their own (correct) answer from a shared cache — the stored
-        component coordinates disambiguate them."""
+        get their own (correct) answer from one runtime's cache — the
+        stored component coordinates disambiguate them."""
         from repro import FacilityRoute
 
         tree = TQTree.build(taxi_users, TQTreeConfig(beta=16))
         spec = ServiceSpec(ServiceModel.COUNT, psi=400.0)
         f_a = FacilityRoute(7, facilities[0].stops)
         f_b = FacilityRoute(7, facilities[1].stops)
-        cache = CoverageCache()
+        runtime = _rt(ProximityBackend.AUTO)
         for f in (f_a, f_b, f_a, f_b):
-            got = evaluate_service(
-                tree, f, spec, runtime=_rt(ProximityBackend.AUTO, cache)
-            )
+            got = evaluate_service(tree, f, spec, runtime=runtime)
             assert got == brute_force_service(taxi_users, f, spec)
-
-    @pytest.mark.parametrize("first", [ProximityBackend.DENSE, ProximityBackend.GRID])
-    def test_a_cache_shared_across_backends_shares_values_never_a_dressing(
-        self, taxi_users, facilities, first
-    ):
-        """One cache behind a DENSE and a GRID runtime: whichever made
-        the walk records, both answer ``==`` the plain walk from the
-        values it stored, and each collecting walk probes through its
-        own runtime's tier — no grid cell is probed on DENSE, some are
-        on GRID."""
-        from repro import QueryStats
-        from repro.queries import MatchCollector
-
-        tree = TQTree.build(taxi_users, TQTreeConfig(beta=16))
-        spec = ServiceSpec(ServiceModel.COUNT, psi=400.0, normalize=False)
-        cache = CoverageCache()
-        runtimes = {b: _rt(b, cache) for b in (ProximityBackend.DENSE, ProximityBackend.GRID)}
-        want = [evaluate_service(tree, f, spec) for f in facilities]
-        assert [evaluate_service(tree, f, spec, runtime=runtimes[first]) for f in facilities] == want
-        for backend, runtime in runtimes.items():
-            stats = QueryStats()
-            # the values are shared: a warm walk on either backend
-            # probes nothing
-            assert [evaluate_service(tree, f, spec, stats=stats, runtime=runtime) for f in facilities] == want
-            assert stats.cache_hits > 0 and stats.points_scanned == 0
-            for f, value in zip(facilities, want):
-                collector = MatchCollector()
-                got = evaluate_service(tree, f, spec, collector, stats, runtime)
-                assert got == value
-                assert collector.as_dict() == brute_force_matches(taxi_users, f, spec.psi)
-            assert (stats.cells_probed > 0) == (backend is ProximityBackend.GRID)
 
     @pytest.mark.parametrize("backend", [ProximityBackend.GRID, ProximityBackend.CELLSTRING])
     def test_records_never_hold_a_probed_stop_set(self, taxi_users, facilities, backend):
@@ -313,35 +271,29 @@ class TestTreePathOracle:
         spec = ServiceSpec(ServiceModel.COUNT, psi=400.0)
         warm = FacilityRoute(7, facilities[0].stops)
         other = FacilityRoute(7, facilities[1].stops)
-        cache = CoverageCache()
+        runtime, cold = _rt(ProximityBackend.AUTO), _rt(ProximityBackend.AUTO)
         for _ in range(2):
-            evaluate_service(tree, warm, spec, runtime=_rt(ProximityBackend.AUTO, cache))
+            evaluate_service(tree, warm, spec, runtime=runtime)
+        cache = runtime.cache
         assert cache.hits > 0
-        cold = CoverageCache()
-        evaluate_service(tree, other, spec, runtime=_rt(ProximityBackend.AUTO, cold))
+        evaluate_service(tree, other, spec, runtime=cold)
         hits, misses, stats = cache.hits, cache.misses, QueryStats()
-        got = evaluate_service(
-            tree, other, spec, stats=stats, runtime=_rt(ProximityBackend.AUTO, cache)
-        )
+        got = evaluate_service(tree, other, spec, stats=stats, runtime=runtime)
         assert got == brute_force_service(taxi_users, other, spec)
         assert stats.cache_hits == 0 and cache.hits == hits
-        assert cache.misses - misses == cold.misses > 0
+        assert cache.misses - misses == cold.cache.misses > 0
 
     def test_shared_cache_across_engines_with_different_users(
         self, taxi_users, checkin_users, facilities
     ):
-        """One CoverageCache serving two engines over different user
-        sets must never hand one engine the other's mask — even when
-        both queries name the very same StopSet object."""
-        shared = CoverageCache()
+        """One runtime serving two engines over different user sets must
+        never hand one engine the other's mask — even when both queries
+        name the very same StopSet object."""
+        shared = _rt(ProximityBackend.DENSE)
         spec = ServiceSpec(ServiceModel.COUNT, psi=400.0)
         stops = StopSet.of_facility(facilities[0])
-        e1 = BatchQueryEngine(
-            taxi_users, runtime=_rt(ProximityBackend.DENSE, shared)
-        )
-        e2 = BatchQueryEngine(
-            checkin_users, runtime=_rt(ProximityBackend.DENSE, shared)
-        )
+        e1 = BatchQueryEngine(taxi_users, runtime=shared)
+        e2 = BatchQueryEngine(checkin_users, runtime=shared)
         for _ in range(2):  # interleave to hit both cache slots
             assert e1.query(stops, spec) == brute_force_service(
                 taxi_users, facilities[0], spec
@@ -351,20 +303,16 @@ class TestTreePathOracle:
             )
 
     def test_match_sets_reused_across_maxkcov_calls(self, taxi_users, facilities):
-        """Repeated maxkcov_tq calls through one cache reuse match sets:
-        independently created tq_match_fn closures share semantic keys."""
+        """Repeated maxkcov_tq calls through one runtime reuse match sets:
+        independently created tq_match_fn closures find them on the same
+        walk records."""
         tree = TQTree.build(taxi_users, TQTreeConfig(beta=16))
         spec = ServiceSpec(ServiceModel.ENDPOINT, psi=400.0)
-        cache = CoverageCache()
-        first = maxkcov_tq(
-            tree, facilities, 3, spec,
-            runtime=_rt(ProximityBackend.GRID, cache),
-        )
+        runtime = _rt(ProximityBackend.GRID)
+        cache = runtime.cache
+        first = maxkcov_tq(tree, facilities, 3, spec, runtime=runtime)
         hits_before = cache.hits
-        second = maxkcov_tq(
-            tree, facilities, 3, spec,
-            runtime=_rt(ProximityBackend.GRID, cache),
-        )
+        second = maxkcov_tq(tree, facilities, 3, spec, runtime=runtime)
         assert second.facility_ids() == first.facility_ids()
         assert second.combined_service == first.combined_service
         # the second call's match collection is served from the cache
@@ -373,20 +321,11 @@ class TestTreePathOracle:
     def test_cache_survives_repeated_queries(self, taxi_users, facilities):
         tree = TQTree.build(taxi_users, TQTreeConfig(beta=16))
         spec = ServiceSpec(ServiceModel.COUNT, psi=400.0)
-        cache = CoverageCache()
-        first = [
-            evaluate_service(
-                tree, f, spec, runtime=_rt(ProximityBackend.AUTO, cache)
-            )
-            for f in facilities
-        ]
+        runtime = _rt(ProximityBackend.AUTO)
+        cache = runtime.cache
+        first = [evaluate_service(tree, f, spec, runtime=runtime) for f in facilities]
         hits_after_first = cache.hits
-        second = [
-            evaluate_service(
-                tree, f, spec, runtime=_rt(ProximityBackend.AUTO, cache)
-            )
-            for f in facilities
-        ]
+        second = [evaluate_service(tree, f, spec, runtime=runtime) for f in facilities]
         assert first == second
         assert cache.hits > hits_after_first
 
@@ -407,42 +346,44 @@ class TestTreePathOracle:
             for step in range(12) for f in facilities[:4]
         ]
 
-        def walk(cache, f, spec):
-            value = evaluate_service(tree, f, spec, runtime=_rt(ProximityBackend.AUTO, cache))
-            assert cache._rows <= cache_module.MAX_ROWS
+        def walk(runtime, f, spec):
+            value = evaluate_service(tree, f, spec, runtime=runtime)
+            assert runtime.cache._rows <= cache_module.MAX_ROWS
             return value
 
-        def run(cache):
-            return [walk(cache, f, spec) for f, spec in sweep]
+        def run(runtime):
+            return [walk(runtime, f, spec) for f, spec in sweep]
 
-        roomy = CoverageCache()
-        want = run(roomy)
+        roomy_rt = _rt(ProximityBackend.AUTO)
+        roomy = roomy_rt.cache
+        want = run(roomy_rt)
         assert len(roomy) > 32 and roomy.hits == 0
-        assert run(roomy) == want and roomy.hits > 0  # nothing was evicted
+        assert run(roomy_rt) == want and roomy.hits > 0  # nothing was evicted
         # a record is a division and a COUNT column, n rows each
         monkeypatch.setattr(cache_module, "MAX_ROWS", 8 * n)
-        bounded = CoverageCache()
-        assert run(bounded) == want
+        bounded_rt = _rt(ProximityBackend.AUTO)
+        bounded = bounded_rt.cache
+        assert run(bounded_rt) == want
         assert 0 < len(bounded._records) <= 4
         # every walk's record went before the sweep came round again:
         # all misses, same answers
-        assert run(bounded) == want
+        assert run(bounded_rt) == want
         assert bounded.hits == 0
         # ... but never the walk being filled: the same walk at once
         # again is answered from the cache on every node
         for (f, spec), answer in zip(sweep, want):
-            assert walk(bounded, f, spec) == answer
+            assert walk(bounded_rt, f, spec) == answer
             misses = bounded.misses
-            assert walk(bounded, f, spec) == answer
+            assert walk(bounded_rt, f, spec) == answer
             assert bounded.misses == misses
         # ... even when it is the least recently used record, filled
         # again: the others go first
         monkeypatch.setattr(cache_module, "MAX_ROWS", 30)
         coords, cache = np.zeros((1, 2)), CoverageCache()
         division = (np.zeros(10, dtype=bool),) * 3
-        dresser, stops = QueryRuntime(), StopSet(coords)
-        old = cache.store_record("old", coords, division, dresser, stops)
-        new = cache.store_record("new", coords, division, dresser, stops)
+        stops = StopSet(coords)
+        old = cache.store_record("old", coords, division, stops)
+        new = cache.store_record("new", coords, division, stops)
         ones = np.ones(10, dtype=np.int64)
         cache.store_column(new, "c", np.arange(5), ones[:5], ones[:5], 0)
         cache.store_column(old, "c", np.arange(10), ones, ones, 0)

@@ -564,8 +564,8 @@ def test_one_probe_call_per_walk_and_none_when_cached(
                     assert len(probe_calls) <= 1
                     assert sum(probe_calls) == stats.points_scanned > 0
                     # the same walk again is answered by the cache alone;
-                    # a collecting walk scores again (its match set is
-                    # what the cache keeps, through cached_match_fn)
+                    # a collecting walk scores again (core_match_fn keeps
+                    # its match set on the walk record)
                     del probe_calls[:]
                     again = evaluate_service(
                         tree, f, spec,

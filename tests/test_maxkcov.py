@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from repro import (
     BaselineIndex,
     FacilityRoute,
+    GeneticConfig,
     QueryError,
+    QueryRuntime,
     ServiceModel,
     ServiceSpec,
     TQTree,
@@ -18,11 +20,27 @@ from repro import (
     brute_force_combined_service,
     build_tq_basic,
     build_tq_zorder,
+    exact_max_k_coverage,
+    genetic_max_k_coverage,
     greedy_max_k_coverage,
     maxkcov_baseline,
     maxkcov_tq,
+    top_k_facilities,
 )
-from repro.queries import baseline_match_fn, tq_match_fn
+from repro.queries import (
+    baseline_match_fn,
+    exact_core,
+    genetic_core,
+    maxkcov_core,
+    top_k_core,
+    tq_match_fn,
+)
+from repro.service import (
+    ExactMaxKCovRequest,
+    GeneticMaxKCovRequest,
+    KMaxRRSTRequest,
+    MaxKCovRequest,
+)
 
 from .strategies import WORLD, facility_sets, psis, trajectory_sets
 
@@ -191,3 +209,137 @@ class TestPropertyGreedy:
         fn_bl = baseline_match_fn(bl, spec)
         for f in facs:
             assert dict(fn_tq(f)) == dict(fn_bl(f))
+
+
+class TestMatchSetsOnWalkRecords:
+    """A match set lives on its facility's walk record, per
+    ``(model, normalize)``: one table, bounded by ``MAX_ROWS``."""
+
+    def test_one_record_per_facility_carries_every_product(
+        self, taxi_users, facilities, count_spec
+    ):
+        """kMaxRRST and then MaxkCov over the same candidates leave one
+        record per facility, holding its division, its values, its level
+        script and its match set."""
+        tree = build_tq_zorder(taxi_users, beta=16)
+        column = (count_spec.model, count_spec.normalize)
+        with QueryRuntime() as rt:
+            top_k_facilities(tree, facilities, len(facilities), count_spec, runtime=rt)
+            maxkcov_tq(tree, facilities, 3, count_spec, runtime=rt)
+            records = rt.cache._records
+            assert sorted(key[0] for key in records) == sorted(f.facility_id for f in facilities)
+            for record in records.values():
+                assert record.division[0].size == len(tree.frame())
+                assert set(record.columns) == set(record.scripts) == set(record.matches) == {column}
+                assert rt.cache._rows == sum(r.rows for r in records.values())
+
+    def test_equal_routes_hit_on_every_match_set(self, taxi_users, facilities, endpoint_spec):
+        """A second MaxkCov over new ``FacilityRoute`` objects of the same
+        ids and stops walks nothing: its match sets are the records'."""
+        tree = build_tq_zorder(taxi_users, beta=16)
+        twins = [FacilityRoute(f.facility_id, f.stops) for f in facilities]
+        column = (endpoint_spec.model, endpoint_spec.normalize)
+        with QueryRuntime() as rt:
+            first = maxkcov_tq(tree, facilities, 3, endpoint_spec, runtime=rt)
+            held = {key[0]: r.matches[column] for key, r in rt.cache._records.items()}
+            assert len(held) == len(facilities)  # the shortlist is every candidate
+            misses, scanned = rt.cache.misses, rt.stats.points_scanned
+            second = maxkcov_tq(tree, twins, 3, endpoint_spec, runtime=rt)
+            assert rt.cache.misses == misses and rt.stats.points_scanned == scanned
+            hits, fn = rt.cache.hits, tq_match_fn(tree, endpoint_spec, runtime=rt)
+            assert all(fn(f) is held[f.facility_id] for f in twins)
+            assert rt.cache.hits - hits == len(twins)
+        assert second.facility_ids() == first.facility_ids()
+        assert second.combined_service == first.combined_service
+
+    def test_routes_sharing_an_id_never_share_a_match_set(
+        self, taxi_users, facilities, endpoint_spec
+    ):
+        from repro import brute_force_matches
+
+        tree = build_tq_zorder(taxi_users, beta=16)
+        f_a = FacilityRoute(7, facilities[0].stops)
+        f_b = FacilityRoute(7, facilities[1].stops)
+        with QueryRuntime() as rt:
+            fn = tq_match_fn(tree, endpoint_spec, runtime=rt)
+            for f in (f_a, f_b, f_a, f_b):
+                assert dict(fn(f)) == brute_force_matches(taxi_users, f, endpoint_spec.psi)
+            # each switch replaced the other's record: no hit at all
+            assert rt.cache.hits == 0 and rt.cache.misses == 4
+
+    def test_caller_made_match_fns_hold_nothing(self, taxi_users, facilities, endpoint_spec):
+        """Exact and genetic solvers no longer memoise a caller's match
+        fn: 200 calls of each with a fresh baseline fn leave the cache
+        empty (each call used to pin its fn and hold six match sets)."""
+        index = BaselineIndex.build(taxi_users)
+        subset = facilities[:6]
+        config = GeneticConfig(population_size=4, iterations=1)
+        with QueryRuntime() as rt:
+            for _ in range(200):
+                fn = baseline_match_fn(index, endpoint_spec)
+                exact_max_k_coverage(taxi_users, subset, 2, endpoint_spec, fn, runtime=rt)
+            for _ in range(200):
+                fn = baseline_match_fn(index, endpoint_spec)
+                genetic_max_k_coverage(
+                    taxi_users, subset, 2, endpoint_spec, fn, config, runtime=rt
+                )
+            assert len(rt.cache) == 0 and not rt.cache._records
+
+
+def _entry_points(tree, users, facilities, spec):
+    """Every kMaxRRST / MaxkCov entry point, as ``name -> f(k, prune_factor)``."""
+
+    def fn(facility):
+        return tq_match_fn(tree, spec)(facility)
+
+    return {
+        "top_k_facilities": lambda k, p: top_k_facilities(tree, facilities, k, spec),
+        "top_k_core": lambda k, p: top_k_core(tree, facilities, k, spec),
+        "maxkcov_tq": lambda k, p: maxkcov_tq(tree, facilities, k, spec, prune_factor=p),
+        "maxkcov_core": lambda k, p: maxkcov_core(tree, facilities, k, spec, p),
+        "greedy_max_k_coverage": lambda k, p: greedy_max_k_coverage(
+            users, facilities, k, spec, fn
+        ),
+        "exact_max_k_coverage": lambda k, p: exact_max_k_coverage(
+            users, facilities, k, spec, fn
+        ),
+        "exact_core": lambda k, p: exact_core(users, facilities, k, spec, fn),
+        "genetic_max_k_coverage": lambda k, p: genetic_max_k_coverage(
+            users, facilities, k, spec, fn
+        ),
+        "genetic_core": lambda k, p: genetic_core(users, facilities, k, spec, fn),
+        "KMaxRRSTRequest": lambda k, p: KMaxRRSTRequest(tree, facilities, k, spec),
+        "MaxKCovRequest": lambda k, p: MaxKCovRequest(tree, facilities, k, spec, p),
+        "ExactMaxKCovRequest": lambda k, p: ExactMaxKCovRequest(tree, facilities, k, spec),
+        "GeneticMaxKCovRequest": lambda k, p: GeneticMaxKCovRequest(tree, facilities, k, spec),
+    }
+
+
+_ENTRY_NAMES = sorted(_entry_points(None, None, None, None))
+
+
+class TestPositiveIntegerArguments:
+    """``k`` and ``prune_factor`` are integers >= 1 everywhere: NaN and
+    2.5 used to answer (all candidates, or none), 2.0 to raise a raw
+    ``TypeError`` and ``True`` to run as 1."""
+
+    @pytest.fixture(scope="class")
+    def world(self, taxi_users, facilities):
+        users = taxi_users[:300]
+        return build_tq_zorder(users, beta=16), users, facilities[:8]
+
+    @pytest.mark.parametrize("entry_point", _ENTRY_NAMES)
+    @pytest.mark.parametrize("k", [float("nan"), 2.5, 2.0, True, 0], ids=str)
+    def test_k_must_be_a_positive_integer(self, world, endpoint_spec, entry_point, k):
+        call = _entry_points(*world, endpoint_spec)[entry_point]
+        with pytest.raises(QueryError, match="k must be"):
+            call(k, 4)
+
+    @pytest.mark.parametrize("entry_point", ["maxkcov_tq", "maxkcov_core", "MaxKCovRequest"])
+    @pytest.mark.parametrize("prune_factor", [float("nan"), 1.5, 2.0, True, 0], ids=str)
+    def test_prune_factor_must_be_a_positive_integer(
+        self, world, endpoint_spec, entry_point, prune_factor
+    ):
+        call = _entry_points(*world, endpoint_spec)[entry_point]
+        with pytest.raises(QueryError, match="prune_factor must be"):
+            call(2, prune_factor)

@@ -46,8 +46,8 @@ from .strategies import WORLD
 ALL_MODELS = (ServiceModel.ENDPOINT, ServiceModel.COUNT, ServiceModel.LENGTH)
 
 
-def _runtime(backend=ProximityBackend.AUTO, shards=0, **kw):
-    return QueryRuntime(RuntimeConfig(backend=backend, shards=shards), **kw)
+def _runtime(backend=ProximityBackend.AUTO, shards=0):
+    return QueryRuntime(RuntimeConfig(backend=backend, shards=shards))
 
 
 class TestStopSetDressing:
@@ -412,14 +412,6 @@ class TestRuntimeLifecycle:
         supervisor = Supervisor(HttpConfig(port=0, workers=2))
         with pytest.raises(QueryError, match="SO_REUSEPORT"):
             supervisor.start()
-
-    def test_shared_stats_object(self):
-        shared = QueryStats()
-        rt_a = _runtime(stats=shared)
-        rt_b = _runtime(stats=shared)
-        rt_a.accrue(QueryStats(points_scanned=3))
-        rt_b.accrue(QueryStats(points_scanned=4))
-        assert shared.points_scanned == 7
 
 
 def _config_with(owner: str, field: str, value):
