@@ -117,12 +117,18 @@ class ServiceSpec:
 # ----------------------------------------------------------------------
 # the psi-disc membership kernel
 # ----------------------------------------------------------------------
-def psi_hit(dx: np.ndarray, dy: np.ndarray, psi: float) -> np.ndarray:
+def psi_hit(
+    dx: np.ndarray, dy: np.ndarray, psi: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """``dx*dx + dy*dy <= psi*psi`` — THE serving predicate.
 
     Every coverage decision in the library (dense broadcast, grid
     candidate check, single-point probe) reduces to this one comparison,
     so dense and grid paths are bit-identical by construction.
+
+    With ``out`` (a boolean array of their shape) the answer is written
+    there and ``dx`` / ``dy`` serve as scratch — they are overwritten —
+    so the predicate allocates nothing; the arithmetic is the same.
 
     A squared offset too large for a float64 overflows to ``inf``, which
     compares as *not covered* against any finite ``psi * psi`` — the
@@ -130,7 +136,11 @@ def psi_hit(dx: np.ndarray, dy: np.ndarray, psi: float) -> np.ndarray:
     worth a warning.
     """
     with np.errstate(over="ignore"):
-        return dx * dx + dy * dy <= psi * psi
+        if out is None:
+            return dx * dx + dy * dy <= psi * psi
+        np.multiply(dx, dx, out=dx)
+        np.multiply(dy, dy, out=dy)
+        return np.less_equal(np.add(dx, dy, out=dx), psi * psi, out=out)
 
 
 #: Point-stop pairs :func:`coverage_kernel` evaluates per pass.  A TQ-tree
@@ -167,10 +177,16 @@ def coverage_kernel(
     sx, sy = stops[None, :, 0], stops[None, :, 1]
     step = max(64, _PAIRS_PER_PASS // m)
     out = np.empty(n, dtype=bool)
+    # one set of pass buffers, refilled in place by every pass
+    rows = min(step, n)
+    dx, dy, hit = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m), dtype=bool)
     for lo in range(0, n, step):  # one pass unless the block is large
         block = pts[lo : lo + step]
-        hit = psi_hit(block[:, 0, None] - sx, block[:, 1, None] - sy, psi)
-        np.any(hit, axis=1, out=out[lo : lo + step])
+        r = block.shape[0]
+        np.subtract(block[:, 0, None], sx, out=dx[:r])
+        np.subtract(block[:, 1, None], sy, out=dy[:r])
+        psi_hit(dx[:r], dy[:r], psi, out=hit[:r])
+        np.any(hit[:r], axis=1, out=out[lo : lo + step])
     return out
 
 

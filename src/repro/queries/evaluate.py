@@ -49,7 +49,7 @@ directly.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from .components import DivisionPlan, FacilityComponent, divide
 
 __all__ = [
     "QueryStats",
+    "FrontierScores",
     "MatchCollector",
     "candidate_mode",
     "score_frontier",
@@ -286,6 +287,14 @@ def _filter_and_probe(
     return order, rows, counts, mask
 
 
+class FrontierScores(NamedTuple):
+    """What :func:`score_frontier` found, per node of its frontier."""
+
+    values: np.ndarray  # the value the node's own list adds
+    counts: np.ndarray  # the candidates scoring that value took
+    cached: np.ndarray  # was the value read from the walk record?
+
+
 def score_frontier(
     tree: TQTree,
     plan: DivisionPlan,
@@ -294,10 +303,11 @@ def score_frontier(
     collector: Optional[MatchCollector],
     stats: QueryStats,
     runtime: Optional[QueryRuntime],
-) -> List[float]:
+) -> FrontierScores:
     """Algorithm 2 for a whole frontier: the service value gained from
     the entries stored *at* each of the frame nodes ``nodes`` (all with
-    a non-empty component under ``plan``), in ``nodes`` order.
+    a non-empty component under ``plan``), in ``nodes`` order, with how
+    many candidates each value took and whether the cache knew it.
 
     Filter, then refine once, then score once: the lists of every node
     not answered by the cache go through one stacked filter pass
@@ -326,17 +336,21 @@ def score_frontier(
     n_own = frame.n_own[nodes]
     stats.entries_considered += int(n_own.sum())
     listed = np.flatnonzero(n_own)  # positions of the nodes with a list
-    values = np.zeros(nodes.size)
+    values, scored = np.zeros(nodes.size), np.zeros(nodes.size, dtype=np.int64)
+    cached = np.zeros(nodes.size, dtype=bool)
     record = plan.record if collector is None else None
     column = (spec.model, spec.normalize)
     held = None if record is None else runtime.cache.read_column(record, column)
     hits, counts = 0, np.zeros(0, dtype=np.int64)
     if held is not None:
-        known, value, count = (array[nodes[listed]] for array in held)
-        values[listed[known]] = value[known]
-        hits = int(np.count_nonzero(known))
+        ids = nodes[listed]
+        known = held[0][ids]
+        at, ids = listed[known], ids[known]
+        count = held[2][ids]
+        values[at], scored[at], cached[at] = held[1][ids], count, True
+        hits = at.size
         stats.cache_hits += hits
-        stats.entries_scored += int(count[known].sum())
+        stats.entries_scored += int(count.sum())
         listed = listed[~known]
     if listed.size:
         order, rows, counts, mask = _filter_and_probe(
@@ -347,11 +361,12 @@ def score_frontier(
         values[listed] = _score_candidates(
             tree.table, frame.block, rows, mask, counts, spec, collector
         )
+        scored[listed] = counts
     if record is not None:
         runtime.cache.store_column(
             record, column, nodes[listed], values[listed], counts, hits
         )
-    return values.tolist()
+    return FrontierScores(values, scored, cached)
 
 
 def walk_plan(
@@ -415,7 +430,7 @@ def evaluate_node_trajectories(
     return score_frontier(
         tree, plan, np.array([node]), spec, collector,
         stats if stats is not None else QueryStats(), runtime,
-    )[0]
+    ).values.tolist()[0]
 
 
 def evaluate_core(
@@ -451,7 +466,7 @@ def evaluate_core(
     if not reached.size:
         return 0.0, local
     local.nodes_visited += reached.size
-    values = score_frontier(tree, plan, reached, spec, collector, local, runtime)
+    values = score_frontier(tree, plan, reached, spec, collector, local, runtime).values.tolist()
     # children come after their parent in pre-order, so walking the
     # reached nodes backwards finds every child's total already made
     total: Dict[int, float] = {}

@@ -11,14 +11,17 @@ exact service value.
 
 A state divides its facility over the tree once
 (:class:`~repro.queries.components.DivisionPlan`) and carries the plan
-across relax rounds: the frontier is an array of frame node numbers,
-``relaxState`` scores all of it in one filter pass and one probe call
-(:func:`~repro.queries.evaluate.score_frontier`), and the next frontier
-is the plan's reached children — no per-node component objects.  A
-state whose walk record knows every value its rounds add is *replayed*
-from the record's level script: each round adds that level's values
-left to right and bumps the counters scoring would, and is still pushed
-once, so tied complete states pop in the order they completed.
+across relax rounds; its frontier is an array of frame node numbers.
+``relaxState`` has one form, a *replay* of the state's level script:
+each round adds that level's values left to right, bumps the counters
+scoring the frontier would, and is still pushed once, so tied complete
+states pop in the order they completed.  A state gets its script at its
+first relax — every frontier its remaining rounds reach, scored in one
+filter pass and one probe call
+(:func:`~repro.queries.evaluate.score_frontier`) — or, warm, from its
+walk record, which keeps the script for later states.  Exact distance
+work is counted when scored, so only a state left incomplete when the
+top k is found scores more than a round-by-round walk would.
 
 Because ``fserve`` never increases under relaxation (exact scores replace
 their own upper bounds, pruned children vanish), the first k completed
@@ -69,23 +72,30 @@ class KMaxRRSTResult:
         return tuple(fs.service for fs in self.ranking)
 
 
-#: One relax round of a replayed state: its frontier and ``hserve``, then
+#: One relax round of a scripted state: its frontier and ``hserve``, then
 #: what scoring the frontier adds (the listed values in frontier order).
 _Level = namedtuple("_Level", "frontier hserve considered hits scored values")
+
+#: The counters of exact distance work, which a state counts when it
+#: scores its walk rather than round by round.
+_PROBE_FIELDS = ("points_scanned", "distance_evals", "cells_probed")
 
 
 @dataclass
 class _State:
     """Exploration state ``S`` of Algorithm 3: the facility's division
-    plan (made once, carried across relax rounds), the frontier as frame
-    node numbers and a replayed state's level script from its level on."""
+    plan (made once, carried across relax rounds), its anchor path, the
+    frontier as frame node numbers and, once it has one, its level script
+    from its level on — ``warm`` if the script is its walk record's."""
 
     facility: FacilityRoute
     plan: DivisionPlan
+    path: np.ndarray
     frontier: np.ndarray
     aserve: float
     hserve: float
     script: Optional[List[_Level]] = None
+    warm: bool = False
 
     @property
     def fserve(self) -> float:
@@ -106,29 +116,43 @@ def _expand(
     return kids, in_order_sum(frame.sub[kids, SubBounds.column_for(spec)])
 
 
-def _level_script(
-    frame: TreeFrame, state: _State, path: np.ndarray, spec: ServiceSpec, runtime: QueryRuntime
-) -> Optional[List[_Level]]:
-    """Every relax round of ``state`` (anchored at ``path[0]``), kept on
-    its walk record with the path; ``None`` while a listed node is unknown."""
-    column = (spec.model, spec.normalize)
-    held = runtime.cache.read_column(state.plan.record, column)
-    if held is None:
-        return None
-    known, value, count = held
-    frontier, hserve, levels = state.frontier, state.hserve, []
-    while True:
+def _score_walk(
+    tree: TQTree,
+    state: _State,
+    spec: ServiceSpec,
+    stats: QueryStats,
+    runtime: Optional[QueryRuntime],
+) -> List[_Level]:
+    """``state``'s level script: every frontier its rounds reach
+    (by :func:`_expand`, probing nothing) scored in one
+    :func:`~repro.queries.evaluate.score_frontier` call, whose exact
+    distance work is counted here.  A level's ``hits`` are the values the
+    walk record already knew; the record keeps the script with the
+    anchor path, every value a hit, for later states to replay warm."""
+    frame = tree.frame()
+    rounds = [(state.frontier, state.hserve)]
+    while rounds[-1][0].size:
+        rounds.append(_expand(frame, state.plan, rounds[-1][0], spec))
+    nodes = np.concatenate([frontier for frontier, _ in rounds])
+    work = QueryStats()
+    scores = score_frontier(tree, state.plan, nodes, spec, None, work, runtime)
+    for name in _PROBE_FIELDS:
+        setattr(stats, name, getattr(stats, name) + getattr(work, name))
+    levels, end = [], 0
+    for frontier, hserve in rounds:
         n_own = frame.n_own[frontier]
-        listed = frontier[n_own > 0]
-        if not known[listed].all():
-            return None
-        scored, values = int(count[listed].sum()), value[listed].tolist()
-        levels.append(_Level(frontier, hserve, int(n_own.sum()), listed.size, scored, values))
-        if not frontier.size:
-            rows = path.size + sum(level.frontier.size for level in levels)
-            runtime.cache.store_script(state.plan.record, column, (path, levels), rows)
-            return levels
-        frontier, hserve = _expand(frame, state.plan, frontier, spec)
+        part = np.arange(end, end + frontier.size)[n_own > 0]
+        end += frontier.size
+        levels.append(_Level(
+            frontier, hserve, int(n_own.sum()), int(np.count_nonzero(scores.cached[part])),
+            int(scores.counts[part].sum()), scores.values[part].tolist(),
+        ))
+    if state.plan.record is not None:
+        kept = [level._replace(hits=len(level.values)) for level in levels]
+        rows = state.path.size + nodes.size
+        column = (spec.model, spec.normalize)
+        runtime.cache.store_script(state.plan.record, column, (state.path, kept), rows)
+    return levels
 
 
 def _initial_state(
@@ -149,8 +173,7 @@ def _initial_state(
     lists — at most tree-height many — are evaluated exactly into
     ``aserve`` up front, as one frontier, root first.
 
-    A state whose walk record knows every listed node its rounds reach
-    is replayed from the record's level script (:func:`_level_script`).
+    A state whose walk record holds a level script starts warm on it.
     """
     plan = walk_plan(tree, facility, spec.psi, runtime)
     frame, record = tree.frame(), plan.record
@@ -158,16 +181,14 @@ def _initial_state(
     path, levels = script or (frame.path(tree.containing_qnode(facility.embr(spec.psi))), None)
     aserve = 0.0
     if path.size > 1 and needs_ancestor_scan(spec, tree.config.variant):
-        for value in score_frontier(tree, plan, path[:0:-1], spec, None, stats, runtime):
+        scan = score_frontier(tree, plan, path[:0:-1], spec, None, stats, runtime)
+        for value in scan.values.tolist():
             aserve += value
-    if levels is None:
-        frontier = path[:1] if plan.served[path[0]] else path[:0]
-        hserve = float(frame.sub[path[0], SubBounds.column_for(spec)]) if frontier.size else 0.0
-        state = _State(facility, plan, frontier, aserve, hserve)
-        levels = record and _level_script(frame, state, path, spec, runtime)
-        if not levels:
-            return state
-    return _State(facility, plan, levels[0].frontier, aserve, levels[0].hserve, levels)
+    if levels is not None:
+        return _State(facility, plan, path, levels[0].frontier, aserve, levels[0].hserve, levels, True)
+    frontier = path[:1] if plan.served[path[0]] else path[:0]
+    hserve = float(frame.sub[path[0], SubBounds.column_for(spec)]) if frontier.size else 0.0
+    return _State(facility, plan, path, frontier, aserve, hserve)
 
 
 def _relax_state(
@@ -177,30 +198,30 @@ def _relax_state(
     stats: QueryStats,
     runtime: Optional[QueryRuntime] = None,
 ) -> _State:
-    """Algorithm 4: expand every frontier node one level — the whole
-    frontier scored in one filter pass and one probe call, or replayed
-    from the state's level script: its values added left to right and
-    its counters bumped exactly as the scoring would."""
+    """Algorithm 4: expand every frontier node one level, replayed from
+    the state's level script — the level's values added left to right
+    and its counters bumped exactly as scoring the frontier would.  A
+    state with no script gets one at its first relax: its whole
+    remaining walk scored in one filter pass and one probe call
+    (:func:`_score_walk`)."""
+    script = state.script
+    if script is None:
+        script = _score_walk(tree, state, spec, stats, runtime)
+    level, after = script[:2]
     stats.states_relaxed += 1
-    stats.nodes_visited += state.frontier.size
-    aserve = state.aserve
-    if state.script is not None:
-        level, after = state.script[:2]
-        stats.entries_considered += level.considered
-        stats.cache_hits += level.hits
-        stats.entries_scored += level.scored
+    stats.nodes_visited += level.frontier.size
+    stats.entries_considered += level.considered
+    stats.cache_hits += level.hits
+    stats.entries_scored += level.scored
+    if state.warm:
         runtime.cache.count_hits(level.hits)
-        for value in level.values:
-            aserve += value
-        return _State(
-            state.facility, state.plan, after.frontier, aserve, after.hserve, state.script[1:]
-        )
-    for value in score_frontier(
-        tree, state.plan, state.frontier, spec, None, stats, runtime
-    ):
+    aserve = state.aserve
+    for value in level.values:
         aserve += value
-    kids, hserve = _expand(tree.frame(), state.plan, state.frontier, spec)
-    return _State(state.facility, state.plan, kids, aserve, hserve)
+    return _State(
+        state.facility, state.plan, state.path, after.frontier, aserve, after.hserve,
+        script[1:], state.warm,
+    )
 
 
 def top_k_core(

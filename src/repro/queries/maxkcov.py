@@ -5,7 +5,9 @@ The MaxkCovRST query asks for the size-k facility subset maximising the
 non-submodular (Lemma 1) and NP-hard, and proposes a two-step greedy:
 
 1. **prune** — run kMaxRRST to shortlist the ``k' >= k`` individually
-   highest-serving facilities;
+   highest-serving facilities (skipped when ``k'`` keeps every
+   candidate: a kMaxRRST that cannot prune would only rank them, and the
+   greedy orders candidates by facility id anyway);
 2. **greedy** — iteratively add the shortlisted facility with the largest
    *marginal* combined gain, tracked by a
    :class:`~repro.core.service.CoverageState`.
@@ -203,22 +205,28 @@ def maxkcov_core(
     """The pure step behind :func:`maxkcov_tq`: shortlist + greedy,
     returning ``(result, work counters)`` with no ambient accrual.
 
-    The counters aggregate the kMaxRRST shortlist pass and every match
-    set actually computed (cache-served match sets cost nothing, as in
-    the synchronous path).  Planner-consumable:
+    The shortlist is the kMaxRRST top ``k' = prune_factor * k``; when
+    ``k'`` is at least ``len(facilities)`` no kMaxRRST runs (after the
+    spec is validated) and every candidate goes to the greedy — the
+    fleet is the same, as the greedy orders candidates by facility id.
+    The counters aggregate the kMaxRRST pass, when one runs, and every
+    match set actually computed (cache-served match sets cost nothing,
+    as in the synchronous path).  Planner-consumable:
     :class:`repro.service.QueryPlanner` lowers a ``MaxKCovRequest``
     onto this directly.
     """
     require_positive_int("k", k)
     require_positive_int("prune_factor", prune_factor)
     local = QueryStats()
-    k_prime = min(len(facilities), prune_factor * k)
-    shortlist_result = top_k_core(tree, facilities, k_prime, spec, runtime)
-    local.merge(shortlist_result.stats)
-    shortlist = [fs.facility for fs in shortlist_result.ranking]
+    if prune_factor * k < len(facilities):
+        shortlist = top_k_core(tree, facilities, prune_factor * k, spec, runtime)
+        local.merge(shortlist.stats)
+        facilities = shortlist.facilities()
+    else:
+        tree.validate_spec(spec)
     users = tree.table  # match sets are slot arrays over this very table
     result = greedy_max_k_coverage(
-        users, shortlist, k, spec,
+        users, facilities, k, spec,
         core_match_fn(tree, spec, runtime, acc=local),
     )
     return result, local
@@ -235,7 +243,8 @@ def maxkcov_tq(
     """The paper's two-step greedy: G-TQ(B) / G-TQ(Z) per tree config.
 
     Step 1 shortlists the ``prune_factor * k`` individually best
-    facilities with kMaxRRST; step 2 runs the greedy on the shortlist.
+    facilities with kMaxRRST (every candidate, with no kMaxRRST, when
+    that is all of them); step 2 runs the greedy on the shortlist.
     ``prune_factor`` trades quality for speed (the paper's ``k' >= k``).
     With a ``runtime``, the exact distance work rides the proximity
     engine the runtime provisions, and repeated queries — another

@@ -10,6 +10,7 @@ import pytest
 from repro import (
     BBox,
     CityModel,
+    QueryRuntime,
     ServiceModel,
     ServiceSpec,
     generate_bus_routes,
@@ -90,3 +91,18 @@ def length_spec() -> ServiceSpec:
 @pytest.fixture(scope="session")
 def unit_box() -> BBox:
     return BBox(0.0, 0.0, 1000.0, 1000.0)
+
+
+@pytest.fixture
+def probe_calls():
+    """Every ``QueryRuntime.probe_mask`` call, as the points it probed."""
+    calls = []
+    inner = QueryRuntime.probe_mask
+
+    def counting(self, stops, coords, psi, stats=None):
+        calls.append(len(coords))
+        return inner(self, stops, coords, psi, stats)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(QueryRuntime, "probe_mask", counting)
+        yield calls

@@ -511,11 +511,21 @@ class TestCoverageStateAgainstDictModel:
 #: route, the indexed space holding every route here — instead of the
 #: subset dealt to its q-node, so each leg reads ``points_scanned * 16``
 #: (before: 114112 / 147936 / 237390 / 556524).
+#:
+#: Re-recorded again when MaxkCov stopped running a kMaxRRST whose
+#: shortlist keeps every candidate (here k' = min(8, 4 * 2) = 8): each
+#: leg lost exactly the counters of ``top_k_core(tree, routes[:8], 8,
+#: spec)`` on the runtime as the mix leaves it before its MaxkCov.  That
+#: shortlist is warm, so no probe counter moved; the other fields were
+#: (nodes_visited, entries_considered, entries_scored, states_relaxed,
+#: cache_hits) = TQ(Z) endpoint 543 / 37041 / 8667 / 108 / 357, TQ(B)
+#: endpoint 543 / 37041 / 11028 / 108 / 357, S-TQ(Z) 1447 / 64647 /
+#: 25396 / 216 / 933, F-TQ(Z) 852 / 27655 / 18627 / 233 / 558.
 GOLDEN_STATS = {
-    "TQ(Z) endpoint": dict(nodes_visited=543, entries_considered=37041, entries_scored=8667, states_relaxed=108, states_pruned=0, points_scanned=8686, distance_evals=138976, cells_probed=0, cache_hits=357),
-    "TQ(B) endpoint": dict(nodes_visited=543, entries_considered=37041, entries_scored=11028, states_relaxed=108, states_pruned=0, points_scanned=10800, distance_evals=172800, cells_probed=0, cache_hits=357),
-    "S-TQ(Z) count+length": dict(nodes_visited=1447, entries_considered=64647, entries_scored=25396, states_relaxed=216, states_pruned=0, points_scanned=18474, distance_evals=295584, cells_probed=0, cache_hits=933),
-    "F-TQ(Z) all models": dict(nodes_visited=852, entries_considered=27655, entries_scored=18627, states_relaxed=233, states_pruned=0, points_scanned=36122, distance_evals=577952, cells_probed=0, cache_hits=558),
+    "TQ(Z) endpoint": dict(nodes_visited=468, entries_considered=32381, entries_scored=7897, states_relaxed=76, states_pruned=0, points_scanned=8686, distance_evals=138976, cells_probed=0, cache_hits=282),
+    "TQ(B) endpoint": dict(nodes_visited=468, entries_considered=32381, entries_scored=10010, states_relaxed=76, states_pruned=0, points_scanned=10800, distance_evals=172800, cells_probed=0, cache_hits=282),
+    "S-TQ(Z) count+length": dict(nodes_visited=1239, entries_considered=56415, entries_scored=22400, states_relaxed=152, states_pruned=0, points_scanned=18474, distance_evals=295584, cells_probed=0, cache_hits=725),
+    "F-TQ(Z) all models": dict(nodes_visited=732, entries_considered=24163, entries_scored=16384, states_relaxed=161, states_pruned=0, points_scanned=36122, distance_evals=577952, cells_probed=0, cache_hits=438),
 }
 
 

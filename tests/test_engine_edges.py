@@ -11,6 +11,8 @@ Each case is pinned against the dense oracle.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,58 @@ class TestDegenerateGeometryHardening:
             _assert_grid_matches_dense(
                 [[2.5, -7.25]], [[2.5, -7.25], [2.5, -7.0], [100.0, 100.0]], psi
             )
+
+
+def _broadcast_cover(points, stops, psi):
+    """The dense kernel's answer as one plain broadcast of ``psi_hit``."""
+    from repro.core.service import psi_hit
+
+    points, stops = np.asarray(points, float), np.asarray(stops, float)
+    dx = points[:, 0, None] - stops[None, :, 0]
+    dy = points[:, 1, None] - stops[None, :, 1]
+    return psi_hit(dx, dy, psi).any(axis=1)
+
+
+class TestDenseKernelPasses:
+    """``coverage_kernel`` fills one set of pass buffers in place; every
+    pass shape answers ``==`` one plain broadcast."""
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [(1500, 32), (20_000, 1), (200, 16_500), (1, 3), (64, 16_385)],
+        ids=["several-passes", "one-stop", "wide-stops", "one-point", "one-row-pass"],
+    )
+    def test_every_pass_shape_matches_a_broadcast(self, n, m):
+        from repro.core.service import coverage_kernel
+
+        rng = np.random.default_rng(n + m)
+        points = rng.uniform(0.0, 1000.0, (n, 2))
+        stops = rng.uniform(0.0, 1000.0, (m, 2))
+        psi = 30.0 if m < 100 else 2.0
+        mask = coverage_kernel(points, stops, psi)
+        assert np.array_equal(mask, _broadcast_cover(points, stops, psi))
+        assert 0 < np.count_nonzero(mask) < n or n == 1
+
+    def test_far_points_are_silent_misses(self):
+        from repro.core.service import coverage_kernel
+
+        points = np.array([[1e200, 1e200], [-1e200, 3.0], [3.0, 4.0], [1e200, -1e200]])
+        stops = np.array([[0.0, 0.0], [-5.0, 1e-3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = coverage_kernel(points, stops, 5.0)
+        assert mask.tolist() == [False, False, True, False]
+        assert np.array_equal(mask, _broadcast_cover(points, stops, 5.0))
+
+    def test_psi_hit_into_a_buffer_is_the_same_predicate(self):
+        from repro.core.service import psi_hit
+
+        rng = np.random.default_rng(5)
+        dx, dy = rng.normal(0.0, 10.0, (2, 40, 7))
+        want = psi_hit(dx, dy, 9.5)
+        out = np.empty(dx.shape, dtype=bool)
+        assert psi_hit(dx.copy(), dy.copy(), 9.5, out=out) is out
+        assert np.array_equal(out, want)
 
 
 class TestQuadrants:

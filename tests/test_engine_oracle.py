@@ -216,7 +216,12 @@ class TestTreePathOracle:
         assert fast_cov.facility_ids() == plain_cov.facility_ids()
         assert fast_cov.combined_service == plain_cov.combined_service
         assert fast_cov.users_fully_served == plain_cov.users_fully_served
-        assert runtime.cache.hits > 0
+        # k' = min(|F|, 4 * 3) keeps every candidate: a second MaxkCov
+        # reads each candidate's match set off its walk record
+        hits = runtime.cache.hits
+        again = maxkcov_tq(tree, facilities, 3, spec, runtime=runtime)
+        assert again.facility_ids() == plain_cov.facility_ids()
+        assert runtime.cache.hits - hits == len(facilities)
 
     def test_cache_never_aliases_facilities_sharing_an_id(self, taxi_users, facilities):
         """Two distinct facilities with the same facility_id must each

@@ -527,20 +527,6 @@ def test_equal_trees_sharing_a_runtime_share_no_node_results():
 # ----------------------------------------------------------------------
 # (e) shape: probe calls per walk, nothing built inside a warmed query
 # ----------------------------------------------------------------------
-@pytest.fixture
-def probe_calls():
-    calls = []
-    inner = QueryRuntime.probe_mask
-
-    def counting(self, stops, coords, psi, stats=None):
-        calls.append(len(coords))
-        return inner(self, stops, coords, psi, stats)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(QueryRuntime, "probe_mask", counting)
-        yield calls
-
-
 @pytest.mark.engine_smoke
 def test_one_probe_call_per_walk_and_none_when_cached(
     probe_calls, taxi_users, checkin_users, facilities
@@ -657,7 +643,7 @@ def test_a_frontier_scores_bitwise_like_its_nodes_one_by_one(name, model, normal
                         collector = MatchCollector() if collecting else None
                         values = evaluate_module.score_frontier(
                             tree, plan, part, spec, collector, QueryStats(), runtime
-                        )
+                        ).values.tolist()
                         return values, collector
 
                     got, collector = score(nodes)

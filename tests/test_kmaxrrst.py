@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
+import hashlib
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from hypothesis import given, settings
 from repro import (
     BBox,
     FacilityRoute,
+    ProximityBackend,
     QueryError,
     QueryRuntime,
     QueryStats,
+    RuntimeConfig,
     ServiceModel,
     ServiceSpec,
     TQTree,
@@ -27,6 +30,7 @@ from repro import (
     evaluate_service,
 )
 from repro.datasets import generate_bus_routes, generate_taxi_trips
+from repro.queries import kmaxrrst as kmaxrrst_module
 from repro.queries import top_k_facilities
 
 from .strategies import WORLD, facility_sets, psis, trajectory_sets
@@ -230,17 +234,19 @@ def test_warm_rankings_break_ties_like_cold_ones(city, builder):
     Complete states with equal ``fserve`` pop in the order they were
     pushed complete, so a warm state must still complete round by round:
     one pushed complete at init would order its ties by candidate
-    order."""
+    order.  The no-runtime rankings are pinned by their sha1, recorded
+    while every relax round still scored its own frontier."""
     rng = np.random.default_rng(17)
     tree = builder(generate_taxi_trips(300, city, seed=4))
     pool = generate_bus_routes(40, city, seed=8, n_stops=6)
-    tied = 0
+    tied, rankings = 0, []
     for _ in range(30):
         candidates = [pool[i] for i in rng.choice(len(pool), size=12, replace=False)]
         model = (ServiceModel.ENDPOINT, ServiceModel.COUNT)[int(rng.integers(2))]
         spec = ServiceSpec(model, psi=float(rng.choice([250.0, 400.0])), normalize=False)
         k = int(rng.integers(1, 8))
         want = top_k_facilities(tree, candidates, k, spec)
+        rankings.append([(fs.facility.facility_id, fs.service) for fs in want.ranking])
         services = want.services()
         tied += len(set(services)) < len(services)
         for warm_share in (0.0, 0.5, 1.0):
@@ -257,4 +263,117 @@ def test_warm_rankings_break_ties_like_cold_ones(city, builder):
                 elif field.name != "cache_hits":
                     assert value == cold, field.name
     assert tied >= 10, tied
+    digest = hashlib.sha1(repr(rankings).encode()).hexdigest()
+    assert digest == "b7afa3cc19f827235bfe9f1b70e30a7490c7ccf6"
 
+
+
+# ----------------------------------------------------------------------
+# a cold state is walked once
+# ----------------------------------------------------------------------
+#: A cold ``top_k_facilities`` with k = |F| (every state completes) per
+#: (tree, model, runtime backend or None): the first 12 hex digits of
+#: the sha1 of its ``(facility_id, service)`` ranking and its
+#: ``QueryStats`` as a tuple, recorded while every relax round still
+#: scored its own frontier.  Scoring a state's whole walk at its first
+#: relax and replaying the rounds must count exactly this.
+_COLD_GOLDEN = {
+    ("TQ(Z)", "ENDPOINT", None): ("7ffab09d5ff1", (85, 4657, 905, 48, 0, 1810, 28960, 0, 0)),
+    ("TQ(Z)", "ENDPOINT", "AUTO"): ("7ffab09d5ff1", (85, 4657, 905, 48, 0, 1810, 28960, 0, 0)),
+    ("TQ(Z)", "ENDPOINT", "GRID"): ("7ffab09d5ff1", (85, 4657, 905, 48, 0, 1355, 3228, 2843, 0)),
+    ("TQ(Z)", "ENDPOINT", "CELLSTRING"): ("7ffab09d5ff1", (85, 4657, 905, 48, 0, 1476, 589, 389, 0)),
+    ("TQ(Z)", "COUNT", None): ("b150335dab66", (85, 4657, 3494, 48, 0, 6988, 111808, 0, 0)),
+    ("TQ(Z)", "COUNT", "AUTO"): ("b150335dab66", (85, 4657, 3494, 48, 0, 6988, 111808, 0, 0)),
+    ("TQ(B)", "ENDPOINT", None): ("7ffab09d5ff1", (85, 4657, 997, 48, 0, 1994, 31904, 0, 0)),
+    ("TQ(B)", "ENDPOINT", "AUTO"): ("7ffab09d5ff1", (85, 4657, 997, 48, 0, 1994, 31904, 0, 0)),
+    ("TQ(B)", "COUNT", None): ("b150335dab66", (85, 4657, 3936, 48, 0, 7872, 125952, 0, 0)),
+    ("TQ(B)", "COUNT", "AUTO"): ("b150335dab66", (85, 4657, 3936, 48, 0, 7872, 125952, 0, 0)),
+    ("F-TQ(Z)", "COUNT", None): ("ccfe0137b38d", (58, 1742, 1546, 36, 0, 8671, 138736, 0, 0)),
+    ("F-TQ(Z)", "COUNT", "AUTO"): ("ccfe0137b38d", (58, 1742, 1546, 36, 0, 8671, 138736, 0, 0)),
+    ("F-TQ(Z)", "COUNT", "GRID"): ("ccfe0137b38d", (58, 1742, 1546, 36, 0, 2206, 5686, 4881, 0)),
+    ("F-TQ(Z)", "COUNT", "CELLSTRING"): ("ccfe0137b38d", (58, 1742, 1546, 36, 0, 2579, 1039, 679, 0)),
+    ("F-TQ(Z)", "LENGTH", None): ("042061a3ea20", (58, 1742, 1546, 36, 0, 8671, 138736, 0, 0)),
+    ("F-TQ(Z)", "LENGTH", "AUTO"): ("042061a3ea20", (58, 1742, 1546, 36, 0, 8671, 138736, 0, 0)),
+    ("F-TQ(B)", "COUNT", None): ("ccfe0137b38d", (58, 1742, 1546, 36, 0, 8671, 138736, 0, 0)),
+    ("F-TQ(B)", "COUNT", "AUTO"): ("ccfe0137b38d", (58, 1742, 1546, 36, 0, 8671, 138736, 0, 0)),
+    ("F-TQ(B)", "LENGTH", None): ("042061a3ea20", (58, 1742, 1546, 36, 0, 8671, 138736, 0, 0)),
+    ("F-TQ(B)", "LENGTH", "AUTO"): ("042061a3ea20", (58, 1742, 1546, 36, 0, 8671, 138736, 0, 0)),
+}
+
+_COLD_TREES = {
+    "TQ(Z)": lambda taxi, chk: build_tq_zorder(taxi, beta=16),
+    "TQ(B)": lambda taxi, chk: build_tq_basic(taxi, beta=16),
+    "F-TQ(Z)": lambda taxi, chk: build_full(chk, beta=16),
+    "F-TQ(B)": lambda taxi, chk: build_full(chk, beta=16, use_zorder=False),
+}
+
+
+def _ranking_digest(result) -> str:
+    pairs = [(fs.facility.facility_id, fs.service) for fs in result.ranking]
+    return hashlib.sha1(repr(pairs).encode()).hexdigest()
+
+
+def _cold_runtime(backend):
+    return None if backend is None else QueryRuntime(RuntimeConfig(backend=ProximityBackend[backend]))
+
+
+@pytest.mark.parametrize("tree_name, model, backend", sorted(_COLD_GOLDEN, key=str))
+def test_a_complete_cold_state_counts_what_round_by_round_scoring_counted(
+    taxi_users, checkin_users, facilities, tree_name, model, backend
+):
+    tree = _COLD_TREES[tree_name](taxi_users, checkin_users)
+    spec = ServiceSpec(ServiceModel[model], psi=400.0, normalize=False)
+    result = top_k_facilities(
+        tree, facilities, len(facilities), spec, runtime=_cold_runtime(backend)
+    )
+    digest, stats = _COLD_GOLDEN[tree_name, model, backend]
+    assert (_ranking_digest(result)[:12], astuple(result.stats)) == (digest, stats)
+
+
+@pytest.mark.engine_smoke
+@pytest.mark.parametrize("tree_name, model", [("TQ(Z)", "ENDPOINT"), ("F-TQ(Z)", "COUNT")])
+def test_a_cold_state_probes_once_and_leaves_its_script(
+    taxi_users, checkin_users, facilities, probe_calls, tree_name, model
+):
+    """A cold state probes at most once for its ancestor scan and once
+    for its whole walk; a state that ran leaves its level script on its
+    walk record, so the same query again probes nothing."""
+    tree = _COLD_TREES[tree_name](taxi_users, checkin_users)
+    spec = ServiceSpec(ServiceModel[model], psi=400.0, normalize=False)
+    column = (spec.model, spec.normalize)
+    with QueryRuntime() as runtime:
+        for facility in facilities:
+            stats = QueryStats()
+            del probe_calls[:]
+            state = kmaxrrst_module._initial_state(tree, facility, spec, stats, runtime)
+            assert len(probe_calls) <= 1
+            del probe_calls[:]
+            while not state.complete:
+                state = kmaxrrst_module._relax_state(tree, state, spec, stats, runtime)
+            assert len(probe_calls) <= 1
+            assert state.aserve == evaluate_service(tree, facility, spec)
+        runtime.cache.clear()
+        del probe_calls[:]
+        cold = top_k_facilities(tree, facilities, len(facilities), spec, runtime=runtime)
+        assert len(probe_calls) <= 2 * len(facilities)
+        records = runtime.cache._records.values()
+        assert len(records) == len(facilities)
+        assert all(column in record.scripts for record in records)
+        del probe_calls[:]
+        warm = top_k_facilities(tree, facilities, len(facilities), spec, runtime=runtime)
+        assert probe_calls == []
+    assert warm.ranking == cold.ranking
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_every_relaxed_state_leaves_its_script(taxi_users, facilities, k):
+    """With k < |F| a state left incomplete has scored its whole walk
+    at its first relax too: every state that relaxed leaves a script,
+    and a state never relaxed leaves none."""
+    tree = build_tq_zorder(taxi_users, beta=16)
+    spec = ServiceSpec(ServiceModel.COUNT, psi=400.0, normalize=False)
+    with QueryRuntime() as runtime:
+        result = top_k_facilities(tree, facilities, k, spec, runtime=runtime)
+        scripted = {key[0] for key, r in runtime.cache._records.items() if r.scripts}
+    assert {f.facility_id for f in result.facilities()} <= scripted
+    assert len(scripted) <= result.stats.states_relaxed

@@ -3,6 +3,8 @@ between G-BL / G-TQ(B) / G-TQ(Z)."""
 
 from __future__ import annotations
 
+from dataclasses import astuple, fields
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,6 +14,7 @@ from repro import (
     GeneticConfig,
     QueryError,
     QueryRuntime,
+    QueryStats,
     ServiceModel,
     ServiceSpec,
     TQTree,
@@ -343,3 +346,58 @@ class TestPositiveIntegerArguments:
         call = _entry_points(*world, endpoint_spec)[entry_point]
         with pytest.raises(QueryError, match="prune_factor must be"):
             call(2, prune_factor)
+
+
+#: Cold MaxkCovs over the 12 fixture routes, per (tree, model, k):
+#: ``(facility_ids, combined_service, users_fully_served)`` and the
+#: request's ``QueryStats`` as a tuple, recorded while every MaxkCov
+#: still ran its kMaxRRST shortlist.  k = 3 keeps every candidate
+#: (k' = min(12, 4k) = 12), so the recorded counters include the
+#: shortlist's, given in :data:`_SHORTLIST_STATS`; k = 2 shortlists 8.
+_FLEET_GOLDEN = {
+    ("TQ(Z)", "ENDPOINT", 3): (((5, 11, 10), 211.0, 211), (170, 9314, 4399, 48, 0, 8798, 140768, 0, 0)),
+    ("TQ(Z)", "COUNT", 3): (((5, 3, 10), 585.0, 208), (170, 9314, 6988, 48, 0, 13976, 223616, 0, 0)),
+    ("TQ(B)", "ENDPOINT", 3): (((5, 11, 10), 211.0, 211), (170, 9314, 4933, 48, 0, 9866, 157856, 0, 0)),
+    ("TQ(B)", "COUNT", 3): (((5, 3, 10), 585.0, 208), (170, 9314, 7872, 48, 0, 15744, 251904, 0, 0)),
+    ("TQ(Z)", "ENDPOINT", 2): (((5, 11), 152.0, 152), (140, 7769, 3410, 46, 0, 6820, 109120, 0, 0)),
+    ("TQ(B)", "COUNT", 2): (((5, 11), 499.0, 152), (139, 7764, 6681, 45, 0, 13362, 213792, 0, 0)),
+}
+
+#: The counters of the cold ``top_k_core(tree, routes, 12, spec)`` each
+#: k = 3 MaxkCov above ran as its shortlist.
+_SHORTLIST_STATS = {
+    ("TQ(Z)", "ENDPOINT"): (85, 4657, 905, 48, 0, 1810, 28960, 0, 0),
+    ("TQ(Z)", "COUNT"): (85, 4657, 3494, 48, 0, 6988, 111808, 0, 0),
+    ("TQ(B)", "ENDPOINT"): (85, 4657, 997, 48, 0, 1994, 31904, 0, 0),
+    ("TQ(B)", "COUNT"): (85, 4657, 3936, 48, 0, 7872, 125952, 0, 0),
+}
+
+
+class TestShortlistOfEveryCandidate:
+    """k' = |F| runs no kMaxRRST: every candidate goes to the greedy,
+    which orders them by facility id anyway."""
+
+    @pytest.mark.parametrize("tree_name, model, k", sorted(_FLEET_GOLDEN, key=str))
+    @pytest.mark.parametrize("with_runtime", [False, True])
+    def test_fleets_and_counters(
+        self, taxi_users, facilities, tree_name, model, k, with_runtime
+    ):
+        build = build_tq_zorder if tree_name == "TQ(Z)" else build_tq_basic
+        tree = build(taxi_users, beta=16)
+        spec = ServiceSpec(ServiceModel[model], psi=400.0, normalize=False)
+        runtime = QueryRuntime() if with_runtime else None
+        result, stats = maxkcov_core(tree, facilities, k, spec, 4, runtime)
+        fleet, recorded = _FLEET_GOLDEN[tree_name, model, k]
+        assert (result.facility_ids(), result.combined_service, result.users_fully_served) == fleet
+        if 4 * k >= len(facilities):
+            shortlist = _SHORTLIST_STATS[tree_name, model]
+            assert stats.states_relaxed == 0
+            assert astuple(stats) == tuple(a - b for a, b in zip(recorded, shortlist))
+        else:
+            # a shortlist state left incomplete scored its whole walk at
+            # its first relax: only the exact distance work may grow
+            for field, got, want in zip(fields(QueryStats), astuple(stats), recorded):
+                if field.name in ("points_scanned", "distance_evals", "cells_probed"):
+                    assert want <= got <= 1.01 * want, field.name
+                else:
+                    assert got == want, field.name
