@@ -181,37 +181,25 @@ class ServiceConfig:
 
     Parameters
     ----------
-    max_in_flight:
-        How many request cores may execute concurrently on the
-        service's bridge pool.  Requests beyond the bound wait admitted
-        (queued) but unscheduled.  Must be >= 1.
     queue_depth:
-        Upper bound on requests admitted at once (queued plus running).
+        Upper bound on requests admitted at once (waiting or running).
         A submission past the bound fails fast with
         :class:`~repro.core.errors.ServiceOverloaded` instead of
         growing the queue without limit.  Must be >= 1.
     batch_window:
-        Upper bound, in seconds, on how long the service holds
-        evaluate requests open so concurrent submissions form one group
-        whose members' cores run back to back as one bridge-pool task
-        under one admission slot (see ``repro.service.service``).  A
-        group holds only while a core is running on the bridge pool —
-        an idle service fires it at once — and never longer than this.
-        ``0.0`` (default) disables batching entirely.  A member runs
-        the same core it would run alone, so answers and per-request
-        stats never depend on this knob.
+        ``> 0`` turns batching on: evaluate requests submitted in one
+        loop iteration form one group whose members' cores run back to
+        back (see ``repro.service.service``).  A group holds for one
+        bare yield of the event loop, so beyond being positive the
+        value changes nothing.  ``0.0`` (default) disables batching.  A
+        member runs the same core it would run alone, so answers and
+        per-request stats never depend on this knob.
     """
 
-    max_in_flight: int = 8
     queue_depth: int = 64
     batch_window: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_int("max_in_flight", self.max_in_flight)
-        if self.max_in_flight < 1:
-            raise QueryError(
-                f"max_in_flight must be >= 1, got {self.max_in_flight}"
-            )
         if not self.batch_window >= 0.0:  # also rejects NaN
             raise QueryError(
                 f"batch_window must be >= 0, got {self.batch_window}"

@@ -42,8 +42,8 @@ other.  Divisions are bookkeeping, not answers: they count in neither
 ``hits`` / ``misses`` nor ``len()``; a node value counts one hit or one
 miss per listed node a frontier reads, a match set one per request.
 
-**Thread safety.**  A runtime's cache is read and written from the
-service's bridge threads concurrently, so every table access and
+**Thread safety.**  A runtime's cache may be read and written from
+several caller threads concurrently, so every table access and
 counter update happens under one internal lock.  Value columns are
 copied on write and swapped in under the lock, and a level script or a
 match set is installed once, so none changes once stored and all are

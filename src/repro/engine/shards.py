@@ -300,7 +300,7 @@ class ShardStore:
 
     The public methods run under one reentrant lock (``sharded_grid``
     builds grids that intern their slices back through the same store),
-    so concurrent callers — the service's bridge threads dressing stop
+    so concurrent callers — threads sharing one runtime, dressing stop
     sets at once — get the single-builder guarantee: the first request
     for a given content builds, everyone else shares the built object.
     Grid/shard construction is pure CPU on immutable inputs, so holding

@@ -118,19 +118,6 @@ class BlockingConfig:
     )
     #: file-opening callables (sync file I/O on the loop)
     open_calls: Tuple[str, ...] = ("open", "os.fdopen", "io.open")
-    #: query-core entry points that must go through run_in_executor /
-    #: the bridge, never be called directly on the loop
-    core_calls: Tuple[str, ...] = (
-        "evaluate_core",
-        "top_k_core",
-        "maxkcov_core",
-        "exact_core",
-        "genetic_core",
-        "probe_mask",
-        "probe_masks_batch",
-        "_run_core",
-        "_run_batch_core",
-    )
 
 
 @dataclass(frozen=True)

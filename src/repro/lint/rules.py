@@ -7,9 +7,8 @@ rule         invariant
              layers its own layer declares (upward and skip imports
              are violations), and per-layer banned symbols stay out
 ``L2``       ``async def`` bodies never block the event loop: no
-             ``time.sleep``/raw socket ops/sync file opens, no direct
-             query-core execution (bridge through ``run_in_executor``),
-             no blocking ``acquire()`` on a thread lock, and no thread
+             ``time.sleep``/raw socket ops/sync file opens, no
+             blocking ``acquire()`` on a thread lock, and no thread
              lock held across an ``await``
 ``L3``       attributes annotated ``# guarded-by: <lock>`` are only
              written under ``with <lock>`` (or inside a function
@@ -240,11 +239,6 @@ def _check_async_call(mod, call, bc, lock_attrs, module_locks) -> List[Finding]:
             f"synchronous file open {name}() inside async def",
             "do file I/O before entering the loop or in an executor",
         )
-    elif (attr or name) in bc.core_calls or attr in bc.core_calls:
-        flag(
-            f"direct query-core execution {name or attr}() on the event loop",
-            "bridge through loop.run_in_executor (the service's bridge pool)",
-        )
     elif attr == "acquire":
         lock = _lock_name(call.func.value, lock_attrs, module_locks)
         if lock is not None:
@@ -258,7 +252,7 @@ def _check_async_call(mod, call, bc, lock_attrs, module_locks) -> List[Finding]:
 def _check_lock_hold(mod, with_node, lock_attrs, module_locks) -> List[Finding]:
     """A thread lock taken with ``with`` in async code is tolerated only
     for a *bounded* hold: the body must not await (that parks the
-    coroutine while every bridge thread contends on the lock — the
+    coroutine while every other thread contends on the lock — the
     classic loop deadlock)."""
     held = [
         lock

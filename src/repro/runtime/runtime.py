@@ -209,9 +209,9 @@ class QueryRuntime:
         """Merge one query's work counters into the runtime total.
 
         Serialized against concurrent accruals and :meth:`reset_stats`:
-        accruals come from whichever thread a query core ran on (sync
-        callers' threads, the service's bridge pool — including a core
-        whose caller was cancelled), and an unguarded read-modify-write
+        accruals come from whichever thread a query core ran on (a
+        runtime may be shared by callers on several threads), and an
+        unguarded read-modify-write
         merge would lose counts, while a reset swapping the totals
         object mid-merge would tear them.
         """

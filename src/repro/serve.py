@@ -87,18 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service = parser.add_argument_group("service (admission + coalescing)")
     service.add_argument(
-        "--max-in-flight", type=int, default=8,
-        help="request cores executing concurrently",
-    )
-    service.add_argument(
         "--queue-depth", type=int, default=64,
         help="admitted requests before submissions are shed with 503",
     )
     service.add_argument(
         "--batch-window", type=float, default=0.0,
-        help="at most this many seconds evaluate requests wait, while a "
-        "core is running, to form one batch group — their tree walks "
-        "run back to back as one task (0 disables batching)",
+        help="> 0 batches evaluate requests arriving in one loop "
+        "iteration into one group whose tree walks run back to back "
+        "(the length is unused; 0 disables batching)",
     )
     runtime = parser.add_argument_group("runtime")
     runtime.add_argument(
@@ -123,7 +119,6 @@ def config_from_args(args: argparse.Namespace) -> HttpConfig:
         workers=args.workers,
         start_method=args.start_method,
         service=ServiceConfig(
-            max_in_flight=args.max_in_flight,
             queue_depth=args.queue_depth,
             batch_window=args.batch_window,
         ),

@@ -780,8 +780,7 @@ async def serving(
     """Compose and start the full deployment (runtime → service →
     HTTP server), yield the started server, and tear it down in
     dependency order on exit: drain (unless the body already did),
-    then close the service off-loop (``close()`` joins running cores —
-    a blocking join on the loop would stall any drain-time writes).
+    then close the service.
 
     ``sockets`` / ``worker_index`` are the prefork worker path: serve
     pre-bound listeners (shared front + worker-direct) under a pool
@@ -807,7 +806,7 @@ async def serving(
             if not server.draining:
                 await server.drain()
     finally:
-        await asyncio.get_running_loop().run_in_executor(None, service.close)
+        service.close()
 
 
 # ----------------------------------------------------------------------

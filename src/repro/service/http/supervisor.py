@@ -1,7 +1,7 @@
 """Prefork multi-process serving: N workers over one listen port.
 
-The single-process server (``server.py``) is one asyncio loop plus a
-bridge-thread pool — every query core still contends on one GIL.  This
+The single-process server (``server.py``) is one asyncio loop that
+runs every query core itself — one process, one GIL.  This
 module stands up ``HttpConfig.workers`` full serving stacks, each its
 own process running ``QueryRuntime → QueryService → HttpQueryServer``,
 so RPS scales with cores instead of stopping at one.

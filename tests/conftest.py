@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import threading
 
@@ -25,11 +26,12 @@ TEST_PSI = 400.0
 
 class GatedPlanner:
     """Installs itself as ``service``'s planner so one request's core
-    parks on the bridge pool until ``release`` is set — the
-    deterministic way to keep the bridge busy, a queue slot taken or a
-    request in flight (no wall-clock sleeps).  The first planned
-    request that ``select`` accepts is gated; ``started`` is set once
-    its core is running."""
+    blocks until ``release`` is set.  Cores run on the service's event
+    loop, so this parks the loop itself: use it only where the test
+    drives that loop from another thread (a background server).  The
+    first planned request that ``select`` accepts is gated; ``started``
+    is set once its core is running, and ``loop`` is the event loop it
+    runs on."""
 
     def __init__(self, service, select=lambda request: True) -> None:
         self._inner = service.planner
@@ -38,6 +40,7 @@ class GatedPlanner:
         self._armed = True
         self.started = threading.Event()
         self.release = threading.Event()
+        self.loop = None
 
     def plan(self, request):
         plan = self._inner.plan(request)
@@ -46,11 +49,52 @@ class GatedPlanner:
         self._armed = False
 
         def execute(runtime):
+            self.loop = asyncio.get_running_loop()
             self.started.set()
             assert self.release.wait(30), "gate never released"
             return plan.execute(runtime)
 
         return dataclasses.replace(plan, execute=execute)
+
+
+class HeldPlanner:
+    """Installs itself as ``service``'s planner so one request waits at
+    an await point until :meth:`release`: the first planned request that
+    ``select`` accepts finds an unresolved predecessor planted as the
+    tail of its probe units, so it is admitted and then waits, holding
+    its queue slot, while the loop stays free to read, admit or shed
+    other requests.  ``held`` is set once it is admitted and waiting.
+    :meth:`release` is thread-safe."""
+
+    def __init__(self, service, select=lambda request: True) -> None:
+        self._service = service
+        self._inner = service.planner
+        service.planner = self
+        self._select = select
+        self._armed = True
+        self._gate = None
+        self.held = threading.Event()
+
+    def plan(self, request):
+        plan = self._inner.plan(request)
+        if self._armed and self._select(request):
+            self._armed = False
+            loop = asyncio.get_running_loop()
+            self._gate = loop.create_future()
+            for unit in plan.units:
+                self._service._tails[unit] = self._gate
+            # runs after this submit step, which admits the request and
+            # parks it on the gate
+            loop.call_soon(self.held.set)
+        return plan
+
+    def release(self) -> None:
+        if self._gate is not None:
+            self._gate.get_loop().call_soon_threadsafe(self._open)
+
+    def _open(self) -> None:
+        if not self._gate.done():
+            self._gate.set_result(None)
 
 
 @pytest.fixture(scope="session")

@@ -1,22 +1,21 @@
 """Differential suite for cross-request batched execution.
 
 The contract: ``batch_window`` is a pure scheduling knob.  A batch
-group runs its members' own cores back to back on one bridge task, so
-for seeded random mixes of evaluate / kmaxrrst / maxkcov requests every
+group runs its members' own cores back to back, so for seeded random
+mixes of evaluate / kmaxrrst / maxkcov requests every
 ``QueryResult`` under ``batch_window`` {small, large} — value, matches
 **and per-request stats** — must be ``==`` to the ``batch_window=0``
 run (which ``tests/test_query_service.py`` in turn holds to the
 synchronous cores), on both probe-scheduling paths and for every
 evaluate shape (ENDPOINT, COUNT raw / normalised, LENGTH,
 ``collect_matches`` on / off); the runtime's grand total grows by the
-same sum.  On top of parity: the hold rule itself (a group holds only
-while a core is running on the bridge pool, at most ``batch_window`` —
-``TestWorkConservingHold``, gates not timing), mid-batch cancellation
-stays local to the cancelled member, a foreign request interleaved on a shared probe unit
-closes the group instead of deadlocking it, a member's units count as
-``probe_units_batched`` and never as ``probe_units_coalesced``, and a
-request behind a group coalesces off it exactly as off unbatched
-predecessors.
+same sum.  On top of parity: the hold rule itself (a group holds for
+one bare yield — ``TestWorkConservingHold``), mid-batch cancellation
+stays local to the cancelled member, a foreign request interleaved on
+a shared probe unit closes the group instead of deadlocking it, a
+member's units count as ``probe_units_batched`` and never as
+``probe_units_coalesced``, and a request behind a group coalesces off
+it exactly as off unbatched predecessors.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from repro import (
 from repro.core.errors import QueryError
 from repro.service.http import wire
 
-from .conftest import GatedPlanner
+from .conftest import HeldPlanner
 
 PSI = 400.0
 ENDPOINT = ServiceSpec(ServiceModel.ENDPOINT, psi=PSI)
@@ -56,14 +55,9 @@ COUNT_NORM = ServiceSpec(ServiceModel.COUNT, psi=PSI)
 LENGTH = ServiceSpec(ServiceModel.LENGTH, psi=PSI)
 
 #: The three window settings the differential matrix sweeps: off (the
-#: baseline schedule), small and large.  The window only bounds how
-#: long a group holds behind a busy bridge, so both stay well under the
-#: suite's patience but above the loop's timer resolution.
+#: baseline schedule), small and large.  A group holds for one yield
+#: whatever the window, so the two on-settings must agree.
 WINDOWS = (0.0, 0.002, 0.05)
-
-#: A window no test could sit out: a group that fires under it fired
-#: because the bridge went idle, not because time passed.
-LONG_WINDOW = 30.0
 
 
 def _config() -> RuntimeConfig:
@@ -136,7 +130,7 @@ def _drive(requests, batch_window: float):
         with QueryRuntime(_config()) as runtime:
             async with QueryService(
                 runtime,
-                ServiceConfig(max_in_flight=4, batch_window=batch_window),
+                ServiceConfig(batch_window=batch_window),
             ) as service:
                 results = await service.run(requests)
                 stats = service.stats
@@ -155,23 +149,11 @@ def _assert_outcomes_sum(stats: ServiceStats) -> None:
     )
 
 
-async def _core_started(gate: GatedPlanner) -> None:
-    """Wait (off the loop) until the gated core is running."""
-    loop = asyncio.get_running_loop()
-    assert await loop.run_in_executor(None, gate.started.wait, 10)
-
-
 async def _spin(iterations: int = 8) -> None:
-    """Let the loop turn over: anything that would fire on an idle
-    bridge has fired after this many iterations."""
+    """Let the loop turn over: a group that can fire has fired after
+    this many iterations."""
     for _ in range(iterations):
         await asyncio.sleep(0)
-
-
-def _holding(service: QueryService) -> bool:
-    """Is a group open and not yet fired?  Loop-confined state, so the
-    answer does not race the bridge threads."""
-    return service._group is not None and not service._group.closed
 
 
 def _count_batch_cores(service: QueryService) -> list:
@@ -189,35 +171,23 @@ def _count_batch_cores(service: QueryService) -> list:
 
 
 def _wave(tree, facilities, n=4):
-    """``n`` distinct evaluates, their oracle values, and a solver
-    request over disjoint facilities (no probe unit shared with the
-    wave) to keep the bridge busy with."""
+    """``n`` distinct evaluates and their oracle values."""
     requests = [
         EvaluateRequest(tree, facility, ENDPOINT) for facility in facilities[:n]
     ]
     plain = [evaluate_service(r.tree, r.facility, r.spec) for r in requests]
-    solver = KMaxRRSTRequest(tree, tuple(facilities[8:11]), 2, ENDPOINT)
-    return requests, plain, solver
+    return requests, plain
 
 
-def _drive_gated(main, batch_window=LONG_WINDOW):
-    """Run ``main(service, gate)`` on a fresh service whose first
-    solver core parks on the bridge pool until ``gate.release`` is set
-    (it is set on the way out too, so a failing assertion does not wait
-    for it)."""
+def _drive_service(main, batch_window=0.05):
+    """Run ``main(service)`` on a fresh batching service."""
 
     async def outer():
         with QueryRuntime(_config()) as runtime:
             async with QueryService(
                 runtime, ServiceConfig(batch_window=batch_window)
             ) as service:
-                gate = GatedPlanner(
-                    service, lambda r: isinstance(r, KMaxRRSTRequest)
-                )
-                try:
-                    return await main(service, gate)
-                finally:
-                    gate.release.set()
+                return await main(service)
 
     return asyncio.run(outer())
 
@@ -273,7 +243,9 @@ class TestBatchingDifferential:
     ):
         """Duplicates inside a batch group ride the first member's
         cached walk — counted in probe_units_batched, never in
-        probe_units_coalesced (reuse across requests scheduled apart)."""
+        probe_units_coalesced (reuse across requests scheduled apart).
+        With the window off they run one after the other in their own
+        submission steps and ride the same cache as hits."""
         req = EvaluateRequest(tree, facilities[0], ENDPOINT)
         requests = [req, req, req]
         results, stats, _ = _drive(requests, batch_window=0.05)
@@ -284,27 +256,27 @@ class TestBatchingDifferential:
         rider_hits = sum(r.stats.cache_hits for r in results)
         assert rider_hits >= 2
 
-        # same wave, window off: the PR 4 coalescer handles it instead
-        _, stats0, _ = _drive(requests, batch_window=0.0)
+        results0, stats0, _ = _drive(requests, batch_window=0.0)
         assert stats0.probe_units_batched == 0
-        assert stats0.probe_units_coalesced == 2
+        assert stats0.probe_units_coalesced == 0
+        assert [r.stats for r in results0] == [r.stats for r in results]
 
 
     def test_kmaxrrst_behind_a_group_rides_its_walks(self, tree, facilities):
         """Batching composes with coalescing: a kMaxRRST submitted
-        behind four batched evaluates over the same facilities finds
-        their walks in the shared cache — same cache_hits and
-        distance_evals, same probe_units_coalesced, as with the window
-        off (the engine pass it replaces left the solver to re-probe
-        from scratch)."""
+        behind four batched evaluates over the same facilities waits
+        for the group (its four units count as coalesced) and finds
+        their walks in the shared cache — the same cache_hits and
+        distance_evals as with the window off, where the evaluates ran
+        before it in their own submission steps."""
         four = tuple(facilities[:4])
         requests = [EvaluateRequest(tree, f, ENDPOINT) for f in four]
         requests.append(KMaxRRSTRequest(tree, four, 2, ENDPOINT))
         baseline, base_stats, _ = _drive(requests, batch_window=0.0)
         results, stats, _ = _drive(requests, batch_window=0.05)
         assert stats.probe_units_batched == 4
-        assert base_stats.probe_units_coalesced == 4
-        assert stats.probe_units_coalesced == base_stats.probe_units_coalesced
+        assert stats.probe_units_coalesced == 4
+        assert base_stats.probe_units_coalesced == 0
         solver, base_solver = results[-1].stats, baseline[-1].stats
         assert base_solver.cache_hits > 0
         assert solver.cache_hits == base_solver.cache_hits
@@ -392,38 +364,33 @@ class TestEligibilityGate:
 
 class TestCancellationAndInterleaving:
     def test_mid_batch_cancellation_stays_local(self, tree, facilities):
-        """Cancelling one member while its group holds behind a busy
-        bridge abandons only that member: siblings complete with
-        correct values, the group still fires, and the outcome counters
-        stay consistent."""
-        requests, plain, solver = _wave(tree, facilities, 5)
+        """Cancelling one member while its group waits — here on the
+        first member's unresolved out-of-group predecessor — abandons
+        only that member: siblings complete with correct values, the
+        group still runs, and the outcome counters stay consistent."""
+        requests, plain = _wave(tree, facilities, 5)
 
-        async def main(service, gate):
-            busy = asyncio.ensure_future(service.submit(solver))
-            await _core_started(gate)
-            tasks = []
-            for req in requests:
-                tasks.append(asyncio.ensure_future(service.submit(req)))
-                await asyncio.sleep(0)  # register in order
+        async def main(service):
+            held = HeldPlanner(service, lambda r: r is requests[0])
+            tasks = [asyncio.ensure_future(service.submit(r)) for r in requests]
             await _spin()
-            assert _holding(service)
+            assert not any(task.done() for task in tasks)
             tasks[2].cancel()
             await _spin()
-            gate.release.set()
+            held.release()
             outcomes = await asyncio.wait_for(
                 asyncio.gather(*tasks, return_exceptions=True), timeout=10
             )
-            await busy
             return outcomes, service.stats
 
-        outcomes, stats = _drive_gated(main)
+        outcomes, stats = _drive_service(main)
         assert isinstance(outcomes[2], asyncio.CancelledError)
         for i, (outcome, expected) in enumerate(zip(outcomes, plain)):
             if i == 2:
                 continue
             assert outcome.value == expected
         assert stats.requests_cancelled == 1
-        assert stats.requests_completed == len(requests)  # 4 + the solver
+        assert stats.requests_completed == len(requests) - 1
         # the abandoned member's unit is not claimed as batched work
         assert stats.probe_units_batched == len(requests) - 1
         assert stats.batch_groups_run == 1
@@ -467,122 +434,65 @@ class TestCancellationAndInterleaving:
 
 
 class TestWorkConservingHold:
-    """The hold rule itself: a group holds only while a core is running
-    on the bridge pool, and never longer than ``batch_window``.  Gates,
-    not timing — every wait is on an event, under a window (30 s) that
-    would fail the test's own timeout if it were ever slept out."""
+    """The hold rule itself: a group holds for one bare yield, so every
+    submit scheduled in the same loop iteration joins and nothing waits
+    out the window (30 s here, past the tests' own timeouts)."""
 
-    def test_idle_bridge_fires_a_lone_request_at_once(
-        self, tree, facilities
-    ):
-        requests, plain, _ = _wave(tree, facilities, 1)
+    LONG_WINDOW = 30.0
 
-        async def main(service, gate):
+    def test_a_lone_request_fires_at_once(self, tree, facilities):
+        requests, plain = _wave(tree, facilities, 1)
+
+        async def main(service):
             result = await asyncio.wait_for(
                 service.submit(requests[0]), timeout=2
             )
             return result, service.stats
 
-        result, stats = _drive_gated(main)
+        result, stats = _drive_service(main, self.LONG_WINDOW)
         assert result.value == plain[0]
         assert stats.probe_units_batched == 1
         assert stats.batch_groups_run == 1
 
-    def test_one_gather_on_an_idle_bridge_is_one_bridge_task(
-        self, tree, facilities
-    ):
-        requests, plain, _ = _wave(tree, facilities, 6)
+    def test_one_gather_is_one_group(self, tree, facilities):
+        requests, plain = _wave(tree, facilities, 6)
 
-        async def main(service, gate):
+        async def main(service):
             sizes = _count_batch_cores(service)
             results = await asyncio.wait_for(
                 service.run(requests), timeout=10
             )
             return results, sizes, service.stats
 
-        results, sizes, stats = _drive_gated(main)
+        results, sizes, stats = _drive_service(main, self.LONG_WINDOW)
         assert [r.value for r in results] == plain
         assert sizes == [len(requests)]
         assert stats.probe_units_batched == len(requests)
         assert stats.batch_groups_run == 1
 
-    def test_busy_bridge_holds_the_group_until_the_core_finishes(
-        self, tree, facilities
-    ):
-        """Evaluates submitted one loop iteration apart behind a
-        running solver core form one group, which fires when that core
-        finishes — long before the window."""
-        requests, plain, solver = _wave(tree, facilities)
+    @pytest.mark.parametrize("window", (1e-6, 0.05, LONG_WINDOW))
+    def test_window_length_changes_nothing(self, tree, facilities, window):
+        """Any positive window forms the same groups of a mixed wave —
+        foreign requests close them at the same places — with the same
+        answers, per-request stats and service counters as a 2 ms
+        window."""
+        requests = _fuzz_requests(tree, facilities, 7)
 
-        async def main(service, gate):
+        async def main(service):
             sizes = _count_batch_cores(service)
-            busy = asyncio.ensure_future(service.submit(solver))
-            await _core_started(gate)
-            tasks = []
-            for req in requests:
-                tasks.append(asyncio.ensure_future(service.submit(req)))
-                await _spin(3)
-            assert _holding(service) and sizes == []
-            gate.release.set()
             results = await asyncio.wait_for(
-                asyncio.gather(*tasks), timeout=10
+                service.run(requests), timeout=30
             )
-            await busy
             return results, sizes, service.stats
 
-        results, sizes, stats = _drive_gated(main)
-        assert [r.value for r in results] == plain
-        assert sizes == [len(requests)]
-        assert stats.probe_units_batched == len(requests)
-        assert stats.batch_groups_run == 1
-        _assert_outcomes_sum(stats)
-
-    def test_hold_is_bounded_by_the_window(self, tree, facilities):
-        """The gate stays shut past a short window: the group fires at
-        the window and runs beside the busy core."""
-        requests, plain, solver = _wave(tree, facilities)
-
-        async def main(service, gate):
-            sizes = _count_batch_cores(service)
-            busy = asyncio.ensure_future(service.submit(solver))
-            await _core_started(gate)
-            results = await asyncio.wait_for(
-                service.run(requests), timeout=10
-            )
-            assert not busy.done()  # answered while the core still runs
-            gate.release.set()
-            await busy
-            return results, sizes, service.stats
-
-        results, sizes, stats = _drive_gated(main, batch_window=0.05)
-        assert [r.value for r in results] == plain
-        assert sizes == [len(requests)]
-        assert stats.probe_units_batched == len(requests)
-        assert stats.batch_groups_run == 1
-
-    def test_orphaned_core_still_counts_as_busy(self, tree, facilities):
-        """A core whose caller was cancelled mid-execution keeps its
-        bridge thread, so a group still holds behind it."""
-        requests, plain, solver = _wave(tree, facilities)
-
-        async def main(service, gate):
-            victim = asyncio.ensure_future(service.submit(solver))
-            await _core_started(gate)
-            victim.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await victim
-            wave = asyncio.ensure_future(service.run(requests))
-            await _spin()
-            assert _holding(service)
-            gate.release.set()
-            results = await asyncio.wait_for(wave, timeout=10)
-            return results, service.stats
-
-        results, stats = _drive_gated(main)
-        assert [r.value for r in results] == plain
-        assert stats.requests_cancelled == 1
-        assert stats.batch_groups_run == 1
-        _assert_outcomes_sum(stats)
+        reference = _drive_service(main, 0.002)
+        results, sizes, stats = _drive_service(main, window)
+        assert sizes == reference[1]
+        assert stats == reference[2]
+        assert stats.batch_groups_run > 0
+        for req, res, ref in zip(requests, results, reference[0]):
+            assert _value_key(req, res) == _value_key(req, ref)
+            assert res.stats == ref.stats
 
 
 class TestKnobAndWire:

@@ -1,10 +1,9 @@
-"""Thread-safety of the shared-state layers under the service's
-coalescing path (ISSUE-4 satellite).
+"""Thread-safety of the shared-state layers of one runtime.
 
-The :class:`~repro.service.QueryService` executes request cores on a
-bridge thread pool, so :class:`~repro.engine.CoverageCache` and
-:class:`~repro.engine.ShardStore` — the two objects every request
-shares through the runtime — are hammered from many threads at once.
+A :class:`~repro.runtime.QueryRuntime` may be shared by callers on
+many threads, so :class:`~repro.engine.CoverageCache` and
+:class:`~repro.engine.ShardStore` — the two objects every query shares
+through the runtime — are hammered from many threads at once.
 Both now hold internal locks; these tests pin the invariants the locks
 buy: consistent counters (hits + misses account for every call), no
 lost or corrupted entries, single-build sharing in the store, and
@@ -354,9 +353,9 @@ class TestShardStoreConcurrency:
 
 
 class TestRuntimeConcurrentProbes:
-    """A runtime driven from many threads at once — the shape of the
-    service's bridge pool, racing its store's first builds — must stay
-    bit-identical to serial, masks and per-probe stats alike."""
+    """A runtime driven from many threads at once, racing its store's
+    first builds, must stay bit-identical to serial, masks and
+    per-probe stats alike."""
 
     PSI = 20.0
 

@@ -41,7 +41,7 @@ from repro.service.http import (
 )
 from repro.service.http import wire
 
-from .conftest import GatedPlanner
+from .conftest import GatedPlanner, HeldPlanner
 
 PSI = 400.0
 SPEC = {"model": "endpoint", "psi": PSI}
@@ -177,6 +177,33 @@ class TestHttpDifferential:
         with background_server(catalog, runtime_config=RUNTIME_CONFIG) as h:
             with ServeClient(h.host, h.port) as client:
                 assert client.submit_many([]) == []
+
+    def test_pipelined_wave_is_one_group(self, catalog, facilities):
+        """16 pipelined evaluates with the batch window on are parsed
+        from one read and run as one group; answers and per-request
+        stats equal the same wave with the window off."""
+        payloads = [
+            {"type": "evaluate", "tree": "city", "facility_set": "buses",
+             "facility_id": facilities[i % 6].facility_id,
+             "spec": COUNT_SPEC if i % 2 else SPEC}
+            for i in range(16)
+        ]
+
+        def wave(batch_window):
+            with background_server(
+                catalog,
+                runtime_config=RUNTIME_CONFIG,
+                service_config=ServiceConfig(batch_window=batch_window),
+            ) as h:
+                with ServeClient(h.host, h.port) as client:
+                    return client.submit_many(payloads), client.stats()[0]
+
+        unbatched, stats0 = wave(0.0)
+        batched, stats = wave(0.005)
+        assert batched == unbatched  # values AND per-request stats
+        assert stats.batch_groups_run == 1
+        assert stats.probe_units_batched == len(payloads)
+        assert stats0.batch_groups_run == 0
 
     def test_submit_many_surfaces_first_error_in_order(self, catalog):
         """Every response in a pipelined wave is read before any error
@@ -326,20 +353,20 @@ class TestErrorMapping:
 
 class TestAdmissionOverHttp:
     def test_overload_is_503_with_retry_after(self, catalog):
-        """queue_depth=1 + a first request whose core is parked on the
-        bridge: the second concurrent submission must be shed with 503
-        and a Retry-After hint, and the held request must still
-        complete."""
+        """queue_depth=1 + a first request held waiting behind an
+        unresolved predecessor: the second concurrent submission must
+        be shed with 503 and a Retry-After hint, the held request must
+        still complete, and the outcome counters still sum."""
         config = ServiceConfig(queue_depth=1)
         with background_server(
             catalog, runtime_config=RUNTIME_CONFIG, service_config=config
         ) as h:
-            gate = GatedPlanner(h.server.service)
-            held = {}
+            held = HeldPlanner(h.server.service)
+            box = {}
 
             def hold():
                 with ServeClient(h.host, h.port) as c:
-                    held["result"] = c.query(
+                    box["result"] = c.query(
                         {"type": "evaluate", "tree": "city",
                          "facility_set": "buses", "facility_id": 0,
                          "spec": SPEC}
@@ -347,24 +374,90 @@ class TestAdmissionOverHttp:
 
             thread = threading.Thread(target=hold)
             thread.start()
-            # the first request holds the one queue slot: its core runs
-            assert gate.started.wait(10)
-            with ServeClient(h.host, h.port) as client:
-                with pytest.raises(ServiceOverloaded) as excinfo:
-                    client.query(
-                        {"type": "evaluate", "tree": "city",
-                         "facility_set": "buses", "facility_id": 1,
-                         "spec": SPEC}
-                    )
+            try:
+                # the first request holds the one queue slot
+                assert held.held.wait(10)
+                with ServeClient(h.host, h.port) as client:
+                    with pytest.raises(ServiceOverloaded) as excinfo:
+                        client.query(
+                            {"type": "evaluate", "tree": "city",
+                             "facility_set": "buses", "facility_id": 1,
+                             "spec": SPEC}
+                        )
+            finally:
+                held.release()
+                thread.join(30)
             assert excinfo.value.retry_after is not None
-            gate.release.set()
-            thread.join(30)
             assert not thread.is_alive()
             # load shedding never corrupted the held request
-            assert held["result"].type == "evaluate"
+            assert box["result"].type == "evaluate"
             stats = h.service_stats()
-            assert stats.requests_rejected >= 1
+            assert stats.requests_rejected == 1
             assert stats.requests_completed == 1
+            assert (
+                stats.requests_completed
+                + stats.requests_failed
+                + stats.requests_cancelled
+                == stats.requests_submitted
+            )
+
+    def test_pipelined_wave_past_queue_depth_is_shed(self, catalog):
+        """A pipelined wave waiting in one batch group holds its queue
+        slots: past queue_depth the rest is shed with 503 and a
+        Retry-After hint, the admitted part is answered, and the
+        outcome counters still sum."""
+        payloads = [
+            {"type": "evaluate", "tree": "city", "facility_set": "buses",
+             "facility_id": i, "spec": SPEC}
+            for i in range(8)
+        ]
+        config = ServiceConfig(queue_depth=4, batch_window=0.005)
+        with background_server(
+            catalog, runtime_config=RUNTIME_CONFIG, service_config=config
+        ) as h:
+            with ServeClient(h.host, h.port) as client:
+                with pytest.raises(ServiceOverloaded) as excinfo:
+                    client.submit_many(payloads)
+                stats, _ = client.stats()
+        assert excinfo.value.retry_after is not None
+        assert stats.requests_rejected == 4
+        assert stats.requests_completed == 4
+        assert stats.batch_groups_run == 1
+        assert (
+            stats.requests_completed
+            + stats.requests_failed
+            + stats.requests_cancelled
+            == stats.requests_submitted
+        )
+
+    def test_core_runs_on_the_server_loop(self, catalog):
+        """A request's core runs on the server's event loop thread —
+        there is no worker pool — and parks that loop while it runs."""
+        with background_server(catalog, runtime_config=RUNTIME_CONFIG) as h:
+            gate = GatedPlanner(h.server.service)
+            box = {}
+
+            def query():
+                with ServeClient(h.host, h.port) as c:
+                    box["result"] = c.query(
+                        {"type": "evaluate", "tree": "city",
+                         "facility_set": "buses", "facility_id": 0,
+                         "spec": SPEC}
+                    )
+
+            thread = threading.Thread(target=query)
+            thread.start()
+            try:
+                assert gate.started.wait(10)
+                assert gate.loop is h._loop
+                # the parked loop cannot run even a no-op
+                ping = asyncio.run_coroutine_threadsafe(asyncio.sleep(0), h._loop)
+                assert not ping.done()
+            finally:
+                gate.release.set()
+                thread.join(30)
+            ping.result(10)
+            assert box["result"].value > 0.0
 
     def test_concurrent_clients_all_get_correct_answers(self, catalog):
         """Several clients on their own connections, overlapping
@@ -414,11 +507,11 @@ class TestAdmissionOverHttp:
 
 class TestDrain:
     def test_graceful_drain_completes_in_flight(self, catalog):
-        """drain() must let an admitted request finish (its core is
-        parked on the bridge while the drain begins and waits), then
-        refuse new connections."""
+        """drain() must let an admitted request finish (it waits behind
+        an unresolved predecessor while the drain begins and waits),
+        then refuse new connections."""
         with background_server(catalog, runtime_config=RUNTIME_CONFIG) as h:
-            gate = GatedPlanner(h.server.service)
+            held = HeldPlanner(h.server.service)
             box = {}
 
             def inflight():
@@ -431,7 +524,7 @@ class TestDrain:
 
             thread = threading.Thread(target=inflight)
             thread.start()
-            assert gate.started.wait(10)  # admitted, its core running
+            assert held.held.wait(10)  # admitted and waiting
             drained = asyncio.run_coroutine_threadsafe(
                 h.server.drain(), h._loop
             )
@@ -442,7 +535,7 @@ class TestDrain:
             ).result(10)
             assert h.server.draining and not drained.done()
             assert h.server.service.in_flight == 1
-            gate.release.set()
+            held.release()
             drained.result(30)
             thread.join(30)
             assert not thread.is_alive()

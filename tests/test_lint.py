@@ -201,7 +201,9 @@ class TestBlockingRule:
         findings = lint_pkg(root, ASYNC_CFG, select=["L2"])
         assert [(f.rule, f.line) for f in findings] == [("L2", 2), ("L2", 3)]
 
-    def test_direct_core_execution_on_loop(self, tmp_path):
+    def test_core_call_on_the_loop_is_clean(self, tmp_path):
+        """Query cores run on the event loop: calling one directly in
+        an ``async def`` is not a finding."""
         root = write_pkg(
             tmp_path,
             {
@@ -214,9 +216,7 @@ class TestBlockingRule:
                 "low.py": "def evaluate_core(*a):\n    return 0\n",
             },
         )
-        findings = lint_pkg(root, ASYNC_CFG, select=["L2"])
-        assert [(f.rule, f.line) for f in findings] == [("L2", 4)]
-        assert "run_in_executor" in findings[0].hint
+        assert lint_pkg(root, ASYNC_CFG, select=["L2"]) == []
 
     def test_thread_lock_acquire_and_hold_across_await(self, tmp_path):
         root = write_pkg(

@@ -9,18 +9,18 @@ submission order against an identically configured runtime, and the
 service runtime's merged grand total must equal the sequential
 baseline's.  On top of parity: admission control (bounded queue),
 cross-request coalescing (shared probe units execute in submission
-order, later requests ride earlier masks), and the asyncio bridge
-(no event-loop-blocking callbacks even under 32 concurrent mixed
-requests, asserted in debug mode).
+order, later requests ride earlier masks), and cores on the loop (a
+service runs every core on its event loop's thread and starts no
+thread).  A test that needs a request in flight holds it at an await
+point — a planted unresolved predecessor (``tests/conftest.py::
+HeldPlanner``) or an open batch group — never with a sleep.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import logging
 import threading
-import time
 
 import pytest
 
@@ -52,6 +52,8 @@ from repro.core.errors import QueryError
 from repro.queries.evaluate import MatchCollector
 from repro.queries.maxkcov import tq_match_fn
 from repro.service import QueryPlanner
+
+from .conftest import HeldPlanner
 
 PSI = 400.0
 COUNT = ServiceSpec(ServiceModel.COUNT, psi=PSI)
@@ -183,9 +185,7 @@ class TestServiceDifferential:
 
         async def drive():
             with QueryRuntime(config) as rt:
-                async with QueryService(
-                    rt, ServiceConfig(max_in_flight=4)
-                ) as service:
+                async with QueryService(rt) as service:
                     results = await service.run(requests)
                 total = dataclasses.replace(rt.stats)
             return results, total
@@ -231,23 +231,33 @@ class TestServiceDifferential:
 
 class TestCoalescing:
     def test_duplicate_requests_coalesce(self, tree, facilities):
+        """Duplicates behind a waiting head coalesce onto it; duplicates
+        submitted in one tick with nothing in flight run one after the
+        other, and the later ones ride the cache as hits instead."""
         req = EvaluateRequest(tree, facilities[0], COUNT)
 
-        async def drive():
+        async def drive(hold):
             async with QueryService(QueryRuntime(_config())) as svc:
-                results = await svc.run([req, req, req])
-                return results, svc.stats
+                held = HeldPlanner(svc) if hold else None
+                wave = asyncio.gather(*(svc.submit(r) for r in (req, req, req)))
+                if held is not None:
+                    await asyncio.sleep(0)  # all three registered
+                    held.release()
+                return await wave, svc.stats
 
-        results, stats = asyncio.run(drive())
-        assert len({r.value for r in results}) == 1
-        assert stats.probe_units_planned == 3
-        # second and third submissions ride the first's probe work
-        assert stats.probe_units_coalesced == 2
-        assert stats.dedup_rate == pytest.approx(2 / 3)
-        # the coalesced requests did no geometric work: masks were
-        # served from the shared pass (cache hit, zero fresh probes)
-        assert results[1].stats.points_scanned == 0
-        assert results[1].stats.cache_hits > 0
+        for hold, coalesced in ((True, 2), (False, 0)):
+            results, stats = asyncio.run(drive(hold))
+            assert len({r.value for r in results}) == 1
+            assert stats.probe_units_planned == 3
+            # behind a head: second and third ride the first's probe
+            # work; in one tick: the first already finished
+            assert stats.probe_units_coalesced == coalesced
+            assert stats.dedup_rate == pytest.approx(coalesced / 3)
+            # either way the repeats did no geometric work: masks were
+            # served from the first pass (cache hit, zero fresh probes)
+            for repeat in results[1:]:
+                assert repeat.stats.points_scanned == 0
+                assert repeat.stats.cache_hits > 0
 
     def test_disjoint_requests_do_not_coalesce(self, tree, facilities):
         reqs = [
@@ -267,13 +277,17 @@ class TestCoalescing:
 
 class TestAdmissionControl:
     def test_queue_depth_rejects_overflow(self, tree, facilities):
+        """A wave waiting in one batch group holds its queue slots, so
+        the excess past queue_depth is shed.  With batching off, each
+        request of the same wave runs to completion in its own
+        submission step and frees its slot before the next arrives."""
         requests = [
             EvaluateRequest(tree, facilities[i % len(facilities)], COUNT)
             for i in range(6)
         ]
 
-        async def drive():
-            config = ServiceConfig(max_in_flight=1, queue_depth=2)
+        async def drive(batch_window):
+            config = ServiceConfig(queue_depth=2, batch_window=batch_window)
             async with QueryService(
                 QueryRuntime(_config()), config
             ) as svc:
@@ -283,13 +297,19 @@ class TestAdmissionControl:
                 )
                 return outcomes, svc.stats
 
-        outcomes, stats = asyncio.run(drive())
+        outcomes, stats = asyncio.run(drive(0.005))
         rejected = [o for o in outcomes if isinstance(o, ServiceOverloaded)]
         completed = [o for o in outcomes if not isinstance(o, Exception)]
         assert len(rejected) == 4  # admissions beyond queue_depth=2
         assert len(completed) == 2
         assert stats.requests_rejected == 4
         assert stats.requests_completed == 2
+        _assert_outcomes_sum(stats)
+
+        outcomes, stats = asyncio.run(drive(0.0))
+        assert not any(isinstance(o, Exception) for o in outcomes)
+        assert stats.requests_rejected == 0
+        assert stats.requests_completed == len(requests)
 
     def test_run_awaits_admitted_siblings_on_overflow(self, tree, facilities):
         """An overflow inside run() must not abandon admitted siblings:
@@ -303,7 +323,7 @@ class TestAdmissionControl:
         async def drive():
             with QueryRuntime(_config()) as rt:
                 async with QueryService(
-                    rt, ServiceConfig(max_in_flight=1, queue_depth=2)
+                    rt, ServiceConfig(queue_depth=2, batch_window=0.005)
                 ) as svc:
                     with pytest.raises(ServiceOverloaded):
                         await svc.run(requests)
@@ -314,10 +334,61 @@ class TestAdmissionControl:
         assert stats.requests_completed == 2  # siblings ran to completion
         assert stats.requests_failed == 0  # none died on a shut-down pool
 
+    def test_fresh_request_completes_in_its_submission_step(
+        self, tree, facilities
+    ):
+        """With nothing in flight and batching off, a submission runs its
+        core and settles before its first await: one step of the
+        coroutine returns the result."""
+        req = EvaluateRequest(tree, facilities[0], COUNT)
+
+        async def drive():
+            async with QueryService(QueryRuntime(_config())) as svc:
+                step = svc.submit(req)
+                with pytest.raises(StopIteration) as stop:
+                    step.send(None)
+                return stop.value.value, svc.stats
+
+        result, stats = asyncio.run(drive())
+        assert result.value == evaluate_service(tree, facilities[0], COUNT)
+        assert stats.requests_completed == 1
+
+    def test_group_fails_when_closed_while_waiting(self, tree, facilities):
+        """A batch group still waiting on an out-of-group predecessor
+        when the service closes fails its members with the documented
+        QueryError instead of running them."""
+        requests = [EvaluateRequest(tree, f, COUNT) for f in facilities[:3]]
+
+        async def drive():
+            with QueryRuntime(_config()) as rt:
+                config = ServiceConfig(batch_window=0.005)
+                async with QueryService(rt, config) as svc:
+                    held = HeldPlanner(svc)
+                    tasks = [
+                        asyncio.ensure_future(svc.submit(r)) for r in requests
+                    ]
+                    for _ in range(4):
+                        await asyncio.sleep(0)  # the group waits on held
+                    svc.close()
+                    held.release()
+                    outcomes = await asyncio.gather(
+                        *tasks, return_exceptions=True
+                    )
+                    return outcomes, svc.stats, dataclasses.replace(rt.stats)
+
+        outcomes, stats, total = asyncio.run(drive())
+        for outcome in outcomes:
+            assert isinstance(outcome, QueryError)
+            assert "closed" in str(outcome)
+        assert stats.requests_failed == len(requests)
+        assert stats.batch_groups_run == 0
+        assert total == QueryStats()
+        _assert_outcomes_sum(stats)
+
     def test_submit_rechecks_closed_after_waiting(self, tree, facilities):
         """A request admitted before close() but still waiting on a
         predecessor when it runs must fail with the documented
-        QueryError, not schedule on the shut-down bridge pool."""
+        QueryError, not run its core."""
         req = EvaluateRequest(tree, facilities[0], COUNT)
 
         async def drive():
@@ -392,7 +463,7 @@ class TestAdmissionControl:
         req = EvaluateRequest(tree, facilities[0], COUNT)
 
         async def drive():
-            config = ServiceConfig(max_in_flight=1, queue_depth=2)
+            config = ServiceConfig(queue_depth=2)
             with QueryRuntime(_config()) as rt:
                 async with QueryService(rt, config) as svc:
                     await svc.submit(req)
@@ -437,45 +508,14 @@ class TestAdmissionControl:
         predecessor that was cancelled before its core ran is not
         sharing, because that predecessor computed nothing."""
         req = EvaluateRequest(tree, facilities[0], COUNT)
-        blocker_req = EvaluateRequest(tree, facilities[1], COUNT)
-        release = threading.Event()
-        started = threading.Event()
-
-        class GatedPlan:
-            def __init__(self, inner):
-                self.units = inner.units
-                self._inner = inner
-
-            def execute(self, runtime):
-                started.set()
-                assert release.wait(10)
-                return self._inner.execute(runtime)
 
         async def drive():
             with QueryRuntime(_config()) as rt:
-                async with QueryService(
-                    rt, ServiceConfig(max_in_flight=1)
-                ) as svc:
-                    planner = svc.planner
-                    n_units = len(planner.plan(req).units)
-
-                    class GatedPlanner:
-                        gated = True  # only the blocker's plan is gated
-
-                        def plan(self, r):
-                            inner = planner.plan(r)
-                            if GatedPlanner.gated:
-                                GatedPlanner.gated = False
-                                return GatedPlan(inner)
-                            return inner
-
-                    svc.planner = GatedPlanner()
-                    # the blocker occupies the only bridge slot…
-                    blocker = asyncio.ensure_future(svc.submit(blocker_req))
-                    loop = asyncio.get_running_loop()
-                    await loop.run_in_executor(None, started.wait, 10)
-                    # …so the victim claims its fresh units but parks at
-                    # the semaphore, where we kill it pre-execution
+                async with QueryService(rt) as svc:
+                    n_units = len(svc.planner.plan(req).units)
+                    held = HeldPlanner(svc)
+                    # the victim claims the unit but waits behind a
+                    # planted predecessor, where we kill it pre-execution
                     victim = asyncio.ensure_future(svc.submit(req))
                     b = asyncio.ensure_future(svc.submit(req))
                     for _ in range(4):
@@ -484,8 +524,8 @@ class TestAdmissionControl:
                     with pytest.raises(asyncio.CancelledError):
                         await victim
                     c = asyncio.ensure_future(svc.submit(req))
-                    release.set()
-                    await blocker
+                    await asyncio.sleep(0)
+                    held.release()
                     rb, rc = await asyncio.gather(b, c)
                     return rb, rc, n_units, svc.stats
 
@@ -494,85 +534,10 @@ class TestAdmissionControl:
         assert rb.value == plain and rc.value == plain
         # b rode the cancelled victim and recomputed (no sharing);
         # only c, riding b's real work, counts
+        assert rb.stats.points_scanned > 0
         assert stats.probe_units_coalesced == n_units
-        _assert_outcomes_sum(stats)
-
-    def test_cancel_during_execution_serializes_successor(
-        self, tree, facilities
-    ):
-        """A cancel that lands while the core is already running cannot
-        abandon the thread: the orphaned core must keep its bridge slot
-        and its schedule position (successors wait for it), and its
-        stats must be accrued when it finishes — runtime totals reflect
-        the work that actually happened."""
-        req = EvaluateRequest(tree, facilities[0], COUNT)
-        release = threading.Event()
-        started = threading.Event()
-        events = []
-
-        class RecordingPlan:
-            def __init__(self, inner, label):
-                self.units = inner.units
-                self._inner = inner
-                self._label = label
-
-            def execute(self, runtime):
-                events.append(f"{self._label}-start")
-                if self._label == "victim":
-                    started.set()
-                    assert release.wait(10)
-                out = self._inner.execute(runtime)
-                events.append(f"{self._label}-end")
-                return out
-
-        async def drive():
-            with QueryRuntime(_config()) as rt:
-                async with QueryService(
-                    rt, ServiceConfig(max_in_flight=2)
-                ) as svc:
-                    planner = svc.planner
-
-                    class GatedPlanner:
-                        labels = iter(("victim", "successor"))
-
-                        def plan(self, r):
-                            return RecordingPlan(
-                                planner.plan(r), next(self.labels)
-                            )
-
-                    svc.planner = GatedPlanner()
-                    victim = asyncio.ensure_future(svc.submit(req))
-                    loop = asyncio.get_running_loop()
-                    await loop.run_in_executor(None, started.wait, 10)
-                    victim.cancel()
-                    with pytest.raises(asyncio.CancelledError):
-                        await victim
-                    # max_in_flight=2: a free bridge slot exists, so only
-                    # the done-future chain can (and must) hold this back
-                    successor = asyncio.ensure_future(svc.submit(req))
-                    for _ in range(6):
-                        await asyncio.sleep(0)
-                    assert not successor.done()
-                    assert "successor-start" not in events
-                    release.set()
-                    result = await successor
-                    assert svc.in_flight == 0
-                    return result, svc.stats, dataclasses.replace(rt.stats)
-
-        result, stats, totals = asyncio.run(drive())
-        # strict serialization: the orphan ran to completion first
-        assert events == [
-            "victim-start", "victim-end", "successor-start", "successor-end"
-        ]
-        assert result.value == evaluate_service(tree, facilities[0], COUNT)
         assert stats.requests_cancelled == 1
-        assert stats.requests_completed == 1
         _assert_outcomes_sum(stats)
-        # the orphan's stats were accrued: totals equal a sequential
-        # run of the same two queries on a fresh runtime
-        with QueryRuntime(_config()) as base_rt:
-            _sync_baseline([req, req], base_rt)
-            assert totals == base_rt.stats
 
     def test_base_exception_from_core_counted_failed(
         self, tree, facilities
@@ -610,8 +575,6 @@ class TestAdmissionControl:
 
     def test_config_validation(self):
         with pytest.raises(QueryError):
-            ServiceConfig(max_in_flight=0)
-        with pytest.raises(QueryError):
             ServiceConfig(queue_depth=0)
         with pytest.raises(QueryError):
             ServiceConfig(batch_window=-1.0)
@@ -630,8 +593,8 @@ class TestAdmissionControl:
 
 
 class TestAsyncSmoke:
-    """The ISSUE-4 CI smoke: 32 concurrent mixed requests, parity, and
-    no event-loop blocking warnings in asyncio debug mode."""
+    """The CI smoke: 32 concurrent mixed requests, parity with the
+    synchronous calls."""
 
     N_REQUESTS = 32
 
@@ -646,9 +609,7 @@ class TestAsyncSmoke:
         requests.append(MaxKCovRequest(tree, tuple(facilities), 2, ENDPOINT))
         return requests
 
-    def test_32_concurrent_requests_parity_and_no_blocking(
-        self, tree, facilities, caplog
-    ):
+    def test_32_concurrent_requests_parity(self, tree, facilities):
         requests = self._smoke_requests(tree, facilities)
         config = _config()
         with QueryRuntime(config) as base_rt:
@@ -656,93 +617,177 @@ class TestAsyncSmoke:
             base_total = dataclasses.replace(base_rt.stats)
 
         async def drive():
-            loop = asyncio.get_running_loop()
-            # surface any callback that holds the loop; the bridge keeps
-            # query cores off-loop, so nothing should come close
-            loop.set_debug(True)
-            loop.slow_callback_duration = 0.5
             with QueryRuntime(config) as rt:
-                async with QueryService(
-                    rt, ServiceConfig(max_in_flight=8)
-                ) as service:
+                async with QueryService(rt) as service:
                     results = await service.run(requests)
                 return results, dataclasses.replace(rt.stats), service.stats
 
-        with caplog.at_level(logging.WARNING, logger="asyncio"):
-            results, total, service_stats = asyncio.run(drive())
-        blocking = [
-            r for r in caplog.records if "Executing" in r.getMessage()
-        ]
-        assert not blocking, [r.getMessage() for r in blocking]
+        results, total, service_stats = asyncio.run(drive())
         for req, result, expected, delta in zip(
             requests, results, base_values, base_deltas
         ):
             _assert_result_equal(req, result, expected, delta)
         assert total == base_total
         assert service_stats.requests_completed == self.N_REQUESTS
-        # facilities repeat across the 30 evaluates, so the workload
-        # must exhibit real cross-request sharing
-        assert service_stats.probe_units_coalesced > 0
+        # facilities repeat across the 30 evaluates, so the repeats
+        # ride the earlier walks as cache hits
+        assert total.cache_hits > 0
+
+
+class TestCoresOnTheLoop:
+    def test_cores_run_on_the_loop_thread_and_start_no_thread(
+        self, tree, facilities
+    ):
+        """Every core of all five request types runs on the thread that
+        runs the service's event loop, and the service starts no
+        thread of its own."""
+        requests = _mixed_requests(tree, facilities)
+        ran_on = []
+
+        async def drive():
+            with QueryRuntime(_config()) as rt:
+                async with QueryService(rt) as svc:
+                    planner = svc.planner
+
+                    class RecordingPlanner:
+                        def plan(self, request):
+                            plan = planner.plan(request)
+
+                            def execute(runtime):
+                                ran_on.append(threading.current_thread())
+                                return plan.execute(runtime)
+
+                            return dataclasses.replace(plan, execute=execute)
+
+                    svc.planner = RecordingPlanner()
+                    return await svc.run(requests)
+
+        before = threading.enumerate()
+        results = asyncio.run(drive())
+        assert threading.enumerate() == before
+        assert {type(r) for r in requests} == {type(r.request) for r in results}
+        assert ran_on == [threading.current_thread()] * len(requests)
+
+    def test_a_running_core_holds_the_loop(self, tree, facilities):
+        """The trade of cores on the loop: while a core runs — even one
+        that blocks for 20 ms — no other task on the loop takes a step;
+        they resume once it returns."""
+        requests = [EvaluateRequest(tree, f, COUNT) for f in facilities[:3]]
+        ticks = 0
+        seen = []
+
+        async def ticker():
+            nonlocal ticks
+            while True:
+                ticks += 1
+                await asyncio.sleep(0)
+
+        async def drive():
+            with QueryRuntime(_config()) as rt:
+                async with QueryService(rt) as svc:
+                    planner = svc.planner
+
+                    class TickReadingPlanner:
+                        def plan(self, request):
+                            plan = planner.plan(request)
+
+                            def execute(runtime):
+                                before = ticks
+                                threading.Event().wait(0.02)
+                                result = plan.execute(runtime)
+                                seen.append((before, ticks))
+                                return result
+
+                            return dataclasses.replace(plan, execute=execute)
+
+                    svc.planner = TickReadingPlanner()
+                    ticking = asyncio.ensure_future(ticker())
+                    await asyncio.sleep(0)
+                    started = ticks
+                    results = await svc.run(requests)
+                    await asyncio.sleep(0)
+                    resumed = ticks
+                    ticking.cancel()
+                    return results, started, resumed
+
+        results, started, resumed = asyncio.run(drive())
+        assert [r.value for r in results] == [
+            evaluate_service(tree, r.facility, COUNT) for r in requests
+        ]
+        assert len(seen) == len(requests)
+        assert all(before == after for before, after in seen)
+        assert started >= 1
+        assert resumed > seen[-1][1]
+
+    @pytest.mark.parametrize("waiting_in", ["group", "predecessor"])
+    def test_cancel_while_waiting_lands_in_one_counter(
+        self, tree, facilities, waiting_in
+    ):
+        """A submission cancelled while it waits — in an open batch
+        group, or behind a predecessor — counts as cancelled and
+        nothing else; its siblings complete."""
+        requests = [EvaluateRequest(tree, f, COUNT) for f in facilities[:3]]
+        window = 0.005 if waiting_in == "group" else 0.0
+
+        async def drive():
+            with QueryRuntime(_config()) as rt:
+                config = ServiceConfig(batch_window=window)
+                async with QueryService(rt, config) as svc:
+                    held = None
+                    if waiting_in == "predecessor":
+                        victim_request = requests[1]
+                        held = HeldPlanner(svc, lambda r: r is victim_request)
+                    tasks = [
+                        asyncio.ensure_future(svc.submit(r)) for r in requests
+                    ]
+                    await asyncio.sleep(0)  # all three submitted
+                    assert not tasks[1].done()
+                    tasks[1].cancel()
+                    if held is not None:
+                        held.release()
+                    outcomes = await asyncio.gather(
+                        *tasks, return_exceptions=True
+                    )
+                    return outcomes, svc.stats
+
+        outcomes, stats = asyncio.run(drive())
+        assert isinstance(outcomes[1], asyncio.CancelledError)
+        for i in (0, 2):
+            assert outcomes[i].value == evaluate_service(
+                tree, requests[i].facility, COUNT
+            )
+        assert stats.requests_submitted == 3
+        assert stats.requests_cancelled == 1
+        assert stats.requests_completed == 2
+        assert stats.requests_failed == 0
+        _assert_outcomes_sum(stats)
 
 
 class TestServiceLifecycle:
-    def test_rebind_refused_while_orphaned_core_runs(self, tree, facilities):
-        """A core kept running by a cancelled submission must block loop
-        rebinding — a fresh loop would reset the unit table and let a
-        new request race the orphan on shared units."""
+    def test_rebind_refused_while_a_request_waits(self, tree, facilities):
+        """A request still waiting on one loop blocks binding the
+        service to another — a fresh loop would reset the unit table
+        under it.  Once it settles, the next loop binds."""
         req = EvaluateRequest(tree, facilities[0], COUNT)
-        release = threading.Event()
-        started = threading.Event()
-
-        class GatedPlan:
-            def __init__(self, inner):
-                self.units = inner.units
-                self._inner = inner
-
-            def execute(self, runtime):
-                started.set()
-                assert release.wait(10)
-                return self._inner.execute(runtime)
-
         with QueryRuntime(_config()) as rt:
             svc = QueryService(rt)
-            planner = svc.planner
-
-            class GatedPlanner:
-                def plan(self, r):
-                    return GatedPlan(planner.plan(r))
-
-            svc.planner = GatedPlanner()
-
-            async def cancel_mid_core():
-                victim = asyncio.ensure_future(svc.submit(req))
-                loop = asyncio.get_running_loop()
-                await loop.run_in_executor(None, started.wait, 10)
-                victim.cancel()
-                with pytest.raises(asyncio.CancelledError):
-                    await victim
-
-            asyncio.run(cancel_mid_core())
-            # loop #1 is gone; the orphan still runs on the bridge pool
-            assert svc.in_flight == 0
-            svc.planner = planner
+            held = HeldPlanner(svc)
+            box = {}
+            waiter = threading.Thread(
+                target=lambda: box.update(result=asyncio.run(svc.submit(req)))
+            )
+            waiter.start()
             try:
+                assert held.held.wait(10)
                 with pytest.raises(QueryError, match="another event loop"):
                     asyncio.run(svc.submit(req))
             finally:
-                release.set()
-            # once the orphan drains, rebinding works again
-            deadline = time.monotonic() + 10
-            while True:
-                with svc._core_lock:
-                    if svc._executing == 0:
-                        break
-                assert time.monotonic() < deadline
-                time.sleep(0.005)
-            result = asyncio.run(svc.submit(req))
-            assert result.value == evaluate_service(
-                tree, facilities[0], COUNT
-            )
+                held.release()
+                waiter.join(30)
+            assert not waiter.is_alive()
+            plain = evaluate_service(tree, facilities[0], COUNT)
+            assert box["result"].value == plain
+            assert asyncio.run(svc.submit(req)).value == plain
             svc.close()
 
     def test_service_reusable_across_event_loops(self, tree, facilities):

@@ -359,20 +359,19 @@ class TestRuntimeLifecycle:
             RuntimeConfig(shards=2.5)
         with pytest.raises(QueryError, match="shards must be an integer"):
             RuntimeConfig(shards=True)
-        with pytest.raises(QueryError, match="max_in_flight must be an integer"):
-            ServiceConfig(max_in_flight=2.5)
         with pytest.raises(QueryError, match="queue_depth must be an integer"):
             ServiceConfig(queue_depth=1.5)
         with pytest.raises(QueryError, match="workers must be an integer"):
             HttpConfig(workers=2.0)
         assert RuntimeConfig(shards=2).shards == 2
-        assert ServiceConfig(max_in_flight=2, queue_depth=3).queue_depth == 3
+        assert ServiceConfig(queue_depth=3).queue_depth == 3
 
     def test_config_fields_are_exactly_these(self):
         """The deleted knobs have no alias:
         ``policy=`` / ``max_workers=`` / ``start_method=`` /
-        ``coalesce_window=`` / ``listener=`` and the
-        ``QueryRuntime(backend=...)`` shorthand are plain TypeErrors."""
+        ``coalesce_window=`` / ``listener=`` / ``max_in_flight=`` and
+        the ``QueryRuntime(backend=...)`` shorthand are plain
+        TypeErrors."""
         import dataclasses
 
         from repro import HttpConfig, ServiceConfig
@@ -381,7 +380,7 @@ class TestRuntimeLifecycle:
             "backend", "shards", "store_dir",
         ]
         assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
-            "max_in_flight", "queue_depth", "batch_window",
+            "queue_depth", "batch_window",
         ]
         assert [f.name for f in dataclasses.fields(HttpConfig)] == [
             "host", "port", "catalog", "drain_timeout", "workers",
@@ -395,10 +394,15 @@ class TestRuntimeLifecycle:
             QueryRuntime(backend=ProximityBackend.GRID)
         with pytest.raises(TypeError):
             HttpConfig(listener="inherit")
+        with pytest.raises(TypeError):
+            ServiceConfig(max_in_flight=8)
         from repro.serve import build_parser
 
-        with pytest.raises(SystemExit):  # an argparse usage error
-            build_parser().parse_args(["--max-workers", "2"])
+        for flag in ("--max-workers", "--max-in-flight"):
+            with pytest.raises(SystemExit):  # an argparse usage error
+                build_parser().parse_args([flag, "2"])
+        # the batch window flag stays accepted
+        assert build_parser().parse_args(["--batch-window", "0.005"]).batch_window == 0.005
 
     def test_prefork_without_reuseport_is_a_typed_error(self, monkeypatch):
         """SO_REUSEPORT is the only way workers share the port; a
@@ -428,7 +432,6 @@ def _config_with(owner: str, field: str, value):
 #: Every integer field of the execution configs, as ``owner.field``.
 _INTEGER_FIELDS = (
     "RuntimeConfig.shards",
-    "ServiceConfig.max_in_flight",
     "ServiceConfig.queue_depth",
     "HttpConfig.workers",
 )
