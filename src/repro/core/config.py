@@ -18,9 +18,9 @@ stop grid of :mod:`repro.engine` (``AUTO`` picks per stop set).
 consumed by :class:`repro.runtime.QueryRuntime` — none of these knobs
 ever changes a query answer, only how much geometric work is done.
 :class:`ServiceConfig` sits one level up: it bounds the asyncio serving
-layer (:class:`repro.service.QueryService`) — how many requests execute
-concurrently, how long batchable requests are held open to merge, and
-how deep the admission queue may grow before submissions are rejected.
+layer (:class:`repro.service.QueryService`) — whether requests run at
+once or in one batch group per loop iteration, and how deep the
+admission queue may grow before submissions are rejected.
 """
 
 from __future__ import annotations
@@ -187,13 +187,13 @@ class ServiceConfig:
         :class:`~repro.core.errors.ServiceOverloaded` instead of
         growing the queue without limit.  Must be >= 1.
     batch_window:
-        ``> 0`` turns batching on: evaluate requests submitted in one
-        loop iteration form one group whose members' cores run back to
-        back (see ``repro.service.service``).  A group holds for one
-        bare yield of the event loop, so beyond being positive the
-        value changes nothing.  ``0.0`` (default) disables batching.  A
-        member runs the same core it would run alone, so answers and
-        per-request stats never depend on this knob.
+        ``> 0`` turns batching on: requests of every type submitted in
+        one loop iteration form one group whose members' cores run in
+        submission order one iteration later (see
+        ``repro.service.service``), so beyond being positive the value
+        changes nothing.  ``0.0`` (default) runs each request inside
+        its submit.  A member runs the same core it would run alone,
+        so answers and per-request stats never depend on this knob.
     """
 
     queue_depth: int = 64

@@ -3,7 +3,7 @@
 Composes the full deployment stack from command-line flags — catalog
 (named trees + facility sets), :class:`~repro.runtime.QueryRuntime`
 (backend / shards), :class:`~repro.service.QueryService`
-(admission + coalescing), :class:`~repro.service.http.HttpQueryServer`
+(admission + batching), :class:`~repro.service.http.HttpQueryServer`
 (transport) — serves until SIGINT/SIGTERM, then drains gracefully:
 in-flight requests complete, new ones are shed with 503.
 
@@ -85,16 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="multiprocessing start method for workers "
         "(default: the platform default)",
     )
-    service = parser.add_argument_group("service (admission + coalescing)")
+    service = parser.add_argument_group("service (admission + batching)")
     service.add_argument(
         "--queue-depth", type=int, default=64,
         help="admitted requests before submissions are shed with 503",
     )
     service.add_argument(
         "--batch-window", type=float, default=0.0,
-        help="> 0 batches evaluate requests arriving in one loop "
-        "iteration into one group whose tree walks run back to back "
-        "(the length is unused; 0 disables batching)",
+        help="> 0 defers every request to a group that runs the "
+        "requests arriving in one loop iteration in submission order "
+        "(the length is unused; 0 runs each request at once)",
     )
     runtime = parser.add_argument_group("runtime")
     runtime.add_argument(

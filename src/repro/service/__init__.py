@@ -3,13 +3,13 @@
 This package is the top of the execution stack (``core`` → ``engine``
 → ``runtime`` → ``queries`` → ``service``): requests are pure data
 (:mod:`~repro.service.requests`), the planner lowers them onto the
-query layer's pure cores and derives their shareable probe units
-(:mod:`~repro.service.planner`), and the service schedules them —
-coalescing probe work across in-flight requests through the shared
-runtime, bounding concurrency and queue depth
-(:mod:`~repro.service.service`).  On top sits the network story: the
-stdlib HTTP front (:mod:`~repro.service.http`) with its JSON wire
-schema, named resource catalog, and the ``python -m repro.serve`` CLI.
+query layer's pure cores and counts their probe units
+(:mod:`~repro.service.planner`), and the service runs them in
+submission order over one shared runtime, alone or in one batch group,
+bounding queue depth (:mod:`~repro.service.service`).  On top sits the
+network story: the stdlib HTTP front (:mod:`~repro.service.http`) with
+its JSON wire schema, named resource catalog, and the ``python -m
+repro.serve`` CLI.
 
 One execution substrate, two entrypoints: the synchronous query
 functions and the async service both run the same query cores, so the

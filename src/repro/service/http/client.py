@@ -386,7 +386,7 @@ class ShardedServeClient:
     key — ``tree/facility_set`` — onto a ring of virtual nodes keyed by
     *worker index* (stable across respawns, unlike pids or ports).  All
     requests touching one resource therefore land on one worker, which
-    keeps that resource's coalescer, coverage cache, and batch window
+    keeps that resource's coverage cache, shard store, and batch groups
     warm in a single process instead of diluted across N — and makes a
     pool's per-request stats reproduce the single-process server's.
 

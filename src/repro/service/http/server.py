@@ -23,10 +23,8 @@ server bug and maps to 500 rather than being swallowed.
 lets every request already being processed run to completion (bounded
 by ``drain_timeout``), then closes idle keep-alive connections.  New
 ``POST /query`` arrivals on existing connections during the drain are
-shed with 503 + ``Retry-After``.  In-flight work completes through the
-service's cancellation-safe scheduling — the drain never cancels an
-admitted request, exactly as a cancelled caller never perturbs the
-shared schedule.
+shed with 503 + ``Retry-After``.  The drain never cancels an admitted
+request: in-flight work runs to completion.
 
 Connections are HTTP/1.1 keep-alive by default (``Connection: close``
 honoured); request framing is by ``Content-Length`` (no chunked

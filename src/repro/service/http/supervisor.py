@@ -41,7 +41,7 @@ to every worker.  ``GET /workers`` (on any worker, via the shared
 port) returns the table; the client side
 (:class:`~repro.service.http.client.ShardedServeClient`) consistent-
 hashes each request's resource names onto it, so every resource's
-coalescer, coverage cache, and batch window stay warm in exactly one
+coverage cache, shard store, and batch groups stay warm in exactly one
 worker.  ``GET /stats`` / ``GET /healthz`` on the shared port aggregate
 across the table: per-worker payloads plus summed counters
 (``?scope=local`` asks a worker for only its own).

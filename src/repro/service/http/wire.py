@@ -169,6 +169,12 @@ _GA_INT_FIELDS = (
 _GA_RATE_FIELDS = ("crossover_rate", "mutation_rate")
 _GA_FIELDS = tuple(f.name for f in dataclasses.fields(GeneticConfig))
 
+#: The most GA work one wire request may ask for, as ``population_size
+#: * tournament_size * (iterations + 1)`` (about 130x the default's
+#: 2,016).  A core runs on the server's event loop, so an unbounded
+#: config would stall every connection; the library API stays unbounded.
+MAX_GENETIC_WORK = 2**18
+
 
 def decode_genetic_config(payload: Any) -> GeneticConfig:
     payload = _mapping(payload, "genetic config")
@@ -184,7 +190,17 @@ def decode_genetic_config(payload: Any) -> GeneticConfig:
     for name in _GA_RATE_FIELDS:
         if name in payload:
             kwargs[name] = _number_field(payload, name)
-    return GeneticConfig(**kwargs)
+    config = GeneticConfig(**kwargs)
+    work = (
+        config.population_size * config.tournament_size * (config.iterations + 1)
+    )
+    if work > MAX_GENETIC_WORK:
+        raise QueryError(
+            f"genetic config asks for {work} units of work "
+            "(population_size * tournament_size * (iterations + 1)); "
+            f"the wire allows at most {MAX_GENETIC_WORK}"
+        )
+    return config
 
 
 # ----------------------------------------------------------------------

@@ -3,18 +3,11 @@
 :class:`QueryPlanner` turns each :class:`~repro.service.requests
 .QueryRequest` into a :class:`QueryPlan` with two parts:
 
-* **probe units** — hashable descriptors of the shareable geometric
-  work the request will perform.  A unit names one facility's coverage
-  walk in one mode: ``(tree, facility_id, psi, service model,
-  collecting?)``.  That granularity matches the runtime's coverage
-  cache exactly — it holds one walk record per ``(facility, psi,
-  tree)``, with Algorithm 2's node values and the match set per service
-  model on it — so two requests share cached probe work *iff* they
-  share a unit.  The
-  service uses unit overlap for cross-request coalescing: overlapping
-  requests execute in submission order (the later one's probes are
-  served from the earlier one's masks), disjoint requests run
-  concurrently.
+* **probe units** — hashable descriptors of the geometric work the
+  request will perform.  A unit names one facility's coverage walk in
+  one mode: ``(tree, facility_id, psi, service model, collecting?)``.
+  The service only counts them (``ServiceStats.probe_units_planned``
+  and ``probe_units_batched``); it schedules nothing by them.
 * **an execute step** — a call onto the request's query core
   (:func:`~repro.queries.evaluate.evaluate_core`,
   :func:`~repro.queries.kmaxrrst.top_k_core`,
@@ -23,15 +16,6 @@
   :func:`~repro.queries.genetic.genetic_core`) — the *same* pure steps
   the synchronous functions wrap, which is why service answers and
   per-request stats are bit-identical to direct calls by construction.
-
-Units deliberately over-approximate where the exact work set is only
-known at run time: a MaxkCov request claims collecting units for every
-candidate facility although only the shortlist's match sets are
-computed, and units ignore ``ServiceSpec.normalize`` although a
-record keeps values and match sets per ``(model, normalize)``.  Over-approximation costs only scheduling
-parallelism (requests serialise that could have overlapped), never
-correctness — an under-approximation would let two requests race on
-one cache entry, which is the thing the ordering exists to rule out.
 """
 
 from __future__ import annotations
@@ -73,10 +57,8 @@ class QueryPlan:
     plan is alive.  ``execute`` runs the request's query core against a
     runtime and returns the finished :class:`QueryResult`; it is pure
     apart from the runtime's internal caches — no ambient stats
-    accrual — so the service can run it on any thread and attribute its
-    counters exactly — one at a time or, under
-    ``ServiceConfig.batch_window``, a group of evaluate plans back to
-    back.
+    accrual — so the service attributes its counters exactly, whether
+    it runs alone or, under ``ServiceConfig.batch_window``, in a group.
     """
 
     request: QueryRequest

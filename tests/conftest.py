@@ -57,46 +57,6 @@ class GatedPlanner:
         return dataclasses.replace(plan, execute=execute)
 
 
-class HeldPlanner:
-    """Installs itself as ``service``'s planner so one request waits at
-    an await point until :meth:`release`: the first planned request that
-    ``select`` accepts finds an unresolved predecessor planted as the
-    tail of its probe units, so it is admitted and then waits, holding
-    its queue slot, while the loop stays free to read, admit or shed
-    other requests.  ``held`` is set once it is admitted and waiting.
-    :meth:`release` is thread-safe."""
-
-    def __init__(self, service, select=lambda request: True) -> None:
-        self._service = service
-        self._inner = service.planner
-        service.planner = self
-        self._select = select
-        self._armed = True
-        self._gate = None
-        self.held = threading.Event()
-
-    def plan(self, request):
-        plan = self._inner.plan(request)
-        if self._armed and self._select(request):
-            self._armed = False
-            loop = asyncio.get_running_loop()
-            self._gate = loop.create_future()
-            for unit in plan.units:
-                self._service._tails[unit] = self._gate
-            # runs after this submit step, which admits the request and
-            # parks it on the gate
-            loop.call_soon(self.held.set)
-        return plan
-
-    def release(self) -> None:
-        if self._gate is not None:
-            self._gate.get_loop().call_soon_threadsafe(self._open)
-
-    def _open(self) -> None:
-        if not self._gate.done():
-            self._gate.set_result(None)
-
-
 @pytest.fixture(scope="session")
 def city() -> CityModel:
     return CityModel.generate(seed=11, size=10_000.0, n_hotspots=6)

@@ -1,21 +1,19 @@
 """Differential suite for cross-request batched execution.
 
-The contract: ``batch_window`` is a pure scheduling knob.  A batch
-group runs its members' own cores back to back, so for seeded random
-mixes of evaluate / kmaxrrst / maxkcov requests every
-``QueryResult`` under ``batch_window`` {small, large} — value, matches
-**and per-request stats** — must be ``==`` to the ``batch_window=0``
-run (which ``tests/test_query_service.py`` in turn holds to the
-synchronous cores), on both probe-scheduling paths and for every
-evaluate shape (ENDPOINT, COUNT raw / normalised, LENGTH,
-``collect_matches`` on / off); the runtime's grand total grows by the
-same sum.  On top of parity: the hold rule itself (a group holds for
-one bare yield — ``TestWorkConservingHold``), mid-batch cancellation
-stays local to the cancelled member, a foreign request interleaved on
-a shared probe unit closes the group instead of deadlocking it, a
-member's units count as ``probe_units_batched`` and never as
-``probe_units_coalesced``, and a request behind a group coalesces off
-it exactly as off unbatched predecessors.
+The contract: ``batch_window`` is a pure scheduling knob.  Every
+request joins the one open group, which runs its members' own cores in
+submission order, so for seeded random mixes of all five request types
+every ``QueryResult`` under ``batch_window`` {small, large} — value,
+matches **and per-request stats** — must be ``==`` to the
+``batch_window=0`` run (which ``tests/test_query_service.py`` in turn
+holds to the synchronous cores), for every evaluate shape (ENDPOINT,
+COUNT raw / normalised, LENGTH, ``collect_matches`` on / off); the
+runtime's grand total grows by the same sum.  On top of parity: the
+hold rule itself (a group runs one loop iteration after its first
+submit — ``TestWorkConservingHold``), a mixed gather runs as one group
+in submission order, mid-batch cancellation stays local to the
+cancelled member, and a member's units count as ``probe_units_batched``
+and never as ``probe_units_coalesced``.
 """
 
 from __future__ import annotations
@@ -28,6 +26,8 @@ import pytest
 
 from repro import (
     EvaluateRequest,
+    ExactMaxKCovRequest,
+    GeneticMaxKCovRequest,
     IndexVariant,
     KMaxRRSTRequest,
     MaxKCovRequest,
@@ -45,8 +45,6 @@ from repro import (
 )
 from repro.core.errors import QueryError
 from repro.service.http import wire
-
-from .conftest import HeldPlanner
 
 PSI = 400.0
 ENDPOINT = ServiceSpec(ServiceModel.ENDPOINT, psi=PSI)
@@ -82,15 +80,16 @@ def checkin_tree(checkin_users):
 
 
 def _fuzz_requests(tree, facilities, seed: int):
-    """A seeded mix of all three request types with deliberate
+    """A seeded mix of all five request types with deliberate
     duplicate facilities, so waves contain members riding an earlier
-    member's cached walk and group-closing foreign requests."""
+    member's cached walk."""
     rng = random.Random(seed)
     specs = (ENDPOINT, COUNT_RAW, COUNT_NORM, LENGTH)
+    six = tuple(facilities[:6])
     requests = []
     for _ in range(14):
         roll = rng.random()
-        if roll < 0.75:
+        if roll < 0.7:
             requests.append(
                 EvaluateRequest(
                     tree,
@@ -99,14 +98,14 @@ def _fuzz_requests(tree, facilities, seed: int):
                     collect_matches=rng.random() < 0.15,
                 )
             )
-        elif roll < 0.9:
-            requests.append(
-                KMaxRRSTRequest(tree, tuple(facilities[:6]), 3, ENDPOINT)
-            )
+        elif roll < 0.8:
+            requests.append(KMaxRRSTRequest(tree, six, 3, ENDPOINT))
+        elif roll < 0.87:
+            requests.append(MaxKCovRequest(tree, six, 2, ENDPOINT))
+        elif roll < 0.94:
+            requests.append(ExactMaxKCovRequest(tree, six, 2, ENDPOINT))
         else:
-            requests.append(
-                MaxKCovRequest(tree, tuple(facilities[:6]), 2, ENDPOINT)
-            )
+            requests.append(GeneticMaxKCovRequest(tree, six, 2, ENDPOINT))
     return requests
 
 
@@ -147,27 +146,6 @@ def _assert_outcomes_sum(stats: ServiceStats) -> None:
         + stats.requests_cancelled
         == stats.requests_submitted
     )
-
-
-async def _spin(iterations: int = 8) -> None:
-    """Let the loop turn over: a group that can fire has fired after
-    this many iterations."""
-    for _ in range(iterations):
-        await asyncio.sleep(0)
-
-
-def _count_batch_cores(service: QueryService) -> list:
-    """Record the size of every group ``_run_batch_core`` is entered
-    with."""
-    sizes: list = []
-    run = service._run_batch_core
-
-    def counting(group):
-        sizes.append(len(group.members))
-        return run(group)
-
-    service._run_batch_core = counting
-    return sizes
 
 
 def _wave(tree, facilities, n=4):
@@ -263,39 +241,83 @@ class TestBatchingDifferential:
 
 
     def test_kmaxrrst_behind_a_group_rides_its_walks(self, tree, facilities):
-        """Batching composes with coalescing: a kMaxRRST submitted
-        behind four batched evaluates over the same facilities waits
-        for the group (its four units count as coalesced) and finds
-        their walks in the shared cache — the same cache_hits and
-        distance_evals as with the window off, where the evaluates ran
-        before it in their own submission steps."""
+        """A kMaxRRST submitted after four evaluates over the same
+        facilities runs last in their group and finds their walks in
+        the shared cache — the same cache_hits and distance_evals as
+        with the window off, where the evaluates ran before it in their
+        own submission steps."""
         four = tuple(facilities[:4])
         requests = [EvaluateRequest(tree, f, ENDPOINT) for f in four]
         requests.append(KMaxRRSTRequest(tree, four, 2, ENDPOINT))
         baseline, base_stats, _ = _drive(requests, batch_window=0.0)
         results, stats, _ = _drive(requests, batch_window=0.05)
-        assert stats.probe_units_batched == 4
-        assert stats.probe_units_coalesced == 4
+        assert stats.probe_units_batched == 8
+        assert stats.batch_groups_run == 1
+        assert stats.probe_units_coalesced == 0
         assert base_stats.probe_units_coalesced == 0
         solver, base_solver = results[-1].stats, baseline[-1].stats
         assert base_solver.cache_hits > 0
-        assert solver.cache_hits == base_solver.cache_hits
-        assert solver.distance_evals == base_solver.distance_evals
+        assert solver == base_solver
         assert results[-1].value.ranking == baseline[-1].value.ranking
+
+    def test_mixed_gather_runs_in_submission_order(self, tree, facilities):
+        """A gather of all five types at window > 0 is one group whose
+        cores run in submission order — a solver sharing no probe unit
+        with the evaluates before it still runs after them."""
+        requests = [
+            EvaluateRequest(tree, facilities[0], ENDPOINT),
+            EvaluateRequest(tree, facilities[1], COUNT_RAW),
+            KMaxRRSTRequest(tree, tuple(facilities[6:10]), 2, ENDPOINT),
+            EvaluateRequest(tree, facilities[2], LENGTH),
+            MaxKCovRequest(tree, tuple(facilities[:6]), 2, ENDPOINT),
+            ExactMaxKCovRequest(tree, tuple(facilities[:4]), 2, ENDPOINT),
+            GeneticMaxKCovRequest(tree, tuple(facilities[:4]), 2, ENDPOINT),
+            EvaluateRequest(tree, facilities[3], ENDPOINT),
+        ]
+        position = {id(r): i for i, r in enumerate(requests)}
+        ran = []
+
+        async def main(service):
+            planner = service.planner
+
+            class RecordingPlanner:
+                def plan(self, request):
+                    plan = planner.plan(request)
+
+                    def execute(runtime):
+                        ran.append(position[id(request)])
+                        return plan.execute(runtime)
+
+                    return dataclasses.replace(plan, execute=execute)
+
+            service.planner = RecordingPlanner()
+            return await service.run(requests), service.stats
+
+        baseline, _, _ = _drive(requests, batch_window=0.0)
+        results, stats = _drive_service(main)
+        assert ran == list(range(len(requests)))
+        assert stats.batch_groups_run == 1
+        assert stats.probe_units_batched == stats.probe_units_planned
+        for req, res, base in zip(requests, results, baseline):
+            assert _value_key(req, res) == _value_key(req, base)
+            assert res.stats == base.stats
 
 
 class TestEligibilityGate:
-    def test_ineligible_shapes_fall_back_unbatched(self, tree, facilities):
-        """The shapes that never batch are the multi-facility solvers:
-        the window runs, the counter stays zero, answers and stats
-        match window=0 bitwise."""
+    def test_solvers_join_the_group(self, tree, facilities):
+        """The multi-facility solvers join the group like evaluates:
+        every planned unit is batched, and answers and stats match
+        window=0 bitwise."""
         requests = [
             KMaxRRSTRequest(tree, tuple(facilities[:4]), 2, ENDPOINT),
             MaxKCovRequest(tree, tuple(facilities[4:8]), 2, ENDPOINT),
+            ExactMaxKCovRequest(tree, tuple(facilities[:4]), 2, ENDPOINT),
+            GeneticMaxKCovRequest(tree, tuple(facilities[4:8]), 2, ENDPOINT),
         ]
         baseline, _, _ = _drive(requests, batch_window=0.0)
         results, stats, _ = _drive(requests, batch_window=0.05)
-        assert stats.probe_units_batched == 0
+        assert stats.probe_units_batched == stats.probe_units_planned > 0
+        assert stats.batch_groups_run == 1
         for req, res, base in zip(requests, results, baseline):
             assert _value_key(req, res) == _value_key(req, base)
             assert res.stats == base.stats
@@ -364,20 +386,16 @@ class TestEligibilityGate:
 
 class TestCancellationAndInterleaving:
     def test_mid_batch_cancellation_stays_local(self, tree, facilities):
-        """Cancelling one member while its group waits — here on the
-        first member's unresolved out-of-group predecessor — abandons
+        """Cancelling one member while its group waits to run abandons
         only that member: siblings complete with correct values, the
         group still runs, and the outcome counters stay consistent."""
         requests, plain = _wave(tree, facilities, 5)
 
         async def main(service):
-            held = HeldPlanner(service, lambda r: r is requests[0])
             tasks = [asyncio.ensure_future(service.submit(r)) for r in requests]
-            await _spin()
+            await asyncio.sleep(0)  # every member joined the open group
             assert not any(task.done() for task in tasks)
             tasks[2].cancel()
-            await _spin()
-            held.release()
             outcomes = await asyncio.wait_for(
                 asyncio.gather(*tasks, return_exceptions=True), timeout=10
             )
@@ -396,47 +414,37 @@ class TestCancellationAndInterleaving:
         assert stats.batch_groups_run == 1
         _assert_outcomes_sum(stats)
 
-    def test_foreign_interleave_closes_group_without_deadlock(
+    def test_cancelling_the_opening_member_keeps_the_group(
         self, tree, facilities
     ):
-        """A non-batchable request interleaved on a shared probe unit
-        after the window opened must close the group (it cannot join,
-        and waiting on it would cycle through the barrier).  The wave
-        still completes with correct answers."""
-        a = EvaluateRequest(tree, facilities[0], ENDPOINT)
-        x = KMaxRRSTRequest(tree, tuple(facilities[:3]), 2, ENDPOINT)
-        c = EvaluateRequest(tree, facilities[0], ENDPOINT)
-        plain = evaluate_service(tree, facilities[0], ENDPOINT)
+        """The member whose submit opened the group owns nothing of its
+        run: cancelling it before the group runs leaves its siblings to
+        complete in that same group."""
+        requests, plain = _wave(tree, facilities, 4)
 
-        async def main():
-            with QueryRuntime(_config()) as runtime:
-                async with QueryService(
-                    runtime, ServiceConfig(batch_window=0.05)
-                ) as service:
-                    tasks = []
-                    for req in (a, x, c):
-                        tasks.append(
-                            asyncio.ensure_future(service.submit(req))
-                        )
-                        await asyncio.sleep(0)  # register in order
-                    results = await asyncio.wait_for(
-                        asyncio.gather(*tasks), timeout=30
-                    )
-                    return results, service.stats
+        async def main(service):
+            tasks = [asyncio.ensure_future(service.submit(r)) for r in requests]
+            await asyncio.sleep(0)  # every member joined the open group
+            tasks[0].cancel()
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*tasks, return_exceptions=True), timeout=10
+            )
+            return outcomes, service.stats
 
-        results, stats = asyncio.run(main())
-        assert results[0].value == plain
-        assert results[2].value == plain
-        assert results[1].value.ranking  # the foreign request ran too
-        # both evaluates batched — in two groups, split by the closure
-        assert stats.probe_units_batched == 2
+        outcomes, stats = _drive_service(main)
+        assert isinstance(outcomes[0], asyncio.CancelledError)
+        assert [o.value for o in outcomes[1:]] == plain[1:]
+        assert stats.requests_cancelled == 1
+        assert stats.probe_units_batched == len(requests) - 1
+        assert stats.batch_groups_run == 1
         _assert_outcomes_sum(stats)
 
 
 class TestWorkConservingHold:
-    """The hold rule itself: a group holds for one bare yield, so every
-    submit scheduled in the same loop iteration joins and nothing waits
-    out the window (30 s here, past the tests' own timeouts)."""
+    """The hold rule itself: a group runs one loop iteration after its
+    first submit, so every submit made in that iteration joins and
+    nothing waits out the window (30 s here, past the tests' own
+    timeouts)."""
 
     LONG_WINDOW = 30.0
 
@@ -458,38 +466,55 @@ class TestWorkConservingHold:
         requests, plain = _wave(tree, facilities, 6)
 
         async def main(service):
-            sizes = _count_batch_cores(service)
             results = await asyncio.wait_for(
                 service.run(requests), timeout=10
             )
-            return results, sizes, service.stats
+            return results, service.stats
 
-        results, sizes, stats = _drive_service(main, self.LONG_WINDOW)
+        results, stats = _drive_service(main, self.LONG_WINDOW)
         assert [r.value for r in results] == plain
-        assert sizes == [len(requests)]
         assert stats.probe_units_batched == len(requests)
         assert stats.batch_groups_run == 1
 
+    def test_a_later_wave_opens_a_new_group(self, tree, facilities):
+        """A wave submitted after a group ran never joins that spent
+        group: it opens its own, which runs at once, and both waves
+        match the window-0 run of the same requests in the same order."""
+        requests, plain = _wave(tree, facilities, 6)
+        first, second = requests[:3], requests[3:]
+
+        async def main(service):
+            results = []
+            for wave in (first, second):
+                results += await asyncio.wait_for(
+                    service.run(wave), timeout=10
+                )
+            return results, service.stats
+
+        baseline, _, _ = _drive(requests, batch_window=0.0)
+        results, stats = _drive_service(main, self.LONG_WINDOW)
+        assert [r.value for r in results] == plain
+        assert [r.stats for r in results] == [r.stats for r in baseline]
+        assert stats.batch_groups_run == 2
+        assert stats.probe_units_batched == len(requests)
+
     @pytest.mark.parametrize("window", (1e-6, 0.05, LONG_WINDOW))
     def test_window_length_changes_nothing(self, tree, facilities, window):
-        """Any positive window forms the same groups of a mixed wave —
-        foreign requests close them at the same places — with the same
-        answers, per-request stats and service counters as a 2 ms
-        window."""
+        """Any positive window runs a mixed wave as the same one group,
+        with the same answers, per-request stats and service counters
+        as a 2 ms window."""
         requests = _fuzz_requests(tree, facilities, 7)
 
         async def main(service):
-            sizes = _count_batch_cores(service)
             results = await asyncio.wait_for(
                 service.run(requests), timeout=30
             )
-            return results, sizes, service.stats
+            return results, service.stats
 
         reference = _drive_service(main, 0.002)
-        results, sizes, stats = _drive_service(main, window)
-        assert sizes == reference[1]
-        assert stats == reference[2]
-        assert stats.batch_groups_run > 0
+        results, stats = _drive_service(main, window)
+        assert stats == reference[1]
+        assert stats.batch_groups_run == 1
         for req, res, ref in zip(requests, results, reference[0]):
             assert _value_key(req, res) == _value_key(req, ref)
             assert res.stats == ref.stats

@@ -18,6 +18,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import threading
+import time
 
 import pytest
 
@@ -41,7 +42,7 @@ from repro.service.http import (
 )
 from repro.service.http import wire
 
-from .conftest import GatedPlanner, HeldPlanner
+from .conftest import GatedPlanner
 
 PSI = 400.0
 SPEC = {"model": "endpoint", "psi": PSI}
@@ -325,6 +326,18 @@ class TestErrorMapping:
         # the connection survived the bad request
         assert client.healthz()["status"] == "ok"
 
+    def test_oversized_genetic_config_is_400(self, client):
+        # one wire request could hold the server's loop without bound:
+        # the decoder caps the GA's work, and the server stays live
+        config = {"iterations": 2**63, "population_size": 10**9}
+        started = time.perf_counter()
+        with pytest.raises(QueryError, match="at most"):
+            client.query({"type": "genetic", "tree": "city",
+                          "facility_set": "buses", "k": 2, "spec": SPEC,
+                          "config": config})
+        assert time.perf_counter() - started < 5.0
+        assert client.healthz()["status"] == "ok"
+
     def test_bad_spec_model_is_400(self, client):
         with pytest.raises(QueryError, match="unknown service model"):
             client.query({"type": "evaluate", "tree": "city",
@@ -353,44 +366,24 @@ class TestErrorMapping:
 
 class TestAdmissionOverHttp:
     def test_overload_is_503_with_retry_after(self, catalog):
-        """queue_depth=1 + a first request held waiting behind an
-        unresolved predecessor: the second concurrent submission must
-        be shed with 503 and a Retry-After hint, the held request must
-        still complete, and the outcome counters still sum."""
-        config = ServiceConfig(queue_depth=1)
+        """queue_depth=1 + a pipelined pair with the batch window on:
+        the first request waits in the open group holding the one queue
+        slot, so the second must be shed with 503 and a Retry-After
+        hint, the first must still complete, and the outcome counters
+        still sum."""
+        payloads = [
+            {"type": "evaluate", "tree": "city", "facility_set": "buses",
+             "facility_id": i, "spec": SPEC}
+            for i in range(2)
+        ]
+        config = ServiceConfig(queue_depth=1, batch_window=0.005)
         with background_server(
             catalog, runtime_config=RUNTIME_CONFIG, service_config=config
         ) as h:
-            held = HeldPlanner(h.server.service)
-            box = {}
-
-            def hold():
-                with ServeClient(h.host, h.port) as c:
-                    box["result"] = c.query(
-                        {"type": "evaluate", "tree": "city",
-                         "facility_set": "buses", "facility_id": 0,
-                         "spec": SPEC}
-                    )
-
-            thread = threading.Thread(target=hold)
-            thread.start()
-            try:
-                # the first request holds the one queue slot
-                assert held.held.wait(10)
-                with ServeClient(h.host, h.port) as client:
-                    with pytest.raises(ServiceOverloaded) as excinfo:
-                        client.query(
-                            {"type": "evaluate", "tree": "city",
-                             "facility_set": "buses", "facility_id": 1,
-                             "spec": SPEC}
-                        )
-            finally:
-                held.release()
-                thread.join(30)
+            with ServeClient(h.host, h.port) as client:
+                with pytest.raises(ServiceOverloaded) as excinfo:
+                    client.submit_many(payloads)
             assert excinfo.value.retry_after is not None
-            assert not thread.is_alive()
-            # load shedding never corrupted the held request
-            assert box["result"].type == "evaluate"
             stats = h.service_stats()
             assert stats.requests_rejected == 1
             assert stats.requests_completed == 1
@@ -507,11 +500,11 @@ class TestAdmissionOverHttp:
 
 class TestDrain:
     def test_graceful_drain_completes_in_flight(self, catalog):
-        """drain() must let an admitted request finish (it waits behind
-        an unresolved predecessor while the drain begins and waits),
-        then refuse new connections."""
+        """drain() must let an admitted request finish (its core is
+        still running when the drain is requested), then refuse new
+        connections."""
         with background_server(catalog, runtime_config=RUNTIME_CONFIG) as h:
-            held = HeldPlanner(h.server.service)
+            gate = GatedPlanner(h.server.service)
             box = {}
 
             def inflight():
@@ -524,21 +517,21 @@ class TestDrain:
 
             thread = threading.Thread(target=inflight)
             thread.start()
-            assert held.held.wait(10)  # admitted and waiting
-            drained = asyncio.run_coroutine_threadsafe(
-                h.server.drain(), h._loop
-            )
-            # a no-op queued behind drain()'s first step: once it has
-            # run, the drain has begun
-            asyncio.run_coroutine_threadsafe(
-                asyncio.sleep(0), h._loop
-            ).result(10)
-            assert h.server.draining and not drained.done()
-            assert h.server.service.in_flight == 1
-            held.release()
+            try:
+                assert gate.started.wait(10)  # admitted, core running
+                assert h.server.service.in_flight == 1
+                # queued behind the parked core: the drain starts once
+                # the core returns
+                drained = asyncio.run_coroutine_threadsafe(
+                    h.server.drain(), h._loop
+                )
+                assert not drained.done()
+            finally:
+                gate.release.set()
             drained.result(30)
             thread.join(30)
             assert not thread.is_alive()
+            assert h.server.draining
             # the in-flight request completed with a real answer
             assert box["result"].value > 0.0
             stats = h.service_stats()
@@ -550,6 +543,21 @@ class TestDrain:
 
 
 class TestWireAndCatalogUnits:
+    def test_genetic_config_work_is_bounded(self):
+        # population_size * tournament_size * (iterations + 1)
+        at_bound = {"population_size": 2**8, "tournament_size": 2**5,
+                    "iterations": 2**5 - 1}
+        config = wire.decode_genetic_config(at_bound)
+        assert config.population_size * config.tournament_size * (
+            config.iterations + 1
+        ) == wire.MAX_GENETIC_WORK
+        with pytest.raises(QueryError, match="at most"):
+            wire.decode_genetic_config({**at_bound, "iterations": 2**5})
+        with pytest.raises(QueryError, match="at most"):
+            wire.decode_genetic_config(
+                {"iterations": 2**63, "population_size": 10**9}
+            )
+
     def test_query_stats_round_trip(self):
         from repro import QueryStats
 

@@ -8,12 +8,11 @@ service's :class:`QueryResult.value` and per-request ``stats`` must be
 submission order against an identically configured runtime, and the
 service runtime's merged grand total must equal the sequential
 baseline's.  On top of parity: admission control (bounded queue),
-cross-request coalescing (shared probe units execute in submission
-order, later requests ride earlier masks), and cores on the loop (a
+repeats riding earlier work as cache hits, and cores on the loop (a
 service runs every core on its event loop's thread and starts no
-thread).  A test that needs a request in flight holds it at an await
-point — a planted unresolved predecessor (``tests/conftest.py::
-HeldPlanner``) or an open batch group — never with a sleep.
+thread).  A test that needs a request in flight holds it in an open
+batch group and steps the loop with ``asyncio.sleep(0)``, never with a
+timed sleep.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ from repro.core.errors import QueryError
 from repro.queries.evaluate import MatchCollector
 from repro.queries.maxkcov import tq_match_fn
 from repro.service import QueryPlanner
-
-from .conftest import HeldPlanner
 
 PSI = 400.0
 COUNT = ServiceSpec(ServiceModel.COUNT, psi=PSI)
@@ -231,30 +228,24 @@ class TestServiceDifferential:
 
 class TestCoalescing:
     def test_duplicate_requests_coalesce(self, tree, facilities):
-        """Duplicates behind a waiting head coalesce onto it; duplicates
-        submitted in one tick with nothing in flight run one after the
-        other, and the later ones ride the cache as hits instead."""
+        """Duplicates run one after the other, alone or in one group,
+        and the later ones ride the first's walk as cache hits — never
+        counted as coalesced."""
         req = EvaluateRequest(tree, facilities[0], COUNT)
 
-        async def drive(hold):
-            async with QueryService(QueryRuntime(_config())) as svc:
-                held = HeldPlanner(svc) if hold else None
-                wave = asyncio.gather(*(svc.submit(r) for r in (req, req, req)))
-                if held is not None:
-                    await asyncio.sleep(0)  # all three registered
-                    held.release()
-                return await wave, svc.stats
+        async def drive(batch_window):
+            config = ServiceConfig(batch_window=batch_window)
+            async with QueryService(QueryRuntime(_config()), config) as svc:
+                return await svc.run([req, req, req]), svc.stats
 
-        for hold, coalesced in ((True, 2), (False, 0)):
-            results, stats = asyncio.run(drive(hold))
+        for batch_window in (0.0, 0.005):
+            results, stats = asyncio.run(drive(batch_window))
             assert len({r.value for r in results}) == 1
             assert stats.probe_units_planned == 3
-            # behind a head: second and third ride the first's probe
-            # work; in one tick: the first already finished
-            assert stats.probe_units_coalesced == coalesced
-            assert stats.dedup_rate == pytest.approx(coalesced / 3)
-            # either way the repeats did no geometric work: masks were
-            # served from the first pass (cache hit, zero fresh probes)
+            assert stats.probe_units_coalesced == 0
+            assert stats.dedup_rate == 0.0
+            # the repeats did no geometric work: masks were served from
+            # the first pass (cache hit, zero fresh probes)
             for repeat in results[1:]:
                 assert repeat.stats.points_scanned == 0
                 assert repeat.stats.cache_hits > 0
@@ -354,23 +345,21 @@ class TestAdmissionControl:
         assert stats.requests_completed == 1
 
     def test_group_fails_when_closed_while_waiting(self, tree, facilities):
-        """A batch group still waiting on an out-of-group predecessor
-        when the service closes fails its members with the documented
-        QueryError instead of running them."""
+        """A batch group that has not run yet when the service closes
+        fails its members with the documented QueryError instead of
+        running them."""
         requests = [EvaluateRequest(tree, f, COUNT) for f in facilities[:3]]
 
         async def drive():
             with QueryRuntime(_config()) as rt:
                 config = ServiceConfig(batch_window=0.005)
                 async with QueryService(rt, config) as svc:
-                    held = HeldPlanner(svc)
                     tasks = [
                         asyncio.ensure_future(svc.submit(r)) for r in requests
                     ]
-                    for _ in range(4):
-                        await asyncio.sleep(0)  # the group waits on held
+                    await asyncio.sleep(0)  # all three joined the group
+                    assert svc.in_flight == len(requests)
                     svc.close()
-                    held.release()
                     outcomes = await asyncio.gather(
                         *tasks, return_exceptions=True
                     )
@@ -385,108 +374,35 @@ class TestAdmissionControl:
         assert total == QueryStats()
         _assert_outcomes_sum(stats)
 
-    def test_submit_rechecks_closed_after_waiting(self, tree, facilities):
-        """A request admitted before close() but still waiting on a
-        predecessor when it runs must fail with the documented
-        QueryError, not run its core."""
-        req = EvaluateRequest(tree, facilities[0], COUNT)
-
-        async def drive():
-            with QueryRuntime(_config()) as rt:
-                svc = QueryService(rt)
-                await svc.submit(req)  # binds the loop
-                loop = asyncio.get_running_loop()
-                gate = loop.create_future()
-                for unit in svc.planner.plan(req).units:
-                    svc._tails[unit] = gate  # plant a live predecessor
-                task = asyncio.ensure_future(svc.submit(req))
-                for _ in range(4):
-                    await asyncio.sleep(0)  # let the task block on gate
-                assert not task.done()
-                svc.close()
-                gate.set_result(None)
-                with pytest.raises(QueryError, match="closed"):
-                    await task
-
-        asyncio.run(drive())
-
-    def test_cancelled_waiter_leaves_shared_schedule_intact(
-        self, tree, facilities
-    ):
-        """A timed-out coalesced submit must not cancel the shared
-        predecessor future, leak its admission slot, release successors
-        past the still-running chain head, or vanish from the stats."""
-        req = EvaluateRequest(tree, facilities[0], COUNT)
-
-        async def drive():
-            with QueryRuntime(_config()) as rt:
-                async with QueryService(rt) as svc:
-                    await svc.submit(req)  # binds the loop
-                    loop = asyncio.get_running_loop()
-                    gate = loop.create_future()  # the in-flight "head"
-                    for unit in svc.planner.plan(req).units:
-                        svc._tails[unit] = gate
-                    victim = asyncio.ensure_future(
-                        asyncio.wait_for(svc.submit(req), timeout=0.01)
-                    )
-                    await asyncio.sleep(0)  # let victim register first
-                    successor = asyncio.ensure_future(svc.submit(req))
-                    with pytest.raises(asyncio.TimeoutError):
-                        await victim
-                    # the cancel stayed local: the shared predecessor
-                    # future the victim was gathering on survives
-                    assert not gate.cancelled()
-                    # and the successor stays ordered behind the chain
-                    # head even though its direct predecessor (the
-                    # victim) is already gone
-                    for _ in range(4):
-                        await asyncio.sleep(0)
-                    assert not successor.done()
-                    gate.set_result(None)
-                    result = await successor
-                    assert svc.in_flight == 0  # no admission-slot leak
-                    return result, svc.stats
-
-        result, stats = asyncio.run(drive())
-        assert result.value == evaluate_service(tree, facilities[0], COUNT)
-        assert stats.requests_cancelled == 1
-        assert stats.requests_failed == 0
-        # every admitted request settled into exactly one outcome
-        _assert_outcomes_sum(stats)
-
     def test_cancelled_request_frees_admission_capacity(
         self, tree, facilities
     ):
-        """Cancellations must hand their queue slots back: a full wave
-        of timed-out requests may not push the service into rejecting
+        """Cancellations must hand their queue slots back: a full group
+        of cancelled requests may not push the service into rejecting
         everything afterwards (the admission-leak regression)."""
         req = EvaluateRequest(tree, facilities[0], COUNT)
 
         async def drive():
-            config = ServiceConfig(queue_depth=2)
+            config = ServiceConfig(queue_depth=2, batch_window=0.005)
             with QueryRuntime(_config()) as rt:
                 async with QueryService(rt, config) as svc:
                     await svc.submit(req)
-                    loop = asyncio.get_running_loop()
                     for _ in range(3):  # fill and drain the queue
-                        gate = loop.create_future()
-                        for unit in svc.planner.plan(req).units:
-                            svc._tails[unit] = gate
                         waiters = [
-                            asyncio.ensure_future(
-                                asyncio.wait_for(svc.submit(req), 0.01)
-                            )
+                            asyncio.ensure_future(svc.submit(req))
                             for _ in range(config.queue_depth)
                         ]
+                        await asyncio.sleep(0)  # both joined the group
+                        assert svc.in_flight == config.queue_depth
+                        for waiter in waiters:
+                            waiter.cancel()
                         outcomes = await asyncio.gather(
                             *waiters, return_exceptions=True
                         )
                         assert all(
-                            isinstance(o, asyncio.TimeoutError)
+                            isinstance(o, asyncio.CancelledError)
                             for o in outcomes
                         )
-                        gate.set_result(None)
-                        await asyncio.sleep(0)
                     assert svc.in_flight == 0
                     # capacity fully recovered: a fresh request is
                     # admitted and completes
@@ -498,45 +414,6 @@ class TestAdmissionControl:
         assert stats.requests_cancelled == 6
         assert stats.requests_rejected == 0
         assert stats.requests_completed == 2
-        _assert_outcomes_sum(stats)
-
-    def test_dedup_not_counted_for_cancelled_predecessor(
-        self, tree, facilities
-    ):
-        """probe_units_coalesced (the BENCH dedup metric) only counts
-        units actually served from an executed chain member: riding a
-        predecessor that was cancelled before its core ran is not
-        sharing, because that predecessor computed nothing."""
-        req = EvaluateRequest(tree, facilities[0], COUNT)
-
-        async def drive():
-            with QueryRuntime(_config()) as rt:
-                async with QueryService(rt) as svc:
-                    n_units = len(svc.planner.plan(req).units)
-                    held = HeldPlanner(svc)
-                    # the victim claims the unit but waits behind a
-                    # planted predecessor, where we kill it pre-execution
-                    victim = asyncio.ensure_future(svc.submit(req))
-                    b = asyncio.ensure_future(svc.submit(req))
-                    for _ in range(4):
-                        await asyncio.sleep(0)
-                    victim.cancel()
-                    with pytest.raises(asyncio.CancelledError):
-                        await victim
-                    c = asyncio.ensure_future(svc.submit(req))
-                    await asyncio.sleep(0)
-                    held.release()
-                    rb, rc = await asyncio.gather(b, c)
-                    return rb, rc, n_units, svc.stats
-
-        rb, rc, n_units, stats = asyncio.run(drive())
-        plain = evaluate_service(tree, facilities[0], COUNT)
-        assert rb.value == plain and rc.value == plain
-        # b rode the cancelled victim and recomputed (no sharing);
-        # only c, riding b's real work, counts
-        assert rb.stats.points_scanned > 0
-        assert stats.probe_units_coalesced == n_units
-        assert stats.requests_cancelled == 1
         _assert_outcomes_sum(stats)
 
     def test_base_exception_from_core_counted_failed(
@@ -719,32 +596,21 @@ class TestCoresOnTheLoop:
         assert started >= 1
         assert resumed > seen[-1][1]
 
-    @pytest.mark.parametrize("waiting_in", ["group", "predecessor"])
-    def test_cancel_while_waiting_lands_in_one_counter(
-        self, tree, facilities, waiting_in
-    ):
-        """A submission cancelled while it waits — in an open batch
-        group, or behind a predecessor — counts as cancelled and
-        nothing else; its siblings complete."""
+    def test_cancel_while_waiting_lands_in_one_counter(self, tree, facilities):
+        """A submission cancelled while it waits in an open batch group
+        counts as cancelled and nothing else; its siblings complete."""
         requests = [EvaluateRequest(tree, f, COUNT) for f in facilities[:3]]
-        window = 0.005 if waiting_in == "group" else 0.0
 
         async def drive():
             with QueryRuntime(_config()) as rt:
-                config = ServiceConfig(batch_window=window)
+                config = ServiceConfig(batch_window=0.005)
                 async with QueryService(rt, config) as svc:
-                    held = None
-                    if waiting_in == "predecessor":
-                        victim_request = requests[1]
-                        held = HeldPlanner(svc, lambda r: r is victim_request)
                     tasks = [
                         asyncio.ensure_future(svc.submit(r)) for r in requests
                     ]
                     await asyncio.sleep(0)  # all three submitted
                     assert not tasks[1].done()
                     tasks[1].cancel()
-                    if held is not None:
-                        held.release()
                     outcomes = await asyncio.gather(
                         *tasks, return_exceptions=True
                     )
@@ -765,28 +631,39 @@ class TestCoresOnTheLoop:
 
 class TestServiceLifecycle:
     def test_rebind_refused_while_a_request_waits(self, tree, facilities):
-        """A request still waiting on one loop blocks binding the
-        service to another — a fresh loop would reset the unit table
+        """A request still waiting in a group on one loop blocks binding
+        the service to another — a fresh loop would drop the group
         under it.  Once it settles, the next loop binds."""
         req = EvaluateRequest(tree, facilities[0], COUNT)
-        with QueryRuntime(_config()) as rt:
-            svc = QueryService(rt)
-            held = HeldPlanner(svc)
+
+        def submit_on_another_loop(svc):
             box = {}
-            waiter = threading.Thread(
-                target=lambda: box.update(result=asyncio.run(svc.submit(req)))
-            )
-            waiter.start()
-            try:
-                assert held.held.wait(10)
-                with pytest.raises(QueryError, match="another event loop"):
+
+            def target():
+                try:
                     asyncio.run(svc.submit(req))
-            finally:
-                held.release()
-                waiter.join(30)
-            assert not waiter.is_alive()
+                except QueryError as exc:
+                    box["error"] = exc
+
+            thread = threading.Thread(target=target)
+            thread.start()
+            thread.join(30)
+            assert not thread.is_alive()
+            return box.get("error")
+
+        async def drive(svc):
+            member = asyncio.ensure_future(svc.submit(req))
+            await asyncio.sleep(0)  # the member waits in the open group
+            assert svc.in_flight == 1
+            error = submit_on_another_loop(svc)
+            return error, await member
+
+        with QueryRuntime(_config()) as rt:
+            svc = QueryService(rt, ServiceConfig(batch_window=0.005))
+            error, result = asyncio.run(drive(svc))
+            assert "another event loop" in str(error)
             plain = evaluate_service(tree, facilities[0], COUNT)
-            assert box["result"].value == plain
+            assert result.value == plain
             assert asyncio.run(svc.submit(req)).value == plain
             svc.close()
 
