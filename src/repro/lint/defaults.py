@@ -104,10 +104,6 @@ REPRO_CONFIG = LintConfig(
             tuple_name="repro.service.http.wire._SERVICE_STATS_FIELDS",
         ),
         CodecPairing(
-            dataclass="repro.service.http.server.WorkerPeer",
-            tuple_name="repro.service.http.wire._WORKER_PEER_FIELDS",
-        ),
-        CodecPairing(
             dataclass="repro.service.requests.EvaluateRequest",
             functions=("repro.service.http.wire.decode_request",),
             aliases={"facility": ("facility_id",)},

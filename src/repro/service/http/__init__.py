@@ -26,12 +26,7 @@ from .catalog import (
     catalog_from_spec,
     open_store_catalog,
 )
-from .client import (
-    ConnectionLost,
-    HttpResponse,
-    ServeClient,
-    ShardedServeClient,
-)
+from .client import ConnectionLost, HttpResponse, ServeClient
 from .server import (
     BackgroundServer,
     HttpQueryServer,
@@ -65,7 +60,6 @@ __all__ = [
     "run_supervisor",
     "reuseport_available",
     "ServeClient",
-    "ShardedServeClient",
     "ConnectionLost",
     "HttpResponse",
     "WireResult",

@@ -12,12 +12,14 @@ unchanged: 503 → :class:`~repro.core.errors.ServiceOverloaded` (with
 the ``Retry-After`` hint on ``retry_after``), 404 →
 :class:`~repro.core.errors.CatalogError`, 400 →
 :class:`~repro.core.errors.QueryError`.
+
+Against a prefork pool the same client talks to the shared front port:
+the kernel hands each connection to one worker, so what one client
+sends runs on that worker, in order, until the connection is replaced.
 """
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import json
 import socket
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,7 +32,6 @@ from .wire import WireResult
 
 __all__ = [
     "ServeClient",
-    "ShardedServeClient",
     "HttpResponse",
     "ConnectionLost",
 ]
@@ -38,10 +39,8 @@ __all__ = [
 
 class ConnectionLost(QueryError):
     """The connection died and the exchange could not be completed
-    (after the client's own one-retry budget).  A
-    :class:`ShardedServeClient` uses the distinct type to know a
-    failure was transport-level — worth a worker-table refresh — rather
-    than an answer the server sent."""
+    (after the client's own one-retry budget).  The distinct type tells
+    a transport failure apart from an answer the server sent."""
 
 
 class HttpResponse:
@@ -366,181 +365,3 @@ class _DeadConnection(Exception):
     def __init__(self, mid_response: bool = False) -> None:
         super().__init__(mid_response)
         self.mid_response = mid_response
-
-
-def _ring_point(key: str) -> int:
-    """A stable 64-bit hash for ring placement.  ``hashlib`` rather
-    than ``hash()``: the built-in is salted per process
-    (PYTHONHASHSEED), and affinity only works if every client maps the
-    same resource to the same worker."""
-    return int.from_bytes(
-        hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "big"
-    )
-
-
-class ShardedServeClient:
-    """Affinity-aware client for a prefork ``repro.serve`` pool.
-
-    Fetches the pool's worker table from ``GET /workers`` and routes
-    each query to a worker chosen by consistent-hashing its resource
-    key — ``tree/facility_set`` — onto a ring of virtual nodes keyed by
-    *worker index* (stable across respawns, unlike pids or ports).  All
-    requests touching one resource therefore land on one worker, which
-    keeps that resource's coverage cache, shard store, and batch groups
-    warm in a single process instead of diluted across N — and makes a
-    pool's per-request stats reproduce the single-process server's.
-
-    Against a single-process server the table is a pool of one and
-    every query routes to it, so callers need not care which deployment
-    they talk to.
-
-    When a routed worker is unreachable (killed, mid-respawn — its
-    direct port died with it), the client refreshes the table from the
-    front port and re-routes: a *connect* failure means the request
-    never left, so even ``POST /query`` re-routes safely; a
-    :class:`ConnectionLost` after bytes flowed re-routes only
-    idempotent reads.  Not thread-safe, like :class:`ServeClient`.
-    """
-
-    #: Virtual nodes per worker: enough that a 4-worker ring splits
-    #: resources evenly, cheap enough to rebuild on every refresh.
-    REPLICAS = 64
-
-    def __init__(self, host: str, port: int, timeout: float = 30.0) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        #: The shared front port — table fetches and aggregate reads.
-        self._front = ServeClient(host, port, timeout)
-        self._workers: Dict[int, ServeClient] = {}
-        self._table: Dict[int, Tuple[str, int]] = {}
-        self._ring_points: List[int] = []
-        self._ring_indices: List[int] = []
-
-    # ------------------------------------------------------------------
-    def refresh(self) -> Dict[int, Tuple[str, int]]:
-        """Re-fetch the worker table and rebuild the ring; returns the
-        table (``index -> (host, port)``)."""
-        response = self._front.request("GET", "/workers")
-        if response.status != 200:
-            raise self._front._error_for(response)
-        peers = wire.decode_worker_peers(response.body)
-        table = {index: (host, port) for index, _pid, host, port in peers}
-        if not table:
-            raise QueryError(
-                f"{self.host}:{self.port} reported an empty worker table"
-            )
-        for index, client in list(self._workers.items()):
-            if table.get(index) != (client.host, client.port):
-                client.close()  # respawned worker: new direct port
-                del self._workers[index]
-        self._table = table
-        points = []
-        for index in table:
-            for replica in range(self.REPLICAS):
-                points.append((_ring_point(f"{index}#{replica}"), index))
-        points.sort()
-        self._ring_points = [p for p, _ in points]
-        self._ring_indices = [i for _, i in points]
-        return dict(table)
-
-    @staticmethod
-    def resource_key(payload: dict) -> str:
-        """What a query's affinity hashes on: the server-resident
-        resources it touches."""
-        return f"{payload.get('tree', '')}/{payload.get('facility_set', '')}"
-
-    def route(self, payload: dict) -> int:
-        """The worker index a payload routes to (exposed for tests and
-        capacity reasoning)."""
-        if not self._ring_points:
-            self.refresh()
-        point = _ring_point(self.resource_key(payload))
-        slot = bisect.bisect(self._ring_points, point) % len(self._ring_points)
-        return self._ring_indices[slot]
-
-    def _client_for(self, index: int) -> ServeClient:
-        client = self._workers.get(index)
-        if client is None:
-            host, port = self._table[index]
-            client = ServeClient(host, port, self.timeout)
-            self._workers[index] = client
-        return client
-
-    # ------------------------------------------------------------------
-    def query(self, payload: dict) -> WireResult:
-        """``POST /query`` on the payload's affinity worker.
-
-        Re-routes through a table refresh exactly once if the worker
-        cannot be *connected* to (provably unprocessed — safe for a
-        non-idempotent POST); a connection that dies after the request
-        was sent propagates :class:`ConnectionLost` unretried."""
-        for attempt in (0, 1):
-            index = self.route(payload)
-            try:
-                return self._client_for(index).query(payload)
-            except (ConnectionLost, ConnectionError, OSError) as exc:
-                connect_failure = not isinstance(exc, ConnectionLost)
-                if attempt or not connect_failure:
-                    raise
-                self.refresh()
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def submit_many(self, payloads: Sequence[dict]) -> List[WireResult]:
-        """Pipeline a wave, split by affinity: each worker receives its
-        resources' requests as one contiguous pipelined sub-wave (so
-        per-worker batch windows still see back-to-back arrivals);
-        results return in input order."""
-        if not payloads:
-            return []
-        by_worker: Dict[int, List[int]] = {}
-        for position, payload in enumerate(payloads):
-            by_worker.setdefault(self.route(payload), []).append(position)
-        results: List[Optional[WireResult]] = [None] * len(payloads)
-        for index, positions in by_worker.items():
-            wave = [payloads[p] for p in positions]
-            for attempt in (0, 1):
-                try:
-                    answers = self._client_for(index).submit_many(wave)
-                    break
-                except (ConnectionLost, ConnectionError, OSError) as exc:
-                    if attempt or isinstance(exc, ConnectionLost):
-                        raise
-                    self.refresh()
-                    index = self.route(wave[0])
-            for position, answer in zip(positions, answers):
-                results[position] = answer
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # aggregate reads ride the front port (any worker answers for all)
-    # ------------------------------------------------------------------
-    def stats(self) -> Tuple[ServiceStats, QueryStats]:
-        return self._front.stats()
-
-    def store_stats(self):
-        return self._front.store_stats()
-
-    def healthz(self) -> dict:
-        return self._front.healthz()
-
-    def catalog(self) -> dict:
-        return self._front.catalog()
-
-    def workers(self) -> dict:
-        response = self._front.request("GET", "/workers")
-        if response.status != 200:
-            raise self._front._error_for(response)
-        return response.body
-
-    def close(self) -> None:
-        for client in self._workers.values():
-            client.close()
-        self._workers.clear()
-        self._front.close()
-
-    def __enter__(self) -> "ShardedServeClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

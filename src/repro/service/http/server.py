@@ -78,24 +78,17 @@ PEER_STATS_TIMEOUT = 5.0
 
 @dataclass(frozen=True)
 class WorkerPeer:
-    """One worker process in a prefork pool, as every other worker (and
-    the ``/workers`` route) sees it: its pool index, its pid, and its
-    *direct* address — the worker-private listener used for peer stats
-    fan-out and client-side resource affinity, as opposed to the shared
-    front port the kernel load-balances."""
+    """One worker process in a prefork pool, as every other worker sees
+    it: its pool index, its pid, and its *direct* address — the
+    worker-private listener the aggregated ``/stats`` and ``/healthz``
+    fan out over, as opposed to the shared front port the kernel
+    load-balances."""
 
     index: int
     pid: int
     host: str
     port: int
 
-    def as_wire(self) -> dict:
-        return {
-            "index": self.index,
-            "pid": self.pid,
-            "host": self.host,
-            "port": self.port,
-        }
 
 #: Framing bounds: a request line / header block / body larger than
 #: these is rejected rather than buffered without limit.
@@ -469,10 +462,6 @@ class HttpQueryServer:
             if self._peers and not local_scope:
                 return _Response(200, await self._aggregated_healthz_payload())
             return _Response(200, self._healthz_payload())
-        if path == "/workers":
-            if method != "GET":
-                return _method_not_allowed("GET")
-            return _Response(200, self._workers_payload())
         if path == "/catalog":
             if method != "GET":
                 return _method_not_allowed("GET")
@@ -482,7 +471,7 @@ class HttpQueryServer:
             {
                 "error": "not_found",
                 "detail": f"no route {path!r} (try /query, /stats, "
-                "/healthz, /workers, /catalog)",
+                "/healthz, /catalog)",
             },
         )
 
@@ -559,17 +548,6 @@ class HttpQueryServer:
                 "index": self.worker_index, "pid": os.getpid(),
             }
         return payload
-
-    def _workers_payload(self) -> dict:
-        """``GET /workers`` — the pool table an affinity-aware client
-        routes by.  A single-process server reports itself as a pool of
-        one, so clients need not special-case deployments."""
-        if self._peers:
-            return wire.encode_worker_peers(self._peers)
-        host, port = self.direct_address
-        return wire.encode_worker_peers(
-            [WorkerPeer(self.worker_index or 0, os.getpid(), host, port)]
-        )
 
     # ------------------------------------------------------------------
     # cross-worker aggregation (the prefork pool's shared /stats story)

@@ -34,17 +34,14 @@ all N processes (and their runtimes' shard stores) share one physical
 page-cache copy.  ``GET /stats`` reports each worker's ``mmap_paths``
 so the zero-copy claim is checkable over the wire.
 
-**Worker table and affinity.**  Each worker also binds a private
-*direct* listener (ephemeral port) and reports it over its control
-pipe; once all workers are up the supervisor broadcasts the full table
-to every worker.  ``GET /workers`` (on any worker, via the shared
-port) returns the table; the client side
-(:class:`~repro.service.http.client.ShardedServeClient`) consistent-
-hashes each request's resource names onto it, so every resource's
-coverage cache, shard store, and batch groups stay warm in exactly one
-worker.  ``GET /stats`` / ``GET /healthz`` on the shared port aggregate
-across the table: per-worker payloads plus summed counters
-(``?scope=local`` asks a worker for only its own).
+**Worker table.**  Each worker also binds a private *direct* listener
+(ephemeral port) and reports it over its control pipe; once all
+workers are up the supervisor broadcasts the full table to every
+worker.  The table serves the peer fan-out only: ``GET /stats`` /
+``GET /healthz`` on the shared port aggregate across it, per-worker
+payloads plus summed counters (``?scope=local`` asks a worker for only
+its own).  Which worker answers a query is the kernel's choice, one
+connection to one worker; no answer depends on it.
 
 **Drain.**  ``Supervisor.stop()`` (or SIGTERM/SIGINT to the
 supervisor) fans out SIGTERM; each worker runs the single-process

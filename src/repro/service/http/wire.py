@@ -39,12 +39,14 @@ Request bodies (``POST /query``)::
 
 with ``SPEC = {"model": "endpoint"|"count"|"length", "psi": FLOAT,
 "normalize": BOOL?}``; omitting ``facility_ids`` selects the whole
-named set.
+named set.  A ``genetic`` config past :data:`MAX_GENETIC_WORK` and an
+``exact`` request past :data:`MAX_EXACT_SUBSETS` selections are 400s.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -73,11 +75,9 @@ __all__ = [
     "decode_result",
     "decode_query_stats",
     "decode_service_stats",
-    "decode_worker_peers",
     "encode_result",
     "encode_query_stats",
     "encode_service_stats",
-    "encode_worker_peers",
     "wire_result",
 ]
 
@@ -155,14 +155,6 @@ def decode_spec(payload: Any) -> ServiceSpec:
     )
 
 
-def encode_spec(spec: ServiceSpec) -> dict:
-    return {
-        "model": spec.model.value,
-        "psi": spec.psi,
-        "normalize": spec.normalize,
-    }
-
-
 _GA_INT_FIELDS = (
     "population_size", "iterations", "tournament_size", "elitism", "seed",
 )
@@ -174,6 +166,13 @@ _GA_FIELDS = tuple(f.name for f in dataclasses.fields(GeneticConfig))
 #: 2,016).  A core runs on the server's event loop, so an unbounded
 #: config would stall every connection; the library API stays unbounded.
 MAX_GENETIC_WORK = 2**18
+
+#: The most selections one wire ``exact`` request may ask the
+#: branch-and-bound to range over, as ``comb(|F|, min(k, |F|))``
+#: (16 choose 8 is 12,870).  MaxkCovRST is NP-hard and a core runs on
+#: the server's event loop, so the wire bounds it like the GA's work;
+#: the library API stays unbounded.
+MAX_EXACT_SUBSETS = 2**14
 
 
 def decode_genetic_config(payload: Any) -> GeneticConfig:
@@ -246,7 +245,16 @@ def decode_request(payload: Any, catalog: Catalog) -> QueryRequest:
             prune_factor=_int_field(payload, "prune_factor", 4),
         )
     if rtype == "exact":
-        return ExactMaxKCovRequest(tree, facilities, k, spec)
+        request = ExactMaxKCovRequest(tree, facilities, k, spec)
+        n = len(request.facilities)
+        subsets = math.comb(n, min(k, n))
+        if subsets > MAX_EXACT_SUBSETS:
+            raise QueryError(
+                f"exact request over {n} facilities with k={k} ranges "
+                f"over {subsets} selections; the wire allows at most "
+                f"{MAX_EXACT_SUBSETS}"
+            )
+        return request
     config = (
         decode_genetic_config(payload["config"])
         if "config" in payload
@@ -358,48 +366,6 @@ def decode_service_stats(payload: Any) -> ServiceStats:
     return ServiceStats(
         **{name: _int_field(payload, name) for name in _SERVICE_STATS_FIELDS}
     )
-
-
-_WORKER_PEER_FIELDS = ("index", "pid", "host", "port")
-
-
-def encode_worker_peers(peers: Any) -> dict:
-    """The ``GET /workers`` payload: the prefork pool's worker table.
-
-    ``peers`` is any iterable of objects carrying ``index``/``pid``/
-    ``host``/``port`` (the server's ``WorkerPeer``); entries go out in
-    index order so the payload is deterministic across workers.
-    """
-    return {
-        "workers": [
-            {name: getattr(p, name) for name in _WORKER_PEER_FIELDS}
-            for p in sorted(peers, key=lambda p: p.index)
-        ]
-    }
-
-
-def decode_worker_peers(payload: Any) -> Tuple[Tuple[int, int, str, int], ...]:
-    """``(index, pid, host, port)`` per worker from a ``/workers``
-    payload, in index order.  Strict like every other codec here: a
-    missing or extra field is version skew and fails loudly."""
-    payload = _mapping(payload, "worker table")
-    _reject_unknown_keys(payload, ("workers",), "worker table")
-    entries = payload.get("workers")
-    if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)):
-        raise QueryError("worker table 'workers' must be a list")
-    peers = []
-    for entry in entries:
-        entry = _mapping(entry, "worker entry")
-        _reject_unknown_keys(entry, _WORKER_PEER_FIELDS, "worker entry")
-        peers.append(
-            (
-                _int_field(entry, "index"),
-                _int_field(entry, "pid"),
-                _str_field(entry, "host"),
-                _int_field(entry, "port"),
-            )
-        )
-    return tuple(sorted(peers))
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ and graceful drain.
 from __future__ import annotations
 
 import asyncio
+import math
 import socket
 import threading
 import time
@@ -30,6 +31,7 @@ from repro import (
     ServiceConfig,
     TQTree,
     TQTreeConfig,
+    generate_bus_routes,
 )
 from repro.core.errors import CatalogError, QueryError, ServiceOverloaded
 from repro.service.http import (
@@ -61,6 +63,19 @@ def catalog(taxi_users, facilities):
         source="conftest taxi users",
     )
     cat.add_facility_set("buses", facilities, source="conftest bus routes")
+    return cat
+
+
+@pytest.fixture(scope="module")
+def wide_catalog(catalog, city):
+    """The same tree beside a 32-route set: enough facilities for an
+    ``exact`` request past the wire's selection bound."""
+    cat = Catalog()
+    cat.add_tree("city", catalog.tree("city"), source="conftest taxi users")
+    cat.add_facility_set(
+        "wide", generate_bus_routes(32, city, seed=5, n_stops=4),
+        source="32 short bus routes",
+    )
     return cat
 
 
@@ -338,6 +353,20 @@ class TestErrorMapping:
         assert time.perf_counter() - started < 5.0
         assert client.healthz()["status"] == "ok"
 
+    def test_oversized_exact_request_is_400(self, wide_catalog):
+        # 32 choose 8 is 10.5 M selections, minutes of branch-and-bound
+        # on the server's loop: the decoder refuses it, and the server
+        # stays live
+        with background_server(
+            wide_catalog, runtime_config=RUNTIME_CONFIG
+        ) as h, ServeClient(h.host, h.port) as client:
+            started = time.perf_counter()
+            with pytest.raises(QueryError, match="at most"):
+                client.query({"type": "exact", "tree": "city",
+                              "facility_set": "wide", "k": 8, "spec": SPEC})
+            assert time.perf_counter() - started < 5.0
+            assert client.healthz()["status"] == "ok"
+
     def test_bad_spec_model_is_400(self, client):
         with pytest.raises(QueryError, match="unknown service model"):
             client.query({"type": "evaluate", "tree": "city",
@@ -358,8 +387,9 @@ class TestErrorMapping:
         assert response.status == 405
         assert response.headers.get("allow") == "GET"
 
-    def test_unknown_route_is_404(self, client):
-        response = client.request("GET", "/nope")
+    @pytest.mark.parametrize("path", ["/nope", "/workers"])
+    def test_unknown_route_is_404(self, client, path):
+        response = client.request("GET", path)
         assert response.status == 404
         assert response.body["error"] == "not_found"
 
@@ -558,6 +588,29 @@ class TestWireAndCatalogUnits:
                 {"iterations": 2**63, "population_size": 10**9}
             )
 
+    def test_exact_subsets_are_bounded(self, wide_catalog, monkeypatch):
+        # comb(|F|, min(k, |F|)) selections, |F| the whole set when
+        # facility_ids is omitted
+        def exact(k, facility_ids=None):
+            payload = {"type": "exact", "tree": "city",
+                       "facility_set": "wide", "k": k, "spec": SPEC}
+            if facility_ids is not None:
+                payload["facility_ids"] = facility_ids
+            return wire.decode_request(payload, wide_catalog)
+
+        assert math.comb(16, 8) <= wire.MAX_EXACT_SUBSETS < math.comb(32, 4)
+        assert exact(8, list(range(16))).k == 8
+        assert exact(40, [0, 1]).k == 40  # k past |F|: one selection
+        for k in (4, 8):
+            with pytest.raises(QueryError, match="at most"):
+                exact(k)
+        at_bound = math.comb(16, 8)
+        monkeypatch.setattr(wire, "MAX_EXACT_SUBSETS", at_bound)
+        assert exact(8, list(range(16))).k == 8
+        monkeypatch.setattr(wire, "MAX_EXACT_SUBSETS", at_bound - 1)
+        with pytest.raises(QueryError, match="at most"):
+            exact(8, list(range(16)))
+
     def test_query_stats_round_trip(self):
         from repro import QueryStats
 
@@ -597,16 +650,6 @@ class TestWireAndCatalogUnits:
                 partial = {k: v for k, v in payload.items() if k != field}
                 with pytest.raises(QueryError, match=field):
                     decode(partial)
-
-    def test_worker_peers_decode_requires_every_field(self):
-        entry = {"index": 0, "pid": 42, "host": "127.0.0.1", "port": 8001}
-        assert wire.decode_worker_peers({"workers": [dict(entry)]}) == (
-            (0, 42, "127.0.0.1", 8001),
-        )
-        for field in entry:
-            partial = {k: v for k, v in entry.items() if k != field}
-            with pytest.raises(QueryError, match=field):
-                wire.decode_worker_peers({"workers": [partial]})
 
     def test_decode_request_requires_known_shape(self, catalog):
         with pytest.raises(QueryError, match="JSON object"):

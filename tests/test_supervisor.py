@@ -14,11 +14,12 @@ paths on every worker, zero shared-memory segments), client GET
 retry across a worker restart, and ephemeral ports throughout (no
 fixed-port collisions anywhere in this file).
 
-Sequential submissions go through :class:`ShardedServeClient`: its
-consistent-hash affinity pins every request for one (tree, facility
-set) pair to one worker, so per-request stats are bit-identical to the
-single-process sequence — the same determinism argument the in-process
-suite relies on, surviving the fan-out.
+Sequential submissions go through one :class:`ServeClient` on the
+front port.  It holds one keep-alive connection, and the kernel hands a
+connection to one worker, so a sequence sent through one client runs
+on one worker in submission order: its per-request stats are
+bit-identical to the single-process sequence — the same determinism
+argument the in-process suite relies on, surviving the fan-out.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from repro import (
 from repro.core.config import HttpConfig
 from repro.service.http import (
     ServeClient,
-    ShardedServeClient,
     Supervisor,
     background_server,
     catalog_from_spec,
@@ -154,7 +154,7 @@ class TestDifferentialAcrossWorkers:
             assert port != 0  # ephemeral port resolved to a real one
             assert supervisor.start_method == start_method
             assert len(supervisor.worker_table()) == n_workers
-            with ShardedServeClient(host, port) as client:
+            with ServeClient(host, port) as client:
                 got = [client.query(p) for p in _payloads()]
                 # every worker resolved the same catalog spec (the
                 # spawn path re-opens it by string)
@@ -167,9 +167,9 @@ class TestDifferentialAcrossWorkers:
     def test_batch_window_pool_matches_single_process(self):
         """A pipelined submit_many wave with the server batch window
         open: the pool's answers and per-request stats must equal the
-        single-process server's for the identical wave (affinity keeps
-        the wave contiguous on one worker, so the window sees the same
-        back-to-back arrivals)."""
+        single-process server's for the identical wave (one connection
+        is one worker, so the window sees the same back-to-back
+        arrivals)."""
         service_config = ServiceConfig(queue_depth=64, batch_window=0.005)
         wave = [
             {"type": "evaluate", "tree": "demo", "facility_set": "demo",
@@ -187,22 +187,25 @@ class TestDifferentialAcrossWorkers:
         config = _http_config(2, "fork", service=service_config)
         with Supervisor(config) as supervisor:
             host, port = supervisor.address
-            with ShardedServeClient(host, port) as client:
+            with ServeClient(host, port) as client:
                 pooled = client.submit_many(wave)
         assert pooled == single  # values AND stats, in wave order
 
     def test_kill_and_respawn_mid_run_keeps_parity(self, expected):
-        """Crash the affinity worker between requests: the monitor
-        reaps and respawns it, the table rebroadcasts, and the rest of
-        the sequence still decodes bit-identical to the single-process
-        run."""
+        """Crash the worker serving the client's connection between
+        requests: the monitor reaps and respawns it, the table
+        rebroadcasts, the client reconnects through the front port, and
+        the rest of the sequence still decodes bit-identical to the
+        single-process run."""
         payloads = _payloads()
         with Supervisor(_http_config(2, "fork")) as supervisor:
             host, port = supervisor.address
-            with ShardedServeClient(host, port) as client:
+            with ServeClient(host, port) as client:
                 got = [client.query(p) for p in payloads[:3]]
-                victim = client.route(payloads[3])
+                local = client.request("GET", "/stats?scope=local").body
+                victim = local["worker"]["index"]
                 old_pid = supervisor.kill_worker(victim)
+                assert local["worker"]["pid"] == old_pid
                 _wait_for_respawn(supervisor, 1)
                 table = {p.index: p.pid for p in supervisor.worker_table()}
                 assert table[victim] != old_pid  # same slot, new process
