@@ -17,10 +17,9 @@ stop grid of :mod:`repro.engine` (``AUTO`` picks per stop set).
 :class:`RuntimeConfig` bundles the backend, sharding, and store settings
 consumed by :class:`repro.runtime.QueryRuntime` — none of these knobs
 ever changes a query answer, only how much geometric work is done.
-:class:`ServiceConfig` sits one level up: it bounds the asyncio serving
-layer (:class:`repro.service.QueryService`) — whether requests run at
-once or in one batch group per loop iteration, and how deep the
-admission queue may grow before submissions are rejected.
+:class:`ServiceConfig` sits one level up: it decides whether the asyncio
+serving layer (:class:`repro.service.QueryService`) runs requests at
+once or in one batch group per loop iteration.
 """
 
 from __future__ import annotations
@@ -172,20 +171,13 @@ class RuntimeConfig:
 
 @dataclass(frozen=True, slots=True)
 class ServiceConfig:
-    """Admission and batching settings for
-    :class:`repro.service.QueryService`.
+    """Batching setting for :class:`repro.service.QueryService`.
 
-    Like every other execution knob, none of these settings changes a
-    query answer — they bound *when* a request's work runs, never what
-    it computes.
+    Like every other execution knob, it never changes a query answer —
+    it decides *when* a request's work runs, never what it computes.
 
     Parameters
     ----------
-    queue_depth:
-        Upper bound on requests admitted at once (waiting or running).
-        A submission past the bound fails fast with
-        :class:`~repro.core.errors.ServiceOverloaded` instead of
-        growing the queue without limit.  Must be >= 1.
     batch_window:
         ``> 0`` turns batching on: requests of every type submitted in
         one loop iteration form one group whose members' cores run in
@@ -196,18 +188,12 @@ class ServiceConfig:
         so answers and per-request stats never depend on this knob.
     """
 
-    queue_depth: int = 64
     batch_window: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.batch_window >= 0.0:  # also rejects NaN
             raise QueryError(
                 f"batch_window must be >= 0, got {self.batch_window}"
-            )
-        _require_int("queue_depth", self.queue_depth)
-        if self.queue_depth < 1:
-            raise QueryError(
-                f"queue_depth must be >= 1, got {self.queue_depth}"
             )
 
 

@@ -45,12 +45,12 @@ class QueryError(ReproError):
 
 
 class ServiceOverloaded(QueryError):
-    """Raised by :class:`repro.service.QueryService` when a submission
-    would exceed the configured admission-queue depth.
+    """Raised by :class:`repro.service.http.ServeClient` for a 503 from
+    a draining server; ``retry_after`` carries its ``Retry-After`` hint.
 
     Subclasses :class:`QueryError` so existing "invalid query" handlers
-    keep working; callers that want load-shedding behaviour (retry with
-    backoff, spill to another service) catch this type specifically.
+    keep working; callers that want to retry later or against another
+    server catch this type specifically.
     """
 
 

@@ -3,7 +3,7 @@
 Composes the full deployment stack from command-line flags — catalog
 (named trees + facility sets), :class:`~repro.runtime.QueryRuntime`
 (backend / shards), :class:`~repro.service.QueryService`
-(admission + batching), :class:`~repro.service.http.HttpQueryServer`
+(batching), :class:`~repro.service.http.HttpQueryServer`
 (transport) — serves until SIGINT/SIGTERM, then drains gracefully:
 in-flight requests complete, new ones are shed with 503.
 
@@ -85,11 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="multiprocessing start method for workers "
         "(default: the platform default)",
     )
-    service = parser.add_argument_group("service (admission + batching)")
-    service.add_argument(
-        "--queue-depth", type=int, default=64,
-        help="admitted requests before submissions are shed with 503",
-    )
+    service = parser.add_argument_group("service (batching)")
     service.add_argument(
         "--batch-window", type=float, default=0.0,
         help="> 0 defers every request to a group that runs the "
@@ -118,10 +114,7 @@ def config_from_args(args: argparse.Namespace) -> HttpConfig:
         drain_timeout=args.drain_timeout,
         workers=args.workers,
         start_method=args.start_method,
-        service=ServiceConfig(
-            queue_depth=args.queue_depth,
-            batch_window=args.batch_window,
-        ),
+        service=ServiceConfig(batch_window=args.batch_window),
         runtime=RuntimeConfig(
             backend=ProximityBackend(args.backend),
             shards=args.shards,

@@ -200,12 +200,11 @@ class ServeClient:
                 if sep:
                     headers[name.strip().lower()] = value.strip()
             try:
-                length = int(headers.get("content-length", "0"))
-            except ValueError:
-                raise QueryError(
-                    f"malformed Content-Length: "
-                    f"{headers.get('content-length')!r}"
-                ) from None
+                length = wire.content_length(
+                    headers.get("content-length", "0")
+                )
+            except ValueError as exc:
+                raise QueryError(str(exc)) from None
             body = self._rfile.read(length) if length else b""
             if len(body) != length:
                 raise _DeadConnection(mid_response=True)
@@ -232,12 +231,9 @@ class ServeClient:
         connection; answers decoded in request order.
 
         All request bytes go out back-to-back before any response is
-        read, so the whole wave registers with the server's
-        :class:`~repro.service.QueryService` in sequence — with
-        ``batch_window`` on they form one batch group, which is the
-        client-side half of cross-request batching (the server's
-        pipelined handler is the other).  Every response is read before
-        anything is raised — the connection stays framed — then the
+        read, which saves a round trip per request; the server still
+        answers them one at a time, in order.  Every response is read
+        before anything is raised — the connection stays framed — then the
         first per-request error (request order) propagates, mirroring
         ``QueryService.run``; callers wanting per-request outcomes
         should send individually with :meth:`query`.

@@ -12,35 +12,29 @@ four routes:
 
 **Error mapping.**  The transport never invents failure semantics — it
 projects the library's typed errors onto status codes:
-:class:`~repro.core.errors.ServiceOverloaded` → 503 with a
-``Retry-After`` header (admission control is load shedding, not
-failure); :class:`~repro.core.errors.CatalogError` → 404 (a name the
-server does not hold); :class:`~repro.core.errors.QueryError` and
-undecodable JSON → 400.  Anything else escaping a core is a genuine
-server bug and maps to 500 rather than being swallowed.
+:class:`~repro.core.errors.CatalogError` → 404 (a name the server does
+not hold); :class:`~repro.core.errors.QueryError`, undecodable JSON and
+malformed framing → 400 (an oversized body → 413).  Anything else
+escaping a core is a genuine server bug and maps to 500 rather than
+being swallowed.  The only 503 is the drain's.
 
 **Drain.**  :meth:`HttpQueryServer.drain` stops accepting connections,
-lets every request already being processed run to completion (bounded
-by ``drain_timeout``), then closes idle keep-alive connections.  New
+lets every request already read run to completion (bounded by
+``drain_timeout``), then closes idle keep-alive connections.  New
 ``POST /query`` arrivals on existing connections during the drain are
-shed with 503 + ``Retry-After``.  The drain never cancels an admitted
-request: in-flight work runs to completion.
+answered 503 with ``Retry-After``.  The drain never cancels a request
+it has read.
 
 Connections are HTTP/1.1 keep-alive by default (``Connection: close``
-honoured); request framing is by ``Content-Length`` (no chunked
-bodies — every client this repo ships sends measured JSON).
+honoured); request framing is by ``Content-Length``, ``1*DIGIT`` and
+sent once (no chunked bodies — every client this repo ships sends
+measured JSON).
 
-**Pipelining.**  The connection handler decouples reading from
-dispatching: each parsed frame claims an in-order response slot and
-dispatches concurrently (bounded by ``MAX_PIPELINE`` per connection —
-past the bound the server simply stops reading, which is TCP
-backpressure), while a per-connection writer coroutine writes the
-responses strictly in request order, as HTTP/1.1 pipelining requires.
-This is what lets :meth:`ServeClient.submit_many` land a whole wave of
-``POST /query`` bodies in one service batch group over a
-single socket — a serial handler would hold request *N+1* unread until
-request *N*'s response was written, stretching every wave into a chain
-of one-member groups.
+**Pipelining.**  A connection answers one request at a time: read a
+frame, dispatch it, write its response, read the next.  Pipelined
+frames wait in the socket until then, so responses leave in request
+order and backpressure is TCP's.  Cores run on the event loop anyway,
+so answering a connection's frames concurrently would buy nothing.
 """
 
 from __future__ import annotations
@@ -56,7 +50,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...core.config import RuntimeConfig, ServiceConfig
-from ...core.errors import CatalogError, QueryError, ServiceOverloaded
+from ...core.errors import CatalogError, QueryError
 from ...runtime import QueryRuntime
 from ..service import QueryService
 from . import wire
@@ -98,13 +92,6 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: What a 503 tells the client about when to come back.
 RETRY_AFTER_SECONDS = 1
-
-#: How many pipelined requests one connection may have dispatched and
-#: unanswered before the server stops reading from it (the service's
-#: own ``queue_depth`` still bounds total admitted work across
-#: connections — this bound only keeps one peer from buffering
-#: unbounded response state).
-MAX_PIPELINE = 64
 
 _REASONS = {
     200: "OK",
@@ -262,21 +249,52 @@ class HttpQueryServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Read frames and dispatch them concurrently; a writer
-        coroutine answers in request order (see *Pipelining* in the
-        module docstring).  Every dispatched request runs to completion
-        even when the peer vanishes mid-pipeline — admitted work is
-        never cancelled, matching the drain semantics."""
+        """Answer one request at a time: read a frame, dispatch it,
+        write its response, repeat (see *Pipelining* in the module
+        docstring).  A request already read runs to completion even when
+        its peer has vanished — read work is never cancelled, matching
+        the drain semantics."""
         self._writers.add(writer)
-        loop = asyncio.get_running_loop()
-        # (response future, close-after?) in request order; None ends it
-        queue: asyncio.Queue = asyncio.Queue(MAX_PIPELINE)
-        write_loop = asyncio.ensure_future(self._write_loop(writer, queue))
-        # strong refs: a bare ensure_future result may be collected
-        # mid-flight (the loop holds only weak task references)
-        dispatches: Set[asyncio.Task] = set()
         try:
-            await self._serve_connection(reader, writer, queue, write_loop, dispatches)
+            try:
+                while True:
+                    try:
+                        frame = await self._read_request(reader)
+                    except _ProtocolError as exc:
+                        response = _Response(
+                            exc.status,
+                            {"error": "bad_request", "detail": exc.detail},
+                        )
+                        await self._write_response(writer, response, close=True)
+                        break
+                    if frame is None:
+                        break  # clean EOF between requests
+                    method, path, headers, body = frame
+                    self._busy += 1
+                    self._idle.clear()
+                    try:
+                        response = await self._dispatch(method, path, body)
+                    except Exception as exc:  # pragma: no cover - server bug
+                        response = _Response(
+                            500,
+                            {"error": "internal",
+                             "detail": f"{type(exc).__name__}: {exc}"},
+                        )
+                    finally:
+                        self._busy -= 1
+                        if self._busy == 0:
+                            self._idle.set()
+                    close = self._draining or _wants_close(headers)
+                    await self._write_response(writer, response, close=close)
+                    if close:
+                        break
+            except (ConnectionError, asyncio.IncompleteReadError):
+                pass  # peer went away mid-frame or mid-response
+            finally:
+                self._writers.discard(writer)
+                writer.close()
+                with contextlib.suppress(Exception):
+                    await writer.wait_closed()
         except asyncio.CancelledError:
             # only loop shutdown cancels handlers (drain closes writers
             # instead); cleanup already ran, and a handler task that
@@ -284,102 +302,6 @@ class HttpQueryServer:
             # re-raise inside the event loop and log spurious noise —
             # finish normally instead
             pass
-
-    async def _serve_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        queue: asyncio.Queue,
-        write_loop: "asyncio.Future",
-        dispatches: Set[asyncio.Task],
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        try:
-            while True:
-                try:
-                    frame = await self._read_request(reader)
-                except _ProtocolError as exc:
-                    slot: asyncio.Future = loop.create_future()
-                    slot.set_result(
-                        _Response(
-                            exc.status,
-                            {"error": "bad_request", "detail": exc.detail},
-                        )
-                    )
-                    # in-order like any response: pipelined requests
-                    # ahead of the malformed frame still get answered
-                    await queue.put((slot, True))
-                    break
-                except (ConnectionError, asyncio.IncompleteReadError):
-                    break  # peer went away mid-frame; nothing to answer
-                if frame is None:
-                    break  # clean EOF between requests
-                method, path, headers, body = frame
-                close = self._draining or _wants_close(headers)
-                slot = loop.create_future()
-                # blocks at MAX_PIPELINE in-flight responses — the read
-                # loop stalling is exactly the backpressure we want
-                await queue.put((slot, close))
-                task = asyncio.ensure_future(
-                    self._dispatch_to(slot, method, path, body)
-                )
-                dispatches.add(task)
-                task.add_done_callback(dispatches.discard)
-                if close:
-                    break
-            await queue.put(None)
-            await write_loop
-        finally:
-            if not write_loop.done():
-                write_loop.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await write_loop
-            self._writers.discard(writer)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _dispatch_to(
-        self, slot: asyncio.Future, method: str, path: str, body: bytes
-    ) -> None:
-        """One request's dispatch, resolving its in-order response
-        slot.  Busy accounting lives here now: the connection is busy
-        while any slot is unresolved, which is what drain waits on."""
-        self._busy += 1
-        self._idle.clear()
-        try:
-            response = await self._dispatch(method, path, body)
-        except Exception as exc:  # pragma: no cover - genuine server bug
-            response = _Response(
-                500,
-                {"error": "internal", "detail": f"{type(exc).__name__}: {exc}"},
-            )
-        finally:
-            self._busy -= 1
-            if self._busy == 0:
-                self._idle.set()
-        if not slot.done():
-            slot.set_result(response)
-
-    async def _write_loop(
-        self, writer: asyncio.StreamWriter, queue: asyncio.Queue
-    ) -> None:
-        """Answer in request order.  A write failure (peer gone) stops
-        writing but keeps consuming slots, so every dispatched request
-        still completes and the busy count drains truthfully."""
-        broken = False
-        while True:
-            item = await queue.get()
-            if item is None:
-                return
-            slot, close = item
-            response = await slot
-            if broken:
-                continue
-            try:
-                await self._write_response(writer, response, close=close)
-            except (ConnectionError, asyncio.IncompleteReadError):
-                broken = True
 
     async def _read_request(
         self, reader: asyncio.StreamReader
@@ -414,9 +336,14 @@ class HttpQueryServer:
             if not stripped:
                 break
             name, sep, value = raw.decode("latin-1").partition(":")
-            if not sep:
+            # no whitespace around a field name (RFC 9112 §5.1): a
+            # "Content-Length :" another parser skips would desync us
+            if not sep or not name or name != name.strip():
                 raise _ProtocolError(400, f"malformed header: {raw!r}")
-            headers[name.strip().lower()] = value.strip()
+            name = name.lower()
+            if name == "content-length" and name in headers:
+                raise _ProtocolError(400, "repeated Content-Length")
+            headers[name] = value.strip()
         if "transfer-encoding" in headers:
             # Content-Length is the only framing this server speaks; a
             # silently-ignored chunked body would desynchronize the
@@ -426,15 +353,10 @@ class HttpQueryServer:
                 "Transfer-Encoding is not supported; send a "
                 "Content-Length-framed body",
             )
-        length_raw = headers.get("content-length", "0")
         try:
-            length = int(length_raw)
-        except ValueError:
-            raise _ProtocolError(
-                400, f"bad Content-Length: {length_raw!r}"
-            ) from None
-        if length < 0:
-            raise _ProtocolError(400, f"bad Content-Length: {length_raw!r}")
+            length = wire.content_length(headers.get("content-length", "0"))
+        except ValueError as exc:
+            raise _ProtocolError(400, str(exc)) from None
         if length > MAX_BODY_BYTES:
             raise _ProtocolError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
@@ -477,7 +399,12 @@ class HttpQueryServer:
 
     async def _handle_query(self, body: bytes) -> _Response:
         if self._draining:
-            return _overloaded("server is draining; retry against a peer")
+            return _Response(
+                503,
+                {"error": "overloaded",
+                 "detail": "server is draining; retry against a peer"},
+                headers=(("Retry-After", str(RETRY_AFTER_SECONDS)),),
+            )
         try:
             payload = json.loads(body)
         except ValueError as exc:
@@ -503,17 +430,11 @@ class HttpQueryServer:
             )
         try:
             result = await self.service.submit(request)
-        except ServiceOverloaded as exc:
-            return _overloaded(str(exc))
         except QueryError as exc:
             # a core-raised QueryError (the request constructed, so this
-            # is an execution-time complaint): still the client's 400
+            # is an execution-time complaint): still the client's 400;
+            # anything else is a server bug, answered 500 by the caller
             return _Response(400, {"error": "bad_request", "detail": str(exc)})
-        except Exception as exc:  # pragma: no cover - genuine server bug
-            return _Response(
-                500,
-                {"error": "internal", "detail": f"{type(exc).__name__}: {exc}"},
-            )
         return _Response(200, wire.encode_result(result))
 
     def _stats_payload(self) -> dict:
@@ -698,12 +619,9 @@ async def _http_get_json(host: str, port: int, path: str) -> dict:
             if sep:
                 headers[name.strip().lower()] = value.strip()
         try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            raise QueryError(
-                f"malformed peer Content-Length: "
-                f"{headers.get('content-length')!r}"
-            ) from None
+            length = wire.content_length(headers.get("content-length", "0"))
+        except ValueError as exc:
+            raise QueryError(f"peer sent a {exc}") from None
         body = await reader.readexactly(length) if length else b""
         if status != 200:
             raise QueryError(f"peer answered HTTP {status}")
@@ -728,14 +646,6 @@ def _method_not_allowed(allowed: str) -> _Response:
         405,
         {"error": "method_not_allowed", "detail": f"use {allowed}"},
         headers=(("Allow", allowed),),
-    )
-
-
-def _overloaded(detail: str) -> _Response:
-    return _Response(
-        503,
-        {"error": "overloaded", "detail": detail},
-        headers=(("Retry-After", str(RETRY_AFTER_SECONDS)),),
     )
 
 

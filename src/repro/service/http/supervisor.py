@@ -81,7 +81,7 @@ __all__ = [
 ]
 
 #: Listen backlog for shared/direct listeners (matches the asyncio
-#: default magnitude; overload shedding is the service's job).
+#: default magnitude).
 _BACKLOG = 128
 
 #: Slack past ``drain_timeout`` before a draining worker is hard-killed.

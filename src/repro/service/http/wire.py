@@ -26,6 +26,8 @@ The codec layer between the socket and the in-process serving types:
 * **stats** — codecs for :class:`~repro.core.stats.QueryStats` and
   :class:`~repro.service.ServiceStats`, used by results and by
   ``GET /stats``.
+* **framing** — :func:`content_length`, the one ``Content-Length``
+  rule the server and both clients apply.
 
 Request bodies (``POST /query``)::
 
@@ -68,6 +70,7 @@ from .catalog import Catalog
 
 __all__ = [
     "REQUEST_TYPES",
+    "content_length",
     "WireFleet",
     "WireRanking",
     "WireResult",
@@ -132,6 +135,15 @@ def _reject_unknown_keys(payload: Mapping, allowed: Tuple[str, ...], what: str) 
         raise QueryError(
             f"unknown {what} field(s) {unknown} (allowed: {sorted(allowed)})"
         )
+
+
+def content_length(value: str) -> int:
+    """The body length a ``Content-Length`` value frames.  Only
+    ``1*DIGIT`` is valid (RFC 9112 §6.3); ``int()`` alone would also
+    take ``+10``, ``-0`` and ``1_0``.  Raises :class:`ValueError`."""
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"bad Content-Length: {value!r}")
+    return int(value)
 
 
 # ----------------------------------------------------------------------

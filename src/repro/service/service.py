@@ -13,26 +13,19 @@ no GIL hand-off per request.  The trade: a long core holds the loop,
 so reads, ``/healthz`` and other connections wait until it ends.
 
 **One rule for when a core runs.**  At submission the request is
-planned by the :class:`~repro.service.planner.QueryPlanner` and
-admitted.  With ``ServiceConfig.batch_window == 0`` its core then runs
-at once, inside :meth:`submit`, before the first ``await``.  With a
-window, every request of any of the five types joins the service's one
-open group instead; the group runs its members' cores in submission
-order one loop iteration after its first member's submit, so every
-submit made in that iteration — a pipelined wave parsed from one read,
-one :meth:`run` gather — joins it.  Either way each core runs alone,
-in submission order, against the one runtime, which is why service
-results **and per-request stats** are ``==`` the synchronous functions
-called in the same order (``tests/test_query_service.py``) and the
-same at every window (``tests/test_batch_service.py``).  A repeat of
-earlier work rides the runtime's :class:`~repro.engine.CoverageCache`
-as cache hits.
-
-**Admission control.**  ``ServiceConfig.queue_depth`` bounds how many
-requests may be admitted at once — a submission past the bound fails
-fast with :class:`~repro.core.errors.ServiceOverloaded` instead of
-growing an unbounded queue.  Only a request waiting in an open group
-holds its slot past its own submission step.
+planned by the :class:`~repro.service.planner.QueryPlanner`.  With
+``ServiceConfig.batch_window == 0`` its core then runs at once, inside
+:meth:`submit`, before the first ``await``.  With a window, every
+request of any of the five types joins the service's one open group
+instead; the group runs its members' cores in submission order one
+loop iteration after its first member's submit, so every submit made
+in that iteration — one :meth:`run` gather — joins it.  Either way
+each core runs alone, in submission order, against the one runtime,
+which is why service results **and per-request stats** are ``==`` the
+synchronous functions called in the same order
+(``tests/test_query_service.py``) and the same at every window
+(``tests/test_batch_service.py``).  A repeat of earlier work rides the
+runtime's :class:`~repro.engine.CoverageCache` as cache hits.
 
 **Cancellation.**  A caller may cancel a group member (e.g.
 :func:`asyncio.wait_for` timing out) before the group runs: the
@@ -41,9 +34,9 @@ siblings run as scheduled, and it counts in
 ``ServiceStats.requests_cancelled``.  Nothing awaits inside a core, so
 a cancel never lands mid-core.
 
-**What the service never does** is change an answer: batching and
-admission bound *when* work runs, and every answer is bit-identical to
-the one the request's synchronous core returns.
+**What the service never does** is change an answer: batching bounds
+*when* work runs, and every answer is bit-identical to the one the
+request's synchronous core returns.
 """
 
 from __future__ import annotations
@@ -55,7 +48,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.config import ServiceConfig
-from ..core.errors import QueryError, ServiceOverloaded
+from ..core.errors import QueryError
 from ..runtime import QueryRuntime
 from .planner import QueryPlan, QueryPlanner
 from .requests import QueryRequest, QueryResult
@@ -72,7 +65,7 @@ class ServiceStats:
     work counters live on the runtime's :class:`~repro.core.stats
     .QueryStats` totals).
 
-    ``probe_units_planned`` sums the planner's probe units over admitted
+    ``probe_units_planned`` sums the planner's probe units over submitted
     requests.  ``probe_units_batched`` counts the units of members whose
     core ran, and delivered, inside a group (a cancelled or failed
     member's units are not counted); ``batch_groups_run`` counts the
@@ -85,11 +78,12 @@ class ServiceStats:
     in-flight work (a repeat rides the cache as hits instead).  They
     stay for perfbench and the wire until the benchmark releases them.
 
-    Every admitted request settles into exactly one outcome counter, so
+    Every submitted request settles into exactly one outcome counter, so
     ``requests_completed + requests_failed + requests_cancelled ==
-    requests_submitted`` once the workload drains (rejected submissions
-    are counted in ``requests_rejected`` only — they are never
-    admitted).
+    requests_submitted`` once the workload drains.  ``requests_rejected``
+    is always 0: the service admits every request (backpressure is the
+    caller's, TCP's on the HTTP front).  It stays for perfbench and the
+    wire.
     """
 
     requests_submitted: int = 0
@@ -120,8 +114,8 @@ class QueryService:
         shard store carry work from one request to the next.  ``None``
         creates a private runtime (default config).
     config:
-        Admission and batching settings (:class:`~repro.core.config
-        .ServiceConfig` defaults: depth 64, no window).
+        Batching setting (:class:`~repro.core.config.ServiceConfig`;
+        the default runs every request inside its submit).
 
     Use as an async context manager::
 
@@ -191,26 +185,17 @@ class QueryService:
     async def submit(self, request: QueryRequest) -> QueryResult:
         """Answer one request.
 
-        Everything up to the first ``await`` — planning, admission, and
-        at window 0 the core itself — runs synchronously.  Raises
-        :class:`ServiceOverloaded` when the admission queue is full, and
-        re-raises whatever the request's query core raises (a failed
-        request never poisons the next one, exactly as a sequential
-        caller would continue after a failed call).  Cancelling the
-        returned coroutine while it waits in a group releases its
-        admission slot and drops it from the group's run.
+        Everything up to the first ``await`` — planning, and at window
+        0 the core itself — runs synchronously.  Re-raises whatever the
+        request's query core raises (a failed request never poisons the
+        next one, exactly as a sequential caller would continue after a
+        failed call).  Cancelling the returned coroutine while it waits
+        in a group drops it from the group's run.
         """
         if self._closed:
             raise QueryError("QueryService is closed")
         loop = self._bind_loop()
         plan = self.planner.plan(request)  # validates the request type
-        if self._pending >= self.config.queue_depth:
-            with self._stats_lock:
-                self._stats.requests_rejected += 1
-            raise ServiceOverloaded(
-                f"admission queue full ({self.config.queue_depth} requests "
-                "admitted); retry later or raise ServiceConfig.queue_depth"
-            )
         self._pending += 1
         with self._stats_lock:
             self._stats.requests_submitted += 1
@@ -292,13 +277,12 @@ class QueryService:
         """Submit ``requests`` concurrently; results in request order.
 
         The sugar most callers want: every request is submitted in
-        sequence (so, with a window, the whole batch is one group) and
-        executed under the service's bounds.  Every admitted request is
-        awaited to completion before anything is raised — a rejected or
-        failed sibling must not abandon admitted work — then the first
-        failure (submission order) propagates.  Callers that want the
-        per-request outcomes instead should gather :meth:`submit` calls
-        themselves with ``return_exceptions``.
+        sequence (so, with a window, the whole batch is one group).
+        Every request is awaited to completion before anything is
+        raised — a failed sibling must not abandon the others' work —
+        then the first failure (submission order) propagates.  Callers
+        that want the per-request outcomes instead should gather
+        :meth:`submit` calls themselves with ``return_exceptions``.
         """
         outcomes = await asyncio.gather(
             *(self.submit(r) for r in requests), return_exceptions=True
@@ -323,5 +307,5 @@ class QueryService:
 
     @property
     def in_flight(self) -> int:
-        """Requests currently admitted and not yet settled."""
+        """Requests currently submitted and not yet settled."""
         return self._pending

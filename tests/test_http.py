@@ -8,14 +8,15 @@ the wire projection of what the in-process
 sequence against an identically configured runtime (and the service is
 itself pinned to the synchronous functions by
 ``tests/test_query_service.py``, so the chain reaches the oracles).
-On top of parity: the error mapping (400 / 404 / 503 + Retry-After /
-405), admission-control shedding over the socket, concurrent clients,
-and graceful drain.
+On top of parity: the error mapping (400 / 404 / 405), malformed
+framing over a raw socket (400 / 413, then a close), concurrent
+clients, and graceful drain with its 503 + Retry-After.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import math
 import socket
 import threading
@@ -37,12 +38,14 @@ from repro.core.errors import CatalogError, QueryError, ServiceOverloaded
 from repro.service.http import (
     Catalog,
     ServeClient,
+    WorkerPeer,
     background_server,
     build_demo_catalog,
     catalog_from_spec,
     wire_result,
 )
 from repro.service.http import wire
+from repro.service.http.server import MAX_BODY_BYTES, RETRY_AFTER_SECONDS
 
 from .conftest import GatedPlanner
 
@@ -194,10 +197,11 @@ class TestHttpDifferential:
             with ServeClient(h.host, h.port) as client:
                 assert client.submit_many([]) == []
 
-    def test_pipelined_wave_is_one_group(self, catalog, facilities):
-        """16 pipelined evaluates with the batch window on are parsed
-        from one read and run as one group; answers and per-request
-        stats equal the same wave with the window off."""
+    def test_pipelined_wave_runs_in_order(self, catalog, facilities):
+        """16 pipelined evaluates with the batch window on: the server
+        answers one request at a time, so each runs as its own group;
+        answers and per-request stats equal the same wave with the
+        window off."""
         payloads = [
             {"type": "evaluate", "tree": "city", "facility_set": "buses",
              "facility_id": facilities[i % 6].facility_id,
@@ -217,9 +221,27 @@ class TestHttpDifferential:
         unbatched, stats0 = wave(0.0)
         batched, stats = wave(0.005)
         assert batched == unbatched  # values AND per-request stats
-        assert stats.batch_groups_run == 1
+        assert stats.batch_groups_run == len(payloads)
         assert stats.probe_units_batched == len(payloads)
         assert stats0.batch_groups_run == 0
+
+    def test_long_pipelined_wave_equals_singles(self, catalog, facilities):
+        """A wave of 200 evaluates on one connection is answered in
+        request order and == the same requests sent one at a time."""
+        payloads = [
+            {"type": "evaluate", "tree": "city", "facility_set": "buses",
+             "facility_id": facilities[i % len(facilities)].facility_id,
+             "spec": (SPEC, COUNT_SPEC, LENGTH_SPEC)[i % 3]}
+            for i in range(200)
+        ]
+
+        def answers(send):
+            with background_server(catalog, runtime_config=RUNTIME_CONFIG) as h:
+                with ServeClient(h.host, h.port) as client:
+                    return send(client)
+
+        singles = answers(lambda c: [c.query(p) for p in payloads])
+        assert answers(lambda c: c.submit_many(payloads)) == singles
 
     def test_submit_many_surfaces_first_error_in_order(self, catalog):
         """Every response in a pipelined wave is read before any error
@@ -395,64 +417,6 @@ class TestErrorMapping:
 
 
 class TestAdmissionOverHttp:
-    def test_overload_is_503_with_retry_after(self, catalog):
-        """queue_depth=1 + a pipelined pair with the batch window on:
-        the first request waits in the open group holding the one queue
-        slot, so the second must be shed with 503 and a Retry-After
-        hint, the first must still complete, and the outcome counters
-        still sum."""
-        payloads = [
-            {"type": "evaluate", "tree": "city", "facility_set": "buses",
-             "facility_id": i, "spec": SPEC}
-            for i in range(2)
-        ]
-        config = ServiceConfig(queue_depth=1, batch_window=0.005)
-        with background_server(
-            catalog, runtime_config=RUNTIME_CONFIG, service_config=config
-        ) as h:
-            with ServeClient(h.host, h.port) as client:
-                with pytest.raises(ServiceOverloaded) as excinfo:
-                    client.submit_many(payloads)
-            assert excinfo.value.retry_after is not None
-            stats = h.service_stats()
-            assert stats.requests_rejected == 1
-            assert stats.requests_completed == 1
-            assert (
-                stats.requests_completed
-                + stats.requests_failed
-                + stats.requests_cancelled
-                == stats.requests_submitted
-            )
-
-    def test_pipelined_wave_past_queue_depth_is_shed(self, catalog):
-        """A pipelined wave waiting in one batch group holds its queue
-        slots: past queue_depth the rest is shed with 503 and a
-        Retry-After hint, the admitted part is answered, and the
-        outcome counters still sum."""
-        payloads = [
-            {"type": "evaluate", "tree": "city", "facility_set": "buses",
-             "facility_id": i, "spec": SPEC}
-            for i in range(8)
-        ]
-        config = ServiceConfig(queue_depth=4, batch_window=0.005)
-        with background_server(
-            catalog, runtime_config=RUNTIME_CONFIG, service_config=config
-        ) as h:
-            with ServeClient(h.host, h.port) as client:
-                with pytest.raises(ServiceOverloaded) as excinfo:
-                    client.submit_many(payloads)
-                stats, _ = client.stats()
-        assert excinfo.value.retry_after is not None
-        assert stats.requests_rejected == 4
-        assert stats.requests_completed == 4
-        assert stats.batch_groups_run == 1
-        assert (
-            stats.requests_completed
-            + stats.requests_failed
-            + stats.requests_cancelled
-            == stats.requests_submitted
-        )
-
     def test_core_runs_on_the_server_loop(self, catalog):
         """A request's core runs on the server's event loop thread —
         there is no worker pool — and parks that loop while it runs."""
@@ -528,6 +492,116 @@ class TestAdmissionOverHttp:
         )
 
 
+def _raw_exchange(host, port, data):
+    """Send ``data`` on a fresh socket, read until the server closes,
+    and split what came back into ``(status, headers, body)`` responses.
+    A socket timeout fails the caller: the server must close."""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(data)
+        received = b""
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break  # the server closed with our bytes unread
+            if not chunk:
+                break
+            received += chunk
+    responses = []
+    while received:
+        head, _, rest = received.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = {
+            name.strip().lower(): value.strip()
+            for name, _, value in (line.partition(":") for line in lines)
+        }
+        length = int(headers["content-length"])
+        responses.append((int(status_line.split()[1]), headers, rest[:length]))
+        received = rest[length:]
+    return responses
+
+
+_HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+
+
+class TestFraming:
+    """Malformed frames over a raw socket: each is answered with its
+    status and the connection is closed (RFC 9112: a ``Content-Length``
+    is ``1*DIGIT``, sent once, §6.3; no whitespace before a field
+    name's colon, §5.1)."""
+
+    @pytest.fixture(scope="class")
+    def server(self, catalog):
+        with background_server(catalog, runtime_config=RUNTIME_CONFIG) as h:
+            yield h
+
+    @pytest.mark.parametrize(
+        "frame, status",
+        [
+            (_HEALTHZ + b"Content-Length: 1_0\r\n\r\n" + b"x" * 10, 400),
+            (_HEALTHZ + b"Content-Length: +10\r\n\r\n" + b"x" * 10, 400),
+            (_HEALTHZ + b"Content-Length: -0\r\n\r\n", 400),
+            (
+                _HEALTHZ + b"Content-Length: 10\r\nContent-Length: 3\r\n\r\n"
+                + b"x" * 10,
+                400,
+            ),
+            (_HEALTHZ + b"Content-Length : 3\r\n\r\nabc", 400),
+            (b"BOGUS\r\n\r\n", 400),
+            (b"POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", 400),
+            (
+                f"POST /query HTTP/1.1\r\nContent-Length: "
+                f"{MAX_BODY_BYTES + 1}\r\n\r\n".encode("latin-1"),
+                413,
+            ),
+        ],
+        ids=[
+            "underscore", "plus", "minus-zero", "repeated",
+            "space-before-colon", "request-line", "transfer-encoding",
+            "oversized-body",
+        ],
+    )
+    def test_malformed_frame_is_answered_then_closed(self, server, frame, status):
+        responses = _raw_exchange(server.host, server.port, frame)
+        assert [r[0] for r in responses] == [status]
+        assert responses[0][1]["connection"] == "close"
+
+    def test_good_frame_ahead_of_a_malformed_one(self, server):
+        """A good request pipelined ahead of a malformed one is
+        answered first; then the malformed one gets its 400."""
+        body = (
+            b'{"type": "evaluate", "tree": "city", "facility_set": "buses", '
+            b'"facility_id": 0, "spec": {"model": "endpoint", "psi": 400.0}}'
+        )
+        good = (
+            f"POST /query HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+        ).encode("latin-1") + body
+        responses = _raw_exchange(server.host, server.port, good + b"BOGUS\r\n\r\n")
+        assert [r[0] for r in responses] == [200, 400]
+        assert wire.decode_result(json.loads(responses[0][2])).value > 0.0
+
+    def test_client_refuses_a_bad_content_length(self):
+        """The client applies the same rule to a response: a negative
+        length is a QueryError, not a read to EOF."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            host, port = listener.getsockname()
+
+            def answer():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.recv(65536)
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n{}"
+                    )
+
+            thread = threading.Thread(target=answer)
+            thread.start()
+            with ServeClient(host, port, timeout=5) as client:
+                with pytest.raises(QueryError, match="Content-Length"):
+                    client.healthz()
+            thread.join(10)
+
+
 class TestDrain:
     def test_graceful_drain_completes_in_flight(self, catalog):
         """drain() must let an admitted request finish (its core is
@@ -571,8 +645,55 @@ class TestDrain:
             with pytest.raises(OSError):
                 socket.create_connection((h.host, h.port), timeout=2)
 
+    def test_query_during_drain_is_503_with_retry_after(self, catalog):
+        """The only 503: a POST /query arriving on an open keep-alive
+        connection while the server drains.  A GET /healthz held on a
+        silent peer keeps the drain waiting; the client raises
+        ServiceOverloaded with the Retry-After hint, and the held
+        request still completes."""
+        payload = {"type": "evaluate", "tree": "city", "facility_set": "buses",
+                   "facility_id": 0, "spec": SPEC}
+        with socket.create_server(("127.0.0.1", 0)) as silent:
+            with background_server(catalog, runtime_config=RUNTIME_CONFIG) as h:
+                h.server.set_peers([WorkerPeer(0, 0, *silent.getsockname())])
+                box = {}
+
+                def held():
+                    with ServeClient(h.host, h.port) as c:
+                        box["health"] = c.healthz()
+
+                with ServeClient(h.host, h.port) as client:
+                    client.query(payload)  # the connection is now open
+                    thread = threading.Thread(target=held)
+                    thread.start()
+                    peer, _ = silent.accept()  # the healthz is in flight
+                    drained = asyncio.run_coroutine_threadsafe(
+                        h.server.drain(), h._loop
+                    )
+                    deadline = time.monotonic() + 10
+                    while not h.server.draining:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.01)
+                    with pytest.raises(ServiceOverloaded) as excinfo:
+                        client.query(payload)
+                    assert excinfo.value.retry_after == RETRY_AFTER_SECONDS
+                    assert not drained.done()  # still waiting on the held one
+                    peer.close()
+                drained.result(30)
+                thread.join(30)
+                stats = h.service_stats()
+        assert box["health"]["status"] == "degraded"  # its peer is gone
+        assert stats.requests_completed == 1
+        assert stats.requests_rejected == 0
+
 
 class TestWireAndCatalogUnits:
+    def test_content_length_is_digits_only(self):
+        for value, length in (("0", 0), ("10", 10), ("007", 7)):
+            assert wire.content_length(value) == length
+        for value in ("", "+10", "-0", "-1", "1_0", " 1", "1e3", "\u0661"):
+            with pytest.raises(ValueError):
+                wire.content_length(value)
     def test_genetic_config_work_is_bounded(self):
         # population_size * tournament_size * (iterations + 1)
         at_bound = {"population_size": 2**8, "tournament_size": 2**5,

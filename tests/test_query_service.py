@@ -7,10 +7,10 @@ service's :class:`QueryResult.value` and per-request ``stats`` must be
 ``==`` to what the synchronous functions produce when called in
 submission order against an identically configured runtime, and the
 service runtime's merged grand total must equal the sequential
-baseline's.  On top of parity: admission control (bounded queue),
-repeats riding earlier work as cache hits, and cores on the loop (a
-service runs every core on its event loop's thread and starts no
-thread).  A test that needs a request in flight holds it in an open
+baseline's.  On top of parity: failures and cancellations settling
+into outcome counters, repeats riding earlier work as cache hits, and
+cores on the loop (a service runs every core on its event loop's
+thread and starts no thread).  A test that needs a request in flight holds it in an open
 batch group and steps the loop with ``asyncio.sleep(0)``, never with a
 timed sleep.
 """
@@ -37,7 +37,6 @@ from repro import (
     RuntimeConfig,
     ServiceConfig,
     ServiceModel,
-    ServiceOverloaded,
     ServiceSpec,
     TQTree,
     TQTreeConfig,
@@ -267,63 +266,52 @@ class TestCoalescing:
 
 
 class TestAdmissionControl:
-    def test_queue_depth_rejects_overflow(self, tree, facilities):
-        """A wave waiting in one batch group holds its queue slots, so
-        the excess past queue_depth is shed.  With batching off, each
-        request of the same wave runs to completion in its own
-        submission step and frees its slot before the next arrives."""
+    @pytest.mark.parametrize("batch_window", [0.0, 0.005])
+    def test_run_awaits_siblings_of_a_failed_request(
+        self, tree, facilities, batch_window
+    ):
+        """A failing core inside run() must not abandon its siblings:
+        every other request completes (and is accrued) before the first
+        failure, in submission order, propagates."""
         requests = [
             EvaluateRequest(tree, facilities[i % len(facilities)], COUNT)
             for i in range(6)
         ]
-
-        async def drive(batch_window):
-            config = ServiceConfig(queue_depth=2, batch_window=batch_window)
-            async with QueryService(
-                QueryRuntime(_config()), config
-            ) as svc:
-                outcomes = await asyncio.gather(
-                    *(svc.submit(r) for r in requests),
-                    return_exceptions=True,
-                )
-                return outcomes, svc.stats
-
-        outcomes, stats = asyncio.run(drive(0.005))
-        rejected = [o for o in outcomes if isinstance(o, ServiceOverloaded)]
-        completed = [o for o in outcomes if not isinstance(o, Exception)]
-        assert len(rejected) == 4  # admissions beyond queue_depth=2
-        assert len(completed) == 2
-        assert stats.requests_rejected == 4
-        assert stats.requests_completed == 2
-        _assert_outcomes_sum(stats)
-
-        outcomes, stats = asyncio.run(drive(0.0))
-        assert not any(isinstance(o, Exception) for o in outcomes)
-        assert stats.requests_rejected == 0
-        assert stats.requests_completed == len(requests)
-
-    def test_run_awaits_admitted_siblings_on_overflow(self, tree, facilities):
-        """An overflow inside run() must not abandon admitted siblings:
-        every admitted request completes (and is accrued) before the
-        first rejection propagates."""
-        requests = [
-            EvaluateRequest(tree, facilities[i % len(facilities)], COUNT)
-            for i in range(6)
-        ]
+        failing = {id(requests[1]): "first", id(requests[3]): "second"}
 
         async def drive():
             with QueryRuntime(_config()) as rt:
-                async with QueryService(
-                    rt, ServiceConfig(queue_depth=2, batch_window=0.005)
-                ) as svc:
-                    with pytest.raises(ServiceOverloaded):
-                        await svc.run(requests)
-                    return svc.stats
+                config = ServiceConfig(batch_window=batch_window)
+                async with QueryService(rt, config) as svc:
+                    planner = svc.planner
 
-        stats = asyncio.run(drive())
-        assert stats.requests_rejected == 4
-        assert stats.requests_completed == 2  # siblings ran to completion
-        assert stats.requests_failed == 0  # none died on a shut-down pool
+                    class FailingPlanner:
+                        def plan(self, request):
+                            plan = planner.plan(request)
+                            if id(request) not in failing:
+                                return plan
+
+                            def execute(runtime):
+                                raise QueryError(failing[id(request)])
+
+                            return dataclasses.replace(plan, execute=execute)
+
+                    svc.planner = FailingPlanner()
+                    with pytest.raises(QueryError, match="first"):
+                        await svc.run(requests)
+                    return svc.stats, dataclasses.replace(rt.stats)
+
+        stats, total = asyncio.run(drive())
+        assert stats.requests_completed == 4  # siblings ran to completion
+        assert stats.requests_failed == 2
+        assert stats.requests_rejected == 0
+        _assert_outcomes_sum(stats)
+        with QueryRuntime(_config()) as rt:
+            _, deltas = _sync_baseline([requests[i] for i in (0, 2, 4, 5)], rt)
+        expected = QueryStats()
+        for delta in deltas:
+            expected = expected.merge(delta)
+        assert total == expected  # the four siblings, and nothing else
 
     def test_fresh_request_completes_in_its_submission_step(
         self, tree, facilities
@@ -374,26 +362,26 @@ class TestAdmissionControl:
         assert total == QueryStats()
         _assert_outcomes_sum(stats)
 
-    def test_cancelled_request_frees_admission_capacity(
+    def test_cancelled_members_leave_nothing_in_flight(
         self, tree, facilities
     ):
-        """Cancellations must hand their queue slots back: a full group
-        of cancelled requests may not push the service into rejecting
-        everything afterwards (the admission-leak regression)."""
+        """Cancelled group members settle as cancelled and leave
+        nothing in flight: the group skips them, and a later submit is
+        answered as if they had never been sent."""
         req = EvaluateRequest(tree, facilities[0], COUNT)
 
         async def drive():
-            config = ServiceConfig(queue_depth=2, batch_window=0.005)
+            config = ServiceConfig(batch_window=0.005)
             with QueryRuntime(_config()) as rt:
                 async with QueryService(rt, config) as svc:
                     await svc.submit(req)
-                    for _ in range(3):  # fill and drain the queue
+                    for _ in range(3):
                         waiters = [
                             asyncio.ensure_future(svc.submit(req))
-                            for _ in range(config.queue_depth)
+                            for _ in range(2)
                         ]
                         await asyncio.sleep(0)  # both joined the group
-                        assert svc.in_flight == config.queue_depth
+                        assert svc.in_flight == 2
                         for waiter in waiters:
                             waiter.cancel()
                         outcomes = await asyncio.gather(
@@ -404,8 +392,6 @@ class TestAdmissionControl:
                             for o in outcomes
                         )
                     assert svc.in_flight == 0
-                    # capacity fully recovered: a fresh request is
-                    # admitted and completes
                     result = await svc.submit(req)
                     return result, svc.stats
 
@@ -451,8 +437,6 @@ class TestAdmissionControl:
         _assert_outcomes_sum(stats)
 
     def test_config_validation(self):
-        with pytest.raises(QueryError):
-            ServiceConfig(queue_depth=0)
         with pytest.raises(QueryError):
             ServiceConfig(batch_window=-1.0)
         with pytest.raises(QueryError):

@@ -346,7 +346,7 @@ class TestRuntimeArgument:
 
 class TestRuntimeLifecycle:
     def test_config_validation(self):
-        from repro import HttpConfig, ServiceConfig
+        from repro import HttpConfig
 
         with pytest.raises(QueryError):
             RuntimeConfig(backend="grid")  # not a ProximityBackend
@@ -359,19 +359,16 @@ class TestRuntimeLifecycle:
             RuntimeConfig(shards=2.5)
         with pytest.raises(QueryError, match="shards must be an integer"):
             RuntimeConfig(shards=True)
-        with pytest.raises(QueryError, match="queue_depth must be an integer"):
-            ServiceConfig(queue_depth=1.5)
         with pytest.raises(QueryError, match="workers must be an integer"):
             HttpConfig(workers=2.0)
         assert RuntimeConfig(shards=2).shards == 2
-        assert ServiceConfig(queue_depth=3).queue_depth == 3
 
     def test_config_fields_are_exactly_these(self):
         """The deleted knobs have no alias:
         ``policy=`` / ``max_workers=`` / ``start_method=`` /
-        ``coalesce_window=`` / ``listener=`` / ``max_in_flight=`` and
-        the ``QueryRuntime(backend=...)`` shorthand are plain
-        TypeErrors."""
+        ``coalesce_window=`` / ``listener=`` / ``max_in_flight=`` /
+        ``queue_depth=`` and the ``QueryRuntime(backend=...)``
+        shorthand are plain TypeErrors."""
         import dataclasses
 
         from repro import HttpConfig, ServiceConfig
@@ -380,7 +377,7 @@ class TestRuntimeLifecycle:
             "backend", "shards", "store_dir",
         ]
         assert [f.name for f in dataclasses.fields(ServiceConfig)] == [
-            "queue_depth", "batch_window",
+            "batch_window",
         ]
         assert [f.name for f in dataclasses.fields(HttpConfig)] == [
             "host", "port", "catalog", "drain_timeout", "workers",
@@ -396,9 +393,11 @@ class TestRuntimeLifecycle:
             HttpConfig(listener="inherit")
         with pytest.raises(TypeError):
             ServiceConfig(max_in_flight=8)
+        with pytest.raises(TypeError):
+            ServiceConfig(queue_depth=64)
         from repro.serve import build_parser
 
-        for flag in ("--max-workers", "--max-in-flight"):
+        for flag in ("--max-workers", "--max-in-flight", "--queue-depth"):
             with pytest.raises(SystemExit):  # an argparse usage error
                 build_parser().parse_args([flag, "2"])
         # the batch window flag stays accepted
@@ -419,20 +418,15 @@ class TestRuntimeLifecycle:
 
 
 def _config_with(owner: str, field: str, value):
-    from repro import HttpConfig, ServiceConfig
+    from repro import HttpConfig
 
-    cls = {
-        "RuntimeConfig": RuntimeConfig,
-        "ServiceConfig": ServiceConfig,
-        "HttpConfig": HttpConfig,
-    }[owner]
+    cls = {"RuntimeConfig": RuntimeConfig, "HttpConfig": HttpConfig}[owner]
     return cls(**{field: value})
 
 
 #: Every integer field of the execution configs, as ``owner.field``.
 _INTEGER_FIELDS = (
     "RuntimeConfig.shards",
-    "ServiceConfig.queue_depth",
     "HttpConfig.workers",
 )
 

@@ -58,7 +58,7 @@ LENGTH_SPEC = {"model": "length", "psi": PSI}
 CATALOG_SPEC = "demo:300:10:12:7"
 
 RUNTIME_CONFIG = RuntimeConfig(backend=ProximityBackend.GRID, shards=2)
-SERVICE_CONFIG = ServiceConfig(queue_depth=64)
+SERVICE_CONFIG = ServiceConfig()
 
 START_METHODS = ("fork", "spawn")
 
@@ -170,7 +170,7 @@ class TestDifferentialAcrossWorkers:
         single-process server's for the identical wave (one connection
         is one worker, so the window sees the same back-to-back
         arrivals)."""
-        service_config = ServiceConfig(queue_depth=64, batch_window=0.005)
+        service_config = ServiceConfig(batch_window=0.005)
         wave = [
             {"type": "evaluate", "tree": "demo", "facility_set": "demo",
              "facility_id": i % 10,
