@@ -143,12 +143,15 @@ def psi_hit(
         return np.less_equal(np.add(dx, dy, out=dx), psi * psi, out=out)
 
 
-#: Point-stop pairs :func:`coverage_kernel` evaluates per pass.  A TQ-tree
+#: Pairs one vectorised pass evaluates: point-stop pairs in
+#: :func:`coverage_kernel`, box-stop pairs in
+#: :func:`repro.core.zorder.boxes_within`, stop-cell pairs in
+#: :func:`repro.engine.cellstring.build_cellstring_index`.  A TQ-tree
 #: walk hands the kernel all its candidates at once; broadcasting them in
-#: blocks keeps the ``(points, stops)`` temporaries cache-sized (and out
-#: of the allocator's large-block path), which measures 2x faster from a
-#: few hundred points up and bounds memory for stop-dense facilities.
-_PAIRS_PER_PASS = 1 << 14
+#: blocks keeps the pair temporaries cache-sized (and out of the
+#: allocator's large-block path), which measures 2x faster from a few
+#: hundred points up and bounds memory for stop-dense facilities.
+PAIRS_PER_PASS = 1 << 14
 
 
 def coverage_kernel(
@@ -175,7 +178,7 @@ def coverage_kernel(
         stats.points_scanned += n
         stats.distance_evals += n * m
     sx, sy = stops[None, :, 0], stops[None, :, 1]
-    step = max(64, _PAIRS_PER_PASS // m)
+    step = max(64, PAIRS_PER_PASS // m)
     out = np.empty(n, dtype=bool)
     # one set of pass buffers, refilled in place by every pass
     rows = min(step, n)

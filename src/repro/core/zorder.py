@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .geometry import BBox, Point
+from .service import PAIRS_PER_PASS
 
 __all__ = [
     "ZID",
@@ -250,20 +251,15 @@ def morton_decode_array(
     return ix, iy
 
 
-#: Box-stop pairs :func:`boxes_within` evaluates per pass: cache-sized
-#: temporaries however many cells and stops meet (the block size
-#: ``repro.core.service.coverage_kernel`` measured fastest).
-_PAIRS_PER_PASS = 1 << 14
-
-
 def boxes_within(boxes: np.ndarray, stops: np.ndarray, psi: float) -> np.ndarray:
     """Which ``(xmin, ymin, xmax, ymax)`` rows lie within ``psi`` of at
     least one of the ``(m, 2)`` ``stops`` — the cell-vs-serving-area test
     of ``zReduce``: the nearest point of each box to each stop, compared
-    with ``psi``."""
+    with ``psi``, :data:`~repro.core.service.PAIRS_PER_PASS` box-stop
+    pairs a pass."""
     out = np.empty(boxes.shape[0], dtype=bool)
     sx, sy = stops[None, :, 0], stops[None, :, 1]
-    step = max(1, _PAIRS_PER_PASS // max(1, stops.shape[0]))
+    step = max(1, PAIRS_PER_PASS // max(1, stops.shape[0]))
     for lo in range(0, boxes.shape[0], step):
         b = boxes[lo : lo + step]
         dx = np.clip(sx, b[:, 0, None], b[:, 2, None]) - sx

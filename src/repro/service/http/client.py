@@ -196,9 +196,10 @@ class ServeClient:
                     raise _DeadConnection(mid_response=True)
                 if not raw.strip():
                     break
-                name, sep, value = raw.decode("latin-1").partition(":")
-                if sep:
-                    headers[name.strip().lower()] = value.strip()
+                try:
+                    wire.add_header(headers, raw)
+                except ValueError as exc:
+                    raise QueryError(str(exc)) from None
             try:
                 length = wire.content_length(
                     headers.get("content-length", "0")

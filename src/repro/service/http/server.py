@@ -615,9 +615,10 @@ async def _http_get_json(host: str, port: int, path: str) -> dict:
                 raise QueryError("peer closed inside response headers")
             if not raw.strip():
                 break
-            name, sep, value = raw.decode("latin-1").partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
+            try:
+                wire.add_header(headers, raw)
+            except ValueError as exc:
+                raise QueryError(f"peer sent a {exc}") from None
         try:
             length = wire.content_length(headers.get("content-length", "0"))
         except ValueError as exc:

@@ -27,7 +27,8 @@ The codec layer between the socket and the in-process serving types:
   :class:`~repro.service.ServiceStats`, used by results and by
   ``GET /stats``.
 * **framing** — :func:`content_length`, the one ``Content-Length``
-  rule the server and both clients apply.
+  rule the server and both clients apply, and :func:`add_header`, the
+  one header-line rule of both response readers.
 
 Request bodies (``POST /query``)::
 
@@ -71,6 +72,7 @@ from .catalog import Catalog
 __all__ = [
     "REQUEST_TYPES",
     "content_length",
+    "add_header",
     "WireFleet",
     "WireRanking",
     "WireResult",
@@ -144,6 +146,21 @@ def content_length(value: str) -> int:
     if not (value.isascii() and value.isdigit()):
         raise ValueError(f"bad Content-Length: {value!r}")
     return int(value)
+
+
+def add_header(headers: Dict[str, str], raw: bytes) -> None:
+    """Add one response header line to ``headers`` (lower-cased name →
+    stripped value); a line without a colon is skipped.  A repeated
+    ``Content-Length`` is a :class:`ValueError`: two lengths frame two
+    different bodies, and keeping either could desync the stream
+    (RFC 9112 §6.3)."""
+    name, sep, value = raw.decode("latin-1").partition(":")
+    if not sep:
+        return
+    name = name.strip().lower()
+    if name == "content-length" and name in headers:
+        raise ValueError("repeated Content-Length")
+    headers[name] = value.strip()
 
 
 # ----------------------------------------------------------------------

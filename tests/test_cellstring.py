@@ -13,9 +13,13 @@ coordinates with subnormal radii, and radius-mismatch fallback.  The
 :class:`ShardStore` cellstring cache is held to the same standard as
 its shard cache: content addressing with bitwise re-verification,
 bounded oldest-first retention, and exact rebuilds after eviction.
+The blocked build is held to ``==`` against a one-pass reference
+builder kept here, array for array, and to a memory bound.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +35,15 @@ from repro import (
 )
 from repro.core.errors import QueryError
 from repro.core.geometry import Point
+from repro.core.service import PAIRS_PER_PASS
+from repro.core.zorder import morton_encode_array
+from repro.datasets import CityModel, generate_bus_routes
+from repro.engine.cellstring import (
+    _COARSE_LEVEL_DROP,
+    _cellstring_geometry,
+    _pass_bounds,
+    _stop_windows,
+)
 
 from .strategies import WORLD, dense_facilities, engine_psis, trajectory_sets
 
@@ -226,6 +239,181 @@ class TestCellstringEdgeCases:
         assert idx.boundary_indptr[0] == 0
         assert idx.boundary_indptr[-1] == idx.boundary_stops.size
         assert (np.diff(idx.boundary_indptr) >= 1).all()
+
+
+def _one_pass_reference(coords: np.ndarray, psi: float) -> CellstringIndex:
+    """The build as one flat pass over every (stop, window cell) pair,
+    grouped with ``np.unique`` — the form the blocked build replaces."""
+    arr = np.ascontiguousarray(coords, dtype=np.float64)
+    m = arr.shape[0]
+    ox, oy, cell, depth, eps = _cellstring_geometry(arr, psi)
+    n_axis = np.int64(1) << np.int64(depth)
+    r_out = psi + eps
+    r_in = max(psi - 4.0 * eps, 0.0)
+    sx = arr[:, 0]
+    sy = arr[:, 1]
+    ix0 = np.clip(np.floor((sx - r_out - ox) / cell) - 1, 0, float(n_axis - 1))
+    ix1 = np.clip(np.floor((sx + r_out - ox) / cell) + 1, 0, float(n_axis - 1))
+    iy0 = np.clip(np.floor((sy - r_out - oy) / cell) - 1, 0, float(n_axis - 1))
+    iy1 = np.clip(np.floor((sy + r_out - oy) / cell) + 1, 0, float(n_axis - 1))
+    ix0 = ix0.astype(np.int64)
+    iy0 = iy0.astype(np.int64)
+    wy = iy1.astype(np.int64) - iy0 + 1
+    counts = (ix1.astype(np.int64) - ix0 + 1) * wy
+    total = int(counts.sum())
+    starts = np.cumsum(counts) - counts
+    stop_idx = np.repeat(np.arange(m, dtype=np.int64), counts)
+    local = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
+    wys = np.repeat(wy, counts)
+    cix = np.repeat(ix0, counts) + local // wys
+    ciy = np.repeat(iy0, counts) + local % wys
+    cx0 = ox + cix * cell
+    cy0 = oy + ciy * cell
+    cx1 = cx0 + cell
+    cy1 = cy0 + cell
+    sxp = sx[stop_idx]
+    syp = sy[stop_idx]
+    ndx = sxp - np.clip(sxp, cx0, cx1)
+    ndy = syp - np.clip(syp, cy0, cy1)
+    mind2 = ndx * ndx + ndy * ndy
+    fdx = np.maximum(np.abs(sxp - cx0), np.abs(sxp - cx1))
+    fdy = np.maximum(np.abs(syp - cy0), np.abs(syp - cy1))
+    maxd2 = fdx * fdx + fdy * fdy
+    covered = mind2 <= r_out * r_out
+    interior = covered & (r_in > 0.0) & (maxd2 <= r_in * r_in)
+    keys_cov = morton_encode_array(cix[covered], ciy[covered], depth)
+    stops_cov = stop_idx[covered]
+    interior_cov = interior[covered]
+    uniq_keys, inverse = np.unique(keys_cov, return_inverse=True)
+    interior_cell = (
+        np.bincount(
+            inverse, weights=interior_cov.astype(np.float64),
+            minlength=uniq_keys.size,
+        )
+        > 0.0
+    )
+    bmask = ~interior_cell[inverse]
+    bkeys = keys_cov[bmask]
+    order = np.argsort(bkeys, kind="stable")
+    boundary_keys, bcounts = np.unique(bkeys[order], return_counts=True)
+    boundary_indptr = np.zeros(boundary_keys.size + 1, dtype=np.int64)
+    np.cumsum(bcounts, out=boundary_indptr[1:])
+    coarse_shift = 2 * min(_COARSE_LEVEL_DROP, depth)
+    return CellstringIndex(
+        arr, psi, ox, oy, cell, depth, coarse_shift,
+        np.unique(uniq_keys >> np.int64(coarse_shift)),
+        uniq_keys[interior_cell],
+        boundary_keys,
+        boundary_indptr,
+        stops_cov[bmask][order],
+    )
+
+
+def _assert_same_index(got: CellstringIndex, want: CellstringIndex) -> None:
+    for name in CellstringIndex.__slots__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, name
+            assert np.array_equal(a, b), name
+        else:
+            assert type(a) is type(b) and a == b, name
+
+
+def _window_pairs(coords: np.ndarray, psi: float) -> np.ndarray:
+    """Per-stop (stop, window cell) pair counts of the build."""
+    ox, oy, cell, depth, eps = _cellstring_geometry(coords, psi)
+    _, _, wx, wy = _stop_windows(coords, ox, oy, cell, depth, psi + eps)
+    return wx * wy
+
+
+def _stops_with_pairs(total: int, psi: float) -> np.ndarray:
+    """Copies of four distinct stops, shuffled, whose windows hold
+    ``total`` pairs in all.  The lattice depends only on the bounding
+    box and ``psi``, so copies leave every stop's window as it was."""
+    base = np.array([[0.0, 0.0], [1000.0, 1000.0], [500.0, 230.0], [123.4, 777.7]])
+    c = _window_pairs(base, psi)
+    rest = total - int(c[1:3].sum())
+    first = next(
+        r for r in range(1, rest // int(c[0]) + 1)
+        if (rest - r * int(c[0])) % int(c[3]) == 0
+    )
+    reps = [first, 1, 1, (rest - first * int(c[0])) // int(c[3])]
+    coords = np.repeat(base, reps, axis=0)
+    return coords[np.random.default_rng(13).permutation(coords.shape[0])]
+
+
+@pytest.mark.engine_smoke
+class TestBlockedBuild:
+    """The build classifies pairs a block of stops at a time; the index
+    must come out ``==`` the one-pass build, dtypes included."""
+
+    def test_single_stop(self):
+        stops = np.array([[3.25, 7.5]])
+        for psi in (0.0, 2.0):
+            _assert_same_index(
+                build_cellstring_index(stops, psi), _one_pass_reference(stops, psi)
+            )
+
+    @pytest.mark.parametrize("extra, passes", [(0, 1), (1, 2)])
+    def test_pass_boundary(self, extra, passes):
+        """Pair totals of exactly one pass, and of one pass plus one pair."""
+        psi = 50.0
+        stops = _stops_with_pairs(PAIRS_PER_PASS + extra, psi)
+        counts = _window_pairs(stops, psi)
+        assert int(counts.sum()) == PAIRS_PER_PASS + extra
+        assert len(list(_pass_bounds(counts))) == passes
+        _assert_same_index(
+            build_cellstring_index(stops, psi), _one_pass_reference(stops, psi)
+        )
+
+    def test_pass_bounds_cover_every_stop_once(self):
+        counts = np.array([5, PAIRS_PER_PASS + 3, 1, PAIRS_PER_PASS, 7, 2])
+        bounds = list(_pass_bounds(counts))
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == counts.size
+        for lo, hi in bounds:
+            assert hi - lo == 1 or counts[lo:hi].sum() <= PAIRS_PER_PASS
+
+    def test_psi_zero_and_coincident_stops(self):
+        rng = np.random.default_rng(14)
+        stops = np.repeat(rng.uniform(0, 500, size=(300, 2)), 7, axis=0)
+        stops = stops[rng.permutation(stops.shape[0])]
+        for psi in (0.0, 12.0):
+            _assert_same_index(
+                build_cellstring_index(stops, psi), _one_pass_reference(stops, psi)
+            )
+
+    def test_huge_coordinates(self):
+        rng = np.random.default_rng(15)
+        stops = 1.0e12 + rng.uniform(0, 1.0e6, size=(3000, 2))
+        for psi in (0.0, 1e-300, 2.0e4):
+            _assert_same_index(
+                build_cellstring_index(stops, psi), _one_pass_reference(stops, psi)
+            )
+
+    def test_network_of_8192_stops(self):
+        """A whole bus network as one stop set, as Fig. 11's multipoint
+        datasets probe it: many passes, shared cells across passes."""
+        city = CityModel.generate(seed=42, size=12_000.0)
+        lines = generate_bus_routes(64, city, seed=17, n_stops=128)
+        stops = np.array([[s.x, s.y] for r in lines for s in r.stops])
+        assert stops.shape == (8192, 2)
+        assert len(list(_pass_bounds(_window_pairs(stops, 300.0)))) > 1
+        _assert_same_index(
+            build_cellstring_index(stops, 300.0), _one_pass_reference(stops, 300.0)
+        )
+
+    def test_build_memory_is_bounded(self):
+        """8,192 uniform stops at psi = 300 in a 12 km square: about 700k
+        window pairs, whose one-pass columns peaked near 110 MB."""
+        stops = np.random.default_rng(16).uniform(0, 12_000.0, size=(8192, 2))
+        tracemalloc.start()
+        try:
+            build_cellstring_index(stops, 300.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 class TestCellstringStore:

@@ -45,7 +45,11 @@ from repro.service.http import (
     wire_result,
 )
 from repro.service.http import wire
-from repro.service.http.server import MAX_BODY_BYTES, RETRY_AFTER_SECONDS
+from repro.service.http.server import (
+    MAX_BODY_BYTES,
+    RETRY_AFTER_SECONDS,
+    _http_get_json,
+)
 
 from .conftest import GatedPlanner
 
@@ -599,6 +603,42 @@ class TestFraming:
             with ServeClient(host, port, timeout=5) as client:
                 with pytest.raises(QueryError, match="Content-Length"):
                     client.healthz()
+            thread.join(10)
+
+    _REPEATED_LENGTH = (
+        b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\nContent-Length: 15\r\n"
+        b"\r\n" + b'{"status":"ok"}'
+    )
+
+    @staticmethod
+    def _answer_once(listener, response: bytes) -> threading.Thread:
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(response)
+
+        thread = threading.Thread(target=answer)
+        thread.start()
+        return thread
+
+    def test_client_refuses_a_repeated_content_length(self):
+        """Two lengths frame two different bodies; keeping either one
+        could desync the stream, so the response is refused."""
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            host, port = listener.getsockname()
+            thread = self._answer_once(listener, self._REPEATED_LENGTH)
+            with ServeClient(host, port, timeout=5) as client:
+                with pytest.raises(QueryError, match="repeated Content-Length"):
+                    client.healthz()
+            thread.join(10)
+
+    def test_peer_fan_out_refuses_a_repeated_content_length(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            host, port = listener.getsockname()
+            thread = self._answer_once(listener, self._REPEATED_LENGTH)
+            with pytest.raises(QueryError, match="repeated Content-Length"):
+                asyncio.run(_http_get_json(host, port, "/stats"))
             thread.join(10)
 
 
