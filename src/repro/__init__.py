@@ -116,8 +116,6 @@ from .queries import (
 from .service import (
     Catalog,
     EvaluateRequest,
-    ExactMaxKCovRequest,
-    GeneticMaxKCovRequest,
     HttpQueryServer,
     KMaxRRSTRequest,
     MaxKCovRequest,
@@ -177,8 +175,6 @@ __all__ = [
     "EvaluateRequest",
     "KMaxRRSTRequest",
     "MaxKCovRequest",
-    "ExactMaxKCovRequest",
-    "GeneticMaxKCovRequest",
     # HTTP serving front
     "HttpConfig",
     "HttpQueryServer",

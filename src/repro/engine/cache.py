@@ -51,8 +51,9 @@ read outside it.  The lock covers the bookkeeping only: the expensive
 work a miss triggers — the walk and its probes — runs outside it, so
 concurrent misses on *different* keys still overlap.  Concurrent misses
 on the *same* key both compute identical content and the first stored
-is kept; the service avoids even the duplicated work by serialising
-requests that share probe units (see ``repro.service``).
+is kept.  The service runs its cores one after another on its event
+loop, so it never misses one key twice at once (see
+``repro.service``).
 """
 
 from __future__ import annotations

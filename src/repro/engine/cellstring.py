@@ -63,6 +63,7 @@ coarse reject, ``cells_probed`` counts boundary-cell consultations, and
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Iterator, Optional, Tuple
 
@@ -277,6 +278,11 @@ class CellstringIndex:
             return out
         if float(psi) != self.psi:
             return coverage_kernel(pts, self.coords, psi, stats)
+        if math.isinf(self.psi * self.psi):
+            # psi_hit accepts every offset but a NaN one at a radius
+            # whose square overflows, and every stop is finite: any one
+            # stop decides (the build rasterized nothing)
+            return coverage_kernel(pts, self.coords[:1], psi, stats)
         ij = _cell_indices_of(pts, self.ox, self.oy, self.cell)
         n_axis = np.int64(1) << np.int64(self.depth)
         ix = ij[:, 0]
@@ -393,10 +399,12 @@ def build_cellstring_index(coords: np.ndarray, psi: float) -> CellstringIndex:
     columns of every window cell.
     """
     arr = _validated_stop_coords(coords, psi)
-    m = arr.shape[0]
     psi = float(psi)
     empty_keys = np.zeros(0, dtype=np.int64)
-    if m == 0:
+    if arr.shape[0] == 0 or math.isinf(psi * psi):
+        # nothing to rasterize: no stop, or a radius whose square
+        # overflows, where every non-NaN point is covered
+        # (CellstringIndex.covered_mask)
         return CellstringIndex(
             arr, psi, 0.0, 0.0, 1.0, 0, 0,
             empty_keys, empty_keys, empty_keys,
@@ -429,10 +437,15 @@ def build_cellstring_index(coords: np.ndarray, psi: float) -> CellstringIndex:
         syp = sy[stop_idx]
         ndx = sxp - np.clip(sxp, cx0, cx1)
         ndy = syp - np.clip(syp, cy0, cy1)
-        mind2 = ndx * ndx + ndy * ndy
         fdx = np.maximum(np.abs(sxp - cx0), np.abs(sxp - cx1))
         fdy = np.maximum(np.abs(syp - cy0), np.abs(syp - cy1))
-        maxd2 = fdx * fdx + fdy * fdy
+        # near the largest radius with a finite square, a squared
+        # distance can overflow to inf: that only keeps a cell out of
+        # "covered" when it lies past r_out, and out of "interior" — the
+        # safe directions, as in psi_hit
+        with np.errstate(over="ignore"):
+            mind2 = ndx * ndx + ndy * ndy
+            maxd2 = fdx * fdx + fdy * fdy
         covered = mind2 <= r_out * r_out
         interior = covered & (r_in > 0.0) & (maxd2 <= r_in * r_in)
         key_parts.append(morton_encode_array(cix[covered], ciy[covered], depth))

@@ -88,12 +88,19 @@ def _derive_cell_size(psi: float, extent: float) -> float:
 
 
 def _validated_stop_coords(coords: np.ndarray, psi: float) -> np.ndarray:
-    """The ``(n, 2)`` float64 stop array, or a :exc:`QueryError`."""
+    """The ``(n, 2)`` float64 stop array without its non-finite rows, or
+    a :exc:`QueryError`.  The dense kernel defines a stop with a NaN or
+    infinite coordinate as covering nothing, so dropping it keeps every
+    mask ``==`` dense and keeps non-finite values out of the lattice
+    arithmetic."""
     arr = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise QueryError(f"stop coords must be (n, 2), got {arr.shape}")
     if not psi >= 0:
         raise QueryError(f"psi must be >= 0, got {psi}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        arr = np.ascontiguousarray(arr[finite.all(axis=1)])
     return arr
 
 

@@ -385,7 +385,7 @@ class ShardStore:
     ) -> "ShardedStopGrid":
         """A built :class:`ShardedStopGrid`, shared across callers whose
         stop coordinates are content-identical."""
-        arr = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
+        arr = _validated_stop_coords(coords, psi)
         key = _grid_key(arr, psi, n_shards, cell_size)
         with self._lock:
             hit = self._grids.get(key)
@@ -454,7 +454,7 @@ class ShardStore:
         levels, a hit re-verifies the stored coordinates bitwise before
         serving, so a hash collision is simply a miss.
         """
-        arr = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
+        arr = _validated_stop_coords(coords, psi)
         key = _cellstring_key(arr, psi)
         with self._lock:
             hit = self._cellstrings.get(key)

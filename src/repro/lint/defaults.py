@@ -119,16 +119,6 @@ REPRO_CONFIG = LintConfig(
             aliases={"facilities": ("facility_ids", "facility_set")},
         ),
         CodecPairing(
-            dataclass="repro.service.requests.ExactMaxKCovRequest",
-            functions=("repro.service.http.wire.decode_request",),
-            aliases={"facilities": ("facility_ids", "facility_set")},
-        ),
-        CodecPairing(
-            dataclass="repro.service.requests.GeneticMaxKCovRequest",
-            functions=("repro.service.http.wire.decode_request",),
-            aliases={"facilities": ("facility_ids", "facility_set")},
-        ),
-        CodecPairing(
             dataclass="repro.service.requests.QueryResult",
             functions=(
                 "repro.service.http.wire.encode_result",

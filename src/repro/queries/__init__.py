@@ -9,9 +9,9 @@ from .evaluate import (
     evaluate_node_trajectories,
     evaluate_service,
 )
-from .exact import approximation_ratio, exact_core, exact_max_k_coverage
+from .exact import approximation_ratio, exact_max_k_coverage
 from .iomodel import BlockCosts, estimate_query_blocks
-from .genetic import GeneticConfig, genetic_core, genetic_max_k_coverage
+from .genetic import GeneticConfig, genetic_max_k_coverage
 from .kmaxrrst import (
     FacilityScore,
     KMaxRRSTResult,
@@ -52,9 +52,7 @@ __all__ = [
     "tq_match_fn",
     "baseline_match_fn",
     "GeneticConfig",
-    "genetic_core",
     "genetic_max_k_coverage",
-    "exact_core",
     "exact_max_k_coverage",
     "approximation_ratio",
     "trajectories_in_range",

@@ -35,24 +35,32 @@ from ..core.trajectory import (
 from ..runtime import QueryRuntime, coerce_runtime
 from .maxkcov import MatchFn, MaxKCovResult, greedy_max_k_coverage
 
-__all__ = ["exact_core", "exact_max_k_coverage", "approximation_ratio"]
+__all__ = ["exact_max_k_coverage", "approximation_ratio"]
 
 
-def exact_core(
+def exact_max_k_coverage(
     users: Sequence[Trajectory],
     facilities: Sequence[FacilityRoute],
     k: int,
     spec: ServiceSpec,
     match_fn: MatchFn,
+    runtime: Optional[QueryRuntime] = None,
 ) -> MaxKCovResult:
-    """The pure step behind :func:`exact_max_k_coverage`: the
-    branch-and-bound search itself, asking ``match_fn`` for each
-    facility once.  Planner-consumable — :class:`repro.service.QueryPlanner` lowers an
-    ``ExactMaxKCovRequest`` onto this with a stats-collecting match fn.
+    """The optimal size-k subset under combined-coverage semantics.
+
+    Exponential in the worst case — intended for the small instances used
+    to report approximation ratios.  Match sets are ``match_fn``'s to
+    reuse: :func:`~repro.queries.maxkcov.tq_match_fn` over a runtime
+    keeps them on the runtime's walk records, for every solver and
+    repeat.  ``runtime`` is checked like every entry point's and
+    otherwise unused.
+
+    An empty candidate set, or one naming a facility id twice, is a
+    malformed query.
     """
+    require_candidates(facilities)
+    coerce_runtime(runtime)
     require_positive_int("k", k)
-    if not facilities:
-        return MaxKCovResult((), 0.0, 0, ())
     k = min(k, len(facilities))
     users = UserPointTable.of(users)
     matches: List[MatchSet] = [as_match_set(users, match_fn(f)) for f in facilities]
@@ -119,34 +127,6 @@ def exact_core(
         final.users_fully_served(),
         tuple(gains),
     )
-
-
-def exact_max_k_coverage(
-    users: Sequence[Trajectory],
-    facilities: Sequence[FacilityRoute],
-    k: int,
-    spec: ServiceSpec,
-    match_fn: MatchFn,
-    runtime: Optional[QueryRuntime] = None,
-) -> MaxKCovResult:
-    """The optimal size-k subset under combined-coverage semantics.
-
-    Exponential in the worst case — intended for the small instances used
-    to report approximation ratios.  Match sets are ``match_fn``'s to
-    reuse: :func:`~repro.queries.maxkcov.tq_match_fn` over a runtime
-    keeps them on the runtime's walk records, for every solver and
-    repeat.  ``runtime`` is checked like every entry point's and
-    otherwise unused.
-
-    A thin synchronous wrapper over :func:`exact_core` — the same
-    substrate the async :class:`repro.service.QueryService` executes.
-    It also mirrors ``ExactMaxKCovRequest``'s validation: an empty
-    candidate set, or one naming a facility id twice, is a malformed
-    query.
-    """
-    require_candidates(facilities)
-    coerce_runtime(runtime)
-    return exact_core(users, facilities, k, spec, match_fn)
 
 
 def approximation_ratio(approx: MaxKCovResult, exact: MaxKCovResult) -> float:

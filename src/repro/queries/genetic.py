@@ -31,7 +31,7 @@ from ..core.trajectory import (
 from ..runtime import QueryRuntime, coerce_runtime
 from .maxkcov import MatchFn, MaxKCovResult
 
-__all__ = ["GeneticConfig", "genetic_core", "genetic_max_k_coverage"]
+__all__ = ["GeneticConfig", "genetic_max_k_coverage"]
 
 
 @dataclass(frozen=True)
@@ -61,24 +61,29 @@ class GeneticConfig:
             raise QueryError("elitism must be in [0, population_size]")
 
 
-def genetic_core(
+def genetic_max_k_coverage(
     users: Sequence[Trajectory],
     facilities: Sequence[FacilityRoute],
     k: int,
     spec: ServiceSpec,
     match_fn: MatchFn,
     config: GeneticConfig = GeneticConfig(),
+    runtime: Optional[QueryRuntime] = None,
 ) -> MaxKCovResult:
-    """The pure step behind :func:`genetic_max_k_coverage`: the seeded
-    generational GA itself, asking ``match_fn`` for each facility once.
-    Deterministic for a fixed
-    ``config.seed``, so the service path reproduces the synchronous
-    answer exactly.  Planner-consumable — :class:`repro.service
-    .QueryPlanner` lowers a ``GeneticMaxKCovRequest`` onto this.
+    """Approximate MaxkCovRST with a generational GA.
+
+    Chromosomes are k-subsets of facility indices.  Returns the best
+    subset seen across all generations (elitism preserves it within the
+    population as well).  Match sets are ``match_fn``'s to reuse, as
+    for :func:`~repro.queries.exact.exact_max_k_coverage`; ``runtime``
+    is checked like every entry point's and otherwise unused.
+
+    Deterministic for a fixed ``config.seed``.  An empty candidate set,
+    or one naming a facility id twice, is a malformed query.
     """
+    require_candidates(facilities)
+    coerce_runtime(runtime)
     require_positive_int("k", k)
-    if not facilities:
-        return MaxKCovResult((), 0.0, 0, ())
     k = min(k, len(facilities))
     rng = random.Random(config.seed)
     users = UserPointTable.of(users)
@@ -149,31 +154,3 @@ def genetic_core(
         state.users_fully_served(),
         tuple(gains),
     )
-
-
-def genetic_max_k_coverage(
-    users: Sequence[Trajectory],
-    facilities: Sequence[FacilityRoute],
-    k: int,
-    spec: ServiceSpec,
-    match_fn: MatchFn,
-    config: GeneticConfig = GeneticConfig(),
-    runtime: Optional[QueryRuntime] = None,
-) -> MaxKCovResult:
-    """Approximate MaxkCovRST with a generational GA.
-
-    Chromosomes are k-subsets of facility indices.  Returns the best
-    subset seen across all generations (elitism preserves it within the
-    population as well).  Match sets are ``match_fn``'s to reuse, as
-    for :func:`~repro.queries.exact.exact_max_k_coverage`; ``runtime``
-    is checked like every entry point's and otherwise unused.
-
-    A thin synchronous wrapper over :func:`genetic_core` — the same
-    substrate the async :class:`repro.service.QueryService` executes.
-    It also mirrors ``GeneticMaxKCovRequest``'s validation: an empty
-    candidate set, or one naming a facility id twice, is a malformed
-    query.
-    """
-    require_candidates(facilities)
-    coerce_runtime(runtime)
-    return genetic_core(users, facilities, k, spec, match_fn, config)

@@ -5,8 +5,8 @@ This package is the top of the execution stack (``core`` → ``engine``
 (:mod:`~repro.service.requests`), the planner lowers them onto the
 query layer's pure cores and counts their probe units
 (:mod:`~repro.service.planner`), and the service runs them in
-submission order over one shared runtime, alone or in one batch group,
-bounding queue depth (:mod:`~repro.service.service`).  On top sits the
+submission order over one shared runtime, alone or in one batch group
+(:mod:`~repro.service.service`).  On top sits the
 network story: the stdlib HTTP front (:mod:`~repro.service.http`) with
 its JSON wire schema, named resource catalog, and the ``python -m
 repro.serve`` CLI.
@@ -23,8 +23,6 @@ from ..core.errors import ServiceOverloaded
 from .planner import ProbeUnit, QueryPlan, QueryPlanner
 from .requests import (
     EvaluateRequest,
-    ExactMaxKCovRequest,
-    GeneticMaxKCovRequest,
     KMaxRRSTRequest,
     MaxKCovRequest,
     QueryRequest,
@@ -61,6 +59,4 @@ __all__ = [
     "EvaluateRequest",
     "KMaxRRSTRequest",
     "MaxKCovRequest",
-    "ExactMaxKCovRequest",
-    "GeneticMaxKCovRequest",
 ]

@@ -4,7 +4,7 @@
 the container bakes no web framework, and the serving layer needs only
 four routes:
 
-* ``POST /query``  — answer one wire request (all five query types);
+* ``POST /query``  — answer one wire request (all three query types);
 * ``GET /stats``   — service + runtime counter snapshots;
 * ``GET /healthz`` — liveness (``ok`` serving, ``draining`` during
   shutdown);

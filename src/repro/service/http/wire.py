@@ -37,30 +37,22 @@ Request bodies (``POST /query``)::
     {"type": "kmaxrrst", "tree": NAME, "facility_set": NAME,
      "facility_ids": [INT, ...]?, "k": INT, "spec": SPEC}
     {"type": "maxkcov",  ... as kmaxrrst ..., "prune_factor": INT?}
-    {"type": "exact",    ... as kmaxrrst ...}
-    {"type": "genetic",  ... as kmaxrrst ..., "config": GA_CONFIG?}
 
 with ``SPEC = {"model": "endpoint"|"count"|"length", "psi": FLOAT,
 "normalize": BOOL?}``; omitting ``facility_ids`` selects the whole
-named set.  A ``genetic`` config past :data:`MAX_GENETIC_WORK` and an
-``exact`` request past :data:`MAX_EXACT_SUBSETS` selections are 400s.
+named set.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ...core.errors import QueryError
 from ...core.service import ServiceModel, ServiceSpec
 from ...core.stats import QueryStats, StoreStats
-from ...queries.genetic import GeneticConfig
 from ..requests import (
     EvaluateRequest,
-    ExactMaxKCovRequest,
-    GeneticMaxKCovRequest,
     KMaxRRSTRequest,
     MaxKCovRequest,
     QueryRequest,
@@ -86,8 +78,8 @@ __all__ = [
     "wire_result",
 ]
 
-#: The five query types the wire speaks, by their JSON tag.
-REQUEST_TYPES = ("evaluate", "kmaxrrst", "maxkcov", "exact", "genetic")
+#: The three query types the wire speaks, by their JSON tag.
+REQUEST_TYPES = ("evaluate", "kmaxrrst", "maxkcov")
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +156,7 @@ def add_header(headers: Dict[str, str], raw: bytes) -> None:
 
 
 # ----------------------------------------------------------------------
-# spec / GA-config codecs
+# spec codec
 # ----------------------------------------------------------------------
 def decode_spec(payload: Any) -> ServiceSpec:
     payload = _mapping(payload, "spec")
@@ -184,53 +176,6 @@ def decode_spec(payload: Any) -> ServiceSpec:
     )
 
 
-_GA_INT_FIELDS = (
-    "population_size", "iterations", "tournament_size", "elitism", "seed",
-)
-_GA_RATE_FIELDS = ("crossover_rate", "mutation_rate")
-_GA_FIELDS = tuple(f.name for f in dataclasses.fields(GeneticConfig))
-
-#: The most GA work one wire request may ask for, as ``population_size
-#: * tournament_size * (iterations + 1)`` (about 130x the default's
-#: 2,016).  A core runs on the server's event loop, so an unbounded
-#: config would stall every connection; the library API stays unbounded.
-MAX_GENETIC_WORK = 2**18
-
-#: The most selections one wire ``exact`` request may ask the
-#: branch-and-bound to range over, as ``comb(|F|, min(k, |F|))``
-#: (16 choose 8 is 12,870).  MaxkCovRST is NP-hard and a core runs on
-#: the server's event loop, so the wire bounds it like the GA's work;
-#: the library API stays unbounded.
-MAX_EXACT_SUBSETS = 2**14
-
-
-def decode_genetic_config(payload: Any) -> GeneticConfig:
-    payload = _mapping(payload, "genetic config")
-    _reject_unknown_keys(payload, _GA_FIELDS, "genetic config")
-    # type-check each provided field here (a wrong-typed value would
-    # otherwise raise TypeError inside GeneticConfig's range checks,
-    # escaping the 400 mapping); GeneticConfig.__post_init__ then owns
-    # the range validation
-    kwargs: Dict[str, Any] = {}
-    for name in _GA_INT_FIELDS:
-        if name in payload:
-            kwargs[name] = _int_field(payload, name)
-    for name in _GA_RATE_FIELDS:
-        if name in payload:
-            kwargs[name] = _number_field(payload, name)
-    config = GeneticConfig(**kwargs)
-    work = (
-        config.population_size * config.tournament_size * (config.iterations + 1)
-    )
-    if work > MAX_GENETIC_WORK:
-        raise QueryError(
-            f"genetic config asks for {work} units of work "
-            "(population_size * tournament_size * (iterations + 1)); "
-            f"the wire allows at most {MAX_GENETIC_WORK}"
-        )
-    return config
-
-
 # ----------------------------------------------------------------------
 # request decoding (server side)
 # ----------------------------------------------------------------------
@@ -239,8 +184,6 @@ _ALLOWED_KEYS = {
     "evaluate": _COMMON_KEYS + ("facility_id", "collect_matches"),
     "kmaxrrst": _COMMON_KEYS + ("facility_ids", "k"),
     "maxkcov": _COMMON_KEYS + ("facility_ids", "k", "prune_factor"),
-    "exact": _COMMON_KEYS + ("facility_ids", "k"),
-    "genetic": _COMMON_KEYS + ("facility_ids", "k", "config"),
 }
 
 
@@ -268,28 +211,10 @@ def decode_request(payload: Any, catalog: Catalog) -> QueryRequest:
     k = _int_field(payload, "k")
     if rtype == "kmaxrrst":
         return KMaxRRSTRequest(tree, facilities, k, spec)
-    if rtype == "maxkcov":
-        return MaxKCovRequest(
-            tree, facilities, k, spec,
-            prune_factor=_int_field(payload, "prune_factor", 4),
-        )
-    if rtype == "exact":
-        request = ExactMaxKCovRequest(tree, facilities, k, spec)
-        n = len(request.facilities)
-        subsets = math.comb(n, min(k, n))
-        if subsets > MAX_EXACT_SUBSETS:
-            raise QueryError(
-                f"exact request over {n} facilities with k={k} ranges "
-                f"over {subsets} selections; the wire allows at most "
-                f"{MAX_EXACT_SUBSETS}"
-            )
-        return request
-    config = (
-        decode_genetic_config(payload["config"])
-        if "config" in payload
-        else GeneticConfig()
+    return MaxKCovRequest(
+        tree, facilities, k, spec,
+        prune_factor=_int_field(payload, "prune_factor", 4),
     )
-    return GeneticMaxKCovRequest(tree, facilities, k, spec, config)
 
 
 def request_type(request: QueryRequest) -> str:
@@ -300,10 +225,6 @@ def request_type(request: QueryRequest) -> str:
         return "kmaxrrst"
     if isinstance(request, MaxKCovRequest):
         return "maxkcov"
-    if isinstance(request, ExactMaxKCovRequest):
-        return "exact"
-    if isinstance(request, GeneticMaxKCovRequest):
-        return "genetic"
     raise QueryError(f"unknown request type: {type(request).__name__}")
 
 
@@ -410,7 +331,7 @@ class WireRanking:
 
 @dataclass(frozen=True)
 class WireFleet:
-    """A MaxkCov-family answer as the wire carries it."""
+    """A MaxkCov answer as the wire carries it."""
 
     facility_ids: Tuple[int, ...]
     combined_service: float

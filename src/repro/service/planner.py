@@ -11,9 +11,7 @@
 * **an execute step** — a call onto the request's query core
   (:func:`~repro.queries.evaluate.evaluate_core`,
   :func:`~repro.queries.kmaxrrst.top_k_core`,
-  :func:`~repro.queries.maxkcov.maxkcov_core`,
-  :func:`~repro.queries.exact.exact_core`,
-  :func:`~repro.queries.genetic.genetic_core`) — the *same* pure steps
+  :func:`~repro.queries.maxkcov.maxkcov_core`) — the *same* pure steps
   the synchronous functions wrap, which is why service answers and
   per-request stats are bit-identical to direct calls by construction.
 """
@@ -24,17 +22,12 @@ from dataclasses import dataclass
 from typing import Callable, FrozenSet, Tuple
 
 from ..core.errors import QueryError
-from ..core.stats import QueryStats
 from ..queries.evaluate import MatchCollector, evaluate_core
-from ..queries.exact import exact_core
-from ..queries.genetic import genetic_core
 from ..queries.kmaxrrst import top_k_core
-from ..queries.maxkcov import core_match_fn, maxkcov_core
+from ..queries.maxkcov import maxkcov_core
 from ..runtime import QueryRuntime
 from .requests import (
     EvaluateRequest,
-    ExactMaxKCovRequest,
-    GeneticMaxKCovRequest,
     KMaxRRSTRequest,
     MaxKCovRequest,
     QueryRequest,
@@ -80,10 +73,6 @@ class QueryPlanner:
             return self._plan_kmaxrrst(request)
         if isinstance(request, MaxKCovRequest):
             return self._plan_maxkcov(request)
-        if isinstance(request, ExactMaxKCovRequest):
-            return self._plan_exact(request)
-        if isinstance(request, GeneticMaxKCovRequest):
-            return self._plan_genetic(request)
         raise QueryError(
             f"unknown request type: {type(request).__name__} (expected one "
             "of the repro.service request dataclasses)"
@@ -134,37 +123,5 @@ class QueryPlanner:
                 runtime,
             )
             return QueryResult(req, result, stats)
-
-        return QueryPlan(req, units, execute)
-
-    def _plan_exact(self, req: ExactMaxKCovRequest) -> QueryPlan:
-        spec = req.spec
-        units = frozenset(
-            _unit(req.tree, f.facility_id, spec.psi, spec.model, True)
-            for f in req.facilities
-        )
-
-        def execute(runtime: QueryRuntime) -> QueryResult:
-            acc = QueryStats()
-            match_fn = core_match_fn(req.tree, spec, runtime, acc)
-            result = exact_core(req.tree.table, req.facilities, req.k, spec, match_fn)
-            return QueryResult(req, result, acc)
-
-        return QueryPlan(req, units, execute)
-
-    def _plan_genetic(self, req: GeneticMaxKCovRequest) -> QueryPlan:
-        spec = req.spec
-        units = frozenset(
-            _unit(req.tree, f.facility_id, spec.psi, spec.model, True)
-            for f in req.facilities
-        )
-
-        def execute(runtime: QueryRuntime) -> QueryResult:
-            acc = QueryStats()
-            match_fn = core_match_fn(req.tree, spec, runtime, acc)
-            result = genetic_core(
-                req.tree.table, req.facilities, req.k, spec, match_fn, req.config
-            )
-            return QueryResult(req, result, acc)
 
         return QueryPlan(req, units, execute)

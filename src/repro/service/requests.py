@@ -1,7 +1,7 @@
 """Request and result shapes for the asyncio serving layer.
 
-One frozen dataclass per query type the library answers — evaluate,
-kMaxRRST, MaxkCov (greedy), exact, genetic — each carrying exactly the
+One frozen dataclass per query type the service answers — evaluate,
+kMaxRRST, MaxkCov (greedy) — each carrying exactly the
 arguments its synchronous function takes, minus the execution plumbing
 (``runtime=`` lives on the :class:`~repro.service.QueryService`, not on
 requests).  A request is pure data: hashable-by-identity, reusable, and
@@ -10,7 +10,7 @@ safe to submit to several services at once.
 :class:`QueryResult` is the uniform reply: the request it answers, the
 query-type-specific ``value`` (a float for evaluate, a
 :class:`~repro.queries.kmaxrrst.KMaxRRSTResult` for kMaxRRST, a
-:class:`~repro.queries.maxkcov.MaxKCovResult` for the solvers), and the
+:class:`~repro.queries.maxkcov.MaxKCovResult` for MaxkCov), and the
 *per-request* :class:`~repro.core.stats.QueryStats` — the same counters
 the synchronous call would have produced, which is what the
 differential suite compares with ``==``.  The service accrues every
@@ -20,7 +20,7 @@ service-level accounting never drift apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Tuple, Union
 
 from ..core.errors import QueryError
@@ -28,7 +28,6 @@ from ..core.service import ServiceSpec
 from ..core.stats import QueryStats
 from ..core.trajectory import FacilityRoute, require_candidates, require_positive_int
 from ..index.tqtree import TQTree
-from ..queries.genetic import GeneticConfig
 from ..queries.kmaxrrst import KMaxRRSTResult
 from ..queries.maxkcov import MaxKCovResult
 
@@ -36,8 +35,6 @@ __all__ = [
     "EvaluateRequest",
     "KMaxRRSTRequest",
     "MaxKCovRequest",
-    "ExactMaxKCovRequest",
-    "GeneticMaxKCovRequest",
     "QueryRequest",
     "QueryResult",
 ]
@@ -93,53 +90,8 @@ class MaxKCovRequest:
         require_positive_int("prune_factor", self.prune_factor)
 
 
-@dataclass(frozen=True)
-class ExactMaxKCovRequest:
-    """Exact MaxkCovRST by branch-and-bound over TQ-tree match sets.
-
-    Exponential in the worst case, like the synchronous function —
-    meant for the small instances used to report approximation ratios.
-    """
-
-    tree: TQTree
-    facilities: Tuple[FacilityRoute, ...]
-    k: int
-    spec: ServiceSpec
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "facilities", tuple(self.facilities))
-        require_candidates(self.facilities)
-        require_positive_int("k", self.k)
-
-
-@dataclass(frozen=True)
-class GeneticMaxKCovRequest:
-    """Genetic-algorithm MaxkCovRST over TQ-tree match sets.
-
-    Deterministic for a fixed ``config.seed``, so the service reply is
-    bit-identical to the synchronous call.
-    """
-
-    tree: TQTree
-    facilities: Tuple[FacilityRoute, ...]
-    k: int
-    spec: ServiceSpec
-    config: GeneticConfig = field(default_factory=GeneticConfig)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "facilities", tuple(self.facilities))
-        require_candidates(self.facilities)
-        require_positive_int("k", self.k)
-
-
 #: Anything the planner knows how to lower.
-QueryRequest = Union[
-    EvaluateRequest,
-    KMaxRRSTRequest,
-    MaxKCovRequest,
-    ExactMaxKCovRequest,
-    GeneticMaxKCovRequest,
-]
+QueryRequest = Union[EvaluateRequest, KMaxRRSTRequest, MaxKCovRequest]
 
 
 @dataclass(frozen=True)

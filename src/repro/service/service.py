@@ -16,7 +16,7 @@ so reads, ``/healthz`` and other connections wait until it ends.
 planned by the :class:`~repro.service.planner.QueryPlanner`.  With
 ``ServiceConfig.batch_window == 0`` its core then runs at once, inside
 :meth:`submit`, before the first ``await``.  With a window, every
-request of any of the five types joins the service's one open group
+request of any of the three types joins the service's one open group
 instead; the group runs its members' cores in submission order one
 loop iteration after its first member's submit, so every submit made
 in that iteration — one :meth:`run` gather — joins it.  Either way

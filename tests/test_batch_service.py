@@ -2,7 +2,7 @@
 
 The contract: ``batch_window`` is a pure scheduling knob.  Every
 request joins the one open group, which runs its members' own cores in
-submission order, so for seeded random mixes of all five request types
+submission order, so for seeded random mixes of all three request types
 every ``QueryResult`` under ``batch_window`` {small, large} — value,
 matches **and per-request stats** — must be ``==`` to the
 ``batch_window=0`` run (which ``tests/test_query_service.py`` in turn
@@ -26,8 +26,6 @@ import pytest
 
 from repro import (
     EvaluateRequest,
-    ExactMaxKCovRequest,
-    GeneticMaxKCovRequest,
     IndexVariant,
     KMaxRRSTRequest,
     MaxKCovRequest,
@@ -80,7 +78,7 @@ def checkin_tree(checkin_users):
 
 
 def _fuzz_requests(tree, facilities, seed: int):
-    """A seeded mix of all five request types with deliberate
+    """A seeded mix of all three request types with deliberate
     duplicate facilities, so waves contain members riding an earlier
     member's cached walk."""
     rng = random.Random(seed)
@@ -98,14 +96,10 @@ def _fuzz_requests(tree, facilities, seed: int):
                     collect_matches=rng.random() < 0.15,
                 )
             )
-        elif roll < 0.8:
+        elif roll < 0.85:
             requests.append(KMaxRRSTRequest(tree, six, 3, ENDPOINT))
-        elif roll < 0.87:
-            requests.append(MaxKCovRequest(tree, six, 2, ENDPOINT))
-        elif roll < 0.94:
-            requests.append(ExactMaxKCovRequest(tree, six, 2, ENDPOINT))
         else:
-            requests.append(GeneticMaxKCovRequest(tree, six, 2, ENDPOINT))
+            requests.append(MaxKCovRequest(tree, six, 2, ENDPOINT))
     return requests
 
 
@@ -261,7 +255,7 @@ class TestBatchingDifferential:
         assert results[-1].value.ranking == baseline[-1].value.ranking
 
     def test_mixed_gather_runs_in_submission_order(self, tree, facilities):
-        """A gather of all five types at window > 0 is one group whose
+        """A gather of all three types at window > 0 is one group whose
         cores run in submission order — a solver sharing no probe unit
         with the evaluates before it still runs after them."""
         requests = [
@@ -270,8 +264,7 @@ class TestBatchingDifferential:
             KMaxRRSTRequest(tree, tuple(facilities[6:10]), 2, ENDPOINT),
             EvaluateRequest(tree, facilities[2], LENGTH),
             MaxKCovRequest(tree, tuple(facilities[:6]), 2, ENDPOINT),
-            ExactMaxKCovRequest(tree, tuple(facilities[:4]), 2, ENDPOINT),
-            GeneticMaxKCovRequest(tree, tuple(facilities[:4]), 2, ENDPOINT),
+            MaxKCovRequest(tree, tuple(facilities[:4]), 2, COUNT_RAW),
             EvaluateRequest(tree, facilities[3], ENDPOINT),
         ]
         position = {id(r): i for i, r in enumerate(requests)}
@@ -311,8 +304,6 @@ class TestEligibilityGate:
         requests = [
             KMaxRRSTRequest(tree, tuple(facilities[:4]), 2, ENDPOINT),
             MaxKCovRequest(tree, tuple(facilities[4:8]), 2, ENDPOINT),
-            ExactMaxKCovRequest(tree, tuple(facilities[:4]), 2, ENDPOINT),
-            GeneticMaxKCovRequest(tree, tuple(facilities[4:8]), 2, ENDPOINT),
         ]
         baseline, _, _ = _drive(requests, batch_window=0.0)
         results, stats, _ = _drive(requests, batch_window=0.05)

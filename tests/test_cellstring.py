@@ -28,10 +28,17 @@ from hypothesis import given, settings
 from repro import (
     CellstringIndex,
     CellstringStopSet,
+    ProximityBackend,
+    QueryRuntime,
     QueryStats,
+    RuntimeConfig,
+    ServiceModel,
+    ServiceSpec,
     ShardStore,
     StopSet,
     build_cellstring_index,
+    build_demo_catalog,
+    evaluate_service,
 )
 from repro.core.errors import QueryError
 from repro.core.geometry import Point
@@ -195,6 +202,44 @@ class TestCellstringEdgeCases:
         expected = StopSet(stops).covered_mask(probe, psi)
         assert np.array_equal(expected, idx.covered_mask(probe, psi))
         assert expected.all()
+
+    @pytest.mark.parametrize("psi", [1e155, 1e308])
+    def test_huge_finite_radius_matches_dense(self, psi):
+        """Past ``sqrt(max float)`` the radius's square overflows and
+        ``psi_hit`` covers every point with no NaN offset.  The build
+        used to overflow (RuntimeWarnings from about 1e155) and, at
+        1e308, serve nothing; on the demo catalog it must answer ==
+        dense, direct and through a CELLSTRING runtime."""
+        catalog = build_demo_catalog()
+        tree = catalog.tree("demo")
+        facility = catalog.facility("demo", 0)
+        block = np.concatenate(
+            [_probe_block(tree.trajectories()), [[1e300, -1e300], [np.inf, 0.0]]]
+        )
+        expected = StopSet.of_facility(facility).covered_mask(block, psi)
+        idx = build_cellstring_index(facility.stop_coords, psi)
+        assert np.array_equal(expected, idx.covered_mask(block, psi))
+        assert expected.all()
+        spec = ServiceSpec(ServiceModel.ENDPOINT, psi=psi)
+        answers = {
+            backend: evaluate_service(
+                tree, facility, spec,
+                runtime=QueryRuntime(RuntimeConfig(backend=backend)),
+            )
+            for backend in (ProximityBackend.DENSE, ProximityBackend.CELLSTRING)
+        }
+        assert answers[ProximityBackend.CELLSTRING] == answers[ProximityBackend.DENSE]
+        assert answers[ProximityBackend.DENSE] == len(list(tree.trajectories()))
+
+    def test_largest_finite_radius_matches_dense(self):
+        stops = np.random.default_rng(13).uniform(0, 100, size=(16, 2))
+        probe = np.array([[5.0, 5.0], [-1e308, 1e308], [np.nan, 0.0]])
+        psi = np.finfo(np.float64).max
+        idx = build_cellstring_index(stops, psi)
+        assert idx.covered_mask(probe, psi).tolist() == [True, True, False]
+        assert np.array_equal(
+            StopSet(stops).covered_mask(probe, psi), idx.covered_mask(probe, psi)
+        )
 
     def test_min_stops_threshold_keeps_small_sets_dense(self):
         coords = np.random.default_rng(8).uniform(0, 50, size=(10, 2))

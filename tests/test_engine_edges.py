@@ -18,6 +18,7 @@ import pytest
 
 from repro import (
     BatchQueryEngine,
+    CellstringStopSet,
     GriddedStopSet,
     Point,
     ProximityBackend,
@@ -255,6 +256,21 @@ class TestDegenerateGeometryHardening:
         )
         mask = _assert_grid_matches_dense(stops, probe, 5.0)
         assert not mask.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize("tier", [GriddedStopSet, CellstringStopSet])
+    def test_nonfinite_stops_cover_nothing(self, tier, bad):
+        """A stop with a NaN or infinite coordinate covers nothing in the
+        dense kernel.  Both tiers drop it at build, with no warning; the
+        cellstring tier used to lose its finite neighbours' cover too."""
+        probe = np.array([[1.0, 1.0], [5.0, 5.0]])
+        for stops in ([[bad, 0.0], [1.0, 1.0]], [[1.0, 1.0], [0.0, bad]]):
+            stops = np.array(stops)
+            expected = StopSet(stops).covered_mask(probe, 1.0)
+            assert expected.tolist() == [True, False]
+            assert np.array_equal(expected, tier(stops, 1.0).covered_mask(probe, 1.0))
+        all_bad = np.array([[bad, 0.0], [np.nan, np.inf], [-np.inf, bad]])
+        assert not tier(all_bad, 1.0).covered_mask(probe, 1.0).any()
 
     def test_single_stop_every_degenerate_psi(self):
         for psi in (0.0, 5e-324, 1e-300, 1e300):

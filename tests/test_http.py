@@ -1,7 +1,7 @@
 """Differential suite for the stdlib HTTP serving front (ISSUE 5).
 
 The contract extends PR 4's one level up the stack: the transport never
-changes an answer or a counter.  For all five query types, the decoded
+changes an answer or a counter.  For all three query types, the decoded
 HTTP answer — value, per-request stats, match sets — must be ``==`` to
 the wire projection of what the in-process
 :class:`repro.service.QueryService` produces for the identical request
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import socket
 import threading
 import time
@@ -32,7 +31,6 @@ from repro import (
     ServiceConfig,
     TQTree,
     TQTreeConfig,
-    generate_bus_routes,
 )
 from repro.core.errors import CatalogError, QueryError, ServiceOverloaded
 from repro.service.http import (
@@ -73,22 +71,10 @@ def catalog(taxi_users, facilities):
     return cat
 
 
-@pytest.fixture(scope="module")
-def wide_catalog(catalog, city):
-    """The same tree beside a 32-route set: enough facilities for an
-    ``exact`` request past the wire's selection bound."""
-    cat = Catalog()
-    cat.add_tree("city", catalog.tree("city"), source="conftest taxi users")
-    cat.add_facility_set(
-        "wide", generate_bus_routes(32, city, seed=5, n_stops=4),
-        source="32 short bus routes",
-    )
-    return cat
-
-
 def _payloads():
     """One wire request per query type (plus a duplicate to exercise
-    keep-alive + coalesced cache reuse), in a fixed submission order."""
+    keep-alive + coalesced cache reuse, and a maxkcov over explicit
+    ``facility_ids``), in a fixed submission order."""
     return [
         {"type": "evaluate", "tree": "city", "facility_set": "buses",
          "facility_id": 0, "spec": COUNT_SPEC},
@@ -100,11 +86,8 @@ def _payloads():
          "k": 3, "spec": SPEC},
         {"type": "maxkcov", "tree": "city", "facility_set": "buses",
          "k": 2, "spec": SPEC, "prune_factor": 4},
-        {"type": "exact", "tree": "city", "facility_set": "buses",
-         "facility_ids": [0, 1, 2, 3, 4], "k": 2, "spec": SPEC},
-        {"type": "genetic", "tree": "city", "facility_set": "buses",
-         "facility_ids": [0, 1, 2, 3, 4], "k": 2, "spec": SPEC,
-         "config": {"seed": 3, "iterations": 5, "population_size": 8}},
+        {"type": "maxkcov", "tree": "city", "facility_set": "buses",
+         "facility_ids": [0, 1, 2, 3, 4], "k": 2, "spec": COUNT_SPEC},
     ]
 
 
@@ -126,7 +109,7 @@ def _expected_wire_results(catalog, payloads):
 
 
 class TestHttpDifferential:
-    def test_all_five_types_bit_identical_over_socket(self, catalog):
+    def test_all_three_types_bit_identical_over_socket(self, catalog):
         payloads = _payloads()
         expected = _expected_wire_results(catalog, payloads)
         with background_server(catalog, runtime_config=RUNTIME_CONFIG) as h:
@@ -137,10 +120,8 @@ class TestHttpDifferential:
         assert got[0].value == got[2].value
         # collect_matches came through as real match sets
         assert got[1].matches is not None and len(got[1].matches) > 0
-        # all five types actually crossed the wire
-        assert {r.type for r in got} == {
-            "evaluate", "kmaxrrst", "maxkcov", "exact", "genetic"
-        }
+        # all three types actually crossed the wire
+        assert {r.type for r in got} == set(wire.REQUEST_TYPES)
 
     def test_per_request_stats_equal_inprocess(self, catalog):
         """Pin the stats half of the contract explicitly: the decoded
@@ -305,6 +286,22 @@ class TestErrorMapping:
             client.query({"type": "teleport", "tree": "city",
                           "facility_set": "buses", "spec": SPEC})
 
+    def test_exact_and_genetic_are_unknown_types(self, client):
+        # the exact and genetic solvers are library calls only: the
+        # wire names the three types it serves, and the connection
+        # stays up
+        for rtype in ("exact", "genetic"):
+            response = client.request(
+                "POST", "/query",
+                {"type": rtype, "tree": "city", "facility_set": "buses",
+                 "k": 2, "spec": SPEC},
+            )
+            assert response.status == 400
+            detail = response.body["detail"]
+            assert f"unknown request type {rtype!r}" in detail
+            assert "['evaluate', 'kmaxrrst', 'maxkcov']" in detail
+        assert client.healthz()["status"] == "ok"
+
     def test_unknown_tree_is_404(self, client):
         with pytest.raises(CatalogError, match="unknown tree"):
             client.query({"type": "evaluate", "tree": "atlantis",
@@ -355,43 +352,6 @@ class TestErrorMapping:
         with pytest.raises(QueryError, match="k must be positive"):
             client.query({"type": "maxkcov", "tree": "city",
                           "facility_set": "buses", "k": 0, "spec": SPEC})
-
-    def test_wrong_typed_genetic_config_is_400(self, client):
-        # regression: a wrong-typed GA-config value used to raise
-        # TypeError inside GeneticConfig's range checks, escaping the
-        # error mapping and killing the connection instead of a 400
-        with pytest.raises(QueryError, match="must be an integer"):
-            client.query({"type": "genetic", "tree": "city",
-                          "facility_set": "buses", "k": 2, "spec": SPEC,
-                          "config": {"population_size": "8"}})
-        # the connection survived the bad request
-        assert client.healthz()["status"] == "ok"
-
-    def test_oversized_genetic_config_is_400(self, client):
-        # one wire request could hold the server's loop without bound:
-        # the decoder caps the GA's work, and the server stays live
-        config = {"iterations": 2**63, "population_size": 10**9}
-        started = time.perf_counter()
-        with pytest.raises(QueryError, match="at most"):
-            client.query({"type": "genetic", "tree": "city",
-                          "facility_set": "buses", "k": 2, "spec": SPEC,
-                          "config": config})
-        assert time.perf_counter() - started < 5.0
-        assert client.healthz()["status"] == "ok"
-
-    def test_oversized_exact_request_is_400(self, wide_catalog):
-        # 32 choose 8 is 10.5 M selections, minutes of branch-and-bound
-        # on the server's loop: the decoder refuses it, and the server
-        # stays live
-        with background_server(
-            wide_catalog, runtime_config=RUNTIME_CONFIG
-        ) as h, ServeClient(h.host, h.port) as client:
-            started = time.perf_counter()
-            with pytest.raises(QueryError, match="at most"):
-                client.query({"type": "exact", "tree": "city",
-                              "facility_set": "wide", "k": 8, "spec": SPEC})
-            assert time.perf_counter() - started < 5.0
-            assert client.healthz()["status"] == "ok"
 
     def test_bad_spec_model_is_400(self, client):
         with pytest.raises(QueryError, match="unknown service model"):
@@ -734,43 +694,6 @@ class TestWireAndCatalogUnits:
         for value in ("", "+10", "-0", "-1", "1_0", " 1", "1e3", "\u0661"):
             with pytest.raises(ValueError):
                 wire.content_length(value)
-    def test_genetic_config_work_is_bounded(self):
-        # population_size * tournament_size * (iterations + 1)
-        at_bound = {"population_size": 2**8, "tournament_size": 2**5,
-                    "iterations": 2**5 - 1}
-        config = wire.decode_genetic_config(at_bound)
-        assert config.population_size * config.tournament_size * (
-            config.iterations + 1
-        ) == wire.MAX_GENETIC_WORK
-        with pytest.raises(QueryError, match="at most"):
-            wire.decode_genetic_config({**at_bound, "iterations": 2**5})
-        with pytest.raises(QueryError, match="at most"):
-            wire.decode_genetic_config(
-                {"iterations": 2**63, "population_size": 10**9}
-            )
-
-    def test_exact_subsets_are_bounded(self, wide_catalog, monkeypatch):
-        # comb(|F|, min(k, |F|)) selections, |F| the whole set when
-        # facility_ids is omitted
-        def exact(k, facility_ids=None):
-            payload = {"type": "exact", "tree": "city",
-                       "facility_set": "wide", "k": k, "spec": SPEC}
-            if facility_ids is not None:
-                payload["facility_ids"] = facility_ids
-            return wire.decode_request(payload, wide_catalog)
-
-        assert math.comb(16, 8) <= wire.MAX_EXACT_SUBSETS < math.comb(32, 4)
-        assert exact(8, list(range(16))).k == 8
-        assert exact(40, [0, 1]).k == 40  # k past |F|: one selection
-        for k in (4, 8):
-            with pytest.raises(QueryError, match="at most"):
-                exact(k)
-        at_bound = math.comb(16, 8)
-        monkeypatch.setattr(wire, "MAX_EXACT_SUBSETS", at_bound)
-        assert exact(8, list(range(16))).k == 8
-        monkeypatch.setattr(wire, "MAX_EXACT_SUBSETS", at_bound - 1)
-        with pytest.raises(QueryError, match="at most"):
-            exact(8, list(range(16)))
 
     def test_query_stats_round_trip(self):
         from repro import QueryStats

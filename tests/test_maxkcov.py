@@ -32,18 +32,11 @@ from repro import (
 )
 from repro.queries import (
     baseline_match_fn,
-    exact_core,
-    genetic_core,
     maxkcov_core,
     top_k_core,
     tq_match_fn,
 )
-from repro.service import (
-    ExactMaxKCovRequest,
-    GeneticMaxKCovRequest,
-    KMaxRRSTRequest,
-    MaxKCovRequest,
-)
+from repro.service import KMaxRRSTRequest, MaxKCovRequest
 
 from .strategies import WORLD, facility_sets, psis, trajectory_sets
 
@@ -306,15 +299,11 @@ def _entry_points(tree, users, facilities, spec):
         "exact_max_k_coverage": lambda k, p: exact_max_k_coverage(
             users, facilities, k, spec, fn
         ),
-        "exact_core": lambda k, p: exact_core(users, facilities, k, spec, fn),
         "genetic_max_k_coverage": lambda k, p: genetic_max_k_coverage(
             users, facilities, k, spec, fn
         ),
-        "genetic_core": lambda k, p: genetic_core(users, facilities, k, spec, fn),
         "KMaxRRSTRequest": lambda k, p: KMaxRRSTRequest(tree, facilities, k, spec),
         "MaxKCovRequest": lambda k, p: MaxKCovRequest(tree, facilities, k, spec, p),
-        "ExactMaxKCovRequest": lambda k, p: ExactMaxKCovRequest(tree, facilities, k, spec),
-        "GeneticMaxKCovRequest": lambda k, p: GeneticMaxKCovRequest(tree, facilities, k, spec),
     }
 
 

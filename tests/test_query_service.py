@@ -25,9 +25,7 @@ import pytest
 
 from repro import (
     EvaluateRequest,
-    ExactMaxKCovRequest,
     FacilityRoute,
-    GeneticMaxKCovRequest,
     KMaxRRSTRequest,
     MaxKCovRequest,
     ProximityBackend,
@@ -48,7 +46,6 @@ from repro import (
 )
 from repro.core.errors import QueryError
 from repro.queries.evaluate import MatchCollector
-from repro.queries.maxkcov import tq_match_fn
 from repro.service import QueryPlanner
 
 PSI = 400.0
@@ -77,8 +74,7 @@ def _mixed_requests(tree, facilities):
         EvaluateRequest(tree, facilities[2], LENGTH, collect_matches=True),
         KMaxRRSTRequest(tree, tuple(facilities), 3, ENDPOINT),
         MaxKCovRequest(tree, tuple(facilities), 2, ENDPOINT),
-        ExactMaxKCovRequest(tree, subset, 2, ENDPOINT),
-        GeneticMaxKCovRequest(tree, subset, 2, ENDPOINT),
+        MaxKCovRequest(tree, subset, 2, COUNT),
         EvaluateRequest(tree, facilities[3], COUNT),
     ]
 
@@ -111,25 +107,12 @@ def _sync_baseline(requests, runtime):
             values.append(result)
             deltas.append(result.stats)
             continue
-        if isinstance(req, MaxKCovRequest):
-            result = maxkcov_tq(
-                req.tree, req.facilities, req.k, req.spec,
-                req.prune_factor, runtime=runtime,
-            )
-        elif isinstance(req, ExactMaxKCovRequest):
-            result = exact_max_k_coverage(
-                list(req.tree.trajectories()), req.facilities, req.k,
-                req.spec, tq_match_fn(req.tree, req.spec, runtime=runtime),
-                runtime=runtime,
-            )
-        else:
-            result = genetic_max_k_coverage(
-                list(req.tree.trajectories()), req.facilities, req.k,
-                req.spec, tq_match_fn(req.tree, req.spec, runtime=runtime),
-                req.config, runtime=runtime,
-            )
+        result = maxkcov_tq(
+            req.tree, req.facilities, req.k, req.spec,
+            req.prune_factor, runtime=runtime,
+        )
         values.append(result)
-        # solvers report no stats object; the runtime delta is the
+        # maxkcov_tq reports no stats object; the runtime delta is the
         # per-request attribution a sync caller can observe
         after = runtime.stats
         deltas.append(
@@ -170,7 +153,7 @@ def _assert_outcomes_sum(stats):
 
 class TestServiceDifferential:
     """Service answers == synchronous answers, per request and in total,
-    for all five request types."""
+    for all three request types."""
 
     def test_mixed_requests_bit_identical(self, tree, facilities):
         requests = _mixed_requests(tree, facilities)
@@ -499,7 +482,7 @@ class TestCoresOnTheLoop:
     def test_cores_run_on_the_loop_thread_and_start_no_thread(
         self, tree, facilities
     ):
-        """Every core of all five request types runs on the thread that
+        """Every core of all three request types runs on the thread that
         runs the service's event loop, and the service starts no
         thread of its own."""
         requests = _mixed_requests(tree, facilities)
@@ -718,12 +701,7 @@ class TestEmptyFacilitiesValidation:
     A candidate set naming a facility id twice is rejected the same
     way."""
 
-    REQUEST_TYPES = (
-        KMaxRRSTRequest,
-        MaxKCovRequest,
-        ExactMaxKCovRequest,
-        GeneticMaxKCovRequest,
-    )
+    REQUEST_TYPES = (KMaxRRSTRequest, MaxKCovRequest)
 
     @pytest.mark.parametrize("request_type", REQUEST_TYPES)
     def test_request_construction_rejects_empty_facilities(

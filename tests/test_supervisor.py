@@ -1,7 +1,7 @@
 """Differential suite for the prefork scale-out supervisor (PR 9).
 
 The contract extends the HTTP suite one level out: the *process model*
-never changes an answer or a counter.  For all five query types, the
+never changes an answer or a counter.  For all three query types, the
 decoded answers — value, per-request stats, match sets — from a
 multi-worker prefork pool must be ``==`` to the wire projection of the
 in-process :class:`repro.service.QueryService` for the identical
@@ -75,8 +75,9 @@ def _http_config(n_workers: int, start_method=None, **overrides) -> HttpConfig:
 
 def _payloads():
     """One wire request per query type, plus a duplicate evaluate (the
-    coalescer-replay case), in a fixed submission order — the same
-    shape the single-process differential suite pins."""
+    coalescer-replay case) and a maxkcov over explicit ``facility_ids``,
+    in a fixed submission order — the same shape the single-process
+    differential suite pins."""
     return [
         {"type": "evaluate", "tree": "demo", "facility_set": "demo",
          "facility_id": 0, "spec": COUNT_SPEC},
@@ -88,11 +89,8 @@ def _payloads():
          "k": 3, "spec": SPEC},
         {"type": "maxkcov", "tree": "demo", "facility_set": "demo",
          "k": 2, "spec": SPEC, "prune_factor": 4},
-        {"type": "exact", "tree": "demo", "facility_set": "demo",
-         "facility_ids": [0, 1, 2, 3], "k": 2, "spec": SPEC},
-        {"type": "genetic", "tree": "demo", "facility_set": "demo",
-         "facility_ids": [0, 1, 2, 3], "k": 2, "spec": SPEC,
-         "config": {"seed": 3, "iterations": 5, "population_size": 8}},
+        {"type": "maxkcov", "tree": "demo", "facility_set": "demo",
+         "facility_ids": [0, 1, 2, 3], "k": 2, "spec": COUNT_SPEC},
     ]
 
 
@@ -146,7 +144,7 @@ class TestDifferentialAcrossWorkers:
     def test_pool_bit_identical_to_single_process(
         self, expected, n_workers, start_method
     ):
-        """All five query types, answers AND per-request stats, across
+        """All three query types, answers AND per-request stats, across
         the full worker x start-method matrix."""
         config = _http_config(n_workers, start_method)
         with Supervisor(config) as supervisor:
@@ -160,9 +158,7 @@ class TestDifferentialAcrossWorkers:
                 # spawn path re-opens it by string)
                 assert client.catalog()["spec"] == CATALOG_SPEC
         assert got == expected
-        assert {r.type for r in got} == {
-            "evaluate", "kmaxrrst", "maxkcov", "exact", "genetic"
-        }
+        assert {r.type for r in got} == set(wire.REQUEST_TYPES)
 
     def test_batch_window_pool_matches_single_process(self):
         """A pipelined submit_many wave with the server batch window
