@@ -19,6 +19,7 @@ builder kept here, array for array, and to a memory bound.
 
 from __future__ import annotations
 
+import asyncio
 import tracemalloc
 
 import numpy as np
@@ -28,8 +29,10 @@ from hypothesis import given, settings
 from repro import (
     CellstringIndex,
     CellstringStopSet,
+    FacilityRoute,
     ProximityBackend,
     QueryRuntime,
+    QueryService,
     QueryStats,
     RuntimeConfig,
     ServiceModel,
@@ -46,11 +49,13 @@ from repro.core.service import PAIRS_PER_PASS
 from repro.core.zorder import morton_encode_array
 from repro.datasets import CityModel, generate_bus_routes
 from repro.engine.cellstring import (
+    AUTO_CELLSTRING_MIN_STOPS,
     _COARSE_LEVEL_DROP,
     _cellstring_geometry,
     _pass_bounds,
     _stop_windows,
 )
+from repro.service.http import wire
 
 from .strategies import WORLD, dense_facilities, engine_psis, trajectory_sets
 
@@ -229,6 +234,52 @@ class TestCellstringEdgeCases:
             for backend in (ProximityBackend.DENSE, ProximityBackend.CELLSTRING)
         }
         assert answers[ProximityBackend.CELLSTRING] == answers[ProximityBackend.DENSE]
+        assert answers[ProximityBackend.DENSE] == len(list(tree.trajectories()))
+
+    @pytest.mark.parametrize("psi", [1e155, 1e308])
+    def test_huge_finite_radius_through_a_cellstring_service(self, psi):
+        """A wire-decoded evaluate served by a CELLSTRING runtime's
+        :class:`QueryService` — the path ``serve --backend cellstring``
+        takes — answers what a DENSE service answers."""
+        catalog = build_demo_catalog()
+        payload = {"type": "evaluate", "tree": "demo", "facility_set": "demo",
+                   "facility_id": 0, "spec": {"model": "endpoint", "psi": psi}}
+
+        async def serve(backend):
+            with QueryRuntime(RuntimeConfig(backend=backend)) as runtime:
+                async with QueryService(runtime) as service:
+                    return await service.submit(
+                        wire.decode_request(payload, catalog)
+                    )
+
+        dense = asyncio.run(serve(ProximityBackend.DENSE))
+        cellstring = asyncio.run(serve(ProximityBackend.CELLSTRING))
+        assert cellstring.value == dense.value
+        assert dense.value == len(list(catalog.tree("demo").trajectories()))
+
+    @pytest.mark.parametrize("psi", [1e155, 1e308])
+    def test_huge_finite_radius_under_auto_past_the_cellstring_threshold(
+        self, psi
+    ):
+        """AUTO builds cellstrings for a facility of at least
+        ``AUTO_CELLSTRING_MIN_STOPS`` stops; at a huge radius it must
+        still answer == DENSE."""
+        tree = build_demo_catalog().tree("demo")
+        coords = np.random.default_rng(17).uniform(
+            0, 10_000, size=(AUTO_CELLSTRING_MIN_STOPS, 2)
+        )
+        facility = FacilityRoute(0, [tuple(xy) for xy in coords])
+        spec = ServiceSpec(ServiceModel.ENDPOINT, psi=psi)
+        answers = {}
+        for backend in (ProximityBackend.AUTO, ProximityBackend.DENSE):
+            with QueryRuntime(RuntimeConfig(backend=backend)) as runtime:
+                if backend is ProximityBackend.AUTO:
+                    dressed = runtime.stop_set(StopSet.of_facility(facility), psi)
+                    assert isinstance(dressed, CellstringStopSet)
+                answers[backend] = evaluate_service(
+                    tree, facility, spec, runtime=runtime
+                )
+        assert answers[ProximityBackend.AUTO] == answers[ProximityBackend.DENSE]
         assert answers[ProximityBackend.DENSE] == len(list(tree.trajectories()))
 
     def test_largest_finite_radius_matches_dense(self):

@@ -286,20 +286,20 @@ class TestErrorMapping:
             client.query({"type": "teleport", "tree": "city",
                           "facility_set": "buses", "spec": SPEC})
 
-    def test_exact_and_genetic_are_unknown_types(self, client):
+    @pytest.mark.parametrize("rtype", ["exact", "genetic"])
+    def test_exact_and_genetic_are_unknown_types(self, client, rtype):
         # the exact and genetic solvers are library calls only: the
         # wire names the three types it serves, and the connection
         # stays up
-        for rtype in ("exact", "genetic"):
-            response = client.request(
-                "POST", "/query",
-                {"type": rtype, "tree": "city", "facility_set": "buses",
-                 "k": 2, "spec": SPEC},
-            )
-            assert response.status == 400
-            detail = response.body["detail"]
-            assert f"unknown request type {rtype!r}" in detail
-            assert "['evaluate', 'kmaxrrst', 'maxkcov']" in detail
+        response = client.request(
+            "POST", "/query",
+            {"type": rtype, "tree": "city", "facility_set": "buses",
+             "k": 2, "spec": SPEC},
+        )
+        assert response.status == 400
+        detail = response.body["detail"]
+        assert f"unknown request type {rtype!r}" in detail
+        assert "['evaluate', 'kmaxrrst', 'maxkcov']" in detail
         assert client.healthz()["status"] == "ok"
 
     def test_unknown_tree_is_404(self, client):

@@ -37,6 +37,7 @@ from repro.queries import (
     tq_match_fn,
 )
 from repro.service import KMaxRRSTRequest, MaxKCovRequest
+from repro.service.http import Catalog, wire
 
 from .strategies import WORLD, facility_sets, psis, trajectory_sets
 
@@ -335,6 +336,41 @@ class TestPositiveIntegerArguments:
         call = _entry_points(*world, endpoint_spec)[entry_point]
         with pytest.raises(QueryError, match="prune_factor must be"):
             call(2, prune_factor)
+
+    @pytest.fixture(scope="class")
+    def wire_catalog(self, world):
+        tree, _, facilities = world
+        catalog = Catalog()
+        catalog.add_tree("taxi", tree, source="conftest taxi users")
+        catalog.add_facility_set("buses", facilities, source="conftest bus routes")
+        return catalog
+
+    @staticmethod
+    def _wire_payload(rtype, spec, **fields):
+        return {"type": rtype, "tree": "taxi", "facility_set": "buses",
+                "spec": {"model": "endpoint", "psi": spec.psi}, **fields}
+
+    @pytest.mark.parametrize("rtype", ["kmaxrrst", "maxkcov"])
+    @pytest.mark.parametrize("k", [float("nan"), 2.5, 2.0, True, 0], ids=str)
+    def test_wire_k_must_be_a_positive_integer(
+        self, wire_catalog, endpoint_spec, rtype, k
+    ):
+        """The wire decoder, the entry point a server reaches, refuses
+        the same values: by its own integer check, or (0) by the
+        request's."""
+        payload = self._wire_payload(rtype, endpoint_spec, k=k)
+        with pytest.raises(QueryError, match="k'? must be"):
+            wire.decode_request(payload, wire_catalog)
+
+    @pytest.mark.parametrize("prune_factor", [float("nan"), 1.5, 2.0, True, 0], ids=str)
+    def test_wire_prune_factor_must_be_a_positive_integer(
+        self, wire_catalog, endpoint_spec, prune_factor
+    ):
+        payload = self._wire_payload(
+            "maxkcov", endpoint_spec, k=2, prune_factor=prune_factor
+        )
+        with pytest.raises(QueryError, match="prune_factor'? must be"):
+            wire.decode_request(payload, wire_catalog)
 
 
 #: Cold MaxkCovs over the 12 fixture routes, per (tree, model, k):

@@ -46,7 +46,9 @@ from repro import (
 )
 from repro.core.errors import QueryError
 from repro.queries.evaluate import MatchCollector
+from repro.queries.maxkcov import tq_match_fn
 from repro.service import QueryPlanner
+from repro.service.http import Catalog, wire
 
 PSI = 400.0
 COUNT = ServiceSpec(ServiceModel.COUNT, psi=PSI)
@@ -759,3 +761,54 @@ class TestEmptyFacilitiesValidation:
             with pytest.raises(QueryError, match=f"distinct.*id {f.facility_id} more"):
                 call(repeated)
         call([f, g])
+
+    @pytest.mark.parametrize("solver", ["top_k", "maxkcov", "exact", "genetic"])
+    def test_sync_entry_points_accept_a_single_facility(
+        self, tree, taxi_users, facilities, solver
+    ):
+        f = facilities[0]
+        match_fn = tq_match_fn(tree, ENDPOINT)
+        answer = {
+            "top_k": lambda: top_k_facilities(tree, [f], 1, ENDPOINT),
+            "maxkcov": lambda: maxkcov_tq(tree, [f], 1, ENDPOINT),
+            "exact": lambda: exact_max_k_coverage(taxi_users, [f], 1, ENDPOINT, match_fn),
+            "genetic": lambda: genetic_max_k_coverage(taxi_users, [f], 1, ENDPOINT, match_fn),
+        }[solver]()
+        if solver == "top_k":
+            assert [s.facility for s in answer.ranking] == [f]
+        else:
+            assert answer.facility_ids() == (f.facility_id,)
+
+    @pytest.fixture(scope="class")
+    def wire_catalog(self, tree, facilities):
+        catalog = Catalog()
+        catalog.add_tree("city", tree, source="conftest taxi users")
+        catalog.add_facility_set("buses", facilities, source="conftest bus routes")
+        return catalog
+
+    @staticmethod
+    def _decode(catalog, rtype, facility_ids):
+        return wire.decode_request(
+            {"type": rtype, "tree": "city", "facility_set": "buses",
+             "facility_ids": facility_ids, "k": 1,
+             "spec": {"model": "endpoint", "psi": PSI}},
+            catalog,
+        )
+
+    @pytest.mark.parametrize("rtype", ["kmaxrrst", "maxkcov"])
+    def test_wire_rejects_empty_facility_ids(self, wire_catalog, rtype):
+        with pytest.raises(QueryError, match="facilities must be non-empty"):
+            self._decode(wire_catalog, rtype, [])
+
+    @pytest.mark.parametrize("rtype", ["kmaxrrst", "maxkcov"])
+    def test_wire_rejects_repeated_facility_ids(self, wire_catalog, rtype):
+        with pytest.raises(QueryError, match="distinct.*1 more than once"):
+            self._decode(wire_catalog, rtype, [1, 0, 1])
+
+    @pytest.mark.parametrize("rtype", ["kmaxrrst", "maxkcov"])
+    def test_wire_accepts_a_single_facility_id(
+        self, wire_catalog, facilities, rtype
+    ):
+        request = self._decode(wire_catalog, rtype, [3])
+        assert request.facilities == (facilities[3],)
+        assert wire.request_type(request) == rtype
