@@ -258,13 +258,16 @@ def boxes_within(boxes: np.ndarray, stops: np.ndarray, psi: float) -> np.ndarray
     with ``psi``, :data:`~repro.core.service.PAIRS_PER_PASS` box-stop
     pairs a pass."""
     out = np.empty(boxes.shape[0], dtype=bool)
+    # a Python float square overflows to inf without a warning, where an
+    # np.float64 one warns; the comparison is the same either way
+    r2 = float(psi) * float(psi)
     sx, sy = stops[None, :, 0], stops[None, :, 1]
     step = max(1, PAIRS_PER_PASS // max(1, stops.shape[0]))
     for lo in range(0, boxes.shape[0], step):
         b = boxes[lo : lo + step]
         dx = np.clip(sx, b[:, 0, None], b[:, 2, None]) - sx
         dy = np.clip(sy, b[:, 1, None], b[:, 3, None]) - sy
-        out[lo : lo + step] = np.any(dx * dx + dy * dy <= psi * psi, axis=1)
+        out[lo : lo + step] = np.any(dx * dx + dy * dy <= r2, axis=1)
     return out
 
 

@@ -42,23 +42,15 @@ other.  Divisions are bookkeeping, not answers: they count in neither
 ``hits`` / ``misses`` nor ``len()``; a node value counts one hit or one
 miss per listed node a frontier reads, a match set one per request.
 
-**Thread safety.**  A runtime's cache may be read and written from
-several caller threads concurrently, so every table access and
-counter update happens under one internal lock.  Value columns are
-copied on write and swapped in under the lock, and a level script or a
-match set is installed once, so none changes once stored and all are
-read outside it.  The lock covers the bookkeeping only: the expensive
-work a miss triggers — the walk and its probes — runs outside it, so
-concurrent misses on *different* keys still overlap.  Concurrent misses
-on the *same* key both compute identical content and the first stored
-is kept.  The service runs its cores one after another on its event
-loop, so it never misses one key twice at once (see
-``repro.service``).
+**One thread owns a cache**, as one thread owns the runtime that holds
+it (DESIGN.md §6): nothing here takes a lock.  A value column is still
+copied on write and swapped in, and a level script or a match set is
+installed once, so none changes once stored and a caller may keep what
+it read.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, Optional, Tuple
 
@@ -83,18 +75,18 @@ Column = Tuple[np.ndarray, np.ndarray, np.ndarray]
 class WalkRecord:
     """One walk's division and unprobed stop set, with its value
     columns, level scripts and match sets per ``(model, normalize)``.
-    ``columns``, ``scripts``, ``matches`` and ``rows`` change only under
-    the owning cache's lock; a column is replaced, never written into,
+    ``columns``, ``scripts``, ``matches`` and ``rows`` change only
+    through the owning cache; a column is replaced, never written into,
     and a script or match set is installed once."""
 
     __slots__ = ("key", "coords", "division", "stops", "columns", "scripts", "matches", "rows")
 
     def __init__(self, key, coords: np.ndarray, division: Division, stops) -> None:
         self.key, self.coords, self.division, self.stops = key, coords, division, stops
-        self.columns: Dict[Hashable, Column] = {}  # guarded-by: _lock
-        self.scripts: Dict[Hashable, Any] = {}  # guarded-by: _lock
-        self.matches: Dict[Hashable, Any] = {}  # guarded-by: _lock
-        self.rows = division[0].size  # guarded-by: _lock
+        self.columns: Dict[Hashable, Column] = {}
+        self.scripts: Dict[Hashable, Any] = {}
+        self.matches: Dict[Hashable, Any] = {}
+        self.rows = division[0].size
 
     def made_of(self, stop_coords: np.ndarray) -> bool:
         """Was the record made of ``stop_coords`` — that array, or one equal bitwise?"""
@@ -102,16 +94,16 @@ class WalkRecord:
 
 
 class CoverageCache:
-    """Memoises walk records (see module docstring)."""
+    """Memoises walk records for the one thread that owns it (see
+    module docstring)."""
 
     def __init__(self) -> None:
         # record key -> record, least recently used first; _rows counts
         # the rows of all records
-        self._records: "OrderedDict[Hashable, WalkRecord]" = OrderedDict()  # guarded-by: _lock
-        self._rows = 0  # guarded-by: _lock
-        self.hits = 0  # guarded-by: _lock
-        self.misses = 0  # guarded-by: _lock
-        self._lock = threading.Lock()
+        self._records: "OrderedDict[Hashable, WalkRecord]" = OrderedDict()
+        self._rows = 0
+        self.hits = 0
+        self.misses = 0
 
     def lookup_record(self, key: Hashable, stop_coords: np.ndarray) -> Optional[WalkRecord]:
         """The record held for ``key`` if it was made of the facility
@@ -120,8 +112,11 @@ class CoverageCache:
         the check is what keeps two distinct facilities sharing an id
         apart while re-walks hit.  A hit becomes the most recently used
         record."""
-        with self._lock:
-            return self._held(key, stop_coords)
+        record = self._records.get(key)
+        if record is None or not record.made_of(stop_coords):
+            return None
+        self._records.move_to_end(key)
+        return record
 
     def store_record(
         self, key: Hashable, stop_coords: np.ndarray, division: Division, stops
@@ -130,24 +125,22 @@ class CoverageCache:
         ``stop_coords``, walked as ``stops`` — held as ``key``'s,
         replacing what the key held, unless it alone is larger than
         :data:`MAX_ROWS` (then it is returned unheld).  A record of equal
-        stops the key gained meanwhile (a concurrent walk that missed
-        too) is kept and returned: both fill one record."""
-        with self._lock:
-            record = held = self._records.pop(key, None)
-            if held is not None:
-                self._rows -= held.rows
-            if held is None or not held.made_of(stop_coords):
-                record = WalkRecord(key, stop_coords, division, stops)
-            if record.rows <= MAX_ROWS:
-                self._records[key] = record
-                self._rows += record.rows
-                self._evict()
+        stops the key already holds is kept and returned, columns and
+        all."""
+        record = held = self._records.pop(key, None)
+        if held is not None:
+            self._rows -= held.rows
+        if held is None or not held.made_of(stop_coords):
+            record = WalkRecord(key, stop_coords, division, stops)
+        if record.rows <= MAX_ROWS:
+            self._records[key] = record
+            self._rows += record.rows
+            self._evict()
         return record
 
     def read_column(self, record: WalkRecord, column: Hashable) -> Optional[Column]:
         """``record``'s value column ``column`` as it stands, or ``None``."""
-        with self._lock:
-            return record.columns.get(column)
+        return record.columns.get(column)
 
     def store_column(
         self,
@@ -164,45 +157,41 @@ class CoverageCache:
         held — if the cache still holds ``record``.  A new column adds
         one row per node; least recently used records go until all fit
         in :data:`MAX_ROWS`, ``record`` last."""
-        with self._lock:
-            self.hits += hits
-            self.misses += nodes.size
-            if not nodes.size or self._records.get(record.key) is not record:
-                return
-            held, rows = record.columns.get(column), 0
-            if held is None:
-                rows = n = record.division[0].size
-                held = (np.zeros(n, dtype=bool), np.zeros(n), np.zeros(n, dtype=np.int64))
-            known, value, count = (array.copy() for array in held)
-            known[nodes], value[nodes], count[nodes] = True, values, counts
-            record.columns[column] = (known, value, count)
-            self._grow(record, rows)
+        self.hits += hits
+        self.misses += nodes.size
+        if not nodes.size or self._records.get(record.key) is not record:
+            return
+        held, rows = record.columns.get(column), 0
+        if held is None:
+            rows = n = record.division[0].size
+            held = (np.zeros(n, dtype=bool), np.zeros(n), np.zeros(n, dtype=np.int64))
+        known, value, count = (array.copy() for array in held)
+        known[nodes], value[nodes], count[nodes] = True, values, counts
+        record.columns[column] = (known, value, count)
+        self._grow(record, rows)
 
     def read_script(self, record: WalkRecord, column: Hashable) -> Any:
         """``record``'s level script for ``column``, or ``None``."""
-        with self._lock:
-            return record.scripts.get(column)
+        return record.scripts.get(column)
 
     def store_script(self, record: WalkRecord, column: Hashable, script, rows: int) -> None:
         """Hold ``script`` — ``rows`` rows — as ``record``'s level script
         for ``column`` if the cache still holds ``record`` and no script
         for it yet; evict like :meth:`store_column`."""
-        with self._lock:
-            if self._records.get(record.key) is record and column not in record.scripts:
-                record.scripts[column] = script
-                self._grow(record, rows)
+        if self._records.get(record.key) is record and column not in record.scripts:
+            record.scripts[column] = script
+            self._grow(record, rows)
 
     def read_matches(
         self, key: Hashable, stop_coords: np.ndarray, column: Hashable
     ) -> Any:
         """The match set held for ``column`` on the record
         :meth:`lookup_record` finds, counted as one hit, or ``None``."""
-        with self._lock:
-            record = self._held(key, stop_coords)
-            matches = None if record is None else record.matches.get(column)
-            if matches is not None:
-                self.hits += 1
-            return matches
+        record = self.lookup_record(key, stop_coords)
+        matches = None if record is None else record.matches.get(column)
+        if matches is not None:
+            self.hits += 1
+        return matches
 
     def store_matches(
         self, key: Hashable, stop_coords: np.ndarray, column: Hashable, matches
@@ -211,28 +200,17 @@ class CoverageCache:
         ``column`` on the record :meth:`lookup_record` finds if there is
         one and it holds no match set for ``column`` yet; evict like
         :meth:`store_column`."""
-        with self._lock:
-            self.misses += 1
-            record = self._held(key, stop_coords)
-            if record is not None and column not in record.matches:
-                record.matches[column] = matches
-                self._grow(record, matches.slots.size)
+        self.misses += 1
+        record = self.lookup_record(key, stop_coords)
+        if record is not None and column not in record.matches:
+            record.matches[column] = matches
+            self._grow(record, matches.slots.size)
 
     def count_hits(self, hits: int) -> None:
         """Count ``hits`` node values a replayed level read."""
-        with self._lock:
-            self.hits += hits
+        self.hits += hits
 
-    def _held(  # requires-lock: _lock
-        self, key: Hashable, stop_coords: np.ndarray
-    ) -> Optional[WalkRecord]:
-        record = self._records.get(key)
-        if record is None or not record.made_of(stop_coords):
-            return None
-        self._records.move_to_end(key)
-        return record
-
-    def _grow(self, record: WalkRecord, rows: int) -> None:  # requires-lock: _lock
+    def _grow(self, record: WalkRecord, rows: int) -> None:
         """``record``, held, gained ``rows`` rows and is used: least
         recently used records go until all fit, ``record`` last."""
         record.rows += rows
@@ -240,20 +218,18 @@ class CoverageCache:
         self._records.move_to_end(record.key)
         self._evict()
 
-    def _evict(self) -> None:  # requires-lock: _lock
+    def _evict(self) -> None:
         while self._rows > MAX_ROWS:
             self._rows -= self._records.popitem(last=False)[1].rows
 
     def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self._rows = 0
+        self._records.clear()
+        self._rows = 0
 
     def __len__(self) -> int:
         """Answers held: known node values and match sets."""
-        with self._lock:
-            return sum(
-                len(record.matches)
-                + sum(int(np.count_nonzero(known)) for known, _, _ in record.columns.values())
-                for record in self._records.values()
-            )
+        return sum(
+            len(record.matches)
+            + sum(int(np.count_nonzero(known)) for known, _, _ in record.columns.values())
+            for record in self._records.values()
+        )

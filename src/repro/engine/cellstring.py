@@ -64,7 +64,6 @@ coarse reject, ``cells_probed`` counts boundary-cell consultations, and
 from __future__ import annotations
 
 import math
-import threading
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -505,7 +504,7 @@ class CellstringStopSet(StopSet):
     facilities with content-identical stops.
     """
 
-    __slots__ = ("cs_psi", "min_stops", "_store", "_memo", "_memo_lock")
+    __slots__ = ("cs_psi", "min_stops", "_store", "_memo")
 
     def __init__(
         self,
@@ -521,26 +520,24 @@ class CellstringStopSet(StopSet):
         self.min_stops = max(1, int(min_stops))
         self._store = store
         self._memo: dict = {}
-        self._memo_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _index_for(self, psi: float) -> Optional[CellstringIndex]:
         if self.n_stops < self.min_stops:
             return None
         key = float(psi)
-        with self._memo_lock:
-            idx = self._memo.get(key)
-            if idx is not None:
-                return idx
-            if self._store is not None:
-                idx = self._store.cellstring_index(self.coords, key)
-            else:
-                idx = build_cellstring_index(self.coords, key)
-            self._memo[key] = idx
-            while len(self._memo) > _PSI_MEMO_CAP:
-                # dicts iterate in insertion order: drop the oldest radius
-                del self._memo[next(iter(self._memo))]
+        idx = self._memo.get(key)
+        if idx is not None:
             return idx
+        if self._store is not None:
+            idx = self._store.cellstring_index(self.coords, key)
+        else:
+            idx = build_cellstring_index(self.coords, key)
+        self._memo[key] = idx
+        while len(self._memo) > _PSI_MEMO_CAP:
+            # dicts iterate in insertion order: drop the oldest radius
+            del self._memo[next(iter(self._memo))]
+        return idx
 
     # ------------------------------------------------------------------
     def covers_point(

@@ -52,7 +52,9 @@ def _snap_origin(vmin: float, cell: float) -> float:
     .ShardStore` slice sharing), so fall back to ``vmin`` itself rather
     than propagate a non-finite origin into every cell index.
     """
-    origin = np.floor(vmin / cell) * cell
+    # Python floats: an infinite cell (a radius near the float maximum)
+    # makes ``0 * inf``, a NaN without a warning
+    origin = float(np.floor(vmin / cell)) * cell
     if not np.isfinite(origin):
         return float(vmin)
     if origin > vmin:
@@ -73,7 +75,8 @@ def _derive_cell_size(psi: float, extent: float) -> float:
     it only engages when ``extent > cap * cell > cap * psi``, but the
     guard re-checks rather than trusting float division.
     """
-    cell = psi * (1.0 + _CELL_MARGIN)
+    # a Python float overflows to inf without a warning (np.float64 warns)
+    cell = float(psi) * (1.0 + _CELL_MARGIN)
     if not cell > psi:
         # psi == 0 (exact-coincidence serving) or subnormal psi whose
         # scaled value rounded back down.

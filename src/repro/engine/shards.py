@@ -46,8 +46,8 @@ only cause a miss, never a wrong answer.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -292,20 +292,15 @@ class ShardStore:
     Every level verifies a hit's stored arrays against the request
     bitwise before serving it, so aliasing through a hash collision is
     impossible — a collision is simply a miss.  Entries are keyed purely
-    by content, so a store can be shared freely across facilities,
-    runtimes, and threads; retention is bounded (oldest-first eviction
+    by content, so a store can be shared freely across facilities and
+    runtimes; retention is bounded (oldest-first eviction
     past ``max_grids`` / ``max_shards`` / ``max_cellstrings``), which
     keeps a service-style runtime's memory flat across an unbounded
     query stream.
 
-    The public methods run under one reentrant lock (``sharded_grid``
-    builds grids that intern their slices back through the same store),
-    so concurrent callers — threads sharing one runtime, dressing stop
-    sets at once — get the single-builder guarantee: the first request
-    for a given content builds, everyone else shares the built object.
-    Grid/shard construction is pure CPU on immutable inputs, so holding
-    the lock across a build trades a little concurrency for an
-    invariant the tests can state exactly (one build per content).
+    One thread owns a store, as one thread owns the runtime that holds
+    it (DESIGN.md §6): nothing here takes a lock.  The first request for
+    a given content builds, and every later one shares the built object.
     """
 
     def __init__(
@@ -327,23 +322,22 @@ class ShardStore:
         self._grids: Dict[Tuple, "ShardedStopGrid"] = {}
         self._shards: Dict[Tuple, StopShard] = {}
         self._cellstrings: Dict[Tuple, CellstringIndex] = {}
-        self.grid_hits = 0  # guarded-by: _lock
-        self.grid_misses = 0  # guarded-by: _lock
-        self.grid_evictions = 0  # guarded-by: _lock
-        self.shard_hits = 0  # guarded-by: _lock
-        self.shard_misses = 0  # guarded-by: _lock
-        self.shard_evictions = 0  # guarded-by: _lock
-        self.cellstring_hits = 0  # guarded-by: _lock
-        self.cellstring_misses = 0  # guarded-by: _lock
-        self.cellstring_evictions = 0  # guarded-by: _lock
-        self.opened = 0  # guarded-by: _lock
-        self.verified = 0  # guarded-by: _lock
+        self.grid_hits = 0
+        self.grid_misses = 0
+        self.grid_evictions = 0
+        self.shard_hits = 0
+        self.shard_misses = 0
+        self.shard_evictions = 0
+        self.cellstring_hits = 0
+        self.cellstring_misses = 0
+        self.cellstring_evictions = 0
+        self.opened = 0
+        self.verified = 0
         #: Paths of persisted store files served over memmap views (the
         #: zero-copy evidence the serving layer's ``worker_mmap_paths``
         #: introspection reports): every entry is an index this store
         #: *opened* instead of building.
-        self.opened_paths: Set[str] = set()  # guarded-by: _lock
-        self._lock = threading.RLock()
+        self.opened_paths: Set[str] = set()
 
     @staticmethod
     def _evict_oldest(table: Dict, cap: int) -> int:
@@ -353,7 +347,7 @@ class ShardStore:
             evicted += 1
         return evicted
 
-    def _open_spilled(self, filename: str):  # requires-lock: _lock
+    def _open_spilled(self, filename: str):
         """The index persisted under ``filename`` in the spill
         directory, opened over memmap views — or ``None`` (no spill dir,
         no such file, no registered opener, or a corrupt file, which is
@@ -387,35 +381,34 @@ class ShardStore:
         stop coordinates are content-identical."""
         arr = _validated_stop_coords(coords, psi)
         key = _grid_key(arr, psi, n_shards, cell_size)
-        with self._lock:
-            hit = self._grids.get(key)
-            if hit is not None and np.array_equal(hit.coords, arr):
-                self.grid_hits += 1
-                return hit
-            self.grid_misses += 1
-            grid = None
-            spilled = self._open_spilled(
-                f"grid-{_spill_token(key)}.idx"
+        hit = self._grids.get(key)
+        if hit is not None and np.array_equal(hit.coords, arr):
+            self.grid_hits += 1
+            return hit
+        self.grid_misses += 1
+        grid = None
+        spilled = self._open_spilled(
+            f"grid-{_spill_token(key)}.idx"
+        )
+        if (
+            isinstance(spilled, ShardedStopGrid)
+            and spilled.psi == float(psi)
+            and np.array_equal(spilled.coords, arr)
+        ):
+            # bitwise re-verified against the request, like every
+            # in-memory hit: a token collision is a miss, never a
+            # wrong answer
+            self.verified += 1
+            grid = spilled
+        if grid is None:
+            grid = ShardedStopGrid(
+                arr, psi, n_shards, cell_size=cell_size, store=self
             )
-            if (
-                isinstance(spilled, ShardedStopGrid)
-                and spilled.psi == float(psi)
-                and np.array_equal(spilled.coords, arr)
-            ):
-                # bitwise re-verified against the request, like every
-                # in-memory hit: a token collision is a miss, never a
-                # wrong answer
-                self.verified += 1
-                grid = spilled
-            if grid is None:
-                grid = ShardedStopGrid(
-                    arr, psi, n_shards, cell_size=cell_size, store=self
-                )
-            self._grids[key] = grid
-            self.grid_evictions += self._evict_oldest(
-                self._grids, self.max_grids
-            )
-            return grid
+        self._grids[key] = grid
+        self.grid_evictions += self._evict_oldest(
+            self._grids, self.max_grids
+        )
+        return grid
 
     def intern_shard(self, keys: np.ndarray, coords: np.ndarray) -> StopShard:
         """The shard for this exact (keys, coords) slice, built once.
@@ -425,22 +418,21 @@ class ShardStore:
         coordinates, so any grid requesting identical content can share
         the object (this is how overlapping stop sets share shards)."""
         key = (keys.size, _content_digest(keys), _content_digest(coords))
-        with self._lock:
-            hit = self._shards.get(key)
-            if (
-                hit is not None
-                and np.array_equal(hit.keys, keys)
-                and np.array_equal(hit.coords, coords)
-            ):
-                self.shard_hits += 1
-                return hit
-            self.shard_misses += 1
-            shard = StopShard(keys, coords)
-            self._shards[key] = shard
-            self.shard_evictions += self._evict_oldest(
-                self._shards, self.max_shards
-            )
-            return shard
+        hit = self._shards.get(key)
+        if (
+            hit is not None
+            and np.array_equal(hit.keys, keys)
+            and np.array_equal(hit.coords, coords)
+        ):
+            self.shard_hits += 1
+            return hit
+        self.shard_misses += 1
+        shard = StopShard(keys, coords)
+        self._shards[key] = shard
+        self.shard_evictions += self._evict_oldest(
+            self._shards, self.max_shards
+        )
+        return shard
 
     def cellstring_index(
         self, coords: np.ndarray, psi: float
@@ -456,59 +448,55 @@ class ShardStore:
         """
         arr = _validated_stop_coords(coords, psi)
         key = _cellstring_key(arr, psi)
-        with self._lock:
-            hit = self._cellstrings.get(key)
-            if hit is not None and np.array_equal(hit.coords, arr):
-                self.cellstring_hits += 1
-                return hit
-            self.cellstring_misses += 1
-            index = None
-            spilled = self._open_spilled(
-                f"cellstring-{_spill_token(key)}.idx"
-            )
-            if (
-                isinstance(spilled, CellstringIndex)
-                and spilled.psi == float(psi)
-                and np.array_equal(spilled.coords, arr)
-            ):
-                self.verified += 1
-                index = spilled
-            if index is None:
-                index = build_cellstring_index(arr, psi)
-            self._cellstrings[key] = index
-            self.cellstring_evictions += self._evict_oldest(
-                self._cellstrings, self.max_cellstrings
-            )
-            return index
+        hit = self._cellstrings.get(key)
+        if hit is not None and np.array_equal(hit.coords, arr):
+            self.cellstring_hits += 1
+            return hit
+        self.cellstring_misses += 1
+        index = None
+        spilled = self._open_spilled(
+            f"cellstring-{_spill_token(key)}.idx"
+        )
+        if (
+            isinstance(spilled, CellstringIndex)
+            and spilled.psi == float(psi)
+            and np.array_equal(spilled.coords, arr)
+        ):
+            self.verified += 1
+            index = spilled
+        if index is None:
+            index = build_cellstring_index(arr, psi)
+        self._cellstrings[key] = index
+        self.cellstring_evictions += self._evict_oldest(
+            self._cellstrings, self.max_cellstrings
+        )
+        return index
 
     # ------------------------------------------------------------------
     def snapshot_stats(self) -> StoreStats:
         """A frozen :class:`~repro.core.stats.StoreStats` of the counters
-        at this instant (consistent: taken under the store lock)."""
-        with self._lock:
-            return StoreStats(
-                grid_hits=self.grid_hits,
-                grid_misses=self.grid_misses,
-                grid_evictions=self.grid_evictions,
-                shard_hits=self.shard_hits,
-                shard_misses=self.shard_misses,
-                shard_evictions=self.shard_evictions,
-                cellstring_hits=self.cellstring_hits,
-                cellstring_misses=self.cellstring_misses,
-                cellstring_evictions=self.cellstring_evictions,
-                opened=self.opened,
-                verified=self.verified,
-            )
+        at this instant."""
+        return StoreStats(
+            grid_hits=self.grid_hits,
+            grid_misses=self.grid_misses,
+            grid_evictions=self.grid_evictions,
+            shard_hits=self.shard_hits,
+            shard_misses=self.shard_misses,
+            shard_evictions=self.shard_evictions,
+            cellstring_hits=self.cellstring_hits,
+            cellstring_misses=self.cellstring_misses,
+            cellstring_evictions=self.cellstring_evictions,
+            opened=self.opened,
+            verified=self.verified,
+        )
 
     def clear(self) -> None:
-        with self._lock:
-            self._grids.clear()
-            self._shards.clear()
-            self._cellstrings.clear()
+        self._grids.clear()
+        self._shards.clear()
+        self._cellstrings.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._grids) + len(self._shards) + len(self._cellstrings)
+        return len(self._grids) + len(self._shards) + len(self._cellstrings)
 
 
 class ShardedStopGrid:
@@ -668,9 +656,11 @@ class ShardedStopGrid:
         n = pts.shape[0]
         if self.is_empty:
             return np.zeros(n, dtype=bool)
-        if psi >= self.cell_size:
+        if psi >= self.cell_size or math.isinf(float(psi) * float(psi)):
             # Grid too fine for this radius (cells must exceed psi
-            # strictly): run the exact dense kernel instead.
+            # strictly), or a radius whose square overflows, where
+            # psi_hit covers points outside every 3x3 neighbourhood:
+            # run the exact dense kernel instead.
             return coverage_kernel(pts, self.coords, psi, stats)
         ij = self._cell_indices(pts)
         cx = ij[:, 0]

@@ -1,8 +1,8 @@
 """Architecture and concurrency invariant checker for this repository.
 
 Run it with ``python -m repro.lint``.  The rules (layer DAG, asyncio
-blocking calls, guarded-by discipline, wire-codec completeness,
-resource lifecycle) are documented in DESIGN.md §11; the repository's
+blocking calls, wire-codec completeness, resource lifecycle) are
+documented in DESIGN.md §11; the repository's
 declared architecture lives in :mod:`repro.lint.defaults`.
 
 This package deliberately imports nothing from the rest of ``repro``

@@ -172,23 +172,6 @@ class LintConfig:
     blocking: BlockingConfig = BlockingConfig()
     codecs: Tuple[CodecPairing, ...] = ()
     lifecycle: LifecycleConfig = LifecycleConfig()
-    #: attribute-mutating method names rule L3 treats as writes
-    mutator_methods: Tuple[str, ...] = (
-        "merge",
-        "append",
-        "extend",
-        "add",
-        "update",
-        "clear",
-        "pop",
-        "popitem",
-        "remove",
-        "discard",
-        "setdefault",
-        "insert",
-        "sort",
-        "reverse",
-    )
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The five invariant rules, run over one shared :class:`SourceIndex`.
+"""The four invariant rules, run over one shared :class:`SourceIndex`.
 
 ============ ==========================================================
 rule         invariant
@@ -10,10 +10,6 @@ rule         invariant
              ``time.sleep``/raw socket ops/sync file opens, no
              blocking ``acquire()`` on a thread lock, and no thread
              lock held across an ``await``
-``L3``       attributes annotated ``# guarded-by: <lock>`` are only
-             written under ``with <lock>`` (or inside a function
-             annotated ``# requires-lock: <lock>``); ``__init__`` is
-             construction and exempt
 ``L4``       every field of each paired dataclass appears in its wire
              codec (field table or codec-function string constants),
              both directions — adding a counter without a codec, or
@@ -31,17 +27,12 @@ Each rule is a function ``(index, config) -> list[Finding]``; the
 from __future__ import annotations
 
 import ast
-import re
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .model import CodecPairing, Finding, LintConfig, LintConfigError
 from .sourcemodel import ClassInfo, ModuleInfo, SourceIndex, dotted_name
 
 __all__ = ["RULES", "run_rules"]
-
-_GUARDED_BY = re.compile(r"guarded-by:\s*([A-Za-z_][A-Za-z0-9_]*)")
-_REQUIRES_LOCK = re.compile(r"requires-lock:\s*([A-Za-z_][A-Za-z0-9_]*)")
-
 
 # ----------------------------------------------------------------------
 # shared walking helpers
@@ -85,17 +76,6 @@ def _self_attr(node: ast.AST) -> Optional[str]:
         and node.value.id == "self"
     ):
         return node.attr
-    return None
-
-
-def _rooted_self_attr(node: ast.AST) -> Optional[str]:
-    """``X`` when ``node`` is ``self.X`` or any attribute/subscript
-    chain hanging off it (``self.X.y``, ``self.X[k].z``)."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        attr = _self_attr(node)
-        if attr is not None:
-            return attr
-        node = node.value
     return None
 
 
@@ -274,137 +254,6 @@ def _check_lock_hold(mod, with_node, lock_attrs, module_locks) -> List[Finding]:
                 )
             ]
     return []
-
-
-# ----------------------------------------------------------------------
-# L3 — guarded-by discipline
-# ----------------------------------------------------------------------
-def rule_guards(index: SourceIndex, config: LintConfig) -> List[Finding]:
-    findings: List[Finding] = []
-    for mod in index.modules:
-        module_locks = _module_locks(mod)
-        for cls in mod.classes:
-            guarded = _guarded_attrs(mod, cls)
-            if not guarded:
-                continue
-            lock_attrs = cls.lock_attrs(mod)
-            for fn, owner in _functions_with_class(mod):
-                if owner is not cls or fn.name == "__init__":
-                    continue
-                requires = set(_REQUIRES_LOCK.findall(mod.comment(fn.lineno)))
-                findings.extend(
-                    _scan_guarded_writes(
-                        mod,
-                        fn.body,
-                        guarded,
-                        requires,
-                        lock_attrs,
-                        module_locks,
-                        config.mutator_methods,
-                    )
-                )
-    return findings
-
-
-def _guarded_attrs(mod: ModuleInfo, cls: ClassInfo) -> Dict[str, str]:
-    """``self.X`` attributes of ``cls`` annotated ``# guarded-by: <lock>``."""
-    guarded: Dict[str, str] = {}
-    for node in ast.walk(cls.node):
-        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-            continue
-        match = _GUARDED_BY.search(mod.comment(node.lineno))
-        if not match:
-            continue
-        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-        for t in targets:
-            attr = _self_attr(t)
-            if attr is not None:
-                guarded[attr] = match.group(1)
-    return guarded
-
-
-def _scan_guarded_writes(
-    mod: ModuleInfo,
-    body: Sequence[ast.AST],
-    guarded: Dict[str, str],
-    held: Set[str],
-    lock_attrs: Set[str],
-    module_locks: Set[str],
-    mutators: Tuple[str, ...],
-) -> List[Finding]:
-    findings: List[Finding] = []
-
-    def check_write(node: ast.AST, attr: Optional[str], what: str) -> None:
-        if attr is None or attr not in guarded:
-            return
-        lock = guarded[attr]
-        if lock not in held:
-            findings.append(
-                Finding(
-                    "L3",
-                    mod.rel,
-                    node.lineno,
-                    f"{what} of guarded attribute self.{attr} outside "
-                    f"`with {lock}`",
-                    f"wrap the mutation in `with {lock}:`, or annotate the "
-                    f"enclosing function `# requires-lock: {lock}` if every "
-                    "caller holds it",
-                )
-            )
-
-    for node in body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, ast.With):
-            newly = {
-                lock
-                for item in node.items
-                if (
-                    lock := _lock_name(
-                        item.context_expr, lock_attrs, module_locks
-                    )
-                )
-            }
-            findings.extend(
-                _scan_guarded_writes(
-                    mod,
-                    node.body,
-                    guarded,
-                    held | newly,
-                    lock_attrs,
-                    module_locks,
-                    mutators,
-                )
-            )
-            continue
-        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = (
-                node.targets
-                if isinstance(node, ast.Assign)
-                else [node.target]
-            )
-            for t in targets:
-                check_write(node, _rooted_self_attr(t), "write")
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in mutators:
-                check_write(
-                    node,
-                    _rooted_self_attr(func.value),
-                    f"mutating call .{func.attr}()",
-                )
-        findings.extend(
-            _scan_guarded_writes(
-                mod,
-                list(ast.iter_child_nodes(node)),
-                guarded,
-                held,
-                lock_attrs,
-                module_locks,
-                mutators,
-            )
-        )
-    return findings
 
 
 # ----------------------------------------------------------------------
@@ -768,7 +617,6 @@ def _check_class_owned(mod, call, kind, attr, parents, lf) -> List[Finding]:
 RULES = {
     "L1": rule_layers,
     "L2": rule_blocking,
-    "L3": rule_guards,
     "L4": rule_codecs,
     "L5": rule_lifecycle,
 }

@@ -7,11 +7,9 @@ precomputes the facts more than one rule needs —
 * resolved internal imports, including function-local (deferred) ones,
   because a deferred import still declares a layer edge;
 * per-class maps of attributes assigned from :mod:`threading` lock
-  constructors (what L2/L3 mean by "a lock");
+  constructors (what L2 means by "a lock");
 * dataclass field orders (what L4 holds codec tables against);
-* module-level literal string tuples (the codec field tables themselves);
-* line comments, so the ``# guarded-by:`` / ``# requires-lock:``
-  annotation conventions can live next to the code they describe.
+* module-level literal string tuples (the codec field tables themselves).
 
 Everything here is stdlib-only and side-effect free: the tree is read,
 never imported, so linting a broken or cyclic module set still works.
@@ -35,7 +33,7 @@ __all__ = [
 ]
 
 #: threading constructors whose result we treat as "a thread lock" for
-#: the purposes of L2 (loop blocking) and L3 (guarded-by discipline).
+#: the purposes of L2 (loop blocking).
 _THREADING_LOCK_CTORS = frozenset(
     {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
 )
@@ -117,13 +115,7 @@ class ModuleInfo:
         self.path = path
         self.rel = rel  #: display path, relative to the scan root's parent
         self.is_package = is_package
-        self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=str(path))
-        #: lineno -> comment text (after the ``#``), for annotation rules
-        self.comments: Dict[int, str] = {}
-        for lineno, line in enumerate(self.lines, start=1):
-            if "#" in line:
-                self.comments[lineno] = line.split("#", 1)[1].strip()
         self.imports: List[ImportRecord] = []
         self.classes: List[ClassInfo] = []
         self.dataclasses: Dict[str, DataclassInfo] = {}
@@ -135,9 +127,6 @@ class ModuleInfo:
         self._collect()
 
     # ------------------------------------------------------------------
-    def comment(self, lineno: int) -> str:
-        return self.comments.get(lineno, "")
-
     def is_threading_lock_ctor(self, ctor: str) -> bool:
         """Does dotted constructor name ``ctor`` denote a threading lock
         in this module's namespace (``threading.Lock`` directly, or a

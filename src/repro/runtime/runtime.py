@@ -34,7 +34,6 @@ bit-identical to the plain dense path, which is what
 from __future__ import annotations
 
 import dataclasses
-import threading
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,12 +50,6 @@ from ..store.codecs import opened_mmap_paths
 
 __all__ = ["QueryRuntime", "coerce_runtime"]
 
-#: One process-wide lock for stats accrual and reset.  Accruals are
-#: per-query and merge a handful of integers, so one lock for every
-#: runtime costs nothing measurable.
-_STATS_LOCK = threading.Lock()
-
-
 class QueryRuntime:
     """Execution context for the query layer (see module docstring).
 
@@ -69,6 +62,9 @@ class QueryRuntime:
 
     A runtime owns its :attr:`cache` and its :attr:`stats`: a walk
     record's stop set is dressed by the runtime whose cache holds it.
+    One thread owns a runtime — its cache, shard store and stats — the
+    way one thread owns a ``sqlite3`` connection (DESIGN.md §6): nothing
+    in it takes a lock, and a second thread wants its own runtime.
     ``with QueryRuntime() as rt:`` scopes a runtime; it holds nothing
     that needs releasing, so leaving the block does nothing.
     """
@@ -78,7 +74,7 @@ class QueryRuntime:
             config = RuntimeConfig()
         self.config = config
         self.cache = CoverageCache()
-        self.stats = QueryStats()  # guarded-by: _STATS_LOCK
+        self.stats = QueryStats()
         self.shard_store = ShardStore(spill_dir=config.store_dir)
 
     def __enter__(self) -> "QueryRuntime":
@@ -206,35 +202,20 @@ class QueryRuntime:
     # stats accrual
     # ------------------------------------------------------------------
     def accrue(self, delta: QueryStats) -> None:
-        """Merge one query's work counters into the runtime total.
-
-        Serialized against concurrent accruals and :meth:`reset_stats`:
-        accruals come from whichever thread a query core ran on (a
-        runtime may be shared by callers on several threads), and an
-        unguarded read-modify-write
-        merge would lose counts, while a reset swapping the totals
-        object mid-merge would tear them.
-        """
-        with _STATS_LOCK:
-            self.stats.merge(delta)
+        """Merge one query's work counters into the runtime total."""
+        self.stats.merge(delta)
 
     def reset_stats(self) -> QueryStats:
         """Return the accrued totals and start a fresh accumulation."""
-        with _STATS_LOCK:
-            out = self.stats
-            self.stats = QueryStats()
+        out, self.stats = self.stats, QueryStats()
         return out
 
     def snapshot_stats(self) -> QueryStats:
-        """A consistent copy of the accrued totals.
-
-        Taken under the stats lock, so no concurrently accruing core
-        can tear the counters mid-merge — what the serving layer's
-        ``GET /stats`` reports while requests are in flight.  Mutating
-        the copy never perturbs the runtime's totals.
+        """A copy of the accrued totals — what the serving layer's
+        ``GET /stats`` reports.  Mutating the copy never perturbs the
+        runtime's totals.
         """
-        with _STATS_LOCK:
-            return dataclasses.replace(self.stats)
+        return dataclasses.replace(self.stats)
 
     def snapshot_store_stats(self):
         """A frozen :class:`~repro.core.stats.StoreStats` of the shard

@@ -219,9 +219,8 @@ class HttpQueryServer:
 
     def set_peers(self, peers: Sequence[WorkerPeer]) -> None:
         """Install the worker table (every worker in the pool, self
-        included).  Called from the supervisor's control-pipe reader
-        thread; a tuple assignment is atomic, so request handlers on
-        the event loop always see a consistent table."""
+        included).  Runs on the server's loop: a worker's control-pipe
+        reader thread hands it over with ``loop.call_soon_threadsafe``."""
         self._peers = tuple(sorted(peers, key=lambda p: p.index))
 
     async def drain(self) -> None:
@@ -702,10 +701,10 @@ async def serving(
 class BackgroundServer:
     """A running server on its own thread + event loop.
 
-    Created by :func:`background_server`; exposes the bound address and
-    a thread-safe :meth:`drain` so a synchronous caller (a test, the
-    benchmark harness) can drive a real socket without owning an event
-    loop.
+    Created by :func:`background_server`; exposes the bound address,
+    :meth:`drain` and :meth:`service_stats`, each run on the server's
+    loop, so a synchronous caller (a test, the benchmark harness) can
+    drive a real socket without owning an event loop.
     """
 
     def __init__(self) -> None:
@@ -732,8 +731,13 @@ class BackgroundServer:
         future.result(timeout)
 
     def service_stats(self):
-        """Snapshot of the served :class:`QueryService`'s counters."""
-        return self.server.service.stats
+        """A copy of the served :class:`QueryService`'s counters, taken
+        on the server's loop (the thread that owns the service)."""
+
+        async def snapshot():
+            return self.server.service.stats
+
+        return asyncio.run_coroutine_threadsafe(snapshot(), self._loop).result(60)
 
 
 @contextlib.contextmanager

@@ -192,8 +192,9 @@ def _worker_serve(
                     while True:
                         msg = conn.recv()
                         if msg[0] == "peers":
-                            server.set_peers(
-                                [WorkerPeer(*entry) for entry in msg[1]]
+                            loop.call_soon_threadsafe(
+                                server.set_peers,
+                                [WorkerPeer(*entry) for entry in msg[1]],
                             )
                         elif msg[0] == "drain":
                             loop.call_soon_threadsafe(stop.set)

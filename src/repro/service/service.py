@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -125,7 +124,10 @@ class QueryService:
     or drive many requests at once with :meth:`run`.  The service is
     bound to whichever event loop first submits through it and may be
     reused across loops (e.g. successive ``asyncio.run`` calls) only
-    while idle.
+    while idle.  One thread owns a service, as it owns the runtime the
+    service runs on (DESIGN.md §6): another thread reaches it through
+    its loop (``loop.call_soon_threadsafe``,
+    ``asyncio.run_coroutine_threadsafe``), never directly.
     """
 
     def __init__(
@@ -136,14 +138,9 @@ class QueryService:
         self.runtime = runtime if runtime is not None else QueryRuntime()
         self.config = config if config is not None else ServiceConfig()
         self.planner = QueryPlanner()
-        # the live counters stay private: the event loop mutates them
-        # while other threads (a test, an embedding caller of a
-        # background server) may read them, so handing the mutable
-        # instance out would let callers read torn counters mid-update
-        # — or corrupt the service's accounting by assignment.  The
-        # public :attr:`stats` property snapshots under this lock.
-        self._stats = ServiceStats()  # guarded-by: _stats_lock
-        self._stats_lock = threading.Lock()
+        # the live counters stay private: :attr:`stats` hands out
+        # copies, so no caller can change the service's accounting
+        self._stats = ServiceStats()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: the open group, if any (its run is already scheduled)
         self._group: Optional[_Group] = None
@@ -197,9 +194,8 @@ class QueryService:
         loop = self._bind_loop()
         plan = self.planner.plan(request)  # validates the request type
         self._pending += 1
-        with self._stats_lock:
-            self._stats.requests_submitted += 1
-            self._stats.probe_units_planned += len(plan.units)
+        self._stats.requests_submitted += 1
+        self._stats.probe_units_planned += len(plan.units)
         try:
             if self.config.batch_window > 0.0:
                 result = await self._join(loop, plan)
@@ -209,20 +205,17 @@ class QueryService:
             # CancelledError is a BaseException: without this branch a
             # cancelled request would count in requests_submitted but in
             # no outcome counter
-            with self._stats_lock:
-                self._stats.requests_cancelled += 1
+            self._stats.requests_cancelled += 1
             raise
         except BaseException:
             # BaseException, not Exception: a core raising SystemExit/
             # KeyboardInterrupt must still land in an outcome counter or
             # the ServiceStats sum invariant breaks
-            with self._stats_lock:
-                self._stats.requests_failed += 1
+            self._stats.requests_failed += 1
             raise
         finally:
             self._pending -= 1
-        with self._stats_lock:
-            self._stats.requests_completed += 1
+        self._stats.requests_completed += 1
         return result
 
     def _execute(self, plan: QueryPlan) -> QueryResult:
@@ -269,9 +262,8 @@ class QueryService:
                 continue
             outcome.set_result(result)
             batched += len(plan.units)
-        with self._stats_lock:
-            self._stats.batch_groups_run += 1
-            self._stats.probe_units_batched += batched
+        self._stats.batch_groups_run += 1
+        self._stats.probe_units_batched += batched
 
     async def run(self, requests: Sequence[QueryRequest]) -> List[QueryResult]:
         """Submit ``requests`` concurrently; results in request order.
@@ -295,15 +287,11 @@ class QueryService:
     # ------------------------------------------------------------------
     @property
     def stats(self) -> ServiceStats:
-        """A consistent snapshot of the serving-layer counters.
-
-        Taken under the service's stats lock (the event loop mutates the
-        live counters while other threads may read), so the outcome-sum
-        invariant holds in any snapshot taken after the workload
-        drains; mutating it never perturbs the service's accounting.
+        """A copy of the serving-layer counters.  The outcome-sum
+        invariant holds in any copy taken after the workload drains;
+        mutating it never perturbs the service's accounting.
         """
-        with self._stats_lock:
-            return dataclasses.replace(self._stats)
+        return dataclasses.replace(self._stats)
 
     @property
     def in_flight(self) -> int:

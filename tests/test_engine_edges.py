@@ -31,6 +31,8 @@ from repro import (
     StopSet,
     Trajectory,
     brute_force_service,
+    build_demo_catalog,
+    evaluate_service,
 )
 
 
@@ -277,6 +279,33 @@ class TestDegenerateGeometryHardening:
             _assert_grid_matches_dense(
                 [[2.5, -7.25]], [[2.5, -7.25], [2.5, -7.0], [100.0, 100.0]], psi
             )
+
+    @pytest.mark.parametrize("psi", [1.4e154, 1e155, 1e200, 1e250])
+    def test_overflowing_square_is_decided_densely(self, psi):
+        """Once ``psi * psi`` overflows, ``psi_hit`` covers a point at
+        any finite offset, far outside every 3x3 neighbourhood of cells
+        the grid gathers from; the grid must answer as the dense kernel,
+        direct and through a GRID runtime."""
+        stops = np.array([[0.0, 0.0], [10.0, 10.0]])
+        probe = np.array([[1e300, 0.0], [5.0, 5.0]])
+        mask = _assert_grid_matches_dense(stops, probe, psi)
+        assert mask.tolist() == [True, True]
+        runtime = QueryRuntime(RuntimeConfig(backend=ProximityBackend.GRID))
+        assert runtime.probe_mask(StopSet(stops), probe, psi).tolist() == [True, True]
+
+    @pytest.mark.parametrize("backend", [ProximityBackend.DENSE, ProximityBackend.GRID])
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_largest_finite_radius_evaluates_without_warnings(self, kind, backend):
+        """At the float maximum a grid cell is infinite and ``psi * psi``
+        overflows; neither may warn, as a Python float or an
+        ``np.float64``, and every user is served."""
+        catalog = build_demo_catalog()
+        spec = ServiceSpec(ServiceModel.ENDPOINT, psi=kind(np.finfo(np.float64).max))
+        runtime = QueryRuntime(RuntimeConfig(backend=backend))
+        value = evaluate_service(
+            catalog.tree("demo"), catalog.facility("demo", 0), spec, runtime=runtime
+        )
+        assert value == 2000.0
 
 
 def _broadcast_cover(points, stops, psi):

@@ -395,6 +395,73 @@ class TestTreePathOracle:
         assert list(cache._records) == ["old"] and cache._rows == 20
         assert cache.read_column(old, "c")[0].all() and len(cache) == 10
 
+    def test_walks_that_missed_together_share_one_record(self):
+        """Two walks of one facility that both missed store one record:
+        the later store keeps the held record of equal stops, columns
+        and all, where replacing it would drop what the first walk
+        filled; a record of other stops is replaced."""
+        cache, coords = CoverageCache(), np.zeros((4, 2))
+        division = (np.zeros(4, dtype=bool),) * 3
+        stops = StopSet(coords)
+        first = cache.store_record("walk", coords, division, stops)
+        cache.store_column(first, "c", np.arange(4), np.ones(4), np.ones(4, dtype=np.int64), 0)
+        assert cache.store_record("walk", coords.copy(), division, stops) is first
+        assert cache.lookup_record("walk", coords) is first and cache._rows == 8
+        other = cache.store_record("walk", coords + 1.0, division, stops)
+        assert other is not first and cache.lookup_record("walk", coords) is None
+        assert cache._rows == 4 and len(cache) == 0
+
+    @staticmethod
+    def _fill_records(cache, rounds, walks):
+        """Read and fill the value columns of ``walks`` four-node walk
+        records, two nodes a round, installing each record's level
+        script once its column knows every node, through the calls the
+        query path makes; returns how many node reads were made."""
+        coords = np.zeros((4, 2))
+        division = (np.zeros(4, dtype=bool),) * 3
+        stops = StopSet(coords)
+        for r in range(rounds):
+            for w in range(walks):
+                key = ("walk", w)
+                record = cache.lookup_record(key, coords)
+                if record is None:
+                    record = cache.store_record(key, coords, division, stops)
+                # every walk sees the one dressing and gets its own
+                # unprobed copy of it
+                assert record.stops is stops and record.stops.unprobed() is not stops
+                script, held = cache.read_script(record, "c"), cache.read_column(record, "c")
+                if script is not None:
+                    assert script == ("script", key)
+                elif held is not None and held[0].all():
+                    cache.store_script(record, "c", ("script", key), 1)
+                nodes = np.array([(r + w) % 4, (r + w + 1) % 4])
+                known = np.zeros(2, dtype=bool) if held is None else held[0][nodes]
+                if held is not None:
+                    # a known node always has its value and its count
+                    assert np.array_equal(held[1][nodes[known]], 1.0 + nodes[known])
+                    assert np.array_equal(held[2][nodes[known]], 10 + nodes[known])
+                fresh = nodes[~known]
+                cache.store_column(record, "c", fresh, 1.0 + fresh, 10 + fresh, int(known.sum()))
+        return rounds * walks * 2
+
+    def test_record_counters_account_for_every_node_read(self):
+        cache = CoverageCache()
+        reads = self._fill_records(cache, rounds=50, walks=4)
+        # every node of a read either hit or was stored (the miss)
+        assert cache.hits + cache.misses == reads
+        assert len(cache) == 16  # one value per node
+
+    def test_record_eviction_keeps_the_row_bound(self, monkeypatch):
+        from repro.engine import cache as cache_module
+
+        monkeypatch.setattr(cache_module, "MAX_ROWS", 10)
+        cache = CoverageCache()
+        reads = self._fill_records(cache, rounds=50, walks=6)
+        assert cache.hits + cache.misses == reads
+        assert cache.misses > 24  # records were evicted and filled again
+        # the held count is the records' sizes, never above the cap
+        assert cache._rows == sum(r.rows for r in cache._records.values()) <= 10
+
 
 @pytest.mark.engine_smoke
 def test_engine_smoke(taxi_users, facilities, endpoint_spec):

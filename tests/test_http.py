@@ -152,6 +152,21 @@ class TestHttpDifferential:
             merged = merged.merge(r.stats)
         assert runtime_stats == merged
 
+    def test_service_stats_is_the_stats_route_copy(self, catalog):
+        """``BackgroundServer.service_stats()`` takes its copy on the
+        server's loop: after a run it equals ``GET /stats``'s service
+        block, and mutating one copy leaves the next unchanged."""
+        payloads = _payloads()
+        with background_server(catalog, runtime_config=RUNTIME_CONFIG) as h:
+            with ServeClient(h.host, h.port) as client:
+                for p in payloads:
+                    client.query(p)
+                served = wire.decode_service_stats(client.request("GET", "/stats").body["service"])
+            stats = h.service_stats()
+            assert stats == served and stats.requests_completed == len(payloads)
+            stats.requests_completed = -1
+            assert h.service_stats() == served
+
     def test_submit_many_pipelines_and_batches(self, catalog, facilities):
         """A submit_many wave over one keep-alive connection answers
         identically to the same payloads sent one at a time — and with

@@ -290,116 +290,6 @@ class TestBlockingRule:
 
 
 # ----------------------------------------------------------------------
-# L3 — guarded-by discipline
-# ----------------------------------------------------------------------
-class TestGuardRule:
-    def test_unguarded_write_fires(self, tmp_path):
-        root = write_pkg(
-            tmp_path,
-            {
-                "high.py": """\
-                    import threading
-
-                    class Counter:
-                        def __init__(self):
-                            self.hits = 0  # guarded-by: _lock
-                            self._lock = threading.Lock()
-
-                        def bump(self):
-                            self.hits += 1
-                    """,
-                "low.py": "",
-            },
-        )
-        findings = lint_pkg(
-            root, LintConfig(layer=TWO_LAYERS), select=["L3"]
-        )
-        assert [(f.rule, f.line) for f in findings] == [("L3", 9)]
-        assert "self.hits" in findings[0].message
-        assert "with _lock" in findings[0].message
-
-    def test_mutating_method_call_fires(self, tmp_path):
-        root = write_pkg(
-            tmp_path,
-            {
-                "high.py": """\
-                    import threading
-
-                    class Stats:
-                        def __init__(self):
-                            self.stats = {}  # guarded-by: _lock
-                            self._lock = threading.Lock()
-
-                        def accrue(self, delta):
-                            self.stats.update(delta)
-                    """,
-                "low.py": "",
-            },
-        )
-        findings = lint_pkg(
-            root, LintConfig(layer=TWO_LAYERS), select=["L3"]
-        )
-        assert [(f.rule, f.line) for f in findings] == [("L3", 9)]
-        assert ".update()" in findings[0].message
-
-    def test_locked_write_and_requires_lock_are_clean(self, tmp_path):
-        root = write_pkg(
-            tmp_path,
-            {
-                "high.py": """\
-                    import threading
-
-                    class Counter:
-                        def __init__(self):
-                            self.hits = 0  # guarded-by: _lock
-                            self._lock = threading.Lock()
-
-                        def bump(self):
-                            with self._lock:
-                                self.hits += 1
-
-                        def _bump_locked(self):  # requires-lock: _lock
-                            self.hits += 1
-
-                        def read(self):
-                            with self._lock:
-                                return self.hits
-                    """,
-                "low.py": "",
-            },
-        )
-        assert lint_pkg(root, LintConfig(layer=TWO_LAYERS), select=["L3"]) == []
-
-    def test_module_level_lock_guard(self, tmp_path):
-        root = write_pkg(
-            tmp_path,
-            {
-                "high.py": """\
-                    import threading
-
-                    _STATS_LOCK = threading.Lock()
-
-                    class Runtime:
-                        def __init__(self):
-                            self.stats = 0  # guarded-by: _STATS_LOCK
-
-                        def good(self, d):
-                            with _STATS_LOCK:
-                                self.stats += d
-
-                        def bad(self, d):
-                            self.stats += d
-                    """,
-                "low.py": "",
-            },
-        )
-        findings = lint_pkg(
-            root, LintConfig(layer=TWO_LAYERS), select=["L3"]
-        )
-        assert [(f.rule, f.line) for f in findings] == [("L3", 14)]
-
-
-# ----------------------------------------------------------------------
 # L4 — wire-codec completeness
 # ----------------------------------------------------------------------
 def codec_cfg(**kw) -> LintConfig:
@@ -715,23 +605,5 @@ class TestMutations:
             f.rule == "L1"
             and f.path == "repro/queries/evaluate.py"
             and "engine" in f.message
-            for f in findings
-        )
-
-    def test_unguarded_stat_mutation_fails_lint(self, mutable_tree):
-        service = mutable_tree / "service" / "service.py"
-        source = service.read_text()
-        needle = "        with self._stats_lock:\n            self._stats.requests_completed += 1\n"
-        assert needle in source
-        service.write_text(
-            source.replace(
-                needle, "        self._stats.requests_completed += 1\n", 1
-            )
-        )
-        findings = run_lint(mutable_tree, REPRO_CONFIG, select=["L3"])
-        assert any(
-            f.rule == "L3"
-            and f.path == "repro/service/service.py"
-            and "self._stats" in f.message
             for f in findings
         )

@@ -246,6 +246,15 @@ class TestShardStore:
         assert g1 is g2
         assert store.grid_hits == 1 and store.grid_misses == 1
 
+    def test_interning_counters_account_for_every_call(self):
+        store = ShardStore()
+        keys = np.arange(64, dtype=np.int64)
+        coords = np.random.default_rng(7).uniform(0, 10, (64, 2))
+        for _ in range(100):
+            assert store.intern_shard(keys, coords.copy()).n_stops == 64
+        assert store.shard_hits + store.shard_misses == 100
+        assert store.shard_misses == 1
+
     def test_auto_and_the_count_it_resolves_to_are_one_entry(self):
         """The key carries the *resolved* shard count: ``AUTO`` landing
         on 1 and an explicit 1 are one build and one spill file."""
