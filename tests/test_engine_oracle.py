@@ -30,6 +30,7 @@ from repro import (
     TQTreeConfig,
     brute_force_matches,
     brute_force_service,
+    build_tq_zorder,
     evaluate_service,
     maxkcov_tq,
     top_k_facilities,
@@ -461,6 +462,147 @@ class TestTreePathOracle:
         assert cache.misses > 24  # records were evicted and filled again
         # the held count is the records' sizes, never above the cap
         assert cache._rows == sum(r.rows for r in cache._records.values()) <= 10
+
+    @staticmethod
+    def _match_set(slots):
+        from repro.core.service import MatchSet
+
+        return MatchSet(None, np.arange(slots))
+
+    def test_match_sets_keep_the_first_store(self):
+        """Match sets asked for and stored on four records, two columns
+        each, the way ``core_match_fn`` does: every call is one hit or
+        one miss, each (record, column) keeps the first set stored, and
+        every later read returns that very set."""
+        cache, stops = CoverageCache(), StopSet(np.zeros((1, 2)))
+        division = (np.zeros(4, dtype=bool),) * 3
+        coords = [np.full((1, 2), float(i)) for i in range(4)]
+        for i in range(4):
+            cache.store_record(("walk", i), coords[i], division, stops)
+        columns, rounds, seen = ("endpoint", "count"), 50, {}
+        for r in range(rounds):
+            for i in range(4):
+                key, column = ("walk", i), columns[(r + i) % 2]
+                got = cache.read_matches(key, coords[i].copy(), column)
+                if got is None:
+                    cache.store_matches(key, coords[i], column, self._match_set(i + 1))
+                else:
+                    assert seen.setdefault((i, column), got) is got
+        assert cache.hits + cache.misses == rounds * 4 and cache.misses == 8
+        # a later store for a held column is a miss that keeps the first
+        cache.store_matches(("walk", 0), coords[0], "count", self._match_set(9))
+        assert cache.read_matches(("walk", 0), coords[0], "count") is seen[(0, "count")]
+        held = {
+            (key[1], column): matches
+            for key, record in cache._records.items()
+            for column, matches in record.matches.items()
+        }
+        assert len(held) == 8 and len(cache) == 8 and held == seen
+        for (i, column), matches in held.items():
+            assert matches.slots.size == i + 1
+        # four divisions of four rows, one row per slot of each set
+        assert cache._rows == 16 + 2 * (1 + 2 + 3 + 4)
+
+    def test_match_tables_and_clear_stay_consistent(self):
+        """Match sets stored, counted and cleared in turn: ``clear()``
+        between stores leaves ``len()`` and the row count matching the
+        records held, and a cleared set is a miss stored again."""
+        cache, coords = CoverageCache(), np.zeros((1, 2))
+        division, stops = (np.zeros(5, dtype=bool),) * 3, StopSet(coords)
+        calls = 0
+        for r in range(100):
+            for column in range(4):
+                key = ("walk", r % 3)
+                calls += 1
+                if cache.read_matches(key, coords, column) is None:
+                    if cache.lookup_record(key, coords) is None:
+                        cache.store_record(key, coords, division, stops)
+                    cache.store_matches(key, coords, column, self._match_set(2))
+                assert 0 <= len(cache) <= 3 * 4
+                assert cache._rows == sum(r.rows for r in cache._records.values())
+            if r % 25 == 0:
+                cache.clear()
+                assert len(cache) == 0 and cache._rows == 0
+        assert cache.hits + cache.misses == calls
+        # round 0 stores one record's four sets; after each of the four
+        # clears (rounds 0, 25, 50 and 75) all three records' four sets
+        # are misses stored again
+        assert cache.misses == 4 + 4 * 3 * 4
+        assert len(cache) == sum(len(r.matches) for r in cache._records.values()) == 12
+
+    @pytest.mark.engine_smoke
+    def test_repeated_walks_under_a_row_bound_share_sound_plans(
+        self, monkeypatch, taxi_users, facilities, endpoint_spec
+    ):
+        """Walks of the same facilities under two specs through one
+        runtime, repeated in rotated orders and ranked with kMaxRRST,
+        with a row bound smaller than the working set: every answer,
+        ranking and plan (its stops included) ``==`` a roomy runtime's,
+        every value column read holds the roomy value and count
+        wherever a node is known, every level script read ``==`` the
+        roomy one, and the records held stay within the bound."""
+        from repro.engine import cache as cache_module
+        from repro.queries.evaluate import walk_plan
+
+        tree = build_tq_zorder(taxi_users, beta=16)
+        specs = [endpoint_spec, ServiceSpec(ServiceModel.COUNT, psi=endpoint_spec.psi)]
+        walks = [(f, spec) for f in facilities for spec in specs]
+        with QueryRuntime() as roomy:
+            want = [evaluate_service(tree, f, spec, runtime=roomy) for f, spec in walks]
+            want += [top_k_facilities(tree, facilities, 3, s, runtime=roomy).ranking for s in specs]
+            records = roomy.cache._records
+            columns = {
+                (key, column): held
+                for key, record in records.items()
+                for column, held in record.columns.items()
+            }
+            scripts = {
+                (key, column): script
+                for key, record in records.items()
+                for column, script in record.scripts.items()
+            }
+        assert len(scripts) == len(walks)
+        assert want[: len(walks)] == [evaluate_service(tree, f, spec) for f, spec in walks]
+        plans = [walk_plan(tree, f, spec.psi, None) for f, spec in walks]
+        n = len(tree.frame())
+        monkeypatch.setattr(cache_module, "MAX_ROWS", 10 * n)
+        assert len(facilities) > 5
+        with QueryRuntime() as runtime:
+            cache = runtime.cache
+            for turn in range(4):
+                order = list(range(turn, len(walks))) + list(range(turn))
+                got_values = [None] * (len(walks) + len(specs))
+                for j in order:
+                    f, spec = walks[j]
+                    got_values[j] = evaluate_service(tree, f, spec, runtime=runtime)
+                    got, plan = walk_plan(tree, f, spec.psi, runtime), plans[j]
+                    assert np.array_equal(got.component.stops.coords, plan.component.stops.coords)
+                    assert np.array_equal(got.served, plan.served)
+                    assert np.array_equal(got.visited, plan.visited)
+                    assert np.array_equal(got.envelopes, plan.envelopes, equal_nan=True)
+                    column = (spec.model, spec.normalize)
+                    held = cache.read_column(got.record, column)
+                    if held is not None:
+                        known, value, count = held
+                        roomy_known, roomy_value, roomy_count = columns[(got.record.key, column)]
+                        assert roomy_known[known].all()
+                        assert np.array_equal(value[known], roomy_value[known])
+                        assert np.array_equal(count[known], roomy_count[known])
+                    script = cache.read_script(got.record, column)
+                    if script is not None:
+                        (path, levels), (want_path, want_levels) = (
+                            script, scripts[(got.record.key, column)]
+                        )
+                        assert np.array_equal(path, want_path)
+                        assert len(levels) == len(want_levels)
+                        for level, want_level in zip(levels, want_levels):
+                            assert np.array_equal(level.frontier, want_level.frontier)
+                            assert level[1:] == want_level[1:]
+                for s, spec in enumerate(specs[turn % 2 :] + specs[: turn % 2]):
+                    ranking = top_k_facilities(tree, facilities, 3, spec, runtime=runtime).ranking
+                    got_values[len(walks) + (s + turn) % 2] = ranking
+                assert got_values == want
+                assert cache._rows == sum(r.rows for r in cache._records.values()) <= 10 * n
 
 
 @pytest.mark.engine_smoke

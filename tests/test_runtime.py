@@ -526,6 +526,39 @@ class TestInlineProbes:
             far = rt.probe_mask(stops, np.array([[-1e6, -1e6]]), self.PSI)
             assert not far.any()  # nothing within psi of a far point
 
+    @pytest.mark.parametrize("tier", ("grid-1", "grid-4", "cellstring"))
+    def test_repeated_probes_through_one_runtime_are_bit_identical(self, tier):
+        """One runtime probing three stop sets with three blocks, round
+        after round, hits its store's first builds and stays
+        bit-identical to a fresh runtime per probe, masks and per-probe
+        stats alike."""
+        config = _PROBE_TIERS[tier]
+        rng = np.random.default_rng(8)
+        stop_pools = [rng.uniform(0, 1_000, (3_000, 2)) for _ in range(3)]
+        probes = [rng.uniform(0, 1_000, (600, 2)) for _ in range(3)]
+        pairs = [(s, p) for s in range(3) for p in range(3)]
+
+        def probe(rt, si, pi):
+            stats = QueryStats()
+            mask = rt.probe_mask(StopSet(stop_pools[si].copy()), probes[pi], 20.0, stats)
+            return mask, stats
+
+        expected = {}
+        for si, pi in pairs:
+            with QueryRuntime(config) as fresh:
+                expected[si, pi] = probe(fresh, si, pi)
+        with QueryRuntime(config) as rt:
+            for turn in range(4):
+                for si, pi in pairs[turn:] + pairs[:turn]:
+                    mask, stats = probe(rt, si, pi)
+                    np.testing.assert_array_equal(mask, expected[si, pi][0])
+                    assert stats == expected[si, pi][1]
+            store = rt.snapshot_store_stats()
+            tier_name = config.backend.value
+            # each stop set built once, every later probe of it a hit
+            assert getattr(store, f"{tier_name}_misses") == 3
+            assert getattr(store, f"{tier_name}_hits") == 4 * 9 - 3
+
 
 class TestNoBackendPlumbingInQueries:
     """The layering check, now rule L1 of ``repro.lint``: no module
