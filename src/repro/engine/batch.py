@@ -63,7 +63,7 @@ def _as_stop_set(obj: StopsLike) -> StopSet:
     if isinstance(obj, FacilityRoute):
         return StopSet.of_facility(obj)
     stops = getattr(obj, "stops", None)
-    if isinstance(stops, StopSet):  # FacilityComponent-shaped
+    if isinstance(stops, StopSet):  # e.g. a DivisionPlan: the walk's stops
         return stops
     return StopSet(np.asarray(obj, dtype=np.float64))
 

@@ -66,7 +66,7 @@ __all__ = ["CoverageCache", "WalkRecord"]
 MAX_ROWS = 131_072
 
 #: One division's arrays: served, visited, envelopes
-#: (``repro.queries.components.Division``).
+#: (what ``repro.queries.evaluate.divide`` returns).
 Division = Tuple[np.ndarray, np.ndarray, np.ndarray]
 #: One value column: known, value, scored-candidate count per node.
 Column = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -124,23 +124,16 @@ class CoverageCache:
         """A record of ``division`` — made of the facility stops
         ``stop_coords``, walked as ``stops`` — held as ``key``'s,
         replacing what the key held, unless it alone is larger than
-        :data:`MAX_ROWS` (then it is returned unheld).  A record of equal
-        stops the key already holds is kept and returned, columns and
-        all."""
-        record = held = self._records.pop(key, None)
+        :data:`MAX_ROWS` (then it is returned unheld)."""
+        held = self._records.pop(key, None)
         if held is not None:
             self._rows -= held.rows
-        if held is None or not held.made_of(stop_coords):
-            record = WalkRecord(key, stop_coords, division, stops)
+        record = WalkRecord(key, stop_coords, division, stops)
         if record.rows <= MAX_ROWS:
             self._records[key] = record
             self._rows += record.rows
             self._evict()
         return record
-
-    def read_column(self, record: WalkRecord, column: Hashable) -> Optional[Column]:
-        """``record``'s value column ``column`` as it stands, or ``None``."""
-        return record.columns.get(column)
 
     def store_column(
         self,
@@ -169,10 +162,6 @@ class CoverageCache:
         known[nodes], value[nodes], count[nodes] = True, values, counts
         record.columns[column] = (known, value, count)
         self._grow(record, rows)
-
-    def read_script(self, record: WalkRecord, column: Hashable) -> Any:
-        """``record``'s level script for ``column``, or ``None``."""
-        return record.scripts.get(column)
 
     def store_script(self, record: WalkRecord, column: Hashable, script, rows: int) -> None:
         """Hold ``script`` — ``rows`` rows — as ``record``'s level script
@@ -205,10 +194,6 @@ class CoverageCache:
         if record is not None and column not in record.matches:
             record.matches[column] = matches
             self._grow(record, matches.slots.size)
-
-    def count_hits(self, hits: int) -> None:
-        """Count ``hits`` node values a replayed level read."""
-        self.hits += hits
 
     def _grow(self, record: WalkRecord, rows: int) -> None:
         """``record``, held, gained ``rows`` rows and is used: least

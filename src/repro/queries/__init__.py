@@ -1,12 +1,11 @@
 """Query layer: kMaxRRST, MaxkCovRST, and the baseline competitors."""
 
 from .baseline import BaselineIndex
-from .components import DivisionPlan, FacilityComponent
 from .evaluate import (
+    DivisionPlan,
     MatchCollector,
     QueryStats,
     evaluate_core,
-    evaluate_node_trajectories,
     evaluate_service,
 )
 from .exact import approximation_ratio, exact_max_k_coverage
@@ -32,13 +31,11 @@ from .maxkcov import (
 
 __all__ = [
     "BaselineIndex",
-    "FacilityComponent",
     "DivisionPlan",
     "MatchCollector",
     "QueryStats",
     "evaluate_core",
     "evaluate_service",
-    "evaluate_node_trajectories",
     "top_k_core",
     "top_k_facilities",
     "FacilityScore",

@@ -1,29 +1,36 @@
 """Service evaluation over a TQ-tree (paper Algorithms 1 and 2).
 
-The paper's evaluation is filter-then-refine, and this module runs it a
-*frontier* at a time rather than a q-node at a time:
+The paper's evaluation is divide-and-conquer, then filter, then refine.
+This module runs it a *frontier* of q-nodes at a time rather than a
+q-node at a time, as four stage functions over arrays:
 
-1. **plan** — Algorithm 1's division of the facility over the quadrants,
-   for the whole tree at once (:class:`~repro.queries.components
-   .DivisionPlan` over the tree's :class:`~repro.index.frame.TreeFrame`):
-   which nodes' components are non-empty, which nodes the walk reaches,
-   each component's serving envelope;
-2. **filter** — Algorithm 2's pruning over every reached list in one
-   pass: on TQ(Z) nodes ``zReduce`` through the stacked z-structures
+1. **divide** (:func:`divide`) — Algorithm 1's division of the facility
+   over the quadrants, for the whole tree at once: which nodes the
+   walk's stops can serve, which nodes the walk reaches, each node's
+   serving envelope (a :class:`DivisionPlan` over the tree's
+   :class:`~repro.index.frame.TreeFrame`);
+2. **filter** (:func:`filter_candidates`) — Algorithm 2's pruning over
+   every listed node of a frontier in one pass: on TQ(Z) nodes
+   ``zReduce`` through the stacked z-structures
    (:meth:`~repro.index.frame.ZStack.candidates`), on TQ(B) nodes and
-   short lists a linear scan with a cheap per-entry envelope check (this
-   *is* the paper's TQ(B): no ordering to exploit);
-3. **refine** — the survivors' probe points in one CSR gather and one
-   exact ``psi``-distance call against the walk's stops, and the whole
-   frontier's mask scored by the service model's rule in one segmented
-   pass (per entry, then per node in list order).
+   short lists a linear scan with a cheap per-entry envelope check
+   (this *is* the paper's TQ(B): no ordering to exploit).  It probes
+   nothing;
+3. **probe** (:func:`probe_candidates`) — the survivors' probe points in
+   one CSR gather and one exact ``psi``-distance call against the
+   walk's stops;
+4. **score** (:func:`score_candidates`) — the frontier's mask scored by
+   the service model's rule in one segmented pass (per entry, then per
+   node in list order).
 
-:func:`score_frontier` is steps 2 and 3 for any set of nodes and the only
-implementation behind :func:`evaluate_service` (frontier = every node
-the walk reaches), kMaxRRST's relax and ancestor scans
-(:mod:`repro.queries.kmaxrrst`), the collecting MaxkCovRST walk and
-:func:`evaluate_node_trajectories` (a frontier of one).  No Python loop
-runs over entries.
+:func:`score_frontier` is a cache gather, stages 2-4 and a cache store
+for any set of nodes, and the only implementation behind
+:func:`evaluate_service` (frontier = every node the walk reaches),
+kMaxRRST's relax and ancestor scans (:mod:`repro.queries.kmaxrrst`) and
+the collecting MaxkCovRST walk.  No Python loop runs over entries.  The
+paper's ``MakeUnion(f)`` merge needs no step: every node is probed
+against all of the facility's stops that can serve it, so a user is
+never credited twice to one facility.
 
 A :class:`MatchCollector` can ride along to record *which* points of
 which users were served — MaxkCovRST needs these per-facility match sets
@@ -62,18 +69,21 @@ from ..index.block import NodeBlock
 from ..index.frame import ANY, BBOX, BOTH, TreeFrame, kept_per_run
 from ..index.tqtree import TQTree
 from ..runtime import QueryRuntime, coerce_runtime
-from .components import DivisionPlan, FacilityComponent, divide
 
 __all__ = [
     "QueryStats",
+    "DivisionPlan",
     "FrontierScores",
     "MatchCollector",
     "candidate_mode",
+    "divide",
+    "filter_candidates",
+    "probe_candidates",
+    "score_candidates",
     "score_frontier",
     "walk_plan",
     "evaluate_core",
     "evaluate_service",
-    "evaluate_node_trajectories",
     "needs_ancestor_scan",
 ]
 
@@ -155,6 +165,65 @@ def candidate_mode(spec: ServiceSpec, variant: IndexVariant, collecting: bool) -
     return ANY
 
 
+def divide(
+    frame: TreeFrame, stops: np.ndarray, psi: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage 1, Algorithm 1's division: the stops ``stops`` (an
+    ``(m, 2)`` array) divided over every node of ``frame`` at once, as
+    ``(served, visited, envelopes)``.
+
+    Stop ``j`` belongs to node ``i``'s part of the facility when it lies
+    in ``box[i]`` grown by ``psi`` — the stops
+    ``StopSet.restricted_to(box.expanded(psi))`` keeps.  A node is
+    *served* when one stop belongs to it, and *visited* — the paper's
+    walk from the root reaches it — when it is served and its subtree
+    holds an entry (the root needs only the former).  No ancestor check
+    is needed: a child's region lies inside its parent's, and
+    subtracting ``psi`` from both keeps the order, so a stop that
+    belongs to a node belongs to every ancestor, and a subtree with an
+    entry makes every enclosing subtree non-empty too.  A served node's
+    envelope is its stops' bounding box grown by ``psi`` —
+    ``StopSet.embr``'s floats; the ``(n, 4)`` table has NaN rows
+    elsewhere.  The arrays are read-only: a cache shares them between
+    walks."""
+    box = frame.box
+    x, y = stops[None, :, 0], stops[None, :, 1]
+    member = (
+        (x >= (box[:, 0] - psi)[:, None])
+        & (x <= (box[:, 2] + psi)[:, None])
+        & (y >= (box[:, 1] - psi)[:, None])
+        & (y <= (box[:, 3] + psi)[:, None])
+    )
+    served = member.any(axis=1)
+    visited = served.copy()
+    visited[1:] &= frame.sub[1:, 0] > 0
+    rows = np.flatnonzero(served)
+    member = member[rows]
+    low, high = dict(axis=1, initial=np.inf), dict(axis=1, initial=-np.inf)
+    envelopes = np.full((served.size, 4), np.nan)
+    envelopes[rows, 0] = np.where(member, x, np.inf).min(**low) - psi
+    envelopes[rows, 1] = np.where(member, y, np.inf).min(**low) - psi
+    envelopes[rows, 2] = np.where(member, x, -np.inf).max(**high) + psi
+    envelopes[rows, 3] = np.where(member, y, -np.inf).max(**high) + psi
+    for array in (served, visited, envelopes):
+        array.flags.writeable = False
+    return served, visited, envelopes
+
+
+class DivisionPlan:
+    """One walk divided over every q-node of a tree frame: the walk's
+    stops (the facility restricted to the indexed space, dressed for its
+    runtime), the arrays :func:`divide` made of their coordinates and,
+    for a walk a runtime's cache keeps, its
+    :class:`~repro.engine.cache.WalkRecord`."""
+
+    __slots__ = ("stops", "served", "visited", "envelopes", "record")
+
+    def __init__(self, stops: StopSet, division, record=None) -> None:
+        self.stops, self.record = stops, record
+        self.served, self.visited, self.envelopes = division
+
+
 def _scan_candidates(
     frame: TreeFrame, nodes: np.ndarray, embr: np.ndarray, mode: str
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -179,7 +248,67 @@ def _scan_candidates(
     return rows[keep], kept_per_run(keep, counts)
 
 
-def _score_candidates(
+def filter_candidates(
+    tree: TQTree,
+    nodes: np.ndarray,
+    envelopes: np.ndarray,
+    mode: str,
+    stops: np.ndarray,
+    psi: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stage 2, Algorithm 2's pruning: the lists of ``nodes`` (each with
+    a list; ``envelopes[k]`` is node ``nodes[k]``'s serving envelope)
+    filtered in one stacked pass against the walk's stops ``stops`` (an
+    ``(m, 2)`` array) under filter form ``mode``.  Probes nothing.
+
+    Returns ``order`` (the positions of ``nodes`` in the order the
+    filter took them), the candidate block rows of those nodes end to
+    end (each node's in the order its own filter yields them), and how
+    many survive per node (in ``order``)."""
+    frame = tree.frame()
+    # z-nodes last: each filter returns its nodes' survivors end to end
+    # (which node's points are probed first changes no result)
+    stack = tree.zstack()
+    on_z = frame.n_own[nodes] >= (_Z_MIN_LIST if stack is not None else np.inf)
+    order = np.argsort(on_z, kind="stable")
+    nodes, envelopes = nodes[order], envelopes[order]
+    n_scan = nodes.size - int(np.count_nonzero(on_z))
+    parts = []
+    if n_scan:
+        parts.append(_scan_candidates(frame, nodes[:n_scan], envelopes[:n_scan], mode))
+    if n_scan < nodes.size:
+        picked, z_counts = stack.candidates(
+            stack.slot_of[nodes[n_scan:]], envelopes[n_scan:], mode, stops, psi
+        )
+        parts.append((stack.row[picked], z_counts))
+    rows = np.concatenate([rows for rows, _counts in parts])
+    counts = np.concatenate([counts for _rows, counts in parts])
+    return order, rows, counts
+
+
+def probe_candidates(
+    block: NodeBlock,
+    rows: np.ndarray,
+    stops: StopSet,
+    psi: float,
+    stats: QueryStats,
+    runtime: Optional[QueryRuntime],
+) -> np.ndarray:
+    """Stage 3, the exact refine: the probe points of the block rows
+    ``rows`` in one CSR gather and one distance pass against ``stops``,
+    returned as their coverage laid end to end in ``rows`` order.  With
+    a runtime it is one :meth:`~repro.runtime.QueryRuntime.probe_mask`
+    call (backend dressing plus the engine's own scheduling), without
+    one the dense kernel."""
+    if not rows.size:
+        return np.zeros(0, dtype=bool)
+    coords = block.probe_xy[ranges(block.probe_off[rows], block.probe_cnt[rows])]
+    if runtime is None:
+        return stops.covered_mask(coords, psi, stats)
+    return runtime.probe_mask(stops, coords, psi, stats)
+
+
+def score_candidates(
     table: UserPointTable,
     block: NodeBlock,
     rows: np.ndarray,
@@ -188,11 +317,12 @@ def _score_candidates(
     spec: ServiceSpec,
     collector: Optional[MatchCollector],
 ) -> np.ndarray:
-    """The service model's scoring rule over a whole frontier: ``rows``
-    are the candidates of ``counts.size`` nodes end to end (``counts[k]``
-    of them node ``k``'s, each node's in its own list order; ``rows``
-    index ``block``), ``mask`` the coverage of their probe points laid
-    end to end in ``rows`` order.  Returns each node's value.
+    """Stage 4, the service model's scoring rule over a whole frontier:
+    ``rows`` are the candidates of ``counts.size`` nodes end to end
+    (``counts[k]`` of them node ``k``'s, each node's in its own list
+    order; ``rows`` index ``block``), ``mask`` the coverage of their
+    probe points laid end to end in ``rows`` order.  Returns each node's
+    value.
 
     One rule for every walk: each candidate is scored on its own
     (``bincount`` over its probes or segments, divided by ``|u|`` /
@@ -234,59 +364,6 @@ def _score_candidates(
     return np.bincount(node_of, weights=value, minlength=counts.size)
 
 
-def _filter_and_probe(
-    tree: TQTree,
-    plan: DivisionPlan,
-    nodes: np.ndarray,
-    spec: ServiceSpec,
-    collecting: bool,
-    stats: QueryStats,
-    runtime: Optional[QueryRuntime],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Filter the lists of ``nodes`` in one stacked pass and probe all
-    survivors in one call.  Returns ``order`` (the positions of
-    ``nodes`` in the order the filter took them), the candidate block
-    rows of those nodes end to end (each node's in the order its own
-    filter yields them), how many survive per node (in ``order``), and
-    their probe points' coverage laid end to end."""
-    frame = tree.frame()
-    block = frame.block
-    component = plan.component
-    # z-nodes last: each filter returns its nodes' survivors end to end
-    # (which node's points are probed first changes no result)
-    stack = tree.zstack()
-    on_z = frame.n_own[nodes] >= (_Z_MIN_LIST if stack is not None else np.inf)
-    order = np.argsort(on_z, kind="stable")
-    nodes = nodes[order]
-    n_scan = nodes.size - int(np.count_nonzero(on_z))
-    mode = candidate_mode(spec, tree.config.variant, collecting)
-    embr = plan.envelopes[nodes]
-    parts = []
-    if n_scan:
-        parts.append(_scan_candidates(frame, nodes[:n_scan], embr[:n_scan], mode))
-    if n_scan < nodes.size:
-        picked, z_counts = stack.candidates(
-            stack.slot_of[nodes[n_scan:]], embr[n_scan:], mode,
-            component.stops.coords, spec.psi,
-        )
-        parts.append((stack.row[picked], z_counts))
-    rows = np.concatenate([rows for rows, _counts in parts])
-    counts = np.concatenate([counts for _rows, counts in parts])
-    # one distance pass over every survivor's probe points; with a
-    # runtime it rides the probe path (backend dressing plus the
-    # engine's own scheduling), without one it is the dense kernel
-    n_probes = block.probe_cnt[rows]
-    if rows.size:
-        coords = block.probe_xy[ranges(block.probe_off[rows], n_probes)]
-        if runtime is not None:
-            mask = runtime.probe_mask(component.stops, coords, spec.psi, stats)
-        else:
-            mask = component.stops.covered_mask(coords, spec.psi, stats)
-    else:
-        mask = np.zeros(0, dtype=bool)
-    return order, rows, counts, mask
-
-
 class FrontierScores(NamedTuple):
     """What :func:`score_frontier` found, per node of its frontier."""
 
@@ -305,24 +382,24 @@ def score_frontier(
     runtime: Optional[QueryRuntime],
 ) -> FrontierScores:
     """Algorithm 2 for a whole frontier: the service value gained from
-    the entries stored *at* each of the frame nodes ``nodes`` (all with
-    a non-empty component under ``plan``), in ``nodes`` order, with how
-    many candidates each value took and whether the cache knew it.
+    the entries stored *at* each of the frame nodes ``nodes`` (all
+    served under ``plan``), in ``nodes`` order, with how many candidates
+    each value took and whether the cache knew it.
 
-    Filter, then refine once, then score once: the lists of every node
-    not answered by the cache go through one stacked filter pass
-    (``zReduce`` over the z-nodes, an envelope scan over the rest — each
-    node against its own component's envelope), the survivors' probe
-    points are gathered in one CSR read and probed in **one** call
-    against the plan's stop set, and their candidates are scored in one
-    segmented pass (:func:`_score_candidates`).
+    A cache gather, then the last three stages once each: the lists of
+    every node not answered by the cache are filtered in one stacked
+    pass, each node against its own envelope
+    (:func:`filter_candidates`), the survivors probed in **one** call
+    against the plan's stop set (:func:`probe_candidates`) and scored
+    in one segmented pass (:func:`score_candidates`), then the scored
+    values are stored.
 
-    Probing the walk's stops instead of each node's own component is
+    Probing the walk's stops instead of each node's own part of them is
     exact: an entry sits at a node whose box holds all its probe points,
     so every stop within ``psi`` of one of them lies in that box grown
-    by ``psi`` — it *is* a member of the node's component — and
-    ``psi_hit`` on one (point, stop) pair does not depend on which other
-    stops are in the call.
+    by ``psi`` — it belongs to the node — and ``psi_hit`` on one
+    (point, stop) pair does not depend on which other stops are in the
+    call.
 
     ``runtime`` owns the probe path.  A non-collecting walk whose plan
     the runtime's cache keeps reads its nodes' values from the plan's
@@ -340,7 +417,7 @@ def score_frontier(
     cached = np.zeros(nodes.size, dtype=bool)
     record = plan.record if collector is None else None
     column = (spec.model, spec.normalize)
-    held = None if record is None else runtime.cache.read_column(record, column)
+    held = None if record is None else record.columns.get(column)
     hits, counts = 0, np.zeros(0, dtype=np.int64)
     if held is not None:
         ids = nodes[listed]
@@ -353,12 +430,15 @@ def score_frontier(
         stats.entries_scored += int(count.sum())
         listed = listed[~known]
     if listed.size:
-        order, rows, counts, mask = _filter_and_probe(
-            tree, plan, nodes[listed], spec, collector is not None, stats, runtime
+        ids = nodes[listed]
+        mode = candidate_mode(spec, tree.config.variant, collector is not None)
+        order, rows, counts = filter_candidates(
+            tree, ids, plan.envelopes[ids], mode, plan.stops.coords, spec.psi
         )
+        mask = probe_candidates(frame.block, rows, plan.stops, spec.psi, stats, runtime)
         stats.entries_scored += rows.size
         listed = listed[order]
-        values[listed] = _score_candidates(
+        values[listed] = score_candidates(
             tree.table, frame.block, rows, mask, counts, spec, collector
         )
         scored[listed] = counts
@@ -375,10 +455,11 @@ def walk_plan(
     psi: float,
     runtime: Optional[QueryRuntime],
 ) -> DivisionPlan:
-    """Algorithm 1's division for one (facility, psi) walk: the facility
-    — its stops dressed by ``runtime`` — restricted to the indexed space
-    and divided over every q-node.  The root component is what every
-    probe of the walk runs against.
+    """Algorithm 1's division for one (facility, psi) walk: the
+    facility's stops — dressed by ``runtime`` — restricted to the
+    indexed space grown by ``psi`` and divided over every q-node
+    (:func:`divide`).  Those stops are what every probe of the walk
+    runs against.
 
     With a runtime the plan carries the walk's record in its cache,
     found by facility id, ``psi``, node-table generation and the
@@ -387,50 +468,17 @@ def walk_plan(
     kept there."""
     frame = tree.frame()
     if runtime is None:
-        component = FacilityComponent.whole(facility, psi).restricted_to(tree.space)
-        return DivisionPlan(component, divide(frame, component.stops.coords, psi))
+        stops = StopSet.of_facility(facility).restricted_to(tree.space.expanded(psi))
+        return DivisionPlan(stops, divide(frame, stops.coords, psi))
     key = (facility.facility_id, psi, frame.generation)
     record = runtime.cache.lookup_record(key, facility.stop_coords)
     if record is not None:
-        component = FacilityComponent(facility.facility_id, record.stops.unprobed(), psi)
-        return DivisionPlan(component, record.division, record)
+        return DivisionPlan(record.stops.unprobed(), record.division, record)
     dressed = runtime.stop_set(StopSet.of_facility(facility), psi)
-    component = FacilityComponent(facility.facility_id, dressed, psi).restricted_to(tree.space)
-    division = divide(frame, component.stops.coords, psi)
-    kept = component.stops.unprobed()
-    record = runtime.cache.store_record(key, facility.stop_coords, division, kept)
-    return DivisionPlan(component, record.division, record)
-
-
-def evaluate_node_trajectories(
-    tree: TQTree,
-    node: int,
-    component: FacilityComponent,
-    spec: ServiceSpec,
-    collector: Optional[MatchCollector] = None,
-    stats: Optional[QueryStats] = None,
-    runtime: Optional[QueryRuntime] = None,
-) -> float:
-    """Algorithm 2: score the entries stored *at* node number ``node``
-    (0 is the root) against the facility component.  Returns the service
-    value gained.
-
-    A frontier of one: ``component`` is divided over the tree like any
-    walk's, and the node is scored by :func:`score_frontier` against
-    the part of it that can serve the node's region.  ``component`` may
-    be any part of a facility, so no cached walk record is read or
-    written: ``runtime`` only probes.
-    """
-    runtime = coerce_runtime(runtime)
-    plan = DivisionPlan(
-        component, divide(tree.frame(), component.stops.coords, component.psi)
-    )
-    if not plan.served[node]:
-        return 0.0
-    return score_frontier(
-        tree, plan, np.array([node]), spec, collector,
-        stats if stats is not None else QueryStats(), runtime,
-    ).values.tolist()[0]
+    stops = dressed.restricted_to(tree.space.expanded(psi))
+    division = divide(frame, stops.coords, psi)
+    record = runtime.cache.store_record(key, facility.stop_coords, division, stops.unprobed())
+    return DivisionPlan(stops, division, record)
 
 
 def evaluate_core(

@@ -57,11 +57,13 @@ def estimate_query_blocks(
 ) -> BlockCosts:
     """Price Algorithm 1 for ``facility`` in block accesses.
 
-    Reads the pruning decisions off the live evaluator's own plan and
-    filter: a pruned child costs nothing; a reached TQ(B) node pays for
-    its whole list; a reached TQ(Z) node pays for its two grid
-    directories plus only the buckets (z-nodes, one block each) holding
-    ``zReduce`` survivors of the non-collecting walk.
+    Reads the reach set off the live evaluator's own plan: a pruned
+    child costs nothing; a reached TQ(B) node pays for its whole list.
+    It prices the paper's TQ(Z): every reached listed node pays for its
+    two grid directories plus only the buckets (z-nodes, one block
+    each) holding ``zReduce`` survivors of the non-collecting walk —
+    also the short lists the evaluator scans linearly instead
+    (``evaluate._Z_MIN_LIST``).
     """
     tree.validate_spec(spec)
     plan = walk_plan(tree, facility, spec.psi, None)
@@ -78,7 +80,7 @@ def estimate_query_blocks(
         picked, _counts = stack.candidates(
             stack.slot_of[listed], plan.envelopes[listed],
             candidate_mode(spec, tree.config.variant, collecting=False),
-            plan.component.stops.coords, spec.psi,
+            plan.stops.coords, spec.psi,
         )
         costs.directory_blocks = 2 * int(listed.size)
         costs.list_blocks = int(np.unique(stack.bucket[picked]).size)

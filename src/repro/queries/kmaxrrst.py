@@ -10,7 +10,7 @@ pops with an empty frontier is *complete* and its ``aserve`` is its
 exact service value.
 
 A state divides its facility over the tree once
-(:class:`~repro.queries.components.DivisionPlan`) and carries the plan
+(:class:`~repro.queries.evaluate.DivisionPlan`) and carries the plan
 across relax rounds; its frontier is an array of frame node numbers.
 ``relaxState`` has one form, a *replay* of the state's level script:
 each round adds that level's values left to right, bumps the counters
@@ -44,8 +44,7 @@ from ..index.entries import SubBounds
 from ..index.frame import TreeFrame
 from ..index.tqtree import TQTree
 from ..runtime import QueryRuntime, coerce_runtime
-from .components import DivisionPlan
-from .evaluate import QueryStats, needs_ancestor_scan, score_frontier, walk_plan
+from .evaluate import DivisionPlan, QueryStats, needs_ancestor_scan, score_frontier, walk_plan
 
 __all__ = ["FacilityScore", "KMaxRRSTResult", "top_k_core", "top_k_facilities"]
 
@@ -177,7 +176,7 @@ def _initial_state(
     """
     plan = walk_plan(tree, facility, spec.psi, runtime)
     frame, record = tree.frame(), plan.record
-    script = record and runtime.cache.read_script(record, (spec.model, spec.normalize))
+    script = record and record.scripts.get((spec.model, spec.normalize))
     path, levels = script or (frame.path(tree.containing_qnode(facility.embr(spec.psi))), None)
     aserve = 0.0
     if path.size > 1 and needs_ancestor_scan(spec, tree.config.variant):
@@ -214,7 +213,7 @@ def _relax_state(
     stats.cache_hits += level.hits
     stats.entries_scored += level.scored
     if state.warm:
-        runtime.cache.count_hits(level.hits)
+        runtime.cache.hits += level.hits
     aserve = state.aserve
     for value in level.values:
         aserve += value

@@ -152,14 +152,12 @@ class QueryRuntime:
         This is the one entry point the query layer uses for exact
         geometric work — ``queries/`` never touches a grid, shard, or
         backend type directly — and it is called once per *frontier*
-        (a whole evaluate walk, one kMaxRRST relax round), not once per
+        (a whole evaluate walk, one cold kMaxRRST state walk), not once per
         q-node: ``coords`` holds every surviving candidate's probe
         points and ``stops`` the walk's stop set.  Already-dressed stop
-        sets pass through :meth:`stop_set` untouched, so probing a
-        component the runtime dressed earlier costs nothing extra;
-        undressed stops (direct
-        :func:`~repro.queries.evaluate.evaluate_node_trajectories`
-        calls, ad-hoc arrays) are dressed here first.  The probe runs
+        sets pass through :meth:`stop_set` untouched, so probing stops
+        the runtime dressed earlier costs nothing extra; undressed stops
+        (ad-hoc arrays) are dressed here first.  The probe runs
         on the calling thread, and its mask is bit-identical to
         :meth:`~repro.core.service.StopSet.covered_mask`.
         """

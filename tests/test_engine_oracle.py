@@ -394,23 +394,25 @@ class TestTreePathOracle:
         cache.store_column(new, "c", np.arange(5), ones[:5], ones[:5], 0)
         cache.store_column(old, "c", np.arange(10), ones, ones, 0)
         assert list(cache._records) == ["old"] and cache._rows == 20
-        assert cache.read_column(old, "c")[0].all() and len(cache) == 10
+        assert old.columns["c"][0].all() and len(cache) == 10
 
-    def test_walks_that_missed_together_share_one_record(self):
-        """Two walks of one facility that both missed store one record:
-        the later store keeps the held record of equal stops, columns
-        and all, where replacing it would drop what the first walk
-        filled; a record of other stops is replaced."""
+    def test_a_store_replaces_the_keys_record(self):
+        """A store holds a new record as its key's, replacing the one
+        held — columns and all, of equal stops or not — and ``_rows``
+        drops the replaced record's rows for the new one's."""
         cache, coords = CoverageCache(), np.zeros((4, 2))
         division = (np.zeros(4, dtype=bool),) * 3
         stops = StopSet(coords)
         first = cache.store_record("walk", coords, division, stops)
         cache.store_column(first, "c", np.arange(4), np.ones(4), np.ones(4, dtype=np.int64), 0)
-        assert cache.store_record("walk", coords.copy(), division, stops) is first
-        assert cache.lookup_record("walk", coords) is first and cache._rows == 8
-        other = cache.store_record("walk", coords + 1.0, division, stops)
-        assert other is not first and cache.lookup_record("walk", coords) is None
-        assert cache._rows == 4 and len(cache) == 0
+        assert cache._rows == 8 and len(cache) == 4
+        for made_of in (coords.copy(), coords + 1.0):
+            held = cache.lookup_record("walk", coords)
+            record = cache.store_record("walk", made_of, division, stops)
+            assert record is not held and not record.columns
+            assert cache._rows == 4 and len(cache) == 0
+            assert list(cache._records.values()) == [record]
+        assert cache.lookup_record("walk", coords) is None
 
     @staticmethod
     def _fill_records(cache, rounds, walks):
@@ -430,7 +432,7 @@ class TestTreePathOracle:
                 # every walk sees the one dressing and gets its own
                 # unprobed copy of it
                 assert record.stops is stops and record.stops.unprobed() is not stops
-                script, held = cache.read_script(record, "c"), cache.read_column(record, "c")
+                script, held = record.scripts.get("c"), record.columns.get("c")
                 if script is not None:
                     assert script == ("script", key)
                 elif held is not None and held[0].all():
@@ -576,19 +578,19 @@ class TestTreePathOracle:
                     f, spec = walks[j]
                     got_values[j] = evaluate_service(tree, f, spec, runtime=runtime)
                     got, plan = walk_plan(tree, f, spec.psi, runtime), plans[j]
-                    assert np.array_equal(got.component.stops.coords, plan.component.stops.coords)
+                    assert np.array_equal(got.stops.coords, plan.stops.coords)
                     assert np.array_equal(got.served, plan.served)
                     assert np.array_equal(got.visited, plan.visited)
                     assert np.array_equal(got.envelopes, plan.envelopes, equal_nan=True)
                     column = (spec.model, spec.normalize)
-                    held = cache.read_column(got.record, column)
+                    held = got.record.columns.get(column)
                     if held is not None:
                         known, value, count = held
                         roomy_known, roomy_value, roomy_count = columns[(got.record.key, column)]
                         assert roomy_known[known].all()
                         assert np.array_equal(value[known], roomy_value[known])
                         assert np.array_equal(count[known], roomy_count[known])
-                    script = cache.read_script(got.record, column)
+                    script = got.record.scripts.get(column)
                     if script is not None:
                         (path, levels), (want_path, want_levels) = (
                             script, scripts[(got.record.key, column)]

@@ -19,7 +19,7 @@ from repro import (
 from repro.core.service import score_trajectory
 from repro.core.trajectory import UserPointTable
 from repro.index.entries import SubBounds, entry_keys, validate_spec_for_variant
-from repro.queries.evaluate import MatchCollector, _score_candidates
+from repro.queries.evaluate import MatchCollector, score_candidates
 
 from .strategies import block_of, entry_ids, trajectories
 
@@ -49,7 +49,7 @@ def entry_scores(table, block, stops, sp, collector=None):
     mask = stops.covered_mask(block.probe_xy, sp.psi)
     bounds = block.probe_off.tolist()
     return [
-        float(_score_candidates(
+        float(score_candidates(
             table, block, np.array([i]), mask[bounds[i] : bounds[i + 1]], np.array([1]),
             sp, collector,
         )[0])

@@ -7,16 +7,17 @@ tree-wide frame.  Each test here pins one premise of that design:
     cell of its z-grids lies inside the node's box (why probing the
     walk's stops equals probing the node's own component);
 (b) the plan — which nodes are served, reach set and serving envelope equal
-    ``FacilityComponent.restricted_to`` and the paper's recursion, bit
-    for bit;
-(c) the stacked filter — per-node survivors equal the list-of-entries
+    the stops restricted to each node's grown box and the paper's
+    recursion, bit for bit;
+(c) the filter stage — per-node survivors equal the list-of-entries
     reference ``zReduce`` of ``tests/strategies.py`` and the per-node
-    envelope scan, order included;
+    envelope scan, order included, on both sides of ``_Z_MIN_LIST``;
 (d) mutation safety — a stateful machine interleaving inserts, warming
     and queries, held after every step to a freshly built tree (answers,
     work counters, every z-stack column) and to the brute-force oracle;
 (e) shape — a walk makes at most one ``probe_mask`` call, a cached walk
-    none, and a warmed tree builds nothing inside its first query;
+    none, the filter stage none and the probe stage one, and a warmed
+    tree builds nothing inside its first query;
 (f) scoring — a frontier scored in one segmented pass gives every node
     the value it gets alone and the per-entry reference loop gives it,
     bit for bit;
@@ -29,6 +30,8 @@ tree-wide frame.  Each test here pins one premise of that design:
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -58,10 +61,14 @@ from repro import (
     maxkcov_tq,
     top_k_facilities,
 )
+from repro.core.config import ProximityBackend, RuntimeConfig
+from repro.core.service import StopSet
 from repro.core.stats import QueryStats
+from repro.core.trajectory import ranges
+from repro.engine import CellstringStopSet, GriddedStopSet
 from repro.index import NodeBlock, TreeFrame, ZStack
 from repro.index.frame import ANY, BBOX, BOTH
-from repro.queries import BlockCosts, FacilityComponent, MatchCollector, estimate_query_blocks
+from repro.queries import BlockCosts, MatchCollector, estimate_query_blocks
 from repro.queries import evaluate as evaluate_module
 from repro.queries import kmaxrrst as kmaxrrst_module
 from repro.queries.evaluate import walk_plan
@@ -172,22 +179,27 @@ def test_probe_points_and_z_cells_lie_inside_their_node(name):
 # ----------------------------------------------------------------------
 # (b) the plan vs restricted_to and the recursion
 # ----------------------------------------------------------------------
-def _reached_by_recursion(tree: TQTree, whole: FacilityComponent):
+def _restricted(stops: StopSet, box: BBox, psi: float) -> StopSet:
+    """The stops that can serve region ``box``: those within ``box ⊕ psi``."""
+    return stops.restricted_to(box.expanded(psi))
+
+
+def _reached_by_recursion(tree: TQTree, whole: StopSet, psi: float):
     """Algorithm 1's walk, the way the recursion made it, over the
     node table's ``children`` rows."""
     frame = tree.frame()
     reached = []
 
-    def rec(i, component):
-        if component.is_empty:
+    def rec(i, stops):
+        if stops.is_empty:
             return
         reached.append(i)
         for child in frame.children[i].tolist():
             if child < 0 or frame.sub[child, 0] == 0:
                 continue
-            rec(child, component.restricted_to(_box(frame, child)))
+            rec(child, _restricted(stops, _box(frame, child), psi))
 
-    rec(0, whole.restricted_to(tree.space))
+    rec(0, _restricted(whole, tree.space, psi))
     return reached
 
 
@@ -219,16 +231,16 @@ def test_plan_equals_restricted_to_at_every_node(name, psi):
             FacilityRoute(2, [(-900.0, -900.0), (4000.0, 10.0)]),  # serves nothing
         ]
         for f in facilities:
-            whole = FacilityComponent.whole(f, psi)
+            whole = StopSet.of_facility(f)
             plan = walk_plan(tree, f, psi, None)
-            want_reached = _reached_by_recursion(tree, whole)
+            want_reached = _reached_by_recursion(tree, whole, psi)
             assert np.flatnonzero(plan.visited).tolist() == want_reached
             nonempty = []
             for i in range(len(frame)):
-                want = whole.restricted_to(_box(frame, i))
+                want = _restricted(whole, _box(frame, i), psi)
                 assert plan.served[i] == (not want.is_empty)
                 if not want.is_empty:
-                    nonempty.append((i, want.embr))
+                    nonempty.append((i, want.embr(psi)))
             rows = plan.envelopes[np.array([i for i, _ in nonempty], dtype=np.int64)]
             for row, (_, embr) in zip(rows.tolist(), nonempty):
                 assert row == [embr.xmin, embr.ymin, embr.xmax, embr.ymax]
@@ -257,44 +269,56 @@ def _envelope_scan(gov: np.ndarray, embr: BBox, both: bool) -> np.ndarray:
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_stacked_filter_equals_per_node_filters(name):
+    """The filter stage over a walk's listed nodes: nodes with lists
+    shorter than ``_Z_MIN_LIST`` (and every TQ(B) node) come first, in
+    order, each scanned like the recursion's envelope test; the rest are
+    ``zReduce``'s survivors — with every node on the scan side, every
+    node on the z side, and the lists split between the two."""
     rng = np.random.default_rng(5)
+    seen = set()
     for tree in _grown_and_bulk(name):
         frame = tree.frame()
         stack = tree.zstack()
         for psi in (0.0, 60.0, 250.0):
             stops = [(int(x), int(y)) for x, y in rng.integers(0, 1024, (6, 2))]
-            whole = FacilityComponent.whole(FacilityRoute(0, stops), psi)
+            whole = StopSet.of_facility(FacilityRoute(0, stops))
             plan = walk_plan(tree, FacilityRoute(0, stops), psi, None)
             listed = np.flatnonzero(plan.visited & (frame.n_own > 0))
             if not listed.size:
                 continue
             embr = plan.envelopes[listed]
-            components = [whole.restricted_to(_box(frame, i)) for i in listed]
-            for mode in (BOTH, ANY, BBOX):
-                rows, counts = evaluate_module._scan_candidates(frame, listed, embr, mode)
-                cuts = np.cumsum(counts)[:-1]
-                for i, comp, got in zip(listed.tolist(), components, np.split(rows, cuts)):
-                    gov = frame.block.gov[frame.row_off[i] : frame.row_off[i + 1]]
-                    want = _envelope_scan(gov, comp.embr, mode == BOTH)
-                    assert (got - frame.row_off[i]).tolist() == want.tolist()
-                if stack is None:
-                    continue
-                picked, counts = stack.candidates(
-                    stack.slot_of[listed], embr, mode, plan.component.stops.coords, psi
+            parts = [_restricted(whole, _box(frame, i), psi) for i in listed]
+            lengths = np.unique(frame.n_own[listed])
+            for z_min, mode in itertools.product(
+                (0, int(lengths[lengths.size // 2]), evaluate_module._Z_MIN_LIST),
+                (BOTH, ANY, BBOX),
+            ):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(evaluate_module, "_Z_MIN_LIST", z_min)
+                    order, rows, counts = evaluate_module.filter_candidates(
+                        tree, listed, embr, mode, plan.stops.coords, psi
+                    )
+                on_z = (frame.n_own[listed] >= z_min) & (stack is not None)
+                assert order.tolist() == (
+                    np.flatnonzero(~on_z).tolist() + np.flatnonzero(on_z).tolist()
                 )
+                seen.update(on_z.tolist())
                 cuts = np.cumsum(counts)[:-1]
-                for i, comp, got in zip(listed.tolist(), components, np.split(picked, cuts)):
-                    k = stack.slot_of[i]
-                    node = z_node(stack, k, _box(frame, i))
+                for k, got in zip(order.tolist(), np.split(rows, cuts)):
+                    i, part = int(listed[k]), parts[k]
+                    if not on_z[k]:
+                        gov = frame.block.gov[frame.row_off[i] : frame.row_off[i + 1]]
+                        want = _envelope_scan(gov, part.embr(psi), mode == BOTH)
+                        assert (got - frame.row_off[i]).tolist() == want.tolist()
+                        continue
+                    node = z_node(stack, stack.slot_of[i], _box(frame, i))
                     entries = ref_entries(node, tree.table, frame.block, tree.config.variant)
                     want = ref_candidates(
                         mode, node, entries, ref_keys(node, entries), tree.config.beta,
-                        comp.embr, comp.stops.coords, psi,
+                        part.embr(psi), part.coords, psi,
                     )
-                    assert (got - stack.pos_off[k]).tolist() == want
-                    assert stack.row[got].tolist() == node.order[want].tolist()
-    if name.endswith("basic"):
-        assert stack is None
+                    assert got.tolist() == node.order[want].tolist()
+    assert seen == ({False} if name.endswith("basic") else {False, True})
 
 
 def _blocks_by_walking(tree: TQTree, facility, spec: ServiceSpec) -> BlockCosts:
@@ -305,8 +329,8 @@ def _blocks_by_walking(tree: TQTree, facility, spec: ServiceSpec) -> BlockCosts:
     beta, variant = tree.config.beta, tree.config.variant
     stack, frame = tree.zstack(), tree.frame()
 
-    def walk(i, component):
-        if component.is_empty:
+    def walk(i, stops):
+        if stops.is_empty:
             return
         costs.node_blocks += 1
         n_own = int(frame.row_off[i + 1] - frame.row_off[i])
@@ -324,15 +348,15 @@ def _blocks_by_walking(tree: TQTree, facility, spec: ServiceSpec) -> BlockCosts:
                 mode = ANY
             picked, _counts = stack.candidates(
                 stack.slot_of[[i]],
-                np.array([box_row(component.embr)]),
-                mode, component.stops.coords, spec.psi,
+                np.array([box_row(stops.embr(spec.psi))]),
+                mode, stops.coords, spec.psi,
             )
             costs.list_blocks += np.unique(stack.bucket[picked]).size
         for child in frame.children[i].tolist():
             if child >= 0 and frame.sub[child, 0]:
-                walk(child, component.restricted_to(_box(frame, child)))
+                walk(child, _restricted(stops, _box(frame, child), spec.psi))
 
-    walk(0, FacilityComponent.whole(facility, spec.psi).restricted_to(tree.space))
+    walk(0, _restricted(StopSet.of_facility(facility), tree.space, spec.psi))
     return costs
 
 
@@ -575,6 +599,52 @@ def test_one_probe_call_per_walk_and_none_when_cached(
                 assert probe_calls == []
 
 
+@pytest.mark.engine_smoke
+@pytest.mark.parametrize(
+    "backend, dressed",
+    [
+        (ProximityBackend.DENSE, StopSet),
+        (ProximityBackend.GRID, GriddedStopSet),
+        (ProximityBackend.CELLSTRING, CellstringStopSet),
+    ],
+)
+def test_the_filter_stage_probes_nothing_and_the_probe_stage_once(
+    probe_calls, taxi_users, facilities, backend, dressed
+):
+    """Over every reached listed node of a walk, the filter stage makes
+    no ``probe_mask`` call and the probe stage over its rows exactly
+    one, over every candidate probe point; the probe stage's mask is
+    ``StopSet.covered_mask``'s of those points, with the runtime's
+    dressed stops and without a runtime."""
+    spec = ServiceSpec(ServiceModel.COUNT, psi=400.0)
+    for tree in (build_tq_zorder(taxi_users, beta=16), build_tq_basic(taxi_users, beta=16)):
+        frame = tree.frame()
+        mode = evaluate_module.candidate_mode(spec, tree.config.variant, False)
+        with QueryRuntime(RuntimeConfig(backend=backend)) as runtime:
+            for f in facilities[:4]:
+                plan = walk_plan(tree, f, spec.psi, runtime)
+                assert type(plan.stops) is dressed
+                listed = np.flatnonzero(plan.visited & (frame.n_own > 0))
+                del probe_calls[:]
+                _order, rows, _counts = evaluate_module.filter_candidates(
+                    tree, listed, plan.envelopes[listed], mode, plan.stops.coords, spec.psi
+                )
+                assert listed.size and rows.size and probe_calls == []
+                mask = evaluate_module.probe_candidates(
+                    frame.block, rows, plan.stops, spec.psi, QueryStats(), runtime
+                )
+                coords = frame.block.probe_xy[
+                    ranges(frame.block.probe_off[rows], frame.block.probe_cnt[rows])
+                ]
+                assert probe_calls == [len(coords)]
+                want = StopSet(plan.stops.coords).covered_mask(coords, spec.psi)
+                assert mask.any() and np.array_equal(mask, want)
+                bare = evaluate_module.probe_candidates(
+                    frame.block, rows, plan.stops, spec.psi, QueryStats(), None
+                )
+                assert probe_calls == [len(coords)] and np.array_equal(bare, want)
+
+
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_a_warmed_tree_builds_nothing_inside_its_first_query(name, z_on_short_lists):
     tree = BUILDERS[name](_users(60, seed=4, two_point=name in TWO_POINT))
@@ -671,8 +741,12 @@ def _reference_values(tree, plan, nodes, spec, collecting):
     want = dict.fromkeys(nodes.tolist(), 0.0)
     unserved = 0
     if listed.size:
-        order, rows, counts, mask = evaluate_module._filter_and_probe(
-            tree, plan, listed, spec, collecting, QueryStats(), None
+        mode = evaluate_module.candidate_mode(spec, tree.config.variant, collecting)
+        order, rows, counts = evaluate_module.filter_candidates(
+            tree, listed, plan.envelopes[listed], mode, plan.stops.coords, spec.psi
+        )
+        mask = evaluate_module.probe_candidates(
+            frame.block, rows, plan.stops, spec.psi, QueryStats(), None
         )
         row_end = np.cumsum(counts)
         probe_end = np.concatenate(([0], np.cumsum(frame.block.probe_cnt[rows])))
@@ -732,7 +806,7 @@ def test_a_warm_rewalk_divides_nothing(name, divisions):
         assert divisions == []
         counted = (runtime.cache.hits, runtime.cache.misses, len(runtime.cache))
         calls = []
-        for owner, attr in ((runtime, "stop_set"), (FacilityComponent, "restricted_to")):
+        for owner, attr in ((runtime, "stop_set"), (StopSet, "restricted_to")):
             inner = getattr(owner, attr)
             patch.setattr(owner, attr, lambda *a, _f=inner, _n=attr: (calls.append(_n), _f(*a))[1])
         for f in _ROUTES:
@@ -746,7 +820,8 @@ def test_a_warm_rewalk_divides_nothing(name, divisions):
             kmaxrrst_module, "score_frontier",
             lambda tree, plan, nodes, *a: (scored.append(nodes.tolist()), inner(tree, plan, nodes, *a))[1],
         )
-        patch.setattr(evaluate_module, "_filter_and_probe", None)
+        patch.setattr(evaluate_module, "filter_candidates", None)
+        patch.setattr(evaluate_module, "probe_candidates", None)
         assert top_k_facilities(tree, _ROUTES, 2, spec, runtime=runtime).services() == first[1]
         frame = tree.frame()
         scans = [frame.path(tree.containing_qnode(f.embr(spec.psi)))[:0:-1].tolist() for f in _ROUTES]
@@ -877,34 +952,6 @@ def test_a_sweep_of_new_facilities_holds_at_most_the_row_bound(divisions, monkey
             assert evaluate_service(tree, routes[0], spec, runtime=runtime) == first[0]
             assert cache._rows == 0 and not cache._records
     assert first == [brute_force_service(users, f, spec) for f in routes]
-
-
-@pytest.mark.engine_smoke
-def test_a_node_evaluation_leaves_a_warm_walk_warm():
-    """``evaluate_node_trajectories`` may be handed any part of a
-    facility, so it scores its frontier of one without the cache: a
-    facility walked, then evaluated at one node on a component
-    restricted to that node's box, walks warm again — every listed node
-    it reaches hits, and the value is ``==``."""
-    users = _users(70, 7, True)
-    tree = BUILDERS["tq_zorder"](users)
-    spec = ServiceSpec(ServiceModel.COUNT, psi=140.0, normalize=False)
-    route, frame = _ROUTES[0], tree.frame()
-    whole = FacilityComponent.whole(route, spec.psi)
-    n_stops = whole.stops.coords.shape[0]
-    node = next(
-        i for i in range(1, len(frame))
-        if frame.n_own[i]
-        and 0 < whole.restricted_to(_box(frame, i)).stops.coords.shape[0] < n_stops
-    )
-    part = whole.restricted_to(_box(frame, node))
-    reached = np.flatnonzero(walk_plan(tree, route, spec.psi, None).visited)
-    with QueryRuntime() as runtime:
-        value = evaluate_service(tree, route, spec, runtime=runtime)
-        evaluate_module.evaluate_node_trajectories(tree, node, part, spec, runtime=runtime)
-        stats = QueryStats()
-        assert evaluate_service(tree, route, spec, stats=stats, runtime=runtime) == value
-    assert stats.cache_hits == np.count_nonzero(frame.n_own[reached]) > 0
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,6 @@ from repro import (
 from repro.core.errors import QueryError
 from repro.core.service import coverage_kernel
 from repro.engine import ShardedStopGrid, build_cellstring_index
-from repro.queries import FacilityComponent, evaluate_node_trajectories
 from repro.queries.maxkcov import tq_match_fn
 from repro.runtime import coerce_runtime
 
@@ -279,9 +278,6 @@ _ENTRY_POINTS = {
     "evaluate_service": lambda a, rt: evaluate_service(
         a.tree, a.facilities[0], a.spec, runtime=rt
     ),
-    "evaluate_node_trajectories": lambda a, rt: evaluate_node_trajectories(
-        a.tree, 0, a.component, a.spec, runtime=rt
-    ),
     "top_k_facilities": lambda a, rt: top_k_facilities(
         a.tree, a.facilities, 2, a.spec, runtime=rt
     ),
@@ -337,7 +333,6 @@ class TestRuntimeArgument:
             users=taxi_users,
             facilities=facilities,
             spec=spec,
-            component=FacilityComponent.whole(facilities[0], spec.psi),
             match_fn=tq_match_fn(tree, spec),
         )
         with pytest.raises(QueryError, match="runtime must be a QueryRuntime"):
