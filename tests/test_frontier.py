@@ -829,6 +829,42 @@ def test_a_warm_rewalk_divides_nothing(name, divisions):
     assert first == _every_walk(tree, spec, None)
 
 
+def test_a_node_evaluation_leaves_a_warm_walk_warm():
+    """The filter, probe and score stages may be handed any part of a
+    facility, so they keep nothing in the cache: a facility walked, then
+    one node scored through the runtime on the stops restricted to that
+    node's box, walks warm again — every listed node it reaches hits,
+    and the value is ``==``."""
+    users = _users(70, 7, True)
+    tree = BUILDERS["tq_zorder"](users)
+    spec = ServiceSpec(ServiceModel.COUNT, psi=140.0, normalize=False)
+    route, frame = _ROUTES[0], tree.frame()
+    whole = StopSet.of_facility(route)
+    node = next(
+        i for i in range(1, len(frame))
+        if frame.n_own[i]
+        and 0 < _restricted(whole, _box(frame, i), spec.psi).n_stops < whole.n_stops
+    )
+    part = _restricted(whole, _box(frame, node), spec.psi)
+    reached = np.flatnonzero(walk_plan(tree, route, spec.psi, None).visited)
+    mode = evaluate_module.candidate_mode(spec, tree.config.variant, False)
+    with QueryRuntime() as runtime:
+        value = evaluate_service(tree, route, spec, runtime=runtime)
+        counted = (runtime.cache.hits, runtime.cache.misses, len(runtime.cache))
+        nodes = np.array([node])
+        _order, rows, counts = evaluate_module.filter_candidates(
+            tree, nodes, np.array([box_row(part.embr(spec.psi))]), mode, part.coords, spec.psi
+        )
+        mask = evaluate_module.probe_candidates(
+            frame.block, rows, part, spec.psi, QueryStats(), runtime
+        )
+        evaluate_module.score_candidates(tree.table, frame.block, rows, mask, counts, spec, None)
+        assert (runtime.cache.hits, runtime.cache.misses, len(runtime.cache)) == counted
+        stats = QueryStats()
+        assert evaluate_service(tree, route, spec, stats=stats, runtime=runtime) == value
+    assert stats.cache_hits == np.count_nonzero(frame.n_own[reached]) > 0
+
+
 def _clustered_tree(beta: int) -> tuple:
     """Forty short trips in the south-west quadrant: with ``beta`` 4 the
     root splits and its north-east child is an empty leaf."""
