@@ -242,11 +242,11 @@ class StopSet:
     def covers_point(
         self, p: Point, psi: float, stats: Optional[QueryStats] = None
     ) -> bool:
-        """True when ``p`` is within ``psi`` of any stop."""
-        if self.is_empty:
-            return False
-        mask = coverage_kernel(
-            np.array([[p.x, p.y]], dtype=np.float64), self.coords, psi, stats
+        """True when ``p`` is within ``psi`` of any stop: one point
+        through :meth:`covered_mask`, so a dressed set answers through
+        its index."""
+        mask = self.covered_mask(
+            np.array([[p.x, p.y]], dtype=np.float64), psi, stats
         )
         return bool(mask[0])
 

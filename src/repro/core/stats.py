@@ -64,13 +64,18 @@ class StoreStats:
     Frozen on purpose: a snapshot is an observation, not an accumulator
     — mutating one must never perturb the live store's counters, and
     the serving layer hands these out over ``GET /stats`` while queries
-    are in flight.  The hit/miss/eviction triples cover the three
-    content-addressed cache levels; ``opened`` counts indexes served
-    from a persisted :mod:`repro.store` file instead of being rebuilt,
-    and ``verified`` counts how many of those passed the bitwise
-    re-verification against the requesting coordinates (an ``opened``
-    without a matching ``verified`` never happens on the serving path —
-    a failed verification falls back to a fresh build).
+    are in flight.  The grid and cellstring hit/miss/eviction triples
+    cover the store's two content-addressed tables; ``opened`` counts
+    indexes served from a persisted :mod:`repro.store` file instead of
+    being rebuilt, and ``verified`` counts how many of those passed the
+    bitwise re-verification against the requesting coordinates (an
+    ``opened`` without a matching ``verified`` never happens on the
+    serving path — a failed verification falls back to a fresh build).
+
+    ``shard_hits``, ``shard_misses`` and ``shard_evictions`` are always
+    0: a grid builds its own shards, so the store interns none.  perfbench
+    reads ``shard_evictions``, so the three stay for perfbench and the
+    wire until the benchmark releases them.
     """
 
     grid_hits: int = 0

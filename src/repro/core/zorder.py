@@ -12,7 +12,8 @@ This module provides:
 * :class:`ZID` — an immutable digit-path identifier with the ordering and
   prefix algebra needed for range pruning (``zReduce``).
 * :func:`morton_encode` / :func:`morton_decode` — classic fixed-depth Morton
-  codes (used by tests and by the uniform-grid fallback).
+  codes, one cell at a time: the reference the array versions are tested
+  against.
 * :func:`morton_encode_array` / :func:`morton_decode_array` — the same
   codes for whole index arrays at once via bit-spreading, bit-identical
   to the scalar functions element-wise (the cellstring engine's key

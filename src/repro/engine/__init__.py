@@ -12,7 +12,7 @@ facility's stops?" — without ever changing an answer.  The pieces:
   into N contiguous shards (one shard is the plain grid; more split one
   batched query across slices, probed one after another on the calling
   thread), per-shard :class:`~repro.core.stats.QueryStats` merge back
-  into the caller's totals, and built grids and shards are shared across
+  into the caller's totals, and built grids are shared across
   facilities by stop-coordinate content hash.  Exposed behind the existing
   :class:`~repro.core.service.StopSet` contract and routed through the
   same :func:`~repro.core.service.psi_hit` kernel, so masks are
@@ -32,13 +32,17 @@ facility's stops?" — without ever changing an answer.  The pieces:
   static facility become sorted-array membership; builds are shared by
   content through the same :class:`ShardStore`.
 
+A dressed stop set builds one index, at the radius it was dressed for;
+the :class:`ShardStore` caches built grids and cellstrings in two
+tables keyed by stop content and radius.
+
 **When the grid wins:** stop-dense facilities (hundreds of stops) with
 small ``psi`` relative to the stop extent — the dense broadcast pays
 ``O(points x stops)`` while the grid pays ``O(points x candidates)``
 with a few candidates per point.  **When dense is still used:** tiny
 stop sets (below :data:`~repro.engine.grid.AUTO_MIN_STOPS` under
-``ProximityBackend.AUTO``), and radii larger than the built grid's cell
-size, where 3x3 gathering would approach a full scan anyway; the
+``ProximityBackend.AUTO``), and radii at or above the built grid's
+cell size, where 3x3 gathering would approach a full scan anyway; the
 fallback is automatic and exact.
 
 Everything here layers strictly on :mod:`repro.core` — the query layer

@@ -62,9 +62,6 @@ def _as_stop_set(obj: StopsLike) -> StopSet:
         return obj
     if isinstance(obj, FacilityRoute):
         return StopSet.of_facility(obj)
-    stops = getattr(obj, "stops", None)
-    if isinstance(stops, StopSet):  # e.g. a DivisionPlan: the walk's stops
-        return stops
     return StopSet(np.asarray(obj, dtype=np.float64))
 
 
@@ -102,7 +99,7 @@ class BatchQueryEngine:
                 f"runtime must be a QueryRuntime, got {type(runtime).__name__}"
             )
         self.runtime = runtime
-        self._stops: dict = {}  # id(request object) -> (object, StopSet)
+        self._stops: dict = {}  # (id(request object), psi) -> (object, StopSet)
         self._masks: dict = {}  # (id(StopSet), psi) -> (StopSet, mask)
         self._points = self.table.xy  # the shared probe block
 
@@ -116,9 +113,11 @@ class BatchQueryEngine:
         return int(self._points.shape[0])
 
     def resolve_stops(self, obj: StopsLike, psi: float) -> StopSet:
-        """The (runtime-dressed) stop set for a request object, shared
-        across requests naming the same object."""
-        key = id(obj)
+        """The (runtime-dressed) stop set for a request object at
+        ``psi``, shared across requests naming the same object and
+        radius: a dressed set builds its one index at the radius it was
+        dressed for."""
+        key = (id(obj), float(psi))
         entry = self._stops.get(key)
         if entry is not None and entry[0] is obj:
             return entry[1]

@@ -69,7 +69,6 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from ..core.errors import QueryError
-from ..core.geometry import Point
 from ..core.service import PAIRS_PER_PASS, StopSet, coverage_kernel, psi_hit
 from ..core.stats import QueryStats
 from ..core.zorder import morton_encode_array
@@ -117,11 +116,6 @@ _EPS_REL = 1e-7
 #: this relative margin, so every in-space point floors strictly below
 #: ``2 ** depth``.
 _SPACE_MARGIN = 1e-7
-
-#: Per-stop-set memo of built indexes by query radius (rasterization
-#: bakes ``psi`` in, unlike the grid's cell-size slack).  Small FIFO:
-#: serving workloads probe one or two radii per facility.
-_PSI_MEMO_CAP = 4
 
 
 def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -239,15 +233,6 @@ class CellstringIndex:
         return int(self.interior_keys.size + self.boundary_keys.size)
 
     @property
-    def n_coarse_cells(self) -> int:
-        return int(self.coarse_keys.size)
-
-    @property
-    def n_boundary_candidates(self) -> int:
-        """Total (boundary cell, candidate stop) CSR pairs."""
-        return int(self.boundary_stops.size)
-
-    @property
     def nbytes(self) -> int:
         """Index array payload (what a persisted store would serialize)."""
         return int(
@@ -336,15 +321,6 @@ class CellstringIndex:
         dy = sub[pair_point, 1] - self.coords[cand, 1]
         out[vi[pair_point[psi_hit(dx, dy, psi)]]] = True
         return out
-
-    def covers_point(
-        self, p: Point, psi: float, stats: Optional[QueryStats] = None
-    ) -> bool:
-        """True when ``p`` is within ``psi`` of any stop."""
-        mask = self.covered_mask(
-            np.array([[p.x, p.y]], dtype=np.float64), psi, stats
-        )
-        return bool(mask.size and mask[0])
 
 
 def _stop_windows(
@@ -491,20 +467,21 @@ def build_cellstring_index(coords: np.ndarray, psi: float) -> CellstringIndex:
 
 
 class CellstringStopSet(StopSet):
-    """A :class:`StopSet` whose coverage checks ride precomputed
-    cellstring indexes.
+    """A :class:`StopSet` whose coverage checks ride one precomputed
+    cellstring index, rasterized at ``cs_psi``, the radius the set was
+    dressed for.
 
     Drop-in for the base class everywhere, like
     :class:`~repro.engine.shards.GriddedStopSet`: same results for every
     input, different work profile — build cost up front, membership
-    probes after.  Indexes are radius-specific, built lazily per query
-    ``psi`` (small FIFO memo) once ``n_stops >= min_stops``; below the
-    threshold checks stay dense.  A ``store``
-    (:class:`~repro.engine.shards.ShardStore`) shares builds across
-    facilities with content-identical stops.
+    probes after.  The index is built lazily on first use once
+    ``n_stops >= min_stops``; below the threshold checks stay dense, and
+    a probe at another radius stays exact through the index's own dense
+    fallback.  A ``store`` (:class:`~repro.engine.shards.ShardStore`)
+    shares builds across facilities with content-identical stops.
     """
 
-    __slots__ = ("cs_psi", "min_stops", "_store", "_memo")
+    __slots__ = ("cs_psi", "min_stops", "_store", "_index")
 
     def __init__(
         self,
@@ -519,42 +496,19 @@ class CellstringStopSet(StopSet):
         self.cs_psi = float(psi)
         self.min_stops = max(1, int(min_stops))
         self._store = store
-        self._memo: dict = {}
-
-    # ------------------------------------------------------------------
-    def _index_for(self, psi: float) -> Optional[CellstringIndex]:
-        if self.n_stops < self.min_stops:
-            return None
-        key = float(psi)
-        idx = self._memo.get(key)
-        if idx is not None:
-            return idx
-        if self._store is not None:
-            idx = self._store.cellstring_index(self.coords, key)
-        else:
-            idx = build_cellstring_index(self.coords, key)
-        self._memo[key] = idx
-        while len(self._memo) > _PSI_MEMO_CAP:
-            # dicts iterate in insertion order: drop the oldest radius
-            del self._memo[next(iter(self._memo))]
-        return idx
-
-    # ------------------------------------------------------------------
-    def covers_point(
-        self, p: Point, psi: float, stats: Optional[QueryStats] = None
-    ) -> bool:
-        idx = self._index_for(psi)
-        if idx is None:
-            return super().covers_point(p, psi, stats)
-        return idx.covers_point(p, psi, stats)
+        self._index: Optional[CellstringIndex] = None
 
     def covered_mask(
         self, coords: np.ndarray, psi: float, stats: Optional[QueryStats] = None
     ) -> np.ndarray:
-        idx = self._index_for(psi)
-        if idx is None:
+        if self.n_stops < self.min_stops:
             return super().covered_mask(coords, psi, stats)
-        return idx.covered_mask(coords, psi, stats)
+        if self._index is None:
+            if self._store is not None:
+                self._index = self._store.cellstring_index(self.coords, self.cs_psi)
+            else:
+                self._index = build_cellstring_index(self.coords, self.cs_psi)
+        return self._index.covered_mask(coords, psi, stats)
 
     def with_coords(self, coords: np.ndarray) -> "CellstringStopSet":
         return CellstringStopSet(

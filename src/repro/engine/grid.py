@@ -47,10 +47,11 @@ def _snap_origin(vmin: float, cell: float) -> float:
 
     ``vmin / cell`` can overflow to infinity outright (tiny derived
     cells under huge coordinates — an all-coincident stop set with a
-    subnormal ``psi``); any origin at or below ``vmin`` keeps masks
-    exact (snapping only improves :class:`~repro.engine.shards
-    .ShardStore` slice sharing), so fall back to ``vmin`` itself rather
-    than propagate a non-finite origin into every cell index.
+    subnormal ``psi``).  Any origin at or below ``vmin`` keeps masks
+    exact — snapping only pins the cell lattice, which
+    ``distance_evals``, ``cells_probed`` and persisted grids depend on —
+    so fall back to ``vmin`` itself rather than propagate a non-finite
+    origin into every cell index.
     """
     # Python floats: an infinite cell (a radius near the float maximum)
     # makes ``0 * inf``, a NaN without a warning

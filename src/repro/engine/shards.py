@@ -27,20 +27,18 @@ attributed to the first, so the merged totals are the plain 3x3
 neighbourhood counts whatever the shard count.
 
 :class:`GriddedStopSet` packages the grid behind the
-:class:`~repro.core.service.StopSet` contract (``covers_point`` /
-``covered_mask`` / ``restricted_to``), building it lazily on first use
-and staying on the dense broadcast for stop sets too small to amortise
-the bucketing.
+:class:`~repro.core.service.StopSet` contract (``covered_mask`` /
+``restricted_to``): one grid, built lazily at the radius the set was
+dressed for, with stop sets too small to amortise the bucketing staying
+on the dense broadcast.
 
-:class:`ShardStore` deduplicates construction by *content*: whole grids
-are keyed by a stop-coordinate content hash (facilities with identical
+:class:`ShardStore` deduplicates construction by *content*, at two
+levels: whole grids and cellstring indexes, each keyed by a
+stop-coordinate content hash and the radius (facilities with identical
 stop sets — repeated queries, equal components, copies of a route —
-share one build), and individual shard slices are interned by the
-content of their (keys, coords) pair, so facilities with overlapping
-stop sets whose shared region sorts into an identical slice share the
-built shard instead of rebuilding it.  Every hit re-verifies the stored
-arrays against the request before serving it, so a hash collision can
-only cause a miss, never a wrong answer.
+share one build).  Every hit re-verifies the stored arrays against the
+request before serving it, so a hash collision can only cause a miss,
+never a wrong answer.
 """
 
 from __future__ import annotations
@@ -49,13 +47,12 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 import numpy as np
 
 from ..core.config import SHARDS_AUTO, resolve_shard_count
 from ..core.errors import QueryError, StoreError
-from ..core.geometry import Point
 from ..core.service import StopSet, coverage_kernel, psi_hit
 from ..core.stats import QueryStats, StoreStats
 from .cellstring import CellstringIndex, build_cellstring_index
@@ -226,19 +223,19 @@ class StopShard:
         return int(self.cell_starts[-1])
 
 
-def _grid_key(
-    arr: np.ndarray, psi: float, n_shards: int, cell_size: Optional[float]
-) -> Tuple:
+def _grid_key(arr: np.ndarray, psi: float, n_shards: int) -> Tuple:
     """The content key :meth:`ShardStore.sharded_grid` caches under.
 
     Carries the *resolved* shard count, so ``SHARDS_AUTO`` and the
-    explicit count it resolves to are one entry (and one spill file)."""
+    explicit count it resolves to are one entry (and one spill file).
+    The trailing ``None`` is where a cell-size override used to sit; it
+    stays so store directories written before keep their file names."""
     return (
         arr.shape,
         _content_digest(arr),
         float(psi),
         resolve_shard_count(n_shards, arr.shape[0]),
-        None if cell_size is None else float(cell_size),
+        None,
     )
 
 
@@ -254,17 +251,14 @@ def _spill_token(key: Tuple) -> str:
 
 
 def grid_spill_name(
-    coords: np.ndarray,
-    psi: float,
-    n_shards: int = SHARDS_AUTO,
-    cell_size: Optional[float] = None,
+    coords: np.ndarray, psi: float, n_shards: int = SHARDS_AUTO
 ) -> str:
     """The spill-file name a :class:`ShardStore` probes for this sharded
     grid request — and therefore the name an offline builder
     (``python -m repro.store build``) must write, computed from the same
     key the in-memory cache uses."""
     arr = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
-    return f"grid-{_spill_token(_grid_key(arr, psi, n_shards, cell_size))}.idx"
+    return f"grid-{_spill_token(_grid_key(arr, psi, n_shards))}.idx"
 
 
 def cellstring_spill_name(coords: np.ndarray, psi: float) -> str:
@@ -281,22 +275,21 @@ def cellstring_spill_name(coords: np.ndarray, psi: float) -> str:
 #: simply rebuilds), so oldest-first eviction bounds memory at a small
 #: constant.
 _STORE_MAX_GRIDS = 256
-_STORE_MAX_SHARDS = 2_048
 _STORE_MAX_CELLSTRINGS = 128
 
 
 class ShardStore:
-    """Content-addressed cache of built shards, sharded grids, and
-    cellstring indexes.
+    """Content-addressed cache of built sharded grids and cellstring
+    indexes: two tables, one per index kind.
 
-    Every level verifies a hit's stored arrays against the request
-    bitwise before serving it, so aliasing through a hash collision is
+    Both verify a hit's stored arrays against the request bitwise
+    before serving it, so aliasing through a hash collision is
     impossible — a collision is simply a miss.  Entries are keyed purely
-    by content, so a store can be shared freely across facilities and
-    runtimes; retention is bounded (oldest-first eviction
-    past ``max_grids`` / ``max_shards`` / ``max_cellstrings``), which
-    keeps a service-style runtime's memory flat across an unbounded
-    query stream.
+    by content and radius, so a store can be shared freely across
+    facilities and runtimes; retention is bounded (oldest-first eviction
+    past ``max_grids`` / ``max_cellstrings``), which keeps a
+    service-style runtime's memory flat across an unbounded query
+    stream.
 
     One thread owns a store, as one thread owns the runtime that holds
     it (DESIGN.md §6): nothing here takes a lock.  The first request for
@@ -306,12 +299,10 @@ class ShardStore:
     def __init__(
         self,
         max_grids: int = _STORE_MAX_GRIDS,
-        max_shards: int = _STORE_MAX_SHARDS,
         max_cellstrings: int = _STORE_MAX_CELLSTRINGS,
         spill_dir: Optional[str] = None,
     ) -> None:
         self.max_grids = max(1, int(max_grids))
-        self.max_shards = max(1, int(max_shards))
         self.max_cellstrings = max(1, int(max_cellstrings))
         #: Directory of persisted index files (``repro.store`` format)
         #: probed on in-memory misses before building: a file named by
@@ -320,14 +311,10 @@ class ShardStore:
         #: instead of rebuilt.  ``None`` disables spill lookup.
         self.spill_dir = spill_dir
         self._grids: Dict[Tuple, "ShardedStopGrid"] = {}
-        self._shards: Dict[Tuple, StopShard] = {}
         self._cellstrings: Dict[Tuple, CellstringIndex] = {}
         self.grid_hits = 0
         self.grid_misses = 0
         self.grid_evictions = 0
-        self.shard_hits = 0
-        self.shard_misses = 0
-        self.shard_evictions = 0
         self.cellstring_hits = 0
         self.cellstring_misses = 0
         self.cellstring_evictions = 0
@@ -371,16 +358,12 @@ class ShardStore:
 
     # ------------------------------------------------------------------
     def sharded_grid(
-        self,
-        coords: np.ndarray,
-        psi: float,
-        n_shards: int = SHARDS_AUTO,
-        cell_size: Optional[float] = None,
+        self, coords: np.ndarray, psi: float, n_shards: int = SHARDS_AUTO
     ) -> "ShardedStopGrid":
         """A built :class:`ShardedStopGrid`, shared across callers whose
         stop coordinates are content-identical."""
         arr = _validated_stop_coords(coords, psi)
-        key = _grid_key(arr, psi, n_shards, cell_size)
+        key = _grid_key(arr, psi, n_shards)
         hit = self._grids.get(key)
         if hit is not None and np.array_equal(hit.coords, arr):
             self.grid_hits += 1
@@ -401,38 +384,12 @@ class ShardStore:
             self.verified += 1
             grid = spilled
         if grid is None:
-            grid = ShardedStopGrid(
-                arr, psi, n_shards, cell_size=cell_size, store=self
-            )
+            grid = ShardedStopGrid(arr, psi, n_shards)
         self._grids[key] = grid
         self.grid_evictions += self._evict_oldest(
             self._grids, self.max_grids
         )
         return grid
-
-    def intern_shard(self, keys: np.ndarray, coords: np.ndarray) -> StopShard:
-        """The shard for this exact (keys, coords) slice, built once.
-
-        Content addressing is sound regardless of which grid first built
-        the slice: a shard is fully described by its sorted keys and
-        coordinates, so any grid requesting identical content can share
-        the object (this is how overlapping stop sets share shards)."""
-        key = (keys.size, _content_digest(keys), _content_digest(coords))
-        hit = self._shards.get(key)
-        if (
-            hit is not None
-            and np.array_equal(hit.keys, keys)
-            and np.array_equal(hit.coords, coords)
-        ):
-            self.shard_hits += 1
-            return hit
-        self.shard_misses += 1
-        shard = StopShard(keys, coords)
-        self._shards[key] = shard
-        self.shard_evictions += self._evict_oldest(
-            self._shards, self.max_shards
-        )
-        return shard
 
     def cellstring_index(
         self, coords: np.ndarray, psi: float
@@ -442,8 +399,8 @@ class ShardStore:
         content-identical at the same radius.
 
         Cellstring builds are radius-specific (rasterization bakes
-        ``psi`` in), so the key includes ``psi``; like the other two
-        levels, a hit re-verifies the stored coordinates bitwise before
+        ``psi`` in), so the key includes ``psi``; like the grid table,
+        a hit re-verifies the stored coordinates bitwise before
         serving, so a hash collision is simply a miss.
         """
         arr = _validated_stop_coords(coords, psi)
@@ -480,9 +437,6 @@ class ShardStore:
             grid_hits=self.grid_hits,
             grid_misses=self.grid_misses,
             grid_evictions=self.grid_evictions,
-            shard_hits=self.shard_hits,
-            shard_misses=self.shard_misses,
-            shard_evictions=self.shard_evictions,
             cellstring_hits=self.cellstring_hits,
             cellstring_misses=self.cellstring_misses,
             cellstring_evictions=self.cellstring_evictions,
@@ -492,11 +446,10 @@ class ShardStore:
 
     def clear(self) -> None:
         self._grids.clear()
-        self._shards.clear()
         self._cellstrings.clear()
 
     def __len__(self) -> int:
-        return len(self._grids) + len(self._shards) + len(self._cellstrings)
+        return len(self._grids) + len(self._cellstrings)
 
 
 class ShardedStopGrid:
@@ -518,13 +471,11 @@ class ShardedStopGrid:
         valid and simply answer nothing.
     cell_size:
         Override the derived cell edge (tests force degenerate layouts).
-    store:
-        Optional :class:`ShardStore` interning the shard slices.
 
-    The lattice origin is snapped down to a multiple of the cell size, so
-    stop sets sharing a bounding-box corner cell assign identical keys to
-    identical stops — which is what lets a :class:`ShardStore` share
-    slices between overlapping stop sets.
+    The grid builds its own :class:`StopShard` slices.  The lattice
+    origin is snapped down to a multiple of the cell size, so a stop's
+    cell depends on the cell size alone, not on where the set's
+    bounding box starts.
     """
 
     __slots__ = (
@@ -545,7 +496,6 @@ class ShardedStopGrid:
         psi: float,
         n_shards: int = SHARDS_AUTO,
         cell_size: Optional[float] = None,
-        store: Optional[ShardStore] = None,
     ) -> None:
         arr = _validated_stop_coords(coords, psi)
         self.coords = arr
@@ -561,9 +511,7 @@ class ShardedStopGrid:
                 for _ in range(self.n_shards)
             )
             return
-        # snapped origin: identical stops in stop sets sharing the corner
-        # cell get identical keys (which is what makes shard slices
-        # shareable across facilities)
+        # snapped origin: the lattice is fixed by the cell size alone
         self.cell_size, self._ox, self._oy = _grid_geometry(arr, psi, cell_size)
         ij = self._cell_indices(arr)
         self._nx = int(ij[:, 0].max()) + 1
@@ -582,25 +530,18 @@ class ShardedStopGrid:
         order = np.argsort(keys, kind="stable")
         sorted_keys = keys[order]
         sorted_coords = arr[order]
-        self.shards = tuple(
-            self._build_shards(sorted_keys, sorted_coords, store)
-        )
+        self.shards = self._build_shards(sorted_keys, sorted_coords)
 
     def _build_shards(
-        self,
-        sorted_keys: np.ndarray,
-        sorted_coords: np.ndarray,
-        store: Optional[ShardStore],
-    ) -> List[StopShard]:
+        self, sorted_keys: np.ndarray, sorted_coords: np.ndarray
+    ) -> Tuple[StopShard, ...]:
         """Cut the sorted layout into ``n_shards`` cell-aligned slices.
 
         Targets are equal stop counts; each cut retreats to the start of
         the cell run it lands in, so no cell straddles two shards and a
-        cut that falls exactly on a run boundary stays there (which is
-        what lets overlapping stop sets produce content-identical slices
-        for the store to share).  When stops concentrate into fewer
-        cells than shards, cuts coincide and the surplus shards come
-        out empty.
+        cut that falls exactly on a run boundary stays there.  When
+        stops concentrate into fewer cells than shards, cuts coincide
+        and the surplus shards come out empty.
         """
         m = sorted_keys.size
         cuts = [0]
@@ -611,15 +552,10 @@ class ShardedStopGrid:
             )
             cuts.append(max(min(pos, m), cuts[-1]))
         cuts.append(m)
-        shards: List[StopShard] = []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            keys_slice = np.ascontiguousarray(sorted_keys[a:b])
-            coords_slice = np.ascontiguousarray(sorted_coords[a:b])
-            if store is not None and b > a:
-                shards.append(store.intern_shard(keys_slice, coords_slice))
-            else:
-                shards.append(StopShard(keys_slice, coords_slice))
-        return shards
+        return tuple(
+            StopShard(sorted_keys[a:b], sorted_coords[a:b])
+            for a, b in zip(cuts[:-1], cuts[1:])
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -693,41 +629,23 @@ class ShardedStopGrid:
                 stats.merge(shard_stats)
         return out
 
-    def covers_point(
-        self,
-        p: Point,
-        psi: float,
-        stats: Optional[QueryStats] = None,
-    ) -> bool:
-        """True when ``p`` is within ``psi`` of any stop."""
-        mask = self.covered_mask(
-            np.array([[p.x, p.y]], dtype=np.float64), psi, stats
-        )
-        return bool(mask.size and mask[0])
-
 
 class GriddedStopSet(StopSet):
-    """A :class:`StopSet` whose coverage checks ride a lazy
-    :class:`ShardedStopGrid`.
+    """A :class:`StopSet` whose coverage checks ride one lazy
+    :class:`ShardedStopGrid`, built at ``grid_psi``, the radius the set
+    was dressed for.
 
     Drop-in for the base class everywhere (facility components, index
     entries, oracles): same results.  The grid is built on first use
-    once ``n_stops >= min_stops``; below the threshold — and for radii
-    at or above the built grid's cell size — checks stay on the dense
-    kernel.  ``shards`` is the shard count (``SHARDS_AUTO`` resolves
-    from the stop count; 1 = one shard).  Builds go through ``store``
-    when one is given, so facilities with identical or overlapping stop
-    content share them.
+    once ``n_stops >= min_stops``; below the threshold checks stay on
+    the dense kernel.  A probe at another radius stays exact through the
+    grid's own fallback (the dense kernel at or above its cell size).
+    ``shards`` is the shard count (``SHARDS_AUTO`` resolves from the
+    stop count; 1 = one shard).  Builds go through ``store`` when one is
+    given, so facilities with identical stop content share them.
     """
 
-    __slots__ = (
-        "grid_psi",
-        "min_stops",
-        "shards",
-        "_store",
-        "_grid",
-        "_coarse_grid",
-    )
+    __slots__ = ("grid_psi", "min_stops", "shards", "_store", "_grid")
 
     def __init__(
         self,
@@ -746,49 +664,22 @@ class GriddedStopSet(StopSet):
         self.shards = shards
         self._store = store
         self._grid: Optional[ShardedStopGrid] = None
-        self._coarse_grid: Optional[ShardedStopGrid] = None
-
-    def _build(self, psi: float) -> ShardedStopGrid:
-        if self._store is not None:
-            return self._store.sharded_grid(self.coords, psi, self.shards)
-        return ShardedStopGrid(self.coords, psi, self.shards)
-
-    def _grid_for(self, psi: float) -> Optional[ShardedStopGrid]:
-        if self.n_stops < self.min_stops:
-            return None
-        if self._grid is None or psi * 4.0 < self._grid.psi:
-            # Build (or re-provision finer) at the requested radius: a
-            # query far below the provisioned psi would otherwise gather
-            # 3x3 blocks of oversized cells.  Rebuilds are monotone
-            # finer, so alternating radii cannot thrash.
-            self._grid = self._build(min(psi, self.grid_psi))
-        if psi < self._grid.cell_size:
-            # The fine grid is never replaced by a coarser one: one
-            # oversized query must not degrade every later query at the
-            # provisioned radius to coarse-cell gathering.
-            return self._grid
-        coarse = self._coarse_grid
-        if coarse is None or psi >= coarse.cell_size:
-            coarse = self._build(psi)
-            self._coarse_grid = coarse
-        return coarse
-
-    # ------------------------------------------------------------------
-    def covers_point(
-        self, p: Point, psi: float, stats: Optional[QueryStats] = None
-    ) -> bool:
-        grid = self._grid_for(psi)
-        if grid is None:
-            return super().covers_point(p, psi, stats)
-        return grid.covers_point(p, psi, stats)
 
     def covered_mask(
         self, coords: np.ndarray, psi: float, stats: Optional[QueryStats] = None
     ) -> np.ndarray:
-        grid = self._grid_for(psi)
-        if grid is None:
+        if self.n_stops < self.min_stops:
             return super().covered_mask(coords, psi, stats)
-        return grid.covered_mask(coords, psi, stats)
+        if self._grid is None:
+            if self._store is not None:
+                self._grid = self._store.sharded_grid(
+                    self.coords, self.grid_psi, self.shards
+                )
+            else:
+                self._grid = ShardedStopGrid(
+                    self.coords, self.grid_psi, self.shards
+                )
+        return self._grid.covered_mask(coords, psi, stats)
 
     def with_coords(self, coords: np.ndarray) -> "GriddedStopSet":
         return GriddedStopSet(

@@ -281,10 +281,6 @@ class TQTree:
     def n_entries(self) -> int:
         return self._frame.rows.size
 
-    @property
-    def max_traj_points(self) -> int:
-        return self._max_traj_points
-
     def trajectory(self, traj_id: int) -> Trajectory:
         table = self.table
         try:

@@ -14,8 +14,9 @@ context of the query layer:
   of walk records, its own, shared by every evaluation routed through
   the runtime;
 * **the shard store** — one :class:`~repro.engine.ShardStore`, so
-  facilities with identical or overlapping stop content share built
-  grids across queries (and open persisted ones from ``store_dir``);
+  facilities with identical stop content share built grids and
+  cellstrings across queries (and open persisted ones from
+  ``store_dir``);
 * **stats accrual** — every runtime-routed query merges its work
   counters into its own :attr:`stats` (via
   :meth:`~repro.core.stats.QueryStats.merge`), giving a service-level

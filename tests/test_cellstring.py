@@ -11,7 +11,7 @@ suite drives Hypothesis-generated adversarial inputs (ties at exactly
 structural edge cases: empty stop sets, coincident stops, huge
 coordinates with subnormal radii, and radius-mismatch fallback.  The
 :class:`ShardStore` cellstring cache is held to the same standard as
-its shard cache: content addressing with bitwise re-verification,
+its grid cache: content addressing with bitwise re-verification,
 bounded oldest-first retention, and exact rebuilds after eviction.
 The blocked build is held to ``==`` against a one-pass reference
 builder kept here, array for array, and to a memory bound.
@@ -295,25 +295,28 @@ class TestCellstringEdgeCases:
     def test_min_stops_threshold_keeps_small_sets_dense(self):
         coords = np.random.default_rng(8).uniform(0, 50, size=(10, 2))
         sset = CellstringStopSet(coords, 5.0, min_stops=48)
-        assert sset._index_for(5.0) is None
         probe = np.random.default_rng(9).uniform(0, 50, size=(30, 2))
         assert np.array_equal(
             StopSet(coords).covered_mask(probe, 5.0),
             sset.covered_mask(probe, 5.0),
         )
+        assert sset._index is None
 
     def test_psi_memo_is_bounded(self):
+        """A dressed set builds one index, at its own radius: probes at
+        psi / 8, psi, 4 psi and psi again keep that index object, and
+        every mask stays exact through the index's own fallback."""
         coords = np.random.default_rng(10).uniform(0, 50, size=(32, 2))
-        sset = CellstringStopSet(coords, 5.0)
-        for psi in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0):
-            sset._index_for(psi)
-        assert len(sset._memo) <= 4
-        # evicted radii rebuild with the same answers
+        store = ShardStore()
+        sset = CellstringStopSet(coords, 5.0, store=store)
         probe = np.random.default_rng(11).uniform(0, 50, size=(40, 2))
-        assert np.array_equal(
-            StopSet(coords).covered_mask(probe, 1.0),
-            sset.covered_mask(probe, 1.0),
-        )
+        indexes = []
+        for psi in (0.625, 5.0, 20.0, 5.0):
+            expected = StopSet(coords).covered_mask(probe, psi)
+            assert np.array_equal(sset.covered_mask(probe, psi), expected)
+            indexes.append(sset._index)
+        assert all(i is indexes[0] for i in indexes) and indexes[0].psi == 5.0
+        assert store.cellstring_misses == 1
 
     def test_invalid_inputs_raise(self):
         with pytest.raises(QueryError):

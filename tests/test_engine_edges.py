@@ -20,7 +20,6 @@ from repro import (
     BatchQueryEngine,
     CellstringStopSet,
     GriddedStopSet,
-    Point,
     ProximityBackend,
     QueryError,
     QueryRuntime,
@@ -28,6 +27,7 @@ from repro import (
     ServiceModel,
     ServiceSpec,
     ShardedStopGrid,
+    ShardStore,
     StopSet,
     Trajectory,
     brute_force_service,
@@ -56,7 +56,7 @@ class TestEmptyAndDegenerate:
         assert not mask.any()
         grid = ShardedStopGrid(empty, 10.0)
         assert grid.is_empty and all(s.n_cells == 0 for s in grid.shards)
-        assert not grid.covers_point(Point(0.0, 0.0), 10.0)
+        assert grid.covered_mask(np.array([[0.0, 0.0]]), 10.0).tolist() == [False]
 
     def test_single_stop_facility(self):
         probe = [[0.0, 0.0], [3.0, 4.0], [3.0, 4.001], [-3.0, -4.0]]
@@ -156,26 +156,22 @@ class TestBoundaries:
             ShardedStopGrid(np.array([[0.0, 0.0]]), 5.0, cell_size=1.0)
 
     def test_large_psi_query_does_not_coarsen_the_grid(self):
-        """One oversized query must not degrade later queries at the
-        provisioned radius: the fine grid survives, a separate coarse
-        grid serves the big radius, and both stay exact."""
+        """A dressed set builds one grid, at its own radius: probes at
+        psi / 8, psi, 4 psi and psi again keep that grid object, and
+        every mask stays exact through the grid's own fallback."""
         stops = np.array([[float(i % 20), float(i // 20)] for i in range(400)])
-        gss = GriddedStopSet(stops, 1.0)
-        probe = np.array([[5.2, 5.2], [30.0, 30.0], [0.0, 19.0]])
+        store = ShardStore()
+        gss = GriddedStopSet(stops, 1.0, store=store)
+        probe = np.array([[5.2, 5.2], [30.0, 30.0], [0.0, 19.0], [5.1, 5.0]])
         dense = StopSet(stops)
-        assert np.array_equal(
-            gss.covered_mask(probe, 1.0), dense.covered_mask(probe, 1.0)
-        )
-        fine_cell = gss._grid.cell_size
-        assert np.array_equal(
-            gss.covered_mask(probe, 90.0), dense.covered_mask(probe, 90.0)
-        )
-        assert np.array_equal(
-            gss.covered_mask(probe, 1.0), dense.covered_mask(probe, 1.0)
-        )
-        assert gss._grid.cell_size == fine_cell  # fine grid untouched
-        assert gss._coarse_grid is not None
-        assert gss._coarse_grid.cell_size >= 90.0
+        grids = []
+        for psi in (0.125, 1.0, 4.0, 1.0):
+            assert np.array_equal(
+                gss.covered_mask(probe, psi), dense.covered_mask(probe, psi)
+            )
+            grids.append(gss._grid)
+        assert all(g is grids[0] for g in grids) and grids[0].psi == 1.0
+        assert store.grid_misses == 1
 
 
 class TestDegenerateGeometryHardening:

@@ -87,7 +87,8 @@ class TestGridMaskOracle:
         for u in users:
             for p in u.points:
                 expected = dense.covers_point(p, psi)
-                assert grid.covers_point(p, psi) == expected
+                one = np.array([[p.x, p.y]])
+                assert grid.covered_mask(one, psi).tolist() == [expected]
                 assert gridded.covers_point(p, psi) == expected
 
     @settings(max_examples=30, deadline=None)
@@ -152,6 +153,19 @@ class TestBatchEngineOracle:
         assert engine.matches(facility, psi) == brute_force_matches(
             users, facility, psi
         )
+
+    def test_each_radius_is_dressed_at_that_radius(self, taxi_users, facilities):
+        """One facility asked at two radii gets a dressed set per radius,
+        each indexed at its own psi, and both answers stay exact."""
+        engine = BatchQueryEngine(
+            taxi_users, runtime=_rt(ProximityBackend.CELLSTRING)
+        )
+        for psi in (200.0, 400.0, 200.0):
+            spec = ServiceSpec(ServiceModel.COUNT, psi=psi)
+            assert engine.query(facilities[0], spec) == brute_force_service(
+                taxi_users, facilities[0], spec
+            )
+            assert engine.resolve_stops(facilities[0], psi).cs_psi == psi
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -260,9 +274,9 @@ class TestTreePathOracle:
         for record in records:
             assert isinstance(record.stops, (GriddedStopSet, CellstringStopSet))
             if isinstance(record.stops, GriddedStopSet):
-                assert record.stops._grid is None and record.stops._coarse_grid is None
+                assert record.stops._grid is None
             else:
-                assert record.stops._memo == {}
+                assert record.stops._index is None
         assert runtime.stats.cells_probed > 0
 
     def test_a_reused_id_with_other_stops_misses_on_every_node(

@@ -78,14 +78,19 @@ class TestStopSetDressing:
         dressed = rt.stop_set(stops, 10.0)
         assert isinstance(dressed, GriddedStopSet)
         assert dressed.shards == 3
-        assert dressed._grid_for(10.0).n_shards == 3
+        dressed.covered_mask(stops.coords, 10.0)
+        assert dressed._grid.n_shards == 3
 
     def test_auto_shards_resolve_from_stop_count(self):
         rt = _runtime(ProximityBackend.AUTO, shards=0)
         small = StopSet(np.random.default_rng(0).uniform(0, 500, (200, 2)))
         large = StopSet(np.random.default_rng(1).uniform(0, 500, (4_000, 2)))
-        assert rt.stop_set(small, 10.0)._grid_for(10.0).n_shards == 1
-        assert rt.stop_set(large, 10.0)._grid_for(10.0).n_shards >= 2
+        dressed_small = rt.stop_set(small, 10.0)
+        dressed_large = rt.stop_set(large, 10.0)
+        for dressed in (dressed_small, dressed_large):
+            dressed.covered_mask(dressed.coords[:1], 10.0)
+        assert dressed_small._grid.n_shards == 1
+        assert dressed_large._grid.n_shards >= 2
         assert auto_shard_count(200) == 1
 
     def test_cellstring_backend_always_dresses(self):

@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    SHARDS_AUTO,
     ProximityBackend,
     QueryRuntime,
     QueryStats,
@@ -347,6 +348,21 @@ class TestShardStoreSpill:
         assert after.opened == 2
         assert after.grid_hits == 1 and after.cellstring_hits == 1
 
+    def test_spill_names_of_existing_store_directories_still_open(self):
+        """Spill-file names are the store directory's on-disk contract:
+        these three are what earlier builds wrote for this stop array,
+        so a directory built then still opens."""
+        coords = (np.arange(128, dtype=np.float64) * 37.5 % 1000.0).reshape(64, 2)
+        assert grid_spill_name(coords, 300.0, SHARDS_AUTO) == (
+            "grid-6fdb3b316edf3a10c255e8c7a85b6689108f0dde.idx"
+        )
+        assert grid_spill_name(coords, 300.0, 2) == (
+            "grid-77bc44c7a1d04a53c769bb94057be0d0ad2452f0.idx"
+        )
+        assert cellstring_spill_name(coords, 300.0) == (
+            "cellstring-cbbc1d1457b651134bc68fdc5b58010585d3ee77.idx"
+        )
+
     def test_corrupt_spill_is_a_silent_miss(self, tmp_path):
         coords = _coords(150, seed=8)
         spill = str(tmp_path)
@@ -568,6 +584,10 @@ class TestHttpOverStore:
         assert counters.opened > 0
         assert counters.verified == counters.opened
         assert raw.body["store"]["opened"] == counters.opened
+        # the store interns no shards: the fields stay on the wire at 0
+        shard_fields = ("shard_hits", "shard_misses", "shard_evictions")
+        assert [getattr(counters, f) for f in shard_fields] == [0, 0, 0]
+        assert [raw.body["store"][f] for f in shard_fields] == [0, 0, 0]
 
     def test_store_stats_wire_round_trip(self):
         from repro.service.http import wire
