@@ -249,6 +249,18 @@ class TestShardStore:
         assert g1 is g2
         assert store.grid_hits == 1 and store.grid_misses == 1
 
+    def test_interning_counters_account_for_every_call(self):
+        """Every grid and cellstring request lands in exactly one of its
+        table's hit / miss counters, and identical content builds once."""
+        store = ShardStore()
+        coords = np.random.default_rng(7).uniform(0, 10, (64, 2))
+        for _ in range(100):
+            assert store.sharded_grid(coords.copy(), 1.0, 2).n_stops == 64
+            assert store.cellstring_index(coords.copy(), 1.0).psi == 1.0
+        assert store.grid_hits + store.grid_misses == 100
+        assert store.cellstring_hits + store.cellstring_misses == 100
+        assert store.grid_misses == 1 and store.cellstring_misses == 1
+
     def test_auto_and_the_count_it_resolves_to_are_one_entry(self):
         """The key carries the *resolved* shard count: ``AUTO`` landing
         on 1 and an explicit 1 are one build and one spill file."""
