@@ -32,7 +32,14 @@ __all__ = ["QueryStats", "StoreStats"]
 
 @dataclass
 class QueryStats:
-    """Work counters for ablation and pruning-effectiveness tests."""
+    """Work counters for ablation and pruning-effectiveness tests.
+
+    ``states_relaxed`` and ``states_pruned`` are always 0: kMaxRRST
+    evaluates every candidate, so it relaxes and prunes no best-first
+    state.  perfbench reads both for ``queries.states_pruned_ratio``, so
+    they stay for perfbench and the wire until the benchmark releases
+    them.
+    """
 
     nodes_visited: int = 0
     entries_considered: int = 0

@@ -2,7 +2,7 @@
 
 The query layer recomputes coverage from scratch for every evaluation:
 a facility queried twice walks the same (node, facility-component)
-pairs twice, kMaxRRST re-scans ancestor lists across relax rounds, and
+pairs twice, kMaxRRST evaluates candidates other queries walked, and
 the greedy / genetic / exact MaxkCovRST solvers each want the same
 per-facility match sets.  All of that is one walk's work — it depends
 on the facility's stops, ``psi`` and the tree, and nothing else — so
@@ -16,12 +16,10 @@ on the facility's stops, ``psi`` and the tree, and nothing else — so
 * per ``(model, normalize)`` column: three node-indexed arrays of
   Algorithm 2's values (``known``, the ``value`` a node's own list
   adds, how many candidates scoring it took), filled by non-collecting
-  walks; a kMaxRRST *level script* once those know every value a
-  state's rounds add; and the collecting walk's **match set** (the
-  served-point slots the MaxkCovRST solvers price).
+  walks; and the collecting walk's **match set** (the served-point
+  slots the MaxkCovRST solvers price).
 
-A warm frontier is one gather, a warm kMaxRRST state a replay, a warm
-match set a lookup.
+A warm frontier is one gather, a warm match set a lookup.
 
 A record is found by its key and verified against the facility's own
 stop coordinates — by identity, else bitwise (equal stops restrict to
@@ -35,18 +33,16 @@ re-walks every node after it.  Any other data change is the caller's to
 scope: drop the cache (or :meth:`clear`) when it happens.
 
 Records are held to :data:`MAX_ROWS` rows — a division and each value
-column one per node, a level script one per node of its anchor path and
-frontiers, a match set one per slot — least recently used first out and
-never the record being filled.  An evicted answer is a miss like any
+column one per node, a match set one per slot — least recently used
+first out and never the record being filled.  An evicted answer is a miss like any
 other.  Divisions are bookkeeping, not answers: they count in neither
 ``hits`` / ``misses`` nor ``len()``; a node value counts one hit or one
 miss per listed node a frontier reads, a match set one per request.
 
 **One thread owns a cache**, as one thread owns the runtime that holds
 it (DESIGN.md §6): nothing here takes a lock.  A value column is still
-copied on write and swapped in, and a level script or a match set is
-installed once, so none changes once stored and a caller may keep what
-it read.
+copied on write and swapped in, and a match set is installed once, so
+none changes once stored and a caller may keep what it read.
 """
 
 from __future__ import annotations
@@ -74,17 +70,16 @@ Column = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 class WalkRecord:
     """One walk's division and unprobed stop set, with its value
-    columns, level scripts and match sets per ``(model, normalize)``.
-    ``columns``, ``scripts``, ``matches`` and ``rows`` change only
-    through the owning cache; a column is replaced, never written into,
-    and a script or match set is installed once."""
+    columns and match sets per ``(model, normalize)``.  ``columns``,
+    ``matches`` and ``rows`` change only through the owning cache; a
+    column is replaced, never written into, and a match set is
+    installed once."""
 
-    __slots__ = ("key", "coords", "division", "stops", "columns", "scripts", "matches", "rows")
+    __slots__ = ("key", "coords", "division", "stops", "columns", "matches", "rows")
 
     def __init__(self, key, coords: np.ndarray, division: Division, stops) -> None:
         self.key, self.coords, self.division, self.stops = key, coords, division, stops
         self.columns: Dict[Hashable, Column] = {}
-        self.scripts: Dict[Hashable, Any] = {}
         self.matches: Dict[Hashable, Any] = {}
         self.rows = division[0].size
 
@@ -162,14 +157,6 @@ class CoverageCache:
         known[nodes], value[nodes], count[nodes] = True, values, counts
         record.columns[column] = (known, value, count)
         self._grow(record, rows)
-
-    def store_script(self, record: WalkRecord, column: Hashable, script, rows: int) -> None:
-        """Hold ``script`` — ``rows`` rows — as ``record``'s level script
-        for ``column`` if the cache still holds ``record`` and no script
-        for it yet; evict like :meth:`store_column`."""
-        if self._records.get(record.key) is record and column not in record.scripts:
-            record.scripts[column] = script
-            self._grow(record, rows)
 
     def read_matches(
         self, key: Hashable, stop_coords: np.ndarray, column: Hashable

@@ -9,7 +9,7 @@ from .builder import (
 )
 from .block import NodeBlock
 from .frame import TreeFrame, ZStack
-from .entries import SubBounds, entry_keys, validate_spec_for_variant
+from .entries import entry_keys, validate_spec_for_variant
 from .quadtree import PointQuadtree
 from .stats import IndexStats, storage_report
 from .tqtree import TQTree
@@ -20,7 +20,6 @@ __all__ = [
     "NodeBlock",
     "TreeFrame",
     "ZStack",
-    "SubBounds",
     "entry_keys",
     "validate_spec_for_variant",
     "IndexStats",

@@ -7,8 +7,7 @@ of flat columns over the tree's :class:`~repro.core.trajectory
 its node table (:class:`~repro.index.frame.TreeFrame`): node ``i``'s
 list is block rows ``row_off[i] .. row_off[i + 1] - 1``.  The same
 constructor gives a bulk build, an insert and a leaf split their
-placement boxes (``gov[:, 4:8]``) and ``sub`` addends
-(:meth:`~NodeBlock.own_totals`).
+placement boxes (``gov[:, 4:8]``).
 
 Row ``i`` of a block is entry ``i`` of the list.  Its probe
 points (everything scoring can ever need, in point-index order) are the
@@ -129,17 +128,3 @@ class NodeBlock:
             gov[:, 4:6] = np.minimum(gov[:, 0:2], gov[:, 2:4])
             gov[:, 6:8] = np.maximum(gov[:, 0:2], gov[:, 2:4])
         return gov
-
-    # ------------------------------------------------------------------
-    def own_totals(self) -> np.ndarray:
-        """The five ``SubBounds`` addends per entry, one ``(n, 5)`` row
-        each in the node table's ``own`` / ``sub`` column order: 1,
-        owned points, owned length, owned points over ``|u|``, owned
-        length over ``length(u)``."""
-        owner = np.repeat(np.arange(self.n, dtype=np.int64), self.seg_cnt)
-        own_len = np.bincount(owner, weights=self.seg_len, minlength=self.n)
-        norm_len = np.zeros(self.n, dtype=np.float64)
-        np.divide(own_len, self.traj_len, out=norm_len, where=self.traj_len > 0)
-        return np.column_stack(
-            [np.ones(self.n), self.own_cnt, own_len, self.own_cnt / self.n_points, norm_len]
-        )

@@ -11,10 +11,6 @@ probe points — is a column of the :class:`~repro.index.block.NodeBlock`
 built over its key.  Ownership partitions each trajectory's points and
 segments across its entries, so summing entry scores over the whole
 index never double-counts.
-
-:class:`SubBounds` names the per-node aggregate the paper calls ``sub``:
-the upper bound of the service value obtainable from a subtree, in the
-unit of whichever :class:`~repro.core.service.ServiceSpec` the query uses.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from ..core.errors import QueryError
 from ..core.service import ServiceModel, ServiceSpec
 from ..core.trajectory import UserPointTable, ranges
 
-__all__ = ["SubBounds", "entry_keys", "validate_spec_for_variant"]
+__all__ = ["entry_keys", "validate_spec_for_variant"]
 
 
 def entry_keys(
@@ -75,23 +71,3 @@ def validate_spec_for_variant(
             f"trajectories have more than two points (max seen: {max_points})"
         )
 
-
-class SubBounds:
-    """Per-node subtree aggregates — the paper's ``sub`` for all specs.
-
-    Five counters, exactly additive over entries: entries, points,
-    length, points over ``|u|`` and length over ``length(u)``.  They are
-    the columns of the node table's ``own`` (a node's list) and ``sub``
-    (its subtree: its own list plus its children's bounds) rows, in the
-    order of :meth:`NodeBlock.own_totals
-    <repro.index.block.NodeBlock.own_totals>`.
-    """
-
-    @staticmethod
-    def column_for(spec: ServiceSpec) -> int:
-        """Which counter (column of ``own`` / ``sub``) bounds ``spec``."""
-        if spec.model is ServiceModel.ENDPOINT:
-            return 0
-        if spec.model is ServiceModel.COUNT:
-            return 3 if spec.normalize else 1
-        return 4 if spec.normalize else 2

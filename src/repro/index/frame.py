@@ -6,7 +6,7 @@ ancestors, so the tree is nothing but columns:
 
 * :class:`TreeFrame` — the node table, one row per q-node in pre-order
   (``box``, ``depth``, ``parent``, ``children``, the own list's and the
-  subtree's ``SubBounds`` counters ``own`` / ``sub``), and the entry
+  subtree's entry counts ``n_own`` / ``sub``), and the entry
   keys ``rows`` / ``segs`` of every list laid end to end in node order:
   node ``i`` owns keys ``row_off[i] .. row_off[i + 1] - 1``.
   The tree owns it and mutates it in place; pre-order keeps every
@@ -54,7 +54,7 @@ BOTH, ANY, BBOX = "both", "any", "bbox"
 _GENERATIONS = itertools.count()
 
 #: The columns with one row per node.
-_NODE_COLUMNS = ("box", "depth", "parent", "children", "n_own", "own", "sub")
+_NODE_COLUMNS = ("box", "depth", "parent", "children", "n_own", "sub")
 
 
 def _meets(boxes: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -80,8 +80,8 @@ class TreeFrame:
     """The node table; see the module docstring.  Node 0 is the root
     (``parent`` ``-1``); ``children[i]`` holds the four child numbers in
     quadrant order, or ``-1`` at a leaf; ``n_own[i]`` is the length of
-    node ``i``'s list; ``own[i]`` / ``sub[i]`` are ``SubBounds`` rows
-    (:meth:`~repro.index.entries.SubBounds.column_for` picks a column)."""
+    node ``i``'s list and ``sub[i]`` the number of entries in its
+    subtree — the walk reaches only nodes with ``sub > 0``."""
 
     __slots__ = _NODE_COLUMNS + ("rows", "segs", "row_off", "generation", "block", "zstack")
 
@@ -91,22 +91,20 @@ class TreeFrame:
         depth: Sequence[int],
         parent: Sequence[int],
         children: Sequence,
-        own: Sequence,
         n_own: Sequence[int],
         rows: np.ndarray,
         segs: np.ndarray,
     ) -> None:
         """A table of nodes in pre-order, of a new generation; ``sub``
-        is summed from ``own`` here, in reverse pre-order."""
+        is summed from ``n_own`` here, in reverse pre-order."""
         self.box = np.asarray(box, dtype=np.float64).reshape(-1, 4)
         self.depth = np.asarray(depth, dtype=np.int64)
         self.parent = np.asarray(parent, dtype=np.int64)
         self.children = np.asarray(children, dtype=np.int64).reshape(-1, 4)
-        self.own = np.asarray(own, dtype=np.float64).reshape(-1, 5)
         self.n_own = np.asarray(n_own, dtype=np.int64)
         self.rows, self.segs = rows, segs
         self.row_off = _offsets(self.n_own)
-        self.sub = np.empty_like(self.own)
+        self.sub = self.n_own.copy()
         self.sum_sub(range(len(self) - 1, -1, -1))
         self.generation = next(_GENERATIONS)
         self.block: "NodeBlock | None" = None
@@ -124,27 +122,21 @@ class TreeFrame:
 
     def sum_sub(self, nodes: Sequence[int]) -> None:
         """Re-sum ``sub`` at each of ``nodes`` in turn, children before
-        parents: the own counters, then each child's ``sub`` in quadrant
-        order — one sequence of adds for a build and for an insert's way
-        up."""
+        parents: the node's own count plus its children's ``sub`` — for
+        a build and for an insert's way up."""
         for i in nodes:
-            total = self.own[i].tolist()
             children = self.children[i]
-            if children[0] >= 0:
-                for part in self.sub[children].tolist():
-                    total = [a + b for a, b in zip(total, part)]
-            self.sub[i] = total
+            self.sub[i] = self.n_own[i] + (self.sub[children].sum() if children[0] >= 0 else 0)
 
-    def add_key(self, i: int, row: int, seg: int, addends: np.ndarray) -> None:
-        """Append the entry ``(row, seg)`` to node ``i``'s list and its
-        five ``SubBounds`` addends to ``own[i]``; the table gets a new
-        generation (``sub`` is the caller's to re-sum)."""
+    def add_key(self, i: int, row: int, seg: int) -> None:
+        """Append the entry ``(row, seg)`` to node ``i``'s list; the
+        table gets a new generation (``sub`` is the caller's to
+        re-sum)."""
         at = self.row_off[i + 1]
         self.rows = np.concatenate((self.rows[:at], [row], self.rows[at:]))
         self.segs = np.concatenate((self.segs[:at], [seg], self.segs[at:]))
         self.n_own[i] += 1
         self.row_off[i + 1 :] += 1
-        self.own[i] += addends
         self.generation = next(_GENERATIONS)
         self.block = self.zstack = None
 

@@ -9,8 +9,7 @@ keys over the tree's :class:`~repro.core.trajectory.UserPointTable`
 * a leaf q-node stores its **intra-node** entries — at most ``beta`` of
   them (unless the depth cap absorbed a pathological cluster);
 * unlike a conventional spatial index, *every level* stores data: long
-  trajectories live high in the tree, short ones sink low, which is what
-  makes the per-node service bounds (``sub``) effective for both.
+  trajectories live high in the tree, short ones sink low.
 
 With ``config.use_zorder`` (TQ(Z)), each q-node's entry list is z-ordered
 and bucketed (:class:`~repro.index.frame.ZStack`); without it (TQ(B)),
@@ -23,11 +22,9 @@ the columns derived from the keys — one tree-wide
 :class:`~repro.index.block.NodeBlock` and, on TQ(Z), the z-structure of
 every list stacked beside it — which are built lazily (or by
 :meth:`TQTree.warm_zindex`) and dropped by every insert.  Bulk build,
-insert, leaf split and kMaxRRST's anchor route a box with one rule
-(:meth:`TQTree._corner_quadrants`), and build, insert and split price
-entries with one arithmetic (:meth:`NodeBlock.own_totals
-<repro.index.block.NodeBlock.own_totals>`), so a tree grown by inserts
-is the table a build over the same users makes, generation aside.
+insert and leaf split route a box with one rule
+(:meth:`TQTree._corner_quadrants`), so a tree grown by inserts is the
+table a build over the same users makes, generation aside.
 
 The tree supports dynamic inserts (Section III-C).  One deliberate
 deviation from the paper: after an insert the z-structure is rebuilt
@@ -141,18 +138,14 @@ class TQTree:
         """The table of the subtree a bulk build makes of the entries
         ``(rows, segs)`` below a node at ``depth`` spanning ``box``
         (``(xmin, ymin, xmax, ymax)``; every entry inside it): one block
-        over the keys gives their placement boxes and ``sub`` addends."""
+        over the keys gives their placement boxes."""
         block = NodeBlock(self.table, self.config.variant, rows, segs)
         nodes: List[tuple] = []
-        self._bulk_build(
-            nodes, box, depth, -1, block.gov[:, 4:8], block.own_totals(),
-            np.arange(block.n),
-        )
-        box, depth, parent, children, own, stay = zip(*nodes)
+        self._bulk_build(nodes, box, depth, -1, block.gov[:, 4:8], np.arange(block.n))
+        box, depth, parent, children, stay = zip(*nodes)
         keep = np.concatenate(stay)
         return TreeFrame(
-            box, depth, parent, children, own, [s.size for s in stay],
-            rows[keep], segs[keep],
+            box, depth, parent, children, [s.size for s in stay], rows[keep], segs[keep]
         )
 
     @staticmethod
@@ -175,14 +168,13 @@ class TQTree:
         depth: int,
         parent: int,
         bbox: np.ndarray,
-        totals: np.ndarray,
         idx: np.ndarray,
     ) -> int:
         """Append, in pre-order, the rows ``(box, depth, parent,
-        children, own, kept positions)`` of the subtree spanning ``box``
-        that holds the entries numbered ``idx`` (ascending positions of
-        ``bbox`` / ``totals``, every entry's placement box and five
-        ``SubBounds`` addends); returns its root's number in ``nodes``."""
+        children, kept positions)`` of the subtree spanning ``box`` that
+        holds the entries numbered ``idx`` (ascending positions of
+        ``bbox``, every entry's placement box); returns its root's
+        number in ``nodes``."""
         cfg = self.config
         stay = idx
         groups = None
@@ -194,15 +186,13 @@ class TQTree:
             if sinks.any():
                 stay = idx[~sinks]
                 groups = [idx[sinks & (q_lo == d)] for d in range(4)]
-        # left-to-right sums: the order inserts accumulate ``own`` in
-        own = np.cumsum(totals[stay], axis=0)[-1] if stay.size else np.zeros(5)
         at, children = len(nodes), [-1] * 4
-        nodes.append((box, depth, parent, children, own, stay))
+        nodes.append((box, depth, parent, children, stay))
         if groups is not None:
             for d, quad in enumerate(BBox(*box).quadrants()):
                 children[d] = self._bulk_build(
                     nodes, (quad.xmin, quad.ymin, quad.xmax, quad.ymax), depth + 1,
-                    at, bbox, totals, groups[d],
+                    at, bbox, groups[d],
                 )
         return at
 
@@ -221,16 +211,16 @@ class TQTree:
         self._max_traj_points = max(self._max_traj_points, traj.n_points)
         variant = self.config.variant
         # the new user's entries as a block of their own: the placement
-        # boxes and addends a bulk build would compute for them
+        # boxes a bulk build would compute for them
         block = NodeBlock(alone, variant, *entry_keys(alone, variant))
-        bbox, totals = block.gov[:, 4:8], block.own_totals()
+        bbox = block.gov[:, 4:8]
         for k, seg in enumerate(block.segs.tolist()):
-            self._insert_entry(row, seg, bbox[k : k + 1], totals[k])
+            self._insert_entry(row, seg, bbox[k : k + 1])
 
-    def _insert_entry(self, row: int, seg: int, bbox: np.ndarray, addends: np.ndarray) -> None:
+    def _insert_entry(self, row: int, seg: int, bbox: np.ndarray) -> None:
         cfg, frame = self.config, self._frame
         i = self._descend(bbox)
-        frame.add_key(i, row, seg, addends)
+        frame.add_key(i, row, seg)
         if (
             frame.children[i, 0] < 0
             and frame.n_own[i] > cfg.beta
@@ -244,9 +234,6 @@ class TQTree:
             ))
         frame.sum_sub(frame.path(i).tolist())
 
-    # ------------------------------------------------------------------
-    # lookups
-    # ------------------------------------------------------------------
     def _descend(self, bbox: np.ndarray) -> int:
         """The node a placement box (one ``(1, 4)`` row) is routed to:
         down from the root while both corners fall in one quadrant."""
@@ -257,18 +244,6 @@ class TQTree:
                 break
             i = int(frame.children[i, q_lo[0]])
         return i
-
-    def containing_qnode(self, box: BBox) -> int:
-        """The number of the node an entry with placement box ``box``
-        would be stored at — the routing rule of build and insert — so
-        every entry lying inside ``box`` is stored in its subtree.
-
-        Falls back to the root when ``box`` pokes outside the indexed
-        space (a facility near the boundary).
-        """
-        if not self.space.contains_bbox(box):
-            return 0
-        return self._descend(np.array([[box.xmin, box.ymin, box.xmax, box.ymax]]))
 
     # ------------------------------------------------------------------
     # introspection

@@ -13,15 +13,14 @@ TQ-tree approaches are measured against (Figures 6–10).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from ..core.errors import QueryError
-from ..core.geometry import BBox, Point, bbox_of_points
+from ..core.geometry import BBox, bbox_of_points
 from ..core.service import ServiceSpec, score_from_indices
-from ..core.trajectory import FacilityRoute, Trajectory
+from ..core.trajectory import FacilityRoute, Trajectory, require_positive_int
 from ..index.quadtree import PointQuadtree
-from .kmaxrrst import FacilityScore, KMaxRRSTResult
+from .kmaxrrst import FacilityScore, KMaxRRSTResult, ranked
 from .evaluate import QueryStats
 
 __all__ = ["BaselineIndex"]
@@ -107,17 +106,12 @@ class BaselineIndex:
     def top_k(
         self, facilities: Sequence[FacilityRoute], k: int, spec: ServiceSpec
     ) -> KMaxRRSTResult:
-        """BL top-k: score every facility, sort, return the best k.
+        """BL top-k: score every facility, sort, return the best k —
+        exact ties by lowest facility id, as the tree's kMaxRRST ranks.
 
         The per-facility cost does not depend on ``k`` — the flat curve in
         Figure 7(b).
         """
-        if k <= 0:
-            raise QueryError(f"k must be positive, got {k}")
-        stats = QueryStats()
-        scored = [
-            FacilityScore(f, self.service_value(f, spec)) for f in facilities
-        ]
-        stats.entries_scored = len(scored)
-        scored.sort(key=lambda fs: -fs.service)
-        return KMaxRRSTResult(tuple(scored[: min(k, len(scored))]), stats)
+        require_positive_int("k", k)
+        scored = [FacilityScore(f, self.service_value(f, spec)) for f in facilities]
+        return KMaxRRSTResult(ranked(scored, k), QueryStats(entries_scored=len(scored)))

@@ -25,12 +25,12 @@ q-node at a time, as four stage functions over arrays:
 
 :func:`score_frontier` is a cache gather, stages 2-4 and a cache store
 for any set of nodes, and the only implementation behind
-:func:`evaluate_service` (frontier = every node the walk reaches),
-kMaxRRST's relax and ancestor scans (:mod:`repro.queries.kmaxrrst`) and
-the collecting MaxkCovRST walk.  No Python loop runs over entries.  The
-paper's ``MakeUnion(f)`` merge needs no step: every node is probed
-against all of the facility's stops that can serve it, so a user is
-never credited twice to one facility.
+:func:`evaluate_service` (frontier = every node the walk reaches) —
+which kMaxRRST (:mod:`repro.queries.kmaxrrst`) runs per candidate and
+the collecting MaxkCovRST walk runs with a collector.  No Python loop
+runs over entries.  The paper's ``MakeUnion(f)`` merge needs no step:
+every node is probed against all of the facility's stops that can serve
+it, so a user is never credited twice to one facility.
 
 A :class:`MatchCollector` can ride along to record *which* points of
 which users were served — MaxkCovRST needs these per-facility match sets
@@ -45,9 +45,9 @@ cellstrings; probed on the calling thread) — keeps one record per walk
 (facility, psi, node-table generation) in the runtime's cache: the
 walk's division plan and, per (model, normalize), the value each
 q-node's own list adds.  A non-collecting re-walk — a repeated query
-for the same facility, ancestor scans across kMaxRRST relax rounds —
-gathers the values it knows and scores only the rest; a collecting walk
-always scores (:func:`~repro.queries.maxkcov.core_match_fn` keeps its
+for the same facility, a kMaxRRST candidate evaluated before — gathers
+the values it knows and scores only the rest; a collecting walk always
+scores (:func:`~repro.queries.maxkcov.core_match_fn` keeps its
 match set on the record instead).  It also
 accrues this evaluation's work counters into the runtime's grand total.
 No backend, grid, or cache type is plumbed through this module
@@ -56,7 +56,7 @@ directly.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,7 +73,6 @@ from ..runtime import QueryRuntime, coerce_runtime
 __all__ = [
     "QueryStats",
     "DivisionPlan",
-    "FrontierScores",
     "MatchCollector",
     "candidate_mode",
     "divide",
@@ -84,7 +83,6 @@ __all__ = [
     "walk_plan",
     "evaluate_core",
     "evaluate_service",
-    "needs_ancestor_scan",
 ]
 
 
@@ -117,25 +115,11 @@ class MatchCollector:
         return self.match_set().as_dict()
 
 
-def needs_ancestor_scan(spec: ServiceSpec, variant: IndexVariant) -> bool:
-    """Can entries stored *above* the facility's containing q-node score?
-
-    For ENDPOINT service (and LENGTH on two-point entries) a contributing
-    entry needs both governing points inside the serving envelope, which
-    is contained in a single child of every proper ancestor — impossible
-    for an inter-node entry stored there.  For COUNT, or LENGTH on
-    full-trajectory entries, a single point/segment inside the envelope
-    suffices, so ancestors must be scanned.
-    """
-    if spec.model is ServiceModel.COUNT:
-        return True
-    return spec.model is ServiceModel.LENGTH and variant is IndexVariant.FULL
-
-
 def _requires_both_endpoints(spec: ServiceSpec, variant: IndexVariant) -> bool:
     """Is an entry only able to score when *both* governing points are
-    inside the serving envelope?  (Mirror of :func:`needs_ancestor_scan`
-    at entry granularity.)"""
+    inside the serving envelope?  For ENDPOINT service, and LENGTH on
+    two-point entries, it is; for COUNT, or LENGTH on full-trajectory
+    entries, one point or segment inside the envelope suffices."""
     if spec.model is ServiceModel.ENDPOINT:
         return True
     return spec.model is ServiceModel.LENGTH and variant is not IndexVariant.FULL
@@ -196,7 +180,7 @@ def divide(
     )
     served = member.any(axis=1)
     visited = served.copy()
-    visited[1:] &= frame.sub[1:, 0] > 0
+    visited[1:] &= frame.sub[1:] > 0
     rows = np.flatnonzero(served)
     member = member[rows]
     low, high = dict(axis=1, initial=np.inf), dict(axis=1, initial=-np.inf)
@@ -364,14 +348,6 @@ def score_candidates(
     return np.bincount(node_of, weights=value, minlength=counts.size)
 
 
-class FrontierScores(NamedTuple):
-    """What :func:`score_frontier` found, per node of its frontier."""
-
-    values: np.ndarray  # the value the node's own list adds
-    counts: np.ndarray  # the candidates scoring that value took
-    cached: np.ndarray  # was the value read from the walk record?
-
-
 def score_frontier(
     tree: TQTree,
     plan: DivisionPlan,
@@ -380,11 +356,10 @@ def score_frontier(
     collector: Optional[MatchCollector],
     stats: QueryStats,
     runtime: Optional[QueryRuntime],
-) -> FrontierScores:
+) -> np.ndarray:
     """Algorithm 2 for a whole frontier: the service value gained from
     the entries stored *at* each of the frame nodes ``nodes`` (all
-    served under ``plan``), in ``nodes`` order, with how many candidates
-    each value took and whether the cache knew it.
+    served under ``plan``), in ``nodes`` order.
 
     A cache gather, then the last three stages once each: the lists of
     every node not answered by the cache are filtered in one stacked
@@ -413,8 +388,7 @@ def score_frontier(
     n_own = frame.n_own[nodes]
     stats.entries_considered += int(n_own.sum())
     listed = np.flatnonzero(n_own)  # positions of the nodes with a list
-    values, scored = np.zeros(nodes.size), np.zeros(nodes.size, dtype=np.int64)
-    cached = np.zeros(nodes.size, dtype=bool)
+    values = np.zeros(nodes.size)
     record = plan.record if collector is None else None
     column = (spec.model, spec.normalize)
     held = None if record is None else record.columns.get(column)
@@ -423,11 +397,10 @@ def score_frontier(
         ids = nodes[listed]
         known = held[0][ids]
         at, ids = listed[known], ids[known]
-        count = held[2][ids]
-        values[at], scored[at], cached[at] = held[1][ids], count, True
+        values[at] = held[1][ids]
         hits = at.size
         stats.cache_hits += hits
-        stats.entries_scored += int(count.sum())
+        stats.entries_scored += int(held[2][ids].sum())
         listed = listed[~known]
     if listed.size:
         ids = nodes[listed]
@@ -441,12 +414,11 @@ def score_frontier(
         values[listed] = score_candidates(
             tree.table, frame.block, rows, mask, counts, spec, collector
         )
-        scored[listed] = counts
     if record is not None:
         runtime.cache.store_column(
             record, column, nodes[listed], values[listed], counts, hits
         )
-    return FrontierScores(values, scored, cached)
+    return values
 
 
 def walk_plan(
@@ -514,7 +486,7 @@ def evaluate_core(
     if not reached.size:
         return 0.0, local
     local.nodes_visited += reached.size
-    values = score_frontier(tree, plan, reached, spec, collector, local, runtime).values.tolist()
+    values = score_frontier(tree, plan, reached, spec, collector, local, runtime).tolist()
     # children come after their parent in pre-order, so walking the
     # reached nodes backwards finds every child's total already made
     total: Dict[int, float] = {}

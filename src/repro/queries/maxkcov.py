@@ -6,8 +6,8 @@ non-submodular (Lemma 1) and NP-hard, and proposes a two-step greedy:
 
 1. **prune** — run kMaxRRST to shortlist the ``k' >= k`` individually
    highest-serving facilities (skipped when ``k'`` keeps every
-   candidate: a kMaxRRST that cannot prune would only rank them, and the
-   greedy orders candidates by facility id anyway);
+   candidate: the ranking would keep them all, and the greedy orders
+   candidates by facility id anyway);
 2. **greedy** — iteratively add the shortlisted facility with the largest
    *marginal* combined gain, tracked by a
    :class:`~repro.core.service.CoverageState`.
@@ -205,12 +205,13 @@ def maxkcov_core(
     """The pure step behind :func:`maxkcov_tq`: shortlist + greedy,
     returning ``(result, work counters)`` with no ambient accrual.
 
-    The shortlist is the kMaxRRST top ``k' = prune_factor * k``; when
-    ``k'`` is at least ``len(facilities)`` no kMaxRRST runs (after the
-    spec is validated) and every candidate goes to the greedy — the
-    fleet is the same, as the greedy orders candidates by facility id.
-    The counters aggregate the kMaxRRST pass, when one runs, and every
-    match set actually computed (cache-served match sets cost nothing,
+    The shortlist is the kMaxRRST top ``k' = prune_factor * k`` — one
+    evaluate per candidate, ranked by service, exact ties by lowest
+    facility id; when ``k'`` is at least ``len(facilities)`` no kMaxRRST
+    runs (after the spec is validated) and every candidate goes to the
+    greedy — the fleet is the same, as the greedy orders candidates by
+    facility id.  The counters aggregate the kMaxRRST pass, when one
+    runs, and every match set actually computed (cache-served match sets cost nothing,
     as in the synchronous path).  Planner-consumable:
     :class:`repro.service.QueryPlanner` lowers a ``MaxKCovRequest``
     onto this directly.

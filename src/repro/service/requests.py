@@ -60,7 +60,7 @@ class EvaluateRequest:
 
 @dataclass(frozen=True)
 class KMaxRRSTRequest:
-    """The k individually best facilities (Algorithms 3/4)."""
+    """The k individually best facilities (kMaxRRST, Section IV-B)."""
 
     tree: TQTree
     facilities: Tuple[FacilityRoute, ...]

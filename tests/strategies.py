@@ -61,8 +61,7 @@ def stack_of(users, variant=IndexVariant.ENDPOINT, beta=4, z_max_depth=12) -> ZS
     config = TQTreeConfig(beta=beta, variant=variant, z_max_depth=z_max_depth)
     table, block = block_of(users, variant)
     frame = TreeFrame(
-        [box_row(WORLD)], [0], [-1], [[-1] * 4], [np.zeros(5)], [block.n],
-        block.rows, block.segs,
+        [box_row(WORLD)], [0], [-1], [[-1] * 4], [block.n], block.rows, block.segs,
     )
     frame.block = block
     return ZStack(frame, table.traj_ids, config.beta, config.z_max_depth)

@@ -14,6 +14,9 @@ from repro import (
     Trajectory,
     brute_force_matches,
     brute_force_service,
+    build_tq_basic,
+    build_tq_zorder,
+    top_k_facilities,
 )
 
 from .strategies import facility_sets, psis, trajectory_sets
@@ -76,6 +79,24 @@ class TestBaselineIndex:
         index = BaselineIndex.build(taxi_users)
         with pytest.raises(QueryError):
             index.top_k(facilities, 0, endpoint_spec)
+
+    def test_top_k_ranks_ties_like_the_tree(self, taxi_users, facilities, endpoint_spec):
+        """Tied ENDPOINT candidates (twin routes under other ids), out of
+        id order: BL ranks the ids TQ(B) and TQ(Z) rank, exact ties by
+        lowest facility id; a ``k`` that is no integer is rejected."""
+        index = BaselineIndex.build(taxi_users)
+        twins = [FacilityRoute(40 - f.facility_id, f.stops) for f in facilities]
+        candidates = (twins + list(facilities))[::-1]
+        want = index.top_k(candidates, 9, endpoint_spec)
+        for build in (build_tq_basic, build_tq_zorder):
+            got = top_k_facilities(build(taxi_users, beta=16), candidates, 9, endpoint_spec)
+            assert got.facilities() == want.facilities()
+            assert got.services() == want.services()
+        pairs = [(-fs.service, fs.facility.facility_id) for fs in want.ranking]
+        assert pairs[0][0] == pairs[1][0] and pairs == sorted(pairs)
+        for k in (2.5, True):
+            with pytest.raises(QueryError):
+                index.top_k(candidates, k, endpoint_spec)
 
     def test_facility_outside_space(self, taxi_users, endpoint_spec):
         index = BaselineIndex.build(taxi_users)

@@ -521,11 +521,20 @@ class TestCoverageStateAgainstDictModel:
 #: cache_hits) = TQ(Z) endpoint 543 / 37041 / 8667 / 108 / 357, TQ(B)
 #: endpoint 543 / 37041 / 11028 / 108 / 357, S-TQ(Z) 1447 / 64647 /
 #: 25396 / 216 / 933, F-TQ(Z) 852 / 27655 / 18627 / 233 / 558.
+#:
+#: Re-recorded when kMaxRRST became one evaluate per candidate: its
+#: candidates are walked from the root, warm, so no probe counter moved;
+#: (nodes_visited, entries_considered, entries_scored, states_relaxed,
+#: cache_hits) went TQ(Z) endpoint 468 / 32381 / 7897 / 76 / 282 -> 519 /
+#: 32592 / 7961 / 0 / 333, TQ(B) endpoint 468 / 32381 / 10010 / 76 / 282
+#: -> 519 / 32592 / 10074 / 0 / 333, S-TQ(Z) 1239 / 56415 / 22400 / 152 /
+#: 725 -> 1432 / 57192 / 22770 / 0 / 918, F-TQ(Z) 732 / 24163 / 16384 /
+#: 161 / 438 -> 816 / 24396 / 16540 / 0 / 522.
 GOLDEN_STATS = {
-    "TQ(Z) endpoint": dict(nodes_visited=468, entries_considered=32381, entries_scored=7897, states_relaxed=76, states_pruned=0, points_scanned=8686, distance_evals=138976, cells_probed=0, cache_hits=282),
-    "TQ(B) endpoint": dict(nodes_visited=468, entries_considered=32381, entries_scored=10010, states_relaxed=76, states_pruned=0, points_scanned=10800, distance_evals=172800, cells_probed=0, cache_hits=282),
-    "S-TQ(Z) count+length": dict(nodes_visited=1239, entries_considered=56415, entries_scored=22400, states_relaxed=152, states_pruned=0, points_scanned=18474, distance_evals=295584, cells_probed=0, cache_hits=725),
-    "F-TQ(Z) all models": dict(nodes_visited=732, entries_considered=24163, entries_scored=16384, states_relaxed=161, states_pruned=0, points_scanned=36122, distance_evals=577952, cells_probed=0, cache_hits=438),
+    "TQ(Z) endpoint": dict(nodes_visited=519, entries_considered=32592, entries_scored=7961, states_relaxed=0, states_pruned=0, points_scanned=8686, distance_evals=138976, cells_probed=0, cache_hits=333),
+    "TQ(B) endpoint": dict(nodes_visited=519, entries_considered=32592, entries_scored=10074, states_relaxed=0, states_pruned=0, points_scanned=10800, distance_evals=172800, cells_probed=0, cache_hits=333),
+    "S-TQ(Z) count+length": dict(nodes_visited=1432, entries_considered=57192, entries_scored=22770, states_relaxed=0, states_pruned=0, points_scanned=18474, distance_evals=295584, cells_probed=0, cache_hits=918),
+    "F-TQ(Z) all models": dict(nodes_visited=816, entries_considered=24396, entries_scored=16540, states_relaxed=0, states_pruned=0, points_scanned=36122, distance_evals=577952, cells_probed=0, cache_hits=522),
 }
 
 

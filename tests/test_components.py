@@ -38,7 +38,7 @@ def intersecting_components(children_boxes, stops, psi):
     no_rows = np.zeros(0, dtype=np.int64)
     frame = TreeFrame(
         [(b.xmin, b.ymin, b.xmax, b.ymax) for b in children_boxes], [1] * n, [-1] * n,
-        [[-1] * 4] * n, np.zeros((n, 5)), [0] * n, no_rows, no_rows,
+        [[-1] * 4] * n, [0] * n, no_rows, no_rows,
     )
     frame.block = NodeBlock(UserPointTable(()), IndexVariant.ENDPOINT, no_rows, no_rows)
     served, _visited, envelopes = divide(frame, stops.coords, psi)

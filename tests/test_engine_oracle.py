@@ -431,9 +431,8 @@ class TestTreePathOracle:
     @staticmethod
     def _fill_records(cache, rounds, walks):
         """Read and fill the value columns of ``walks`` four-node walk
-        records, two nodes a round, installing each record's level
-        script once its column knows every node, through the calls the
-        query path makes; returns how many node reads were made."""
+        records, two nodes a round, through the calls the query path
+        makes; returns how many node reads were made."""
         coords = np.zeros((4, 2))
         division = (np.zeros(4, dtype=bool),) * 3
         stops = StopSet(coords)
@@ -446,11 +445,7 @@ class TestTreePathOracle:
                 # every walk sees the one dressing and gets its own
                 # unprobed copy of it
                 assert record.stops is stops and record.stops.unprobed() is not stops
-                script, held = record.scripts.get("c"), record.columns.get("c")
-                if script is not None:
-                    assert script == ("script", key)
-                elif held is not None and held[0].all():
-                    cache.store_script(record, "c", ("script", key), 1)
+                held = record.columns.get("c")
                 nodes = np.array([(r + w) % 4, (r + w + 1) % 4])
                 known = np.zeros(2, dtype=bool) if held is None else held[0][nodes]
                 if held is not None:
@@ -555,8 +550,8 @@ class TestTreePathOracle:
         with a row bound smaller than the working set: every answer,
         ranking and plan (its stops included) ``==`` a roomy runtime's,
         every value column read holds the roomy value and count
-        wherever a node is known, every level script read ``==`` the
-        roomy one, and the records held stay within the bound."""
+        wherever a node is known, and the records held stay within the
+        bound."""
         from repro.engine import cache as cache_module
         from repro.queries.evaluate import walk_plan
 
@@ -572,12 +567,7 @@ class TestTreePathOracle:
                 for key, record in records.items()
                 for column, held in record.columns.items()
             }
-            scripts = {
-                (key, column): script
-                for key, record in records.items()
-                for column, script in record.scripts.items()
-            }
-        assert len(scripts) == len(walks)
+        assert len(columns) == len(walks)
         assert want[: len(walks)] == [evaluate_service(tree, f, spec) for f, spec in walks]
         plans = [walk_plan(tree, f, spec.psi, None) for f, spec in walks]
         n = len(tree.frame())
@@ -604,16 +594,6 @@ class TestTreePathOracle:
                         assert roomy_known[known].all()
                         assert np.array_equal(value[known], roomy_value[known])
                         assert np.array_equal(count[known], roomy_count[known])
-                    script = got.record.scripts.get(column)
-                    if script is not None:
-                        (path, levels), (want_path, want_levels) = (
-                            script, scripts[(got.record.key, column)]
-                        )
-                        assert np.array_equal(path, want_path)
-                        assert len(levels) == len(want_levels)
-                        for level, want_level in zip(levels, want_levels):
-                            assert np.array_equal(level.frontier, want_level.frontier)
-                            assert level[1:] == want_level[1:]
                 for s, spec in enumerate(specs[turn % 2 :] + specs[: turn % 2]):
                     ranking = top_k_facilities(tree, facilities, 3, spec, runtime=runtime).ranking
                     got_values[len(walks) + (s + turn) % 2] = ranking

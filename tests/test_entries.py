@@ -18,7 +18,7 @@ from repro import (
 )
 from repro.core.service import score_trajectory
 from repro.core.trajectory import UserPointTable
-from repro.index.entries import SubBounds, entry_keys, validate_spec_for_variant
+from repro.index.entries import entry_keys, validate_spec_for_variant
 from repro.queries.evaluate import MatchCollector, score_candidates
 
 from .strategies import block_of, entry_ids, trajectories
@@ -148,22 +148,6 @@ class TestEntryScoring:
                         total = sum(entry_scores(table, block, stops, sp, collector))
                         assert total == pytest.approx(score_trajectory(t, stops, sp))
 
-    def test_upper_bound_dominates_score(self):
-        """An entry's ``own_totals`` addend bounds whatever it scores."""
-        t = Trajectory(1, [(0, 0), (10, 0), (20, 0)])
-        stops = StopSet(np.array([[5.0, 0.0]]))
-        for variant in IndexVariant:
-            table, block = block_of([t], variant)
-            bounds = block.own_totals()
-            for model in ServiceModel:
-                if model is ServiceModel.ENDPOINT and variant is IndexVariant.SEGMENTED:
-                    continue
-                for norm in (True, False):
-                    sp = spec(model, psi=50.0, normalize=norm)
-                    bound = bounds[:, SubBounds.column_for(sp)]
-                    scores = entry_scores(table, block, stops, sp)
-                    assert all(s <= b + 1e-12 for s, b in zip(scores, bound))
-
     def test_matches_report_covered_owned_points(self):
         t = Trajectory(1, [(0, 0), (10, 0), (500, 0)])
         table, block = block_of([t], IndexVariant.SEGMENTED)
@@ -199,43 +183,3 @@ class TestValidateSpec:
         for model in ServiceModel:
             validate_spec_for_variant(spec(model), IndexVariant.FULL, 10)
 
-
-class TestSubBounds:
-    @staticmethod
-    def _sub(variant, *users):
-        """The ``own`` row of a node holding every entry of ``users``."""
-        _, block = block_of(list(users), variant)
-        return block.own_totals().sum(axis=0)
-
-    @staticmethod
-    def _bound(row, sp):
-        return row[SubBounds.column_for(sp)]
-
-    def test_additivity(self):
-        t1 = Trajectory(1, [(0, 0), (10, 0)])
-        t2 = Trajectory(2, [(0, 0), (10, 0), (20, 0)])
-        merged = self._sub(IndexVariant.FULL, t1, t2)
-        combined = np.zeros(5)
-        combined += self._sub(IndexVariant.FULL, t1)
-        combined += self._sub(IndexVariant.FULL, t2)
-        for sp in (
-            spec(ServiceModel.ENDPOINT),
-            spec(ServiceModel.COUNT),
-            spec(ServiceModel.COUNT, normalize=True),
-            spec(ServiceModel.LENGTH),
-            spec(ServiceModel.LENGTH, normalize=True),
-        ):
-            assert self._bound(combined, sp) == pytest.approx(self._bound(merged, sp))
-
-    def test_normalized_bounds_are_one_per_trajectory(self):
-        t = Trajectory(1, [(0, 0), (10, 0), (30, 0)])
-        sub = self._sub(IndexVariant.SEGMENTED, t)
-        assert self._bound(sub, spec(ServiceModel.COUNT, normalize=True)) == pytest.approx(1.0)
-        assert self._bound(sub, spec(ServiceModel.LENGTH, normalize=True)) == pytest.approx(1.0)
-
-    def test_raw_bounds_count_units(self):
-        t = Trajectory(1, [(0, 0), (3, 4), (6, 8)])
-        sub = self._sub(IndexVariant.FULL, t)
-        assert self._bound(sub, spec(ServiceModel.COUNT)) == 3.0
-        assert self._bound(sub, spec(ServiceModel.LENGTH)) == pytest.approx(10.0)
-        assert self._bound(sub, spec(ServiceModel.ENDPOINT)) == 1.0

@@ -1,6 +1,6 @@
 """The frontier-at-a-time query path held to what it replaced.
 
-Algorithms 1 / 2 / 4 run as plan -> stacked filter -> one probe over a
+Algorithms 1 / 2 run as plan -> stacked filter -> one probe over a
 tree-wide frame.  Each test here pins one premise of that design:
 
 (a) containment — every probe point of a q-node's block and every leaf
@@ -70,7 +70,6 @@ from repro.index import NodeBlock, TreeFrame, ZStack
 from repro.index.frame import ANY, BBOX, BOTH
 from repro.queries import BlockCosts, MatchCollector, estimate_query_blocks
 from repro.queries import evaluate as evaluate_module
-from repro.queries import kmaxrrst as kmaxrrst_module
 from repro.queries.evaluate import walk_plan
 
 from .strategies import (
@@ -195,7 +194,7 @@ def _reached_by_recursion(tree: TQTree, whole: StopSet, psi: float):
             return
         reached.append(i)
         for child in frame.children[i].tolist():
-            if child < 0 or frame.sub[child, 0] == 0:
+            if child < 0 or frame.sub[child] == 0:
                 continue
             rec(child, _restricted(stops, _box(frame, child), psi))
 
@@ -353,7 +352,7 @@ def _blocks_by_walking(tree: TQTree, facility, spec: ServiceSpec) -> BlockCosts:
             )
             costs.list_blocks += np.unique(stack.bucket[picked]).size
         for child in frame.children[i].tolist():
-            if child >= 0 and frame.sub[child, 0]:
+            if child >= 0 and frame.sub[child]:
                 walk(child, _restricted(stops, _box(frame, child), spec.psi))
 
     walk(0, _restricted(StopSet.of_facility(facility), tree.space, spec.psi))
@@ -585,18 +584,14 @@ def test_one_probe_call_per_walk_and_none_when_cached(
                     assert again == value
                     assert len(probe_calls) == (collector is not None)
         with QueryRuntime() as runtime:
-            stats = QueryStats()
-            state = kmaxrrst_module._initial_state(tree, facilities[5], spec, stats, runtime)
-            while not state.complete:
-                del probe_calls[:]
-                state = kmaxrrst_module._relax_state(tree, state, spec, stats, runtime)
-                assert len(probe_calls) <= 1
-            assert state.aserve == evaluate_service(tree, facilities[5], spec)
-            # kMaxRRST warmed every node an evaluate of the same route reads
             del probe_calls[:]
-            if not evaluate_module.needs_ancestor_scan(spec, tree.config.variant):
-                evaluate_service(tree, facilities[5], spec, runtime=runtime)
-                assert probe_calls == []
+            top = top_k_facilities(tree, facilities[4:8], 1, spec, runtime=runtime)
+            assert len(probe_calls) <= 4
+            assert top.services() == (max(evaluate_service(tree, f, spec) for f in facilities[4:8]),)
+            # kMaxRRST warmed every node an evaluate of its candidates reads
+            del probe_calls[:]
+            evaluate_service(tree, facilities[5], spec, runtime=runtime)
+            assert probe_calls == []
 
 
 @pytest.mark.engine_smoke
@@ -713,7 +708,7 @@ def test_a_frontier_scores_bitwise_like_its_nodes_one_by_one(name, model, normal
                         collector = MatchCollector() if collecting else None
                         values = evaluate_module.score_frontier(
                             tree, plan, part, spec, collector, QueryStats(), runtime
-                        ).values.tolist()
+                        ).tolist()
                         return values, collector
 
                     got, collector = score(nodes)
@@ -794,8 +789,8 @@ def test_a_warm_rewalk_divides_nothing(name, divisions):
     there — by a repeated evaluate, kMaxRRST or MaxkCov's collecting
     re-walk — and answers ``==``; divisions count in neither the hits,
     the misses nor ``len()`` of the cache.  A warm walk's plan dresses
-    and restricts nothing either, and a warm kMaxRRST scores only its
-    ancestor scans: every relax round is replayed, nothing probed."""
+    and restricts nothing either, and a warm kMaxRRST filters and probes
+    nothing: every candidate's node values are the cache's."""
     tree = BUILDERS[name](_users(70, 7, name in TWO_POINT))
     spec = _specs(tree, 140.0)[-1]
     with QueryRuntime() as runtime, pytest.MonkeyPatch.context() as patch:
@@ -815,17 +810,9 @@ def test_a_warm_rewalk_divides_nothing(name, divisions):
         walk_plan(tree, FacilityRoute(99, [(500, 500)]), spec.psi, runtime)
         assert calls == ["stop_set", "restricted_to"] and len(divisions) == 1
         assert (runtime.cache.hits, runtime.cache.misses, len(runtime.cache)) == counted
-        scored, inner = [], kmaxrrst_module.score_frontier
-        patch.setattr(
-            kmaxrrst_module, "score_frontier",
-            lambda tree, plan, nodes, *a: (scored.append(nodes.tolist()), inner(tree, plan, nodes, *a))[1],
-        )
         patch.setattr(evaluate_module, "filter_candidates", None)
         patch.setattr(evaluate_module, "probe_candidates", None)
         assert top_k_facilities(tree, _ROUTES, 2, spec, runtime=runtime).services() == first[1]
-        frame = tree.frame()
-        scans = [frame.path(tree.containing_qnode(f.embr(spec.psi)))[:0:-1].tolist() for f in _ROUTES]
-        assert all(nodes in scans for nodes in scored)
     assert first == _every_walk(tree, spec, None)
 
 

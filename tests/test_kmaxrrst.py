@@ -1,4 +1,5 @@
-"""Tests for the best-first kMaxRRST query (Algorithms 3 and 4)."""
+"""Tests for the kMaxRRST query: one evaluate per candidate, ranked by
+(-service, facility id)."""
 
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from repro import (
     evaluate_service,
 )
 from repro.datasets import generate_bus_routes, generate_taxi_trips
-from repro.queries import kmaxrrst as kmaxrrst_module
 from repro.queries import top_k_facilities
 
 from .strategies import WORLD, facility_sets, psis, trajectory_sets
@@ -123,22 +123,21 @@ class TestTopK:
         result = top_k_facilities(tree, facilities, 3, endpoint_spec)
         assert len(result.facilities()) == 3
         assert len(result.services()) == 3
-        assert result.stats.states_relaxed >= 0
+        assert result.stats.states_relaxed == result.stats.states_pruned == 0
 
 
 class TestBestFirstBehaviour:
     def test_best_first_explores_fewer_nodes_than_full_eval(
         self, taxi_users, facilities, endpoint_spec
     ):
-        """For k=1 the search should not fully evaluate every facility."""
-        from repro.queries import QueryStats, evaluate_service
-
+        """k=1 evaluates every facility once: its work counters ``==``
+        the summed evaluates' (no best-first state is left to prune)."""
         tree = build_tq_zorder(taxi_users, beta=16)
         top1 = top_k_facilities(tree, facilities, 1, endpoint_spec)
         full_stats = QueryStats()
         for f in facilities:
             evaluate_service(tree, f, endpoint_spec, stats=full_stats)
-        assert top1.stats.nodes_visited <= full_stats.nodes_visited
+        assert top1.stats == full_stats
 
     def test_deterministic_across_runs(self, taxi_users, facilities, endpoint_spec):
         tree = build_tq_zorder(taxi_users, beta=16)
@@ -229,13 +228,9 @@ def test_warm_rankings_break_ties_like_cold_ones(city, builder):
     ranked on a cold, a partly warm (some candidates evaluated first)
     and a fully warm runtime: the ``FacilityScore`` tuples ``==`` those
     with no runtime, every ``QueryStats`` field ``==`` but
-    ``cache_hits``, and the probe counters no higher.
-
-    Complete states with equal ``fserve`` pop in the order they were
-    pushed complete, so a warm state must still complete round by round:
-    one pushed complete at init would order its ties by candidate
-    order.  The no-runtime rankings are pinned by their sha1, recorded
-    while every relax round still scored its own frontier."""
+    ``cache_hits``, and the probe counters no higher.  Ties rank by
+    lowest facility id; the no-runtime rankings are pinned by their
+    sha1."""
     rng = np.random.default_rng(17)
     tree = builder(generate_taxi_trips(300, city, seed=4))
     pool = generate_bus_routes(40, city, seed=8, n_stops=6)
@@ -264,40 +259,42 @@ def test_warm_rankings_break_ties_like_cold_ones(city, builder):
                     assert value == cold, field.name
     assert tied >= 10, tied
     digest = hashlib.sha1(repr(rankings).encode()).hexdigest()
-    assert digest == "b7afa3cc19f827235bfe9f1b70e30a7490c7ccf6"
+    assert digest == "91383033ba36f473f66200dc5c17740142ff8c76"
 
 
 
 # ----------------------------------------------------------------------
-# a cold state is walked once
+# cold work counters
 # ----------------------------------------------------------------------
-#: A cold ``top_k_facilities`` with k = |F| (every state completes) per
-#: (tree, model, runtime backend or None): the first 12 hex digits of
-#: the sha1 of its ``(facility_id, service)`` ranking and its
-#: ``QueryStats`` as a tuple, recorded while every relax round still
-#: scored its own frontier.  Scoring a state's whole walk at its first
-#: relax and replaying the rounds must count exactly this.
+#: A cold ``top_k_facilities`` with k = |F| per (tree, model, runtime
+#: backend or None): the first 12 hex digits of the sha1 of its
+#: ``(facility_id, service)`` ranking and its ``QueryStats`` as a tuple.
+#: First recorded while every best-first relax round scored its own
+#: frontier; re-recorded when kMaxRRST became one evaluate per
+#: candidate: ``states_relaxed`` 48 / 36 -> 0, and the ENDPOINT digest
+#: ``7ffab09d5ff1`` -> ``4c8eae5caed9`` (exact ties now rank by lowest
+#: facility id).  Every other counter kept its value.
 _COLD_GOLDEN = {
-    ("TQ(Z)", "ENDPOINT", None): ("7ffab09d5ff1", (85, 4657, 905, 48, 0, 1810, 28960, 0, 0)),
-    ("TQ(Z)", "ENDPOINT", "AUTO"): ("7ffab09d5ff1", (85, 4657, 905, 48, 0, 1810, 28960, 0, 0)),
-    ("TQ(Z)", "ENDPOINT", "GRID"): ("7ffab09d5ff1", (85, 4657, 905, 48, 0, 1355, 3228, 2843, 0)),
-    ("TQ(Z)", "ENDPOINT", "CELLSTRING"): ("7ffab09d5ff1", (85, 4657, 905, 48, 0, 1476, 589, 389, 0)),
-    ("TQ(Z)", "COUNT", None): ("b150335dab66", (85, 4657, 3494, 48, 0, 6988, 111808, 0, 0)),
-    ("TQ(Z)", "COUNT", "AUTO"): ("b150335dab66", (85, 4657, 3494, 48, 0, 6988, 111808, 0, 0)),
-    ("TQ(B)", "ENDPOINT", None): ("7ffab09d5ff1", (85, 4657, 997, 48, 0, 1994, 31904, 0, 0)),
-    ("TQ(B)", "ENDPOINT", "AUTO"): ("7ffab09d5ff1", (85, 4657, 997, 48, 0, 1994, 31904, 0, 0)),
-    ("TQ(B)", "COUNT", None): ("b150335dab66", (85, 4657, 3936, 48, 0, 7872, 125952, 0, 0)),
-    ("TQ(B)", "COUNT", "AUTO"): ("b150335dab66", (85, 4657, 3936, 48, 0, 7872, 125952, 0, 0)),
-    ("F-TQ(Z)", "COUNT", None): ("ccfe0137b38d", (58, 1742, 1546, 36, 0, 8671, 138736, 0, 0)),
-    ("F-TQ(Z)", "COUNT", "AUTO"): ("ccfe0137b38d", (58, 1742, 1546, 36, 0, 8671, 138736, 0, 0)),
-    ("F-TQ(Z)", "COUNT", "GRID"): ("ccfe0137b38d", (58, 1742, 1546, 36, 0, 2206, 5686, 4881, 0)),
-    ("F-TQ(Z)", "COUNT", "CELLSTRING"): ("ccfe0137b38d", (58, 1742, 1546, 36, 0, 2579, 1039, 679, 0)),
-    ("F-TQ(Z)", "LENGTH", None): ("042061a3ea20", (58, 1742, 1546, 36, 0, 8671, 138736, 0, 0)),
-    ("F-TQ(Z)", "LENGTH", "AUTO"): ("042061a3ea20", (58, 1742, 1546, 36, 0, 8671, 138736, 0, 0)),
-    ("F-TQ(B)", "COUNT", None): ("ccfe0137b38d", (58, 1742, 1546, 36, 0, 8671, 138736, 0, 0)),
-    ("F-TQ(B)", "COUNT", "AUTO"): ("ccfe0137b38d", (58, 1742, 1546, 36, 0, 8671, 138736, 0, 0)),
-    ("F-TQ(B)", "LENGTH", None): ("042061a3ea20", (58, 1742, 1546, 36, 0, 8671, 138736, 0, 0)),
-    ("F-TQ(B)", "LENGTH", "AUTO"): ("042061a3ea20", (58, 1742, 1546, 36, 0, 8671, 138736, 0, 0)),
+    ("TQ(Z)", "ENDPOINT", None): ("4c8eae5caed9", (85, 4657, 905, 0, 0, 1810, 28960, 0, 0)),
+    ("TQ(Z)", "ENDPOINT", "AUTO"): ("4c8eae5caed9", (85, 4657, 905, 0, 0, 1810, 28960, 0, 0)),
+    ("TQ(Z)", "ENDPOINT", "GRID"): ("4c8eae5caed9", (85, 4657, 905, 0, 0, 1355, 3228, 2843, 0)),
+    ("TQ(Z)", "ENDPOINT", "CELLSTRING"): ("4c8eae5caed9", (85, 4657, 905, 0, 0, 1476, 589, 389, 0)),
+    ("TQ(Z)", "COUNT", None): ("b150335dab66", (85, 4657, 3494, 0, 0, 6988, 111808, 0, 0)),
+    ("TQ(Z)", "COUNT", "AUTO"): ("b150335dab66", (85, 4657, 3494, 0, 0, 6988, 111808, 0, 0)),
+    ("TQ(B)", "ENDPOINT", None): ("4c8eae5caed9", (85, 4657, 997, 0, 0, 1994, 31904, 0, 0)),
+    ("TQ(B)", "ENDPOINT", "AUTO"): ("4c8eae5caed9", (85, 4657, 997, 0, 0, 1994, 31904, 0, 0)),
+    ("TQ(B)", "COUNT", None): ("b150335dab66", (85, 4657, 3936, 0, 0, 7872, 125952, 0, 0)),
+    ("TQ(B)", "COUNT", "AUTO"): ("b150335dab66", (85, 4657, 3936, 0, 0, 7872, 125952, 0, 0)),
+    ("F-TQ(Z)", "COUNT", None): ("ccfe0137b38d", (58, 1742, 1546, 0, 0, 8671, 138736, 0, 0)),
+    ("F-TQ(Z)", "COUNT", "AUTO"): ("ccfe0137b38d", (58, 1742, 1546, 0, 0, 8671, 138736, 0, 0)),
+    ("F-TQ(Z)", "COUNT", "GRID"): ("ccfe0137b38d", (58, 1742, 1546, 0, 0, 2206, 5686, 4881, 0)),
+    ("F-TQ(Z)", "COUNT", "CELLSTRING"): ("ccfe0137b38d", (58, 1742, 1546, 0, 0, 2579, 1039, 679, 0)),
+    ("F-TQ(Z)", "LENGTH", None): ("042061a3ea20", (58, 1742, 1546, 0, 0, 8671, 138736, 0, 0)),
+    ("F-TQ(Z)", "LENGTH", "AUTO"): ("042061a3ea20", (58, 1742, 1546, 0, 0, 8671, 138736, 0, 0)),
+    ("F-TQ(B)", "COUNT", None): ("ccfe0137b38d", (58, 1742, 1546, 0, 0, 8671, 138736, 0, 0)),
+    ("F-TQ(B)", "COUNT", "AUTO"): ("ccfe0137b38d", (58, 1742, 1546, 0, 0, 8671, 138736, 0, 0)),
+    ("F-TQ(B)", "LENGTH", None): ("042061a3ea20", (58, 1742, 1546, 0, 0, 8671, 138736, 0, 0)),
+    ("F-TQ(B)", "LENGTH", "AUTO"): ("042061a3ea20", (58, 1742, 1546, 0, 0, 8671, 138736, 0, 0)),
 }
 
 _COLD_TREES = {
@@ -330,50 +327,72 @@ def test_a_complete_cold_state_counts_what_round_by_round_scoring_counted(
     assert (_ranking_digest(result)[:12], astuple(result.stats)) == (digest, stats)
 
 
+# ----------------------------------------------------------------------
+# the ranking is every candidate's evaluate, sorted
+# ----------------------------------------------------------------------
+_SORT_TREES = {
+    "TQ(B)": lambda taxi, chk: build_tq_basic(taxi, beta=16),
+    "TQ(Z)": lambda taxi, chk: build_tq_zorder(taxi, beta=16),
+    "S-TQ": lambda taxi, chk: build_segmented(chk, beta=16),
+    "F-TQ": lambda taxi, chk: build_full(chk, beta=16),
+}
+
+_SORT_SPECS = {
+    "ENDPOINT": ServiceSpec(ServiceModel.ENDPOINT, psi=400.0),
+    "raw COUNT": ServiceSpec(ServiceModel.COUNT, psi=400.0, normalize=False),
+    "COUNT": ServiceSpec(ServiceModel.COUNT, psi=400.0),
+    "LENGTH": ServiceSpec(ServiceModel.LENGTH, psi=400.0),
+}
+
+
+def _sort_runtime(mode, tree, candidates, spec):
+    """No runtime, a DENSE or a GRID one, or a default one on which
+    every other candidate was evaluated first."""
+    if mode is None:
+        return None
+    if mode != "half-warm":
+        return QueryRuntime(RuntimeConfig(backend=ProximityBackend[mode]))
+    runtime = QueryRuntime()
+    for f in candidates[::2]:
+        evaluate_service(tree, f, spec, runtime=runtime)
+    return runtime
+
+
 @pytest.mark.engine_smoke
-@pytest.mark.parametrize("tree_name, model", [("TQ(Z)", "ENDPOINT"), ("F-TQ(Z)", "COUNT")])
-def test_a_cold_state_probes_once_and_leaves_its_script(
-    taxi_users, checkin_users, facilities, probe_calls, tree_name, model
+@pytest.mark.parametrize(
+    "tree_name, model",
+    [
+        (tree_name, model)
+        for tree_name in _SORT_TREES
+        for model in _SORT_SPECS
+        # a segment entry has no source-and-destination pair to score
+        if not (tree_name == "S-TQ" and model == "ENDPOINT")
+    ],
+)
+def test_the_ranking_is_every_evaluate_sorted_by_service_then_id(
+    taxi_users, checkin_users, facilities, tree_name, model
 ):
-    """A cold state probes at most once for its ancestor scan and once
-    for its whole walk; a state that ran leaves its level script on its
-    walk record, so the same query again probes nothing."""
-    tree = _COLD_TREES[tree_name](taxi_users, checkin_users)
-    spec = ServiceSpec(ServiceModel[model], psi=400.0, normalize=False)
-    column = (spec.model, spec.normalize)
-    with QueryRuntime() as runtime:
-        for facility in facilities:
-            stats = QueryStats()
-            del probe_calls[:]
-            state = kmaxrrst_module._initial_state(tree, facility, spec, stats, runtime)
-            assert len(probe_calls) <= 1
-            del probe_calls[:]
-            while not state.complete:
-                state = kmaxrrst_module._relax_state(tree, state, spec, stats, runtime)
-            assert len(probe_calls) <= 1
-            assert state.aserve == evaluate_service(tree, facility, spec)
-        runtime.cache.clear()
-        del probe_calls[:]
-        cold = top_k_facilities(tree, facilities, len(facilities), spec, runtime=runtime)
-        assert len(probe_calls) <= 2 * len(facilities)
-        records = runtime.cache._records.values()
-        assert len(records) == len(facilities)
-        assert all(column in record.scripts for record in records)
-        del probe_calls[:]
-        warm = top_k_facilities(tree, facilities, len(facilities), spec, runtime=runtime)
-        assert probe_calls == []
-    assert warm.ranking == cold.ranking
-
-
-@pytest.mark.parametrize("k", [1, 3])
-def test_every_relaxed_state_leaves_its_script(taxi_users, facilities, k):
-    """With k < |F| a state left incomplete has scored its whole walk
-    at its first relax too: every state that relaxed leaves a script,
-    and a state never relaxed leaves none."""
-    tree = build_tq_zorder(taxi_users, beta=16)
-    spec = ServiceSpec(ServiceModel.COUNT, psi=400.0, normalize=False)
-    with QueryRuntime() as runtime:
-        result = top_k_facilities(tree, facilities, k, spec, runtime=runtime)
-        scripted = {key[0] for key, r in runtime.cache._records.items() if r.scripts}
-    assert {f.facility_id for f in result.facilities()} <= scripted
-    assert len(scripted) <= result.stats.states_relaxed
+    """Candidates with exact ties (twin routes under other ids), out of
+    id order: on every runtime the ranking ``==`` each candidate's
+    ``evaluate_service`` through a runtime prepared the same way, sorted
+    by (-value, facility id), bit for bit, and the ranking's
+    ``QueryStats`` ``==`` those evaluates' summed."""
+    tree = _SORT_TREES[tree_name](taxi_users, checkin_users)
+    spec = _SORT_SPECS[model]
+    twins = [FacilityRoute(40 - f.facility_id, f.stops) for f in facilities[:6]]
+    candidates = list(facilities) + twins
+    np.random.default_rng(5).shuffle(candidates)
+    k = 7
+    for mode in (None, "DENSE", "GRID", "half-warm"):
+        runtime = _sort_runtime(mode, tree, candidates, spec)
+        got = top_k_facilities(tree, candidates, k, spec, runtime=runtime)
+        runtime = _sort_runtime(mode, tree, candidates, spec)
+        summed = QueryStats()
+        values = [
+            (-evaluate_service(tree, f, spec, stats=summed, runtime=runtime), f.facility_id)
+            for f in candidates
+        ]
+        want = [(fid, -negated) for negated, fid in sorted(values)[:k]]
+        assert [(fs.facility.facility_id, fs.service) for fs in got.ranking] == want, mode
+        assert got.stats == summed, mode
+    assert len({v for v, _ in values}) < len(values)  # the twins tie
