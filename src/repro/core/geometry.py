@@ -155,15 +155,6 @@ class BBox:
         """True when ``p`` lies inside or on the boundary of the box."""
         return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax
 
-    def contains_bbox(self, other: "BBox") -> bool:
-        """True when ``other`` lies entirely inside this box."""
-        return (
-            self.xmin <= other.xmin
-            and self.ymin <= other.ymin
-            and other.xmax <= self.xmax
-            and other.ymax <= self.ymax
-        )
-
     def intersects(self, other: "BBox") -> bool:
         """True when the two (closed) boxes share at least one point."""
         return not (

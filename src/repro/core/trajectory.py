@@ -193,11 +193,6 @@ class FacilityRoute:
         """
         return self.bbox.expanded(psi)
 
-    @cached_property
-    def route_length(self) -> float:
-        """Polyline length through the stops in order."""
-        return polyline_length(self.stops)
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.stops)

@@ -35,7 +35,7 @@ class _QTNode(Generic[T]):
 
 
 class PointQuadtree(Generic[T]):
-    """Point quadtree with rectangle and disc range queries.
+    """Point quadtree with disc range queries.
 
     Parameters
     ----------
@@ -98,21 +98,6 @@ class PointQuadtree(Generic[T]):
                 self._split(child)
 
     # ------------------------------------------------------------------
-    def query_rect(self, rect: BBox) -> Iterator[Tuple[Point, T]]:
-        """All stored pairs whose point lies in ``rect`` (closed)."""
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if not node.box.intersects(rect):
-                continue
-            if node.is_leaf:
-                for point, payload in node.items:
-                    if rect.contains_point(point):
-                        yield (point, payload)
-            else:
-                assert node.children is not None
-                stack.extend(node.children)
-
     def query_circle(self, center: Point, radius: float) -> Iterator[Tuple[Point, T]]:
         """All stored pairs within ``radius`` of ``center``."""
         if radius < 0:

@@ -1,7 +1,7 @@
 """``python -m repro.lint`` — lint the repro tree.
 
-Exit codes: 0 clean, 1 findings, 2 broken configuration/baseline (a
-config error must fail loudly, never read as a clean pass).
+Exit codes: 0 clean, 1 findings, 2 broken configuration (a config
+error must fail loudly, never read as a clean pass).
 """
 
 from __future__ import annotations
@@ -34,26 +34,11 @@ def main(argv=None) -> int:
         default="",
         help="comma-separated rule ids to run (default: all), e.g. L1,L4",
     )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="baseline JSON of suppressed findings "
-        "(default: ./lint_baseline.json when present)",
-    )
     args = parser.parse_args(argv)
-
-    baseline = args.baseline
-    if baseline is None:
-        candidate = Path.cwd() / "lint_baseline.json"
-        if candidate.is_file():
-            baseline = candidate
 
     select = [r.strip() for r in args.select.split(",") if r.strip()] or None
     try:
-        findings = run_lint(
-            args.root, REPRO_CONFIG, select=select, baseline_path=baseline
-        )
+        findings = run_lint(args.root, REPRO_CONFIG, select=select)
     except LintConfigError as exc:
         print(f"repro.lint: configuration error: {exc}", file=sys.stderr)
         return 2

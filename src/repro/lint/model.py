@@ -1,19 +1,14 @@
-"""Findings, rule configuration, and the baseline file format.
+"""Findings and rule configuration.
 
 A :class:`Finding` is one violation: rule id, location, a one-line
-statement of the defect, and a one-line fix hint.  Baselines exist so
-the tool can be adopted incrementally on a dirty tree — a baseline
-entry matches on ``(rule, path, message)`` (never the line number,
-which drifts under unrelated edits).  This repository ships an *empty*
-baseline: violations get fixed, not baselined.
+statement of the defect, and a one-line fix hint.  Nothing suppresses
+a finding: violations get fixed.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 __all__ = [
     "BlockingConfig",
@@ -23,11 +18,7 @@ __all__ = [
     "LifecycleConfig",
     "LintConfig",
     "LintConfigError",
-    "apply_baseline",
-    "load_baseline",
 ]
-
-BASELINE_VERSION = 1
 
 
 class LintConfigError(Exception):
@@ -42,10 +33,6 @@ class Finding:
     line: int
     message: str
     hint: str
-
-    @property
-    def baseline_key(self) -> Tuple[str, str, str]:
-        return (self.rule, self.path, self.message)
 
     def as_json(self) -> Dict[str, object]:
         return {
@@ -172,45 +159,3 @@ class LintConfig:
     blocking: BlockingConfig = BlockingConfig()
     codecs: Tuple[CodecPairing, ...] = ()
     lifecycle: LifecycleConfig = LifecycleConfig()
-
-
-# ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-def load_baseline(path: Path) -> List[Tuple[str, str, str]]:
-    """``(rule, path, message)`` triples the run should suppress."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise LintConfigError(f"cannot read baseline {path}: {exc}") from exc
-    except ValueError as exc:
-        raise LintConfigError(f"malformed baseline {path}: {exc}") from exc
-    if (
-        not isinstance(payload, dict)
-        or payload.get("version") != BASELINE_VERSION
-        or not isinstance(payload.get("findings"), list)
-    ):
-        raise LintConfigError(
-            f"baseline {path} must be "
-            f'{{"version": {BASELINE_VERSION}, "findings": [...]}}'
-        )
-    out = []
-    for entry in payload["findings"]:
-        if not isinstance(entry, dict):
-            raise LintConfigError(f"baseline {path}: entries must be objects")
-        try:
-            out.append(
-                (str(entry["rule"]), str(entry["path"]), str(entry["message"]))
-            )
-        except KeyError as exc:
-            raise LintConfigError(
-                f"baseline {path}: entry missing {exc}"
-            ) from exc
-    return out
-
-
-def apply_baseline(
-    findings: Sequence[Finding], baseline: Sequence[Tuple[str, str, str]]
-) -> List[Finding]:
-    keys = set(baseline)
-    return [f for f in findings if f.baseline_key not in keys]

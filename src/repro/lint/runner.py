@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .model import Finding, LintConfig, apply_baseline, load_baseline
+from .model import Finding, LintConfig
 from .rules import run_rules
 from .sourcemodel import SourceIndex
 
@@ -22,14 +22,9 @@ def run_lint(
     root: Path,
     config: LintConfig,
     select: Optional[Sequence[str]] = None,
-    baseline_path: Optional[Path] = None,
 ) -> List[Finding]:
-    """Lint the package rooted at ``root``; return surviving findings."""
-    index = SourceIndex(root)
-    findings = run_rules(index, config, select=select)
-    if baseline_path is not None:
-        findings = apply_baseline(findings, load_baseline(baseline_path))
-    return findings
+    """Lint the package rooted at ``root``; return every finding."""
+    return run_rules(SourceIndex(root), config, select=select)
 
 
 def format_findings(findings: Sequence[Finding], fmt: str = "text") -> str:

@@ -62,7 +62,7 @@ import numpy as np
 
 from ..core.config import IndexVariant
 from ..core.errors import QueryError
-from ..core.service import MatchSet, ServiceModel, ServiceSpec, StopSet
+from ..core.service import MatchSet, ServiceModel, ServiceSpec, StopSet, in_order_sum
 from ..core.stats import QueryStats
 from ..core.trajectory import FacilityRoute, UserPointTable, ranges
 from ..index.block import NodeBlock
@@ -466,10 +466,12 @@ def evaluate_core(
     caches.
 
     The plan names every node the paper's recursion would reach;
-    :func:`score_frontier` scores them all at once; the per-node values
-    are then added up the way the recursion nests them — a node's total
-    is its own value plus its children's totals in child order — so
-    normalised COUNT / LENGTH sums round exactly as before.
+    :func:`score_frontier` scores them all at once, in pre-order; the
+    service value is those node values added left to right
+    (``in_order_sum``), the same rule :func:`score_candidates` uses
+    inside a node.  ENDPOINT and raw COUNT values are whole numbers, so
+    the order gives them exactly; normalised COUNT / LENGTH sums round
+    the same on every walk of the tree, warm or cold.
 
     This is the planner-consumable form — :class:`repro.service
     .QueryPlanner` lowers an ``EvaluateRequest`` onto it directly, and
@@ -486,17 +488,8 @@ def evaluate_core(
     if not reached.size:
         return 0.0, local
     local.nodes_visited += reached.size
-    values = score_frontier(tree, plan, reached, spec, collector, local, runtime).tolist()
-    # children come after their parent in pre-order, so walking the
-    # reached nodes backwards finds every child's total already made
-    total: Dict[int, float] = {}
-    children = tree.frame().children[reached].tolist()
-    for i, own, kids in zip(reached.tolist()[::-1], values[::-1], children[::-1]):
-        for child in kids:
-            if child in total:
-                own += total[child]
-        total[i] = own
-    return total[0], local
+    values = score_frontier(tree, plan, reached, spec, collector, local, runtime)
+    return in_order_sum(values), local
 
 
 def evaluate_service(

@@ -20,7 +20,8 @@ tree-wide frame.  Each test here pins one premise of that design:
     tree builds nothing inside its first query;
 (f) scoring — a frontier scored in one segmented pass gives every node
     the value it gets alone and the per-entry reference loop gives it,
-    bit for bit;
+    bit for bit, and a walk's value is its node values added left to
+    right in pre-order;
 (g) the walk cache — a walk through a runtime divides once per
     facility, ``psi`` and node-table generation, and never serves a plan
     or a node value of another tree, another table version or other
@@ -62,7 +63,7 @@ from repro import (
     top_k_facilities,
 )
 from repro.core.config import ProximityBackend, RuntimeConfig
-from repro.core.service import StopSet
+from repro.core.service import StopSet, in_order_sum
 from repro.core.stats import QueryStats
 from repro.core.trajectory import ranges
 from repro.engine import CellstringStopSet, GriddedStopSet
@@ -751,6 +752,42 @@ def _reference_values(tree, plan, nodes, spec, collecting):
                 frame.block, rows[r1 - n : r1], mask[probe_end[r1 - n] : probe_end[r1]], spec
             )
     return [want[i] for i in nodes.tolist()], nodes.size - listed.size, unserved
+
+
+@pytest.mark.engine_smoke
+@pytest.mark.parametrize("runtime_kind", ["none", "cold", "warm"])
+@pytest.mark.parametrize(
+    "name, model",
+    [
+        ("segmented", ServiceModel.COUNT),
+        ("segmented", ServiceModel.LENGTH),
+        ("full", ServiceModel.COUNT),
+        ("full", ServiceModel.LENGTH),
+        ("tq_zorder", ServiceModel.ENDPOINT),
+    ],
+)
+def test_a_walk_is_its_node_values_summed_left_to_right_in_pre_order(
+    name, model, runtime_kind
+):
+    """``SO(U, f)`` ``==`` the values :func:`score_frontier` gives the
+    reached nodes, in pre-order, added left to right — with no runtime,
+    through a fresh runtime, and warm (every listed node's value read
+    from the cache)."""
+    for tree in _grown_and_bulk(name):
+        for psi, f in [(psi, f) for psi in (60.0, 250.0) for f in _ROUTES]:
+            spec = ServiceSpec(model, psi=psi)
+            plan = walk_plan(tree, f, psi, None)
+            values = evaluate_module.score_frontier(
+                tree, plan, np.flatnonzero(plan.visited), spec, None, QueryStats(), None
+            )
+            if runtime_kind == "none":
+                got = evaluate_service(tree, f, spec)
+            else:
+                with QueryRuntime() as runtime:
+                    if runtime_kind == "warm":
+                        evaluate_service(tree, f, spec, runtime=runtime)
+                    got = evaluate_service(tree, f, spec, runtime=runtime)
+            assert got == in_order_sum(values)
 
 
 # ----------------------------------------------------------------------

@@ -110,12 +110,6 @@ class TestBBox:
         assert b.contains_point(Point(10, 10))
         assert not b.contains_point(Point(10.0001, 5))
 
-    def test_contains_bbox(self):
-        outer, inner = BBox(0, 0, 10, 10), BBox(2, 2, 8, 8)
-        assert outer.contains_bbox(inner)
-        assert not inner.contains_bbox(outer)
-        assert outer.contains_bbox(outer)
-
     def test_intersects_edge_touching(self):
         assert BBox(0, 0, 1, 1).intersects(BBox(1, 1, 2, 2))
 

@@ -7,8 +7,8 @@ Three layers of coverage:
   proving it stays quiet (so a refactor of a rule cannot silently turn
   it into a no-op);
 * the real tree — the full pass over the installed ``src/repro`` must
-  report zero findings against the shipped (empty) baseline, which is
-  what makes every architectural invariant self-enforcing in tier-1;
+  report zero findings (nothing suppresses one), which is what makes
+  every architectural invariant self-enforcing in tier-1;
 * mutation tests — the acceptance-criteria regressions: deleting a
   stats field from a wire codec table, or adding a ``queries`` →
   ``engine`` import, must each produce a finding.
@@ -41,7 +41,6 @@ from repro.lint import (
 
 REPRO_ROOT = Path(repro.__file__).parent
 REPO_ROOT = REPRO_ROOT.parent.parent
-BASELINE = REPO_ROOT / "lint_baseline.json"
 
 
 def write_pkg(tmp_path: Path, files: dict) -> Path:
@@ -541,12 +540,8 @@ class TestLifecycleRule:
 # the real tree: zero findings, enforced in tier-1
 # ----------------------------------------------------------------------
 class TestRealTree:
-    def test_shipped_baseline_is_empty(self):
-        payload = json.loads(BASELINE.read_text())
-        assert payload == {"version": 1, "findings": []}
-
     def test_full_pass_is_clean(self):
-        findings = run_lint(REPRO_ROOT, REPRO_CONFIG, baseline_path=BASELINE)
+        findings = run_lint(REPRO_ROOT, REPRO_CONFIG)
         assert findings == [], "\n" + format_findings(findings)
 
     def test_cli_exits_zero_with_json(self):

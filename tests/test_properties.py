@@ -72,16 +72,14 @@ class TestZOrderEquivalence:
     )
     def test_tqb_and_tqz_identical_scores(self, users, facs, psi):
         """z-ordering is a pure access-path optimisation: TQ(B) and
-        TQ(Z) must produce bit-identical service sums (same entries, same
-        evaluation order within a node list is irrelevant because scores
-        are added per candidate in index order)."""
+        TQ(Z) must produce bit-identical service sums (same entries;
+        ENDPOINT scores are whole numbers, so no order of adding them
+        can round)."""
         spec = ServiceSpec(ServiceModel.ENDPOINT, psi=psi)
         tb = TQTree.build(users, TQTreeConfig(beta=3, use_zorder=False), space=WORLD)
         tz = TQTree.build(users, TQTreeConfig(beta=3, use_zorder=True), space=WORLD)
         for f in facs:
-            assert evaluate_service(tb, f, spec) == pytest.approx(
-                evaluate_service(tz, f, spec)
-            )
+            assert evaluate_service(tb, f, spec) == evaluate_service(tz, f, spec)
 
 
 class TestQueryMonotonicity:

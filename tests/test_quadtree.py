@@ -6,16 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import BBox, Point, PointQuadtree
+from repro import Point, PointQuadtree
 from repro.core.errors import IndexError_
 
 from .strategies import WORLD, points
-
-
-def brute_rect(items, rect):
-    return sorted(
-        (p.as_tuple(), v) for p, v in items if rect.contains_point(p)
-    )
 
 
 def brute_circle(items, center, radius):
@@ -64,14 +58,6 @@ class TestConstruction:
 
 
 class TestQueries:
-    def test_rect_query_exact(self):
-        qt = PointQuadtree(WORLD, capacity=3)
-        items = [(Point((i * 50.0) % 1000, (i * 37) % 1000), i) for i in range(40)]
-        qt.extend(items)
-        rect = BBox(100, 100, 600, 600)
-        got = sorted((p.as_tuple(), v) for p, v in qt.query_rect(rect))
-        assert got == brute_rect(items, rect)
-
     def test_circle_query_exact(self):
         qt = PointQuadtree(WORLD, capacity=3)
         items = [(Point((i * 50.0) % 1000, (i * 37) % 1000), i) for i in range(40)]
@@ -87,7 +73,6 @@ class TestQueries:
 
     def test_empty_tree_queries(self):
         qt = PointQuadtree(WORLD)
-        assert list(qt.query_rect(WORLD)) == []
         assert list(qt.query_circle(Point(1, 1), 100.0)) == []
 
     def test_zero_radius_finds_exact_point(self):
@@ -106,11 +91,3 @@ class TestQueries:
         qt.extend(items)
         got = sorted((p.as_tuple(), v) for p, v in qt.query_circle(center, radius))
         assert got == brute_circle(items, center, radius)
-
-    @given(st.lists(st.tuples(points(), st.integers()), min_size=0, max_size=60))
-    def test_rect_matches_brute_force(self, items):
-        qt = PointQuadtree(WORLD, capacity=4, max_depth=8)
-        qt.extend(items)
-        rect = BBox(200, 150, 700, 800)
-        got = sorted((p.as_tuple(), v) for p, v in qt.query_rect(rect))
-        assert got == brute_rect(items, rect)

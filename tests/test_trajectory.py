@@ -85,7 +85,6 @@ class TestFacilityRoute:
         f = FacilityRoute(3, [(0, 0), (10, 0), (10, 10)])
         assert f.facility_id == 3
         assert f.n_stops == 3
-        assert f.route_length == pytest.approx(20.0)
 
     def test_embr_expansion(self):
         f = FacilityRoute(0, [(0, 0), (10, 10)])
