@@ -15,9 +15,9 @@ on the facility's stops, ``psi`` and the tree, and nothing else — so
   record pins a built grid or cellstring;
 * per ``(model, normalize)`` column: three node-indexed arrays of
   Algorithm 2's values (``known``, the ``value`` a node's own list
-  adds, how many candidates scoring it took), filled by non-collecting
-  walks; and the collecting walk's **match set** (the served-point
-  slots the MaxkCovRST solvers price).
+  adds, how many candidates scoring it took);
+* the walk's **match set** (the served-point slots the MaxkCovRST
+  solvers price), one for every model: it depends on ``psi`` alone.
 
 A warm frontier is one gather, a warm match set a lookup.
 
@@ -70,9 +70,9 @@ Column = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 class WalkRecord:
     """One walk's division and unprobed stop set, with its value
-    columns and match sets per ``(model, normalize)``.  ``columns``,
+    columns per ``(model, normalize)`` and its match set.  ``columns``,
     ``matches`` and ``rows`` change only through the owning cache; a
-    column is replaced, never written into, and a match set is
+    column is replaced, never written into, and the match set is
     installed once."""
 
     __slots__ = ("key", "coords", "division", "stops", "columns", "matches", "rows")
@@ -80,7 +80,7 @@ class WalkRecord:
     def __init__(self, key, coords: np.ndarray, division: Division, stops) -> None:
         self.key, self.coords, self.division, self.stops = key, coords, division, stops
         self.columns: Dict[Hashable, Column] = {}
-        self.matches: Dict[Hashable, Any] = {}
+        self.matches: Any = None
         self.rows = division[0].size
 
     def made_of(self, stop_coords: np.ndarray) -> bool:
@@ -158,28 +158,19 @@ class CoverageCache:
         record.columns[column] = (known, value, count)
         self._grow(record, rows)
 
-    def read_matches(
-        self, key: Hashable, stop_coords: np.ndarray, column: Hashable
-    ) -> Any:
-        """The match set held for ``column`` on the record
-        :meth:`lookup_record` finds, counted as one hit, or ``None``."""
-        record = self.lookup_record(key, stop_coords)
-        matches = None if record is None else record.matches.get(column)
-        if matches is not None:
+    def read_matches(self, record: WalkRecord) -> Any:
+        """``record``'s match set, counted as one hit, or ``None``."""
+        if record.matches is not None:
             self.hits += 1
-        return matches
+        return record.matches
 
-    def store_matches(
-        self, key: Hashable, stop_coords: np.ndarray, column: Hashable, matches
-    ) -> None:
-        """Count one miss, and hold ``matches`` — one row per slot — for
-        ``column`` on the record :meth:`lookup_record` finds if there is
-        one and it holds no match set for ``column`` yet; evict like
-        :meth:`store_column`."""
+    def store_matches(self, record: WalkRecord, matches) -> None:
+        """Count one miss, and hold ``matches`` — one row per slot — on
+        ``record`` if the cache still holds it and it holds no match set
+        yet; evict like :meth:`store_column`."""
         self.misses += 1
-        record = self.lookup_record(key, stop_coords)
-        if record is not None and column not in record.matches:
-            record.matches[column] = matches
+        if record.matches is None and self._records.get(record.key) is record:
+            record.matches = matches
             self._grow(record, matches.slots.size)
 
     def _grow(self, record: WalkRecord, rows: int) -> None:
@@ -201,7 +192,7 @@ class CoverageCache:
     def __len__(self) -> int:
         """Answers held: known node values and match sets."""
         return sum(
-            len(record.matches)
+            (record.matches is not None)
             + sum(int(np.count_nonzero(known)) for known, _, _ in record.columns.values())
             for record in self._records.values()
         )

@@ -3,10 +3,10 @@
 from .baseline import BaselineIndex
 from .evaluate import (
     DivisionPlan,
-    MatchCollector,
     QueryStats,
     evaluate_core,
     evaluate_service,
+    walk_matches,
 )
 from .exact import approximation_ratio, exact_max_k_coverage
 from .iomodel import BlockCosts, estimate_query_blocks
@@ -21,7 +21,6 @@ from .range_search import trajectories_in_range, trajectories_served_by_stop
 from .maxkcov import (
     MaxKCovResult,
     baseline_match_fn,
-    core_match_fn,
     greedy_max_k_coverage,
     maxkcov_baseline,
     maxkcov_core,
@@ -32,10 +31,10 @@ from .maxkcov import (
 __all__ = [
     "BaselineIndex",
     "DivisionPlan",
-    "MatchCollector",
     "QueryStats",
     "evaluate_core",
     "evaluate_service",
+    "walk_matches",
     "top_k_core",
     "top_k_facilities",
     "FacilityScore",
@@ -45,7 +44,6 @@ __all__ = [
     "maxkcov_core",
     "maxkcov_tq",
     "maxkcov_baseline",
-    "core_match_fn",
     "tq_match_fn",
     "baseline_match_fn",
     "GeneticConfig",

@@ -26,15 +26,15 @@ q-node at a time, as four stage functions over arrays:
 :func:`score_frontier` is a cache gather, stages 2-4 and a cache store
 for any set of nodes, and the only implementation behind
 :func:`evaluate_service` (frontier = every node the walk reaches) —
-which kMaxRRST (:mod:`repro.queries.kmaxrrst`) runs per candidate and
-the collecting MaxkCovRST walk runs with a collector.  No Python loop
-runs over entries.  The paper's ``MakeUnion(f)`` merge needs no step:
-every node is probed against all of the facility's stops that can serve
-it, so a user is never credited twice to one facility.
+which kMaxRRST (:mod:`repro.queries.kmaxrrst`) runs per candidate.  No
+Python loop runs over entries.  The paper's ``MakeUnion(f)`` merge
+needs no step: every node is probed against all of the facility's stops
+that can serve it, so a user is never credited twice to one facility.
 
-A :class:`MatchCollector` can ride along to record *which* points of
-which users were served — MaxkCovRST needs these per-facility match sets
-to price combined coverage.
+:func:`walk_matches` runs stages 1-3 of its own and scores nothing: it
+keeps *which* points of which users the facility serves within
+``psi`` — the match set MaxkCovRST prices combined coverage with.  The
+set does not depend on the service model, which only prices it.
 
 Acceleration plugs in through one object without changing any result: a
 :class:`~repro.runtime.QueryRuntime` passed as ``runtime`` owns the
@@ -43,28 +43,26 @@ whole probe path — the walk's one exact distance check goes through
 stops for the runtime's backend (dense broadcast, stop grid, or
 cellstrings; probed on the calling thread) — keeps one record per walk
 (facility, psi, node-table generation) in the runtime's cache: the
-walk's division plan and, per (model, normalize), the value each
-q-node's own list adds.  A non-collecting re-walk — a repeated query
+walk's division plan, per (model, normalize) the value each q-node's
+own list adds, and the walk's match set.  A re-walk — a repeated query
 for the same facility, a kMaxRRST candidate evaluated before — gathers
-the values it knows and scores only the rest; a collecting walk always
-scores (:func:`~repro.queries.maxkcov.core_match_fn` keeps its
-match set on the record instead).  It also
-accrues this evaluation's work counters into the runtime's grand total.
+the values it knows and scores only the rest; a match set is walked
+once per record.  It also accrues this evaluation's work counters into
+the runtime's grand total.
 No backend, grid, or cache type is plumbed through this module
 directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..core.config import IndexVariant
-from ..core.errors import QueryError
 from ..core.service import MatchSet, ServiceModel, ServiceSpec, StopSet, in_order_sum
 from ..core.stats import QueryStats
-from ..core.trajectory import FacilityRoute, UserPointTable, ranges
+from ..core.trajectory import FacilityRoute, ranges
 from ..index.block import NodeBlock
 from ..index.frame import ANY, BBOX, BOTH, TreeFrame, kept_per_run
 from ..index.tqtree import TQTree
@@ -73,7 +71,6 @@ from ..runtime import QueryRuntime, coerce_runtime
 __all__ = [
     "QueryStats",
     "DivisionPlan",
-    "MatchCollector",
     "candidate_mode",
     "divide",
     "filter_candidates",
@@ -83,36 +80,8 @@ __all__ = [
     "walk_plan",
     "evaluate_core",
     "evaluate_service",
+    "walk_matches",
 ]
-
-
-class MatchCollector:
-    """Accumulates the served point slots of one tree's user table
-    across an evaluation."""
-
-    def __init__(self) -> None:
-        self.table: Optional[UserPointTable] = None
-        self._chunks: List[np.ndarray] = []
-
-    def record_slots(self, table: UserPointTable, slots: np.ndarray) -> None:
-        if self.table is None:
-            self.table = table
-        elif self.table is not table:
-            raise QueryError("a MatchCollector serves one user table at a time")
-        if slots.size:
-            self._chunks.append(slots)
-
-    def match_set(self) -> MatchSet:
-        """Everything recorded so far, as sorted unique slots."""
-        table = self.table if self.table is not None else UserPointTable(())
-        slots = (
-            np.unique(np.concatenate(self._chunks))
-            if self._chunks else np.zeros(0, dtype=np.int64)
-        )
-        return MatchSet(table, slots)
-
-    def as_dict(self) -> Dict[int, Tuple[int, ...]]:
-        return self.match_set().as_dict()
 
 
 def _requires_both_endpoints(spec: ServiceSpec, variant: IndexVariant) -> bool:
@@ -132,19 +101,13 @@ def _requires_both_endpoints(spec: ServiceSpec, variant: IndexVariant) -> bool:
 _Z_MIN_LIST = 192
 
 
-def candidate_mode(spec: ServiceSpec, variant: IndexVariant, collecting: bool) -> str:
-    """Which filter form is sound for this walk (DESIGN.md §4.2).
-
-    ``collecting`` switches to partial-tolerant modes: combined
-    (MaxkCovRST) coverage needs *every* served point recorded, including
-    entries only one of whose endpoints is near the facility, so the
-    both-endpoints filter would silently drop cross-facility matches.
-    """
-    if variant is IndexVariant.FULL and (
-        collecting or spec.model is not ServiceModel.ENDPOINT
-    ):
+def candidate_mode(spec: ServiceSpec, variant: IndexVariant) -> str:
+    """Which filter form is sound for scoring this walk (DESIGN.md
+    §4.2).  A match-set walk (:func:`walk_matches`) always takes the
+    partial-tolerant form, ``BBOX`` on F-TQ and ``ANY`` otherwise."""
+    if variant is IndexVariant.FULL and spec.model is not ServiceModel.ENDPOINT:
         return BBOX
-    if not collecting and _requires_both_endpoints(spec, variant):
+    if _requires_both_endpoints(spec, variant):
         return BOTH
     return ANY
 
@@ -293,13 +256,11 @@ def probe_candidates(
 
 
 def score_candidates(
-    table: UserPointTable,
     block: NodeBlock,
     rows: np.ndarray,
     mask: np.ndarray,
     counts: np.ndarray,
     spec: ServiceSpec,
-    collector: Optional[MatchCollector],
 ) -> np.ndarray:
     """Stage 4, the service model's scoring rule over a whole frontier:
     ``rows`` are the candidates of ``counts.size`` nodes end to end
@@ -317,9 +278,6 @@ def score_candidates(
     n_probes = block.probe_cnt[rows]
     ends = np.cumsum(n_probes)
     starts = ends - n_probes  # where each candidate's probes begin in mask
-    if collector is not None and rows.size:
-        gather = ranges(block.probe_off[rows], n_probes)
-        collector.record_slots(table, block.probe_slot[gather[mask]])
     if spec.model is ServiceModel.ENDPOINT:
         # Every candidate is a whole-trajectory entry whose sorted
         # probe list starts at index 0 and ends at index n-1, so the
@@ -353,7 +311,6 @@ def score_frontier(
     plan: DivisionPlan,
     nodes: np.ndarray,
     spec: ServiceSpec,
-    collector: Optional[MatchCollector],
     stats: QueryStats,
     runtime: Optional[QueryRuntime],
 ) -> np.ndarray:
@@ -376,20 +333,19 @@ def score_frontier(
     (point, stop) pair does not depend on which other stops are in the
     call.
 
-    ``runtime`` owns the probe path.  A non-collecting walk whose plan
-    the runtime's cache keeps reads its nodes' values from the plan's
-    record — one value column per (model, normalize), one gather — and
-    stores the values it had to score there: a node's candidates are
-    summed on their own, so its value does not depend on the frontier
-    it was scored in.  A collecting walk always scores (its match set
-    is what the cache keeps).
+    ``runtime`` owns the probe path.  A walk whose plan the runtime's
+    cache keeps reads its nodes' values from the plan's record — one
+    value column per (model, normalize), one gather — and stores the
+    values it had to score there: a node's candidates are summed on
+    their own, so its value does not depend on the frontier it was
+    scored in.
     """
     frame = tree.frame()
     n_own = frame.n_own[nodes]
     stats.entries_considered += int(n_own.sum())
     listed = np.flatnonzero(n_own)  # positions of the nodes with a list
     values = np.zeros(nodes.size)
-    record = plan.record if collector is None else None
+    record = plan.record
     column = (spec.model, spec.normalize)
     held = None if record is None else record.columns.get(column)
     hits, counts = 0, np.zeros(0, dtype=np.int64)
@@ -404,16 +360,14 @@ def score_frontier(
         listed = listed[~known]
     if listed.size:
         ids = nodes[listed]
-        mode = candidate_mode(spec, tree.config.variant, collector is not None)
+        mode = candidate_mode(spec, tree.config.variant)
         order, rows, counts = filter_candidates(
             tree, ids, plan.envelopes[ids], mode, plan.stops.coords, spec.psi
         )
         mask = probe_candidates(frame.block, rows, plan.stops, spec.psi, stats, runtime)
         stats.entries_scored += rows.size
         listed = listed[order]
-        values[listed] = score_candidates(
-            tree.table, frame.block, rows, mask, counts, spec, collector
-        )
+        values[listed] = score_candidates(frame.block, rows, mask, counts, spec)
     if record is not None:
         runtime.cache.store_column(
             record, column, nodes[listed], values[listed], counts, hits
@@ -457,7 +411,6 @@ def evaluate_core(
     tree: TQTree,
     facility: FacilityRoute,
     spec: ServiceSpec,
-    collector: Optional[MatchCollector] = None,
     runtime: Optional[QueryRuntime] = None,
 ) -> Tuple[float, QueryStats]:
     """The pure step behind :func:`evaluate_service`: Algorithm 1 as
@@ -488,7 +441,7 @@ def evaluate_core(
     if not reached.size:
         return 0.0, local
     local.nodes_visited += reached.size
-    values = score_frontier(tree, plan, reached, spec, collector, local, runtime)
+    values = score_frontier(tree, plan, reached, spec, local, runtime)
     return in_order_sum(values), local
 
 
@@ -496,7 +449,6 @@ def evaluate_service(
     tree: TQTree,
     facility: FacilityRoute,
     spec: ServiceSpec,
-    collector: Optional[MatchCollector] = None,
     stats: Optional[QueryStats] = None,
     runtime: Optional[QueryRuntime] = None,
 ) -> float:
@@ -514,9 +466,59 @@ def evaluate_service(
     substrate the async :class:`repro.service.QueryService` executes.
     """
     runtime = coerce_runtime(runtime)
-    so, local = evaluate_core(tree, facility, spec, collector, runtime)
+    so, local = evaluate_core(tree, facility, spec, runtime)
     if runtime is not None:
         runtime.accrue(local)
     if stats is not None:
         stats.merge(local)
     return so
+
+
+def walk_matches(
+    tree: TQTree,
+    facility: FacilityRoute,
+    psi: float,
+    runtime: Optional[QueryRuntime] = None,
+) -> Tuple[MatchSet, QueryStats]:
+    """The facility's match set — every user point within ``psi`` of
+    one of its stops, as slots of the tree's user table — and the work
+    its walk did.
+
+    The walk scores nothing: the plan's reached lists are filtered in
+    the partial-tolerant form — combined (MaxkCovRST) coverage needs
+    every served point, including those of entries only one of whose
+    endpoints is near the facility, which the both-endpoints filter
+    would drop — their survivors probed in one call, and the covered
+    probe points' slots kept.  The service model only prices a match
+    set, so one set serves every model at ``psi``.  With a runtime the
+    set is kept on the walk's record: a record that holds one answers
+    with no geometric work and empty counters (one cache hit), any
+    other walk counts one miss.
+    """
+    local = QueryStats()
+    plan = walk_plan(tree, facility, psi, runtime)
+    if runtime is not None:
+        held = runtime.cache.read_matches(plan.record)
+        if held is not None:
+            return held, local
+    frame = tree.frame()
+    reached = np.flatnonzero(plan.visited)
+    local.nodes_visited += reached.size
+    n_own = frame.n_own[reached]
+    local.entries_considered += int(n_own.sum())
+    ids = reached[n_own > 0]
+    slots = np.zeros(0, dtype=np.int64)
+    if ids.size:
+        block = frame.block
+        mode = BBOX if tree.config.variant is IndexVariant.FULL else ANY
+        _order, rows, _counts = filter_candidates(
+            tree, ids, plan.envelopes[ids], mode, plan.stops.coords, psi
+        )
+        mask = probe_candidates(block, rows, plan.stops, psi, local, runtime)
+        local.entries_scored += rows.size
+        probes = ranges(block.probe_off[rows], block.probe_cnt[rows])
+        slots = np.unique(block.probe_slot[probes[mask]])
+    matches = MatchSet(tree.table, slots)
+    if runtime is not None:
+        runtime.cache.store_matches(plan.record, matches)
+    return matches, local

@@ -61,7 +61,7 @@ def estimate_query_blocks(
     child costs nothing; a reached TQ(B) node pays for its whole list.
     It prices the paper's TQ(Z): every reached listed node pays for its
     two grid directories plus only the buckets (z-nodes, one block
-    each) holding ``zReduce`` survivors of the non-collecting walk —
+    each) holding ``zReduce`` survivors of the scoring walk —
     also the short lists the evaluator scans linearly instead
     (``evaluate._Z_MIN_LIST``).
     """
@@ -79,7 +79,7 @@ def estimate_query_blocks(
     elif listed.size:
         picked, _counts = stack.candidates(
             stack.slot_of[listed], plan.envelopes[listed],
-            candidate_mode(spec, tree.config.variant, collecting=False),
+            candidate_mode(spec, tree.config.variant),
             plan.stops.coords, spec.psi,
         )
         costs.directory_blocks = 2 * int(listed.size)

@@ -76,7 +76,7 @@ def top_k_core(
     tree.validate_spec(spec)
     stats, scores = QueryStats(), []
     for facility in facilities:
-        value, local = evaluate_core(tree, facility, spec, None, runtime)
+        value, local = evaluate_core(tree, facility, spec, runtime)
         stats.merge(local)
         scores.append(FacilityScore(facility, value))
     return KMaxRRSTResult(ranked(scores, k), stats)

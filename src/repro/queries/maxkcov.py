@@ -37,14 +37,13 @@ from ..core.trajectory import (
 from ..index.tqtree import TQTree
 from ..runtime import QueryRuntime, coerce_runtime
 from .baseline import BaselineIndex
-from .evaluate import MatchCollector, evaluate_core
+from .evaluate import walk_matches
 from .kmaxrrst import top_k_core
 
 __all__ = [
     "Matches",
     "MatchFn",
     "MaxKCovResult",
-    "core_match_fn",
     "tq_match_fn",
     "baseline_match_fn",
     "greedy_max_k_coverage",
@@ -78,64 +77,37 @@ class MaxKCovResult:
         return tuple(f.facility_id for f in self.selection)
 
 
-def core_match_fn(
+def tq_match_fn(
     tree: TQTree,
     spec: ServiceSpec,
     runtime: Optional[QueryRuntime] = None,
     acc: Optional[QueryStats] = None,
 ) -> MatchFn:
-    """The pure-step match fn: per-facility match sets via
-    :func:`~repro.queries.evaluate.evaluate_core`.
+    """Match sets via TQ-tree walks (TQ(B) or TQ(Z) per tree config):
+    :func:`~repro.queries.evaluate.walk_matches` at ``spec.psi``, after
+    ``spec`` is checked against the tree.
 
-    Work accounting is explicit instead of ambient: each *computed*
-    facility's counters merge into ``acc`` when one is given (the
-    service's per-request attribution), else accrue into ``runtime``
-    directly (the ambient behaviour :func:`tq_match_fn` keeps).
-
-    With a runtime a match set is kept on the facility's walk record,
-    per ``(model, normalize)``: a facility whose record holds it — the
-    same stops, ``psi`` and node-table generation, whichever match fn
-    or ``FacilityRoute`` object asks — costs one hit and no geometric
-    work, so it contributes nothing to ``acc``; any other is walked and
-    counts one miss.
+    Each walked facility's counters merge into ``acc`` when one is
+    given (the service's per-request attribution), else accrue into
+    ``runtime``.  With a runtime a match set is kept on the facility's
+    walk record: a facility whose record holds one — the same stops,
+    ``psi`` and node-table generation, under any model, whichever match
+    fn or ``FacilityRoute`` object asks — costs one hit and no geometric
+    work, so it contributes nothing; any other is walked and counts one
+    miss.  Results are identical either way.
     """
-    column = (spec.model, spec.normalize)
+    runtime = coerce_runtime(runtime)
 
     def fn(facility: FacilityRoute) -> Matches:
-        if runtime is not None:
-            # the key walk_plan holds the facility's record under
-            key = (facility.facility_id, spec.psi, tree.frame().generation)
-            held = runtime.cache.read_matches(key, facility.stop_coords, column)
-            if held is not None:
-                return held
-        collector = MatchCollector()
-        _, local = evaluate_core(tree, facility, spec, collector, runtime)
+        tree.validate_spec(spec)
+        matches, local = walk_matches(tree, facility, spec.psi, runtime)
         if acc is not None:
             acc.merge(local)
         elif runtime is not None:
             runtime.accrue(local)
-        matches = collector.match_set()
-        if runtime is not None:
-            runtime.cache.store_matches(key, facility.stop_coords, column, matches)
         return matches
 
     return fn
-
-
-def tq_match_fn(
-    tree: TQTree,
-    spec: ServiceSpec,
-    runtime: Optional[QueryRuntime] = None,
-) -> MatchFn:
-    """Match sets via TQ-tree evaluation (TQ(B) or TQ(Z) per tree config).
-
-    ``runtime`` owns the probe path (backend plus scheduling) and keeps
-    each walk's division plan and finished match set on the walk's
-    record in its cache — results are identical either way.
-
-    A thin wrapper over :func:`core_match_fn` (ambient accrual form).
-    """
-    return core_match_fn(tree, spec, coerce_runtime(runtime))
 
 
 def baseline_match_fn(index: BaselineIndex, spec: ServiceSpec) -> MatchFn:
@@ -228,7 +200,7 @@ def maxkcov_core(
     users = tree.table  # match sets are slot arrays over this very table
     result = greedy_max_k_coverage(
         users, facilities, k, spec,
-        core_match_fn(tree, spec, runtime, acc=local),
+        tq_match_fn(tree, spec, runtime, acc=local),
     )
     return result, local
 

@@ -152,8 +152,8 @@ class QueryRuntime:
 
         This is the one entry point the query layer uses for exact
         geometric work — ``queries/`` never touches a grid, shard, or
-        backend type directly — and it is called once per *frontier*
-        (a whole evaluate walk, one cold kMaxRRST state walk), not once per
+        backend type directly — and it is called once per walk (an
+        evaluate, one kMaxRRST candidate, one match set), not once per
         q-node: ``coords`` holds every surviving candidate's probe
         points and ``stops`` the walk's stop set.  Already-dressed stop
         sets pass through :meth:`stop_set` untouched, so probing stops

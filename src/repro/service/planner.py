@@ -9,7 +9,9 @@
   The service only counts them (``ServiceStats.probe_units_planned``
   and ``probe_units_batched``); it schedules nothing by them.
 * **an execute step** — a call onto the request's query core
-  (:func:`~repro.queries.evaluate.evaluate_core`,
+  (:func:`~repro.queries.evaluate.evaluate_core`, plus
+  :func:`~repro.queries.evaluate.walk_matches` for a request that
+  collects matches,
   :func:`~repro.queries.kmaxrrst.top_k_core`,
   :func:`~repro.queries.maxkcov.maxkcov_core`) — the *same* pure steps
   the synchronous functions wrap, which is why service answers and
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, FrozenSet, Tuple
 
 from ..core.errors import QueryError
-from ..queries.evaluate import MatchCollector, evaluate_core
+from ..queries.evaluate import evaluate_core, walk_matches
 from ..queries.kmaxrrst import top_k_core
 from ..queries.maxkcov import maxkcov_core
 from ..runtime import QueryRuntime
@@ -87,11 +89,12 @@ class QueryPlanner:
         )
 
         def execute(runtime: QueryRuntime) -> QueryResult:
-            collector = MatchCollector() if req.collect_matches else None
-            value, stats = evaluate_core(
-                req.tree, req.facility, spec, collector, runtime
-            )
-            matches = collector.as_dict() if collector is not None else None
+            value, stats = evaluate_core(req.tree, req.facility, spec, runtime)
+            matches = None
+            if req.collect_matches:
+                found, walked = walk_matches(req.tree, req.facility, spec.psi, runtime)
+                stats.merge(walked)
+                matches = found.as_dict()
             return QueryResult(req, value, stats, matches)
 
         return QueryPlan(req, units, execute)

@@ -46,10 +46,10 @@ class EvaluateRequest:
 
     ``collect_matches`` additionally returns the per-user served point
     indices on :attr:`QueryResult.matches` (the MaxkCovRST match-set
-    shape).  Collecting walks select different zReduce candidates, so
-    the flag is part of the request's probe-unit identity — a
-    collecting and a non-collecting request for the same facility share
-    no coverage work, exactly like the synchronous paths.
+    shape): the facility's match set at ``spec.psi`` is walked after
+    the evaluate (:func:`~repro.queries.evaluate.walk_matches`, which
+    selects its own zReduce candidates) and its counters join the
+    request's.  The flag is part of the request's probe-unit identity.
     """
 
     tree: TQTree

@@ -11,7 +11,8 @@ Subcommands::
     verify   PATH...
              Re-read each store file (or every ``*.idx`` plus the
              manifest of a directory) with content-hash verification;
-             exit 1 if anything fails.
+             exit 1 if anything fails or a file the manifest names is
+             missing.
 """
 
 from __future__ import annotations
@@ -20,12 +21,25 @@ import argparse
 import json
 import os
 import sys
-from typing import List
+from typing import Dict, List, Set
 
 from ..core.errors import StoreError
 from ..service.http.catalog import build_store_catalog
 from .catalog import read_manifest
 from .format import inspect_store_file, read_store_file
+
+
+def _manifest_files(manifest: Dict) -> Set[str]:
+    """Every file a manifest names: tree users bundles, facility-set
+    bundles and index files (two routes with equal stops share one)."""
+    try:
+        return (
+            {files["users"] for files in manifest["trees"].values()}
+            | {entry["file"] for entry in manifest["facility_sets"].values()}
+            | set(manifest.get("index_files", ()))
+        )
+    except (AttributeError, TypeError, KeyError) as exc:
+        raise StoreError(f"malformed manifest entry: {exc!r}") from exc
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -36,12 +50,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         n_shards=args.shards,
         beta=args.beta,
     )
-    n_files = (
-        len(manifest["index_files"])
-        + 2 * len(manifest["trees"])
-        + len(manifest["facility_sets"])
-        + 1
-    )
+    n_files = len(_manifest_files(manifest)) + 1  # and catalog.json
     print(
         f"built store catalog at {args.out} from {args.source!r}: "
         f"{len(manifest['trees'])} tree(s), "
@@ -61,7 +70,11 @@ def _verify_targets(paths: List[str]) -> List[str]:
     targets: List[str] = []
     for path in paths:
         if os.path.isdir(path):
-            read_manifest(path)  # a directory must be a store catalog
+            # a directory must be a store catalog holding every file it names
+            named = _manifest_files(read_manifest(path))
+            missing = sorted(n for n in named if not os.path.isfile(os.path.join(path, n)))
+            if missing:
+                raise StoreError(f"store catalog {path!r} is missing {', '.join(missing)}")
             targets.extend(
                 os.path.join(path, name)
                 for name in sorted(os.listdir(path))

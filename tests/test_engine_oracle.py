@@ -481,38 +481,39 @@ class TestTreePathOracle:
         return MatchSet(None, np.arange(slots))
 
     def test_match_sets_keep_the_first_store(self):
-        """Match sets asked for and stored on four records, two columns
-        each, the way ``core_match_fn`` does: every call is one hit or
-        one miss, each (record, column) keeps the first set stored, and
-        every later read returns that very set."""
+        """Match sets asked for and stored on four records the way
+        ``walk_matches`` does: every call is one hit or one miss, each
+        record keeps the first set stored, and every later read returns
+        that very set."""
         cache, stops = CoverageCache(), StopSet(np.zeros((1, 2)))
         division = (np.zeros(4, dtype=bool),) * 3
         coords = [np.full((1, 2), float(i)) for i in range(4)]
         for i in range(4):
             cache.store_record(("walk", i), coords[i], division, stops)
-        columns, rounds, seen = ("endpoint", "count"), 50, {}
-        for r in range(rounds):
+        rounds, seen = 50, {}
+        for _ in range(rounds):
             for i in range(4):
-                key, column = ("walk", i), columns[(r + i) % 2]
-                got = cache.read_matches(key, coords[i].copy(), column)
+                record = cache.lookup_record(("walk", i), coords[i].copy())
+                got = cache.read_matches(record)
                 if got is None:
-                    cache.store_matches(key, coords[i], column, self._match_set(i + 1))
+                    cache.store_matches(record, self._match_set(i + 1))
                 else:
-                    assert seen.setdefault((i, column), got) is got
-        assert cache.hits + cache.misses == rounds * 4 and cache.misses == 8
-        # a later store for a held column is a miss that keeps the first
-        cache.store_matches(("walk", 0), coords[0], "count", self._match_set(9))
-        assert cache.read_matches(("walk", 0), coords[0], "count") is seen[(0, "count")]
-        held = {
-            (key[1], column): matches
-            for key, record in cache._records.items()
-            for column, matches in record.matches.items()
-        }
-        assert len(held) == 8 and len(cache) == 8 and held == seen
-        for (i, column), matches in held.items():
+                    assert seen.setdefault(i, got) is got
+        assert cache.hits + cache.misses == rounds * 4 and cache.misses == 4
+        # a later store on a record holding a set is a miss that keeps the first
+        first = cache.lookup_record(("walk", 0), coords[0])
+        cache.store_matches(first, self._match_set(9))
+        assert cache.read_matches(first) is seen[0]
+        # a record the cache no longer holds takes no set
+        cache.store_record(("walk", 0), coords[0], division, stops)
+        cache.store_matches(first, self._match_set(9))
+        held = {key[1]: r.matches for key, r in cache._records.items() if r.matches is not None}
+        assert len(held) == 3 and len(cache) == 3
+        assert held == {i: seen[i] for i in (1, 2, 3)}
+        for i, matches in held.items():
             assert matches.slots.size == i + 1
-        # four divisions of four rows, one row per slot of each set
-        assert cache._rows == 16 + 2 * (1 + 2 + 3 + 4)
+        # four divisions of four rows, one row per slot of each set held
+        assert cache._rows == 16 + (2 + 3 + 4)
 
     def test_match_tables_and_clear_stay_consistent(self):
         """Match sets stored, counted and cleared in turn: ``clear()``
@@ -522,24 +523,25 @@ class TestTreePathOracle:
         division, stops = (np.zeros(5, dtype=bool),) * 3, StopSet(coords)
         calls = 0
         for r in range(100):
-            for column in range(4):
-                key = ("walk", r % 3)
+            key = ("walk", r % 3)
+            for _ in range(4):
                 calls += 1
-                if cache.read_matches(key, coords, column) is None:
-                    if cache.lookup_record(key, coords) is None:
-                        cache.store_record(key, coords, division, stops)
-                    cache.store_matches(key, coords, column, self._match_set(2))
-                assert 0 <= len(cache) <= 3 * 4
+                record = cache.lookup_record(key, coords)
+                if record is None:
+                    record = cache.store_record(key, coords, division, stops)
+                if cache.read_matches(record) is None:
+                    cache.store_matches(record, self._match_set(2))
+                assert 0 <= len(cache) <= 3
                 assert cache._rows == sum(r.rows for r in cache._records.values())
             if r % 25 == 0:
                 cache.clear()
                 assert len(cache) == 0 and cache._rows == 0
         assert cache.hits + cache.misses == calls
-        # round 0 stores one record's four sets; after each of the four
-        # clears (rounds 0, 25, 50 and 75) all three records' four sets
-        # are misses stored again
-        assert cache.misses == 4 + 4 * 3 * 4
-        assert len(cache) == sum(len(r.matches) for r in cache._records.values()) == 12
+        # round 0 stores one record's set; after each of the four clears
+        # (rounds 0, 25, 50 and 75) all three records' sets are misses
+        # stored again
+        assert cache.misses == 1 + 4 * 3
+        assert len(cache) == sum(r.matches is not None for r in cache._records.values()) == 3
 
     @pytest.mark.engine_smoke
     def test_repeated_walks_under_a_row_bound_share_sound_plans(

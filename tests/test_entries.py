@@ -15,11 +15,13 @@ from repro import (
     StopSet,
     Trajectory,
     brute_force_matches,
+    build_full,
+    build_segmented,
 )
 from repro.core.service import score_trajectory
 from repro.core.trajectory import UserPointTable
 from repro.index.entries import entry_keys, validate_spec_for_variant
-from repro.queries.evaluate import MatchCollector, score_candidates
+from repro.queries.evaluate import score_candidates, walk_matches
 
 from .strategies import block_of, entry_ids, trajectories
 
@@ -44,14 +46,13 @@ def owned_segments(block):
     ]
 
 
-def entry_scores(table, block, stops, sp, collector=None):
+def entry_scores(table, block, stops, sp):
     """Each entry's contribution to ``S(u, f)``, scored alone."""
     mask = stops.covered_mask(block.probe_xy, sp.psi)
     bounds = block.probe_off.tolist()
     return [
         float(score_candidates(
-            table, block, np.array([i]), mask[bounds[i] : bounds[i + 1]], np.array([1]),
-            sp, collector,
+            block, np.array([i]), mask[bounds[i] : bounds[i + 1]], np.array([1]), sp
         )[0])
         for i in range(block.n)
     ]
@@ -144,25 +145,20 @@ class TestEntryScoring:
             for model in (ServiceModel.COUNT, ServiceModel.LENGTH):
                 for norm in (True, False):
                     sp = spec(model, psi=5.0, normalize=norm)
-                    for collector in (None, MatchCollector()):
-                        total = sum(entry_scores(table, block, stops, sp, collector))
-                        assert total == pytest.approx(score_trajectory(t, stops, sp))
+                    total = sum(entry_scores(table, block, stops, sp))
+                    assert total == pytest.approx(score_trajectory(t, stops, sp))
 
     def test_matches_report_covered_owned_points(self):
         t = Trajectory(1, [(0, 0), (10, 0), (500, 0)])
-        table, block = block_of([t], IndexVariant.SEGMENTED)
         route = FacilityRoute(0, [(0.0, 1.0), (10.0, 1.0)])
-        collector = MatchCollector()
-        entry_scores(table, block, StopSet.of_facility(route), spec(ServiceModel.COUNT), collector)
-        assert collector.as_dict() == brute_force_matches([t], route, 5.0) == {1: (0, 1)}
+        matches, _stats = walk_matches(build_segmented([t]), route, 5.0)
+        assert matches.as_dict() == brute_force_matches([t], route, 5.0) == {1: (0, 1)}
 
     def test_full_entry_matches_all_covered(self):
         t = Trajectory(1, [(0, 0), (10, 0), (500, 0)])
-        table, block = block_of([t], IndexVariant.FULL)
         route = FacilityRoute(0, [(0.0, 1.0), (500.0, 1.0)])
-        collector = MatchCollector()
-        entry_scores(table, block, StopSet.of_facility(route), spec(ServiceModel.COUNT), collector)
-        assert collector.as_dict() == brute_force_matches([t], route, 5.0) == {1: (0, 2)}
+        matches, _stats = walk_matches(build_full([t]), route, 5.0)
+        assert matches.as_dict() == brute_force_matches([t], route, 5.0) == {1: (0, 2)}
 
 
 class TestValidateSpec:

@@ -25,7 +25,7 @@ from repro import (
     build_tq_basic,
     build_tq_zorder,
 )
-from repro.queries import MatchCollector, QueryStats, evaluate_service
+from repro.queries import QueryStats, evaluate_service, walk_matches
 
 from .strategies import WORLD, facility_sets, psis, trajectory_sets
 
@@ -89,9 +89,8 @@ class TestFixtureOracle:
         for builder in (build_tq_zorder, build_tq_basic):
             tree = builder(taxi_users, beta=16)
             for f in facilities:
-                collector = MatchCollector()
-                evaluate_service(tree, f, spec, collector=collector)
-                assert collector.as_dict() == brute_force_matches(
+                matches, _stats = walk_matches(tree, f, spec.psi)
+                assert matches.as_dict() == brute_force_matches(
                     taxi_users, f, spec.psi
                 )
 
@@ -100,9 +99,8 @@ class TestFixtureOracle:
         for builder in (build_segmented, build_full):
             tree = builder(checkin_users, beta=16)
             for f in facilities:
-                collector = MatchCollector()
-                evaluate_service(tree, f, spec, collector=collector)
-                assert collector.as_dict() == brute_force_matches(
+                matches, _stats = walk_matches(tree, f, spec.psi)
+                assert matches.as_dict() == brute_force_matches(
                     checkin_users, f, spec.psi
                 )
 
@@ -215,8 +213,6 @@ class TestPropertyOracle:
             tree = TQTree.build(
                 users, TQTreeConfig(beta=3, variant=variant), space=WORLD
             )
-            spec = ServiceSpec(ServiceModel.COUNT, psi=psi, normalize=False)
             for f in facs:
-                collector = MatchCollector()
-                evaluate_service(tree, f, spec, collector=collector)
-                assert collector.as_dict() == brute_force_matches(users, f, psi)
+                matches, _stats = walk_matches(tree, f, psi)
+                assert matches.as_dict() == brute_force_matches(users, f, psi)

@@ -69,9 +69,9 @@ from repro.core.trajectory import ranges
 from repro.engine import CellstringStopSet, GriddedStopSet
 from repro.index import NodeBlock, TreeFrame, ZStack
 from repro.index.frame import ANY, BBOX, BOTH
-from repro.queries import BlockCosts, MatchCollector, estimate_query_blocks
+from repro.queries import BlockCosts, estimate_query_blocks
 from repro.queries import evaluate as evaluate_module
-from repro.queries.evaluate import walk_plan
+from repro.queries.evaluate import walk_matches, walk_plan
 
 from .strategies import (
     box_row,
@@ -388,38 +388,38 @@ _ROUTES = [
 
 
 def _walks(tree: TQTree, spec: ServiceSpec, runtime):
-    """One evaluate, one kMaxRRST and one collecting walk: the answers
+    """One evaluate, one kMaxRRST and one match-set walk: the answers
     and the work counters each reported."""
     out = []
     stats = QueryStats()
     out.append((evaluate_service(tree, _ROUTES[0], spec, stats=stats, runtime=runtime), stats))
     top = top_k_facilities(tree, _ROUTES, 2, spec, runtime=runtime)
     out.append((top.services(), top.stats))
-    stats, collector = QueryStats(), MatchCollector()
-    value = evaluate_service(
-        tree, _ROUTES[1], spec, collector=collector, stats=stats, runtime=runtime
-    )
-    out.append(((value, collector.as_dict()), stats))
+    matches, stats = walk_matches(tree, _ROUTES[1], spec.psi, runtime)
+    out.append((matches.as_dict(), stats))
     return out
 
 
 def _hold_to_fresh_tree(grown: TQTree, users, name: str, runtime) -> None:
+    """The grown tree answers like a fresh one and does the same work,
+    with no runtime and through ``runtime`` — where a match set its walk
+    record already holds costs no work at all."""
     fresh = BUILDERS[name](users)
     for spec in _specs(grown, 140.0):
         want = _walks(fresh, spec, None)
         assert _walks(grown, spec, None) == want
-        for (got, got_stats), (value, stats) in zip(_walks(grown, spec, runtime), want):
+        for k, ((got, got_stats), (value, stats)) in enumerate(
+            zip(_walks(grown, spec, runtime), want)
+        ):
             assert got == value
+            held = k == 2 and got_stats == QueryStats()
             for field in _WALK_FIELDS:
-                assert getattr(got_stats, field) == getattr(stats, field)
+                assert getattr(got_stats, field) == (0 if held else getattr(stats, field))
         assert want[0][0] == brute_force_service(users, _ROUTES[0], spec)
         assert want[1][0] == tuple(
             sorted((brute_force_service(users, f, spec) for f in _ROUTES), reverse=True)[:2]
         )
-        assert want[2][0] == (
-            brute_force_service(users, _ROUTES[1], spec),
-            brute_force_matches(users, _ROUTES[1], spec.psi),
-        )
+        assert want[2][0] == brute_force_matches(users, _ROUTES[1], spec.psi)
 
 
 class FrameMutations(RuleBasedStateMachine):
@@ -565,25 +565,20 @@ def test_one_probe_call_per_walk_and_none_when_cached(
         spec = ServiceSpec(model, psi=400.0)
         with QueryRuntime() as runtime:
             for f in facilities[:4]:
-                for collector in (None, MatchCollector()):
-                    del probe_calls[:]
-                    stats = QueryStats()
-                    value = evaluate_service(
-                        tree, f, spec, collector=collector, stats=stats, runtime=runtime
-                    )
-                    assert len(probe_calls) <= 1
-                    assert sum(probe_calls) == stats.points_scanned > 0
-                    # the same walk again is answered by the cache alone;
-                    # a collecting walk scores again (core_match_fn keeps
-                    # its match set on the walk record)
-                    del probe_calls[:]
-                    again = evaluate_service(
-                        tree, f, spec,
-                        collector=None if collector is None else MatchCollector(),
-                        runtime=runtime,
-                    )
-                    assert again == value
-                    assert len(probe_calls) == (collector is not None)
+                del probe_calls[:]
+                stats = QueryStats()
+                value = evaluate_service(tree, f, spec, stats=stats, runtime=runtime)
+                assert len(probe_calls) <= 1
+                assert sum(probe_calls) == stats.points_scanned > 0
+                del probe_calls[:]
+                matches, stats = walk_matches(tree, f, spec.psi, runtime)
+                assert len(probe_calls) <= 1
+                assert sum(probe_calls) == stats.points_scanned > 0
+                # the same walks again are answered by the walk record alone
+                del probe_calls[:]
+                assert evaluate_service(tree, f, spec, runtime=runtime) == value
+                assert walk_matches(tree, f, spec.psi, runtime) == (matches, QueryStats())
+                assert probe_calls == []
         with QueryRuntime() as runtime:
             del probe_calls[:]
             top = top_k_facilities(tree, facilities[4:8], 1, spec, runtime=runtime)
@@ -615,7 +610,7 @@ def test_the_filter_stage_probes_nothing_and_the_probe_stage_once(
     spec = ServiceSpec(ServiceModel.COUNT, psi=400.0)
     for tree in (build_tq_zorder(taxi_users, beta=16), build_tq_basic(taxi_users, beta=16)):
         frame = tree.frame()
-        mode = evaluate_module.candidate_mode(spec, tree.config.variant, False)
+        mode = evaluate_module.candidate_mode(spec, tree.config.variant)
         with QueryRuntime(RuntimeConfig(backend=backend)) as runtime:
             for f in facilities[:4]:
                 plan = walk_plan(tree, f, spec.psi, runtime)
@@ -686,11 +681,13 @@ def test_a_warmed_tree_builds_nothing_inside_its_first_query(name, z_on_short_li
 def test_a_frontier_scores_bitwise_like_its_nodes_one_by_one(name, model, normalize):
     """A frontier's per-node values ``==`` each node scored as a frontier
     of one, ``==`` the per-entry reference loop of ``tests/strategies.py``
-    (and through a half-warm cache); collecting walks score ``==``
-    non-collecting ones; a collecting walk's matches are the oracle's."""
+    (and through a half-warm cache), also over the candidates a
+    match-set walk's filter keeps; a match-set walk's matches are the
+    oracle's."""
     users = _users(70, 7, name in TWO_POINT)
     rng = np.random.default_rng(11)
     seen_empty = seen_unserved = 0
+    match_mode = BBOX if name == "full" else ANY
     for tree in _grown_and_bulk(name):
         for psi, f in [(psi, f) for psi in (60.0, 250.0) for f in _ROUTES]:
             spec = ServiceSpec(model, psi=psi, normalize=normalize)
@@ -703,32 +700,27 @@ def test_a_frontier_scores_bitwise_like_its_nodes_one_by_one(name, model, normal
                 for _ in range(3)
             ]
             for nodes in subsets:
-                by_mode = []
-                for collecting in (False, True):
-                    def score(part, runtime=None, collecting=collecting):
-                        collector = MatchCollector() if collecting else None
-                        values = evaluate_module.score_frontier(
-                            tree, plan, part, spec, collector, QueryStats(), runtime
-                        ).tolist()
-                        return values, collector
+                def score(part, runtime=None):
+                    return evaluate_module.score_frontier(
+                        tree, plan, part, spec, QueryStats(), runtime
+                    ).tolist()
 
-                    got, collector = score(nodes)
-                    assert got == [score(nodes[k : k + 1])[0][0] for k in range(nodes.size)]
-                    want, empty, unserved = _reference_values(tree, plan, nodes, spec, collecting)
+                got = score(nodes)
+                assert got == [score(nodes[k : k + 1])[0] for k in range(nodes.size)]
+                for mode in (evaluate_module.candidate_mode(spec, tree.config.variant), match_mode):
+                    want, empty, unserved = _reference_values(tree, plan, nodes, spec, mode)
                     assert got == want
                     seen_empty += empty
                     seen_unserved += unserved
-                    with QueryRuntime() as runtime:
-                        score(nodes[: nodes.size // 2], runtime)
-                        assert score(nodes, runtime)[0] == got
-                    if nodes is reached and collecting:
-                        assert collector.as_dict() == brute_force_matches(users, f, psi)
-                    by_mode.append(got)
-                assert by_mode[0] == by_mode[1]
+                with QueryRuntime() as runtime:
+                    score(nodes[: nodes.size // 2], runtime)
+                    assert score(nodes, runtime) == got
+            matches, _stats = walk_matches(tree, f, psi)
+            assert matches.as_dict() == brute_force_matches(users, f, psi)
     assert seen_empty and seen_unserved
 
 
-def _reference_values(tree, plan, nodes, spec, collecting):
+def _reference_values(tree, plan, nodes, spec, mode):
     """Per node of ``nodes``, ``ref_node_value`` over the candidates and
     mask the frontier's filter and probe give it; plus how many of the
     nodes have no list, and how many a list but no survivor."""
@@ -737,7 +729,6 @@ def _reference_values(tree, plan, nodes, spec, collecting):
     want = dict.fromkeys(nodes.tolist(), 0.0)
     unserved = 0
     if listed.size:
-        mode = evaluate_module.candidate_mode(spec, tree.config.variant, collecting)
         order, rows, counts = evaluate_module.filter_candidates(
             tree, listed, plan.envelopes[listed], mode, plan.stops.coords, spec.psi
         )
@@ -778,7 +769,7 @@ def test_a_walk_is_its_node_values_summed_left_to_right_in_pre_order(
             spec = ServiceSpec(model, psi=psi)
             plan = walk_plan(tree, f, psi, None)
             values = evaluate_module.score_frontier(
-                tree, plan, np.flatnonzero(plan.visited), spec, None, QueryStats(), None
+                tree, plan, np.flatnonzero(plan.visited), spec, QueryStats(), None
             )
             if runtime_kind == "none":
                 got = evaluate_service(tree, f, spec)
@@ -809,8 +800,8 @@ def divisions():
 
 
 def _every_walk(tree, spec, runtime):
-    """Evaluate, kMaxRRST and MaxkCov (whose collecting re-walks follow
-    its kMaxRRST shortlist) over ``_ROUTES``."""
+    """Evaluate, kMaxRRST and MaxkCov (whose match-set walks follow its
+    kMaxRRST shortlist) over ``_ROUTES``."""
     fleet = maxkcov_tq(tree, _ROUTES, 2, spec, runtime=runtime)
     return (
         [evaluate_service(tree, f, spec, runtime=runtime) for f in _ROUTES],
@@ -823,8 +814,8 @@ def _every_walk(tree, spec, runtime):
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_a_warm_rewalk_divides_nothing(name, divisions):
     """A facility walked through a runtime once is never divided again
-    there — by a repeated evaluate, kMaxRRST or MaxkCov's collecting
-    re-walk — and answers ``==``; divisions count in neither the hits,
+    there — by a repeated evaluate, kMaxRRST or MaxkCov's match-set
+    walk — and answers ``==``; divisions count in neither the hits,
     the misses nor ``len()`` of the cache.  A warm walk's plan dresses
     and restricts nothing either, and a warm kMaxRRST filters and probes
     nothing: every candidate's node values are the cache's."""
@@ -871,7 +862,7 @@ def test_a_node_evaluation_leaves_a_warm_walk_warm():
     )
     part = _restricted(whole, _box(frame, node), spec.psi)
     reached = np.flatnonzero(walk_plan(tree, route, spec.psi, None).visited)
-    mode = evaluate_module.candidate_mode(spec, tree.config.variant, False)
+    mode = evaluate_module.candidate_mode(spec, tree.config.variant)
     with QueryRuntime() as runtime:
         value = evaluate_service(tree, route, spec, runtime=runtime)
         counted = (runtime.cache.hits, runtime.cache.misses, len(runtime.cache))
@@ -882,7 +873,7 @@ def test_a_node_evaluation_leaves_a_warm_walk_warm():
         mask = evaluate_module.probe_candidates(
             frame.block, rows, part, spec.psi, QueryStats(), runtime
         )
-        evaluate_module.score_candidates(tree.table, frame.block, rows, mask, counts, spec, None)
+        evaluate_module.score_candidates(frame.block, rows, mask, counts, spec)
         assert (runtime.cache.hits, runtime.cache.misses, len(runtime.cache)) == counted
         stats = QueryStats()
         assert evaluate_service(tree, route, spec, stats=stats, runtime=runtime) == value

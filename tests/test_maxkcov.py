@@ -20,6 +20,8 @@ from repro import (
     TQTreeConfig,
     Trajectory,
     brute_force_combined_service,
+    build_full,
+    build_segmented,
     build_tq_basic,
     build_tq_zorder,
     exact_max_k_coverage,
@@ -208,8 +210,9 @@ class TestPropertyGreedy:
 
 
 class TestMatchSetsOnWalkRecords:
-    """A match set lives on its facility's walk record, per
-    ``(model, normalize)``: one table, bounded by ``MAX_ROWS``."""
+    """A match set lives on its facility's walk record, one per
+    ``(facility, psi, tree)`` whatever the model: one table, bounded by
+    ``MAX_ROWS``."""
 
     def test_one_record_per_facility_carries_every_product(
         self, taxi_users, facilities, count_spec
@@ -226,18 +229,42 @@ class TestMatchSetsOnWalkRecords:
             assert sorted(key[0] for key in records) == sorted(f.facility_id for f in facilities)
             for record in records.values():
                 assert record.division[0].size == len(tree.frame())
-                assert set(record.columns) == set(record.matches) == {column}
+                assert set(record.columns) == {column}
+                assert record.matches is not None
                 assert rt.cache._rows == sum(r.rows for r in records.values())
+
+    @pytest.mark.parametrize("builder", [build_segmented, build_full], ids=["S-TQ", "F-TQ"])
+    def test_a_match_set_is_walked_once_per_facility_psi_and_tree(
+        self, builder, checkin_users, facilities, probe_calls
+    ):
+        """A MaxkCov under LENGTH after one under COUNT at the same psi
+        reads every match set from the walk records — no probe at all,
+        as its k' keeps every candidate and no kMaxRRST runs — and picks
+        the fleet a fresh runtime picks."""
+        tree = builder(checkin_users, beta=16)
+        routes, k = facilities[:8], 2
+        count = ServiceSpec(ServiceModel.COUNT, psi=400.0)
+        length = ServiceSpec(ServiceModel.LENGTH, psi=400.0)
+        with QueryRuntime() as rt:
+            maxkcov_tq(tree, routes, k, count, runtime=rt)
+            hits, misses = rt.cache.hits, rt.cache.misses
+            del probe_calls[:]
+            warm = maxkcov_tq(tree, routes, k, length, runtime=rt)
+            assert probe_calls == []
+            assert (rt.cache.hits - hits, rt.cache.misses) == (len(routes), misses)
+        with QueryRuntime() as rt:
+            cold = maxkcov_tq(tree, routes, k, length, runtime=rt)
+        assert probe_calls != []
+        assert astuple(warm) == astuple(cold)
 
     def test_equal_routes_hit_on_every_match_set(self, taxi_users, facilities, endpoint_spec):
         """A second MaxkCov over new ``FacilityRoute`` objects of the same
         ids and stops walks nothing: its match sets are the records'."""
         tree = build_tq_zorder(taxi_users, beta=16)
         twins = [FacilityRoute(f.facility_id, f.stops) for f in facilities]
-        column = (endpoint_spec.model, endpoint_spec.normalize)
         with QueryRuntime() as rt:
             first = maxkcov_tq(tree, facilities, 3, endpoint_spec, runtime=rt)
-            held = {key[0]: r.matches[column] for key, r in rt.cache._records.items()}
+            held = {key[0]: r.matches for key, r in rt.cache._records.items()}
             assert len(held) == len(facilities)  # the shortlist is every candidate
             misses, scanned = rt.cache.misses, rt.stats.points_scanned
             second = maxkcov_tq(tree, twins, 3, endpoint_spec, runtime=rt)

@@ -45,7 +45,7 @@ from repro import (
     top_k_facilities,
 )
 from repro.core.errors import QueryError
-from repro.queries.evaluate import MatchCollector
+from repro.queries.evaluate import walk_matches
 from repro.queries.maxkcov import tq_match_fn
 from repro.service import QueryPlanner
 from repro.service.http import Catalog, wire
@@ -92,14 +92,16 @@ def _sync_baseline(requests, runtime):
         before = dataclasses.replace(runtime.stats)
         if isinstance(req, EvaluateRequest):
             stats = QueryStats()
-            collector = MatchCollector() if req.collect_matches else None
             value = evaluate_service(
-                req.tree, req.facility, req.spec,
-                collector=collector, stats=stats, runtime=runtime,
+                req.tree, req.facility, req.spec, stats=stats, runtime=runtime
             )
-            values.append(
-                (value, collector.as_dict() if collector else None)
-            )
+            matches = None
+            if req.collect_matches:
+                found, walked = walk_matches(req.tree, req.facility, req.spec.psi, runtime)
+                stats.merge(walked)
+                runtime.accrue(walked)
+                matches = found.as_dict()
+            values.append((value, matches))
             deltas.append(stats)
             continue
         if isinstance(req, KMaxRRSTRequest):

@@ -524,6 +524,36 @@ class TestStoreCatalog:
         _flip_byte(some_file, 4096)
         assert store_main(["verify", out]) == 1
 
+    def test_cli_build_counts_the_files_it_wrote(self, tmp_path, capsys):
+        """One users bundle per tree, one bundle per facility set, the
+        index files and the manifest: the count printed is the count on
+        disk."""
+        out = str(tmp_path / "counted-store")
+        assert store_main(["build", "--out", out, "--source", "demo:200:4:8:1"]) == 0
+        printed = capsys.readouterr().out
+        assert printed.rstrip().endswith(f", {len(os.listdir(out))} files")
+
+    @pytest.mark.parametrize("kind", ["users", "facilities", "index"])
+    def test_cli_verify_fails_on_a_file_the_manifest_names_but_lacks(
+        self, demo_store_dir, tmp_path, capsys, kind
+    ):
+        store = str(tmp_path / "holed-store")
+        shutil.copytree(demo_store_dir, store)
+        manifest = read_manifest(store)
+        name = {
+            "users": manifest["trees"]["demo"]["users"],
+            "facilities": manifest["facility_sets"]["demo"]["file"],
+            "index": manifest["index_files"][0],
+        }[kind]
+        assert store_main(["verify", store]) == 0
+        os.remove(os.path.join(store, name))
+        capsys.readouterr()
+        assert store_main(["verify", store]) == 1
+        assert f"missing {name}" in capsys.readouterr().err
+        if kind != "index":  # index files open lazily, at the first probe
+            with pytest.raises(StoreError):
+                open_store_catalog(store)
+
     def test_cli_reports_store_errors_as_exit_1(self, tmp_path, capsys):
         assert store_main(["verify", str(tmp_path / "nope")]) == 1
         assert "error" in capsys.readouterr().err.lower()
