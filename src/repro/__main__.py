@@ -1,8 +1,10 @@
 """``python -m repro`` — a 30-second demonstration of both queries.
 
 Generates a small synthetic city, indexes commuter trips in a TQ-tree,
-and answers a kMaxRRST and a MaxkCovRST query with oracle verification.
-For the full evaluation suite use ``python -m repro.bench``.
+and answers a kMaxRRST and a MaxkCovRST query with oracle verification:
+the exit status is 1 when a ranked value or the fleet's combined
+service differs from the brute-force oracle.  For the full evaluation
+suite use ``python -m repro.bench``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from . import (
     CityModel,
     ServiceModel,
     ServiceSpec,
+    brute_force_combined_service,
     brute_force_service,
     build_tq_zorder,
     generate_bus_routes,
@@ -37,12 +40,14 @@ def main() -> int:
           f"(TQ-tree height {tree.height()})")
 
     t0 = time.perf_counter()
+    mismatches = 0
     top = top_k_facilities(tree, buses, 3, spec)
     dt = (time.perf_counter() - t0) * 1e3
     print(f"\nkMaxRRST (top 3 of {len(buses)} routes, {dt:.0f} ms):")
     for rank, fs in enumerate(top.ranking, 1):
         oracle = brute_force_service(users, fs.facility, spec)
         flag = "ok" if abs(oracle - fs.service) < 1e-9 else "MISMATCH"
+        mismatches += flag != "ok"
         print(f"  {rank}. route {fs.facility.facility_id:>2} serves "
               f"{fs.service:,.0f} commuters (oracle {flag})")
 
@@ -50,8 +55,11 @@ def main() -> int:
     fleet = maxkcov_tq(tree, buses, 3, spec)
     dt = (time.perf_counter() - t0) * 1e3
     print(f"\nMaxkCovRST (greedy fleet of 3, {dt:.0f} ms):")
+    oracle = brute_force_combined_service(users, fleet.selection, spec)
+    flag = "ok" if abs(oracle - fleet.combined_service) < 1e-9 else "MISMATCH"
+    mismatches += flag != "ok"
     print(f"  routes {fleet.facility_ids()} together serve "
-          f"{fleet.users_fully_served:,} commuters")
+          f"{fleet.users_fully_served:,} commuters (oracle {flag})")
 
     print(
         "\nThese queries are meant to be served, not typed: run the "
@@ -64,7 +72,7 @@ def main() -> int:
         "For the paper's full evaluation suite: "
         "python -m repro.bench"
     )
-    return 0
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -58,9 +58,14 @@ class QueryStats:
         Batched query paths aggregate one per-query stats object per
         request into a single grand total with this.
         """
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _COUNTERS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
+
+
+#: :class:`QueryStats`' counter names, read once: calling ``fields()``
+#: on every merge doubled its cost.
+_COUNTERS = tuple(f.name for f in fields(QueryStats))
 
 
 @dataclass(frozen=True)

@@ -413,10 +413,9 @@ def evaluate_core(
     spec: ServiceSpec,
     runtime: Optional[QueryRuntime] = None,
 ) -> Tuple[float, QueryStats]:
-    """The pure step behind :func:`evaluate_service`: Algorithm 1 as
-    plan, filter, one refine — returning ``(service value, work
-    counters)`` without touching any shared state beyond the runtime's
-    caches.
+    """The walk behind :func:`evaluate_service`: Algorithm 1 as plan,
+    filter, one refine — returning ``(service value, work counters)``
+    without checking ``spec`` or accruing the counters anywhere.
 
     The plan names every node the paper's recursion would reach;
     :func:`score_frontier` scores them all at once, in pre-order; the
@@ -425,16 +424,9 @@ def evaluate_core(
     inside a node.  ENDPOINT and raw COUNT values are whole numbers, so
     the order gives them exactly; normalised COUNT / LENGTH sums round
     the same on every walk of the tree, warm or cold.
-
-    This is the planner-consumable form — :class:`repro.service
-    .QueryPlanner` lowers an ``EvaluateRequest`` onto it directly, and
-    the synchronous :func:`evaluate_service` wrapper adds only runtime
-    coercion and stats accrual on top.  One execution substrate, two
-    entrypoints: both paths run this exact function, which is why the
-    service's answers and per-request stats are bit-identical to the
-    direct calls by construction.
+    :func:`~repro.queries.kmaxrrst.top_k_facilities` checks its spec
+    once and runs this per candidate.
     """
-    tree.validate_spec(spec)
     local = QueryStats()
     plan = walk_plan(tree, facility, spec.psi, runtime)
     reached = np.flatnonzero(plan.visited)
@@ -460,12 +452,11 @@ def evaluate_service(
     exact distance checks execute (dense broadcast, stop grid or
     cellstrings, on the calling thread — identical results) — memoises
     the walk's division plan and per-node values in its cache, and
-    accrues this evaluation's work into its grand total.
-
-    A thin synchronous wrapper over :func:`evaluate_core` — the same
-    substrate the async :class:`repro.service.QueryService` executes.
+    accrues this evaluation's work into its grand total.  ``stats``,
+    when given, receives the same counters.
     """
     runtime = coerce_runtime(runtime)
+    tree.validate_spec(spec)
     so, local = evaluate_core(tree, facility, spec, runtime)
     if runtime is not None:
         runtime.accrue(local)

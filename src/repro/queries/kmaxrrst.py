@@ -23,7 +23,7 @@ from ..index.tqtree import TQTree
 from ..runtime import QueryRuntime, coerce_runtime
 from .evaluate import QueryStats, evaluate_core
 
-__all__ = ["FacilityScore", "KMaxRRSTResult", "ranked", "top_k_core", "top_k_facilities"]
+__all__ = ["FacilityScore", "KMaxRRSTResult", "ranked", "top_k_facilities"]
 
 
 @dataclass(frozen=True)
@@ -55,33 +55,6 @@ def ranked(scores: Sequence[FacilityScore], k: int) -> Tuple[FacilityScore, ...]
     return tuple(order[:k])
 
 
-def top_k_core(
-    tree: TQTree,
-    facilities: Sequence[FacilityRoute],
-    k: int,
-    spec: ServiceSpec,
-    runtime: Optional[QueryRuntime] = None,
-) -> KMaxRRSTResult:
-    """The pure step behind :func:`top_k_facilities`: one
-    :func:`~repro.queries.evaluate.evaluate_core` per candidate, ranked
-    (:func:`ranked`), returning the ranking plus this query's own work
-    counters — the candidates' evaluates summed, no accrual into any
-    shared total.
-
-    Planner-consumable: :class:`repro.service.QueryPlanner` lowers a
-    ``KMaxRRSTRequest`` onto this directly; the synchronous
-    :func:`top_k_facilities` wrapper adds runtime coercion and accrual.
-    """
-    require_positive_int("k", k)
-    tree.validate_spec(spec)
-    stats, scores = QueryStats(), []
-    for facility in facilities:
-        value, local = evaluate_core(tree, facility, spec, runtime)
-        stats.merge(local)
-        scores.append(FacilityScore(facility, value))
-    return KMaxRRSTResult(ranked(scores, k), stats)
-
-
 def top_k_facilities(
     tree: TQTree,
     facilities: Sequence[FacilityRoute],
@@ -96,17 +69,23 @@ def top_k_facilities(
     ``==`` the candidate's :func:`~repro.queries.evaluate.evaluate_service`.
     ``k`` larger than ``len(facilities)`` returns everything ranked.
     ``runtime`` owns the probe path: the exact distance work rides its
-    backend without changing the ranking, and the query's work counters
-    accrue into its total.
+    backend without changing the ranking.
 
-    A thin synchronous wrapper over :func:`top_k_core` — the same
-    substrate the async :class:`repro.service.QueryService` executes.
-    It also mirrors ``KMaxRRSTRequest``'s validation: an empty candidate
-    set, or one naming a facility id twice, is a malformed query.
+    The candidates, ``k`` and ``spec`` are checked once — an empty
+    candidate set, or one naming a facility id twice, is a malformed
+    query — then each candidate is one
+    :func:`~repro.queries.evaluate.evaluate_core` walk.  The result's
+    ``stats`` sum the walks, and accrue once into the runtime's total.
     """
     require_candidates(facilities)
     runtime = coerce_runtime(runtime)
-    result = top_k_core(tree, facilities, k, spec, runtime)
+    require_positive_int("k", k)
+    tree.validate_spec(spec)
+    stats, scores = QueryStats(), []
+    for facility in facilities:
+        value, local = evaluate_core(tree, facility, spec, runtime)
+        stats.merge(local)
+        scores.append(FacilityScore(facility, value))
     if runtime is not None:
-        runtime.accrue(result.stats)
-    return result
+        runtime.accrue(stats)
+    return KMaxRRSTResult(ranked(scores, k), stats)

@@ -38,7 +38,7 @@ from ..index.tqtree import TQTree
 from ..runtime import QueryRuntime, coerce_runtime
 from .baseline import BaselineIndex
 from .evaluate import walk_matches
-from .kmaxrrst import top_k_core
+from .kmaxrrst import top_k_facilities
 
 __all__ = [
     "Matches",
@@ -47,7 +47,6 @@ __all__ = [
     "tq_match_fn",
     "baseline_match_fn",
     "greedy_max_k_coverage",
-    "maxkcov_core",
     "maxkcov_tq",
     "maxkcov_baseline",
 ]
@@ -81,30 +80,30 @@ def tq_match_fn(
     tree: TQTree,
     spec: ServiceSpec,
     runtime: Optional[QueryRuntime] = None,
-    acc: Optional[QueryStats] = None,
+    stats: Optional[QueryStats] = None,
 ) -> MatchFn:
     """Match sets via TQ-tree walks (TQ(B) or TQ(Z) per tree config):
     :func:`~repro.queries.evaluate.walk_matches` at ``spec.psi``, after
     ``spec`` is checked against the tree.
 
-    Each walked facility's counters merge into ``acc`` when one is
-    given (the service's per-request attribution), else accrue into
-    ``runtime``.  With a runtime a match set is kept on the facility's
-    walk record: a facility whose record holds one — the same stops,
-    ``psi`` and node-table generation, under any model, whichever match
-    fn or ``FacilityRoute`` object asks — costs one hit and no geometric
-    work, so it contributes nothing; any other is walked and counts one
-    miss.  Results are identical either way.
+    Each walked facility's counters accrue into ``runtime``'s total and
+    merge into ``stats`` when one is given.  With a runtime a match set
+    is kept on the facility's walk record: a facility whose record
+    holds one — the same stops, ``psi`` and node-table generation,
+    under any model, whichever match fn or ``FacilityRoute`` object
+    asks — costs one hit and no geometric work, so it contributes
+    nothing; any other is walked and counts one miss.  Results are
+    identical either way.
     """
     runtime = coerce_runtime(runtime)
 
     def fn(facility: FacilityRoute) -> Matches:
         tree.validate_spec(spec)
         matches, local = walk_matches(tree, facility, spec.psi, runtime)
-        if acc is not None:
-            acc.merge(local)
-        elif runtime is not None:
+        if runtime is not None:
             runtime.accrue(local)
+        if stats is not None:
+            stats.merge(local)
         return matches
 
     return fn
@@ -166,45 +165,6 @@ def greedy_max_k_coverage(
     )
 
 
-def maxkcov_core(
-    tree: TQTree,
-    facilities: Sequence[FacilityRoute],
-    k: int,
-    spec: ServiceSpec,
-    prune_factor: int = 4,
-    runtime: Optional[QueryRuntime] = None,
-) -> Tuple[MaxKCovResult, QueryStats]:
-    """The pure step behind :func:`maxkcov_tq`: shortlist + greedy,
-    returning ``(result, work counters)`` with no ambient accrual.
-
-    The shortlist is the kMaxRRST top ``k' = prune_factor * k`` — one
-    evaluate per candidate, ranked by service, exact ties by lowest
-    facility id; when ``k'`` is at least ``len(facilities)`` no kMaxRRST
-    runs (after the spec is validated) and every candidate goes to the
-    greedy — the fleet is the same, as the greedy orders candidates by
-    facility id.  The counters aggregate the kMaxRRST pass, when one
-    runs, and every match set actually computed (cache-served match sets cost nothing,
-    as in the synchronous path).  Planner-consumable:
-    :class:`repro.service.QueryPlanner` lowers a ``MaxKCovRequest``
-    onto this directly.
-    """
-    require_positive_int("k", k)
-    require_positive_int("prune_factor", prune_factor)
-    local = QueryStats()
-    if prune_factor * k < len(facilities):
-        shortlist = top_k_core(tree, facilities, prune_factor * k, spec, runtime)
-        local.merge(shortlist.stats)
-        facilities = shortlist.facilities()
-    else:
-        tree.validate_spec(spec)
-    users = tree.table  # match sets are slot arrays over this very table
-    result = greedy_max_k_coverage(
-        users, facilities, k, spec,
-        tq_match_fn(tree, spec, runtime, acc=local),
-    )
-    return result, local
-
-
 def maxkcov_tq(
     tree: TQTree,
     facilities: Sequence[FacilityRoute],
@@ -212,30 +172,43 @@ def maxkcov_tq(
     spec: ServiceSpec,
     prune_factor: int = 4,
     runtime: Optional[QueryRuntime] = None,
+    stats: Optional[QueryStats] = None,
 ) -> MaxKCovResult:
     """The paper's two-step greedy: G-TQ(B) / G-TQ(Z) per tree config.
 
-    Step 1 shortlists the ``prune_factor * k`` individually best
-    facilities with kMaxRRST (every candidate, with no kMaxRRST, when
-    that is all of them); step 2 runs the greedy on the shortlist.
+    Step 1 shortlists the ``k' = prune_factor * k`` individually best
+    facilities with :func:`~repro.queries.kmaxrrst.top_k_facilities`;
+    when ``k'`` keeps every candidate no kMaxRRST runs (after the spec
+    is checked) and all of them go to the greedy — the fleet is the
+    same, as the greedy orders candidates by facility id.  Step 2 runs
+    the greedy on the shortlist's match sets (:func:`tq_match_fn`).
     ``prune_factor`` trades quality for speed (the paper's ``k' >= k``).
-    With a ``runtime``, the exact distance work rides the proximity
-    engine the runtime provisions, and repeated queries — another
-    ``k``, a solver ensemble over the same tree — reuse the shortlist's
-    node values and the match sets already computed (the answer is
-    unchanged).
+    An empty candidate set, or one naming a facility id twice, is a
+    malformed query.
 
-    A thin synchronous wrapper over :func:`maxkcov_core` — the same
-    substrate the async :class:`repro.service.QueryService` executes.
-    It also mirrors ``MaxKCovRequest``'s validation: an empty candidate
-    set, or one naming a facility id twice, is a malformed query.
+    With a ``runtime``, the exact distance work rides the proximity
+    engine the runtime provisions, the query's counters accrue into its
+    total, and repeated queries — another ``k``, a solver ensemble over
+    the same tree — reuse the shortlist's node values and the match
+    sets already computed (the answer is unchanged).  ``stats``, when
+    given, receives the same counters: the shortlist's, when one runs,
+    and every match set actually walked.
     """
     require_candidates(facilities)
     runtime = coerce_runtime(runtime)
-    result, local = maxkcov_core(tree, facilities, k, spec, prune_factor, runtime)
-    if runtime is not None:
-        runtime.accrue(local)
-    return result
+    require_positive_int("k", k)
+    require_positive_int("prune_factor", prune_factor)
+    if prune_factor * k < len(facilities):
+        shortlist = top_k_facilities(tree, facilities, prune_factor * k, spec, runtime)
+        if stats is not None:
+            stats.merge(shortlist.stats)
+        facilities = shortlist.facilities()
+    else:
+        tree.validate_spec(spec)
+    # match sets are slot arrays over the tree's own table
+    return greedy_max_k_coverage(
+        tree.table, facilities, k, spec, tq_match_fn(tree, spec, runtime, stats)
+    )
 
 
 def maxkcov_baseline(

@@ -204,11 +204,6 @@ class QueryRuntime:
         """Merge one query's work counters into the runtime total."""
         self.stats.merge(delta)
 
-    def reset_stats(self) -> QueryStats:
-        """Return the accrued totals and start a fresh accumulation."""
-        out, self.stats = self.stats, QueryStats()
-        return out
-
     def snapshot_stats(self) -> QueryStats:
         """A copy of the accrued totals — what the serving layer's
         ``GET /stats`` reports.  Mutating the copy never perturbs the

@@ -3,7 +3,7 @@
 This package is the top of the execution stack (``core`` → ``engine``
 → ``runtime`` → ``queries`` → ``service``): requests are pure data
 (:mod:`~repro.service.requests`), the planner lowers them onto the
-query layer's pure cores and counts their probe units
+query layer's public calls and counts their probe units
 (:mod:`~repro.service.planner`), and the service runs them in
 submission order over one shared runtime, alone or in one batch group
 (:mod:`~repro.service.service`).  On top sits the
@@ -11,11 +11,10 @@ network story: the stdlib HTTP front (:mod:`~repro.service.http`) with
 its JSON wire schema, named resource catalog, and the ``python -m
 repro.serve`` CLI.
 
-One execution substrate, two entrypoints: the synchronous query
-functions and the async service both run the same query cores, so the
-service's answers and per-request stats are bit-identical to direct
-calls by construction — which ``tests/test_query_service.py`` enforces
-with ``==``.
+The service runs the very calls a library user makes
+(``evaluate_service``, ``top_k_facilities``, ``maxkcov_tq``), so its
+answers and per-request stats are those of the direct calls — which
+``tests/test_query_service.py`` checks with ``==``.
 """
 
 from ..core.config import ServiceConfig

@@ -8,14 +8,12 @@
   one mode: ``(tree, facility_id, psi, service model, collecting?)``.
   The service only counts them (``ServiceStats.probe_units_planned``
   and ``probe_units_batched``); it schedules nothing by them.
-* **an execute step** — a call onto the request's query core
-  (:func:`~repro.queries.evaluate.evaluate_core`, plus
-  :func:`~repro.queries.evaluate.walk_matches` for a request that
-  collects matches,
-  :func:`~repro.queries.kmaxrrst.top_k_core`,
-  :func:`~repro.queries.maxkcov.maxkcov_core`) — the *same* pure steps
-  the synchronous functions wrap, which is why service answers and
-  per-request stats are bit-identical to direct calls by construction.
+* **an execute step** — the public call a library user makes for the
+  request (:func:`~repro.queries.evaluate.evaluate_service`, plus a
+  :func:`~repro.queries.maxkcov.tq_match_fn` walk for a request that
+  collects matches, :func:`~repro.queries.kmaxrrst.top_k_facilities`,
+  :func:`~repro.queries.maxkcov.maxkcov_tq`), so a service answer and
+  its per-request stats are those of the direct call.
 """
 
 from __future__ import annotations
@@ -24,9 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, FrozenSet, Tuple
 
 from ..core.errors import QueryError
-from ..queries.evaluate import evaluate_core, walk_matches
-from ..queries.kmaxrrst import top_k_core
-from ..queries.maxkcov import maxkcov_core
+from ..core.stats import QueryStats
+from ..queries import evaluate_service, maxkcov_tq, top_k_facilities, tq_match_fn
 from ..runtime import QueryRuntime
 from .requests import (
     EvaluateRequest,
@@ -45,15 +42,14 @@ ProbeUnit = Tuple[int, int, float, str, bool]
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """A lowered request: its probe units plus the core to run.
+    """A lowered request: its probe units plus the call to run.
 
     The plan pins the request (and through it the tree), so the
     ``id(tree)`` component of its units cannot be recycled while the
-    plan is alive.  ``execute`` runs the request's query core against a
-    runtime and returns the finished :class:`QueryResult`; it is pure
-    apart from the runtime's internal caches — no ambient stats
-    accrual — so the service attributes its counters exactly, whether
-    it runs alone or, under ``ServiceConfig.batch_window``, in a group.
+    plan is alive.  ``execute`` runs the request's query call against a
+    runtime — which accrues the query's counters into the runtime's
+    total — and returns the finished :class:`QueryResult`, whose
+    ``stats`` are that one request's counters.
     """
 
     request: QueryRequest
@@ -89,12 +85,12 @@ class QueryPlanner:
         )
 
         def execute(runtime: QueryRuntime) -> QueryResult:
-            value, stats = evaluate_core(req.tree, req.facility, spec, runtime)
+            stats = QueryStats()
+            value = evaluate_service(req.tree, req.facility, spec, stats, runtime)
             matches = None
             if req.collect_matches:
-                found, walked = walk_matches(req.tree, req.facility, spec.psi, runtime)
-                stats.merge(walked)
-                matches = found.as_dict()
+                walk = tq_match_fn(req.tree, spec, runtime, stats)
+                matches = walk(req.facility).as_dict()
             return QueryResult(req, value, stats, matches)
 
         return QueryPlan(req, units, execute)
@@ -107,7 +103,7 @@ class QueryPlanner:
         )
 
         def execute(runtime: QueryRuntime) -> QueryResult:
-            result = top_k_core(req.tree, req.facilities, req.k, spec, runtime)
+            result = top_k_facilities(req.tree, req.facilities, req.k, spec, runtime)
             return QueryResult(req, result, result.stats)
 
         return QueryPlan(req, units, execute)
@@ -121,9 +117,10 @@ class QueryPlanner:
         )
 
         def execute(runtime: QueryRuntime) -> QueryResult:
-            result, stats = maxkcov_core(
+            stats = QueryStats()
+            result = maxkcov_tq(
                 req.tree, req.facilities, req.k, spec, req.prune_factor,
-                runtime,
+                runtime, stats=stats,
             )
             return QueryResult(req, result, stats)
 

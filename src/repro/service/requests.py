@@ -11,11 +11,10 @@ safe to submit to several services at once.
 query-type-specific ``value`` (a float for evaluate, a
 :class:`~repro.queries.kmaxrrst.KMaxRRSTResult` for kMaxRRST, a
 :class:`~repro.queries.maxkcov.MaxKCovResult` for MaxkCov), and the
-*per-request* :class:`~repro.core.stats.QueryStats` — the same counters
-the synchronous call would have produced, which is what the
-differential suite compares with ``==``.  The service accrues every
-result's stats into its runtime's grand total, so per-request and
-service-level accounting never drift apart.
+*per-request* :class:`~repro.core.stats.QueryStats` — the counters of
+the synchronous call the request was lowered onto, which is what the
+differential suite compares with ``==``.  That call also accrued them
+into the service runtime's grand total.
 """
 
 from __future__ import annotations

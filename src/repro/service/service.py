@@ -3,24 +3,26 @@
 :class:`QueryService` is the serving layer the ROADMAP's heavy-traffic
 north star calls for: an asyncio front that accepts concurrent
 :class:`~repro.service.requests.QueryRequest` submissions and runs
-their query cores, one after another, on the thread that runs its
+their query calls, one after another, on the thread that runs its
 event loop, all against one shared :class:`~repro.runtime.QueryRuntime`.
 
-**Cores on the loop.**  A query core is synchronous Python; under the
+**Calls on the loop.**  A query call is synchronous Python; under the
 GIL a worker thread could not run one beside the loop anyway, so the
-service calls it directly — no thread pool, no cross-thread wake-up,
-no GIL hand-off per request.  The trade: a long core holds the loop,
+service makes it directly — no thread pool, no cross-thread wake-up,
+no GIL hand-off per request.  The trade: a long call holds the loop,
 so reads, ``/healthz`` and other connections wait until it ends.
 
-**One rule for when a core runs.**  At submission the request is
-planned by the :class:`~repro.service.planner.QueryPlanner`.  With
-``ServiceConfig.batch_window == 0`` its core then runs at once, inside
-:meth:`submit`, before the first ``await``.  With a window, every
-request of any of the three types joins the service's one open group
-instead; the group runs its members' cores in submission order one
-loop iteration after its first member's submit, so every submit made
-in that iteration — one :meth:`run` gather — joins it.  Either way
-each core runs alone, in submission order, against the one runtime,
+**One rule for when a call runs.**  At submission the request is
+planned by the :class:`~repro.service.planner.QueryPlanner`, which
+lowers it onto the public query function a library user would call.
+With ``ServiceConfig.batch_window == 0`` that call then runs at once,
+inside :meth:`submit`, before the first ``await``.  With a window,
+every request of any of the three types joins the service's one open
+group instead; the group runs its members' calls in submission order
+one loop iteration after its first member's submit, so every submit
+made in that iteration — one :meth:`run` gather — joins it.  Either
+way each call runs alone, in submission order, against the one
+runtime, and accrues its counters into the runtime's total itself,
 which is why service results **and per-request stats** are ``==`` the
 synchronous functions called in the same order
 (``tests/test_query_service.py``) and the same at every window
@@ -31,12 +33,12 @@ runtime's :class:`~repro.engine.CoverageCache` as cache hits.
 :func:`asyncio.wait_for` timing out) before the group runs: the
 member's outcome future is cancelled with it, the group skips it, its
 siblings run as scheduled, and it counts in
-``ServiceStats.requests_cancelled``.  Nothing awaits inside a core, so
-a cancel never lands mid-core.
+``ServiceStats.requests_cancelled``.  Nothing awaits inside a query
+call, so a cancel never lands mid-call.
 
 **What the service never does** is change an answer: batching bounds
-*when* work runs, and every answer is bit-identical to the one the
-request's synchronous core returns.
+*when* work runs, and every answer is the one the synchronous call
+returns.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ class ServiceStats:
 
     ``probe_units_planned`` sums the planner's probe units over submitted
     requests.  ``probe_units_batched`` counts the units of members whose
-    core ran, and delivered, inside a group (a cancelled or failed
+    query call ran, and delivered, inside a group (a cancelled or failed
     member's units are not counted); ``batch_groups_run`` counts the
     groups that ran, so ``probe_units_batched / batch_groups_run`` is
     the mean units per group.  With a window on and nothing failing,
@@ -183,8 +185,8 @@ class QueryService:
         """Answer one request.
 
         Everything up to the first ``await`` — planning, and at window
-        0 the core itself — runs synchronously.  Re-raises whatever the
-        request's query core raises (a failed request never poisons the
+        0 the query call itself — runs synchronously.  Re-raises whatever
+        the request's query call raises (a failed request never poisons the
         next one, exactly as a sequential caller would continue after a
         failed call).  Cancelling the returned coroutine while it waits
         in a group drops it from the group's run.
@@ -200,7 +202,7 @@ class QueryService:
             if self.config.batch_window > 0.0:
                 result = await self._join(loop, plan)
             else:
-                result = self._execute(plan)
+                result = plan.execute(self.runtime)
         except asyncio.CancelledError:
             # CancelledError is a BaseException: without this branch a
             # cancelled request would count in requests_submitted but in
@@ -208,7 +210,7 @@ class QueryService:
             self._stats.requests_cancelled += 1
             raise
         except BaseException:
-            # BaseException, not Exception: a core raising SystemExit/
+            # BaseException, not Exception: a call raising SystemExit/
             # KeyboardInterrupt must still land in an outcome counter or
             # the ServiceStats sum invariant breaks
             self._stats.requests_failed += 1
@@ -216,13 +218,6 @@ class QueryService:
         finally:
             self._pending -= 1
         self._stats.requests_completed += 1
-        return result
-
-    def _execute(self, plan: QueryPlan) -> QueryResult:
-        """One core plus its accrual into the runtime totals — what both
-        a window-0 submit and a group run per request."""
-        result = plan.execute(self.runtime)
-        self.runtime.accrue(result.stats)
         return result
 
     def _join(self, loop, plan: QueryPlan) -> "asyncio.Future":
@@ -239,11 +234,11 @@ class QueryService:
         return outcome
 
     def _run_group(self, group: _Group) -> None:
-        """Run every live member's core (:meth:`_execute`) in
-        submission order and deliver each outcome.  A member's failure
-        is its own outcome (the same exception its window-0 core
-        raises, with nothing accrued) and never stops its siblings; a
-        group whose service closed before it ran fails every member."""
+        """Run every live member's plan in submission order and deliver
+        each outcome.  A member's failure is its own outcome (the same
+        exception its window-0 call raises) and never stops its
+        siblings; a group whose service closed before it ran fails
+        every member."""
         if self._group is group:
             self._group = None
         if self._closed:
@@ -256,7 +251,7 @@ class QueryService:
             if outcome.done():  # cancelled before the group ran
                 continue
             try:
-                result = self._execute(plan)
+                result = plan.execute(self.runtime)
             except BaseException as exc:
                 outcome.set_exception(exc)
                 continue

@@ -507,8 +507,8 @@ class TestCoverageStateAgainstDictModel:
 #:
 #: Re-recorded again when MaxkCov stopped running a kMaxRRST whose
 #: shortlist keeps every candidate (here k' = min(8, 4 * 2) = 8): each
-#: leg lost exactly the counters of ``top_k_core(tree, routes[:8], 8,
-#: spec)`` on the runtime as the mix leaves it before its MaxkCov.  That
+#: leg lost exactly the counters of ``top_k_facilities(tree, routes[:8],
+#: 8, spec)`` on the runtime as the mix leaves it before its MaxkCov.  That
 #: shortlist is warm, so no probe counter moved; the other fields were
 #: (nodes_visited, entries_considered, entries_scored, states_relaxed,
 #: cache_hits) = TQ(Z) endpoint 543 / 37041 / 8667 / 108 / 357, TQ(B)

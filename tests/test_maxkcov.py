@@ -31,12 +31,7 @@ from repro import (
     maxkcov_tq,
     top_k_facilities,
 )
-from repro.queries import (
-    baseline_match_fn,
-    maxkcov_core,
-    top_k_core,
-    tq_match_fn,
-)
+from repro.queries import QueryStats, baseline_match_fn, tq_match_fn
 from repro.service import KMaxRRSTRequest, MaxKCovRequest
 from repro.service.http import Catalog, wire
 
@@ -315,11 +310,24 @@ def _entry_points(tree, users, facilities, spec):
     def fn(facility):
         return tq_match_fn(tree, spec)(facility)
 
+    def on_runtime(query):
+        """Run ``query(runtime, stats)``; a refused call accrues nothing."""
+        stats = QueryStats()
+        with QueryRuntime() as rt:
+            try:
+                return query(rt, stats)
+            finally:
+                assert rt.stats == QueryStats() and stats == QueryStats()
+
     return {
         "top_k_facilities": lambda k, p: top_k_facilities(tree, facilities, k, spec),
-        "top_k_core": lambda k, p: top_k_core(tree, facilities, k, spec),
+        "top_k_facilities_runtime": lambda k, p: on_runtime(
+            lambda rt, _: top_k_facilities(tree, facilities, k, spec, rt)
+        ),
         "maxkcov_tq": lambda k, p: maxkcov_tq(tree, facilities, k, spec, prune_factor=p),
-        "maxkcov_core": lambda k, p: maxkcov_core(tree, facilities, k, spec, p),
+        "maxkcov_tq_runtime": lambda k, p: on_runtime(
+            lambda rt, stats: maxkcov_tq(tree, facilities, k, spec, p, rt, stats=stats)
+        ),
         "greedy_max_k_coverage": lambda k, p: greedy_max_k_coverage(
             users, facilities, k, spec, fn
         ),
@@ -354,7 +362,9 @@ class TestPositiveIntegerArguments:
         with pytest.raises(QueryError, match="k must be"):
             call(k, 4)
 
-    @pytest.mark.parametrize("entry_point", ["maxkcov_tq", "maxkcov_core", "MaxKCovRequest"])
+    @pytest.mark.parametrize(
+        "entry_point", ["maxkcov_tq", "maxkcov_tq_runtime", "MaxKCovRequest"]
+    )
     @pytest.mark.parametrize("prune_factor", [float("nan"), 1.5, 2.0, True, 0], ids=str)
     def test_prune_factor_must_be_a_positive_integer(
         self, world, endpoint_spec, entry_point, prune_factor
@@ -421,9 +431,9 @@ _FLEET_GOLDEN = {
     ("TQ(B)", "COUNT", 2): (((5, 11), 499.0, 152), (142, 7779, 6687, 0, 0, 13374, 213984, 0, 0)),
 }
 
-#: The counters of the cold ``top_k_core(tree, routes, 12, spec)`` each
-#: k = 3 MaxkCov above ran as its shortlist (``states_relaxed`` re-recorded
-#: 48 -> 0 with :data:`_FLEET_GOLDEN`).
+#: The counters of the cold ``top_k_facilities(tree, routes, 12, spec)``
+#: each k = 3 MaxkCov above ran as its shortlist (``states_relaxed``
+#: re-recorded 48 -> 0 with :data:`_FLEET_GOLDEN`).
 _SHORTLIST_STATS = {
     ("TQ(Z)", "ENDPOINT"): (85, 4657, 905, 0, 0, 1810, 28960, 0, 0),
     ("TQ(Z)", "COUNT"): (85, 4657, 3494, 0, 0, 6988, 111808, 0, 0),
@@ -445,10 +455,13 @@ class TestShortlistOfEveryCandidate:
         tree = build(taxi_users, beta=16)
         spec = ServiceSpec(ServiceModel[model], psi=400.0, normalize=False)
         runtime = QueryRuntime() if with_runtime else None
-        result, stats = maxkcov_core(tree, facilities, k, spec, 4, runtime)
+        stats = QueryStats()
+        result = maxkcov_tq(tree, facilities, k, spec, 4, runtime, stats=stats)
         fleet, recorded = _FLEET_GOLDEN[tree_name, model, k]
         assert (result.facility_ids(), result.combined_service, result.users_fully_served) == fleet
         if 4 * k >= len(facilities):
             shortlist = _SHORTLIST_STATS[tree_name, model]
             recorded = tuple(a - b for a, b in zip(recorded, shortlist))
         assert astuple(stats) == recorded
+        if runtime is not None:
+            assert runtime.stats == stats

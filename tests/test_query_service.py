@@ -45,7 +45,6 @@ from repro import (
     top_k_facilities,
 )
 from repro.core.errors import QueryError
-from repro.queries.evaluate import walk_matches
 from repro.queries.maxkcov import tq_match_fn
 from repro.service import QueryPlanner
 from repro.service.http import Catalog, wire
@@ -85,46 +84,39 @@ def _sync_baseline(requests, runtime):
     """The synchronous answers, called in submission order against one
     shared runtime — the sequential schedule the service's coalescing
     order is provably equivalent to.  Returns (values, per-request
-    stats deltas) with stats read exactly as a sync caller would."""
+    stats) with stats read exactly as a sync caller would, each checked
+    ``==`` the runtime total's growth over its call."""
     values = []
     deltas = []
     for req in requests:
         before = dataclasses.replace(runtime.stats)
+        stats = QueryStats()
         if isinstance(req, EvaluateRequest):
-            stats = QueryStats()
             value = evaluate_service(
                 req.tree, req.facility, req.spec, stats=stats, runtime=runtime
             )
             matches = None
             if req.collect_matches:
-                found, walked = walk_matches(req.tree, req.facility, req.spec.psi, runtime)
-                stats.merge(walked)
-                runtime.accrue(walked)
-                matches = found.as_dict()
+                walk = tq_match_fn(req.tree, req.spec, runtime, stats)
+                matches = walk(req.facility).as_dict()
             values.append((value, matches))
-            deltas.append(stats)
-            continue
-        if isinstance(req, KMaxRRSTRequest):
+        elif isinstance(req, KMaxRRSTRequest):
             result = top_k_facilities(
                 req.tree, req.facilities, req.k, req.spec, runtime=runtime
             )
             values.append(result)
-            deltas.append(result.stats)
-            continue
-        result = maxkcov_tq(
-            req.tree, req.facilities, req.k, req.spec,
-            req.prune_factor, runtime=runtime,
-        )
-        values.append(result)
-        # maxkcov_tq reports no stats object; the runtime delta is the
-        # per-request attribution a sync caller can observe
+            stats = result.stats
+        else:
+            values.append(maxkcov_tq(
+                req.tree, req.facilities, req.k, req.spec,
+                req.prune_factor, runtime=runtime, stats=stats,
+            ))
         after = runtime.stats
-        deltas.append(
-            QueryStats(**{
-                f.name: getattr(after, f.name) - getattr(before, f.name)
-                for f in dataclasses.fields(QueryStats)
-            })
-        )
+        assert stats == QueryStats(**{
+            f.name: getattr(after, f.name) - getattr(before, f.name)
+            for f in dataclasses.fields(QueryStats)
+        })
+        deltas.append(stats)
     return values, deltas
 
 

@@ -251,9 +251,6 @@ class TestStatsAccrual:
         rt = _runtime(ProximityBackend.GRID)
         result = top_k_facilities(tree, facilities, 3, spec, runtime=rt)
         assert rt.stats == result.stats
-        total = rt.reset_stats()
-        assert total == result.stats
-        assert rt.stats == QueryStats()
 
     def test_batch_engine_accrues(self, taxi_users, facilities):
         rt = _runtime(ProximityBackend.GRID)
