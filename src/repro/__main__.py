@@ -1,10 +1,11 @@
 """``python -m repro`` — a 30-second demonstration of both queries.
 
 Generates a small synthetic city, indexes commuter trips in a TQ-tree,
-and answers a kMaxRRST and a MaxkCovRST query with oracle verification:
-the exit status is 1 when a ranked value or the fleet's combined
-service differs from the brute-force oracle.  For the full evaluation
-suite use ``python -m repro.bench``.
+and answers a kMaxRRST and a MaxkCovRST query on one runtime with oracle
+verification, then asks the kMaxRRST again on that warm runtime: the
+exit status is 1 when a ranked value or the fleet's combined service
+differs from the brute-force oracle, or the warm ranking from the cold
+one.  For the full evaluation suite use ``python -m repro.bench``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import time
 
 from . import (
     CityModel,
+    QueryRuntime,
     ServiceModel,
     ServiceSpec,
     brute_force_combined_service,
@@ -39,9 +41,10 @@ def main() -> int:
     print(f"indexed {len(users):,} trips in {time.perf_counter() - t0:.2f}s "
           f"(TQ-tree height {tree.height()})")
 
+    rt = QueryRuntime()
     t0 = time.perf_counter()
     mismatches = 0
-    top = top_k_facilities(tree, buses, 3, spec)
+    top = top_k_facilities(tree, buses, 3, spec, runtime=rt)
     dt = (time.perf_counter() - t0) * 1e3
     print(f"\nkMaxRRST (top 3 of {len(buses)} routes, {dt:.0f} ms):")
     for rank, fs in enumerate(top.ranking, 1):
@@ -52,7 +55,7 @@ def main() -> int:
               f"{fs.service:,.0f} commuters (oracle {flag})")
 
     t0 = time.perf_counter()
-    fleet = maxkcov_tq(tree, buses, 3, spec)
+    fleet = maxkcov_tq(tree, buses, 3, spec, runtime=rt)
     dt = (time.perf_counter() - t0) * 1e3
     print(f"\nMaxkCovRST (greedy fleet of 3, {dt:.0f} ms):")
     oracle = brute_force_combined_service(users, fleet.selection, spec)
@@ -60,6 +63,16 @@ def main() -> int:
     mismatches += flag != "ok"
     print(f"  routes {fleet.facility_ids()} together serve "
           f"{fleet.users_fully_served:,} commuters (oracle {flag})")
+
+    # MaxkCov's shortlist read the answers the kMaxRRST stored; the same
+    # question again is answered from them alone
+    t0 = time.perf_counter()
+    warm = top_k_facilities(tree, buses, 3, spec, runtime=rt)
+    dt = (time.perf_counter() - t0) * 1e3
+    flag = "ok" if warm.ranking == top.ranking else "MISMATCH"
+    mismatches += flag != "ok"
+    print(f"\nkMaxRRST again on the warm runtime ({dt:.1f} ms, "
+          f"{warm.stats.cache_hits:,} cache hits): ranking {flag}")
 
     print(
         "\nThese queries are meant to be served, not typed: run the "

@@ -17,8 +17,9 @@ work and are what the engine's grid path is expected to shrink:
   computes — not the smaller sum over each q-node's own component;
 * ``cells_probed``   — non-empty grid cells gathered while assembling
   candidate stops;
-* ``cache_hits``     — node values served from a
-  :class:`repro.engine.CoverageCache`, and batch masks a
+* ``cache_hits``     — listed nodes (reached, with a list of their own)
+  of a walk whose answer a :class:`repro.engine.CoverageCache`
+  returned, and batch masks a
   :class:`repro.engine.BatchQueryEngine` reused, instead of being
   recomputed.
 """

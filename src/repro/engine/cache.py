@@ -13,13 +13,12 @@ on the facility's stops, ``psi`` and the tree, and nothing else — so
   reached, their serving envelopes) and the walk's stop set as the
   runtime dressed it, unprobed — the walk gets an unprobed copy, so no
   record pins a built grid or cellstring;
-* per ``(model, normalize)`` column: three node-indexed arrays of
-  Algorithm 2's values (``known``, the ``value`` a node's own list
-  adds, how many candidates scoring it took);
+* per ``(model, normalize)`` one **answer**: the walk's service value
+  ``SO(U, f)`` and how many entries its scoring took;
 * the walk's **match set** (the served-point slots the MaxkCovRST
   solvers price), one for every model: it depends on ``psi`` alone.
 
-A warm frontier is one gather, a warm match set a lookup.
+A warm walk, or a warm match set, is a lookup.
 
 A record is found by its key and verified against the facility's own
 stop coordinates — by identity, else bitwise (equal stops restrict to
@@ -32,17 +31,18 @@ insert changes it, so two trees never share a record and an insert
 re-walks every node after it.  Any other data change is the caller's to
 scope: drop the cache (or :meth:`clear`) when it happens.
 
-Records are held to :data:`MAX_ROWS` rows — a division and each value
-column one per node, a match set one per slot — least recently used
-first out and never the record being filled.  An evicted answer is a miss like any
-other.  Divisions are bookkeeping, not answers: they count in neither
-``hits`` / ``misses`` nor ``len()``; a node value counts one hit or one
-miss per listed node a frontier reads, a match set one per request.
+Records are held to :data:`MAX_ROWS` rows — a division one per node, a
+match set one per slot; an answer adds none — least recently used
+first out and never the record being filled.  An evicted answer is a
+miss like any other.  Divisions are bookkeeping, not answers: they
+count in neither ``hits`` / ``misses`` nor ``len()``; an answer counts
+one hit or one miss per listed node its walk reaches (a node whose own
+list holds an entry), a match set one per request.
 
 **One thread owns a cache**, as one thread owns the runtime that holds
-it (DESIGN.md §6): nothing here takes a lock.  A value column is still
-copied on write and swapped in, and a match set is installed once, so
-none changes once stored and a caller may keep what it read.
+it (DESIGN.md §6): nothing here takes a lock.  An answer is a tuple and
+a match set is installed once, so none changes once stored and a
+caller may keep what it read.
 """
 
 from __future__ import annotations
@@ -55,31 +55,31 @@ import numpy as np
 __all__ = ["CoverageCache", "WalkRecord"]
 
 #: Rows held over all walk records before the least recently used go.
-#: Measured working sets, as record rows + match-set slots:
-#: ``paper_multipoint`` 44.5-45.3k + 64.6-65.8k, ``serve_burst``
-#: 55.2-55.6k + 16.9-18.1k; ``paper_cold`` never repeats a walk and sits
+#: Measured working sets, as division rows + match-set slots (seeds 1
+#: and 2): ``paper_multipoint`` 20.5-20.7k + 64.6-65.8k, ``serve_burst``
+#: 27.2-27.3k + 16.9-18.1k; ``paper_cold`` never repeats a walk and sits
 #: at the bound.
 MAX_ROWS = 131_072
 
 #: One division's arrays: served, visited, envelopes
 #: (what ``repro.queries.evaluate.divide`` returns).
 Division = Tuple[np.ndarray, np.ndarray, np.ndarray]
-#: One value column: known, value, scored-candidate count per node.
-Column = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: One walk's answer under one (model, normalize): its service value
+#: and how many entries its scoring took.
+Answer = Tuple[float, int]
 
 
 class WalkRecord:
-    """One walk's division and unprobed stop set, with its value
-    columns per ``(model, normalize)`` and its match set.  ``columns``,
-    ``matches`` and ``rows`` change only through the owning cache; a
-    column is replaced, never written into, and the match set is
-    installed once."""
+    """One walk's division and unprobed stop set, with its answer per
+    ``(model, normalize)`` and its match set.  ``answers``, ``matches``
+    and ``rows`` change only through the owning cache, and the match
+    set is installed once."""
 
-    __slots__ = ("key", "coords", "division", "stops", "columns", "matches", "rows")
+    __slots__ = ("key", "coords", "division", "stops", "answers", "matches", "rows")
 
     def __init__(self, key, coords: np.ndarray, division: Division, stops) -> None:
         self.key, self.coords, self.division, self.stops = key, coords, division, stops
-        self.columns: Dict[Hashable, Column] = {}
+        self.answers: Dict[Hashable, Answer] = {}
         self.matches: Any = None
         self.rows = division[0].size
 
@@ -130,33 +130,23 @@ class CoverageCache:
             self._evict()
         return record
 
-    def store_column(
-        self,
-        record: WalkRecord,
-        column: Hashable,
-        nodes: np.ndarray,
-        values: np.ndarray,
-        counts: np.ndarray,
-        hits: int,
+    def read_answer(self, record: WalkRecord, key: Hashable, listed: int) -> Optional[Answer]:
+        """``record``'s answer under ``key``, counted as ``listed`` hits
+        (the listed nodes its walk reaches), or ``None``."""
+        answer = record.answers.get(key)
+        if answer is not None:
+            self.hits += listed
+        return answer
+
+    def store_answer(
+        self, record: WalkRecord, key: Hashable, answer: Answer, listed: int
     ) -> None:
-        """Count ``hits`` hits and one miss per node of ``nodes``, and
-        set those nodes' values and scored-candidate counts in
-        ``record``'s column ``column`` — a copy swapped in for the one
-        held — if the cache still holds ``record``.  A new column adds
-        one row per node; least recently used records go until all fit
-        in :data:`MAX_ROWS`, ``record`` last."""
-        self.hits += hits
-        self.misses += nodes.size
-        if not nodes.size or self._records.get(record.key) is not record:
-            return
-        held, rows = record.columns.get(column), 0
-        if held is None:
-            rows = n = record.division[0].size
-            held = (np.zeros(n, dtype=bool), np.zeros(n), np.zeros(n, dtype=np.int64))
-        known, value, count = (array.copy() for array in held)
-        known[nodes], value[nodes], count[nodes] = True, values, counts
-        record.columns[column] = (known, value, count)
-        self._grow(record, rows)
+        """Count ``listed`` misses, and hold ``answer`` as ``record``'s
+        under ``key`` if the cache still holds ``record``.  An answer
+        adds no row."""
+        self.misses += listed
+        if self._records.get(record.key) is record:
+            record.answers[key] = answer
 
     def read_matches(self, record: WalkRecord) -> Any:
         """``record``'s match set, counted as one hit, or ``None``."""
@@ -167,19 +157,15 @@ class CoverageCache:
     def store_matches(self, record: WalkRecord, matches) -> None:
         """Count one miss, and hold ``matches`` — one row per slot — on
         ``record`` if the cache still holds it and it holds no match set
-        yet; evict like :meth:`store_column`."""
+        yet; least recently used records go until all fit in
+        :data:`MAX_ROWS`, ``record`` last."""
         self.misses += 1
         if record.matches is None and self._records.get(record.key) is record:
             record.matches = matches
-            self._grow(record, matches.slots.size)
-
-    def _grow(self, record: WalkRecord, rows: int) -> None:
-        """``record``, held, gained ``rows`` rows and is used: least
-        recently used records go until all fit, ``record`` last."""
-        record.rows += rows
-        self._rows += rows
-        self._records.move_to_end(record.key)
-        self._evict()
+            record.rows += matches.slots.size
+            self._rows += matches.slots.size
+            self._records.move_to_end(record.key)
+            self._evict()
 
     def _evict(self) -> None:
         while self._rows > MAX_ROWS:
@@ -190,9 +176,8 @@ class CoverageCache:
         self._rows = 0
 
     def __len__(self) -> int:
-        """Answers held: known node values and match sets."""
+        """Answers held: walk answers and match sets."""
         return sum(
-            (record.matches is not None)
-            + sum(int(np.count_nonzero(known)) for known, _, _ in record.columns.values())
+            len(record.answers) + (record.matches is not None)
             for record in self._records.values()
         )

@@ -23,13 +23,13 @@ q-node at a time, as four stage functions over arrays:
    the service model's rule in one segmented pass (per entry, then per
    node in list order).
 
-:func:`score_frontier` is a cache gather, stages 2-4 and a cache store
-for any set of nodes, and the only implementation behind
-:func:`evaluate_service` (frontier = every node the walk reaches) —
-which kMaxRRST (:mod:`repro.queries.kmaxrrst`) runs per candidate.  No
-Python loop runs over entries.  The paper's ``MakeUnion(f)`` merge
-needs no step: every node is probed against all of the facility's stops
-that can serve it, so a user is never credited twice to one facility.
+:func:`score_frontier` is stages 2-4 for any set of nodes, and the only
+implementation behind :func:`evaluate_service` (frontier = every node
+the walk reaches) — which kMaxRRST (:mod:`repro.queries.kmaxrrst`) runs
+per candidate.  No Python loop runs over entries.  The paper's
+``MakeUnion(f)`` merge needs no step: every node is probed against all
+of the facility's stops that can serve it, so a user is never credited
+twice to one facility.
 
 :func:`walk_matches` runs stages 1-3 of its own and scores nothing: it
 keeps *which* points of which users the facility serves within
@@ -43,12 +43,11 @@ whole probe path — the walk's one exact distance check goes through
 stops for the runtime's backend (dense broadcast, stop grid, or
 cellstrings; probed on the calling thread) — keeps one record per walk
 (facility, psi, node-table generation) in the runtime's cache: the
-walk's division plan, per (model, normalize) the value each q-node's
-own list adds, and the walk's match set.  A re-walk — a repeated query
-for the same facility, a kMaxRRST candidate evaluated before — gathers
-the values it knows and scores only the rest; a match set is walked
-once per record.  It also accrues this evaluation's work counters into
-the runtime's grand total.
+walk's division plan, per (model, normalize) the walk's answer, and the
+walk's match set.  A re-walk — a repeated query for the same facility,
+a kMaxRRST candidate evaluated before — returns the answer it finds and
+scores nothing; a match set is walked once per record.  It also
+accrues this evaluation's work counters into the runtime's grand total.
 No backend, grid, or cache type is plumbed through this module
 directly.
 """
@@ -318,46 +317,27 @@ def score_frontier(
     the entries stored *at* each of the frame nodes ``nodes`` (all
     served under ``plan``), in ``nodes`` order.
 
-    A cache gather, then the last three stages once each: the lists of
-    every node not answered by the cache are filtered in one stacked
-    pass, each node against its own envelope
+    The last three stages once each: the lists of every node are
+    filtered in one stacked pass, each node against its own envelope
     (:func:`filter_candidates`), the survivors probed in **one** call
-    against the plan's stop set (:func:`probe_candidates`) and scored
-    in one segmented pass (:func:`score_candidates`), then the scored
-    values are stored.
+    against the plan's stop set (:func:`probe_candidates`) and scored in
+    one segmented pass (:func:`score_candidates`).  A node's candidates
+    are summed on their own, so its value does not depend on the
+    frontier it was scored in.
 
     Probing the walk's stops instead of each node's own part of them is
     exact: an entry sits at a node whose box holds all its probe points,
     so every stop within ``psi`` of one of them lies in that box grown
     by ``psi`` — it belongs to the node — and ``psi_hit`` on one
     (point, stop) pair does not depend on which other stops are in the
-    call.
-
-    ``runtime`` owns the probe path.  A walk whose plan the runtime's
-    cache keeps reads its nodes' values from the plan's record — one
-    value column per (model, normalize), one gather — and stores the
-    values it had to score there: a node's candidates are summed on
-    their own, so its value does not depend on the frontier it was
-    scored in.
+    call.  ``runtime`` owns the probe path; nothing here reads or fills
+    a cache.
     """
     frame = tree.frame()
     n_own = frame.n_own[nodes]
     stats.entries_considered += int(n_own.sum())
     listed = np.flatnonzero(n_own)  # positions of the nodes with a list
     values = np.zeros(nodes.size)
-    record = plan.record
-    column = (spec.model, spec.normalize)
-    held = None if record is None else record.columns.get(column)
-    hits, counts = 0, np.zeros(0, dtype=np.int64)
-    if held is not None:
-        ids = nodes[listed]
-        known = held[0][ids]
-        at, ids = listed[known], ids[known]
-        values[at] = held[1][ids]
-        hits = at.size
-        stats.cache_hits += hits
-        stats.entries_scored += int(held[2][ids].sum())
-        listed = listed[~known]
     if listed.size:
         ids = nodes[listed]
         mode = candidate_mode(spec, tree.config.variant)
@@ -366,12 +346,7 @@ def score_frontier(
         )
         mask = probe_candidates(frame.block, rows, plan.stops, spec.psi, stats, runtime)
         stats.entries_scored += rows.size
-        listed = listed[order]
-        values[listed] = score_candidates(frame.block, rows, mask, counts, spec)
-    if record is not None:
-        runtime.cache.store_column(
-            record, column, nodes[listed], values[listed], counts, hits
-        )
+        values[listed[order]] = score_candidates(frame.block, rows, mask, counts, spec)
     return values
 
 
@@ -423,7 +398,13 @@ def evaluate_core(
     (``in_order_sum``), the same rule :func:`score_candidates` uses
     inside a node.  ENDPOINT and raw COUNT values are whole numbers, so
     the order gives them exactly; normalised COUNT / LENGTH sums round
-    the same on every walk of the tree, warm or cold.
+    the same on every walk of the tree.
+
+    A walk whose plan the runtime's cache keeps memoises its answer on
+    the plan's record, per (model, normalize): a record holding one
+    returns it, scoring nothing, with the counters the cold walk
+    reported — its nodes and entries, one cache hit per listed node —
+    and no geometric work.
     :func:`~repro.queries.kmaxrrst.top_k_facilities` checks its spec
     once and runs this per candidate.
     """
@@ -433,8 +414,20 @@ def evaluate_core(
     if not reached.size:
         return 0.0, local
     local.nodes_visited += reached.size
-    values = score_frontier(tree, plan, reached, spec, local, runtime)
-    return in_order_sum(values), local
+    record, key = plan.record, (spec.model, spec.normalize)
+    if record is not None:
+        n_own = tree.frame().n_own[reached]
+        listed = int(np.count_nonzero(n_own))
+        held = runtime.cache.read_answer(record, key, listed)
+        if held is not None:
+            local.entries_considered += int(n_own.sum())
+            local.entries_scored += held[1]
+            local.cache_hits += listed
+            return held[0], local
+    so = in_order_sum(score_frontier(tree, plan, reached, spec, local, runtime))
+    if record is not None:
+        runtime.cache.store_answer(record, key, (so, local.entries_scored), listed)
+    return so, local
 
 
 def evaluate_service(
@@ -451,7 +444,7 @@ def evaluate_service(
     is scored via Algorithm 2.  ``runtime`` owns the probe path — how
     exact distance checks execute (dense broadcast, stop grid or
     cellstrings, on the calling thread — identical results) — memoises
-    the walk's division plan and per-node values in its cache, and
+    the walk's division plan and answer in its cache, and
     accrues this evaluation's work into its grand total.  ``stats``,
     when given, receives the same counters.
     """

@@ -189,7 +189,7 @@ def maxkcov_tq(
     With a ``runtime``, the exact distance work rides the proximity
     engine the runtime provisions, the query's counters accrue into its
     total, and repeated queries — another ``k``, a solver ensemble over
-    the same tree — reuse the shortlist's node values and the match
+    the same tree — reuse the shortlist's walk answers and the match
     sets already computed (the answer is unchanged).  ``stats``, when
     given, receives the same counters: the shortlist's, when one runs,
     and every match set actually walked.

@@ -5,7 +5,9 @@
 
 * **probe units** — hashable descriptors of the geometric work the
   request will perform.  A unit names one facility's coverage walk in
-  one mode: ``(tree, facility_id, psi, service model, collecting?)``.
+  one mode: ``(tree, facility_id, psi, service model, collecting?)``;
+  a collecting (match-set) walk serves every model at ``psi``, so its
+  unit names none.
   The service only counts them (``ServiceStats.probe_units_planned``
   and ``probe_units_batched``); it schedules nothing by them.
 * **an execute step** — the public call a library user makes for the
@@ -19,7 +21,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Tuple
+from typing import Callable, FrozenSet, Optional, Tuple
 
 from ..core.errors import QueryError
 from ..core.stats import QueryStats
@@ -36,8 +38,8 @@ from .requests import (
 __all__ = ["ProbeUnit", "QueryPlan", "QueryPlanner"]
 
 #: One unit of shareable probe work:
-#: ``(id(tree), facility_id, psi, model value, collecting?)``.
-ProbeUnit = Tuple[int, int, float, str, bool]
+#: ``(id(tree), facility_id, psi, model value or None, collecting?)``.
+ProbeUnit = Tuple[int, int, float, Optional[str], bool]
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,8 @@ class QueryPlan:
 
 
 def _unit(tree, facility_id: int, psi: float, model, collecting: bool) -> ProbeUnit:
-    return (id(tree), int(facility_id), float(psi), model.value, collecting)
+    named = None if collecting else model.value
+    return (id(tree), int(facility_id), float(psi), named, collecting)
 
 
 class QueryPlanner:

@@ -379,8 +379,8 @@ class TestTreePathOracle:
         want = run(roomy_rt)
         assert len(roomy) > 32 and roomy.hits == 0
         assert run(roomy_rt) == want and roomy.hits > 0  # nothing was evicted
-        # a record is a division and a COUNT column, n rows each
-        monkeypatch.setattr(cache_module, "MAX_ROWS", 8 * n)
+        # a record is a division, n rows; its COUNT answer adds none
+        monkeypatch.setattr(cache_module, "MAX_ROWS", 4 * n)
         bounded_rt = _rt(ProximityBackend.AUTO)
         bounded = bounded_rt.cache
         assert run(bounded_rt) == want
@@ -404,39 +404,42 @@ class TestTreePathOracle:
         stops = StopSet(coords)
         old = cache.store_record("old", coords, division, stops)
         new = cache.store_record("new", coords, division, stops)
-        ones = np.ones(10, dtype=np.int64)
-        cache.store_column(new, "c", np.arange(5), ones[:5], ones[:5], 0)
-        cache.store_column(old, "c", np.arange(10), ones, ones, 0)
+        cache.store_matches(new, self._match_set(5))
+        cache.store_answer(old, "c", (1.0, 1), 10)  # an answer adds no row
+        assert list(cache._records) == ["old", "new"] and cache._rows == 25
+        cache.store_matches(old, self._match_set(10))
         assert list(cache._records) == ["old"] and cache._rows == 20
-        assert old.columns["c"][0].all() and len(cache) == 10
+        assert old.answers == {"c": (1.0, 1)} and len(cache) == 2
 
     def test_a_store_replaces_the_keys_record(self):
         """A store holds a new record as its key's, replacing the one
-        held — columns and all, of equal stops or not — and ``_rows``
-        drops the replaced record's rows for the new one's."""
+        held — answers, match set and all, of equal stops or not — and
+        ``_rows`` drops the replaced record's rows for the new one's."""
         cache, coords = CoverageCache(), np.zeros((4, 2))
         division = (np.zeros(4, dtype=bool),) * 3
         stops = StopSet(coords)
         first = cache.store_record("walk", coords, division, stops)
-        cache.store_column(first, "c", np.arange(4), np.ones(4), np.ones(4, dtype=np.int64), 0)
-        assert cache._rows == 8 and len(cache) == 4
+        cache.store_answer(first, "c", (4.0, 4), 4)
+        cache.store_matches(first, self._match_set(4))
+        assert cache._rows == 8 and len(cache) == 2
         for made_of in (coords.copy(), coords + 1.0):
             held = cache.lookup_record("walk", coords)
             record = cache.store_record("walk", made_of, division, stops)
-            assert record is not held and not record.columns
+            assert record is not held and not record.answers and record.matches is None
             assert cache._rows == 4 and len(cache) == 0
             assert list(cache._records.values()) == [record]
         assert cache.lookup_record("walk", coords) is None
 
     @staticmethod
     def _fill_records(cache, rounds, walks):
-        """Read and fill the value columns of ``walks`` four-node walk
-        records, two nodes a round, through the calls the query path
-        makes; returns how many node reads were made."""
+        """Read and fill the answers of ``walks`` four-node walk records,
+        walk ``w`` listing ``1 + w % 4`` nodes, through the calls the
+        query path makes; returns how many listed-node reads were made."""
         coords = np.zeros((4, 2))
         division = (np.zeros(4, dtype=bool),) * 3
         stops = StopSet(coords)
-        for r in range(rounds):
+        reads = 0
+        for _ in range(rounds):
             for w in range(walks):
                 key = ("walk", w)
                 record = cache.lookup_record(key, coords)
@@ -445,23 +448,23 @@ class TestTreePathOracle:
                 # every walk sees the one dressing and gets its own
                 # unprobed copy of it
                 assert record.stops is stops and record.stops.unprobed() is not stops
-                held = record.columns.get("c")
-                nodes = np.array([(r + w) % 4, (r + w + 1) % 4])
-                known = np.zeros(2, dtype=bool) if held is None else held[0][nodes]
-                if held is not None:
-                    # a known node always has its value and its count
-                    assert np.array_equal(held[1][nodes[known]], 1.0 + nodes[known])
-                    assert np.array_equal(held[2][nodes[known]], 10 + nodes[known])
-                fresh = nodes[~known]
-                cache.store_column(record, "c", fresh, 1.0 + fresh, 10 + fresh, int(known.sum()))
-        return rounds * walks * 2
+                listed = 1 + w % 4
+                held = cache.read_answer(record, "c", listed)
+                if held is None:
+                    cache.store_answer(record, "c", (1.0 + w, 10 + w), listed)
+                else:
+                    # a held answer is the walk's value and its count
+                    assert held == (1.0 + w, 10 + w)
+                reads += listed
+        return reads
 
     def test_record_counters_account_for_every_node_read(self):
         cache = CoverageCache()
         reads = self._fill_records(cache, rounds=50, walks=4)
-        # every node of a read either hit or was stored (the miss)
+        # every listed node of a read either hit or was stored (the miss)
         assert cache.hits + cache.misses == reads
-        assert len(cache) == 16  # one value per node
+        assert cache.misses == 1 + 2 + 3 + 4  # each walk filled once
+        assert len(cache) == 4  # one answer per walk
 
     def test_record_eviction_keeps_the_row_bound(self, monkeypatch):
         from repro.engine import cache as cache_module
@@ -551,9 +554,8 @@ class TestTreePathOracle:
         runtime, repeated in rotated orders and ranked with kMaxRRST,
         with a row bound smaller than the working set: every answer,
         ranking and plan (its stops included) ``==`` a roomy runtime's,
-        every value column read holds the roomy value and count
-        wherever a node is known, and the records held stay within the
-        bound."""
+        every answer held ``==`` the roomy answer (value and count), and
+        the records held stay within the bound."""
         from repro.engine import cache as cache_module
         from repro.queries.evaluate import walk_plan
 
@@ -564,16 +566,16 @@ class TestTreePathOracle:
             want = [evaluate_service(tree, f, spec, runtime=roomy) for f, spec in walks]
             want += [top_k_facilities(tree, facilities, 3, s, runtime=roomy).ranking for s in specs]
             records = roomy.cache._records
-            columns = {
+            answers = {
                 (key, column): held
                 for key, record in records.items()
-                for column, held in record.columns.items()
+                for column, held in record.answers.items()
             }
-        assert len(columns) == len(walks)
+        assert len(answers) == len(walks)
         assert want[: len(walks)] == [evaluate_service(tree, f, spec) for f, spec in walks]
         plans = [walk_plan(tree, f, spec.psi, None) for f, spec in walks]
         n = len(tree.frame())
-        monkeypatch.setattr(cache_module, "MAX_ROWS", 10 * n)
+        monkeypatch.setattr(cache_module, "MAX_ROWS", 5 * n)
         assert len(facilities) > 5
         with QueryRuntime() as runtime:
             cache = runtime.cache
@@ -589,18 +591,14 @@ class TestTreePathOracle:
                     assert np.array_equal(got.visited, plan.visited)
                     assert np.array_equal(got.envelopes, plan.envelopes, equal_nan=True)
                     column = (spec.model, spec.normalize)
-                    held = got.record.columns.get(column)
+                    held = got.record.answers.get(column)
                     if held is not None:
-                        known, value, count = held
-                        roomy_known, roomy_value, roomy_count = columns[(got.record.key, column)]
-                        assert roomy_known[known].all()
-                        assert np.array_equal(value[known], roomy_value[known])
-                        assert np.array_equal(count[known], roomy_count[known])
+                        assert held == answers[(got.record.key, column)]
                 for s, spec in enumerate(specs[turn % 2 :] + specs[: turn % 2]):
                     ranking = top_k_facilities(tree, facilities, 3, spec, runtime=runtime).ranking
                     got_values[len(walks) + (s + turn) % 2] = ranking
                 assert got_values == want
-                assert cache._rows == sum(r.rows for r in cache._records.values()) <= 10 * n
+                assert cache._rows == sum(r.rows for r in cache._records.values()) <= 5 * n
 
 
 @pytest.mark.engine_smoke

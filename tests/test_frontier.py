@@ -681,9 +681,11 @@ def test_a_warmed_tree_builds_nothing_inside_its_first_query(name, z_on_short_li
 def test_a_frontier_scores_bitwise_like_its_nodes_one_by_one(name, model, normalize):
     """A frontier's per-node values ``==`` each node scored as a frontier
     of one, ``==`` the per-entry reference loop of ``tests/strategies.py``
-    (and through a half-warm cache), also over the candidates a
-    match-set walk's filter keeps; a match-set walk's matches are the
-    oracle's."""
+    (and through a runtime's probe path, which dresses the plan's stops
+    for its backend — again after it probed half the frontier; the plan
+    has no record, so nothing is read from a cache), also over the
+    candidates a match-set walk's filter keeps; a match-set walk's
+    matches are the oracle's."""
     users = _users(70, 7, name in TWO_POINT)
     rng = np.random.default_rng(11)
     seen_empty = seen_unserved = 0
@@ -973,16 +975,17 @@ def test_two_trees_on_one_runtime_each_get_their_own_plan(divisions):
 
 @pytest.mark.engine_smoke
 def test_a_sweep_of_new_facilities_holds_at_most_the_row_bound(divisions, monkeypatch):
-    """Walk records — a division and an ENDPOINT value column, ``n``
-    rows each — beyond the row bound go least recently used first; an
+    """Walk records — a division, ``n`` rows, and an ENDPOINT answer,
+    none — beyond the row bound go least recently used first; an
     evicted walk is divided again and answers ``==``; a walk larger
-    than the bound is not held."""
+    than the bound is not held, and one that fits stays held with its
+    answer."""
     from repro.engine import cache as cache_module
 
     users = _users(70, 7, True)
     tree = BUILDERS["tq_zorder"](users)
     n = len(tree.frame())
-    monkeypatch.setattr(cache_module, "MAX_ROWS", 6 * n)
+    monkeypatch.setattr(cache_module, "MAX_ROWS", 3 * n)
     spec = ServiceSpec(ServiceModel.ENDPOINT, psi=140.0)
     routes = [FacilityRoute(j, [(40 + 90 * j, 60 + 45 * j), (500, 90 * j)]) for j in range(10)]
     with QueryRuntime() as runtime:
@@ -992,17 +995,55 @@ def test_a_sweep_of_new_facilities_holds_at_most_the_row_bound(divisions, monkey
             first.append(evaluate_service(tree, f, spec, runtime=runtime))
             if k == 8:
                 evaluate_service(tree, routes[7], spec, runtime=runtime)  # 7 used last
-            assert cache._rows == 2 * n * len(cache._records) <= 6 * n
+            assert cache._rows == n * len(cache._records) <= 3 * n
         assert [key[0] for key in cache._records] == [8, 7, 9]
         del divisions[:]
         assert [evaluate_service(tree, f, spec, runtime=runtime) for f in routes[:2]] == first[:2]
         assert len(divisions) == 2
-        for bound in (n - 1, 2 * n - 1):  # the division alone, or with its column
-            monkeypatch.setattr(cache_module, "MAX_ROWS", bound)
-            cache.clear()
-            assert evaluate_service(tree, routes[0], spec, runtime=runtime) == first[0]
-            assert cache._rows == 0 and not cache._records
+        # the division alone is over the bound: nothing is held
+        monkeypatch.setattr(cache_module, "MAX_ROWS", n - 1)
+        cache.clear()
+        assert evaluate_service(tree, routes[0], spec, runtime=runtime) == first[0]
+        assert cache._rows == 0 and not cache._records
+        # the division fits, and its answer adds no row
+        monkeypatch.setattr(cache_module, "MAX_ROWS", n)
+        assert evaluate_service(tree, routes[0], spec, runtime=runtime) == first[0]
+        assert cache._rows == n and len(cache) == 1
     assert first == [brute_force_service(users, f, spec) for f in routes]
+
+
+@pytest.mark.parametrize("model", list(ServiceModel))
+def test_a_warm_evaluate_returns_the_walks_answer_and_scores_nothing(model, monkeypatch):
+    """A second evaluate under the same spec on one runtime returns the
+    answer its walk record holds: ``==`` the cold value with no filter,
+    probe or scoring call, the cold walk's node and entry counters, one
+    cache hit per listed reached node and no geometric work.  Storing
+    the answer added no row to the record."""
+    tree = BUILDERS["tq_zorder"](_users(70, 7, True))
+    f, spec = _ROUTES[0], ServiceSpec(model, psi=250.0)
+    n = len(tree.frame())
+    reached = np.flatnonzero(walk_plan(tree, f, spec.psi, None).visited)
+    listed = int(np.count_nonzero(tree.frame().n_own[reached]))
+    with QueryRuntime() as runtime:
+        cold_stats, warm_stats = QueryStats(), QueryStats()
+        cold = evaluate_service(tree, f, spec, stats=cold_stats, runtime=runtime)
+        (record,) = runtime.cache._records.values()
+        assert record.rows == n
+        assert record.answers == {(model, spec.normalize): (cold, cold_stats.entries_scored)}
+        calls = []
+        for name in ("filter_candidates", "probe_candidates", "score_candidates"):
+            inner = getattr(evaluate_module, name)
+            monkeypatch.setattr(
+                evaluate_module, name, lambda *a, _n=name, _f=inner: (calls.append(_n), _f(*a))[1]
+            )
+        assert evaluate_service(tree, f, spec, stats=warm_stats, runtime=runtime) == cold
+        assert calls == [] and record.rows == n
+    assert listed and cold_stats.points_scanned and cold_stats.cache_hits == 0
+    for field in ("nodes_visited", "entries_considered", "entries_scored"):
+        assert getattr(warm_stats, field) == getattr(cold_stats, field), field
+    assert warm_stats.cache_hits == listed
+    for field in _PROBE_FIELDS:
+        assert getattr(warm_stats, field) == 0, field
 
 
 # ----------------------------------------------------------------------

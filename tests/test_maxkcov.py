@@ -213,8 +213,9 @@ class TestMatchSetsOnWalkRecords:
         self, taxi_users, facilities, count_spec
     ):
         """kMaxRRST and then MaxkCov over the same candidates leave one
-        record per facility, holding its division, its values and its
-        match set."""
+        record per facility, holding its division, its answer and its
+        match set: its rows are the division's and the match set's slots
+        (an answer adds none)."""
         tree = build_tq_zorder(taxi_users, beta=16)
         column = (count_spec.model, count_spec.normalize)
         with QueryRuntime() as rt:
@@ -224,8 +225,9 @@ class TestMatchSetsOnWalkRecords:
             assert sorted(key[0] for key in records) == sorted(f.facility_id for f in facilities)
             for record in records.values():
                 assert record.division[0].size == len(tree.frame())
-                assert set(record.columns) == {column}
+                assert set(record.answers) == {column}
                 assert record.matches is not None
+                assert record.rows == len(tree.frame()) + record.matches.slots.size
                 assert rt.cache._rows == sum(r.rows for r in records.values())
 
     @pytest.mark.parametrize("builder", [build_segmented, build_full], ids=["S-TQ", "F-TQ"])

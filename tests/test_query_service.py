@@ -244,6 +244,27 @@ class TestCoalescing:
         assert stats.probe_units_coalesced == 0
 
 
+class TestProbeUnits:
+    def test_a_collecting_unit_names_no_model(self, tree, facilities):
+        """A match-set walk serves every model at its psi: MaxkCov
+        requests under COUNT and under LENGTH over the same facilities
+        plan equal collecting units (an evaluate collecting matches
+        plans one of them), and each still plans a collecting and a
+        scoring unit per facility."""
+        planner = QueryPlanner()
+        routes = tuple(facilities[:4])
+        count, length = (
+            planner.plan(MaxKCovRequest(tree, routes, 2, spec)).units for spec in (COUNT, LENGTH)
+        )
+        collecting = {unit for unit in count if unit[4]}
+        assert collecting == {unit for unit in length if unit[4]}
+        assert {unit[3] for unit in collecting} == {None}
+        assert len(count) == len(length) == 2 * len(routes) == 2 * len(collecting)
+        assert count - collecting != length - collecting
+        evaluate = planner.plan(EvaluateRequest(tree, routes[0], LENGTH, collect_matches=True))
+        assert len(evaluate.units) == 1 and evaluate.units <= collecting
+
+
 class TestAdmissionControl:
     @pytest.mark.parametrize("batch_window", [0.0, 0.005])
     def test_run_awaits_siblings_of_a_failed_request(
